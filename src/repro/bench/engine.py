@@ -132,31 +132,19 @@ def _bench_small_verbs(n_iters: int) -> Dict[str, object]:
     }
 
 
-def _agenda_workload(mix: str, n_entries: int, heap: bool) -> float:
+def _agenda_workload(mix: str, n_entries: int) -> float:
     """Raw agenda entries/s: ``_schedule_call`` noop chains, no processes.
 
-    Measures the agenda data structure itself (ladder vs binary heap)
-    without generator-resume overhead.  ``mix`` shapes the delay
-    distribution; 4096 outstanding entries in the timed mixes push the
-    ladder past its direct-mode threshold into bucket-window mode.
+    Measures the agenda itself (heap pushes/pops and the same-instant
+    batch of ``Environment.run``) without generator-resume overhead.
+    ``mix`` shapes the delay distribution; the timed mixes keep 4096
+    entries outstanding.
     """
     import random
 
     from repro.sim import Environment
 
-    prev = os.environ.get("REPRO_HEAP_AGENDA")
-    if heap:
-        os.environ["REPRO_HEAP_AGENDA"] = "1"
-    else:
-        os.environ.pop("REPRO_HEAP_AGENDA", None)
-    try:
-        env = Environment()
-    finally:
-        if prev is None:
-            os.environ.pop("REPRO_HEAP_AGENDA", None)
-        else:
-            os.environ["REPRO_HEAP_AGENDA"] = prev
-
+    env = Environment()
     sched = env._schedule_call
     rng = random.Random(0xA6E2DA).random
     fired = [0]
@@ -202,14 +190,11 @@ def _agenda_workload(mix: str, n_entries: int, heap: bool) -> float:
 
 
 def _bench_agenda(n_entries: int) -> Dict[str, object]:
-    """Agenda microbenchmark: ladder vs heap on three delay mixes."""
+    """Agenda microbenchmark: entries/s on three delay mixes."""
     out: Dict[str, object] = {"n": n_entries}
     for mix in ("uniform", "narrow_band", "burst"):
-        ladder = _agenda_workload(mix, n_entries, heap=False)
-        heap = _agenda_workload(mix, n_entries, heap=True)
-        out[f"{mix}_entries_per_sec"] = round(ladder, 1)
-        out[f"{mix}_heap_entries_per_sec"] = round(heap, 1)
-        out[f"{mix}_ladder_speedup"] = round(ladder / heap, 2)
+        out[f"{mix}_entries_per_sec"] = round(
+            _agenda_workload(mix, n_entries), 1)
     return out
 
 

@@ -322,6 +322,7 @@ def _check_main(args) -> int:
 
     from repro.verify import (CHECKS, check_trace, metamorphic_sweep,
                               run_check)
+    from repro.verify.suites import KERNELS
 
     if args.action == "list":
         for name in sorted(CHECKS):
@@ -367,8 +368,7 @@ def _check_main(args) -> int:
             print(f"available: {', '.join(sorted(CHECKS))}",
                   file=sys.stderr)
             return 2
-        kernels = (["fast", "heap", "slow"] if args.both_kernels
-                   else [args.kernel])
+        kernels = KERNELS if args.both_kernels else [args.kernel]
         results = [run_check(n, seed=args.seed, kernel=k,
                              shrink=not args.no_shrink)
                    for n in names for k in kernels]
@@ -993,8 +993,7 @@ def _bench_main(args) -> int:
     print(f"  events       {res['events']['events_per_sec']:>12,.0f} /s")
     ag = res["agenda"]
     for mix in ("uniform", "narrow_band", "burst"):
-        print(f"  agenda {mix:<12s} {ag[f'{mix}_entries_per_sec']:>9,.0f} /s "
-              f"({ag[f'{mix}_ladder_speedup']:.2f}x vs REPRO_HEAP_AGENDA)")
+        print(f"  agenda {mix:<12s} {ag[f'{mix}_entries_per_sec']:>9,.0f} /s")
     sv = res["small_verbs"]
     print(f"  small verbs  {sv['verbs_per_sec']:>12,.0f} /s   "
           f"({sv['speedup_vs_slow']:.2f}x vs REPRO_SLOW_KERNEL, "
@@ -1092,11 +1091,11 @@ def main(argv=None) -> int:
                         help="check names (or 'all') for run/meta; "
                              "trace file path(s) for trace")
     checkp.add_argument("--seed", type=int, default=0)
-    checkp.add_argument("--kernel", choices=["fast", "heap", "slow"],
+    checkp.add_argument("--kernel", choices=["fast", "slow"],
                         default="fast")
     checkp.add_argument("--both-kernels", action="store_true",
-                        help="run every check under all three event "
-                             "kernels (ladder / heap / slow)")
+                        help="run every check under both event "
+                             "kernels (fast / slow)")
     checkp.add_argument("--no-shrink", action="store_true",
                         help="skip reproducer shrinking on violation")
     checkp.add_argument("--json", metavar="PATH", default=None,
@@ -1131,7 +1130,7 @@ def main(argv=None) -> int:
                         help="replay/shrink a schedule from this JSON "
                              "file (bare list, run record, or shrink "
                              "report)")
-    chaosp.add_argument("--kernel", choices=["fast", "heap", "slow"],
+    chaosp.add_argument("--kernel", choices=["fast", "slow"],
                         default="fast")
     chaosp.add_argument("--both-kernels", action="store_true",
                         help="run: every schedule under both event "
@@ -1156,7 +1155,7 @@ def main(argv=None) -> int:
     txnp.add_argument("--n-nodes", type=int, default=4)
     txnp.add_argument("--n-keys", type=int, default=4,
                       help="account/stock pool size (fewer = hotter)")
-    txnp.add_argument("--kernel", choices=["fast", "heap", "slow"],
+    txnp.add_argument("--kernel", choices=["fast", "slow"],
                       default="fast")
     txnp.add_argument("--workers", type=int, default=0,
                       help="bench: lab pool workers (0 = in-process)")
@@ -1176,7 +1175,7 @@ def main(argv=None) -> int:
     topop.add_argument("--seed", type=int, default=0)
     topop.add_argument("--n-nodes", type=int, default=8,
                        help="shard-check: cluster size (default 8)")
-    topop.add_argument("--kernel", choices=["fast", "heap", "slow"],
+    topop.add_argument("--kernel", choices=["fast", "slow"],
                        default="fast")
     topop.add_argument("--json", metavar="PATH", default=None,
                        help="run: write the verdict JSON here")
@@ -1206,7 +1205,7 @@ def main(argv=None) -> int:
                         default="none",
                         help="run: fault plan (default none)")
     locksp.add_argument("--seed", type=int, default=0)
-    locksp.add_argument("--kernel", choices=["fast", "heap", "slow"],
+    locksp.add_argument("--kernel", choices=["fast", "slow"],
                         default="fast")
     locksp.add_argument("--json", metavar="PATH", default=None,
                         help="run: write the stats JSON here")

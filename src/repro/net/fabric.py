@@ -88,48 +88,55 @@ class Fabric:
         obs = self.env.obs
         if obs is not None:
             self._obs_transfer(obs, nbytes)
-        if src_id == dst_id:
-            done = self.env.timeout(self.params.local_op_us)
-        else:
-            if self.env.fastpath and self.injector is None:
-                arrive_at = self._fast_arrival(src_id, nbytes)
-                if arrive_at >= 0.0:
-                    done = Event(self.env)
-                    self.env._schedule_at(arrive_at, done, value=None)
-                    return done
-            self._pre_acquire[src_id] += 1
-            done = self.env.process(
-                self._transfer_proc(src_id, dst_id, nbytes),
-                name=f"xfer-{src_id}->{dst_id}",
-            )
+        if src_id != dst_id:
+            return self._arrival(src_id, dst_id, nbytes)
+        done = self.env.timeout(self.params.local_op_us)
         if self.injector is not None:
-            # a crash at either end while the payload is in flight must
-            # fail this completion, not deliver into the new incarnation
             return self.injector.fence_completion(src_id, dst_id, done)
         return done
 
-    def _fast_arrival(self, src_id: int, nbytes: int) -> float:
-        """Reserve ``src``'s egress link for the serialization window and
-        return the absolute arrival instant, or -1.0 when contended.
+    def _arrival(self, src_id: int, dst_id: Optional[int],
+                 nbytes: int) -> Event:
+        """Completion event of one injection at ``src_id`` — the one
+        fast/slow decision of this module.
 
-        The whole 4-yield transfer process collapses into a single
-        scheduled instant: the link reservation expires at exactly
-        ``(now + nic_tx) + serialization`` — when the slow path's
+        Fault-free on the fast kernel with the egress link free, the
+        whole 4-yield transfer process collapses into a single scheduled
+        instant: the link reservation expires at exactly
+        ``(now + nic_tx) + serialization`` — when the generator's
         ``release()`` would run — so transfers arriving meanwhile queue
         identically (:meth:`Resource.try_reserve`).  The additions keep
-        the slow path's association order: it computes
+        the generator's association order: it computes
         ``(now + nic_tx) + serialization`` across two Timeouts, and
         float addition is not associative — byte-identical equivalence
-        requires the same order.
+        requires the same order.  Otherwise the generator transfer runs:
+        it is the spec, and the only path a fault injector can act on.
         """
-        if self._pre_acquire[src_id] != 0:
-            return -1.0
         env = self.env
-        p = self.params
-        released_at = (env._now + p.nic_tx_us) + p.serialization_us(nbytes)
-        if not self._egress[src_id].try_reserve(released_at):
-            return -1.0
-        return released_at + (p.wire_latency_us + p.nic_rx_us)
+        injector = self.injector
+        if env.fastpath and injector is None \
+                and self._pre_acquire[src_id] == 0:
+            p = self.params
+            released_at = ((env._now + p.nic_tx_us)
+                           + p.serialization_us(nbytes))
+            if self._egress[src_id].try_reserve(released_at):
+                done = Event(env)
+                env._schedule_at(
+                    released_at + (p.wire_latency_us + p.nic_rx_us), done,
+                    value=None)
+                return done
+        self._pre_acquire[src_id] += 1
+        # the name is only built here: formatting it per transfer would
+        # put a string allocation on the analytic path above
+        done = env.process(
+            self._transfer_proc(src_id, dst_id, nbytes),
+            name=(f"mcast-{src_id}" if dst_id is None
+                  else f"xfer-{src_id}->{dst_id}"))
+        if injector is not None:
+            # a crash at either end while the payload is in flight must
+            # fail this completion, not deliver into the new incarnation
+            return injector.fence_completion(src_id, dst_id, done)
+        return done
 
     def fast_send(self, src_id: int, dst_id: int, nbytes: int) -> float:
         """Event-free transfer for the NIC verb fast path.
@@ -138,19 +145,18 @@ class Fabric:
         caller schedules its own continuation there), or -1.0 when the
         egress link is contended — then nothing was counted and the
         caller must fall back to :meth:`send_process`.  Callers
-        guarantee ``env.fastpath`` is on, the injector is absent and
-        both node ids are valid — the verb layer checked already.
+        guarantee the fast kernel, no injector and valid node ids —
+        the verb layer checked already.
         """
         env = self.env
         if src_id == dst_id:
             arrive_at = env._now + self.params.local_op_us
         else:
-            # _fast_arrival with Resource.try_reserve and
+            # _arrival's reservation with Resource.try_reserve and
             # serialization_us unrolled in place: this runs twice per
-            # one-sided verb (request + response leg), so the three
-            # method calls it saves are measurable at bench scale.
-            # Same float association order as the slow path (see
-            # _fast_arrival's docstring).
+            # one-sided verb (request + response leg), so the method
+            # calls it saves are measurable at bench scale.  Same float
+            # association order as the generator (see _arrival).
             if self._pre_acquire[src_id] != 0:
                 return -1.0
             p = self.params
@@ -238,18 +244,7 @@ class Fabric:
         obs = self.env.obs
         if obs is not None:
             self._obs_transfer(obs, nbytes)
-        if self.env.fastpath and self.injector is None:
-            arrive_at = self._fast_arrival(src_id, nbytes)
-            if arrive_at >= 0.0:
-                done = Event(self.env)
-                self.env._schedule_at(arrive_at, done, value=None)
-                return done
-        self._pre_acquire[src_id] += 1
-        done = self.env.process(self._transfer_proc(src_id, None, nbytes),
-                                name=f"mcast-{src_id}")
-        if self.injector is not None:
-            return self.injector.fence_completion(src_id, None, done)
-        return done
+        return self._arrival(src_id, None, nbytes)
 
     def egress_queue_len(self, node_id: int) -> int:
         """Transfers waiting on the node's egress link (for diagnostics)."""

@@ -67,6 +67,9 @@ _OP_READ = 0
 _OP_WRITE = 1
 _OP_CAS = 2
 _OP_FAA = 3
+#: process-name stems of the generator twins, indexed by op code (the
+#: atomic stems double as ``_atomic_proc``'s op argument).
+_OP_NAMES = ("rdma-read", "rdma-write", "cas", "faa")
 
 
 class NIC:
@@ -288,9 +291,10 @@ class NIC:
     # ``REPRO_SLOW_KERNEL=1`` runs stay equivalent.  A contended link
     # drops that leg back onto the generator transfer process
     # (``Fabric.send_process``) without losing the chain.  Only valid
-    # when ``env.fastpath`` is on and no fault injector is installed
-    # (no failure branches exist then, apart from memory-protection
-    # errors which propagate with process-crash semantics).
+    # on the fast kernel with no fault injector installed — decided in
+    # ``_post_verb`` — since no failure branches exist then, apart from
+    # memory-protection errors which propagate with process-crash
+    # semantics.
 
     def _verb_slot(self) -> int:
         free = self._vfree
@@ -313,7 +317,21 @@ class NIC:
 
     def _post_verb(self, dst: int, op: int, addr: int, rkey: int,
                    a, b, wire: int) -> Event:
+        """Post a one-sided verb; the one fast/slow decision of this
+        module.  The slot-pool chain serves fault-free fast-kernel runs;
+        the generator ``_*_proc`` twins are the executable spec and the
+        only path with failure branches, so they also serve every run
+        with a fault injector attached."""
         env = self.env
+        if not env.fastpath or self.fabric.injector is not None:
+            name = _OP_NAMES[op]
+            if op == _OP_READ:
+                gen = self._read_proc(dst, addr, rkey, a, wire)
+            elif op == _OP_WRITE:
+                gen = self._write_proc(dst, addr, rkey, a, wire)
+            else:
+                gen = self._atomic_proc(dst, addr, rkey, name, a, b)
+            return env.process(gen, name=f"{name}@{self.node.id}")
         # Flattened Event construction (the only allocation left on the
         # post path) — semantically ``Event(env)``.
         done = Event.__new__(Event)
@@ -436,18 +454,11 @@ class NIC:
         wire = length if wire_bytes is None else wire_bytes
         if wire < length:
             raise ConfigError("wire_bytes smaller than read length")
-        if self.env.fastpath and self.fabric.injector is None:
-            ev = self._post_verb(dst_id, _OP_READ, addr, rkey,
-                                 length, None, wire)
-        else:
-            ev = self.env.process(
-                self._read_proc(dst_id, addr, rkey, length, wire),
-                name=f"rdma-read@{self.node.id}")
+        ev = self._post_verb(dst_id, _OP_READ, addr, rkey, length, None, wire)
         obs = self.env.obs
         if obs is not None:
             obs.verb(self, "read", dst_id, wire, ev)
         return ev
-
 
     def _read_proc(self, dst_id, addr, rkey, length, wire):
         p = self.params
@@ -473,18 +484,11 @@ class NIC:
         if type(data) is not bytes:
             # Immutable callers (the common case) skip the defensive copy.
             data = bytes(data)
-        if self.env.fastpath and self.fabric.injector is None:
-            ev = self._post_verb(dst_id, _OP_WRITE, addr, rkey,
-                                 data, None, wire)
-        else:
-            ev = self.env.process(
-                self._write_proc(dst_id, addr, rkey, data, wire),
-                name=f"rdma-write@{self.node.id}")
+        ev = self._post_verb(dst_id, _OP_WRITE, addr, rkey, data, None, wire)
         obs = self.env.obs
         if obs is not None:
             obs.verb(self, "write", dst_id, wire, ev)
         return ev
-
 
     def _write_proc(self, dst_id, addr, rkey, data, wire):
         p = self.params
@@ -502,13 +506,7 @@ class NIC:
         """Remote compare-and-swap on a 64-bit word; value = old word."""
         self._need_rdma()
         self.atomics += 1
-        if self.env.fastpath and self.fabric.injector is None:
-            ev = self._post_verb(dst_id, _OP_CAS, addr, rkey,
-                                 compare, swap, 8)
-        else:
-            ev = self.env.process(
-                self._atomic_proc(dst_id, addr, rkey, "cas", compare, swap),
-                name=f"cas@{self.node.id}")
+        ev = self._post_verb(dst_id, _OP_CAS, addr, rkey, compare, swap, 8)
         obs = self.env.obs
         if obs is not None:
             obs.verb(self, "cas", dst_id, 8, ev)
@@ -518,13 +516,7 @@ class NIC:
         """Remote fetch-and-add on a 64-bit word; value = old word."""
         self._need_rdma()
         self.atomics += 1
-        if self.env.fastpath and self.fabric.injector is None:
-            ev = self._post_verb(dst_id, _OP_FAA, addr, rkey,
-                                 add, 0, 8)
-        else:
-            ev = self.env.process(
-                self._atomic_proc(dst_id, addr, rkey, "faa", add, 0),
-                name=f"faa@{self.node.id}")
+        ev = self._post_verb(dst_id, _OP_FAA, addr, rkey, add, 0, 8)
         obs = self.env.obs
         if obs is not None:
             obs.verb(self, "faa", dst_id, 8, ev)

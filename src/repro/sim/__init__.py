@@ -33,7 +33,6 @@ from repro.sim.core import (
     Process,
     SimulationError,
     Timeout,
-    heap_agenda_requested,
     slow_kernel_requested,
 )
 from repro.sim.cpu import CPU, CPUJob
@@ -55,7 +54,6 @@ __all__ = [
     "SimulationError",
     "Store",
     "Timeout",
-    "heap_agenda_requested",
     "slow_kernel_requested",
     "spawn_child",
 ]

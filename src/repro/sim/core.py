@@ -12,50 +12,30 @@ The kernel is deliberately small and deterministic:
 
 Determinism: events scheduled for the same timestamp fire in scheduling
 order (a monotonically increasing sequence number breaks ties), so a
-seeded simulation always replays identically.  Every agenda flavour
-below realises the identical ``(when, seq)`` total order — they differ
-only in how fast they realise it.
+seeded simulation always replays identically.
 
-Three agenda flavours (see DESIGN.md §14):
+One agenda, two drains (DESIGN.md §9, §14):
 
-* **ladder** (default) — a *lazy* calendar/ladder queue.  While the
-  agenda is small it stays on the binary heap ("direct mode"): C
-  ``heapq`` on a handful of entries is unbeatable from Python, so small
-  agendas pay zero ladder overhead.  Once the heap outgrows
-  ``_HEAPMAX`` entries a window is installed: a slab is pulled off the
-  heap and dealt into an array of buckets sized for ~8 entries each;
-  enqueue appends to a bucket in O(1), dequeue walks a sorted *current
-  run* by index (pointer motion, no list surgery), and entries beyond
-  the window stay on the heap as the overflow tier.  Each rebase
-  re-tunes the bucket width to the slab's span, which keeps buckets
-  dense for both µs-scale verb traffic and sparse second-scale timers.
-  Entries landing inside the already-sorted current run are placed by
-  ``bisect.insort`` — correct because any new entry carries ``when >
-  now`` and a fresh (maximal) seq, so it can only sort after everything
-  already popped.
-* **heap** (``REPRO_HEAP_AGENDA=1``) — the previous kernel: a binary
-  heap plus the same-instant deque.  Kept as a byte-identical fallback
-  and as the comparison subject of the agenda microbenchmark.
-* **slow** (``REPRO_SLOW_KERNEL=1``) — the naive heap-only paths, no
-  same-instant deque, and the net layer skips its analytic shortcuts
-  (``Environment.fastpath`` off).
-
-Fast path: entries scheduled *at the current time* (triggered events,
-process inits, zero-delay timeouts) go to a FIFO deque instead of the
-agenda.  Every schedule — agenda or deque — still consumes one number
-from the shared sequence counter, and the merge in :meth:`Environment.step`
-pops whichever of (deque head, agenda head) has the globally smallest
-``(when, seq)``, so the total firing order is exactly the heap-only
-order (see DESIGN.md §9 for the argument).  The unbounded
-:meth:`Environment.run` loop additionally dispatches consecutive
-same-instant agenda entries as one batch: one head inspection plus a
-tight loop instead of a full merge per entry.
+* **fast** (default) — a binary heap of ``(when, seq, event, value)``
+  plus a FIFO deque for entries scheduled *at the current time*
+  (triggered events, process inits, zero-delay timeouts).  Every
+  schedule — heap or deque — consumes one number from the shared
+  sequence counter, and the merge pops whichever of (deque head, heap
+  head) has the globally smallest ``(when, seq)``, so the total firing
+  order is exactly the heap-only order.  :meth:`Environment.run`
+  inlines that merge and additionally dispatches consecutive
+  same-instant heap entries as one batch: one head inspection plus a
+  tight loop instead of a full merge per entry.
+* **slow** (``REPRO_SLOW_KERNEL=1``) — the executable spec: everything
+  takes the heap, :meth:`Environment.run` is a naive
+  :meth:`Environment.step`-per-entry loop, and the net layer skips its
+  analytic shortcuts (``Environment.fastpath`` off).  Every cross-kernel
+  test diffs *fast* against it.
 """
 
 from __future__ import annotations
 
 import os
-from bisect import bisect_left, insort
 from collections import deque
 from heapq import heappop, heappush
 from typing import Any, Callable, Generator, Iterable, Optional
@@ -70,7 +50,6 @@ __all__ = [
     "AllOf",
     "Environment",
     "slow_kernel_requested",
-    "heap_agenda_requested",
 ]
 
 
@@ -101,29 +80,10 @@ _CALL = object()
 
 _INF = float("inf")
 
-#: ladder geometry.  Bucket width is *derived* per rebase from the
-#: dense head's span (the first ``_REBASE_CAP`` overflow entries spread
-#: over ``_HEADNB`` buckets, ~16 entries each) — dense narrow bands get
-#: nanosecond buckets, sparse slabs get wide ones, so there is no fixed
-#: width to mis-tune; ``_WIDTH0`` only seeds the degenerate all-ties
-#: window.  The window itself spans ``_NBUCKETS`` buckets — 16× the
-#: head span of runway — so a running workload's new pushes keep
-#: landing in buckets instead of round-tripping through the overflow
-#: heap.  One spare bucket absorbs float-rounding at the top edge.
-_NBUCKETS = 4096
-_HEADNB = 256
-_WIDTH0 = 2.0
-#: target slab size of a rebase: the window is sized to twice the span
-#: of the first this-many overflow entries, so a single far-future
-#: straggler cannot stretch the bucket width (entries past the limit
-#: stay in the overflow tier).
-_REBASE_CAP = 4096
-#: agendas at or below this size stay on the binary heap ("direct
-#: mode"): C ``heapq`` on a handful of entries is a two-level sift that
-#: no bucket scheme can undercut from Python.  Only past this size does
-#: the O(log n) sift lose to O(1) bucket appends, so only then is a
-#: calendar window installed.
-_HEAPMAX = 1024
+
+def _bad_delay(delay: float) -> "SimulationError":
+    kind = "negative" if delay < 0 else "non-finite"
+    return SimulationError(f"{kind} timeout delay: {delay}")
 
 
 def slow_kernel_requested() -> bool:
@@ -133,19 +93,6 @@ def slow_kernel_requested() -> bool:
     toggle the variable between simulations within one process.
     """
     return os.environ.get("REPRO_SLOW_KERNEL", "") not in ("", "0")
-
-
-def heap_agenda_requested() -> bool:
-    """True when ``REPRO_HEAP_AGENDA`` asks for the binary-heap agenda.
-
-    The heap kernel keeps the same-instant deque and every net-layer
-    fast path — it differs from the default only in the agenda data
-    structure, so it serves as the reference the ladder is diffed
-    against (three-way kernel equivalence in ``repro check``).  Read
-    once per :class:`Environment` at construction, like
-    :func:`slow_kernel_requested`.
-    """
-    return os.environ.get("REPRO_HEAP_AGENDA", "") not in ("", "0")
 
 
 class Event:
@@ -222,8 +169,8 @@ class Timeout(Event):
     __slots__ = ("delay",)
 
     def __init__(self, env: "Environment", delay: float, value: Any = None):
-        if delay < 0:
-            raise SimulationError(f"negative timeout delay: {delay}")
+        if not 0 <= delay < _INF:
+            raise _bad_delay(delay)
         super().__init__(env)
         self.delay = delay
         env._schedule_at(env._now + delay, self, value=value)
@@ -385,53 +332,17 @@ class Environment:
     obs = None
 
     def __init__(self, initial_time: float = 0.0):
-        now = float(initial_time)
-        self._now = now
-        #: slow/heap agenda — and, in ladder mode, the overflow tier
-        #: holding entries beyond the active window.  The tier invariant
-        #: (every overflow ``when`` >= ``_llimit`` > every windowed
-        #: ``when``, up to seq on equality) makes the global head either
-        #: the run head or, with an empty window, the overflow min.
+        self._now = float(initial_time)
+        #: the agenda: a binary heap of ``(when, seq, event, value)``.
         self._heap: list = []
         #: FIFO of ``(seq, event, value)`` entries scheduled at the
-        #: current time; merged with the agenda by seq in :meth:`step`.
+        #: current time; merged with the heap by seq in :meth:`step`.
         self._imm: deque = deque()
         self._seq = 0
         self._id_streams: dict = {}
         #: False under ``REPRO_SLOW_KERNEL=1``: immediate entries take
         #: the heap and the net layer skips its analytic shortcuts.
         self.fastpath = not slow_kernel_requested()
-        #: True when the calendar/ladder agenda is active (the default);
-        #: ``REPRO_HEAP_AGENDA=1`` or the slow kernel fall back to the
-        #: binary heap.
-        self._ladder = self.fastpath and not heap_agenda_requested()
-        # -- ladder state --------------------------------------------------
-        #: sorted entries of the bucket being drained; ``_lpos`` is the
-        #: index of the next entry to fire (popping is pointer motion,
-        #: not list surgery).
-        self._lrun: list = []
-        self._lpos = 0
-        #: index of the bucket ``_lrun`` came from; -1 right after a
-        #: rebase (no bucket drained yet).
-        self._lcur = -1
-        #: min-heap of non-empty bucket indices beyond ``_lcur`` — the
-        #: advance step jumps straight to the next occupied bucket
-        #: instead of walking empty ones.
-        self._locc: list = []
-        #: windowed entries not yet fired (run remainder + buckets).
-        self._lcount = 0
-        self._lbase = now
-        self._linv = 1.0 / _WIDTH0
-        #: window end — pushes at or beyond it take the heap.  ``-inf``
-        #: means *no window* ("direct mode"): every push is a plain
-        #: ``heappush``, exactly the heap kernel.  The heap and slow
-        #: kernels keep ``-inf`` forever; the ladder kernel installs a
-        #: real window only when the heap outgrows ``_HEAPMAX``, and
-        #: falls back to ``-inf`` when the window drains onto a small
-        #: heap — so small agendas pay zero ladder overhead.
-        self._llimit = -_INF
-        #: bucket array, allocated lazily at the first rebase.
-        self._lbuckets: Optional[list] = None
 
     # -- clock ----------------------------------------------------------
     @property
@@ -459,9 +370,10 @@ class Environment:
         # Flattened Timeout construction: one call, no __init__ chain —
         # this is the single hottest allocation site in the kernel
         # benchmarks.  Semantically identical to ``Timeout(self, delay,
-        # value)``.
-        if delay < 0:
-            raise SimulationError(f"negative timeout delay: {delay}")
+        # value)``.  The chained comparison also rejects NaN, which would
+        # silently corrupt the heap order.
+        if not 0 <= delay < _INF:
+            raise _bad_delay(delay)
         ev = Timeout.__new__(Timeout)
         ev.env = self
         ev.callbacks = []
@@ -473,19 +385,8 @@ class Environment:
         seq = self._seq = self._seq + 1
         if when == now and self.fastpath:
             self._imm.append((seq, ev, value))
-        elif when >= self._llimit:
-            # Direct mode (``_llimit == -inf``) or beyond the window.
-            heappush(self._heap, (when, seq, ev, value))
         else:
-            i = int((when - self._lbase) * self._linv)
-            if i > self._lcur:
-                b = self._lbuckets[i]
-                if not b:
-                    heappush(self._locc, i)
-                b.append((when, seq, ev, value))
-            else:
-                insort(self._lrun, (when, seq, ev, value), self._lpos)
-            self._lcount += 1
+            heappush(self._heap, (when, seq, ev, value))
         return ev
 
     def process(self, gen: Generator[Event, Any, Any],
@@ -499,34 +400,16 @@ class Environment:
         return AllOf(self, events)
 
     # -- scheduling -----------------------------------------------------
+    # These three are the whole seam between the rest of the package and
+    # the agenda: everything that ever fires was pushed by one of them
+    # (or by the flattened copy in :meth:`timeout`).
     def _schedule_at(self, when: float, event: Event,
                      value: Any = _ALREADY) -> None:
         seq = self._seq = self._seq + 1
         if when == self._now and self.fastpath:
             self._imm.append((seq, event, value))
-        elif when >= self._llimit:
-            # Direct mode (``_llimit == -inf``, which covers the heap
-            # and slow kernels too) or beyond the active window: plain
-            # binary-heap push.
-            heappush(self._heap, (when, seq, event, value))
         else:
-            # Windowed ladder enqueue.  The bucket index is a monotone
-            # map of ``when`` (shared base/inverse-width), so an entry
-            # for a later bucket can never sort before one in an
-            # earlier bucket; entries for the current (or an already
-            # drained) bucket join the sorted run via insort — always
-            # *after* ``_lpos`` because their ``when`` exceeds ``now``
-            # and their seq is fresh, i.e. greater than everything
-            # already fired.
-            i = int((when - self._lbase) * self._linv)
-            if i > self._lcur:
-                b = self._lbuckets[i]
-                if not b:
-                    heappush(self._locc, i)
-                b.append((when, seq, event, value))
-            else:
-                insort(self._lrun, (when, seq, event, value), self._lpos)
-            self._lcount += 1
+            heappush(self._heap, (when, seq, event, value))
 
     def _queue_event(self, event: Event) -> None:
         """Schedule a triggered event's callbacks at the current time."""
@@ -546,126 +429,8 @@ class Environment:
         seq = self._seq = self._seq + 1
         if when == self._now and self.fastpath:
             self._imm.append((seq, fn, _CALL))
-        elif when >= self._llimit:
+        else:
             heappush(self._heap, (when, seq, fn, _CALL))
-        else:
-            i = int((when - self._lbase) * self._linv)
-            if i > self._lcur:
-                b = self._lbuckets[i]
-                if not b:
-                    heappush(self._locc, i)
-                b.append((when, seq, fn, _CALL))
-            else:
-                insort(self._lrun, (when, seq, fn, _CALL), self._lpos)
-            self._lcount += 1
-
-    # -- ladder internals ----------------------------------------------
-    def _ladvance(self) -> bool:
-        """Make ``_lrun[_lpos]`` the smallest not-yet-fired agenda entry.
-
-        Called only with the current run exhausted.  Installs the next
-        non-empty bucket as the run (sorting it once — entries were
-        appended unsorted in O(1)); with the whole window drained it
-        either *rebases* — sorts the overflow, re-tunes the window to
-        the dense head's span and pulls everything below the new limit,
-        sizing buckets for ~8 entries each so the advance step
-        amortises — or, when the heap holds at
-        most ``_HEAPMAX`` entries, drops back to direct mode (the heap
-        *is* the agenda; C heapq wins at that size).  Returns False when
-        there is no windowed head — callers then pop ``_heap`` directly.
-        """
-        if self._lcount:
-            # The occupied-bucket heap jumps straight to the next
-            # non-empty bucket (a run exhausted with entries left in the
-            # window guarantees it is non-empty).
-            i = heappop(self._locc)
-            buckets = self._lbuckets
-            self._lcur = i
-            run = buckets[i]
-            buckets[i] = []
-            if len(run) > 1:
-                run.sort()
-            self._lrun = run
-            self._lpos = 0
-            return True
-        over = self._heap
-        if len(over) <= _HEAPMAX:
-            # Direct mode: leave (or put) the agenda on the bare heap.
-            self._llimit = -_INF
-            self._lrun = []
-            self._lpos = 0
-            return False
-        # Rebase.  Sort the overflow outright — repeated rebases leave
-        # it near-sorted, which timsort detects, so this is close to
-        # O(n) in steady state and cheaper than n heappops — then
-        # derive the bucket width from the *dense head* (the first
-        # ``_REBASE_CAP`` entries spread over ``_HEADNB`` buckets) and
-        # split at the window limit, ``_NBUCKETS`` bucket-widths out.
-        # Sizing width from the head rather than the full span keeps
-        # one far-future straggler from stretching bucket width until
-        # every entry lands in one bucket; the 16x-head-span coverage
-        # keeps a running workload's new pushes landing in buckets
-        # instead of round-tripping through the overflow heap (a
-        # narrower, head-clamped window thrashed: heap cost *plus*
-        # rebase cost per entry).
-        over.sort()
-        base = over[0][0]
-        if len(over) <= _REBASE_CAP:
-            last = over[-1][0]
-        else:
-            last = over[_REBASE_CAP - 1][0]
-        span = last - base
-        if span <= 0.0:
-            # Whole head tied at one instant — any positive width works
-            # (the slab is one bucket, fired as one batch).
-            inv = 1.0 / _WIDTH0
-        else:
-            inv = _HEADNB / span
-        limit = base + _NBUCKETS / inv
-        # Mutate the heap list in place — ``run``/``step`` hold local
-        # aliases to it across rebases.
-        if over[-1][0] < limit:
-            pulled = over[:]
-            del over[:]
-        else:
-            # Tier invariant: overflow keeps exactly the entries at or
-            # past the limit.  ``(limit,)`` compares below any real
-            # ``(limit, seq, ...)`` entry, so ties at the boundary stay
-            # in overflow together.  A sorted list is a valid min-heap,
-            # so the tail needs no re-heapify.
-            idx = bisect_left(over, (limit,))
-            pulled = over[:idx]
-            del over[:idx]
-        n = len(pulled)
-        self._lbase = base
-        self._llimit = limit
-        self._lcount = n
-        self._linv = inv
-        buckets = self._lbuckets
-        if buckets is None:
-            buckets = self._lbuckets = [[] for _ in range(_NBUCKETS + 1)]
-        # ``pulled`` is in heap-pop order, so bucket indices appear in
-        # non-decreasing order — the occupancy list comes out sorted,
-        # which is a valid min-heap as-is.
-        occ = []
-        for e in pulled:
-            i = int((e[0] - base) * inv)
-            b = buckets[i]
-            if not b:
-                occ.append(i)
-            b.append(e)
-        self._locc = occ
-        self._lcur = -1
-        self._lrun = []
-        self._lpos = 0
-        return self._ladvance()
-
-    def _pending(self) -> bool:
-        """Any agenda entry outside the same-instant deque?"""
-        if self._ladder:
-            return (self._lcount > 0 or bool(self._heap)
-                    or self._lpos < len(self._lrun))
-        return bool(self._heap)
 
     # -- execution ------------------------------------------------------
     def step(self) -> None:
@@ -673,44 +438,21 @@ class Environment:
 
         Immediate entries all sit at the current time (time cannot
         advance while the deque is non-empty), so the merge with the
-        agenda only ever compares seq numbers at equal timestamps.
+        heap only ever compares seq numbers at equal timestamps.
         """
         imm = self._imm
-        ladder = self._ladder
-        if imm:
-            if ladder and (self._lpos < len(self._lrun) or self._ladvance()):
-                head = self._lrun[self._lpos]
-            else:
-                heap = self._heap
-                head = heap[0] if heap else None
-            if head is None or head[0] > self._now or head[1] > imm[0][0]:
-                _seq, event, value = imm.popleft()
-                if value is _CALL:
-                    event()
-                    return
-                if value is not _ALREADY and event._value is _PENDING:
-                    event._value = value
-                callbacks, event.callbacks = event.callbacks, None
-                if callbacks:
-                    for cb in callbacks:
-                        cb(event)
-                return
-        if ladder and (self._lpos < len(self._lrun) or self._ladvance()):
-            run = self._lrun
-            pos = self._lpos
-            if pos > 4096 and 2 * pos > len(run):
-                # Shed the fired prefix so a long-lived run (heavy
-                # insort traffic into the current bucket) stays bounded.
-                del run[:pos]
-                self._lpos = pos = 0
-            when, _seq, event, value = run[pos]
-            self._lpos = pos + 1
-            self._lcount -= 1
+        heap = self._heap
+        if imm and (not heap or heap[0][0] > self._now
+                    or heap[0][1] > imm[0][0]):
+            _seq, event, value = imm.popleft()
         else:
-            when, _seq, event, value = heappop(self._heap)
-        if when < self._now:  # pragma: no cover - defensive
-            raise SimulationError("time went backwards")
-        self._now = when
+            try:
+                when, _seq, event, value = heappop(heap)
+            except IndexError:
+                raise SimulationError("step() on an empty agenda") from None
+            if when < self._now:  # pragma: no cover - defensive
+                raise SimulationError("time went backwards")
+            self._now = when
         if value is _CALL:
             event()
             return
@@ -726,132 +468,69 @@ class Environment:
         """Time of the next agenda entry, or ``inf`` if empty."""
         if self._imm:
             return self._now
-        if self._ladder and (self._lpos < len(self._lrun)
-                             or self._ladvance()):
-            return self._lrun[self._lpos][0]
         return self._heap[0][0] if self._heap else _INF
 
     def run(self, until: Optional[float] = None,
             max_events: Optional[int] = None) -> float:
         """Run until the agenda is empty, ``until`` is reached, or
         ``max_events`` entries have been processed.  Returns ``now``."""
-        if until is None and max_events is None:
-            if self._ladder:
-                return self._run_ladder()
-            # Hot loop: no bound checks between steps.
-            heap = self._heap
-            imm = self._imm
-            step = self.step
-            while heap or imm:
-                step()
-            return self._now
-        count = 0
-        while self._imm or self._pending():
-            if until is not None:
-                nxt = self._now if self._imm else self.peek()
-                if nxt > until:
-                    self._now = until
-                    return self._now
-            if max_events is not None and count >= max_events:
-                return self._now
-            self.step()
-            count += 1
-        if until is not None and until > self._now:
-            self._now = until
-        return self._now
-
-    def _run_ladder(self) -> float:
-        """Unbounded drain of the ladder agenda — the hot loop.
-
-        Beyond inlining :meth:`step`, this dispatches *batches*: once
-        the merge selects an agenda entry at instant ``t``, every
-        consecutive run entry still at ``t`` fires in a tight loop with
-        no merge, no advance and no time check per entry.  The deque
-        cannot preempt the batch: immediate entries only come into
-        existence at the current instant, so anything enqueued during
-        the batch carries a seq greater than the batched entries, which
-        were scheduled before time reached ``t`` (the explicit seq
-        guard below keeps the merge contract literal anyway).
-        """
         imm = self._imm
-        imm_pop = imm.popleft
         heap = self._heap
-        while True:
-            if imm:
-                # Drain immediates up to the agenda head's seq (inf when
-                # the head sits in the future or the agenda is empty).
-                if self._lcount:
-                    if self._lpos >= len(self._lrun):
-                        self._ladvance()
-                    h = self._lrun[self._lpos]
-                    guard = h[1] if h[0] <= self._now else _INF
-                elif heap:
-                    h = heap[0]
-                    guard = h[1] if h[0] <= self._now else _INF
-                else:
-                    guard = _INF
-                while imm and imm[0][0] < guard:
-                    _seq, event, value = imm_pop()
-                    if value is _CALL:
-                        event()
-                        continue
-                    if value is not _ALREADY and event._value is _PENDING:
-                        event._value = value
-                    callbacks, event.callbacks = event.callbacks, None
-                    if callbacks:
-                        for cb in callbacks:
-                            cb(event)
-            if self._lcount:
-                # Windowed pop + same-instant batch.
-                if self._lpos >= len(self._lrun):
-                    self._ladvance()
-                run = self._lrun
-                pos = self._lpos
-                if pos > 4096 and 2 * pos > len(run):
-                    # Shed the fired prefix (see step()).
-                    del run[:pos]
-                    self._lpos = pos = 0
-                when, _seq, event, value = run[pos]
-                self._lpos = pos + 1
-                self._lcount -= 1
-                self._now = when
-                while True:
-                    if value is _CALL:
-                        event()
+        stop = _INF if until is None else until
+        if not self.fastpath or max_events is not None or self._now > stop:
+            # The executable spec: one bound check and one step() per
+            # entry.  It is the slow kernel's only drain; the fast
+            # kernel uses it for an entry-count bound (no packaged
+            # scenario passes one, so the hot drain below does not pay
+            # for a per-entry countdown) and for a bound already behind
+            # the clock.
+            count = 0
+            while imm or heap:
+                if until is not None and self.peek() > until:
+                    self._now = until
+                    return until
+                if max_events is not None and count >= max_events:
+                    return self._now
+                self.step()
+                count += 1
+        else:
+            # The hot drain: step() inlined, plus *batches* — once the
+            # merge selects a heap entry at instant ``t``, every
+            # consecutive heap entry still at ``t`` fires in a tight
+            # loop with one time write and no merge per entry.  The
+            # deque cannot preempt the batch: immediate entries only
+            # come into existence at the current instant, so anything
+            # enqueued during the batch carries a seq greater than the
+            # batched entries, which were scheduled before time reached
+            # ``t`` (the explicit seq guard keeps the merge contract
+            # literal anyway).
+            imm_pop = imm.popleft
+            while True:
+                if imm:
+                    # Drain immediates up to the heap head's seq (inf
+                    # when the head sits in the future or the heap is
+                    # empty; callbacks only push entries later than now,
+                    # so the guard holds for the whole drain).
+                    if heap and heap[0][0] <= self._now:
+                        guard = heap[0][1]
                     else:
-                        if value is not _ALREADY \
-                                and event._value is _PENDING:
+                        guard = _INF
+                    while imm and imm[0][0] < guard:
+                        _seq, event, value = imm_pop()
+                        if value is _CALL:
+                            event()
+                            continue
+                        if value is not _ALREADY and event._value is _PENDING:
                             event._value = value
                         callbacks, event.callbacks = event.callbacks, None
                         if callbacks:
                             for cb in callbacks:
                                 cb(event)
-                    # Same-instant batch: the run is sorted and
-                    # callbacks only insort entries with ``when >
-                    # now``, so the batch is exactly the next
-                    # consecutive entries at ``when``.
-                    pos = self._lpos
-                    if pos >= len(run):
-                        break
-                    nxt = run[pos]
-                    if nxt[0] != when or (imm and nxt[1] > imm[0][0]):
-                        break
-                    self._lpos = pos + 1
-                    self._lcount -= 1
-                    event = nxt[2]
-                    value = nxt[3]
-            elif heap:
-                # Direct mode: the bare heap is the agenda.  Install a
-                # window once it outgrows what C heapq handles best.
-                if len(heap) > _HEAPMAX:
-                    self._ladvance()
-                    continue
-                if self._llimit != -_INF:
-                    # A drained window may leave a stale finite limit;
-                    # resetting it here keeps pushes on the plain-heap
-                    # path (safe: no windowed entries exist, and heap
-                    # entries only ever sit at or above the limit).
-                    self._llimit = -_INF
+                if not heap:
+                    break
+                if heap[0][0] > stop:
+                    self._now = until
+                    return until
                 when, _seq, event, value = heappop(heap)
                 self._now = when
                 while True:
@@ -865,8 +544,6 @@ class Environment:
                         if callbacks:
                             for cb in callbacks:
                                 cb(event)
-                    # Same-instant batch off the heap head: one time
-                    # write and no merge for N completions at ``when``.
                     if not heap:
                         break
                     nxt = heap[0]
@@ -875,23 +552,15 @@ class Environment:
                     heappop(heap)
                     event = nxt[2]
                     value = nxt[3]
-            else:
-                if imm:
-                    continue  # pragma: no cover - only immediates left
-                if self._llimit != -_INF:
-                    # Fully drained from the window: drop back to direct
-                    # mode so the next simulation phase starts on the
-                    # bare heap instead of routing through stale window
-                    # bookkeeping.
-                    self._llimit = -_INF
-                break
+        if until is not None and until > self._now:
+            self._now = until
         return self._now
 
     def run_until_event(self, event: Event, limit: float = 1e12) -> Any:
         """Run until ``event`` has fired.  Raises if the agenda drains or
         the time ``limit`` passes first (deadlock detector for tests)."""
         while not event.triggered:
-            if not self._imm and not self._pending():
+            if not self._imm and not self._heap:
                 raise SimulationError(
                     "agenda empty before awaited event fired (deadlock?)")
             if self.peek() > limit:

@@ -21,7 +21,7 @@ path (DESIGN.md §9) relies on every transfer's link-hold start lagging
 its issue instant by the same constant (``nic_tx``), and the uplink's
 hold start lags by ``nic_tx + serialization(nbytes)`` — size-dependent,
 so reservation order and FIFO-acquire order can disagree.  Falling back
-keeps ladder/heap/slow kernels byte-identical by construction.
+keeps the fast and slow kernels byte-identical by construction.
 """
 
 from __future__ import annotations

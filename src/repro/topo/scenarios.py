@@ -158,8 +158,8 @@ def shard_check(seed: int, n_nodes: int):
     Two racks, both sharded services, and a *timed* mid-run rebalance:
     ``migrate_off`` drops a member from the directory ring under load
     (stale clients bounce, tombstoned units re-resolve), then
-    ``ring_restore`` re-admits it.  No faults are injected, so all
-    three kernels must produce byte-identical canonical traces.
+    ``ring_restore`` re-admits it.  No faults are injected, so both
+    kernels must produce byte-identical canonical traces.
     """
     from repro.ddss import Coherence
     from repro.dlm import LockMode

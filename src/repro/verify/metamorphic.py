@@ -3,17 +3,16 @@
 The simulator makes two strong determinism claims the oracles alone
 cannot test:
 
-1. **kernel equivalence** — the ladder-agenda fast kernel, the
-   heap-agenda fallback (``REPRO_HEAP_AGENDA=1``) and the naive
-   reference kernel must produce *byte-identical* trace exports for
-   the same (check, seed, n_nodes);
+1. **kernel equivalence** — the fast kernel and the naive reference
+   kernel (``REPRO_SLOW_KERNEL=1``) must produce *byte-identical*
+   trace exports for the same (check, seed, n_nodes);
 2. **parameter robustness** — every packaged check must replay clean
    under permuted seeds and node counts, not just the defaults.
 
 This driver expands the (check × kernel × n_nodes × seed) grid through
 :mod:`repro.lab` — reusing its process pool, retry, and resumable
 store — then folds the records: each (check, n_nodes, seed) cell must
-have one ``trace_sha`` across all three kernels, and every cell must
+have one ``trace_sha`` across both kernels, and every cell must
 report zero violations.
 """
 
@@ -21,7 +20,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, Optional, Sequence
 
-from .suites import CHECKS, _lookup
+from .suites import CHECKS, KERNELS, _lookup
 
 __all__ = ["metamorphic_sweep"]
 
@@ -51,7 +50,7 @@ def metamorphic_sweep(checks: Optional[Sequence[str]] = None,
         scenario=SCENARIO,
         grid={
             "check": list(names),
-            "kernel": ["fast", "heap", "slow"],
+            "kernel": list(KERNELS),
             "n_nodes": [int(n) for n in node_counts],
         },
         seeds=[int(s) for s in seeds],

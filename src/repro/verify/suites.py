@@ -38,33 +38,29 @@ ALL_ORACLES: Sequence[Callable] = (LockOracle, DDSSOracle, CacheOracle,
                                    HAOracle, TxnOracle)
 
 
+#: the event kernels every cross-kernel check diffs: the product and
+#: the naive reference (``REPRO_SLOW_KERNEL=1``).
+KERNELS = ("fast", "slow")
+
+
 @contextmanager
 def _kernel(mode: str):
-    """Pin the event-kernel flavour for Environments built inside.
+    """Pin the event kernel for Environments built inside.
 
-    ``fast`` is the default ladder-agenda kernel, ``heap`` keeps every
-    fast path but swaps the agenda back to the binary heap
-    (``REPRO_HEAP_AGENDA=1``), ``slow`` is the naive reference kernel.
+    ``fast`` is the product kernel (heap + same-instant deque, net-layer
+    shortcuts on); ``slow`` is the naive reference (``REPRO_SLOW_KERNEL=1``).
     """
-    if mode not in ("fast", "heap", "slow"):
-        raise ConfigError(f"unknown kernel {mode!r} (fast|heap|slow)")
-    prev_slow = os.environ.get("REPRO_SLOW_KERNEL")
-    prev_heap = os.environ.get("REPRO_HEAP_AGENDA")
-    os.environ.pop("REPRO_SLOW_KERNEL", None)
-    os.environ.pop("REPRO_HEAP_AGENDA", None)
-    if mode == "slow":
-        os.environ["REPRO_SLOW_KERNEL"] = "1"
-    elif mode == "heap":
-        os.environ["REPRO_HEAP_AGENDA"] = "1"
+    if mode not in KERNELS:
+        raise ConfigError(f"unknown kernel {mode!r} ({'|'.join(KERNELS)})")
+    prev = os.environ.get("REPRO_SLOW_KERNEL")
+    os.environ["REPRO_SLOW_KERNEL"] = "1" if mode == "slow" else "0"
     try:
         yield
     finally:
-        for var, prev in (("REPRO_SLOW_KERNEL", prev_slow),
-                          ("REPRO_HEAP_AGENDA", prev_heap)):
-            if prev is None:
-                os.environ.pop(var, None)
-            else:
-                os.environ[var] = prev
+        if prev is None:
+            os.environ.pop("REPRO_SLOW_KERNEL", None)
+        else:
+            os.environ["REPRO_SLOW_KERNEL"] = prev
 
 
 # -- scenario builders ---------------------------------------------------

@@ -282,6 +282,17 @@ def test_peek_empty_is_inf():
     assert env.peek() == float("inf")
 
 
+def test_step_on_empty_agenda_is_a_named_error():
+    env = Environment()
+    with pytest.raises(SimulationError, match="step.. on an empty agenda"):
+        env.step()
+    env.timeout(2.0)
+    env.step()
+    assert env.now == 2.0
+    with pytest.raises(SimulationError, match="step.. on an empty agenda"):
+        env.step()
+
+
 def test_clock_monotonic_through_mixed_schedule():
     env = Environment()
     stamps = []

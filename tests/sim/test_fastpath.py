@@ -13,8 +13,7 @@ import random
 
 import pytest
 
-from repro.sim import (Environment, Resource, heap_agenda_requested,
-                       slow_kernel_requested)
+from repro.sim import Environment, Resource, Timeout, slow_kernel_requested
 from repro.sim.core import SimulationError
 
 
@@ -81,36 +80,6 @@ def test_slow_kernel_env_flag(monkeypatch):
     monkeypatch.setenv("REPRO_SLOW_KERNEL", "1")
     assert slow_kernel_requested()
     assert Environment().fastpath is False
-
-
-def test_heap_agenda_env_flag(monkeypatch):
-    monkeypatch.delenv("REPRO_HEAP_AGENDA", raising=False)
-    monkeypatch.delenv("REPRO_SLOW_KERNEL", raising=False)
-    assert not heap_agenda_requested()
-    assert Environment()._ladder is True
-    monkeypatch.setenv("REPRO_HEAP_AGENDA", "1")
-    assert heap_agenda_requested()
-    env = Environment()
-    assert env._ladder is False
-    assert env.fastpath is True  # heap kernel keeps every fast path
-
-
-@pytest.mark.parametrize("seed", range(6))
-def test_heap_agenda_kernel_matches_ladder(monkeypatch, seed):
-    """Three-way firing identity: ladder == heap-agenda == slow."""
-    logs = []
-    for kernel in ("ladder", "heap", "slow"):
-        monkeypatch.delenv("REPRO_HEAP_AGENDA", raising=False)
-        monkeypatch.setenv("REPRO_SLOW_KERNEL",
-                           "1" if kernel == "slow" else "0")
-        if kernel == "heap":
-            monkeypatch.setenv("REPRO_HEAP_AGENDA", "1")
-        env = Environment()
-        assert env._ladder is (kernel == "ladder")
-        log = []
-        _random_workload(env, seed, log)
-        logs.append((log, env.now))
-    assert logs[0] == logs[1] == logs[2]
 
 
 # ---------------------------------------------------------------------------
@@ -338,3 +307,19 @@ def test_negative_timeout_still_rejected():
     env = Environment()
     with pytest.raises(SimulationError):
         env.timeout(-1.0)
+
+
+@pytest.mark.parametrize("slow", [False, True], ids=["fast", "slow"])
+@pytest.mark.parametrize("delay", [float("nan"), float("inf")])
+def test_non_finite_timeout_rejected(monkeypatch, slow, delay):
+    """A NaN ``when`` compares false against everything and would
+    silently corrupt the heap order; an infinite one would drag the
+    clock to ``inf``.  Both are refused at the door, nothing is
+    scheduled, and the clock stays put."""
+    env = _make_env(monkeypatch, slow)
+    with pytest.raises(SimulationError, match="non-finite timeout delay"):
+        env.timeout(delay)
+    with pytest.raises(SimulationError, match="non-finite timeout delay"):
+        Timeout(env, delay, value="x")
+    assert env.peek() == float("inf")
+    assert env.run() == 0.0

@@ -16,11 +16,11 @@ class TestShardCheck:
         assert out["verdict"] == "ok"
         assert out["events"] > 0
 
-    def test_three_kernel_trace_identity(self):
+    def test_cross_kernel_trace_identity(self):
         from repro.topo.scenarios import shard_check
 
         shas = set()
-        for kernel in ("fast", "heap", "slow"):
+        for kernel in ("fast", "slow"):
             with _kernel(kernel):
                 obs = shard_check(0, 8)
             assert obs.clean
