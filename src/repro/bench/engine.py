@@ -18,9 +18,10 @@ suite measures how fast the simulator itself executes on the host:
 
 ``run_suite`` returns a JSON-ready dict; the ``repro bench`` subcommand
 writes it to ``BENCH_engine.json`` plus a timestamped copy under
-``benchmarks/results/``, and ``check_regression`` implements the CI
-gate: fail when a guarded rate drops more than 25 % below the committed
-baseline (missing baseline ⇒ gate skipped).
+``benchmarks/results/``, and gates ``GUARDED_RATES`` through
+:func:`repro.bench.harness.check_regression`: fail when a guarded rate
+drops more than 25 % below the committed baseline (missing baseline ⇒
+gate skipped).
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import platform
 import time
 from typing import Dict, List, Optional
 
-__all__ = ["run_suite", "check_regression", "write_report",
+__all__ = ["run_suite", "write_report",
            "GUARDED_RATES", "DEFAULT_RESULT", "RESULTS_DIR"]
 
 #: canonical result file (repo root) — doubles as the committed baseline
@@ -285,39 +286,6 @@ def run_suite(quick: bool = False, workers: int = 0) -> Dict[str, object]:
             "scenario_ddss": results["scenario_ddss"],
         },
     }
-
-
-def check_regression(current: Dict[str, object],
-                     baseline: Optional[Dict[str, object]],
-                     threshold: float = 0.25) -> List[str]:
-    """CI gate: guarded rates must stay within ``threshold`` of baseline.
-
-    Returns human-readable failure lines (empty = pass).  A ``None`` or
-    structurally alien baseline skips the gate — first runs and schema
-    bumps must not brick CI.
-    """
-    if not isinstance(baseline, dict):
-        return []
-    base_results = baseline.get("results")
-    cur_results = current.get("results", {})
-    if not isinstance(base_results, dict):
-        return []
-    failures = []
-    for bench, key in GUARDED_RATES:
-        base = base_results.get(bench, {})
-        cur = cur_results.get(bench, {})
-        if not (isinstance(base, dict) and isinstance(cur, dict)):
-            continue
-        b, c = base.get(key), cur.get(key)
-        if not (isinstance(b, (int, float)) and isinstance(c, (int, float))
-                and b > 0):
-            continue
-        if c < b * (1.0 - threshold):
-            failures.append(
-                f"{bench}.{key}: {c:,.0f}/s is "
-                f"{(1 - c / b) * 100:.1f}% below baseline {b:,.0f}/s "
-                f"(threshold {threshold * 100:.0f}%)")
-    return failures
 
 
 def write_report(report: Dict[str, object], out_path: str,

@@ -10,10 +10,10 @@ from __future__ import annotations
 import json
 import os
 import re
-from typing import Dict, Iterable, List, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-__all__ = ["BenchTable", "RENDERED", "dump_tables", "format_series",
-           "improvement_pct", "replay"]
+__all__ = ["BenchTable", "RENDERED", "check_regression", "dump_tables",
+           "format_series", "improvement_pct", "replay"]
 
 #: every table ever ``show()``-n, in order — the benchmark conftest
 #: replays these in the pytest terminal summary so they survive output
@@ -26,6 +26,42 @@ def improvement_pct(new: float, old: float) -> float:
     if old == 0:
         raise ValueError("baseline is zero")
     return 100.0 * (new / old - 1.0)
+
+
+def check_regression(current: Dict[str, object],
+                     baseline: Optional[Dict[str, object]],
+                     guarded: Iterable[Tuple[str, str]],
+                     threshold: float = 0.25,
+                     decimals: int = 1) -> List[str]:
+    """CI gate: every ``results.<bench>.<key>`` rate named in ``guarded``
+    must stay within ``threshold`` of the baseline's.
+
+    Returns human-readable failure lines (empty = pass), rates printed
+    with ``decimals`` places.  A ``None`` or structurally alien baseline
+    skips the gate — first runs and schema bumps must not brick CI.
+    """
+    if not isinstance(baseline, dict):
+        return []
+    base_results = baseline.get("results")
+    cur_results = current.get("results", {})
+    if not isinstance(base_results, dict):
+        return []
+    failures = []
+    for bench, key in guarded:
+        base = base_results.get(bench, {})
+        cur = cur_results.get(bench, {})
+        if not (isinstance(base, dict) and isinstance(cur, dict)):
+            continue
+        b, c = base.get(key), cur.get(key)
+        if not (isinstance(b, (int, float)) and isinstance(c, (int, float))
+                and b > 0):
+            continue
+        if c < b * (1.0 - threshold):
+            failures.append(
+                f"{bench}.{key}: {c:,.{decimals}f}/s is "
+                f"{(1 - c / b) * 100:.1f}% below baseline "
+                f"{b:,.{decimals}f}/s (threshold {threshold * 100:.0f}%)")
+    return failures
 
 
 def format_series(xs: Sequence[float], ys: Sequence[float],

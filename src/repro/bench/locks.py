@@ -12,9 +12,10 @@ Every cell is replayed through the extended
 a cell with any violation raises instead of reporting a number.
 
 ``repro locks bench`` writes ``BENCH_locks.json`` plus a timestamped
-copy under ``benchmarks/results/``; ``check_locks_regression`` applies
-the same 25 % drop rule as the engine/topo gates to each scheme's
-throughput at the top contention level.
+copy under ``benchmarks/results/``, and gates each scheme's throughput
+at the top contention level (``GUARDED_LOCKS_RATES``) through
+:func:`repro.bench.harness.check_regression`, the same 25 % drop rule
+as the engine and topo suites.
 """
 
 from __future__ import annotations
@@ -28,8 +29,7 @@ from typing import Dict, List, Optional, Sequence
 from ..dlm.tournament import SCHEMES, lock_tournament
 from .engine import RESULTS_DIR
 
-__all__ = ["run_locks_suite", "check_locks_regression",
-           "write_locks_report", "GUARDED_LOCKS_RATES",
+__all__ = ["run_locks_suite", "write_locks_report", "GUARDED_LOCKS_RATES",
            "DEFAULT_LOCKS_RESULT", "CONTENTION_LEVELS"]
 
 #: canonical result file (repo root) — doubles as the committed baseline
@@ -106,38 +106,6 @@ def run_locks_suite(seed: int = 0,
             "rates": rates,
         },
     }
-
-
-def check_locks_regression(current: Dict[str, object],
-                           baseline: Optional[Dict[str, object]],
-                           threshold: float = 0.25) -> List[str]:
-    """CI gate: guarded rates must stay within ``threshold`` of baseline.
-
-    Returns human-readable failure lines (empty = pass); a missing or
-    structurally alien baseline skips the gate.
-    """
-    if not isinstance(baseline, dict):
-        return []
-    base_results = baseline.get("results")
-    cur_results = current.get("results", {})
-    if not isinstance(base_results, dict):
-        return []
-    failures = []
-    for bench, key in GUARDED_LOCKS_RATES:
-        base = base_results.get(bench, {})
-        cur = cur_results.get(bench, {})
-        if not (isinstance(base, dict) and isinstance(cur, dict)):
-            continue
-        b, c = base.get(key), cur.get(key)
-        if not (isinstance(b, (int, float)) and isinstance(c, (int, float))
-                and b > 0):
-            continue
-        if c < b * (1.0 - threshold):
-            failures.append(
-                f"{bench}.{key}: {c:,.1f}/s is "
-                f"{(1 - c / b) * 100:.1f}% below baseline {b:,.1f}/s "
-                f"(threshold {threshold * 100:.0f}%)")
-    return failures
 
 
 def write_locks_report(report: Dict[str, object], out_path: str,

@@ -13,8 +13,9 @@ are fully deterministic for a given seed:
 
 ``run_topo_suite`` returns a JSON-ready dict; ``repro topo bench``
 writes it to ``BENCH_topo.json`` plus a timestamped copy under
-``benchmarks/results/``, and ``check_topo_regression`` applies the same
-25 % drop rule as the engine gate to the guarded rates.
+``benchmarks/results/``, and gates ``GUARDED_TOPO_RATES`` through
+:func:`repro.bench.harness.check_regression` (the same 25 % drop rule
+as the engine suite).
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from typing import Dict, List, Optional
 
 from .engine import RESULTS_DIR
 
-__all__ = ["run_topo_suite", "check_topo_regression", "write_topo_report",
+__all__ = ["run_topo_suite", "write_topo_report",
            "GUARDED_TOPO_RATES", "DEFAULT_TOPO_RESULT"]
 
 #: canonical result file (repo root) — doubles as the committed baseline
@@ -62,38 +63,6 @@ def run_topo_suite(seed: int = 0) -> Dict[str, object]:
                  "machine": platform.machine()},
         "results": {"verb_latency": verbs, "lock_throughput": locks},
     }
-
-
-def check_topo_regression(current: Dict[str, object],
-                          baseline: Optional[Dict[str, object]],
-                          threshold: float = 0.25) -> List[str]:
-    """CI gate: guarded rates must stay within ``threshold`` of baseline.
-
-    Returns human-readable failure lines (empty = pass); a missing or
-    structurally alien baseline skips the gate.
-    """
-    if not isinstance(baseline, dict):
-        return []
-    base_results = baseline.get("results")
-    cur_results = current.get("results", {})
-    if not isinstance(base_results, dict):
-        return []
-    failures = []
-    for bench, key in GUARDED_TOPO_RATES:
-        base = base_results.get(bench, {})
-        cur = cur_results.get(bench, {})
-        if not (isinstance(base, dict) and isinstance(cur, dict)):
-            continue
-        b, c = base.get(key), cur.get(key)
-        if not (isinstance(b, (int, float)) and isinstance(c, (int, float))
-                and b > 0):
-            continue
-        if c < b * (1.0 - threshold):
-            failures.append(
-                f"{bench}.{key}: {c:,.1f}/s is "
-                f"{(1 - c / b) * 100:.1f}% below baseline {b:,.1f}/s "
-                f"(threshold {threshold * 100:.0f}%)")
-    return failures
 
 
 def write_topo_report(report: Dict[str, object], out_path: str,

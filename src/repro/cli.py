@@ -844,7 +844,8 @@ def _topo_main(args) -> int:
 
     # bench: deterministic simulated figures of merit + regression gate
     from repro.bench.engine import RESULTS_DIR
-    from repro.bench.topo import (check_topo_regression, run_topo_suite,
+    from repro.bench.harness import check_regression
+    from repro.bench.topo import (GUARDED_TOPO_RATES, run_topo_suite,
                                   write_topo_report)
 
     report = run_topo_suite(seed=args.seed)
@@ -869,7 +870,7 @@ def _topo_main(args) -> int:
             print(f"no usable baseline at {args.baseline}; "
                   f"regression gate skipped")
             return 0
-        failures = check_topo_regression(report, baseline)
+        failures = check_regression(report, baseline, GUARDED_TOPO_RATES)
         if failures:
             for line in failures:
                 print(f"REGRESSION: {line}", file=sys.stderr)
@@ -937,8 +938,9 @@ def _locks_main(args) -> int:
 
     # bench: the full tournament + crossover table + regression gate
     from repro.bench.engine import RESULTS_DIR
-    from repro.bench.locks import (check_locks_regression,
-                                   run_locks_suite, write_locks_report)
+    from repro.bench.harness import check_regression
+    from repro.bench.locks import (GUARDED_LOCKS_RATES, run_locks_suite,
+                                   write_locks_report)
 
     levels = args.levels or None
     kw = {"levels": levels} if levels else {}
@@ -968,7 +970,7 @@ def _locks_main(args) -> int:
             print(f"no usable baseline at {args.baseline}; "
                   f"regression gate skipped")
             return 0
-        failures = check_locks_regression(report, baseline)
+        failures = check_regression(report, baseline, GUARDED_LOCKS_RATES)
         if failures:
             for line in failures:
                 print(f"REGRESSION: {line}", file=sys.stderr)
@@ -984,8 +986,9 @@ def _locks_main(args) -> int:
 def _bench_main(args) -> int:
     import json
 
-    from repro.bench.engine import (RESULTS_DIR, check_regression,
-                                    run_suite, write_report)
+    from repro.bench.engine import (GUARDED_RATES, RESULTS_DIR, run_suite,
+                                    write_report)
+    from repro.bench.harness import check_regression
 
     report = run_suite(quick=args.quick, workers=args.workers)
     res = report["results"]
@@ -1026,7 +1029,8 @@ def _bench_main(args) -> int:
             print(f"no usable baseline at {args.baseline}; "
                   f"regression gate skipped")
             return 0
-        failures = check_regression(report, baseline)
+        failures = check_regression(report, baseline, GUARDED_RATES,
+                                    decimals=0)
         if failures:
             for line in failures:
                 print(f"REGRESSION: {line}", file=sys.stderr)

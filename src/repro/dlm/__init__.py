@@ -1,6 +1,6 @@
 """Distributed lock managers (paper §4.2, ref [14]).
 
-Three schemes over the same interface:
+The paper's three schemes over the same interface:
 
 * :class:`SRSLManager` — traditional **S**\\ end/**R**\\ eceive-based
   **S**\\ erver **L**\\ ocking: a lock-server process on each lock's home
@@ -17,7 +17,11 @@ Three schemes over the same interface:
   shared locks are granted without serialization.
 
 Two arena designs from the follow-on literature (see PAPERS.md) round
-out the lock tournament, both lease/epoch-fenced like N-CoSED:
+out the lock tournament.  They and N-CoSED are three sets of hooks over
+one substrate, :mod:`repro.dlm.ft`, which owns the lock-word layout,
+the epochs, the reaper and the bounded-retry acquire; pass ``lease_us``
+to any of the three managers to turn recovery on (without it the same
+code runs with the epoch pinned at 0):
 
 * :class:`MCSManager` — RDMA-MCS: per-client queue node in registered
   memory, tail swap via CAS, next-pointer write for hand-off, with

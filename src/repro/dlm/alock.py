@@ -11,7 +11,7 @@ before the tournament re-runs so the other cohort cannot starve.
 
 Home-resident state per lock (24 bytes):
 
-* ``+0``  local-cohort tail word  (``pack_ft``: epoch | tail | unused)
+* ``+0``  local-cohort tail word  (substrate layout, count unused)
 * ``+8``  remote-cohort tail word (same layout)
 * ``+16`` tournament state word:
   ``(epoch << 48) | (victim << 2) | (remote_flag << 1) | local_flag``
@@ -43,8 +43,8 @@ from repro.errors import LockError
 from repro.net.node import Node
 
 from repro.dlm.base import LockMode
-from repro.dlm.ft import EpochFencedClient, EpochFencedManager
-from repro.dlm.ncosed import _EP_MASK, _Stale, pack_ft, unpack_ft
+from repro.dlm.ft import (_EP_MASK, EpochFencedClient, EpochFencedManager,
+                          _Stale, pack, unpack)
 
 __all__ = ["ALockManager", "ALockClient", "COHORT_LOCAL", "COHORT_REMOTE"]
 
@@ -128,7 +128,7 @@ class ALockManager(EpochFencedManager):
     # -- epoch-fencing hooks ----------------------------------------------
     def _ft_tails(self, lock_id: int):
         ltail, rtail, _state = self.raw_words(lock_id)
-        return unpack_ft(ltail)[1], unpack_ft(rtail)[1]
+        return unpack(ltail)[1], unpack(rtail)[1]
 
     def _ft_extra_reclaim(self, lock_id: int) -> bool:
         # a raised tournament flag with no holder and no live attempt is
@@ -143,8 +143,8 @@ class ALockManager(EpochFencedManager):
         home = self.home_node(lock_id)
         region = self._words[home.id]
         base = _STRIDE * lock_id
-        region.write_u64(base + _OFF_LTAIL, pack_ft(new_ep, 0, 0))
-        region.write_u64(base + _OFF_RTAIL, pack_ft(new_ep, 0, 0))
+        region.write_u64(base + _OFF_LTAIL, pack(new_ep, 0, 0))
+        region.write_u64(base + _OFF_RTAIL, pack(new_ep, 0, 0))
         region.write_u64(base + _OFF_STATE, _pack_state(new_ep, 0, 0, 0))
 
 
@@ -159,12 +159,12 @@ class ALockClient(EpochFencedClient):
         nic = self.node.nic
         while True:
             raw = yield nic.rdma_read(home, addr, rkey, 8)
-            ep, tail, _ = unpack_ft(int.from_bytes(raw, "big"))
+            ep, tail, _ = unpack(int.from_bytes(raw, "big"))
             if tail == self.token:
                 raise _Stale(f"own stale tail on lock {lock_id}")
-            word = pack_ft(ep, tail, 0)
+            word = pack(ep, tail, 0)
             old = yield nic.cas(home, addr, rkey, word,
-                                pack_ft(ep, self.token, 0))
+                                pack(ep, self.token, 0))
             if old != word:
                 continue  # lost the race (or raced a reclaim): re-read
             break
@@ -178,7 +178,7 @@ class ALockClient(EpochFencedClient):
                                    "frm": self.token, "ep": ep})
             body = yield from self._wait_msg(lock_id, "apass", ep)
             if body["kind"] == "pass":
-                if mgr.ft and mgr.lock_epoch(lock_id) != ep:
+                if mgr.lock_epoch(lock_id) != ep:
                     raise _Stale("reclaimed at cohort pass-off instant")
                 return ep, dict(extra, chain=body["chain"])
             if body["kind"] != "restart":  # pragma: no cover - defensive
@@ -218,7 +218,7 @@ class ALockClient(EpochFencedClient):
                 break  # other cohort absent, or it yielded to us
             yield self.env.timeout(poll)
             poll = min(poll * 2, mgr.tourney_poll_max_us)
-        if mgr.ft and mgr.lock_epoch(lock_id) != ep:
+        if mgr.lock_epoch(lock_id) != ep:
             raise _Stale("reclaimed at tournament win instant")
 
     # -- release ----------------------------------------------------------
@@ -256,18 +256,15 @@ class ALockClient(EpochFencedClient):
         if succ is None:
             # no known successor: try to close our cohort's queue
             thome, taddr, trkey = mgr.tail_word(lock_id, cohort)
-            word = pack_ft(ep, self.token, 0)
+            word = pack(ep, self.token, 0)
             old = yield nic.cas(thome, taddr, trkey, word,
-                                pack_ft(ep, 0, 0))
+                                pack(ep, 0, 0))
             if old == word:
                 return  # queue closed
-            if unpack_ft(old)[0] != ep:
+            if unpack(old)[0] != ep:
                 return  # reclaimed under us
             # a successor swapped the tail; its announce is in flight
-            try:
-                body = yield from self._wait_msg(lock_id, "asucc", ep)
-            except _Stale:
-                return
+            body = yield from self._wait_msg(lock_id, "asucc", ep)
             succ = body["frm"]
         # budget exhausted (or late-arriving successor): send it through
         # the tournament so the other cohort gets its turn

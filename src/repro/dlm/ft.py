@@ -1,22 +1,52 @@
-"""Shared lease/epoch-fencing machinery for the arena lock designs.
+"""The lock substrate: one word layout, lease/epoch fencing, recovery.
 
-The fault-tolerance story is the one proven out by N-CoSED
-(:mod:`repro.dlm.ncosed`): every home-resident word carries a 16-bit
-epoch (``pack_ft`` layout), a manager-wide reaper wipes a lock to
-``(epoch+1, 0, 0…)`` when its tail/holder/active client is dead or its
-word is residue, grants are revoked Chubby-style, waits are
-lease-bounded with an epoch re-read on expiry, and peer messages carry
-the epoch of the tenure they belong to (stale ones are discarded) with
-bounded re-send plus receiver-side uid dedup.
+Every arena design (N-CoSED, RDMA-MCS, ALock) is a set of hooks over
+this module; nothing here knows which one it is serving.
 
-:class:`EpochFencedManager` / :class:`EpochFencedClient` factor that
-machinery into a reusable base so ALock and RDMA-MCS get crash recovery
-for free; N-CoSED itself keeps its original (byte-identical) code.
+Word layout
+-----------
+
+Every home-resident word is ``epoch:16 | tail:24 | count:24``
+(:func:`pack` / :func:`unpack`).  Every CAS embeds the epoch it read,
+so an attempt racing a reclaim simply loses the CAS; every FAA
+*returns* the epoch at its execution instant, so a requester detects
+that its increment landed on (or was wiped with) a stale generation.
+
+Recovery (active when the manager has a ``lease_us``)
+-----------------------------------------------------
+
+* A manager-wide **reaper** scans the lock table every lease period.
+  When a lock's tail, a granted holder, or a client with an in-flight
+  protocol operation sits on a crashed node, when the tail token belongs
+  to nobody with business on the lock (residue of an aborted attempt),
+  or when a client flagged the lock *suspect*, the words are wiped to
+  ``(epoch+1, 0, 0…)`` at a single instant and all current grants are
+  revoked Chubby-style: the ledger entries end at the reclaim, and a
+  surviving holder discovers the revocation when it releases.  The wipe
+  is home-local, so remote atomics land strictly before or after it.
+* Waits are bounded by the lease; on expiry the waiter re-reads the
+  word and restarts its attempt if the epoch moved.  Protocol messages
+  carry the epoch of the tenure they belong to; stale ones are
+  discarded.  Peer messages are re-sent a bounded number of times on
+  injected drops and de-duplicated by a per-message uid at the
+  receiver.
+* ``acquire`` retries a bounded number of attempts with backoff and
+  raises :class:`~repro.errors.LockError` when the budget is exhausted:
+  it completes or fails, it never hangs.
+
+The epoch doubles as a fencing token: an application that tags its
+writes with the grant epoch can have stale holders rejected downstream.
+
+Without a lease the same code runs with the epoch pinned at 0: no
+reaper, unbounded waits, plain sends, every epoch compare vacuous.  The
+only places that ask which configuration they are in are this module's
+leaves (:meth:`EpochFencedClient._wait_msg`, ``_peer_call`` and the
+acquire/release wrappers).
 
 Scheme hooks
 ------------
 
-Managers implement ``_setup_homes`` plus:
+Managers implement ``_setup_homes``, ``word(lock_id)`` plus:
 
 * ``_ft_tails(lock_id)``   — tail tokens currently named by the lock's
   word(s); an orphaned tail (no holder, no active attempt) is residue.
@@ -34,6 +64,7 @@ and the local-spin signal used to model one-sided hand-off detection.
 
 from __future__ import annotations
 
+import math
 from collections import OrderedDict
 from typing import Dict, List, Optional, Set, Tuple
 
@@ -41,10 +72,28 @@ from repro.errors import FaultError, LockError, RdmaError
 from repro.net.node import Node
 
 from repro.dlm.base import LockClient, LockManagerBase, LockMode
-from repro.dlm.ncosed import (_EP_MASK, _Stale, _UID_WINDOW, pack_ft,
-                              unpack_ft)
 
-__all__ = ["EpochFencedManager", "EpochFencedClient"]
+__all__ = ["EpochFencedManager", "EpochFencedClient", "pack", "unpack"]
+
+_EP_MASK = 0xFFFF
+_F24 = 0xFFFFFF
+
+#: receiver-side dedup window for reliably re-sent protocol messages
+_UID_WINDOW = 512
+
+
+def pack(epoch: int, tail: int, count: int) -> int:
+    if tail < 0 or tail > _F24 or count < 0 or count > _F24:
+        raise LockError(f"word fields out of range: tail={tail} n={count}")
+    return ((epoch & _EP_MASK) << 48) | (tail << 24) | count
+
+
+def unpack(word: int):
+    return (word >> 48) & _EP_MASK, (word >> 24) & _F24, word & _F24
+
+
+class _Stale(Exception):
+    """Internal: the attempt raced a reclaim; restart from scratch."""
 
 
 class EpochFencedManager(LockManagerBase):
@@ -54,6 +103,22 @@ class EpochFencedManager(LockManagerBase):
     pinned at 0, waits are unbounded, and the reaper never runs (the
     wire protocol is unchanged — non-FT mode is just FT with a frozen
     epoch).
+
+    Parameters
+    ----------
+    lease_us:
+        Wait bound: every blocking protocol wait re-validates the lock
+        word at this period.  Also the default reaper scan period.
+    detector:
+        Failure oracle with ``is_dead(node_id)`` (e.g. a
+        :class:`repro.monitor.heartbeat.HeartbeatDetector`); defaults
+        to the cluster's installed fault injector's ground truth.
+    reap_every_us / max_attempts / attempt_backoff_us:
+        Reaper period (default: the lease), acquire retry budget, and
+        backoff between attempts (default: half the lease).
+    send_attempts / resend_us:
+        Bounded re-send of peer protocol messages on injected drops
+        (default period: a quarter of the lease).
     """
 
     def __init__(self, cluster, n_locks: int = 64,
@@ -65,34 +130,49 @@ class EpochFencedManager(LockManagerBase):
                  attempt_backoff_us: Optional[float] = None,
                  send_attempts: int = 6,
                  resend_us: Optional[float] = None):
+        for name, value in (("lease_us", lease_us),
+                            ("reap_every_us", reap_every_us),
+                            ("resend_us", resend_us)):
+            if value is not None and not 0 < value < math.inf:
+                raise LockError(
+                    f"{name} must be positive and finite, got {value!r}")
+        if (attempt_backoff_us is not None
+                and not 0 <= attempt_backoff_us < math.inf):
+            raise LockError("attempt_backoff_us must be finite and >= 0, "
+                            f"got {attempt_backoff_us!r}")
+        for name, value in (("max_attempts", max_attempts),
+                            ("send_attempts", send_attempts)):
+            if value < 1:
+                raise LockError(f"{name} must be >= 1, got {value!r}")
         self.ft = lease_us is not None
-        if self.ft and lease_us <= 0:
-            raise LockError("lease_us must be positive")
-        if max_attempts < 1:
-            raise LockError("max_attempts must be >= 1")
+        #: no lease: nothing can ever move an epoch off 0, so a scheme
+        #: may guess the epoch of a word it has not read
+        self.epoch_pinned = not self.ft
         self.lease_us = lease_us
         self.detector = detector
         self.max_attempts = max_attempts
-        if self.ft:
-            self.reap_every_us = reap_every_us or lease_us
-            self.attempt_backoff_us = (attempt_backoff_us
-                                       if attempt_backoff_us is not None
-                                       else lease_us / 2)
-            self.resend_us = (resend_us if resend_us is not None
-                              else lease_us / 4)
-        else:
-            self.reap_every_us = reap_every_us
-            self.attempt_backoff_us = attempt_backoff_us
-            self.resend_us = resend_us
         self.send_attempts = send_attempts
+        self.reap_every_us = reap_every_us
+        self.attempt_backoff_us = attempt_backoff_us
+        self.resend_us = resend_us
+        if self.ft:
+            if reap_every_us is None:
+                self.reap_every_us = lease_us
+            if attempt_backoff_us is None:
+                self.attempt_backoff_us = lease_us / 2
+            if resend_us is None:
+                self.resend_us = lease_us / 4
         #: lock -> current epoch (mirrored in the words' top 16 bits)
         self._epochs: Dict[int, int] = {}
-        #: lock -> tokens with an in-flight acquire/release on it (the
-        #: lease records separating a live waiter from residue)
+        #: lock -> tokens with an in-flight acquire/release on it; this
+        #: models the per-lock lease records clients write next to their
+        #: atomics, and is what separates a live waiter from residue
         self._active: Dict[int, Set[int]] = {}
         #: (lock, token) -> grant epoch revoked by a reclaim
         self._revoked: Dict[Tuple[int, int], int] = {}
         #: lock -> tokens whose protocol obligation could not complete
+        #: (failed release, undeliverable hand-off): the word or chain
+        #: state is suspect and the reaper must reclaim
         self._suspect: Dict[int, Set[int]] = {}
         #: (time, lock, new_epoch) for every reclaim, for tests
         self.reclaims: List[Tuple[float, int, int]] = []
@@ -218,7 +298,11 @@ class EpochFencedClient(LockClient):
         yield  # pragma: no cover
 
     def _abort_attempt(self, lock_id: int) -> None:
-        """Per-scheme cleanup after a failed acquire attempt."""
+        """Per-scheme cleanup after a failed acquire attempt or a
+        revoked grant."""
+
+    def _obs_word(self, lock_id: int, word: int) -> None:
+        """Trace hook for a scheme whose word the sanitizers decode."""
 
     def _epoch_word(self, lock_id: int):
         """(home, addr, rkey) of the epoch-bearing word to re-read."""
@@ -229,16 +313,17 @@ class EpochFencedClient(LockClient):
         if lock_id in self._held_modes:
             raise LockError(f"client {self.token} already holds {lock_id}")
         mgr = self.manager
-        if not mgr.ft:
-            ep, extra = yield from self._attempt_acquire(lock_id, mode)
-            self._finish_grant(lock_id, mode, ep, extra)
-            return None
         attempts = 0
         while True:
+            if not mgr.ft:
+                ep, extra = yield from self._attempt_acquire(lock_id, mode)
+                break
             attempts += 1
             mgr._note_active(lock_id, self.token)
             try:
                 ep, extra = yield from self._attempt_acquire(lock_id, mode)
+                # a fresh grant supersedes any stale revocation marker
+                mgr._revoked.pop((lock_id, self.token), None)
                 break
             except (_Stale, FaultError, RdmaError) as exc:
                 self._abort_attempt(lock_id)
@@ -257,17 +342,11 @@ class EpochFencedClient(LockClient):
                 mgr._unnote_active(lock_id, self.token)
             yield self.env.timeout(
                 mgr.attempt_backoff_us * min(attempts, 8))
-        # a fresh grant supersedes any stale revocation marker
-        mgr._revoked.pop((lock_id, self.token), None)
-        self._finish_grant(lock_id, mode, ep, extra)
-        return None
-
-    def _finish_grant(self, lock_id: int, mode: LockMode, ep: int,
-                      extra: dict) -> None:
         self._held_modes[lock_id] = mode
         self._grant_ep[lock_id] = ep
         self._grant_extra[lock_id] = extra
         self._granted(lock_id, mode, ep=ep, **extra)
+        return None
 
     def _release(self, lock_id: int):
         mode = self._held_modes.pop(lock_id, None)
@@ -279,6 +358,7 @@ class EpochFencedClient(LockClient):
             # lease revoked by a reclaim: the grant already ended in the
             # ledger and the words were wiped — nothing to undo
             self._grant_extra.pop(lock_id, None)
+            self._abort_attempt(lock_id)
             return None
         self._released(lock_id)
         if not mgr.ft:
@@ -287,6 +367,8 @@ class EpochFencedClient(LockClient):
         mgr._note_active(lock_id, self.token)
         try:
             yield from self._attempt_release(lock_id, ep)
+        except _Stale:
+            pass  # reclaimed mid-release: the fresh epoch owns the words
         except (FaultError, RdmaError):
             # the words (and possibly a waiter's hand-off) are in an
             # unknown state — flag the lock so the reaper reclaims
@@ -302,24 +384,28 @@ class EpochFencedClient(LockClient):
         In FT mode the wait is lease-bounded; on expiry the epoch word
         is re-read and a moved epoch raises :class:`_Stale`.
         """
-        mgr = self.manager
+        lease_us = self.manager.lease_us
         while True:
-            if mgr.ft:
-                body = yield from self._wait_lease(lock_id, kind,
-                                                   mgr.lease_us)
+            if lease_us is None:
+                # not a timeout: an infinite delay is rejected, and a
+                # finite one would add an agenda entry to every wait
+                body = yield self._queue(lock_id, kind).get()
+            else:
+                body = yield from self._wait_lease(lock_id, kind, lease_us)
                 if body is None:
                     yield from self._check_epoch(lock_id, ep)
                     continue
-            else:
-                body = yield from self._wait(lock_id, kind)
             if body.get("ep") != ep:
                 continue  # stale generation
             return body
 
     def _check_epoch(self, lock_id: int, ep: int):
+        """Lease expired while waiting: re-read the word, bail if moved."""
         home, addr, rkey = self._epoch_word(lock_id)
         raw = yield self.node.nic.rdma_read(home, addr, rkey, 8)
-        if unpack_ft(int.from_bytes(raw, "big"))[0] != ep:
+        word = int.from_bytes(raw, "big")
+        self._obs_word(lock_id, word)
+        if unpack(word)[0] != ep:
             raise _Stale(f"lock {lock_id} reclaimed while waiting")
 
     def _drain_msgs(self, lock_id: int, kind: str, ep: int):
@@ -347,7 +433,7 @@ class EpochFencedClient(LockClient):
         peer._queue(lock_id, kind).try_put(dict(body, t=kind,
                                                 lock=lock_id))
 
-    # -- reliable peer messaging (lifted from N-CoSED) ---------------------
+    # -- reliable peer messaging -------------------------------------------
     def _accept_msg(self, body: dict) -> bool:
         uid = body.get("uid")
         if uid is None:

@@ -2,7 +2,7 @@
 
 The classic MCS lock mapped onto one-sided verbs, after *Using RDMA for
 Lock Management*: the home holds one 64-bit tail word per lock
-(``pack_ft`` layout: epoch | tail token | unused), and every client
+(substrate layout: epoch | tail token | unused), and every client
 keeps a per-lock *queue node* in its own registered memory — a next
 slot its successor writes into, and a grant slot its predecessor writes
 into.
@@ -36,8 +36,8 @@ from typing import Dict
 from repro.net.node import Node
 
 from repro.dlm.base import CLIENT_POLL_US, LockMode
-from repro.dlm.ft import EpochFencedClient, EpochFencedManager
-from repro.dlm.ncosed import _Stale, pack_ft, unpack_ft
+from repro.dlm.ft import (EpochFencedClient, EpochFencedManager, _Stale,
+                          pack, unpack)
 
 __all__ = ["MCSManager", "MCSClient"]
 
@@ -68,12 +68,12 @@ class MCSManager(EpochFencedManager):
 
     # -- epoch-fencing hooks ----------------------------------------------
     def _ft_tails(self, lock_id: int):
-        return (unpack_ft(self.raw_word(lock_id))[1],)
+        return (unpack(self.raw_word(lock_id))[1],)
 
     def _ft_wipe(self, lock_id: int, new_ep: int) -> None:
         home = self.home_node(lock_id)
         self._words[home.id].write_u64(8 * lock_id,
-                                       pack_ft(new_ep, 0, 0))
+                                       pack(new_ep, 0, 0))
 
 
 class MCSClient(EpochFencedClient):
@@ -104,19 +104,19 @@ class MCSClient(EpochFencedClient):
         self._qnode.write_u64(self._qn_grant(lock_id), 0)
         while True:
             raw = yield nic.rdma_read(home, addr, rkey, 8)
-            ep, tail, _ = unpack_ft(int.from_bytes(raw, "big"))
+            ep, tail, _ = unpack(int.from_bytes(raw, "big"))
             if tail == self.token:
                 # residue of an aborted attempt; the reaper clears it
                 raise _Stale(f"own stale tail on lock {lock_id}")
-            word = pack_ft(ep, tail, 0)
+            word = pack(ep, tail, 0)
             old = yield nic.cas(home, addr, rkey, word,
-                                pack_ft(ep, self.token, 0))
+                                pack(ep, self.token, 0))
             if old != word:
                 continue  # lost the race (or raced a reclaim): re-read
             break
         self._obs_enqueue(lock_id, mode, prev=tail, ep=ep)
         if tail == 0:
-            if mgr.ft and mgr.lock_epoch(lock_id) != ep:
+            if mgr.lock_epoch(lock_id) != ep:
                 raise _Stale("reclaimed at MCS grant instant")
             return ep, {}
         # link behind the predecessor: write our token into its next
@@ -133,7 +133,7 @@ class MCSClient(EpochFencedClient):
         yield from self._wait_msg(lock_id, "mgrant", ep)
         # spin-exit: notice the grant word in our own cache line
         yield self.node.cpu.run(CLIENT_POLL_US, name="mcs-spin")
-        if mgr.ft and mgr.lock_epoch(lock_id) != ep:
+        if mgr.lock_epoch(lock_id) != ep:
             raise _Stale("reclaimed at MCS hand-off instant")
         return ep, {}
 
@@ -146,18 +146,16 @@ class MCSClient(EpochFencedClient):
         succ = succs[0]["frm"] if succs else None
         if succ is None:
             # no known successor: try to close the queue
-            word = pack_ft(ep, self.token, 0)
+            word = pack(ep, self.token, 0)
             old = yield nic.cas(home, addr, rkey, word,
-                                pack_ft(ep, 0, 0))
+                                pack(ep, 0, 0))
             if old == word:
                 return  # queue closed
-            if unpack_ft(old)[0] != ep:
+            if unpack(old)[0] != ep:
                 return  # reclaimed under us: nothing to hand off
             # a successor swapped the tail; its next-write is in flight
-            try:
-                body = yield from self._wait_msg(lock_id, "mnext", ep)
-            except _Stale:
-                return  # reclaimed while waiting: successors restart
+            # (a reclaim while waiting raises _Stale: successors restart)
+            body = yield from self._wait_msg(lock_id, "mnext", ep)
             succ = body["frm"]
         peer = mgr.clients.get(succ)
         if peer is None:
@@ -166,6 +164,6 @@ class MCSClient(EpochFencedClient):
         yield nic.rdma_write(peer.node.id,
                              peer._qnode.addr + peer._qn_grant(lock_id),
                              peer._qnode.rkey,
-                             pack_ft(ep, self.token, 1).to_bytes(8, "big"))
+                             pack(ep, self.token, 1).to_bytes(8, "big"))
         self._signal(peer, lock_id, "mgrant",
                      {"frm": self.token, "ep": ep})

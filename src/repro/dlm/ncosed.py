@@ -1,20 +1,23 @@
 """N-CoSED — Network-based Combined Shared/Exclusive Distributed locking.
 
-The paper's scheme (§4.2, Fig. 4; details in ref [14]).  Every lock is a
-64-bit word on its home node::
+The paper's scheme (§4.2, Fig. 4; details in ref [14]), written as the
+third set of hooks over the shared lock substrate (:mod:`repro.dlm.ft`,
+which owns the word layout, epochs, the reaper, lease-bounded waits and
+reliable sends).  Every lock is one 64-bit word on its home node::
 
-    bits 63..32   token of the tail of the exclusive-requester queue
+    bits 63..48   epoch (0 for ever unless the manager has a lease)
+    bits 47..24   token of the tail of the exclusive-requester queue
                   (0 = no exclusive pending/holding)
-    bits 31..0    number of shared requests since the last exclusive
+    bits 23..0    number of shared requests since the last exclusive
                   enqueue (with no exclusive pending: the count of
                   current shared holders)
 
-* **Exclusive acquire** — CAS the whole word to ``(me, 0)``.  Old value
-  ``(0, 0)``: granted outright.  Old ``(t, s)``: we are enqueued; notify
-  ``t`` (carrying ``s`` so it knows how many shared grants precede us)
-  and wait for its hand-off plus ``s`` shared-release notifications.
-  Old ``(0, s)``: no predecessor — just wait for ``s`` current shared
-  holders to drain.
+* **Exclusive acquire** — CAS the tail to ``me`` and the count to 0.
+  Old value ``(0, 0)``: granted outright.  Old ``(t, s)``: we are
+  enqueued; notify ``t`` (carrying ``s`` so it knows how many shared
+  grants precede us) and wait for its hand-off plus ``s``
+  shared-release notifications.  Old ``(0, s)``: no predecessor — just
+  wait for ``s`` current shared holders to drain.
 * **Shared acquire** — fetch-and-add +1.  If the returned word has no
   exclusive tail the lock is held immediately — *this* is what makes
   shared cascades O(1) instead of O(n).  Otherwise register with the
@@ -30,165 +33,61 @@ still waiting on a *predecessor* are forwarded up the chain: they belong
 to an earlier tenure by construction (a requester is granted only after
 every notification it is owed has arrived).
 
-Fault-tolerant mode
--------------------
+The two openings of the exclusive acquire
+-----------------------------------------
 
-Constructing the manager with ``lease_us`` switches on lease-based
-recovery (everything below is inert otherwise, and the wire protocol is
-byte-identical to the original):
+With the epoch pinned at 0 the acquire opens with the paper's optimistic
+``CAS(0 -> me)``: one verb when the lock is free (the Fig. 5 numbers).
+With a lease the epoch of a free word is not known in advance, so the
+acquire opens with a read and then the CAS: two verbs.  That is the only
+place the protocol differs between the two configurations (measured on
+the ``locks-zipf`` benchmark workload, seed 7: 102164 vs 98032
+op/sim-s, p99 90.4 vs 105.4 µs).  Opening the leased acquire with a
+guess at the manager's current epoch is a behaviour change and is left
+to its own change.
 
-* The word is re-packed as ``epoch:16 | tail:24 | count:24``.  Every
-  CAS embeds the epoch it read, so an acquire racing a reclaim simply
-  loses the CAS; every FAA *returns* the epoch at execution instant, so
-  a shared requester detects that its increment landed on (or was wiped
-  with) a stale generation.
-* A manager-wide **reaper** scans the lock table every lease period.
-  When a lock's tail, a granted holder, or a client with an in-flight
-  protocol operation sits on a crashed node — or the tail token belongs
-  to nobody with business on the lock (residue of an aborted attempt) —
-  the word is wiped to ``(epoch+1, 0, 0)`` at a single instant and all
-  current grants are revoked Chubby-style: the ledger entries end at
-  the reclaim, and a surviving holder discovers the revocation when it
-  releases (the epoch no longer matches).  The wipe is home-local, so
-  remote atomics land strictly before or after it, never astride.
-* Waiters never block forever: every wait is bounded by the lease, on
-  expiry the waiter re-reads the word and restarts its attempt if the
-  epoch moved.  Protocol messages carry the epoch of the tenure they
-  belong to; stale ones are discarded.  Peer messages are re-sent a
-  bounded number of times on injected drops (RC-style reliability) and
-  de-duplicated by a per-message uid at the receiver.
-* ``acquire`` retries a bounded number of attempts with backoff and
-  raises :class:`LockError` when the budget is exhausted — it either
-  completes or fails, it never hangs.
+Failover
+--------
 
-The epoch doubles as a fencing token: an application that tags its
-writes with the grant epoch can have stale holders rejected downstream.
+What only N-CoSED has: with a transition-reporting detector, the words
+of a dead home move to the next live member — an override of the home
+plus an ordinary reclaim, so stragglers talking to the old home are
+fenced by the epoch check on their next protocol step.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from repro.errors import FaultError, LockError, RdmaError
+from repro.errors import LockError
 from repro.net.memory import MemoryRegion
 from repro.net.node import Node
 
-from repro.dlm.base import LockClient, LockManagerBase, LockMode
+from repro.dlm.base import LockMode
+from repro.dlm.ft import (EpochFencedClient, EpochFencedManager, _Stale,
+                          pack, unpack)
 
-__all__ = ["NCoSEDManager", "NCoSEDClient", "pack", "unpack",
-           "pack_ft", "unpack_ft"]
-
-_LOW32 = 0xFFFFFFFF
-
-#: fault-tolerant word layout: epoch:16 | tail:24 | count:24
-_EP_MASK = 0xFFFF
-_F24 = 0xFFFFFF
-
-#: receiver-side dedup window for reliably re-sent protocol messages
-_UID_WINDOW = 512
+__all__ = ["NCoSEDManager", "NCoSEDClient"]
 
 
-def pack(tail: int, count: int) -> int:
-    if tail < 0 or tail > _LOW32 or count < 0 or count > _LOW32:
-        raise LockError(f"word fields out of range: tail={tail} n={count}")
-    return (tail << 32) | count
-
-
-def unpack(word: int):
-    return (word >> 32) & _LOW32, word & _LOW32
-
-
-def pack_ft(epoch: int, tail: int, count: int) -> int:
-    if tail < 0 or tail > _F24 or count < 0 or count > _F24:
-        raise LockError(f"word fields out of range: tail={tail} n={count}")
-    return ((epoch & _EP_MASK) << 48) | (tail << 24) | count
-
-
-def unpack_ft(word: int):
-    return (word >> 48) & _EP_MASK, (word >> 24) & _F24, word & _F24
-
-
-class _Stale(Exception):
-    """Internal: the attempt raced a reclaim; restart from scratch."""
-
-
-class NCoSEDManager(LockManagerBase):
-    """N-CoSED home state; pass ``lease_us`` for fault-tolerant mode.
-
-    Parameters (fault-tolerant mode only)
-    -------------------------------------
-    lease_us:
-        Wait bound: every blocking protocol wait re-validates the lock
-        word at this period.  Also the default reaper scan period.
-    detector:
-        Failure oracle with ``is_dead(node_id)`` (e.g. a
-        :class:`repro.monitor.heartbeat.HeartbeatDetector`); defaults
-        to the cluster's installed fault injector's ground truth.
-    reap_every_us / max_attempts / attempt_backoff_us:
-        Reaper period, acquire retry budget, and backoff between
-        attempts.
-    send_attempts / resend_us:
-        Bounded re-send of peer protocol messages on injected drops.
-    """
+class NCoSEDManager(EpochFencedManager):
+    """N-CoSED home state; pass ``lease_us`` for fault-tolerant mode
+    (parameters: :class:`~repro.dlm.ft.EpochFencedManager`)."""
 
     SCHEME = "ncosed"
 
-    def __init__(self, cluster, n_locks: int = 64,
-                 member_nodes=None, *,
-                 lease_us: Optional[float] = None,
-                 detector=None,
-                 reap_every_us: Optional[float] = None,
-                 max_attempts: int = 12,
-                 attempt_backoff_us: Optional[float] = None,
-                 send_attempts: int = 6,
-                 resend_us: Optional[float] = None):
-        self.ft = lease_us is not None
-        if self.ft and lease_us <= 0:
-            raise LockError("lease_us must be positive")
-        if max_attempts < 1:
-            raise LockError("max_attempts must be >= 1")
-        self.lease_us = lease_us
-        self.detector = detector
-        self.max_attempts = max_attempts
-        if self.ft:
-            self.reap_every_us = reap_every_us or lease_us
-            self.attempt_backoff_us = (attempt_backoff_us
-                                       if attempt_backoff_us is not None
-                                       else lease_us / 2)
-            self.resend_us = (resend_us if resend_us is not None
-                              else lease_us / 4)
-        else:
-            self.reap_every_us = reap_every_us
-            self.attempt_backoff_us = attempt_backoff_us
-            self.resend_us = resend_us
-        self.send_attempts = send_attempts
-        #: lock -> current epoch (mirrored in the word's top 16 bits)
-        self._epochs: Dict[int, int] = {}
-        #: lock -> tokens with an in-flight acquire/release on it; this
-        #: models the per-lock lease records clients write next to their
-        #: atomics, and is what separates a live waiter from residue
-        self._active: Dict[int, Set[int]] = {}
-        #: (lock, token) -> grant epoch revoked by a reclaim
-        self._revoked: Dict[Tuple[int, int], int] = {}
-        #: lock -> tokens whose protocol obligation could not complete
-        #: (failed release, undeliverable hand-off): the word or chain
-        #: state is suspect and the reaper must reclaim
-        self._suspect: Dict[int, Set[int]] = {}
-        #: (time, lock, new_epoch) for every reclaim, for tests
-        self.reclaims: List[Tuple[float, int, int]] = []
+    def __init__(self, cluster, n_locks: int = 64, member_nodes=None,
+                 **ft_kwargs):
         #: lock -> node id hosting the word after a failover rehome
         self._home_override: Dict[int, int] = {}
         #: (time, lock, old_home, new_home) for every rehome
         self.rehomes: List[Tuple[float, int, int, int]] = []
         super().__init__(cluster, n_locks=n_locks,
-                         member_nodes=member_nodes)
-        if self.ft:
-            self.env.process(self._reap_proc(), name="ncosed-reaper")
-            if detector is not None and hasattr(detector, "subscribe"):
-                # a transition-reporting detector drives lock-home
-                # failover; a bare oracle only gates the reaper
-                detector.subscribe(self._on_detector)
+                         member_nodes=member_nodes, **ft_kwargs)
+        if not self.epoch_pinned and hasattr(self.detector, "subscribe"):
+            # a transition-reporting detector drives lock-home
+            # failover; a bare oracle only gates the reaper
+            self.detector.subscribe(self._on_detector)
 
     def _setup_homes(self) -> None:
         self._words: Dict[int, MemoryRegion] = {}
@@ -211,103 +110,20 @@ class NCoSEDManager(LockManagerBase):
     def raw_word(self, lock_id: int) -> int:
         """Direct (zero-time) view of the lock word, for tests."""
         home = self.home_node(lock_id)
-        region = self._words[home.id]
-        return region.read_u64(8 * lock_id)
+        return self._words[home.id].read_u64(8 * lock_id)
 
     def client(self, node: Node) -> "NCoSEDClient":
         return NCoSEDClient(self, node)
 
-    # ------------------------------------------------------------------
-    # fault-tolerant mode: epochs, lease records, reaper
-    # ------------------------------------------------------------------
-    def lock_epoch(self, lock_id: int) -> int:
-        return self._epochs.get(lock_id, 0)
+    # -- epoch-fencing hooks ----------------------------------------------
+    def _ft_tails(self, lock_id: int):
+        return (unpack(self.raw_word(lock_id))[1],)
 
-    def _note_active(self, lock_id: int, token: int) -> None:
-        self._active.setdefault(lock_id, set()).add(token)
-
-    def _unnote_active(self, lock_id: int, token: int) -> None:
-        tokens = self._active.get(lock_id)
-        if tokens is not None:
-            tokens.discard(token)
-
-    def _consume_revoked(self, lock_id: int, token: int, ep: int) -> bool:
-        if self._revoked.get((lock_id, token)) == ep:
-            del self._revoked[(lock_id, token)]
-            return True
-        return False
-
-    def _node_dead(self, node_id: int) -> bool:
-        if self.detector is not None:
-            return self.detector.is_dead(node_id)
-        injector = self.cluster.fabric.injector
-        return injector is not None and node_id in injector.down
-
-    def _token_dead(self, token: int) -> bool:
-        client = self.clients.get(token)
-        return client is not None and self._node_dead(client.node.id)
-
-    def _flag_suspect(self, lock_id: int, token: int) -> None:
-        self._suspect.setdefault(lock_id, set()).add(token)
-
-    def _reap_proc(self):
-        while True:
-            yield self.env.timeout(self.reap_every_us)
-            for lock_id in range(self.n_locks):
-                if self._should_reclaim(lock_id):
-                    self._reclaim(lock_id)
-
-    def _should_reclaim(self, lock_id: int) -> bool:
-        if not getattr(self.detector, "has_quorum", True):
-            # minority-partition view: freezing the reaper here is what
-            # keeps a split brain from revoking the majority's grants
-            return False
-        if self._node_dead(self.home_node(lock_id).id):
-            return False  # word unreachable; rehome or restart first
-        if self._suspect.get(lock_id):
-            return True  # a release/hand-off failed: chain state suspect
-        holders = self.holders.get(lock_id, ())
-        active = self._active.get(lock_id, ())
-        if any(self._token_dead(tok) for tok, _mode in holders):
-            return True
-        if any(self._token_dead(tok) for tok in active):
-            return True
-        _ep, tail, _count = unpack_ft(self.raw_word(lock_id))
-        if tail and tail not in active and not any(
-                tok == tail for tok, _mode in holders):
-            return True  # orphaned tail: residue of an aborted attempt
-        return False
-
-    def _reclaim(self, lock_id: int) -> None:
-        """Wipe the word at one instant and revoke every current grant.
-
-        Home-local, zero simulated time: any in-flight remote atomic
-        lands strictly before or after the wipe.  Post-wipe landings
-        are rejected by their epoch guard (CAS) or detected by the
-        epoch in the returned word (FAA).
-        """
-        old_ep = self._epochs.get(lock_id, 0)
-        new_ep = (old_ep + 1) & _EP_MASK
-        self._epochs[lock_id] = new_ep
+    def _ft_wipe(self, lock_id: int, new_ep: int) -> None:
         home = self.home_node(lock_id)
-        self._words[home.id].write_u64(8 * lock_id, pack_ft(new_ep, 0, 0))
-        obs = self.env.obs
-        if obs is not None:
-            # emitted before the revokes so the sanitizer advances its
-            # authoritative epoch first, then validates each revocation
-            obs.trace.emit("lock.reclaim", node=home.id,
-                           mgr=self.obs_name, lock=lock_id,
-                           old_ep=old_ep, new_ep=new_ep)
-            obs.metrics.counter("dlm.reclaims").inc()
-        for token, _mode in list(self.holders.get(lock_id, ())):
-            self._ledger_expunge(lock_id, token)
-            self._revoked[(lock_id, token)] = old_ep
-        self._suspect.pop(lock_id, None)
-        self.reclaims.append((self.env.now, lock_id, new_ep))
+        self._words[home.id].write_u64(8 * lock_id, pack(new_ep, 0, 0))
 
-    # ------------------------------------------------------------------
-    # failover: rehome the words of a dead member
-    # ------------------------------------------------------------------
+    # -- failover: rehome the words of a dead member ----------------------
     def _on_detector(self, node_id: int, transition: str) -> None:
         """Detector transition: move every lock homed on a dead member
         to the next live member in ring order.
@@ -315,11 +131,9 @@ class NCoSEDManager(LockManagerBase):
         Every member already hosts a full words region (``_setup_homes``
         registers one per node precisely so failover needs no new
         allocation), so rehoming is an epoch bump plus a fresh word at
-        the new home; stragglers talking to the old home are fenced by
-        the epoch check on their next protocol step.  Restores are
-        deliberately ignored: a lock stays at its failover home until
-        the next failure (moving it back would revoke live grants for
-        no safety gain).
+        the new home.  Restores are deliberately ignored: a lock stays
+        at its failover home until the next failure (moving it back
+        would revoke live grants for no safety gain).
         """
         if transition != "dead":
             return
@@ -345,29 +159,15 @@ class NCoSEDManager(LockManagerBase):
     def _rehome(self, lock_id: int, old_home: Node,
                 new_home: Node) -> None:
         """Reclaim ``lock_id`` onto ``new_home`` (epoch-fenced move)."""
-        old_ep = self._epochs.get(lock_id, 0)
-        new_ep = (old_ep + 1) & _EP_MASK
-        self._epochs[lock_id] = new_ep
         self._home_override[lock_id] = new_home.id
-        self._words[new_home.id].write_u64(
-            8 * lock_id, pack_ft(new_ep, 0, 0))
+        self._reclaim(lock_id)  # wipes and reports at the new home
         obs = self.env.obs
         if obs is not None:
-            # lock.reclaim first (the sanitizer advances its epoch from
-            # it), then the informational rehome marker
-            obs.trace.emit("lock.reclaim", node=new_home.id,
-                           mgr=self.obs_name, lock=lock_id,
-                           old_ep=old_ep, new_ep=new_ep)
-            obs.metrics.counter("dlm.reclaims").inc()
             obs.trace.emit("lock.rehome", node=new_home.id,
                            mgr=self.obs_name, lock=lock_id,
-                           frm=old_home.id, to=new_home.id, ep=new_ep)
+                           frm=old_home.id, to=new_home.id,
+                           ep=self.lock_epoch(lock_id))
             obs.metrics.counter("dlm.rehomes").inc()
-        for token, _mode in list(self.holders.get(lock_id, ())):
-            self._ledger_expunge(lock_id, token)
-            self._revoked[(lock_id, token)] = old_ep
-        self._suspect.pop(lock_id, None)
-        self.reclaims.append((self.env.now, lock_id, new_ep))
         self.rehomes.append((self.env.now, lock_id, old_home.id,
                              new_home.id))
 
@@ -375,21 +175,18 @@ class NCoSEDManager(LockManagerBase):
 class _Tenure:
     """Exclusive-tenure bookkeeping on one lock."""
 
-    __slots__ = ("registered", "xenq", "ep")
+    __slots__ = ("registered", "xenq")
 
     def __init__(self):
         self.registered: List[int] = []   # senq senders (shared waiters)
         self.xenq: Optional[dict] = None  # successor announcement
-        self.ep = 0                       # epoch of the tenure (FT mode)
 
 
-class NCoSEDClient(LockClient):
+class NCoSEDClient(EpochFencedClient):
     def __init__(self, manager: NCoSEDManager, node: Node):
         super().__init__(manager, node)
-        self._held: Dict[int, LockMode] = {}
+        #: lock -> tenure, from the exclusive enqueue to the release
         self._tenures: Dict[int, _Tenure] = {}
-        self._grant_ep: Dict[int, int] = {}
-        self._seen_uids: "OrderedDict[int, None]" = OrderedDict()
 
     def _obs_word(self, lock_id: int, word: int) -> None:
         """Trace a protocol step's view of the raw 64-bit lock word."""
@@ -397,552 +194,220 @@ class NCoSEDClient(LockClient):
         if obs is not None:
             obs.trace.emit("lock.word", node=self.node.id,
                            mgr=self.manager.obs_name, lock=lock_id,
-                           word=word, ft=self.manager.ft)
+                           word=word)
 
-    def _accept_msg(self, body: dict) -> bool:
-        uid = body.get("uid")
-        if uid is None:
-            return True
-        if uid in self._seen_uids:
-            return False  # duplicate delivery of a re-sent message
-        self._seen_uids[uid] = None
-        while len(self._seen_uids) > _UID_WINDOW:
-            self._seen_uids.popitem(last=False)
-        return True
+    def _send(self, token: int, kind: str, lock_id: int, ep: int,
+              **fields) -> None:
+        self._peer_call(token, dict(fields, t="nc", kind=kind,
+                                    lock=lock_id, ep=ep))
 
     # ------------------------------------------------------------------
     # acquire
     # ------------------------------------------------------------------
-    def _acquire(self, lock_id: int, mode: LockMode):
-        if lock_id in self._held:
-            raise LockError(f"client {self.token} already holds {lock_id}")
-        if self.manager.ft:
-            yield from self._acquire_ft(lock_id, mode)
-            return None
+    def _attempt_acquire(self, lock_id: int, mode: LockMode):
+        # not a generator: the substrate drives the returned one
+        # directly, which keeps the fault-free path one frame shallower
         if mode is LockMode.SHARED:
-            yield from self._acquire_shared(lock_id)
-        else:
-            yield from self._acquire_exclusive(lock_id)
-        self._held[lock_id] = mode
-        self._granted(lock_id, mode)
-        return None
+            return self._acquire_shared(lock_id)
+        return self._acquire_exclusive(lock_id)
+
+    def _abort_attempt(self, lock_id: int) -> None:
+        self._tenures.pop(lock_id, None)
 
     def _acquire_shared(self, lock_id: int):
-        home, addr, rkey = self.manager.word(lock_id)
-        old = yield self.node.nic.faa(home, addr, rkey, 1)
-        self._obs_word(lock_id, old)
-        tail, _count = unpack(old)
-        self._obs_enqueue(lock_id, LockMode.SHARED, prev=tail)
-        if tail == 0:
-            return  # granted immediately, concurrently with other shareds
-        # an exclusive is pending/holding: register with the tail and wait
-        self._peer_send(tail, {"t": "nc", "kind": "senq",
-                               "lock": lock_id, "frm": self.token})
-        while True:
-            body = yield from self._wait(lock_id, "nc")
-            if body["kind"] == "sgrant":
-                return
-            # anything else on a shared wait is a protocol violation
-            raise LockError(f"shared waiter got {body['kind']}")
-
-    def _acquire_exclusive(self, lock_id: int):
-        home, addr, rkey = self.manager.word(lock_id)
-        nic = self.node.nic
-        tenure = _Tenure()
-        while True:
-            old = yield nic.cas(home, addr, rkey, 0, pack(self.token, 0))
-            self._obs_word(lock_id, old)
-            if old == 0:
-                self._tenures[lock_id] = tenure
-                self._obs_enqueue(lock_id, LockMode.EXCLUSIVE, prev=0)
-                return  # free word: granted
-            tail, count = unpack(old)
-            old2 = yield nic.cas(home, addr, rkey, old,
-                                 pack(self.token, 0))
-            self._obs_word(lock_id, old2)
-            if old2 != old:
-                continue  # lost the race; retry with fresh value
-            # enqueued: we are the new tail; shared requests from now on
-            # register with us, so open the tenure before waiting
-            self._tenures[lock_id] = tenure
-            self._obs_enqueue(lock_id, LockMode.EXCLUSIVE, prev=tail)
-            pred = tail if tail != 0 else None
-            if pred is not None:
-                self._peer_send(pred, {"t": "nc", "kind": "xenq",
-                                       "lock": lock_id, "frm": self.token,
-                                       "scount": count})
-            yield from self._await_grant(lock_id, tenure, pred, count)
-            return
-
-    def _await_grant(self, lock_id: int, tenure: _Tenure,
-                     pred: Optional[int], srel_needed: int):
-        """Wait for hand-off from ``pred`` plus ``srel_needed`` drains."""
-        need_xgrant = pred is not None
-        srel_got = 0
-        while need_xgrant or srel_got < srel_needed:
-            body = yield from self._wait(lock_id, "nc")
-            kind = body["kind"]
-            if kind == "xgrant":
-                need_xgrant = False
-            elif kind == "srel":
-                if need_xgrant:
-                    # belongs to an earlier tenure: forward up the chain
-                    self._peer_send(pred, dict(body))
-                else:
-                    srel_got += 1
-            elif kind == "senq":
-                tenure.registered.append(body["frm"])
-            elif kind == "xenq":
-                tenure.xenq = body
-            else:  # pragma: no cover - defensive
-                raise LockError(f"unexpected message {kind!r}")
-
-    # ------------------------------------------------------------------
-    # release
-    # ------------------------------------------------------------------
-    def _release(self, lock_id: int):
-        mode = self._held.pop(lock_id, None)
-        if mode is None:
-            raise LockError(f"client {self.token} does not hold {lock_id}")
-        if self.manager.ft:
-            yield from self._release_ft(lock_id, mode)
-            return None
-        self._released(lock_id)
-        if mode is LockMode.SHARED:
-            yield from self._release_shared(lock_id)
-        else:
-            yield from self._release_exclusive(lock_id)
-        return None
-
-    def _release_shared(self, lock_id: int):
-        home, addr, rkey = self.manager.word(lock_id)
-        nic = self.node.nic
-        while True:
-            raw = yield nic.rdma_read(home, addr, rkey, 8)
-            word = int.from_bytes(raw, "big")
-            self._obs_word(lock_id, word)
-            tail, count = unpack(word)
-            if tail != 0:
-                # an exclusive is pending: it (or its chain head) absorbs
-                # our drain notification
-                self._peer_send(tail, {"t": "nc", "kind": "srel",
-                                       "lock": lock_id, "frm": self.token})
-                return
-            if count == 0:  # pragma: no cover - accounting bug guard
-                raise LockError("shared release with zero count")
-            old = yield nic.cas(home, addr, rkey, word,
-                                pack(0, count - 1))
-            self._obs_word(lock_id, old)
-            if old == word:
-                return
-
-    def _release_exclusive(self, lock_id: int):
-        home, addr, rkey = self.manager.word(lock_id)
-        nic = self.node.nic
-        tenure = self._tenures.pop(lock_id)
-        self._drain_pending(lock_id, tenure)
-        if tenure.xenq is None:
-            # Fast path: guess the word from local bookkeeping and CAS it
-            # in one round trip.  The guess is exact unless a shared FAA
-            # or exclusive CAS is in flight, in which case we fall back.
-            n_reg = len(tenure.registered)
-            guess = pack(self.token, n_reg)
-            old = yield nic.cas(home, addr, rkey, guess, pack(0, n_reg))
-            self._obs_word(lock_id, old)
-            if old == guess:
-                for waiter in tenure.registered:
-                    self._peer_send(waiter, {"t": "nc", "kind": "sgrant",
-                                             "lock": lock_id})
-                return
-            # no successor yet: retire via the word the slow way
-            while tenure.xenq is None:
-                raw = yield nic.rdma_read(home, addr, rkey, 8)
-                word = int.from_bytes(raw, "big")
-                self._obs_word(lock_id, word)
-                tail, count = unpack(word)
-                if tail != self.token:
-                    # a successor swapped itself in: await its xenq
-                    yield from self._collect_until(lock_id, tenure, "xenq")
-                    break
-                while len(tenure.registered) < count and tenure.xenq is None:
-                    yield from self._collect_until(lock_id, tenure, None)
-                if tenure.xenq is not None:
-                    break
-                old = yield nic.cas(home, addr, rkey, word, pack(0, count))
-                self._obs_word(lock_id, old)
-                if old != word:
-                    continue  # word moved under us; reassess
-                # lock is no longer exclusively owned: grant every shared
-                # waiter registered during our tenure in one volley
-                for waiter in tenure.registered:
-                    self._peer_send(waiter, {"t": "nc", "kind": "sgrant",
-                                             "lock": lock_id})
-                return
-        # hand off to the exclusive successor: first grant the shared
-        # requests that arrived before the successor enqueued
-        succ = tenure.xenq["frm"]
-        s_mine = tenure.xenq["scount"]
-        while len(tenure.registered) < s_mine:
-            yield from self._collect_until(lock_id, tenure, "senq")
-        if len(tenure.registered) != s_mine:  # pragma: no cover - guard
-            raise LockError("registered shared waiters exceed snapshot")
-        for waiter in tenure.registered:
-            self._peer_send(waiter, {"t": "nc", "kind": "sgrant",
-                                     "lock": lock_id})
-        self._peer_send(succ, {"t": "nc", "kind": "xgrant",
-                               "lock": lock_id})
-        return
-
-    # -- helpers -----------------------------------------------------------
-    def _drain_pending(self, lock_id: int, tenure: _Tenure) -> None:
-        """Absorb protocol messages that arrived while we were holding."""
-        q = self._queue(lock_id, "nc")
-        while True:
-            ok, body = q.try_get()
-            if not ok:
-                return
-            self._classify(tenure, body)
-
-    def _collect_until(self, lock_id: int, tenure: _Tenure,
-                       kind: Optional[str]):
-        """Blocking-consume one message (of ``kind`` if given)."""
-        body = yield from self._wait(lock_id, "nc")
-        self._classify(tenure, body)
-        if kind is not None and body["kind"] != kind:
-            yield from self._collect_until(lock_id, tenure, kind)
-
-    def _classify(self, tenure: _Tenure, body: dict) -> None:
-        kind = body["kind"]
-        if kind == "senq":
-            tenure.registered.append(body["frm"])
-        elif kind == "xenq":
-            if tenure.xenq is not None:  # pragma: no cover - guard
-                raise LockError("two exclusive successors announced")
-            tenure.xenq = body
-        else:  # pragma: no cover - defensive
-            raise LockError(f"unexpected message {kind!r} while holding")
-
-    # ==================================================================
-    # fault-tolerant mode (active when the manager has a lease)
-    # ==================================================================
-    def _acquire_ft(self, lock_id: int, mode: LockMode):
-        """Bounded-retry acquire: completes or raises LockError."""
-        mgr = self.manager
-        attempts = 0
-        while True:
-            attempts += 1
-            mgr._note_active(lock_id, self.token)
-            try:
-                if mode is LockMode.SHARED:
-                    ep = yield from self._acquire_shared_ft(lock_id)
-                else:
-                    ep = yield from self._acquire_exclusive_ft(lock_id)
-                break
-            except (_Stale, FaultError, RdmaError) as exc:
-                self._tenures.pop(lock_id, None)
-                if attempts >= mgr.max_attempts:
-                    obs = self.env.obs
-                    if obs is not None:
-                        obs.trace.emit("lock.fail", node=self.node.id,
-                                       mgr=mgr.obs_name, lock=lock_id,
-                                       token=self.token,
-                                       attempts=attempts)
-                        obs.metrics.counter("dlm.acquire_failures").inc()
-                    raise LockError(
-                        f"acquire of lock {lock_id} by client {self.token} "
-                        f"failed after {attempts} attempts: {exc}") from exc
-            finally:
-                mgr._unnote_active(lock_id, self.token)
-            yield self.env.timeout(
-                mgr.attempt_backoff_us * min(attempts, 8))
-        # a fresh grant supersedes any stale revocation marker
-        mgr._revoked.pop((lock_id, self.token), None)
-        self._held[lock_id] = mode
-        self._grant_ep[lock_id] = ep
-        self._granted(lock_id, mode, ep=ep)
-
-    def _acquire_shared_ft(self, lock_id: int):
         mgr = self.manager
         home, addr, rkey = mgr.word(lock_id)
         old = yield self.node.nic.faa(home, addr, rkey, 1)
         self._obs_word(lock_id, old)
-        ep, tail, _count = unpack_ft(old)
+        ep, tail, _count = unpack(old)
         if mgr.lock_epoch(lock_id) != ep:
             # the word was reclaimed around our increment: the +1 was
             # (or will be) wiped with the old generation
             raise _Stale(f"lock {lock_id} reclaimed around shared FAA")
         self._obs_enqueue(lock_id, LockMode.SHARED, prev=tail, ep=ep)
         if tail == 0:
-            return ep  # granted immediately
-        self._peer_send_ft(tail, {"t": "nc", "kind": "senq",
-                                  "lock": lock_id, "frm": self.token,
-                                  "ep": ep})
-        while True:
-            body = yield from self._wait_lease(lock_id, "nc", mgr.lease_us)
-            if body is None:
-                yield from self._check_epoch(lock_id, ep)
-                continue
-            if body.get("ep") != ep:
-                continue  # stale generation
-            if body["kind"] == "sgrant":
-                if mgr.lock_epoch(lock_id) != ep:
-                    raise _Stale("reclaimed at shared grant instant")
-                return ep
+            return ep, {}  # granted at once, alongside other shareds
+        # an exclusive is pending/holding: register with the tail and wait
+        self._send(tail, "senq", lock_id, ep, frm=self.token)
+        body = yield from self._wait_msg(lock_id, "nc", ep)
+        if body["kind"] != "sgrant":
             raise LockError(f"shared waiter got {body['kind']}")
+        if mgr.lock_epoch(lock_id) != ep:
+            raise _Stale("reclaimed at shared grant instant")
+        return ep, {}
 
-    def _acquire_exclusive_ft(self, lock_id: int):
+    def _acquire_exclusive(self, lock_id: int):
         mgr = self.manager
         home, addr, rkey = mgr.word(lock_id)
         nic = self.node.nic
         tenure = _Tenure()
         while True:
-            raw = yield nic.rdma_read(home, addr, rkey, 8)
-            self._obs_word(lock_id, int.from_bytes(raw, "big"))
-            ep, tail, count = unpack_ft(int.from_bytes(raw, "big"))
+            # the one place the two configurations differ (see module
+            # docstring): guess a free word, or read it first
+            if mgr.epoch_pinned:
+                word = yield nic.cas(home, addr, rkey, 0,
+                                     pack(0, self.token, 0))
+            else:
+                raw = yield nic.rdma_read(home, addr, rkey, 8)
+                word = int.from_bytes(raw, "big")
+            self._obs_word(lock_id, word)
+            ep, tail, count = unpack(word)
             if tail == self.token:
                 # residue of an aborted attempt; the reaper clears it
                 raise _Stale(f"own stale tail on lock {lock_id}")
-            word = pack_ft(ep, tail, count)
-            old = yield nic.cas(home, addr, rkey, word,
-                                pack_ft(ep, self.token, 0))
-            self._obs_word(lock_id, old)
-            if old != word:
-                continue  # lost the race (or raced a reclaim): re-read
-            tenure.ep = ep
-            self._tenures[lock_id] = tenure
-            self._obs_enqueue(lock_id, LockMode.EXCLUSIVE, prev=tail, ep=ep)
-            pred = tail if tail != 0 else None
-            if pred is not None:
-                self._peer_send_ft(pred, {"t": "nc", "kind": "xenq",
-                                          "lock": lock_id,
-                                          "frm": self.token,
-                                          "scount": count, "ep": ep})
-            if pred is None and count == 0:
-                if mgr.lock_epoch(lock_id) != ep:
-                    raise _Stale("reclaimed at exclusive grant instant")
-                return ep
-            yield from self._await_grant_ft(lock_id, tenure, pred,
-                                            count, ep)
-            return ep
+            if word or not mgr.epoch_pinned:
+                old = yield nic.cas(home, addr, rkey, word,
+                                    pack(ep, self.token, 0))
+                self._obs_word(lock_id, old)
+                if old != word:
+                    continue  # lost the race (or raced a reclaim)
+            break
+        # enqueued: we are the new tail; shared requests from now on
+        # register with us, so open the tenure before waiting
+        self._tenures[lock_id] = tenure
+        self._obs_enqueue(lock_id, LockMode.EXCLUSIVE, prev=tail, ep=ep)
+        if tail:
+            self._send(tail, "xenq", lock_id, ep, frm=self.token,
+                       scount=count)
+        if tail or count:
+            yield from self._await_grant(lock_id, tenure, tail, count, ep)
+        if mgr.lock_epoch(lock_id) != ep:
+            raise _Stale("reclaimed at exclusive grant instant")
+        return ep, {}
 
-    def _await_grant_ft(self, lock_id: int, tenure: _Tenure,
-                        pred: Optional[int], srel_needed: int, ep: int):
-        mgr = self.manager
-        need_xgrant = pred is not None
+    def _await_grant(self, lock_id: int, tenure: _Tenure, pred: int,
+                     srel_needed: int, ep: int):
+        """Wait for hand-off from ``pred`` (0 = none) plus
+        ``srel_needed`` drains."""
+        need_xgrant = pred != 0
         srel_got = 0
         while need_xgrant or srel_got < srel_needed:
-            body = yield from self._wait_lease(lock_id, "nc", mgr.lease_us)
-            if body is None:
-                yield from self._check_epoch(lock_id, ep)
-                continue
-            if body.get("ep") != ep:
-                continue
+            body = yield from self._wait_msg(lock_id, "nc", ep)
             kind = body["kind"]
             if kind == "xgrant":
                 need_xgrant = False
-            elif kind == "srel":
-                if need_xgrant:
-                    self._peer_send_ft(pred, dict(body))
-                else:
-                    srel_got += 1
-            elif kind == "senq":
-                if body["frm"] not in tenure.registered:
-                    tenure.registered.append(body["frm"])
-            elif kind == "xenq":
-                self._note_successor(tenure, body)
-            else:  # pragma: no cover - defensive
-                raise LockError(f"unexpected message {kind!r}")
-        if mgr.lock_epoch(lock_id) != ep:
-            raise _Stale("reclaimed at exclusive grant instant")
-
-    def _check_epoch(self, lock_id: int, ep: int):
-        """Lease expired while waiting: re-read the word, bail if moved."""
-        home, addr, rkey = self.manager.word(lock_id)
-        raw = yield self.node.nic.rdma_read(home, addr, rkey, 8)
-        self._obs_word(lock_id, int.from_bytes(raw, "big"))
-        if unpack_ft(int.from_bytes(raw, "big"))[0] != ep:
-            raise _Stale(f"lock {lock_id} reclaimed while waiting")
-
-    # -- release -------------------------------------------------------
-    def _release_ft(self, lock_id: int, mode: LockMode):
-        mgr = self.manager
-        ep = self._grant_ep.pop(lock_id)
-        if mgr._consume_revoked(lock_id, self.token, ep):
-            # lease revoked by a reclaim: the grant already ended in the
-            # ledger and the word was wiped — nothing to undo
-            self._tenures.pop(lock_id, None)
-            return
-        self._released(lock_id)
-        mgr._note_active(lock_id, self.token)
-        try:
-            if mode is LockMode.SHARED:
-                yield from self._release_shared_ft(lock_id, ep)
+            elif kind != "srel":
+                self._classify(tenure, body)
+            elif need_xgrant:
+                # belongs to an earlier tenure: forward up the chain
+                self._peer_call(pred, body)
             else:
-                yield from self._release_exclusive_ft(lock_id, ep)
-        except (FaultError, RdmaError):
-            # home unreachable or we crashed mid-release: the word (and
-            # possibly a waiter's hand-off) is in an unknown state —
-            # flag it so the reaper reclaims, else a live successor
-            # could wait forever on a grant that was never initiated
-            mgr._flag_suspect(lock_id, self.token)
-        finally:
-            mgr._unnote_active(lock_id, self.token)
+                srel_got += 1
 
-    def _release_shared_ft(self, lock_id: int, ep: int):
+    # ------------------------------------------------------------------
+    # release
+    # ------------------------------------------------------------------
+    def _attempt_release(self, lock_id: int, ep: int):
+        tenure = self._tenures.pop(lock_id, None)
+        if tenure is None:
+            return self._release_shared(lock_id, ep)
+        return self._release_exclusive(lock_id, ep, tenure)
+
+    def _release_shared(self, lock_id: int, ep: int):
         home, addr, rkey = self.manager.word(lock_id)
         nic = self.node.nic
         while True:
             raw = yield nic.rdma_read(home, addr, rkey, 8)
-            self._obs_word(lock_id, int.from_bytes(raw, "big"))
-            wep, tail, count = unpack_ft(int.from_bytes(raw, "big"))
+            word = int.from_bytes(raw, "big")
+            self._obs_word(lock_id, word)
+            wep, tail, count = unpack(word)
             if wep != ep:
                 return  # revoked: our count contribution was wiped
             if tail != 0:
-                self._peer_send_ft(tail, {"t": "nc", "kind": "srel",
-                                          "lock": lock_id,
-                                          "frm": self.token, "ep": ep})
+                # an exclusive is pending: it (or its chain head) absorbs
+                # our drain notification
+                self._send(tail, "srel", lock_id, ep, frm=self.token)
                 return
             if count == 0:  # pragma: no cover - accounting bug guard
                 raise LockError("shared release with zero count")
-            word = pack_ft(ep, 0, count)
             old = yield nic.cas(home, addr, rkey, word,
-                                pack_ft(ep, 0, count - 1))
+                                pack(ep, 0, count - 1))
             self._obs_word(lock_id, old)
             if old == word:
                 return
 
-    def _release_exclusive_ft(self, lock_id: int, ep: int):
+    def _release_exclusive(self, lock_id: int, ep: int, tenure: _Tenure):
         home, addr, rkey = self.manager.word(lock_id)
         nic = self.node.nic
-        tenure = self._tenures.pop(lock_id)
-        self._drain_pending_ft(lock_id, tenure, ep)
+        for body in self._drain_msgs(lock_id, "nc", ep):
+            self._classify(tenure, body)
         if tenure.xenq is None:
+            # Fast path: guess the word from local bookkeeping and CAS it
+            # in one round trip.  The guess is exact unless a shared FAA
+            # or exclusive CAS is in flight, in which case we fall back.
             n_reg = len(tenure.registered)
-            guess = pack_ft(ep, self.token, n_reg)
+            guess = pack(ep, self.token, n_reg)
             old = yield nic.cas(home, addr, rkey, guess,
-                                pack_ft(ep, 0, n_reg))
+                                pack(ep, 0, n_reg))
             self._obs_word(lock_id, old)
             if old == guess:
-                self._grant_shared_ft(lock_id, tenure.registered, ep)
+                self._grant_shared(lock_id, tenure, ep)
                 return
+            # no successor yet: retire via the word the slow way
             while tenure.xenq is None:
                 raw = yield nic.rdma_read(home, addr, rkey, 8)
-                self._obs_word(lock_id, int.from_bytes(raw, "big"))
-                wep, tail, count = unpack_ft(int.from_bytes(raw, "big"))
+                word = int.from_bytes(raw, "big")
+                self._obs_word(lock_id, word)
+                wep, tail, count = unpack(word)
                 if wep != ep:
                     return  # revoked mid-release: fresh epoch owns it
                 if tail != self.token:
-                    if not (yield from self._collect_until_ft(
-                            lock_id, tenure, "xenq", ep)):
-                        return
+                    # a successor swapped itself in: await its xenq
+                    yield from self._collect_until(lock_id, tenure,
+                                                   "xenq", ep)
                     break
-                while (len(tenure.registered) < count
-                       and tenure.xenq is None):
-                    if not (yield from self._collect_until_ft(
-                            lock_id, tenure, None, ep)):
-                        return
+                while len(tenure.registered) < count and tenure.xenq is None:
+                    yield from self._collect_until(lock_id, tenure,
+                                                   None, ep)
                 if tenure.xenq is not None:
                     break
-                word = pack_ft(ep, tail, count)
                 old = yield nic.cas(home, addr, rkey, word,
-                                    pack_ft(ep, 0, count))
+                                    pack(ep, 0, count))
                 self._obs_word(lock_id, old)
                 if old != word:
-                    continue
-                self._grant_shared_ft(lock_id, tenure.registered, ep)
+                    continue  # word moved under us; reassess
+                # lock is no longer exclusively owned: grant every shared
+                # waiter registered during our tenure in one volley
+                self._grant_shared(lock_id, tenure, ep)
                 return
-        succ = tenure.xenq["frm"]
+        # hand off to the exclusive successor: first grant the shared
+        # requests that arrived before the successor enqueued
         s_mine = tenure.xenq["scount"]
         while len(tenure.registered) < s_mine:
-            if not (yield from self._collect_until_ft(
-                    lock_id, tenure, "senq", ep)):
-                return
+            yield from self._collect_until(lock_id, tenure, "senq", ep)
         if len(tenure.registered) != s_mine:  # pragma: no cover - guard
             raise LockError("registered shared waiters exceed snapshot")
-        self._grant_shared_ft(lock_id, tenure.registered, ep)
-        self._peer_send_ft(succ, {"t": "nc", "kind": "xgrant",
-                                  "lock": lock_id, "ep": ep})
+        self._grant_shared(lock_id, tenure, ep)
+        self._send(tenure.xenq["frm"], "xgrant", lock_id, ep)
 
-    # -- FT helpers ----------------------------------------------------
-    def _grant_shared_ft(self, lock_id: int, waiters, ep: int) -> None:
-        for waiter in waiters:
-            self._peer_send_ft(waiter, {"t": "nc", "kind": "sgrant",
-                                        "lock": lock_id, "ep": ep})
+    # -- helpers -----------------------------------------------------------
+    def _grant_shared(self, lock_id: int, tenure: _Tenure, ep: int) -> None:
+        for waiter in tenure.registered:
+            self._send(waiter, "sgrant", lock_id, ep)
 
-    def _drain_pending_ft(self, lock_id: int, tenure: _Tenure,
-                          ep: int) -> None:
-        q = self._queue(lock_id, "nc")
+    def _collect_until(self, lock_id: int, tenure: _Tenure,
+                       kind: Optional[str], ep: int):
+        """Blocking-consume messages until one of ``kind`` (any if None)."""
         while True:
-            ok, body = q.try_get()
-            if not ok:
-                return
-            if body.get("ep") != ep:
-                continue
-            self._classify_ft(tenure, body)
-
-    def _collect_until_ft(self, lock_id: int, tenure: _Tenure,
-                          kind: Optional[str], ep: int):
-        """Consume messages until ``kind`` (any if None) arrives.
-
-        Returns False when the lock was reclaimed from under us — the
-        caller must abandon the release.
-        """
-        mgr = self.manager
-        home, addr, rkey = mgr.word(lock_id)
-        while True:
-            body = yield from self._wait_lease(lock_id, "nc", mgr.lease_us)
-            if body is None:
-                raw = yield self.node.nic.rdma_read(home, addr, rkey, 8)
-                self._obs_word(lock_id, int.from_bytes(raw, "big"))
-                if unpack_ft(int.from_bytes(raw, "big"))[0] != ep:
-                    return False
-                continue
-            if body.get("ep") != ep:
-                continue
-            self._classify_ft(tenure, body)
+            body = yield from self._wait_msg(lock_id, "nc", ep)
+            self._classify(tenure, body)
             if kind is None or body["kind"] == kind:
-                return True
+                return
 
-    def _classify_ft(self, tenure: _Tenure, body: dict) -> None:
+    @staticmethod
+    def _classify(tenure: _Tenure, body: dict) -> None:
+        """File a message that concerns the tenure we hold or wait for.
+
+        Tolerant of re-delivery: with plain sends there are no
+        duplicates and both guards are vacuous."""
         kind = body["kind"]
         if kind == "senq":
             if body["frm"] not in tenure.registered:
                 tenure.registered.append(body["frm"])
         elif kind == "xenq":
-            self._note_successor(tenure, body)
-        else:  # pragma: no cover - defensive
-            raise LockError(f"unexpected message {kind!r} while holding")
-
-    @staticmethod
-    def _note_successor(tenure: _Tenure, body: dict) -> None:
-        if tenure.xenq is not None:
-            if tenure.xenq["frm"] != body["frm"]:  # pragma: no cover
+            if tenure.xenq is None:
+                tenure.xenq = body
+            elif tenure.xenq["frm"] != body["frm"]:  # pragma: no cover
                 raise LockError("two exclusive successors announced")
-            return  # re-delivered announcement
-        tenure.xenq = body
-
-    def _peer_send_ft(self, token: int, body: dict) -> None:
-        """At-least-once peer send (bounded re-send, receiver dedup)."""
-        peer = self.manager.clients.get(token)
-        if peer is None:
-            raise LockError(f"unknown peer token {token}")
-        msg = dict(body)
-        msg["uid"] = self.env.next_id("dlm")
-        self.env.process(self._send_reliable(peer, msg),
-                         name=f"ncosed-send@{self.node.name}")
-
-    def _send_reliable(self, peer: "NCoSEDClient", body: dict):
-        mgr = self.manager
-        for _ in range(mgr.send_attempts):
-            try:
-                yield self.node.nic.send_wait(peer.node.id, payload=body,
-                                              size=32, tag=peer._tag)
-                return
-            except FaultError:
-                yield self.env.timeout(mgr.resend_us)
-        # Undeliverable protocol message: if its epoch is still current,
-        # some peer is (or may be) waiting on it — flag the lock so the
-        # reaper reclaims and waiters restart under a fresh epoch.
-        lock_id = body.get("lock")
-        if lock_id is not None and body.get("ep") == mgr.lock_epoch(lock_id):
-            mgr._flag_suspect(lock_id, self.token)
+        else:  # pragma: no cover - defensive
+            raise LockError(f"unexpected message {kind!r}")

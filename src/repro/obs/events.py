@@ -71,7 +71,7 @@ TAXONOMY: Dict[str, tuple] = {
                     "failover moved the lock word to a live home"),
     "lock.fail": (("mgr", "lock", "token", "attempts"),
                   "acquire exhausted its retry budget (LockError)"),
-    "lock.word": (("mgr", "lock", "word", "ft"),
+    "lock.word": (("mgr", "lock", "word"),
                   "a protocol step observed the raw 64-bit lock word"),
     # -- flow control (repro.transport.flowcontrol) --------------------
     "flow.credit.take": (("sender", "capacity"),

@@ -20,7 +20,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Set, Tuple
 
 from ..errors import SanitizerError
-from ..dlm.ncosed import _EP_MASK, unpack, unpack_ft
+from ..dlm.ft import _EP_MASK, unpack
 from .events import TraceEvent
 
 __all__ = [
@@ -189,15 +189,12 @@ class LockWordSanitizer(Sanitizer):
 
     def _check_word(self, ev: TraceEvent, f: dict) -> None:
         key = (f["mgr"], f["lock"])
-        if f["ft"]:
-            ep, tail, count = unpack_ft(f["word"])
-            cur = self._epochs.get(key, 0)
-            dist = (ep - cur) & _EP_MASK
-            if 0 < dist < 0x8000:
-                self.flag(ev, f"word carries future epoch {ep} "
-                              f"(home is at {cur})")
-        else:
-            tail, count = unpack(f["word"])
+        ep, tail, count = unpack(f["word"])
+        cur = self._epochs.get(key, 0)
+        dist = (ep - cur) & _EP_MASK
+        if 0 < dist < 0x8000:
+            self.flag(ev, f"word carries future epoch {ep} "
+                          f"(home is at {cur})")
         tokens = self._tokens.get(f["mgr"], set())
         if tail and tail not in tokens:
             self.flag(ev, f"tail token {tail} was never announced "

@@ -55,7 +55,6 @@ __all__ = ["LockOracle"]
 
 _EP_MASK = 0xFFFF
 _F24 = (1 << 24) - 1
-_F32 = (1 << 32) - 1
 
 #: slack (µs) for the ALock no-skip check: a rival cohort leader must
 #: have been queued at least this long before the previous tenure began
@@ -357,17 +356,13 @@ class LockOracle(Oracle):
         scope = self._scope(ev)
         word = f["word"]
         known = self._tokens.get(f["mgr"], set())
-        if f.get("ft"):
-            ep = (word >> 48) & _EP_MASK
-            tail = (word >> 24) & _F24
-            count = word & _F24
-            if _ep_ahead(ep, st.epoch):
-                self.flag(idx, ev,
-                          f"lock word carries future epoch {ep} "
-                          f"(current {st.epoch})", **scope)
-        else:
-            tail = (word >> 32) & _F32
-            count = word & _F32
+        ep = (word >> 48) & _EP_MASK
+        tail = (word >> 24) & _F24
+        count = word & _F24
+        if _ep_ahead(ep, st.epoch):
+            self.flag(idx, ev,
+                      f"lock word carries future epoch {ep} "
+                      f"(current {st.epoch})", **scope)
         if tail and tail not in known:
             self.flag(idx, ev,
                       f"lock word tail {tail} is not a known token",

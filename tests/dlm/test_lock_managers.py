@@ -313,7 +313,7 @@ class TestNCoSEDSpecifics:
         run(cluster, app(cluster.env))
         assert snapshots["two_shared"] == 2  # count=2, no tail
         assert snapshots["free"] == 0
-        assert snapshots["excl"] >> 32 == c3.token
+        assert snapshots["excl"] >> 24 == c3.token
 
     def test_shared_grant_is_single_rtt(self):
         """An uncontended shared acquire = one fetch-and-add RTT."""

@@ -65,16 +65,6 @@ class TestBenchReport:
         assert set(res["chaos"]) == set(SCHEMES)
         assert set(res["rates"]) == {f"{s}_ops_per_s" for s in SCHEMES}
 
-    def test_regression_gate(self, report):
-        from repro.bench.locks import check_locks_regression
-
-        assert check_locks_regression(report, report) == []
-        assert check_locks_regression(report, None) == []
-        inflated = json.loads(json.dumps(report))
-        inflated["results"]["rates"]["mcs_ops_per_s"] *= 2
-        failures = check_locks_regression(report, inflated)
-        assert failures and "mcs_ops_per_s" in failures[0]
-
     def test_write_report_archives(self, report, tmp_path):
         from repro.bench.locks import write_locks_report
 

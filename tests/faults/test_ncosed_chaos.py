@@ -234,10 +234,32 @@ class TestReclaim:
 
 
 class TestConfig:
-    def test_ft_parameter_validation(self):
+    @pytest.mark.parametrize("kwargs,named", [
+        ({"lease_us": -1.0}, "lease_us"),
+        ({"lease_us": 0}, "lease_us"),
+        ({"lease_us": float("inf")}, "lease_us"),
+        ({"lease_us": float("nan")}, "lease_us"),
+        ({"max_attempts": 0}, "max_attempts"),
+        # zero sends: the message was never sent, the lock only flagged
+        ({"send_attempts": 0}, "send_attempts"),
+        # an explicit 0 used to be read as "unset" (lease period)
+        ({"reap_every_us": 0}, "reap_every_us"),
+        ({"reap_every_us": float("inf")}, "reap_every_us"),
+        ({"resend_us": -5.0}, "resend_us"),
+        ({"resend_us": float("nan")}, "resend_us"),
+        ({"attempt_backoff_us": -1.0}, "attempt_backoff_us"),
+        ({"attempt_backoff_us": float("inf")}, "attempt_backoff_us"),
+    ])
+    def test_ft_parameter_validation(self, kwargs, named):
         cluster = Cluster(n_nodes=2, seed=0)
-        with pytest.raises(LockError):
-            NCoSEDManager(cluster, n_locks=1, lease_us=-1.0)
-        with pytest.raises(LockError):
-            NCoSEDManager(cluster, n_locks=1, lease_us=100.0,
-                          max_attempts=0)
+        with pytest.raises(LockError, match=named):
+            NCoSEDManager(cluster, n_locks=1,
+                          **{"lease_us": 100.0, **kwargs})
+
+    def test_zero_backoff_and_defaults_accepted(self):
+        cluster = Cluster(n_nodes=2, seed=0)
+        manager = NCoSEDManager(cluster, n_locks=1, lease_us=100.0,
+                                attempt_backoff_us=0)
+        assert manager.attempt_backoff_us == 0
+        assert manager.reap_every_us == 100.0
+        assert manager.resend_us == 25.0

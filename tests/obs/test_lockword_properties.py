@@ -10,47 +10,32 @@ import pytest
 from repro.errors import SanitizerError
 from repro.sim import Environment, spawn_child
 from repro.obs import LockWordSanitizer, Tracer
-from repro.dlm.ncosed import (
-    _EP_MASK,
-    _F24,
-    _LOW32,
-    pack,
-    pack_ft,
-    unpack,
-    unpack_ft,
-)
+from repro.dlm.ft import _EP_MASK, _F24, pack, unpack
 
 N_CASES = 300
 
 
 class TestRoundTrip:
-    def test_plain_pack_unpack(self):
-        rng = random.Random(1)
-        for _ in range(N_CASES):
-            tail = rng.randrange(_LOW32 + 1)
-            count = rng.randrange(_LOW32 + 1)
-            assert unpack(pack(tail, count)) == (tail, count)
-
-    def test_ft_pack_unpack(self):
+    def test_pack_unpack(self):
         rng = random.Random(2)
         for _ in range(N_CASES):
             fields = (rng.randrange(_EP_MASK + 1),
                       rng.randrange(_F24 + 1),
                       rng.randrange(_F24 + 1))
-            assert unpack_ft(pack_ft(*fields)) == fields
+            assert unpack(pack(*fields)) == fields
 
     def test_field_isolation(self):
         """No field bleeds into a neighbour at its extremes."""
-        assert unpack_ft(pack_ft(0, _F24, 0)) == (0, _F24, 0)
-        assert unpack_ft(pack_ft(0, 0, _F24)) == (0, 0, _F24)
-        assert unpack_ft(pack_ft(_EP_MASK, 0, 0)) == (_EP_MASK, 0, 0)
+        assert unpack(pack(0, _F24, 0)) == (0, _F24, 0)
+        assert unpack(pack(0, 0, _F24)) == (0, 0, _F24)
+        assert unpack(pack(_EP_MASK, 0, 0)) == (_EP_MASK, 0, 0)
 
     def test_out_of_range_rejected(self):
         from repro.errors import LockError
         with pytest.raises(LockError):
-            pack(-1, 0)
+            pack(0, -1, 0)
         with pytest.raises(LockError):
-            pack_ft(0, _F24 + 1, 0)
+            pack(0, _F24 + 1, 0)
 
 
 class WordMachine:
@@ -71,11 +56,11 @@ class WordMachine:
 
     @property
     def word(self) -> int:
-        return pack_ft(self.epoch, self.tail, self.count)
+        return pack(self.epoch, self.tail, self.count)
 
     def observe(self) -> None:
         self.tr.emit("lock.word", node=0, mgr=self.mgr, lock=self.lock,
-                     word=self.word, ft=True)
+                     word=self.word)
 
     def cas_acquire(self, token: int) -> None:
         if self.tail == 0:
@@ -138,18 +123,18 @@ class TestInterleavings:
         rng = random.Random(spawn_child(seed, 1))
         mutations = [
             # tail token nobody announced
-            lambda m: pack_ft(m.epoch, 0xBEEF42, 0),
+            lambda m: pack(m.epoch, 0xBEEF42, 0),
             # count above the client population
-            lambda m: pack_ft(m.epoch, 0, len(m.tokens) + 1),
+            lambda m: pack(m.epoch, 0, len(m.tokens) + 1),
             # epoch from the future half of the wrap window
-            lambda m: pack_ft((m.epoch + rng.randrange(1, 0x7FFF))
+            lambda m: pack((m.epoch + rng.randrange(1, 0x7FFF))
                               & _EP_MASK, 0, 0),
         ]
         tr, san, m = run_machine(spawn_child(seed, 2))
         corrupt = rng.choice(mutations)(m)
         with pytest.raises(SanitizerError):
             tr.emit("lock.word", node=0, mgr=m.mgr, lock=m.lock,
-                    word=corrupt, ft=True)
+                    word=corrupt)
 
     def test_stale_observation_after_reclaim_is_legal(self):
         """Delayed responses may carry pre-reclaim epochs — never an
@@ -160,7 +145,7 @@ class TestInterleavings:
         stale = m.word            # epoch 0
         m.reclaim()               # home moves to epoch 1
         tr.emit("lock.word", node=1, mgr=m.mgr, lock=m.lock,
-                word=stale, ft=True)
+                word=stale)
         assert san.clean
 
 

@@ -19,7 +19,7 @@ from repro.obs import (
     SingleOwnerSanitizer,
     Tracer,
 )
-from repro.dlm.ncosed import pack, pack_ft
+from repro.dlm.ft import pack
 
 
 def make(san_cls, strict=True):
@@ -73,7 +73,7 @@ class TestLockWordSanitizer:
         tr, san = make(LockWordSanitizer)
         self.announce(tr, 1, 2)
         tr.emit("lock.word", node=0, mgr=self.MGR, lock=0,
-                word=pack(1, 0), ft=False)
+                word=pack(0, 1, 0))
         tr.emit("lock.grant", node=0, mgr=self.MGR, lock=0, token=1,
                 mode="EXCLUSIVE")
         tr.emit("lock.release", node=0, mgr=self.MGR, lock=0, token=1)
@@ -86,13 +86,13 @@ class TestLockWordSanitizer:
         self.announce(tr, 1)
         with pytest.raises(SanitizerError, match="never announced"):
             tr.emit("lock.word", node=0, mgr=self.MGR, lock=0,
-                    word=pack(99, 0), ft=False)
+                    word=pack(0, 99, 0))
 
     def test_fires_on_count_above_population(self):
         tr, san = make(LockWordSanitizer, strict=False)
         self.announce(tr, 1, 2)
         tr.emit("lock.word", node=0, mgr=self.MGR, lock=0,
-                word=pack(0, 3), ft=False)
+                word=pack(0, 0, 3))
         assert "exceeds client population" in san.violations[0]["msg"]
 
     def test_epoch_advances_by_one(self):
@@ -121,11 +121,11 @@ class TestLockWordSanitizer:
                 old_ep=1, new_ep=2)
         # a delayed response may surface epoch 1 after the home reached 2
         tr.emit("lock.word", node=0, mgr=self.MGR, lock=0,
-                word=pack_ft(1, 0, 1), ft=True)
+                word=pack(1, 0, 1))
         assert san.clean
         # ...but epoch 3 has not been opened by any reclaim
         tr.emit("lock.word", node=0, mgr=self.MGR, lock=0,
-                word=pack_ft(3, 0, 1), ft=True)
+                word=pack(3, 0, 1))
         assert "future epoch" in san.violations[0]["msg"]
 
     def test_fires_on_double_exclusive_grant(self):
@@ -303,7 +303,7 @@ class TestIntegrationCorruption:
             # scribble a word from an epoch no reclaim ever opened
             # (within the future half of the wrap window)
             home = manager.home_node(0)
-            manager._words[home.id].write_u64(0, pack_ft(1_000, 0, 0))
+            manager._words[home.id].write_u64(0, pack(1_000, 0, 0))
             yield client.acquire(0, LockMode.EXCLUSIVE)
 
         p = cluster.env.process(script(cluster.env))

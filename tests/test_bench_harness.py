@@ -5,9 +5,12 @@ import os
 
 import pytest
 
-from repro.bench import (BenchTable, dump_tables, format_series,
-                         improvement_pct, replay)
+from repro.bench import (BenchTable, check_regression, dump_tables,
+                         format_series, improvement_pct, replay)
+from repro.bench.engine import GUARDED_RATES
 from repro.bench.harness import RENDERED
+from repro.bench.locks import GUARDED_LOCKS_RATES
+from repro.bench.topo import GUARDED_TOPO_RATES
 
 
 class TestBenchTable:
@@ -96,3 +99,49 @@ def test_improvement_pct():
 
 def test_format_series():
     assert format_series([1, 2], [3.0, 4.5]) == "1:3.0  2:4.5"
+
+
+@pytest.mark.parametrize("guarded,decimals,shown", [
+    (GUARDED_RATES, 0, "1,000/s"),
+    (GUARDED_LOCKS_RATES, 1, "1,000.0/s"),
+    (GUARDED_TOPO_RATES, 1, "1,000.0/s"),
+], ids=["engine", "locks", "topo"])
+class TestRegressionGate:
+    """The one CI gate behind ``repro bench|locks bench|topo bench``."""
+
+    @staticmethod
+    def report(guarded, rate):
+        results = {}
+        for bench, key in guarded:
+            results.setdefault(bench, {})[key] = rate
+        return {"results": results}
+
+    def test_every_guarded_rate_is_gated(self, guarded, decimals, shown):
+        current = self.report(guarded, 1000.0)
+        assert check_regression(current, current, guarded) == []
+        # a drop of exactly the threshold still passes
+        edge = self.report(guarded, 1000.0 / 0.75)
+        assert check_regression(current, edge, guarded) == []
+        failures = check_regression(current, self.report(guarded, 2000.0),
+                                    guarded, decimals=decimals)
+        assert len(failures) == len(guarded)
+        for (bench, key), line in zip(guarded, failures):
+            assert line.startswith(f"{bench}.{key}: {shown} is 50.0% below")
+            assert line.endswith("(threshold 25%)")
+
+    def test_only_the_regressed_rate_is_named(self, guarded, decimals, shown):
+        current = self.report(guarded, 1000.0)
+        baseline = self.report(guarded, 1000.0)
+        bench, key = guarded[-1]
+        baseline["results"][bench][key] = 1500.0
+        failures = check_regression(current, baseline, guarded)
+        assert len(failures) == 1 and f"{bench}.{key}" in failures[0]
+        assert check_regression(current, baseline, guarded,
+                                threshold=0.5) == []
+
+    def test_missing_or_alien_baseline_skips(self, guarded, decimals, shown):
+        current = self.report(guarded, 1000.0)
+        for baseline in (None, [], {}, {"results": None},
+                         {"results": {guarded[0][0]: "n/a"}},
+                         {"results": {guarded[0][0]: {guarded[0][1]: 0}}}):
+            assert check_regression(current, baseline, guarded) == []

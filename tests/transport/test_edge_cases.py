@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.net import Cluster
-from repro.dlm.ncosed import pack, unpack
+from repro.dlm.ft import pack, unpack
 from repro.errors import LockError
 from repro.transport import (
     AzSdpEndpoint,
@@ -19,21 +19,25 @@ ALL_ENDPOINTS = [TcpEndpoint, BufferedSdpEndpoint, ZeroCopySdpEndpoint,
 
 
 class TestWordEncoding:
-    @given(tail=st.integers(0, 2**32 - 1), count=st.integers(0, 2**32 - 1))
+    @given(epoch=st.integers(0, 2**16 - 1), tail=st.integers(0, 2**24 - 1),
+           count=st.integers(0, 2**24 - 1))
     @settings(max_examples=200, deadline=None)
-    def test_pack_unpack_roundtrip(self, tail, count):
-        assert unpack(pack(tail, count)) == (tail, count)
+    def test_pack_unpack_roundtrip(self, epoch, tail, count):
+        assert unpack(pack(epoch, tail, count)) == (epoch, tail, count)
 
     def test_out_of_range_rejected(self):
         with pytest.raises(LockError):
-            pack(2**32, 0)
+            pack(0, 2**24, 0)
         with pytest.raises(LockError):
-            pack(0, -1)
+            pack(0, 0, -1)
 
     def test_fields_do_not_bleed(self):
-        word = pack(1, 0)
-        tail, count = unpack(word - 1)  # borrow across the boundary
-        assert tail == 0 and count == 2**32 - 1
+        word = pack(0, 1, 0)
+        epoch, tail, count = unpack(word - 1)  # borrow across bit 24
+        assert (epoch, tail, count) == (0, 0, 2**24 - 1)
+        # ... and a shared FAA overflowing the count carries into the
+        # tail, never the epoch
+        assert unpack(pack(7, 0, 2**24 - 1) + 1) == (7, 1, 0)
 
 
 @pytest.mark.parametrize("endpoint_cls", ALL_ENDPOINTS)

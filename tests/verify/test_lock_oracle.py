@@ -345,7 +345,7 @@ class TestWordChecks:
         events = [
             _lk(0.0, 1, "request", 7),
             _ev(1.0, 1, "lock.word", mgr="ncosed-0", lock=0,
-                word=(999 << 32) | 1, ft=False),
+                word=(999 << 24) | 1),
         ]
         _oracle, violations = _replay(events)
         assert "tail 999 is not a known token" in _msgs(violations)
@@ -354,7 +354,15 @@ class TestWordChecks:
         events = [
             _lk(0.0, 1, "request", 7),
             _ev(1.0, 1, "lock.word", mgr="ncosed-0", lock=0,
-                word=(5 << 48) | (7 << 24) | 1, ft=True),
+                word=(5 << 48) | (7 << 24) | 1),
         ]
         _oracle, violations = _replay(events)
         assert "future epoch 5" in _msgs(violations)
+
+    def test_count_above_population_flagged(self):
+        events = [
+            _lk(0.0, 1, "request", 7),
+            _ev(1.0, 1, "lock.word", mgr="ncosed-0", lock=0, word=2),
+        ]
+        _oracle, violations = _replay(events)
+        assert "shared count 2 exceeds" in _msgs(violations)
