@@ -32,7 +32,11 @@ Recovery (active when the manager has a ``lease_us``)
   receiver.
 * ``acquire`` retries a bounded number of attempts with backoff and
   raises :class:`~repro.errors.LockError` when the budget is exhausted:
-  it completes or fails, it never hangs.
+  it completes or fails, it never hangs.  An attempt cut off by a fault
+  flags the lock suspect: its tail CAS may have landed at the home
+  although its completion was fenced by the home's crash, and the next
+  requester would queue behind a ghost that will never hand off (the
+  ghost is soon no longer the tail, so the orphan rule never fires).
 
 The epoch doubles as a fencing token: an application that tags its
 writes with the grant epoch can have stale holders rejected downstream.
@@ -327,6 +331,12 @@ class EpochFencedClient(LockClient):
                 break
             except (_Stale, FaultError, RdmaError) as exc:
                 self._abort_attempt(lock_id)
+                if not isinstance(exc, _Stale):
+                    # the attempt may have left residue: a tail CAS can
+                    # land at the home while its completion is fenced by
+                    # the home's crash, and the next requester would then
+                    # queue behind a ghost that never hands off
+                    mgr._flag_suspect(lock_id, self.token)
                 if attempts >= mgr.max_attempts:
                     obs = self.env.obs
                     if obs is not None:

@@ -5,13 +5,23 @@ onto :mod:`repro.dlm.ft` (when it still carried its own non-FT and
 ``_ft`` copies of every protocol method).  They are compared exactly:
 the port is a refactor, so not one simulated microsecond may move, with
 the lease off *and* on.
+
+The second half is the regression for the ghost-predecessor wedge: a
+tail CAS that lands at the home while its completion is fenced by the
+home's crash used to leave a token in the word that nobody would ever
+hand off from.
 """
 
+import numpy as np
 import pytest
 
-from repro.dlm import (LockMode, NCoSEDManager, cascade_latency,
-                       uncontended_latency)
+from repro.dlm import (ALockManager, LockMode, MCSManager, NCoSEDManager,
+                       cascade_latency, uncontended_latency)
 from repro.dlm.tournament import lock_tournament
+from repro.errors import ReproError
+from repro.faults import FaultPlan
+from repro.net import Cluster
+from repro.workloads import ZipfGenerator
 
 
 class LeasedNCoSED(NCoSEDManager):
@@ -95,3 +105,63 @@ class TestPinnedAtTheForkedParent:
     def test_tournament_cell(self, chaos):
         assert lock_tournament("ncosed", 64, alpha=1.2, chaos=chaos,
                                seed=0) == TOURNAMENT[chaos]
+
+
+# ---------------------------------------------------------------------
+# the ghost-predecessor wedge
+# ---------------------------------------------------------------------
+ARENA = {"ncosed": NCoSEDManager, "mcs": MCSManager, "alock": ALockManager}
+
+
+def drain_under_restarts(scheme, seed, n_clients=16, rounds=128):
+    """Closed-loop Zipf(1.2) lock rounds while two homes crash and
+    restart; returns (completed rounds, grants still in the ledger)."""
+    rng = np.random.default_rng([seed, 1])
+    shape = (n_clients, rounds)
+    start = rng.uniform(0.0, 2_000.0, n_clients).tolist()
+    think = rng.uniform(20.0, 200.0, shape).tolist()
+    hold = rng.uniform(2.0, 10.0, shape).tolist()
+    shared = (rng.random(shape) < 0.2).tolist()
+    lock = ZipfGenerator(16, 1.2, rng).batch(
+        n_clients * rounds).reshape(shape).tolist()
+    cluster = Cluster(n_nodes=8, seed=0)
+    cluster.install_faults(
+        FaultPlan().crash(2, at=3000, restart_at=8000)
+        .crash(7, at=5000, restart_at=10000))
+    manager = ARENA[scheme](cluster, n_locks=16, lease_us=600.0)
+    clients = [manager.client(cluster.nodes[i % 8])
+               for i in range(n_clients)]
+    done = [0]
+
+    def client_proc(env, i):
+        yield env.timeout(start[i])
+        for r in range(rounds):
+            mode = LockMode.SHARED if shared[i][r] else LockMode.EXCLUSIVE
+            while True:
+                try:
+                    yield clients[i].acquire(lock[i][r], mode)
+                    yield env.timeout(hold[i][r])
+                    yield clients[i].release(lock[i][r])
+                except ReproError as exc:
+                    assert not str(exc).startswith("SAFETY"), exc
+                    yield env.timeout(think[i][r])
+                    continue
+                break
+            done[0] += 1
+            yield env.timeout(think[i][r])
+
+    for i in range(n_clients):
+        cluster.env.process(client_proc(cluster.env, i))
+    cluster.env.run(until=100_000.0)
+    return done[0], {k: v for k, v in manager.holders.items() if v}
+
+
+class TestGhostPredecessor:
+    # the three cell-seeds that completed 333, 333 and 345 of 2048
+    # rounds before acquire flagged a faulted attempt as suspect
+    @pytest.mark.parametrize("scheme,seed", [("ncosed", 2), ("mcs", 2),
+                                             ("alock", 3)])
+    def test_no_waiter_is_left_behind_a_ghost(self, scheme, seed):
+        done, held = drain_under_restarts(scheme, seed)
+        assert done == 16 * 128
+        assert held == {}
