@@ -241,10 +241,11 @@ class NCoSEDClient(EpochFencedClient):
         home, addr, rkey = mgr.word(lock_id)
         nic = self.node.nic
         tenure = _Tenure()
+        # the one place the two configurations differ (see module
+        # docstring): guess a free word, or read it first
+        optimistic = mgr.epoch_pinned
         while True:
-            # the one place the two configurations differ (see module
-            # docstring): guess a free word, or read it first
-            if mgr.epoch_pinned:
+            if optimistic:
                 word = yield nic.cas(home, addr, rkey, 0,
                                      pack(0, self.token, 0))
             else:
@@ -255,7 +256,7 @@ class NCoSEDClient(EpochFencedClient):
             if tail == self.token:
                 # residue of an aborted attempt; the reaper clears it
                 raise _Stale(f"own stale tail on lock {lock_id}")
-            if word or not mgr.epoch_pinned:
+            if word or not optimistic:
                 old = yield nic.cas(home, addr, rkey, word,
                                     pack(ep, self.token, 0))
                 self._obs_word(lock_id, old)

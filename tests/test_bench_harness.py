@@ -13,6 +13,13 @@ from repro.bench.locks import GUARDED_LOCKS_RATES
 from repro.bench.topo import GUARDED_TOPO_RATES
 
 
+def _report(guarded, rate):
+    results = {}
+    for bench, key in guarded:
+        results.setdefault(bench, {})[key] = rate
+    return {"results": results}
+
+
 class TestBenchTable:
     def test_render_contains_data(self):
         t = BenchTable("Throughput", ["scheme", "tps"], paper_ref="Fig 6a")
@@ -106,42 +113,29 @@ def test_format_series():
     (GUARDED_LOCKS_RATES, 1, "1,000.0/s"),
     (GUARDED_TOPO_RATES, 1, "1,000.0/s"),
 ], ids=["engine", "locks", "topo"])
-class TestRegressionGate:
+def test_regression_gate(guarded, decimals, shown):
     """The one CI gate behind ``repro bench|locks bench|topo bench``."""
-
-    @staticmethod
-    def report(guarded, rate):
-        results = {}
-        for bench, key in guarded:
-            results.setdefault(bench, {})[key] = rate
-        return {"results": results}
-
-    def test_every_guarded_rate_is_gated(self, guarded, decimals, shown):
-        current = self.report(guarded, 1000.0)
-        assert check_regression(current, current, guarded) == []
-        # a drop of exactly the threshold still passes
-        edge = self.report(guarded, 1000.0 / 0.75)
-        assert check_regression(current, edge, guarded) == []
-        failures = check_regression(current, self.report(guarded, 2000.0),
-                                    guarded, decimals=decimals)
-        assert len(failures) == len(guarded)
-        for (bench, key), line in zip(guarded, failures):
-            assert line.startswith(f"{bench}.{key}: {shown} is 50.0% below")
-            assert line.endswith("(threshold 25%)")
-
-    def test_only_the_regressed_rate_is_named(self, guarded, decimals, shown):
-        current = self.report(guarded, 1000.0)
-        baseline = self.report(guarded, 1000.0)
-        bench, key = guarded[-1]
-        baseline["results"][bench][key] = 1500.0
-        failures = check_regression(current, baseline, guarded)
-        assert len(failures) == 1 and f"{bench}.{key}" in failures[0]
-        assert check_regression(current, baseline, guarded,
-                                threshold=0.5) == []
-
-    def test_missing_or_alien_baseline_skips(self, guarded, decimals, shown):
-        current = self.report(guarded, 1000.0)
-        for baseline in (None, [], {}, {"results": None},
-                         {"results": {guarded[0][0]: "n/a"}},
-                         {"results": {guarded[0][0]: {guarded[0][1]: 0}}}):
-            assert check_regression(current, baseline, guarded) == []
+    current = _report(guarded, 1000.0)
+    assert check_regression(current, current, guarded) == []
+    # a drop of exactly the threshold still passes
+    assert check_regression(current, _report(guarded, 1000.0 / 0.75),
+                            guarded) == []
+    # every guarded rate is gated and printed the way its CLI printed it
+    failures = check_regression(current, _report(guarded, 2000.0),
+                                guarded, decimals=decimals)
+    assert len(failures) == len(guarded)
+    for (bench, key), line in zip(guarded, failures):
+        assert line.startswith(f"{bench}.{key}: {shown} is 50.0% below")
+        assert line.endswith("(threshold 25%)")
+    # only the regressed rate is named; the threshold is honoured
+    baseline = _report(guarded, 1000.0)
+    bench, key = guarded[-1]
+    baseline["results"][bench][key] = 1500.0
+    failures = check_regression(current, baseline, guarded)
+    assert len(failures) == 1 and f"{bench}.{key}" in failures[0]
+    assert check_regression(current, baseline, guarded, threshold=0.5) == []
+    # a missing or structurally alien baseline skips the gate
+    for alien in (None, [], {}, {"results": None},
+                  {"results": {guarded[0][0]: "n/a"}},
+                  {"results": {guarded[0][0]: {guarded[0][1]: 0}}}):
+        assert check_regression(current, alien, guarded) == []
