@@ -27,6 +27,15 @@ its tail or sends the budget-exhausted ``restart``, so a fresh leader
 (which needs tail == 0, impossible while our queue lives) or the
 restarted successor always raises the flag itself.
 
+No word is read before it is CASed (the rule: :mod:`repro.dlm.ncosed`):
+tail swap, flag-raise and flag-lower each CAS a guess — free tail, idle
+state word, the state this tenure raised — and a lost CAS returns the
+next one.  Lowering the last flag clears ``victim`` (read only while
+both flags are up, rewritten by every raise), so the idle word is always
+``(epoch, 0, 0, 0)``.  A raise whose *expected* word had the other flag
+down skips the poll: Peterson's wait condition was false at that atomic
+instant, and a later entrant takes the victim onto itself.
+
 Crash recovery rides the shared epoch-fencing base
 (:mod:`repro.dlm.ft`): the reaper additionally treats a raised flag
 with no holder and no active client as residue (the tournament word
@@ -59,6 +68,7 @@ _STRIDE = 24
 
 _VICTIM = {COHORT_LOCAL: 1, COHORT_REMOTE: 2}
 _FLAG = {COHORT_LOCAL: 1, COHORT_REMOTE: 2}
+_FLAGS = 3  # both flag bits of the state word
 
 
 def _pack_state(ep: int, victim: int, rflag: int, lflag: int) -> int:
@@ -157,17 +167,18 @@ class ALockClient(EpochFencedClient):
         cohort = mgr.cohort_of(self, lock_id)
         home, addr, rkey = mgr.tail_word(lock_id, cohort)
         nic = self.node.nic
+        # guess a free cohort tail; a lost CAS returns the next guess
+        ep, tail = mgr.lock_epoch(lock_id), 0
+        word = pack(ep, 0, 0)
         while True:
-            raw = yield nic.rdma_read(home, addr, rkey, 8)
-            ep, tail, _ = unpack(int.from_bytes(raw, "big"))
-            if tail == self.token:
-                raise _Stale(f"own stale tail on lock {lock_id}")
-            word = pack(ep, tail, 0)
             old = yield nic.cas(home, addr, rkey, word,
                                 pack(ep, self.token, 0))
-            if old != word:
-                continue  # lost the race (or raced a reclaim): re-read
-            break
+            if old == word:
+                break
+            word = old
+            ep, tail, _ = unpack(old)
+            if tail == self.token:
+                raise _Stale(f"own stale tail on lock {lock_id}")
         self._obs_enqueue(lock_id, mode, prev=tail, ep=ep, cohort=cohort)
         extra = {"cohort": cohort, "budget": mgr.cohort_budget}
         if tail != 0:
@@ -193,21 +204,22 @@ class ALockClient(EpochFencedClient):
         nic = self.node.nic
         my_flag = _FLAG[cohort]
         my_victim = _VICTIM[cohort]
+        # guess the idle word (both flags down, victim cleared)
+        state = _pack_state(ep, 0, 0, 0)
         while True:
-            raw = yield nic.rdma_read(home, addr, rkey, 8)
-            state = int.from_bytes(raw, "big")
-            sep, _victim, rflag, lflag = _unpack_state(state)
-            if sep != ep:
-                raise _Stale(f"lock {lock_id} reclaimed at tournament")
-            flags = (rflag << 1) | lflag
-            new = _pack_state(ep, my_victim, *divmod(flags | my_flag, 2))
+            new = _pack_state(ep, my_victim,
+                              *divmod((state & _FLAGS) | my_flag, 2))
             old = yield nic.cas(home, addr, rkey, state, new)
             if old == state:
                 break  # flag up, victim points at us
-        other_flag = _FLAG[COHORT_REMOTE if cohort == COHORT_LOCAL
-                           else COHORT_LOCAL]
+            if _unpack_state(old)[0] != ep:
+                raise _Stale(f"lock {lock_id} reclaimed at tournament")
+            state = old
+        other_flag = _FLAGS ^ my_flag
+        # Peterson's wait, entered only if the other flag was up when
+        # our CAS landed (see module docstring)
         poll = mgr.tourney_poll_us
-        while True:
+        while state & other_flag:
             raw = yield nic.rdma_read(home, addr, rkey, 8)
             sep, victim, rflag, lflag = _unpack_state(
                 int.from_bytes(raw, "big"))
@@ -215,7 +227,7 @@ class ALockClient(EpochFencedClient):
                 raise _Stale(f"lock {lock_id} reclaimed at tournament")
             flags = (rflag << 1) | lflag
             if not (flags & other_flag) or victim != my_victim:
-                break  # other cohort absent, or it yielded to us
+                break  # other cohort left, or it yielded to us
             yield self.env.timeout(poll)
             poll = min(poll * 2, mgr.tourney_poll_max_us)
         if mgr.lock_epoch(lock_id) != ep:
@@ -242,17 +254,19 @@ class ALockClient(EpochFencedClient):
         # our queue entry lives; a restarted successor raises it itself)
         shome, saddr, srkey = mgr.state_word(lock_id)
         my_flag = _FLAG[cohort]
+        # guess the state this tenure raised: our flag alone, victim us
+        state = _pack_state(ep, _VICTIM[cohort], *divmod(my_flag, 2))
         while True:
-            raw = yield nic.rdma_read(shome, saddr, srkey, 8)
-            state = int.from_bytes(raw, "big")
-            sep, victim, rflag, lflag = _unpack_state(state)
-            if sep != ep:
-                return  # reclaimed: words already wiped
-            flags = ((rflag << 1) | lflag) & ~my_flag
-            new = _pack_state(ep, victim, *divmod(flags, 2))
+            flags = state & _FLAGS & ~my_flag
+            # the last flag down clears the victim: idle is (ep, 0, 0, 0)
+            new = _pack_state(ep, (state >> 2) & 3 if flags else 0,
+                              *divmod(flags, 2))
             old = yield nic.cas(shome, saddr, srkey, state, new)
             if old == state:
                 break
+            if _unpack_state(old)[0] != ep:
+                return  # reclaimed: words already wiped
+            state = old
         if succ is None:
             # no known successor: try to close our cohort's queue
             thome, taddr, trkey = mgr.tail_word(lock_id, cohort)

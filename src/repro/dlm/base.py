@@ -19,7 +19,7 @@ from typing import Dict, Optional, Sequence, Set, Tuple
 from repro.errors import LockError
 from repro.net.cluster import Cluster
 from repro.net.node import Node
-from repro.sim import AnyOf, Event, Store
+from repro.sim import Event, Store
 
 __all__ = ["LockMode", "LockManagerBase", "LockClient"]
 
@@ -230,21 +230,6 @@ class LockClient:
         """Generator: wait for the next protocol message of ``kind``."""
         body = yield self._queue(lock_id, kind).get()
         return body
-
-    def _wait_lease(self, lock_id: int, kind: str, lease_us: float):
-        """Like :meth:`_wait` but gives up after ``lease_us``.
-
-        Returns the message body, or ``None`` on lease expiry.  The
-        abandoned getter is withdrawn from the queue so it cannot steal
-        a message from a later wait.
-        """
-        q = self._queue(lock_id, kind)
-        get = q.get()
-        yield AnyOf(self.env, [get, self.env.timeout(lease_us)])
-        if get.triggered:
-            return get._value
-        q.cancel_get(get)
-        return None
 
     def _obs_enqueue(self, lock_id: int, mode: LockMode,
                      prev: int = 0, ep: int = 0, **extra) -> None:

@@ -7,7 +7,8 @@ Word layout
 -----------
 
 Every home-resident word is ``epoch:16 | tail:24 | count:24``
-(:func:`pack` / :func:`unpack`).  Every CAS embeds the epoch it read,
+(:func:`pack` / :func:`unpack`).  Every CAS embeds an epoch (guessed
+or returned by a lost CAS; no scheme reads a word it is about to CAS),
 so an attempt racing a reclaim simply loses the CAS; every FAA
 *returns* the epoch at its execution instant, so a requester detects
 that its increment landed on (or was wiped with) a stale generation.
@@ -74,6 +75,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from repro.errors import FaultError, LockError, RdmaError
 from repro.net.node import Node
+from repro.sim import AnyOf
 
 from repro.dlm.base import LockClient, LockManagerBase, LockMode
 
@@ -149,9 +151,6 @@ class EpochFencedManager(LockManagerBase):
             if value < 1:
                 raise LockError(f"{name} must be >= 1, got {value!r}")
         self.ft = lease_us is not None
-        #: no lease: nothing can ever move an epoch off 0, so a scheme
-        #: may guess the epoch of a word it has not read
-        self.epoch_pinned = not self.ft
         self.lease_us = lease_us
         self.detector = detector
         self.max_attempts = max_attempts
@@ -308,10 +307,6 @@ class EpochFencedClient(LockClient):
     def _obs_word(self, lock_id: int, word: int) -> None:
         """Trace hook for a scheme whose word the sanitizers decode."""
 
-    def _epoch_word(self, lock_id: int):
-        """(home, addr, rkey) of the epoch-bearing word to re-read."""
-        return self.manager.word(lock_id)
-
     # -- acquire/release wrappers ----------------------------------------
     def _acquire(self, lock_id: int, mode: LockMode):
         if lock_id in self._held_modes:
@@ -409,9 +404,24 @@ class EpochFencedClient(LockClient):
                 continue  # stale generation
             return body
 
+    def _wait_lease(self, lock_id: int, kind: str, lease_us: float):
+        """Wait for the next message of ``kind``, at most ``lease_us``.
+
+        Returns the message body, or ``None`` on lease expiry.  The
+        abandoned getter is withdrawn from the queue so it cannot steal
+        a message from a later wait.
+        """
+        q = self._queue(lock_id, kind)
+        get = q.get()
+        yield AnyOf(self.env, [get, self.env.timeout(lease_us)])
+        if get.triggered:
+            return get._value
+        q.cancel_get(get)
+        return None
+
     def _check_epoch(self, lock_id: int, ep: int):
         """Lease expired while waiting: re-read the word, bail if moved."""
-        home, addr, rkey = self._epoch_word(lock_id)
+        home, addr, rkey = self.manager.word(lock_id)
         raw = yield self.node.nic.rdma_read(home, addr, rkey, 8)
         word = int.from_bytes(raw, "big")
         self._obs_word(lock_id, word)

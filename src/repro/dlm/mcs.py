@@ -7,7 +7,9 @@ keeps a per-lock *queue node* in its own registered memory — a next
 slot its successor writes into, and a grant slot its predecessor writes
 into.
 
-Acquire is a single CAS swapping the tail to the requester's token.  A
+Acquire is a single CAS swapping the tail to the requester's token: it
+guesses a free tail under the manager's current epoch, and a CAS that
+loses returns the word to swap against next — the tail is never read.  A
 nonzero old tail is the predecessor: the requester RDMA-writes its own
 token into the predecessor's next slot and then spins on its local
 grant slot (modelled as a zero-network-cost signal at the writer's
@@ -102,18 +104,20 @@ class MCSClient(EpochFencedClient):
         # fresh attempt: scrub the queue node (local, zero time)
         self._qnode.write_u64(self._qn_next(lock_id), 0)
         self._qnode.write_u64(self._qn_grant(lock_id), 0)
+        # guess a free tail under the manager's current epoch; a CAS
+        # that loses returns the word, which is the next guess
+        ep, tail = mgr.lock_epoch(lock_id), 0
+        word = pack(ep, 0, 0)
         while True:
-            raw = yield nic.rdma_read(home, addr, rkey, 8)
-            ep, tail, _ = unpack(int.from_bytes(raw, "big"))
+            old = yield nic.cas(home, addr, rkey, word,
+                                pack(ep, self.token, 0))
+            if old == word:
+                break
+            word = old
+            ep, tail, _ = unpack(old)
             if tail == self.token:
                 # residue of an aborted attempt; the reaper clears it
                 raise _Stale(f"own stale tail on lock {lock_id}")
-            word = pack(ep, tail, 0)
-            old = yield nic.cas(home, addr, rkey, word,
-                                pack(ep, self.token, 0))
-            if old != word:
-                continue  # lost the race (or raced a reclaim): re-read
-            break
         self._obs_enqueue(lock_id, mode, prev=tail, ep=ep)
         if tail == 0:
             if mgr.lock_epoch(lock_id) != ep:

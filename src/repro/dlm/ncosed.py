@@ -33,18 +33,18 @@ still waiting on a *predecessor* are forwarded up the chain: they belong
 to an earlier tenure by construction (a requester is granted only after
 every notification it is owed has arrived).
 
-The two openings of the exclusive acquire
------------------------------------------
+A failed CAS is the read
+-----------------------
 
-With the epoch pinned at 0 the acquire opens with the paper's optimistic
-``CAS(0 -> me)``: one verb when the lock is free (the Fig. 5 numbers).
-With a lease the epoch of a free word is not known in advance, so the
-acquire opens with a read and then the CAS: two verbs.  That is the only
-place the protocol differs between the two configurations (measured on
-the ``locks-zipf`` benchmark workload, seed 7: 102164 vs 98032
-op/sim-s, p99 90.4 vs 105.4 µs).  Opening the leased acquire with a
-guess at the manager's current epoch is a behaviour change and is left
-to its own change.
+No word is read before it is CASed.  Every CAS opens on a guess that is
+computable locally — a free word under the manager's current epoch for
+the exclusive acquire, ``(ep, 0, 1)`` (sole reader) for the shared
+release, the word this client wrote itself for the exclusive release —
+and a CAS that loses returns the word, which becomes the next guess.  A
+hit is one round trip, a miss costs an atomic where a read would have
+gone, and a wrong guess cannot write: the epoch is part of every guess,
+so a reclaim makes it lose.  Leased or not, an uncontended round is two
+atomics and no read (``tests/dlm/test_verb_counts.py``).
 
 Failover
 --------
@@ -84,7 +84,7 @@ class NCoSEDManager(EpochFencedManager):
         self.rehomes: List[Tuple[float, int, int, int]] = []
         super().__init__(cluster, n_locks=n_locks,
                          member_nodes=member_nodes, **ft_kwargs)
-        if not self.epoch_pinned and hasattr(self.detector, "subscribe"):
+        if self.ft and hasattr(self.detector, "subscribe"):
             # a transition-reporting detector drives lock-home
             # failover; a bare oracle only gates the reaper
             self.detector.subscribe(self._on_detector)
@@ -241,28 +241,21 @@ class NCoSEDClient(EpochFencedClient):
         home, addr, rkey = mgr.word(lock_id)
         nic = self.node.nic
         tenure = _Tenure()
-        # the one place the two configurations differ (see module
-        # docstring): guess a free word, or read it first
-        optimistic = mgr.epoch_pinned
+        # guess a free word under the manager's current epoch; a CAS
+        # that loses returns the word, which is the next guess
+        ep, tail, count = mgr.lock_epoch(lock_id), 0, 0
+        word = pack(ep, 0, 0)
         while True:
-            if optimistic:
-                word = yield nic.cas(home, addr, rkey, 0,
-                                     pack(0, self.token, 0))
-            else:
-                raw = yield nic.rdma_read(home, addr, rkey, 8)
-                word = int.from_bytes(raw, "big")
-            self._obs_word(lock_id, word)
-            ep, tail, count = unpack(word)
+            old = yield nic.cas(home, addr, rkey, word,
+                                pack(ep, self.token, 0))
+            self._obs_word(lock_id, old)
+            if old == word:
+                break
+            word = old
+            ep, tail, count = unpack(old)
             if tail == self.token:
                 # residue of an aborted attempt; the reaper clears it
                 raise _Stale(f"own stale tail on lock {lock_id}")
-            if word or not optimistic:
-                old = yield nic.cas(home, addr, rkey, word,
-                                    pack(ep, self.token, 0))
-                self._obs_word(lock_id, old)
-                if old != word:
-                    continue  # lost the race (or raced a reclaim)
-            break
         # enqueued: we are the new tail; shared requests from now on
         # register with us, so open the tenure before waiting
         self._tenures[lock_id] = tenure
@@ -307,11 +300,16 @@ class NCoSEDClient(EpochFencedClient):
     def _release_shared(self, lock_id: int, ep: int):
         home, addr, rkey = self.manager.word(lock_id)
         nic = self.node.nic
+        # guess we are the sole reader; a miss returns the word
+        word, count = pack(ep, 0, 1), 1
         while True:
-            raw = yield nic.rdma_read(home, addr, rkey, 8)
-            word = int.from_bytes(raw, "big")
-            self._obs_word(lock_id, word)
-            wep, tail, count = unpack(word)
+            old = yield nic.cas(home, addr, rkey, word,
+                                pack(ep, 0, count - 1))
+            self._obs_word(lock_id, old)
+            if old == word:
+                return
+            word = old
+            wep, tail, count = unpack(old)
             if wep != ep:
                 return  # revoked: our count contribution was wiped
             if tail != 0:
@@ -321,11 +319,6 @@ class NCoSEDClient(EpochFencedClient):
                 return
             if count == 0:  # pragma: no cover - accounting bug guard
                 raise LockError("shared release with zero count")
-            old = yield nic.cas(home, addr, rkey, word,
-                                pack(ep, 0, count - 1))
-            self._obs_word(lock_id, old)
-            if old == word:
-                return
 
     def _release_exclusive(self, lock_id: int, ep: int, tenure: _Tenure):
         home, addr, rkey = self.manager.word(lock_id)
@@ -333,23 +326,22 @@ class NCoSEDClient(EpochFencedClient):
         for body in self._drain_msgs(lock_id, "nc", ep):
             self._classify(tenure, body)
         if tenure.xenq is None:
-            # Fast path: guess the word from local bookkeeping and CAS it
-            # in one round trip.  The guess is exact unless a shared FAA
-            # or exclusive CAS is in flight, in which case we fall back.
-            n_reg = len(tenure.registered)
-            guess = pack(ep, self.token, n_reg)
-            old = yield nic.cas(home, addr, rkey, guess,
-                                pack(ep, 0, n_reg))
-            self._obs_word(lock_id, old)
-            if old == guess:
-                self._grant_shared(lock_id, tenure, ep)
-                return
-            # no successor yet: retire via the word the slow way
-            while tenure.xenq is None:
-                raw = yield nic.rdma_read(home, addr, rkey, 8)
-                word = int.from_bytes(raw, "big")
-                self._obs_word(lock_id, word)
-                wep, tail, count = unpack(word)
+            # no successor yet: retire via the word.  Guess it from local
+            # bookkeeping — exact unless a shared FAA or exclusive CAS is
+            # in flight, and then the failed CAS returns the word
+            count = len(tenure.registered)
+            word = pack(ep, self.token, count)
+            while True:
+                old = yield nic.cas(home, addr, rkey, word,
+                                    pack(ep, 0, count))
+                self._obs_word(lock_id, old)
+                if old == word:
+                    # lock is no longer exclusively owned: grant every
+                    # shared waiter registered during our tenure at once
+                    self._grant_shared(lock_id, tenure, ep)
+                    return
+                word = old
+                wep, tail, count = unpack(old)
                 if wep != ep:
                     return  # revoked mid-release: fresh epoch owns it
                 if tail != self.token:
@@ -362,15 +354,6 @@ class NCoSEDClient(EpochFencedClient):
                                                    None, ep)
                 if tenure.xenq is not None:
                     break
-                old = yield nic.cas(home, addr, rkey, word,
-                                    pack(ep, 0, count))
-                self._obs_word(lock_id, old)
-                if old != word:
-                    continue  # word moved under us; reassess
-                # lock is no longer exclusively owned: grant every shared
-                # waiter registered during our tenure in one volley
-                self._grant_shared(lock_id, tenure, ep)
-                return
         # hand off to the exclusive successor: first grant the shared
         # requests that arrived before the successor enqueued
         s_mine = tenure.xenq["scount"]
