@@ -21,7 +21,8 @@ Deterministic: same arguments, same seed => identical stats dict.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+import math
+from typing import Dict, Optional, Sequence, Tuple
 
 from repro.errors import FaultError, LockError, RdmaError
 from repro.net.cluster import Cluster
@@ -33,7 +34,7 @@ from repro.workloads.zipf import ZipfGenerator
 
 from repro.dlm.base import LockMode
 
-__all__ = ["SCHEMES", "lock_tournament"]
+__all__ = ["SCHEMES", "lock_tournament", "rate_at_quantile"]
 
 #: lease for the fault-tolerant schemes under chaos (µs)
 _CHAOS_LEASE_US = 600.0
@@ -69,6 +70,21 @@ def _make_manager(scheme: str, cluster: Cluster, n_locks: int,
 SCHEMES = ("srsl", "dqnl", "ncosed", "mcs", "alock")
 
 
+def rate_at_quantile(grant_times_us: Sequence[float], q: float = 0.95
+                     ) -> Tuple[float, float]:
+    """``(t, grants/s up to t)`` where ``t`` is the instant by which a
+    fraction ``q`` of the grants had landed.
+
+    ``grants / last_grant_time`` is hostage to one straggler: a grant
+    that lands after a recovery instead of never can halve it.  This
+    rate moves by at most one inter-grant gap."""
+    times = sorted(grant_times_us)
+    k = math.ceil(q * len(times))
+    if k == 0 or times[k - 1] <= 0:
+        return 0.0, 0.0
+    return times[k - 1], k / (times[k - 1] / 1e6)
+
+
 def lock_tournament(scheme: str, n_clients: int = 256,
                     alpha: float = 0.9, chaos: str = "none",
                     seed: int = 0, n_nodes: int = 8, n_locks: int = 16,
@@ -101,9 +117,8 @@ def lock_tournament(scheme: str, n_clients: int = 256,
     env = cluster.env
     zipf = ZipfGenerator(n_locks, alpha, cluster.rng.get("locks-arena"))
     rng = cluster.rng.get("locks-arena-times")
-    grants = [0]
+    grant_times = []
     failures = [0]
-    last_grant = [0.0]
 
     def client_proc(env, client, think0, thinks, holds, shareds, locks):
         yield env.timeout(think0)
@@ -116,8 +131,7 @@ def lock_tournament(scheme: str, n_clients: int = 256,
                 failures[0] += 1
                 yield env.timeout(thinks[r])
                 continue
-            grants[0] += 1
-            last_grant[0] = env.now
+            grant_times.append(env.now)
             yield env.timeout(holds[r])
             try:
                 yield client.release(lock_i)
@@ -154,7 +168,8 @@ def lock_tournament(scheme: str, n_clients: int = 256,
             f"UNSAFE: {n_viol} violation(s); first: {first}")
 
     fsum = fairness.finish().get(manager.obs_name, {})
-    makespan_us = last_grant[0] or env.now
+    makespan_us = grant_times[-1] if grant_times else env.now
+    t95_us, ops_per_s_t95 = rate_at_quantile(grant_times)
     return {
         "scheme": scheme,
         "n_clients": n_clients,
@@ -163,11 +178,13 @@ def lock_tournament(scheme: str, n_clients: int = 256,
         "seed": seed,
         "n_nodes": n_nodes,
         "n_locks": n_locks,
-        "grants": grants[0],
+        "grants": len(grant_times),
         "failures": failures[0],
-        "ops_per_s": (grants[0] / (makespan_us / 1e6)
+        "ops_per_s": (len(grant_times) / (makespan_us / 1e6)
                       if makespan_us > 0 else 0.0),
         "makespan_us": makespan_us,
+        "t95_grant_us": t95_us,
+        "ops_per_s_t95": ops_per_s_t95,
         "jain": fsum.get("jain", 1.0),
         "max_wait_us": fsum.get("max_wait_us", 0.0),
         "mean_wait_us": fsum.get("mean_wait_us", 0.0),

@@ -70,6 +70,7 @@ TOURNAMENT = {
     "makespan_us": 2684.355722758934, "max_wait_us": 128.40952763920382,
     "mean_wait_us": 20.26340475003097, "p99_wait_us": 93.42750639603696,
     "max_chain": 65, "events": 4961,
+    "t95_grant_us": 2366.2222657720285, "ops_per_s_t95": 154254.317221088,
 }
 
 

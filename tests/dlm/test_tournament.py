@@ -5,7 +5,8 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.dlm.tournament import SCHEMES, lock_tournament
+from repro.dlm.tournament import (SCHEMES, lock_tournament,
+                                   rate_at_quantile)
 from repro.errors import LockError
 
 
@@ -46,6 +47,47 @@ class TestTournament:
             lock_tournament("srsl", n_clients=4, chaos="flood")
 
 
+class TestStragglerProofRate:
+    """``grants / last_grant_time`` halved MCS's chaos rate for one
+    grant that landed after recovery instead of never (PR 13)."""
+
+    #: 1480 grants over ~10 ms, drawn once: the shape of a chaos cell
+    TIMES = [10_000.0 * ((i * 2654435761) % 1480) / 1480 + 3.0
+             for i in range(1480)]
+
+    @staticmethod
+    def naive(times):
+        return len(times) / (max(times) / 1e6)
+
+    def test_one_late_grant_moves_the_t95_rate_under_five_percent(self):
+        t95, rate = rate_at_quantile(self.TIMES)
+        late = self.TIMES + [25_000.0]  # lands after the restart
+        t95_late, rate_late = rate_at_quantile(late)
+        assert abs(rate_late - rate) / rate < 0.05
+        assert abs(t95_late - t95) / t95 < 0.05
+        # ...where the naive rate loses more than half
+        assert self.naive(late) < 0.5 * self.naive(self.TIMES)
+
+    def test_permutation_and_scale(self):
+        t95, rate = rate_at_quantile(self.TIMES)
+        assert rate_at_quantile(sorted(self.TIMES)) == (t95, rate)
+        t95_2x, rate_2x = rate_at_quantile([2 * t for t in self.TIMES])
+        assert t95_2x == 2 * t95
+        assert rate_2x == pytest.approx(rate / 2)
+
+    def test_empty_and_exact_quantile(self):
+        assert rate_at_quantile([]) == (0.0, 0.0)
+        # 19 of 20 grants by t=19: the 20th may be arbitrarily late
+        times = [float(t) for t in range(1, 20)] + [1e9]
+        assert rate_at_quantile(times) == (19.0, 19 / 19e-6)
+
+    def test_cell_reports_it_beside_the_plain_rate(self):
+        stats = lock_tournament("mcs", n_clients=16, alpha=1.0,
+                                chaos="crash", seed=0, rounds=4)
+        assert 0 < stats["t95_grant_us"] <= stats["makespan_us"]
+        assert stats["ops_per_s_t95"] >= 0.95 * stats["ops_per_s"]
+
+
 class TestBenchReport:
     @pytest.fixture(scope="class")
     def report(self):
@@ -63,6 +105,10 @@ class TestBenchReport:
                 assert cell["violations"] == 0
                 assert cell["ops_per_s"] > 0
         assert set(res["chaos"]) == set(SCHEMES)
+        for scheme in SCHEMES:
+            # the straggler-proof rate is a chaos-section column only
+            assert res["chaos"][scheme]["ops_per_s_t95"] > 0
+            assert "ops_per_s_t95" not in res["tournament"][f"{scheme}@8"]
         assert set(res["rates"]) == {f"{s}_ops_per_s" for s in SCHEMES}
 
     def test_write_report_archives(self, report, tmp_path):
