@@ -922,9 +922,8 @@ def _locks_main(args) -> int:
         print(f"[locks {args.scheme}] clients={args.clients} "
               f"alpha={args.alpha} chaos={args.chaos} seed={args.seed} "
               f"[{args.kernel}]")
-        for k in ("grants", "failures", "ops_per_s", "ops_per_s_t95",
-                  "mean_wait_us", "p99_wait_us", "max_wait_us", "jain",
-                  "max_chain",
+        for k in ("grants", "failures", "ops_per_s", "mean_wait_us",
+                  "p99_wait_us", "max_wait_us", "jain", "max_chain",
                   "events", "sim_now_us"):
             v = stats[k]
             print(f"  {k}={v:.1f}" if isinstance(v, float)

@@ -216,10 +216,9 @@ class ALockClient(EpochFencedClient):
                 raise _Stale(f"lock {lock_id} reclaimed at tournament")
             state = old
         other_flag = _FLAGS ^ my_flag
-        # Peterson's wait, entered only if the other flag was up when
-        # our CAS landed (see module docstring)
+        # Peterson's wait: only if the other flag was up when we landed
         poll = mgr.tourney_poll_us
-        while state & other_flag:
+        while state & other_flag:  # fixed by our CAS; exits by break
             raw = yield nic.rdma_read(home, addr, rkey, 8)
             sep, victim, rflag, lflag = _unpack_state(
                 int.from_bytes(raw, "big"))
@@ -257,10 +256,9 @@ class ALockClient(EpochFencedClient):
         # guess the state this tenure raised: our flag alone, victim us
         state = _pack_state(ep, _VICTIM[cohort], *divmod(my_flag, 2))
         while True:
-            flags = state & _FLAGS & ~my_flag
             # the last flag down clears the victim: idle is (ep, 0, 0, 0)
-            new = _pack_state(ep, (state >> 2) & 3 if flags else 0,
-                              *divmod(flags, 2))
+            new = (state & ~my_flag if state & _FLAGS & ~my_flag
+                   else _pack_state(ep, 0, 0, 0))
             old = yield nic.cas(shome, saddr, srkey, state, new)
             if old == state:
                 break

@@ -390,34 +390,25 @@ class EpochFencedClient(LockClient):
         is re-read and a moved epoch raises :class:`_Stale`.
         """
         lease_us = self.manager.lease_us
+        q = self._queue(lock_id, kind)
         while True:
             if lease_us is None:
                 # not a timeout: an infinite delay is rejected, and a
                 # finite one would add an agenda entry to every wait
-                body = yield self._queue(lock_id, kind).get()
+                body = yield q.get()
             else:
-                body = yield from self._wait_lease(lock_id, kind, lease_us)
-                if body is None:
+                get = q.get()
+                yield AnyOf(self.env, [get, self.env.timeout(lease_us)])
+                if not get.triggered:
+                    # withdraw the abandoned getter so it cannot steal a
+                    # message from a later wait
+                    q.cancel_get(get)
                     yield from self._check_epoch(lock_id, ep)
                     continue
+                body = get._value
             if body.get("ep") != ep:
                 continue  # stale generation
             return body
-
-    def _wait_lease(self, lock_id: int, kind: str, lease_us: float):
-        """Wait for the next message of ``kind``, at most ``lease_us``.
-
-        Returns the message body, or ``None`` on lease expiry.  The
-        abandoned getter is withdrawn from the queue so it cannot steal
-        a message from a later wait.
-        """
-        q = self._queue(lock_id, kind)
-        get = q.get()
-        yield AnyOf(self.env, [get, self.env.timeout(lease_us)])
-        if get.triggered:
-            return get._value
-        q.cancel_get(get)
-        return None
 
     def _check_epoch(self, lock_id: int, ep: int):
         """Lease expired while waiting: re-read the word, bail if moved."""

@@ -104,8 +104,7 @@ class MCSClient(EpochFencedClient):
         # fresh attempt: scrub the queue node (local, zero time)
         self._qnode.write_u64(self._qn_next(lock_id), 0)
         self._qnode.write_u64(self._qn_grant(lock_id), 0)
-        # guess a free tail under the manager's current epoch; a CAS
-        # that loses returns the word, which is the next guess
+        # guess a free tail; a lost CAS returns the next guess
         ep, tail = mgr.lock_epoch(lock_id), 0
         word = pack(ep, 0, 0)
         while True:

@@ -241,8 +241,7 @@ class NCoSEDClient(EpochFencedClient):
         home, addr, rkey = mgr.word(lock_id)
         nic = self.node.nic
         tenure = _Tenure()
-        # guess a free word under the manager's current epoch; a CAS
-        # that loses returns the word, which is the next guess
+        # guess a free word; a lost CAS returns the next guess
         ep, tail, count = mgr.lock_epoch(lock_id), 0, 0
         word = pack(ep, 0, 0)
         while True:

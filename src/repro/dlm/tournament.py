@@ -72,12 +72,9 @@ SCHEMES = ("srsl", "dqnl", "ncosed", "mcs", "alock")
 
 def rate_at_quantile(grant_times_us: Sequence[float], q: float = 0.95
                      ) -> Tuple[float, float]:
-    """``(t, grants/s up to t)`` where ``t`` is the instant by which a
-    fraction ``q`` of the grants had landed.
-
-    ``grants / last_grant_time`` is hostage to one straggler: a grant
-    that lands after a recovery instead of never can halve it.  This
-    rate moves by at most one inter-grant gap."""
+    """``(t, grants/s up to t)``, ``t`` being when a fraction ``q`` of
+    the grants had landed: unlike ``grants / last_grant_time``, one
+    grant landing after a recovery instead of never cannot halve it."""
     times = sorted(grant_times_us)
     k = math.ceil(q * len(times))
     if k == 0 or times[k - 1] <= 0:
