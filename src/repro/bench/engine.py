@@ -12,13 +12,15 @@ suite measures how fast the simulator itself executes on the host:
                      ``speedup_vs_slow`` and assert both modes agree on
                      the final simulated clock.
 * ``lock_ops``     — N-CoSED exclusive acquire/release pairs / second.
-* ``scenario_ddss``— wall seconds for the packaged ``ddss``
-                     observability scenario end to end (tracing,
-                     metrics and sanitizers on).
+* ``scenario_ddss``— wall seconds for one judged run of the scenario
+                     table's ``ddss`` row (build under tracing and
+                     sanitizers, oracle replay, digest); informational,
+                     not gated.
 
 ``run_suite`` returns a JSON-ready dict; the ``repro bench`` subcommand
 writes it to ``BENCH_engine.json`` plus a timestamped copy under
-``benchmarks/results/``, and gates ``GUARDED_RATES`` through
+``benchmarks/results/`` (:func:`repro.bench.harness.write_report`), and
+gates ``GUARDED_RATES`` through
 :func:`repro.bench.harness.check_regression`: fail when a guarded rate
 drops more than 25 % below the committed baseline (missing baseline ⇒
 gate skipped).
@@ -26,14 +28,12 @@ gate skipped).
 
 from __future__ import annotations
 
-import json
 import os
 import platform
 import time
-from typing import Dict, List, Optional
+from typing import Dict
 
-__all__ = ["run_suite", "write_report",
-           "GUARDED_RATES", "DEFAULT_RESULT", "RESULTS_DIR"]
+__all__ = ["run_suite", "GUARDED_RATES", "DEFAULT_RESULT", "RESULTS_DIR"]
 
 #: canonical result file (repo root) — doubles as the committed baseline
 DEFAULT_RESULT = "BENCH_engine.json"
@@ -82,18 +82,10 @@ def _bench_events(n_events: int) -> Dict[str, object]:
 def _verb_workload(n_iters: int, slow: bool):
     """The small-verb loop: cas + faa + read + write per iteration."""
     from repro.net import Cluster
+    from repro.sim import pin_kernel
 
-    if slow:
-        prev = os.environ.get("REPRO_SLOW_KERNEL")
-        os.environ["REPRO_SLOW_KERNEL"] = "1"
-    try:
+    with pin_kernel("slow" if slow else "fast"):
         cluster = Cluster(n_nodes=2, seed=0)
-    finally:
-        if slow:
-            if prev is None:
-                del os.environ["REPRO_SLOW_KERNEL"]
-            else:
-                os.environ["REPRO_SLOW_KERNEL"] = prev
     region = cluster.nodes[1].memory.register(4096, name="bench")
     key = region.remote_key()
     nic = cluster.nodes[0].nic
@@ -231,16 +223,16 @@ def _bench_lock_ops(n_ops: int) -> Dict[str, object]:
 
 
 def _bench_scenario() -> Dict[str, object]:
-    """End-to-end wall time of the packaged ``ddss`` obs scenario."""
-    from repro.obs.scenarios import run_scenario
+    """End-to-end wall time of one judged run of the ``ddss`` row."""
+    from repro.scenarios import judged_run
 
     t0 = time.perf_counter()
-    obs = run_scenario("ddss", seed=0, sanitize=True, strict=False)
+    record, _obs = judged_run("ddss")
     wall = time.perf_counter() - t0
     return {
         "wall_s": round(wall, 4),
-        "sim_us": obs.env.now,
-        "trace_events": obs.trace.emitted,
+        "sim_us": record["sim_now_us"],
+        "trace_events": record["events"],
     }
 
 
@@ -286,21 +278,3 @@ def run_suite(quick: bool = False, workers: int = 0) -> Dict[str, object]:
             "scenario_ddss": results["scenario_ddss"],
         },
     }
-
-
-def write_report(report: Dict[str, object], out_path: str,
-                 results_dir: Optional[str] = RESULTS_DIR) -> List[str]:
-    """Write ``out_path`` plus a timestamped archive copy; returns paths."""
-    paths = []
-    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
-    with open(out_path, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    paths.append(out_path)
-    if results_dir is not None:
-        os.makedirs(results_dir, exist_ok=True)
-        stamp = time.strftime("%Y%m%dT%H%M%S", time.gmtime())
-        archive = os.path.join(results_dir, f"engine-{stamp}.json")
-        with open(archive, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        paths.append(archive)
-    return paths

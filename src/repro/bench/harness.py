@@ -10,10 +10,11 @@ from __future__ import annotations
 import json
 import os
 import re
+import time
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 __all__ = ["BenchTable", "RENDERED", "check_regression", "dump_tables",
-           "format_series", "improvement_pct", "replay"]
+           "format_series", "improvement_pct", "replay", "write_report"]
 
 #: every table ever ``show()``-n, in order — the benchmark conftest
 #: replays these in the pytest terminal summary so they survive output
@@ -62,6 +63,25 @@ def check_regression(current: Dict[str, object],
                 f"{(1 - c / b) * 100:.1f}% below baseline "
                 f"{b:,.{decimals}f}/s (threshold {threshold * 100:.0f}%)")
     return failures
+
+
+def write_report(report: Dict[str, object], out_path: str,
+                 results_dir: Optional[str], prefix: str) -> List[str]:
+    """Write ``out_path`` plus, unless ``results_dir`` is None, a
+    timestamped ``<prefix>-<stamp>.json`` archive copy; returns paths."""
+    paths = []
+    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    with open(out_path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+    paths.append(out_path)
+    if results_dir is not None:
+        os.makedirs(results_dir, exist_ok=True)
+        stamp = time.strftime("%Y%m%dT%H%M%S", time.gmtime())
+        archive = os.path.join(results_dir, f"{prefix}-{stamp}.json")
+        with open(archive, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        paths.append(archive)
+    return paths
 
 
 def format_series(xs: Sequence[float], ys: Sequence[float],

@@ -20,16 +20,12 @@ as the engine and topo suites.
 
 from __future__ import annotations
 
-import json
-import os
 import platform
-import time
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 from ..dlm.tournament import SCHEMES, lock_tournament
-from .engine import RESULTS_DIR
 
-__all__ = ["run_locks_suite", "write_locks_report", "GUARDED_LOCKS_RATES",
+__all__ = ["run_locks_suite", "GUARDED_LOCKS_RATES",
            "DEFAULT_LOCKS_RESULT", "CONTENTION_LEVELS"]
 
 #: canonical result file (repo root) — doubles as the committed baseline
@@ -108,22 +104,3 @@ def run_locks_suite(seed: int = 0,
             "rates": rates,
         },
     }
-
-
-def write_locks_report(report: Dict[str, object], out_path: str,
-                       results_dir: Optional[str] = RESULTS_DIR
-                       ) -> List[str]:
-    """Write ``out_path`` plus a timestamped archive copy; returns paths."""
-    paths = []
-    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
-    with open(out_path, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    paths.append(out_path)
-    if results_dir is not None:
-        os.makedirs(results_dir, exist_ok=True)
-        stamp = time.strftime("%Y%m%dT%H%M%S", time.gmtime())
-        archive = os.path.join(results_dir, f"locks-{stamp}.json")
-        with open(archive, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        paths.append(archive)
-    return paths

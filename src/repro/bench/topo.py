@@ -20,16 +20,10 @@ as the engine suite).
 
 from __future__ import annotations
 
-import json
-import os
 import platform
-import time
-from typing import Dict, List, Optional
+from typing import Dict
 
-from .engine import RESULTS_DIR
-
-__all__ = ["run_topo_suite", "write_topo_report",
-           "GUARDED_TOPO_RATES", "DEFAULT_TOPO_RESULT"]
+__all__ = ["run_topo_suite", "GUARDED_TOPO_RATES", "DEFAULT_TOPO_RESULT"]
 
 #: canonical result file (repo root) — doubles as the committed baseline
 DEFAULT_TOPO_RESULT = "BENCH_topo.json"
@@ -63,21 +57,3 @@ def run_topo_suite(seed: int = 0) -> Dict[str, object]:
                  "machine": platform.machine()},
         "results": {"verb_latency": verbs, "lock_throughput": locks},
     }
-
-
-def write_topo_report(report: Dict[str, object], out_path: str,
-                      results_dir: Optional[str] = RESULTS_DIR) -> List[str]:
-    """Write ``out_path`` plus a timestamped archive copy; returns paths."""
-    paths = []
-    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
-    with open(out_path, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    paths.append(out_path)
-    if results_dir is not None:
-        os.makedirs(results_dir, exist_ok=True)
-        stamp = time.strftime("%Y%m%dT%H%M%S", time.gmtime())
-        archive = os.path.join(results_dir, f"topo-{stamp}.json")
-        with open(archive, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        paths.append(archive)
-    return paths

@@ -5,8 +5,9 @@ scenarios: instead of one hand-written fault per test, a campaign
 samples whole *schedules* — partitions (symmetric and one-way), node
 crashes, gray failures (slow nodes, stalled flow-control credits),
 message drops — from a seeded generative space
-(:class:`~repro.chaos.space.ChaosSpace`), runs packaged scenarios under
-them through :mod:`repro.lab`, and judges every run with the full
+(:class:`~repro.chaos.space.ChaosSpace`), runs the scenario table's
+fault-space rows (:data:`repro.scenarios.SCENARIOS`) under them through
+:mod:`repro.lab`, and judges every run with the full
 oracle suite plus declarative HA expectations
 (:class:`~repro.verify.HAOracle`): failover must happen within the
 detection bound on the majority side, and must *never* happen from a
@@ -21,24 +22,17 @@ CLI: ``repro chaos {list,run,replay,shrink,report}``.
 """
 
 from repro.chaos.space import ChaosSpace, plan_from_schedule, schedule_key
-from repro.chaos.scenarios import (SCENARIOS, ChaosScenario, get_scenario,
-                                   ha_expectations)
-from repro.chaos.campaign import (chaos_run_scenario, run_campaign,
-                                  run_schedule)
+from repro.chaos.scenarios import ha_expectations
+from repro.chaos.campaign import run_campaign
 from repro.chaos.shrinker import (find_failing, schedule_fails,
                                   shrink_schedule)
 
 __all__ = [
     "ChaosSpace",
-    "ChaosScenario",
-    "SCENARIOS",
-    "chaos_run_scenario",
     "find_failing",
-    "get_scenario",
     "ha_expectations",
     "plan_from_schedule",
     "run_campaign",
-    "run_schedule",
     "schedule_fails",
     "schedule_key",
     "shrink_schedule",

@@ -1,14 +1,14 @@
 """Chaos campaigns: sample fault schedules, run, judge, fold.
 
-One *run* = one ``(scenario, schedule, seed, kernel)`` tuple: build the
-scenario under the schedule's :class:`~repro.faults.FaultPlan`, export
-the trace, replay every oracle (safety + the HA choreography oracle)
-plus the live sanitizers, and reduce to a flat JSON record with the
-canonical trace digest.  A *campaign* fans a grid of sampled schedules
+One *run* = one ``(scenario, schedule, seed, kernel)`` tuple, judged by
+:func:`repro.scenarios.run_schedule` (the one judged run plus the
+schedule it ran under).  A *campaign* fans a grid of sampled schedules
 through :mod:`repro.lab` (resumable store, optional worker pool) and
 folds the records into a single verdict:
 
-* violations on an ``expect_clean`` scenario fail the campaign;
+* violations on an ``expect_clean`` scenario fail the campaign (so does
+  a ``vacuous`` run: a schedule that silenced the workload proved
+  nothing);
 * violations on a seeded-bug scenario (``locks-nofence``) are
   *findings* — the campaign is checking the pipeline can catch them;
 * the same ``(scenario, index)`` run under both kernels must export the
@@ -23,65 +23,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.chaos.scenarios import get_scenario
-from repro.chaos.space import schedule_key
-
-__all__ = ["chaos_run_scenario", "run_campaign", "run_schedule"]
-
-#: dotted entry point handed to :class:`repro.lab.Sweep`
-SCENARIO_PATH = "repro.chaos.campaign:chaos_run_scenario"
-
-
-def run_schedule(scenario: str, schedule: Sequence[dict], seed: int, *,
-                 kernel: str = "fast",
-                 fence: Optional[bool] = None) -> dict:
-    """Run one schedule against one scenario and judge the trace."""
-    from repro.verify import ALL_ORACLES, TraceView, canonical_trace_sha
-    from repro.verify import replay
-    from repro.verify.suites import _kernel
-
-    sc = get_scenario(scenario)
-    use_fence = sc.fence if fence is None else fence
-    with _kernel(kernel):
-        obs = sc.builder(seed, sc.n_nodes, list(schedule), use_fence)
-    doc = obs.trace_dict()
-    view = TraceView.from_obs(obs).require_complete()
-    oracles = [factory() for factory in ALL_ORACLES]
-    violations = replay(view, oracles)
-    sanitizer_hits = obs.violations()
-    msgs = [v["msg"] for v in violations[:4]]
-    msgs += [f"[sanitizer:{v['sanitizer']}] {v['msg']}"
-             for v in sanitizer_hits[:4]]
-    n_bad = len(violations) + len(sanitizer_hits)
-    return {
-        "scenario": scenario,
-        "seed": int(seed),
-        "kernel": kernel,
-        "fence": bool(use_fence),
-        "n_nodes": sc.n_nodes,
-        "schedule": [dict(f) for f in schedule],
-        "faults": [schedule_key(f) for f in schedule],
-        "events": len(view.events),
-        "sim_now_us": float(doc.get("sim_now_us", 0.0)),
-        "violations": n_bad,
-        "violation_msgs": msgs,
-        "trace_sha": canonical_trace_sha(doc),
-        "verdict": "ok" if n_bad == 0 else "violation",
-    }
-
-
-def chaos_run_scenario(seed: int = 0, scenario: str = "locks",
-                       index: int = 0, kernel: str = "fast") -> dict:
-    """Lab entry point: sample schedule ``(seed, index)`` and run it.
-
-    Sampling happens *inside* the worker from ``(seed, index)`` alone,
-    so results are identical no matter how the grid is sharded.
-    """
-    sc = get_scenario(scenario)
-    schedule = sc.space().sample(int(seed), int(index))
-    record = run_schedule(scenario, schedule, int(seed), kernel=kernel)
-    record["index"] = int(index)
-    return record
+__all__ = ["run_campaign"]
 
 
 def run_campaign(scenarios: Sequence[str] = ("locks",), seed: int = 0,
@@ -91,62 +33,58 @@ def run_campaign(scenarios: Sequence[str] = ("locks",), seed: int = 0,
                  store_path: Optional[str] = None,
                  progress: bool = False) -> dict:
     """Sample+run ``n_schedules`` per scenario per kernel; fold verdict."""
-    from repro.lab import ResultStore, Runner, Sweep
+    from repro.scenarios import fold_kernels, lab_sweep, lookup
 
     names = list(scenarios)
     for name in names:
-        get_scenario(name)  # fail fast on typos, before any workers spin
-    sweep = Sweep(name=f"chaos-{seed}", scenario=SCENARIO_PATH,
-                  grid={"scenario": names,
-                        "index": list(range(int(n_schedules))),
-                        "kernel": list(kernels)},
-                  seeds=[int(seed)])
-    store = ResultStore(store_path)
-    summary = Runner(sweep, store=store, workers=workers,
-                     progress=progress).run()
+        lookup(name).space()  # fail fast, before any workers spin
+    records, summary = lab_sweep(
+        f"chaos-{seed}",
+        {"scenario": names, "index": list(range(int(n_schedules))),
+         "kernel": list(kernels)},
+        [seed], workers, store_path, progress)
 
-    cells: Dict[Tuple[str, int, str], dict] = {}
-    for rec in store.records():
+    cells: Dict[Tuple[str, int], Dict[str, dict]] = {}
+    for rec in records:
         p = rec["params"]
-        cells[(p["scenario"], int(p["index"]), p["kernel"])] = rec["result"]
+        cells.setdefault((p["scenario"], int(p["index"])),
+                         {})[p["kernel"]] = rec["result"]
+    results = [(name, index, kernel, res)
+               for (name, index), by_kernel in sorted(cells.items())
+               for kernel, res in sorted(by_kernel.items())]
 
     violations: List[dict] = []
     findings: List[dict] = []
-    for (name, index, kernel), res in sorted(cells.items()):
+    for name, index, kernel, res in results:
         if res["verdict"] == "ok":
             continue
         entry = {"scenario": name, "index": index, "kernel": kernel,
+                 "verdict": res["verdict"],
                  "violations": res["violations"],
-                 "msgs": res.get("violation_msgs", []),
-                 "faults": res.get("faults", []),
-                 "schedule": res.get("schedule", [])}
-        if get_scenario(name).expect_clean:
+                 "msgs": res["violation_msgs"],
+                 "faults": res["faults"],
+                 "schedule": res["schedule"]}
+        if lookup(name).expect_clean:
             violations.append(entry)
         else:
             findings.append(entry)
+    mismatches = [{"scenario": name, "index": index, "shas": shas}
+                  for (name, index), shas
+                  in fold_kernels(cells, kernels)[1]]
 
-    mismatches: List[dict] = []
-    for name, index in sorted({(n, i) for (n, i, _k) in cells}):
-        shas = {k: cells[(name, index, k)]["trace_sha"]
-                for k in kernels if (name, index, k) in cells}
-        if len(set(shas.values())) > 1:
-            mismatches.append({"scenario": name, "index": index,
-                               "shas": shas})
-
-    runs = len(cells)
     ok = (not violations and not mismatches
-          and not summary.get("failed", 0) and runs > 0)
+          and not summary.get("failed", 0) and results)
     return {
         "format": "repro-chaos-v1",
         "seed": int(seed),
         "scenarios": names,
         "kernels": list(kernels),
         "n_schedules": int(n_schedules),
-        "runs": runs,
+        "runs": len(results),
         "run_errors": summary.get("failed", 0),
         "violations": violations,
         "findings": findings,
         "kernel_mismatches": mismatches,
-        "records": [cells[key] for key in sorted(cells)],
+        "records": [res for _name, _index, _kernel, res in results],
         "verdict": "ok" if ok else "violation",
     }

@@ -1,6 +1,9 @@
-"""Packaged chaos scenarios and their HA expectations.
+"""Chaos scenario builders and their HA expectations.
 
-A chaos scenario is a workload that (a) runs under an arbitrary
+The builders here are named by the one scenario table
+(:data:`repro.scenarios.SCENARIOS`), which also carries each one's
+sampling space (horizon, fault kinds, fence).  A chaos scenario is a
+workload that (a) runs under an arbitrary
 sampled fault schedule, (b) never crashes the *driver* on injected
 faults (actors absorb ``LockError``/``FaultError`` — giving up is a
 legal outcome, dividing the lock is not), and (c) declares, from the
@@ -11,23 +14,24 @@ trace events (:class:`repro.verify.ha.HAOracle`).
 detector behind a quorum gate, so a symmetric partition that isolates a
 lock home must produce a majority-side rehome within the detection
 bound, while a minority-side front must produce *none*.
-``locks-nofence`` is the same scenario with the quorum gate removed —
-the packaged split-brain bug that campaigns are expected to find and
-shrink.  ``ddss`` exercises replicated coherence under the same fault
-classes with no HA choreography (the data oracles carry the verdict).
+``locks-nofence`` is the same builder with ``fence=False`` (no quorum
+gate) — the packaged split-brain bug that campaigns are expected to
+find and shrink.  ``ddss-repl`` exercises replicated coherence under the
+same fault classes with no HA choreography (the data oracles carry the
+verdict).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Sequence
+from typing import List, Sequence
 
-from repro.errors import (ConfigError, DDSSError, FaultError, LockError,
-                          RdmaError, TimeoutError)
+from repro.dlm.base import LockMode
+from repro.errors import (DDSSError, FaultError, LockError, RdmaError,
+                          TimeoutError)
 
-from repro.chaos.space import ChaosSpace, plan_from_schedule
+from repro.chaos.space import plan_from_schedule
 
-__all__ = ["SCENARIOS", "ChaosScenario", "get_scenario",
+__all__ = ["build_locks", "build_ddss", "build_txn", "lock_actor",
            "ha_expectations"]
 
 #: detector probe cadence for chaos scenarios (µs)
@@ -39,28 +43,9 @@ HOLD_US = PERIOD_US
 #: phi history warm-up before expectations are judgeable
 WARMUP_US = 3_000.0
 N_LOCKS = 4
-
-
-@dataclass(frozen=True)
-class ChaosScenario:
-    """One packaged scenario: builder + sampling space + expectations."""
-
-    name: str
-    builder: Callable  # (seed, n_nodes, schedule, fence) -> Observability
-    n_nodes: int
-    horizon_us: float
-    fence: bool = True
-    #: False for seeded-bug scenarios: campaign counts their failures
-    #: as *findings* (expected), not campaign violations
-    expect_clean: bool = True
-    kinds: Sequence[str] = ("partition", "crash", "slow", "drop")
-    max_faults: int = 4
-    description: str = ""
-
-    def space(self) -> ChaosSpace:
-        return ChaosSpace(self.n_nodes, self.horizon_us,
-                          max_faults=self.max_faults, kinds=self.kinds,
-                          protect=(0,))
+#: run horizons (µs); the table's sampling spaces use the same values
+HORIZON_US = 40_000.0
+DDSS_HORIZON_US = 30_000.0
 
 
 # ----------------------------------------------------------------------
@@ -139,13 +124,29 @@ def ha_expectations(schedule: Sequence[dict], n_nodes: int,
 # builders
 # ----------------------------------------------------------------------
 
-def _locks(seed: int, n_nodes: int, schedule: Sequence[dict],
-           fence: bool = True):
+def lock_actor(env, client, lock_i, shared, delay, hold, tolerate=()):
+    """One acquire/hold/release tenure.  Errors in ``tolerate`` end it
+    quietly: giving up under faults is legal; splitting the lock is not."""
+    mode = LockMode.SHARED if shared else LockMode.EXCLUSIVE
+    yield env.timeout(delay)
+    try:
+        yield client.acquire(lock_i, mode)
+    except tolerate:
+        return
+    yield env.timeout(hold)
+    try:
+        yield client.release(lock_i)
+    except tolerate:
+        pass
+
+
+def build_locks(seed: int, n_nodes: int, schedule: Sequence[dict],
+                fence: bool = True):
     """FT N-CoSED under chaos: phi detector (+ quorum gate) drives
     lock-home failover; actors tolerate bounded-retry failures."""
     from repro.net import Cluster
     from repro.monitor import PhiAccrualDetector, QuorumGate
-    from repro.dlm import LockMode, NCoSEDManager
+    from repro.dlm import NCoSEDManager
 
     cluster = Cluster(n_nodes=n_nodes, seed=seed)
     obs = cluster.observe(sanitize=True, strict=False)
@@ -160,42 +161,24 @@ def _locks(seed: int, n_nodes: int, schedule: Sequence[dict],
     # plus the gate hold, plus two probe periods of scheduling slack
     bound = (phi.detect_bound_us() + (HOLD_US if fence else 0.0)
              + 2.0 * PERIOD_US)
-    horizon = SCENARIOS["locks"].horizon_us
     for exp in ha_expectations(schedule, n_nodes, N_LOCKS, bound):
         obs.trace.emit("ha.expect", node=-1, **exp)
     env = cluster.env
     rng = cluster.rng.get("chaos-locks")
-
-    def actor(env, client, lock_i, shared, delay, hold):
-        mode = LockMode.SHARED if shared else LockMode.EXCLUSIVE
-        yield env.timeout(delay)
-        try:
-            yield client.acquire(lock_i, mode)
-        except (LockError, FaultError, RdmaError):
-            return  # giving up under faults is legal; splitting is not
-        yield env.timeout(hold)
-        try:
-            yield client.release(lock_i)
-        except (LockError, FaultError, RdmaError):
-            pass
-
     for i in range(3 * n_nodes):
         client = manager.client(cluster.nodes[i % n_nodes])
-        env.process(actor(env, client, i % N_LOCKS, rng.random() < 0.4,
-                          rng.uniform(0.0, 0.8) * horizon,
-                          rng.uniform(500.0, 3_000.0)),
+        env.process(lock_actor(env, client, i % N_LOCKS,
+                               rng.random() < 0.4,
+                               rng.uniform(0.0, 0.8) * HORIZON_US,
+                               rng.uniform(500.0, 3_000.0),
+                               (LockError, FaultError, RdmaError)),
                     name=f"chaos-lock-{i}")
-    env.run(until=horizon)
+    env.run(until=HORIZON_US)
     return obs
 
 
-def _locks_nofence(seed: int, n_nodes: int, schedule: Sequence[dict],
-                   fence: bool = False):
-    return _locks(seed, n_nodes, schedule, fence=False)
-
-
-def _ddss(seed: int, n_nodes: int, schedule: Sequence[dict],
-          fence: bool = True):
+def build_ddss(seed: int, n_nodes: int, schedule: Sequence[dict],
+               fence: bool = True):
     """Replicated DDSS coherence under chaos; data oracles judge."""
     from repro.net import Cluster
     from repro.ddss import DDSS, Coherence
@@ -206,7 +189,6 @@ def _ddss(seed: int, n_nodes: int, schedule: Sequence[dict],
     ddss = DDSS(cluster, segment_bytes=256 * 1024)
     env = cluster.env
     rng = cluster.rng.get("chaos-ddss")
-    horizon = SCENARIOS["ddss"].horizon_us
     tolerated = (DDSSError, FaultError, RdmaError, TimeoutError)
 
     def owner(env, client, model, replicas, keys_out):
@@ -247,14 +229,14 @@ def _ddss(seed: int, n_nodes: int, schedule: Sequence[dict],
             node = cluster.nodes[(1 + w) % n_nodes]
             env.process(worker(env, ddss.client(node), keys,
                                16 * (m_i + 1) + w,
-                               rng.uniform(0.0, 0.3) * horizon),
+                               rng.uniform(0.0, 0.3) * DDSS_HORIZON_US),
                         name=f"chaos-ddss-{m_i}-{w}")
-    env.run(until=horizon)
+    env.run(until=DDSS_HORIZON_US)
     return obs
 
 
-def _txn(seed: int, n_nodes: int, schedule: Sequence[dict],
-         fence: bool = True):
+def build_txn(seed: int, n_nodes: int, schedule: Sequence[dict],
+              fence: bool = True):
     """Multi-key transactions under chaos: transfers over units homed
     on the protected front node (the data path never faults, so every
     outcome is determinate) while the 2PL workers' N-CoSED lock homes
@@ -283,7 +265,6 @@ def _txn(seed: int, n_nodes: int, schedule: Sequence[dict],
         obs.trace.emit("ha.expect", node=-1, **exp)
     env = cluster.env
     rng = cluster.rng.get("chaos-txn")
-    horizon = SCENARIOS["txn"].horizon_us
     ddss = DDSS(cluster, segment_bytes=256 * 1024)
     accounts: List[int] = []
 
@@ -316,43 +297,8 @@ def _txn(seed: int, n_nodes: int, schedule: Sequence[dict],
                                     lock_of=lock_of, max_attempts=4)
         else:
             client = OCCTxnClient(store, max_attempts=4)
-        env.process(actor(env, client, rng.uniform(0.0, 0.7) * horizon,
+        env.process(actor(env, client, rng.uniform(0.0, 0.7) * HORIZON_US,
                           n_txns=3),
                     name=f"chaos-txn-{i}")
-    env.run(until=horizon)
+    env.run(until=HORIZON_US)
     return obs
-
-
-SCENARIOS: Dict[str, ChaosScenario] = {
-    "locks": ChaosScenario(
-        name="locks", builder=_locks, n_nodes=5, horizon_us=40_000.0,
-        fence=True, expect_clean=True,
-        description="FT N-CoSED + phi detector + quorum gate: "
-                    "failover within bound, no split-brain"),
-    "locks-nofence": ChaosScenario(
-        name="locks-nofence", builder=_locks_nofence, n_nodes=5,
-        horizon_us=40_000.0, fence=False, expect_clean=False,
-        kinds=("partition",), max_faults=3,
-        description="seeded bug: same scenario without the quorum "
-                    "gate; minority partitions evict the majority"),
-    "ddss": ChaosScenario(
-        name="ddss", builder=_ddss, n_nodes=5, horizon_us=30_000.0,
-        fence=True, expect_clean=True,
-        kinds=("partition", "crash", "slow", "stall", "drop"),
-        description="replicated DDSS coherence contracts under "
-                    "partitions, crashes and gray failures"),
-    "txn": ChaosScenario(
-        name="txn", builder=_txn, n_nodes=5, horizon_us=40_000.0,
-        fence=True, expect_clean=True, max_faults=3,
-        description="OCC + 2PL transfers under chaos: committed txns "
-                    "stay serializable, failed lock acquires abort "
-                    "cleanly, failover choreography holds"),
-}
-
-
-def get_scenario(name: str) -> ChaosScenario:
-    sc = SCENARIOS.get(name)
-    if sc is None:
-        raise ConfigError(f"unknown chaos scenario {name!r}; available: "
-                          f"{', '.join(sorted(SCENARIOS))}")
-    return sc

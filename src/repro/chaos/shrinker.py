@@ -24,8 +24,6 @@ from __future__ import annotations
 import copy
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.chaos.campaign import run_schedule
-from repro.chaos.scenarios import get_scenario
 from repro.chaos.space import schedule_key
 
 __all__ = ["find_failing", "schedule_fails", "shrink_schedule"]
@@ -33,9 +31,15 @@ __all__ = ["find_failing", "schedule_fails", "shrink_schedule"]
 
 def schedule_fails(scenario: str, schedule: Sequence[dict], seed: int,
                    kernel: str = "fast") -> Tuple[bool, dict]:
-    """Run one schedule; True when any oracle or sanitizer flags it."""
+    """Run one schedule; True when any oracle or sanitizer flags it.
+
+    A ``vacuous`` run is not a failure: a probe must not "succeed" by
+    shrinking to a schedule that merely silences the workload.
+    """
+    from repro.scenarios import run_schedule
+
     record = run_schedule(scenario, schedule, seed, kernel=kernel)
-    return record["verdict"] != "ok", record
+    return record["verdict"] == "violation", record
 
 
 def _halved(fault: Dict) -> Optional[Dict]:
@@ -61,7 +65,9 @@ def _halved(fault: Dict) -> Optional[Dict]:
 def shrink_schedule(scenario: str, schedule: Sequence[dict], seed: int, *,
                     kernel: str = "fast", max_probes: int = 64) -> dict:
     """Reduce ``schedule`` to a (locally) minimal failing reproducer."""
-    get_scenario(scenario)  # validate name before burning probes
+    from repro.scenarios import lookup
+
+    lookup(scenario)  # validate name before burning probes
     probes = 0
 
     def fails(candidate: Sequence[dict]) -> bool:
@@ -137,8 +143,9 @@ def shrink_schedule(scenario: str, schedule: Sequence[dict], seed: int, *,
 def find_failing(scenario: str, seed: int, n_schedules: int = 20,
                  kernel: str = "fast") -> Optional[dict]:
     """Scan sampled schedules; return the first failing one (or None)."""
-    sc = get_scenario(scenario)
-    space = sc.space()
+    from repro.scenarios import lookup
+
+    space = lookup(scenario).space()
     for index in range(int(n_schedules)):
         schedule = space.sample(int(seed), index)
         bad, record = schedule_fails(scenario, schedule, int(seed), kernel)

@@ -15,14 +15,17 @@ the full-fidelity runs live in ``benchmarks/`` under pytest-benchmark.
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 import time
 from typing import Callable, Dict, List
 
 from repro.bench import BenchTable, improvement_pct
 from repro.bench.plot import ascii_bars
+from repro.errors import ConfigError, LockError, ReproError
+from repro.sim import KERNELS
 
-__all__ = ["main"]
+__all__ = ["build_parser", "main"]
 
 
 # ---------------------------------------------------------------------------
@@ -251,27 +254,148 @@ EXPERIMENTS: Dict[str, Callable[[], List[BenchTable]]] = {
 
 
 # ---------------------------------------------------------------------------
+# shared helpers
+# ---------------------------------------------------------------------------
+
+def _load_json(path: str):
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except ValueError as exc:
+        raise ConfigError(f"{path} is not valid JSON: {exc}")
+
+
+def _write_json(path: str, doc) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    print(f"wrote {path}")
+
+
+def _list_scenarios(describe=False, chaos_only=False) -> int:
+    from repro.scenarios import SCENARIOS
+
+    for name in sorted(SCENARIOS):
+        sc = SCENARIOS[name]
+        if chaos_only and sc.horizon_us is None:
+            continue
+        if not describe:
+            print(name)
+            continue
+        space = ""
+        if sc.horizon_us is not None:
+            clean = "clean" if sc.expect_clean else "SEEDED BUG"
+            space = f" horizon={sc.horizon_us:.0f}us [{clean}]"
+        print(f"  {name:14s} n_nodes={sc.n_nodes}{space}")
+        print(f"  {'':14s} {sc.description}")
+    return 0
+
+
+def _print_record(r: dict) -> int:
+    """Print one judged-run (or ``check trace``) record; returns the
+    exit code its verdict maps to."""
+    tags = "".join(f" {k}={r[k]}" for k in ("seed", "index") if k in r)
+    kern = f" [{r['kernel']}]" if "kernel" in r else ""
+    sha = f" sha={r['trace_sha']}" if "trace_sha" in r else ""
+    print(f"[{r.get('scenario', r.get('trace'))}]{kern}{tags} "
+          f"events={r['events']}{sha} verdict={r['verdict']}")
+    for label in r.get("faults", ()):
+        print(f"  fault: {label}")
+    for k in sorted(r["stats"]):
+        print(f"  {k}={r['stats'][k]}")
+    for oname in sorted(r["oracles"]):
+        o = r["oracles"][oname]
+        print(f"  {oname:6s} checked={o['checked']:6d} "
+              f"violations={len(o['violations'])}")
+        for v in o["violations"][:5]:
+            t = "end" if v["t"] is None else f"{v['t']:.1f}"
+            print(f"    t={t} #{v['index']} {v['msg']}")
+    for s in r["sanitizers"][:5]:
+        print(f"  [sanitizer {s['sanitizer']}] t={s['t']:.1f} {s['msg']}")
+    if "repro" in r:
+        rep = r["repro"]
+        print(f"  reproducer: {rep['kept_events']}/"
+              f"{rep['original_events']} events "
+              f"({rep['probes']} probes)")
+    return 0 if r["verdict"] == "ok" else 1
+
+
+def _run_one(args, scenario) -> int:
+    """``repro txn|topo run``: one judged run, printed, optionally
+    written, exit code from its verdict."""
+    from repro.scenarios import judged_run
+
+    record, _obs = judged_run(scenario, args.seed, args.n_nodes,
+                              args.kernel)
+    rc = _print_record(record)
+    if args.json:
+        _write_json(args.json, record)
+    return rc
+
+
+def _write_bench(args, report, prefix: str, guarded, **gate_kw) -> int:
+    """Write a bench report (+ archive copy), then gate it against
+    ``--baseline``: exit 1 when a guarded rate dropped >25 %."""
+    from repro.bench.engine import RESULTS_DIR
+    from repro.bench.harness import check_regression, write_report
+
+    for path in write_report(report, args.out,
+                             None if args.no_archive else RESULTS_DIR,
+                             prefix):
+        print(f"wrote {path}")
+    if args.baseline is None:
+        return 0
+    try:
+        baseline = _load_json(args.baseline)
+    except (OSError, ConfigError):
+        print(f"no usable baseline at {args.baseline}; "
+              f"regression gate skipped")
+        return 0
+    failures = check_regression(report, baseline, guarded, **gate_kw)
+    for line in failures:
+        print(f"REGRESSION: {line}", file=sys.stderr)
+    if not failures:
+        print("regression gate passed (>25% drop would fail)")
+    return 1 if failures else 0
+
+
+# ---------------------------------------------------------------------------
+# figure runners
+# ---------------------------------------------------------------------------
+
+def _list_main(args) -> int:
+    for name in EXPERIMENTS:
+        print(name)
+    return 0
+
+
+def _run_main(args) -> int:
+    ids = list(EXPERIMENTS) if "all" in args.ids else args.ids
+    unknown = [i for i in ids if i not in EXPERIMENTS]
+    if unknown:
+        raise ConfigError(f"unknown experiment(s): {', '.join(unknown)}; "
+                          f"available: {', '.join(EXPERIMENTS)}")
+    for exp_id in ids:
+        t0 = time.time()
+        for table in EXPERIMENTS[exp_id]():
+            table.show()
+        print(f"[{exp_id} took {time.time() - t0:.1f}s]")
+    return 0
+
+
+# ---------------------------------------------------------------------------
 # observability subcommand
 # ---------------------------------------------------------------------------
 
 def _obs_main(args) -> int:
-    from repro.obs.scenarios import SCENARIOS, run_scenario
+    from repro.scenarios import judged_run
 
     if args.action == "list":
-        for name in sorted(SCENARIOS):
-            print(name)
-        return 0
+        return _list_scenarios()
     if not args.scenario:
-        print("obs run requires a scenario name; try: repro obs list",
-              file=sys.stderr)
-        return 2
-    if args.scenario not in SCENARIOS:
-        print(f"unknown scenario: {args.scenario}", file=sys.stderr)
-        print(f"available: {', '.join(sorted(SCENARIOS))}",
-              file=sys.stderr)
-        return 2
-    obs = run_scenario(args.scenario, seed=args.seed,
-                       sanitize=not args.no_sanitize, strict=False)
+        raise ConfigError("obs run requires a scenario name; "
+                          "try: repro obs list")
+    record, obs = judged_run(args.scenario, args.seed)
     if args.json:
         obs.export_json(args.json)
         print(f"wrote {args.json}")
@@ -283,220 +407,132 @@ def _obs_main(args) -> int:
           f"events: {summary['events']['emitted']}")
     for etype, n in sorted(summary["events"]["by_type"].items()):
         print(f"  {etype:24s} {n}")
-    bad = obs.violations()
-    if obs.sanitizers:
-        print(f"sanitizers: {len(obs.sanitizers)} attached, "
-              f"{len(bad)} violation(s)")
-        for v in bad[:10]:
-            print(f"  [{v['sanitizer']}] t={v['t']:.1f} {v['msg']}")
-    return 1 if bad else 0
+    bad = record["sanitizers"]
+    print(f"sanitizers: {len(obs.sanitizers)} attached, "
+          f"{len(bad)} violation(s)")
+    for v in bad[:10]:
+        print(f"  [{v['sanitizer']}] t={v['t']:.1f} {v['msg']}")
+    print(f"verdict={record['verdict']}")
+    return 0 if record["verdict"] == "ok" else 1
 
 
 # ---------------------------------------------------------------------------
 # check subcommand (trace-replay correctness oracles)
 # ---------------------------------------------------------------------------
 
-def _check_print_verdict(r: dict) -> None:
-    where = r.get("check") or r.get("trace")
-    kern = f" [{r['kernel']}]" if "kernel" in r else ""
-    print(f"[{where}]{kern} events={r['events']} "
-          f"verdict={r['verdict']}")
-    for oname in sorted(r["oracles"]):
-        o = r["oracles"][oname]
-        print(f"  {oname:6s} checked={o['checked']:6d} "
-              f"violations={len(o['violations'])}")
-        for v in o["violations"][:5]:
-            t = "end" if v["t"] is None else f"{v['t']:.1f}"
-            print(f"    t={t} #{v['index']} {v['msg']}")
-    for s in r.get("sanitizers", ())[:5]:
-        print(f"  [sanitizer {s['sanitizer']}] t={s['t']:.1f} {s['msg']}")
-    if "repro" in r:
-        rep = r["repro"]
-        print(f"  reproducer: {rep['kept_events']}/"
-              f"{rep['original_events']} events "
-              f"({rep['probes']} probes)")
-
-
 def _check_main(args) -> int:
-    import json as _json
-
-    from repro.verify import (CHECKS, check_trace, metamorphic_sweep,
-                              run_check)
-    from repro.verify.suites import KERNELS
+    from repro.scenarios import run_suite, worst
+    from repro.verify import check_trace, metamorphic_sweep
 
     if args.action == "list":
-        for name in sorted(CHECKS):
-            print(name)
-        return 0
+        return _list_scenarios()
 
-    if args.action == "trace":
-        if not args.names:
-            print("check trace requires a trace file path",
-                  file=sys.stderr)
-            return 2
-        results = [check_trace(p, shrink=not args.no_shrink)
-                   for p in args.names]
-    elif args.action == "meta":
-        rep = metamorphic_sweep(
-            checks=args.names or None,
-            seeds=[int(s) for s in args.seeds.split(",")],
-            node_counts=[int(n) for n in args.nodes.split(",")],
-            workers=args.workers)
+    if args.action == "meta":
+        rep = metamorphic_sweep(checks=args.names or None,
+                                seeds=args.seeds, node_counts=args.nodes,
+                                workers=args.workers)
         print(f"[meta] runs={rep['runs']} pairs={rep['pairs']} "
               f"kernel_mismatches={len(rep['kernel_mismatches'])} "
               f"violations={len(rep['violations'])} "
               f"verdict={rep['verdict']}")
         for m in rep["kernel_mismatches"][:5]:
             shas = " ".join(f"{k}={v}" for k, v in sorted(m["shas"].items()))
-            print(f"  MISMATCH {m['check']} seed={m['seed']}: {shas}")
+            print(f"  MISMATCH {m['scenario']} seed={m['seed']}: {shas}")
         for v in rep["violations"][:5]:
-            print(f"  VIOLATION {v['check']} [{v['kernel']}] "
-                  f"seed={v['seed']}: {v['violations']} finding(s)")
+            print(f"  {v['verdict'].upper()} {v['scenario']} "
+                  f"[{v['kernel']}] seed={v['seed']}: "
+                  f"{v['violations']} finding(s)")
         if args.json:
-            with open(args.json, "w", encoding="utf-8") as fh:
-                _json.dump(rep, fh, indent=2, sort_keys=True)
-            print(f"wrote {args.json}")
+            _write_json(args.json, rep)
         return 0 if rep["verdict"] == "ok" else 1
-    else:  # run
-        names = args.names or ["all"]
-        if "all" in names:
-            names = sorted(CHECKS)
-        unknown = [n for n in names if n not in CHECKS]
-        if unknown:
-            print(f"unknown check(s): {', '.join(unknown)}",
-                  file=sys.stderr)
-            print(f"available: {', '.join(sorted(CHECKS))}",
-                  file=sys.stderr)
-            return 2
-        kernels = KERNELS if args.both_kernels else [args.kernel]
-        results = [run_check(n, seed=args.seed, kernel=k,
-                             shrink=not args.no_shrink)
-                   for n in names for k in kernels]
 
-    for r in results:
-        _check_print_verdict(r)
-    bad = [r for r in results if r["verdict"] != "ok"]
+    if args.action == "trace":
+        if not args.names:
+            raise ConfigError("check trace requires a trace file path")
+        results = [check_trace(p, shrink=not args.no_shrink)
+                   for p in args.names]
+        doc = {"results": results, "verdict": worst(results)}
+    else:  # run
+        names = None if "all" in (args.names or ["all"]) else args.names
+        doc = run_suite(names, seed=args.seed,
+                        kernels=KERNELS if args.both_kernels
+                        else [args.kernel],
+                        shrink=not args.no_shrink)
+        results = doc["results"]
+
+    n_ok = [_print_record(r) for r in results].count(0)
     if args.json:
-        doc = {"results": results,
-               "verdict": "ok" if not bad else "violation"}
-        with open(args.json, "w", encoding="utf-8") as fh:
-            _json.dump(doc, fh, indent=2, sort_keys=True)
-        print(f"wrote {args.json}")
-    print(f"{len(results) - len(bad)}/{len(results)} checks ok")
-    return 1 if bad else 0
+        _write_json(args.json, doc)
+    print(f"{n_ok}/{len(results)} checks ok")
+    return 0 if n_ok == len(results) else 1
 
 
 # ---------------------------------------------------------------------------
 # chaos subcommand (fault-schedule campaigns + shrinking)
 # ---------------------------------------------------------------------------
 
-def _chaos_print_record(rec: dict) -> None:
-    print(f"[{rec['scenario']} seed={rec['seed']}"
-          f"{' index=' + str(rec['index']) if 'index' in rec else ''}"
-          f" {rec['kernel']}] events={rec['events']} "
-          f"sha={rec['trace_sha']} verdict={rec['verdict']}")
-    for label in rec["faults"]:
-        print(f"  fault: {label}")
-    for msg in rec["violation_msgs"]:
-        print(f"  VIOLATION: {msg}")
+def _chaos_print_campaign(v: dict) -> int:
+    print(f"[chaos seed={v['seed']}] runs={v['runs']} "
+          f"errors={v['run_errors']} "
+          f"mismatches={len(v['kernel_mismatches'])} "
+          f"findings={len(v['findings'])} "
+          f"violations={len(v['violations'])} verdict={v['verdict']}")
+    for e in v["violations"][:10]:
+        print(f"  {e['verdict'].upper()} {e['scenario']}#{e['index']} "
+              f"[{e['kernel']}]:")
+        for msg in e["msgs"][:3]:
+            print(f"    {msg}")
+        for label in e["faults"]:
+            print(f"    fault: {label}")
+    for e in v["findings"][:10]:
+        print(f"  finding {e['scenario']}#{e['index']} "
+              f"[{e['kernel']}]: {len(e['msgs'])} msg(s)")
+    for m in v["kernel_mismatches"][:5]:
+        print(f"  KERNEL MISMATCH {m['scenario']}#{m['index']}: "
+              f"{m['shas']}")
+    return 0 if v["verdict"] == "ok" else 1
 
 
 def _chaos_load_schedule(path: str):
-    import json as _json
-
-    with open(path, encoding="utf-8") as fh:
-        doc = _json.load(fh)
+    doc = _load_json(path)
     # accept a bare schedule list, a run record, or a shrink report
     if isinstance(doc, dict):
         doc = doc.get("schedule", doc)
     if not isinstance(doc, list):
-        raise ValueError(f"{path} holds no fault schedule")
+        raise ConfigError(f"{path} holds no fault schedule")
     return doc
 
 
 def _chaos_main(args) -> int:
-    import json as _json
-
-    from repro.chaos import (SCENARIOS, find_failing, get_scenario,
-                             run_campaign, run_schedule, shrink_schedule)
-    from repro.errors import ConfigError
+    from repro.chaos import find_failing, run_campaign, shrink_schedule
+    from repro.scenarios import lookup, run_schedule
 
     if args.action == "list":
-        for name in sorted(SCENARIOS):
-            sc = SCENARIOS[name]
-            clean = "clean" if sc.expect_clean else "SEEDED BUG"
-            print(f"  {name:14s} n_nodes={sc.n_nodes} "
-                  f"horizon={sc.horizon_us:.0f}us [{clean}]")
-            print(f"  {'':14s} {sc.description}")
-        return 0
+        return _list_scenarios(describe=True, chaos_only=True)
 
     if args.action == "report":
         if not args.names:
-            print("chaos report requires a verdict JSON path",
-                  file=sys.stderr)
-            return 2
-        with open(args.names[0], encoding="utf-8") as fh:
-            v = _json.load(fh)
-        print(f"[chaos seed={v['seed']}] runs={v['runs']} "
-              f"errors={v['run_errors']} "
-              f"mismatches={len(v['kernel_mismatches'])} "
-              f"findings={len(v['findings'])} "
-              f"violations={len(v['violations'])} verdict={v['verdict']}")
-        for e in v["violations"][:10]:
-            print(f"  VIOLATION {e['scenario']}#{e['index']} "
-                  f"[{e['kernel']}]: {e['msgs'][:1]}")
-        for e in v["findings"][:10]:
-            print(f"  finding {e['scenario']}#{e['index']} "
-                  f"[{e['kernel']}]: {len(e['msgs'])} msg(s)")
-        return 0 if v["verdict"] == "ok" else 1
+            raise ConfigError("chaos report requires a verdict JSON path")
+        return _chaos_print_campaign(_load_json(args.names[0]))
 
-    kernels = ["fast", "slow"] if args.both_kernels else [args.kernel]
+    kernels = KERNELS if args.both_kernels else [args.kernel]
 
     if args.action == "run":
-        names = args.names or ["locks", "ddss"]
-        try:
-            verdict = run_campaign(
-                scenarios=names, seed=args.seed,
-                n_schedules=args.schedules, kernels=kernels,
-                workers=args.workers, store_path=args.store,
-                progress=False)
-        except ConfigError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        print(f"[chaos seed={args.seed}] runs={verdict['runs']} "
-              f"errors={verdict['run_errors']} "
-              f"mismatches={len(verdict['kernel_mismatches'])} "
-              f"findings={len(verdict['findings'])} "
-              f"violations={len(verdict['violations'])} "
-              f"verdict={verdict['verdict']}")
-        for e in verdict["violations"][:10]:
-            print(f"  VIOLATION {e['scenario']}#{e['index']} "
-                  f"[{e['kernel']}]:")
-            for msg in e["msgs"][:3]:
-                print(f"    {msg}")
-            for label in e["faults"]:
-                print(f"    fault: {label}")
-        for m in verdict["kernel_mismatches"][:5]:
-            print(f"  KERNEL MISMATCH {m['scenario']}#{m['index']}: "
-                  f"{m['shas']}")
+        verdict = run_campaign(
+            scenarios=args.names or ["locks", "ddss-repl"],
+            seed=args.seed, n_schedules=args.schedules, kernels=kernels,
+            workers=args.workers, store_path=args.store, progress=False)
+        rc = _chaos_print_campaign(verdict)
         if args.json:
-            with open(args.json, "w", encoding="utf-8") as fh:
-                _json.dump(verdict, fh, indent=2, sort_keys=True)
-                fh.write("\n")
-            print(f"wrote {args.json}")
-        return 0 if verdict["verdict"] == "ok" else 1
+            _write_json(args.json, verdict)
+        return rc
 
     # replay / shrink operate on one scenario + one schedule
     if not args.names:
-        print(f"chaos {args.action} requires a scenario name; "
-              f"try: repro chaos list", file=sys.stderr)
-        return 2
+        raise ConfigError(f"chaos {args.action} requires a scenario name; "
+                          f"try: repro chaos list")
     name = args.names[0]
-    try:
-        scenario = get_scenario(name)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    space = lookup(name).space()
 
     if args.schedule:
         schedule = _chaos_load_schedule(args.schedule)
@@ -513,19 +549,16 @@ def _chaos_main(args) -> int:
         print(f"shrinking {name}#{index} (seed {args.seed})")
     else:
         index = args.index if args.index is not None else 0
-        schedule = scenario.space().sample(args.seed, index)
+        schedule = space.sample(args.seed, index)
 
     if args.action == "replay":
         rec = run_schedule(name, schedule, args.seed, kernel=kernels[0])
         if index is not None:
             rec["index"] = index
-        _chaos_print_record(rec)
+        rc = _print_record(rec)
         if args.json:
-            with open(args.json, "w", encoding="utf-8") as fh:
-                _json.dump(rec, fh, indent=2, sort_keys=True)
-                fh.write("\n")
-            print(f"wrote {args.json}")
-        return 0 if rec["verdict"] == "ok" else 1
+            _write_json(args.json, rec)
+        return rc
 
     # shrink
     report = shrink_schedule(name, schedule, args.seed,
@@ -540,10 +573,7 @@ def _chaos_main(args) -> int:
     for label in report["labels"]:
         print(f"  {label}")
     if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
-            _json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"wrote {args.json}")
+        _write_json(args.json, report)
     return 0
 
 
@@ -555,7 +585,6 @@ def _lab_store_and_sweep(args):
     """Resolve (sweep, store) from a packaged name or a store directory."""
     import os
 
-    from repro.errors import ConfigError
     from repro.lab import ResultStore, SWEEPS, packaged_sweep, store_for
 
     name = args.sweep
@@ -579,12 +608,13 @@ def _lab_store_and_sweep(args):
 
 
 def _lab_main(args) -> int:
-    import json
     import os
 
-    from repro.errors import ConfigError
-    from repro.lab import (DEFAULT_ROOT, ResultStore, Runner, RetryPolicy,
-                           SWEEPS, merge_tables, store_for)
+    from repro.lab import (DEFAULT_ROOT, Runner, RetryPolicy, SWEEPS,
+                           merge_tables, store_for)
+
+    if args.action == "bench":
+        return _lab_bench_main(args)
 
     if args.action == "ls":
         print("packaged sweeps:")
@@ -607,11 +637,7 @@ def _lab_main(args) -> int:
                 print(f"  {d:18s} (store only: {os.path.join(root, d)})")
         return 0
 
-    try:
-        sweep, store = _lab_store_and_sweep(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    sweep, store = _lab_store_and_sweep(args)
 
     if args.action == "show":
         records = store.records()
@@ -626,9 +652,8 @@ def _lab_main(args) -> int:
 
     # run / resume
     if args.action == "resume" and not store.has_sweep():
-        print(f"nothing to resume: no store at {store.path} "
-              f"(use: repro lab run {args.sweep})", file=sys.stderr)
-        return 2
+        raise ConfigError(f"nothing to resume: no store at {store.path} "
+                          f"(use: repro lab run {args.sweep})")
     runner = Runner(
         sweep, store, workers=args.workers, timeout_s=args.timeout,
         retry=RetryPolicy(retries=args.retries),
@@ -643,10 +668,7 @@ def _lab_main(args) -> int:
               f"{failure['attempts']} attempt(s): {failure['error']}",
               file=sys.stderr)
     if args.report:
-        with open(args.report, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"wrote {args.report}")
+        _write_json(args.report, report)
     if report["interrupted"]:
         print(f"interrupted — continue with: "
               f"repro lab resume {args.sweep}", file=sys.stderr)
@@ -658,8 +680,6 @@ def _lab_main(args) -> int:
 
 
 def _lab_bench_main(args) -> int:
-    import json
-
     from repro.lab.labbench import run_lab_bench
 
     report = run_lab_bench(workers=args.workers, sweep_name=args.sweep)
@@ -676,10 +696,7 @@ def _lab_bench_main(args) -> int:
         print(f"  speedup skipped: {res['speedup_skipped_reason']}")
     print(f"  records identical: {res['records_identical']}   "
           f"tables identical: {res['tables_identical']}")
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    print(f"wrote {args.out}")
+    _write_json(args.out, report)
     if not res["records_identical"] or not res["tables_identical"]:
         print("FATAL: serial and parallel runs disagree",
               file=sys.stderr)
@@ -695,47 +712,15 @@ def _lab_bench_main(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _txn_main(args) -> int:
-    import json as _json
-
-    from repro.txn.scenarios import build_txn_scenario
-    from repro.verify import ALL_ORACLES, TraceView, replay
-    from repro.verify.suites import _kernel
-
     if args.action == "run":
-        with _kernel(args.kernel):
-            obs, stats = build_txn_scenario(
-                args.variant, args.seed, args.n_nodes,
-                n_keys=args.n_keys)
-        view = TraceView.from_obs(obs).require_complete()
-        oracles = [f() for f in ALL_ORACLES]
-        violations = replay(view, oracles)
-        sanitizers = obs.violations()
-        ok = (not violations and not sanitizers
-              and stats["conserved"])
-        print(f"[txn {args.variant}] seed={args.seed} "
-              f"n_keys={args.n_keys} [{args.kernel}]")
-        print(f"  commits={stats['commits']} aborts={stats['aborts']} "
-              f"attempt_aborts={stats['attempt_aborts']} "
-              f"wedges={stats['wedges']}")
-        print(f"  abort_rate={stats['abort_rate']:.3f} "
-              f"commit_per_s={stats['commit_per_s']:.1f} "
-              f"conserved={stats['conserved']}")
-        for o in oracles:
-            print(f"  {o.NAME:6s} checked={o.checked:6d} "
-                  f"violations={len(o.violations)}")
-        for v in violations[:5]:
-            print(f"    VIOLATION: {v['msg']}")
-        print(f"verdict={'ok' if ok else 'violation'}")
-        if args.json:
-            doc = {"stats": stats,
-                   "oracles": {o.NAME: o.to_dict() for o in oracles},
-                   "sanitizers": list(sanitizers),
-                   "verdict": "ok" if ok else "violation"}
-            with open(args.json, "w", encoding="utf-8") as fh:
-                _json.dump(doc, fh, indent=2, sort_keys=True)
-                fh.write("\n")
-            print(f"wrote {args.json}")
-        return 0 if ok else 1
+        from dataclasses import replace
+        from functools import partial
+
+        from repro.scenarios import lookup
+
+        sc = lookup(f"txn-{args.variant}")
+        return _run_one(args, replace(
+            sc, build=partial(sc.build, n_keys=args.n_keys)))
 
     # bench: the packaged contention sweep, deterministic output
     from repro.lab import ResultStore, Runner, merge_tables
@@ -764,10 +749,7 @@ def _txn_main(args) -> int:
     }
     bad = [r for r in records if not r["result"]["conserved"]]
     doc["verdict"] = "ok" if not bad else "violation"
-    with open(args.out, "w", encoding="utf-8") as fh:
-        _json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    print(f"wrote {args.out}")
+    _write_json(args.out, doc)
     if bad:
         print("FATAL: conservation failed in a sweep cell",
               file=sys.stderr)
@@ -779,74 +761,15 @@ def _txn_main(args) -> int:
 # topo subcommand (rack/spine fabric + sharded namespaces)
 # ---------------------------------------------------------------------------
 
-#: packaged topo scenarios for ``repro topo ls`` / ``run``
-_TOPO_SCENARIOS = {
-    "lab": ("repro.topo.scenarios:build_topo_scenario",
-            "100+ nodes / 4 racks / 1M+ RUBiS sessions with a "
-            "rebalance-during-load crash fault"),
-    "shard-check": ("repro.topo.scenarios:shard_check",
-                    "2-rack sharded DDSS + locks with a live ring "
-                    "rebalance (also packaged as `repro check shard`)"),
-}
-
-
 def _topo_main(args) -> int:
-    import json as _json
-
-    from repro.verify import ALL_ORACLES, TraceView, replay
-    from repro.verify.suites import _kernel
-
     if args.action == "ls":
-        for name in sorted(_TOPO_SCENARIOS):
-            dotted, desc = _TOPO_SCENARIOS[name]
-            print(f"{name:12s} {dotted}")
-            print(f"{'':12s}   {desc}")
-        return 0
+        return _list_scenarios(describe=True)
 
     if args.action == "run":
-        from repro.topo.scenarios import build_topo_scenario, shard_check
-
-        with _kernel(args.kernel):
-            if args.scenario == "shard-check":
-                obs = shard_check(args.seed, args.n_nodes)
-                stats = {}
-            else:
-                obs, stats = build_topo_scenario(seed=args.seed)
-        view = TraceView.from_obs(obs).require_complete()
-        oracles = [f() for f in ALL_ORACLES]
-        violations = replay(view, oracles)
-        sanitizers = obs.violations()
-        ok = not violations and not sanitizers
-        print(f"[topo {args.scenario}] seed={args.seed} "
-              f"[{args.kernel}] events={len(view)} "
-              f"sim_now_us={view.meta.get('sim_now_us')}")
-        for k in sorted(stats):
-            print(f"  {k}={stats[k]}")
-        for o in oracles:
-            print(f"  {o.NAME:6s} checked={o.checked:6d} "
-                  f"violations={len(o.violations)}")
-        for v in violations[:5]:
-            print(f"    VIOLATION: {v['msg']}")
-        for s in list(sanitizers)[:5]:
-            print(f"    SANITIZER: {s}")
-        print(f"verdict={'ok' if ok else 'violation'}")
-        if args.json:
-            doc = {"scenario": args.scenario, "seed": args.seed,
-                   "kernel": args.kernel, "stats": stats,
-                   "oracles": {o.NAME: o.to_dict() for o in oracles},
-                   "sanitizers": list(sanitizers),
-                   "verdict": "ok" if ok else "violation"}
-            with open(args.json, "w", encoding="utf-8") as fh:
-                _json.dump(doc, fh, indent=2, sort_keys=True)
-                fh.write("\n")
-            print(f"wrote {args.json}")
-        return 0 if ok else 1
+        return _run_one(args, args.scenario)
 
     # bench: deterministic simulated figures of merit + regression gate
-    from repro.bench.engine import RESULTS_DIR
-    from repro.bench.harness import check_regression
-    from repro.bench.topo import (GUARDED_TOPO_RATES, run_topo_suite,
-                                  write_topo_report)
+    from repro.bench.topo import GUARDED_TOPO_RATES, run_topo_suite
 
     report = run_topo_suite(seed=args.seed)
     res = report["results"]
@@ -858,25 +781,7 @@ def _topo_main(args) -> int:
     print(f"  single-home locks {lt['single_home_ops_per_s']:>10,.1f} /s")
     print(f"  sharded locks     {lt['sharded_ops_per_s']:>10,.1f} /s "
           f"({lt['speedup']:.2f}x single-home)")
-    for path in write_topo_report(report, args.out,
-                                  None if args.no_archive
-                                  else RESULTS_DIR):
-        print(f"wrote {path}")
-    if args.baseline is not None:
-        try:
-            with open(args.baseline, encoding="utf-8") as fh:
-                baseline = _json.load(fh)
-        except (OSError, ValueError):
-            print(f"no usable baseline at {args.baseline}; "
-                  f"regression gate skipped")
-            return 0
-        failures = check_regression(report, baseline, GUARDED_TOPO_RATES)
-        if failures:
-            for line in failures:
-                print(f"REGRESSION: {line}", file=sys.stderr)
-            return 1
-        print("regression gate passed (>25% drop would fail)")
-    return 0
+    return _write_bench(args, report, "topo", GUARDED_TOPO_RATES)
 
 
 # ---------------------------------------------------------------------------
@@ -894,8 +799,6 @@ _LOCK_SCHEMES = {
 
 
 def _locks_main(args) -> int:
-    import json as _json
-
     if args.action == "ls":
         for name, desc in _LOCK_SCHEMES.items():
             print(f"{name:8s} {desc}")
@@ -905,11 +808,10 @@ def _locks_main(args) -> int:
 
     if args.action == "run":
         from repro.dlm.tournament import lock_tournament
-        from repro.errors import LockError
-        from repro.verify.suites import _kernel
+        from repro.sim import pin_kernel
 
         try:
-            with _kernel(args.kernel):
+            with pin_kernel(args.kernel):
                 stats = lock_tournament(args.scheme,
                                         n_clients=args.clients,
                                         alpha=args.alpha,
@@ -928,22 +830,16 @@ def _locks_main(args) -> int:
             v = stats[k]
             print(f"  {k}={v:.1f}" if isinstance(v, float)
                   else f"  {k}={v}")
-        print("verdict=ok (oracle-replayed, 0 violations)")
+        print(f"verdict={stats['verdict']} (oracle-replayed, "
+              f"0 violations, {stats['grants']} grants)")
         if args.json:
-            with open(args.json, "w", encoding="utf-8") as fh:
-                _json.dump(stats, fh, indent=2, sort_keys=True)
-                fh.write("\n")
-            print(f"wrote {args.json}")
-        return 0
+            _write_json(args.json, stats)
+        return 0 if stats["verdict"] == "ok" else 1
 
     # bench: the full tournament + crossover table + regression gate
-    from repro.bench.engine import RESULTS_DIR
-    from repro.bench.harness import check_regression
-    from repro.bench.locks import (GUARDED_LOCKS_RATES, run_locks_suite,
-                                   write_locks_report)
+    from repro.bench.locks import GUARDED_LOCKS_RATES, run_locks_suite
 
-    levels = args.levels or None
-    kw = {"levels": levels} if levels else {}
+    kw = {"levels": args.levels} if args.levels else {}
     report = run_locks_suite(seed=args.seed, alpha=args.alpha, **kw)
     res = report["results"]
     cross = res["crossover"]
@@ -958,25 +854,7 @@ def _locks_main(args) -> int:
         f"{s}={res['chaos'][s]['ops_per_s_t95']:>10,.1f}/s"
         for s in _LOCK_SCHEMES)
     print(f"  chaos column (rate to the 95th-percentile grant): {chaos_row}")
-    for path in write_locks_report(report, args.out,
-                                   None if args.no_archive
-                                   else RESULTS_DIR):
-        print(f"wrote {path}")
-    if args.baseline is not None:
-        try:
-            with open(args.baseline, encoding="utf-8") as fh:
-                baseline = _json.load(fh)
-        except (OSError, ValueError):
-            print(f"no usable baseline at {args.baseline}; "
-                  f"regression gate skipped")
-            return 0
-        failures = check_regression(report, baseline, GUARDED_LOCKS_RATES)
-        if failures:
-            for line in failures:
-                print(f"REGRESSION: {line}", file=sys.stderr)
-            return 1
-        print("regression gate passed (>25% drop would fail)")
-    return 0
+    return _write_bench(args, report, "locks", GUARDED_LOCKS_RATES)
 
 
 # ---------------------------------------------------------------------------
@@ -984,11 +862,7 @@ def _locks_main(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _bench_main(args) -> int:
-    import json
-
-    from repro.bench.engine import (GUARDED_RATES, RESULTS_DIR, run_suite,
-                                    write_report)
-    from repro.bench.harness import check_regression
+    from repro.bench.engine import GUARDED_RATES, run_suite
 
     report = run_suite(quick=args.quick, workers=args.workers)
     res = report["results"]
@@ -1005,45 +879,75 @@ def _bench_main(args) -> int:
     print(f"  ddss scenario {res['scenario_ddss']['wall_s']:>10.3f} s wall")
     try:
         from repro.bench.topo import DEFAULT_TOPO_RESULT, GUARDED_TOPO_RATES
-        with open(DEFAULT_TOPO_RESULT, encoding="utf-8") as fh:
-            topo_res = json.load(fh).get("results", {})
+        topo_res = _load_json(DEFAULT_TOPO_RESULT).get("results", {})
         print(f"topo (from {DEFAULT_TOPO_RESULT}, simulated):")
         for bench, key in GUARDED_TOPO_RATES:
             val = topo_res.get(bench, {}).get(key)
             if isinstance(val, (int, float)):
                 print(f"  {bench}.{key:<24s} {val:>12,.1f} /s")
-    except (OSError, ValueError):
+    except (OSError, ConfigError):
         pass  # no committed topo baseline: engine keys only
     if not sv["sim_now_match"]:
         print("FATAL: fast and slow kernels disagree on simulated time",
               file=sys.stderr)
         return 1
-    for path in write_report(report, args.out,
-                             None if args.no_archive else RESULTS_DIR):
-        print(f"wrote {path}")
-    if args.baseline is not None:
-        try:
-            with open(args.baseline, encoding="utf-8") as fh:
-                baseline = json.load(fh)
-        except (OSError, ValueError):
-            print(f"no usable baseline at {args.baseline}; "
-                  f"regression gate skipped")
-            return 0
-        failures = check_regression(report, baseline, GUARDED_RATES,
-                                    decimals=0)
-        if failures:
-            for line in failures:
-                print(f"REGRESSION: {line}", file=sys.stderr)
-            return 1
-        print("regression gate passed (>25% drop would fail)")
-    return 0
+    return _write_bench(args, report, "engine", GUARDED_RATES, decimals=0)
 
 
 # ---------------------------------------------------------------------------
 # entry point
 # ---------------------------------------------------------------------------
 
-def main(argv=None) -> int:
+def _nonneg_int(text: str) -> int:
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(
+            f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
+def _int_list(text: str) -> List[int]:
+    return [_nonneg_int(part) for part in text.split(",")]
+
+
+def build_parser() -> argparse.ArgumentParser:
+    def flag(*names, **kw):
+        """A parent parser carrying one flag several commands repeat.
+        Children share its Action, so a per-command default needs its
+        own parent (``workers``/``gate`` below), never set_defaults."""
+        parent = argparse.ArgumentParser(add_help=False)
+        parent.add_argument(*names, **kw)
+        return parent
+
+    seed = flag("--seed", type=_nonneg_int, default=0,
+                help="root seed (schedules are a pure function of "
+                     "seed+index)")
+    kernel = flag("--kernel", choices=KERNELS, default="fast")
+    both = flag("--both-kernels", action="store_true",
+                help="run under both event kernels (fast / slow), "
+                     "diffing canonical trace digests where the action "
+                     "folds them")
+    json_out = flag("--json", metavar="PATH", default=None,
+                    help="write the machine-readable record / verdict "
+                         "here")
+    baseline = flag("--baseline", metavar="PATH", default=None,
+                    help="bench: compare against this report; exit 1 "
+                         "when a guarded rate regresses >25%% (missing "
+                         "file skips the gate)")
+    no_archive = flag("--no-archive", action="store_true",
+                      help="bench: skip the benchmarks/results/ archive "
+                           "copy")
+
+    def workers(default=0):
+        return flag("--workers", type=int, default=default,
+                    help=f"lab pool workers (default {default}; 0 = "
+                         f"serial in-process, the byte-identical "
+                         f"reference mode)")
+
+    def gate(out):
+        return [flag("--out", metavar="PATH", default=out,
+                     help=f"bench: result file (default: {out})"),
+                baseline, no_archive]
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Quick paper-figure regeneration "
@@ -1054,76 +958,51 @@ def main(argv=None) -> int:
     runp.add_argument("ids", nargs="+",
                       help="experiment ids (or 'all')")
     obsp = sub.add_parser(
-        "obs", help="run an instrumented demo workload "
-                    "(tracing + metrics + sanitizers)")
+        "obs", parents=[seed],
+        help="run a packaged scenario and export its tracing + metrics "
+             "+ sanitizer state")
     obsp.add_argument("action", choices=["list", "run"])
     obsp.add_argument("scenario", nargs="?",
                       help="scenario name (for 'run')")
-    obsp.add_argument("--seed", type=int, default=0)
     obsp.add_argument("--json", metavar="PATH", default=None,
                       help="write the deterministic JSON export here")
     obsp.add_argument("--trace", metavar="PATH", default=None,
                       help="write the full-event trace export here "
                            "(replayable with 'repro check trace')")
-    obsp.add_argument("--no-sanitize", action="store_true",
-                      help="trace + metrics only, no invariant checks")
     benchp = sub.add_parser(
-        "bench", help="wall-clock engine benchmarks "
-                      "(events/s, verbs/s, lock ops/s) + perf gate")
+        "bench", parents=[*gate("BENCH_engine.json"), workers()],
+        help="wall-clock engine benchmarks (events/s, verbs/s, lock "
+             "ops/s) + perf gate; rates are only comparable across "
+             "runs at the same --workers setting")
     benchp.add_argument("--quick", action="store_true",
                         help="reduced iteration counts (CI-sized)")
-    benchp.add_argument("--out", metavar="PATH",
-                        default="BENCH_engine.json",
-                        help="result file (default: BENCH_engine.json)")
-    benchp.add_argument("--baseline", metavar="PATH", default=None,
-                        help="compare against this report; exit 1 when a "
-                             "guarded rate regresses >25%% (missing file "
-                             "skips the gate)")
-    benchp.add_argument("--no-archive", action="store_true",
-                        help="skip the benchmarks/results/ archive copy")
-    benchp.add_argument("--workers", type=int, default=0,
-                        help="dispatch the suite through the lab runner "
-                             "with this many pool workers (0 = in-process;"
-                             " wall-clock rates are only comparable "
-                             "across runs at the same setting)")
     checkp = sub.add_parser(
-        "check", help="replay traces against correctness oracles "
-                      "(locks / DDSS coherence / caching)")
+        "check", parents=[seed, kernel, both, json_out, workers()],
+        help="replay scenarios or trace files against the correctness "
+             "oracles (locks / DDSS coherence / caching / txn / HA)")
     checkp.add_argument("action",
                         choices=["list", "run", "trace", "meta"])
     checkp.add_argument("names", nargs="*",
-                        help="check names (or 'all') for run/meta; "
+                        help="scenario names (or 'all') for run/meta; "
                              "trace file path(s) for trace")
-    checkp.add_argument("--seed", type=int, default=0)
-    checkp.add_argument("--kernel", choices=["fast", "slow"],
-                        default="fast")
-    checkp.add_argument("--both-kernels", action="store_true",
-                        help="run every check under both event "
-                             "kernels (fast / slow)")
     checkp.add_argument("--no-shrink", action="store_true",
                         help="skip reproducer shrinking on violation")
-    checkp.add_argument("--json", metavar="PATH", default=None,
-                        help="write the machine-readable verdict here")
-    checkp.add_argument("--seeds", default="0,1",
+    checkp.add_argument("--seeds", type=_int_list, default=[0, 1],
                         help="meta: comma-separated seed list")
-    checkp.add_argument("--nodes", default="0",
+    checkp.add_argument("--nodes", type=_int_list, default=[0],
                         help="meta: comma-separated node counts "
-                             "(0 = per-check default)")
-    checkp.add_argument("--workers", type=int, default=0,
-                        help="meta: lab pool workers (0 = in-process)")
+                             "(0 = per-scenario default)")
     chaosp = sub.add_parser(
-        "chaos", help="randomized fault-schedule campaigns judged by "
-                      "oracles, with reproducer shrinking")
+        "chaos", parents=[seed, kernel, both, json_out, workers()],
+        help="randomized fault-schedule campaigns judged by oracles, "
+             "with reproducer shrinking")
     chaosp.add_argument("action",
                         choices=["list", "run", "replay", "shrink",
                                  "report"])
     chaosp.add_argument("names", nargs="*",
                         help="scenario names for run/replay/shrink "
-                             "(run default: locks ddss); verdict JSON "
-                             "path for report")
-    chaosp.add_argument("--seed", type=int, default=0,
-                        help="campaign seed (schedules are a pure "
-                             "function of seed+index)")
+                             "(run default: locks ddss-repl); verdict "
+                             "JSON path for report")
     chaosp.add_argument("--schedules", type=int, default=10,
                         help="schedules per scenario per kernel "
                              "(run), or samples scanned for a failure "
@@ -1134,68 +1013,42 @@ def main(argv=None) -> int:
                         help="replay/shrink a schedule from this JSON "
                              "file (bare list, run record, or shrink "
                              "report)")
-    chaosp.add_argument("--kernel", choices=["fast", "slow"],
-                        default="fast")
-    chaosp.add_argument("--both-kernels", action="store_true",
-                        help="run: every schedule under both event "
-                             "kernels, diffing canonical trace digests")
-    chaosp.add_argument("--workers", type=int, default=0,
-                        help="lab pool workers (0 = in-process)")
     chaosp.add_argument("--store", metavar="DIR", default=None,
                         help="run: resumable lab result store directory")
     chaosp.add_argument("--max-probes", type=int, default=64,
                         help="shrink: probe budget (default 64)")
-    chaosp.add_argument("--json", metavar="PATH", default=None,
-                        help="write the verdict/record/reproducer here")
     txnp = sub.add_parser(
-        "txn", help="multi-key transactions over DDSS: run a workload "
-                    "under the oracle, or sweep OCC vs 2PL")
+        "txn", parents=[seed, kernel, json_out, workers()],
+        help="multi-key transactions over DDSS: run a workload under "
+             "the oracle, or sweep OCC vs 2PL")
     txnp.add_argument("action", choices=["run", "bench"])
     txnp.add_argument("--variant", choices=["occ", "2pl", "mixed"],
                       default="occ",
                       help="concurrency control for 'run' "
                            "(default: occ)")
-    txnp.add_argument("--seed", type=int, default=0)
     txnp.add_argument("--n-nodes", type=int, default=4)
     txnp.add_argument("--n-keys", type=int, default=4,
                       help="account/stock pool size (fewer = hotter)")
-    txnp.add_argument("--kernel", choices=["fast", "slow"],
-                      default="fast")
-    txnp.add_argument("--workers", type=int, default=0,
-                      help="bench: lab pool workers (0 = in-process)")
-    txnp.add_argument("--json", metavar="PATH", default=None,
-                      help="run: write the verdict JSON here")
     txnp.add_argument("--out", metavar="PATH", default="BENCH_txn.json",
                       help="bench: result file (default: "
                            "BENCH_txn.json)")
     topop = sub.add_parser(
-        "topo", help="rack/spine topology + sharded namespaces: run "
-                     "the packaged scale-out scenario under the "
-                     "oracles, or bench the fabric")
+        "topo", parents=[seed, kernel, json_out,
+                         *gate("BENCH_topo.json")],
+        help="rack/spine topology + sharded namespaces: run the "
+             "packaged scale-out scenario under the oracles, or bench "
+             "the fabric")
     topop.add_argument("action", choices=["ls", "run", "bench"])
     topop.add_argument("scenario", nargs="?", default="lab",
-                       choices=sorted(_TOPO_SCENARIOS),
                        help="scenario for 'run' (default: lab)")
-    topop.add_argument("--seed", type=int, default=0)
-    topop.add_argument("--n-nodes", type=int, default=8,
-                       help="shard-check: cluster size (default 8)")
-    topop.add_argument("--kernel", choices=["fast", "slow"],
-                       default="fast")
-    topop.add_argument("--json", metavar="PATH", default=None,
-                       help="run: write the verdict JSON here")
-    topop.add_argument("--out", metavar="PATH", default="BENCH_topo.json",
-                       help="bench: result file (default: "
-                            "BENCH_topo.json)")
-    topop.add_argument("--baseline", metavar="PATH", default=None,
-                       help="bench: compare against this baseline and "
-                            "fail on a >25%% rate drop")
-    topop.add_argument("--no-archive", action="store_true",
-                       help="bench: skip the benchmarks/results/ "
-                            "archive copy")
+    topop.add_argument("--n-nodes", type=int, default=None,
+                       help="run: cluster size (default: the "
+                            "scenario's own)")
     locksp = sub.add_parser(
-        "locks", help="lock-design arena: run one oracle-checked "
-                      "tournament cell, or bench the five-design "
-                      "crossover table")
+        "locks", parents=[seed, kernel, json_out,
+                          *gate("BENCH_locks.json")],
+        help="lock-design arena: run one oracle-checked tournament "
+             "cell, or bench the five-design crossover table")
     locksp.add_argument("action", choices=["ls", "run", "bench"])
     locksp.add_argument("scheme", nargs="?", default="ncosed",
                         choices=sorted(_LOCK_SCHEMES),
@@ -1208,57 +1061,38 @@ def main(argv=None) -> int:
     locksp.add_argument("--chaos", choices=["none", "crash"],
                         default="none",
                         help="run: fault plan (default none)")
-    locksp.add_argument("--seed", type=int, default=0)
-    locksp.add_argument("--kernel", choices=["fast", "slow"],
-                        default="fast")
-    locksp.add_argument("--json", metavar="PATH", default=None,
-                        help="run: write the stats JSON here")
     locksp.add_argument("--levels", type=int, nargs="+", default=None,
                         help="bench: contention levels (default "
                              "64 256 1024)")
-    locksp.add_argument("--out", metavar="PATH",
-                        default="BENCH_locks.json",
-                        help="bench: result file (default: "
-                             "BENCH_locks.json)")
-    locksp.add_argument("--baseline", metavar="PATH", default=None,
-                        help="bench: compare against this baseline and "
-                             "fail on a >25%% rate drop")
-    locksp.add_argument("--no-archive", action="store_true",
-                        help="bench: skip the benchmarks/results/ "
-                             "archive copy")
     labp = sub.add_parser(
         "lab", help="parallel experiment sweeps with a resumable "
                     "result store")
     labsub = labp.add_subparsers(dest="action", required=True)
-    lab_ls = labsub.add_parser("ls", help="list packaged sweeps + "
-                                          "on-disk stores")
+    store_root = flag("--store-root", default=None,
+                      help="override benchmarks/results/lab/ as the "
+                           "store root")
+    labsub.add_parser("ls", parents=[store_root],
+                      help="list packaged sweeps + on-disk stores")
     lab_bench = labsub.add_parser(
-        "bench", help="serial-vs-parallel speedup + byte-identity check "
-                      "(writes BENCH_lab.json)")
-    lab_bench.add_argument("--workers", type=int, default=4)
+        "bench", parents=[workers(4)],
+        help="serial-vs-parallel speedup + byte-identity check "
+             "(writes BENCH_lab.json)")
     lab_bench.add_argument("--sweep", default="bench8",
                            help="packaged sweep to compare on "
                                 "(default: bench8)")
     lab_bench.add_argument("--out", metavar="PATH",
                            default="BENCH_lab.json")
-    store_root_help = ("override benchmarks/results/lab/ as the "
-                       "store root")
-    lab_ls.add_argument("--store-root", default=None,
-                        help=store_root_help)
     for act, hlp in (("run", "run a sweep (skips completed runs)"),
                      ("resume", "re-invoke a killed sweep: only missing "
                                 "runs execute"),
                      ("show", "merged tables + completion state of a "
                               "store")):
-        p = labsub.add_parser(act, help=hlp)
+        p = labsub.add_parser(
+            act, help=hlp,
+            parents=[store_root] + ([] if act == "show" else [workers()]))
         p.add_argument("sweep", help="packaged sweep name or store "
                                      "directory")
-        p.add_argument("--store-root", default=None,
-                       help=store_root_help)
         if act != "show":
-            p.add_argument("--workers", type=int, default=0,
-                           help="pool workers (0 = serial in-process, "
-                                "the byte-identical reference mode)")
             p.add_argument("--timeout", type=float, default=None,
                            help="per-run timeout in seconds")
             p.add_argument("--retries", type=int, default=2,
@@ -1269,52 +1103,24 @@ def main(argv=None) -> int:
             p.add_argument("--no-progress", action="store_true")
             p.add_argument("--no-tables", action="store_true",
                            help="skip the merged-table rendering")
-    args = parser.parse_args(argv)
+    return parser
 
-    if args.command == "lab":
-        if args.action == "bench":
-            return _lab_bench_main(args)
-        return _lab_main(args)
 
-    if args.command == "bench":
-        return _bench_main(args)
+_COMMANDS = {
+    "list": _list_main, "run": _run_main, "obs": _obs_main,
+    "bench": _bench_main, "check": _check_main, "chaos": _chaos_main,
+    "txn": _txn_main, "topo": _topo_main, "locks": _locks_main,
+    "lab": _lab_main,
+}
 
-    if args.command == "obs":
-        return _obs_main(args)
 
-    if args.command == "check":
-        return _check_main(args)
-
-    if args.command == "chaos":
-        return _chaos_main(args)
-
-    if args.command == "txn":
-        return _txn_main(args)
-
-    if args.command == "topo":
-        return _topo_main(args)
-
-    if args.command == "locks":
-        return _locks_main(args)
-
-    if args.command == "list":
-        for name in EXPERIMENTS:
-            print(name)
-        return 0
-
-    ids = list(EXPERIMENTS) if "all" in args.ids else args.ids
-    unknown = [i for i in ids if i not in EXPERIMENTS]
-    if unknown:
-        print(f"unknown experiment(s): {', '.join(unknown)}",
-              file=sys.stderr)
-        print(f"available: {', '.join(EXPERIMENTS)}", file=sys.stderr)
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
+    try:
+        return _COMMANDS[args.command](args)
+    except (ReproError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
-    for exp_id in ids:
-        t0 = time.time()
-        for table in EXPERIMENTS[exp_id]():
-            table.show()
-        print(f"[{exp_id} took {time.time() - t0:.1f}s]")
-    return 0
 
 
 if __name__ == "__main__":  # pragma: no cover

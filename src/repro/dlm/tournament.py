@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from typing import Dict, Optional, Sequence, Tuple
 
-from repro.errors import FaultError, LockError, RdmaError
+from repro.errors import ConfigError, FaultError, LockError, RdmaError
 from repro.net.cluster import Cluster
 from repro.net.params import NetworkParams
 from repro.obs import FairnessTracker
@@ -93,8 +93,11 @@ def lock_tournament(scheme: str, n_clients: int = 256,
 
     Raises :class:`LockError` if the replayed trace has any oracle or
     sanitizer violation — a tournament number from an unsafe run is
-    worse than no number.
+    worse than no number.  ``verdict`` is ``vacuous`` for a cell that
+    granted nothing: the oracle then judged an empty history.
     """
+    if n_clients < 1:
+        raise ConfigError(f"n_clients must be >= 1, got {n_clients}")
     if chaos not in ("none", "crash"):
         raise LockError(f"unknown chaos mode {chaos!r} (none|crash)")
     cluster = Cluster(n_nodes=n_nodes,
@@ -190,4 +193,5 @@ def lock_tournament(scheme: str, n_clients: int = 256,
         "violations": n_viol,
         "events": len(view),
         "sim_now_us": env.now,
+        "verdict": "ok" if grant_times else "vacuous",
     }

@@ -5,7 +5,7 @@ returning a JSON-serializable dict; the runner invokes it by dotted name
 inside worker processes, so everything here is module-level.  The
 single-point scenarios below are the per-grid-point bodies of the
 ablation sweeps that ``benchmarks/test_ablations.py`` used to run as
-monolithic loops, plus wrappers around the ``repro.obs`` demo scenarios
+monolithic loops, plus wrappers around rows of the scenario table
 (chunky, fully deterministic — the parallel-speedup benchmark material)
 and the wall-clock engine benchmarks.
 
@@ -128,12 +128,12 @@ def lock_cascade(manager: str, waiters: int, mode: str = "exclusive",
 
 def obs_export(scenario: str = "ddss", seed: int = 0,
                sim_us: float = 0.0) -> Dict[str, Any]:
-    """Run a packaged ``repro.obs`` scenario, return its deterministic
-    summary (the whole export is seed-determined, so serial and pool
-    execution must agree byte for byte)."""
-    from ..obs.scenarios import run_scenario
+    """Run a packaged scenario, return its deterministic obs summary
+    (the whole export is seed-determined, so serial and pool execution
+    must agree byte for byte)."""
+    from ..scenarios import judged_run
 
-    obs = run_scenario(scenario, seed=seed, sanitize=True, strict=False)
+    obs = judged_run(scenario, seed)[1]
     summary = obs.to_dict()
     return {
         "scenario": scenario,
@@ -409,9 +409,10 @@ def _bench8() -> Sweep:
 
 
 def _obs4() -> Sweep:
-    """Every packaged obs scenario at one seed (sanitizers on)."""
+    """Four packaged scenarios' obs exports at one seed."""
     return Sweep(name="obs4", scenario=f"{_HERE}:obs_export",
-                 grid={"scenario": ["chaos", "ddss", "flow", "locks"]},
+                 grid={"scenario": ["ncosed-chaos", "ddss", "flow",
+                                    "ncosed"]},
                  seeds=(0,), fold=f"{_HERE}:fold_obs")
 
 

@@ -28,11 +28,13 @@ from repro.sim.core import (
     AllOf,
     AnyOf,
     Environment,
+    KERNELS,
     Event,
     Interrupt,
     Process,
     SimulationError,
     Timeout,
+    pin_kernel,
     slow_kernel_requested,
 )
 from repro.sim.cpu import CPU, CPUJob
@@ -48,12 +50,14 @@ __all__ = [
     "Event",
     "Gate",
     "Interrupt",
+    "KERNELS",
     "Process",
     "Resource",
     "RngStreams",
     "SimulationError",
     "Store",
     "Timeout",
+    "pin_kernel",
     "slow_kernel_requested",
     "spawn_child",
 ]

@@ -37,8 +37,11 @@ from __future__ import annotations
 
 import os
 from collections import deque
+from contextlib import contextmanager
 from heapq import heappop, heappush
 from typing import Any, Callable, Generator, Iterable, Optional
+
+from repro.errors import ConfigError
 
 __all__ = [
     "SimulationError",
@@ -49,6 +52,8 @@ __all__ = [
     "AnyOf",
     "AllOf",
     "Environment",
+    "KERNELS",
+    "pin_kernel",
     "slow_kernel_requested",
 ]
 
@@ -93,6 +98,32 @@ def slow_kernel_requested() -> bool:
     toggle the variable between simulations within one process.
     """
     return os.environ.get("REPRO_SLOW_KERNEL", "") not in ("", "0")
+
+
+#: the event kernels every cross-kernel check diffs: the product and
+#: the naive reference (``REPRO_SLOW_KERNEL=1``).
+KERNELS = ("fast", "slow")
+
+
+@contextmanager
+def pin_kernel(mode: str):
+    """Pin the event kernel for Environments built inside the block.
+
+    ``fast`` is the product kernel (heap + same-instant deque, net-layer
+    shortcuts on); ``slow`` is the naive reference.  The previous
+    ``REPRO_SLOW_KERNEL`` setting is restored on exit.
+    """
+    if mode not in KERNELS:
+        raise ConfigError(f"unknown kernel {mode!r} ({'|'.join(KERNELS)})")
+    prev = os.environ.get("REPRO_SLOW_KERNEL")
+    os.environ["REPRO_SLOW_KERNEL"] = "1" if mode == "slow" else "0"
+    try:
+        yield
+    finally:
+        if prev is None:
+            os.environ.pop("REPRO_SLOW_KERNEL", None)
+        else:
+            os.environ["REPRO_SLOW_KERNEL"] = prev
 
 
 class Event:

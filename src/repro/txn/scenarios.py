@@ -9,9 +9,8 @@ account-sum conservation check).
 
 Entry points layered on top:
 
-* ``txn_check_occ`` / ``txn_check_2pl`` / ``txn_check_mixed`` — the
-  ``(seed, n_nodes) -> obs`` builders registered in
-  :data:`repro.verify.suites.CHECKS`.
+* the ``txn-occ`` / ``txn-2pl`` / ``txn-mixed`` rows of
+  :data:`repro.scenarios.SCENARIOS` (also behind ``repro txn run``).
 * :func:`txn_bench` — the ``repro.lab`` sweep entry measuring commit
   throughput and abort rate across contention × variant.
 """
@@ -21,9 +20,9 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from repro.ddss.substrate import HEADER_BYTES, VERSION_OFF
+from repro.errors import ConfigError
 
 __all__ = ["build_txn_scenario", "unit_state", "account_sum",
-           "txn_check_occ", "txn_check_2pl", "txn_check_mixed",
            "txn_bench"]
 
 UNIT_BYTES = 32
@@ -68,9 +67,11 @@ def build_txn_scenario(variant: str, seed: int, n_nodes: int,
     from repro.workloads.tpcc import TpccMix, balance
 
     if variant not in ("occ", "2pl", "mixed"):
-        raise ValueError(f"unknown txn variant {variant!r}")
+        raise ConfigError(f"unknown txn variant {variant!r} "
+                          f"(occ|2pl|mixed)")
     if n_keys < 2:
-        raise ValueError("need at least two account keys")
+        raise ConfigError(f"n_keys must be >= 2 (a transfer needs two "
+                          f"accounts), got {n_keys}")
     n_workers = n_workers or 2 * n_nodes
 
     cluster = Cluster(n_nodes=n_nodes, seed=seed)
@@ -156,23 +157,6 @@ def build_txn_scenario(variant: str, seed: int, n_nodes: int,
         "sim_now_us": env.now,
     }
     return obs, stats
-
-
-# -- verify.suites builders (seed, n_nodes) -> obs ----------------------
-
-def txn_check_occ(seed: int, n_nodes: int):
-    return build_txn_scenario("occ", seed, n_nodes, n_keys=4,
-                              n_workers=6, txns_per_worker=4)[0]
-
-
-def txn_check_2pl(seed: int, n_nodes: int):
-    return build_txn_scenario("2pl", seed, n_nodes, n_keys=4,
-                              n_workers=6, txns_per_worker=4)[0]
-
-
-def txn_check_mixed(seed: int, n_nodes: int):
-    return build_txn_scenario("mixed", seed, n_nodes, n_keys=4,
-                              n_workers=6, txns_per_worker=4)[0]
 
 
 # -- lab entry -----------------------------------------------------------

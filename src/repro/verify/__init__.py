@@ -17,11 +17,12 @@ divergence from each protocol's contract:
   dirty reads, or torn installs).
 
 On a violation, :func:`shrink` reduces the trace to a small reproducer
-(truncate → scope filter → verified prefix bisection).  Packaged check
-scenarios live in :data:`CHECKS`; :func:`run_check` / :func:`run_suite`
-produce machine-readable verdicts and :func:`metamorphic_sweep` drives
-the same checks across kernels, seeds, and node counts through
-:mod:`repro.lab`, diffing the deterministic exports.
+(truncate → scope filter → verified prefix bisection).  :func:`judge`
+replays one trace through :data:`ALL_ORACLES` and decides its verdict;
+the packaged scenarios and the judged run that feeds it live one layer
+up in :mod:`repro.scenarios`, and :func:`metamorphic_sweep` drives that
+table across kernels, seeds, and node counts through :mod:`repro.lab`,
+diffing the deterministic exports.
 """
 
 from .trace import TRACE_FORMAT, Oracle, TraceView, replay, replay_fresh
@@ -31,8 +32,8 @@ from .cache import CacheOracle
 from .ha import HAOracle
 from .txn import TxnOracle
 from .shrink import shrink
-from .suites import (ALL_ORACLES, CHECKS, canonical_trace_sha,
-                     check_scenario, check_trace, run_check, run_suite)
+from .suites import (ALL_ORACLES, add_reproducer, canonical_trace_sha,
+                     check_trace, judge)
 from .metamorphic import metamorphic_sweep
 
 __all__ = [
@@ -48,11 +49,9 @@ __all__ = [
     "TxnOracle",
     "shrink",
     "ALL_ORACLES",
-    "CHECKS",
+    "add_reproducer",
     "canonical_trace_sha",
-    "check_scenario",
     "check_trace",
-    "run_check",
-    "run_suite",
+    "judge",
     "metamorphic_sweep",
 ]

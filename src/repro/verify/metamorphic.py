@@ -5,26 +5,22 @@ cannot test:
 
 1. **kernel equivalence** — the fast kernel and the naive reference
    kernel (``REPRO_SLOW_KERNEL=1``) must produce *byte-identical*
-   trace exports for the same (check, seed, n_nodes);
-2. **parameter robustness** — every packaged check must replay clean
-   under permuted seeds and node counts, not just the defaults.
+   trace exports for the same (scenario, seed, n_nodes);
+2. **parameter robustness** — every packaged scenario must replay
+   clean under permuted seeds and node counts, not just the defaults.
 
-This driver expands the (check × kernel × n_nodes × seed) grid through
-:mod:`repro.lab` — reusing its process pool, retry, and resumable
-store — then folds the records: each (check, n_nodes, seed) cell must
-have one ``trace_sha`` across both kernels, and every cell must
-report zero violations.
+This driver expands the (scenario × kernel × n_nodes × seed) grid
+through :mod:`repro.lab` — reusing its process pool, retry, and
+resumable store — then folds the records: each (scenario, n_nodes,
+seed) cell must have one ``trace_sha`` across both kernels, and every
+cell must report verdict ``ok``.
 """
 
 from __future__ import annotations
 
 from typing import Any, Dict, Optional, Sequence
 
-from .suites import CHECKS, KERNELS, _lookup
-
 __all__ = ["metamorphic_sweep"]
-
-SCENARIO = "repro.verify.suites:check_scenario"
 
 
 def metamorphic_sweep(checks: Optional[Sequence[str]] = None,
@@ -35,66 +31,48 @@ def metamorphic_sweep(checks: Optional[Sequence[str]] = None,
                       progress: bool = False) -> Dict[str, Any]:
     """Run the metamorphic grid; returns the fold report.
 
-    ``node_counts`` may include 0, meaning "each check's default".
+    ``node_counts`` may include 0, meaning "each scenario's default".
     ``workers=0`` runs serially in-process (deterministic, test
     friendly); higher values dispatch through the lab process pool.
     """
-    from ..lab import ResultStore, Runner, Sweep
+    from ..scenarios import SCENARIOS, fold_kernels, lab_sweep, lookup
+    from ..sim import KERNELS
 
-    names = sorted(checks) if checks else sorted(CHECKS)
+    names = sorted(checks) if checks else sorted(SCENARIOS)
     for name in names:
-        _lookup(name)  # fail fast on typos
+        lookup(name)  # fail fast on typos
+    node_counts = [int(n) for n in node_counts]
+    records, summary = lab_sweep(
+        "verify-meta",
+        {"scenario": names, "kernel": list(KERNELS),
+         "n_nodes": node_counts},
+        seeds, workers, store_path, progress)
 
-    sweep = Sweep(
-        name="verify-meta",
-        scenario=SCENARIO,
-        grid={
-            "check": list(names),
-            "kernel": list(KERNELS),
-            "n_nodes": [int(n) for n in node_counts],
-        },
-        seeds=[int(s) for s in seeds],
-    )
-    store = ResultStore(store_path)
-    runner = Runner(sweep, store=store, workers=workers,
-                    progress=progress)
-    summary = runner.run()
-
-    # fold: group the kernels per cell, diff the trace digests
     cells: Dict[tuple, Dict[str, dict]] = {}
-    for rec in store.records():
-        p, res = rec["params"], rec["result"]
-        key = (p["check"], p["n_nodes"], rec["seed"])
-        cells.setdefault(key, {})[p["kernel"]] = res
-
-    kernels = list(sweep.grid["kernel"])
-    mismatches = []
-    violations = []
-    pairs = 0
-    for (check, n_nodes, seed), by_kernel in sorted(cells.items()):
-        for kern, res in sorted(by_kernel.items()):
-            if res["verdict"] != "ok":
-                violations.append({"check": check, "n_nodes": n_nodes,
-                                   "seed": seed, "kernel": kern,
-                                   "violations": res["violations"]})
-        if any(k not in by_kernel for k in kernels):
-            continue  # a failed run; already in summary.failures
-        pairs += 1
-        shas = {k: by_kernel[k]["trace_sha"] for k in kernels}
-        if len(set(shas.values())) != 1:
-            mismatches.append({
-                "check": check, "n_nodes": n_nodes, "seed": seed,
-                "shas": shas,
-                "events": {k: by_kernel[k]["events"] for k in kernels},
-            })
+    for rec in records:
+        p = rec["params"]
+        cells.setdefault((p["scenario"], p["n_nodes"], rec["seed"]),
+                         {})[p["kernel"]] = rec["result"]
+    violations = [{"scenario": name, "n_nodes": n_nodes, "seed": seed,
+                   "kernel": kern, "verdict": res["verdict"],
+                   "violations": res["violations"]}
+                  for (name, n_nodes, seed), by_kernel
+                  in sorted(cells.items())
+                  for kern, res in sorted(by_kernel.items())
+                  if res["verdict"] != "ok"]
+    pairs, diffs = fold_kernels(cells, KERNELS)
+    mismatches = [{"scenario": key[0], "n_nodes": key[1], "seed": key[2],
+                   "shas": shas,
+                   "events": {k: cells[key][k]["events"] for k in KERNELS}}
+                  for key, shas in diffs]
 
     ok = (not mismatches and not violations
           and not summary.get("failed", 0))
     return {
         "checks": names,
-        "kernels": kernels,
-        "seeds": list(sweep.seeds),
-        "node_counts": list(sweep.grid["n_nodes"]),
+        "kernels": list(KERNELS),
+        "seeds": [int(s) for s in seeds],
+        "node_counts": node_counts,
         "runs": summary.get("completed", 0) + summary.get("skipped", 0),
         "run_failures": summary.get("failed", 0),
         "pairs": pairs,

@@ -4,9 +4,10 @@
 import json
 import os
 
-from repro.chaos import (chaos_run_scenario, find_failing, run_campaign,
+from repro.chaos import (find_failing, run_campaign, schedule_fails,
                          shrink_schedule)
 from repro.cli import main
+from repro.scenarios import lab_run
 
 # seed 2 of locks-nofence fails at index 3 with a single-fault schedule
 # (a minority partition) — cheap enough to re-run in tests
@@ -16,7 +17,7 @@ BUG_INDEX = 3
 
 class TestRunRecord:
     def test_record_shape_and_verdict(self):
-        rec = chaos_run_scenario(seed=3, scenario="locks", index=0)
+        rec = lab_run("locks", seed=3, index=0)
         assert rec["verdict"] == "ok" and rec["violations"] == 0
         assert rec["scenario"] == "locks" and rec["index"] == 0
         assert rec["fence"] is True
@@ -26,8 +27,8 @@ class TestRunRecord:
         json.dumps(rec)  # records must stay JSON-able end to end
 
     def test_same_seed_same_record(self):
-        a = chaos_run_scenario(seed=3, scenario="locks", index=1)
-        b = chaos_run_scenario(seed=3, scenario="locks", index=1)
+        a = lab_run("locks", seed=3, index=1)
+        b = lab_run("locks", seed=3, index=1)
         assert a == b
         assert a["trace_sha"] == b["trace_sha"]
 
@@ -70,7 +71,6 @@ class TestShrink:
         assert rep["kept_faults"] <= rep["original_faults"]
         assert len(rep["labels"]) == rep["kept_faults"]
         # the reproducer itself must still fail when replayed
-        from repro.chaos import schedule_fails
         bad, _rec = schedule_fails("locks-nofence", rep["schedule"],
                                    BUG_SEED)
         assert bad
@@ -84,7 +84,9 @@ class TestChaosCli:
     def test_list_names_scenarios(self, capsys):
         assert main(["chaos", "list"]) == 0
         out = capsys.readouterr().out
-        assert "locks" in out and "ddss" in out and "SEEDED BUG" in out
+        assert "locks" in out and "ddss-repl" in out
+        assert "SEEDED BUG" in out
+        assert "ncosed" not in out  # no fault space: not a chaos row
 
     def test_run_report_cycle(self, tmp_path, capsys):
         verdict_path = str(tmp_path / "verdict.json")
@@ -120,4 +122,8 @@ class TestChaosCli:
 
     def test_unknown_scenario_is_an_error(self, capsys):
         assert main(["chaos", "replay", "nope"]) == 2
-        assert "unknown chaos scenario" in capsys.readouterr().err
+        assert "unknown scenario" in capsys.readouterr().err
+
+    def test_scenario_without_a_fault_space_is_an_error(self, capsys):
+        assert main(["chaos", "replay", "ncosed"]) == 2
+        assert "takes no fault schedule" in capsys.readouterr().err

@@ -5,9 +5,9 @@ oracle stack (TxnOracle + HAOracle + the rest) stays green."""
 
 import pytest
 
-from repro.chaos import SCENARIOS, chaos_run_scenario, run_schedule
+from repro.scenarios import SCENARIOS, lab_run, run_schedule
+from repro.sim import pin_kernel
 from repro.verify import TxnOracle, TraceView, replay_fresh
-from repro.verify.suites import _kernel
 
 N_SCHEDULES = 4
 
@@ -15,22 +15,20 @@ N_SCHEDULES = 4
 class TestTxnChaosRecords:
     @pytest.mark.parametrize("index", range(N_SCHEDULES))
     def test_sampled_schedules_stay_clean(self, index):
-        rec = chaos_run_scenario(seed=7, scenario="txn", index=index)
+        rec = lab_run("txn", seed=7, index=index)
         assert rec["verdict"] == "ok", rec["violation_msgs"]
         assert rec["violations"] == 0
         assert rec["events"] > 0
         assert len(rec["faults"]) >= 1
 
     def test_records_are_deterministic(self):
-        a = chaos_run_scenario(seed=7, scenario="txn", index=0)
-        b = chaos_run_scenario(seed=7, scenario="txn", index=0)
+        a = lab_run("txn", seed=7, index=0)
+        b = lab_run("txn", seed=7, index=0)
         assert a == b
 
     def test_slow_kernel_agrees(self):
-        fast = chaos_run_scenario(seed=7, scenario="txn", index=1,
-                                  kernel="fast")
-        slow = chaos_run_scenario(seed=7, scenario="txn", index=1,
-                                  kernel="slow")
+        fast = lab_run("txn", seed=7, index=1, kernel="fast")
+        slow = lab_run("txn", seed=7, index=1, kernel="slow")
         assert fast["verdict"] == slow["verdict"] == "ok"
         assert fast["trace_sha"] == slow["trace_sha"]
 
@@ -40,8 +38,8 @@ class TestFailoverSemantics:
 
     def _trace(self, schedule, seed=7):
         sc = SCENARIOS["txn"]
-        with _kernel("fast"):
-            obs = sc.builder(seed, sc.n_nodes, list(schedule), True)
+        with pin_kernel("fast"):
+            obs = sc.build(seed, sc.n_nodes, list(schedule), True)
         return TraceView.from_obs(obs).require_complete()
 
     def _crash_schedule(self):

@@ -14,8 +14,8 @@ from repro.dlm.alock import COHORT_LOCAL, COHORT_REMOTE
 from repro.errors import LockError
 from repro.faults import FaultPlan
 from repro.net import Cluster
-from repro.verify import LockOracle, canonical_trace_sha, run_check
-from repro.verify.suites import _alock, _kernel
+from repro.scenarios import lab_run, run_check
+from repro.verify import LockOracle
 from repro.verify.trace import TraceView, replay_fresh
 
 
@@ -129,9 +129,6 @@ class TestKernels:
 
     @pytest.mark.parametrize("seed", [0, 3])
     def test_cross_kernel_trace_identity(self, seed):
-        shas = set()
-        for kernel in ("fast", "slow"):
-            with _kernel(kernel):
-                obs = _alock(seed, 6)
-            shas.add(canonical_trace_sha(obs.trace_dict()))
+        shas = {lab_run("alock", seed, kernel=kernel)["trace_sha"]
+                for kernel in ("fast", "slow")}
         assert len(shas) == 1

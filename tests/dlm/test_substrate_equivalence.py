@@ -71,6 +71,7 @@ TOURNAMENT = {
     "mean_wait_us": 20.26340475003097, "p99_wait_us": 93.42750639603696,
     "max_chain": 65, "events": 4961,
     "t95_grant_us": 2366.2222657720285, "ops_per_s_t95": 154254.317221088,
+    "verdict": "ok",
 }
 
 

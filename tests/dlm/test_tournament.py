@@ -7,7 +7,7 @@ import pytest
 from repro.cli import main
 from repro.dlm.tournament import (SCHEMES, lock_tournament,
                                    rate_at_quantile)
-from repro.errors import LockError
+from repro.errors import ConfigError, LockError
 
 
 class TestTournament:
@@ -45,6 +45,15 @@ class TestTournament:
             lock_tournament("zk", n_clients=4)
         with pytest.raises(LockError):
             lock_tournament("srsl", n_clients=4, chaos="flood")
+
+    def test_no_clients_rejected_and_no_grants_is_vacuous(self):
+        with pytest.raises(ConfigError, match="n_clients"):
+            lock_tournament("ncosed", n_clients=0)
+        # clients that arrive after the horizon grant nothing
+        stats = lock_tournament("ncosed", n_clients=4, horizon_us=1e-3)
+        assert stats["grants"] == 0 and stats["verdict"] == "vacuous"
+        assert lock_tournament("ncosed", n_clients=4,
+                               rounds=1)["verdict"] == "ok"
 
 
 class TestStragglerProofRate:
@@ -112,12 +121,13 @@ class TestBenchReport:
         assert set(res["rates"]) == {f"{s}_ops_per_s" for s in SCHEMES}
 
     def test_write_report_archives(self, report, tmp_path):
-        from repro.bench.locks import write_locks_report
+        from repro.bench.harness import write_report
 
         out = tmp_path / "BENCH_locks.json"
-        paths = write_locks_report(report, str(out),
-                                   results_dir=str(tmp_path / "res"))
+        paths = write_report(report, str(out), str(tmp_path / "res"),
+                             "locks")
         assert len(paths) == 2
+        assert "/res/locks-" in paths[1]
         doc = json.loads(out.read_text())
         assert doc["suite"] == "locks"
 
@@ -137,6 +147,12 @@ class TestLocksCLI:
         assert "verdict=ok" in out
         doc = json.loads(path.read_text())
         assert doc["scheme"] == "mcs" and doc["violations"] == 0
+
+    def test_run_without_clients_is_a_usage_error(self, capsys):
+        assert main(["locks", "run", "ncosed", "--clients", "0"]) == 2
+        captured = capsys.readouterr()
+        assert "n_clients" in captured.err
+        assert "verdict=ok" not in captured.out
 
     def test_bench_deterministic_and_gated(self, tmp_path, capsys):
         a, b = tmp_path / "a.json", tmp_path / "b.json"

@@ -5,8 +5,8 @@ majority-side rehome within the detection bound, while a minority-side
 front must provably NOT evict the majority's homes — both asserted by
 replaying the exported trace through the oracles (HAOracle included)."""
 
-from repro.chaos import get_scenario, run_schedule
 from repro.chaos.scenarios import HOLD_US, PERIOD_US
+from repro.scenarios import lookup, run_schedule
 from repro.verify import ALL_ORACLES, HAOracle, TraceView, replay_fresh
 
 START = 6_000.0
@@ -19,9 +19,8 @@ def partition_schedule(groups):
 
 
 def run_locks(groups, fence=True, seed=3):
-    sc = get_scenario("locks")
-    obs = sc.builder(seed, sc.n_nodes, partition_schedule(groups), fence)
-    return obs
+    sc = lookup("locks")
+    return sc.build(seed, sc.n_nodes, partition_schedule(groups), fence)
 
 
 class TestMajorityFailover:

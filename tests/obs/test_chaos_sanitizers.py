@@ -138,8 +138,8 @@ class TestRpcChaosSanitized:
 class TestScenarioChaos:
     @pytest.mark.parametrize("seed", [0, 5])
     def test_packaged_chaos_scenario_is_clean(self, seed):
-        from repro.obs.scenarios import run_scenario
+        from repro.scenarios import judged_run
 
-        obs = run_scenario("chaos", seed=seed, strict=True)
+        obs = judged_run("ncosed-chaos", seed)[1]
         assert obs.clean
         assert obs.trace.select("fault.crash")

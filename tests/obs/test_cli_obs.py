@@ -3,7 +3,7 @@
 import json
 
 from repro.cli import main
-from repro.obs.scenarios import SCENARIOS
+from repro.scenarios import SCENARIOS
 
 
 class TestObsCli:
@@ -13,11 +13,12 @@ class TestObsCli:
         assert out == sorted(SCENARIOS)
 
     def test_run_prints_summary(self, capsys):
-        assert main(["obs", "run", "locks"]) == 0
+        assert main(["obs", "run", "ncosed"]) == 0
         out = capsys.readouterr().out
-        assert "[locks] sim time:" in out
+        assert "[ncosed] sim time:" in out
         assert "lock.grant" in out
         assert "violation(s)" in out
+        assert "verdict=ok" in out
 
     def test_run_writes_json(self, tmp_path, capsys):
         path = tmp_path / "export.json"
@@ -28,15 +29,10 @@ class TestObsCli:
 
     def test_seed_changes_export(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
-        assert main(["obs", "run", "locks", "--json", str(a)]) == 0
-        assert main(["obs", "run", "locks", "--seed", "9",
+        assert main(["obs", "run", "ncosed", "--json", str(a)]) == 0
+        assert main(["obs", "run", "ncosed", "--seed", "9",
                      "--json", str(b)]) == 0
         assert a.read_text() != b.read_text()
-
-    def test_no_sanitize_runs_bare(self, capsys):
-        assert main(["obs", "run", "ddss", "--no-sanitize"]) == 0
-        out = capsys.readouterr().out
-        assert "sanitizers:" not in out
 
     def test_unknown_scenario_fails(self, capsys):
         assert main(["obs", "run", "nope"]) == 2

@@ -291,15 +291,13 @@ def test_pending_and_try_recv_do_not_create_queues():
 # scenario fingerprints: byte-identical exports
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("name", ["locks", "ddss", "flow", "chaos"])
-def test_scenario_export_identical_fast_vs_slow(monkeypatch, name):
-    from repro.obs.scenarios import run_scenario
+@pytest.mark.parametrize("name", ["ncosed", "ddss", "flow",
+                                  "ncosed-chaos"])
+def test_scenario_export_identical_fast_vs_slow(name):
+    from repro.scenarios import judged_run
 
-    exports = []
-    for slow in (False, True):
-        monkeypatch.setenv("REPRO_SLOW_KERNEL", "1" if slow else "0")
-        obs = run_scenario(name, seed=0, sanitize=True, strict=False)
-        exports.append(obs.export_json())
+    exports = [judged_run(name, kernel=kernel)[1].export_json()
+               for kernel in ("fast", "slow")]
     assert exports[0] == exports[1]
 
 

@@ -5,27 +5,15 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.verify import CHECKS, canonical_trace_sha, run_check
-from repro.verify.suites import _kernel
+from repro.scenarios import SCENARIOS, judged_run, lab_run
 
 
 class TestShardCheck:
-    def test_registered_and_green(self):
-        assert "shard" in CHECKS
-        out = run_check("shard", seed=0)
-        assert out["verdict"] == "ok"
-        assert out["events"] > 0
-
     def test_cross_kernel_trace_identity(self):
-        from repro.topo.scenarios import shard_check
-
-        shas = set()
-        for kernel in ("fast", "slow"):
-            with _kernel(kernel):
-                obs = shard_check(0, 8)
-            assert obs.clean
-            shas.add(canonical_trace_sha(obs.trace_dict()))
-        assert len(shas) == 1
+        runs = [lab_run("shard", kernel=kernel)
+                for kernel in ("fast", "slow")]
+        assert [r["verdict"] for r in runs] == ["ok", "ok"]
+        assert runs[0]["trace_sha"] == runs[1]["trace_sha"]
 
     def test_exercises_bounce_and_migration(self):
         from repro.topo.scenarios import shard_check
@@ -43,25 +31,20 @@ class TestLabScenario:
 
     @pytest.fixture(scope="class")
     def run(self):
-        from repro.topo.scenarios import build_topo_scenario
-
-        return build_topo_scenario(seed=0)
+        record, obs = judged_run("lab")
+        return record, obs, record["stats"]
 
     def test_meets_scale_floor(self, run):
-        obs, stats = run
-        assert stats["nodes"] >= 100
+        _record, _obs, stats = run
+        assert SCENARIOS["lab"].n_nodes == stats["nodes"] >= 100
         assert stats["racks"] >= 4
         assert stats["sessions"] >= 1_000_000
 
     def test_chaos_fault_survived_with_oracles_green(self, run):
-        from repro.verify import ALL_ORACLES
-        from repro.verify.trace import TraceView, replay
-
-        obs, stats = run
+        record, obs, stats = run
         assert obs.clean
-        view = TraceView.from_obs(obs).require_complete()
-        oracles = [f() for f in ALL_ORACLES]
-        assert replay(view, oracles) == []
+        assert record["verdict"] == "ok" and record["violations"] == 0
+        assert record["oracles"]["ha"]["checked"] > 0
         # the crash actually triggered failover work on every layer
         assert stats["evictions"] >= 1
         assert stats["lock_rehomes"] >= 1
@@ -74,15 +57,16 @@ class TestTopoCLI:
     def test_ls(self, capsys):
         assert main(["topo", "ls"]) == 0
         out = capsys.readouterr().out
-        assert "lab" in out and "shard-check" in out
+        assert "lab" in out and "shard" in out
 
-    def test_run_shard_check_json(self, tmp_path, capsys):
+    def test_run_shard_json(self, tmp_path, capsys):
         path = tmp_path / "verdict.json"
-        assert main(["topo", "run", "shard-check",
+        assert main(["topo", "run", "shard",
                      "--json", str(path)]) == 0
         assert "verdict=ok" in capsys.readouterr().out
         doc = json.loads(path.read_text())
         assert doc["verdict"] == "ok"
+        assert doc["scenario"] == "shard" and doc["n_nodes"] == 8
         assert doc["sanitizers"] == []
 
     def test_bench_deterministic_and_gated(self, tmp_path, capsys):
