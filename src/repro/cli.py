@@ -433,11 +433,18 @@ def _check_main(args) -> int:
                                 workers=args.workers)
         print(f"[meta] runs={rep['runs']} pairs={rep['pairs']} "
               f"kernel_mismatches={len(rep['kernel_mismatches'])} "
+              f"kernel_ties={len(rep['kernel_ties'])} "
+              f"stale_ties={len(rep['stale_ties'])} "
               f"violations={len(rep['violations'])} "
               f"verdict={rep['verdict']}")
         for m in rep["kernel_mismatches"][:5]:
             shas = " ".join(f"{k}={v}" for k, v in sorted(m["shas"].items()))
             print(f"  MISMATCH {m['scenario']} seed={m['seed']}: {shas}")
+        for m in rep["kernel_ties"]:
+            print(f"  known tie {m['scenario']} seed={m['seed']}")
+        for m in rep["stale_ties"]:
+            print(f"  STALE KNOWN_TIES entry {m['scenario']} "
+                  f"n_nodes={m['n_nodes']} seed={m['seed']}: kernels agree")
         for v in rep["violations"][:5]:
             print(f"  {v['verdict'].upper()} {v['scenario']} "
                   f"[{v['kernel']}] seed={v['seed']}: "

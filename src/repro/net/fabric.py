@@ -34,11 +34,12 @@ class Fabric:
         self.params = params
         self._nodes: Dict[int, "Node"] = {}
         self._egress: Dict[int, Resource] = {}
-        #: per-node count of slow-path transfers past ``nic_tx`` but not
-        #: yet holding the egress link.  While non-zero the analytic
-        #: shortcut must stand down, otherwise a later transfer could
-        #: reserve the link ahead of an earlier in-flight one and break
-        #: fast/slow equivalence (DESIGN.md §9).
+        #: per-node count of generator transfers injected but still in
+        #: their ``nic_tx`` window, not yet at the egress link's
+        #: ``acquire()``.  While non-zero the analytic FIFO must stand
+        #: down, otherwise a later transfer could book the link ahead
+        #: of an earlier in-flight one and break fast/slow equivalence
+        #: (DESIGN.md §9).
         self._pre_acquire: Dict[int, int] = {}
         #: cached observability counter handles, invalidated when the
         #: installed Observability changes (string-keyed registry
@@ -100,26 +101,31 @@ class Fabric:
         """Completion event of one injection at ``src_id`` — the one
         fast/slow decision of this module.
 
-        Fault-free on the fast kernel with the egress link free, the
-        whole 4-yield transfer process collapses into a single scheduled
-        instant: the link reservation expires at exactly
-        ``(now + nic_tx) + serialization`` — when the generator's
-        ``release()`` would run — so transfers arriving meanwhile queue
-        identically (:meth:`Resource.try_reserve`).  The additions keep
-        the generator's association order: it computes
-        ``(now + nic_tx) + serialization`` across two Timeouts, and
-        float addition is not associative — byte-identical equivalence
-        requires the same order.  Otherwise the generator transfer runs:
-        it is the spec, and the only path a fault injector can act on.
+        Fault-free on the fast kernel the egress link is an analytic
+        FIFO server: the whole 4-yield transfer process collapses into
+        a single scheduled instant, whether the link is idle or busy
+        with earlier bookings (:meth:`Resource.try_reserve`).  The
+        transfer is ready for the link at ``now + nic_tx`` and holds it
+        for the serialization time from then or from the end of the
+        previous booking — when the generator's ``acquire()`` would be
+        granted — so its window ends when the generator's ``release()``
+        would run.  The additions keep the generator's association
+        order: it computes ``(start + serialization)`` and then
+        ``+ (wire + nic_rx)`` across separate Timeouts, and float
+        addition is not associative — byte-identical equivalence
+        requires the same order.  Otherwise (a real holder or waiter on
+        the link, an injector, the slow kernel) the generator transfer
+        runs: it is the spec, and the only path a fault injector can
+        act on.
         """
         env = self.env
         injector = self.injector
         if env.fastpath and injector is None \
                 and self._pre_acquire[src_id] == 0:
             p = self.params
-            released_at = ((env._now + p.nic_tx_us)
-                           + p.serialization_us(nbytes))
-            if self._egress[src_id].try_reserve(released_at):
+            released_at = self._egress[src_id].try_reserve(
+                env._now + p.nic_tx_us, p.serialization_us(nbytes))
+            if released_at >= 0.0:
                 done = Event(env)
                 env._schedule_at(
                     released_at + (p.wire_latency_us + p.nic_rx_us), done,
@@ -143,29 +149,30 @@ class Fabric:
 
         Returns the absolute time the payload lands at ``dst_id`` (the
         caller schedules its own continuation there), or -1.0 when the
-        egress link is contended — then nothing was counted and the
-        caller must fall back to :meth:`send_process`.  Callers
-        guarantee the fast kernel, no injector and valid node ids —
-        the verb layer checked already.
+        egress link has a real holder or waiter — then nothing was
+        counted and the caller must fall back to :meth:`send_process`.
+        Callers guarantee the fast kernel, no injector and valid node
+        ids — the verb layer checked already.
         """
         env = self.env
         if src_id == dst_id:
             arrive_at = env._now + self.params.local_op_us
         else:
-            # _arrival's reservation with Resource.try_reserve and
+            # _arrival's booking with Resource.try_reserve and
             # serialization_us unrolled in place: this runs twice per
             # one-sided verb (request + response leg), so the method
             # calls it saves are measurable at bench scale.  Same float
             # association order as the generator (see _arrival).
-            if self._pre_acquire[src_id] != 0:
+            link = self._egress[src_id]
+            if self._pre_acquire[src_id] != 0 or link._in_use \
+                    or link._waiters:
                 return -1.0
             p = self.params
-            released_at = (env._now + p.nic_tx_us) + nbytes / p.bandwidth_bpus
-            link = self._egress[src_id]
-            if (link._reserved_until >= env._now
-                    or link._in_use >= link.capacity or link._waiters):
-                return -1.0
-            link._reserved_until = released_at
+            start = env._now + p.nic_tx_us
+            if link._reserved_until > start:
+                start = link._reserved_until
+            link._reserved_until = released_at = \
+                start + nbytes / p.bandwidth_bpus
             arrive_at = released_at + (p.wire_latency_us + p.nic_rx_us)
         self.transfers += 1
         self.bytes_moved += nbytes
@@ -176,7 +183,7 @@ class Fabric:
 
     def send_process(self, src_id: int, dst_id: int, nbytes: int,
                      arrive) -> None:
-        """Contended fallback for :meth:`fast_send`: a generator
+        """Fallback for a refused :meth:`fast_send`: a generator
         transfer with ``arrive()`` called at the arrival instant."""
         self.transfers += 1
         self.bytes_moved += nbytes
@@ -245,7 +252,3 @@ class Fabric:
         if obs is not None:
             self._obs_transfer(obs, nbytes)
         return self._arrival(src_id, None, nbytes)
-
-    def egress_queue_len(self, node_id: int) -> int:
-        """Transfers waiting on the node's egress link (for diagnostics)."""
-        return self._egress[node_id].queue_len

@@ -281,16 +281,17 @@ class NIC:
     # ------------------------------------------------------------------
     # Callback-chain twin of ``_read_proc`` / ``_write_proc`` /
     # ``_atomic_proc``: no generator, no Process, no per-stage Event.
-    # An uncontended verb costs exactly three agenda entries — *posted*
-    # (reserve the egress link, schedule the remote service instant),
-    # *serve* (touch remote memory, reserve the return link), and the
-    # completion event itself, scheduled directly at the response's
-    # arrival instant via ``Fabric.fast_send``.  Each instant is
-    # computed with the same float association order the generator
-    # version's chained Timeouts would produce, so fast and
-    # ``REPRO_SLOW_KERNEL=1`` runs stay equivalent.  A contended link
-    # drops that leg back onto the generator transfer process
-    # (``Fabric.send_process``) without losing the chain.  Only valid
+    # A verb costs exactly three agenda entries, busy NIC or idle —
+    # *posted* (book the egress link, schedule the remote service
+    # instant), *serve* (touch remote memory, book the return link),
+    # and the completion event itself, scheduled directly at the
+    # response's arrival instant via ``Fabric.fast_send``.  Each
+    # instant is computed with the same float association order the
+    # generator version's chained Timeouts would produce, so fast and
+    # ``REPRO_SLOW_KERNEL=1`` runs stay equivalent.  A link with a
+    # generator transfer on it (cross-rack traffic) drops that leg back
+    # onto the generator transfer process (``Fabric.send_process``)
+    # without losing the chain.  Only valid
     # on the fast kernel with no fault injector installed — decided in
     # ``_post_verb`` — since no failure branches exist then, apart from
     # memory-protection errors which propagate with process-crash
@@ -393,7 +394,7 @@ class NIC:
         self.env._schedule_call(t, self._vserve[s])
 
     def _verb_arrived(self, s: int) -> None:
-        # Contended-request continuation: apply the turnaround from the
+        # Generator-leg continuation: apply the turnaround from the
         # actual arrival instant, exactly like the generator's Timeout.
         op = self._vop[s]
         if op == _OP_WRITE:

@@ -116,15 +116,20 @@ class Resource:
         finally:
             resource.release()
 
-    Besides plain acquire/release, one slot can be *reserved until a
-    deadline* (:meth:`try_reserve`).  A reservation occupies capacity
-    like a holder but needs **no release agenda entry**: it simply stops
-    counting once the clock passes the deadline.  Only when a waiter
-    queues behind an active reservation is a single expiry entry
-    scheduled, which hands the slot over at exactly the deadline — the
-    same instant a real holder's ``release()`` would have run.  The
-    fabric fast path uses this to model an egress link's serialization
-    window without paying an agenda entry per transfer (DESIGN.md §9).
+    Besides plain acquire/release, an idle resource can be *booked
+    ahead* (:meth:`try_reserve`): each booking takes the slot for
+    ``hold`` starting when the previous booking ends, or at its own
+    ``ready`` instant if that is later — the start and end instants a
+    FIFO queue of holders would see, computed instead of simulated.
+    The chain occupies capacity like a holder but needs **no agenda
+    entry**: it simply stops counting once the clock passes its end.
+    Only when a waiter queues behind it is a single expiry entry
+    scheduled, which hands the slot over at exactly the chain's end —
+    the same instant the last booked holder's ``release()`` would have
+    run — and from then on the chain cannot grow, so a booking never
+    jumps a real queue.  The fabric uses this to model an egress link's
+    FIFO of serialization windows without paying agenda entries per
+    transfer (DESIGN.md §9).
     """
 
     def __init__(self, env: Environment, capacity: int = 1):
@@ -134,11 +139,10 @@ class Resource:
         self.capacity = capacity
         self._in_use = 0
         self._waiters: Deque[Event] = deque()
-        #: deadline of the active reservation; -1.0 = none.  The
-        #: reservation counts as occupied while ``deadline >= now`` —
-        #: inclusive, because a real holder would release *at* the
-        #: deadline instant and same-instant competitors must still
-        #: queue behind it.
+        #: end of the booked chain; -1.0 = none.  The chain counts as
+        #: occupied while ``end >= now`` — inclusive, because a real
+        #: holder would release *at* that instant and same-instant
+        #: competitors must still queue behind it.
         self._reserved_until = -1.0
         self._expiry_scheduled = False
 
@@ -171,17 +175,21 @@ class Resource:
             return True
         return False
 
-    def try_reserve(self, until: float) -> bool:
-        """Claim a free slot until ``until`` without holding it.
+    def try_reserve(self, ready: float, hold: float) -> float:
+        """Book the slot for ``hold`` from ``ready`` or the end of the
+        booked chain, whichever is later; returns the booking's end.
 
-        Fails when the resource is full, already reserved, or has
-        waiters (FIFO fairness: a reservation must not jump the queue).
+        Refuses with -1.0 only when a real holder or waiter exists
+        (FIFO fairness: a booking must not jump the queue).  ``ready``
+        is never behind the clock, so a lapsed chain restarts at it.
         """
-        if (self._reserved_until >= self.env._now
-                or self._in_use >= self.capacity or self._waiters):
-            return False
-        self._reserved_until = until
-        return True
+        if self._in_use or self._waiters:
+            return -1.0
+        start = self._reserved_until
+        if start < ready:
+            start = ready
+        self._reserved_until = end = start + hold
+        return end
 
     def _reservation_expired(self) -> None:
         self._expiry_scheduled = False

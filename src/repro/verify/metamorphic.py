@@ -14,13 +14,38 @@ through :mod:`repro.lab` — reusing its process pool, retry, and
 resumable store — then folds the records: each (scenario, n_nodes,
 seed) cell must have one ``trace_sha`` across both kernels, and every
 cell must report verdict ``ok``.
+
+A FIFO in the library *observes* the order of two same-instant
+events, which the kernels are free to break differently: an egress
+link serves two same-instant injections from one node in pop order, a
+receive queue hands two same-instant arrivals to its server in pop
+order, and every instant downstream of such a pair may move
+(DESIGN.md §9).  Cells where that happens are listed in
+:data:`KNOWN_TIES` rather than dodged by seed choice; the fold checks
+the list both ways.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Sequence
+from typing import Any, Dict, Optional, Sequence, Tuple
 
-__all__ = ["metamorphic_sweep"]
+__all__ = ["metamorphic_sweep", "KNOWN_TIES"]
+
+#: ``(scenario, n_nodes, seed)`` cells (``n_nodes`` 0 = the scenario's
+#: default) whose digests differ across kernels because a FIFO saw two
+#: same-instant events in either order.  Each entry is proven to start
+#: at such a pair — of the kind its reason names before the colon — by
+#: ``tests/verify/test_known_ties.py``; a differing cell not listed
+#: here fails the sweep, and so does a listed cell that now matches.
+KNOWN_TIES: Dict[Tuple[str, int, int], str] = {
+    ("cache-hybcc", 0, 1):
+        "link tie: node 0 injects a write ack and a host-posted write "
+        "at t=317.2279726955068, the run's first same-instant pair",
+    ("txn-mixed", 0, 0):
+        "receiver tie: requests from nodes 1 and 3 reach node 0's "
+        "server queue together at t=262.57777777777807; it answers "
+        "them 2 us apart in pop order",
+}
 
 
 def metamorphic_sweep(checks: Optional[Sequence[str]] = None,
@@ -61,12 +86,19 @@ def metamorphic_sweep(checks: Optional[Sequence[str]] = None,
                   for kern, res in sorted(by_kernel.items())
                   if res["verdict"] != "ok"]
     pairs, diffs = fold_kernels(cells, KERNELS)
-    mismatches = [{"scenario": key[0], "n_nodes": key[1], "seed": key[2],
-                   "shas": shas,
-                   "events": {k: cells[key][k]["events"] for k in KERNELS}}
-                  for key, shas in diffs]
+    mismatches, ties = [], []
+    for key, shas in diffs:
+        (ties if key in KNOWN_TIES else mismatches).append(
+            {"scenario": key[0], "n_nodes": key[1], "seed": key[2],
+             "shas": shas,
+             "events": {k: cells[key][k]["events"] for k in KERNELS}})
+    differing = {key for key, _shas in diffs}
+    stale = [{"scenario": key[0], "n_nodes": key[1], "seed": key[2]}
+             for key in sorted(KNOWN_TIES)
+             if key not in differing
+             and all(k in cells.get(key, ()) for k in KERNELS)]
 
-    ok = (not mismatches and not violations
+    ok = (not mismatches and not stale and not violations
           and not summary.get("failed", 0))
     return {
         "checks": names,
@@ -77,6 +109,8 @@ def metamorphic_sweep(checks: Optional[Sequence[str]] = None,
         "run_failures": summary.get("failed", 0),
         "pairs": pairs,
         "kernel_mismatches": mismatches,
+        "kernel_ties": ties,
+        "stale_ties": stale,
         "violations": violations,
         "verdict": "ok" if ok else "violation",
     }

@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import ConfigError, ProtectionError, RdmaError
 from repro.net import Cluster, NetworkParams
+from repro.sim import KERNELS, pin_kernel
 
 
 @pytest.fixture
@@ -352,31 +353,41 @@ class TestMulticastAccounting:
 
 
 class TestEgressQueue:
-    def test_queue_len_reflects_waiting_transfers(self, ib):
+    def test_queue_len_reflects_waiting_transfers(self):
         """Three concurrent sends: one serializing, two queued behind it
-        on the sender's egress link."""
-        nbytes = 900_000  # ~1000us serialization each
-        for _ in range(3):
-            ib.fabric.transfer(0, 1, nbytes)
-        seen = []
-
-        def watch(env):
-            yield env.timeout(500.0)   # first transfer mid-serialization
-            seen.append(ib.fabric.egress_queue_len(0))
-            yield env.timeout(1_000.0)  # second now holds the link
-            seen.append(ib.fabric.egress_queue_len(0))
-
-        ib.env.process(watch(ib.env))
-        ib.env.run()
-        assert seen == [2, 1]
-        assert ib.fabric.egress_queue_len(0) == 0  # drained
+        on the sender's egress link, so they land one serialization
+        apart — whether the queue is generators waiting on the link
+        (slow kernel) or bookings on it (fast kernel, where no queue
+        length exists to read)."""
+        nbytes = 900_000  # 1000us serialization each
+        for kernel in KERNELS:
+            with pin_kernel(kernel):
+                c = Cluster(n_nodes=4, params=NetworkParams.infiniband(),
+                            seed=1)
+            landed = []
+            for _ in range(3):
+                c.fabric.transfer(0, 1, nbytes).add_callback(
+                    lambda _e: landed.append(c.env.now))
+            c.env.run()
+            p = c.params
+            first = (p.nic_tx_us + 1000.0) + (p.wire_latency_us
+                                              + p.nic_rx_us)
+            assert landed[0] == first
+            assert [b - a for a, b in zip(landed, landed[1:])] \
+                == [1000.0, 1000.0]
 
     def test_queue_empty_without_contention(self, ib):
-        ib.fabric.transfer(0, 1, 64)
-        ib.fabric.transfer(1, 2, 64)
+        """Sends from different nodes share no link: both land after
+        the bare one-way latency."""
+        landed = []
+        for src, dst in ((0, 1), (1, 2)):
+            ib.fabric.transfer(src, dst, 64).add_callback(
+                lambda _e: landed.append(ib.env.now))
         ib.env.run()
-        for node_id in range(4):
-            assert ib.fabric.egress_queue_len(node_id) == 0
+        p = ib.params
+        alone = (p.nic_tx_us + p.serialization_us(64)) \
+            + (p.wire_latency_us + p.nic_rx_us)
+        assert landed == [alone, alone]
 
 
 class TestClusterBuilder:

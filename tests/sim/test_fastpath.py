@@ -83,15 +83,14 @@ def test_slow_kernel_env_flag(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# link reservation (Resource.try_reserve)
+# chained link bookings (Resource.try_reserve)
 # ---------------------------------------------------------------------------
 
 def test_reservation_occupies_then_lapses():
     env = Environment()
     link = Resource(env, capacity=1)
-    assert link.try_reserve(5.0)
-    assert not link.try_acquire()      # reserved slot counts as occupied
-    assert not link.try_reserve(9.0)   # one reservation at a time
+    assert link.try_reserve(0.0, 5.0) == 5.0
+    assert not link.try_acquire()      # booked slot counts as occupied
     env.run(until=5.0)                 # inclusive: still held *at* 5.0
     assert not link.try_acquire()
     env._now = 5.5
@@ -99,11 +98,31 @@ def test_reservation_occupies_then_lapses():
     link.release()
 
 
+def test_back_to_back_bookings_chain():
+    env = Environment()
+    link = Resource(env, capacity=1)
+    # each booking starts where the previous one ends, in the float
+    # association order a queue of Timeout(hold)s would produce
+    assert link.try_reserve(0.1, 0.7) == 0.1 + 0.7
+    assert link.try_reserve(0.1, 0.2) == (0.1 + 0.7) + 0.2
+    assert link.try_reserve(0.3, 0.4) == ((0.1 + 0.7) + 0.2) + 0.4
+    assert env.peek() == float("inf")  # three bookings, no agenda entry
+
+
+def test_ready_past_chain_end_starts_at_ready():
+    env = Environment()
+    link = Resource(env, capacity=1)
+    assert link.try_reserve(1.0, 2.0) == 3.0
+    assert link.try_reserve(7.0, 2.0) == 9.0    # idle gap 3.0 .. 7.0
+    assert link.try_reserve(9.0, 0.5) == 9.5    # ready == chain end
+    assert link.try_reserve(9.5, 0.0) == 9.5    # zero-length hold
+
+
 def test_waiter_behind_reservation_granted_at_deadline():
     env = Environment()
     link = Resource(env, capacity=1)
     granted = []
-    assert link.try_reserve(4.0)
+    assert link.try_reserve(0.0, 4.0) == 4.0
 
     def waiter(env):
         yield link.acquire()
@@ -119,10 +138,34 @@ def test_waiter_behind_reservation_granted_at_deadline():
     assert link.in_use == 0 and link.queue_len == 0
 
 
+def test_waiter_behind_three_deep_chain_granted_once_at_its_end():
+    env = Environment()
+    link = Resource(env, capacity=1)
+    granted = []
+    for hold in (1.0, 2.0, 1.5):
+        assert link.try_reserve(0.0, hold) >= 0.0
+
+    def waiter(env):
+        yield link.acquire()
+        granted.append(env.now)
+
+    env.process(waiter(env))
+    env.run(until=0.0)
+    # once a waiter queues, the chain stops growing
+    assert link.try_reserve(0.0, 1.0) == -1.0
+    assert env.peek() == 4.5           # one expiry entry, at the chain's end
+    env.run()
+    assert granted == [4.5]
+    assert link.try_reserve(4.5, 1.0) == -1.0      # the waiter holds it now
+    link.release()
+    assert link.try_reserve(4.5, 1.0) == 5.5       # idle again: books
+
+
 def test_reservation_respects_fifo_queue():
     env = Environment()
     link = Resource(env, capacity=1)
     assert link.try_acquire()
+    assert link.try_reserve(0.0, 1.0) == -1.0   # a real holder
 
     def holder_release(env):
         yield env.timeout(3.0)
@@ -137,8 +180,8 @@ def test_reservation_respects_fifo_queue():
     env.process(holder_release(env))
     env.process(waiter(env))
     env.run(until=1.0)
-    # a queued waiter blocks new reservations (no queue jumping)
-    assert not link.try_reserve(10.0)
+    # a queued waiter blocks new bookings (no queue jumping)
+    assert link.try_reserve(1.0, 10.0) == -1.0
     env.run()
     assert got == [3.0]
 

@@ -17,6 +17,7 @@ from repro.sim import pin_kernel
 from repro.txn import build_txn_scenario
 from repro.verify import (LockOracle, canonical_trace_sha, check_trace,
                           metamorphic_sweep, shrink)
+from repro.verify.metamorphic import KNOWN_TIES
 
 FAST_CHECKS = ("ncosed", "dqnl", "srsl", "ddss", "cache-bcc",
                "txn-occ", "txn-2pl")
@@ -63,19 +64,35 @@ class TestKernelEquivalence:
                 "events": [list(b), list(a)]}
         assert canonical_trace_sha(doc1) == canonical_trace_sha(doc2)
 
+    def test_canonical_sha_ignores_same_instant_same_node_order(self):
+        """Two co-located independent chains sharing an instant (the
+        txn-2pl seed 0 shape: a grant and another worker's verb)."""
+        evs = [TraceEvent(1.0, 2, "lock.grant", {"lock": 3, "token": 7}),
+               TraceEvent(1.0, 2, "verb.complete", {"op": "cas", "dst": 0}),
+               TraceEvent(1.0, 2, "verb.issue", {"op": "read", "dst": 1}),
+               TraceEvent(1.0, 2, "verb.issue", {"op": "read", "dst": 0})]
+        shas = {canonical_trace_sha({"sim_now_us": 2.0, "emitted": 4,
+                                     "events": [list(evs[i]) for i in order]})
+                for order in ((0, 1, 2, 3), (3, 2, 1, 0), (2, 0, 3, 1))}
+        assert len(shas) == 1
+
     def test_canonical_sha_sees_field_changes(self):
         a = TraceEvent(1.0, 0, "cache.miss", {"doc": 1})
-        b = TraceEvent(1.0, 0, "cache.miss", {"doc": 2})
-        doc1 = {"sim_now_us": 2.0, "emitted": 1, "events": [list(a)]}
-        doc2 = {"sim_now_us": 2.0, "emitted": 1, "events": [list(b)]}
-        assert canonical_trace_sha(doc1) != canonical_trace_sha(doc2)
+        shas = {canonical_trace_sha({"sim_now_us": 2.0, "emitted": 2,
+                                     "events": [list(a), list(b)]})
+                for b in (TraceEvent(1.0, 0, "cache.miss", {"doc": 2}),
+                          TraceEvent(1.0, 0, "cache.miss", {"doc": 3}),
+                          TraceEvent(1.5, 0, "cache.miss", {"doc": 2}),
+                          TraceEvent(1.0, 1, "cache.miss", {"doc": 2}),
+                          TraceEvent(1.0, 0, "cache.hit", {"doc": 2}))}
+        assert len(shas) == 5
 
 
 class TestTxnMetamorphic:
     """Kernel × seed sweep over the transaction scenario: the fast and
     slow event kernels must produce byte-identical canonical trace
-    exports (same-instant cross-node ties normalized, as everywhere
-    else in the suite) and identical commit/abort tallies."""
+    exports (same-instant order normalized, as everywhere else in the
+    suite) and identical commit/abort tallies."""
 
     @pytest.mark.parametrize("variant", ["occ", "2pl", "mixed"])
     @pytest.mark.parametrize("seed", [0, 1])
@@ -179,6 +196,39 @@ class TestMetamorphic:
     def test_unknown_check_rejected(self):
         with pytest.raises(ConfigError, match="unknown scenario"):
             metamorphic_sweep(checks=["nope"], seeds=(0,))
+
+    def test_known_tie_is_reported_not_failed(self):
+        (scenario, n_nodes, seed), _why = sorted(KNOWN_TIES.items())[0]
+        rep = metamorphic_sweep(checks=[scenario], seeds=(seed,),
+                                node_counts=(n_nodes,), workers=0)
+        assert rep["verdict"] == "ok"
+        assert rep["kernel_mismatches"] == [] and rep["stale_ties"] == []
+        assert [(t["scenario"], t["n_nodes"], t["seed"])
+                for t in rep["kernel_ties"]] == [(scenario, n_nodes, seed)]
+
+    def test_unlisted_tie_fails(self, monkeypatch):
+        (scenario, n_nodes, seed), _why = sorted(KNOWN_TIES.items())[0]
+        monkeypatch.setattr("repro.verify.metamorphic.KNOWN_TIES", {})
+        rep = metamorphic_sweep(checks=[scenario], seeds=(seed,),
+                                node_counts=(n_nodes,), workers=0)
+        assert rep["verdict"] == "violation"
+        assert len(rep["kernel_mismatches"]) == 1
+        assert rep["kernel_ties"] == []
+
+    def test_stale_entry_fails(self, monkeypatch, capsys):
+        """A listed cell whose kernels agree again must be deleted, not
+        left to excuse a future divergence; cells that did not run are
+        not judged."""
+        monkeypatch.setattr("repro.verify.metamorphic.KNOWN_TIES",
+                            {("srsl", 0, 0): "link tie: made up",
+                             ("srsl", 0, 99): "link tie: not in this run"})
+        rep = metamorphic_sweep(checks=["srsl"], seeds=(0,),
+                                node_counts=(0,), workers=0)
+        assert rep["verdict"] == "violation"
+        assert rep["stale_ties"] == [{"scenario": "srsl", "n_nodes": 0,
+                                      "seed": 0}]
+        assert main(["check", "meta", "srsl", "--seeds", "0"]) == 1
+        assert "STALE KNOWN_TIES entry srsl" in capsys.readouterr().out
 
 
 class TestCheckCli:
