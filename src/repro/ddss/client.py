@@ -21,7 +21,7 @@ from typing import Dict, Optional, Tuple, Union
 from repro.errors import (CoherenceError, DDSSError, FaultError, RdmaError,
                           StaleHomeError, TxnConflict)
 from repro.net.node import Node
-from repro.sim import Event
+from repro.sim import Event, settle
 
 from repro.ddss.coherence import Coherence
 from repro.ddss.substrate import (
@@ -59,6 +59,14 @@ def _fingerprint(data: bytes) -> str:
     if len(data) <= _FP_MAX:
         return data.hex()
     return "b2:" + hashlib.blake2b(data, digest_size=16).hexdigest()
+
+
+def _word(result) -> int:
+    """The version word in a verb's result: a CAS returns the old word,
+    a read that starts at ``VERSION_OFF`` leads with it."""
+    if type(result) is int:
+        return result
+    return int.from_bytes(result[:8], "big")
 
 
 class _TombstoneRead(Exception):
@@ -378,75 +386,64 @@ class DDSSClient:
         """Write every reachable copy; at least one must succeed.
 
         The version is ordered by a fetch-and-add on the first live
-        copy, then pushed with the data to the remaining copies as one
-        snapshot blob.  Copies are ordered per writer; a put that could
-        not reach any copy raises :class:`DDSSError`.  Copies on a
+        copy, alone; then every copy is written at once (the remaining
+        copies take version and data as one snapshot blob).  A put that
+        could not reach any copy raises :class:`DDSSError`.  Copies on a
         crashed node are *not* reconciled on restart — callers that
         need that must re-put (documented limitation).
         """
         nic = self.node.nic
         model = meta.coherence
         copies = meta.copies
+        version = None
+        faa_at = None
         if model.versioned:
-            version = None
-            faa_at = None
-            for home, addr, rkey in copies:
+            for copy in copies:
+                home, addr, rkey = copy
                 try:
                     old = yield nic.faa(home, addr + VERSION_OFF, rkey, 1)
                 except (RdmaError, FaultError):
                     self.failovers += 1
                     continue
                 version = old + 1
-                faa_at = (home, addr, rkey)
+                faa_at = copy
                 break
             if version is None:
                 raise DDSSError(
                     f"unit {meta.key}: no reachable copy to version put")
-            wrote = 0
-            for home, addr, rkey in copies:
-                try:
-                    if (home, addr, rkey) == faa_at:
-                        yield nic.rdma_write(home, addr + HEADER_BYTES,
-                                             rkey, data)
-                    else:
-                        blob = version.to_bytes(8, "big") + data
-                        yield nic.rdma_write(home, addr + VERSION_OFF,
-                                             rkey, blob)
-                    wrote += 1
-                except (RdmaError, FaultError):
-                    self.failovers += 1
-            if wrote == 0:
-                raise DDSSError(
-                    f"unit {meta.key}: put reached no copy")
-            if model.cacheable:  # DELTA: our write is the freshest copy
-                self._data_cache[meta.key] = (version, bytes(data),
-                                              self.env.now)
-            return version
-        wrote = 0
-        version = None
-        if model is Coherence.READ:
+        elif model is Coherence.READ:
             version = self._next_local_version(meta.key)
-            blob = version.to_bytes(8, "big") + data
-            for home, addr, rkey in copies:
-                try:
-                    yield nic.rdma_write(home, addr + VERSION_OFF,
-                                         rkey, blob)
-                    wrote += 1
-                except (RdmaError, FaultError):
-                    self.failovers += 1
-        else:  # NULL, TEMPORAL
-            for home, addr, rkey in copies:
-                try:
-                    yield nic.rdma_write(home, addr + HEADER_BYTES,
-                                         rkey, data)
-                    wrote += 1
-                except (RdmaError, FaultError):
-                    self.failovers += 1
-            if model is Coherence.TEMPORAL and wrote:
-                self._data_cache[meta.key] = (0, bytes(data), self.env.now)
+        blob = None if version is None else version.to_bytes(8, "big") + data
+        # the copy the FAA versioned (and every copy of an unversioned
+        # NULL/TEMPORAL unit) takes the bare data, the others one
+        # (version, data) snapshot blob
+        wrote = yield from self._write_copies(
+            [(home, addr + HEADER_BYTES, rkey, data)
+             if blob is None or (home, addr, rkey) == faa_at
+             else (home, addr + VERSION_OFF, rkey, blob)
+             for home, addr, rkey in copies])
         if wrote == 0:
             raise DDSSError(f"unit {meta.key}: put reached no copy")
+        if model.cacheable:  # our write is the freshest copy
+            self._data_cache[meta.key] = (version or 0, bytes(data),
+                                          self.env.now)
         return version
+
+    def _write_copies(self, writes):
+        """Post every ``(home, addr, rkey, payload)`` write together and
+        wait for all; returns how many landed.  An unreachable copy is
+        a failover, not an error."""
+        nic = self.node.nic
+        wrote = 0
+        for ok, exc in (yield from settle(
+                [nic.rdma_write(*write) for write in writes])):
+            if ok:
+                wrote += 1
+            elif isinstance(exc, (RdmaError, FaultError)):
+                self.failovers += 1
+            else:
+                raise exc
+        return wrote
 
     def get_version(self, key: KeyOrMeta) -> Event:
         """Read the unit's version counter."""
@@ -484,90 +481,70 @@ class DDSSClient:
     # bit.  A tombstoned word (unit rebalanced away) makes every
     # primitive re-resolve the key through the directory and retry at
     # the new home — an install can never land at a stale location.
+    #
+    # Every primitive is batch-first: ``*_all`` returns a generator the
+    # caller's process runs with ``yield from``.  It posts one verb per
+    # key at one instant, waits one round trip for all of them and
+    # returns one ``(ok, value_or_exception)`` per key, so the caller
+    # knows which keys landed.  A single-key method is a batch of one
+    # in a Process of its own.
 
     def snapshot(self, key: KeyOrMeta) -> Event:
         """Atomic ``(version, data)`` read; spins past a concurrent
         install (bounded, then :class:`TxnConflict`)."""
-        return self._proc(self._snapshot(key), "ddss-snapshot")
+        return self._proc(self._one(self.snapshot_all((key,))),
+                          "ddss-snapshot")
 
-    def _snapshot(self, key):
-        delay, mult, cap = _BACKOFF
-        spins = 0
-        meta = yield from self._meta(key)
-        while True:
-            blob = yield self.node.nic.rdma_read(
+    def snapshot_all(self, keys):
+        nic = self.node.nic
+        return self._round(
+            keys, lambda meta, _i: nic.rdma_read(
                 meta.home, meta.addr + VERSION_OFF, meta.rkey,
-                8 + meta.size)
-            word = int.from_bytes(blob[:8], "big")
-            if word == TOMBSTONE:
-                meta = yield from self._rehome(meta.key)
-                continue
-            if word & INSTALL_BIT:
-                spins += 1
-                if spins > _SNAP_SPINS:
-                    raise TxnConflict(
-                        f"unit {meta.key}: install in flight "
-                        f"({spins} snapshot retries)")
-                yield self.env.timeout(delay)
-                delay = min(delay * mult, cap)
-                continue
-            return word, blob[8:]
+                8 + meta.size),
+            lambda _i, word, blob: (word, blob[8:]), spin=True)
 
     def peek_version(self, key: KeyOrMeta) -> Event:
         """Raw version word (may carry ``INSTALL_BIT``); tombstones are
         chased to the unit's current home."""
-        return self._proc(self._peek_version(key), "ddss-peek")
+        return self._proc(self._one(self.peek_version_all((key,))),
+                          "ddss-peek")
 
-    def _peek_version(self, key):
-        meta = yield from self._meta(key)
-        while True:
-            word = yield from self._read_version(meta)
-            if word != TOMBSTONE:
-                return word
-            meta = yield from self._rehome(meta.key)
+    def peek_version_all(self, keys):
+        nic = self.node.nic
+        return self._round(
+            keys, lambda meta, _i: nic.rdma_read(
+                meta.home, meta.addr + VERSION_OFF, meta.rkey, 8),
+            lambda _i, word, _blob: word)
 
     def install_lock(self, key: KeyOrMeta, expected: int) -> Event:
         """Claim the key for install at snapshot version ``expected``.
 
         Raises :class:`TxnConflict` when the version moved (or another
         install holds the word)."""
-        return self._proc(self._install_lock(key, expected),
+        return self._proc(self._one(self.install_lock_all(((key, expected),))),
                           "ddss-install-lock")
 
-    def _install_lock(self, key, expected):
-        meta = yield from self._meta(key)
-        while True:
-            old = yield self.node.nic.cas(
-                meta.home, meta.addr + VERSION_OFF, meta.rkey,
-                expected, expected | INSTALL_BIT)
-            if old == expected:
-                return None
-            if old != TOMBSTONE:
-                raise TxnConflict(
-                    f"unit {meta.key}: version {old & ~INSTALL_BIT} "
-                    f"!= expected {expected}"
-                    + (" (install in flight)" if old & INSTALL_BIT
-                       else ""))
-            meta = yield from self._rehome(meta.key)
+    def install_lock_all(self, claims):
+        """``claims`` is ``[(key, expected)]``."""
+        return self._cas_all(
+            [(key, v, v | INSTALL_BIT) for key, v in claims],
+            lambda key, expected, old: TxnConflict(
+                f"unit {key}: version {old & ~INSTALL_BIT} != expected "
+                f"{expected}"
+                + (" (install in flight)" if old & INSTALL_BIT else "")))
 
     def install_abort(self, key: KeyOrMeta, expected: int) -> Event:
         """Unwind a claimed install: restore ``expected`` into the word."""
-        return self._proc(self._install_abort(key, expected),
-                          "ddss-install-abort")
+        return self._proc(
+            self._one(self.install_abort_all(((key, expected),))),
+            "ddss-install-abort")
 
-    def _install_abort(self, key, expected):
-        meta = yield from self._meta(key)
-        while True:
-            old = yield self.node.nic.cas(
-                meta.home, meta.addr + VERSION_OFF, meta.rkey,
-                expected | INSTALL_BIT, expected)
-            if old == expected | INSTALL_BIT:
-                return None
-            if old != TOMBSTONE:
-                raise CoherenceError(
-                    f"unit {meta.key}: install-abort found word "
-                    f"{old:#x}, expected busy {expected}")
-            meta = yield from self._rehome(meta.key)
+    def install_abort_all(self, claims):
+        return self._cas_all(
+            [(key, v | INSTALL_BIT, v) for key, v in claims],
+            lambda key, busy, old: CoherenceError(
+                f"unit {key}: install-abort found word {old:#x}, "
+                f"expected busy {busy & ~INSTALL_BIT}"))
 
     def install_publish(self, key: KeyOrMeta, expected: int,
                         data: bytes) -> Event:
@@ -581,19 +558,102 @@ class DDSSClient:
         matches the install's.  The substrate never rebalances a busy
         unit, so the write cannot race a tombstone.
         """
-        return self._proc(self._install_publish(key, expected, data),
-                          "ddss-install-publish")
+        return self._proc(
+            self._one(self.install_publish_all(((key, expected, data),))),
+            "ddss-install-publish")
 
-    def _install_publish(self, key, expected, data):
-        meta = yield from self._meta(key)
-        if len(data) > meta.size:
-            raise DDSSError(
-                f"install of {len(data)} bytes into unit of {meta.size}")
-        padded = bytes(data) + b"\x00" * (meta.size - len(data))
-        blob = (expected + 1).to_bytes(8, "big") + padded
-        yield self.node.nic.rdma_write(
-            meta.home, meta.addr + VERSION_OFF, meta.rkey, blob)
-        return expected + 1
+    def install_publish_all(self, installs):
+        """``installs`` is ``[(key, expected, data)]``.  An oversize
+        payload raises before anything is posted."""
+        metas = yield from self._metas([key for key, _v, _d in installs])
+        blobs = []
+        for meta, (_key, expected, data) in zip(metas, installs):
+            if len(data) > meta.size:
+                raise DDSSError(
+                    f"install of {len(data)} bytes into unit of {meta.size}")
+            blobs.append((expected + 1).to_bytes(8, "big") + bytes(data)
+                         + b"\x00" * (meta.size - len(data)))
+        nic = self.node.nic
+        results = yield from settle([
+            nic.rdma_write(meta.home, meta.addr + VERSION_OFF, meta.rkey,
+                           blob) for meta, blob in zip(metas, blobs)])
+        return [(ok, expected + 1 if ok else exc)
+                for (_k, expected, _d), (ok, exc) in zip(installs, results)]
+
+    @staticmethod
+    def _one(batch):
+        """Run a batch of one; its failure raises, its value returns."""
+        (ok, value), = yield from batch
+        if not ok:
+            raise value
+        return value
+
+    def _cas_all(self, swaps, lost):
+        """CAS every key's version word together; ``swaps`` is
+        ``[(key, compare, swap)]``.  A key whose word was not
+        ``compare`` fails with ``lost(key, compare, old)``."""
+        nic = self.node.nic
+
+        def post(meta, i):
+            _key, compare, swap = swaps[i]
+            return nic.cas(meta.home, meta.addr + VERSION_OFF, meta.rkey,
+                           compare, swap)
+
+        def verdict(i, old, _result):
+            key, compare, _swap = swaps[i]
+            if old != compare:
+                raise lost(key, compare, old)
+
+        return self._round([swap[0] for swap in swaps], post, verdict)
+
+    def _round(self, keys, post, value, spin=False):
+        """One batched round trip against every key's version word.
+
+        Resolves each key, posts ``post(meta, i)`` for all of them at
+        one instant and waits for every completion.  A key the round
+        trip could not answer is finished alone by
+        :meth:`_resolve_word`; the key's value is then
+        ``value(i, word, result)``, which may raise its failure.
+        """
+        metas = yield from self._metas(keys)
+        results = yield from settle(
+            [post(meta, i) for i, meta in enumerate(metas)])
+        for i, (ok, res) in enumerate(results):
+            if not ok:
+                continue
+            try:
+                word = _word(res)
+                if word == TOMBSTONE or (spin and word & INSTALL_BIT):
+                    word, res = yield from self._resolve_word(
+                        metas[i], i, post, spin, res)
+                results[i] = (True, value(i, word, res))
+            except Exception as exc:
+                results[i] = (False, exc)
+        return results
+
+    def _resolve_word(self, meta, i, post, spin, res):
+        """One key's slow path, entered with its opening result: a
+        tombstoned word re-resolves the key and re-posts at the new
+        home (bounded by :meth:`_rehome`); with ``spin`` an install in
+        flight is re-read after a back-off (bounded, then
+        :class:`TxnConflict`)."""
+        delay, mult, cap = _BACKOFF
+        spins = 0
+        while True:
+            word = _word(res)
+            if word == TOMBSTONE:
+                meta = yield from self._rehome(meta.key)
+            elif spin and word & INSTALL_BIT:
+                spins += 1
+                if spins > _SNAP_SPINS:
+                    raise TxnConflict(
+                        f"unit {meta.key}: install in flight "
+                        f"({spins} snapshot retries)")
+                yield self.env.timeout(delay)
+                delay = min(delay * mult, cap)
+            else:
+                return word, res
+            res = yield post(meta, i)
 
     def _rehome(self, key: int):
         """Tombstone hit: drop the cached meta and re-resolve, bounded."""
@@ -620,6 +680,16 @@ class DDSSClient:
             yield  # pragma: no cover - makes this a generator
         meta = yield from self._lookup(key)
         return meta
+
+    def _metas(self, keys):
+        """Resolve every key; only an uncached one costs a lookup."""
+        metas = []
+        for key in keys:
+            meta = self._meta_cache.get(key)
+            if meta is None:
+                meta = yield from self._meta(key)
+            metas.append(meta)
+        return metas
 
     def _control(self, node_id: int, body: dict):
         """Two-sided control RPC to a member daemon."""

@@ -35,6 +35,7 @@ from repro.sim.core import (
     SimulationError,
     Timeout,
     pin_kernel,
+    settle,
     slow_kernel_requested,
 )
 from repro.sim.cpu import CPU, CPUJob
@@ -58,6 +59,7 @@ __all__ = [
     "Store",
     "Timeout",
     "pin_kernel",
+    "settle",
     "slow_kernel_requested",
     "spawn_child",
 ]

@@ -51,6 +51,7 @@ __all__ = [
     "Process",
     "AnyOf",
     "AllOf",
+    "settle",
     "Environment",
     "KERNELS",
     "pin_kernel",
@@ -350,6 +351,39 @@ class AllOf(_Condition):
         self._remaining -= 1
         if self._remaining == 0:
             self.succeed(self._collect())
+
+
+def _watched(_event: Event) -> None:
+    """Callback whose only job is to count as a watcher (see settle)."""
+
+
+def settle(events: Iterable[Event]):
+    """Generator helper: wait for *all* of ``events``, report each.
+
+    ``results = yield from settle(events)`` returns one
+    ``(ok, value_or_exception)`` per event, in order.  Unlike
+    :class:`AllOf` it does not fail fast — a caller that posted k verbs
+    learns which landed — and costs no agenda entry: the children are
+    yielded in turn, and one already processed resumes inline.  Every
+    child is marked watched up front, because a failing
+    :class:`Process` (or fast-path verb) nobody watches is a crash and
+    the later children are not yielded until the earlier ones fire.  An
+    exception thrown into the waiter that is not the awaited child's
+    own failure (an :class:`Interrupt`, a close) propagates.
+    """
+    events = list(events)
+    for ev in events:
+        if ev.callbacks is not None:
+            ev.callbacks.append(_watched)
+    results = []
+    for ev in events:
+        try:
+            results.append((True, (yield ev)))
+        except BaseException as exc:
+            if exc is not ev._value:
+                raise
+            results.append((False, exc))
+    return results
 
 
 class Environment:

@@ -13,6 +13,8 @@ from typing import Dict
 
 import numpy as np
 
+from repro.errors import ConfigError
+
 __all__ = ["RngStreams", "spawn_child"]
 
 _MASK64 = (1 << 64) - 1
@@ -45,19 +47,28 @@ class RngStreams:
     def __init__(self, seed: int = 0):
         self.seed = int(seed)
         self._streams: Dict[str, np.random.Generator] = {}
+        #: 16-byte stream key -> the name that claimed it
+        self._keys: Dict[bytes, str] = {}
 
     def get(self, name: str) -> np.random.Generator:
         """Return the generator for ``name`` (created on first use).
 
         The same ``(seed, name)`` pair always yields an identical stream,
-        independent of creation order.
+        independent of creation order.  Only the first 16 bytes of the
+        name key the stream: a second name with the same prefix would
+        silently replay the first one's draws, so it is refused.
         """
         gen = self._streams.get(name)
         if gen is None:
             # Key the child seed by a stable hash of the name so creation
             # order is irrelevant.
-            digest = np.frombuffer(
-                name.encode("utf-8").ljust(16, b"\0")[:16], dtype=np.uint32)
+            key = name.encode("utf-8").ljust(16, b"\0")[:16]
+            owner = self._keys.setdefault(key, name)
+            if owner != name:
+                raise ConfigError(
+                    f"rng streams {owner!r} and {name!r} share their "
+                    f"first 16 bytes and would be the same stream")
+            digest = np.frombuffer(key, dtype=np.uint32)
             seq = np.random.SeedSequence([self.seed, *digest.tolist()])
             gen = np.random.default_rng(seq)
             self._streams[name] = gen

@@ -8,8 +8,8 @@ variants share this base (the taxonomy of RDMA-enabled protocols —
 one-sided OCC vs. lock-based 2PL):
 
 * :class:`repro.txn.OCCTxnClient` — optimistic: snapshot, validate by
-  CAS-claiming every write-set version word in canonical key order,
-  re-check read-only versions, publish.
+  CAS-claiming every write-set version word, re-check read-only
+  versions, publish.
 * :class:`repro.txn.TwoPLTxnClient` — pessimistic: acquire a per-key
   N-CoSED exclusive lock in canonical order first, then run the same
   claim/publish path (defense in depth: a revoked lease or a concurrent
@@ -17,11 +17,11 @@ one-sided OCC vs. lock-based 2PL):
   update).
 
 ``TxnClient.run(txn)`` returns a simulation event whose value is a
-:class:`TxnResult`; attempts that abort are retried with exponential
-backoff up to ``max_attempts``.  Every phase emits ``txn.*`` trace
-events carrying the transaction id, the attempt number, and payload
-fingerprints — the material :class:`repro.verify.TxnOracle` replays to
-check serializability offline.
+:class:`TxnResult`; attempts that abort are retried with jittered
+exponential backoff up to ``max_attempts``.  Every phase emits
+``txn.*`` trace events carrying the transaction id, the attempt number,
+and payload fingerprints — the material :class:`repro.verify.TxnOracle`
+replays to check serializability offline.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from repro.ddss.client import DDSSClient, _fingerprint
 from repro.ddss.substrate import INSTALL_BIT
 from repro.errors import (DDSSError, FaultError, LockError, RdmaError,
                           TimeoutError, TxnConflict, TxnError)
-from repro.sim import Event
+from repro.sim import Event, spawn_child
 
 __all__ = ["Txn", "TxnResult", "TxnClient"]
 
@@ -43,6 +43,9 @@ _RETRY_BACKOFF = (10.0, 2.0, 400.0)
 #: failures that abort an attempt cleanly (unwound, retryable)
 _ABORTABLE = (TxnConflict, LockError, DDSSError, FaultError, RdmaError,
               TimeoutError)
+
+#: what posting a publish or a restore can fail with
+_VERB_FAILURES = (DDSSError, FaultError, RdmaError)
 
 
 @dataclass(frozen=True)
@@ -75,6 +78,14 @@ class TxnResult:
     writes: Tuple[int, ...] = ()
     wedged: bool = False
     reason: str = ""
+
+
+def _raise_unless(results, tolerated=()) -> None:
+    """Raise the first failure in a batch's ``(ok, value_or_exception)``
+    results that is not one of the ``tolerated`` classes."""
+    for ok, exc in results:
+        if not ok and not isinstance(exc, tolerated):
+            raise exc
 
 
 class _Wedged(TxnError):
@@ -152,7 +163,7 @@ class TxnClient:
                                      committed=False, attempts=attempt,
                                      reason=reason)
                 self.retries += 1
-                yield self.env.timeout(delay)
+                yield self.env.timeout(delay * self._jitter(tid, attempt))
                 delay = min(delay * mult, cap)
                 continue
             self.commits += 1
@@ -163,6 +174,14 @@ class TxnClient:
                              attempts=attempt, writes=tuple(sorted(writes)))
         raise AssertionError("unreachable")  # pragma: no cover
 
+    def _jitter(self, tid: int, attempt: int) -> float:
+        """Back-off multiplier in [0.5, 1.5), a pure function of
+        (cluster seed, tid, attempt).  Claims posted together have no
+        canonical order to break a tie: two transactions that collide
+        would otherwise retry in lockstep for ever (DESIGN.md §13)."""
+        z = spawn_child(spawn_child(self.env.rng.seed, tid), attempt)
+        return 0.5 + (z >> 11) / (1 << 53)
+
     def _attempt(self, txn: Txn, tid: int, attempt: int,
                  keys: Tuple[int, ...]):
         """One attempt; returns the write set or raises to abort."""
@@ -170,15 +189,19 @@ class TxnClient:
         yield  # pragma: no cover
 
     # -- shared phases --------------------------------------------------
+    # Each phase posts its verbs for every key at once and waits one
+    # round trip (DESIGN.md §13); the phases themselves stay in order.
     def _read_phase(self, tid: int, attempt: int, keys: Sequence[int]):
         """Snapshot every key; returns ``key -> (version, bytes)``."""
         snaps: Dict[int, Tuple[int, bytes]] = {}
-        for k in keys:
-            version, data = yield self.store.snapshot(k)
-            snaps[k] = (version, bytes(data))
+        results = yield from self.store.snapshot_all(keys)
+        _raise_unless(results)
+        for k, (_ok, (version, data)) in zip(keys, results):
+            data = bytes(data)
+            snaps[k] = (version, data)
             self._emit("txn.read", tid=tid, attempt=attempt, key=k,
                        version=version, nbytes=len(data),
-                       data=_fingerprint(bytes(data)))
+                       data=_fingerprint(data))
         return snaps
 
     def _compute(self, txn: Txn,
@@ -193,25 +216,28 @@ class TxnClient:
     def _claim_and_validate(self, tid: int, attempt: int,
                             snaps: Dict[int, Tuple[int, bytes]],
                             writes: Dict[int, bytes]):
-        """CAS-claim the write set in canonical order at the snapshot
-        versions, then re-check the read-only versions.  On any failure
-        the claimed words are unwound before re-raising."""
+        """CAS-claim the whole write set at the snapshot versions, then
+        — strictly after every claim has landed — re-check the
+        read-only versions.  On any failure the claims that landed are
+        unwound before re-raising."""
         wkeys = sorted(writes)
         claimed: List[int] = []
         try:
-            for k in wkeys:
-                yield self.store.install_lock(k, snaps[k][0])
-                claimed.append(k)
-            for k in sorted(snaps):
-                if k in writes:
-                    continue
-                word = yield self.store.peek_version(k)
-                if word != snaps[k][0]:
-                    raise TxnConflict(
-                        f"read-set key {k}: version "
-                        f"{word & ~INSTALL_BIT} != snapshot "
-                        f"{snaps[k][0]}")
-        except BaseException:
+            results = yield from self.store.install_lock_all(
+                [(k, snaps[k][0]) for k in wkeys])
+            claimed = [k for k, (ok, _) in zip(wkeys, results) if ok]
+            _raise_unless(results)
+            rkeys = [k for k in sorted(snaps) if k not in writes]
+            if rkeys:
+                results = yield from self.store.peek_version_all(rkeys)
+                _raise_unless(results)
+                for k, (_ok, word) in zip(rkeys, results):
+                    if word != snaps[k][0]:
+                        raise TxnConflict(
+                            f"read-set key {k}: version "
+                            f"{word & ~INSTALL_BIT} != snapshot "
+                            f"{snaps[k][0]}")
+        except Exception:
             self._emit("txn.validate", tid=tid, attempt=attempt, ok=False)
             yield from self._unwind(claimed, snaps)
             raise
@@ -220,40 +246,48 @@ class TxnClient:
 
     def _unwind(self, claimed: Sequence[int],
                 snaps: Dict[int, Tuple[int, bytes]]):
-        for k in reversed(list(claimed)):
-            try:
-                yield self.store.install_abort(k, snaps[k][0])
-            except (DDSSError, FaultError, RdmaError):
-                # the word stays busy: readers conflict instead of
-                # seeing torn state — liveness lost, safety kept
-                pass
+        if not claimed:
+            return
+        # a restore that failed leaves the word busy: readers conflict
+        # instead of seeing torn state — liveness lost, safety kept
+        _raise_unless((yield from self.store.install_abort_all(
+            [(k, snaps[k][0]) for k in claimed])), _VERB_FAILURES)
 
     def _publish(self, tid: int, attempt: int,
                  snaps: Dict[int, Tuple[int, bytes]],
                  writes: Dict[int, bytes], wkeys: Sequence[int]):
-        """Publish every claimed key.  Each key's publish is one atomic
-        ``(version, data)`` write; a failure before anything became
-        durable unwinds to a clean abort, a failure after leaves the
-        remaining claims in place (wedged — readers of the unpublished
-        keys conflict rather than observe a torn write set)."""
+        """Publish every claimed key, each with one atomic ``(version,
+        data)`` write.  A publish that lands is the commit point: when
+        none did, the claims unwind to a clean abort; when some did and
+        some failed, the failed keys' claims stay in place (wedged —
+        readers of the unpublished keys conflict rather than observe a
+        torn write set)."""
+        try:
+            results = yield from self.store.install_publish_all(
+                [(k, snaps[k][0], writes[k]) for k in wkeys])
+        except _VERB_FAILURES as exc:  # refused before any post
+            results = [(False, exc)] * len(wkeys)
         installed: List[int] = []
-        for k in wkeys:
-            try:
-                newv = yield self.store.install_publish(
-                    k, snaps[k][0], writes[k])
-            except (DDSSError, FaultError, RdmaError) as exc:
-                if not installed:
-                    yield from self._unwind(wkeys, snaps)
-                    raise TxnConflict(
-                        f"publish of key {k} failed before commit "
-                        f"point: {type(exc).__name__}") from exc
-                raise _Wedged(installed, wkeys) from exc
+        failed = None
+        for k, (ok, newv) in zip(wkeys, results):
+            if not ok:
+                failed = failed or (k, newv)
+                continue
             installed.append(k)
             self._emit("txn.install", tid=tid, attempt=attempt, key=k,
                        version=newv, nbytes=len(writes[k]),
                        data=_fingerprint(bytes(writes[k])
                                          + b"\x00" * (self._pad(k)
                                                       - len(writes[k]))))
+        _raise_unless(results, _VERB_FAILURES)
+        if failed is not None:
+            k, exc = failed
+            if installed:
+                raise _Wedged(installed, wkeys) from exc
+            yield from self._unwind(wkeys, snaps)
+            raise TxnConflict(
+                f"publish of key {k} failed with nothing durable: "
+                f"{type(exc).__name__}") from exc
         return installed
 
     def _pad(self, key: int) -> int:

@@ -10,9 +10,9 @@ catch an OCC transaction racing the same keys, an FT lease that was
 revoked mid-transaction, or a unit rebalanced under our feet — the
 version word remains the final authority (defense in depth).
 
-Growing phase = lock acquisition; shrinking phase = the ``finally``
-block releasing every held lock in reverse order, whether the attempt
-committed or aborted (strict 2PL).  Under a fault-tolerant lock manager
+Growing phase = lock acquisition, one lock at a time; shrinking phase =
+every held lock released at once, whether the attempt committed or
+aborted (strict 2PL).  Under a fault-tolerant lock manager
 ``acquire`` can raise :class:`repro.errors.LockError` after its retry
 budget — that aborts the attempt cleanly and the bounded txn retry loop
 takes over.
@@ -24,7 +24,8 @@ from typing import Dict, Optional
 
 from repro.dlm.base import LockClient, LockMode
 from repro.errors import FaultError, LockError, RdmaError, TxnError
-from repro.txn.base import Txn, TxnClient
+from repro.sim import settle
+from repro.txn.base import Txn, TxnClient, _raise_unless
 
 __all__ = ["TwoPLTxnClient"]
 
@@ -54,7 +55,10 @@ class TwoPLTxnClient(TxnClient):
         except KeyError as exc:
             raise TxnError(f"{txn.label}: key {exc} has no mapped lock")
         held = []
+        failure = None
         try:
+            # one at a time, in canonical order: queue locks taken
+            # together would hold-and-wait into a deadlock
             for lid in lock_ids:
                 yield self.locks.acquire(lid, LockMode.EXCLUSIVE)
                 held.append(lid)
@@ -63,11 +67,15 @@ class TwoPLTxnClient(TxnClient):
             wkeys = yield from self._claim_and_validate(
                 tid, attempt, snaps, writes)
             yield from self._publish(tid, attempt, snaps, writes, wkeys)
-            return writes
-        finally:
-            for lid in reversed(held):
-                try:
-                    yield self.locks.release(lid)
-                except (LockError, FaultError, RdmaError):
-                    # a lost lease or dead home: the reaper reclaims it
-                    pass
+        except Exception as exc:
+            # not ``finally``: an attempt cut off at the horizon is
+            # closed by the interpreter, and a closing generator must
+            # not yield
+            failure = exc
+        # a lost lease or dead home: the reaper reclaims it
+        _raise_unless((yield from settle(
+            [self.locks.release(lid) for lid in held])),
+            (LockError, FaultError, RdmaError))
+        if failure is not None:
+            raise failure
+        return writes

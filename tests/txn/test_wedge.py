@@ -1,7 +1,8 @@
-"""The publish failure windows: before anything durable a transaction
-unwinds to a clean abort; after a partial publish it wedges, leaving
-the unpublished claims busy so readers conflict instead of observing a
-torn write set."""
+"""The publish failure windows: a publish that lands is the commit
+point.  With nothing durable a transaction unwinds to a clean abort;
+with part of the write set durable it wedges, leaving the unpublished
+claims busy so readers conflict instead of observing a torn write
+set."""
 
 import pytest
 
@@ -15,8 +16,9 @@ from repro.workloads.tpcc import transfer_txn
 
 
 class FailingStore:
-    """Delegates to a real DDSS client, but fails ``install_publish``
-    for chosen keys a chosen number of times."""
+    """Delegates to a real DDSS client, but in ``install_publish_all``
+    the chosen keys are never posted and report a failure, for a chosen
+    number of batches; their siblings in the batch publish for real."""
 
     def __init__(self, inner, fail_keys, times=10 ** 9):
         self._inner = inner
@@ -26,11 +28,14 @@ class FailingStore:
     def __getattr__(self, name):
         return getattr(self._inner, name)
 
-    def install_publish(self, key, expected, data):
-        if key in self._fail_keys and self._times > 0:
-            self._times -= 1
-            raise DDSSError(f"injected publish failure for key {key}")
-        return self._inner.install_publish(key, expected, data)
+    def install_publish_all(self, installs):
+        failing = self._fail_keys if self._times > 0 else set()
+        self._times -= 1
+        landed = iter((yield from self._inner.install_publish_all(
+            [it for it in installs if it[0] not in failing])))
+        return [(False, DDSSError(f"injected publish failure for key "
+                                  f"{it[0]}"))
+                if it[0] in failing else next(landed) for it in installs]
 
 
 def _rig(observe=False):
@@ -66,7 +71,7 @@ class TestCleanAbortWindow:
     def test_failure_before_commit_point_unwinds_and_retries(self):
         cluster, ddss, _obs, keys = _rig()
         store = FailingStore(ddss.client(cluster.nodes[1]),
-                             fail_keys=[min(keys)], times=1)
+                             fail_keys=keys, times=1)
         client = OCCTxnClient(store, max_attempts=3)
         ev = client.run(transfer_txn(keys[0], keys[1], 25))
         cluster.env.run_until_event(ev, limit=1e9)
@@ -80,7 +85,7 @@ class TestCleanAbortWindow:
     def test_exhausted_retries_leave_state_untouched(self):
         cluster, ddss, _obs, keys = _rig()
         store = FailingStore(ddss.client(cluster.nodes[1]),
-                             fail_keys=[min(keys)])
+                             fail_keys=keys)
         client = OCCTxnClient(store, max_attempts=2)
         ev = client.run(transfer_txn(keys[0], keys[1], 25))
         cluster.env.run_until_event(ev, limit=1e9)
@@ -141,3 +146,19 @@ class TestWedgeWindow:
         cluster.env.run_until_event(ev, limit=1e9)
         assert ev.value.wedged
         assert f"[{lo}] of [{lo}, {hi}]" in ev.value.reason
+
+    def test_lowest_key_failing_beside_a_durable_sibling_wedges(self):
+        """Publishes fly together, so the lowest key failing no longer
+        means nothing is durable: its sibling landed, and that is a
+        commit point (sequential publishes aborted cleanly here)."""
+        cluster, ddss, _obs, keys = _rig()
+        lo, hi = sorted(keys)
+        store = FailingStore(ddss.client(cluster.nodes[1]),
+                             fail_keys=[lo])
+        client = OCCTxnClient(store)
+        ev = client.run(transfer_txn(lo, hi, 5))
+        cluster.env.run_until_event(ev, limit=1e9)
+        assert ev.value.wedged and ev.value.attempts == 1
+        assert f"[{hi}] of [{lo}, {hi}]" in ev.value.reason
+        assert _word(ddss, hi) == 2
+        assert _word(ddss, lo) == 1 | INSTALL_BIT
