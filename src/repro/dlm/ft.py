@@ -229,15 +229,23 @@ class EpochFencedManager(LockManagerBase):
     def _reap_proc(self):
         while True:
             yield self.env.timeout(self.reap_every_us)
-            for lock_id in range(self.n_locks):
+            if not getattr(self.detector, "has_quorum", True):
+                # minority-partition view: freezing the reaper here is
+                # what keeps a split brain from revoking the majority's
+                # grants
+                continue
+            # Every reclaim condition needs a prior attempt on the lock
+            # (a holder, a suspect flag, a tail token or tournament flag
+            # left in its words), and ``_acquire`` / ``_release`` note
+            # the attempt in ``_active`` — whose keys are never dropped
+            # — before their first verb: a lock outside these three
+            # tables has pristine words and nothing to reclaim.
+            for lock_id in sorted(self._active.keys() | self._suspect.keys()
+                                  | self.holders.keys()):
                 if self._should_reclaim(lock_id):
                     self._reclaim(lock_id)
 
     def _should_reclaim(self, lock_id: int) -> bool:
-        if not getattr(self.detector, "has_quorum", True):
-            # minority-partition view: freezing the reaper here is what
-            # keeps a split brain from revoking the majority's grants
-            return False
         if self._node_dead(self.home_node(lock_id).id):
             return False  # words unreachable; restart first
         if self._suspect.get(lock_id):

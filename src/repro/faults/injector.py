@@ -19,11 +19,18 @@ single place the :mod:`repro.net` layer consults:
 * :meth:`credit_stall_until` — end of the active ``stall_credits``
   window for a node (the flow-control layer defers its credit returns
   until then), or ``None``.
-* :meth:`fence_completion` — wraps a transfer's completion event so a
-  crash (epoch bump) at either endpoint while the transfer was in
-  flight fails the completion instead of delivering it.  This is what
-  keeps a restarted node from consuming a *zombie completion* posted
-  by its previous incarnation.
+* :meth:`fenced` — the completion fence: given the value of
+  :attr:`crashes` read when a transfer was injected, the error its
+  completion must fail with if either endpoint crashed while it was in
+  flight.  This is what keeps a restarted node from consuming a *zombie
+  completion* posted by its previous incarnation.  The analytic
+  transfers of the fast kernel call it at the arrival instant;
+  :meth:`fence_completion` wraps a generator transfer's completion
+  event in the same check.
+
+Every hook reads the clock or the ``down`` set at the instant it is
+called, so the net layer consults each one at the instant the generator
+transfer would (DESIGN.md §7, §9).
 
 Crash/restart listeners let services react to membership ground truth;
 the :class:`repro.monitor.heartbeat.HeartbeatDetector` instead
@@ -69,6 +76,13 @@ class FaultInjector:
         #: node id -> communication-context incarnation; bumped on every
         #: crash so in-flight completions can be fenced against restarts
         self.incarnations: Dict[int, int] = {}
+        #: crashes so far, cluster-wide.  A transfer keeps the value it
+        #: read at injection; an equal value at arrival means nothing
+        #: crashed in between (the common case, one compare), anything
+        #: else is settled by :meth:`fenced`.
+        self.crashes = 0
+        #: node id -> value of ``crashes`` just after its latest crash
+        self._crash_stamp: Dict[int, int] = {}
         #: (time, "crash"|"restart", node_id) — the injected ground truth
         self.log: List[tuple] = []
         self._listeners: List[Callable[[int, str], None]] = []
@@ -122,6 +136,8 @@ class FaultInjector:
             return
         self.down.add(node_id)
         self.incarnations[node_id] = self.incarnations.get(node_id, 0) + 1
+        self.crashes += 1
+        self._crash_stamp[node_id] = self.crashes
         self.log.append((self.env.now, "crash", node_id))
         self._obs_fault("fault.crash", node_id)
         for fn in self._listeners:
@@ -266,32 +282,37 @@ class FaultInjector:
     # ------------------------------------------------------------------
     # completion fencing (zombie-completion prevention)
     # ------------------------------------------------------------------
+    def fenced(self, since: int, src_id: int,
+               dst_id: Optional[int]) -> Optional[NodeDownError]:
+        """The error a completion must fail with, or ``None``.
+
+        ``since`` is :attr:`crashes` as read when the transfer was
+        injected.  A crash bumps the node's incarnation; if either
+        endpoint crashed after ``since``, the completion belongs to a
+        dead communication context and must not be delivered — even if
+        the node has since restarted.  (``dst_id`` of ``None`` is a
+        multicast: only the source is fenced.)
+        """
+        stamp = self._crash_stamp
+        if stamp.get(src_id, 0) > since or stamp.get(dst_id, 0) > since:
+            self.completions_fenced += 1
+            return NodeDownError(
+                f"stale completion fenced: endpoint of "
+                f"{src_id}->{dst_id} crashed mid-transfer")
+        return None
+
     def fence_completion(self, src_id: int, dst_id: Optional[int],
                          inner: Event) -> Event:
-        """Tie ``inner``'s completion to both endpoints' incarnations.
-
-        A crash bumps the node's incarnation; if either endpoint's
-        incarnation changed while the transfer was in flight, the
-        completion belongs to a dead communication context and must not
-        be delivered — even if the node has since restarted.  The gate
-        fails with :class:`NodeDownError` instead.
-        """
-        snap = (self.incarnation(src_id),
-                self.incarnation(dst_id) if dst_id is not None else 0)
+        """Gate a generator transfer's completion on :meth:`fenced`."""
+        since = self.crashes
         gate = self.env.event()
 
         def _done(ev):
-            cur = (self.incarnation(src_id),
-                   self.incarnation(dst_id) if dst_id is not None else 0)
-            if not ev.ok:
-                gate.fail(ev._value)
-            elif cur != snap:
-                self.completions_fenced += 1
-                gate.fail(NodeDownError(
-                    f"stale completion fenced: endpoint of "
-                    f"{src_id}->{dst_id} crashed mid-transfer"))
-            else:
+            exc = self.fenced(since, src_id, dst_id) if ev.ok else ev._value
+            if exc is None:
                 gate.succeed(ev._value)
+            else:
+                gate.fail(exc)
 
         inner.add_callback(_done)
         return gate

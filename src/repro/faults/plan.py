@@ -173,10 +173,21 @@ def _check_rate(rate: float, kind: str) -> float:
 
 
 def _check_window(start: float, until: float, kind: str) -> None:
-    if start < 0 or until <= start:
+    # the chained compare is false for a NaN on either side and for an
+    # infinite start; ``until=inf`` (never closes) stays legal
+    if not 0 <= start < until:
         raise ConfigError(
             f"{kind}: bad fault window [{start}, {until}) — start must "
-            f"be >= 0 and until must exceed start")
+            f"be finite and >= 0 and until must exceed start")
+
+
+def _check_factor(factor: float, kind: str) -> float:
+    # a non-finite factor would park a booked link at inf/nan for the
+    # rest of the run (the generator dies in Environment.timeout)
+    if not 1.0 <= factor < math.inf:
+        raise ConfigError(
+            f"{kind}: factor must be finite and >= 1.0, got {factor}")
+    return float(factor)
 
 
 class FaultPlan:
@@ -194,13 +205,13 @@ class FaultPlan:
     # -- builders -------------------------------------------------------
     def crash(self, node: int, at: float,
               restart_at: Optional[float] = None) -> "FaultPlan":
-        if at < 0:
+        if not 0 <= at < math.inf:
             raise ConfigError(
-                f"crash: time must be non-negative, got {at}")
-        if restart_at is not None and restart_at <= at:
+                f"crash: time must be finite and non-negative, got {at}")
+        if restart_at is not None and not at < restart_at < math.inf:
             raise ConfigError(
-                f"crash: restart_at ({restart_at}) must come after the "
-                f"crash ({at})")
+                f"crash: restart_at ({restart_at}) must be finite and "
+                f"come after the crash ({at})")
         self.crashes.append(Crash(node=node, at=at, restart_at=restart_at))
         return self
 
@@ -234,12 +245,9 @@ class FaultPlan:
     def degrade_link(self, factor: float, src: Optional[int] = None,
                      dst: Optional[int] = None, start: float = 0.0,
                      until: float = math.inf) -> "FaultPlan":
-        if factor < 1.0:
-            raise ConfigError(
-                f"degrade_link: factor must be >= 1.0, got {factor}")
         _check_window(start, until, "degrade_link")
         self.degrades.append(LinkDegrade(
-            factor=float(factor), src=src, dst=dst,
+            factor=_check_factor(factor, "degrade_link"), src=src, dst=dst,
             start=start, until=until))
         return self
 
@@ -279,12 +287,9 @@ class FaultPlan:
     def slow_node(self, node: int, factor: float, start: float = 0.0,
                   until: float = math.inf) -> "FaultPlan":
         """Gray failure: slow every transfer touching ``node``."""
-        if factor < 1.0:
-            raise ConfigError(
-                f"slow_node: factor must be >= 1.0, got {factor}")
         _check_window(start, until, "slow_node")
         self.slow_nodes.append(SlowNode(
-            node=int(node), factor=float(factor),
+            node=int(node), factor=_check_factor(factor, "slow_node"),
             start=start, until=until))
         return self
 

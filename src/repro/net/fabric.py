@@ -12,6 +12,7 @@ and flow-control experiments).
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Dict, Optional, TYPE_CHECKING
 
 from repro.errors import ConfigError
@@ -26,6 +27,14 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = ["Fabric"]
 
 
+def _settle(done: Event, exc: Optional[BaseException]) -> None:
+    """``arrive(exc)`` of a transfer that completes an :class:`Event`."""
+    if exc is None:
+        done.succeed()
+    else:
+        done.fail(exc)
+
+
 class Fabric:
     """Connects nodes; accounts latency, serialization and contention."""
 
@@ -33,14 +42,12 @@ class Fabric:
         self.env = env
         self.params = params
         self._nodes: Dict[int, "Node"] = {}
+        #: per-node egress link of the generator transfers (the slow
+        #: kernel's executable spec)
         self._egress: Dict[int, Resource] = {}
-        #: per-node count of generator transfers injected but still in
-        #: their ``nic_tx`` window, not yet at the egress link's
-        #: ``acquire()``.  While non-zero the analytic FIFO must stand
-        #: down, otherwise a later transfer could book the link ahead
-        #: of an earlier in-flight one and break fast/slow equivalence
-        #: (DESIGN.md §9).
-        self._pre_acquire: Dict[int, int] = {}
+        #: the same link on the fast kernel: the instant its chain of
+        #: booked serialization windows ends (DESIGN.md §9)
+        self._egress_end: Dict[int, float] = {}
         #: cached observability counter handles, invalidated when the
         #: installed Observability changes (string-keyed registry
         #: lookups are too hot to repeat per transfer).
@@ -57,7 +64,7 @@ class Fabric:
             raise ConfigError(f"node id {node.id} already attached")
         self._nodes[node.id] = node
         self._egress[node.id] = Resource(self.env, capacity=1)
-        self._pre_acquire[node.id] = 0
+        self._egress_end[node.id] = self.env.now
 
     def node(self, node_id: int) -> "Node":
         try:
@@ -84,116 +91,122 @@ class Fabric:
             fail = self.injector.transfer_fault(src_id, dst_id)
             if fail is not None:
                 return fail  # refused transfers move no bytes
-        self.transfers += 1
-        self.bytes_moved += nbytes
-        obs = self.env.obs
-        if obs is not None:
-            self._obs_transfer(obs, nbytes)
-        if src_id != dst_id:
-            return self._arrival(src_id, dst_id, nbytes)
-        done = self.env.timeout(self.params.local_op_us)
-        if self.injector is not None:
-            return self.injector.fence_completion(src_id, dst_id, done)
-        return done
+        return self._arrival(src_id, dst_id, nbytes)
 
     def _arrival(self, src_id: int, dst_id: Optional[int],
                  nbytes: int) -> Event:
-        """Completion event of one injection at ``src_id`` — the one
-        fast/slow decision of this module.
-
-        Fault-free on the fast kernel the egress link is an analytic
-        FIFO server: the whole 4-yield transfer process collapses into
-        a single scheduled instant, whether the link is idle or busy
-        with earlier bookings (:meth:`Resource.try_reserve`).  The
-        transfer is ready for the link at ``now + nic_tx`` and holds it
-        for the serialization time from then or from the end of the
-        previous booking — when the generator's ``acquire()`` would be
-        granted — so its window ends when the generator's ``release()``
-        would run.  The additions keep the generator's association
-        order: it computes ``(start + serialization)`` and then
-        ``+ (wire + nic_rx)`` across separate Timeouts, and float
-        addition is not associative — byte-identical equivalence
-        requires the same order.  Otherwise (a real holder or waiter on
-        the link, an injector, the slow kernel) the generator transfer
-        runs: it is the spec, and the only path a fault injector can
-        act on.
-        """
+        """Completion event of one accepted injection at ``src_id`` —
+        the one fast/slow decision of this module: the fast kernel
+        routes it analytically (:meth:`_route`), the slow kernel runs
+        the generator transfer, which is the executable spec."""
         env = self.env
-        injector = self.injector
-        if env.fastpath and injector is None \
-                and self._pre_acquire[src_id] == 0:
-            p = self.params
-            released_at = self._egress[src_id].try_reserve(
-                env._now + p.nic_tx_us, p.serialization_us(nbytes))
-            if released_at >= 0.0:
-                done = Event(env)
-                env._schedule_at(
-                    released_at + (p.wire_latency_us + p.nic_rx_us), done,
-                    value=None)
-                return done
-        self._pre_acquire[src_id] += 1
-        # the name is only built here: formatting it per transfer would
-        # put a string allocation on the analytic path above
-        done = env.process(
-            self._transfer_proc(src_id, dst_id, nbytes),
-            name=(f"mcast-{src_id}" if dst_id is None
-                  else f"xfer-{src_id}->{dst_id}"))
-        if injector is not None:
+        if env.fastpath:
+            done = Event(env)
+            t = self._route(src_id, dst_id, nbytes, partial(_settle, done))
+            if t >= 0.0:
+                env._schedule_at(t, done, value=None)
+            return done
+        done = self._spawn(src_id, dst_id, nbytes)
+        if self.injector is not None:
             # a crash at either end while the payload is in flight must
             # fail this completion, not deliver into the new incarnation
-            return injector.fence_completion(src_id, dst_id, done)
+            return self.injector.fence_completion(src_id, dst_id, done)
         return done
 
-    def fast_send(self, src_id: int, dst_id: int, nbytes: int) -> float:
-        """Event-free transfer for the NIC verb fast path.
+    def _route(self, src_id: int, dst_id: Optional[int], nbytes: int,
+               arrive) -> float:
+        """Inject one accepted payload on the fast kernel: the one
+        routing hook (``dst_id`` of ``None`` is a multicast).
 
-        Returns the absolute time the payload lands at ``dst_id`` (the
-        caller schedules its own continuation there), or -1.0 when the
-        egress link has a real holder or waiter — then nothing was
-        counted and the caller must fall back to :meth:`send_process`.
-        Callers guarantee the fast kernel, no injector and valid node
-        ids — the verb layer checked already.
+        A route is a tandem of analytic FIFO servers, each booked when
+        the payload reaches it.  The flat fabric has one, the sender's
+        egress link, reached a constant ``nic_tx`` after injection and
+        therefore booked here, in injection order — the order the
+        generators' ``acquire()`` calls run in.  A booking holds the
+        link from ``ready = now + nic_tx`` or from the end of the
+        previous booking, whichever is later — when the generator's
+        ``acquire()`` would be granted — so it ends when the generator's
+        ``release()`` would run.  The additions keep the generator's
+        association order: it computes ``(start + serialization)`` and
+        then ``+ (wire + nic_rx)`` across separate Timeouts, and float
+        addition is not associative.
+
+        Fault-free, nothing can happen to the payload on its way, so the
+        arrival instant is returned and the caller schedules its own
+        continuation there (``arrive`` is unused): one agenda entry,
+        idle link or busy.  With an injector, -1.0 is returned and
+        ``arrive(exc)`` runs at the arrival instant, ``exc`` being the
+        completion fence's verdict: the injector's hooks are consulted
+        at the instants :meth:`_transfer_proc` consults them —
+        ``link_factor`` now (``x * 1.0 == x``, so an idle injector moves
+        no float), the incarnation fence read now and compared on
+        arrival.
         """
         env = self.env
-        if src_id == dst_id:
-            arrive_at = env._now + self.params.local_op_us
-        else:
-            # _arrival's booking with Resource.try_reserve and
-            # serialization_us unrolled in place: this runs twice per
-            # one-sided verb (request + response leg), so the method
-            # calls it saves are measurable at bench scale.  Same float
-            # association order as the generator (see _arrival).
-            link = self._egress[src_id]
-            if self._pre_acquire[src_id] != 0 or link._in_use \
-                    or link._waiters:
-                return -1.0
-            p = self.params
-            start = env._now + p.nic_tx_us
-            if link._reserved_until > start:
-                start = link._reserved_until
-            link._reserved_until = released_at = \
-                start + nbytes / p.bandwidth_bpus
-            arrive_at = released_at + (p.wire_latency_us + p.nic_rx_us)
         self.transfers += 1
         self.bytes_moved += nbytes
         obs = env.obs
         if obs is not None:
             self._obs_transfer(obs, nbytes)
-        return arrive_at
+        p = self.params
+        injector = self.injector
+        if injector is None:
+            if src_id == dst_id:
+                return env._now + p.local_op_us
+            # runs twice per one-sided verb (request + response leg):
+            # the booking is unrolled, not a call
+            start = env._now + p.nic_tx_us
+            ends = self._egress_end
+            if ends[src_id] > start:
+                start = ends[src_id]
+            ends[src_id] = released_at = start + nbytes / p.bandwidth_bpus
+            return released_at + (p.wire_latency_us + p.nic_rx_us)
+        if src_id == dst_id:
+            t = env._now + p.local_op_us
+        else:
+            factor = injector.link_factor(src_id, dst_id)
+            t = (self._book_egress(src_id, nbytes, factor)
+                 + (p.wire_latency_us * factor + p.nic_rx_us))
+        env._schedule_call(t, partial(self._land, src_id, dst_id,
+                                      injector.crashes, arrive))
+        return -1.0
 
-    def send_process(self, src_id: int, dst_id: int, nbytes: int,
-                     arrive) -> None:
-        """Fallback for a refused :meth:`fast_send`: a generator
-        transfer with ``arrive()`` called at the arrival instant."""
+    def _book_egress(self, src_id: int, nbytes: int, factor: float) -> float:
+        """Book ``src_id``'s egress link from ``now + nic_tx`` with the
+        hold stretched by ``factor``; returns the release instant."""
+        p = self.params
+        start = self.env._now + p.nic_tx_us
+        ends = self._egress_end
+        if ends[src_id] > start:
+            start = ends[src_id]
+        ends[src_id] = released_at = \
+            start + (nbytes / p.bandwidth_bpus) * factor
+        return released_at
+
+    def _land(self, src_id: int, dst_id: Optional[int], since: int,
+              arrive) -> None:
+        """Arrival instant of a payload injected under an injector that
+        had seen ``since`` crashes: a crash at either end while it was
+        in flight fails the completion (``arrive(exc)``)."""
+        injector = self.injector
+        arrive(None if injector.crashes == since
+               else injector.fenced(since, src_id, dst_id))
+
+    def _spawn(self, src_id: int, dst_id: Optional[int],
+               nbytes: int) -> Event:
+        """The slow kernel's twin of :meth:`_route`: the same payload as
+        a generator that holds the link :class:`Resource`."""
         self.transfers += 1
         self.bytes_moved += nbytes
         obs = self.env.obs
         if obs is not None:
             self._obs_transfer(obs, nbytes)
-        self._pre_acquire[src_id] += 1
-        ev = self.env.process(self._transfer_proc(src_id, dst_id, nbytes),
-                              name=f"xfer-{src_id}->{dst_id}")
-        ev.callbacks.append(lambda _e: arrive())
+        if src_id == dst_id:
+            return self.env.timeout(self.params.local_op_us)
+        return self.env.process(
+            self._transfer_proc(src_id, dst_id, nbytes),
+            name=(f"mcast-{src_id}" if dst_id is None
+                  else f"xfer-{src_id}->{dst_id}"))
 
     def _obs_transfer(self, obs, nbytes: int) -> None:
         cache = self._obs_cache
@@ -211,9 +224,7 @@ class Fabric:
                   if self.injector is not None else 1.0)
         yield self.env.timeout(p.nic_tx_us)
         link = self._egress[src_id]
-        grant = link.acquire()
-        self._pre_acquire[src_id] -= 1
-        yield grant
+        yield link.acquire()
         try:
             yield self.env.timeout(p.serialization_us(nbytes) * factor)
         finally:
@@ -246,9 +257,5 @@ class Fabric:
             fail = self.injector.transfer_fault(src_id, None)
             if fail is not None:
                 return fail
-        self.transfers += 1
-        self.bytes_moved += nbytes  # injected once, replicated in-switch
-        obs = self.env.obs
-        if obs is not None:
-            self._obs_transfer(obs, nbytes)
+        # injected once, replicated in-switch
         return self._arrival(src_id, None, nbytes)

@@ -281,21 +281,22 @@ class NIC:
     # ------------------------------------------------------------------
     # Callback-chain twin of ``_read_proc`` / ``_write_proc`` /
     # ``_atomic_proc``: no generator, no Process, no per-stage Event.
-    # A verb costs exactly three agenda entries, busy NIC or idle —
-    # *posted* (book the egress link, schedule the remote service
-    # instant), *serve* (touch remote memory, book the return link),
-    # and the completion event itself, scheduled directly at the
-    # response's arrival instant via ``Fabric.fast_send``.  Each
-    # instant is computed with the same float association order the
+    # Fault-free on one rack a verb costs exactly three agenda entries,
+    # busy NIC or idle — *posted* (book the egress link, schedule the
+    # remote service instant), *serve* (touch remote memory, book the
+    # return link), and the completion event itself, scheduled directly
+    # at the response's arrival instant (``Fabric._route`` returned it).
+    # Each instant is computed with the same float association order the
     # generator version's chained Timeouts would produce, so fast and
-    # ``REPRO_SLOW_KERNEL=1`` runs stay equivalent.  A link with a
-    # generator transfer on it (cross-rack traffic) drops that leg back
-    # onto the generator transfer process (``Fabric.send_process``)
-    # without losing the chain.  Only valid
-    # on the fast kernel with no fault injector installed — decided in
-    # ``_post_verb`` — since no failure branches exist then, apart from
-    # memory-protection errors which propagate with process-crash
-    # semantics.
+    # ``REPRO_SLOW_KERNEL=1`` runs stay equivalent.  When a leg's
+    # arrival instant is not known at injection (a ToR uplink on the
+    # way) or the leg can fail on the way (a fault injector), the route
+    # calls back at the arrival instant instead — ``_verb_arrived`` /
+    # ``_verb_complete`` with the completion fence's verdict — and the
+    # chain carries the generator's failure branches: every injector
+    # hook is consulted at the instant the generator consults it
+    # (DESIGN.md §9), and a failure fails the verb at the instant the
+    # generator would raise, with process-crash semantics.
 
     def _verb_slot(self) -> int:
         free = self._vfree
@@ -319,12 +320,11 @@ class NIC:
     def _post_verb(self, dst: int, op: int, addr: int, rkey: int,
                    a, b, wire: int) -> Event:
         """Post a one-sided verb; the one fast/slow decision of this
-        module.  The slot-pool chain serves fault-free fast-kernel runs;
-        the generator ``_*_proc`` twins are the executable spec and the
-        only path with failure branches, so they also serve every run
-        with a fault injector attached."""
+        module.  The slot-pool chain serves the fast kernel; the
+        generator ``_*_proc`` twins are the executable spec and run
+        under ``REPRO_SLOW_KERNEL=1``."""
         env = self.env
-        if not env.fastpath or self.fabric.injector is not None:
+        if not env.fastpath:
             name = _OP_NAMES[op]
             if op == _OP_READ:
                 gen = self._read_proc(dst, addr, rkey, a, wire)
@@ -349,8 +349,15 @@ class NIC:
         self._vb[s] = b
         self._vwire[s] = wire
         self._vdone[s] = done
-        env._schedule_call(env._now + self.params.post_us,
-                           self._vposted[s])
+        injector = self.fabric.injector
+        if injector is not None and injector.plan.verb_faults:
+            # verb_fault draws from the stream message_fate shares, so
+            # it must run where the generator's first statement runs:
+            # in an agenda entry of its own at the post instant
+            env._schedule_call(env._now, partial(self._verb_check, s))
+        else:
+            env._schedule_call(env._now + self.params.post_us,
+                               self._vposted[s])
         return done
 
     def _free_verb(self, s: int) -> Event:
@@ -363,6 +370,26 @@ class NIC:
         self._vfree.append(s)
         return done
 
+    def _verb_check(self, s: int) -> None:
+        try:
+            self.fabric.injector.verb_fault(self.node.id, self._vdst[s])
+        except RdmaError as exc:
+            self._fail_verb(self._free_verb(s), exc)
+            return
+        self.env._schedule_call(self.env._now + self.params.post_us,
+                                self._vposted[s])
+
+    def _leg_refused(self, injector, s: int, src: int, dst: int) -> bool:
+        """``transfer_fault`` at a leg's injection: True when the leg is
+        refused, and the verb then fails when the refusal does (after
+        ``detect_us``)."""
+        fail = injector.transfer_fault(src, dst)
+        if fail is None:
+            return False
+        fail.add_callback(lambda ev: self._fail_verb(self._free_verb(s),
+                                                     ev._value))
+        return True
+
     def _verb_posted(self, s: int) -> None:
         fabric = self.fabric
         dst = self._vdst[s]
@@ -373,17 +400,19 @@ class NIC:
                 f"transfer between unknown nodes "
                 f"{self.node.id}->{dst}"))
             return
+        injector = fabric.injector
+        if injector is not None \
+                and self._leg_refused(injector, s, self.node.id, dst):
+            return
         p = self.params
         op = self._vop[s]
         if op == _OP_WRITE:
             nbytes = self._vwire[s] + p.header_bytes
         else:
             nbytes = p.header_bytes
-        t = fabric.fast_send(self.node.id, dst, nbytes)
+        t = fabric._route(self.node.id, dst, nbytes, self._varrived[s])
         if t < 0.0:
-            fabric.send_process(self.node.id, dst, nbytes,
-                                self._varrived[s])
-            return
+            return  # the route calls _verb_arrived at the arrival
         # Fold the NIC turnaround / atomic-unit delay into the same
         # entry: the slow path schedules it from the arrival instant, so
         # ``t + delay`` is the identical float.
@@ -393,9 +422,14 @@ class NIC:
             t += p.atomic_exec_us
         self.env._schedule_call(t, self._vserve[s])
 
-    def _verb_arrived(self, s: int) -> None:
-        # Generator-leg continuation: apply the turnaround from the
-        # actual arrival instant, exactly like the generator's Timeout.
+    def _verb_arrived(self, s: int, exc: Optional[BaseException]) -> None:
+        # Arrival of a request leg the route called back for.  The
+        # turnaround is its own entry here, applied from the actual
+        # arrival instant exactly like the generator's Timeout: a fenced
+        # leg must fail now, not ``turnaround`` later.
+        if exc is not None:
+            self._fail_verb(self._free_verb(s), exc)
+            return
         op = self._vop[s]
         if op == _OP_WRITE:
             self._verb_serve(s)
@@ -425,23 +459,31 @@ class NIC:
         except BaseException as exc:
             self._fail_verb(self._free_verb(s), exc)
             return
+        # the memory operation has happened whatever becomes of the
+        # response leg, as in the generator
+        injector = fabric.injector
+        if injector is not None \
+                and self._leg_refused(injector, s, dst, self.node.id):
+            return
         p = self.params
         nbytes = (self._vwire[s] + p.header_bytes if op == _OP_READ
                   else p.header_bytes)
-        t = fabric.fast_send(dst, self.node.id, nbytes)
+        t = fabric._route(dst, self.node.id, nbytes, self._vcomplete[s])
         if t < 0.0:
             self._va[s] = value  # carried to _verb_complete
-            fabric.send_process(dst, self.node.id, nbytes,
-                                self._vcomplete[s])
             return
         # Last slot access: free before scheduling the completion (the
         # event rides the agenda entry, not the slot).
         done = self._free_verb(s)
         self.env._schedule_at(t, done, value=value)
 
-    def _verb_complete(self, s: int) -> None:
+    def _verb_complete(self, s: int, exc: Optional[BaseException]) -> None:
         value = self._va[s]
-        self._free_verb(s).succeed(value)
+        done = self._free_verb(s)
+        if exc is not None:
+            self._fail_verb(done, exc)
+        else:
+            done.succeed(value)
 
     def rdma_read(self, dst_id: int, addr: int, rkey: int, length: int,
                   wire_bytes: Optional[int] = None) -> Event:

@@ -115,21 +115,6 @@ class Resource:
             ...
         finally:
             resource.release()
-
-    Besides plain acquire/release, an idle resource can be *booked
-    ahead* (:meth:`try_reserve`): each booking takes the slot for
-    ``hold`` starting when the previous booking ends, or at its own
-    ``ready`` instant if that is later — the start and end instants a
-    FIFO queue of holders would see, computed instead of simulated.
-    The chain occupies capacity like a holder but needs **no agenda
-    entry**: it simply stops counting once the clock passes its end.
-    Only when a waiter queues behind it is a single expiry entry
-    scheduled, which hands the slot over at exactly the chain's end —
-    the same instant the last booked holder's ``release()`` would have
-    run — and from then on the chain cannot grow, so a booking never
-    jumps a real queue.  The fabric uses this to model an egress link's
-    FIFO of serialization windows without paying agenda entries per
-    transfer (DESIGN.md §9).
     """
 
     def __init__(self, env: Environment, capacity: int = 1):
@@ -139,12 +124,6 @@ class Resource:
         self.capacity = capacity
         self._in_use = 0
         self._waiters: Deque[Event] = deque()
-        #: end of the booked chain; -1.0 = none.  The chain counts as
-        #: occupied while ``end >= now`` — inclusive, because a real
-        #: holder would release *at* that instant and same-instant
-        #: competitors must still queue behind it.
-        self._reserved_until = -1.0
-        self._expiry_scheduled = False
 
     @property
     def in_use(self) -> int:
@@ -156,47 +135,18 @@ class Resource:
 
     def acquire(self) -> Event:
         event = Event(self.env)
-        reserved = self._reserved_until >= self.env._now
-        if self._in_use + (1 if reserved else 0) < self.capacity:
+        if self._in_use < self.capacity:
             self._in_use += 1
             event.succeed()
         else:
             self._waiters.append(event)
-            if reserved and not self._expiry_scheduled:
-                self._expiry_scheduled = True
-                self.env._schedule_call(self._reserved_until,
-                                        self._reservation_expired)
         return event
 
     def try_acquire(self) -> bool:
-        if self._in_use + (1 if self._reserved_until >= self.env._now
-                           else 0) < self.capacity:
+        if self._in_use < self.capacity:
             self._in_use += 1
             return True
         return False
-
-    def try_reserve(self, ready: float, hold: float) -> float:
-        """Book the slot for ``hold`` from ``ready`` or the end of the
-        booked chain, whichever is later; returns the booking's end.
-
-        Refuses with -1.0 only when a real holder or waiter exists
-        (FIFO fairness: a booking must not jump the queue).  ``ready``
-        is never behind the clock, so a lapsed chain restarts at it.
-        """
-        if self._in_use or self._waiters:
-            return -1.0
-        start = self._reserved_until
-        if start < ready:
-            start = ready
-        self._reserved_until = end = start + hold
-        return end
-
-    def _reservation_expired(self) -> None:
-        self._expiry_scheduled = False
-        self._reserved_until = -1.0
-        if self._waiters and self._in_use < self.capacity:
-            self._in_use += 1
-            self._waiters.popleft().succeed()
 
     def release(self) -> None:
         if self._in_use <= 0:

@@ -15,17 +15,22 @@ contention the flat fabric cannot express.  A transfer's uplink is
 picked deterministically by destination rack (``dst_rack % spines``),
 the static ECMP-style spreading real ToRs do per flow.
 
-Cross-rack transfers always run the explicit generator path, never the
-analytic shortcut: the single-link reservation proof behind the fast
-path (DESIGN.md §9) relies on every transfer's link-hold start lagging
-its issue instant by the same constant (``nic_tx``), and the uplink's
-hold start lags by ``nic_tx + serialization(nbytes)`` — size-dependent,
-so reservation order and FIFO-acquire order can disagree.  Falling back
-keeps the fast and slow kernels byte-identical by construction.
+On the fast kernel both stages are analytic FIFO servers, each booked
+when the payload reaches it (DESIGN.md §9).  The host egress link is
+booked at injection: every transfer reaches it the same constant
+``nic_tx`` later, so injection order is its queue order.  The uplink is
+reached ``nic_tx + wait + serialization(nbytes)`` after injection —
+size-dependent, so booking it at injection could disagree with the order
+the generators' ``up.acquire()`` calls run in — and is therefore booked
+by one bare agenda call at the egress release instant, which is the
+instant, and among the transfers of one host the order, of those calls.
+(Two *hosts* of a rack that release at the same float towards one uplink
+are an *uplink tie*: the model does not order them, §9.)
 """
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Dict, Optional, Tuple
 
 from repro.errors import ConfigError
@@ -70,10 +75,14 @@ class TopoFabric(Fabric):
         self.uplink_bpus = (params.bandwidth_bpus * hosts_per_rack
                             / (self.oversub * spines))
         self._xwire_us = params.wire_latency_us + self.spine_latency_us
+        #: ToR uplinks of the generator transfers (slow kernel) ...
         self._uplink: Dict[Tuple[int, int], Resource] = {
             (r, s): Resource(env, capacity=1)
             for r in range(racks) for s in range(spines)
         }
+        #: ... and on the fast kernel, where each booked chain ends
+        self._uplink_end: Dict[Tuple[int, int], float] = dict.fromkeys(
+            self._uplink, env.now)
         self.xrack_transfers = 0
         self.xrack_bytes = 0
         self._obs_xcache: Optional[tuple] = None
@@ -89,49 +98,50 @@ class TopoFabric(Fabric):
         return (src_id // self.hosts_per_rack,
                 (dst_id // self.hosts_per_rack) % self.spines)
 
-    def uplink_queue_len(self, rack: int, spine: int = 0) -> int:
-        """Cross-rack transfers waiting on one ToR uplink."""
-        return self._uplink[(rack, spine)].queue_len
-
     # -- data movement ----------------------------------------------------
-    def transfer(self, src_id: int, dst_id: int, nbytes: int):
-        if src_id // self.hosts_per_rack == dst_id // self.hosts_per_rack:
-            return super().transfer(src_id, dst_id, nbytes)
-        if src_id not in self._nodes or dst_id not in self._nodes:
-            raise ConfigError(f"transfer between unknown nodes "
-                              f"{src_id}->{dst_id}")
-        if nbytes < 0:
-            raise ConfigError("cannot transfer negative bytes")
-        if self.injector is not None:
-            fail = self.injector.transfer_fault(src_id, dst_id)
-            if fail is not None:
-                return fail
+    def _route(self, src_id: int, dst_id: Optional[int], nbytes: int,
+               arrive) -> float:
+        h = self.hosts_per_rack
+        if dst_id is None or src_id // h == dst_id // h:
+            return super()._route(src_id, dst_id, nbytes, arrive)
         self._count_xrack(src_id, dst_id, nbytes)
-        self._pre_acquire[src_id] += 1
-        done = self.env.process(
-            self._xrack_proc(src_id, dst_id, nbytes),
-            name=f"xfer-{src_id}->{dst_id}",
-        )
-        if self.injector is not None:
-            return self.injector.fence_completion(src_id, dst_id, done)
-        return done
-
-    def fast_send(self, src_id: int, dst_id: int, nbytes: int) -> float:
-        if src_id // self.hosts_per_rack == dst_id // self.hosts_per_rack:
-            return super().fast_send(src_id, dst_id, nbytes)
-        # cross-rack: never analytic (see module docstring); the verb
-        # layer falls back to send_process, which spawns the real thing
+        injector = self.injector
+        if injector is None:
+            factor, land = 1.0, partial(arrive, None)
+        else:
+            factor = injector.link_factor(src_id, dst_id)
+            land = partial(self._land, src_id, dst_id, injector.crashes,
+                           arrive)
+        self.env._schedule_call(
+            self._book_egress(src_id, nbytes, factor),
+            partial(self._reach_uplink, src_id, dst_id, nbytes, factor,
+                    land))
         return -1.0
 
-    def send_process(self, src_id: int, dst_id: int, nbytes: int,
-                     arrive) -> None:
-        if src_id // self.hosts_per_rack == dst_id // self.hosts_per_rack:
-            return super().send_process(src_id, dst_id, nbytes, arrive)
+    def _reach_uplink(self, src_id: int, dst_id: int, nbytes: int,
+                      factor: float, land) -> None:
+        """Egress release instant of a cross-rack payload: book the ToR
+        uplink from now or from the end of its chain, whichever is
+        later, and schedule ``land`` at the arrival instant."""
+        env = self.env
+        key = self._up_key(src_id, dst_id)
+        start = env._now
+        ends = self._uplink_end
+        if ends[key] > start:
+            start = ends[key]
+        ends[key] = released_at = \
+            start + (nbytes / self.uplink_bpus) * factor
+        env._schedule_call(
+            released_at + (self._xwire_us * factor + self.params.nic_rx_us),
+            land)
+
+    def _spawn(self, src_id: int, dst_id: Optional[int], nbytes: int):
+        h = self.hosts_per_rack
+        if dst_id is None or src_id // h == dst_id // h:
+            return super()._spawn(src_id, dst_id, nbytes)
         self._count_xrack(src_id, dst_id, nbytes)
-        self._pre_acquire[src_id] += 1
-        ev = self.env.process(self._xrack_proc(src_id, dst_id, nbytes),
-                              name=f"xfer-{src_id}->{dst_id}")
-        ev.callbacks.append(lambda _e: arrive())
+        return self.env.process(self._xrack_proc(src_id, dst_id, nbytes),
+                                name=f"xfer-{src_id}->{dst_id}")
 
     def _xrack_proc(self, src_id: int, dst_id: int, nbytes: int):
         p = self.params
@@ -139,9 +149,7 @@ class TopoFabric(Fabric):
                   if self.injector is not None else 1.0)
         yield self.env.timeout(p.nic_tx_us)
         link = self._egress[src_id]
-        grant = link.acquire()
-        self._pre_acquire[src_id] -= 1
-        yield grant
+        yield link.acquire()
         try:
             yield self.env.timeout(p.serialization_us(nbytes) * factor)
         finally:

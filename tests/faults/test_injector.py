@@ -40,6 +40,36 @@ class TestFaultPlan:
         with pytest.raises(ConfigError):
             FaultPlan().degrade_link(0.5)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_parameters_rejected(self, bad):
+        """A non-finite hold would park an analytic link at inf/nan for
+        the rest of the run (``nan < 1.0`` is false, so the old range
+        checks let it through); every builder refuses it by name."""
+        plan = FaultPlan()
+        for builder, build in [
+            ("crash", lambda: plan.crash(0, at=bad)),
+            ("crash", lambda: plan.crash(0, at=1.0, restart_at=bad)),
+            ("degrade_link", lambda: plan.degrade_link(bad)),
+            ("slow_node", lambda: plan.slow_node(0, bad)),
+            ("degrade_link", lambda: plan.degrade_link(2.0, start=bad)),
+            ("slow_node", lambda: plan.slow_node(0, 2.0, start=bad)),
+            ("drop_messages", lambda: plan.drop_messages(0.1, start=bad)),
+            ("duplicate_messages",
+             lambda: plan.duplicate_messages(0.1, start=bad)),
+            ("fail_verbs", lambda: plan.fail_verbs(0.1, start=bad)),
+            ("partition", lambda: plan.partition([[0], [1]], start=bad)),
+            ("partition",
+             lambda: plan.partition_oneway([0], [1], start=bad)),
+            ("stall_credits", lambda: plan.stall_credits(0, start=bad)),
+        ]:
+            with pytest.raises(ConfigError, match=f"^{builder}:"):
+                build()
+        with pytest.raises(ConfigError, match="^fail_verbs:"):
+            plan.fail_verbs(0.1, until=float("nan"))
+        assert plan.is_empty
+        # a window that never closes stays legal
+        assert not FaultPlan().slow_node(0, 2.0, until=float("inf")).is_empty
+
 
 class TestInjector:
     def test_one_injector_per_cluster(self):

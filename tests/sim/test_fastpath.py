@@ -13,7 +13,7 @@ import random
 
 import pytest
 
-from repro.sim import Environment, Resource, Timeout, slow_kernel_requested
+from repro.sim import Environment, Timeout, slow_kernel_requested
 from repro.sim.core import SimulationError
 
 
@@ -83,107 +83,160 @@ def test_slow_kernel_env_flag(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# chained link bookings (Resource.try_reserve)
+# chained stage bookings (Fabric._route, TopoFabric._reach_uplink)
 # ---------------------------------------------------------------------------
+# Each test drives a few transfers by hand, checks every arrival against
+# the float a queue of generator holders would produce, written out, and
+# then against the generators themselves (the slow kernel).
 
-def test_reservation_occupies_then_lapses():
-    env = Environment()
-    link = Resource(env, capacity=1)
-    assert link.try_reserve(0.0, 5.0) == 5.0
-    assert not link.try_acquire()      # booked slot counts as occupied
-    env.run(until=5.0)                 # inclusive: still held *at* 5.0
-    assert not link.try_acquire()
-    env._now = 5.5
-    assert link.try_acquire()          # lapsed without any agenda entry
-    link.release()
+def _arrivals(monkeypatch, slow, make_cluster, injections):
+    """``injections`` = ``[(at, src, dst, nbytes), ...]``; returns the
+    arrival instant of each and the agenda entries the run took."""
+    monkeypatch.setenv("REPRO_SLOW_KERNEL", "1" if slow else "0")
+    cluster = make_cluster()
+    env, fabric = cluster.env, cluster.fabric
+    arrived = {}
+
+    def inject(i, src, dst, nbytes):
+        fabric.transfer(src, dst, nbytes).add_callback(
+            lambda _e: arrived.__setitem__(i, env.now))
+
+    seq = env._seq
+    for i, (at, src, dst, nbytes) in enumerate(injections):
+        env.run(until=at)
+        inject(i, src, dst, nbytes)
+    env.run()
+    return [arrived[i] for i in range(len(injections))], env._seq - seq
 
 
-def test_back_to_back_bookings_chain():
-    env = Environment()
-    link = Resource(env, capacity=1)
+def _flat():
+    from repro.net import Cluster
+    return Cluster(n_nodes=3, seed=0)
+
+
+def _two_racks():
+    from repro.topo import TopoCluster
+    return TopoCluster(racks=2, hosts_per_rack=2, oversub=2.0, seed=0)
+
+
+def _both(monkeypatch, make_cluster, injections):
+    fast, entries = _arrivals(monkeypatch, False, make_cluster, injections)
+    slow, _ = _arrivals(monkeypatch, True, make_cluster, injections)
+    assert fast == slow
+    return fast, entries
+
+
+def test_reservation_occupies_then_lapses(monkeypatch):
+    p = _flat().params
+    tx, tail = p.nic_tx_us, p.wire_latency_us + p.nic_rx_us
+    hold = 4500 / p.bandwidth_bpus                  # 5 us
+    got, entries = _both(monkeypatch, _flat, [
+        (0.0, 0, 1, 4500),      # window [tx, tx + hold]
+        (2.0, 0, 1, 0),         # ready inside it: starts at its end
+        (5.0, 0, 2, 0),         # ready *at* its end: still behind it
+        (6.0, 0, 1, 0),         # lapsed: starts when ready
+    ])
+    end = (0.0 + tx) + hold
+    assert 5.0 + tx == end
+    assert got == [end + tail, (end + 0.0) + tail, (end + 0.0) + tail,
+                   ((6.0 + tx) + 0.0) + tail]
+    assert entries == 4         # the lapse itself took no agenda entry
+
+
+def test_back_to_back_bookings_chain(monkeypatch):
+    p = _flat().params
+    tx, tail, bw = (p.nic_tx_us, p.wire_latency_us + p.nic_rx_us,
+                    p.bandwidth_bpus)
     # each booking starts where the previous one ends, in the float
     # association order a queue of Timeout(hold)s would produce
-    assert link.try_reserve(0.1, 0.7) == 0.1 + 0.7
-    assert link.try_reserve(0.1, 0.2) == (0.1 + 0.7) + 0.2
-    assert link.try_reserve(0.3, 0.4) == ((0.1 + 0.7) + 0.2) + 0.4
-    assert env.peek() == float("inf")  # three bookings, no agenda entry
+    got, entries = _both(monkeypatch, _flat, [
+        (0.1, 0, 1, 700), (0.1, 0, 2, 200), (0.3, 0, 1, 400)])
+    first = (0.1 + tx) + 700 / bw
+    assert got == [first + tail, (first + 200 / bw) + tail,
+                   ((first + 200 / bw) + 400 / bw) + tail]
+    assert entries == 3         # three bookings, one entry each
 
 
-def test_ready_past_chain_end_starts_at_ready():
-    env = Environment()
-    link = Resource(env, capacity=1)
-    assert link.try_reserve(1.0, 2.0) == 3.0
-    assert link.try_reserve(7.0, 2.0) == 9.0    # idle gap 3.0 .. 7.0
-    assert link.try_reserve(9.0, 0.5) == 9.5    # ready == chain end
-    assert link.try_reserve(9.5, 0.0) == 9.5    # zero-length hold
+def test_ready_past_chain_end_starts_at_ready(monkeypatch):
+    p = _flat().params
+    tx, tail, bw = (p.nic_tx_us, p.wire_latency_us + p.nic_rx_us,
+                    p.bandwidth_bpus)
+    got, _ = _both(monkeypatch, _flat, [
+        (1.0, 0, 1, 1800),      # [1 + tx, 3 + tx]
+        (7.0, 0, 1, 1800),      # idle gap, then [7 + tx, 9 + tx]
+        (9.0, 0, 2, 450),       # ready == chain end
+        (9.5, 0, 1, 0),         # zero-length hold at the new end
+    ])
+    second = (7.0 + tx) + 1800 / bw
+    assert 9.0 + tx == second
+    assert got == [((1.0 + tx) + 1800 / bw) + tail, second + tail,
+                   (second + 450 / bw) + tail,
+                   ((second + 450 / bw) + 0.0) + tail]
 
 
-def test_waiter_behind_reservation_granted_at_deadline():
-    env = Environment()
-    link = Resource(env, capacity=1)
-    granted = []
-    assert link.try_reserve(0.0, 4.0) == 4.0
+def test_waiter_behind_reservation_granted_at_deadline(monkeypatch):
+    """A cross-rack payload queued behind an intra-rack booking on its
+    host's egress link reaches the ToR uplink when its own window ends,
+    and a second one reaches a busy uplink: both FIFO stages chain."""
+    fabric = _two_racks().fabric
+    p = fabric.params
+    tx, bw, up = p.nic_tx_us, p.bandwidth_bpus, fabric.uplink_bpus
+    xtail = fabric._xwire_us + p.nic_rx_us
+    got, _ = _both(monkeypatch, _two_racks, [
+        (0.0, 0, 1, 3600),      # intra-rack: egress [tx, tx + 4]
+        (0.0, 0, 2, 1800),      # egress from there for 2, then uplink
+        (0.0, 0, 3, 900),       # egress 1 more; the uplink is still busy
+    ])
+    released = ((0.0 + tx) + 3600 / bw) + 1800 / bw
+    assert up == bw             # 2 hosts at 2:1: a 1800 B hold outlasts
+    assert got[1] == (released + 1800 / up) + xtail
+    assert got[2] == ((released + 1800 / up) + 900 / up) + xtail
+    assert released + 900 / bw < released + 1800 / up
 
-    def waiter(env):
-        yield link.acquire()
-        granted.append(env.now)
-        link.release()
 
-    env.process(waiter(env))
-    env.process(waiter(env))
+def test_waiter_behind_three_deep_chain_granted_once_at_its_end(monkeypatch):
+    """Three bookings deep, then a cross-rack payload: one bare agenda
+    call, at the egress release instant, books its uplink."""
+    monkeypatch.setenv("REPRO_SLOW_KERNEL", "0")
+    cluster = _two_racks()
+    env, fabric = cluster.env, cluster.fabric
+    p = fabric.params
+    seq = env._seq
+    for nbytes in (900, 1800, 1350):
+        fabric.transfer(0, 1, nbytes)
+    assert env._seq - seq == 3              # an arrival each
+    done = fabric.transfer(0, 2, 450)
+    assert env._seq - seq == 4              # one call, nothing else yet
+    chain_end = (((0.0 + p.nic_tx_us) + 900 / p.bandwidth_bpus)
+                 + 1800 / p.bandwidth_bpus) + 1350 / p.bandwidth_bpus
+    released = chain_end + 450 / p.bandwidth_bpus
+    env.run(until=released - 0.01)
+    assert fabric._uplink_end[(0, 0)] == 0.0      # not booked before then
+    env.run(until=released)
+    assert fabric._uplink_end[(0, 0)] == released + 450 / fabric.uplink_bpus
     env.run()
-    # FIFO: first waiter gets the slot exactly at the deadline, second
-    # immediately after the first's release (same instant here).
-    assert granted == [4.0, 4.0]
-    assert link.in_use == 0 and link.queue_len == 0
+    assert done.ok
+    assert env._seq - seq == 6      # + the arrival call and the event
 
 
-def test_waiter_behind_three_deep_chain_granted_once_at_its_end():
-    env = Environment()
-    link = Resource(env, capacity=1)
-    granted = []
-    for hold in (1.0, 2.0, 1.5):
-        assert link.try_reserve(0.0, hold) >= 0.0
-
-    def waiter(env):
-        yield link.acquire()
-        granted.append(env.now)
-
-    env.process(waiter(env))
-    env.run(until=0.0)
-    # once a waiter queues, the chain stops growing
-    assert link.try_reserve(0.0, 1.0) == -1.0
-    assert env.peek() == 4.5           # one expiry entry, at the chain's end
-    env.run()
-    assert granted == [4.5]
-    assert link.try_reserve(4.5, 1.0) == -1.0      # the waiter holds it now
-    link.release()
-    assert link.try_reserve(4.5, 1.0) == 5.5       # idle again: books
-
-
-def test_reservation_respects_fifo_queue():
-    env = Environment()
-    link = Resource(env, capacity=1)
-    assert link.try_acquire()
-    assert link.try_reserve(0.0, 1.0) == -1.0   # a real holder
-
-    def holder_release(env):
-        yield env.timeout(3.0)
-        link.release()
-
-    got = []
-
-    def waiter(env):
-        yield link.acquire()
-        got.append(env.now)
-
-    env.process(holder_release(env))
-    env.process(waiter(env))
-    env.run(until=1.0)
-    # a queued waiter blocks new bookings (no queue jumping)
-    assert link.try_reserve(1.0, 10.0) == -1.0
-    env.run()
-    assert got == [3.0]
+def test_reservation_respects_fifo_queue(monkeypatch):
+    """The uplink serves payloads in the order they *reach* it, not the
+    order they were injected: host 1 injects later but its small payload
+    clears its egress link first — which is why the uplink is booked at
+    the egress release instant and not at injection."""
+    fabric = _two_racks().fabric
+    p = fabric.params
+    tx, bw, up = p.nic_tx_us, p.bandwidth_bpus, fabric.uplink_bpus
+    xtail = fabric._xwire_us + p.nic_rx_us
+    got, _ = _both(monkeypatch, _two_racks, [
+        (0.0, 0, 2, 9000),      # reaches the uplink at tx + 10
+        (1.0, 1, 3, 7200),      # reaches it at 1 + tx + 8, and holds it 8
+    ])
+    first = (1.0 + tx) + 7200 / bw
+    second = (0.0 + tx) + 9000 / bw
+    assert first < second < first + 7200 / up
+    assert got[1] == (first + 7200 / up) + xtail
+    assert got[0] == ((first + 7200 / up) + 9000 / up) + xtail
 
 
 # ---------------------------------------------------------------------------
