@@ -39,7 +39,7 @@ from .sanitizers import (
     Sanitizer,
     SingleOwnerSanitizer,
 )
-from .tracer import Tracer
+from .tracer import Tracer, trace_chunks
 
 __all__ = [
     "Observability",
@@ -186,14 +186,13 @@ class Observability:
             "format": "repro-trace-v1",
             "sim_now_us": self.env.now,
             "emitted": self.trace.emitted,
-            "events": [[ev.t, ev.node, ev.etype, ev.fields]
-                       for ev in self.trace],
+            "events": self.trace.snapshot(),
         }
 
     def export_trace_json(self, path: Optional[str] = None) -> str:
         """Serialize :meth:`trace_dict` (deterministic, sorted keys)."""
-        text = json.dumps(self.trace_dict(), sort_keys=True,
-                          separators=(",", ":"))
+        doc = self.trace_dict()
+        text = "".join(trace_chunks(doc, doc["events"].json_rows))
         if path is not None:
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(text + "\n")

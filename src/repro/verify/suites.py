@@ -16,10 +16,10 @@ trace file (:func:`check_trace`):
 from __future__ import annotations
 
 import hashlib
-import json
 from operator import itemgetter
 from typing import Callable, Optional, Sequence
 
+from ..obs.tracer import TraceSnapshot, trace_chunks
 from .cache import CacheOracle
 from .ddss import DDSSOracle
 from .ha import HAOracle
@@ -87,18 +87,14 @@ def add_reproducer(record: dict, events: Sequence) -> None:
 def check_trace(path: str, shrink: bool = True) -> dict:
     """Replay an exported ``repro-trace-v1`` file through every oracle."""
     view = TraceView.load(path)
-    record = judge(view)
-    record["trace"] = path
+    record = dict(judge(view), trace=path, trace_sha=canonical_trace_sha(
+        dict(view.meta, emitted=view.emitted, events=view.events)))
     if shrink:
         add_reproducer(record, view.events)
     return record
 
 
 _HEAD = itemgetter(0, 1, 2)  # (t, node, etype)
-
-
-def _encoded(event: list) -> str:
-    return json.dumps(event, sort_keys=True, separators=(",", ":"))
 
 
 def canonical_trace_sha(doc: dict) -> str:
@@ -117,20 +113,17 @@ def canonical_trace_sha(doc: dict) -> str:
     exactly one thing — the order of events inside one instant at one
     node.  An order flip with consequences moves a later timestamp or
     field and still changes the digest (``KNOWN_TIES`` in
-    :mod:`repro.verify.metamorphic` is the ledger of those).
+    :mod:`repro.verify.metamorphic` is the ledger of those).  The hashed
+    text is built by :func:`~repro.obs.tracer.trace_chunks`.
     """
-    events = sorted(doc["events"], key=_HEAD)
-    # the serialised form only has to settle events that agree on
-    # (t, node, etype) — a fraction of a percent — so it is computed
-    # for those runs alone rather than as a sort key for every event
-    heads = list(map(_HEAD, events))
-    n, lo = len(events), 0
-    for hi in range(1, n + 1):
-        if hi == n or heads[hi] != heads[lo]:
-            if hi - lo > 1:
-                events[lo:hi] = sorted(events[lo:hi], key=_encoded)
-            lo = hi
-    blob = json.dumps({"sim_now_us": doc["sim_now_us"],
-                       "emitted": doc["emitted"], "events": events},
-                      sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
+    events = doc["events"]
+    if not isinstance(events, TraceSnapshot):  # not shared: encode here
+        events = TraceSnapshot(events)
+    rows = events.json_rows
+    order = sorted(range(len(rows)), key=rows.__getitem__)  # minor key first
+    order.sort(key=list(map(_HEAD, events)).__getitem__)    # stable
+    head = {"sim_now_us": doc["sim_now_us"], "emitted": doc["emitted"]}
+    digest = hashlib.sha256()
+    for chunk in trace_chunks(head, list(map(rows.__getitem__, order))):
+        digest.update(chunk.encode("utf-8"))
+    return digest.hexdigest()[:16]

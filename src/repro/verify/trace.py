@@ -6,10 +6,10 @@ replays them through *oracles*: sequential reference models that flag
 the first divergence from a protocol's contract.
 
 Oracles are deliberately shaped like the online sanitizers
-(``feed``/``finish``/``violations``/``clean``) but run offline, so they
-may look at the whole trace (e.g. a get may be justified by a put whose
-completion event appears later in the trace because the two overlapped
-in simulated time).
+(``feed``/``finish``/``violations``/``clean``, routed by event type) but
+run offline, so they may look at the whole trace (e.g. a get may be
+justified by a put whose completion event appears later in the trace
+because the two overlapped in simulated time).
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from ..errors import ConfigError
 from ..obs.events import TraceEvent
+from ..obs.tracer import RouteTable
 
 __all__ = ["TRACE_FORMAT", "TraceView", "Oracle", "replay",
            "replay_fresh"]
@@ -31,7 +32,7 @@ class TraceView:
 
     def __init__(self, events: Sequence[TraceEvent], emitted: int = None,
                  meta: Optional[Dict[str, Any]] = None):
-        self.events: List[TraceEvent] = list(events)
+        self.events = events if isinstance(events, tuple) else list(events)
         self.emitted = len(self.events) if emitted is None else emitted
         self.meta = dict(meta or {})
 
@@ -52,19 +53,28 @@ class TraceView:
     # -- constructors ---------------------------------------------------
     @classmethod
     def from_obs(cls, obs) -> "TraceView":
-        return cls(list(obs.trace), emitted=obs.trace.emitted,
+        return cls(obs.trace.snapshot(), emitted=obs.trace.emitted,
                    meta={"sim_now_us": obs.env.now})
 
     @classmethod
     def from_dict(cls, doc: Dict[str, Any]) -> "TraceView":
+        if not isinstance(doc, dict):
+            raise ConfigError(f"trace is a {type(doc).__name__}, not an object")
         fmt = doc.get("format")
         if fmt != TRACE_FORMAT:
             raise ConfigError(
                 f"not a {TRACE_FORMAT} document (format={fmt!r}); "
                 f"export one with Observability.export_trace_json / "
                 f"`repro obs run --trace`")
-        events = [TraceEvent(t, node, etype, dict(fields))
-                  for t, node, etype, fields in doc["events"]]
+        if not isinstance(doc.get("events"), list):
+            raise ConfigError("trace document has no 'events' list")
+        events = []
+        for idx, row in enumerate(doc["events"]):
+            if not (isinstance(row, list) and len(row) == 4
+                    and isinstance(row[3], dict)):
+                raise ConfigError(f"trace event #{idx} is not a [t, node, "
+                                  f"etype, fields] row: {row!r}")
+            events.append(TraceEvent(*row[:3], dict(row[3])))
         return cls(events, emitted=doc.get("emitted", len(events)),
                    meta={"sim_now_us": doc.get("sim_now_us")})
 
@@ -100,9 +110,6 @@ class Oracle:
         self.checked = 0
 
     # -- replay hooks ---------------------------------------------------
-    def wants(self, etype: str) -> bool:
-        return any(etype.startswith(p) for p in self.PREFIXES)
-
     def feed(self, idx: int, ev: TraceEvent) -> None:
         raise NotImplementedError
 
@@ -133,13 +140,13 @@ class Oracle:
 
 def replay(view: TraceView,
            oracles: Sequence[Oracle]) -> List[Dict[str, Any]]:
-    """Feed every event through every interested oracle; return the
-    combined violation list ordered by trace position."""
+    """Feed every event once to each oracle whose ``PREFIXES`` match it;
+    return the combined violation list ordered by trace position."""
+    routes = RouteTable([(tuple(o.PREFIXES), o) for o in oracles])
     for idx, ev in enumerate(view.events):
-        for oracle in oracles:
-            if oracle.wants(ev.etype):
-                oracle.checked += 1
-                oracle.feed(idx, ev)
+        for oracle in routes[ev.etype]:
+            oracle.checked += 1
+            oracle.feed(idx, ev)
     for oracle in oracles:
         oracle.finish()
     out = []

@@ -56,6 +56,34 @@ class TestTracer:
             tr.emit(etype, node=0)
         assert len(seen) == 3
 
+    def test_subscription_change_after_routing_applies_next_emit(self):
+        """A route is cached per etype on its first emit; a later
+        subscribe or unsubscribe must still reach that etype."""
+        tr = Tracer(Environment())
+        early, late = [], []
+        tr.subscribe(early.append, prefix="lock.")
+        tr.emit("lock.grant", node=0)           # routes lock.grant
+        tr.subscribe(late.append, prefix="lock.gr")
+        tr.emit("lock.grant", node=1)
+        tr.unsubscribe(early.append)
+        tr.emit("lock.grant", node=2)
+        assert [ev.node for ev in early] == [0, 1]
+        assert [ev.node for ev in late] == [1, 2]
+
+    def test_subscriber_added_in_callback_sees_next_emit(self):
+        tr = Tracer(Environment())
+        seen = []
+
+        def first(ev):
+            if not seen:
+                tr.subscribe(seen.append, prefix="lock.")
+
+        tr.subscribe(first, prefix="lock.")
+        tr.emit("lock.grant", node=0)
+        assert seen == []                      # not the event in delivery
+        tr.emit("lock.grant", node=1)
+        assert [ev.node for ev in seen] == [1]
+
     def test_select_filters_by_prefix_and_node(self):
         tr = Tracer(Environment())
         tr.emit("cache.hit.local", node=1, doc=7)

@@ -53,12 +53,27 @@ def repro_argvs(text):
 ARGVS = list(repro_argvs(CI.read_text(encoding="utf-8")))
 
 
+def exported_traces():
+    """Trace files the workflow's ``obs run --trace`` lines write."""
+    parser = build_parser()
+    return {parser.parse_args(argv).trace for argv in ARGVS
+            if argv[:2] == ["obs", "run"]} - {None}
+
+
 def test_extractor_sees_the_workflow():
     commands = {argv[0] for argv in ARGVS}
     assert len(ARGVS) >= 25
     assert commands >= {"obs", "bench", "lab", "check", "chaos", "txn",
                         "topo", "locks"}
     assert not any("$" in word for argv in ARGVS for word in argv)
+
+
+def test_every_exported_trace_is_replayed():
+    parser = build_parser()
+    replayed = {path for argv in ARGVS if argv[:2] == ["check", "trace"]
+                for path in parser.parse_args(argv).names}
+    assert len(exported_traces()) == 4
+    assert replayed == exported_traces()
 
 
 @pytest.mark.parametrize("argv, dest, default", [
@@ -86,6 +101,9 @@ def test_ci_command_parses_and_resolves(argv):
         names = [args.scenario]
     elif args.command == "check" and args.action in ("run", "meta"):
         names = [n for n in args.names if n != "all"]
+    elif args.command == "check" and args.action == "trace":
+        # replays only files an earlier line exported
+        names, table = args.names, exported_traces()
     elif args.command == "chaos" and args.action != "report":
         names = args.names
         for name in names:

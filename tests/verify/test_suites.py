@@ -5,6 +5,7 @@ row's clean/non-vacuous/deterministic contract: tests/test_scenarios.py.)
 """
 
 import json
+import re
 from collections import Counter
 
 import pytest
@@ -12,11 +13,12 @@ import pytest
 from repro.cli import main
 from repro.errors import ConfigError
 from repro.obs.events import TraceEvent
-from repro.scenarios import SCENARIOS, lab_run, run_check, run_suite
+from repro.scenarios import (SCENARIOS, judged_run, lab_run, run_check,
+                             run_suite)
 from repro.sim import pin_kernel
 from repro.txn import build_txn_scenario
-from repro.verify import (LockOracle, canonical_trace_sha, check_trace,
-                          metamorphic_sweep, shrink)
+from repro.verify import (LockOracle, TraceView, canonical_trace_sha,
+                          check_trace, metamorphic_sweep, shrink)
 from repro.verify.metamorphic import KNOWN_TIES
 
 FAST_CHECKS = ("ncosed", "dqnl", "srsl", "ddss", "cache-bcc",
@@ -180,6 +182,43 @@ class TestTraceRoundtrip:
         path.write_text(json.dumps({"format": "something-else"}))
         with pytest.raises(ConfigError, match="repro-trace-v1"):
             check_trace(str(path))
+
+    @pytest.mark.parametrize("name", ["ncosed", "txn-occ", "shard"])
+    def test_file_digest_is_the_runs_digest(self, tmp_path, name):
+        record, obs = judged_run(name)
+        path = tmp_path / "trace.json"
+        obs.export_trace_json(str(path))
+        assert check_trace(str(path))["trace_sha"] == record["trace_sha"]
+
+
+#: malformed repro-trace-v1 documents -> what the error must name
+MALFORMED = [
+    ({"format": "repro-trace-v1", "emitted": 2,
+      "events": [[1.0, 0, "cache.miss", {"doc": 1}], [1.0, 2]]},
+     r"event #1 .*\[1\.0, 2\]"),
+    ({"format": "repro-trace-v1", "emitted": 0}, "'events'"),
+    ([["format", "repro-trace-v1"]], "is a list, not an object"),
+]
+
+
+class TestMalformedTrace:
+    @pytest.mark.parametrize("doc, match", MALFORMED,
+                             ids=["short-row", "no-events", "top-level-list"])
+    def test_load_names_the_problem(self, tmp_path, doc, match):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ConfigError, match=match):
+            TraceView.load(str(path))
+
+    @pytest.mark.parametrize("doc, match", MALFORMED,
+                             ids=["short-row", "no-events", "top-level-list"])
+    def test_cli_exits_2(self, tmp_path, capsys, doc, match):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert main(["check", "trace", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert re.search(match, err)
 
 
 class TestMetamorphic:
