@@ -32,7 +32,6 @@ from repro.ddss.substrate import (
     TOMBSTONE,
     UnitMeta,
     VERSION_OFF,
-    _req_ids,
 )
 
 __all__ = ["DDSSClient"]
@@ -692,12 +691,13 @@ class DDSSClient:
         return metas
 
     def _control(self, node_id: int, body: dict):
-        """Two-sided control RPC to a member daemon."""
-        req = next(_req_ids)
-        body = dict(body, req=req)
-        self.node.nic.send(node_id, payload=body, size=64,
-                           tag=self.ddss.WIRE_TAG)
-        msg = yield self.node.nic.recv(tag=(self.ddss.REPLY_TAG, req))
+        """Two-sided control RPC to a member daemon (one-shot reply tag)."""
+        req = self.env.next_id("ddss-req")
+        nic = self.node.nic
+        nic.send(node_id, payload=dict(body, req=req), size=64,
+                 tag=self.ddss.WIRE_TAG)
+        msg = yield nic.recv(tag=(self.ddss.REPLY_TAG, req))
+        nic.drop_queue((self.ddss.REPLY_TAG, req))
         if "error" in msg.payload:
             raise DDSSError(msg.payload["error"])
         return msg.payload

@@ -48,8 +48,6 @@ TOMBSTONE = (1 << 64) - 1
 #: CPU time the daemon spends on one control request (µs)
 DAEMON_WORK_US = 2.0
 
-_req_ids = itertools.count(1)
-
 
 @dataclass(frozen=True)
 class UnitMeta:

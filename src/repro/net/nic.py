@@ -276,6 +276,10 @@ class NIC:
         q = self._recv_queues.get(tag)
         return 0 if q is None else len(q)
 
+    def drop_queue(self, tag: Any) -> None:
+        """Forget ``tag``'s receive queue (a one-shot reply tag)."""
+        self._recv_queues.pop(tag, None)
+
     # ------------------------------------------------------------------
     # one-sided memory semantics — fast-path slot-pool driver
     # ------------------------------------------------------------------

@@ -8,23 +8,23 @@ what couples *host-based* protocol latency to node load: a socket-based
 monitoring daemon on a node running 30 compute threads gets ~1/30th of a
 core, while an RDMA read bypasses the CPU entirely.
 
-The implementation keeps exact remaining-work accounting: whenever the
-active-job set changes, all remaining works are decayed by the elapsed
-virtual service and the earliest completion is rescheduled.  A generation
-counter invalidates stale wake-ups instead of deleting heap entries.
+The implementation keeps exact remaining-work accounting: one frame,
+:meth:`CPU._update`, per change of the active-job set decays every
+remaining work by the elapsed virtual service, finishes ripe jobs and
+re-arms the wake-up: a bare agenda call tagged with a generation, so a
+superseded wake stays one no-op entry (DESIGN.md §14).
 """
 
 from __future__ import annotations
 
-import itertools
-import math
-from typing import Dict
+from functools import partial
+from typing import List, Optional
 
 from repro.sim.core import Environment, Event, SimulationError
 
 __all__ = ["CPU", "CPUJob"]
 
-_job_ids = itertools.count(1)
+_INF = float("inf")
 
 
 class CPUJob:
@@ -34,10 +34,9 @@ class CPUJob:
     (its event then fails with :class:`SimulationError`).
     """
 
-    __slots__ = ("jid", "name", "remaining", "done", "_cpu")
+    __slots__ = ("name", "remaining", "done", "_cpu")
 
     def __init__(self, cpu: "CPU", work: float, name: str):
-        self.jid = next(_job_ids)
         self.name = name
         self.remaining = float(work)
         self.done = Event(cpu.env)
@@ -47,7 +46,7 @@ class CPUJob:
         self._cpu._cancel(self)
 
     def __repr__(self) -> str:  # pragma: no cover
-        return f"<CPUJob {self.name}#{self.jid} rem={self.remaining:.2f}us>"
+        return f"<CPUJob {self.name} rem={self.remaining:.2f}us>"
 
 
 class CPU:
@@ -59,7 +58,7 @@ class CPU:
         self.env = env
         self.cores = cores
         self.name = name
-        self._jobs: Dict[int, CPUJob] = {}
+        self._jobs: List[CPUJob] = []  # in submission order
         self._background = 0  # permanent compute-bound jobs (never finish)
         self._last_update = env.now
         self._generation = 0
@@ -79,86 +78,85 @@ class CPU:
     def run(self, work: float, name: str = "job") -> Event:
         """Submit ``work`` microseconds of CPU demand; returns completion
         event.  Zero work completes at the current time (one event hop)."""
-        if work < 0:
-            raise SimulationError(f"negative CPU work: {work}")
-        job = self.submit(work, name)
-        return job.done
+        return self.submit(work, name).done
 
     def submit(self, work: float, name: str = "job") -> CPUJob:
+        """Admit a job; refuses anything but ``0 <= work < inf`` first."""
+        if not 0 <= work < _INF:
+            raise SimulationError(
+                f"CPU job {name!r}: work must be finite and >= 0, got {work}")
         job = CPUJob(self, work, name)
-        self._advance()
-        self._jobs[job.jid] = job
-        self._reschedule()
+        if self._jobs or self._background:
+            self._update(job)
+        else:
+            # Idle: the frame reduces to no decay, rate 1.0, delay = work.
+            now = self._last_update = self.env._now
+            self._jobs.append(job)
+            self._generation = gen = self._generation + 1
+            self.env._schedule_call(now + job.remaining,
+                                    partial(self._on_wake, gen))
         return job
 
     def set_background(self, n: int) -> None:
         """Pin ``n`` permanent compute-bound jobs (synthetic load)."""
         if n < 0:
             raise SimulationError("background job count must be >= 0")
-        self._advance()
+        self._update(rearm=False)
         self._background = n
-        self._reschedule()
+        self._update()
 
     def utilization(self, since: float = 0.0) -> float:
         """Mean fraction of cores busy over ``[since, now]``."""
-        self._advance()
+        self._update(rearm=False)
         horizon = self.env.now - since
         if horizon <= 0:
             return 0.0
         return self._busy_integral / (horizon * self.cores)
 
     # -- internals ---------------------------------------------------------
-    def _rate(self) -> float:
-        """Per-job progress rate under processor sharing."""
-        n = self.active_jobs
-        if n == 0:
-            return 0.0
-        return min(1.0, self.cores / n)
-
-    def _advance(self) -> None:
-        """Decay remaining work for elapsed wall time; finish ripe jobs."""
-        now = self.env.now
+    def _update(self, job: Optional[CPUJob] = None,
+                rearm: bool = True) -> None:
+        """Decay, finish ripe jobs in submission order (zero-work ones
+        too), admit ``job``, and with ``rearm`` re-arm the wake-up."""
+        now = self.env._now
+        jobs = self._jobs
         dt = now - self._last_update
-        if dt > 0:
-            n = self.active_jobs
-            self._busy_integral += dt * min(n, self.cores)
-            rate = self._rate()
-            if rate > 0 and self._jobs:
-                served = dt * rate
-                for job in self._jobs.values():
-                    job.remaining -= served
         self._last_update = now
-        # Complete ripe jobs even when no time elapsed (zero-work jobs).
-        finished = [j for j in self._jobs.values() if j.remaining <= 1e-9]
-        for job in finished:
-            del self._jobs[job.jid]
-            job.done.succeed()
-
-    def _reschedule(self) -> None:
-        """Arm a wake-up at the earliest projected completion."""
-        self._generation += 1
-        gen = self._generation
-        if not self._jobs:
-            return
-        rate = self._rate()
-        if rate <= 0:  # pragma: no cover - impossible while jobs exist
-            return
-        shortest = min(job.remaining for job in self._jobs.values())
-        delay = shortest / rate
-        if not math.isfinite(delay):  # pragma: no cover - defensive
-            raise SimulationError("non-finite CPU completion delay")
-        wake = self.env.timeout(delay)
-        wake.add_callback(lambda _ev: self._on_wake(gen))
+        served = 0.0
+        if dt > 0:
+            n = len(jobs) + self._background
+            self._busy_integral += dt * min(n, self.cores)
+            if jobs:
+                served = dt * min(1.0, self.cores / n)
+        shortest = _INF
+        live = []
+        for j in jobs:
+            rem = j.remaining = j.remaining - served
+            if rem <= 1e-9:
+                j.done.succeed()
+            else:
+                live.append(j)
+                if rem < shortest:
+                    shortest = rem
+        self._jobs = jobs = live
+        if job is not None:
+            jobs.append(job)
+            if job.remaining < shortest:
+                shortest = job.remaining
+        if rearm:
+            self._generation = gen = self._generation + 1
+            if jobs:
+                rate = min(1.0, self.cores / (len(jobs) + self._background))
+                self.env._schedule_call(now + shortest / rate,
+                                        partial(self._on_wake, gen))
 
     def _on_wake(self, gen: int) -> None:
-        if gen != self._generation:
-            return  # superseded by a later job-set change
-        self._advance()
-        self._reschedule()
+        if gen == self._generation:  # else superseded by a later change
+            self._update()
 
     def _cancel(self, job: CPUJob) -> None:
-        self._advance()
-        if job.jid in self._jobs:
-            del self._jobs[job.jid]
+        self._update(rearm=False)
+        if job in self._jobs:
+            self._jobs.remove(job)
             job.done.fail(SimulationError(f"job {job.name} cancelled"))
-            self._reschedule()
+            self._update()

@@ -94,7 +94,7 @@ class TestChaosCli:
                      "--schedules", "2", "--json", verdict_path]) == 0
         out = capsys.readouterr().out
         assert "verdict=ok" in out
-        doc = json.load(open(verdict_path))
+        doc = json.loads((tmp_path / "verdict.json").read_text())
         assert doc["format"] == "repro-chaos-v1" and doc["runs"] == 2
 
         assert main(["chaos", "report", verdict_path]) == 0

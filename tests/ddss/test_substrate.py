@@ -161,6 +161,43 @@ class TestControlPlane:
         assert run(cluster, app(cluster.env)) == ["put", "get"]
 
 
+def allocate_many(n):
+    """``n`` allocations from one client; returns the request ids its
+    control RPCs carried and the receive queues left on its NIC."""
+    cluster = Cluster(n_nodes=4, seed=7)
+    ddss = DDSS(cluster, segment_bytes=64 * 1024)
+    client = ddss.client(cluster.nodes[1])
+    nic = client.node.nic
+    sent, post = [], nic.send
+
+    def send(dst, payload=None, size=0, tag=0):
+        if tag == ddss.WIRE_TAG:
+            sent.append(payload["req"])
+        return post(dst, payload=payload, size=size, tag=tag)
+
+    nic.send = send
+
+    def app(env):
+        for _ in range(n):
+            yield client.allocate(64)
+
+    run(cluster, app(cluster.env))
+    return sent, len(nic._recv_queues)
+
+
+class TestControlRpcIds:
+    def test_reply_queues_do_not_accumulate(self):
+        sent, queues = allocate_many(200)
+        assert len(sent) == 400  # alloc + register per unit
+        assert queues <= 2
+
+    def test_request_ids_are_scoped_to_the_environment(self):
+        first, _ = allocate_many(200)
+        second, _ = allocate_many(200)
+        assert first == second
+        assert len(set(first)) == len(first)
+
+
 class TestCoherenceModels:
     @pytest.mark.parametrize("model", list(Coherence))
     def test_roundtrip_every_model(self, setup, model):

@@ -41,7 +41,7 @@ class TestLabCli:
         assert main(["lab", "run", "smoke8", "--store-root", root,
                      "--no-progress", "--no-tables",
                      "--report", report_path]) == 0
-        report = json.loads(open(report_path).read())
+        report = json.loads((tmp_path / "report.json").read_text())
         assert report["completed"] == 8
         assert report["metrics"]["counters"]["lab.runs.completed"] == 8
 

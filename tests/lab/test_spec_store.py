@@ -157,9 +157,11 @@ class TestStoreCorruption:
     def test_interior_corruption_raises(self, tmp_path):
         store, _ = self._store_with(tmp_path)
         path = os.path.join(store.path, store.RECORDS)
-        lines = open(path).read().splitlines()
+        with open(path) as fh:
+            lines = fh.read().splitlines()
         lines[1] = lines[1][:10] + "#corrupt#" + lines[1][10:]
-        open(path, "w").write("\n".join(lines) + "\n")
+        with open(path, "w") as fh:
+            fh.write("\n".join(lines) + "\n")
         with pytest.raises(ConfigError, match=r"corrupt record .*:2"):
             store.records()
 
@@ -182,8 +184,10 @@ class TestStoreCorruption:
         for s in specs:
             store.append_journal({"run_id": s.run_id, "wall_s": 0.1})
         path = os.path.join(store.path, store.JOURNAL)
-        lines = open(path).read().splitlines()
+        with open(path) as fh:
+            lines = fh.read().splitlines()
         lines[0] = "not json at all"
-        open(path, "w").write("\n".join(lines) + "\n")
+        with open(path, "w") as fh:
+            fh.write("\n".join(lines) + "\n")
         with pytest.raises(ConfigError, match="corrupt record"):
             store.journal()

@@ -104,6 +104,21 @@ def test_negative_work_rejected():
         cpu.run(-1.0)
 
 
+@pytest.mark.parametrize("work", [float("nan"), float("inf"), -1.0,
+                                  float("-inf")])
+@pytest.mark.parametrize("entry", ["run", "submit"])
+def test_bad_work_refused_before_any_state_change(entry, work):
+    """A refused job leaves no trace: the CPU neither keeps it nor raises
+    again for the jobs that follow."""
+    env = Environment()
+    cpu = CPU(env, cores=1)
+    with pytest.raises(SimulationError, match="'bad'"):
+        getattr(cpu, entry)(work, name="bad")
+    assert cpu.active_jobs == 0
+    assert finish_time(env, cpu, 5.0) == 5.0
+    assert cpu.active_jobs == 0
+
+
 def test_active_jobs_and_load():
     env = Environment()
     cpu = CPU(env, cores=2)

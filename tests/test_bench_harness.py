@@ -2,6 +2,7 @@
 
 import json
 import os
+from pathlib import Path
 
 import pytest
 
@@ -86,7 +87,7 @@ class TestDumpTables:
         paths = dump_tables([a, b], str(tmp_path))
         assert len(paths) == len(set(paths)) == 2
         assert all(os.path.exists(p) for p in paths)
-        dumped = sorted(json.loads(open(p).read())["rows"][0][0]
+        dumped = sorted(json.loads(Path(p).read_text())["rows"][0][0]
                         for p in paths)
         assert dumped == [1, 2]
 

@@ -68,6 +68,16 @@ def test_extractor_sees_the_workflow():
     assert not any("$" in word for argv in ARGVS for word in argv)
 
 
+def test_tier1_step_fails_on_leaked_resources():
+    tier1 = [shlex.split(block) for block in run_blocks(CI.read_text(
+        encoding="utf-8")) if "pytest -x -q" in block]
+    assert len(tier1) == 1
+    argv = tier1[0]
+    assert argv[1:5] == ["python", "-X", "dev", "-m"]
+    assert {"error::ResourceWarning",
+            "error::pytest.PytestUnraisableExceptionWarning"} <= set(argv)
+
+
 def test_every_exported_trace_is_replayed():
     parser = build_parser()
     replayed = {path for argv in ARGVS if argv[:2] == ["check", "trace"]
