@@ -1,12 +1,9 @@
-"""Benchmark harness helpers (tables, ASCII charts, result capture)
-and the wall-clock engine suite (:mod:`repro.bench.engine`)."""
+"""Paper-style result tables and ASCII bars for the figure benchmarks
+under ``benchmarks/`` and the ``repro run`` quick figures."""
 
-from repro.bench.engine import run_suite
-from repro.bench.harness import (BenchTable, check_regression, dump_tables,
-                                 format_series, improvement_pct, replay,
-                                 write_report)
-from repro.bench.plot import ascii_bars, ascii_chart
+from repro.bench.harness import (BenchTable, dump_tables, improvement_pct,
+                                 replay)
+from repro.bench.plot import ascii_bars
 
-__all__ = ["BenchTable", "ascii_bars", "ascii_chart", "check_regression",
-           "dump_tables", "format_series", "improvement_pct", "replay",
-           "run_suite", "write_report"]
+__all__ = ["BenchTable", "ascii_bars", "dump_tables", "improvement_pct",
+           "replay"]

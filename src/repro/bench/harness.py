@@ -10,11 +10,10 @@ from __future__ import annotations
 import json
 import os
 import re
-import time
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence
 
-__all__ = ["BenchTable", "RENDERED", "check_regression", "dump_tables",
-           "format_series", "improvement_pct", "replay", "write_report"]
+__all__ = ["BenchTable", "RENDERED", "dump_tables", "improvement_pct",
+           "replay"]
 
 #: every table ever ``show()``-n, in order — the benchmark conftest
 #: replays these in the pytest terminal summary so they survive output
@@ -27,66 +26,6 @@ def improvement_pct(new: float, old: float) -> float:
     if old == 0:
         raise ValueError("baseline is zero")
     return 100.0 * (new / old - 1.0)
-
-
-def check_regression(current: Dict[str, object],
-                     baseline: Optional[Dict[str, object]],
-                     guarded: Iterable[Tuple[str, str]],
-                     threshold: float = 0.25,
-                     decimals: int = 1) -> List[str]:
-    """CI gate: every ``results.<bench>.<key>`` rate named in ``guarded``
-    must stay within ``threshold`` of the baseline's.
-
-    Returns human-readable failure lines (empty = pass), rates printed
-    with ``decimals`` places.  A ``None`` or structurally alien baseline
-    skips the gate — first runs and schema bumps must not brick CI.
-    """
-    if not isinstance(baseline, dict):
-        return []
-    base_results = baseline.get("results")
-    cur_results = current.get("results", {})
-    if not isinstance(base_results, dict):
-        return []
-    failures = []
-    for bench, key in guarded:
-        base = base_results.get(bench, {})
-        cur = cur_results.get(bench, {})
-        if not (isinstance(base, dict) and isinstance(cur, dict)):
-            continue
-        b, c = base.get(key), cur.get(key)
-        if not (isinstance(b, (int, float)) and isinstance(c, (int, float))
-                and b > 0):
-            continue
-        if c < b * (1.0 - threshold):
-            failures.append(
-                f"{bench}.{key}: {c:,.{decimals}f}/s is "
-                f"{(1 - c / b) * 100:.1f}% below baseline "
-                f"{b:,.{decimals}f}/s (threshold {threshold * 100:.0f}%)")
-    return failures
-
-
-def write_report(report: Dict[str, object], out_path: str,
-                 results_dir: Optional[str], prefix: str) -> List[str]:
-    """Write ``out_path`` plus, unless ``results_dir`` is None, a
-    timestamped ``<prefix>-<stamp>.json`` archive copy; returns paths."""
-    paths = []
-    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
-    with open(out_path, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    paths.append(out_path)
-    if results_dir is not None:
-        os.makedirs(results_dir, exist_ok=True)
-        stamp = time.strftime("%Y%m%dT%H%M%S", time.gmtime())
-        archive = os.path.join(results_dir, f"{prefix}-{stamp}.json")
-        with open(archive, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        paths.append(archive)
-    return paths
-
-
-def format_series(xs: Sequence[float], ys: Sequence[float],
-                  fmt: str = "{:.1f}") -> str:
-    return "  ".join(f"{x}:{fmt.format(y)}" for x, y in zip(xs, ys))
 
 
 class BenchTable:

@@ -1,62 +1,14 @@
-"""ASCII line/bar charts for bench output (paper-figure flavour).
+"""ASCII bar charts for bench output (paper-figure flavour).
 
 Terminal-friendly rendering so ``bench_output.txt`` carries not just
-tables but the *shape* of each figure — crossovers and slopes are
-visible at a glance without any plotting dependency.
+tables but the *shape* of a figure, without any plotting dependency.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Sequence
+from typing import Dict
 
-__all__ = ["ascii_chart", "ascii_bars"]
-
-_MARKS = "*o+x#@%&"
-
-
-def ascii_chart(series: Dict[str, Sequence[float]],
-                x_labels: Sequence, height: int = 12,
-                title: str = "") -> str:
-    """Multi-series line chart; one column per x position."""
-    if not series:
-        raise ValueError("no series to plot")
-    names = list(series)
-    n_points = len(x_labels)
-    for name in names:
-        if len(series[name]) != n_points:
-            raise ValueError(f"series {name!r} length != x labels")
-    all_vals = [v for vs in series.values() for v in vs]
-    lo, hi = min(all_vals), max(all_vals)
-    span = (hi - lo) or 1.0
-    # grid[row][col]; row 0 is the top
-    width = n_points * 6
-    grid = [[" "] * width for _ in range(height)]
-    for si, name in enumerate(names):
-        mark = _MARKS[si % len(_MARKS)]
-        for pi, value in enumerate(series[name]):
-            row = height - 1 - int((value - lo) / span * (height - 1))
-            col = pi * 6 + 2
-            grid[row][col] = mark
-    lines = []
-    if title:
-        lines.append(title)
-    for r, row in enumerate(grid):
-        if r == 0:
-            label = f"{hi:>10.1f} |"
-        elif r == height - 1:
-            label = f"{lo:>10.1f} |"
-        else:
-            label = " " * 10 + " |"
-        lines.append(label + "".join(row))
-    lines.append(" " * 11 + "+" + "-" * width)
-    xaxis = " " * 12
-    for x in x_labels:
-        xaxis += f"{str(x):<6}"
-    lines.append(xaxis)
-    legend = "  ".join(f"{_MARKS[i % len(_MARKS)]}={name}"
-                       for i, name in enumerate(names))
-    lines.append(" " * 12 + legend)
-    return "\n".join(lines)
+__all__ = ["ascii_bars"]
 
 
 def ascii_bars(values: Dict[str, float], width: int = 44,

@@ -333,32 +333,6 @@ def _run_one(args, scenario) -> int:
     return rc
 
 
-def _write_bench(args, report, prefix: str, guarded, **gate_kw) -> int:
-    """Write a bench report (+ archive copy), then gate it against
-    ``--baseline``: exit 1 when a guarded rate dropped >25 %."""
-    from repro.bench.engine import RESULTS_DIR
-    from repro.bench.harness import check_regression, write_report
-
-    for path in write_report(report, args.out,
-                             None if args.no_archive else RESULTS_DIR,
-                             prefix):
-        print(f"wrote {path}")
-    if args.baseline is None:
-        return 0
-    try:
-        baseline = _load_json(args.baseline)
-    except (OSError, ConfigError):
-        print(f"no usable baseline at {args.baseline}; "
-              f"regression gate skipped")
-        return 0
-    failures = check_regression(report, baseline, guarded, **gate_kw)
-    for line in failures:
-        print(f"REGRESSION: {line}", file=sys.stderr)
-    if not failures:
-        print("regression gate passed (>25% drop would fail)")
-    return 1 if failures else 0
-
-
 # ---------------------------------------------------------------------------
 # figure runners
 # ---------------------------------------------------------------------------
@@ -620,9 +594,6 @@ def _lab_main(args) -> int:
     from repro.lab import (DEFAULT_ROOT, Runner, RetryPolicy, SWEEPS,
                            merge_tables, store_for)
 
-    if args.action == "bench":
-        return _lab_bench_main(args)
-
     if args.action == "ls":
         print("packaged sweeps:")
         for name in sorted(SWEEPS):
@@ -686,82 +657,19 @@ def _lab_main(args) -> int:
     return 1 if report["failed"] else 0
 
 
-def _lab_bench_main(args) -> int:
-    from repro.lab.labbench import run_lab_bench
-
-    report = run_lab_bench(workers=args.workers, sweep_name=args.sweep)
-    res = report["results"]
-    print(f"lab bench ({report['runs']} runs, sweep {report['sweep']}, "
-          f"{report['cpu_count']} cpus):")
-    print(f"  serial   {res['serial_wall_s']:>8.2f} s")
-    speedup = ("skipped" if res["speedup"] is None
-               else f"{res['speedup']:.2f}x")
-    print(f"  workers={report['workers']:<2d} "
-          f"{res['parallel_wall_s']:>6.2f} s   "
-          f"({speedup})")
-    if res.get("speedup_skipped_reason"):
-        print(f"  speedup skipped: {res['speedup_skipped_reason']}")
-    print(f"  records identical: {res['records_identical']}   "
-          f"tables identical: {res['tables_identical']}")
-    _write_json(args.out, report)
-    if not res["records_identical"] or not res["tables_identical"]:
-        print("FATAL: serial and parallel runs disagree",
-              file=sys.stderr)
-        return 1
-    if res["serial_failed"] or res["parallel_failed"]:
-        print("FATAL: lab bench had failing runs", file=sys.stderr)
-        return 1
-    return 0
-
-
 # ---------------------------------------------------------------------------
 # txn subcommand (multi-key transactions: OCC vs 2PL)
 # ---------------------------------------------------------------------------
 
 def _txn_main(args) -> int:
-    if args.action == "run":
-        from dataclasses import replace
-        from functools import partial
+    from dataclasses import replace
+    from functools import partial
 
-        from repro.scenarios import lookup
+    from repro.scenarios import lookup
 
-        sc = lookup(f"txn-{args.variant}")
-        return _run_one(args, replace(
-            sc, build=partial(sc.build, n_keys=args.n_keys)))
-
-    # bench: the packaged contention sweep, deterministic output
-    from repro.lab import ResultStore, Runner, merge_tables
-    from repro.lab.scenarios import packaged_sweep
-
-    sweep = packaged_sweep("txn")
-    store = ResultStore(None)
-    runner = Runner(sweep, store, workers=args.workers)
-    report = runner.run()
-    if report["failed"]:
-        for failure in report["failures"]:
-            print(f"FAILED {failure['run_id']}: {failure['error']}",
-                  file=sys.stderr)
-        return 1
-    tables = merge_tables(sweep, store)
-    for table in tables:
-        table.show()
-    records = sorted(store.records(), key=lambda r: r["run_id"])
-    doc = {
-        "sweep": sweep.name,
-        "records": [{"run_id": r["run_id"], "params": r["params"],
-                     "seed": r["seed"], "repeat": r["repeat"],
-                     "result": r["result"]} for r in records],
-        "tables": [{"title": t.title, "columns": t.columns,
-                    "rows": t.rows} for t in tables],
-    }
-    bad = [r for r in records if not r["result"]["conserved"]]
-    doc["verdict"] = "ok" if not bad else "violation"
-    _write_json(args.out, doc)
-    if bad:
-        print("FATAL: conservation failed in a sweep cell",
-              file=sys.stderr)
-        return 1
-    return 0
+    sc = lookup(f"txn-{args.variant}")
+    return _run_one(args, replace(
+        sc, build=partial(sc.build, n_keys=args.n_keys)))
 
 
 # ---------------------------------------------------------------------------
@@ -771,24 +679,7 @@ def _txn_main(args) -> int:
 def _topo_main(args) -> int:
     if args.action == "ls":
         return _list_scenarios(describe=True)
-
-    if args.action == "run":
-        return _run_one(args, args.scenario)
-
-    # bench: deterministic simulated figures of merit + regression gate
-    from repro.bench.topo import GUARDED_TOPO_RATES, run_topo_suite
-
-    report = run_topo_suite(seed=args.seed)
-    res = report["results"]
-    vl, lt = res["verb_latency"], res["lock_throughput"]
-    print(f"topo bench (seed {args.seed}):")
-    print(f"  intra-rack read   {vl['intra_rack_us']:>10.4f} us RTT")
-    print(f"  cross-rack read   {vl['cross_rack_us']:>10.4f} us RTT "
-          f"({vl['cross_over_intra']:.2f}x intra)")
-    print(f"  single-home locks {lt['single_home_ops_per_s']:>10,.1f} /s")
-    print(f"  sharded locks     {lt['sharded_ops_per_s']:>10,.1f} /s "
-          f"({lt['speedup']:.2f}x single-home)")
-    return _write_bench(args, report, "topo", GUARDED_TOPO_RATES)
+    return _run_one(args, args.scenario)
 
 
 # ---------------------------------------------------------------------------
@@ -813,92 +704,31 @@ def _locks_main(args) -> int:
               "(two crashes, lease-fenced schemes reclaim)")
         return 0
 
-    if args.action == "run":
-        from repro.dlm.tournament import lock_tournament
-        from repro.sim import pin_kernel
+    from repro.dlm.tournament import lock_tournament
+    from repro.sim import pin_kernel
 
-        try:
-            with pin_kernel(args.kernel):
-                stats = lock_tournament(args.scheme,
-                                        n_clients=args.clients,
-                                        alpha=args.alpha,
-                                        chaos=args.chaos,
-                                        seed=args.seed)
-        except LockError as exc:
-            print(f"[locks {args.scheme}] {exc}", file=sys.stderr)
-            print("verdict=violation")
-            return 1
-        print(f"[locks {args.scheme}] clients={args.clients} "
-              f"alpha={args.alpha} chaos={args.chaos} seed={args.seed} "
-              f"[{args.kernel}]")
-        for k in ("grants", "failures", "ops_per_s", "mean_wait_us",
-                  "p99_wait_us", "max_wait_us", "jain", "max_chain",
-                  "events", "sim_now_us"):
-            v = stats[k]
-            print(f"  {k}={v:.1f}" if isinstance(v, float)
-                  else f"  {k}={v}")
-        print(f"verdict={stats['verdict']} (oracle-replayed, "
-              f"0 violations, {stats['grants']} grants)")
-        if args.json:
-            _write_json(args.json, stats)
-        return 0 if stats["verdict"] == "ok" else 1
-
-    # bench: the full tournament + crossover table + regression gate
-    from repro.bench.locks import GUARDED_LOCKS_RATES, run_locks_suite
-
-    kw = {"levels": args.levels} if args.levels else {}
-    report = run_locks_suite(seed=args.seed, alpha=args.alpha, **kw)
-    res = report["results"]
-    cross = res["crossover"]
-    print(f"locks bench (seed {args.seed}, alpha {report['alpha']}):")
-    for n in cross["levels"]:
-        row = "  ".join(
-            f"{s}={res['tournament'][f'{s}@{n}']['ops_per_s']:>10,.1f}/s"
-            for s in _LOCK_SCHEMES)
-        print(f"  {n:>5d} clients: {row}")
-        print(f"        winner: {cross['winners'][str(n)]}")
-    chaos_row = "  ".join(
-        f"{s}={res['chaos'][s]['ops_per_s_t95']:>10,.1f}/s"
-        for s in _LOCK_SCHEMES)
-    print(f"  chaos column (rate to the 95th-percentile grant): {chaos_row}")
-    return _write_bench(args, report, "locks", GUARDED_LOCKS_RATES)
-
-
-# ---------------------------------------------------------------------------
-# engine benchmark subcommand
-# ---------------------------------------------------------------------------
-
-def _bench_main(args) -> int:
-    from repro.bench.engine import GUARDED_RATES, run_suite
-
-    report = run_suite(quick=args.quick, workers=args.workers)
-    res = report["results"]
-    print(f"engine bench ({'quick' if args.quick else 'full'}):")
-    print(f"  events       {res['events']['events_per_sec']:>12,.0f} /s")
-    ag = res["agenda"]
-    for mix in ("uniform", "narrow_band", "burst"):
-        print(f"  agenda {mix:<12s} {ag[f'{mix}_entries_per_sec']:>9,.0f} /s")
-    sv = res["small_verbs"]
-    print(f"  small verbs  {sv['verbs_per_sec']:>12,.0f} /s   "
-          f"({sv['speedup_vs_slow']:.2f}x vs REPRO_SLOW_KERNEL, "
-          f"sim clocks {'match' if sv['sim_now_match'] else 'DIVERGE'})")
-    print(f"  lock ops     {res['lock_ops']['ops_per_sec']:>12,.0f} /s")
-    print(f"  ddss scenario {res['scenario_ddss']['wall_s']:>10.3f} s wall")
     try:
-        from repro.bench.topo import DEFAULT_TOPO_RESULT, GUARDED_TOPO_RATES
-        topo_res = _load_json(DEFAULT_TOPO_RESULT).get("results", {})
-        print(f"topo (from {DEFAULT_TOPO_RESULT}, simulated):")
-        for bench, key in GUARDED_TOPO_RATES:
-            val = topo_res.get(bench, {}).get(key)
-            if isinstance(val, (int, float)):
-                print(f"  {bench}.{key:<24s} {val:>12,.1f} /s")
-    except (OSError, ConfigError):
-        pass  # no committed topo baseline: engine keys only
-    if not sv["sim_now_match"]:
-        print("FATAL: fast and slow kernels disagree on simulated time",
-              file=sys.stderr)
+        with pin_kernel(args.kernel):
+            stats = lock_tournament(args.scheme, n_clients=args.clients,
+                                    alpha=args.alpha, chaos=args.chaos,
+                                    seed=args.seed)
+    except LockError as exc:
+        print(f"[locks {args.scheme}] {exc}", file=sys.stderr)
+        print("verdict=violation")
         return 1
-    return _write_bench(args, report, "engine", GUARDED_RATES, decimals=0)
+    print(f"[locks {args.scheme}] clients={args.clients} "
+          f"alpha={args.alpha} chaos={args.chaos} seed={args.seed} "
+          f"[{args.kernel}]")
+    for k in ("grants", "failures", "ops_per_s", "mean_wait_us",
+              "p99_wait_us", "max_wait_us", "jain", "max_chain",
+              "events", "sim_now_us"):
+        v = stats[k]
+        print(f"  {k}={v:.1f}" if isinstance(v, float) else f"  {k}={v}")
+    print(f"verdict={stats['verdict']} (oracle-replayed, "
+          f"0 violations, {stats['grants']} grants)")
+    if args.json:
+        _write_json(args.json, stats)
+    return 0 if stats["verdict"] == "ok" else 1
 
 
 # ---------------------------------------------------------------------------
@@ -920,7 +750,7 @@ def build_parser() -> argparse.ArgumentParser:
     def flag(*names, **kw):
         """A parent parser carrying one flag several commands repeat.
         Children share its Action, so a per-command default needs its
-        own parent (``workers``/``gate`` below), never set_defaults."""
+        own parent, never set_defaults."""
         parent = argparse.ArgumentParser(add_help=False)
         parent.add_argument(*names, **kw)
         return parent
@@ -936,24 +766,9 @@ def build_parser() -> argparse.ArgumentParser:
     json_out = flag("--json", metavar="PATH", default=None,
                     help="write the machine-readable record / verdict "
                          "here")
-    baseline = flag("--baseline", metavar="PATH", default=None,
-                    help="bench: compare against this report; exit 1 "
-                         "when a guarded rate regresses >25%% (missing "
-                         "file skips the gate)")
-    no_archive = flag("--no-archive", action="store_true",
-                      help="bench: skip the benchmarks/results/ archive "
-                           "copy")
-
-    def workers(default=0):
-        return flag("--workers", type=int, default=default,
-                    help=f"lab pool workers (default {default}; 0 = "
-                         f"serial in-process, the byte-identical "
-                         f"reference mode)")
-
-    def gate(out):
-        return [flag("--out", metavar="PATH", default=out,
-                     help=f"bench: result file (default: {out})"),
-                baseline, no_archive]
+    workers = flag("--workers", type=int, default=0,
+                   help="lab pool workers (default 0 = serial "
+                        "in-process, the byte-identical reference mode)")
 
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -976,15 +791,8 @@ def build_parser() -> argparse.ArgumentParser:
     obsp.add_argument("--trace", metavar="PATH", default=None,
                       help="write the full-event trace export here "
                            "(replayable with 'repro check trace')")
-    benchp = sub.add_parser(
-        "bench", parents=[*gate("BENCH_engine.json"), workers()],
-        help="wall-clock engine benchmarks (events/s, verbs/s, lock "
-             "ops/s) + perf gate; rates are only comparable across "
-             "runs at the same --workers setting")
-    benchp.add_argument("--quick", action="store_true",
-                        help="reduced iteration counts (CI-sized)")
     checkp = sub.add_parser(
-        "check", parents=[seed, kernel, both, json_out, workers()],
+        "check", parents=[seed, kernel, both, json_out, workers],
         help="replay scenarios or trace files against the correctness "
              "oracles (locks / DDSS coherence / caching / txn / HA)")
     checkp.add_argument("action",
@@ -1000,7 +808,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="meta: comma-separated node counts "
                              "(0 = per-scenario default)")
     chaosp = sub.add_parser(
-        "chaos", parents=[seed, kernel, both, json_out, workers()],
+        "chaos", parents=[seed, kernel, both, json_out, workers],
         help="randomized fault-schedule campaigns judged by oracles, "
              "with reproducer shrinking")
     chaosp.add_argument("action",
@@ -1025,38 +833,30 @@ def build_parser() -> argparse.ArgumentParser:
     chaosp.add_argument("--max-probes", type=int, default=64,
                         help="shrink: probe budget (default 64)")
     txnp = sub.add_parser(
-        "txn", parents=[seed, kernel, json_out, workers()],
+        "txn", parents=[seed, kernel, json_out],
         help="multi-key transactions over DDSS: run a workload under "
-             "the oracle, or sweep OCC vs 2PL")
-    txnp.add_argument("action", choices=["run", "bench"])
+             "the oracle")
+    txnp.add_argument("action", choices=["run"])
     txnp.add_argument("--variant", choices=["occ", "2pl", "mixed"],
                       default="occ",
-                      help="concurrency control for 'run' "
-                           "(default: occ)")
+                      help="concurrency control (default: occ)")
     txnp.add_argument("--n-nodes", type=int, default=4)
     txnp.add_argument("--n-keys", type=int, default=4,
                       help="account/stock pool size (fewer = hotter)")
-    txnp.add_argument("--out", metavar="PATH", default="BENCH_txn.json",
-                      help="bench: result file (default: "
-                           "BENCH_txn.json)")
     topop = sub.add_parser(
-        "topo", parents=[seed, kernel, json_out,
-                         *gate("BENCH_topo.json")],
+        "topo", parents=[seed, kernel, json_out],
         help="rack/spine topology + sharded namespaces: run the "
-             "packaged scale-out scenario under the oracles, or bench "
-             "the fabric")
-    topop.add_argument("action", choices=["ls", "run", "bench"])
+             "packaged scale-out scenario under the oracles")
+    topop.add_argument("action", choices=["ls", "run"])
     topop.add_argument("scenario", nargs="?", default="lab",
                        help="scenario for 'run' (default: lab)")
     topop.add_argument("--n-nodes", type=int, default=None,
                        help="run: cluster size (default: the "
                             "scenario's own)")
     locksp = sub.add_parser(
-        "locks", parents=[seed, kernel, json_out,
-                          *gate("BENCH_locks.json")],
-        help="lock-design arena: run one oracle-checked tournament "
-             "cell, or bench the five-design crossover table")
-    locksp.add_argument("action", choices=["ls", "run", "bench"])
+        "locks", parents=[seed, kernel, json_out],
+        help="lock-design arena: run one oracle-checked tournament cell")
+    locksp.add_argument("action", choices=["ls", "run"])
     locksp.add_argument("scheme", nargs="?", default="ncosed",
                         choices=sorted(_LOCK_SCHEMES),
                         help="scheme for 'run' (default: ncosed)")
@@ -1068,9 +868,6 @@ def build_parser() -> argparse.ArgumentParser:
     locksp.add_argument("--chaos", choices=["none", "crash"],
                         default="none",
                         help="run: fault plan (default none)")
-    locksp.add_argument("--levels", type=int, nargs="+", default=None,
-                        help="bench: contention levels (default "
-                             "64 256 1024)")
     labp = sub.add_parser(
         "lab", help="parallel experiment sweeps with a resumable "
                     "result store")
@@ -1080,15 +877,6 @@ def build_parser() -> argparse.ArgumentParser:
                            "store root")
     labsub.add_parser("ls", parents=[store_root],
                       help="list packaged sweeps + on-disk stores")
-    lab_bench = labsub.add_parser(
-        "bench", parents=[workers(4)],
-        help="serial-vs-parallel speedup + byte-identity check "
-             "(writes BENCH_lab.json)")
-    lab_bench.add_argument("--sweep", default="bench8",
-                           help="packaged sweep to compare on "
-                                "(default: bench8)")
-    lab_bench.add_argument("--out", metavar="PATH",
-                           default="BENCH_lab.json")
     for act, hlp in (("run", "run a sweep (skips completed runs)"),
                      ("resume", "re-invoke a killed sweep: only missing "
                                 "runs execute"),
@@ -1096,7 +884,7 @@ def build_parser() -> argparse.ArgumentParser:
                               "store")):
         p = labsub.add_parser(
             act, help=hlp,
-            parents=[store_root] + ([] if act == "show" else [workers()]))
+            parents=[store_root] + ([] if act == "show" else [workers]))
         p.add_argument("sweep", help="packaged sweep name or store "
                                      "directory")
         if act != "show":
@@ -1115,9 +903,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 _COMMANDS = {
     "list": _list_main, "run": _run_main, "obs": _obs_main,
-    "bench": _bench_main, "check": _check_main, "chaos": _chaos_main,
-    "txn": _txn_main, "topo": _topo_main, "locks": _locks_main,
-    "lab": _lab_main,
+    "check": _check_main, "chaos": _chaos_main, "txn": _txn_main,
+    "topo": _topo_main, "locks": _locks_main, "lab": _lab_main,
 }
 
 

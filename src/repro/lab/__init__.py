@@ -16,13 +16,17 @@ this package makes that matrix tractable:
   :class:`~repro.bench.harness.BenchTable`\\ s (:mod:`repro.lab.merge`);
 * packaged sweeps + scenario callables (:mod:`repro.lab.scenarios`).
 
+The ablation and txn-contention figure tests under ``benchmarks/`` run
+their sweeps through it.  A store that cannot be read back — a
+``sweep.json`` or a record of the wrong shape — raises
+:class:`~repro.errors.ConfigError` naming the file and the field.
+
 CLI::
 
     python -m repro lab ls
     python -m repro lab run smoke8 --workers 4
     python -m repro lab resume smoke8
     python -m repro lab show smoke8
-    python -m repro lab bench --workers 4
 """
 
 from .merge import merge_tables, merged_records

@@ -5,9 +5,8 @@ returning a JSON-serializable dict; the runner invokes it by dotted name
 inside worker processes, so everything here is module-level.  The
 single-point scenarios below are the per-grid-point bodies of the
 ablation sweeps that ``benchmarks/test_ablations.py`` used to run as
-monolithic loops, plus wrappers around rows of the scenario table
-(chunky, fully deterministic — the parallel-speedup benchmark material)
-and the wall-clock engine benchmarks.
+monolithic loops, plus wrappers around rows of the scenario table and
+around the txn, topology and lock-arena measurements.
 
 A **fold** is a ``records -> List[BenchTable]`` callable named by the
 sweep's ``fold`` field; the merge step resolves it by dotted path so
@@ -23,11 +22,10 @@ from .spec import Sweep
 
 __all__ = ["SWEEPS", "packaged_sweep",
            "hybcc_threshold", "monitor_period", "lock_backoff",
-           "lock_cascade", "obs_export", "dc_tps", "engine_bench",
-           "smoke", "txn_point", "topo_point", "locks_point",
-           "fold_by_param", "fold_locks",
-           "fold_hybcc", "fold_period", "fold_backoff", "fold_dc",
-           "fold_obs", "fold_txn", "fold_topo"]
+           "lock_cascade", "obs_export", "smoke", "txn_point",
+           "topo_point", "locks_point", "fold_by_param", "fold_locks",
+           "fold_hybcc", "fold_period", "fold_backoff", "fold_obs",
+           "fold_txn", "fold_topo"]
 
 
 # ---------------------------------------------------------------------------
@@ -123,7 +121,7 @@ def lock_cascade(manager: str, waiters: int, mode: str = "exclusive",
 
 
 # ---------------------------------------------------------------------------
-# chunky deterministic scenarios (speedup + determinism material)
+# chunky deterministic scenarios (determinism material)
 # ---------------------------------------------------------------------------
 
 def obs_export(scenario: str = "ddss", seed: int = 0,
@@ -142,19 +140,6 @@ def obs_export(scenario: str = "ddss", seed: int = 0,
         "violations": len(obs.violations()),
         "counters": summary["metrics"]["counters"],
     }
-
-
-def dc_tps(scheme: str, doc_bytes: int, seed: int = 0) -> Dict[str, Any]:
-    """One cooperative-caching datacenter TPS measurement (~1.5 s of
-    host time per run — the chunky, fully deterministic workload the
-    parallel-speedup benchmark is made of)."""
-    from ..datacenter import DataCenter
-
-    dc = DataCenter(n_proxies=2, n_app=2, scheme=scheme, n_docs=600,
-                    doc_bytes=doc_bytes, cache_bytes=4 * 1024 * 1024,
-                    n_sessions=24, seed=seed)
-    tps = dc.run_tps(warmup_us=50_000, measure_us=150_000)
-    return {"tps": round(tps, 3)}
 
 
 def txn_point(variant: str = "occ", n_keys: int = 8,
@@ -222,28 +207,6 @@ def smoke(x: int = 1, seed: int = 0) -> Dict[str, Any]:
 
 
 # ---------------------------------------------------------------------------
-# engine wall-clock benchmarks (nondeterministic results by nature)
-# ---------------------------------------------------------------------------
-
-def engine_bench(bench: str, scale: int = 1,
-                 seed: int = 0) -> Dict[str, Any]:
-    """One benchmark of the ``repro.bench.engine`` suite by name."""
-    from ..bench import engine
-
-    if bench == "events":
-        return engine._bench_events(100_000 * scale)
-    if bench == "agenda":
-        return engine._bench_agenda(150_000 * scale)
-    if bench == "small_verbs":
-        return engine._bench_small_verbs(5_000 * scale)
-    if bench == "lock_ops":
-        return engine._bench_lock_ops(2_000 * scale)
-    if bench == "scenario_ddss":
-        return engine._bench_scenario()
-    raise ValueError(f"unknown engine bench: {bench!r}")
-
-
-# ---------------------------------------------------------------------------
 # folds: records -> paper-style tables
 # ---------------------------------------------------------------------------
 
@@ -301,15 +264,6 @@ def fold_backoff(records: List[Dict[str, Any]]) -> List[BenchTable]:
     for r in _sorted_records(records, "backoff_cap_us"):
         table.add(int(r["params"]["backoff_cap_us"]),
                   r["result"]["makespan_us"], r["result"]["atomics"])
-    return [table]
-
-
-def fold_dc(records: List[Dict[str, Any]]) -> List[BenchTable]:
-    table = BenchTable("coop-cache TPS sweep (2 proxies)",
-                       ["scheme", "doc_bytes", "seed", "tps"])
-    for r in _sorted_records(records, "scheme", "doc_bytes"):
-        table.add(r["params"]["scheme"], r["params"]["doc_bytes"],
-                  r["seed"], r["result"]["tps"])
     return [table]
 
 
@@ -400,14 +354,6 @@ def _ablation_backoff() -> Sweep:
                  seeds=(0,), fold=f"{_HERE}:fold_backoff")
 
 
-def _bench8() -> Sweep:
-    """8 chunky deterministic runs — the parallel-speedup benchmark."""
-    return Sweep(name="bench8", scenario=f"{_HERE}:dc_tps",
-                 grid={"scheme": ["AC", "CCWR"],
-                       "doc_bytes": [8_192, 16_384]},
-                 seeds=(0, 1), fold=f"{_HERE}:fold_dc")
-
-
 def _obs4() -> Sweep:
     """Four packaged scenarios' obs exports at one seed."""
     return Sweep(name="obs4", scenario=f"{_HERE}:obs_export",
@@ -433,7 +379,8 @@ def _topo16() -> Sweep:
 
 def _locks() -> Sweep:
     """Bounded lock-arena grid: all five designs × two contention
-    levels (the full crossover lives in ``repro locks bench``)."""
+    levels (the full crossover lives in
+    ``benchmarks/test_beyond_paper.py``)."""
     return Sweep(name="locks", scenario=f"{_HERE}:locks_point",
                  grid={"scheme": ["srsl", "dqnl", "ncosed", "mcs",
                                   "alock"],
@@ -447,21 +394,12 @@ def _smoke8() -> Sweep:
                  grid={"x": [1, 2]}, seeds=(0, 1), repeats=2)
 
 
-def _engine(quick: bool = False) -> Sweep:
-    return Sweep(name="engine", scenario=f"{_HERE}:engine_bench",
-                 grid={"bench": ["events", "small_verbs", "lock_ops",
-                                 "scenario_ddss"]},
-                 base={"scale": 1 if quick else 4})
-
-
 SWEEPS: Dict[str, Callable[[], Sweep]] = {
     "ablation-hybcc": _ablation_hybcc,
     "ablation-period": _ablation_period,
     "ablation-backoff": _ablation_backoff,
-    "bench8": _bench8,
     "obs4": _obs4,
     "smoke8": _smoke8,
-    "engine": _engine,
     "txn": _txn,
     "topo16": _topo16,
     "locks": _locks,

@@ -170,10 +170,29 @@ class Sweep:
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "Sweep":
-        return cls(name=data["name"], scenario=data["scenario"],
-                   grid={k: list(v)
-                         for k, v in data.get("grid", {}).items()},
-                   base=dict(data.get("base", {})),
-                   seeds=tuple(data.get("seeds", (0,))),
-                   repeats=int(data.get("repeats", 1)),
-                   fold=data.get("fold", ""))
+        """Inverse of :meth:`to_dict`; a field of the wrong shape raises
+        :class:`ConfigError` naming it."""
+        if not isinstance(data, dict):
+            raise ConfigError(f"a sweep is a JSON object, got {data!r}")
+
+        def get(name, kind, default=None):
+            value = data.get(name, default)
+            if not isinstance(value, kind) or (
+                    kind is int and isinstance(value, bool)):
+                raise ConfigError(f"sweep field {name!r} must be "
+                                  f"{kind.__name__}, got {value!r}")
+            return value
+
+        grid = get("grid", dict, {})
+        for key, values in grid.items():
+            if not isinstance(values, list):
+                raise ConfigError(f"sweep field 'grid.{key}' must be a "
+                                  f"list, got {values!r}")
+        seeds = get("seeds", list, [0])
+        if not all(isinstance(s, int) for s in seeds):
+            raise ConfigError(f"sweep field 'seeds' must list integers, "
+                              f"got {seeds!r}")
+        return cls(name=get("name", str), scenario=get("scenario", str),
+                   grid=grid, base=get("base", dict, {}),
+                   seeds=tuple(seeds), repeats=get("repeats", int, 1),
+                   fold=get("fold", str, ""))

@@ -49,7 +49,7 @@ def record_for(spec, result: Any) -> Dict[str, Any]:
 
 class ResultStore:
     """Append-only store for one sweep; ``path=None`` keeps everything
-    in memory (used by ephemeral dispatches like the engine suite)."""
+    in memory (used by one-shot dispatches like the figure tests)."""
 
     RECORDS = "records.jsonl"
     JOURNAL = "journal.jsonl"
@@ -78,7 +78,7 @@ class ResultStore:
             if not stripped:
                 continue
             try:
-                out.append(json.loads(stripped))
+                record = json.loads(stripped)
             except ValueError as exc:
                 if all(not rest.strip() for rest in lines[lineno:]):
                     # truncated tail from a mid-write kill: forgive; the
@@ -89,6 +89,12 @@ class ResultStore:
                 # silently drop a completed run on resume
                 raise ConfigError(
                     f"corrupt record at {path}:{lineno}: {exc}")
+            # every line the store writes is one object, so a line that
+            # parses as anything else is corruption, never a torn tail
+            if not isinstance(record, dict):
+                raise ConfigError(f"corrupt record at {path}:{lineno}: "
+                                  f"not a JSON object: {stripped[:40]}")
+            out.append(record)
         return out
 
     # -- sweep metadata -------------------------------------------------
@@ -111,7 +117,13 @@ class ResultStore:
             raise ConfigError(f"no resumable sweep at {path}: {exc}")
         except ValueError as exc:
             raise ConfigError(f"corrupt sweep.json at {path}: {exc}")
-        return Sweep.from_dict(doc["sweep"])
+        if not isinstance(doc, dict) or "sweep" not in doc:
+            raise ConfigError(f"corrupt sweep.json at {path}: field "
+                              f"'sweep' missing")
+        try:
+            return Sweep.from_dict(doc["sweep"])
+        except ConfigError as exc:
+            raise ConfigError(f"corrupt sweep.json at {path}: {exc}") from None
 
     def has_sweep(self) -> bool:
         return (self.path is not None
@@ -136,14 +148,16 @@ class ResultStore:
     def records(self) -> List[Dict[str, Any]]:
         if self.path is None:
             return list(self._memory)
-        recs = self._read_jsonl(self._file(self.RECORDS))
+        path = self._file(self.RECORDS)
         # last-write-wins dedup (a crash between append and the runner's
         # bookkeeping could double-submit one run)
         by_id: Dict[str, Dict[str, Any]] = {}
-        for r in recs:
+        for r in self._read_jsonl(path):
             rid = r.get("run_id")
-            if isinstance(rid, str):
-                by_id[rid] = r
+            if not isinstance(rid, str):
+                raise ConfigError(f"corrupt record in {path}: field "
+                                  f"'run_id' must be a string, got {rid!r}")
+            by_id[rid] = r
         return list(by_id.values())
 
     def completed_ids(self) -> Set[str]:

@@ -122,6 +122,7 @@ def build_txn_scenario(variant: str, seed: int, n_nodes: int,
 
     clients: List[TxnClient] = []
     workers: List[TxnWorker] = []
+    start = env.now
     for i in range(n_workers):
         client = make_client(i)
         mix = TpccMix(cluster.rng.get(f"txn-mix-{i}"), accounts,
@@ -136,6 +137,10 @@ def build_txn_scenario(variant: str, seed: int, n_nodes: int,
 
     attempts = sum(r.attempts for w in workers for r in w.results)
     commits = sum(c.commits for c in clients)
+    # a rate over the workload's own span, not over the horizon: a
+    # worker still running at the horizon extends it to the horizon
+    makespan_us = max(env.now if w.finished_at is None else w.finished_at
+                      for w in workers) - start
     stats = {
         "variant": variant,
         "n_keys": n_keys,
@@ -150,7 +155,8 @@ def build_txn_scenario(variant: str, seed: int, n_nodes: int,
         "wedges": sum(c.wedges for c in clients),
         "attempts": attempts,
         "abort_rate": (1.0 - commits / attempts) if attempts else 0.0,
-        "commit_per_s": commits / (env.now / 1e6) if env.now else 0.0,
+        "makespan_us": makespan_us,
+        "commit_per_s": commits / (makespan_us / 1e6) if makespan_us else 0.0,
         "account_sum": account_sum(ddss, accounts),
         "conserved": (account_sum(ddss, accounts)
                       == ACCOUNT_START * n_keys),

@@ -26,6 +26,8 @@ class TxnWorker:
         self._queue: List[Txn] = []
         self._event: Optional[Event] = None
         self.results: List[TxnResult] = []
+        #: simulated instant the last queued transaction resolved
+        self.finished_at: Optional[float] = None
 
     def add_txn(self, txn: Txn) -> None:
         if self._event is not None:
@@ -43,6 +45,7 @@ class TxnWorker:
         for txn in self._queue:
             result = yield self.client.run(txn)
             self.results.append(result)
+        self.finished_at = self.client.env.now
         return tuple(self.results)
 
     # -- outcome tallies ------------------------------------------------

@@ -1,4 +1,4 @@
-"""Lock-design arena: tournament harness, bench report, CLI, sweep."""
+"""Lock-design arena: tournament harness, CLI, sweep."""
 
 import json
 
@@ -97,41 +97,6 @@ class TestStragglerProofRate:
         assert stats["ops_per_s_t95"] >= 0.95 * stats["ops_per_s"]
 
 
-class TestBenchReport:
-    @pytest.fixture(scope="class")
-    def report(self):
-        from repro.bench.locks import run_locks_suite
-
-        return run_locks_suite(seed=0, levels=(8, 16), alpha=1.0)
-
-    def test_crossover_table_shape(self, report):
-        res = report["results"]
-        assert res["crossover"]["levels"] == [8, 16]
-        for n in (8, 16):
-            assert res["crossover"]["winners"][str(n)] in SCHEMES
-            for scheme in SCHEMES:
-                cell = res["tournament"][f"{scheme}@{n}"]
-                assert cell["violations"] == 0
-                assert cell["ops_per_s"] > 0
-        assert set(res["chaos"]) == set(SCHEMES)
-        for scheme in SCHEMES:
-            # the straggler-proof rate is a chaos-section column only
-            assert res["chaos"][scheme]["ops_per_s_t95"] > 0
-            assert "ops_per_s_t95" not in res["tournament"][f"{scheme}@8"]
-        assert set(res["rates"]) == {f"{s}_ops_per_s" for s in SCHEMES}
-
-    def test_write_report_archives(self, report, tmp_path):
-        from repro.bench.harness import write_report
-
-        out = tmp_path / "BENCH_locks.json"
-        paths = write_report(report, str(out), str(tmp_path / "res"),
-                             "locks")
-        assert len(paths) == 2
-        assert "/res/locks-" in paths[1]
-        doc = json.loads(out.read_text())
-        assert doc["suite"] == "locks"
-
-
 class TestLocksCLI:
     def test_ls(self, capsys):
         assert main(["locks", "ls"]) == 0
@@ -153,23 +118,6 @@ class TestLocksCLI:
         captured = capsys.readouterr()
         assert "n_clients" in captured.err
         assert "verdict=ok" not in captured.out
-
-    def test_bench_deterministic_and_gated(self, tmp_path, capsys):
-        a, b = tmp_path / "a.json", tmp_path / "b.json"
-        base = ["locks", "bench", "--levels", "8", "16", "--alpha",
-                "1.0", "--no-archive"]
-        assert main(base + ["--out", str(a)]) == 0
-        assert main(base + ["--out", str(b),
-                            "--baseline", str(a)]) == 0
-        assert a.read_text() == b.read_text()
-        assert "regression gate passed" in capsys.readouterr().out
-
-    def test_bench_missing_baseline_skips_gate(self, tmp_path, capsys):
-        out = tmp_path / "c.json"
-        assert main(["locks", "bench", "--levels", "8", "--alpha",
-                     "1.0", "--no-archive", "--out", str(out),
-                     "--baseline", str(tmp_path / "nope.json")]) == 0
-        assert "regression gate skipped" in capsys.readouterr().out
 
 
 class TestLabSweep:

@@ -3,6 +3,8 @@
 import json
 import os
 
+import pytest
+
 from repro.cli import main
 from repro.lab.scenarios import SWEEPS
 
@@ -76,3 +78,32 @@ class TestLabCli:
         assert main(["lab", "show", "smoke8",
                      "--store-root", str(tmp_path)]) == 1
         assert "no completed runs" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("doc, field", [
+        ({}, "'sweep'"),
+        ([1], "'sweep'"),
+        ({"sweep": {"name": "s", "scenario": "m:f", "repeats": "two"}},
+         "'repeats'"),
+    ], ids=["empty-object", "not-an-object", "repeats-not-an-int"])
+    def test_show_corrupt_sweep_json_fails_loud(self, tmp_path, capsys,
+                                                doc, field):
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps(doc))
+        assert main(["lab", "show", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: corrupt sweep.json")
+        assert str(path) in err and field in err
+
+    def test_show_record_that_is_not_an_object_fails_loud(self, tmp_path,
+                                                          capsys):
+        root = str(tmp_path)
+        assert main(["lab", "run", "smoke8", "--store-root", root,
+                     "--no-progress", "--no-tables"]) == 0
+        capsys.readouterr()
+        records = os.path.join(root, "smoke8", "records.jsonl")
+        with open(records, "a", encoding="utf-8") as fh:
+            fh.write("[1]\n")
+        assert main(["lab", "show", os.path.join(root, "smoke8")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: corrupt record")
+        assert f"{records}:9" in err and "not a JSON object" in err

@@ -6,19 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.bench import (BenchTable, check_regression, dump_tables,
-                         format_series, improvement_pct, replay)
-from repro.bench.engine import GUARDED_RATES
+from repro.bench import BenchTable, dump_tables, improvement_pct, replay
 from repro.bench.harness import RENDERED
-from repro.bench.locks import GUARDED_LOCKS_RATES
-from repro.bench.topo import GUARDED_TOPO_RATES
-
-
-def _report(guarded, rate):
-    results = {}
-    for bench, key in guarded:
-        results.setdefault(bench, {})[key] = rate
-    return {"results": results}
 
 
 class TestBenchTable:
@@ -103,40 +92,3 @@ def test_improvement_pct():
     assert improvement_pct(50.0, 100.0) == pytest.approx(-50.0)
     with pytest.raises(ValueError):
         improvement_pct(1.0, 0.0)
-
-
-def test_format_series():
-    assert format_series([1, 2], [3.0, 4.5]) == "1:3.0  2:4.5"
-
-
-@pytest.mark.parametrize("guarded,decimals,shown", [
-    (GUARDED_RATES, 0, "1,000/s"),
-    (GUARDED_LOCKS_RATES, 1, "1,000.0/s"),
-    (GUARDED_TOPO_RATES, 1, "1,000.0/s"),
-], ids=["engine", "locks", "topo"])
-def test_regression_gate(guarded, decimals, shown):
-    """The one CI gate behind ``repro bench|locks bench|topo bench``."""
-    current = _report(guarded, 1000.0)
-    assert check_regression(current, current, guarded) == []
-    # a drop of exactly the threshold still passes
-    assert check_regression(current, _report(guarded, 1000.0 / 0.75),
-                            guarded) == []
-    # every guarded rate is gated and printed the way its CLI printed it
-    failures = check_regression(current, _report(guarded, 2000.0),
-                                guarded, decimals=decimals)
-    assert len(failures) == len(guarded)
-    for (bench, key), line in zip(guarded, failures):
-        assert line.startswith(f"{bench}.{key}: {shown} is 50.0% below")
-        assert line.endswith("(threshold 25%)")
-    # only the regressed rate is named; the threshold is honoured
-    baseline = _report(guarded, 1000.0)
-    bench, key = guarded[-1]
-    baseline["results"][bench][key] = 1500.0
-    failures = check_regression(current, baseline, guarded)
-    assert len(failures) == 1 and f"{bench}.{key}" in failures[0]
-    assert check_regression(current, baseline, guarded, threshold=0.5) == []
-    # a missing or structurally alien baseline skips the gate
-    for alien in (None, [], {}, {"results": None},
-                  {"results": {guarded[0][0]: "n/a"}},
-                  {"results": {guarded[0][0]: {guarded[0][1]: 0}}}):
-        assert check_regression(current, alien, guarded) == []

@@ -62,9 +62,9 @@ def exported_traces():
 
 def test_extractor_sees_the_workflow():
     commands = {argv[0] for argv in ARGVS}
-    assert len(ARGVS) >= 25
-    assert commands >= {"obs", "bench", "lab", "check", "chaos", "txn",
-                        "topo", "locks"}
+    assert len(ARGVS) >= 20
+    assert commands >= {"obs", "lab", "check", "chaos", "txn", "topo",
+                        "locks"}
     assert not any("$" in word for argv in ARGVS for word in argv)
 
 
@@ -78,6 +78,25 @@ def test_tier1_step_fails_on_leaked_resources():
             "error::pytest.PytestUnraisableExceptionWarning"} <= set(argv)
 
 
+def test_perf_job_measures_its_own_baseline():
+    """One perf signal: ``run.py`` at a pinned seed on the merge base
+    and on HEAD, ``compare.py`` between the two; nothing reads a
+    committed baseline, and only the HEAD run can fail the job."""
+    text = CI.read_text(encoding="utf-8")
+    assert "BENCH_" not in text
+    blocks = [" ".join(b.replace("\\\n", " ").split())
+              for b in run_blocks(text) if "benchmarks/perf/" in b]
+    runs = [b for b in blocks if "perf/run.py" in b]
+    assert len(runs) == 2
+    assert all("--seed 7 --seconds 1" in b for b in runs)
+    base, head = sorted(runs, key=lambda b: "perf-base" not in b)
+    assert "../perf-base-src/" in base and "||" in base
+    assert head == ("python3 benchmarks/perf/run.py --seed 7 --seconds 1 "
+                    "--out perf-head")
+    (compare,) = [b for b in blocks if "perf/compare.py" in b]
+    assert "perf-base/result.json perf-head/result.json" in compare
+
+
 def test_every_exported_trace_is_replayed():
     parser = build_parser()
     replayed = {path for argv in ARGVS if argv[:2] == ["check", "trace"]
@@ -87,14 +106,8 @@ def test_every_exported_trace_is_replayed():
 
 
 @pytest.mark.parametrize("argv, dest, default", [
-    (["bench"], "out", "BENCH_engine.json"),
-    (["topo", "bench"], "out", "BENCH_topo.json"),
-    (["locks", "bench"], "out", "BENCH_locks.json"),
-    (["txn", "bench"], "out", "BENCH_txn.json"),
-    (["bench"], "workers", 0),
     (["check", "meta"], "workers", 0),
     (["lab", "run", "smoke8"], "workers", 0),
-    (["lab", "bench"], "workers", 4),
     (["topo", "run"], "n_nodes", None),
     (["txn", "run"], "n_nodes", 4),
 ])

@@ -1,34 +1,9 @@
-"""Tests for ASCII charts and the CLI wiring."""
+"""Tests for ASCII bars and the CLI wiring."""
 
 import pytest
 
-from repro.bench.plot import ascii_bars, ascii_chart
+from repro.bench.plot import ascii_bars
 from repro.cli import EXPERIMENTS, main
-
-
-class TestAsciiChart:
-    def test_contains_all_series_markers(self):
-        out = ascii_chart({"a": [1, 2, 3], "b": [3, 2, 1]},
-                          x_labels=[10, 20, 30], title="t")
-        assert "t" in out
-        assert "*" in out and "o" in out
-        assert "*=a" in out and "o=b" in out
-
-    def test_axis_labels_show_extremes(self):
-        out = ascii_chart({"s": [5.0, 25.0]}, x_labels=["x", "y"])
-        assert "25.0" in out and "5.0" in out
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            ascii_chart({"a": [1, 2]}, x_labels=[1])
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            ascii_chart({}, x_labels=[])
-
-    def test_flat_series_ok(self):
-        out = ascii_chart({"flat": [2.0, 2.0, 2.0]}, x_labels=[1, 2, 3])
-        assert "flat" in out
 
 
 class TestAsciiBars:
@@ -65,3 +40,14 @@ class TestCli:
         out = capsys.readouterr().out
         assert "Flow control" in out
         assert "speedup" in out
+
+    @pytest.mark.parametrize("argv", [["bench"], ["locks", "bench"],
+                                      ["topo", "bench"], ["txn", "bench"],
+                                      ["lab", "bench"]], ids=" ".join)
+    def test_removed_bench_verbs_are_usage_errors(self, argv, capsys):
+        """The simulated numbers live in ``benchmarks/`` figure tests,
+        the host cost in ``benchmarks/perf``; no verb is left behind."""
+        with pytest.raises(SystemExit) as exit_:
+            main(argv)
+        assert exit_.value.code == 2
+        assert "invalid choice: 'bench'" in capsys.readouterr().err

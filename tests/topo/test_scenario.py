@@ -69,21 +69,6 @@ class TestTopoCLI:
         assert doc["scenario"] == "shard" and doc["n_nodes"] == 8
         assert doc["sanitizers"] == []
 
-    def test_bench_deterministic_and_gated(self, tmp_path, capsys):
-        a, b = tmp_path / "a.json", tmp_path / "b.json"
-        assert main(["topo", "bench", "--out", str(a),
-                     "--no-archive"]) == 0
-        assert main(["topo", "bench", "--out", str(b), "--no-archive",
-                     "--baseline", str(a)]) == 0
-        assert a.read_text() == b.read_text()
-        out = capsys.readouterr().out
-        assert "regression gate passed" in out
-        doc = json.loads(a.read_text())
-        res = doc["results"]
-        assert res["verb_latency"]["cross_rack_us"] > \
-            res["verb_latency"]["intra_rack_us"]
-        assert res["lock_throughput"]["speedup"] > 1.0
-
 
 class TestLabSweep:
     def test_topo16_packaged(self):

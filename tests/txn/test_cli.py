@@ -1,4 +1,4 @@
-"""The `repro txn` CLI surface: run verdicts and the contention bench."""
+"""The `repro txn` CLI surface: run verdicts."""
 
 import json
 
@@ -28,22 +28,3 @@ class TestTxnRun:
         assert main(["check", "list"]) == 0
         names = capsys.readouterr().out.split()
         assert {"txn-occ", "txn-2pl", "txn-mixed"} <= set(names)
-
-
-class TestTxnBench:
-    def test_bench_writes_deterministic_doc(self, tmp_path, capsys):
-        a, b = tmp_path / "a.json", tmp_path / "b.json"
-        assert main(["txn", "bench", "--out", str(a)]) == 0
-        assert main(["txn", "bench", "--out", str(b)]) == 0
-        assert a.read_text() == b.read_text()
-        doc = json.loads(a.read_text())
-        assert doc["verdict"] == "ok"
-        assert doc["sweep"] == "txn"
-        assert len(doc["records"]) == 6  # {occ,2pl} x {2,8,32} keys
-        assert all(r["result"]["conserved"] for r in doc["records"])
-        # the physics: OCC aborts fall as the key space spreads
-        occ = {r["params"]["n_keys"]: r["result"]["attempt_aborts"]
-               for r in doc["records"] if r["params"]["variant"] == "occ"}
-        assert occ[2] > occ[32]
-        out = capsys.readouterr().out
-        assert "OCC vs 2PL" in out

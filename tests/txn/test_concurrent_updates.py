@@ -127,6 +127,32 @@ class TestMixedVariants:
             assert stats["wedges"] == 0
 
 
+class TestCommitRate:
+    """``commit_per_s`` divided commits by the horizon, so it read 160.0
+    at 300 ms and 80.0 at 600 ms for the same 48 commits, and every
+    variant read the same offered-load-bound number."""
+
+    @staticmethod
+    def stats(variant, n_keys, horizon=300_000.0):
+        return build_txn_scenario(variant, seed=0, n_nodes=4,
+                                  n_keys=n_keys, n_workers=8,
+                                  txns_per_worker=6, horizon=horizon)[1]
+
+    def test_rate_does_not_depend_on_the_horizon(self):
+        short = self.stats("occ", 8, horizon=300_000.0)
+        long = self.stats("occ", 8, horizon=600_000.0)
+        assert short["done"] == short["txns"]
+        assert short["makespan_us"] < 300_000.0
+        assert short["commit_per_s"] == long["commit_per_s"]
+        assert short["commit_per_s"] == pytest.approx(
+            short["commits"] / (short["makespan_us"] / 1e6))
+
+    def test_rate_tells_the_variants_apart(self):
+        occ, tpl = self.stats("occ", 2), self.stats("2pl", 2)
+        assert occ["commits"] == tpl["commits"]
+        assert occ["commit_per_s"] != tpl["commit_per_s"]
+
+
 class TestNewOrder:
     def test_new_order_moves_counters_atomically(self):
         cluster, ddss, _ = _rig()

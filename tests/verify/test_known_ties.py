@@ -26,9 +26,10 @@ such a pair:
 A first difference with none of them means an analytic stage computed a
 different instant than the generator: a bug.
 
-Two more tables are proven the same way: ``LOCK_BENCH_TIES``, the cells
-of ``BENCH_locks.json``'s chaos column (not scenario-table rows, so not
-in ``KNOWN_TIES``), and ``UPLINK_TIE``, the worked example of the third
+Two more tables are proven the same way: ``LOCK_BENCH_TIES``, the
+crash-column cells of ``benchmarks/results/beyond_lock_arena.json``
+(``benchmarks/test_beyond_paper.py``; not scenario-table rows, so not in
+``KNOWN_TIES``), and ``UPLINK_TIE``, the worked example of the third
 kind.
 """
 
@@ -184,13 +185,13 @@ def test_log_is_identical_where_nothing_ties(monkeypatch):
     assert len(fast_ups) > 1000
 
 
-#: ``BENCH_locks.json``'s chaos column — 256 Zipf(1.2) clients on 8
-#: nodes through two crashes, seed 0 — is where the kernels part under
-#: faults: scheme -> (a horizon just past the first divergence, its
-#: kind).  While a fault injector pinned every transfer to the
-#: generators the two kernels agreed there trivially; the fault-free
-#: herd cells of the same file have been ties since the egress link
-#: became analytic.  ``srsl`` still agrees.
+#: The crash column of ``benchmarks/results/beyond_lock_arena.json`` —
+#: 256 Zipf(1.2) clients on 8 nodes through two crashes, seed 0 — is
+#: where the kernels part under faults: scheme -> (a horizon just past
+#: the first divergence, its kind).  While a fault injector pinned every
+#: transfer to the generators the two kernels agreed there trivially;
+#: the fault-free herd cells of the same figure have been ties since the
+#: egress link became analytic.  ``srsl`` still agrees.
 LOCK_BENCH_TIES = {"dqnl": (1400.0, "link tie"),
                    "ncosed": (3800.0, "link tie"),
                    "mcs": (2200.0, "link tie"),
