@@ -1,32 +1,8 @@
-"""Shared helpers for the figure-reproduction benchmarks.
-
-Every bench runs its experiment exactly once through
-``benchmark.pedantic(..., rounds=1)`` — the interesting output is the
-paper-style table printed to stdout (captured into ``bench_output.txt``
-by the top-level run command), not the wall-clock statistics.
-"""
-
-import os
-
-import pytest
-
-RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
-
-
-@pytest.fixture
-def results_dir():
-    os.makedirs(RESULTS_DIR, exist_ok=True)
-    return RESULTS_DIR
-
-
-def run_once(benchmark, fn):
-    """Execute ``fn`` exactly once under the benchmark fixture."""
-    return benchmark.pedantic(fn, rounds=1, iterations=1)
+"""Replay every table the figure suite printed in the terminal summary:
+output capture hides the in-test prints of passing tests."""
 
 
 def pytest_terminal_summary(terminalreporter):
-    """Replay every shown table after the run (output capture hides the
-    in-test prints of passing tests)."""
     from repro.bench.harness import RENDERED
 
     if not RENDERED:

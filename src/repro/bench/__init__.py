@@ -1,9 +1,11 @@
-"""Paper-style result tables and ASCII bars for the figure benchmarks
-under ``benchmarks/`` and the ``repro run`` quick figures."""
+"""Paper-style result tables, and the paper's figures built from them.
+
+:class:`BenchTable` is the table every figure, lab fold and example
+prints and saves; :data:`repro.bench.figures.FIGURES` holds one row per
+paper figure (import it from there: it pulls in every subsystem).
+"""
 
 from repro.bench.harness import (BenchTable, dump_tables, improvement_pct,
                                  replay)
-from repro.bench.plot import ascii_bars
 
-__all__ = ["BenchTable", "ascii_bars", "dump_tables", "improvement_pct",
-           "replay"]
+__all__ = ["BenchTable", "dump_tables", "improvement_pct", "replay"]

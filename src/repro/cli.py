@@ -1,15 +1,16 @@
-"""Command-line figure runner: regenerate paper experiments quickly.
+"""Command line: the paper's figures and the harness around them.
 
 Usage::
 
     python -m repro list
-    python -m repro run fig5a
+    python -m repro run fig5
     python -m repro run fig3a fig8a
     python -m repro run all
 
-The CLI runs *quick* variants (reduced sweeps) of the experiments so a
-user can see every figure's shape in seconds to a couple of minutes;
-the full-fidelity runs live in ``benchmarks/`` under pytest-benchmark.
+``run`` builds each named row of :data:`repro.bench.figures.FIGURES`
+(the rows ``benchmarks/test_figures.py`` runs), prints its tables and
+checks its shape, exiting 1 when a shape does not hold.  The other
+verbs drive the scenario table, the oracles and the lab.
 """
 
 from __future__ import annotations
@@ -18,239 +19,12 @@ import argparse
 import json
 import sys
 import time
-from typing import Callable, Dict, List
+from typing import List
 
-from repro.bench import BenchTable, improvement_pct
-from repro.bench.plot import ascii_bars
 from repro.errors import ConfigError, LockError, ReproError
 from repro.sim import KERNELS
 
 __all__ = ["build_parser", "main"]
-
-
-# ---------------------------------------------------------------------------
-# quick experiment runners
-# ---------------------------------------------------------------------------
-
-def _fig3a() -> List[BenchTable]:
-    from repro.net import Cluster
-    from repro.ddss import DDSS, Coherence
-
-    models = [Coherence.NULL, Coherence.READ, Coherence.WRITE,
-              Coherence.STRICT, Coherence.VERSION, Coherence.DELTA]
-    table = BenchTable("Fig 3a: DDSS put() latency (us)",
-                       ["size"] + [m.value for m in models])
-    for size in (1, 1024, 4096):
-        row = [size]
-        for model in models:
-            cluster = Cluster(n_nodes=4, seed=1)
-            ddss = DDSS(cluster, segment_bytes=64 * 1024)
-            client = ddss.client(cluster.nodes[1])
-
-            def app(env, model=model, size=size):
-                key = yield client.allocate(size + 8, coherence=model,
-                                            placement=3)
-                t0 = env.now
-                for _ in range(10):
-                    yield client.put(key, b"x" * size)
-                return (env.now - t0) / 10
-
-            p = cluster.env.process(app(cluster.env))
-            cluster.env.run_until_event(p)
-            row.append(round(p.value, 2))
-        table.add(*row)
-    return [table]
-
-
-def _fig3b() -> List[BenchTable]:
-    from repro.net import Cluster
-    from repro.apps.storm import StormEngine
-
-    table = BenchTable("Fig 3b: STORM query time (us)",
-                       ["records", "traditional", "ddss", "improv_%"])
-    for n in (1_000, 10_000, 100_000):
-        vals = {}
-        for use_ddss in (False, True):
-            cluster = Cluster(n_nodes=5, seed=3)
-            engine = StormEngine(cluster, n_records=n,
-                                 use_ddss=use_ddss, seed=3)
-
-            def work(env):
-                t0 = env.now
-                for q in range(5):
-                    yield engine.run_query(0, 2000 + 500 * q)
-                return (env.now - t0) / 5
-
-            p = cluster.env.process(work(cluster.env))
-            cluster.env.run_until_event(p, limit=1e10)
-            vals[use_ddss] = p.value
-        table.add(n, round(vals[False], 1), round(vals[True], 1),
-                  round(improvement_pct(vals[False], vals[True]), 1))
-    return [table]
-
-
-def _fig5(mode_name: str) -> List[BenchTable]:
-    from repro.dlm import (DQNLManager, LockMode, NCoSEDManager,
-                           SRSLManager, cascade_latency)
-
-    mode = (LockMode.SHARED if mode_name == "shared"
-            else LockMode.EXCLUSIVE)
-    table = BenchTable(f"Fig 5: {mode.value} cascade latency (us)",
-                       ["waiters", "SRSL", "DQNL", "N-CoSED"])
-    for n in (2, 8, 16):
-        row = [n]
-        for cls in (SRSLManager, DQNLManager, NCoSEDManager):
-            row.append(round(cascade_latency(cls, n, mode)["cascade_us"],
-                             1))
-        table.add(*row)
-    return [table]
-
-
-def _fig6() -> List[BenchTable]:
-    from repro.datacenter import DataCenter
-
-    table = BenchTable("Fig 6 (quick): TPS, 2 proxies",
-                       ["size", "AC", "BCC", "CCWR", "MTACC", "HYBCC"])
-    for size in (8_192, 65_536):
-        row = [f"{size // 1024}k"]
-        for scheme in ("AC", "BCC", "CCWR", "MTACC", "HYBCC"):
-            dc = DataCenter(n_proxies=2, n_app=2, scheme=scheme,
-                            n_docs=600, doc_bytes=size,
-                            cache_bytes=4 * 1024 * 1024,
-                            n_sessions=24, seed=1)
-            row.append(round(dc.run_tps(warmup_us=50_000,
-                                        measure_us=100_000)))
-        table.add(*row)
-    return [table]
-
-
-def _fig8a() -> List[BenchTable]:
-    from repro.monitor.experiments import accuracy_trace
-
-    table = BenchTable("Fig 8a: thread-count deviation",
-                       ["scheme", "mean_abs_dev", "max_dev"])
-    bars = {}
-    for scheme in ("socket-async", "socket-sync", "rdma-async",
-                   "rdma-sync"):
-        r = accuracy_trace(scheme, duration_us=150_000.0, seed=0)
-        table.add(scheme, round(r.mean_abs_deviation, 2),
-                  r.max_deviation)
-        bars[scheme] = max(r.mean_abs_deviation, 0.01)
-    print(ascii_bars(bars, title="mean |reported-actual| (threads)"))
-    return [table]
-
-
-def _fig8b() -> List[BenchTable]:
-    from repro.monitor.experiments import lb_throughput
-
-    table = BenchTable("Fig 8b (quick): improvement vs socket-async (%)",
-                       ["alpha", "socket-sync", "rdma-async",
-                        "rdma-sync", "e-rdma-sync"])
-    for alpha in (0.9, 0.5):
-        base = lb_throughput("socket-async", alpha,
-                             measure_us=150_000.0, seed=0)
-        row = [alpha]
-        for scheme in ("socket-sync", "rdma-async", "rdma-sync",
-                       "e-rdma-sync"):
-            tps = lb_throughput(scheme, alpha, measure_us=150_000.0,
-                                seed=0)
-            row.append(round(improvement_pct(tps, base), 1))
-        table.add(*row)
-    return [table]
-
-
-def _sdp() -> List[BenchTable]:
-    from repro.net import Cluster, NetworkParams
-    from repro.transport import (AzSdpEndpoint, BufferedSdpEndpoint,
-                                 ZeroCopySdpEndpoint)
-
-    table = BenchTable("SDP bandwidth (MB/s)",
-                       ["msg", "BSDP", "ZSDP", "AZ-SDP"])
-    for size in (1_024, 65_536, 262_144):
-        row = [size]
-        for cls in (BufferedSdpEndpoint, ZeroCopySdpEndpoint,
-                    AzSdpEndpoint):
-            cluster = Cluster(n_nodes=2,
-                              params=NetworkParams.infiniband(), seed=0)
-            server, client = cls(cluster.nodes[0]), cls(cluster.nodes[1])
-            listener = server.listen(1)
-            marks = {}
-
-            def rx(env):
-                conn = yield listener.accept()
-                for _ in range(20):
-                    yield conn.recv()
-                marks["end"] = env.now
-
-            def tx(env, cls=cls, size=size):
-                conn = yield client.connect(0, port=1)
-                marks["start"] = env.now
-                for i in range(20):
-                    if cls is AzSdpEndpoint:
-                        yield conn.send(i, size=size, buf=f"b{i % 8}")
-                    else:
-                        yield conn.send(i, size=size)
-
-            cluster.env.process(rx(cluster.env))
-            cluster.env.process(tx(cluster.env))
-            cluster.env.run()
-            row.append(round(20 * size / (marks["end"] - marks["start"]),
-                             1))
-        table.add(*row)
-    return [table]
-
-
-def _flowctl() -> List[BenchTable]:
-    from repro.net import Cluster
-    from repro.transport import (CreditFlowSender, FlowReceiver,
-                                 PacketizedFlowSender)
-
-    table = BenchTable("Flow control (MB/s)",
-                       ["msg", "credit", "packetized", "speedup"])
-    for size in (1, 64, 8_192):
-        vals = {}
-        for cls in (CreditFlowSender, PacketizedFlowSender):
-            cluster = Cluster(n_nodes=2, seed=0)
-            rx = FlowReceiver(cluster.nodes[1], nbufs=8, buf_bytes=8_192)
-            p = cluster.env.process(cls(cluster.nodes[0], rx)
-                                    .stream(200, size))
-            cluster.env.run_until_event(p, limit=1e10)
-            vals[cls.__name__] = p.value
-        credit = vals["CreditFlowSender"]
-        packed = vals["PacketizedFlowSender"]
-        table.add(size, round(credit, 2), round(packed, 2),
-                  round(packed / credit, 1))
-    return [table]
-
-
-def _reconfig() -> List[BenchTable]:
-    from repro.reconfig import burst_recovery_time
-
-    table = BenchTable("Reconfiguration responsiveness",
-                       ["config", "detection_us"])
-    for name, scheme, period in (
-            ("coarse 25ms", "socket-async", 25_000.0),
-            ("fine 1ms", "rdma-sync", 1_000.0)):
-        r = burst_recovery_time(monitor_scheme=scheme,
-                                check_every_us=period,
-                                burst_requests=600, seed=0)
-        detect = r["detection_us"]
-        table.add(name, "missed" if detect is None else round(detect))
-    return [table]
-
-
-EXPERIMENTS: Dict[str, Callable[[], List[BenchTable]]] = {
-    "fig3a": _fig3a,
-    "fig3b": _fig3b,
-    "fig5a": lambda: _fig5("shared"),
-    "fig5b": lambda: _fig5("exclusive"),
-    "fig6": _fig6,
-    "fig8a": _fig8a,
-    "fig8b": _fig8b,
-    "sdp": _sdp,
-    "flowctl": _flowctl,
-    "reconfig": _reconfig,
-}
 
 
 # ---------------------------------------------------------------------------
@@ -338,23 +112,36 @@ def _run_one(args, scenario) -> int:
 # ---------------------------------------------------------------------------
 
 def _list_main(args) -> int:
-    for name in EXPERIMENTS:
-        print(name)
+    from repro.bench.figures import FIGURES
+
+    for fig in FIGURES.values():
+        print(f"{fig.name:17s} {fig.claim}")
     return 0
 
 
 def _run_main(args) -> int:
-    ids = list(EXPERIMENTS) if "all" in args.ids else args.ids
-    unknown = [i for i in ids if i not in EXPERIMENTS]
+    from repro.bench.figures import FIGURES
+
+    names = list(FIGURES) if "all" in args.ids else args.ids
+    unknown = [n for n in names if n not in FIGURES]
     if unknown:
-        raise ConfigError(f"unknown experiment(s): {', '.join(unknown)}; "
-                          f"available: {', '.join(EXPERIMENTS)}")
-    for exp_id in ids:
+        raise ConfigError(f"unknown figure(s): {', '.join(unknown)}; "
+                          f"available: {', '.join(FIGURES)}")
+    failed = []
+    for name in names:
+        fig = FIGURES[name]
         t0 = time.time()
-        for table in EXPERIMENTS[exp_id]():
+        print(f"[{name}] {fig.claim}")
+        tables = fig.build()
+        for table in tables:
             table.show()
-        print(f"[{exp_id} took {time.time() - t0:.1f}s]")
-    return 0
+        try:
+            fig.check(*tables)
+        except AssertionError as exc:
+            failed.append(name)
+            print(f"[{name}] shape check failed: {exc}", file=sys.stderr)
+        print(f"[{name} took {time.time() - t0:.1f}s]")
+    return 1 if failed else 0
 
 
 # ---------------------------------------------------------------------------
@@ -772,13 +559,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     parser = argparse.ArgumentParser(
         prog="repro",
-        description="Quick paper-figure regeneration "
-                    "(full runs: pytest benchmarks/ --benchmark-only)")
+        description="Regenerate and check the paper's figures; drive the "
+                    "scenario table, oracles and lab")
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("list", help="list available experiments")
-    runp = sub.add_parser("run", help="run one or more experiments")
-    runp.add_argument("ids", nargs="+",
-                      help="experiment ids (or 'all')")
+    sub.add_parser("list", help="list the paper's figures")
+    runp = sub.add_parser("run", help="build, print and check figures")
+    runp.add_argument("ids", nargs="+", help="figure names (or 'all')")
     obsp = sub.add_parser(
         "obs", parents=[seed],
         help="run a packaged scenario and export its tracing + metrics "

@@ -4,9 +4,10 @@ A **scenario** is any importable callable ``fn(seed=..., **params)``
 returning a JSON-serializable dict; the runner invokes it by dotted name
 inside worker processes, so everything here is module-level.  The
 single-point scenarios below are the per-grid-point bodies of the
-ablation sweeps that ``benchmarks/test_ablations.py`` used to run as
-monolithic loops, plus wrappers around rows of the scenario table and
-around the txn, topology and lock-arena measurements.
+ablation sweeps behind the ``ablation-*`` rows of
+:data:`repro.bench.figures.FIGURES`, plus wrappers around rows of the
+scenario table and around the txn, topology and lock-arena
+measurements.
 
 A **fold** is a ``records -> List[BenchTable]`` callable named by the
 sweep's ``fold`` field; the merge step resolves it by dotted path so
@@ -22,7 +23,7 @@ from .spec import Sweep
 
 __all__ = ["SWEEPS", "packaged_sweep",
            "hybcc_threshold", "monitor_period", "lock_backoff",
-           "lock_cascade", "obs_export", "smoke", "txn_point",
+           "obs_export", "smoke", "txn_point",
            "topo_point", "locks_point", "fold_by_param", "fold_locks",
            "fold_hybcc", "fold_period", "fold_backoff", "fold_obs",
            "fold_txn", "fold_topo"]
@@ -104,20 +105,6 @@ def lock_backoff(backoff_cap_us: float, seed: int = 0) -> Dict[str, Any]:
     finally:
         client_mod._BACKOFF = original
     return {"makespan_us": round(makespan), "atomics": atomics}
-
-
-def lock_cascade(manager: str, waiters: int, mode: str = "exclusive",
-                 seed: int = 0) -> Dict[str, Any]:
-    """One (manager, waiter-count) point of the Fig 5 cascade grid."""
-    from ..dlm import (DQNLManager, LockMode, NCoSEDManager, SRSLManager,
-                      cascade_latency)
-
-    managers = {"SRSL": SRSLManager, "DQNL": DQNLManager,
-                "N-CoSED": NCoSEDManager}
-    lock_mode = (LockMode.SHARED if mode == "shared"
-                 else LockMode.EXCLUSIVE)
-    r = cascade_latency(managers[manager], waiters, lock_mode)
-    return {"cascade_us": round(r["cascade_us"], 1)}
 
 
 # ---------------------------------------------------------------------------
@@ -379,8 +366,7 @@ def _topo16() -> Sweep:
 
 def _locks() -> Sweep:
     """Bounded lock-arena grid: all five designs × two contention
-    levels (the full crossover lives in
-    ``benchmarks/test_beyond_paper.py``)."""
+    levels (the full crossover is the ``lock-arena`` figure)."""
     return Sweep(name="locks", scenario=f"{_HERE}:locks_point",
                  grid={"scheme": ["srsl", "dqnl", "ncosed", "mcs",
                                   "alock"],

@@ -13,7 +13,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.cli import EXPERIMENTS, build_parser
+from repro.bench.figures import FIGURES
+from repro.cli import build_parser
 from repro.lab import SWEEPS
 from repro.scenarios import SCENARIOS
 
@@ -97,6 +98,15 @@ def test_perf_job_measures_its_own_baseline():
     assert "perf-base/result.json perf-head/result.json" in compare
 
 
+def test_figures_job_gates_the_committed_results():
+    """The whole figure suite runs, then the results it rewrote must
+    equal the committed ones."""
+    blocks = list(run_blocks(CI.read_text(encoding="utf-8")))
+    suite = blocks.index(
+        "PYTHONPATH=src python -m pytest benchmarks/ --benchmark-only -q")
+    assert blocks[suite + 1] == "git diff --exit-code benchmarks/results/"
+
+
 def test_every_exported_trace_is_replayed():
     parser = build_parser()
     replayed = {path for argv in ARGVS if argv[:2] == ["check", "trace"]
@@ -136,5 +146,5 @@ def test_ci_command_parses_and_resolves(argv):
     elif args.command == "lab" and args.action != "ls":
         names, table = [args.sweep], SWEEPS
     elif args.command == "run":
-        names, table = args.ids, EXPERIMENTS
+        names, table = [n for n in args.ids if n != "all"], FIGURES
     assert [n for n in names if n not in table] == []

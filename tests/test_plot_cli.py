@@ -1,45 +1,42 @@
-"""Tests for ASCII bars and the CLI wiring."""
+"""``repro list`` / ``repro run`` over the FIGURES table, and the
+retired bench verbs."""
 
 import pytest
 
-from repro.bench.plot import ascii_bars
-from repro.cli import EXPERIMENTS, main
-
-
-class TestAsciiBars:
-    def test_bar_lengths_proportional(self):
-        out = ascii_bars({"big": 100.0, "small": 25.0}, width=40)
-        lines = {l.split("|")[0].strip(): l for l in out.splitlines()}
-        assert lines["big"].count("#") == 40
-        assert lines["small"].count("#") == 10
-
-    def test_bad_input(self):
-        with pytest.raises(ValueError):
-            ascii_bars({})
-        with pytest.raises(ValueError):
-            ascii_bars({"x": 0.0})
+from repro.bench.figures import FIGURES
+from repro.cli import main
 
 
 class TestCli:
     def test_list_command(self, capsys):
         assert main(["list"]) == 0
         out = capsys.readouterr().out
-        for exp in ("fig3a", "fig5a", "fig8a", "reconfig"):
-            assert exp in out
+        for name in FIGURES:
+            assert name in out
 
     def test_unknown_experiment(self, capsys):
         assert main(["run", "nope"]) == 2
-        assert "unknown experiment" in capsys.readouterr().err
+        assert "unknown figure" in capsys.readouterr().err
 
     def test_registry_covers_every_paper_figure(self):
-        assert {"fig3a", "fig3b", "fig5a", "fig5b", "fig6",
-                "fig8a", "fig8b"} <= set(EXPERIMENTS)
+        assert {"fig3a", "fig3b", "fig5", "fig6", "fig8a",
+                "fig8b"} <= set(FIGURES)
 
     def test_run_quick_experiment(self, capsys):
+        """The published flow-control figure takes well under a second."""
         assert main(["run", "flowctl"]) == 0
         out = capsys.readouterr().out
-        assert "Flow control" in out
+        assert "Flow-control bandwidth" in out
         assert "speedup" in out
+
+    def test_failed_shape_check_exits_1(self, monkeypatch, capsys):
+        def fail(table):
+            raise AssertionError("shape does not hold")
+
+        monkeypatch.setitem(FIGURES, "flowctl",
+                            FIGURES["flowctl"]._replace(check=fail))
+        assert main(["run", "flowctl"]) == 1
+        assert "shape does not hold" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [["bench"], ["locks", "bench"],
                                       ["topo", "bench"], ["txn", "bench"],

@@ -28,7 +28,7 @@ different instant than the generator: a bug.
 
 Two more tables are proven the same way: ``LOCK_BENCH_TIES``, the
 crash-column cells of ``benchmarks/results/beyond_lock_arena.json``
-(``benchmarks/test_beyond_paper.py``; not scenario-table rows, so not in
+(the ``lock-arena`` figure; not scenario-table rows, so not in
 ``KNOWN_TIES``), and ``UPLINK_TIE``, the worked example of the third
 kind.
 """
