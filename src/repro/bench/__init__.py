@@ -5,7 +5,6 @@ prints and saves; :data:`repro.bench.figures.FIGURES` holds one row per
 paper figure (import it from there: it pulls in every subsystem).
 """
 
-from repro.bench.harness import (BenchTable, dump_tables, improvement_pct,
-                                 replay)
+from repro.bench.harness import BenchTable, improvement_pct
 
-__all__ = ["BenchTable", "dump_tables", "improvement_pct", "replay"]
+__all__ = ["BenchTable", "improvement_pct"]

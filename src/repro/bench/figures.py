@@ -19,7 +19,6 @@ from repro.ddss import DDSS, Coherence
 from repro.dlm import (DQNLManager, LockMode, NCoSEDManager, SRSLManager,
                        cascade_latency)
 from repro.dlm.tournament import SCHEMES as LOCK_SCHEMES, lock_tournament
-from repro.lab import ResultStore, Runner, merge_tables, packaged_sweep
 from repro.monitor.experiments import accuracy_trace, lb_throughput
 from repro.net import Cluster, NetworkParams
 from repro.reconfig import burst_recovery_time
@@ -27,6 +26,7 @@ from repro.topo.scenarios import measure_lock_throughput, measure_verb_latency
 from repro.transport import (AzSdpEndpoint, BufferedSdpEndpoint,
                              CreditFlowSender, FlowReceiver,
                              PacketizedFlowSender, ZeroCopySdpEndpoint)
+from repro.txn.scenarios import txn_bench
 
 __all__ = ["FIGURES", "Figure"]
 
@@ -528,14 +528,21 @@ def check_topology(table):
     assert locks[2] > locks[1]  # a ring of homes beats one NIC
 
 
-def _sweep(name: str):
-    """A packaged lab sweep run serially into a fresh in-memory store,
-    so every run is recomputed and the folded table reflects the code."""
-    sweep = packaged_sweep(name)
-    store = ResultStore(None)
-    report = Runner(sweep, store, workers=0).run()
-    assert not report["failed"], report["failures"]
-    return merge_tables(sweep, store)
+def build_txn_contention():
+    table = BenchTable(
+        "OCC vs 2PL commit throughput across contention",
+        ["variant", "n_keys", "seed", "commits", "attempt_aborts",
+         "abort_rate", "commit_per_s", "conserved"],
+        paper_ref="§4.1 + §4.2 composed: DDSS versioned units + "
+                  "N-CoSED locks as transaction substrates")
+    for variant in ("2pl", "occ"):
+        for n_keys in (2, 8, 32):
+            stats = txn_bench(variant=variant, n_keys=n_keys, seed=0)
+            table.add(variant, n_keys, 0, stats["commits"],
+                      stats["attempt_aborts"],
+                      round(stats["abort_rate"], 4),
+                      round(stats["commit_per_s"], 1), stats["conserved"])
+    return [table]
 
 
 def check_txn_contention(table):
@@ -549,6 +556,94 @@ def check_txn_contention(table):
 
 
 # -- ablations over the knobs the paper leaves implicit
+
+def _hybcc_tps(threshold: int) -> int:
+    """TPS of one HYBCC datacenter run at a small/large threshold."""
+    from repro.cache import HybridCache
+    from repro.cache import schemes as schemes_mod
+
+    class Tuned(HybridCache):
+        def __init__(self, proxies, fileset, capacity, extra_nodes=()):
+            super().__init__(proxies, fileset, capacity,
+                             extra_nodes=extra_nodes, threshold=threshold)
+
+    original = schemes_mod.SCHEMES["HYBCC"]
+    schemes_mod.SCHEMES["HYBCC"] = Tuned
+    try:
+        dc = DataCenter(n_proxies=2, n_app=2, scheme="HYBCC",
+                        n_docs=1_200, doc_bytes=16_384,
+                        cache_bytes=8 * 1024 * 1024, n_sessions=48, seed=1)
+        return round(dc.run_tps(warmup_us=80_000, measure_us=120_000))
+    finally:
+        schemes_mod.SCHEMES["HYBCC"] = original
+
+
+def build_ablation_hybcc():
+    table = BenchTable(
+        "HYBCC threshold ablation (16KB docs, 2 proxies)",
+        ["threshold", "tps"],
+        paper_ref="design choice: duplication/capacity crossover")
+    for threshold in (4_096, 8_192, 16_384, 32_768):
+        table.add(threshold, _hybcc_tps(threshold))
+    return [table]
+
+
+def build_ablation_period():
+    table = BenchTable(
+        "RDMA-async poll-period ablation",
+        ["period_us", "mean_abs_dev"],
+        paper_ref="design choice: millisecond-granularity polling")
+    for period_us in (500, 1_000, 5_000, 20_000):
+        r = accuracy_trace("rdma-async", duration_us=200_000.0, seed=0,
+                           period_us=float(period_us))
+        table.add(period_us, round(r.mean_abs_deviation, 2))
+    return [table]
+
+
+def _backoff_contention(backoff_cap_us: float):
+    """DDSS unit-lock contention at one spin-backoff cap: four nodes
+    take one lock five times each; returns (makespan_us, atomics)."""
+    import repro.ddss.client as client_mod
+
+    original = client_mod._BACKOFF
+    client_mod._BACKOFF = (2.0, 2.0, backoff_cap_us)
+    try:
+        cluster = Cluster(n_nodes=5, seed=0)
+        ddss = DDSS(cluster)
+        key_holder = {}
+
+        def setup(env):
+            c = ddss.client(cluster.nodes[0])
+            key_holder["key"] = yield c.allocate(
+                16, coherence=Coherence.NULL, placement=0)
+
+        cluster.env.run_until_event(cluster.env.process(setup(cluster.env)))
+
+        def contender(env, node):
+            c = ddss.client(node)
+            for _ in range(5):
+                yield c.acquire(key_holder["key"])
+                yield env.timeout(30.0)
+                yield c.release(key_holder["key"])
+
+        procs = [cluster.env.process(contender(cluster.env, n))
+                 for n in cluster.nodes[1:]]
+        cluster.env.run_until_event(cluster.env.all_of(procs), limit=1e9)
+        return (round(cluster.env.now),
+                sum(n.nic.atomics for n in cluster.nodes))
+    finally:
+        client_mod._BACKOFF = original
+
+
+def build_ablation_backoff():
+    table = BenchTable(
+        "DDSS spin-lock backoff ablation (4 contenders)",
+        ["backoff_cap_us", "makespan_us", "atomics"],
+        paper_ref="design choice: exponential backoff on CAS failure")
+    for cap_us in (5, 50, 400):
+        table.add(cap_us, *_backoff_contention(float(cap_us)))
+    return [table]
+
 
 def check_ablation_hybcc(table):
     # at 16 KB docs the aggregate path wins: thresholds below the doc
@@ -610,18 +705,18 @@ FIGURES: Dict[str, Figure] = {fig.name: fig for fig in (
            ("beyond_topology.json",), build_topology, check_topology),
     Figure("txn-contention", "beyond the paper: OCC aborts fall as keys "
            "cool; 2PL never aborts; every cell conserves the total",
-           ("beyond_txn_contention.json",), lambda: _sweep("txn"),
+           ("beyond_txn_contention.json",), build_txn_contention,
            check_txn_contention),
     Figure("ablation-hybcc", "ablation: HYBCC's threshold belongs below "
            "the 16 KB doc size, where duplication stops paying",
-           ("ablation_hybcc.json",), lambda: _sweep("ablation-hybcc"),
+           ("ablation_hybcc.json",), build_ablation_hybcc,
            check_ablation_hybcc),
     Figure("ablation-period", "ablation: a finer RDMA-async poll period "
            "reports load more accurately",
-           ("ablation_period.json",), lambda: _sweep("ablation-period"),
+           ("ablation_period.json",), build_ablation_period,
            check_ablation_period),
     Figure("ablation-backoff", "ablation: DDSS spin-lock backoff trades "
            "wasted remote atomics against contention makespan",
-           ("ablation_backoff.json",), lambda: _sweep("ablation-backoff"),
+           ("ablation_backoff.json",), build_ablation_backoff,
            check_ablation_backoff),
 )}

@@ -1,19 +1,17 @@
 """Paper-style result tables for the benchmark suite.
 
-Every figure/table bench builds a :class:`BenchTable`, prints it (so it
-lands in ``bench_output.txt``) and can dump it as JSON next to the
-pytest-benchmark data for later inspection.
+Every figure builds :class:`BenchTable` objects, prints them (so they land
+in the figure suite's terminal summary) and saves them as JSON under
+``benchmarks/results/``.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import re
-from typing import Dict, Iterable, List, Sequence
+from typing import Dict, List, Sequence
 
-__all__ = ["BenchTable", "RENDERED", "dump_tables", "improvement_pct",
-           "replay"]
+__all__ = ["BenchTable", "RENDERED", "improvement_pct"]
 
 #: every table ever ``show()``-n, in order — the benchmark conftest
 #: replays these in the pytest terminal summary so they survive output
@@ -74,13 +72,7 @@ class BenchTable:
         return "\n".join(lines)
 
     def show(self) -> Dict[str, object]:
-        """Print + register the table; returns :meth:`to_dict`.
-
-        The return value is the table's serializable form so callers in
-        worker processes can ship the table across a process boundary
-        (module-global ``RENDERED`` only exists per process) and the
-        parent can re-register it with :func:`replay`.
-        """
+        """Print + register the table; returns :meth:`to_dict`."""
         rendered = self.render()
         RENDERED.append(rendered)
         print()
@@ -103,45 +95,3 @@ class BenchTable:
         os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
         with open(path, "w") as fh:
             json.dump(self.to_dict(), fh, indent=2)
-
-
-def replay(tables: Iterable[Dict[str, object]]) -> List[BenchTable]:
-    """Rebuild + ``show()`` tables serialized by another process.
-
-    Entry point for the lab merge step: worker processes return
-    ``table.show()`` dicts in their run records, and the parent replays
-    them here so they land in this process's ``RENDERED`` (and therefore
-    in the pytest terminal summary / bench_output.txt).
-    """
-    rebuilt = []
-    for data in tables:
-        table = BenchTable.from_dict(data)
-        table.show()
-        rebuilt.append(table)
-    return rebuilt
-
-
-def _slug(title: str) -> str:
-    slug = re.sub(r"[^a-z0-9]+", "_", title.lower()).strip("_")
-    return slug or "table"
-
-
-def dump_tables(tables: Iterable[BenchTable], out_dir: str) -> List[str]:
-    """Write one ``<title-slug>.json`` per table under ``out_dir``.
-
-    Two tables with the same title get ``-2``, ``-3``… suffixes instead
-    of silently overwriting each other (the old per-title dump path lost
-    all but the last table of a multi-table figure).
-    """
-    os.makedirs(out_dir, exist_ok=True)
-    used: Dict[str, int] = {}
-    paths = []
-    for table in tables:
-        base = _slug(table.title)
-        n = used.get(base, 0) + 1
-        used[base] = n
-        name = base if n == 1 else f"{base}-{n}"
-        path = os.path.join(out_dir, f"{name}.json")
-        table.save_json(path)
-        paths.append(path)
-    return paths

@@ -3,8 +3,8 @@
 One *run* = one ``(scenario, schedule, seed, kernel)`` tuple, judged by
 :func:`repro.scenarios.run_schedule` (the one judged run plus the
 schedule it ran under).  A *campaign* fans a grid of sampled schedules
-through :mod:`repro.lab` (resumable store, optional worker pool) and
-folds the records into a single verdict:
+through :mod:`repro.lab` (resumable store, optional worker pool, one
+attempt per run) and folds the records into a single verdict:
 
 * violations on an ``expect_clean`` scenario fail the campaign (so does
   a ``vacuous`` run: a schedule that silenced the workload proved
@@ -12,7 +12,9 @@ folds the records into a single verdict:
 * violations on a seeded-bug scenario (``locks-nofence``) are
   *findings* — the campaign is checking the pipeline can catch them;
 * the same ``(scenario, index)`` run under both kernels must export the
-  same canonical digest, or the kernels themselves diverged.
+  same canonical digest, or the kernels themselves diverged;
+* a run that raises is a ``run_error`` and fails the campaign: a
+  seeded run would raise again, so it is not retried.
 
 Everything keys off ``(seed, index)`` so a verdict names exactly the
 schedules that failed and ``repro chaos replay``/``shrink`` can revisit
@@ -30,8 +32,7 @@ def run_campaign(scenarios: Sequence[str] = ("locks",), seed: int = 0,
                  n_schedules: int = 10,
                  kernels: Sequence[str] = ("fast",),
                  workers: int = 0,
-                 store_path: Optional[str] = None,
-                 progress: bool = False) -> dict:
+                 store_path: Optional[str] = None) -> dict:
     """Sample+run ``n_schedules`` per scenario per kernel; fold verdict."""
     from repro.scenarios import fold_kernels, lab_sweep, lookup
 
@@ -42,7 +43,7 @@ def run_campaign(scenarios: Sequence[str] = ("locks",), seed: int = 0,
         f"chaos-{seed}",
         {"scenario": names, "index": list(range(int(n_schedules))),
          "kernel": list(kernels)},
-        [seed], workers, store_path, progress)
+        [seed], workers, store_path)
 
     cells: Dict[Tuple[str, int], Dict[str, dict]] = {}
     for rec in records:

@@ -289,7 +289,7 @@ def _chaos_main(args) -> int:
         verdict = run_campaign(
             scenarios=args.names or ["locks", "ddss-repl"],
             seed=args.seed, n_schedules=args.schedules, kernels=kernels,
-            workers=args.workers, store_path=args.store, progress=False)
+            workers=args.workers, store_path=args.store)
         rc = _chaos_print_campaign(verdict)
         if args.json:
             _write_json(args.json, verdict)
@@ -353,11 +353,11 @@ def _lab_store_and_sweep(args):
     """Resolve (sweep, store) from a packaged name or a store directory."""
     import os
 
-    from repro.lab import ResultStore, SWEEPS, packaged_sweep, store_for
+    from repro.lab import ResultStore, SWEEPS, store_for
 
     name = args.sweep
     if name in SWEEPS:
-        sweep = packaged_sweep(name)
+        sweep = SWEEPS[name]
         store = store_for(name, root=args.store_root)
         if store.has_sweep():
             on_disk = store.load_sweep()
@@ -378,13 +378,11 @@ def _lab_store_and_sweep(args):
 def _lab_main(args) -> int:
     import os
 
-    from repro.lab import (DEFAULT_ROOT, Runner, RetryPolicy, SWEEPS,
-                           merge_tables, store_for)
+    from repro.lab import DEFAULT_ROOT, Runner, SWEEPS, merge_tables, store_for
 
     if args.action == "ls":
         print("packaged sweeps:")
-        for name in sorted(SWEEPS):
-            sweep = SWEEPS[name]()
+        for name, sweep in sorted(SWEEPS.items()):
             n = len(sweep.expand())
             store = store_for(name, root=args.store_root)
             state = ""
@@ -419,19 +417,16 @@ def _lab_main(args) -> int:
     if args.action == "resume" and not store.has_sweep():
         raise ConfigError(f"nothing to resume: no store at {store.path} "
                           f"(use: repro lab run {args.sweep})")
-    runner = Runner(
-        sweep, store, workers=args.workers, timeout_s=args.timeout,
-        retry=RetryPolicy(retries=args.retries),
-        progress=not args.no_progress)
-    report = runner.run()
+    report = Runner(sweep, store, workers=args.workers,
+                    timeout_s=args.timeout,
+                    progress=sys.stderr.isatty()).run()
     print(f"[lab {sweep.name}] {report['completed']} ran, "
           f"{report['skipped']} skipped, {report['failed']} failed "
           f"({report['wall_s']:.1f}s wall, workers={args.workers})")
     for failure in report["failures"]:
         print(f"  FAILED {failure['run_id']} "
-              f"params={failure['params']} after "
-              f"{failure['attempts']} attempt(s): {failure['error']}",
-              file=sys.stderr)
+              f"params={failure['params']} seed={failure['seed']}: "
+              f"{failure['error']}", file=sys.stderr)
     if args.report:
         _write_json(args.report, report)
     if report["interrupted"]:
@@ -675,13 +670,10 @@ def build_parser() -> argparse.ArgumentParser:
                                      "directory")
         if act != "show":
             p.add_argument("--timeout", type=float, default=None,
-                           help="per-run timeout in seconds")
-            p.add_argument("--retries", type=int, default=2,
-                           help="extra attempts per run after a "
-                                "failure/crash (default 2)")
+                           help="per-run wall-clock timeout in "
+                                "seconds (> 0)")
             p.add_argument("--report", metavar="PATH", default=None,
                            help="write the runner summary JSON here")
-            p.add_argument("--no-progress", action="store_true")
             p.add_argument("--no-tables", action="store_true",
                            help="skip the merged-table rendering")
     return parser

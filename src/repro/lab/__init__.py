@@ -1,25 +1,26 @@
-"""``repro.lab`` — parallel experiment orchestrator with a resumable
-result store.
+"""``repro.lab`` — a deterministic map over an experiment grid, with a
+resumable result store.
 
-The paper's evaluation is a matrix of independent simulations
+The paper's evaluation is a matrix of independent seeded simulations
 (transport × coherence model × caching scheme × lock protocol × load);
-this package makes that matrix tractable:
+this package runs such a matrix and keeps its results:
 
 * :class:`Sweep` / :class:`RunSpec` — declarative grid over a scenario
   callable, with content-hashed run ids (:mod:`repro.lab.spec`);
-* :class:`Runner` — process-pool fan-out with seeded shard scheduling,
-  per-run timeouts, crash retry and Ctrl-C draining
-  (:mod:`repro.lab.runner`);
+* :class:`Runner` — one attempt per run, in-process or on a process
+  pool, in a seeded dispatch order, with per-run timeouts and Ctrl-C
+  draining (:mod:`repro.lab.runner`);
 * :class:`ResultStore` — append-only JSONL records that make killed
   sweeps resumable (:mod:`repro.lab.store`);
 * :func:`merge_tables` — fold records back into
   :class:`~repro.bench.harness.BenchTable`\\ s (:mod:`repro.lab.merge`);
-* packaged sweeps + scenario callables (:mod:`repro.lab.scenarios`).
+* :data:`SWEEPS` — the packaged sweeps: CI's 16-node topology grid and
+  the lab's own smoke sweep.
 
-The ablation and txn-contention figure tests under ``benchmarks/`` run
-their sweeps through it.  A store that cannot be read back — a
-``sweep.json`` or a record of the wrong shape — raises
-:class:`~repro.errors.ConfigError` naming the file and the field.
+The chaos campaigns and the metamorphic check fan out through it.  A
+store that cannot be read back — a ``sweep.json`` or a record of the
+wrong shape — raises :class:`~repro.errors.ConfigError` naming the file
+and the field.
 
 CLI::
 
@@ -29,15 +30,15 @@ CLI::
     python -m repro lab show smoke8
 """
 
-from .merge import merge_tables, merged_records
-from .runner import RetryPolicy, Runner, execute_run
-from .scenarios import SWEEPS, packaged_sweep
+from typing import Any, Dict
+
+from .merge import merge_tables
+from .runner import Runner, execute_run
 from .spec import RunSpec, Sweep, canonical_json, resolve_dotted
 from .store import DEFAULT_ROOT, ResultStore, record_for, store_for
 
 __all__ = [
     "DEFAULT_ROOT",
-    "RetryPolicy",
     "RunSpec",
     "Runner",
     "ResultStore",
@@ -46,9 +47,38 @@ __all__ = [
     "canonical_json",
     "execute_run",
     "merge_tables",
-    "merged_records",
-    "packaged_sweep",
     "record_for",
     "resolve_dotted",
+    "smoke",
     "store_for",
 ]
+
+
+def smoke(x: int = 1, seed: int = 0) -> Dict[str, Any]:
+    """Tiny deterministic scenario for tests and CI smoke sweeps."""
+    from ..sim import Environment, RngStreams
+
+    env = Environment()
+    rng = RngStreams(seed).get("lab-smoke")
+
+    def proc(env):
+        total = 0.0
+        for _ in range(10 * x):
+            d = float(rng.exponential(5.0))
+            yield env.timeout(d)
+            total += d
+        return total
+
+    p = env.process(proc(env))
+    env.run()
+    return {"sim_us": round(env.now, 6), "total": round(p.value, 6)}
+
+
+SWEEPS: Dict[str, Sweep] = {sweep.name: sweep for sweep in (
+    # bounded 16-node topology grid: rack count x oversubscription
+    Sweep(name="topo16", scenario="repro.topo.scenarios:topo_lab",
+          grid={"racks": [2, 4], "oversub": [1.0, 4.0]}),
+    # 8 fast runs: wiring checks, not performance
+    Sweep(name="smoke8", scenario="repro.lab:smoke",
+          grid={"x": [1, 2]}, seeds=(0, 1), repeats=2),
+)}

@@ -1,59 +1,43 @@
 """Fold per-run records into paper-style tables.
 
-The merge step is the bridge from the result store back into the
-existing bench harness: resolve the sweep's ``fold`` callable (or the
-generic per-run fold), build :class:`BenchTable`\\ s, and optionally
-``show()``/``replay()`` + dump them as JSON.  Because worker processes
-each have their own ``RENDERED`` module-global, tables built *inside*
-runs travel as ``show()`` dicts in the run result and are re-registered
-here via :func:`repro.bench.harness.replay`.
+The merge step turns a store back into :class:`BenchTable`\\ s: the
+sweep's ``fold`` callable (resolved by dotted path) when it names one,
+else :func:`fold_by_param`'s one row per run.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
-from ..bench.harness import BenchTable, dump_tables, replay
+from ..bench.harness import BenchTable
 from .spec import Sweep, resolve_dotted
 from .store import ResultStore
 
-__all__ = ["merge_tables", "merged_records"]
+__all__ = ["fold_by_param", "merge_tables"]
 
 
-def merged_records(store: ResultStore) -> List[Dict[str, Any]]:
-    """Store records in the deterministic merge order (by run id)."""
-    return sorted(store.records(), key=lambda r: r["run_id"])
+def fold_by_param(records: List[Dict[str, Any]],
+                  title: str = "lab sweep") -> List[BenchTable]:
+    """Generic fold: one row per run, param columns then result columns."""
+    if not records:
+        return [BenchTable(title, ["(empty)"])]
+    params = sorted({k for r in records for k in r["params"]})
+    res_keys = sorted({k for r in records
+                       for k, v in r["result"].items()
+                       if isinstance(v, (int, float, str))})
+    table = BenchTable(title, params + ["seed", "rep"] + res_keys)
+    for r in sorted(records, key=lambda r: tuple(
+            r["params"].get(k) for k in params) + (r["seed"], r["repeat"])):
+        row = [r["params"].get(k, "") for k in params]
+        row += [r["seed"], r["repeat"]]
+        row += [r["result"].get(k, "") for k in res_keys]
+        table.add(*row)
+    return [table]
 
 
-def merge_tables(sweep: Sweep, store: ResultStore,
-                 show: bool = False,
-                 dump_dir: Optional[str] = None) -> List[BenchTable]:
-    """Fold a store's records into tables; optionally render + dump.
-
-    Tables come from two places, in order: dicts each run shipped under
-    ``result["tables"]`` (worker-side ``show()`` output, replayed here),
-    then the sweep-level fold over all records.
-    """
-    records = merged_records(store)
-    shipped = [t for r in records
-               if isinstance(r["result"], dict)
-               for t in r["result"].get("tables", [])]
-    tables: List[BenchTable] = []
-    if shipped:
-        if show:
-            tables.extend(replay(shipped))
-        else:
-            tables.extend(BenchTable.from_dict(t) for t in shipped)
-    fold = resolve_dotted(sweep.fold) if sweep.fold else None
-    if fold is not None:
-        folded = fold(records)
-    else:
-        from .scenarios import fold_by_param
-        folded = fold_by_param(records, title=f"lab sweep: {sweep.name}")
-    for table in folded:
-        if show:
-            table.show()
-        tables.append(table)
-    if dump_dir is not None:
-        dump_tables(tables, dump_dir)
-    return tables
+def merge_tables(sweep: Sweep, store: ResultStore) -> List[BenchTable]:
+    """Fold a store's records, in run-id order, into tables."""
+    records = sorted(store.records(), key=lambda r: r["run_id"])
+    if sweep.fold:
+        return resolve_dotted(sweep.fold)(records)
+    return fold_by_param(records, title=f"lab sweep: {sweep.name}")

@@ -1,37 +1,30 @@
-"""Parallel experiment runner: fan runs out, retry crashes, resume.
+"""Parallel experiment runner: a map over a sweep's grid, with resume.
 
 The :class:`Runner` expands a :class:`~repro.lab.spec.Sweep`, skips runs
 the :class:`~repro.lab.store.ResultStore` already holds, and executes
 the rest either in-process (``workers=0`` — the byte-identical reference
 path) or on a :class:`~concurrent.futures.ProcessPoolExecutor`.
 
-Execution discipline:
+Every run is a seeded simulation, so a run that raises would raise
+again: each run gets **one attempt**.
 
-* **Seeded shard scheduling** — the pending runs are shuffled by a
-  PRNG seeded from the sweep's content hash, so the dispatch order is
+* **Seeded dispatch order** — the pending runs are shuffled by a PRNG
+  seeded from the sweep's content hash, so the dispatch order is
   deterministic, identical for serial and parallel modes, and spreads
   expensive grid neighbours across workers instead of clumping them.
-* **Per-run timeout** — enforced *inside* the worker via ``SIGALRM``
-  (where the platform has it), so a wedged simulation turns into an
-  ordinary retryable failure instead of a stuck pool slot.
-* **Bounded retry with backoff** — scenario exceptions, timeouts and
-  worker crashes all consume one attempt from a
-  :class:`RetryPolicy` budget (the same ``base × factor^k, capped``
-  shape as :mod:`repro.faults`' RPC retry).  A worker crash breaks the
-  whole pool (``BrokenProcessPool``); the runner charges an attempt to
-  the runs that were in flight, rebuilds the pool and carries on.
+* **Failures are recorded once** — a run that raises (or exceeds the
+  per-run ``timeout_s``, enforced inside the worker with an interval
+  timer) is listed in the report with its error, params and seed, and
+  writes no record, so ``repro lab resume`` runs it again.  A worker
+  crash breaks the whole pool (``BrokenProcessPool``): every run in
+  flight fails once and a fresh pool takes the runs not yet submitted.
 * **Graceful Ctrl-C** — the first ``KeyboardInterrupt`` stops new
   submissions, drains the in-flight runs and flushes their records, so
   ``repro lab resume`` picks up exactly where the sweep stopped.
-
-Progress is surfaced twice: an optional single-line terminal ticker and
-a :class:`~repro.obs.metrics.MetricsRegistry` (counters per outcome,
-log-bucketed wall-time histogram) embedded in the final report.
 """
 
 from __future__ import annotations
 
-import os
 import random
 import signal
 import sys
@@ -43,32 +36,12 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
 from ..errors import ConfigError
-from ..obs.metrics import MetricsRegistry
 from .spec import RunSpec, Sweep, canonical_json
 from .store import ResultStore, record_for
 
-__all__ = ["RetryPolicy", "Runner", "RunFailure", "execute_run"]
+__all__ = ["Runner", "RunFailure", "execute_run"]
 
-
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Bounded retry with exponential backoff (RPC-retry shaped)."""
-
-    retries: int = 2          #: extra attempts after the first failure
-    base_s: float = 0.05      #: first backoff sleep
-    factor: float = 2.0       #: growth per consecutive failure
-    cap_s: float = 1.0        #: backoff ceiling
-
-    def __post_init__(self):
-        if self.retries < 0:
-            raise ConfigError("retries must be >= 0")
-        if self.factor < 1.0:
-            raise ConfigError("backoff factor must be >= 1.0")
-
-    def delay(self, attempt: int) -> float:
-        """Backoff before re-running a spec that failed ``attempt``
-        times (attempt >= 1)."""
-        return min(self.base_s * self.factor ** (attempt - 1), self.cap_s)
+CRASHED = "worker crashed (pool broken)"
 
 
 @dataclass
@@ -77,7 +50,6 @@ class RunFailure:
     params: Dict[str, Any]
     seed: int
     repeat: int
-    attempts: int
     error: str
 
 
@@ -93,9 +65,8 @@ def execute_run(payload: Dict[str, Any]) -> Dict[str, Any]:
     """Execute one run; also the pool-worker entry point (picklable).
 
     ``payload`` is ``{"spec": RunSpec.to_dict(), "timeout_s": float|None}``.
-    Returns ``{"record": <deterministic record>, "wall_s": float,
-    "pid": int}``.  Raises whatever the scenario raises (the parent
-    turns that into a retry); a timeout raises :class:`TimeoutError`.
+    Returns the run's deterministic record.  Raises whatever the
+    scenario raises; a timeout raises :class:`TimeoutError`.
     """
     spec = RunSpec.from_dict(payload["spec"])
     timeout_s = payload.get("timeout_s")
@@ -104,8 +75,7 @@ def execute_run(payload: Dict[str, Any]) -> Dict[str, Any]:
     old_handler = None
     if use_alarm:
         old_handler = signal.signal(signal.SIGALRM, _alarm_handler)
-        signal.alarm(max(1, int(timeout_s)))
-    t0 = time.perf_counter()
+        signal.setitimer(signal.ITIMER_REAL, timeout_s)
     try:
         result = fn(seed=spec.effective_seed, **spec.params)
     except _RunTimeout:
@@ -113,16 +83,13 @@ def execute_run(payload: Dict[str, Any]) -> Dict[str, Any]:
             f"run {spec.run_id} exceeded {timeout_s}s") from None
     finally:
         if use_alarm:
-            signal.alarm(0)
+            signal.setitimer(signal.ITIMER_REAL, 0)
             signal.signal(signal.SIGALRM, old_handler)
-    wall = time.perf_counter() - t0
     record = record_for(spec, result)
-    # fail *here* (inside the attempt) if the scenario returned
-    # something JSON can't carry — the parent sees an ordinary retryable
-    # run failure instead of a store crash
+    # fail *here* if the scenario returned something JSON can't carry:
+    # the parent sees an ordinary run failure instead of a store crash
     canonical_json(record)
-    return {"record": record, "wall_s": round(wall, 4),
-            "pid": os.getpid()}
+    return record
 
 
 class Runner:
@@ -130,19 +97,17 @@ class Runner:
 
     def __init__(self, sweep: Sweep, store: Optional[ResultStore] = None,
                  workers: int = 0, timeout_s: Optional[float] = None,
-                 retry: Optional[RetryPolicy] = None,
-                 progress: bool = False,
-                 metrics: Optional[MetricsRegistry] = None):
+                 progress: bool = False):
         if workers < 0:
             raise ConfigError("workers must be >= 0")
+        if timeout_s is not None and not timeout_s > 0:
+            raise ConfigError(
+                f"timeout must be > 0 seconds, got {timeout_s}")
         self.sweep = sweep
         self.store = store if store is not None else ResultStore(None)
         self.workers = workers
         self.timeout_s = timeout_s
-        self.retry = retry if retry is not None else RetryPolicy()
         self.progress = progress
-        self.metrics = metrics if metrics is not None \
-            else MetricsRegistry(env=None)
         self.failures: List[RunFailure] = []
         self.interrupted = False
         self._done = 0
@@ -164,36 +129,16 @@ class Runner:
         sys.stderr.write(line.ljust(72))
         sys.stderr.flush()
 
-    def _record_success(self, spec: RunSpec, out: Dict[str, Any],
-                        attempts: int) -> None:
-        self.store.append(out["record"])
-        self.store.append_journal({
-            "run_id": spec.run_id, "attempts": attempts,
-            "wall_s": out["wall_s"], "pid": out["pid"]})
-        self.metrics.counter("lab.runs.completed").inc()
-        self.metrics.histogram("lab.run_wall_us").observe(
-            out["wall_s"] * 1e6)
+    def _complete(self, record: Dict[str, Any]) -> None:
+        self.store.append(record)
         self._done += 1
         self._tick()
 
-    def _record_failure(self, spec: RunSpec, attempts: int,
-                        error: str) -> None:
+    def _fail(self, spec: RunSpec, error: str) -> None:
         self.failures.append(RunFailure(
             run_id=spec.run_id, params=dict(spec.params), seed=spec.seed,
-            repeat=spec.repeat, attempts=attempts, error=error))
-        self.store.append_journal({
-            "run_id": spec.run_id, "attempts": attempts, "error": error})
-        self.metrics.counter("lab.runs.failed").inc()
+            repeat=spec.repeat, error=error))
         self._tick()
-
-    def _charge(self, spec: RunSpec, attempts: int, error: str,
-                pending: deque) -> None:
-        """One attempt failed: requeue within budget or mark failed."""
-        if attempts <= self.retry.retries:
-            self.metrics.counter("lab.runs.retried").inc()
-            pending.append((spec, attempts))
-        else:
-            self._record_failure(spec, attempts, error)
 
     # -- public API -----------------------------------------------------
     def pending_specs(self) -> List[RunSpec]:
@@ -219,8 +164,6 @@ class Runner:
         pending_specs = self.pending_specs()
         self._total = len(all_specs)
         self._skipped = self._total - len(pending_specs)
-        if self._skipped:
-            self.metrics.counter("lab.runs.skipped").inc(self._skipped)
         t0 = time.perf_counter()
         self._tick()
         try:
@@ -247,102 +190,79 @@ class Runner:
             "workers": self.workers,
             "wall_s": round(wall_s, 4),
             "failures": [vars(f) for f in self.failures],
-            "metrics": self.metrics.to_dict(),
         }
 
     # -- serial (reference) path ---------------------------------------
     def _run_serial(self, specs: List[RunSpec]) -> None:
-        pending = deque((s, 0) for s in specs)
-        while pending:
-            spec, attempts = pending.popleft()
+        for spec in specs:
             try:
-                out = execute_run(self._payload(spec))
+                record = execute_run(self._payload(spec))
             except KeyboardInterrupt:
                 raise
             except BaseException as exc:
                 # BaseException: a scenario calling sys.exit() must not
                 # kill the whole sweep
-                attempts += 1
-                if attempts <= self.retry.retries:
-                    time.sleep(self.retry.delay(attempts))
-                self._charge(spec, attempts, repr(exc), pending)
+                self._fail(spec, repr(exc))
                 continue
-            self._record_success(spec, out, attempts + 1)
+            self._complete(record)
 
     # -- process-pool path ---------------------------------------------
-    def _make_pool(self) -> ProcessPoolExecutor:
-        return ProcessPoolExecutor(max_workers=self.workers)
+    def _settle(self, spec: RunSpec, fut) -> bool:
+        """Record one finished future; True if its worker died."""
+        try:
+            record = fut.result()
+        except BrokenProcessPool:
+            self._fail(spec, CRASHED)
+            return True
+        except KeyboardInterrupt:
+            raise
+        except BaseException as exc:
+            self._fail(spec, repr(exc))
+            return False
+        self._complete(record)
+        return False
 
     def _run_pool(self, specs: List[RunSpec]) -> None:
-        pending = deque((s, 0) for s in specs)
-        pool = self._make_pool()
-        inflight: Dict[Any, tuple] = {}
+        pending = deque(specs)
+        pool = ProcessPoolExecutor(max_workers=self.workers)
+        inflight: Dict[Any, RunSpec] = {}
         draining = False
         try:
             while pending or inflight:
+                broken = False
                 while (not draining and pending
                        and len(inflight) < self.workers):
-                    spec, attempts = pending.popleft()
                     try:
                         fut = pool.submit(execute_run,
-                                          self._payload(spec))
+                                          self._payload(pending[0]))
                     except BrokenProcessPool:
-                        pending.appendleft((spec, attempts))
-                        pool = self._rebuild(pool, inflight, pending)
-                        continue
-                    inflight[fut] = (spec, attempts)
-                    self._tick(f"{len(inflight)} running")
-                if not inflight:
-                    if draining:
-                        break
-                    continue
-                try:
-                    done, _ = wait(list(inflight),
-                                   return_when=FIRST_COMPLETED)
-                except KeyboardInterrupt:
-                    if draining:
-                        raise
-                    draining = True
-                    self._tick("draining (Ctrl-C again to abort)")
-                    continue
-                broken = False
-                for fut in done:
-                    spec, attempts = inflight.pop(fut)
-                    try:
-                        out = fut.result()
-                    except BrokenProcessPool:
-                        self._charge(spec, attempts + 1,
-                                     "worker crashed (pool broken)",
-                                     pending)
                         broken = True
-                        continue
-                    except KeyboardInterrupt:
-                        raise
-                    except BaseException as exc:
-                        self._charge(spec, attempts + 1, repr(exc),
-                                     pending)
-                        continue
-                    self._record_success(spec, out, attempts + 1)
-                if broken:
-                    pool = self._rebuild(pool, inflight, pending)
+                        break
+                    inflight[fut] = pending.popleft()
+                    self._tick(f"{len(inflight)} running")
                 if draining and not inflight:
                     break
+                if not broken:
+                    try:
+                        done, _ = wait(list(inflight),
+                                       return_when=FIRST_COMPLETED)
+                    except KeyboardInterrupt:
+                        if draining:
+                            raise
+                        draining = True
+                        self._tick("draining (Ctrl-C again to abort)")
+                        continue
+                    for fut in done:
+                        broken |= self._settle(inflight.pop(fut), fut)
+                if broken:
+                    # a broken pool resolves every future it still holds:
+                    # the runs in flight fail once, a fresh pool takes
+                    # the rest
+                    for fut in wait(list(inflight)).done:
+                        self._settle(inflight.pop(fut), fut)
+                    pool.shutdown(wait=False, cancel_futures=True)
+                    pool = ProcessPoolExecutor(max_workers=self.workers)
         finally:
             pool.shutdown(wait=False, cancel_futures=True)
         if draining:
             raise KeyboardInterrupt
-
-    def _rebuild(self, pool: ProcessPoolExecutor,
-                 inflight: Dict[Any, tuple],
-                 pending: deque) -> ProcessPoolExecutor:
-        """A worker died: charge in-flight runs, start a fresh pool."""
-        pool.shutdown(wait=False, cancel_futures=True)
-        for fut, (spec, attempts) in list(inflight.items()):
-            self._charge(spec, attempts + 1,
-                         "worker crashed (pool broken)", pending)
-        inflight.clear()
-        self.metrics.counter("lab.pool.rebuilds").inc()
-        # the crash retry backoff: one sleep per rebuild, capped
-        time.sleep(self.retry.delay(
-            max(1, self.metrics.counter("lab.pool.rebuilds").value)))
-        return self._make_pool()

@@ -5,14 +5,12 @@ Layout under one sweep's directory (default
 
     sweep.json       the Sweep that produced the records (resume + drift guard)
     records.jsonl    one canonical-JSON line per *completed* run
-    journal.jsonl    timing/attempt side-channel (nondeterministic, never
-                     part of any byte-identity guarantee)
 
 ``records.jsonl`` lines contain only deterministic fields (run id, spec,
 scenario result), serialized with sorted keys and no whitespace — the
 same run therefore produces the same bytes whether it executed in-process
-(``--workers 0``) or inside a pool worker.  Wall-clock, attempt counts
-and worker pids go to ``journal.jsonl``.
+(``--workers 0``) or inside a pool worker.  A failed run writes nothing,
+so resuming runs it again.
 
 Appends are line-atomic-in-practice (single ``write`` + flush); a run
 killed mid-write leaves at most one truncated final line, which the
@@ -24,7 +22,7 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Any, Dict, Iterable, List, Optional, Set
+from typing import Any, Dict, List, Optional, Set
 
 from ..errors import ConfigError
 from .spec import Sweep, canonical_json
@@ -49,10 +47,9 @@ def record_for(spec, result: Any) -> Dict[str, Any]:
 
 class ResultStore:
     """Append-only store for one sweep; ``path=None`` keeps everything
-    in memory (used by one-shot dispatches like the figure tests)."""
+    in memory (used by one-shot sweeps such as a chaos campaign)."""
 
     RECORDS = "records.jsonl"
-    JOURNAL = "journal.jsonl"
     SWEEP = "sweep.json"
 
     def __init__(self, path: Optional[str]):
@@ -139,12 +136,6 @@ class ResultStore:
             fh.flush()
             os.fsync(fh.fileno())
 
-    def append_journal(self, entry: Dict[str, Any]) -> None:
-        if self.path is None:
-            return
-        with open(self._file(self.JOURNAL), "a", encoding="utf-8") as fh:
-            fh.write(json.dumps(entry, sort_keys=True) + "\n")
-
     def records(self) -> List[Dict[str, Any]]:
         if self.path is None:
             return list(self._memory)
@@ -166,11 +157,6 @@ class ResultStore:
     def record_lines(self) -> Dict[str, str]:
         """run_id -> canonical serialized bytes (determinism checks)."""
         return {r["run_id"]: canonical_json(r) for r in self.records()}
-
-    def journal(self) -> List[Dict[str, Any]]:
-        if self.path is None:
-            return []
-        return self._read_jsonl(self._file(self.JOURNAL))
 
 
 def store_for(name: str, root: Optional[str] = None) -> ResultStore:

@@ -420,8 +420,8 @@ def lab_run(scenario: str = "ncosed", seed: int = 0, n_nodes: int = 0,
 
 
 def lab_sweep(name: str, grid: Dict[str, list], seeds: Sequence[int],
-              workers: int = 0, store_path: Optional[str] = None,
-              progress: bool = False) -> Tuple[List[dict], dict]:
+              workers: int = 0, store_path: Optional[str] = None
+              ) -> Tuple[List[dict], dict]:
     """Fan :func:`lab_run` over ``grid`` × ``seeds`` through
     :mod:`repro.lab`; returns ``(records, runner summary)``."""
     from repro.lab import ResultStore, Runner, Sweep
@@ -429,8 +429,7 @@ def lab_sweep(name: str, grid: Dict[str, list], seeds: Sequence[int],
     sweep = Sweep(name=name, scenario="repro.scenarios:lab_run",
                   grid=grid, seeds=[int(s) for s in seeds])
     store = ResultStore(store_path)
-    summary = Runner(sweep, store=store, workers=workers,
-                     progress=progress).run()
+    summary = Runner(sweep, store=store, workers=workers).run()
     return store.records(), summary
 
 

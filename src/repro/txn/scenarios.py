@@ -11,8 +11,9 @@ Entry points layered on top:
 
 * the ``txn-occ`` / ``txn-2pl`` / ``txn-mixed`` rows of
   :data:`repro.scenarios.SCENARIOS` (also behind ``repro txn run``).
-* :func:`txn_bench` — the ``repro.lab`` sweep entry measuring commit
-  throughput and abort rate across contention × variant.
+* :func:`txn_bench` — one cell of the ``txn-contention`` figure
+  (:data:`repro.bench.figures.FIGURES`): commit throughput and abort
+  rate at one contention × variant.
 """
 
 from __future__ import annotations
@@ -170,7 +171,8 @@ def build_txn_scenario(variant: str, seed: int, n_nodes: int,
 def txn_bench(variant: str = "occ", n_keys: int = 8, seed: int = 0,
               n_nodes: int = 4, n_workers: int = 8,
               txns_per_worker: int = 6) -> Dict[str, object]:
-    """One (variant × contention) cell for the ``txn`` lab sweep."""
+    """One (variant × contention) cell of the ``txn-contention``
+    figure."""
     obs, stats = build_txn_scenario(variant, seed, n_nodes,
                                     n_keys=n_keys, n_workers=n_workers,
                                     txns_per_worker=txns_per_worker)

@@ -10,8 +10,8 @@ cannot test:
    clean under permuted seeds and node counts, not just the defaults.
 
 This driver expands the (scenario × kernel × n_nodes × seed) grid
-through :mod:`repro.lab` — reusing its process pool, retry, and
-resumable store — then folds the records: each (scenario, n_nodes,
+through :mod:`repro.lab` — reusing its process pool and resumable
+store — then folds the records: each (scenario, n_nodes,
 seed) cell must have one ``trace_sha`` across both kernels, and every
 cell must report verdict ``ok``.
 
@@ -52,8 +52,7 @@ def metamorphic_sweep(checks: Optional[Sequence[str]] = None,
                       seeds: Sequence[int] = (0, 1),
                       node_counts: Sequence[int] = (0,),
                       workers: int = 0,
-                      store_path: Optional[str] = None,
-                      progress: bool = False) -> Dict[str, Any]:
+                      store_path: Optional[str] = None) -> Dict[str, Any]:
     """Run the metamorphic grid; returns the fold report.
 
     ``node_counts`` may include 0, meaning "each scenario's default".
@@ -71,7 +70,7 @@ def metamorphic_sweep(checks: Optional[Sequence[str]] = None,
         "verify-meta",
         {"scenario": names, "kernel": list(KERNELS),
          "n_nodes": node_counts},
-        seeds, workers, store_path, progress)
+        seeds, workers, store_path)
 
     cells: Dict[tuple, Dict[str, dict]] = {}
     for rec in records:

@@ -118,18 +118,3 @@ class TestLocksCLI:
         captured = capsys.readouterr()
         assert "n_clients" in captured.err
         assert "verdict=ok" not in captured.out
-
-
-class TestLabSweep:
-    def test_locks_packaged(self):
-        from repro.lab.scenarios import SWEEPS, packaged_sweep
-
-        assert "locks" in SWEEPS
-        sweep = packaged_sweep("locks")
-        assert sweep.grid["scheme"] == list(SCHEMES)
-
-    def test_locks_point_runs(self):
-        from repro.lab.scenarios import locks_point
-
-        r = locks_point(scheme="alock", n_clients=12, alpha=1.0, seed=0)
-        assert r["violations"] == 0 and r["grants"] > 0

@@ -1,9 +1,9 @@
-"""Deliberately misbehaving scenarios for the lab retry/crash tests.
+"""Deliberately misbehaving scenarios for the lab failure/crash tests.
 
 These are importable by dotted name from pool workers (the ``tests``
-package is on ``sys.path`` when pytest runs from the repo root).  Each
-uses a caller-supplied sentinel path to misbehave only on the first
-attempt, so a bounded retry must converge.
+package is on ``sys.path`` when pytest runs from the repo root).
+``flaky`` and ``crasher`` use a caller-supplied sentinel path to
+misbehave only on their first call, so a resumed sweep completes.
 """
 
 import os
@@ -19,7 +19,7 @@ def flaky(sentinel: str, seed: int = 0):
     return {"ok": True, "seed_seen": seed}
 
 
-def crasher(sentinel: str, seed: int = 0):
+def crasher(sentinel: str, i: int = 0, seed: int = 0):
     """Kill the worker process outright on the first attempt."""
     if not os.path.exists(sentinel):
         with open(sentinel, "w") as fh:

@@ -6,28 +6,39 @@ import os
 import pytest
 
 from repro.cli import main
-from repro.lab.scenarios import SWEEPS
+from repro.lab import SWEEPS, ResultStore, Sweep, resolve_dotted
+
+
+class TestPackagedSweeps:
+    @pytest.mark.parametrize("name", sorted(SWEEPS))
+    def test_scenario_and_fold_resolve(self, name):
+        sweep = SWEEPS[name]
+        assert sweep.name == name
+        resolve_dotted(sweep.scenario)
+        if sweep.fold:
+            resolve_dotted(sweep.fold)
 
 
 class TestLabCli:
-    def test_ls_lists_packaged_sweeps(self, capsys):
-        assert main(["lab", "ls"]) == 0
-        out = capsys.readouterr().out
-        for name in SWEEPS:
-            assert name in out
+    def test_ls_lists_packaged_sweeps(self, tmp_path, capsys):
+        """Exactly the packaged sweeps, nothing more."""
+        assert main(["lab", "ls", "--store-root", str(tmp_path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "packaged sweeps:"
+        assert [line.split()[0] for line in lines[1:]] == sorted(SWEEPS)
+        assert sorted(SWEEPS) == ["smoke8", "topo16"]
 
     def test_run_show_resume_cycle(self, tmp_path, capsys):
         root = str(tmp_path)
         assert main(["lab", "run", "smoke8", "--workers", "0",
-                     "--store-root", root, "--no-progress",
-                     "--no-tables"]) == 0
+                     "--store-root", root, "--no-tables"]) == 0
         out = capsys.readouterr().out
         assert "8 ran, 0 skipped, 0 failed" in out
         assert os.path.exists(os.path.join(root, "smoke8",
                                            "records.jsonl"))
 
         assert main(["lab", "resume", "smoke8", "--store-root", root,
-                     "--no-progress", "--no-tables"]) == 0
+                     "--no-tables"]) == 0
         out = capsys.readouterr().out
         assert "0 ran, 8 skipped" in out
 
@@ -41,16 +52,14 @@ class TestLabCli:
         root = str(tmp_path)
         report_path = str(tmp_path / "report.json")
         assert main(["lab", "run", "smoke8", "--store-root", root,
-                     "--no-progress", "--no-tables",
-                     "--report", report_path]) == 0
+                     "--no-tables", "--report", report_path]) == 0
         report = json.loads((tmp_path / "report.json").read_text())
         assert report["completed"] == 8
-        assert report["metrics"]["counters"]["lab.runs.completed"] == 8
 
     def test_show_from_store_directory(self, tmp_path, capsys):
         root = str(tmp_path)
         assert main(["lab", "run", "smoke8", "--store-root", root,
-                     "--no-progress", "--no-tables"]) == 0
+                     "--no-tables"]) == 0
         capsys.readouterr()
         store_dir = os.path.join(root, "smoke8")
         assert main(["lab", "show", store_dir]) == 0
@@ -58,20 +67,37 @@ class TestLabCli:
 
     def test_ls_reports_on_disk_state(self, tmp_path, capsys):
         root = str(tmp_path)
-        main(["lab", "run", "smoke8", "--store-root", root,
-              "--no-progress", "--no-tables"])
+        main(["lab", "run", "smoke8", "--store-root", root, "--no-tables"])
         capsys.readouterr()
         assert main(["lab", "ls", "--store-root", root]) == 0
         assert "[8/8 complete on disk]" in capsys.readouterr().out
 
     def test_unknown_sweep_fails(self, tmp_path, capsys):
         assert main(["lab", "run", "nope", "--store-root",
-                     str(tmp_path), "--no-progress"]) == 2
+                     str(tmp_path)]) == 2
         assert "unknown sweep" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("timeout", ["0", "-1"])
+    def test_nonpositive_timeout_fails(self, tmp_path, capsys, timeout):
+        assert main(["lab", "run", "smoke8", "--store-root",
+                     str(tmp_path), "--timeout", timeout]) == 2
+        assert "timeout must be > 0" in capsys.readouterr().err
+
+    def test_failed_run_exits_1_and_names_it(self, tmp_path, capsys):
+        store = tmp_path / "flaky"
+        ResultStore(str(store)).write_sweep(Sweep(
+            name="flaky", scenario="tests.lab.crashers:flaky",
+            base={"sentinel": str(tmp_path / "sentinel")}))
+        assert main(["lab", "run", str(store), "--no-tables"]) == 1
+        err = capsys.readouterr().err
+        assert "FAILED" in err and "seed=0" in err
+        assert "first attempt always fails" in err
+        assert main(["lab", "resume", str(store), "--no-tables"]) == 0
+        assert "1 ran, 0 skipped, 0 failed" in capsys.readouterr().out
 
     def test_resume_without_store_fails(self, tmp_path, capsys):
         assert main(["lab", "resume", "smoke8", "--store-root",
-                     str(tmp_path), "--no-progress"]) == 2
+                     str(tmp_path)]) == 2
         assert "nothing to resume" in capsys.readouterr().err
 
     def test_show_empty_store_fails(self, tmp_path, capsys):
@@ -98,7 +124,7 @@ class TestLabCli:
                                                           capsys):
         root = str(tmp_path)
         assert main(["lab", "run", "smoke8", "--store-root", root,
-                     "--no-progress", "--no-tables"]) == 0
+                     "--no-tables"]) == 0
         capsys.readouterr()
         records = os.path.join(root, "smoke8", "records.jsonl")
         with open(records, "a", encoding="utf-8") as fh:

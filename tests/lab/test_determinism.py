@@ -6,7 +6,7 @@ records and identical merged tables — parallelism is an execution
 detail, never an experimental variable.
 """
 
-from repro.lab import Runner, ResultStore, merge_tables, packaged_sweep
+from repro.lab import SWEEPS, Runner, ResultStore, merge_tables
 
 
 def _run(sweep, tmp_path, workers):
@@ -19,7 +19,7 @@ def _run(sweep, tmp_path, workers):
 
 class TestDeterminism:
     def test_records_byte_identical_workers_0_vs_4(self, tmp_path):
-        sweep = packaged_sweep("smoke8")
+        sweep = SWEEPS["smoke8"]
         serial = _run(sweep, tmp_path, 0)
         parallel = _run(sweep, tmp_path, 4)
         s_lines = serial.record_lines()
@@ -29,7 +29,7 @@ class TestDeterminism:
             assert p_lines[run_id] == line
 
     def test_merged_tables_identical(self, tmp_path):
-        sweep = packaged_sweep("smoke8")
+        sweep = SWEEPS["smoke8"]
         serial = _run(sweep, tmp_path, 0)
         parallel = _run(sweep, tmp_path, 4)
         s_tables = [t.to_dict() for t in merge_tables(sweep, serial)]
@@ -39,18 +39,13 @@ class TestDeterminism:
     def test_rerun_serial_is_stable(self, tmp_path):
         """Two independent serial runs serialize identically (no
         wall-clock or pid leakage into the records)."""
-        sweep = packaged_sweep("smoke8")
+        sweep = SWEEPS["smoke8"]
         a = _run(sweep, tmp_path / "a", 0)
         b = _run(sweep, tmp_path / "b", 0)
         assert a.record_lines() == b.record_lines()
 
-    def test_journal_is_separate_from_records(self, tmp_path):
-        """Timing/attempts go to the journal, never the records."""
-        sweep = packaged_sweep("smoke8")
-        store = _run(sweep, tmp_path, 0)
+    def test_records_carry_no_wall_time_or_pid(self, tmp_path):
+        store = _run(SWEEPS["smoke8"], tmp_path, 4)
         for line in store.record_lines().values():
             assert "wall_s" not in line
             assert "pid" not in line
-        journal = store.journal()
-        assert len(journal) == 8
-        assert all("wall_s" in e for e in journal)

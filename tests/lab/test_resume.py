@@ -1,16 +1,18 @@
-"""Resume-after-kill, bounded retry, worker-crash recovery, timeouts."""
+"""Resume-after-kill, one attempt per run, worker crashes, timeouts."""
 
 import os
+import time
 
 import pytest
 
-from repro.lab import (ResultStore, RetryPolicy, Runner, Sweep,
-                       merge_tables, packaged_sweep)
+from repro.lab import SWEEPS, ResultStore, Runner, Sweep, merge_tables
+
+FLAKY_ERROR = "RuntimeError('first attempt always fails')"
 
 
 class TestResume:
     def test_partial_store_only_missing_runs_execute(self, tmp_path):
-        sweep = packaged_sweep("smoke8")
+        sweep = SWEEPS["smoke8"]
         full = ResultStore(str(tmp_path / "full"))
         Runner(sweep, full, workers=0).run()
         records = full.records()
@@ -23,17 +25,17 @@ class TestResume:
             partial.append(r)
 
         runner = Runner(sweep, partial, workers=0)
+        missing = {r["run_id"] for r in records} - \
+            {r["run_id"] for r in done}
+        # exactly the 3 missing runs are pending, and only they execute
+        assert {s.run_id for s in runner.pending_specs()} == missing
         report = runner.run()
         assert report["skipped"] == 5
         assert report["completed"] == 3
-        # journal shows exactly the 3 missing runs executed
-        executed = {e["run_id"] for e in partial.journal()}
-        missing = {r["run_id"] for r in records} - \
-            {r["run_id"] for r in done}
-        assert executed == missing
+        assert partial.completed_ids() == {r["run_id"] for r in records}
 
     def test_resumed_store_matches_uninterrupted_run(self, tmp_path):
-        sweep = packaged_sweep("smoke8")
+        sweep = SWEEPS["smoke8"]
         full = ResultStore(str(tmp_path / "full"))
         Runner(sweep, full, workers=0).run()
 
@@ -70,59 +72,55 @@ class TestResume:
         assert len(store.completed_ids()) == 6
 
 
-class TestRetry:
-    def test_flaky_scenario_retried_serial(self, tmp_path):
-        sentinel = str(tmp_path / "sentinel")
-        sweep = Sweep(name="flaky", scenario="tests.lab.crashers:flaky",
-                      base={"sentinel": sentinel})
-        store = ResultStore(str(tmp_path / "store"))
-        runner = Runner(sweep, store, workers=0,
-                        retry=RetryPolicy(retries=2, base_s=0.01))
-        report = runner.run()
-        assert report["completed"] == 1
-        assert report["failed"] == 0
-        assert report["metrics"]["counters"]["lab.runs.retried"] == 1
-        (entry,) = [e for e in store.journal() if "wall_s" in e]
-        assert entry["attempts"] == 2
+class TestFailsOnce:
+    """Every run is a seeded simulation: a run that raises gets no
+    second attempt, is named in the report, writes no record, and the
+    next ``run()`` (``repro lab resume``) executes it again."""
 
-    def test_flaky_scenario_retried_in_pool(self, tmp_path):
-        sentinel = str(tmp_path / "sentinel")
-        sweep = Sweep(name="flaky", scenario="tests.lab.crashers:flaky",
-                      base={"sentinel": sentinel})
+    def _fails_once_then_resumes(self, tmp_path, scenario, workers,
+                                 cause, result):
+        sweep = Sweep(name=scenario,
+                      scenario=f"tests.lab.crashers:{scenario}",
+                      base={"sentinel": str(tmp_path / "sentinel")})
         store = ResultStore(str(tmp_path / "store"))
-        report = Runner(sweep, store, workers=2,
-                        retry=RetryPolicy(retries=2, base_s=0.01)).run()
-        assert report["completed"] == 1
-        assert report["failed"] == 0
-
-    def test_retry_budget_exhaustion_records_failure(self, tmp_path):
-        sweep = Sweep(name="dead", scenario="tests.lab.crashers:flaky",
-                      base={"sentinel": str(tmp_path / "never"),
-                            "unknown_param": 1})  # TypeError every time
-        store = ResultStore(str(tmp_path / "store"))
-        report = Runner(sweep, store, workers=0,
-                        retry=RetryPolicy(retries=1, base_s=0.01)).run()
-        assert report["failed"] == 1
-        assert report["completed"] == 0
+        report = Runner(sweep, store, workers=workers).run()
+        assert (report["failed"], report["completed"]) == (1, 0)
         (failure,) = report["failures"]
-        assert failure["attempts"] == 2
-        assert "TypeError" in failure["error"]
+        assert cause in failure["error"]
+        assert failure["params"] == sweep.base and failure["seed"] == 0
+        assert store.records() == []
 
-    def test_worker_crash_rebuilds_pool_and_retries(self, tmp_path):
-        """os._exit in a worker breaks the pool; the runner must charge
-        an attempt, rebuild and converge."""
-        sentinel = str(tmp_path / "sentinel")
-        sweep = Sweep(name="crash",
+        again = Runner(sweep, store, workers=workers).run()
+        assert (again["failed"], again["completed"]) == (0, 1)
+        assert store.records()[0]["result"] == result
+
+    def test_flaky_serial_fails_once_named(self, tmp_path):
+        self._fails_once_then_resumes(tmp_path, "flaky", 0, FLAKY_ERROR,
+                                      {"ok": True, "seed_seen": 0})
+
+    def test_flaky_in_pool_fails_once_named(self, tmp_path):
+        self._fails_once_then_resumes(tmp_path, "flaky", 2, FLAKY_ERROR,
+                                      {"ok": True, "seed_seen": 0})
+
+    def test_worker_crash_fails_once_named(self, tmp_path):
+        """os._exit in a worker breaks the pool: the run in flight fails
+        once and the next run gets a fresh pool."""
+        self._fails_once_then_resumes(
+            tmp_path, "crasher", 2, "worker crashed (pool broken)",
+            {"survived": True})
+
+    def test_crash_spares_runs_not_yet_submitted(self, tmp_path):
+        """One worker, so one run in flight at a time: the crash fails
+        that run only and a fresh pool executes the other three."""
+        sweep = Sweep(name="crash-grid",
                       scenario="tests.lab.crashers:crasher",
-                      base={"sentinel": sentinel})
+                      grid={"i": [0, 1, 2, 3]},
+                      base={"sentinel": str(tmp_path / "sentinel")})
         store = ResultStore(str(tmp_path / "store"))
-        runner = Runner(sweep, store, workers=2,
-                        retry=RetryPolicy(retries=2, base_s=0.01))
-        report = runner.run()
-        assert report["completed"] == 1
-        assert report["failed"] == 0
-        assert store.records()[0]["result"] == {"survived": True}
-        assert report["metrics"]["counters"]["lab.pool.rebuilds"] >= 1
+        report = Runner(sweep, store, workers=1).run()
+        assert (report["failed"], report["completed"]) == (1, 3)
+        (failure,) = report["failures"]
+        assert failure["error"] == "worker crashed (pool broken)"
 
     @pytest.mark.skipif(not hasattr(__import__("signal"), "SIGALRM"),
                         reason="needs SIGALRM")
@@ -130,7 +128,9 @@ class TestRetry:
         sweep = Sweep(name="slow", scenario="tests.lab.crashers:sleeper",
                       base={"sleep_s": 5.0})
         store = ResultStore(str(tmp_path / "store"))
-        report = Runner(sweep, store, workers=0, timeout_s=1.0,
-                        retry=RetryPolicy(retries=0)).run()
+        t0 = time.perf_counter()
+        report = Runner(sweep, store, workers=0, timeout_s=0.2).run()
+        assert time.perf_counter() - t0 < 2.0  # fired at 0.2 s, not 1 s
         assert report["failed"] == 1
         assert "TimeoutError" in report["failures"][0]["error"]
+        assert "exceeded 0.2s" in report["failures"][0]["error"]

@@ -88,8 +88,8 @@ class TestSweep:
 
 class TestResolveDotted:
     def test_colon_and_dot_forms(self):
-        assert resolve_dotted("repro.lab.scenarios:smoke") is \
-            resolve_dotted("repro.lab.scenarios.smoke")
+        assert resolve_dotted("repro.lab:smoke") is \
+            resolve_dotted("repro.lab.smoke")
 
     @pytest.mark.parametrize("path", ["nope", "repro.lab:nope",
                                       "no.such.module:f"])
@@ -178,16 +178,3 @@ class TestStoreCorruption:
         with open(path, "a") as fh:
             fh.write('{"run_id": "dead\n\n  \n')
         assert store.completed_ids() == {s.run_id for s in specs}
-
-    def test_journal_interior_corruption_raises(self, tmp_path):
-        store, specs = self._store_with(tmp_path)
-        for s in specs:
-            store.append_journal({"run_id": s.run_id, "wall_s": 0.1})
-        path = os.path.join(store.path, store.JOURNAL)
-        with open(path) as fh:
-            lines = fh.read().splitlines()
-        lines[0] = "not json at all"
-        with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
-        with pytest.raises(ConfigError, match="corrupt record"):
-            store.journal()

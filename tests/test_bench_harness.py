@@ -1,13 +1,10 @@
 """Tests for the bench-table formatting helpers."""
 
 import json
-import os
-from pathlib import Path
 
 import pytest
 
-from repro.bench import BenchTable, dump_tables, improvement_pct, replay
-from repro.bench.harness import RENDERED
+from repro.bench import BenchTable, improvement_pct
 
 
 class TestBenchTable:
@@ -53,38 +50,6 @@ class TestBenchTable:
         t.add(1, 2.5)
         clone = BenchTable.from_dict(t.to_dict())
         assert clone.render() == t.render()
-
-
-class TestReplay:
-    def test_replay_reregisters_tables(self, capsys):
-        t = BenchTable("worker table", ["a"])
-        t.add(7)
-        before = len(RENDERED)
-        rebuilt = replay([t.to_dict()])
-        capsys.readouterr()
-        assert len(RENDERED) == before + 1
-        assert RENDERED[-1] == t.render()
-        assert rebuilt[0].render() == t.render()
-
-
-class TestDumpTables:
-    def test_same_title_no_longer_overwrites(self, tmp_path):
-        a = BenchTable("Fig 5: cascade", ["n"])
-        a.add(1)
-        b = BenchTable("Fig 5: cascade", ["n"])
-        b.add(2)
-        paths = dump_tables([a, b], str(tmp_path))
-        assert len(paths) == len(set(paths)) == 2
-        assert all(os.path.exists(p) for p in paths)
-        dumped = sorted(json.loads(Path(p).read_text())["rows"][0][0]
-                        for p in paths)
-        assert dumped == [1, 2]
-
-    def test_titles_slugified(self, tmp_path):
-        t = BenchTable("Fig 3a: DDSS put() latency (us)", ["x"])
-        (path,) = dump_tables([t], str(tmp_path))
-        name = os.path.basename(path)
-        assert name == "fig_3a_ddss_put_latency_us.json"
 
 
 def test_improvement_pct():

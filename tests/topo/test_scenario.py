@@ -68,19 +68,3 @@ class TestTopoCLI:
         assert doc["verdict"] == "ok"
         assert doc["scenario"] == "shard" and doc["n_nodes"] == 8
         assert doc["sanitizers"] == []
-
-
-class TestLabSweep:
-    def test_topo16_packaged(self):
-        from repro.lab.scenarios import SWEEPS, packaged_sweep
-
-        assert "topo16" in SWEEPS
-        sweep = packaged_sweep("topo16")
-        assert sweep.grid["racks"] == [2, 4]
-        assert sweep.grid["oversub"] == [1.0, 4.0]
-
-    def test_topo_point_runs(self):
-        from repro.lab.scenarios import topo_point
-
-        r = topo_point(racks=2, oversub=1.0, seed=0)
-        assert r["xrack_transfers"] > 0 and r["sim_now_us"] > 0
