@@ -682,12 +682,12 @@ class DDSSClient:
 
     def _metas(self, keys):
         """Resolve every key; only an uncached one costs a lookup."""
-        metas = []
-        for key in keys:
-            meta = self._meta_cache.get(key)
-            if meta is None:
-                meta = yield from self._meta(key)
-            metas.append(meta)
+        cache = self._meta_cache
+        metas = [cache.get(key) for key in keys]
+        if not all(metas):
+            for i, key in enumerate(keys):
+                if metas[i] is None:
+                    metas[i] = yield from self._meta(key)
         return metas
 
     def _control(self, node_id: int, body: dict):

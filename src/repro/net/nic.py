@@ -303,9 +303,8 @@ class NIC:
     # generator would raise, with process-crash semantics.
 
     def _verb_slot(self) -> int:
-        free = self._vfree
-        if free:
-            return free.pop()
+        """Grow the pool by one slot (``_post_verb`` reuses a free one
+        inline)."""
         s = len(self._vdst)
         self._vdst.append(0)
         self._vop.append(0)
@@ -344,7 +343,8 @@ class NIC:
         done.callbacks = []
         done._value = _PENDING
         done._ok = True
-        s = self._verb_slot()
+        free = self._vfree
+        s = free.pop() if free else self._verb_slot()
         self._vdst[s] = dst
         self._vop[s] = op
         self._vaddr[s] = addr
@@ -476,9 +476,11 @@ class NIC:
         if t < 0.0:
             self._va[s] = value  # carried to _verb_complete
             return
-        # Last slot access: free before scheduling the completion (the
-        # event rides the agenda entry, not the slot).
-        done = self._free_verb(s)
+        # Last slot access, ``_free_verb`` inlined: free before scheduling
+        # the completion (the event rides the agenda entry, not the slot).
+        done = self._vdone[s]
+        self._vdone[s] = self._va[s] = self._vb[s] = None
+        self._vfree.append(s)
         self.env._schedule_at(t, done, value=value)
 
     def _verb_complete(self, s: int, exc: Optional[BaseException]) -> None:
@@ -496,7 +498,8 @@ class NIC:
         ``wire_bytes`` (>= length) inflates the timed response size for
         padded bulk transfers.
         """
-        self._need_rdma()
+        if not self.params.has_rdma:
+            self._need_rdma()
         self.rdma_reads += 1
         wire = length if wire_bytes is None else wire_bytes
         if wire < length:
@@ -523,7 +526,8 @@ class NIC:
     def rdma_write(self, dst_id: int, addr: int, rkey: int, data: bytes,
                    wire_bytes: Optional[int] = None) -> Event:
         """Write ``data`` into remote memory; event fires on remote ack."""
-        self._need_rdma()
+        if not self.params.has_rdma:
+            self._need_rdma()
         self.rdma_writes += 1
         wire = len(data) if wire_bytes is None else wire_bytes
         if wire < len(data):
@@ -551,7 +555,8 @@ class NIC:
     def cas(self, dst_id: int, addr: int, rkey: int,
             compare: int, swap: int) -> Event:
         """Remote compare-and-swap on a 64-bit word; value = old word."""
-        self._need_rdma()
+        if not self.params.has_rdma:
+            self._need_rdma()
         self.atomics += 1
         ev = self._post_verb(dst_id, _OP_CAS, addr, rkey, compare, swap, 8)
         obs = self.env.obs
@@ -561,7 +566,8 @@ class NIC:
 
     def faa(self, dst_id: int, addr: int, rkey: int, add: int) -> Event:
         """Remote fetch-and-add on a 64-bit word; value = old word."""
-        self._need_rdma()
+        if not self.params.has_rdma:
+            self._need_rdma()
         self.atomics += 1
         ev = self._post_verb(dst_id, _OP_FAA, addr, rkey, add, 0, 8)
         obs = self.env.obs

@@ -353,8 +353,19 @@ class AllOf(_Condition):
             self.succeed(self._collect())
 
 
-def _watched(_event: Event) -> None:
-    """Callback whose only job is to count as a watcher (see settle)."""
+class _Join(Event):
+    """:func:`settle`'s wait: one callback on every pending child; the
+    last one to fire dispatches the join's callbacks inline."""
+
+    __slots__ = ("events", "_remaining")
+
+    def _on_child(self, _event: Event) -> None:
+        self._remaining -= 1
+        if self._remaining == 0:
+            self._value = [(ev._ok, ev._value) for ev in self.events]
+            callbacks, self.callbacks = self.callbacks, None
+            for cb in callbacks:
+                cb(self)
 
 
 def settle(events: Iterable[Event]):
@@ -363,27 +374,30 @@ def settle(events: Iterable[Event]):
     ``results = yield from settle(events)`` returns one
     ``(ok, value_or_exception)`` per event, in order.  Unlike
     :class:`AllOf` it does not fail fast — a caller that posted k verbs
-    learns which landed — and costs no agenda entry: the children are
-    yielded in turn, and one already processed resumes inline.  Every
-    child is marked watched up front, because a failing
-    :class:`Process` (or fast-path verb) nobody watches is a crash and
-    the later children are not yielded until the earlier ones fire.  An
-    exception thrown into the waiter that is not the awaited child's
-    own failure (an :class:`Interrupt`, a close) propagates.
+    learns which landed — and it resumes the waiter once: every pending
+    child is watched by one join, and the last child to fire resumes
+    the waiter from inside its own callback dispatch, with no agenda
+    entry of the join's own.  Children already processed cost no wait
+    at all.  An exception thrown into the waiter (an :class:`Interrupt`,
+    a close) propagates; the children stay watched, so their failures
+    are not crashes.
     """
     events = list(events)
+    pending = 0
+    for ev in events:
+        if ev.env is not events[0].env:
+            raise SimulationError("settle mixes environments")
+        pending += ev.callbacks is not None
+    if not pending:
+        return [(ev._ok, ev._value) for ev in events]
+    join = _Join(events[0].env)
+    join.events = events
+    join._remaining = pending
+    on_child = join._on_child
     for ev in events:
         if ev.callbacks is not None:
-            ev.callbacks.append(_watched)
-    results = []
-    for ev in events:
-        try:
-            results.append((True, (yield ev)))
-        except BaseException as exc:
-            if exc is not ev._value:
-                raise
-            results.append((False, exc))
-    return results
+            ev.callbacks.append(on_child)
+    return (yield join)
 
 
 class Environment:
@@ -393,7 +407,8 @@ class Environment:
     #: by ``Observability.install()``.  ``None`` means tracing/metrics are
     #: off: every emission site guards on this attribute, the same inert
     #: pattern :class:`repro.faults.FaultInjector` uses on the fabric, so
-    #: a disabled run pays one attribute load per hook and nothing else.
+    #: a disabled run pays one attribute load per hook and nothing else,
+    #: not even building the hook's arguments (fingerprints, key lists).
     obs = None
 
     def __init__(self, initial_time: float = 0.0):

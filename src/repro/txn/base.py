@@ -137,17 +137,19 @@ class TxnClient:
         if not keys:
             raise TxnError("transaction has an empty read set")
         tid = (self.node.id << 20) | self.env.next_id("txn")
-        self._emit("txn.begin", tid=tid, variant=self.VARIANT,
-                   keys=list(keys), label=txn.label)
+        if self.env.obs is not None:
+            self._emit("txn.begin", tid=tid, variant=self.VARIANT,
+                       keys=list(keys), label=txn.label)
         delay, mult, cap = _RETRY_BACKOFF
         for attempt in range(1, self.max_attempts + 1):
             try:
                 writes = yield from self._attempt(txn, tid, attempt, keys)
             except _Wedged as exc:
                 self.wedges += 1
-                self._emit("txn.wedged", tid=tid, attempt=attempt,
-                           installed=list(exc.installed),
-                           keys=list(exc.keys))
+                if self.env.obs is not None:
+                    self._emit("txn.wedged", tid=tid, attempt=attempt,
+                               installed=list(exc.installed),
+                               keys=list(exc.keys))
                 return TxnResult(tid=tid, label=txn.label, committed=False,
                                  attempts=attempt, wedged=True,
                                  reason=str(exc))
@@ -167,9 +169,10 @@ class TxnClient:
                 delay = min(delay * mult, cap)
                 continue
             self.commits += 1
-            self._count("txn.commits")
-            self._emit("txn.commit", tid=tid, attempt=attempt,
-                       keys=sorted(writes), attempts=attempt)
+            if self.env.obs is not None:
+                self._count("txn.commits")
+                self._emit("txn.commit", tid=tid, attempt=attempt,
+                           keys=sorted(writes), attempts=attempt)
             return TxnResult(tid=tid, label=txn.label, committed=True,
                              attempts=attempt, writes=tuple(sorted(writes)))
         raise AssertionError("unreachable")  # pragma: no cover
@@ -196,12 +199,14 @@ class TxnClient:
         snaps: Dict[int, Tuple[int, bytes]] = {}
         results = yield from self.store.snapshot_all(keys)
         _raise_unless(results)
+        obs = self.env.obs
         for k, (_ok, (version, data)) in zip(keys, results):
             data = bytes(data)
             snaps[k] = (version, data)
-            self._emit("txn.read", tid=tid, attempt=attempt, key=k,
-                       version=version, nbytes=len(data),
-                       data=_fingerprint(data))
+            if obs is not None:
+                self._emit("txn.read", tid=tid, attempt=attempt, key=k,
+                           version=version, nbytes=len(data),
+                           data=_fingerprint(data))
         return snaps
 
     def _compute(self, txn: Txn,
@@ -238,10 +243,12 @@ class TxnClient:
                             f"{word & ~INSTALL_BIT} != snapshot "
                             f"{snaps[k][0]}")
         except Exception:
-            self._emit("txn.validate", tid=tid, attempt=attempt, ok=False)
+            if self.env.obs is not None:
+                self._emit("txn.validate", tid=tid, attempt=attempt, ok=False)
             yield from self._unwind(claimed, snaps)
             raise
-        self._emit("txn.validate", tid=tid, attempt=attempt, ok=True)
+        if self.env.obs is not None:
+            self._emit("txn.validate", tid=tid, attempt=attempt, ok=True)
         return wkeys
 
     def _unwind(self, claimed: Sequence[int],
@@ -269,16 +276,17 @@ class TxnClient:
             results = [(False, exc)] * len(wkeys)
         installed: List[int] = []
         failed = None
+        obs = self.env.obs
         for k, (ok, newv) in zip(wkeys, results):
             if not ok:
                 failed = failed or (k, newv)
                 continue
             installed.append(k)
-            self._emit("txn.install", tid=tid, attempt=attempt, key=k,
-                       version=newv, nbytes=len(writes[k]),
-                       data=_fingerprint(bytes(writes[k])
-                                         + b"\x00" * (self._pad(k)
-                                                      - len(writes[k]))))
+            if obs is not None:
+                self._emit("txn.install", tid=tid, attempt=attempt, key=k,
+                           version=newv, nbytes=len(writes[k]),
+                           data=_fingerprint(bytes(writes[k]) + b"\x00" * (
+                               self._pad(k) - len(writes[k]))))
         _raise_unless(results, _VERB_FAILURES)
         if failed is not None:
             k, exc = failed

@@ -1,11 +1,12 @@
 """``settle``: wait for every child, report each — the combinator under
-a transaction phase's k verbs and a replicated put's copies."""
+a transaction phase's k verbs and a replicated put's copies.  It is a
+join: the waiter resumes once, inside the last child's dispatch."""
 
 import pytest
 
 from repro.net import Cluster
-from repro.sim import (KERNELS, Environment, Interrupt, pin_kernel,
-                       settle)
+from repro.sim import (KERNELS, Environment, Interrupt, SimulationError,
+                       pin_kernel, settle)
 
 
 class Boom(Exception):
@@ -24,8 +25,8 @@ def _value(env, delay, value):
 
 @pytest.mark.parametrize("kernel", KERNELS)
 def test_mixed_children_all_reported_in_order(kernel):
-    """The failing child fires *first* and is yielded last: unwatched it
-    would crash the run, fail-fast would lose its siblings."""
+    """The failing child fires *first*: unwatched it would crash the
+    run, fail-fast would lose its siblings."""
     with pin_kernel(kernel):
         env = Environment()
     boom = Boom("second")
@@ -117,3 +118,101 @@ def test_foreign_exception_propagates():
     env.process(interrupter(env, victim))
     env.run()
     assert seen == {"cause": "stop", "at": 4.0}
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_waiter_resumes_inside_the_last_childs_dispatch(kernel):
+    """A timeout scheduled after the last child, at the same instant,
+    fires after the waiter has already resumed and moved on."""
+    with pin_kernel(kernel):
+        env = Environment()
+    log = []
+
+    def waiter(env):
+        results = yield from settle([env.timeout(2.0, value="b"),
+                                     env.timeout(1.0, value="a")])
+        log.append(("settled", env.now, results))
+
+    def bystander(env):
+        yield env.timeout(2.0)
+        log.append(("bystander", env.now))
+
+    env.process(waiter(env))
+    env.process(bystander(env))
+    env.run()
+    assert log == [("settled", 2.0, [(True, "b"), (True, "a")]),
+                   ("bystander", 2.0)]
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_settle_takes_no_sequence_number(kernel):
+    """k pending children: the join consumes no ``seq`` (no agenda
+    entry) beyond the children's own."""
+    with pin_kernel(kernel):
+        env = Environment()
+
+    def waiter(env):
+        children = [env.timeout(float(d)) for d in (3, 1, 4, 2)]
+        seq = env._seq
+        yield from settle(children)
+        return env._seq - seq
+
+    p = env.process(waiter(env))
+    env.run()
+    assert p.value == 0
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_interrupted_waiter_leaves_children_watched(kernel):
+    """The waiter gives up first; the children fail afterwards.  They
+    are still watched by the join, so neither the failing processes
+    nor the failing verb crash the run."""
+    with pin_kernel(kernel):
+        cluster = Cluster(n_nodes=2, seed=0)
+    env = cluster.env
+    seg = cluster.nodes[1].memory.register(64, name="seg")
+    seen = []
+
+    def waiter(env):
+        try:
+            yield from settle([
+                env.process(_failing(env, 5.0, Boom("a"))),
+                cluster.nodes[0].nic.rdma_read(1, seg.addr, seg.rkey + 1, 8),
+                env.process(_failing(env, 6.0, Boom("b")))])
+        except Interrupt:
+            seen.append(env.now)
+
+    def interrupter(env, victim):
+        yield env.timeout(0.5)
+        victim.interrupt()
+
+    victim = env.process(waiter(env))
+    env.process(interrupter(env, victim))
+    env.run()
+    assert seen == [0.5] and env.now == 6.0
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_duplicated_child_is_reported_twice(kernel):
+    with pin_kernel(kernel):
+        env = Environment()
+    boom = Boom("dup")
+
+    def waiter(env):
+        ok = env.timeout(1.0, value="x")
+        bad = env.process(_failing(env, 2.0, boom))
+        return (yield from settle([ok, bad, ok, bad]))
+
+    p = env.process(waiter(env))
+    env.run()
+    assert p.value == [(True, "x"), (False, boom)] * 2
+
+
+def test_child_of_another_environment_is_refused_before_attaching():
+    """A join over a foreign child would never fire: refused up front,
+    with nothing attached to either child."""
+    env, other = Environment(), Environment()
+    mine, foreign = env.timeout(1.0), other.timeout(1.0)
+    with pytest.raises(SimulationError, match="environments"):
+        next(settle([mine, foreign]))
+    assert mine.callbacks == [] and foreign.callbacks == []

@@ -3,7 +3,8 @@
 
 A phase's verbs are independent, so they fly together: an uncontended
 commit over k keys still issues 3k verbs, but waits three round trips,
-not 3k.  Only the 2PL lock acquires stay one at a time (DESIGN.md §13).
+not 3k, and resumes its process once per wait.  Only the 2PL lock
+acquires stay one at a time (DESIGN.md §13).
 """
 
 import gc
@@ -13,7 +14,8 @@ import pytest
 from repro.ddss import DDSS, Coherence
 from repro.dlm import NCoSEDManager
 from repro.net import Cluster
-from repro.txn import OCCTxnClient, Txn, TwoPLTxnClient
+from repro.sim import Process
+from repro.txn import OCCTxnClient, Txn, TwoPLTxnClient, base
 from repro.workloads.tpcc import balance, pack_balance
 
 
@@ -23,11 +25,11 @@ def _bump_all(keys):
         k: pack_balance(balance(v) + 1, v) for k, v in vals.items()})
 
 
-def _rig(k, variant="occ"):
+def _rig(k, variant="occ", observe=True):
     """A client on node 0 over k keys homed on nodes 1..k, metadata
     warmed (the init transactions ran through the same store)."""
     cluster = Cluster(n_nodes=k + 1, seed=0)
-    obs = cluster.observe()
+    obs = cluster.observe() if observe else None
     ddss = DDSS(cluster, segment_bytes=64 * 1024)
     store = ddss.client(cluster.nodes[0])
     if variant == "2pl":
@@ -67,6 +69,35 @@ def _commit(cluster, obs, client, keys):
     return latency, posted
 
 
+def _state(proc):
+    """Where a suspended process waits: its chain of generator frames
+    as ``(function, line)``, outermost first."""
+    frames, gen = [], proc._gen
+    while gen is not None:
+        frames.append((gen.gi_code.co_name, gen.gi_frame.f_lineno))
+        gen = gen.gi_yieldfrom
+    return tuple(frames)
+
+
+def _watch(monkeypatch, client, keys):
+    """Start the bump transaction with its process's resumes logged:
+    returns the process and ``[(instant, state)]``, one entry per
+    ``Process._resume`` call, ``state`` being :func:`_state` after the
+    resume (None once the process has returned)."""
+    log, started = [], []
+    real = Process._resume
+
+    def resume(self, event):
+        real(self, event)
+        if self is started[0]:
+            log.append((self.env.now,
+                        _state(self) if self.is_alive else None))
+
+    monkeypatch.setattr(Process, "_resume", resume)
+    started.append(client.run(_bump_all(keys)))
+    return started[0], log
+
+
 def _snapshot_round_trip(cluster, store, key):
     t0 = cluster.env.now
     cluster.env.run_until_event(store.snapshot(key), limit=1e9)
@@ -102,17 +133,63 @@ def test_2pl_acquires_in_turn_then_three_waits_then_releases_together(k):
     assert not any(client.locks.manager.holder_count(i) for i in range(k))
 
 
+@pytest.mark.parametrize("k", [1, 2, 4])
+@pytest.mark.parametrize("variant", ["occ", "2pl"])
+def test_each_wait_resumes_the_process_once(variant, k, monkeypatch):
+    """A phase's k verbs settle as one join: OCC resumes three times
+    whatever k is; 2PL adds one resume per acquire and one for the
+    release of every lock."""
+    cluster, _obs, _store, client, keys = _rig(k, variant=variant)
+    proc, log = _watch(monkeypatch, client, keys)
+    cluster.env.run_until_event(proc, limit=1e9)
+    assert proc.value.committed and proc.value.attempts == 1
+    resumes = len(log) - 1  # the first resume starts the process
+    assert resumes == (3 if variant == "occ" else k + 4)
+
+
+@pytest.mark.parametrize("variant", ["occ", "2pl"])
+def test_untraced_transactions_build_no_trace_payload(variant, monkeypatch):
+    """With ``env.obs is None`` no payload fingerprint or pad is ever
+    computed."""
+    cluster, obs, _store, client, keys = _rig(2, variant=variant,
+                                              observe=False)
+    assert obs is None and cluster.env.obs is None
+
+    def refuse(*_args):
+        raise AssertionError("trace payload built with tracing off")
+
+    monkeypatch.setattr(base, "_fingerprint", refuse)
+    monkeypatch.setattr(base.TxnClient, "_pad", refuse)
+    ev = client.run(_bump_all(keys))
+    cluster.env.run_until_event(ev, limit=1e9)
+    assert ev.value.committed
+
+
 @pytest.mark.filterwarnings("error::pytest.PytestUnraisableExceptionWarning")
 @pytest.mark.parametrize("variant", ["occ", "2pl"])
-def test_attempt_cut_off_at_the_horizon_closes_quietly(variant):
+def test_attempt_cut_off_at_the_horizon_closes_quietly(variant, monkeypatch):
     """A run that ends mid-attempt leaves a suspended generator for the
     interpreter to close, and a generator being closed must not yield:
-    no unwinding, no lock release on ``GeneratorExit``."""
-    for stop_us in range(2, 160, 4):
+    no unwinding, no lock release on ``GeneratorExit``.  A reference
+    run lists the transaction's waits; a fresh rig is cut at every
+    instant the process suspends and once inside each wait, so every
+    state it is ever suspended in is closed at least once."""
+    cluster, _obs, _store, client, keys = _rig(3, variant=variant)
+    proc, log = _watch(monkeypatch, client, keys)
+    cluster.env.run_until_event(proc, limit=1e9)
+    monkeypatch.undo()
+    waits = [(t, state, resumed)
+             for (t, state), (resumed, _) in zip(log, log[1:])]
+    cuts = sorted({cut for t, _state_, resumed in waits
+                   for cut in (t, (t + resumed) / 2)})
+    rigs, covered = [], set()
+    for cut in cuts:
         cluster, _obs, _store, client, keys = _rig(3, variant=variant)
-        ev = client.run(_bump_all(keys))
-        cluster.env.run(until=cluster.env.now + stop_us)
-        done = ev.triggered
-        del cluster, _obs, _store, client, ev
-        gc.collect()
-    assert done  # the sweep ran past the end of the transaction
+        proc = client.run(_bump_all(keys))
+        cluster.env.run(until=cut)
+        assert proc.is_alive
+        covered.add(_state(proc))
+        rigs.append(cluster)
+    assert covered == {state for _t, state, _r in waits}
+    del rigs, cluster, _obs, _store, client, proc
+    gc.collect()  # closes every cut-off attempt
