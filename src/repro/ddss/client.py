@@ -193,7 +193,7 @@ class DDSSClient:
         ev = self._proc(self._put(key, data), "ddss-put")
         obs = self.env.obs
         if obs is not None:
-            self._obs_latency(obs, "ddss.put_us", ev)
+            obs.latency(ev, "ddss.put_us", self.node.id)
         return ev
 
     def _put(self, key, data):
@@ -277,7 +277,7 @@ class DDSSClient:
         ev = self._proc(self._get(key, length), "ddss-get")
         obs = self.env.obs
         if obs is not None:
-            self._obs_latency(obs, "ddss.get_us", ev)
+            obs.latency(ev, "ddss.get_us", self.node.id)
         return ev
 
     def _get(self, key, length):
@@ -749,15 +749,6 @@ class DDSSClient:
             meta.home, meta.addr + VERSION_OFF, meta.rkey, 8)
         return int.from_bytes(blob, "big")
 
-    def _bump_version_locked(self, meta: UnitMeta):
-        """Version bump while holding the lock (no atomicity needed);
-        returns the new version."""
-        version = yield from self._read_version(meta)
-        yield self.node.nic.rdma_write(
-            meta.home, meta.addr + VERSION_OFF, meta.rkey,
-            (version + 1).to_bytes(8, "big"))
-        return version + 1
-
     def _spin_lock(self, meta: UnitMeta):
         delay, mult, cap = _BACKOFF
         while True:
@@ -809,19 +800,6 @@ class DDSSClient:
         if obs is not None:
             obs.trace.emit(etype, node=self.node.id, home=meta.home,
                            addr=meta.addr + LOCK_OFF, token=self._token)
-
-    def _obs_latency(self, obs, name: str, ev) -> None:
-        t0 = self.env.now
-        node = self.node.id
-
-        def done(e):
-            if e.ok:
-                us = self.env.now - t0
-                obs.metrics.histogram(name).observe(us)
-                obs.metrics.histogram(name, node=node).observe(us)
-
-        done._obs_passive = True
-        ev.add_callback(done)
 
     _local_version_counters: Dict[int, int]
 

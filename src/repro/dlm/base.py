@@ -162,22 +162,9 @@ class LockClient:
             obs.trace.emit("lock.request", node=self.node.id,
                            mgr=self.manager.obs_name, lock=lock_id,
                            token=self.token, mode=mode.name)
-            self._obs_acquire_latency(obs, ev)
+            obs.latency(ev, f"dlm.{self.manager.SCHEME}.acquire_us",
+                        self.node.id)
         return ev
-
-    def _obs_acquire_latency(self, obs, ev) -> None:
-        t0 = self.env.now
-        node = self.node.id
-        name = f"dlm.{self.manager.SCHEME}.acquire_us"
-
-        def done(e):
-            if e.ok:
-                us = self.env.now - t0
-                obs.metrics.histogram(name).observe(us)
-                obs.metrics.histogram(name, node=node).observe(us)
-
-        done._obs_passive = True
-        ev.add_callback(done)
 
     def release(self, lock_id: int) -> Event:
         """Release; the event fires when the hand-off has been initiated."""

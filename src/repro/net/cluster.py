@@ -83,14 +83,20 @@ class Cluster:
         return FaultInjector(self, plan, **kwargs)
 
     def observe(self, **kwargs):
-        """Install :class:`repro.obs.Observability` on the environment.
+        """Install :class:`repro.obs.Observability`; pull fabric counters.
 
         Returns the (installed) observability handle; keyword arguments
         are forwarded (``ring``, ``sanitize``, ``strict``).  Install
         before starting the workload — sanitizers build their shadow
-        models from the trace and must see it from the beginning.
+        models from the trace and must see it from the beginning.  A
+        repeat call returns the installed handle, or raises
+        :class:`ConfigError` if its arguments contradict it.
         """
         from repro.obs import Observability
-        if self.env.obs is not None:
-            return self.env.obs
-        return Observability(self.env, **kwargs).install()
+        obs = self.env.obs
+        if obs is None:
+            obs = Observability(self.env, **kwargs).install()
+            self.fabric.pull_metrics(obs.metrics)
+        elif dict(obs.options, **kwargs) != obs.options:
+            raise ConfigError(f"obs already installed with {obs.options}")
+        return obs

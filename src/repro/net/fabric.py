@@ -48,10 +48,6 @@ class Fabric:
         #: the same link on the fast kernel: the instant its chain of
         #: booked serialization windows ends (DESIGN.md §9)
         self._egress_end: Dict[int, float] = {}
-        #: cached observability counter handles, invalidated when the
-        #: installed Observability changes (string-keyed registry
-        #: lookups are too hot to repeat per transfer).
-        self._obs_cache: Optional[tuple] = None
         self.bytes_moved = 0
         self.transfers = 0
         #: installed by :class:`repro.faults.FaultInjector`; None in
@@ -75,6 +71,12 @@ class Fabric:
     @property
     def node_ids(self):
         return tuple(self._nodes)
+
+    def pull_metrics(self, metrics) -> None:
+        """Register the fabric's tallies as pulled counters of ``metrics``."""
+        metrics.pull("fabric.transfers", lambda: self.transfers)
+        metrics.pull("fabric.bytes", lambda: self.transfers,
+                     lambda: self.bytes_moved)
 
     # -- data movement ------------------------------------------------------
     def transfer(self, src_id: int, dst_id: int, nbytes: int) -> Event:
@@ -145,9 +147,6 @@ class Fabric:
         env = self.env
         self.transfers += 1
         self.bytes_moved += nbytes
-        obs = env.obs
-        if obs is not None:
-            self._obs_transfer(obs, nbytes)
         p = self.params
         injector = self.injector
         if injector is None:
@@ -198,24 +197,12 @@ class Fabric:
         a generator that holds the link :class:`Resource`."""
         self.transfers += 1
         self.bytes_moved += nbytes
-        obs = self.env.obs
-        if obs is not None:
-            self._obs_transfer(obs, nbytes)
         if src_id == dst_id:
             return self.env.timeout(self.params.local_op_us)
         return self.env.process(
             self._transfer_proc(src_id, dst_id, nbytes),
             name=(f"mcast-{src_id}" if dst_id is None
                   else f"xfer-{src_id}->{dst_id}"))
-
-    def _obs_transfer(self, obs, nbytes: int) -> None:
-        cache = self._obs_cache
-        if cache is None or cache[0] is not obs:
-            m = obs.metrics
-            cache = self._obs_cache = (
-                obs, m.counter("fabric.transfers"), m.counter("fabric.bytes"))
-        cache[1].inc()
-        cache[2].inc(nbytes)
 
     def _transfer_proc(self, src_id: int, dst_id: Optional[int],
                        nbytes: int):

@@ -81,7 +81,8 @@ class NIC:
         self.fabric = fabric
         self.params = fabric.params
         self._recv_queues: Dict[Any, Store] = {}
-        # cached observability handles (see Fabric._obs_transfer)
+        # (obs, its nic.sends@n counter) of _obs_send: a string-keyed
+        # registry lookup is too hot to repeat per send
         self._obs_send_cache = None
         # counters (exposed for benches / tests)
         self.sends = 0

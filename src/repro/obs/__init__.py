@@ -24,6 +24,7 @@ Typical use::
 from __future__ import annotations
 
 import json
+from functools import partial
 from typing import Dict, List, Optional
 
 from ..errors import ConfigError, SanitizerError
@@ -43,6 +44,7 @@ from .tracer import Tracer, trace_chunks
 
 __all__ = [
     "Observability",
+    "Probe",
     "TraceEvent",
     "TAXONOMY",
     "Tracer",
@@ -60,6 +62,14 @@ __all__ = [
     "CacheAccountingSanitizer",
     "ALL_SANITIZERS",
 ]
+
+
+class Probe(partial):
+    """A callback that observes an event without watching it: a failure
+    only probes see still surfaces, as with obs off (``_obs_passive``)."""
+
+    __slots__ = ()
+    _obs_passive = True
 
 
 class Observability:
@@ -80,11 +90,13 @@ class Observability:
     def __init__(self, env, ring: int = 65536,
                  sanitize: bool = True, strict: bool = True):
         self.env = env
+        #: what a repeat ``Cluster.observe`` must not contradict
+        self.options = dict(ring=ring, sanitize=sanitize, strict=strict)
         self.trace = Tracer(env, capacity=ring)
         self.metrics = MetricsRegistry(env)
-        #: (op, node) -> (cluster histogram, per-node histogram); avoids
-        #: two string-keyed registry lookups per verb completion.
-        self._verb_hists: Dict[tuple, tuple] = {}
+        #: (verb op or latency name, node) -> (cluster, per-node)
+        #: histogram: no registry lookup per completion
+        self._hists: Dict[tuple, tuple] = {}
         self.sanitizers: Dict[str, Sanitizer] = {}
         if sanitize:
             for cls in ALL_SANITIZERS:
@@ -98,11 +110,13 @@ class Observability:
         if self.env.obs is not None and self.env.obs is not self:
             raise ConfigError("another Observability is already installed")
         self.env.obs = self
+        self.metrics.freeze(False)
         return self
 
     def uninstall(self) -> None:
         if self.env.obs is self:
             self.env.obs = None
+            self.metrics.freeze()
 
     # -- sanitizer verdicts ---------------------------------------------
     def violations(self) -> List[dict]:
@@ -127,37 +141,44 @@ class Observability:
                 f"{len(bad)} sanitizer violation(s); first: "
                 f"[{head['sanitizer']}] t={head['t']:.3f} {head['msg']}")
 
-    # -- verb instrumentation (called from repro.net.nic) ---------------
+    # -- latency probes ------------------------------------------------
     def verb(self, nic, op: str, dst: int, nbytes: int, ev) -> None:
-        """Trace a one-sided verb and record its completion latency.
-
-        The completion probe is marked ``_obs_passive`` so it does not
-        count as a watcher of the verb process — an unobserved verb
-        failure still surfaces exactly as it does without obs installed.
-        """
+        """Trace a one-sided verb and probe its latency (``nic.<op>_us``)."""
         node = nic.node.id
-        t0 = self.env.now
         self.trace.emit("verb.issue", node=node,
                         op=op, dst=dst, nbytes=nbytes)
+        ev.add_callback(Probe(self._verb_done, node, op, dst, self.env._now))
 
-        def done(e):
-            if e.ok:
-                us = self.env.now - t0
-                self.trace.emit("verb.complete", node=node,
-                                op=op, dst=dst, us=us)
-                hists = self._verb_hists.get((op, node))
-                if hists is None:
-                    hists = self._verb_hists[(op, node)] = (
-                        self.metrics.histogram(f"nic.{op}_us"),
-                        self.metrics.histogram(f"nic.{op}_us", node=node))
-                hists[0].observe(us)
-                hists[1].observe(us)
-            else:
-                self.trace.emit("verb.fail", node=node, op=op, dst=dst)
-                self.metrics.counter("nic.verb_fails", node=node).inc()
+    def _verb_done(self, node: int, op: str, dst: int, t0: float,
+                   ev) -> None:
+        if ev._ok:
+            us = self.env._now - t0
+            self.trace.emit("verb.complete", node=node,
+                            op=op, dst=dst, us=us)
+            hists = (self._hists.get((op, node))
+                     or self._pair((op, node), f"nic.{op}_us", node))
+            hists[0].observe(us)
+            hists[1].observe(us)
+        else:
+            self.trace.emit("verb.fail", node=node, op=op, dst=dst)
+            self.metrics.counter("nic.verb_fails", node=node).inc()
 
-        done._obs_passive = True
-        ev.add_callback(done)
+    def latency(self, ev, name: str, node: int) -> None:
+        """Probe ``ev`` into histograms ``name`` and ``name@n<node>``."""
+        ev.add_callback(Probe(self._latency_done, name, node, self.env._now))
+
+    def _latency_done(self, name: str, node: int, t0: float, ev) -> None:
+        if ev._ok:
+            us = self.env._now - t0
+            hists = (self._hists.get((name, node))
+                     or self._pair((name, node), name, node))
+            hists[0].observe(us)
+            hists[1].observe(us)
+
+    def _pair(self, key: tuple, name: str, node: int) -> tuple:
+        pair = self._hists[key] = (self.metrics.histogram(name),
+                                   self.metrics.histogram(name, node=node))
+        return pair
 
     # -- export ---------------------------------------------------------
     def to_dict(self) -> dict:

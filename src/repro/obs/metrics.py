@@ -7,6 +7,9 @@ key is ``name`` or ``name@n<node>`` — so per-node and cluster-wide views
 coexist without double counting: callers pick the scope at the call
 site.
 
+A counter that would copy a tally the program keeps anyway is *pulled*
+(:meth:`MetricsRegistry.pull`): read at export, not pushed per event.
+
 :class:`LatencyHistogram` buckets observations by power of two (the
 exponent from :func:`math.frexp`), which keeps memory constant while
 giving quantiles with at-most-2x relative error.  Its ``percentile``
@@ -19,8 +22,9 @@ only in bucket rounding, never in which observation is chosen.
 from __future__ import annotations
 
 import math
-from typing import Dict, Optional
+from typing import Callable, Dict, Optional
 
+from ..errors import ConfigError
 from ..sim.trace import Tally, rank_of
 
 __all__ = ["Counter", "Gauge", "LatencyHistogram", "MetricsRegistry"]
@@ -94,7 +98,7 @@ class LatencyHistogram:
 
     # -- recording ------------------------------------------------------
     def observe(self, us: float) -> None:
-        if us < 0 or math.isnan(us):
+        if not us >= 0.0:  # negative or NaN
             raise ValueError(
                 f"invalid latency for histogram {self.name!r}: {us}")
         self.tally.add(us)
@@ -163,6 +167,10 @@ class MetricsRegistry:
         self.counters: Dict[str, Counter] = {}
         self.gauges: Dict[str, Gauge] = {}
         self.histograms: Dict[str, LatencyHistogram] = {}
+        #: key -> [count, value, c, v]: (c, v) is (count(), value()) at
+        #: registration while live, the moves since then while frozen
+        self.pulled: Dict[str, list] = {}
+        self.frozen = False
 
     # -- accessors (create on first use) --------------------------------
     def counter(self, name: str, node: Optional[int] = None) -> Counter:
@@ -187,12 +195,40 @@ class MetricsRegistry:
             h = self.histograms[k] = LatencyHistogram(k)
         return h
 
+    # -- pulled counters ------------------------------------------------
+    def pull(self, name: str, count: Callable[[], int],
+             value: Optional[Callable[[], int]] = None,
+             node: Optional[int] = None) -> None:
+        """Register a counter read from a tally: exported once ``count()``
+        has moved since now, as ``value()`` (default ``count()``) minus
+        its value now."""
+        k = _key(name, node)
+        if k in self.pulled or k in self.counters:
+            raise ConfigError(f"counter {k!r} is already registered")
+        value = value or count
+        self.pulled[k] = [count, value, count(), value()]
+
+    def freeze(self, frozen: bool = True) -> None:
+        """Stop (``False``: resume) reading the pulled counters' tallies."""
+        if frozen != self.frozen:
+            self.frozen = frozen
+            for p in self.pulled.values():
+                p[2], p[3] = p[0]() - p[2], p[1]() - p[3]
+
+    def pulled_values(self) -> Dict[str, int]:
+        """The pulled counters whose count has moved, by key."""
+        if self.frozen:
+            return {k: v for k, (_, _, c, v) in self.pulled.items() if c}
+        return {k: value() - v for k, (count, value, c, v)
+                in self.pulled.items() if count() != c}
+
     # -- export ---------------------------------------------------------
     def to_dict(self) -> Dict[str, Dict]:
         """Deterministic snapshot: sorted keys, plain JSON types only."""
+        counters = {k: c.to_dict() for k, c in self.counters.items()}
+        counters.update(self.pulled_values())
         return {
-            "counters": {k: c.to_dict()
-                         for k, c in sorted(self.counters.items())},
+            "counters": dict(sorted(counters.items())),
             "gauges": {k: g.to_dict()
                        for k, g in sorted(self.gauges.items())},
             "histograms": {k: h.to_dict()

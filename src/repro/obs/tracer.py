@@ -24,6 +24,8 @@ from .events import TraceEvent
 
 __all__ = ["Tracer", "RouteTable", "TraceSnapshot", "trace_chunks"]
 
+_new_row = tuple.__new__
+
 
 class RouteTable(dict):
     """Maps an etype to the consumers whose prefix (a ``str.startswith``
@@ -54,7 +56,8 @@ class Tracer:
     # -- emission -------------------------------------------------------
     def emit(self, etype: str, node: int = -1, **fields: Any) -> TraceEvent:
         """Record one event at the current simulated time."""
-        ev = TraceEvent(self.env.now, node, etype, fields)
+        # tuple.__new__ builds the row in C; TraceEvent.__new__ is Python
+        ev = _new_row(TraceEvent, (self.env._now, node, etype, fields))
         self.ring.append(ev)
         self.emitted += 1
         for fn in self._routes[etype]:

@@ -53,7 +53,7 @@ class Tally:
         self.max = -math.inf
 
     def add(self, x: float) -> None:
-        if math.isnan(x):
+        if x != x:  # NaN
             # A NaN observation would poison mean/variance forever and
             # make min/max comparisons silently false; refuse it here,
             # at the boundary, where the caller can still see why.

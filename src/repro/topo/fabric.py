@@ -31,6 +31,7 @@ are an *uplink tie*: the model does not order them, §9.)
 from __future__ import annotations
 
 from functools import partial
+from operator import getitem
 from typing import Dict, Optional, Tuple
 
 from repro.errors import ConfigError
@@ -85,14 +86,13 @@ class TopoFabric(Fabric):
             self._uplink, env.now)
         self.xrack_transfers = 0
         self.xrack_bytes = 0
-        self._obs_xcache: Optional[tuple] = None
+        #: the same two tallies by source rack (what its uplinks carried)
+        self.uplink_transfers = [0] * racks
+        self.uplink_bytes = [0] * racks
 
     # -- topology ---------------------------------------------------------
     def rack_of(self, node_id: int) -> int:
         return node_id // self.hosts_per_rack
-
-    def same_rack(self, a: int, b: int) -> bool:
-        return a // self.hosts_per_rack == b // self.hosts_per_rack
 
     def _up_key(self, src_id: int, dst_id: int) -> Tuple[int, int]:
         return (src_id // self.hosts_per_rack,
@@ -163,33 +163,26 @@ class TopoFabric(Fabric):
         yield self.env.timeout(self._xwire_us * factor + p.nic_rx_us)
 
     # -- accounting -------------------------------------------------------
+    def pull_metrics(self, metrics) -> None:
+        super().pull_metrics(metrics)
+        metrics.pull("topo.xrack.transfers", lambda: self.xrack_transfers)
+        metrics.pull("topo.xrack.bytes", lambda: self.xrack_transfers,
+                     lambda: self.xrack_bytes)
+        for r in range(self.racks):  # node= is the rack for topo.uplink
+            metrics.pull("topo.uplink.bytes",
+                         partial(getitem, self.uplink_transfers, r),
+                         partial(getitem, self.uplink_bytes, r), node=r)
+
     def _count_xrack(self, src_id: int, dst_id: int, nbytes: int) -> None:
         self.transfers += 1
         self.bytes_moved += nbytes
         self.xrack_transfers += 1
         self.xrack_bytes += nbytes
+        srack = src_id // self.hosts_per_rack
+        self.uplink_transfers[srack] += 1
+        self.uplink_bytes[srack] += nbytes
         obs = self.env.obs
         if obs is not None:
-            self._obs_transfer(obs, nbytes)
-            self._obs_xrack(obs, src_id, dst_id, nbytes)
-
-    def _obs_xrack(self, obs, src_id: int, dst_id: int,
-                   nbytes: int) -> None:
-        cache = self._obs_xcache
-        if cache is None or cache[0] is not obs:
-            m = obs.metrics
-            cache = self._obs_xcache = (
-                obs, m.counter("topo.xrack.transfers"),
-                m.counter("topo.xrack.bytes"), {})
-        cache[1].inc()
-        cache[2].inc(nbytes)
-        srack = src_id // self.hosts_per_rack
-        per_rack = cache[3].get(srack)
-        if per_rack is None:
-            # node= carries the *rack* index for topo.uplink metrics
-            per_rack = cache[3][srack] = obs.metrics.counter(
-                "topo.uplink.bytes", node=srack)
-        per_rack.inc(nbytes)
-        obs.trace.emit("topo.xrack", node=src_id, dst=dst_id,
-                       srack=srack, drack=dst_id // self.hosts_per_rack,
-                       nbytes=nbytes)
+            obs.trace.emit("topo.xrack", node=src_id, dst=dst_id,
+                           srack=srack, drack=dst_id // self.hosts_per_rack,
+                           nbytes=nbytes)

@@ -202,22 +202,10 @@ class RpcChannel:
                 name="rpc-call")
         obs = self.env.obs
         if obs is not None:
-            self._obs_call(obs, ev)
+            node = self.conn.node.id
+            obs.metrics.counter("rpc.calls", node=node).inc()
+            obs.latency(ev, "rpc.call_us", node)
         return ev
-
-    def _obs_call(self, obs, ev) -> None:
-        node = self.conn.node.id
-        obs.metrics.counter("rpc.calls", node=node).inc()
-        t0 = self.env.now
-
-        def done(e):
-            if e.ok:
-                us = self.env.now - t0
-                obs.metrics.histogram("rpc.call_us").observe(us)
-                obs.metrics.histogram("rpc.call_us", node=node).observe(us)
-
-        done._obs_passive = True
-        ev.add_callback(done)
 
     def _call_proc(self, payload, size):
         yield self.conn.send(payload, size=size)

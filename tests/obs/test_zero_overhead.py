@@ -146,3 +146,7 @@ class TestZeroOverheadWhenOff:
         p = cluster.env.process(app(cluster.env))
         cluster.env.run_until_event(p, limit=1e9)
         assert obs.trace.emitted == 0
+        # pulled counters stop at uninstall too: the transfers happened,
+        # yet no fabric.* counter moved
+        assert cluster.fabric.transfers == 2
+        assert obs.metrics.to_dict()["counters"] == {}

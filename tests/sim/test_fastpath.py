@@ -363,9 +363,41 @@ def test_unwatched_fast_verb_crash_surfaces(monkeypatch):
     from repro.net import Cluster
 
     monkeypatch.setenv("REPRO_SLOW_KERNEL", "0")
-    cluster = Cluster(n_nodes=2, seed=0)
-    cluster.nodes[0].nic.rdma_write(1, 0xDEAD, 1, b"oops")
-    with pytest.raises(ProtectionError):
+    for observe in (False, True):  # an obs Probe is not a watcher
+        cluster = Cluster(n_nodes=2, seed=0)
+        if observe:
+            cluster.observe()
+        cluster.nodes[0].nic.rdma_write(1, 0xDEAD, 1, b"oops")
+        with pytest.raises(ProtectionError):
+            cluster.env.run()
+
+
+@pytest.mark.parametrize("kernel", ["fast", "slow"])
+def test_unwatched_failing_acquire_and_get_surface_under_obs(kernel):
+    """``obs.latency`` probes an acquire / a get process without
+    watching it: a failure nobody yields still crashes the run."""
+    from repro.ddss import DDSS
+    from repro.dlm import NCoSEDManager
+    from repro.errors import DDSSError, NodeDownError
+    from repro.faults import FaultPlan
+    from repro.net import Cluster
+    from repro.sim import pin_kernel
+
+    with pin_kernel(kernel):
+        cluster = Cluster(n_nodes=3, seed=0)
+    cluster.observe()
+    cluster.install_faults(FaultPlan().crash(0, at=0.0))
+    lock_home_down = NCoSEDManager(cluster, n_locks=1).client(
+        cluster.nodes[1]).acquire(0)
+    with pytest.raises(NodeDownError):
+        cluster.env.run()
+    assert not lock_home_down.ok
+
+    with pin_kernel(kernel):
+        cluster = Cluster(n_nodes=3, seed=0)
+    cluster.observe()
+    DDSS(cluster, segment_bytes=4096).client(cluster.nodes[1]).get(12345)
+    with pytest.raises(DDSSError):
         cluster.env.run()
 
 
