@@ -16,9 +16,10 @@ from repro.apps.storm import StormEngine
 from repro.bench.harness import BenchTable, improvement_pct
 from repro.datacenter import DataCenter
 from repro.ddss import DDSS, Coherence
-from repro.dlm import (DQNLManager, LockMode, NCoSEDManager, SRSLManager,
-                       cascade_latency)
-from repro.dlm.tournament import SCHEMES as LOCK_SCHEMES, lock_tournament
+from repro.dlm import (DESIGNS, DQNLManager, LockMode, NCoSEDManager,
+                       SRSLManager, cascade_latency)
+from repro.dlm.ft import EpochFencedManager
+from repro.dlm.tournament import lock_tournament
 from repro.monitor.experiments import accuracy_trace, lb_throughput
 from repro.net import Cluster, NetworkParams
 from repro.reconfig import burst_recovery_time
@@ -439,8 +440,6 @@ def check_integrated(table):
 
 # -- beyond the paper: lock arena, rack/spine fabric, OCC vs 2PL
 
-LOCK_DESIGNS = {"srsl": "SRSL", "dqnl": "DQNL", "ncosed": "N-CoSED",
-                "mcs": "MCS", "alock": "ALock"}
 CRASH_LEVEL = 256
 ARENA_ROUNDS = 6
 
@@ -469,7 +468,7 @@ def build_lock_arena():
     for n_clients, chaos in cells:
         offered = n_clients * ARENA_ROUNDS
         row_stats = []
-        for scheme in LOCK_SCHEMES:
+        for scheme in DESIGNS:
             stats = lock_tournament(scheme, n_clients=n_clients, alpha=1.2,
                                     chaos=chaos, seed=0,
                                     rounds=ARENA_ROUNDS)
@@ -479,7 +478,7 @@ def build_lock_arena():
         winner = (max(finished, key=lambda c: c[1]["ops_per_s"])[0]
                   if chaos == "none" and finished else None)
         for scheme, stats, complete in row_stats:
-            table.add(n_clients, chaos, LOCK_DESIGNS[scheme],
+            table.add(n_clients, chaos, DESIGNS[scheme].label,
                       f"{stats['grants']}/{offered}", stats["failures"],
                       _rate(stats["ops_per_s"], complete),
                       round(float(stats["p99_wait_us"]), 1),
@@ -497,13 +496,16 @@ def check_lock_arena(table):
 
     # the lease-fenced designs recover the crashed holders' locks; SRSL's
     # clients wait on a dead server for good
-    for design in ("N-CoSED", "MCS", "ALock"):
-        assert grants(design) > grants("SRSL"), design
+    fenced = [d.label for d in DESIGNS.values()
+              if issubclass(d.manager, EpochFencedManager)]
+    assert len(fenced) == 3
+    for design in fenced:
+        assert grants(design) > grants(DESIGNS["srsl"].label), design
     # the N-CoSED herd on the hot word: the slowest design at 1024
     # clients, its 95th-percentile grant the last to land
-    slowest = max(LOCK_DESIGNS.values(),
+    slowest = max((d.label for d in DESIGNS.values()),
                   key=lambda d: cells[(1024, "none", d)][8])
-    assert slowest == "N-CoSED"
+    assert slowest == DESIGNS["ncosed"].label
 
 
 def build_topology():

@@ -25,6 +25,7 @@ import copy
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.chaos.space import schedule_key
+from repro.errors import ConfigError
 
 __all__ = ["find_failing", "schedule_fails", "shrink_schedule"]
 
@@ -68,6 +69,10 @@ def shrink_schedule(scenario: str, schedule: Sequence[dict], seed: int, *,
     from repro.scenarios import lookup
 
     lookup(scenario)  # validate name before burning probes
+    if max_probes < 1:
+        # with no probe the original cannot be shown to fail, and a
+        # "does not fail" report would be a lie
+        raise ConfigError(f"max_probes must be >= 1, got {max_probes}")
     probes = 0
 
     def fails(candidate: Sequence[dict]) -> bool:

@@ -46,22 +46,20 @@ def _write_json(path: str, doc) -> None:
     print(f"wrote {path}")
 
 
-def _list_scenarios(describe=False, chaos_only=False) -> int:
+def _list_scenarios(chaos=False) -> int:
+    """Print the scenario names; with ``chaos``, describe the rows that
+    take a fault schedule."""
     from repro.scenarios import SCENARIOS
 
     for name in sorted(SCENARIOS):
         sc = SCENARIOS[name]
-        if chaos_only and sc.horizon_us is None:
-            continue
-        if not describe:
+        if not chaos:
             print(name)
-            continue
-        space = ""
-        if sc.horizon_us is not None:
+        elif sc.horizon_us is not None:
             clean = "clean" if sc.expect_clean else "SEEDED BUG"
-            space = f" horizon={sc.horizon_us:.0f}us [{clean}]"
-        print(f"  {name:14s} n_nodes={sc.n_nodes}{space}")
-        print(f"  {'':14s} {sc.description}")
+            print(f"  {name:14s} n_nodes={sc.n_nodes} "
+                  f"horizon={sc.horizon_us:.0f}us [{clean}]")
+            print(f"  {'':14s} {sc.description}")
     return 0
 
 
@@ -92,19 +90,6 @@ def _print_record(r: dict) -> int:
               f"{rep['original_events']} events "
               f"({rep['probes']} probes)")
     return 0 if r["verdict"] == "ok" else 1
-
-
-def _run_one(args, scenario) -> int:
-    """``repro txn|topo run``: one judged run, printed, optionally
-    written, exit code from its verdict."""
-    from repro.scenarios import judged_run
-
-    record, _obs = judged_run(scenario, args.seed, args.n_nodes,
-                              args.kernel)
-    rc = _print_record(record)
-    if args.json:
-        _write_json(args.json, record)
-    return rc
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +261,7 @@ def _chaos_main(args) -> int:
     from repro.scenarios import lookup, run_schedule
 
     if args.action == "list":
-        return _list_scenarios(describe=True, chaos_only=True)
+        return _list_scenarios(chaos=True)
 
     if args.action == "report":
         if not args.names:
@@ -440,48 +425,15 @@ def _lab_main(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# txn subcommand (multi-key transactions: OCC vs 2PL)
-# ---------------------------------------------------------------------------
-
-def _txn_main(args) -> int:
-    from dataclasses import replace
-    from functools import partial
-
-    from repro.scenarios import lookup
-
-    sc = lookup(f"txn-{args.variant}")
-    return _run_one(args, replace(
-        sc, build=partial(sc.build, n_keys=args.n_keys)))
-
-
-# ---------------------------------------------------------------------------
-# topo subcommand (rack/spine fabric + sharded namespaces)
-# ---------------------------------------------------------------------------
-
-def _topo_main(args) -> int:
-    if args.action == "ls":
-        return _list_scenarios(describe=True)
-    return _run_one(args, args.scenario)
-
-
-# ---------------------------------------------------------------------------
 # lock-arena subcommand
 # ---------------------------------------------------------------------------
 
-#: scheme -> one-line description for ``repro locks ls``
-_LOCK_SCHEMES = {
-    "srsl": "server-based send/recv locking (two-sided baseline)",
-    "dqnl": "distributed queue via one-sided CAS (exclusive only)",
-    "ncosed": "paper's combined shared/exclusive one-sided design",
-    "mcs": "RDMA-MCS queue lock: per-client queue node, epoch-fenced",
-    "alock": "asymmetric cohort lock: local pass-off + tournament word",
-}
-
-
 def _locks_main(args) -> int:
     if args.action == "ls":
-        for name, desc in _LOCK_SCHEMES.items():
-            print(f"{name:8s} {desc}")
+        from repro.dlm import DESIGNS
+
+        for name, design in DESIGNS.items():
+            print(f"{name:8s} {design.description}")
         print("chaos modes: none | crash "
               "(two crashes, lease-fenced schemes reclaim)")
         return 0
@@ -524,11 +476,21 @@ def _nonneg_int(text: str) -> int:
     return int(text)
 
 
+def _pos_int(text: str) -> int:
+    value = _nonneg_int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected a positive integer, got {text!r}")
+    return value
+
+
 def _int_list(text: str) -> List[int]:
     return [_nonneg_int(part) for part in text.split(",")]
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from repro.dlm import DESIGNS
+
     def flag(*names, **kw):
         """A parent parser carrying one flag several commands repeat.
         Children share its Action, so a per-command default needs its
@@ -599,11 +561,11 @@ def build_parser() -> argparse.ArgumentParser:
                         help="scenario names for run/replay/shrink "
                              "(run default: locks ddss-repl); verdict "
                              "JSON path for report")
-    chaosp.add_argument("--schedules", type=int, default=10,
+    chaosp.add_argument("--schedules", type=_pos_int, default=10,
                         help="schedules per scenario per kernel "
                              "(run), or samples scanned for a failure "
                              "(shrink without --index)")
-    chaosp.add_argument("--index", type=int, default=None,
+    chaosp.add_argument("--index", type=_nonneg_int, default=None,
                         help="replay/shrink this sampled schedule index")
     chaosp.add_argument("--schedule", metavar="PATH", default=None,
                         help="replay/shrink a schedule from this JSON "
@@ -611,35 +573,14 @@ def build_parser() -> argparse.ArgumentParser:
                              "report)")
     chaosp.add_argument("--store", metavar="DIR", default=None,
                         help="run: resumable lab result store directory")
-    chaosp.add_argument("--max-probes", type=int, default=64,
+    chaosp.add_argument("--max-probes", type=_pos_int, default=64,
                         help="shrink: probe budget (default 64)")
-    txnp = sub.add_parser(
-        "txn", parents=[seed, kernel, json_out],
-        help="multi-key transactions over DDSS: run a workload under "
-             "the oracle")
-    txnp.add_argument("action", choices=["run"])
-    txnp.add_argument("--variant", choices=["occ", "2pl", "mixed"],
-                      default="occ",
-                      help="concurrency control (default: occ)")
-    txnp.add_argument("--n-nodes", type=int, default=4)
-    txnp.add_argument("--n-keys", type=int, default=4,
-                      help="account/stock pool size (fewer = hotter)")
-    topop = sub.add_parser(
-        "topo", parents=[seed, kernel, json_out],
-        help="rack/spine topology + sharded namespaces: run the "
-             "packaged scale-out scenario under the oracles")
-    topop.add_argument("action", choices=["ls", "run"])
-    topop.add_argument("scenario", nargs="?", default="lab",
-                       help="scenario for 'run' (default: lab)")
-    topop.add_argument("--n-nodes", type=int, default=None,
-                       help="run: cluster size (default: the "
-                            "scenario's own)")
     locksp = sub.add_parser(
         "locks", parents=[seed, kernel, json_out],
         help="lock-design arena: run one oracle-checked tournament cell")
     locksp.add_argument("action", choices=["ls", "run"])
     locksp.add_argument("scheme", nargs="?", default="ncosed",
-                        choices=sorted(_LOCK_SCHEMES),
+                        choices=list(DESIGNS),
                         help="scheme for 'run' (default: ncosed)")
     locksp.add_argument("--clients", type=int, default=64,
                         help="run: contending clients (default 64)")
@@ -681,8 +622,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 _COMMANDS = {
     "list": _list_main, "run": _run_main, "obs": _obs_main,
-    "check": _check_main, "chaos": _chaos_main, "txn": _txn_main,
-    "topo": _topo_main, "locks": _locks_main, "lab": _lab_main,
+    "check": _check_main, "chaos": _chaos_main, "locks": _locks_main,
+    "lab": _lab_main,
 }
 
 

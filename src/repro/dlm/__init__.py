@@ -32,12 +32,15 @@ code runs with the epoch pinned at 0):
 
 All managers expose ``client(node)`` returning a
 :class:`~repro.dlm.base.LockClient` with ``acquire(lock_id, mode)`` /
-``release(lock_id)`` returning simulation events.
+``release(lock_id)`` returning simulation events.  :data:`DESIGNS`
+names the five once, for the arena, its figure and ``repro locks``.
 """
+
+from typing import NamedTuple, Type
 
 from repro.dlm.alock import ALockManager
 from repro.dlm.base import LockClient, LockManagerBase, LockMode
-from repro.dlm.bench import cascade_latency, uncontended_latency
+from repro.dlm.bench import cascade_latency
 from repro.dlm.dqnl import DQNLManager
 from repro.dlm.mcs import MCSManager
 from repro.dlm.ncosed import NCoSEDManager
@@ -45,7 +48,9 @@ from repro.dlm.srsl import SRSLManager
 
 __all__ = [
     "ALockManager",
+    "DESIGNS",
     "DQNLManager",
+    "Design",
     "LockClient",
     "LockManagerBase",
     "LockMode",
@@ -53,5 +58,28 @@ __all__ = [
     "NCoSEDManager",
     "SRSLManager",
     "cascade_latency",
-    "uncontended_latency",
 ]
+
+
+class Design(NamedTuple):
+    """One lock design: its manager, its label in the figures and its
+    one-line description."""
+
+    manager: Type[LockManagerBase]
+    label: str
+    description: str
+
+
+#: the lock designs in arena order, keyed by their ``SCHEME`` name
+DESIGNS = {d.manager.SCHEME: d for d in (
+    Design(SRSLManager, "SRSL",
+           "server-based send/recv locking (two-sided baseline)"),
+    Design(DQNLManager, "DQNL",
+           "distributed queue via one-sided CAS (exclusive only)"),
+    Design(NCoSEDManager, "N-CoSED",
+           "paper's combined shared/exclusive one-sided design"),
+    Design(MCSManager, "MCS",
+           "RDMA-MCS queue lock: per-client queue node, epoch-fenced"),
+    Design(ALockManager, "ALock",
+           "asymmetric cohort lock: local pass-off + tournament word"),
+)}

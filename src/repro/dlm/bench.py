@@ -18,7 +18,7 @@ names the scheme and the stuck waiters instead of crashing on an empty
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Type
+from typing import Dict, Optional, Type
 
 from repro.errors import LockError
 from repro.net.cluster import Cluster
@@ -27,7 +27,7 @@ from repro.sim import AnyOf
 
 from repro.dlm.base import LockManagerBase, LockMode
 
-__all__ = ["cascade_latency", "uncontended_latency"]
+__all__ = ["cascade_latency"]
 
 #: settle time (µs) for all waiters to be enqueued before the release
 _SETTLE_US = 5_000.0
@@ -104,34 +104,3 @@ def cascade_latency(scheme_cls: Type[LockManagerBase], n_waiters: int,
     timings["scheme"] = scheme_cls.SCHEME
     return timings
 
-
-def uncontended_latency(scheme_cls: Type[LockManagerBase],
-                        mode: LockMode = LockMode.EXCLUSIVE,
-                        seed: int = 0, n_iters: int = 20,
-                        quiesce_us: float = 100.0) -> float:
-    """Mean acquire+release latency with no contention (µs).
-
-    Each iteration is timed with its own timestamps around the
-    acquire+release pair; the inter-iteration quiesce (which lets
-    fire-and-forget hand-offs drain) sits entirely outside the measured
-    span, so its length never leaks into the reported latency.
-    """
-    cluster = Cluster(n_nodes=2, params=NetworkParams.infiniband(),
-                      seed=seed)
-    manager = scheme_cls(cluster, n_locks=1)
-    client = manager.client(cluster.nodes[1])
-    samples: List[float] = []
-
-    def main(env):
-        for _ in range(n_iters):
-            t0 = env.now
-            yield client.acquire(0, mode)
-            yield client.release(0)
-            samples.append(env.now - t0)
-            # let fire-and-forget hand-offs quiesce (unmeasured)
-            yield env.timeout(quiesce_us)
-        return sum(samples) / n_iters
-
-    done = cluster.env.process(main(cluster.env))
-    cluster.env.run_until_event(done)
-    return done.value

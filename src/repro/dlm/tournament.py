@@ -4,17 +4,16 @@ One tournament cell runs ``n_clients`` contending clients against one
 lock scheme: each client loops picking a lock from a Zipf distribution
 (``alpha`` skew — the contention knob: at high alpha everyone piles
 onto lock 0), holds it briefly, releases, thinks, repeats.  The run is
-observed end to end; afterwards the full trace is replayed through the
-extended :class:`~repro.verify.locks.LockOracle` (plus the live
-sanitizers) and the :class:`~repro.obs.FairnessTracker` summary is
-folded into the stats, so every reported number comes from a run whose
-mutual-exclusion / FIFO / cohort / queue-order / epoch invariants were
-machine-checked.
+observed end to end; afterwards the :class:`~repro.obs.FairnessTracker`
+summary is folded into the stats and the full trace is judged by
+:func:`repro.verify.judge` (every oracle, the live sanitizers), so every
+reported number comes from a run whose mutual-exclusion / FIFO / cohort
+/ queue-order / epoch invariants were machine-checked.
 
-``chaos="crash"`` adds the standard two-crash fault plan (one node
-restarts, one stays dead) and switches the lease-fenced schemes
-(N-CoSED, MCS, ALock) into fault-tolerant mode; SRSL and DQNL run the
-same workload and simply eat the failures.
+The designs are :data:`repro.dlm.DESIGNS`.  ``chaos="crash"`` adds the
+standard two-crash fault plan (one node restarts, one stays dead) and
+gives the epoch-fenced designs (N-CoSED, MCS, ALock) a lease; SRSL and
+DQNL run the same workload and simply eat the failures.
 
 Deterministic: same arguments, same seed => identical stats dict.
 """
@@ -28,13 +27,14 @@ from repro.errors import ConfigError, FaultError, LockError, RdmaError
 from repro.net.cluster import Cluster
 from repro.net.params import NetworkParams
 from repro.obs import FairnessTracker
-from repro.verify.locks import LockOracle
-from repro.verify.trace import TraceView, replay_fresh
+from repro.verify import TraceView, judge
 from repro.workloads.zipf import ZipfGenerator
 
+from repro.dlm import DESIGNS
 from repro.dlm.base import LockMode
+from repro.dlm.ft import EpochFencedManager
 
-__all__ = ["SCHEMES", "lock_tournament", "rate_at_quantile"]
+__all__ = ["lock_tournament", "rate_at_quantile"]
 
 #: lease for the fault-tolerant schemes under chaos (µs)
 _CHAOS_LEASE_US = 600.0
@@ -45,29 +45,6 @@ _CHAOS_LEASE_US = 600.0
 _CRASH_A_US = 3_000.0
 _RESTART_US = 8_000.0
 _CRASH_B_US = 5_000.0
-
-
-def _make_manager(scheme: str, cluster: Cluster, n_locks: int,
-                  chaos: str):
-    """Build a manager; lease-fenced schemes get a lease under chaos."""
-    from repro.dlm import (ALockManager, DQNLManager, MCSManager,
-                          NCoSEDManager, SRSLManager)
-    ft_kw = ({"lease_us": _CHAOS_LEASE_US} if chaos != "none" else {})
-    if scheme == "srsl":
-        return SRSLManager(cluster, n_locks=n_locks)
-    if scheme == "dqnl":
-        return DQNLManager(cluster, n_locks=n_locks)
-    if scheme == "ncosed":
-        return NCoSEDManager(cluster, n_locks=n_locks, **ft_kw)
-    if scheme == "mcs":
-        return MCSManager(cluster, n_locks=n_locks, **ft_kw)
-    if scheme == "alock":
-        return ALockManager(cluster, n_locks=n_locks, **ft_kw)
-    raise LockError(f"unknown scheme {scheme!r}; "
-                    f"available: {', '.join(SCHEMES)}")
-
-
-SCHEMES = ("srsl", "dqnl", "ncosed", "mcs", "alock")
 
 
 def rate_at_quantile(grant_times_us: Sequence[float], q: float = 0.95
@@ -91,13 +68,16 @@ def lock_tournament(scheme: str, n_clients: int = 256,
                     ) -> Dict[str, object]:
     """Run one tournament cell; returns a flat, JSON-able stats dict.
 
-    Raises :class:`LockError` if the replayed trace has any oracle or
+    Raises :class:`LockError` if the judged trace has any oracle or
     sanitizer violation — a tournament number from an unsafe run is
     worse than no number.  ``verdict`` is ``vacuous`` for a cell that
     granted nothing: the oracle then judged an empty history.
     """
     if n_clients < 1:
         raise ConfigError(f"n_clients must be >= 1, got {n_clients}")
+    if scheme not in DESIGNS:
+        raise LockError(f"unknown scheme {scheme!r}; "
+                        f"available: {', '.join(DESIGNS)}")
     if chaos not in ("none", "crash"):
         raise LockError(f"unknown chaos mode {chaos!r} (none|crash)")
     cluster = Cluster(n_nodes=n_nodes,
@@ -113,7 +93,10 @@ def lock_tournament(scheme: str, n_clients: int = 256,
             FaultPlan()
             .crash(crash_a, at=_CRASH_A_US, restart_at=_RESTART_US)
             .crash(crash_b, at=_CRASH_B_US))
-    manager = _make_manager(scheme, cluster, n_locks, chaos)
+    manager_cls = DESIGNS[scheme].manager
+    fenced = chaos != "none" and issubclass(manager_cls, EpochFencedManager)
+    manager = manager_cls(cluster, n_locks=n_locks,
+                          **({"lease_us": _CHAOS_LEASE_US} if fenced else {}))
     env = cluster.env
     zipf = ZipfGenerator(n_locks, alpha, cluster.rng.get("locks-arena"))
     rng = cluster.rng.get("locks-arena-times")
@@ -157,20 +140,10 @@ def lock_tournament(scheme: str, n_clients: int = 256,
             name=f"arena-{i}")
     env.run(until=horizon_us)
 
-    view = TraceView.from_obs(obs).require_complete()
-    _oracles, violations = replay_fresh(view, [LockOracle])
-    sanitizer_violations = obs.violations()
-    n_viol = len(violations) + len(sanitizer_violations)
-    if n_viol:
-        first = (violations or sanitizer_violations)[0]
-        raise LockError(
-            f"tournament run {scheme}/{n_clients}c/a{alpha}/{chaos} is "
-            f"UNSAFE: {n_viol} violation(s); first: {first}")
-
     fsum = fairness.finish().get(manager.obs_name, {})
     makespan_us = grant_times[-1] if grant_times else env.now
     t95_us, ops_per_s_t95 = rate_at_quantile(grant_times)
-    return {
+    stats = {
         "scheme": scheme,
         "n_clients": n_clients,
         "alpha": alpha,
@@ -190,8 +163,15 @@ def lock_tournament(scheme: str, n_clients: int = 256,
         "mean_wait_us": fsum.get("mean_wait_us", 0.0),
         "p99_wait_us": fsum.get("p99_wait_us", 0.0),
         "max_chain": fsum.get("max_chain", 0),
-        "violations": n_viol,
-        "events": len(view),
         "sim_now_us": env.now,
-        "verdict": "ok" if grant_times else "vacuous",
     }
+    record = judge(TraceView.from_obs(obs).require_complete(),
+                   obs.violations(), stats, "locks")
+    if record["verdict"] == "violation":
+        raise LockError(
+            f"tournament run {scheme}/{n_clients}c/a{alpha}/{chaos} is "
+            f"UNSAFE: {record['violations']} violation(s); first: "
+            f"{record['violation_msgs'][0]}")
+    stats.update(violations=record["violations"], events=record["events"],
+                 verdict=record["verdict"] if grant_times else "vacuous")
+    return stats

@@ -59,10 +59,10 @@ class Service:
             return
         node = self.nodes[next(self._rr) % len(self.nodes)]
         self.submitted += 1
-        self.env.process(self._run_one(node, work_us),
+        self.env.process(self._serve(node, work_us),
                          name=f"svc-{self.name}@{node.name}")
 
-    def _run_one(self, node: Node, work_us: float):
+    def _serve(self, node: Node, work_us: float):
         arrived_at = self.env.now
         yield node.cpu.run(work_us, name=f"svc-{self.name}")
         self.completed += 1

@@ -12,7 +12,7 @@ observability, replay the full trace through every oracle
     sanitizers[], violations, violation_msgs[:4], stats{},
     verdict  (violation > vacuous > ok)
 
-``repro obs|check|chaos|txn|topo run`` and the lab sweeps
+``repro obs|check|chaos run`` and the lab sweeps
 (:func:`repro.verify.metamorphic_sweep`,
 :func:`repro.chaos.run_campaign`) are callers that add their own keys
 (``repro`` reproducer, ``schedule``/``faults``/``fence``/``index``).

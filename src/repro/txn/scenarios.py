@@ -10,7 +10,7 @@ account-sum conservation check).
 Entry points layered on top:
 
 * the ``txn-occ`` / ``txn-2pl`` / ``txn-mixed`` rows of
-  :data:`repro.scenarios.SCENARIOS` (also behind ``repro txn run``).
+  :data:`repro.scenarios.SCENARIOS` (``repro check run txn-occ``).
 * :func:`txn_bench` — one cell of the ``txn-contention`` figure
   (:data:`repro.bench.figures.FIGURES`): commit throughput and abort
   rate at one contention × variant.

@@ -7,6 +7,8 @@ paper sweeps alpha over {0.9, 0.75, 0.5, 0.25} in Fig. 8b).
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.errors import ConfigError
@@ -18,8 +20,9 @@ def zipf_pmf(n_docs: int, alpha: float) -> np.ndarray:
     """Probability mass over ranks 1..n (returned as array index 0..n-1)."""
     if n_docs <= 0:
         raise ConfigError("need at least one document")
-    if alpha < 0:
-        raise ConfigError("alpha must be non-negative")
+    if not 0 <= alpha < math.inf:  # NaN fails every comparison
+        raise ConfigError(f"alpha must be finite and non-negative, "
+                          f"got {alpha}")
     weights = 1.0 / np.arange(1, n_docs + 1, dtype=np.float64) ** alpha
     return weights / weights.sum()
 

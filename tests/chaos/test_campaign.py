@@ -4,9 +4,12 @@
 import json
 import os
 
+import pytest
+
 from repro.chaos import (find_failing, run_campaign, schedule_fails,
                          shrink_schedule)
 from repro.cli import main
+from repro.errors import ConfigError
 from repro.scenarios import lab_run
 
 # seed 2 of locks-nofence fails at index 3 with a single-fault schedule
@@ -53,9 +56,6 @@ class TestCampaign:
         assert any("split-brain" in m for f in hits for m in f["msgs"])
 
     def test_unknown_scenario_fails_fast(self):
-        import pytest
-
-        from repro.errors import ConfigError
         with pytest.raises(ConfigError, match="nope"):
             run_campaign(scenarios=("nope",), seed=0, n_schedules=1)
 
@@ -78,6 +78,14 @@ class TestShrink:
     def test_passing_schedule_reports_not_failed(self):
         rep = shrink_schedule("locks", [], 0)  # no faults: clean run
         assert rep["failed"] is False
+
+    @pytest.mark.parametrize("max_probes", [0, -1])
+    def test_no_probe_budget_is_a_config_error(self, max_probes):
+        # zero probes cannot show the schedule fails, so the report
+        # would wrongly say it passes
+        with pytest.raises(ConfigError, match="max_probes"):
+            shrink_schedule("locks-nofence", [], BUG_SEED,
+                            max_probes=max_probes)
 
 
 class TestChaosCli:

@@ -1,23 +1,17 @@
-"""Regression tests for the lock-benchmark harness bugfixes.
+"""Regression tests for the lock-benchmark harness bugfix.
 
-Two historical bugs in :mod:`repro.dlm.bench`:
-
-* ``cascade_latency`` crashed on an empty ``max()`` when a scheme
-  wedged before granting *any* waiter, and silently reported a partial
-  cascade when only *some* waiters were granted.  It must now raise a
-  :class:`LockError` naming the scheme and the stuck waiter tokens,
-  and report ``n_granted`` on success.
-* ``uncontended_latency`` timed the whole loop (including the
-  inter-iteration quiesce) with a single pair of timestamps, so the
-  quiesce length leaked straight into the reported "latency".  Each
-  iteration now carries its own timestamps.
+:func:`repro.dlm.bench.cascade_latency` crashed on an empty ``max()``
+when a scheme wedged before granting *any* waiter, and silently
+reported a partial cascade when only *some* waiters were granted.  It
+must now raise a :class:`LockError` naming the scheme and the stuck
+waiter tokens, and report ``n_granted`` on success.
 """
 
 import pytest
 
 from repro.dlm import DQNLManager, LockMode, NCoSEDManager, SRSLManager
 from repro.dlm.base import LockClient, LockManagerBase
-from repro.dlm.bench import cascade_latency, uncontended_latency
+from repro.dlm.bench import cascade_latency
 from repro.errors import LockError
 
 
@@ -107,14 +101,3 @@ class TestCascadeWedgeDiagnostics:
         assert timings["cascade_us"] > 0
         assert len(timings["grant_times"]) == 4
 
-
-class TestUncontendedPerIterationTiming:
-    @pytest.mark.parametrize("scheme_cls",
-                             [SRSLManager, DQNLManager, NCoSEDManager])
-    def test_quiesce_does_not_leak_into_latency(self, scheme_cls):
-        # the old single-timestamp loop reported ~quiesce_us per iter;
-        # with per-iteration timestamps the result is quiesce-invariant
-        short = uncontended_latency(scheme_cls, quiesce_us=100.0)
-        long = uncontended_latency(scheme_cls, quiesce_us=400.0)
-        assert short == pytest.approx(long)
-        assert short < 100.0  # a handful of RTTs, nowhere near quiesce

@@ -20,14 +20,33 @@ import numpy as np
 import pytest
 
 from repro.dlm import (ALockManager, LockMode, MCSManager, NCoSEDManager,
-                       cascade_latency, uncontended_latency)
+                       cascade_latency)
 from repro.dlm.tournament import lock_tournament
 from repro.errors import ReproError
 from repro.faults import FaultPlan
-from repro.net import Cluster
+from repro.net import Cluster, NetworkParams
 from repro.verify import LockOracle
 from repro.verify.trace import TraceView, replay_fresh
 from repro.workloads import ZipfGenerator
+
+
+def uncontended_latency(scheme_cls, mode, n_iters=20, quiesce_us=100.0):
+    """Mean acquire+release latency of a free lock (µs): each round is
+    timed on its own, then quiesces so fire-and-forget hand-offs drain."""
+    cluster = Cluster(n_nodes=2, params=NetworkParams.infiniband(), seed=0)
+    client = scheme_cls(cluster, n_locks=1).client(cluster.nodes[1])
+    samples = []
+
+    def main(env):
+        for _ in range(n_iters):
+            t0 = env.now
+            yield client.acquire(0, mode)
+            yield client.release(0)
+            samples.append(env.now - t0)
+            yield env.timeout(quiesce_us)
+
+    cluster.env.run_until_event(cluster.env.process(main(cluster.env)))
+    return sum(samples) / n_iters
 
 
 class LeasedNCoSED(NCoSEDManager):

@@ -5,13 +5,13 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.dlm.tournament import (SCHEMES, lock_tournament,
-                                   rate_at_quantile)
+from repro.dlm import DESIGNS
+from repro.dlm.tournament import lock_tournament, rate_at_quantile
 from repro.errors import ConfigError, LockError
 
 
 class TestTournament:
-    @pytest.mark.parametrize("scheme", SCHEMES)
+    @pytest.mark.parametrize("scheme", DESIGNS)
     def test_cell_is_oracle_clean(self, scheme):
         stats = lock_tournament(scheme, n_clients=16, alpha=1.0,
                                 seed=0, rounds=3)
@@ -45,6 +45,17 @@ class TestTournament:
             lock_tournament("zk", n_clients=4)
         with pytest.raises(LockError):
             lock_tournament("srsl", n_clients=4, chaos="flood")
+
+    def test_a_judged_finding_fails_the_cell(self, monkeypatch):
+        # the cell is judged by repro.verify.judge: a sanitizer finding
+        # it folds in is a violation, and no stats come back
+        from repro.obs import Observability
+
+        monkeypatch.setattr(Observability, "violations", lambda self: [
+            {"sanitizer": "planted", "t": 1.0, "msg": "two holders"}])
+        with pytest.raises(LockError, match=r"UNSAFE: 1 violation\(s\); "
+                           r"first: \[sanitizer:planted\] two holders"):
+            lock_tournament("srsl", n_clients=4, rounds=1)
 
     def test_no_clients_rejected_and_no_grants_is_vacuous(self):
         with pytest.raises(ConfigError, match="n_clients"):
@@ -101,8 +112,8 @@ class TestLocksCLI:
     def test_ls(self, capsys):
         assert main(["locks", "ls"]) == 0
         out = capsys.readouterr().out
-        for scheme in SCHEMES:
-            assert scheme in out
+        for scheme, design in DESIGNS.items():
+            assert f"{scheme:8s} {design.description}" in out
 
     def test_run_writes_stats_json(self, tmp_path, capsys):
         path = tmp_path / "stats.json"

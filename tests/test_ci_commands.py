@@ -63,9 +63,8 @@ def exported_traces():
 
 def test_extractor_sees_the_workflow():
     commands = {argv[0] for argv in ARGVS}
-    assert len(ARGVS) >= 20
-    assert commands >= {"obs", "lab", "check", "chaos", "txn", "topo",
-                        "locks"}
+    assert len(ARGVS) == 14
+    assert commands == {"obs", "lab", "check", "chaos", "locks"}
     assert not any("$" in word for argv in ARGVS for word in argv)
 
 
@@ -118,8 +117,6 @@ def test_every_exported_trace_is_replayed():
 @pytest.mark.parametrize("argv, dest, default", [
     (["check", "meta"], "workers", 0),
     (["lab", "run", "smoke8"], "workers", 0),
-    (["topo", "run"], "n_nodes", None),
-    (["txn", "run"], "n_nodes", 4),
 ])
 def test_shared_flags_keep_per_command_defaults(argv, dest, default):
     """Parent parsers share Action objects between commands."""
@@ -130,7 +127,7 @@ def test_shared_flags_keep_per_command_defaults(argv, dest, default):
 def test_ci_command_parses_and_resolves(argv):
     args = build_parser().parse_args(argv)  # SystemExit = CI is broken
     names, table = [], SCENARIOS
-    if args.command in ("obs", "topo") and args.action == "run":
+    if args.command == "obs" and args.action == "run":
         names = [args.scenario]
     elif args.command == "check" and args.action in ("run", "meta"):
         names = [n for n in args.names if n != "all"]
@@ -141,8 +138,6 @@ def test_ci_command_parses_and_resolves(argv):
         names = args.names
         for name in names:
             assert SCENARIOS[name].space()
-    elif args.command == "txn":
-        names = [f"txn-{args.variant}"]
     elif args.command == "lab" and args.action != "ls":
         names, table = [args.sweep], SWEEPS
     elif args.command == "run":

@@ -40,11 +40,16 @@ class TestCli:
 
     @pytest.mark.parametrize("argv", [["bench"], ["locks", "bench"],
                                       ["topo", "bench"], ["txn", "bench"],
-                                      ["lab", "bench"]], ids=" ".join)
+                                      ["lab", "bench"], ["txn", "run"],
+                                      ["topo", "ls"], ["topo", "run"]],
+                             ids=" ".join)
     def test_removed_bench_verbs_are_usage_errors(self, argv, capsys):
         """The simulated numbers live in ``benchmarks/`` figure tests,
-        the host cost in ``benchmarks/perf``; no verb is left behind."""
+        the host cost in ``benchmarks/perf``; no verb is left behind.
+        ``txn`` and ``topo`` are gone too: their rows are
+        ``repro check run``'s."""
         with pytest.raises(SystemExit) as exit_:
             main(argv)
         assert exit_.value.code == 2
-        assert "invalid choice: 'bench'" in capsys.readouterr().err
+        removed = next(w for w in argv if w in ("bench", "txn", "topo"))
+        assert f"invalid choice: '{removed}'" in capsys.readouterr().err

@@ -2,7 +2,7 @@
 
 (a) every table row is clean, non-vacuous and deterministic;
 (b) a scenario whose primary oracle sees nothing is ``vacuous`` through
-    every path that judges — the CLI shims, both lab sweeps, and the
+    every path that judges — the CLI verbs, both lab sweeps, and the
     schedule shrinker;
 (c) bad CLI input is ``error: …`` + exit 2, never a traceback.
 """
@@ -27,10 +27,12 @@ RECORD_KEYS = {"scenario", "seed", "n_nodes", "kernel", "events",
 # -- (a) the table ---------------------------------------------------------
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
-def test_row_is_clean_non_vacuous_and_deterministic(name):
+def test_row_is_clean_non_vacuous_and_deterministic(name, request):
     sc = SCENARIOS[name]
     assert sc.name == name
-    record = lab_run(name)  # default n_nodes, no faults, fast kernel
+    # default n_nodes, no faults, fast kernel
+    record = (request.getfixturevalue("lab_product")[0] if name == "lab"
+              else lab_run(name))
     assert set(record) == RECORD_KEYS
     assert record["verdict"] == "ok", record["violation_msgs"]
     assert record["sanitizers"] == [] and record["violations"] == 0
@@ -83,8 +85,6 @@ QUIET = Scenario("quiet", _quiet, 3, "locks", "zero traffic",
 @pytest.fixture
 def quiet(monkeypatch):
     monkeypatch.setitem(SCENARIOS, "quiet", QUIET)
-    monkeypatch.setitem(SCENARIOS, "txn-occ",
-                        replace(QUIET, name="txn-occ", primary="txn"))
 
 
 @pytest.mark.parametrize("argv", [
@@ -93,8 +93,6 @@ def quiet(monkeypatch):
     ["chaos", "replay", "quiet", "--index", "0"],
     ["chaos", "run", "quiet", "--schedules", "1"],
     ["obs", "run", "quiet"],
-    ["txn", "run"],
-    ["topo", "run", "quiet"],
 ], ids=lambda argv: "-".join(argv[:2]))
 def test_cli_reports_vacuous_and_exits_nonzero(quiet, capsys, argv):
     assert main(argv) == 1
@@ -131,8 +129,14 @@ def test_shrinker_never_counts_a_silenced_workload_as_failing(quiet):
     ["obs", "run", "flow", "--json", "{tmp}/no/such/dir/x.json"],
     ["chaos", "replay", "locks", "--schedule", "{tmp}/corrupt.json"],
     ["chaos", "replay", "locks", "--schedule", "{tmp}/noschedule.json"],
-    ["txn", "run", "--n-keys", "1"],
-    ["topo", "run", "nope"],
+    ["chaos", "shrink", "locks-nofence", "--seed", "7", "--index", "13",
+     "--max-probes", "0"],
+    ["chaos", "shrink", "locks-nofence", "--seed", "7", "--index", "13",
+     "--max-probes", "-1"],
+    ["chaos", "run", "locks", "--schedules", "0"],
+    ["chaos", "run", "locks", "--schedules", "-1"],
+    ["chaos", "replay", "locks", "--index", "-3"],
+    ["locks", "run", "ncosed", "--clients", "4", "--alpha", "nan"],
 ], ids=lambda argv: "-".join(a for a in argv if "{" not in a))
 def test_bad_input_is_an_error_line_and_exit_2(tmp_path, capsys, argv):
     (tmp_path / "corrupt.json").write_text("{not json")

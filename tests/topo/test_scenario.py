@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.scenarios import SCENARIOS, judged_run, lab_run
+from repro.scenarios import SCENARIOS, lab_run
 
 
 class TestShardCheck:
@@ -29,9 +29,9 @@ class TestShardCheck:
 class TestLabScenario:
     """The packaged datacenter-scale scenario (~3 s wall)."""
 
-    @pytest.fixture(scope="class")
-    def run(self):
-        record, obs = judged_run("lab")
+    @pytest.fixture
+    def run(self, lab_product):
+        record, obs = lab_product
         return record, obs, record["stats"]
 
     def test_meets_scale_floor(self, run):
@@ -55,16 +55,16 @@ class TestLabScenario:
 
 class TestTopoCLI:
     def test_ls(self, capsys):
-        assert main(["topo", "ls"]) == 0
-        out = capsys.readouterr().out
-        assert "lab" in out and "shard" in out
+        assert main(["check", "list"]) == 0
+        names = capsys.readouterr().out.split()
+        assert {"lab", "shard"} <= set(names)
 
     def test_run_shard_json(self, tmp_path, capsys):
         path = tmp_path / "verdict.json"
-        assert main(["topo", "run", "shard",
+        assert main(["check", "run", "shard",
                      "--json", str(path)]) == 0
         assert "verdict=ok" in capsys.readouterr().out
-        doc = json.loads(path.read_text())
+        doc = json.loads(path.read_text())["results"][0]
         assert doc["verdict"] == "ok"
         assert doc["scenario"] == "shard" and doc["n_nodes"] == 8
         assert doc["sanitizers"] == []

@@ -1,4 +1,4 @@
-"""The `repro txn` CLI surface: run verdicts."""
+"""The txn rows through the CLI: ``repro check run txn-*`` verdicts."""
 
 import json
 
@@ -8,20 +8,19 @@ from repro.cli import main
 class TestTxnRun:
     def test_run_prints_verdict_and_writes_json(self, tmp_path, capsys):
         path = tmp_path / "verdict-txn.json"
-        assert main(["txn", "run", "--variant", "occ",
-                     "--json", str(path)]) == 0
+        assert main(["check", "run", "txn-occ", "--json", str(path)]) == 0
         out = capsys.readouterr().out
         assert "verdict=ok" in out
         assert "conserved=True" in out
-        doc = json.loads(path.read_text())
+        doc = json.loads(path.read_text())["results"][0]
+        assert doc["scenario"] == "txn-occ"
         assert doc["verdict"] == "ok"
         assert doc["sanitizers"] == []
         assert doc["oracles"]["txn"]["checked"] > 0
         assert doc["stats"]["conserved"] is True
 
     def test_run_slow_kernel_2pl(self, capsys):
-        assert main(["txn", "run", "--variant", "2pl",
-                     "--kernel", "slow"]) == 0
+        assert main(["check", "run", "txn-2pl", "--kernel", "slow"]) == 0
         assert "verdict=ok" in capsys.readouterr().out
 
     def test_check_list_includes_txn_scenarios(self, capsys):

@@ -92,10 +92,11 @@ def dumps(doc) -> str:
 # -- scenario rows -----------------------------------------------------------
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
-def test_scenario_row_matches_references(name):
+def test_scenario_row_matches_references(name, request):
     """Digest, per-oracle counts and findings, and sanitizer findings of
     every table row (fast kernel, seed 0) equal the reference forms."""
-    record, obs = judged_run(name)
+    record, obs = (request.getfixturevalue("lab_product") if name == "lab"
+                   else judged_run(name))
     events = obs.trace.snapshot()
     assert record["trace_sha"] == reference_sha(as_lists(obs))
     assert record["oracles"] == reference_replay(events, ALL_ORACLES)

@@ -57,6 +57,9 @@ class TestZipf:
             zipf_pmf(0, 0.5)
         with pytest.raises(ConfigError):
             zipf_pmf(10, -1.0)
+        for alpha in (float("nan"), float("inf")):
+            with pytest.raises(ConfigError, match="finite"):
+                zipf_pmf(10, alpha)
         with pytest.raises(ConfigError):
             ZipfGenerator(10, 0.5, rng).hot_set_coverage(11)
 
