@@ -1,6 +1,5 @@
 """End-to-end applications built on the framework."""
 
-from repro.apps.auction import AuctionClient, AuctionService, BidResult
 from repro.apps.storm import StormEngine
 
-__all__ = ["AuctionClient", "AuctionService", "BidResult", "StormEngine"]
+__all__ = ["StormEngine"]

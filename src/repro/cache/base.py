@@ -267,19 +267,11 @@ class CoopCacheBase:
 
     # -- diagnostics ---------------------------------------------------------
     @property
-    def aggregate_used(self) -> int:
-        return sum(s.used for s in self.stores.values())
-
-    @property
     def unique_docs_cached(self) -> int:
         seen = set()
         for store in self.stores.values():
             seen.update(store.docs())
         return len(seen)
-
-    @property
-    def total_docs_cached(self) -> int:
-        return sum(len(s) for s in self.stores.values())
 
     def hit_ratio(self) -> float:
         total = self.local_hits + self.remote_hits + self.misses

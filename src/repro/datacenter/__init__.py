@@ -7,7 +7,6 @@ an app/backend tier whose (processor-shared) CPUs are the expensive
 resource.  Throughput is reported in transactions per second.
 """
 
-from repro.datacenter.admission import AdmissionController
 from repro.datacenter.backend import BackendTier
 from repro.datacenter.builder import DataCenter
 from repro.datacenter.loadgen import ClosedLoopClients
@@ -15,7 +14,6 @@ from repro.datacenter.metrics import DataCenterMetrics
 from repro.datacenter.server import ProxyServer
 
 __all__ = [
-    "AdmissionController",
     "BackendTier",
     "ClosedLoopClients",
     "DataCenter",

@@ -63,6 +63,3 @@ class BackendTier:
         # response back to the proxy
         yield fabric.transfer(app.id, proxy.id, size)
         return self.fileset.token(doc)
-
-    def mean_load(self) -> float:
-        return sum(n.cpu.load for n in self.nodes) / len(self.nodes)

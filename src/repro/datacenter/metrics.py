@@ -43,9 +43,3 @@ class DataCenterMetrics:
 
     def mean_latency_us(self) -> float:
         return self.latency.tally.mean
-
-    def p99_latency_us(self) -> float:
-        """Conservative (bucket upper bound) 99th-percentile latency."""
-        if self.latency.count == 0:
-            return 0.0
-        return self.latency.percentile(99)

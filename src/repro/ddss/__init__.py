@@ -5,8 +5,6 @@ allocated in registered memory contributed by cluster nodes and accessed
 with one-sided RDMA ``get``/``put`` under one of six coherence models
 (:class:`Coherence`).  Components map to the paper's Figure 2:
 
-* IPC management — :class:`IpcPortal` (many processes per node share one
-  substrate client).
 * Memory management — :class:`SegmentAllocator` (first-fit free list
   with coalescing inside each node's contributed segment).
 * Data placement — round-robin or explicit home-node hints at
@@ -33,20 +31,16 @@ Example::
     cluster.env.run()
 """
 
-from repro.ddss.aggregator import GlobalMemoryAggregator
 from repro.ddss.allocator import SegmentAllocator
 from repro.ddss.client import DDSSClient
 from repro.ddss.coherence import Coherence
-from repro.ddss.ipc import IpcPortal
 from repro.ddss.substrate import (DDSS, INSTALL_BIT, TOMBSTONE, UnitMeta)
 
 __all__ = [
     "Coherence",
-    "GlobalMemoryAggregator",
     "DDSS",
     "DDSSClient",
     "INSTALL_BIT",
-    "IpcPortal",
     "SegmentAllocator",
     "TOMBSTONE",
     "UnitMeta",

@@ -76,11 +76,10 @@ class _TombstoneRead(Exception):
 class DDSSClient:
     """Per-node handle onto the substrate."""
 
-    def __init__(self, ddss: DDSS, node: Node, via_ipc: bool = False):
+    def __init__(self, ddss: DDSS, node: Node):
         self.ddss = ddss
         self.node = node
         self.env = node.env
-        self.via_ipc = via_ipc
         self._meta_cache: Dict[int, UnitMeta] = {}
         #: local copies for DELTA/TEMPORAL: key -> (version, data, at)
         self._data_cache: Dict[int, Tuple[int, bytes, float]] = {}
@@ -204,7 +203,6 @@ class DDSSClient:
                 f"put of {len(data)} bytes into unit of {meta.size}")
         self.puts += 1
         self._obs_op("ddss.put", meta.key)
-        yield from self._ipc_hop()
         if meta.replicas:
             version = yield from self._put_replicated(meta, data)
         else:
@@ -288,7 +286,6 @@ class DDSSClient:
             raise DDSSError(f"get of {n} bytes from unit of {meta.size}")
         self.gets += 1
         self._obs_op("ddss.get", meta.key)
-        yield from self._ipc_hop()
         model = meta.coherence
 
         if model is Coherence.TEMPORAL:
@@ -735,14 +732,6 @@ class DDSSClient:
         obs.trace.emit("shard.bounce", node=self.node.id, key=key,
                        frm=frm, to=to, ep=ep)
         obs.metrics.counter("shard.bounces", node=self.node.id).inc()
-
-    def _ipc_hop(self):
-        """Cost of reaching the substrate through the node-local IPC."""
-        if self.via_ipc:
-            yield self.env.timeout(1.0)
-        else:
-            return
-            yield  # pragma: no cover
 
     def _read_version(self, meta: UnitMeta):
         blob = yield self.node.nic.rdma_read(

@@ -117,9 +117,9 @@ class DDSS:
                              name=f"ddss-daemon@{node.name}")
 
     # -- public --------------------------------------------------------
-    def client(self, node: Node, via_ipc: bool = False):
+    def client(self, node: Node):
         from repro.ddss.client import DDSSClient
-        return DDSSClient(self, node, via_ipc=via_ipc)
+        return DDSSClient(self, node)
 
     def segment(self, node_id: int):
         return self._segments[node_id]

@@ -186,25 +186,15 @@ class FaultInjector:
     # ------------------------------------------------------------------
     # hooks consulted by the net layer
     # ------------------------------------------------------------------
-    def partition_cut(self, src_id: int, dst_id: Optional[int]) -> bool:
-        """True when a ``src -> dst`` transfer crosses an active cut.
-
-        ``dst_id`` of ``None`` is the multicast case: the injection
-        fails when any active partition separates the source from some
-        group (switch replication cannot cross the cut).
-        """
+    def partition_cut(self, src_id: int, dst_id: int) -> bool:
+        """True when a ``src -> dst`` transfer crosses an active cut."""
         now = self.env.now
-        if dst_id is None:
-            return any(p.isolates(now, src_id)
-                       for p in self.plan.partitions)
         return any(p.cuts(now, src_id, dst_id)
                    for p in self.plan.partitions)
 
-    def transfer_fault(self, src_id: int,
-                       dst_id: Optional[int]) -> Optional[Event]:
+    def transfer_fault(self, src_id: int, dst_id: int) -> Optional[Event]:
         """A failing event if either end is down or the route is cut."""
-        if src_id in self.down or (dst_id is not None
-                                   and dst_id in self.down):
+        if src_id in self.down or dst_id in self.down:
             self.transfers_refused += 1
             culprit = src_id if src_id in self.down else dst_id
             exc = NodeDownError(
@@ -224,7 +214,7 @@ class FaultInjector:
             lambda _t: ev.fail(exc))
         return ev
 
-    def link_factor(self, src_id: int, dst_id: Optional[int]) -> float:
+    def link_factor(self, src_id: int, dst_id: int) -> float:
         factor = 1.0
         now = self.env.now
         for rule in self.plan.degrades:
@@ -283,15 +273,14 @@ class FaultInjector:
     # completion fencing (zombie-completion prevention)
     # ------------------------------------------------------------------
     def fenced(self, since: int, src_id: int,
-               dst_id: Optional[int]) -> Optional[NodeDownError]:
+               dst_id: int) -> Optional[NodeDownError]:
         """The error a completion must fail with, or ``None``.
 
         ``since`` is :attr:`crashes` as read when the transfer was
         injected.  A crash bumps the node's incarnation; if either
         endpoint crashed after ``since``, the completion belongs to a
         dead communication context and must not be delivered — even if
-        the node has since restarted.  (``dst_id`` of ``None`` is a
-        multicast: only the source is fenced.)
+        the node has since restarted.
         """
         stamp = self._crash_stamp
         if stamp.get(src_id, 0) > since or stamp.get(dst_id, 0) > since:
@@ -301,7 +290,7 @@ class FaultInjector:
                 f"{src_id}->{dst_id} crashed mid-transfer")
         return None
 
-    def fence_completion(self, src_id: int, dst_id: Optional[int],
+    def fence_completion(self, src_id: int, dst_id: int,
                          inner: Event) -> Event:
         """Gate a generator transfer's completion on :meth:`fenced`."""
         since = self.crashes

@@ -91,10 +91,10 @@ class LinkDegrade:
     start: float = 0.0
     until: float = math.inf
 
-    def matches(self, now: float, src: int, dst: Optional[int]) -> bool:
+    def matches(self, now: float, src: int, dst: int) -> bool:
         return (self.start <= now < self.until
                 and (self.src is None or self.src == src)
-                and (self.dst is None or dst is None or self.dst == dst))
+                and (self.dst is None or self.dst == dst))
 
 
 @dataclass(frozen=True)
@@ -129,15 +129,6 @@ class Partition:
         gs, gd = self._group_of(src), self._group_of(dst)
         return gs is not None and gd is not None and gs != gd
 
-    def isolates(self, now: float, src: int) -> bool:
-        """True when ``src`` cannot reach *some* node right now — the
-        multicast case, where one unreachable destination is enough."""
-        if not self.start <= now < self.until:
-            return False
-        if self.oneway:
-            return src in self.groups[0]
-        return self._group_of(src) is not None
-
 
 @dataclass(frozen=True)
 class SlowNode:
@@ -148,7 +139,7 @@ class SlowNode:
     start: float
     until: float
 
-    def matches(self, now: float, src: int, dst: Optional[int]) -> bool:
+    def matches(self, now: float, src: int, dst: int) -> bool:
         return (self.start <= now < self.until
                 and (src == self.node or dst == self.node))
 
@@ -277,12 +268,6 @@ class FaultPlan:
         self.partitions.append(Partition(
             groups=norm, start=start, until=until, oneway=oneway))
         return self
-
-    def partition_oneway(self, src_group, dst_group, start: float = 0.0,
-                         until: float = math.inf) -> "FaultPlan":
-        """Asymmetric cut: only ``src_group -> dst_group`` traffic fails."""
-        return self.partition((src_group, dst_group), start=start,
-                              until=until, oneway=True)
 
     def slow_node(self, node: int, factor: float, start: float = 0.0,
                   until: float = math.inf) -> "FaultPlan":

@@ -70,9 +70,6 @@ class Cluster:
     def run(self, until: Optional[float] = None) -> float:
         return self.env.run(until=until)
 
-    def run_until(self, event, limit: float = 1e12):
-        return self.env.run_until_event(event, limit=limit)
-
     def install_faults(self, plan=None, **kwargs):
         """Install a :class:`repro.faults.FaultInjector` running ``plan``.
 

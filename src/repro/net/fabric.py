@@ -95,8 +95,7 @@ class Fabric:
                 return fail  # refused transfers move no bytes
         return self._arrival(src_id, dst_id, nbytes)
 
-    def _arrival(self, src_id: int, dst_id: Optional[int],
-                 nbytes: int) -> Event:
+    def _arrival(self, src_id: int, dst_id: int, nbytes: int) -> Event:
         """Completion event of one accepted injection at ``src_id`` —
         the one fast/slow decision of this module: the fast kernel
         routes it analytically (:meth:`_route`), the slow kernel runs
@@ -115,10 +114,10 @@ class Fabric:
             return self.injector.fence_completion(src_id, dst_id, done)
         return done
 
-    def _route(self, src_id: int, dst_id: Optional[int], nbytes: int,
+    def _route(self, src_id: int, dst_id: int, nbytes: int,
                arrive) -> float:
         """Inject one accepted payload on the fast kernel: the one
-        routing hook (``dst_id`` of ``None`` is a multicast).
+        routing hook.
 
         A route is a tandem of analytic FIFO servers, each booked when
         the payload reaches it.  The flat fabric has one, the sender's
@@ -182,7 +181,7 @@ class Fabric:
             start + (nbytes / p.bandwidth_bpus) * factor
         return released_at
 
-    def _land(self, src_id: int, dst_id: Optional[int], since: int,
+    def _land(self, src_id: int, dst_id: int, since: int,
               arrive) -> None:
         """Arrival instant of a payload injected under an injector that
         had seen ``since`` crashes: a crash at either end while it was
@@ -191,8 +190,7 @@ class Fabric:
         arrive(None if injector.crashes == since
                else injector.fenced(since, src_id, dst_id))
 
-    def _spawn(self, src_id: int, dst_id: Optional[int],
-               nbytes: int) -> Event:
+    def _spawn(self, src_id: int, dst_id: int, nbytes: int) -> Event:
         """The slow kernel's twin of :meth:`_route`: the same payload as
         a generator that holds the link :class:`Resource`."""
         self.transfers += 1
@@ -201,11 +199,9 @@ class Fabric:
             return self.env.timeout(self.params.local_op_us)
         return self.env.process(
             self._transfer_proc(src_id, dst_id, nbytes),
-            name=(f"mcast-{src_id}" if dst_id is None
-                  else f"xfer-{src_id}->{dst_id}"))
+            name=f"xfer-{src_id}->{dst_id}")
 
-    def _transfer_proc(self, src_id: int, dst_id: Optional[int],
-                       nbytes: int):
+    def _transfer_proc(self, src_id: int, dst_id: int, nbytes: int):
         p = self.params
         factor = (self.injector.link_factor(src_id, dst_id)
                   if self.injector is not None else 1.0)
@@ -217,32 +213,3 @@ class Fabric:
         finally:
             link.release()
         yield self.env.timeout(p.wire_latency_us * factor + p.nic_rx_us)
-
-    def multicast(self, src_id: int, dst_ids, nbytes: int) -> Event:
-        """Hardware-style multicast: one injection, switch replication.
-
-        The sender serializes the payload onto its egress link exactly
-        once; the switch fans it out, so every destination receives at
-        (send + wire + rx) regardless of group size — unlike a
-        sender-side loop of unicasts.  The event fires when the payload
-        has landed at every destination.
-
-        This implements the "Multicast" box the paper's Figure 1 defers
-        to future work (IB hardware multicast exists; we model it).
-        """
-        dst_ids = list(dst_ids)
-        if not dst_ids:
-            raise ConfigError("multicast needs at least one destination")
-        if src_id not in self._nodes:
-            raise ConfigError(f"unknown multicast source {src_id}")
-        for dst in dst_ids:
-            if dst not in self._nodes:
-                raise ConfigError(f"unknown multicast destination {dst}")
-        if nbytes < 0:
-            raise ConfigError("cannot transfer negative bytes")
-        if self.injector is not None:
-            fail = self.injector.transfer_fault(src_id, None)
-            if fail is not None:
-                return fail
-        # injected once, replicated in-switch
-        return self._arrival(src_id, None, nbytes)

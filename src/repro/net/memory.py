@@ -78,9 +78,6 @@ class MemoryRegion:
     def write_u64(self, offset: int, value: int) -> None:
         self.write(offset, (value & _U64_MASK).to_bytes(8, "big"))
 
-    def read_u32(self, offset: int) -> int:
-        return int.from_bytes(self.read(offset, 4), "big")
-
     def write_u32(self, offset: int, value: int) -> None:
         self.write(offset, (value & 0xFFFFFFFF).to_bytes(4, "big"))
 
@@ -116,10 +113,6 @@ class MemoryManager:
         #: the linear protection-table walk into one range check.
         #: Invalidated on deregister.
         self._rcache: Optional[MemoryRegion] = None
-
-    @property
-    def registered_bytes(self) -> int:
-        return sum(r.length for r in self._regions.values())
 
     def register(self, length: int, name: str = "") -> MemoryRegion:
         """Register ``length`` bytes; returns the region handle."""

@@ -189,41 +189,6 @@ class NIC:
         wire.add_callback(deliver)
         return done
 
-    def send_multicast(self, dst_ids, payload: Any = None, size: int = 0,
-                       tag: Any = 0) -> Event:
-        """Hardware multicast: one injection delivers to every member.
-
-        The returned event fires when the message has been enqueued at
-        all destinations.  Compared with a unicast loop, the sender's
-        egress link is held only once (see :meth:`Fabric.multicast`).
-        """
-        if size < 0:
-            raise ConfigError("negative message size")
-        dst_ids = list(dst_ids)
-        self.sends += 1
-        sent_at = self.env.now
-        wire = self.fabric.multicast(self.node.id, dst_ids,
-                                     size + self.params.header_bytes)
-        done = self.env.event()
-
-        def deliver(_ev):
-            if not _ev.ok:
-                done.fail(_ev._value)
-                return
-            for dst in dst_ids:
-                msg = Message(src=self.node.id, dst=dst, tag=tag,
-                              payload=payload, size=size,
-                              sent_at=sent_at, arrived_at=self.env.now,
-                              mid=self.env.next_id("msg"))
-                copies = self._delivery_copies(msg)
-                self._obs_delivery(msg, copies)
-                for _ in range(copies):
-                    self.fabric.node(dst).nic._queue(tag).try_put(msg)
-            done.succeed()
-
-        wire.add_callback(deliver)
-        return done
-
     def _delivery_copies(self, msg: Message) -> int:
         """Fault hook: how many copies of ``msg`` land at the receiver."""
         injector = self.fabric.injector

@@ -5,8 +5,8 @@ equal to MB/s).  The presets reflect the platforms in the paper's
 evaluation:
 
 * :meth:`NetworkParams.infiniband` — IBA-style SAN with RDMA and remote
-  atomics.  Small send one-way ≈ 3 µs, RDMA read RTT ≈ 9 µs, atomics
-  ≈ 10 µs, ~900 MB/s.
+  atomics, ~900 MB/s.  What its verbs cost is the calibration table of
+  DESIGN.md §6, checked by ``tests/net/test_calibration.py``.
 * :meth:`NetworkParams.tcp_gige` — host-based TCP over gigabit Ethernet:
   higher wire latency, ~110 MB/s, and significant *CPU* cost per message
   and per byte on both ends (the paper's core complaint about sockets).

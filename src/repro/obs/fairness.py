@@ -77,9 +77,6 @@ class FairnessTracker:
             self._metrics = obs.metrics
         return self
 
-    def detach(self, obs) -> None:
-        obs.trace.unsubscribe(self._on_event)
-
     def _mgr(self, name: str) -> _MgrStats:
         st = self._mgrs.get(name)
         if st is None:

@@ -51,9 +51,6 @@ class Sanitizer:
         tracer.subscribe(self._on_event, self.PREFIX)
         return self
 
-    def detach(self, tracer) -> None:
-        tracer.unsubscribe(self._on_event)
-
     # -- verdicts -------------------------------------------------------
     @property
     def clean(self) -> bool:

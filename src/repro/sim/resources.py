@@ -126,10 +126,6 @@ class Resource:
         self._waiters: Deque[Event] = deque()
 
     @property
-    def in_use(self) -> int:
-        return self._in_use
-
-    @property
     def queue_len(self) -> int:
         return len(self._waiters)
 
@@ -141,12 +137,6 @@ class Resource:
         else:
             self._waiters.append(event)
         return event
-
-    def try_acquire(self) -> bool:
-        if self._in_use < self.capacity:
-            self._in_use += 1
-            return True
-        return False
 
     def release(self) -> None:
         if self._in_use <= 0:

@@ -102,10 +102,6 @@ class Tally:
     def variance(self) -> float:
         return self._m2 / (self.count - 1) if self.count > 1 else 0.0
 
-    @property
-    def stdev(self) -> float:
-        return math.sqrt(self.variance)
-
     def __repr__(self) -> str:  # pragma: no cover
         return (f"<Tally {self.name} n={self.count} mean={self.mean:.3f} "
                 f"min={self.min:.3f} max={self.max:.3f}>")

@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
 from repro.errors import ConfigError
 from repro.net.cluster import Cluster
-from repro.net.node import Node
 from repro.net.params import NetworkParams
 
 from repro.topo.fabric import TopoFabric
@@ -63,13 +62,3 @@ class TopoCluster(Cluster):
     @property
     def spine_latency_us(self) -> float:
         return self.fabric.spine_latency_us
-
-    def rack_of(self, node_id: int) -> int:
-        return node_id // self.hosts_per_rack
-
-    def rack_nodes(self, rack: int) -> List[Node]:
-        if not 0 <= rack < self.racks:
-            raise ConfigError(f"no rack {rack} in a {self.racks}-rack "
-                              f"cluster")
-        lo = rack * self.hosts_per_rack
-        return self.nodes[lo:lo + self.hosts_per_rack]

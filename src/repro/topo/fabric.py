@@ -91,18 +91,15 @@ class TopoFabric(Fabric):
         self.uplink_bytes = [0] * racks
 
     # -- topology ---------------------------------------------------------
-    def rack_of(self, node_id: int) -> int:
-        return node_id // self.hosts_per_rack
-
     def _up_key(self, src_id: int, dst_id: int) -> Tuple[int, int]:
         return (src_id // self.hosts_per_rack,
                 (dst_id // self.hosts_per_rack) % self.spines)
 
     # -- data movement ----------------------------------------------------
-    def _route(self, src_id: int, dst_id: Optional[int], nbytes: int,
+    def _route(self, src_id: int, dst_id: int, nbytes: int,
                arrive) -> float:
         h = self.hosts_per_rack
-        if dst_id is None or src_id // h == dst_id // h:
+        if src_id // h == dst_id // h:
             return super()._route(src_id, dst_id, nbytes, arrive)
         self._count_xrack(src_id, dst_id, nbytes)
         injector = self.injector
@@ -135,9 +132,9 @@ class TopoFabric(Fabric):
             released_at + (self._xwire_us * factor + self.params.nic_rx_us),
             land)
 
-    def _spawn(self, src_id: int, dst_id: Optional[int], nbytes: int):
+    def _spawn(self, src_id: int, dst_id: int, nbytes: int):
         h = self.hosts_per_rack
-        if dst_id is None or src_id // h == dst_id // h:
+        if src_id // h == dst_id // h:
             return super()._spawn(src_id, dst_id, nbytes)
         self._count_xrack(src_id, dst_id, nbytes)
         return self.env.process(self._xrack_proc(src_id, dst_id, nbytes),

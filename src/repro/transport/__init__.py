@@ -14,8 +14,10 @@ Implements the paper's "advanced communication protocols and subsystems":
 * :mod:`repro.transport.flowcontrol` — credit-based vs packetized
   (sender-managed RDMA ring) flow control for small messages.
 * :mod:`repro.transport.rpc` — a request/response helper built on any of
-  the above endpoints (used by the SRSL lock server and the socket-based
-  monitoring schemes).
+  the above endpoints.  Only tests call it, and only it and tests call
+  :mod:`~repro.transport.tcpsock`: no figure, scenario row, perf
+  workload or CLI verb reaches either, and ``tests/test_reachability.py``
+  allow-lists both until the ``one-request-path`` roadmap item.
 
 All endpoints share one interface: ``listen(port)`` / ``connect(node,
 port)`` yielding a connection with ``send(payload, size)`` and ``recv()``.

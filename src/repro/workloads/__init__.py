@@ -7,18 +7,14 @@ from repro.workloads.rubis import RubisMix, RubisTxn
 from repro.workloads.threads import ThreadChurn
 from repro.workloads.tpcc import (TpccMix, balance, new_order_txn,
                                   pack_balance, transfer_txn)
-from repro.workloads.traces import OpenLoopClients, RequestTrace, TracedRequest
 from repro.workloads.zipf import ZipfGenerator, zipf_pmf
 
 __all__ = [
     "FileSet",
     "RubisMix",
     "RubisTxn",
-    "OpenLoopClients",
-    "RequestTrace",
     "ThreadChurn",
     "TpccMix",
-    "TracedRequest",
     "ZipfGenerator",
     "balance",
     "new_order_txn",

@@ -42,10 +42,6 @@ class FileSet:
     def size(self, doc: int) -> int:
         return int(self._sizes[doc])
 
-    @property
-    def total_bytes(self) -> int:
-        return int(self._sizes.sum())
-
     def token(self, doc: int) -> bytes:
         """Deterministic 8-byte content fingerprint of the document."""
         if not 0 <= doc < self.n_docs:

@@ -434,50 +434,3 @@ class TestLocking:
 
         assert run(cluster, app(cluster.env)) == "CoherenceError"
 
-
-class TestIpc:
-    def test_ipc_handles_share_substrate(self, setup):
-        from repro.ddss import IpcPortal
-        cluster, ddss = setup
-        portal = IpcPortal(ddss.client(cluster.nodes[1]))
-        p1 = portal.attach("apache-worker-1")
-        p2 = portal.attach("apache-worker-2")
-
-        def app(env):
-            key = yield p1.allocate(32)
-            yield p1.put(key, b"shared-via-ipc")
-            data = yield p2.get(key)
-            return data, p1.ops, p2.ops
-
-        data, ops1, ops2 = run(cluster, app(cluster.env))
-        assert data[:14] == b"shared-via-ipc"
-        assert ops1 == 2 and ops2 == 1
-
-    def test_ipc_adds_latency(self, setup):
-        from repro.ddss import IpcPortal
-        cluster, ddss = setup
-        direct = ddss.client(cluster.nodes[1])
-        portal = IpcPortal(ddss.client(cluster.nodes[2]))
-        handle = portal.attach("proc")
-
-        def timed(env, client):
-            key = yield client.allocate(16)
-            yield client.put(key, b"x")
-            t0 = env.now
-            data = yield client.get(key)
-            return env.now - t0
-
-        t_direct = run(cluster, timed(cluster.env, direct))
-        t_ipc = run(cluster, timed(cluster.env, handle))
-        assert t_ipc > t_direct
-
-    def test_double_attach_rejected(self, setup):
-        from repro.ddss import IpcPortal
-        cluster, ddss = setup
-        portal = IpcPortal(ddss.client(cluster.nodes[1]))
-        portal.attach("p")
-        with pytest.raises(DDSSError):
-            portal.attach("p")
-        portal.detach("p")
-        portal.attach("p")
-        assert portal.attached == 1

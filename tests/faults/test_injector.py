@@ -59,7 +59,7 @@ class TestFaultPlan:
             ("fail_verbs", lambda: plan.fail_verbs(0.1, start=bad)),
             ("partition", lambda: plan.partition([[0], [1]], start=bad)),
             ("partition",
-             lambda: plan.partition_oneway([0], [1], start=bad)),
+             lambda: plan.partition([[0], [1]], start=bad, oneway=True)),
             ("stall_credits", lambda: plan.stall_credits(0, start=bad)),
         ]:
             with pytest.raises(ConfigError, match=f"^{builder}:"):

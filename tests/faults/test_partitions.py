@@ -158,7 +158,8 @@ class TestOneWayPartition:
     def test_forward_verb_cut(self):
         cluster = make_cluster()
         inj = cluster.install_faults(
-            FaultPlan().partition_oneway([0], [1], until=50_000.0))
+            FaultPlan().partition([[0], [1]], until=50_000.0,
+                                  oneway=True))
         seg = cluster.nodes[1].memory.register(64, name="s")
         exc, _ = read_between(cluster, 0, 1, seg)
         assert isinstance(exc, PartitionError)
@@ -169,7 +170,8 @@ class TestOneWayPartition:
         cut direction vanish, sends along the open direction arrive."""
         cluster = make_cluster()
         cluster.install_faults(
-            FaultPlan().partition_oneway([0], [1], until=50_000.0))
+            FaultPlan().partition([[0], [1]], until=50_000.0,
+                                  oneway=True))
         got = []
 
         def rx(env):
@@ -194,7 +196,8 @@ class TestOneWayPartition:
         the initiator sees retry exhaustion (NodeDownError shape)."""
         cluster = make_cluster()
         cluster.install_faults(
-            FaultPlan().partition_oneway([0], [1], until=50_000.0))
+            FaultPlan().partition([[0], [1]], until=50_000.0,
+                                  oneway=True))
         seg = cluster.nodes[0].memory.register(64, name="s")
         exc, _ = read_between(cluster, 1, 0, seg)
         assert isinstance(exc, NodeDownError)

@@ -312,46 +312,6 @@ class TestFabric:
         assert ib.fabric.transfers == 2
 
 
-class TestMulticastAccounting:
-    def test_one_injection_regardless_of_group_size(self, ib):
-        """Switch replication: the payload is charged to the fabric
-        exactly once, not once per destination."""
-        ev = ib.fabric.multicast(0, [1, 2, 3], 4096)
-        ib.env.run_until_event(ev)
-        assert ib.fabric.bytes_moved == 4096
-        assert ib.fabric.transfers == 1
-
-    def test_multicast_vs_unicast_loop_accounting(self, ib):
-        ib.fabric.multicast(0, [1, 2, 3], 1000)
-        ib.env.run()
-        mc_bytes, mc_xfers = ib.fabric.bytes_moved, ib.fabric.transfers
-        for dst in (1, 2, 3):
-            ib.fabric.transfer(0, dst, 1000)
-        ib.env.run()
-        assert ib.fabric.bytes_moved - mc_bytes == 3 * mc_bytes
-        assert ib.fabric.transfers - mc_xfers == 3
-
-    def test_multicast_completion_time_independent_of_group(self):
-        times = {}
-        for n_dst in (1, 3):
-            c = Cluster(n_nodes=4, params=NetworkParams.infiniband(),
-                        seed=1)
-            ev = c.fabric.multicast(0, list(range(1, 1 + n_dst)), 8192)
-            c.env.run_until_event(ev)
-            times[n_dst] = c.env.now
-        assert times[1] == times[3]
-
-    def test_multicast_validation(self, ib):
-        with pytest.raises(ConfigError):
-            ib.fabric.multicast(0, [], 64)
-        with pytest.raises(ConfigError):
-            ib.fabric.multicast(99, [1], 64)
-        with pytest.raises(ConfigError):
-            ib.fabric.multicast(0, [99], 64)
-        with pytest.raises(ConfigError):
-            ib.fabric.multicast(0, [1], -1)
-
-
 class TestEgressQueue:
     def test_queue_len_reflects_waiting_transfers(self):
         """Three concurrent sends: one serializing, two queued behind it

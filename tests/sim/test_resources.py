@@ -172,14 +172,6 @@ class TestResource:
         with pytest.raises(SimulationError):
             res.release()
 
-    def test_try_acquire(self):
-        env = Environment()
-        res = Resource(env, capacity=1)
-        assert res.try_acquire() is True
-        assert res.try_acquire() is False
-        res.release()
-        assert res.try_acquire() is True
-
 
 class TestGate:
     def test_open_releases_all_waiters(self):

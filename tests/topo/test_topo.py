@@ -29,10 +29,12 @@ class TestConstruction:
     def test_rack_major_node_layout(self):
         cl = TopoCluster(racks=3, hosts_per_rack=4)
         assert len(cl.nodes) == 12
-        assert cl.rack_of(0) == 0 and cl.rack_of(4) == 1
-        assert [n.id for n in cl.rack_nodes(2)] == [8, 9, 10, 11]
-        with pytest.raises(ConfigError):
-            cl.rack_nodes(3)
+        # 0->3 and 8->11 stay in a rack; 3->4 and 7->8 cross one
+        for src, dst in ((0, 3), (8, 11), (3, 4), (7, 8)):
+            cl.fabric.transfer(src, dst, 64)
+        cl.env.run()
+        assert cl.fabric.xrack_transfers == 2
+        assert cl.fabric.uplink_transfers == [1, 1, 0]
 
     def test_uplink_bandwidth_scales_with_oversub(self):
         flat = TopoCluster(racks=2, hosts_per_rack=8, oversub=1.0)

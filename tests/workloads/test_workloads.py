@@ -76,7 +76,6 @@ class TestFileSet:
     def test_fixed_sizes(self):
         fs = FileSet(10, 4096)
         assert fs.size(3) == 4096
-        assert fs.total_bytes == 40_960
 
     def test_per_doc_sizes(self):
         fs = FileSet(3, [100, 200, 300])
