@@ -80,7 +80,8 @@ class Cluster:
         return FaultInjector(self, plan, **kwargs)
 
     def observe(self, **kwargs):
-        """Install :class:`repro.obs.Observability`; pull fabric counters.
+        """Install :class:`repro.obs.Observability`; pull fabric and NIC
+        counters.
 
         Returns the (installed) observability handle; keyword arguments
         are forwarded (``ring``, ``sanitize``, ``strict``).  Install
@@ -94,6 +95,8 @@ class Cluster:
         if obs is None:
             obs = Observability(self.env, **kwargs).install()
             self.fabric.pull_metrics(obs.metrics)
+            for node in self.nodes:
+                node.nic.pull_metrics(obs.metrics)
         elif dict(obs.options, **kwargs) != obs.options:
             raise ConfigError(f"obs already installed with {obs.options}")
         return obs

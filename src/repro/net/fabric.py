@@ -150,17 +150,17 @@ class Fabric:
         injector = self.injector
         if injector is None:
             if src_id == dst_id:
-                return env._now + p.local_op_us
+                return env.now + p.local_op_us
             # runs twice per one-sided verb (request + response leg):
             # the booking is unrolled, not a call
-            start = env._now + p.nic_tx_us
+            start = env.now + p.nic_tx_us
             ends = self._egress_end
             if ends[src_id] > start:
                 start = ends[src_id]
             ends[src_id] = released_at = start + nbytes / p.bandwidth_bpus
             return released_at + (p.wire_latency_us + p.nic_rx_us)
         if src_id == dst_id:
-            t = env._now + p.local_op_us
+            t = env.now + p.local_op_us
         else:
             factor = injector.link_factor(src_id, dst_id)
             t = (self._book_egress(src_id, nbytes, factor)
@@ -173,7 +173,7 @@ class Fabric:
         """Book ``src_id``'s egress link from ``now + nic_tx`` with the
         hold stretched by ``factor``; returns the release instant."""
         p = self.params
-        start = self.env._now + p.nic_tx_us
+        start = self.env.now + p.nic_tx_us
         ends = self._egress_end
         if ends[src_id] > start:
             start = ends[src_id]

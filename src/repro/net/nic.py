@@ -81,9 +81,6 @@ class NIC:
         self.fabric = fabric
         self.params = fabric.params
         self._recv_queues: Dict[Any, Store] = {}
-        # (obs, its nic.sends@n counter) of _obs_send: a string-keyed
-        # registry lookup is too hot to repeat per send
-        self._obs_send_cache = None
         # counters (exposed for benches / tests)
         self.sends = 0
         self.rdma_reads = 0
@@ -135,16 +132,19 @@ class NIC:
         msg = Message(src=self.node.id, dst=dst_id, tag=tag,
                       payload=payload, size=size, sent_at=self.env.now,
                       mid=self.env.next_id("msg"))
-        self._obs_send(msg)
+        if self.env.obs is not None:
+            self._obs_send(msg)
         wire = self.fabric.transfer(
             self.node.id, dst_id, size + self.params.header_bytes)
         dst_nic = self.fabric.node(dst_id).nic
 
         def deliver(_ev):
-            if not _ev.ok:
+            if not _ev._ok:
                 return  # wire failure: message lost
-            copies = self._delivery_copies(msg)
-            self._obs_delivery(msg, copies)
+            copies = 1
+            if self.env.obs is not None or self.fabric.injector is not None:
+                copies = self._delivery_copies(msg)
+                self._obs_delivery(msg, copies)
             if copies == 0:
                 return
             msg.arrived_at = self.env.now
@@ -164,18 +164,21 @@ class NIC:
         msg = Message(src=self.node.id, dst=dst_id, tag=tag,
                       payload=payload, size=size, sent_at=self.env.now,
                       mid=self.env.next_id("msg"))
-        self._obs_send(msg)
+        if self.env.obs is not None:
+            self._obs_send(msg)
         done = self.env.event()
         wire = self.fabric.transfer(
             self.node.id, dst_id, size + self.params.header_bytes)
         dst_nic = self.fabric.node(dst_id).nic
 
         def deliver(_ev):
-            if not _ev.ok:
+            if not _ev._ok:
                 done.fail(_ev._value)
                 return
-            copies = self._delivery_copies(msg)
-            self._obs_delivery(msg, copies)
+            copies = 1
+            if self.env.obs is not None or self.fabric.injector is not None:
+                copies = self._delivery_copies(msg)
+                self._obs_delivery(msg, copies)
             if copies == 0:
                 # acked delivery: a dropped message surfaces to the sender
                 done.fail(FaultError(
@@ -196,17 +199,14 @@ class NIC:
             return 1
         return injector.message_fate(msg.src, msg.dst)
 
+    def pull_metrics(self, metrics) -> None:
+        """Register ``sends`` as the pulled counter ``nic.sends@n<node>``."""
+        metrics.pull("nic.sends", lambda: self.sends, node=self.node.id)
+
     def _obs_send(self, msg: Message) -> None:
-        """Observability hook: a send was posted."""
-        obs = self.env.obs
-        if obs is not None:
-            obs.trace.emit("msg.send", node=msg.src, dst=msg.dst,
-                           size=msg.size, mid=msg.mid)
-            cache = self._obs_send_cache
-            if cache is None or cache[0] is not obs:
-                cache = self._obs_send_cache = (
-                    obs, obs.metrics.counter("nic.sends", node=self.node.id))
-            cache[1].inc()
+        """Observability hook: a send was posted (``env.obs`` is set)."""
+        self.env.obs.trace.emit("msg.send", node=msg.src, dst=msg.dst,
+                                size=msg.size, mid=msg.mid)
 
     def _obs_delivery(self, msg: Message, copies: int) -> None:
         """Observability hook: delivery outcome at the receiver."""
@@ -324,9 +324,9 @@ class NIC:
             # verb_fault draws from the stream message_fate shares, so
             # it must run where the generator's first statement runs:
             # in an agenda entry of its own at the post instant
-            env._schedule_call(env._now, partial(self._verb_check, s))
+            env._schedule_call(env.now, partial(self._verb_check, s))
         else:
-            env._schedule_call(env._now + self.params.post_us,
+            env._schedule_call(env.now + self.params.post_us,
                                self._vposted[s])
         return done
 
@@ -346,7 +346,7 @@ class NIC:
         except RdmaError as exc:
             self._fail_verb(self._free_verb(s), exc)
             return
-        self.env._schedule_call(self.env._now + self.params.post_us,
+        self.env._schedule_call(self.env.now + self.params.post_us,
                                 self._vposted[s])
 
     def _leg_refused(self, injector, s: int, src: int, dst: int) -> bool:
@@ -407,7 +407,7 @@ class NIC:
         env = self.env
         delay = (self.params.rdma_turnaround_us if op == _OP_READ
                  else self.params.atomic_exec_us)
-        env._schedule_call(env._now + delay, self._vserve[s])
+        env._schedule_call(env.now + delay, self._vserve[s])
 
     def _verb_serve(self, s: int) -> None:
         fabric = self.fabric

@@ -147,12 +147,12 @@ class Observability:
         node = nic.node.id
         self.trace.emit("verb.issue", node=node,
                         op=op, dst=dst, nbytes=nbytes)
-        ev.add_callback(Probe(self._verb_done, node, op, dst, self.env._now))
+        ev.add_callback(Probe(self._verb_done, node, op, dst, self.env.now))
 
     def _verb_done(self, node: int, op: str, dst: int, t0: float,
                    ev) -> None:
         if ev._ok:
-            us = self.env._now - t0
+            us = self.env.now - t0
             self.trace.emit("verb.complete", node=node,
                             op=op, dst=dst, us=us)
             hists = (self._hists.get((op, node))
@@ -165,11 +165,11 @@ class Observability:
 
     def latency(self, ev, name: str, node: int) -> None:
         """Probe ``ev`` into histograms ``name`` and ``name@n<node>``."""
-        ev.add_callback(Probe(self._latency_done, name, node, self.env._now))
+        ev.add_callback(Probe(self._latency_done, name, node, self.env.now))
 
     def _latency_done(self, name: str, node: int, t0: float, ev) -> None:
         if ev._ok:
-            us = self.env._now - t0
+            us = self.env.now - t0
             hists = (self._hists.get((name, node))
                      or self._pair((name, node), name, node))
             hists[0].observe(us)

@@ -41,8 +41,8 @@ class RouteTable(dict):
 
 class Tracer:
     """Bounded in-memory trace with prefix-filtered subscriptions,
-    notified synchronously in registration order; a subscribe or
-    unsubscribe, even inside a callback, applies from the next emit on."""
+    notified synchronously in registration order; a subscribe, even
+    inside a callback, applies from the next emit on."""
 
     def __init__(self, env, capacity: int = 65536):
         if capacity <= 0:
@@ -57,7 +57,7 @@ class Tracer:
     def emit(self, etype: str, node: int = -1, **fields: Any) -> TraceEvent:
         """Record one event at the current simulated time."""
         # tuple.__new__ builds the row in C; TraceEvent.__new__ is Python
-        ev = _new_row(TraceEvent, (self.env._now, node, etype, fields))
+        ev = _new_row(TraceEvent, (self.env.now, node, etype, fields))
         self.ring.append(ev)
         self.emitted += 1
         for fn in self._routes[etype]:
@@ -70,11 +70,6 @@ class Tracer:
         """Call ``fn`` for every future event whose type starts with
         ``prefix`` (empty prefix = everything)."""
         self._routes = RouteTable(self._routes.subs + ((prefix, fn),))
-
-    def unsubscribe(self, fn: Callable[[TraceEvent], None]) -> None:
-        # equality, not identity: a bound method is a fresh object on
-        # every attribute access, but compares equal to itself
-        self._routes = RouteTable(s for s in self._routes.subs if s[1] != fn)
 
     # -- queries --------------------------------------------------------
     def snapshot(self) -> "TraceSnapshot":

@@ -2,7 +2,8 @@
 
 The kernel is deliberately small and deterministic:
 
-* :class:`Environment` owns the clock and the agenda.
+* :class:`Environment` owns the clock (``now``, a plain attribute that
+  only the drains write) and the agenda.
 * :class:`Event` is a one-shot occurrence that carries a value (or an
   exception) and a list of callbacks.
 * :class:`Process` wraps a generator.  Each ``yield`` must produce an
@@ -18,7 +19,7 @@ One agenda, two drains (DESIGN.md §9, §14):
 
 * **fast** (default) — a binary heap of ``(when, seq, event, value)``
   plus a FIFO deque for entries scheduled *at the current time*
-  (triggered events, process inits, zero-delay timeouts).  Every
+  (triggered events, process start calls, zero-delay timeouts).  Every
   schedule — heap or deque — consumes one number from the shared
   sequence counter, and the merge pops whichever of (deque head, heap
   head) has the globally smallest ``(when, seq)``, so the total firing
@@ -169,7 +170,13 @@ class Event:
         if self._value is not _PENDING:
             raise SimulationError(f"{self!r} already triggered")
         self._value = value
-        self.env._queue_event(self)
+        # _queue_event's body, flattened: one frame per trigger
+        env = self.env
+        seq = env._seq = env._seq + 1
+        if env.fastpath:
+            env._imm.append((seq, self, _ALREADY))
+        else:
+            heappush(env._heap, (env.now, seq, self, _ALREADY))
         return self
 
     def fail(self, exc: BaseException) -> "Event":
@@ -205,7 +212,7 @@ class Timeout(Event):
             raise _bad_delay(delay)
         super().__init__(env)
         self.delay = delay
-        env._schedule_at(env._now + delay, self, value=value)
+        env._schedule_at(env.now + delay, self, value=value)
 
 
 class Process(Event):
@@ -219,15 +226,17 @@ class Process(Event):
         if not hasattr(gen, "send"):
             raise SimulationError(
                 f"process requires a generator, got {type(gen).__name__}")
-        super().__init__(env)
+        self.env = env
+        self.callbacks: Optional[list] = []
+        self._value: Any = _PENDING
+        self._ok = True
         self._gen = gen
         self._target: Optional[Event] = None
         self.name = name or getattr(gen, "__name__", "process")
-        # Kick off at the current time via an initialisation event.
-        init = Event(env)
-        init._value = None
-        init.callbacks.append(self._resume)
-        env._queue_event(init)
+        # Kick off at the current time with a bare call to _resume (no
+        # event): it takes the queue and the seq a trigger would, so
+        # both kernels start the process at the same agenda position.
+        env._schedule_call(env.now, self._resume)
 
     @property
     def is_alive(self) -> bool:
@@ -253,22 +262,31 @@ class Process(Event):
         self.env._queue_event(carrier)
 
     # -- internal ------------------------------------------------------
-    def _resume(self, event: Event) -> None:
+    def _resume(self, event: Optional[Event] = None) -> None:
         # Hot path: one resume per yield of every process.  Property
         # accessors (is_alive / triggered) are inlined to plain slot
         # reads; the interrupt carrier arrives with ``_ok`` False so a
-        # single branch covers both send and throw.
+        # single branch covers both send and throw.  The start call
+        # passes no event.
         if self._value is not _PENDING:
             return
         self._target = None
         try:
-            if event._ok:
+            if event is None:
+                nxt = self._gen.send(None)
+            elif event._ok:
                 nxt = self._gen.send(event._value)
             else:
                 nxt = self._gen.throw(event._value)
         except StopIteration as stop:
             self._value = stop.value
-            self.env._queue_event(self)
+            # the process's own trigger, flattened like succeed()'s push
+            env = self.env
+            seq = env._seq = env._seq + 1
+            if env.fastpath:
+                env._imm.append((seq, self, _ALREADY))
+            else:
+                heappush(env._heap, (env.now, seq, self, _ALREADY))
             return
         except BaseException as exc:
             self._ok = False
@@ -281,13 +299,16 @@ class Process(Event):
                 # the crash instead of swallowing it.
                 raise
             return
-        if not isinstance(nxt, Event):
+        # Attribute reads reject a non-event: no isinstance call per yield.
+        try:
+            env = nxt.env
+            cbs = nxt.callbacks
+        except AttributeError:
             raise SimulationError(
-                f"process {self.name!r} yielded non-event {nxt!r}")
-        if nxt.env is not self.env:
+                f"process {self.name!r} yielded non-event {nxt!r}") from None
+        if env is not self.env:
             raise SimulationError("yielded event belongs to another Environment")
         self._target = nxt
-        cbs = nxt.callbacks
         if cbs is None:
             # Yielded an already-processed event: resume immediately,
             # same as Event.add_callback would.
@@ -412,7 +433,9 @@ class Environment:
     obs = None
 
     def __init__(self, initial_time: float = 0.0):
-        self._now = float(initial_time)
+        #: current simulation time in microseconds; only the kernel's
+        #: drains write it, everything else reads the plain attribute
+        self.now = float(initial_time)
         #: the agenda: a binary heap of ``(when, seq, event, value)``.
         self._heap: list = []
         #: FIFO of ``(seq, event, value)`` entries scheduled at the
@@ -423,12 +446,6 @@ class Environment:
         #: False under ``REPRO_SLOW_KERNEL=1``: immediate entries take
         #: the heap and the net layer skips its analytic shortcuts.
         self.fastpath = not slow_kernel_requested()
-
-    # -- clock ----------------------------------------------------------
-    @property
-    def now(self) -> float:
-        """Current simulation time in microseconds."""
-        return self._now
 
     # -- identifiers ----------------------------------------------------
     def next_id(self, stream: str = "default") -> int:
@@ -460,7 +477,7 @@ class Environment:
         ev._value = _PENDING
         ev._ok = True
         ev.delay = delay
-        now = self._now
+        now = self.now
         when = now + delay
         seq = self._seq = self._seq + 1
         if when == now and self.fastpath:
@@ -473,20 +490,18 @@ class Environment:
                 name: str = "") -> Process:
         return Process(self, gen, name=name)
 
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        return AnyOf(self, events)
-
     def all_of(self, events: Iterable[Event]) -> AllOf:
         return AllOf(self, events)
 
     # -- scheduling -----------------------------------------------------
     # These three are the whole seam between the rest of the package and
     # the agenda: everything that ever fires was pushed by one of them
-    # (or by the flattened copy in :meth:`timeout`).
+    # (or by the flattened copies in :meth:`timeout`,
+    # :meth:`Event.succeed` and a returning :meth:`Process._resume`).
     def _schedule_at(self, when: float, event: Event,
                      value: Any = _ALREADY) -> None:
         seq = self._seq = self._seq + 1
-        if when == self._now and self.fastpath:
+        if when == self.now and self.fastpath:
             self._imm.append((seq, event, value))
         else:
             heappush(self._heap, (when, seq, event, value))
@@ -497,7 +512,7 @@ class Environment:
         if self.fastpath:
             self._imm.append((seq, event, _ALREADY))
         else:
-            heappush(self._heap, (self._now, seq, event, _ALREADY))
+            heappush(self._heap, (self.now, seq, event, _ALREADY))
 
     def _schedule_call(self, when: float, fn: Callable[[], None]) -> None:
         """Schedule a bare callable — the allocation-free agenda entry.
@@ -507,7 +522,7 @@ class Environment:
         paths use this for link release / wire arrival / service stages.
         """
         seq = self._seq = self._seq + 1
-        if when == self._now and self.fastpath:
+        if when == self.now and self.fastpath:
             self._imm.append((seq, fn, _CALL))
         else:
             heappush(self._heap, (when, seq, fn, _CALL))
@@ -522,7 +537,7 @@ class Environment:
         """
         imm = self._imm
         heap = self._heap
-        if imm and (not heap or heap[0][0] > self._now
+        if imm and (not heap or heap[0][0] > self.now
                     or heap[0][1] > imm[0][0]):
             _seq, event, value = imm.popleft()
         else:
@@ -530,9 +545,9 @@ class Environment:
                 when, _seq, event, value = heappop(heap)
             except IndexError:
                 raise SimulationError("step() on an empty agenda") from None
-            if when < self._now:  # pragma: no cover - defensive
+            if when < self.now:  # pragma: no cover - defensive
                 raise SimulationError("time went backwards")
-            self._now = when
+            self.now = when
         if value is _CALL:
             event()
             return
@@ -547,30 +562,34 @@ class Environment:
     def peek(self) -> float:
         """Time of the next agenda entry, or ``inf`` if empty."""
         if self._imm:
-            return self._now
+            return self.now
         return self._heap[0][0] if self._heap else _INF
 
     def run(self, until: Optional[float] = None,
             max_events: Optional[int] = None) -> float:
         """Run until the agenda is empty, ``until`` is reached, or
-        ``max_events`` entries have been processed.  Returns ``now``."""
+        ``max_events`` entries have been processed.  Returns ``now``.
+        Time never moves backwards: a bound before ``now`` (or NaN)
+        raises :class:`SimulationError`."""
         imm = self._imm
         heap = self._heap
         stop = _INF if until is None else until
-        if not self.fastpath or max_events is not None or self._now > stop:
+        if not stop >= self.now:  # also refuses NaN
+            raise SimulationError(
+                f"run(until={until}) is not a time at or after now={self.now}")
+        if not self.fastpath or max_events is not None:
             # The executable spec: one bound check and one step() per
             # entry.  It is the slow kernel's only drain; the fast
             # kernel uses it for an entry-count bound (no packaged
             # scenario passes one, so the hot drain below does not pay
-            # for a per-entry countdown) and for a bound already behind
-            # the clock.
+            # for a per-entry countdown).
             count = 0
             while imm or heap:
                 if until is not None and self.peek() > until:
-                    self._now = until
+                    self.now = until
                     return until
                 if max_events is not None and count >= max_events:
-                    return self._now
+                    return self.now
                 self.step()
                 count += 1
         else:
@@ -591,7 +610,7 @@ class Environment:
                     # when the head sits in the future or the heap is
                     # empty; callbacks only push entries later than now,
                     # so the guard holds for the whole drain).
-                    if heap and heap[0][0] <= self._now:
+                    if heap and heap[0][0] <= self.now:
                         guard = heap[0][1]
                     else:
                         guard = _INF
@@ -609,10 +628,10 @@ class Environment:
                 if not heap:
                     break
                 if heap[0][0] > stop:
-                    self._now = until
+                    self.now = until
                     return until
                 when, _seq, event, value = heappop(heap)
-                self._now = when
+                self.now = when
                 while True:
                     if value is _CALL:
                         event()
@@ -632,9 +651,9 @@ class Environment:
                     heappop(heap)
                     event = nxt[2]
                     value = nxt[3]
-        if until is not None and until > self._now:
-            self._now = until
-        return self._now
+        if until is not None and until > self.now:
+            self.now = until
+        return self.now
 
     def run_until_event(self, event: Event, limit: float = 1e12) -> Any:
         """Run until ``event`` has fired.  Raises if the agenda drains or
@@ -648,7 +667,7 @@ class Environment:
             self.step()
         # Drain zero-delay follow-ups so the event's callbacks have run.
         while not event.processed and (self._imm
-                                       or self.peek() <= self._now):
+                                       or self.peek() <= self.now):
             self.step()
         if not event._ok:
             raise event._value

@@ -12,7 +12,9 @@ The implementation keeps exact remaining-work accounting: one frame,
 :meth:`CPU._update`, per change of the active-job set decays every
 remaining work by the elapsed virtual service, finishes ripe jobs and
 re-arms the wake-up: a bare agenda call tagged with a generation, so a
-superseded wake stays one no-op entry (DESIGN.md §14).
+superseded wake stays one no-op entry (DESIGN.md §14).  A job is its
+own completion event: :meth:`CPU.run` returns the :class:`CPUJob`,
+which a process yields and which ``cancel()`` withdraws.
 """
 
 from __future__ import annotations
@@ -20,26 +22,29 @@ from __future__ import annotations
 from functools import partial
 from typing import List, Optional
 
-from repro.sim.core import Environment, Event, SimulationError
+from repro.sim.core import _PENDING, Environment, Event, SimulationError
 
 __all__ = ["CPU", "CPUJob"]
 
 _INF = float("inf")
 
 
-class CPUJob:
-    """Handle for a job submitted to a :class:`CPU`.
+class CPUJob(Event):
+    """A job submitted to a :class:`CPU`, and its own completion event.
 
-    ``done`` is the completion event.  ``cancel()`` withdraws the job
-    (its event then fails with :class:`SimulationError`).
+    ``cancel()`` withdraws the job (the event then fails with
+    :class:`SimulationError`).
     """
 
-    __slots__ = ("name", "remaining", "done", "_cpu")
+    __slots__ = ("name", "remaining", "_cpu")
 
     def __init__(self, cpu: "CPU", work: float, name: str):
+        self.env = cpu.env
+        self.callbacks = []
+        self._value = _PENDING
+        self._ok = True
         self.name = name
         self.remaining = float(work)
-        self.done = Event(cpu.env)
         self._cpu = cpu
 
     def cancel(self) -> None:
@@ -75,13 +80,11 @@ class CPU:
         """Run-queue length normalised by core count (like loadavg/cores)."""
         return self.active_jobs / self.cores
 
-    def run(self, work: float, name: str = "job") -> Event:
-        """Submit ``work`` microseconds of CPU demand; returns completion
-        event.  Zero work completes at the current time (one event hop)."""
-        return self.submit(work, name).done
-
-    def submit(self, work: float, name: str = "job") -> CPUJob:
-        """Admit a job; refuses anything but ``0 <= work < inf`` first."""
+    def run(self, work: float, name: str = "job") -> CPUJob:
+        """Submit ``work`` microseconds of CPU demand; returns the job,
+        which is its completion event.  Zero work completes at the
+        current time (one event hop).  Refuses anything but
+        ``0 <= work < inf``."""
         if not 0 <= work < _INF:
             raise SimulationError(
                 f"CPU job {name!r}: work must be finite and >= 0, got {work}")
@@ -90,7 +93,7 @@ class CPU:
             self._update(job)
         else:
             # Idle: the frame reduces to no decay, rate 1.0, delay = work.
-            now = self._last_update = self.env._now
+            now = self._last_update = self.env.now
             self._jobs.append(job)
             self._generation = gen = self._generation + 1
             self.env._schedule_call(now + job.remaining,
@@ -118,22 +121,25 @@ class CPU:
                 rearm: bool = True) -> None:
         """Decay, finish ripe jobs in submission order (zero-work ones
         too), admit ``job``, and with ``rearm`` re-arm the wake-up."""
-        now = self.env._now
+        now = self.env.now
         jobs = self._jobs
+        cores = self.cores
         dt = now - self._last_update
         self._last_update = now
         served = 0.0
+        # Comparisons, not min(): the same floats (min keeps its first
+        # argument on a tie, and cores / n >= 1.0 when n <= cores).
         if dt > 0:
             n = len(jobs) + self._background
-            self._busy_integral += dt * min(n, self.cores)
+            self._busy_integral += dt * (n if n < cores else cores)
             if jobs:
-                served = dt * min(1.0, self.cores / n)
+                served = dt if n <= cores else dt * (cores / n)
         shortest = _INF
         live = []
         for j in jobs:
             rem = j.remaining = j.remaining - served
             if rem <= 1e-9:
-                j.done.succeed()
+                j.succeed()
             else:
                 live.append(j)
                 if rem < shortest:
@@ -146,7 +152,8 @@ class CPU:
         if rearm:
             self._generation = gen = self._generation + 1
             if jobs:
-                rate = min(1.0, self.cores / (len(jobs) + self._background))
+                n = len(jobs) + self._background
+                rate = 1.0 if n <= cores else cores / n
                 self.env._schedule_call(now + shortest / rate,
                                         partial(self._on_wake, gen))
 
@@ -158,5 +165,5 @@ class CPU:
         self._update(rearm=False)
         if job in self._jobs:
             self._jobs.remove(job)
-            job.done.fail(SimulationError(f"job {job.name} cancelled"))
+            job.fail(SimulationError(f"job {job.name} cancelled"))
             self._update()

@@ -1,15 +1,15 @@
-"""Lightweight measurement helpers: time series and tallies.
+"""Lightweight measurement helpers: tallies and percentiles.
 
-Used by benches and services to record latencies, throughput windows and
-time-weighted quantities without pulling in external dependencies.
+Used by benches and services to record latencies without pulling in
+external dependencies.
 """
 
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Sequence, Tuple
+from typing import Sequence
 
-__all__ = ["Tally", "TimeSeries", "TimeWeighted", "percentile", "rank_of"]
+__all__ = ["Tally", "percentile", "rank_of"]
 
 
 def rank_of(q: float, n: int) -> int:
@@ -105,57 +105,3 @@ class Tally:
     def __repr__(self) -> str:  # pragma: no cover
         return (f"<Tally {self.name} n={self.count} mean={self.mean:.3f} "
                 f"min={self.min:.3f} max={self.max:.3f}>")
-
-
-class TimeSeries:
-    """(time, value) samples with simple aggregation helpers."""
-
-    def __init__(self, name: str = ""):
-        self.name = name
-        self.times: List[float] = []
-        self.values: List[float] = []
-
-    def record(self, t: float, v: float) -> None:
-        if self.times and t < self.times[-1]:
-            raise ValueError("time series must be recorded in time order")
-        self.times.append(t)
-        self.values.append(v)
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def window_rate(self, t0: float, t1: float) -> float:
-        """Events per microsecond within [t0, t1)."""
-        if t1 <= t0:
-            raise ValueError("empty window")
-        n = sum(1 for t in self.times if t0 <= t < t1)
-        return n / (t1 - t0)
-
-    def last(self) -> Tuple[float, float]:
-        if not self.times:
-            raise ValueError("empty time series")
-        return self.times[-1], self.values[-1]
-
-
-class TimeWeighted:
-    """Time-weighted average of a piecewise-constant quantity."""
-
-    def __init__(self, t0: float = 0.0, v0: float = 0.0):
-        self._t = t0
-        self._v = v0
-        self._integral = 0.0
-        self._start = t0
-
-    def set(self, t: float, v: float) -> None:
-        if t < self._t:
-            raise ValueError("time went backwards")
-        self._integral += self._v * (t - self._t)
-        self._t = t
-        self._v = v
-
-    def mean(self, t: Optional[float] = None) -> float:
-        t = self._t if t is None else t
-        horizon = t - self._start
-        if horizon <= 0:
-            return self._v
-        return (self._integral + self._v * (t - self._t)) / horizon

@@ -122,7 +122,7 @@ class TopoFabric(Fabric):
         later, and schedule ``land`` at the arrival instant."""
         env = self.env
         key = self._up_key(src_id, dst_id)
-        start = env._now
+        start = env.now
         ends = self._uplink_end
         if ends[key] > start:
             start = ends[key]

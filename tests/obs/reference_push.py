@@ -2,7 +2,8 @@
 
 The fabric pushed ``fabric.*``, ``topo.xrack.*`` and
 ``topo.uplink.bytes@n<rack>`` into registry counters on every transfer,
-each latency probe was a closure marked ``_obs_passive`` by hand, and
+the NIC pushed ``nic.sends@n<node>`` on every send, each latency probe
+was a closure marked ``_obs_passive`` by hand, and
 ``Tracer.emit`` built its rows through ``TraceEvent``'s own
 constructor.  :func:`patch_reference` puts those hooks back (and turns
 the pulled counters off) so ``tests/obs/test_reference_push.py`` can
@@ -10,6 +11,7 @@ require byte-identical exports from both.
 """
 
 from repro.net.fabric import Fabric
+from repro.net.nic import NIC
 from repro.obs import Observability, TraceEvent, Tracer
 from repro.topo.fabric import TopoFabric
 
@@ -42,6 +44,18 @@ def _pushing(method, xrack=False):
                 _obs_xrack(self, obs, src_id, nbytes)
         return method(self, src_id, dst_id, nbytes, *rest)
     return pushed
+
+
+def _obs_send(self, msg):
+    obs = self.env.obs
+    if obs is not None:
+        obs.trace.emit("msg.send", node=msg.src, dst=msg.dst,
+                       size=msg.size, mid=msg.mid)
+        cache = getattr(self, "_ref_cache", None)
+        if cache is None or cache[0] is not obs:
+            cache = self._ref_cache = (
+                obs, obs.metrics.counter("nic.sends", node=self.node.id))
+        cache[1].inc()
 
 
 def verb(self, nic, op, dst, nbytes, ev):
@@ -91,6 +105,8 @@ def patch_reference(monkeypatch):
     monkeypatch.setattr(Fabric, "pull_metrics", lambda self, metrics: None)
     monkeypatch.setattr(TopoFabric, "pull_metrics",
                         lambda self, metrics: None)
+    monkeypatch.setattr(NIC, "pull_metrics", lambda self, metrics: None)
+    monkeypatch.setattr(NIC, "_obs_send", _obs_send)
     monkeypatch.setattr(Fabric, "_route", _pushing(Fabric._route))
     monkeypatch.setattr(Fabric, "_spawn", _pushing(Fabric._spawn))
     monkeypatch.setattr(TopoFabric, "_count_xrack",

@@ -1,7 +1,7 @@
 """Pulled counters and :class:`~repro.obs.Probe` against the push twin.
 
 ``tests/obs/reference_push.py`` records the way the library did before
-fabric counters were pulled at export and latency probes became one
+fabric and NIC counters were pulled at export and latency probes became one
 ``functools.partial`` type.  Both must export the same bytes: the
 metrics document and the full trace, on every scenario row (``lab``,
 the slowest, is left to the topology rig below, which covers its
@@ -97,3 +97,4 @@ def _rpc_rig(kernel):
 def test_rpc_rig_matches_the_push_twin(kernel, monkeypatch):
     metrics, _ = _twin(lambda: _rpc_rig(kernel), monkeypatch)
     assert '"rpc.call_us@n1"' in metrics and '"rpc.timeouts@n1"' in metrics
+    assert '"nic.sends@n0"' in metrics and '"nic.sends@n1"' in metrics

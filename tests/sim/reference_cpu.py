@@ -5,7 +5,8 @@ agenda calls: every job-set change runs ``_advance`` then
 ``_reschedule``, and a wake-up is an ``env.timeout`` with a closure
 callback.  The product class must reproduce it float for float and
 agenda slot for agenda slot (``tests/sim/test_cpu_twin.py``).  Only the
-class name differs from the original; do not optimise this file.
+class name and the job handle differ from the original (the job is its
+own completion event, as in the product); do not optimise this file.
 """
 
 from __future__ import annotations
@@ -21,20 +22,20 @@ __all__ = ["ReferenceCPU", "CPUJob"]
 _job_ids = itertools.count(1)
 
 
-class CPUJob:
-    """Handle for a job submitted to a :class:`CPU`.
+class CPUJob(Event):
+    """A job submitted to a :class:`CPU`, and its own completion event.
 
-    ``done`` is the completion event.  ``cancel()`` withdraws the job
-    (its event then fails with :class:`SimulationError`).
+    ``cancel()`` withdraws the job (the event then fails with
+    :class:`SimulationError`).
     """
 
-    __slots__ = ("jid", "name", "remaining", "done", "_cpu")
+    __slots__ = ("jid", "name", "remaining", "_cpu")
 
     def __init__(self, cpu: "ReferenceCPU", work: float, name: str):
+        super().__init__(cpu.env)
         self.jid = next(_job_ids)
         self.name = name
         self.remaining = float(work)
-        self.done = Event(cpu.env)
         self._cpu = cpu
 
     def cancel(self) -> None:
@@ -70,13 +71,13 @@ class ReferenceCPU:
         """Run-queue length normalised by core count (like loadavg/cores)."""
         return self.active_jobs / self.cores
 
-    def run(self, work: float, name: str = "job") -> Event:
-        """Submit ``work`` microseconds of CPU demand; returns completion
-        event.  Zero work completes at the current time (one event hop)."""
+    def run(self, work: float, name: str = "job") -> CPUJob:
+        """Submit ``work`` microseconds of CPU demand; returns the job,
+        its own completion event.  Zero work completes at the current
+        time (one event hop)."""
         if work < 0:
             raise SimulationError(f"negative CPU work: {work}")
-        job = self.submit(work, name)
-        return job.done
+        return self.submit(work, name)
 
     def submit(self, work: float, name: str = "job") -> CPUJob:
         job = CPUJob(self, work, name)
@@ -126,7 +127,7 @@ class ReferenceCPU:
         finished = [j for j in self._jobs.values() if j.remaining <= 1e-9]
         for job in finished:
             del self._jobs[job.jid]
-            job.done.succeed()
+            job.succeed()
 
     def _reschedule(self) -> None:
         """Arm a wake-up at the earliest projected completion."""
@@ -154,5 +155,5 @@ class ReferenceCPU:
         self._advance()
         if job.jid in self._jobs:
             del self._jobs[job.jid]
-            job.done.fail(SimulationError(f"job {job.name} cancelled"))
+            job.fail(SimulationError(f"job {job.name} cancelled"))
             self._reschedule()

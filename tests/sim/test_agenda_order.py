@@ -61,7 +61,7 @@ def _scripted_load(env, seed, n_initial, n_total):
     left = [n_total]
 
     def schedule(delay):
-        when = env._now + delay
+        when = env.now + delay
         # _schedule_call assigns seq = env._seq + 1 and stores it back,
         # so this entry's seq is known before the call.
         key = (when, env._seq + 1)
@@ -139,7 +139,7 @@ def test_interleaved_step_and_schedule(monkeypatch, kernel):
     fired = []
     scheduled = []
     for i in range(4000):
-        when = env._now + _delay(rng)
+        when = env.now + _delay(rng)
         env._schedule_call(when, lambda i=i: fired.append(i))
         scheduled.append((when, env._seq, i))
         if i % 3 == 0:

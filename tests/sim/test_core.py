@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.sim import Environment, Event, Interrupt, SimulationError
+from repro.sim import (AnyOf, Environment, Event, Interrupt, KERNELS,
+                       SimulationError, pin_kernel)
 
 
 def test_timeout_advances_clock():
@@ -170,7 +171,7 @@ def test_any_of_fires_on_first():
     def proc(env):
         t1 = env.timeout(10.0, value="slow")
         t2 = env.timeout(2.0, value="fast")
-        done = yield env.any_of([t1, t2])
+        done = yield AnyOf(env, [t1, t2])
         return (env.now, list(done.values()))
 
     p = env.process(proc(env))
@@ -213,6 +214,30 @@ def test_run_until_limits_clock():
     env.process(proc(env))
     env.run(until=30.0)
     assert env.now == 30.0
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+@pytest.mark.parametrize("bound", [5.0, float("nan")])
+def test_run_until_behind_the_clock_or_nan_is_refused(bound, kernel):
+    """Time never moves backwards and NaN is no bound: with an entry
+    pending or on an empty agenda, the call raises and leaves the clock
+    and the agenda as they were."""
+    with pin_kernel(kernel):
+        env = Environment()
+
+    def proc(env):
+        yield env.timeout(10.0)
+        yield env.timeout(10.0)
+
+    env.process(proc(env))
+    assert env.run(until=15.0) == 15.0
+    with pytest.raises(SimulationError, match=r"until=.* now=15\.0"):
+        env.run(until=bound)
+    assert env.now == 15.0 and env.peek() == 20.0
+    assert env.run() == 20.0
+    with pytest.raises(SimulationError, match=r"until=.* now=20\.0"):
+        env.run(until=bound)
+    assert env.now == 20.0
 
 
 def test_run_until_event_deadlock_detection():

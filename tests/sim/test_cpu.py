@@ -106,17 +106,18 @@ def test_negative_work_rejected():
 
 @pytest.mark.parametrize("work", [float("nan"), float("inf"), -1.0,
                                   float("-inf")])
-@pytest.mark.parametrize("entry", ["run", "submit"])
-def test_bad_work_refused_before_any_state_change(entry, work):
-    """A refused job leaves no trace: the CPU neither keeps it nor raises
-    again for the jobs that follow."""
+@pytest.mark.parametrize("background", [0, 1], ids=["run", "run-busy"])
+def test_bad_work_refused_before_any_state_change(background, work):
+    """A refused job leaves no trace on an idle or a busy CPU: the CPU
+    neither keeps it nor raises again for the jobs that follow."""
     env = Environment()
     cpu = CPU(env, cores=1)
+    cpu.set_background(background)
     with pytest.raises(SimulationError, match="'bad'"):
-        getattr(cpu, entry)(work, name="bad")
-    assert cpu.active_jobs == 0
-    assert finish_time(env, cpu, 5.0) == 5.0
-    assert cpu.active_jobs == 0
+        cpu.run(work, name="bad")
+    assert cpu.active_jobs == background
+    assert finish_time(env, cpu, 5.0) == 5.0 * (1 + background)
+    assert cpu.active_jobs == background
 
 
 def test_active_jobs_and_load():
@@ -132,10 +133,10 @@ def test_active_jobs_and_load():
 def test_cancel_job():
     env = Environment()
     cpu = CPU(env, cores=1)
-    job = cpu.submit(100.0)
+    job = cpu.run(100.0)
     other = cpu.run(100.0)
     failures = []
-    job.done.add_callback(lambda e: failures.append(e.ok))
+    job.add_callback(lambda e: failures.append(e.ok))
     job.cancel()
     done_at = {}
     other.add_callback(lambda e: done_at.setdefault("t", env.now))

@@ -67,8 +67,8 @@ def _replay(cls, kernel, cores, ops):
                 yield env.timeout(gap)
             before = env._seq
             if op == "submit":
-                job = cpu.submit(arg, name=f"j{len(jobs)}")
-                job.done.add_callback(
+                job = cpu.run(arg, name=f"j{len(jobs)}")
+                job.add_callback(
                     lambda ev, i=len(jobs): done.append((i, env.now, ev.ok)))
                 jobs.append(job)
             elif op == "background":

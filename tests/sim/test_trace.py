@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro.sim.trace import Tally, TimeSeries, TimeWeighted, percentile
+from repro.sim.trace import Tally, percentile
 
 
 class TestTally:
@@ -49,41 +49,3 @@ class TestPercentile:
     def test_out_of_range_q(self):
         with pytest.raises(ValueError):
             percentile([1], 101)
-
-
-class TestTimeSeries:
-    def test_record_and_window_rate(self):
-        ts = TimeSeries()
-        for t in [1.0, 2.0, 3.0, 11.0]:
-            ts.record(t, 1.0)
-        assert ts.window_rate(0.0, 10.0) == pytest.approx(0.3)
-
-    def test_out_of_order_rejected(self):
-        ts = TimeSeries()
-        ts.record(5.0, 1.0)
-        with pytest.raises(ValueError):
-            ts.record(4.0, 1.0)
-
-    def test_last(self):
-        ts = TimeSeries()
-        ts.record(1.0, 10.0)
-        ts.record(2.0, 20.0)
-        assert ts.last() == (2.0, 20.0)
-
-    def test_last_empty_raises(self):
-        with pytest.raises(ValueError):
-            TimeSeries().last()
-
-
-class TestTimeWeighted:
-    def test_piecewise_constant_mean(self):
-        tw = TimeWeighted(t0=0.0, v0=0.0)
-        tw.set(10.0, 4.0)   # 0 for [0,10)
-        tw.set(20.0, 0.0)   # 4 for [10,20)
-        assert tw.mean(40.0) == pytest.approx(1.0)
-
-    def test_backwards_time_rejected(self):
-        tw = TimeWeighted()
-        tw.set(5.0, 1.0)
-        with pytest.raises(ValueError):
-            tw.set(4.0, 2.0)

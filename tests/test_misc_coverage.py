@@ -134,7 +134,7 @@ class TestEnvironmentEdges:
         assert 0 < len(fired) < 10
 
     def test_any_of_propagates_child_failure(self):
-        from repro.sim import Environment
+        from repro.sim import AnyOf, Environment
         env = Environment()
 
         def proc(env):
@@ -142,7 +142,7 @@ class TestEnvironmentEdges:
             good = env.timeout(100.0)
             bad.fail(RuntimeError("child died"))
             try:
-                yield env.any_of([good, bad])
+                yield AnyOf(env, [good, bad])
             except RuntimeError as exc:
                 return str(exc)
 

@@ -87,7 +87,7 @@ def _watch(monkeypatch, client, keys):
     log, started = [], []
     real = Process._resume
 
-    def resume(self, event):
+    def resume(self, event=None):  # the start call passes no event
         real(self, event)
         if self is started[0]:
             log.append((self.env.now,
