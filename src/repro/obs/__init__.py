@@ -30,7 +30,8 @@ from typing import Dict, List, Optional
 from ..errors import ConfigError, SanitizerError
 from .events import TAXONOMY, TraceEvent
 from .fairness import FairnessTracker, jain_index
-from .metrics import Counter, Gauge, LatencyHistogram, MetricsRegistry
+from .metrics import (FOLD_AT, Counter, Gauge, LatencyHistogram,
+                      MetricsRegistry)
 from .sanitizers import (
     ALL_SANITIZERS,
     CacheAccountingSanitizer,
@@ -147,7 +148,9 @@ class Observability:
         node = nic.node.id
         self.trace.emit("verb.issue", node=node,
                         op=op, dst=dst, nbytes=nbytes)
-        ev.add_callback(Probe(self._verb_done, node, op, dst, self.env.now))
+        # a verb's completion event is fresh: it has a callback list
+        ev.callbacks.append(
+            Probe(self._verb_done, node, op, dst, self.env.now))
 
     def _verb_done(self, node: int, op: str, dst: int, t0: float,
                    ev) -> None:
@@ -155,10 +158,12 @@ class Observability:
             us = self.env.now - t0
             self.trace.emit("verb.complete", node=node,
                             op=op, dst=dst, us=us)
-            hists = (self._hists.get((op, node))
-                     or self._pair((op, node), f"nic.{op}_us", node))
-            hists[0].observe(us)
-            hists[1].observe(us)
+            # simulated time never runs back: ``us`` needs no check
+            for h in (self._hists.get((op, node))
+                      or self._pair((op, node), f"nic.{op}_us", node)):
+                h.samples.append(us)
+                if len(h.samples) >= FOLD_AT:
+                    h.fold()
         else:
             self.trace.emit("verb.fail", node=node, op=op, dst=dst)
             self.metrics.counter("nic.verb_fails", node=node).inc()
@@ -170,10 +175,11 @@ class Observability:
     def _latency_done(self, name: str, node: int, t0: float, ev) -> None:
         if ev._ok:
             us = self.env.now - t0
-            hists = (self._hists.get((name, node))
-                     or self._pair((name, node), name, node))
-            hists[0].observe(us)
-            hists[1].observe(us)
+            for h in (self._hists.get((name, node))
+                      or self._pair((name, node), name, node)):
+                h.samples.append(us)
+                if len(h.samples) >= FOLD_AT:
+                    h.fold()
 
     def _pair(self, key: tuple, name: str, node: int) -> tuple:
         pair = self._hists[key] = (self.metrics.histogram(name),

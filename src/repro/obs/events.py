@@ -174,9 +174,6 @@ TAXONOMY: Dict[str, tuple] = {
     "ha.expect": (("kind", "victims", "after", "by", "start", "until"),
                   "declarative failover should(-not)-happen assertion "
                   "checked post-hoc by the HA oracle"),
-    # -- rack/spine topology (repro.topo) ------------------------------
-    "topo.xrack": (("dst", "srack", "drack", "nbytes"),
-                   "cross-rack transfer entered a ToR uplink"),
     # -- sharded namespaces (repro.shard) ------------------------------
     "shard.rebalance": (("mgr", "kind", "mnode", "ep", "members"),
                         "shard ring membership changed (evict/restore)"),

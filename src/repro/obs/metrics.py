@@ -11,23 +11,32 @@ A counter that would copy a tally the program keeps anyway is *pulled*
 (:meth:`MetricsRegistry.pull`): read at export, not pushed per event.
 
 :class:`LatencyHistogram` buckets observations by power of two (the
-exponent from :func:`math.frexp`), which keeps memory constant while
-giving quantiles with at-most-2x relative error.  Its ``percentile``
-uses the same nearest-rank rule (:func:`repro.sim.trace.rank_of`) as
-the exact :func:`repro.sim.trace.percentile`, so benches sorting raw
-samples and obs walking buckets report the *same rank* — they differ
-only in bucket rounding, never in which observation is chosen.
+exponent from :func:`math.frexp`), giving quantiles with at-most-2x
+relative error.  It buffers at most :data:`FOLD_AT` raw samples and
+folds them into its tally and buckets on read or at that bound, so its
+memory is bounded by the fold and recording one sample is one append.
+Its ``percentile`` uses the same nearest-rank rule
+(:func:`repro.sim.trace.rank_of`) as the exact
+:func:`repro.sim.trace.percentile`, so benches sorting raw samples and
+obs walking buckets report the *same rank* — they differ only in bucket
+rounding, never in which observation is chosen.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, Optional
+from operator import itemgetter
+from typing import Callable, Dict, List, Optional
 
 from ..errors import ConfigError
 from ..sim.trace import Tally, rank_of
 
 __all__ = ["Counter", "Gauge", "LatencyHistogram", "MetricsRegistry"]
+
+#: samples a :class:`LatencyHistogram` buffers before folding them in
+FOLD_AT = 1024
+
+_EXPONENT = itemgetter(1)  # of a math.frexp pair
 
 
 class Counter:
@@ -60,8 +69,9 @@ class Gauge:
         self.max = -math.inf
 
     def set(self, v: float) -> None:
-        if math.isnan(v):
-            raise ValueError(f"NaN gauge value for {self.name!r}")
+        if not -math.inf < v < math.inf:  # NaN or infinite
+            raise ValueError(
+                f"non-finite gauge value for {self.name!r}: {v}")
         self.value = v
         if v < self.min:
             self.min = v
@@ -81,32 +91,70 @@ class LatencyHistogram:
     """Log2-bucketed distribution of simulated-µs latencies.
 
     Buckets are keyed by the binary exponent ``e`` such that the bucket
-    covers ``(2**(e-1), 2**e]``; an observation ``x`` lands in
+    covers ``[2**(e-1), 2**e)``; an observation ``x`` lands in
     ``math.frexp(x)[1]`` (zero gets its own bucket).  Reported
     percentiles are bucket *upper bounds* — a conservative estimate
     within 2x of the true value, which is plenty for the order-of-
     magnitude comparisons the paper's figures make.
+
+    Observations are buffered in ``samples`` and folded into the tally
+    and buckets, in arrival order, when the histogram is read or the
+    buffer reaches :data:`FOLD_AT`.  A probe that has already checked
+    its sample may append to ``samples`` itself and fold at the bound.
     """
 
-    __slots__ = ("name", "tally", "buckets", "zeros")
+    __slots__ = ("name", "samples", "_tally", "_buckets", "_zeros")
 
     def __init__(self, name: str = ""):
         self.name = name
-        self.tally = Tally(name)
-        self.buckets: Dict[int, int] = {}
-        self.zeros = 0
+        self.samples: List[float] = []
+        self._tally = Tally(name)
+        self._buckets: Dict[int, int] = {}
+        self._zeros = 0
 
     # -- recording ------------------------------------------------------
     def observe(self, us: float) -> None:
-        if not us >= 0.0:  # negative or NaN
+        if not 0.0 <= us < math.inf:  # negative, NaN or infinite
             raise ValueError(
                 f"invalid latency for histogram {self.name!r}: {us}")
-        self.tally.add(us)
-        if us == 0.0:
-            self.zeros += 1
+        samples = self.samples
+        samples.append(us)
+        if len(samples) >= FOLD_AT:
+            self.fold()
+
+    def fold(self) -> None:
+        """Move the buffered samples into the tally and buckets."""
+        samples = self.samples
+        if not samples:
             return
-        _m, e = math.frexp(us)
-        self.buckets[e] = self.buckets.get(e, 0) + 1
+        self._tally.extend(samples)  # raises on a non-finite sample
+        buckets = self._buckets
+        exps = list(map(_EXPONENT, map(math.frexp, samples)))
+        for e in set(exps):  # a few dozen exponents, counted in C
+            buckets[e] = buckets.get(e, 0) + exps.count(e)
+        zeros = samples.count(0.0)
+        if zeros:  # frexp(0.0) has exponent 0, as all of [0.5, 1) has
+            self._zeros += zeros
+            buckets[0] -= zeros
+            if not buckets[0]:
+                del buckets[0]
+        samples.clear()
+
+    # -- reads (each folds first) --------------------------------------
+    @property
+    def tally(self) -> Tally:
+        self.fold()
+        return self._tally
+
+    @property
+    def buckets(self) -> Dict[int, int]:
+        self.fold()
+        return self._buckets
+
+    @property
+    def zeros(self) -> int:
+        self.fold()
+        return self._zeros
 
     @property
     def count(self) -> int:
@@ -117,35 +165,28 @@ class LatencyHistogram:
         """Nearest-rank percentile, reported as the bucket upper bound."""
         n = self.count
         rank = rank_of(q, n)  # raises on empty / out-of-range q
-        if rank < self.zeros:
+        if rank < self._zeros:
             return 0.0
-        seen = self.zeros
-        for e in sorted(self.buckets):
-            seen += self.buckets[e]
+        seen = self._zeros
+        buckets = self._buckets
+        for e in sorted(buckets):
+            seen += buckets[e]
             if rank < seen:
                 return float(2.0 ** e)
         raise AssertionError("histogram bucket counts disagree with tally")
 
-    # -- combination ----------------------------------------------------
-    def merge(self, other: "LatencyHistogram") -> "LatencyHistogram":
-        """Fold another histogram in (same semantics as Tally.merge)."""
-        self.tally.merge(other.tally)
-        self.zeros += other.zeros
-        for e, c in other.buckets.items():
-            self.buckets[e] = self.buckets.get(e, 0) + c
-        return self
-
     # -- export ---------------------------------------------------------
     def to_dict(self) -> Dict[str, Optional[float]]:
-        if self.count == 0:
+        tally = self.tally
+        if tally.count == 0:
             return {"count": 0, "mean_us": None, "min_us": None,
                     "max_us": None, "p50_us": None, "p95_us": None,
                     "p99_us": None}
         return {
-            "count": self.count,
-            "mean_us": self.tally.mean,
-            "min_us": self.tally.min,
-            "max_us": self.tally.max,
+            "count": tally.count,
+            "mean_us": tally.mean,
+            "min_us": tally.min,
+            "max_us": tally.max,
             "p50_us": self.percentile(50),
             "p95_us": self.percentile(95),
             "p99_us": self.percentile(99),

@@ -53,46 +53,33 @@ class Tally:
         self.max = -math.inf
 
     def add(self, x: float) -> None:
-        if x != x:  # NaN
-            # A NaN observation would poison mean/variance forever and
-            # make min/max comparisons silently false; refuse it here,
-            # at the boundary, where the caller can still see why.
-            raise ValueError(f"NaN observation in tally {self.name!r}")
-        self.count += 1
-        delta = x - self._mean
-        self._mean += delta / self.count
-        self._m2 += delta * (x - self._mean)
-        if x < self.min:
-            self.min = x
-        if x > self.max:
-            self.max = x
+        self.extend((x,))
 
-    def merge(self, other: "Tally") -> "Tally":
-        """Fold ``other``'s observations into this tally (in place).
+    def extend(self, xs: Sequence[float]) -> None:
+        """Add each of ``xs`` in order, in one loop.
 
-        Uses the parallel variance combination (Chan et al.), so merging
-        per-shard tallies yields the same count/mean/variance as one
-        tally over the union.  Merging an empty tally — either side — is
-        a no-op on the statistics; ``self`` is returned for chaining.
+        A non-finite value is refused, leaving the tally as it was: NaN
+        would poison the mean and make min/max silently false, and two
+        infinities make the mean NaN.  The loop's mean is NaN after a
+        NaN, and an infinity is the min or max: no test per value.
         """
-        if other.count == 0:
-            return self
-        if self.count == 0:
-            self.count = other.count
-            self._mean = other._mean
-            self._m2 = other._m2
-            self.min = other.min
-            self.max = other.max
-            return self
-        n1, n2 = self.count, other.count
-        delta = other._mean - self._mean
-        total = n1 + n2
-        self._mean += delta * n2 / total
-        self._m2 += other._m2 + delta * delta * n1 * n2 / total
-        self.count = total
-        self.min = min(self.min, other.min)
-        self.max = max(self.max, other.max)
-        return self
+        if not xs:
+            return
+        count, mean, m2 = self.count, self._mean, self._m2
+        for x in xs:
+            count += 1
+            delta = x - mean
+            mean += delta / count
+            m2 += delta * (x - mean)
+        lo, hi = min(xs), max(xs)
+        if mean != mean or lo == -math.inf or hi == math.inf:
+            raise ValueError(
+                f"non-finite observation in tally {self.name!r}")
+        self.count, self._mean, self._m2 = count, mean, m2
+        if lo < self.min:
+            self.min = lo
+        if hi > self.max:
+            self.max = hi
 
     @property
     def mean(self) -> float:

@@ -178,8 +178,3 @@ class TopoFabric(Fabric):
         srack = src_id // self.hosts_per_rack
         self.uplink_transfers[srack] += 1
         self.uplink_bytes[srack] += nbytes
-        obs = self.env.obs
-        if obs is not None:
-            obs.trace.emit("topo.xrack", node=src_id, dst=dst_id,
-                           srack=srack, drack=dst_id // self.hosts_per_rack,
-                           nbytes=nbytes)

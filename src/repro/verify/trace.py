@@ -15,6 +15,7 @@ because the two overlapped in simulated time).
 from __future__ import annotations
 
 import json
+import math
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from ..errors import ConfigError
@@ -74,7 +75,12 @@ class TraceView:
                     and isinstance(row[3], dict)):
                 raise ConfigError(f"trace event #{idx} is not a [t, node, "
                                   f"etype, fields] row: {row!r}")
-            events.append(TraceEvent(*row[:3], dict(row[3])))
+            t, node, etype, fields = row
+            if not ((type(t) is int or type(t) is float and math.isfinite(t))
+                    and type(node) is int and isinstance(etype, str)):
+                raise ConfigError(f"trace event #{idx} needs a finite t, an "
+                                  f"int node and a str etype: {row!r}")
+            events.append(TraceEvent(t, node, etype, dict(fields)))
         return cls(events, emitted=doc.get("emitted", len(events)),
                    meta={"sim_now_us": doc.get("sim_now_us")})
 
@@ -143,10 +149,16 @@ def replay(view: TraceView,
     """Feed every event once to each oracle whose ``PREFIXES`` match it;
     return the combined violation list ordered by trace position."""
     routes = RouteTable([(tuple(o.PREFIXES), o) for o in oracles])
-    for idx, ev in enumerate(view.events):
-        for oracle in routes[ev.etype]:
-            oracle.checked += 1
-            oracle.feed(idx, ev)
+    try:
+        for idx, ev in enumerate(view.events):
+            for oracle in routes[ev.etype]:
+                oracle.checked += 1
+                oracle.feed(idx, ev)
+    except (KeyError, TypeError, ValueError) as exc:
+        # a loaded trace's rows are shaped, but their fields are the
+        # file's: name the row an oracle could not read
+        raise ConfigError(f"trace event #{idx} ({ev.etype}) is malformed: "
+                          f"{type(exc).__name__} {exc}") from None
     for oracle in oracles:
         oracle.finish()
     out = []

@@ -63,7 +63,7 @@ def exported_traces():
 
 def test_extractor_sees_the_workflow():
     commands = {argv[0] for argv in ARGVS}
-    assert len(ARGVS) == 14
+    assert len(ARGVS) == 15
     assert commands == {"obs", "lab", "check", "chaos", "locks"}
     assert not any("$" in word for argv in ARGVS for word in argv)
 
@@ -110,7 +110,7 @@ def test_every_exported_trace_is_replayed():
     parser = build_parser()
     replayed = {path for argv in ARGVS if argv[:2] == ["check", "trace"]
                 for path in parser.parse_args(argv).names}
-    assert len(exported_traces()) == 4
+    assert len(exported_traces()) == 5
     assert replayed == exported_traces()
 
 

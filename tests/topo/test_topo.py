@@ -64,6 +64,8 @@ class TestContention:
         assert thin["xrack_transfers"] == fat["xrack_transfers"]
 
     def test_xrack_counters_and_trace_events(self):
+        """A cross-rack transfer is counted, not traced: the pulled
+        counters carry it and no trace row is written per transfer."""
         cl = TopoCluster(racks=2, hosts_per_rack=2, oversub=2.0)
         obs = cl.observe()
         env = cl.env
@@ -76,11 +78,12 @@ class TestContention:
         env.run()
         assert cl.fabric.xrack_transfers == 1
         assert cl.fabric.xrack_bytes == 4096
-        evs = obs.trace.select("topo.xrack")
-        assert len(evs) == 1
-        assert evs[0].fields["srack"] == 0
-        assert evs[0].fields["drack"] == 1
-        assert evs[0].fields["nbytes"] == 4096
+        counters = obs.metrics.to_dict()["counters"]
+        assert counters["topo.xrack.transfers"] == 1
+        assert counters["topo.xrack.bytes"] == 4096
+        assert counters["topo.uplink.bytes@n0"] == 4096
+        assert "topo.uplink.bytes@n1" not in counters
+        assert obs.trace.emitted == 0
 
 
 class TestFlatIdentity:

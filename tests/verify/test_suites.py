@@ -198,20 +198,35 @@ MALFORMED = [
      r"event #1 .*\[1\.0, 2\]"),
     ({"format": "repro-trace-v1", "emitted": 0}, "'events'"),
     ([["format", "repro-trace-v1"]], "is a list, not an object"),
+    ({"format": "repro-trace-v1", "emitted": 1, "events": [
+        ["x", 0, "ha.expect", {}]]}, r"event #0 needs a finite t.*'x'"),
+    ({"format": "repro-trace-v1", "emitted": 1, "events": [
+        [1.0, "0", "lock.grant", {}]]}, r"event #0 needs .*int node.*'0'"),
+    ({"format": "repro-trace-v1", "emitted": 1, "events": [
+        [1.0, 0, 7, {}]]}, r"event #0 needs .*str etype.*7"),
+]
+MALFORMED_IDS = ["short-row", "no-events", "top-level-list", "str-t",
+                 "str-node", "int-etype"]
+
+#: loadable traces whose fields an oracle cannot read -> the error
+UNREADABLE = [
+    ([[1.0, 0, "lock.request", {}]],
+     r"event #0 \(lock\.request\) .*KeyError 'mgr'"),
+    ([[1.0, 0, "cache.miss", {"doc": 1}],
+      [2.0, 1, "ddss.put.done", {"key": 3}]],
+     r"event #1 \(ddss\.put\.done\) .*KeyError"),
 ]
 
 
 class TestMalformedTrace:
-    @pytest.mark.parametrize("doc, match", MALFORMED,
-                             ids=["short-row", "no-events", "top-level-list"])
+    @pytest.mark.parametrize("doc, match", MALFORMED, ids=MALFORMED_IDS)
     def test_load_names_the_problem(self, tmp_path, doc, match):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
         with pytest.raises(ConfigError, match=match):
             TraceView.load(str(path))
 
-    @pytest.mark.parametrize("doc, match", MALFORMED,
-                             ids=["short-row", "no-events", "top-level-list"])
+    @pytest.mark.parametrize("doc, match", MALFORMED, ids=MALFORMED_IDS)
     def test_cli_exits_2(self, tmp_path, capsys, doc, match):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
@@ -219,6 +234,36 @@ class TestMalformedTrace:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert re.search(match, err)
+
+    def test_non_finite_t_refused(self):
+        for t in (float("inf"), float("nan")):
+            doc = {"format": "repro-trace-v1",
+                   "events": [[t, 0, "cache.miss", {"doc": 1}]]}
+            with pytest.raises(ConfigError, match="needs a finite t"):
+                TraceView.from_dict(doc)
+
+    @pytest.mark.parametrize("events, match", UNREADABLE,
+                             ids=["lock-request", "ddss-put-done"])
+    def test_unreadable_fields_exit_2(self, tmp_path, capsys, events, match):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"format": "repro-trace-v1",
+                                    "emitted": len(events),
+                                    "events": events}))
+        with pytest.raises(ConfigError, match=match):
+            check_trace(str(path))
+        assert main(["check", "trace", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and re.search(match, err)
+
+    def test_unknown_etype_still_loads(self, tmp_path):
+        """A trace from before the ``topo.xrack`` row was dropped is
+        still checkable: no oracle routes an unknown etype."""
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps({
+            "format": "repro-trace-v1", "emitted": 1, "events": [
+                [1.0, 0, "topo.xrack",
+                 {"dst": 2, "srack": 0, "drack": 1, "nbytes": 64}]]}))
+        assert check_trace(str(path))["verdict"] == "ok"
 
 
 class TestMetamorphic:
