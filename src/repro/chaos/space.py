@@ -15,6 +15,7 @@ Fault dict shapes::
     {"kind": "slow",      "node": n, "factor": f, "start": s, "until": u}
     {"kind": "stall",     "node": n, "start": s, "until": u}
     {"kind": "drop",      "rate": r, "start": s, "until": u}
+    {"kind": "dup",       "rate": r, "start": s, "until": u}
 
 Sampling is a pure function of ``(seed, index)`` via the same SplitMix
 child-seed derivation the lab runner uses, so schedule ``(S, i)`` is
@@ -34,7 +35,7 @@ from repro.sim.rng import spawn_child
 __all__ = ["ChaosSpace", "plan_from_schedule", "schedule_key"]
 
 #: every fault kind the space can emit
-ALL_KINDS = ("partition", "crash", "slow", "stall", "drop")
+ALL_KINDS = ("partition", "crash", "slow", "stall", "drop", "dup")
 
 
 def _r(x: float) -> float:
@@ -133,6 +134,12 @@ class ChaosSpace:
                 "rate": round(float(rng.uniform(0.02, 0.25)), 3),
                 "start": start, "until": until}
 
+    def _sample_dup(self, rng) -> Dict:
+        start, until = self._window(rng)
+        return {"kind": "dup",
+                "rate": round(float(rng.uniform(0.05, 0.5)), 3),
+                "start": start, "until": until}
+
 
 def _fault_time(fault: Dict) -> float:
     return float(fault.get("at", fault.get("start", 0.0)))
@@ -159,6 +166,9 @@ def plan_from_schedule(schedule: Sequence[Dict]) -> FaultPlan:
         elif kind == "drop":
             plan.drop_messages(fault["rate"], start=fault["start"],
                                until=fault["until"])
+        elif kind == "dup":
+            plan.duplicate_messages(fault["rate"], start=fault["start"],
+                                    until=fault["until"])
         else:
             raise ConfigError(f"unknown fault kind {kind!r} in schedule")
     return plan
@@ -182,7 +192,7 @@ def schedule_key(fault: Dict) -> str:
     if kind == "stall":
         return (f"stall(node={fault['node']}"
                 f"@[{fault['start']},{fault['until']}))")
-    if kind == "drop":
-        return (f"drop(rate={fault['rate']}"
+    if kind in ("drop", "dup"):
+        return (f"{kind}(rate={fault['rate']}"
                 f"@[{fault['start']},{fault['until']}))")
     return repr(fault)

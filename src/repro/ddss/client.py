@@ -15,6 +15,7 @@ operation result; use them from processes::
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import replace
 from typing import Dict, Optional, Tuple, Union
 
@@ -22,6 +23,7 @@ from repro.errors import (CoherenceError, DDSSError, FaultError, RdmaError,
                           StaleHomeError, TxnConflict)
 from repro.net.node import Node
 from repro.sim import Event, settle
+from repro.transport import rpc
 
 from repro.ddss.coherence import Coherence
 from repro.ddss.substrate import (
@@ -108,7 +110,9 @@ class DDSSClient:
         ``replicas`` additional copies are placed on distinct members
         (ring order after the primary), enabling put/get failover.
         Locked coherence models cannot be replicated: their lock word
-        lives on a single home.
+        lives on a single home.  ``delta`` must be >= 0 and ``ttl_us``
+        finite and >= 0: either bound out of range raises
+        :class:`DDSSError` before any message is sent.
         """
         return self._proc(self._allocate(size, coherence, placement,
                                          delta, ttl_us, replicas),
@@ -118,6 +122,12 @@ class DDSSClient:
                   replicas=0):
         if size <= 0:
             raise DDSSError("allocation size must be positive")
+        # an unmeetable bound would make a unit that never serves from
+        # its cache (``version - cached <= -1``, ``age <= nan``)
+        if delta < 0:
+            raise DDSSError(f"delta must be >= 0, got {delta}")
+        if not 0.0 <= ttl_us < math.inf:
+            raise DDSSError(f"ttl_us must be finite and >= 0, got {ttl_us}")
         if replicas < 0:
             raise DDSSError("replica count must be non-negative")
         if replicas and (coherence.locks_writes or coherence.locks_reads):
@@ -688,16 +698,14 @@ class DDSSClient:
         return metas
 
     def _control(self, node_id: int, body: dict):
-        """Two-sided control RPC to a member daemon (one-shot reply tag)."""
-        req = self.env.next_id("ddss-req")
-        nic = self.node.nic
-        nic.send(node_id, payload=dict(body, req=req), size=64,
-                 tag=self.ddss.WIRE_TAG)
-        msg = yield nic.recv(tag=(self.ddss.REPLY_TAG, req))
-        nic.drop_queue((self.ddss.REPLY_TAG, req))
-        if "error" in msg.payload:
-            raise DDSSError(msg.payload["error"])
-        return msg.payload
+        """Control request to a member daemon over the one request path
+        (:mod:`repro.transport.rpc`: under a fault injector it has a
+        deadline, bounded retry and at-most-once execution)."""
+        reply = yield rpc.call(self.node.nic, node_id, self.ddss.WIRE_TAG,
+                               body)
+        if "error" in reply:
+            raise DDSSError(reply["error"])
+        return reply
 
     def _control_dir(self, key: int, body: dict):
         """Directory RPC routed by key, chasing shard-map bounces.

@@ -4,9 +4,10 @@ Topology: every participating node contributes one registered segment and
 runs a lightweight daemon.  One node (by default the first) additionally
 hosts the **metadata directory** mapping unit keys to
 :class:`UnitMeta`.  Control operations (allocate / free / lookup) are
-two-sided RPCs to daemons — they are rare.  The data path (``get`` /
-``put`` in :class:`repro.ddss.client.DDSSClient`) is pure one-sided RDMA
-against the home segment, which is the substrate's whole point.
+two-sided requests to daemons over :mod:`repro.transport.rpc` — they
+are rare.  The data path (``get`` / ``put`` in
+:class:`repro.ddss.client.DDSSClient`) is pure one-sided RDMA against
+the home segment, which is the substrate's whole point.
 
 On-segment unit layout::
 
@@ -24,6 +25,7 @@ from typing import Dict, Optional, Sequence, Tuple
 from repro.errors import DDSSError
 from repro.net.cluster import Cluster
 from repro.net.node import Node
+from repro.transport import rpc
 
 from repro.ddss.allocator import SegmentAllocator
 from repro.ddss.coherence import Coherence
@@ -83,7 +85,6 @@ class DDSS:
     """The substrate service: call :meth:`client` per application node."""
 
     WIRE_TAG = "ddss"
-    REPLY_TAG = "ddss-reply"
 
     def __init__(self, cluster: Cluster,
                  member_nodes: Optional[Sequence[Node]] = None,
@@ -108,12 +109,18 @@ class DDSS:
         #: the stale address can only ever read the tombstone — the
         #: simulation's stand-in for rkey revocation
         self._quarantined: list = []
+        handlers = {"alloc": self._do_alloc,
+                    "free_unit": self._do_free_unit,
+                    "register": self._do_register,
+                    "lookup": self._do_lookup,
+                    "unregister": self._do_unregister}
         for node in self.members:
             seg = node.memory.register(segment_bytes,
                                        name=f"ddss-seg@{node.name}")
             self._segments[node.id] = seg
             self._allocators[node.id] = SegmentAllocator(segment_bytes)
-            self.env.process(self._daemon(node),
+            self.env.process(rpc.serve(node, self.WIRE_TAG, handlers,
+                                       DAEMON_WORK_US),
                              name=f"ddss-daemon@{node.name}")
 
     # -- public --------------------------------------------------------
@@ -254,29 +261,7 @@ class DDSS:
             moved += 1
         return moved
 
-    # -- daemon ------------------------------------------------------------
-    def _daemon(self, node: Node):
-        """Handle control requests addressed to this member node."""
-        while True:
-            msg = yield node.nic.recv(tag=self.WIRE_TAG)
-            yield node.cpu.run(DAEMON_WORK_US, name="ddss-daemon")
-            body = msg.payload
-            op = body["op"]
-            if op == "alloc":
-                reply = self._do_alloc(node, body)
-            elif op == "free_unit":
-                reply = self._do_free_unit(node, body)
-            elif op == "register":
-                reply = self._do_register(node, body)
-            elif op == "lookup":
-                reply = self._do_lookup(node, body)
-            elif op == "unregister":
-                reply = self._do_unregister(node, body)
-            else:  # pragma: no cover - defensive
-                reply = {"error": f"unknown op {op!r}"}
-            node.nic.send(msg.src, payload=reply, size=64,
-                          tag=(self.REPLY_TAG, body["req"]))
-
+    # -- daemon handlers (served by repro.transport.rpc.serve) -------------
     def _do_alloc(self, node: Node, body: dict) -> dict:
         try:
             offset = self._allocators[node.id].alloc(

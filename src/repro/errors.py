@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import builtins
-import warnings
 
 __all__ = [
     "ReproError",
@@ -11,8 +10,6 @@ __all__ = [
     "ProtectionError",
     "BoundsError",
     "TransportError",
-    "PeerResetError",
-    "ConnectionResetError_",
     "TimeoutError",
     "FaultError",
     "NodeDownError",
@@ -49,10 +46,6 @@ class BoundsError(RdmaError):
 
 class TransportError(ReproError):
     """Socket/SDP transport failure."""
-
-
-class PeerResetError(TransportError):
-    """Peer endpoint was closed while data was in flight."""
 
 
 class TimeoutError(ReproError, builtins.TimeoutError):
@@ -135,13 +128,3 @@ class SanitizerError(ReproError):
     only recorded on the sanitizer (see :mod:`repro.obs.sanitizers`).
     """
 
-
-def __getattr__(name: str):
-    # Deprecated alias kept for one release; the trailing-underscore name
-    # was easy to mistype and awkwardly shadow-avoided the builtin.
-    if name == "ConnectionResetError_":
-        warnings.warn(
-            "ConnectionResetError_ is deprecated; use PeerResetError",
-            DeprecationWarning, stacklevel=2)
-        return PeerResetError
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -6,7 +6,9 @@ Two families of operations:
   ask for the message; the sending event completes at local send
   completion while delivery lands in the receiver's per-tag queue at
   arrival time.  Two-sided protocols additionally pay *host CPU* when
-  the upper layer models it (see :mod:`repro.transport.tcpsock`).
+  the upper layer models it (the socket baselines charge
+  ``NetworkParams.sock_cpu_us`` in :mod:`repro.monitor.schemes` and
+  :mod:`repro.apps.storm`).
 
 * **One-sided** (`rdma_read` / `rdma_write` / `cas` / `faa`): memory
   semantics.  The remote host CPU is never involved — the simulated HCA
@@ -241,10 +243,6 @@ class NIC:
     def pending(self, tag: Any = 0) -> int:
         q = self._recv_queues.get(tag)
         return 0 if q is None else len(q)
-
-    def drop_queue(self, tag: Any) -> None:
-        """Forget ``tag``'s receive queue (a one-shot reply tag)."""
-        self._recv_queues.pop(tag, None)
 
     # ------------------------------------------------------------------
     # one-sided memory semantics — fast-path slot-pool driver

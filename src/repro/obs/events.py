@@ -42,13 +42,14 @@ TAXONOMY: Dict[str, tuple] = {
     "msg.drop": (("src", "mid"), "message dropped by an injected fault"),
     "msg.dup": (("src", "mid"), "message delivered twice (duplicate)"),
     # -- RPC (repro.transport.rpc) -------------------------------------
-    "rpc.attempt": (("rid", "attempt"), "reliable call attempt sent"),
-    "rpc.retry": (("rid", "attempt"), "attempt re-sent after a deadline"),
-    "rpc.timeout": (("rid",), "retry budget exhausted; call failed"),
-    "rpc.execute": (("rid",),
-                    "server ran the handler (rid None for plain calls)"),
-    "rpc.dup_request": (("rid",),
-                        "duplicate request answered from the dedup cache"),
+    # Traced only under a fault injector.
+    "rpc.retry": (("rid", "attempt", "dst"),
+                  "request re-sent after a deadline"),
+    "rpc.timeout": (("rid", "dst"), "retry budget exhausted; call failed"),
+    "rpc.execute": (("rid", "server"), "server ran the handler"),
+    "rpc.dup_request": (("rid", "server"),
+                        "re-sent or duplicated request answered from "
+                        "the server's reply window"),
     # -- locks (repro.dlm) ---------------------------------------------
     "lock.request": (("mgr", "lock", "token", "mode"),
                      "client began an acquire"),

@@ -213,12 +213,12 @@ class LockWordSanitizer(Sanitizer):
 
 
 class RpcAtMostOnceSanitizer(Sanitizer):
-    """At-most-once execution for reliable RPC (``transport.rpc``).
+    """At-most-once execution on the one request path (``transport.rpc``).
 
-    A reliable call may be *attempted* many times (retries on drops) and
-    the server may *answer* many times (dedup-cache replays), but the
-    handler must run at most once per request id.  ``rpc.execute``
-    events with ``rid=None`` are plain best-effort calls and exempt.
+    Under a fault injector a call may be *attempted* many times (retries
+    on drops) and the server may *answer* many times (replays from its
+    reply window), but the handler must run at most once per request
+    id.  ``rpc.execute`` events with ``rid=None`` are exempt.
     """
 
     PREFIX = "rpc.execute"

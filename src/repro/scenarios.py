@@ -306,9 +306,9 @@ SCENARIOS: Dict[str, Scenario] = _index((
              max_faults=3, fence=False, expect_clean=False),
     Scenario("ddss-repl", chaos.build_ddss, 5, "ddss",
              "replicated DDSS coherence contracts under partitions, "
-             "crashes and gray failures",
+             "crashes, gray failures, message loss and duplication",
              horizon_us=chaos.DDSS_HORIZON_US,
-             kinds=("partition", "crash", "slow", "stall", "drop")),
+             kinds=("partition", "crash", "slow", "stall", "drop", "dup")),
     Scenario("txn", chaos.build_txn, 5, "txn",
              "OCC + 2PL transfers under chaos: committed txns stay "
              "serializable, failed lock acquires abort cleanly, "

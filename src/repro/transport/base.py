@@ -4,7 +4,7 @@ A transport binds to a :class:`repro.net.node.Node` and exposes
 connection-oriented byte streams with message boundaries (like SDP, and
 like how the paper's services actually use sockets)::
 
-    server_ep = TcpEndpoint(server_node)
+    server_ep = BufferedSdpEndpoint(server_node)
     listener = server_ep.listen(port=80)
 
     # server side
@@ -131,16 +131,6 @@ class Endpoint:
             raise TransportError(
                 f"node {self.node.name} already has a {type(self).__name__}")
         registry[key] = self
-
-    @classmethod
-    def of(cls, node: "Node") -> "Endpoint":
-        """The endpoint of this class previously created on ``node``."""
-        registry = node.services.get("endpoints", {})
-        try:
-            return registry[(cls.WIRE_TAG,)]
-        except KeyError:
-            raise TransportError(
-                f"node {node.name} has no {cls.__name__}") from None
 
     def listen(self, port: int) -> Listener:
         if port in self._listeners:

@@ -82,11 +82,14 @@ class TestCompilation:
          "start": 1_000.0, "until": 4_000.0},
         {"kind": "stall", "node": 3, "start": 2_000.0, "until": 6_000.0},
         {"kind": "drop", "rate": 0.1, "start": 500.0, "until": 2_500.0},
+        {"kind": "dup", "rate": 0.3, "start": 600.0, "until": 2_000.0},
     ]
 
     def test_every_kind_compiles_and_installs(self):
         plan = plan_from_schedule(self.ONE_OF_EACH)
         assert not plan.is_empty
+        assert ({f.kind for f in plan.message_faults}
+                == {"drop", "duplicate"})
         Cluster(n_nodes=N, seed=0).install_faults(plan)  # validates
 
     def test_unknown_kind_rejected(self):
@@ -100,6 +103,7 @@ class TestCompilation:
         assert "slow(node=2x5.0" in labels[2]
         assert "stall(node=3" in labels[3]
         assert "drop(rate=0.1" in labels[4]
+        assert labels[5] == "dup(rate=0.3@[600.0,2000.0))"
         oneway = dict(self.ONE_OF_EACH[1], oneway=True)
         assert "->" in schedule_key(oneway)
 

@@ -1,10 +1,10 @@
 """Chaos schedules re-run with sanitizers attached (strict mode).
 
 Mirrors the ``tests/faults`` schedules: crashes, restarts and message
-loss against the fault-tolerant lock manager and reliable RPC.  The bar:
-the protocols survive the chaos *and* every online invariant holds — a
-strict sanitizer raises at the first violating event, so a pass means
-zero violations across the whole run.
+loss against the fault-tolerant lock manager and the DDSS control
+plane.  The bar: the protocols survive the chaos *and* every online
+invariant holds — a strict sanitizer raises at the first violating
+event, so a pass means zero violations across the whole run.
 """
 
 import pytest
@@ -97,42 +97,39 @@ class TestNcosedChaosSanitized:
 
 class TestRpcChaosSanitized:
     def test_heavy_drop_at_most_once_holds(self):
-        """40% loss each way with retries: the dedup cache absorbs the
-        re-sends, so rpc.execute never repeats a request id."""
-        from repro.transport import RpcClient, RpcServer, TcpEndpoint
+        """25% loss each way against the DDSS control plane: the re-sends
+        and the replays from the servers' reply windows never run a
+        request twice, so rpc.execute never repeats a request id and
+        the home holds at most one block per allocate issued."""
+        from repro.ddss import DDSS
+        from repro.errors import TimeoutError
 
-        cluster = Cluster(n_nodes=2, seed=0)
+        cluster = Cluster(n_nodes=3, seed=0)
         obs = cluster.observe(strict=True)
         cluster.install_faults(
-            FaultPlan().drop_messages(0.4, start=50.0))
-        served = []
-
-        def handler(req):
-            served.append(req)
-            return {"echo": req}, 32, 1.0
-
-        server = RpcServer(TcpEndpoint(cluster.nodes[0]), port=9,
-                           handler=handler)
-        server.start()
-        client = RpcClient(TcpEndpoint(cluster.nodes[1]))
-        replies = []
+            FaultPlan().drop_messages(0.25, start=50.0))
+        ddss = DDSS(cluster)
+        client = ddss.client(cluster.nodes[1])
+        keys = []
 
         def app(env):
-            chan = yield client.open(0, port=9)
-            for i in range(30):
-                r = yield chan.call(i, size=64, timeout_us=2_000.0,
-                                    retries=8)
-                replies.append(r)
-            return chan
+            for _ in range(30):
+                try:
+                    keys.append((yield client.allocate(64, placement=0)))
+                except TimeoutError:  # every attempt lost
+                    pass
 
         p = cluster.env.process(app(cluster.env))
         cluster.env.run_until_event(p, limit=1e9)
-        assert replies == [{"echo": i} for i in range(30)]
+        assert len(keys) > 20
         assert obs.clean
         # the chaos actually exercised the retry machinery
         assert len(obs.trace.select("rpc.retry")) > 0
-        assert (len(obs.trace.select("rpc.dup_request"))
-                == server.dup_requests)
+        dups = obs.trace.select("rpc.dup_request")
+        assert dups and len(dups) == sum(
+            c.value for name, c in obs.metrics.counters.items()
+            if name.startswith("rpc.dup_requests"))
+        assert len(keys) <= ddss.allocator(0).n_allocations <= 30
 
 
 class TestScenarioChaos:

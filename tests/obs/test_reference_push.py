@@ -10,13 +10,13 @@ the slowest, is left to the topology rig below, which covers its
 
 import pytest
 
+from repro.ddss import DDSS
 from repro.errors import FaultError, TimeoutError
 from repro.faults import FaultPlan
 from repro.net import Cluster
 from repro.scenarios import SCENARIOS, judged_run
 from repro.sim import KERNELS, pin_kernel
 from repro.topo import TopoCluster
-from repro.transport import RpcClient, RpcServer, TcpEndpoint
 
 from tests.obs.reference_push import patch_reference
 
@@ -72,20 +72,19 @@ def test_topology_rig_matches_the_push_twin(kernel, monkeypatch):
 
 
 def _rpc_rig(kernel):
+    """DDSS control requests through 30% message loss: retries, replays
+    and timeouts, so both NICs send under faults."""
     with pin_kernel(kernel):
-        cluster = Cluster(n_nodes=2, seed=0)
+        cluster = Cluster(n_nodes=3, seed=0)
     obs = cluster.observe()
     cluster.install_faults(FaultPlan().drop_messages(0.3, start=50.0))
-    RpcServer(TcpEndpoint(cluster.nodes[0]), port=9,
-              handler=lambda req: (req, 32, 1.0)).start()
-    client = RpcClient(TcpEndpoint(cluster.nodes[1]))
+    client = DDSS(cluster).client(cluster.nodes[1])
 
     def app(env):
-        chan = yield client.open(0, port=9)
-        for i in range(20):
+        for _ in range(20):
             try:
-                yield chan.call(i, size=64, timeout_us=2_000.0, retries=1)
-            except TimeoutError:  # the drops exhausted both attempts
+                yield client.allocate(64, placement=0)
+            except TimeoutError:  # the drops exhausted every attempt
                 pass
 
     p = cluster.env.process(app(cluster.env))
@@ -96,5 +95,7 @@ def _rpc_rig(kernel):
 @pytest.mark.parametrize("kernel", KERNELS)
 def test_rpc_rig_matches_the_push_twin(kernel, monkeypatch):
     metrics, _ = _twin(lambda: _rpc_rig(kernel), monkeypatch)
-    assert '"rpc.call_us@n1"' in metrics and '"rpc.timeouts@n1"' in metrics
-    assert '"nic.sends@n0"' in metrics and '"nic.sends@n1"' in metrics
+    for key in ('"rpc.retries@n1"', '"rpc.timeouts@n1"',
+                '"rpc.dup_requests@n0"', '"nic.sends@n0"',
+                '"nic.sends@n1"'):
+        assert key in metrics

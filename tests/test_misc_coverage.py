@@ -1,15 +1,10 @@
-"""Cross-cutting tests: transport interop, params presets, determinism."""
+"""Cross-cutting tests: params presets, determinism, kernel edge cases."""
 
 import pytest
 
 from repro.errors import ConfigError
-from repro.net import Cluster, NetworkParams
+from repro.net import NetworkParams
 from repro.dlm import LockMode, NCoSEDManager, cascade_latency
-from repro.transport import (
-    BufferedSdpEndpoint,
-    RpcClient,
-    RpcServer,
-)
 
 
 class TestNetworkParams:
@@ -43,56 +38,6 @@ class TestNetworkParams:
         ib = NetworkParams.infiniband()
         assert ib.serialization_us(9000) == pytest.approx(
             10 * ib.serialization_us(900))
-
-
-class TestRpcOverSdp:
-    """The RPC helper must work over any endpoint implementing the
-    common interface — exercised here over buffered SDP."""
-
-    def test_call_roundtrip_over_bsdp(self):
-        cluster = Cluster(n_nodes=2, seed=0)
-        server_ep = BufferedSdpEndpoint(cluster.nodes[0])
-        client_ep = BufferedSdpEndpoint(cluster.nodes[1])
-        RpcServer(server_ep, port=5,
-                  handler=lambda req: ({"sq": req ** 2}, 16, 1.0)).start()
-        client = RpcClient(client_ep)
-
-        def app(env):
-            chan = yield client.open(0, port=5)
-            out = []
-            for x in (3, 7):
-                resp = yield chan.call(x, size=8)
-                out.append(resp["sq"])
-            return out
-
-        p = cluster.env.process(app(cluster.env))
-        cluster.env.run_until_event(p)
-        assert p.value == [9, 49]
-
-    def test_sdp_rpc_faster_than_tcp_rpc(self):
-        from repro.transport import TcpEndpoint
-
-        def rtt(endpoint_cls):
-            cluster = Cluster(n_nodes=2, seed=0)
-            server_ep = endpoint_cls(cluster.nodes[0])
-            client_ep = endpoint_cls(cluster.nodes[1])
-            RpcServer(server_ep, port=5,
-                      handler=lambda r: (r, 2048, 1.0)).start()
-            client = RpcClient(client_ep)
-
-            def app(env):
-                chan = yield client.open(0, port=5)
-                yield chan.call("warm", size=2048)
-                t0 = env.now
-                yield chan.call("ping", size=2048)
-                return env.now - t0
-
-            p = cluster.env.process(app(cluster.env))
-            cluster.env.run_until_event(p)
-            return p.value
-
-        # offloaded SDP beats the emulated host TCP stack
-        assert rtt(BufferedSdpEndpoint) < rtt(TcpEndpoint)
 
 
 class TestDeterminism:

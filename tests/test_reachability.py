@@ -21,8 +21,6 @@ SRC = REPO / "src"
 # ``python -m repro`` runs the CLI through ``repro.__main__``
 ROOTS = ("repro.__main__", "repro.cli", "repro.bench.figures",
          "repro.scenarios")
-# only tests call these; until ``one-request-path``
-ALLOWED = {"repro.transport.rpc", "repro.transport.tcpsock"}
 
 
 def _imports(nodes, name, is_pkg):
@@ -106,11 +104,8 @@ def unreached():
 
 
 def test_every_module_is_reached(unreached):
-    missing = sorted(unreached - ALLOWED)
+    missing = sorted(unreached)
     assert not missing, (
         f"{len(missing)} module(s) reached by no figure, scenario row, "
         f"perf workload or CLI verb: {', '.join(missing)}")
 
-
-def test_allow_list_is_not_stale(unreached):
-    assert ALLOWED <= unreached

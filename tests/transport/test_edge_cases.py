@@ -10,12 +10,10 @@ from repro.errors import LockError
 from repro.transport import (
     AzSdpEndpoint,
     BufferedSdpEndpoint,
-    TcpEndpoint,
     ZeroCopySdpEndpoint,
 )
 
-ALL_ENDPOINTS = [TcpEndpoint, BufferedSdpEndpoint, ZeroCopySdpEndpoint,
-                 AzSdpEndpoint]
+ALL_ENDPOINTS = [BufferedSdpEndpoint, ZeroCopySdpEndpoint, AzSdpEndpoint]
 
 
 class TestWordEncoding:

@@ -1,4 +1,4 @@
-"""Tests for flow-control micro-models and the RPC helper."""
+"""Tests for flow-control micro-models and the request/reply helper."""
 
 import pytest
 
@@ -8,9 +8,7 @@ from repro.transport import (
     CreditFlowSender,
     FlowReceiver,
     PacketizedFlowSender,
-    RpcClient,
-    RpcServer,
-    TcpEndpoint,
+    rpc,
 )
 
 
@@ -78,80 +76,62 @@ class TestFlowControl:
             FlowReceiver(cluster.nodes[1], nbufs=0)
 
 
+def _doubler(_node, request):
+    return {"echo": request["x"] * 2}
+
+
 class TestRpc:
+    """The request/reply helper on its own, with a toy handler table."""
+
+    def serve(self, cluster, node_id=0, work_us=1.0):
+        node = cluster.nodes[node_id]
+        cluster.env.process(rpc.serve(node, "toy", {"double": _doubler},
+                                      work_us))
+
     def test_call_roundtrip(self, cluster):
-        server_ep = TcpEndpoint(cluster.nodes[0])
-        client_ep = TcpEndpoint(cluster.nodes[1])
-
-        def handler(req):
-            return {"echo": req["x"] * 2}, 32, 1.0
-
-        RpcServer(server_ep, port=99, handler=handler).start()
-        client = RpcClient(client_ep)
+        self.serve(cluster)
+        nic = cluster.nodes[1].nic
 
         def app(env):
-            chan = yield client.open(0, port=99)
-            r1 = yield chan.call({"x": 21}, size=16)
-            r2 = yield chan.call({"x": 5}, size=16)
-            return r1, r2, chan.calls
+            r1 = yield rpc.call(nic, 0, "toy", {"op": "double", "x": 21})
+            r2 = yield rpc.call(nic, 0, "toy", {"op": "double", "x": 5})
+            return r1, r2
 
         p = cluster.env.process(app(cluster.env))
-        cluster.env.run()
-        r1, r2, calls = p.value
-        assert r1 == {"echo": 42}
-        assert r2 == {"echo": 10}
-        assert calls == 2
+        assert cluster.env.run_until_event(p) == ({"echo": 42},
+                                                   {"echo": 10})
 
-    def test_multiple_clients_one_server(self, cluster):
+    def test_multiple_clients_one_server(self):
         c = Cluster(n_nodes=4, params=NetworkParams.infiniband(), seed=0)
-        server_ep = TcpEndpoint(c.nodes[0])
-
-        def handler(req):
-            return req + 1, 8, 0.5
-
-        server = RpcServer(server_ep, port=7, handler=handler)
-        server.start()
+        self.serve(c, work_us=0.5)
         answers = []
 
         def app(env, node, val):
-            client = RpcClient(TcpEndpoint(node))
-            chan = yield client.open(0, port=7)
-            resp = yield chan.call(val, size=8)
-            answers.append(resp)
+            reply = yield rpc.call(node.nic, 0, "toy",
+                                   {"op": "double", "x": val})
+            answers.append(reply["echo"])
 
         for i, node in enumerate(c.nodes[1:]):
             c.env.process(app(c.env, node, i * 10))
         c.env.run()
-        assert sorted(answers) == [1, 11, 21]
-        assert server.requests_served == 3
-
-    def test_server_double_start_rejected(self, cluster):
-        from repro.errors import TransportError
-        ep = TcpEndpoint(cluster.nodes[0])
-        server = RpcServer(ep, port=1, handler=lambda r: (r, 0, 0.0))
-        server.start()
-        with pytest.raises(TransportError):
-            server.start()
+        assert sorted(answers) == [0, 20, 40]
 
     def test_server_under_load_is_slow(self):
-        """RPC latency inflates when the server node is CPU-saturated."""
+        """The server's work runs on its processor-sharing CPU, so the
+        reply is late when that CPU is saturated."""
 
         def measure(load):
             c = Cluster(n_nodes=2, params=NetworkParams.infiniband(), seed=0)
             c.nodes[0].cpu.set_background(load)
-            server_ep = TcpEndpoint(c.nodes[0])
-            RpcServer(server_ep, port=9,
-                      handler=lambda r: (r, 8, 5.0)).start()
-            client = RpcClient(TcpEndpoint(c.nodes[1]))
+            self.serve(c, work_us=5.0)
 
             def app(env):
-                chan = yield client.open(0, port=9)
                 t0 = env.now
-                yield chan.call("ping", size=8)
+                yield rpc.call(c.nodes[1].nic, 0, "toy",
+                               {"op": "double", "x": 1})
                 return env.now - t0
 
             p = c.env.process(app(c.env))
-            c.env.run()
-            return p.value
+            return c.env.run_until_event(p)
 
         assert measure(30) > 3 * measure(0)
