@@ -30,16 +30,11 @@ from repro.errors import (DDSSError, FaultError, LockError, RdmaError,
                           TimeoutError)
 
 from repro.chaos.space import plan_from_schedule
+from repro.monitor.phi import PERIOD_US
 
 __all__ = ["build_locks", "build_ddss", "build_txn", "lock_actor",
            "ha_expectations"]
 
-#: detector probe cadence for chaos scenarios (µs)
-PERIOD_US = 500.0
-TIMEOUT_US = 120.0
-#: quorum-gate hold window: one probe period lets a closing partition's
-#: deaths be counted together before quorum arithmetic runs
-HOLD_US = PERIOD_US
 #: phi history warm-up before expectations are judgeable
 WARMUP_US = 3_000.0
 N_LOCKS = 4
@@ -152,14 +147,14 @@ def build_locks(seed: int, n_nodes: int, schedule: Sequence[dict],
     obs = cluster.observe(sanitize=True, strict=False)
     cluster.install_faults(plan_from_schedule(schedule))
     front, backs = cluster.nodes[0], cluster.nodes[1:]
-    phi = PhiAccrualDetector(front, backs, period_us=PERIOD_US,
-                             timeout_us=TIMEOUT_US)
-    detector = QuorumGate(phi, hold_us=HOLD_US) if fence else phi
+    phi = PhiAccrualDetector(front, backs)
+    detector = QuorumGate(phi) if fence else phi
     manager = NCoSEDManager(cluster, n_locks=N_LOCKS, lease_us=800.0,
                             detector=detector)
     # detection bound for the HA liveness assertions: phi confirmation,
-    # plus the gate hold, plus two probe periods of scheduling slack
-    bound = (phi.detect_bound_us() + (HOLD_US if fence else 0.0)
+    # plus the gate's one-period hold, plus two probe periods of
+    # scheduling slack
+    bound = (phi.detect_bound_us() + (PERIOD_US if fence else 0.0)
              + 2.0 * PERIOD_US)
     for exp in ha_expectations(schedule, n_nodes, N_LOCKS, bound):
         obs.trace.emit("ha.expect", node=-1, **exp)
@@ -254,12 +249,11 @@ def build_txn(seed: int, n_nodes: int, schedule: Sequence[dict],
     obs = cluster.observe(sanitize=True, strict=False)
     cluster.install_faults(plan_from_schedule(schedule))
     front, backs = cluster.nodes[0], cluster.nodes[1:]
-    phi = PhiAccrualDetector(front, backs, period_us=PERIOD_US,
-                             timeout_us=TIMEOUT_US)
-    detector = QuorumGate(phi, hold_us=HOLD_US) if fence else phi
+    phi = PhiAccrualDetector(front, backs)
+    detector = QuorumGate(phi) if fence else phi
     manager = NCoSEDManager(cluster, n_locks=N_LOCKS, lease_us=800.0,
                             detector=detector)
-    bound = (phi.detect_bound_us() + (HOLD_US if fence else 0.0)
+    bound = (phi.detect_bound_us() + (PERIOD_US if fence else 0.0)
              + 2.0 * PERIOD_US)
     for exp in ha_expectations(schedule, n_nodes, N_LOCKS, bound):
         obs.trace.emit("ha.expect", node=-1, **exp)

@@ -86,6 +86,10 @@ _F24 = 0xFFFFFF
 
 #: receiver-side dedup window for reliably re-sent protocol messages
 _UID_WINDOW = 512
+#: acquire attempts before ``acquire`` raises :class:`LockError`
+MAX_ATTEMPTS = 12
+#: sends of one peer protocol message before the lock is flagged suspect
+SEND_ATTEMPTS = 6
 
 
 def pack(epoch: int, tail: int, count: int) -> int:
@@ -114,57 +118,27 @@ class EpochFencedManager(LockManagerBase):
     ----------
     lease_us:
         Wait bound: every blocking protocol wait re-validates the lock
-        word at this period.  Also the default reaper scan period.
+        word at this period.  The reaper scans every lease, an acquire
+        backs off half a lease per failed attempt (at most eight
+        halves) up to :data:`MAX_ATTEMPTS` attempts, and a dropped peer
+        message is re-sent every quarter lease up to
+        :data:`SEND_ATTEMPTS` sends.
     detector:
-        Failure oracle with ``is_dead(node_id)`` (e.g. a
-        :class:`repro.monitor.heartbeat.HeartbeatDetector`); defaults
-        to the cluster's installed fault injector's ground truth.
-    reap_every_us / max_attempts / attempt_backoff_us:
-        Reaper period (default: the lease), acquire retry budget, and
-        backoff between attempts (default: half the lease).
-    send_attempts / resend_us:
-        Bounded re-send of peer protocol messages on injected drops
-        (default period: a quarter of the lease).
+        Failure oracle (a :class:`repro.monitor.PhiAccrualDetector`,
+        or a :class:`repro.monitor.QuorumGate` over one); defaults to
+        the cluster's installed fault injector's ground truth.
     """
 
     def __init__(self, cluster, n_locks: int = 64,
                  member_nodes=None, *,
                  lease_us: Optional[float] = None,
-                 detector=None,
-                 reap_every_us: Optional[float] = None,
-                 max_attempts: int = 12,
-                 attempt_backoff_us: Optional[float] = None,
-                 send_attempts: int = 6,
-                 resend_us: Optional[float] = None):
-        for name, value in (("lease_us", lease_us),
-                            ("reap_every_us", reap_every_us),
-                            ("resend_us", resend_us)):
-            if value is not None and not 0 < value < math.inf:
-                raise LockError(
-                    f"{name} must be positive and finite, got {value!r}")
-        if (attempt_backoff_us is not None
-                and not 0 <= attempt_backoff_us < math.inf):
-            raise LockError("attempt_backoff_us must be finite and >= 0, "
-                            f"got {attempt_backoff_us!r}")
-        for name, value in (("max_attempts", max_attempts),
-                            ("send_attempts", send_attempts)):
-            if value < 1:
-                raise LockError(f"{name} must be >= 1, got {value!r}")
+                 detector=None):
+        if lease_us is not None and not 0 < lease_us < math.inf:
+            raise LockError(
+                f"lease_us must be positive and finite, got {lease_us!r}")
         self.ft = lease_us is not None
         self.lease_us = lease_us
         self.detector = detector
-        self.max_attempts = max_attempts
-        self.send_attempts = send_attempts
-        self.reap_every_us = reap_every_us
-        self.attempt_backoff_us = attempt_backoff_us
-        self.resend_us = resend_us
-        if self.ft:
-            if reap_every_us is None:
-                self.reap_every_us = lease_us
-            if attempt_backoff_us is None:
-                self.attempt_backoff_us = lease_us / 2
-            if resend_us is None:
-                self.resend_us = lease_us / 4
         #: lock -> current epoch (mirrored in the words' top 16 bits)
         self._epochs: Dict[int, int] = {}
         #: lock -> tokens with an in-flight acquire/release on it; this
@@ -228,7 +202,7 @@ class EpochFencedManager(LockManagerBase):
 
     def _reap_proc(self):
         while True:
-            yield self.env.timeout(self.reap_every_us)
+            yield self.env.timeout(self.lease_us)
             if not getattr(self.detector, "has_quorum", True):
                 # minority-partition view: freezing the reaper here is
                 # what keeps a split brain from revoking the majority's
@@ -340,7 +314,7 @@ class EpochFencedClient(LockClient):
                     # the home's crash, and the next requester would then
                     # queue behind a ghost that never hands off
                     mgr._flag_suspect(lock_id, self.token)
-                if attempts >= mgr.max_attempts:
+                if attempts >= MAX_ATTEMPTS:
                     obs = self.env.obs
                     if obs is not None:
                         obs.trace.emit("lock.fail", node=self.node.id,
@@ -353,8 +327,7 @@ class EpochFencedClient(LockClient):
                         f"failed after {attempts} attempts: {exc}") from exc
             finally:
                 mgr._unnote_active(lock_id, self.token)
-            yield self.env.timeout(
-                mgr.attempt_backoff_us * min(attempts, 8))
+            yield self.env.timeout(mgr.lease_us / 2 * min(attempts, 8))
         self._held_modes[lock_id] = mode
         self._grant_ep[lock_id] = ep
         self._grant_extra[lock_id] = extra
@@ -483,13 +456,13 @@ class EpochFencedClient(LockClient):
 
     def _send_reliable(self, peer: "EpochFencedClient", body: dict):
         mgr = self.manager
-        for _ in range(mgr.send_attempts):
+        for _ in range(SEND_ATTEMPTS):
             try:
                 yield self.node.nic.send_wait(peer.node.id, payload=body,
                                               size=32, tag=peer._tag)
                 return
             except FaultError:
-                yield self.env.timeout(mgr.resend_us)
+                yield self.env.timeout(mgr.lease_us / 4)
         # Undeliverable protocol message: if its epoch is still current,
         # some peer is (or may be) waiting on it — flag the lock so the
         # reaper reclaims and waiters restart under a fresh epoch.

@@ -49,8 +49,8 @@ atomics and no read (``tests/dlm/test_verb_counts.py``).
 Failover
 --------
 
-What only N-CoSED has: with a transition-reporting detector, the words
-of a dead home move to the next live member — an override of the home
+What only N-CoSED has: with a failure detector, the words of a dead
+home move to the next live member — an override of the home
 plus an ordinary reclaim, so stragglers talking to the old home are
 fenced by the epoch check on their next protocol step.
 """
@@ -84,9 +84,9 @@ class NCoSEDManager(EpochFencedManager):
         self.rehomes: List[Tuple[float, int, int, int]] = []
         super().__init__(cluster, n_locks=n_locks,
                          member_nodes=member_nodes, **ft_kwargs)
-        if self.ft and hasattr(self.detector, "subscribe"):
-            # a transition-reporting detector drives lock-home
-            # failover; a bare oracle only gates the reaper
+        if self.ft and self.detector is not None:
+            # detector transitions drive lock-home failover; without a
+            # detector the injector's ground truth only gates the reaper
             self.detector.subscribe(self._on_detector)
 
     def _setup_homes(self) -> None:
@@ -144,7 +144,7 @@ class NCoSEDManager(EpochFencedManager):
         # quorum gate forwards deaths one at a time, so a peer that
         # died in the same partition may not be "dead" yet — but it is
         # already unreachable and must not become the new home
-        avoid = set(getattr(self.detector, "unreachable_ids", ()))
+        avoid = self.detector.unreachable_ids
         for lock_id in range(self.n_locks):
             old_home = self.home_node(lock_id)
             if old_home.id != node_id:

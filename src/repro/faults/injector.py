@@ -5,7 +5,7 @@ single place the :mod:`repro.net` layer consults:
 
 * :meth:`transfer_fault` — called by :meth:`Fabric.transfer` before any
   timing; returns an event that fails with :class:`NodeDownError` after
-  ``detect_us`` when either end is crashed (modelling an RC
+  :data:`DETECT_US` when either end is crashed (modelling an RC
   retry-exceeded completion), or with :class:`PartitionError` when the
   transfer crosses an active partition cut, else ``None``.
 * :meth:`link_factor` — multiplier applied to serialization and wire
@@ -32,9 +32,12 @@ Every hook reads the clock or the ``down`` set at the instant it is
 called, so the net layer consults each one at the instant the generator
 transfer would (DESIGN.md §7, §9).
 
+Every node a plan names must exist in the cluster: the injector checks
+the plan against the fabric's node ids before it schedules anything.
+
 Crash/restart listeners let services react to membership ground truth;
-the :class:`repro.monitor.heartbeat.HeartbeatDetector` instead
-*discovers* failures through probing, like a real deployment would.
+the :class:`repro.monitor.PhiAccrualDetector` instead *discovers*
+failures through probing, like a real deployment would.
 """
 
 from __future__ import annotations
@@ -58,20 +61,36 @@ __all__ = ["FaultInjector"]
 DETECT_US = 20.0
 
 
+def _check_nodes(plan: FaultPlan, known: Set[int]) -> None:
+    """Raise :class:`ConfigError` for a fault naming an unknown node."""
+    named = [("crash", c.node) for c in plan.crashes]
+    named += [("partition", n) for p in plan.partitions
+              for group in p.groups for n in group]
+    named += [("slow_node", r.node) for r in plan.slow_nodes]
+    named += [("stall_credits", r.node) for r in plan.credit_stalls]
+    named += [(f"{r.kind}_messages", n) for r in plan.message_faults
+              for n in (r.src, r.dst)]
+    named += [("fail_verbs", n) for r in plan.verb_faults
+              for n in (r.src, r.dst)]
+    named += [("degrade_link", n) for r in plan.degrades
+              for n in (r.src, r.dst)]
+    for kind, node in named:
+        if node is not None and node not in known:
+            raise ConfigError(f"{kind}: node {node} is not in the "
+                              f"cluster ({len(known)} nodes)")
+
+
 class FaultInjector:
     """Installs fault hooks on a cluster's fabric and runs the plan."""
 
-    def __init__(self, cluster: "Cluster", plan: Optional[FaultPlan] = None,
-                 detect_us: float = DETECT_US, rng_stream: str = "faults"):
-        if detect_us < 0:
-            raise ConfigError("detect_us must be non-negative")
+    def __init__(self, cluster: "Cluster", plan: Optional[FaultPlan] = None):
         self.env = cluster.env
         self.fabric = cluster.fabric
         if self.fabric.injector is not None:
             raise ConfigError("cluster already has a fault injector")
         self.plan = plan or FaultPlan()
-        self.detect_us = detect_us
-        self.rng = cluster.rng.get(rng_stream)
+        _check_nodes(self.plan, set(self.fabric.node_ids))
+        self.rng = cluster.rng.get("faults")
         self.down: Set[int] = set()
         #: node id -> communication-context incarnation; bumped on every
         #: crash so in-flight completions can be fenced against restarts
@@ -208,9 +227,9 @@ class FaultInjector:
         return None
 
     def _refuse(self, exc: Exception) -> Event:
-        """Fail after ``detect_us`` — the RC retry-exhaustion model."""
+        """Fail after :data:`DETECT_US` — the RC retry-exhaustion model."""
         ev = self.env.event()
-        self.env.timeout(self.detect_us).add_callback(
+        self.env.timeout(DETECT_US).add_callback(
             lambda _t: ev.fail(exc))
         return ev
 

@@ -22,7 +22,6 @@ observe it through one of five schemes:
 dispatcher for the Fig. 8b throughput experiment.
 """
 
-from repro.monitor.heartbeat import HeartbeatDetector
 from repro.monitor.kernel import KernelStats
 from repro.monitor.phi import PhiAccrualDetector
 from repro.monitor.quorum import QuorumGate
@@ -39,7 +38,6 @@ from repro.monitor.schemes import (
 
 __all__ = [
     "ERdmaSyncMonitor",
-    "HeartbeatDetector",
     "KernelStats",
     "MonitorBase",
     "MONITOR_SCHEMES",

@@ -7,20 +7,22 @@ lock homes and DDSS owners, forking the cluster's state.  The classic
 fix: reconfiguration decisions are only valid while the decider can
 still talk to a **quorum** (majority) of the membership.
 
-:class:`QuorumGate` wraps any detector with the
-``subscribe``/``is_dead``/``dead_ids`` interface and re-exports it with
-two changes:
+:class:`QuorumGate` wraps a
+:class:`~repro.monitor.phi.PhiAccrualDetector` and re-exports its
+``subscribe``/``is_dead``/``dead_ids`` interface with two changes:
 
-* **Hold window** — an inner "dead" verdict is sat on for ``hold_us``
-  before being forwarded, so a burst of deaths (the partition closing)
-  is counted *together*: by the time the first verdict's hold expires,
+* **Hold window** — an inner "dead" verdict is sat on for one probe
+  period (:data:`~repro.monitor.phi.PERIOD_US`) before being
+  forwarded, so a burst of deaths (the partition closing) is counted
+  *together*: by the time the first verdict's hold expires,
   the detector has seen the rest of the far side disappear and quorum
   arithmetic reflects the whole cut, not its first casualty.
 * **Quorum check** — at hold expiry the verdict is forwarded only if
-  the local side still holds a strict majority of ``n_members``
-  (watchers count themselves).  Otherwise the verdict is *fenced*:
-  logged, trace-marked, and parked until quorum returns (e.g. the
-  partition heals), at which point still-dead nodes are re-forwarded.
+  the local side still holds a strict majority of the membership: the
+  detector's targets plus the watcher itself.  Otherwise the verdict is
+  *fenced*: logged, trace-marked, and parked until quorum returns (e.g.
+  the partition heals), at which point still-dead nodes are
+  re-forwarded.
 
 Every forwarded transition bumps ``config_epoch``; consumers stamp the
 epoch into their own fencing tokens so decisions made under a stale
@@ -29,29 +31,31 @@ view are rejectable after the fact.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Set
+from typing import Callable, Dict, List, Set
 
 from repro.errors import ConfigError
+from repro.monitor.phi import PERIOD_US, PhiAccrualDetector
 
 __all__ = ["QuorumGate"]
 
 
 class QuorumGate:
-    """Majority-fenced view over an inner failure detector."""
+    """Majority-fenced view over an inner failure detector.
 
-    def __init__(self, detector, *, n_members: Optional[int] = None,
-                 hold_us: Optional[float] = None):
-        n = (len(detector.targets) + 1) if n_members is None else n_members
-        if n < 1:
-            raise ConfigError("n_members must be positive")
+    The hold is one probe period; ``hold_us`` is accepted only at that
+    value, for callers that spell it out (``benchmarks/perf`` does).
+    """
+
+    def __init__(self, detector: PhiAccrualDetector, *,
+                 hold_us: float = PERIOD_US):
+        if hold_us != PERIOD_US:
+            raise ConfigError(
+                f"hold_us is fixed at {PERIOD_US}, got {hold_us!r}")
         self.inner = detector
         self.env = detector.env
-        self.n_members = n
-        self.quorum = n // 2 + 1
-        self.hold_us = (detector.period_us if hold_us is None
-                        else hold_us)
-        if self.hold_us < 0:
-            raise ConfigError("hold_us must be non-negative")
+        #: the watched nodes plus the watcher itself
+        self.n_members = len(detector.targets) + 1
+        self.quorum = self.n_members // 2 + 1
         self._dead: Set[int] = set()       # forwarded (quorate) verdicts
         self._pending: Set[int] = set()    # fenced, awaiting quorum
         self._gen: Dict[int, int] = {}     # cancels stale hold timers
@@ -78,9 +82,7 @@ class QuorumGate:
         still holding or fencing name nodes that are unreachable all
         the same, so placement decisions (where to rehome) must avoid
         them even while eviction decisions stay fenced."""
-        inner = self.inner
-        raw = set(getattr(inner, "unreachable_ids", inner.dead_ids))
-        return raw | self._dead | self._pending
+        return self.inner.unreachable_ids | self._dead | self._pending
 
     @property
     def has_quorum(self) -> bool:
@@ -92,9 +94,7 @@ class QuorumGate:
         not a supporter of our side whether or not its phi has crossed
         the confirmation threshold yet — plus the watcher itself.
         """
-        unreachable = set(self.inner.dead_ids)
-        unreachable |= getattr(self.inner, "suspect_ids", set())
-        alive = self.n_members - len(unreachable)
+        alive = self.n_members - len(self.inner.unreachable_ids)
         return alive >= self.quorum
 
     def subscribe(self, fn: Callable[[int, str], None]) -> None:
@@ -120,13 +120,11 @@ class QuorumGate:
                                  name="quorum-flush")
 
     def _flush_proc(self):
-        if self.hold_us:
-            yield self.env.timeout(self.hold_us)
+        yield self.env.timeout(PERIOD_US)
         self._flush_pending()
 
     def _hold_proc(self, node_id: int, gen: int):
-        if self.hold_us:
-            yield self.env.timeout(self.hold_us)
+        yield self.env.timeout(PERIOD_US)
         if self._gen.get(node_id) != gen:
             return  # node came back (or re-died) while we held
         if self.inner.is_dead(node_id) and node_id not in self._dead:
@@ -145,10 +143,9 @@ class QuorumGate:
                                  name=f"quorum-retry@{node_id}")
 
     def _retry_proc(self, node_id: int, gen: int):
-        period = self.hold_us or getattr(self.inner, "period_us", 1.0)
         while (self._gen.get(node_id) == gen
                and node_id in self._pending):
-            yield self.env.timeout(period)
+            yield self.env.timeout(PERIOD_US)
             if self._gen.get(node_id) != gen \
                     or node_id not in self._pending:
                 return

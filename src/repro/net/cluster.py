@@ -70,14 +70,13 @@ class Cluster:
     def run(self, until: Optional[float] = None) -> float:
         return self.env.run(until=until)
 
-    def install_faults(self, plan=None, **kwargs):
+    def install_faults(self, plan=None):
         """Install a :class:`repro.faults.FaultInjector` running ``plan``.
 
-        Returns the injector; keyword arguments are forwarded (e.g.
-        ``detect_us``).  At most one injector per cluster.
+        Returns the injector.  At most one injector per cluster.
         """
         from repro.faults import FaultInjector
-        return FaultInjector(self, plan, **kwargs)
+        return FaultInjector(self, plan)
 
     def observe(self, **kwargs):
         """Install :class:`repro.obs.Observability`; pull fabric and NIC

@@ -350,7 +350,7 @@ class NIC:
     def _leg_refused(self, injector, s: int, src: int, dst: int) -> bool:
         """``transfer_fault`` at a leg's injection: True when the leg is
         refused, and the verb then fails when the refusal does (after
-        ``detect_us``)."""
+        :data:`repro.faults.injector.DETECT_US`)."""
         fail = injector.transfer_fault(src, dst)
         if fail is None:
             return False

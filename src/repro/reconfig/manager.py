@@ -80,7 +80,7 @@ class Service:
 class ReconfigManager:
     """Watches services, migrates nodes, serialized via a CAS lock.
 
-    With a ``detector`` (:class:`repro.monitor.HeartbeatDetector`) the
+    With a ``detector`` (:class:`repro.monitor.PhiAccrualDetector`) the
     manager is **failure-aware**: the instant the detector declares a
     node dead it is evicted from every service hosting it (a crashed
     node serves nothing, so eviction ignores ``min_nodes``), and a
@@ -129,8 +129,8 @@ class ReconfigManager:
     # -- failure awareness -------------------------------------------------
     def _quorate(self) -> bool:
         """Reconfiguration is only valid while the detector side holds a
-        majority (``QuorumGate.has_quorum``); detectors without quorum
-        arithmetic (plain heartbeat) never fence."""
+        majority (``QuorumGate.has_quorum``); a bare detector, without
+        quorum arithmetic, never fences."""
         return getattr(self.detector, "has_quorum", True)
 
     def _on_transition(self, node_id: int, transition: str) -> None:

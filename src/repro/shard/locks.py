@@ -83,7 +83,7 @@ class ShardedNCoSEDManager(NCoSEDManager):
                 and len(self.shard_map.members) > 1):
             self.shard_map.remove(node_id)
             self._obs_rebalance("evict", node_id)
-        avoid = set(getattr(self.detector, "unreachable_ids", ()))
+        avoid = self.detector.unreachable_ids
         avoid.add(node_id)
         for nid in self._member_by_id:
             if self._node_dead(nid):

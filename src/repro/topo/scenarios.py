@@ -33,11 +33,6 @@ from repro.errors import (DDSSError, FaultError, LockError, RdmaError,
 __all__ = ["build_topo_scenario", "shard_check", "topo_lab",
            "measure_verb_latency", "measure_lock_throughput"]
 
-#: detector cadence (shared with repro.chaos so bounds read the same)
-PERIOD_US = 500.0
-TIMEOUT_US = 120.0
-HOLD_US = PERIOD_US
-
 #: faults an actor absorbs: giving up under injected failure is legal
 TOLERATED = (LockError, FaultError, RdmaError, DDSSError, TimeoutError)
 
@@ -57,6 +52,7 @@ def build_topo_scenario(seed: int = 0, racks: int = 4,
     from repro.ddss import Coherence
     from repro.faults import FaultPlan
     from repro.monitor import PhiAccrualDetector, QuorumGate
+    from repro.monitor.phi import PERIOD_US
     from repro.reconfig import ReconfigManager, Service
     from repro.shard import ShardedDDSS, ShardedNCoSEDManager
     from repro.topo import TopoCluster
@@ -75,15 +71,15 @@ def build_topo_scenario(seed: int = 0, racks: int = 4,
 
     ddss = ShardedDDSS(cluster, segment_bytes=256 * 1024)
     front, backs = cluster.nodes[0], cluster.nodes[1:]
-    phi = PhiAccrualDetector(front, backs, period_us=PERIOD_US,
-                             timeout_us=TIMEOUT_US)
-    detector = QuorumGate(phi, hold_us=HOLD_US)
+    phi = PhiAccrualDetector(front, backs)
+    detector = QuorumGate(phi)
     manager = ShardedNCoSEDManager(cluster, n_locks=n_locks,
                                    lease_us=800.0, detector=detector)
     svc = Service("rubis", cluster.nodes)
     reconfig = ReconfigManager(front, [svc], detector=detector,
                                ddss=ddss)
-    bound = phi.detect_bound_us() + HOLD_US + 2.0 * PERIOD_US
+    # phi confirmation, the gate's one-period hold, two periods of slack
+    bound = phi.detect_bound_us() + PERIOD_US + 2.0 * PERIOD_US
     obs.trace.emit("ha.expect", node=-1, kind="failover",
                    victims=[victim.id], after=crash_at,
                    by=crash_at + bound, start=crash_at,

@@ -93,8 +93,7 @@ class TestCrashDuringHandoff:
         plan = FaultPlan().crash(0, at=100.0)  # the home node
         cluster = Cluster(n_nodes=3, seed=1)
         cluster.install_faults(plan)
-        manager = MCSManager(cluster, n_locks=2, lease_us=300.0,
-                             max_attempts=3)
+        manager = MCSManager(cluster, n_locks=2, lease_us=300.0)
         client = manager.client(cluster.nodes[1])
         env = cluster.env
         outcome = []

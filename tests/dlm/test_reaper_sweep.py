@@ -20,7 +20,7 @@ def _full_scan_reaper(self):
     """The sweep as it was: every lock, every period, the quorum test
     inside the loop."""
     while True:
-        yield self.env.timeout(self.reap_every_us)
+        yield self.env.timeout(self.lease_us)
         for lock_id in range(self.n_locks):
             if (getattr(self.detector, "has_quorum", True)
                     and self._should_reclaim(lock_id)):

@@ -5,10 +5,25 @@ import pytest
 from repro.errors import ConfigError, NodeDownError
 from repro.net import Cluster
 from repro.faults import FaultInjector, FaultPlan
+from repro.faults.injector import DETECT_US
 
 
 def make_cluster(n=3, seed=0):
     return Cluster(n_nodes=n, seed=seed)
+
+
+#: (fault kind, bad node id, plan) against the 3-node ``make_cluster``
+UNKNOWN_NODE_PLANS = [
+    ("crash", 99, FaultPlan().crash(99, at=10.0)),
+    ("crash", -1, FaultPlan().crash(-1, at=10.0)),
+    ("crash", 7, FaultPlan().crash(7, at=10.0, restart_at=50.0)),
+    ("partition", 9, FaultPlan().partition([[0], [1, 9]])),
+    ("slow_node", 5, FaultPlan().slow_node(5, 2.0)),
+    ("stall_credits", 5, FaultPlan().stall_credits(5)),
+    ("drop_messages", 9, FaultPlan().drop_messages(0.5, src=9)),
+    ("fail_verbs", 9, FaultPlan().fail_verbs(0.5, dst=9)),
+    ("degrade_link", 9, FaultPlan().degrade_link(2.0, src=0, dst=9)),
+]
 
 
 class TestFaultPlan:
@@ -78,6 +93,19 @@ class TestInjector:
         with pytest.raises(ConfigError):
             cluster.install_faults()
 
+    @pytest.mark.parametrize("kind,node,plan", UNKNOWN_NODE_PLANS,
+                             ids=[f"{k}{n}" for k, n, _ in
+                                  UNKNOWN_NODE_PLANS])
+    def test_unknown_node_rejected_before_anything_runs(self, kind, node,
+                                                        plan):
+        cluster = make_cluster()  # nodes 0..2
+        with pytest.raises(ConfigError,
+                           match=rf"^{kind}: node {node} is not in"):
+            cluster.install_faults(plan)
+        # nothing was installed or scheduled
+        assert cluster.fabric.injector is None
+        assert cluster.run(until=100.0) == 100.0
+
     def test_crash_schedule_logged(self):
         cluster = make_cluster()
         inj = cluster.install_faults(
@@ -101,7 +129,7 @@ class TestInjector:
         cluster.env.run_until_event(p, limit=1e6)
         # the failure surfaces after the RC retry-exceeded delay (plus
         # the NIC's descriptor-post overhead)
-        assert inj.detect_us <= p.value <= inj.detect_us + 1.0
+        assert DETECT_US <= p.value <= DETECT_US + 1.0
         assert inj.transfers_refused == 1
 
     def test_restart_restores_communication(self):

@@ -5,7 +5,7 @@ majority-side rehome within the detection bound, while a minority-side
 front must provably NOT evict the majority's homes — both asserted by
 replaying the exported trace through the oracles (HAOracle included)."""
 
-from repro.chaos.scenarios import HOLD_US, PERIOD_US
+from repro.monitor.phi import PERIOD_US
 from repro.scenarios import lookup, run_schedule
 from repro.verify import ALL_ORACLES, HAOracle, TraceView, replay_fresh
 
@@ -31,7 +31,7 @@ class TestMajorityFailover:
         rehomes = obs.trace.select(prefix="lock.rehome")
         assert rehomes, "isolated lock home was never failed over"
         # detection bound: phi confirmation + gate hold + probe slack
-        bound = 2_120.0 + HOLD_US + 2 * PERIOD_US
+        bound = 2_120.0 + PERIOD_US + 2 * PERIOD_US
         for ev in rehomes:
             assert ev.fields["frm"] == 3
             assert ev.fields["to"] in (0, 1, 2)  # stays on our side

@@ -13,6 +13,8 @@ from repro.errors import LockError
 from repro.net import Cluster
 from repro.faults import FaultPlan
 from repro.dlm import LockMode, NCoSEDManager
+from repro.dlm.ft import MAX_ATTEMPTS
+from repro.faults.injector import DETECT_US
 
 LEASE_US = 400.0
 
@@ -145,7 +147,7 @@ class TestReclaim:
         assert manager.reclaims, "no reclaim happened"
         t_reclaim, lock_id, new_ep = manager.reclaims[0]
         assert lock_id == 0 and new_ep >= 1
-        assert crash_at <= t_reclaim <= crash_at + manager.reap_every_us
+        assert crash_at <= t_reclaim <= crash_at + manager.lease_us
         # and the waiter actually got the lock afterwards
         assert got and got[0] >= t_reclaim
 
@@ -239,16 +241,6 @@ class TestConfig:
         ({"lease_us": 0}, "lease_us"),
         ({"lease_us": float("inf")}, "lease_us"),
         ({"lease_us": float("nan")}, "lease_us"),
-        ({"max_attempts": 0}, "max_attempts"),
-        # zero sends: the message was never sent, the lock only flagged
-        ({"send_attempts": 0}, "send_attempts"),
-        # an explicit 0 used to be read as "unset" (lease period)
-        ({"reap_every_us": 0}, "reap_every_us"),
-        ({"reap_every_us": float("inf")}, "reap_every_us"),
-        ({"resend_us": -5.0}, "resend_us"),
-        ({"resend_us": float("nan")}, "resend_us"),
-        ({"attempt_backoff_us": -1.0}, "attempt_backoff_us"),
-        ({"attempt_backoff_us": float("inf")}, "attempt_backoff_us"),
     ])
     def test_ft_parameter_validation(self, kwargs, named):
         cluster = Cluster(n_nodes=2, seed=0)
@@ -256,10 +248,30 @@ class TestConfig:
             NCoSEDManager(cluster, n_locks=1,
                           **{"lease_us": 100.0, **kwargs})
 
-    def test_zero_backoff_and_defaults_accepted(self):
-        cluster = Cluster(n_nodes=2, seed=0)
-        manager = NCoSEDManager(cluster, n_locks=1, lease_us=100.0,
-                                attempt_backoff_us=0)
-        assert manager.attempt_backoff_us == 0
-        assert manager.reap_every_us == 100.0
-        assert manager.resend_us == 25.0
+    def test_acquire_budget_follows_the_lease(self):
+        """An acquire against a dead home fails after ``MAX_ATTEMPTS``
+        attempts, sleeping half a lease per failed attempt (at most
+        eight halves) in between: the retry budget is set by the lease
+        alone."""
+        plan = FaultPlan().crash(0, at=100.0)  # the lock's home
+        cluster, manager = build(n_nodes=3, n_locks=1, plan=plan)
+        assert manager.home_node(0).id == 0
+        client = manager.client(cluster.nodes[1])
+        failed = []
+
+        def app(env):
+            yield env.timeout(200.0)
+            try:
+                yield client.acquire(0, LockMode.EXCLUSIVE)
+            except LockError as exc:
+                failed.append((env.now, str(exc)))
+
+        cluster.env.process(app(cluster.env))
+        cluster.run(until=100_000.0)
+        (t_fail, msg), = failed
+        assert f"after {MAX_ATTEMPTS} attempts" in msg
+        backoff = sum(LEASE_US / 2 * min(k, 8)
+                      for k in range(1, MAX_ATTEMPTS))
+        # each attempt itself fails after the NIC's retry budget
+        start = 200.0 + backoff
+        assert start < t_fail <= start + MAX_ATTEMPTS * (DETECT_US + 1.0)

@@ -1,33 +1,27 @@
-"""Heartbeat failure detection and failure-aware reconfiguration."""
+"""Phi-accrual failure detection and failure-aware reconfiguration."""
+
+import math
 
 import pytest
 
 from repro.errors import ConfigError
 from repro.net import Cluster
 from repro.faults import FaultPlan
-from repro.monitor import HeartbeatDetector
+from repro.monitor import PhiAccrualDetector
 from repro.reconfig import ReconfigManager, Service
-
-PERIOD = 1_000.0
-TIMEOUT = 200.0
-MISSES = 3
-CONFIRM = 1  # hysteresis: extra misses to confirm a suspect dead
-#: worst-case crash -> "dead" latency: the probe in flight when the
-#: crash hits, then MISSES + CONFIRM failed probes, each a period +
-#: probe timeout
-DETECT_BOUND = PERIOD * (MISSES + CONFIRM + 1) + TIMEOUT
 
 
 def build(n=6, seed=0, plan=None):
     cluster = Cluster(n_nodes=n, seed=seed)
     inj = cluster.install_faults(plan or FaultPlan())
     front, backs = cluster.nodes[0], cluster.nodes[1:]
-    det = HeartbeatDetector(front, backs, period_us=PERIOD,
-                            timeout_us=TIMEOUT, miss_threshold=MISSES)
+    det = PhiAccrualDetector(front, backs)
     return cluster, inj, front, backs, det
 
 
 class TestHeartbeat:
+    """Liveness-word probing, as the phi-accrual detector does it."""
+
     def test_all_alive_without_faults(self):
         cluster, inj, front, backs, det = build()
         cluster.run(until=20_000.0)
@@ -43,7 +37,7 @@ class TestHeartbeat:
         assert det.is_dead(2)
         (t, node_id, what), = det.transitions
         assert (node_id, what) == (2, "dead")
-        assert crash_at <= t <= crash_at + DETECT_BOUND
+        assert crash_at <= t <= crash_at + det.detect_bound_us()
 
     def test_restart_detected_as_alive(self):
         cluster, inj, front, backs, det = build(
@@ -56,13 +50,13 @@ class TestHeartbeat:
     def test_config_validation(self):
         cluster = Cluster(n_nodes=2, seed=0)
         with pytest.raises(ConfigError):
-            HeartbeatDetector(cluster.nodes[0], [cluster.nodes[0]])
-        with pytest.raises(ConfigError):
-            HeartbeatDetector(cluster.nodes[0], [cluster.nodes[1]],
-                              period_us=-1.0)
-        with pytest.raises(ConfigError):
-            HeartbeatDetector(cluster.nodes[0], [cluster.nodes[1]],
-                              miss_threshold=0)
+            PhiAccrualDetector(cluster.nodes[0], [cluster.nodes[0]])
+        with pytest.raises(ConfigError, match="period_us"):
+            PhiAccrualDetector(cluster.nodes[0], [cluster.nodes[1]],
+                               period_us=-1.0)
+        with pytest.raises(ConfigError, match="timeout_us"):
+            PhiAccrualDetector(cluster.nodes[0], [cluster.nodes[1]],
+                               timeout_us=math.nan)
 
 
 class TestFailureAwareReconfig:
@@ -77,7 +71,7 @@ class TestFailureAwareReconfig:
         cluster.run(until=20_000.0)
         evicts = [e for e in mgr.evictions if e[3] == "evict"]
         assert [(e[1], e[2]) for e in evicts] == [(2, "web")]
-        assert crash_at <= evicts[0][0] <= crash_at + DETECT_BOUND
+        assert crash_at <= evicts[0][0] <= crash_at + det.detect_bound_us()
         assert all(n.id != 2 for n in web.nodes)
 
     def test_backfill_from_lower_priority_donor(self):
@@ -145,4 +139,4 @@ class TestFailureAwareReconfig:
         t_dead = det.transitions[0][0]
         t_reclaim = manager.reclaims[0][0]
         assert t_reclaim >= t_dead  # oracle-gated, not ground truth
-        assert t_reclaim <= t_dead + manager.reap_every_us
+        assert t_reclaim <= t_dead + manager.lease_us  # one reaper scan

@@ -1,92 +1,79 @@
-"""Failure-detector upgrades: heartbeat hysteresis (flap absorption),
-the phi-accrual detector, and the quorum gate that fences minority-side
-verdicts (split-brain prevention)."""
+"""The phi-accrual failure detector: flap absorption, detection
+timing, and the quorum gate that fences minority-side verdicts
+(split-brain prevention)."""
+
+import math
 
 import pytest
 
 from repro.errors import ConfigError
 from repro.net import Cluster
 from repro.faults import FaultPlan
-from repro.monitor import (HeartbeatDetector, PhiAccrualDetector,
-                           QuorumGate)
-
-PERIOD = 500.0
-TIMEOUT = 120.0
+from repro.monitor import PhiAccrualDetector, QuorumGate
+from repro.monitor.phi import PERIOD_US, TIMEOUT_US
 
 
 def build(det_cls, n=4, seed=0, plan=None, **det_kw):
     cluster = Cluster(n_nodes=n, seed=seed)
     inj = cluster.install_faults(plan or FaultPlan())
     front, backs = cluster.nodes[0], cluster.nodes[1:]
-    det = det_cls(front, backs, period_us=PERIOD, timeout_us=TIMEOUT,
-                  **det_kw)
+    det = det_cls(front, backs, **det_kw)
     return cluster, inj, det
 
 
 class TestHysteresis:
-    """Regression: a flapping node (just past miss_threshold, then
-    answering) used to be evicted; hysteresis absorbs the flap."""
+    """Regression: a flapping node (suspected, then answering) must not
+    be evicted; phi's suspect stage absorbs the flap."""
 
     def flap_plan(self, misses):
         # fail exactly `misses` consecutive probes of node 1: probes
-        # fire at k*PERIOD, so a verb-fault window covering probes
+        # fire at k*PERIOD_US, so a verb-fault window covering probes
         # 1..misses does it deterministically
-        start = 0.5 * PERIOD
-        until = (misses + 0.5) * PERIOD
+        start = 0.5 * PERIOD_US
+        until = (misses + 0.5) * PERIOD_US
         return FaultPlan().fail_verbs(1.0, dst=1, start=start,
                                       until=until)
 
     def test_flap_absorbed_never_reaches_listeners(self):
+        # one lost probe leaves phi under the suspect threshold; the
+        # second makes node 1 suspect and the next answer clears it
         cluster, inj, det = build(
-            HeartbeatDetector, plan=self.flap_plan(misses=3),
-            miss_threshold=3, confirm_misses=1)
+            PhiAccrualDetector, plan=self.flap_plan(misses=2))
+        obs = cluster.observe(sanitize=False)
         seen = []
         det.subscribe(lambda nid, tr: seen.append((nid, tr)))
-        cluster.run(until=10 * PERIOD)
-        assert seen == []               # regression: used to be "dead"
+        cluster.run(until=10 * PERIOD_US)
+        kinds = [e.etype for e in obs.trace.select(prefix="detect.")]
+        assert kinds == ["detect.suspect", "detect.clear"]
+        assert seen == []
         assert det.transitions == []
         assert det.dead_ids == set()
-        assert det.flaps_absorbed == 1  # suspect raised, then cleared
+        assert det.flaps_absorbed == 1
 
     def test_sustained_misses_still_confirm_dead(self):
         cluster, inj, det = build(
-            HeartbeatDetector, plan=self.flap_plan(misses=8),
-            miss_threshold=3, confirm_misses=1)
-        cluster.run(until=6 * PERIOD)
+            PhiAccrualDetector, plan=self.flap_plan(misses=8))
+        cluster.run(until=6 * PERIOD_US)
         assert det.is_dead(1)
         assert [tr for _t, nid, tr in det.transitions if nid == 1] \
             == ["dead"]
 
-    def test_zero_confirm_restores_legacy_behaviour(self):
-        cluster, inj, det = build(
-            HeartbeatDetector, plan=self.flap_plan(misses=3),
-            miss_threshold=3, confirm_misses=0)
-        cluster.run(until=10 * PERIOD)
-        # without hysteresis the same flap is a dead->alive round trip
-        assert [tr for _t, _n, tr in det.transitions] == ["dead", "alive"]
-
     def test_suspects_visible_while_held(self):
         cluster, inj, det = build(
-            HeartbeatDetector, plan=self.flap_plan(misses=3),
-            miss_threshold=3, confirm_misses=2)
-        cluster.run(until=3.6 * PERIOD)
+            PhiAccrualDetector, plan=self.flap_plan(misses=2))
+        cluster.run(until=2.4 * PERIOD_US)
         assert det.suspect_ids == {1}
-        cluster.run(until=10 * PERIOD)
+        assert det.unreachable_ids == {1} and det.dead_ids == set()
+        cluster.run(until=10 * PERIOD_US)
         assert det.suspect_ids == set()
 
-    def test_detect_bound_includes_confirmation(self):
-        cluster, inj, det = build(HeartbeatDetector, miss_threshold=3,
-                                  confirm_misses=1)
-        assert det.detect_bound_us() == PERIOD * 5 + TIMEOUT
-        cluster2, _, det2 = build(HeartbeatDetector, miss_threshold=3,
-                                  confirm_misses=0)
-        assert det2.detect_bound_us() == PERIOD * 4 + TIMEOUT
-
-    def test_confirm_validation(self):
-        cluster = Cluster(n_nodes=2, seed=0)
-        with pytest.raises(ConfigError):
-            HeartbeatDetector(cluster.nodes[0], [cluster.nodes[1]],
-                              confirm_misses=-1)
+    def test_three_lost_probes_are_a_death(self):
+        # no counter hysteresis: a third lost probe crosses DEAD_PHI
+        cluster, inj, det = build(
+            PhiAccrualDetector, plan=self.flap_plan(misses=3))
+        cluster.run(until=10 * PERIOD_US)
+        assert [tr for _t, _n, tr in det.transitions] == ["dead", "alive"]
+        assert det.flaps_absorbed == 0
 
 
 class TestPhiAccrual:
@@ -95,7 +82,7 @@ class TestPhiAccrual:
         cluster, inj, det = build(
             PhiAccrualDetector,
             plan=FaultPlan().crash(1, at=crash_at))
-        cluster.run(until=crash_at + det.detect_bound_us() + PERIOD)
+        cluster.run(until=crash_at + det.detect_bound_us() + PERIOD_US)
         assert det.is_dead(1)
         t_dead = [t for t, nid, tr in det.transitions
                   if nid == 1 and tr == "dead"][0]
@@ -105,7 +92,7 @@ class TestPhiAccrual:
         cluster, inj, det = build(
             PhiAccrualDetector, plan=FaultPlan().crash(1, at=5_000.0))
         obs = cluster.observe(sanitize=False)
-        cluster.run(until=5_000.0 + det.detect_bound_us() + PERIOD)
+        cluster.run(until=5_000.0 + det.detect_bound_us() + PERIOD_US)
         kinds = [e.etype for e in obs.trace.select(prefix="detect.")
                  if e.fields.get("watched") == 1]
         assert "detect.suspect" in kinds and "detect.dead" in kinds
@@ -140,23 +127,51 @@ class TestPhiAccrual:
         dead = [nid for _t, nid, tr in det.transitions if tr == "dead"]
         assert dead == []
 
-    def test_threshold_validation(self):
+    def test_crash_restart_detection_log_is_pinned(self):
+        """The exact detection timeline of one crash and restart at
+        seed 0: any change to probing, phi or its thresholds that moves
+        a detection instant shows here."""
+        cluster, inj, det = build(
+            PhiAccrualDetector,
+            plan=FaultPlan().crash(1, at=5_000.0, restart_at=12_000.0))
+        obs = cluster.observe(sanitize=False)
+        cluster.run(until=20_000.0)
+        assert det.transitions == [(6136.320000000001, 1, "dead"),
+                                   (12367.999999999995, 1, "alive")]
+        assert [(e.t, e.etype, e.fields.get("watched"))
+                for e in obs.trace.select(prefix="detect.")] == [
+            (5616.02, "detect.suspect", 1),
+            (6136.320000000001, "detect.dead", 1),
+            (12367.999999999995, "detect.alive", 1)]
+        assert det.probes == 117
+        assert det.detect_bound_us() == 2120.0
+
+    @pytest.mark.parametrize("name", ["period_us", "timeout_us",
+                                      "hold_us"])
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf,
+                                       1_000.0])
+    def test_timings_are_fixed(self, name, value):
+        """Probe period, probe timeout and quorum hold are fixed: a
+        caller may spell them out but any other value is refused."""
         cluster = Cluster(n_nodes=2, seed=0)
-        with pytest.raises(ConfigError):
-            PhiAccrualDetector(cluster.nodes[0], [cluster.nodes[1]],
-                               suspect_phi=5.0, dead_phi=2.0)
-        with pytest.raises(ConfigError):
-            PhiAccrualDetector(cluster.nodes[0], [cluster.nodes[1]],
-                               window=1)
+        det = PhiAccrualDetector(cluster.nodes[0], [cluster.nodes[1]],
+                                 period_us=PERIOD_US,
+                                 timeout_us=TIMEOUT_US)
+        QuorumGate(det, hold_us=PERIOD_US)
+        with pytest.raises(ConfigError, match=name):
+            if name == "hold_us":
+                QuorumGate(det, hold_us=value)
+            else:
+                PhiAccrualDetector(cluster.nodes[0], [cluster.nodes[1]],
+                                   **{name: value})
 
 
-def gate_build(n=5, seed=0, plan=None, hold_us=PERIOD):
+def gate_build(n=5, seed=0, plan=None):
     cluster = Cluster(n_nodes=n, seed=seed)
     inj = cluster.install_faults(plan or FaultPlan())
     front, backs = cluster.nodes[0], cluster.nodes[1:]
-    det = PhiAccrualDetector(front, backs, period_us=PERIOD,
-                             timeout_us=TIMEOUT)
-    gate = QuorumGate(det, hold_us=hold_us)
+    det = PhiAccrualDetector(front, backs)
+    gate = QuorumGate(det)
     return cluster, inj, det, gate
 
 
@@ -167,7 +182,8 @@ class TestQuorumGate:
         cluster, inj, det, gate = gate_build(
             plan=FaultPlan().partition([[0, 1, 2], [3, 4]], start=start,
                                        until=1e9))
-        bound = det.detect_bound_us() + gate.hold_us + PERIOD
+        # phi confirmation, the gate's one-period hold, one period slack
+        bound = det.detect_bound_us() + PERIOD_US + PERIOD_US
         cluster.run(until=start + bound)
         assert gate.dead_ids == {3, 4}
         assert gate.has_quorum
@@ -183,7 +199,7 @@ class TestQuorumGate:
             plan=FaultPlan().partition([[0, 1], [2, 3, 4]], start=start,
                                        until=1e9))
         cluster.run(until=start + det.detect_bound_us()
-                    + gate.hold_us + 5 * PERIOD)
+                    + PERIOD_US + 5 * PERIOD_US)
         assert det.dead_ids == {2, 3, 4}   # inner detector fires...
         assert gate.dead_ids == set()      # ...but nothing is forwarded
         assert not gate.has_quorum
@@ -197,7 +213,7 @@ class TestQuorumGate:
         cluster, inj, det, gate = gate_build(
             plan=FaultPlan().partition([[0, 1], [2, 3, 4]], start=start,
                                        until=until))
-        cluster.run(until=until + 5 * PERIOD)
+        cluster.run(until=until + 5 * PERIOD_US)
         assert det.dead_ids == set()
         assert gate.dead_ids == set()
         assert [tr for _t, _n, tr in gate.transitions] == []
@@ -220,5 +236,3 @@ class TestQuorumGate:
         assert gate.is_dead(1) is False
         assert gate.dead_ids == set()
         assert gate.n_members == 5 and gate.quorum == 3
-        with pytest.raises(ConfigError):
-            QuorumGate(det, n_members=0)

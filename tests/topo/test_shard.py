@@ -136,10 +136,12 @@ class TestShardedManagers:
 
     def test_detector_death_rehomes_ring_and_locks(self):
         from repro.dlm import LockMode
+        from repro.monitor import PhiAccrualDetector
 
         cluster = Cluster(n_nodes=5, seed=0)
         obs = cluster.observe()
-        mgr = ShardedNCoSEDManager(cluster, n_locks=32)
+        det = PhiAccrualDetector(cluster.nodes[0], cluster.nodes[1:])
+        mgr = ShardedNCoSEDManager(cluster, n_locks=32, detector=det)
         env = cluster.env
         victim = next(n.id for n in cluster.nodes
                       if any(mgr.home_node(i).id == n.id
