@@ -160,8 +160,8 @@ class CoopCacheBase:
         evicted = store.insert(doc, size, token)
         obs = self.env.obs
         if obs is not None:
-            # evictions are emitted before the admit so the accounting
-            # sanitizer sees the store shrink before it grows
+            # evictions are emitted before the admit so the cache
+            # oracle's accounting sees the store shrink before it grows
             for edoc, esize in evicted:
                 obs.trace.emit("cache.evict", node=target.id,
                                doc=edoc, size=esize)

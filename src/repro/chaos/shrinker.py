@@ -32,7 +32,7 @@ __all__ = ["find_failing", "schedule_fails", "shrink_schedule"]
 
 def schedule_fails(scenario: str, schedule: Sequence[dict], seed: int,
                    kernel: str = "fast") -> Tuple[bool, dict]:
-    """Run one schedule; True when any oracle or sanitizer flags it.
+    """Run one schedule; True when any oracle flags it.
 
     A ``vacuous`` run is not a failure: a probe must not "succeed" by
     shrinking to a schedule that merely silences the workload.

@@ -82,8 +82,6 @@ def _print_record(r: dict) -> int:
         for v in o["violations"][:5]:
             t = "end" if v["t"] is None else f"{v['t']:.1f}"
             print(f"    t={t} #{v['index']} {v['msg']}")
-    for s in r["sanitizers"][:5]:
-        print(f"  [sanitizer {s['sanitizer']}] t={s['t']:.1f} {s['msg']}")
     if "repro" in r:
         rep = r["repro"]
         print(f"  reproducer: {rep['kept_events']}/"
@@ -127,39 +125,6 @@ def _run_main(args) -> int:
             print(f"[{name}] shape check failed: {exc}", file=sys.stderr)
         print(f"[{name} took {time.time() - t0:.1f}s]")
     return 1 if failed else 0
-
-
-# ---------------------------------------------------------------------------
-# observability subcommand
-# ---------------------------------------------------------------------------
-
-def _obs_main(args) -> int:
-    from repro.scenarios import judged_run
-
-    if args.action == "list":
-        return _list_scenarios()
-    if not args.scenario:
-        raise ConfigError("obs run requires a scenario name; "
-                          "try: repro obs list")
-    record, obs = judged_run(args.scenario, args.seed)
-    if args.json:
-        obs.export_json(args.json)
-        print(f"wrote {args.json}")
-    if args.trace:
-        obs.export_trace_json(args.trace)
-        print(f"wrote {args.trace}")
-    summary = obs.to_dict()
-    print(f"[{args.scenario}] sim time: {summary['sim_now_us']:.1f} us, "
-          f"events: {summary['events']['emitted']}")
-    for etype, n in sorted(summary["events"]["by_type"].items()):
-        print(f"  {etype:24s} {n}")
-    bad = record["sanitizers"]
-    print(f"sanitizers: {len(obs.sanitizers)} attached, "
-          f"{len(bad)} violation(s)")
-    for v in bad[:10]:
-        print(f"  [{v['sanitizer']}] t={v['t']:.1f} {v['msg']}")
-    print(f"verdict={record['verdict']}")
-    return 0 if record["verdict"] == "ok" else 1
 
 
 # ---------------------------------------------------------------------------
@@ -210,8 +175,10 @@ def _check_main(args) -> int:
         doc = run_suite(names, seed=args.seed,
                         kernels=KERNELS if args.both_kernels
                         else [args.kernel],
-                        shrink=not args.no_shrink)
+                        shrink=not args.no_shrink, export=args.export)
         results = doc["results"]
+        if args.export:
+            print(f"wrote {args.export}")
 
     n_ok = [_print_record(r) for r in results].count(0)
     if args.json:
@@ -522,18 +489,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("list", help="list the paper's figures")
     runp = sub.add_parser("run", help="build, print and check figures")
     runp.add_argument("ids", nargs="+", help="figure names (or 'all')")
-    obsp = sub.add_parser(
-        "obs", parents=[seed],
-        help="run a packaged scenario and export its tracing + metrics "
-             "+ sanitizer state")
-    obsp.add_argument("action", choices=["list", "run"])
-    obsp.add_argument("scenario", nargs="?",
-                      help="scenario name (for 'run')")
-    obsp.add_argument("--json", metavar="PATH", default=None,
-                      help="write the deterministic JSON export here")
-    obsp.add_argument("--trace", metavar="PATH", default=None,
-                      help="write the full-event trace export here "
-                           "(replayable with 'repro check trace')")
     checkp = sub.add_parser(
         "check", parents=[seed, kernel, both, json_out, workers],
         help="replay scenarios or trace files against the correctness "
@@ -545,6 +500,10 @@ def build_parser() -> argparse.ArgumentParser:
                              "trace file path(s) for trace")
     checkp.add_argument("--no-shrink", action="store_true",
                         help="skip reproducer shrinking on violation")
+    checkp.add_argument("--export", metavar="PATH", default=None,
+                        help="run: write one row's trace, metrics and "
+                             "verdict record here (replayable with "
+                             "'repro check trace')")
     checkp.add_argument("--seeds", type=_int_list, default=[0, 1],
                         help="meta: comma-separated seed list")
     checkp.add_argument("--nodes", type=_int_list, default=[0],
@@ -621,9 +580,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 _COMMANDS = {
-    "list": _list_main, "run": _run_main, "obs": _obs_main,
-    "check": _check_main, "chaos": _chaos_main, "locks": _locks_main,
-    "lab": _lab_main,
+    "list": _list_main, "run": _run_main, "check": _check_main,
+    "chaos": _chaos_main, "locks": _locks_main, "lab": _lab_main,
 }
 
 

@@ -249,7 +249,7 @@ class EpochFencedManager(LockManagerBase):
         self._ft_wipe(lock_id, new_ep)
         obs = self.env.obs
         if obs is not None:
-            # emitted before the revokes so the sanitizer advances its
+            # emitted before the revokes so the lock oracle advances its
             # authoritative epoch first, then validates each revocation
             obs.trace.emit("lock.reclaim", node=self.home_node(lock_id).id,
                            mgr=self.obs_name, lock=lock_id,
@@ -287,7 +287,7 @@ class EpochFencedClient(LockClient):
         revoked grant."""
 
     def _obs_word(self, lock_id: int, word: int) -> None:
-        """Trace hook for a scheme whose word the sanitizers decode."""
+        """Trace hook for a scheme whose word the lock oracle decodes."""
 
     # -- acquire/release wrappers ----------------------------------------
     def _acquire(self, lock_id: int, mode: LockMode):

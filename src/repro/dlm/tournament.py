@@ -6,7 +6,7 @@ lock scheme: each client loops picking a lock from a Zipf distribution
 onto lock 0), holds it briefly, releases, thinks, repeats.  The run is
 observed end to end; afterwards the :class:`~repro.obs.FairnessTracker`
 summary is folded into the stats and the full trace is judged by
-:func:`repro.verify.judge` (every oracle, the live sanitizers), so every
+:func:`repro.verify.judge` (every oracle, one replay), so every
 reported number comes from a run whose mutual-exclusion / FIFO / cohort
 / queue-order / epoch invariants were machine-checked.
 
@@ -68,8 +68,8 @@ def lock_tournament(scheme: str, n_clients: int = 256,
                     ) -> Dict[str, object]:
     """Run one tournament cell; returns a flat, JSON-able stats dict.
 
-    Raises :class:`LockError` if the judged trace has any oracle or
-    sanitizer violation — a tournament number from an unsafe run is
+    Raises :class:`LockError` if the judged trace has any oracle
+    violation — a tournament number from an unsafe run is
     worse than no number.  ``verdict`` is ``vacuous`` for a cell that
     granted nothing: the oracle then judged an empty history.
     """
@@ -83,7 +83,7 @@ def lock_tournament(scheme: str, n_clients: int = 256,
     cluster = Cluster(n_nodes=n_nodes,
                       params=params or NetworkParams.infiniband(),
                       seed=seed)
-    obs = cluster.observe(ring=ring, sanitize=True, strict=False)
+    obs = cluster.observe(ring=ring, strict=False)
     fairness = FairnessTracker().attach(obs)
     if chaos == "crash":
         from repro.faults import FaultPlan
@@ -165,8 +165,8 @@ def lock_tournament(scheme: str, n_clients: int = 256,
         "max_chain": fsum.get("max_chain", 0),
         "sim_now_us": env.now,
     }
-    record = judge(TraceView.from_obs(obs).require_complete(),
-                   obs.violations(), stats, "locks")
+    record = judge(TraceView.from_obs(obs).require_complete(), stats,
+                   "locks")
     if record["verdict"] == "violation":
         raise LockError(
             f"tournament run {scheme}/{n_clients}c/a{alpha}/{chaos} is "

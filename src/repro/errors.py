@@ -121,10 +121,11 @@ class ConfigError(ReproError):
 
 
 class SanitizerError(ReproError):
-    """A protocol sanitizer observed an invariant violation online.
+    """An oracle attached to the live trace observed a violation.
 
-    Raised at the emission instant (strict mode) so the offending event
-    is at the top of the traceback; in collecting mode the violation is
-    only recorded on the sanitizer (see :mod:`repro.obs.sanitizers`).
+    Raised at the emission instant (``Observability`` strict mode, see
+    :meth:`repro.verify.Oracle.attach`) so the offending event is at the
+    top of the traceback; :meth:`repro.obs.Observability.check` raises
+    it too when a replay of the ring finds a violation.
     """
 

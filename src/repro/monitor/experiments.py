@@ -67,13 +67,9 @@ def accuracy_trace(scheme: str, duration_us: float = 200_000.0,
                         base=base_threads, swing=swing)
     stats = KernelStats(back)
     cls = MONITOR_SCHEMES[scheme]
-    if period_us is not None:
-        try:
-            monitor = cls(front, {back.id: stats}, period_us=period_us)
-        except TypeError:
-            monitor = cls(front, {back.id: stats})
-    else:
-        monitor = cls(front, {back.id: stats})
+    kw = ({"period_us": period_us}
+          if cls.PERIODIC and period_us is not None else {})
+    monitor = cls(front, {back.id: stats}, **kw)
     result = AccuracyResult(scheme=scheme)
 
     def sampler(env):

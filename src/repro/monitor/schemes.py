@@ -44,6 +44,9 @@ class MonitorBase:
     NAME = "base"
     #: True if the scheme needs a user-level daemon on the back-end
     NEEDS_DAEMON = False
+    #: True if the scheme refreshes its beliefs every ``period_us`` (a
+    #: daemon push or an RDMA poll); only such a scheme takes it
+    PERIODIC = False
 
     def __init__(self, front: Node, stats: Dict[int, KernelStats]):
         if not stats:
@@ -120,6 +123,7 @@ class SocketAsyncMonitor(_SocketSchemeBase):
     """Back-end daemons push a report every ``period_us``."""
 
     NAME = "socket-async"
+    PERIODIC = True
 
     def __init__(self, front: Node, stats: Dict[int, KernelStats],
                  period_us: float = ASYNC_PERIOD_US):
@@ -167,6 +171,7 @@ class RdmaAsyncMonitor(RdmaSyncMonitor):
     """Front-end polls every back-end with RDMA reads every period."""
 
     NAME = "rdma-async"
+    PERIODIC = True
 
     def __init__(self, front: Node, stats: Dict[int, KernelStats],
                  period_us: float = RDMA_POLL_PERIOD_US):

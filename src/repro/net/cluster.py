@@ -83,10 +83,9 @@ class Cluster:
         counters.
 
         Returns the (installed) observability handle; keyword arguments
-        are forwarded (``ring``, ``sanitize``, ``strict``).  Install
-        before starting the workload — sanitizers build their shadow
-        models from the trace and must see it from the beginning.  A
-        repeat call returns the installed handle, or raises
+        are forwarded (``ring``, ``strict``).  Install before starting
+        the workload — the oracles judge the trace from its first
+        event.  A repeat call returns the installed handle, or raises
         :class:`ConfigError` if its arguments contradict it.
         """
         from repro.obs import Observability

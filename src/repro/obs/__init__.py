@@ -1,10 +1,12 @@
-"""Observability: structured tracing, metrics, and protocol sanitizers.
+"""Observability: structured tracing and metrics, judged by the oracles.
 
-:class:`Observability` bundles the three pieces — a ring-buffered
-:class:`~repro.obs.tracer.Tracer`, a
-:class:`~repro.obs.metrics.MetricsRegistry`, and the protocol
-sanitizers — and installs them on an
-:class:`~repro.sim.core.Environment` as ``env.obs``.
+:class:`Observability` bundles a ring-buffered
+:class:`~repro.obs.tracer.Tracer` and a
+:class:`~repro.obs.metrics.MetricsRegistry` and installs them on an
+:class:`~repro.sim.core.Environment` as ``env.obs``.  The run is judged
+by the :mod:`repro.verify` oracles: replayed over the ring after the
+fact, or, in strict mode, attached live so the first violating emission
+raises.
 
 Zero cost when off: ``Environment.obs`` defaults to ``None`` and every
 emission site in the library guards with ``if env.obs is not None`` (or
@@ -15,9 +17,9 @@ export test in ``tests/obs/test_zero_overhead.py``.
 Typical use::
 
     cluster = Cluster(n_nodes=4, seed=7)
-    obs = cluster.observe()              # install tracing + sanitizers
+    obs = cluster.observe()              # tracing + live (strict) oracles
     ... run workload ...
-    obs.check()                          # raise if any invariant broke
+    obs.check()                          # replay: raise on any violation
     obs.export_json("obs.json")          # deterministic snapshot
 """
 
@@ -32,15 +34,6 @@ from .events import TAXONOMY, TraceEvent
 from .fairness import FairnessTracker, jain_index
 from .metrics import (FOLD_AT, Counter, Gauge, LatencyHistogram,
                       MetricsRegistry)
-from .sanitizers import (
-    ALL_SANITIZERS,
-    CacheAccountingSanitizer,
-    FlowControlSanitizer,
-    LockWordSanitizer,
-    RpcAtMostOnceSanitizer,
-    Sanitizer,
-    SingleOwnerSanitizer,
-)
 from .tracer import Tracer, trace_chunks
 
 __all__ = [
@@ -55,13 +48,6 @@ __all__ = [
     "jain_index",
     "LatencyHistogram",
     "MetricsRegistry",
-    "Sanitizer",
-    "FlowControlSanitizer",
-    "LockWordSanitizer",
-    "RpcAtMostOnceSanitizer",
-    "SingleOwnerSanitizer",
-    "CacheAccountingSanitizer",
-    "ALL_SANITIZERS",
 ]
 
 
@@ -74,36 +60,39 @@ class Probe(partial):
 
 
 class Observability:
-    """Tracer + metrics + sanitizers for one Environment.
+    """Tracer + metrics for one Environment.
 
     Parameters
     ----------
     ring:
         Trace ring capacity (old events fall off; totals are kept).
-    sanitize:
-        Attach all protocol sanitizers to the trace stream.
     strict:
-        Sanitizer mode: ``True`` raises :class:`SanitizerError` at the
-        violating event; ``False`` collects violations for
-        :meth:`check` / the JSON export.
+        ``True`` attaches every oracle to the live trace, raising
+        :class:`SanitizerError` at the violating event; ``False``
+        attaches nothing, and :meth:`violations` finds the same
+        violations by replaying the ring.
+    sanitize:
+        Accepted at ``True`` only, for callers that still pass it.
     """
 
-    def __init__(self, env, ring: int = 65536,
-                 sanitize: bool = True, strict: bool = True):
+    def __init__(self, env, ring: int = 65536, strict: bool = True,
+                 sanitize: bool = True):
+        if sanitize is not True:
+            raise ConfigError("sanitize=False is gone: a run is always "
+                              "judged; strict=False attaches no live "
+                              "checks")
         self.env = env
         #: what a repeat ``Cluster.observe`` must not contradict
-        self.options = dict(ring=ring, sanitize=sanitize, strict=strict)
+        self.options = dict(ring=ring, strict=strict)
         self.trace = Tracer(env, capacity=ring)
         self.metrics = MetricsRegistry(env)
         #: (verb op or latency name, node) -> (cluster, per-node)
         #: histogram: no registry lookup per completion
         self._hists: Dict[tuple, tuple] = {}
-        self.sanitizers: Dict[str, Sanitizer] = {}
-        if sanitize:
-            for cls in ALL_SANITIZERS:
-                san = cls(strict=strict)
-                san.attach(self.trace)
-                self.sanitizers[san.NAME] = san
+        if strict:
+            from ..verify import ALL_ORACLES
+            for cls in ALL_ORACLES:
+                cls().attach(self.trace)
 
     # -- lifecycle ------------------------------------------------------
     def install(self) -> "Observability":
@@ -119,28 +108,25 @@ class Observability:
             self.env.obs = None
             self.metrics.freeze()
 
-    # -- sanitizer verdicts ---------------------------------------------
+    # -- verdicts -------------------------------------------------------
     def violations(self) -> List[dict]:
-        """All violations across sanitizers, in (time, name) order."""
-        out = []
-        for name in sorted(self.sanitizers):
-            for v in self.sanitizers[name].violations:
-                out.append(dict(v, sanitizer=name))
-        out.sort(key=lambda v: (v["t"], v["sanitizer"]))
-        return out
+        """Replay the ring through fresh oracles; their violations, in
+        trace order.  An overflowed ring raises :class:`ConfigError`."""
+        from ..verify import ALL_ORACLES, TraceView, replay_fresh
+        view = TraceView.from_obs(self).require_complete()
+        return replay_fresh(view, ALL_ORACLES)[1]
 
     @property
     def clean(self) -> bool:
-        return all(s.clean for s in self.sanitizers.values())
+        return not self.violations()
 
     def check(self) -> None:
-        """Raise if any sanitizer collected a violation (collect mode)."""
+        """Raise :class:`SanitizerError` if the replay finds a violation."""
         bad = self.violations()
         if bad:
             head = bad[0]
-            raise SanitizerError(
-                f"{len(bad)} sanitizer violation(s); first: "
-                f"[{head['sanitizer']}] t={head['t']:.3f} {head['msg']}")
+            raise SanitizerError(f"{len(bad)} violation(s); first: "
+                                 f"[{head['oracle']}] {head['msg']}")
 
     # -- latency probes ------------------------------------------------
     def verb(self, nic, op: str, dst: int, nbytes: int, ev) -> None:
@@ -197,8 +183,6 @@ class Observability:
                 "by_type": self.trace.counts(),
             },
             "metrics": self.metrics.to_dict(),
-            "sanitizers": {name: self.sanitizers[name].to_dict()
-                           for name in sorted(self.sanitizers)},
         }
 
     def trace_dict(self) -> dict:
@@ -216,9 +200,11 @@ class Observability:
             "events": self.trace.snapshot(),
         }
 
-    def export_trace_json(self, path: Optional[str] = None) -> str:
-        """Serialize :meth:`trace_dict` (deterministic, sorted keys)."""
-        doc = self.trace_dict()
+    def export_trace_json(self, path: Optional[str] = None,
+                          **extra) -> str:
+        """Serialize :meth:`trace_dict` plus ``extra`` top-level keys
+        (deterministic, sorted keys)."""
+        doc = dict(self.trace_dict(), **extra)
         text = "".join(trace_chunks(doc, doc["events"].json_rows))
         if path is not None:
             with open(path, "w", encoding="utf-8") as fh:
@@ -239,6 +225,5 @@ class Observability:
         return text
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "clean" if self.clean else "VIOLATIONS"
         return (f"<Observability events={self.trace.emitted} "
-                f"sanitizers={len(self.sanitizers)} {state}>")
+                f"{self.options}>")

@@ -3,7 +3,7 @@
 A :class:`TraceEvent` is a small immutable record: the simulated
 timestamp, the node the event is attributed to (``-1`` when no single
 node applies), a dotted event type from :data:`TAXONOMY`, and a dict of
-type-specific fields.  Dotted types form a hierarchy — sanitizers and
+type-specific fields.  Dotted types form a hierarchy — oracles and
 queries subscribe by *prefix* (``"lock."`` matches ``lock.word`` and
 ``lock.reclaim``).
 

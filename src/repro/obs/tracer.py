@@ -4,7 +4,7 @@ The tracer is the single funnel every instrumented subsystem emits
 through.  Events land in a bounded ring (old events fall off the back;
 ``emitted`` keeps the true total) and are simultaneously pushed to any
 *subscribers* — callables registered for a dotted-type prefix, routed
-per event type.  The protocol sanitizers are subscribers; so are tests
+per event type.  Strict-mode oracles are subscribers; so are tests
 that want to watch one subsystem without buffering everything.
 
 Emission sites never construct a tracer themselves: they guard on
@@ -66,9 +66,9 @@ class Tracer:
 
     # -- subscription ---------------------------------------------------
     def subscribe(self, fn: Callable[[TraceEvent], None],
-                  prefix: str = "") -> None:
+                  prefix="") -> None:
         """Call ``fn`` for every future event whose type starts with
-        ``prefix`` (empty prefix = everything)."""
+        ``prefix``, a string or a tuple of them (empty = everything)."""
         self._routes = RouteTable(self._routes.subs + ((prefix, fn),))
 
     # -- queries --------------------------------------------------------

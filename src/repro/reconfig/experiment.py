@@ -45,10 +45,8 @@ def burst_recovery_time(monitor_scheme: str = "rdma-sync",
     monitor_cls = MONITOR_SCHEMES[monitor_scheme]
     # async schemes push/poll at the manager's check granularity: that is
     # what "coarse-grained" vs "fine-grained" monitoring means here
-    try:
-        monitor = monitor_cls(front, stats, period_us=check_every_us)
-    except TypeError:
-        monitor = monitor_cls(front, stats)
+    kw = {"period_us": check_every_us} if monitor_cls.PERIODIC else {}
+    monitor = monitor_cls(front, stats, **kw)
     manager = ReconfigManager(front, [svc_a, svc_b], monitor=monitor,
                               check_every_us=check_every_us,
                               sensitivity=2.0, cooldown_us=10_000.0)

@@ -9,10 +9,10 @@ observability, replay the full trace through every oracle
 
     scenario, seed, n_nodes, kernel, trace_sha,
     events, sim_now_us, oracles{name: {checked, violations}},
-    sanitizers[], violations, violation_msgs[:4], stats{},
+    violations, violation_msgs[:4], stats{},
     verdict  (violation > vacuous > ok)
 
-``repro obs|check|chaos run`` and the lab sweeps
+``repro check|chaos run`` and the lab sweeps
 (:func:`repro.verify.metamorphic_sweep`,
 :func:`repro.chaos.run_campaign`) are callers that add their own keys
 (``repro`` reproducer, ``schedule``/``faults``/``fence``/``index``).
@@ -56,8 +56,8 @@ class Scenario:
     name: str
     build: Callable
     n_nodes: int
-    #: NAME of the oracle that must see traffic (None: sanitizers only)
-    primary: Optional[str]
+    #: NAME of the oracle that must see traffic
+    primary: str
     description: str = ""
     #: fault-schedule sampling space; ``horizon_us=None`` means the
     #: scenario takes no schedule
@@ -85,7 +85,7 @@ def _lock_traffic(manager_cls, seed: int, n_nodes: int, **mgr_kw):
     from repro.net import Cluster
 
     cluster = Cluster(n_nodes=n_nodes, seed=seed)
-    obs = cluster.observe(sanitize=True, strict=False)
+    obs = cluster.observe(strict=False)
     manager = manager_cls(cluster, n_locks=4, **mgr_kw)
     env = cluster.env
     rng = cluster.rng.get("check-locks")
@@ -112,7 +112,7 @@ def _lock_chaos(manager_cls, shared_frac: float, seed: int, n_nodes: int,
             .crash(2 % n_nodes or 1, at=3_000.0, restart_at=9_000.0)
             .crash((n_nodes - 1) or 1, at=5_000.0))
     cluster = Cluster(n_nodes=n_nodes, seed=seed)
-    obs = cluster.observe(sanitize=True, strict=False)
+    obs = cluster.observe(strict=False)
     cluster.install_faults(plan)
     manager = manager_cls(cluster, n_locks=4, lease_us=400.0, **mgr_kw)
     env = cluster.env
@@ -136,7 +136,7 @@ def _ddss(seed: int, n_nodes: int):
     from repro.net import Cluster
 
     cluster = Cluster(n_nodes=n_nodes, seed=seed)
-    obs = cluster.observe(sanitize=True, strict=False)
+    obs = cluster.observe(strict=False)
     ddss = DDSS(cluster, segment_bytes=256 * 1024)
     env = cluster.env
     rng = cluster.rng.get("check-ddss")
@@ -178,7 +178,7 @@ def _cache(scheme_name: str, seed: int, n_nodes: int):
     from repro.workloads import FileSet
 
     cluster = Cluster(n_nodes=n_nodes, seed=seed)
-    obs = cluster.observe(sanitize=True, strict=False)
+    obs = cluster.observe(strict=False)
     n_proxies = max(2, n_nodes - 1)
     proxies = cluster.nodes[:n_proxies]
     extra = cluster.nodes[n_proxies:]
@@ -212,7 +212,7 @@ def _flow(seed: int, n_nodes: int):
                                  PacketizedFlowSender)
 
     cluster = Cluster(n_nodes=n_nodes, seed=seed)
-    obs = cluster.observe(sanitize=True, strict=False)
+    obs = cluster.observe(strict=False)
     env = cluster.env
     rx_credit = FlowReceiver(cluster.nodes[1], nbufs=8, buf_bytes=8192)
     rx_packed = FlowReceiver(cluster.nodes[2], nbufs=8, buf_bytes=8192)
@@ -289,9 +289,8 @@ SCENARIOS: Dict[str, Scenario] = _index((
              "interleaved"),
     Scenario("shard", shard_check, 8, "locks",
              "2-rack sharded DDSS + locks with a live ring rebalance"),
-    Scenario("flow", _flow, 3, None,
-             "credit vs packetized flow-control streams (judged by "
-             "the sanitizers; no oracle consumes flow events)"),
+    Scenario("flow", _flow, 3, "flow",
+             "credit vs packetized flow-control streams"),
     Scenario("lab", _lab, 104, "locks",
              "100+ nodes / 4 racks / 1M+ RUBiS sessions with a "
              "rebalance-during-load crash fault"),
@@ -353,29 +352,41 @@ def judged_run(scenario, seed: int = 0, n_nodes: Optional[int] = None,
     record = {"scenario": sc.name, "seed": int(seed), "n_nodes": n,
               "kernel": kernel,
               "trace_sha": canonical_trace_sha(obs.trace_dict())}
-    record.update(judge(view, obs.violations(), stats, sc.primary))
+    record.update(judge(view, stats, sc.primary))
     return record, obs
 
 
 def run_check(name: str, seed: int = 0, n_nodes: Optional[int] = None,
-              kernel: str = "fast", shrink: bool = True) -> dict:
+              kernel: str = "fast", shrink: bool = True,
+              export: Optional[str] = None) -> dict:
     """One judged run; on an oracle violation and ``shrink=True`` the
-    record carries a ``repro`` entry (the shrunk failing event list)."""
+    record carries a ``repro`` entry (the shrunk failing event list).
+    ``export`` names a file for one document: the ``repro-trace-v1``
+    trace plus the run's ``metrics`` and its ``record``."""
     record, obs = judged_run(name, seed, n_nodes, kernel)
     if shrink:
         add_reproducer(record, obs.trace)
+    if export is not None:
+        obs.export_trace_json(export, metrics=obs.metrics.to_dict(),
+                              record=record)
     return record
 
 
 def run_suite(names: Optional[Sequence[str]] = None, seed: int = 0,
               kernels: Sequence[str] = ("fast",),
-              shrink: bool = True) -> dict:
+              shrink: bool = True, export: Optional[str] = None) -> dict:
     """:func:`run_check` over names × kernels (default: the whole
-    table); the suite's verdict is the worst of its results."""
+    table); the suite's verdict is the worst of its results.  With
+    ``export``, exactly one row under one kernel."""
     names = list(names) if names else sorted(SCENARIOS)
     for name in names:
         lookup(name)  # fail fast on typos
-    results = [run_check(name, seed=seed, kernel=kern, shrink=shrink)
+    if export is not None and len(names) * len(kernels) != 1:
+        raise ConfigError(f"--export writes one run's document: name one "
+                          f"scenario under one kernel, not "
+                          f"{len(names)} x {len(kernels)}")
+    results = [run_check(name, seed=seed, kernel=kern, shrink=shrink,
+                         export=export)
                for name in names for kern in kernels]
     return {
         "seed": seed,

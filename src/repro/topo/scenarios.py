@@ -60,7 +60,7 @@ def build_topo_scenario(seed: int = 0, racks: int = 4,
 
     cluster = TopoCluster(racks=racks, hosts_per_rack=hosts_per_rack,
                           spines=spines, oversub=oversub, seed=seed)
-    obs = cluster.observe(sanitize=True, strict=False, ring=1 << 20)
+    obs = cluster.observe(strict=False, ring=1 << 20)
     env = cluster.env
     n_nodes = len(cluster.nodes)
     # the victim homes ring slices of both namespaces; keep it off the
@@ -165,7 +165,7 @@ def shard_check(seed: int, n_nodes: int):
     hosts = max(1, n_nodes // 2)
     cluster = TopoCluster(racks=2, hosts_per_rack=hosts, oversub=2.0,
                           seed=seed)
-    obs = cluster.observe(sanitize=True, strict=False)
+    obs = cluster.observe(strict=False)
     env = cluster.env
     ddss = ShardedDDSS(cluster, segment_bytes=64 * 1024)
     manager = ShardedNCoSEDManager(cluster, n_locks=16)

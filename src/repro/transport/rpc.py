@@ -28,7 +28,7 @@ and one reply, and nothing else:
   counted and discarded, and it leaves no receive queue behind.
 
 Under an injector the path traces ``rpc.execute`` per handler run
-(judged by :class:`repro.obs.RpcAtMostOnceSanitizer`), plus
+(judged by :class:`repro.verify.RpcOracle`), plus
 ``rpc.retry``, ``rpc.timeout`` and ``rpc.dup_request`` when they happen.
 """
 

@@ -76,7 +76,7 @@ def build_txn_scenario(variant: str, seed: int, n_nodes: int,
     n_workers = n_workers or 2 * n_nodes
 
     cluster = Cluster(n_nodes=n_nodes, seed=seed)
-    obs = cluster.observe(sanitize=True, strict=False)
+    obs = cluster.observe(strict=False)
     env = cluster.env
     ddss = DDSS(cluster, segment_bytes=256 * 1024)
 

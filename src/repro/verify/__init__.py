@@ -1,9 +1,11 @@
-"""Offline trace-replay correctness oracles (``repro check``).
+"""Trace-replay correctness oracles (``repro check``).
 
 Differential checking for the protocol layers: a run's full event trace
 (``repro-trace-v1``, exported by the obs layer) is replayed against
 sequential reference models — the *oracles* — which flag the first
-divergence from each protocol's contract:
+divergence from each protocol's contract.  The same oracle can ride the
+live tracer instead (:meth:`Oracle.attach`, ``Observability`` strict
+mode) and raise at the violating emission:
 
 * :class:`LockOracle` — mutual exclusion, FIFO/fairness, and epoch
   fencing for the three DLM designs (N-CoSED, DQNL, SRSL);
@@ -14,7 +16,12 @@ divergence from each protocol's contract:
   content from a store that really held it, with exact accounting;
 * :class:`TxnOracle` — committed multi-key transactions form a
   serializable history (acyclic dependency graph, no lost updates,
-  dirty reads, or torn installs).
+  dirty reads, or torn installs);
+* :class:`HAOracle` — declared failover (non-)expectations hold;
+* :class:`FlowOracle`, :class:`RpcOracle`,
+  :class:`SingleOwnerOracle` — flow-control credit and ring
+  conservation, at-most-once RPC execution, one owner per DDSS unit
+  lock.
 
 On a violation, :func:`shrink` reduces the trace to a small reproducer
 (truncate → scope filter → verified prefix bisection).  :func:`judge`
@@ -27,10 +34,11 @@ diffing the deterministic exports.
 
 from .trace import TRACE_FORMAT, Oracle, TraceView, replay, replay_fresh
 from .locks import LockOracle
-from .ddss import DDSSOracle
+from .ddss import DDSSOracle, SingleOwnerOracle
 from .cache import CacheOracle
 from .ha import HAOracle
 from .txn import TxnOracle
+from .transport import FlowOracle, RpcOracle
 from .shrink import shrink
 from .suites import (ALL_ORACLES, add_reproducer, canonical_trace_sha,
                      check_trace, judge)
@@ -47,6 +55,9 @@ __all__ = [
     "CacheOracle",
     "HAOracle",
     "TxnOracle",
+    "FlowOracle",
+    "RpcOracle",
+    "SingleOwnerOracle",
     "shrink",
     "ALL_ORACLES",
     "add_reproducer",

@@ -28,16 +28,21 @@ fingerprint, which is all the reference needs:
 
 Replicated keys are skipped (failover tolerates divergent copies by
 design) as is NULL (no contract to check).
+
+:class:`SingleOwnerOracle` checks the CAS-token spin lock at the head of
+every unit, which the locking models (WRITE/STRICT/...) rely on for
+their mutual exclusion: per ``(home, addr)``, a second acquire before
+the release, or a release by a non-owner, is a violation.
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from .trace import Oracle, TraceEvent
 
-__all__ = ["DDSSOracle"]
+__all__ = ["DDSSOracle", "SingleOwnerOracle"]
 
 #: mirror of repro.ddss.client._FP_MAX — payloads above this are digests
 _FP_MAX = 64
@@ -221,3 +226,29 @@ class DDSSOracle(Oracle):
                               f"version went backwards: read {g2['version']}"
                               f" after a non-overlapping read of "
                               f"{g1['version']}", key=key, model=st.model)
+
+
+class SingleOwnerOracle(Oracle):
+    NAME = "owner"
+    PREFIXES = ("ddss.lock.",)
+
+    def __init__(self):
+        super().__init__()
+        self._owner: Dict[Tuple[int, int], int] = {}  # (home, addr)
+
+    def feed(self, idx: int, ev: TraceEvent) -> None:
+        f = ev.fields
+        key = (f["home"], f["addr"])
+        cur = self._owner.get(key)
+        if ev.etype == "ddss.lock.acquire":
+            if cur is not None:
+                self.flag(idx, ev, f"token {f['token']} acquired unit lock "
+                                   f"{key} already owned by {cur}",
+                          home=key[0], addr=key[1])
+            self._owner[key] = f["token"]
+        elif ev.etype == "ddss.lock.release":
+            if cur != f["token"]:
+                self.flag(idx, ev, f"token {f['token']} released unit lock "
+                                   f"{key} owned by {cur}",
+                          home=key[0], addr=key[1])
+            self._owner.pop(key, None)

@@ -6,8 +6,8 @@ rule is the same for a packaged scenario run
 (:func:`repro.scenarios.judged_run`), a chaos schedule, and an exported
 trace file (:func:`check_trace`):
 
-* ``violation`` — any oracle or sanitizer finding, or a scenario whose
-  stats report ``conserved: False``;
+* ``violation`` — any oracle finding, or a scenario whose stats report
+  ``conserved: False``;
 * ``vacuous`` — clean, but the scenario's primary oracle consumed zero
   events (a bug in the scenario, not a clean protocol);
 * ``ok`` — otherwise.
@@ -21,11 +21,12 @@ from typing import Callable, Optional, Sequence
 
 from ..obs.tracer import TraceSnapshot, trace_chunks
 from .cache import CacheOracle
-from .ddss import DDSSOracle
+from .ddss import DDSSOracle, SingleOwnerOracle
 from .ha import HAOracle
 from .locks import LockOracle
 from .shrink import shrink as _shrink
 from .trace import TraceView, replay_fresh
+from .transport import FlowOracle, RpcOracle
 from .txn import TxnOracle
 
 __all__ = ["ALL_ORACLES", "judge", "add_reproducer", "check_trace",
@@ -34,19 +35,18 @@ __all__ = ["ALL_ORACLES", "judge", "add_reproducer", "check_trace",
 #: every oracle; each consumes only the event prefixes it declares, so
 #: running all of them over any trace is safe and catches cross-talk.
 ALL_ORACLES: Sequence[Callable] = (LockOracle, DDSSOracle, CacheOracle,
-                                   HAOracle, TxnOracle)
+                                   HAOracle, TxnOracle, FlowOracle,
+                                   RpcOracle, SingleOwnerOracle)
 
 
-def judge(view: TraceView, sanitizers: Sequence[dict] = (),
-          stats: Optional[dict] = None,
+def judge(view: TraceView, stats: Optional[dict] = None,
           primary: Optional[str] = None) -> dict:
-    """Replay ``view`` through every oracle; fold in the live sanitizer
-    findings and the scenario's own ``stats``; decide the verdict."""
+    """Replay ``view`` through every oracle; fold in the scenario's own
+    ``stats``; decide the verdict."""
     oracles, violations = replay_fresh(view, ALL_ORACLES)
     by_name = {o.NAME: o.to_dict() for o in oracles}
     stats = dict(stats or {})
     msgs = [v["msg"] for v in violations]
-    msgs += [f"[sanitizer:{s['sanitizer']}] {s['msg']}" for s in sanitizers]
     if stats.get("conserved") is False:
         msgs.append("[stats] conservation check failed")
     if msgs:
@@ -59,7 +59,6 @@ def judge(view: TraceView, sanitizers: Sequence[dict] = (),
         "events": len(view),
         "sim_now_us": view.meta.get("sim_now_us"),
         "oracles": by_name,
-        "sanitizers": list(sanitizers),
         "violations": len(msgs),
         "violation_msgs": msgs[:4],
         "stats": stats,

@@ -1,15 +1,15 @@
-"""Trace loading and the offline oracle base class.
+"""Trace loading and the oracle base class.
 
 The verify layer consumes ``repro-trace-v1`` documents — the full-event
 export produced by :meth:`repro.obs.Observability.trace_dict` — and
 replays them through *oracles*: sequential reference models that flag
 the first divergence from a protocol's contract.
 
-Oracles are deliberately shaped like the online sanitizers
-(``feed``/``finish``/``violations``/``clean``, routed by event type) but
-run offline, so they may look at the whole trace (e.g. a get may be
-justified by a put whose completion event appears later in the trace
-because the two overlapped in simulated time).
+An oracle is fed events in emission order, offline (:func:`replay`) or
+live (:meth:`Oracle.attach`, strict mode).  Checks that need the whole
+trace (e.g. a get justified by a put whose completion event appears
+later because the two overlapped in simulated time) run in
+:meth:`Oracle.finish`, which only a replay calls.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import json
 import math
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
-from ..errors import ConfigError
+from ..errors import ConfigError, SanitizerError
 from ..obs.events import TraceEvent
 from ..obs.tracer import RouteTable
 
@@ -66,7 +66,7 @@ class TraceView:
             raise ConfigError(
                 f"not a {TRACE_FORMAT} document (format={fmt!r}); "
                 f"export one with Observability.export_trace_json / "
-                f"`repro obs run --trace`")
+                f"`repro check run <row> --export PATH`")
         if not isinstance(doc.get("events"), list):
             raise ConfigError("trace document has no 'events' list")
         events = []
@@ -138,6 +138,21 @@ class Oracle:
     @property
     def clean(self) -> bool:
         return not self.violations
+
+    def attach(self, tracer) -> "Oracle":
+        """Check live (strict mode): feed each matching event as it is
+        emitted and raise :class:`SanitizerError` from the emitting
+        frame on the first flag.  :meth:`finish` is left to a replay."""
+        def live(ev: TraceEvent) -> None:
+            seen = len(self.violations)
+            self.checked += 1
+            self.feed(tracer.emitted - 1, ev)
+            if len(self.violations) > seen:
+                raise SanitizerError(
+                    f"[{self.NAME}] t={ev.t:.3f} node={ev.node} "
+                    f"{ev.etype}: {self.violations[seen]['msg']}")
+        tracer.subscribe(live, tuple(self.PREFIXES))
+        return self
 
     def to_dict(self) -> Dict[str, Any]:
         return {"checked": self.checked,

@@ -120,7 +120,7 @@ class TestCoherenceMatrix:
 
     def test_concurrent_writers_single_owner(self, model):
         """Two writers race puts on one unit.  Locking models serialize
-        them through the spin lock (single-owner sanitizer verifies no
+        them through the spin lock (the single-owner oracle verifies no
         overlap); the final value is one of the two writes for every
         model, since simulated RDMA writes land atomically."""
         cluster, obs, ddss, w1, reader = build(model)

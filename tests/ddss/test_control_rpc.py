@@ -24,7 +24,7 @@ def build(kernel, plan=None):
     """3 nodes; node 1 allocates a WRITE unit homed on node 0."""
     with pin_kernel(kernel):
         cluster = Cluster(n_nodes=3, seed=7)
-    obs = cluster.observe(sanitize=True, strict=False)
+    obs = cluster.observe(strict=False)
     if plan is not None:
         cluster.install_faults(plan)
     ddss = DDSS(cluster)

@@ -22,7 +22,7 @@ from repro.verify.trace import TraceView, replay_fresh
 def _arena(n_clients=12, seed=0, cohort_budget=3, lease_us=None,
            plan=None, horizon=80_000.0, rounds=4):
     cluster = Cluster(n_nodes=5, seed=seed)
-    obs = cluster.observe(sanitize=True, strict=False)
+    obs = cluster.observe(strict=False)
     if plan is not None:
         cluster.install_faults(plan)
     kw = {"lease_us": lease_us} if lease_us is not None else {}

@@ -22,7 +22,7 @@ def _contend(n_clients=10, seed=0, lease_us=None, plan=None,
              horizon=60_000.0, rounds=3):
     """n_clients contenders on one lock; returns (obs, manager, grants)."""
     cluster = Cluster(n_nodes=5, seed=seed)
-    obs = cluster.observe(sanitize=True, strict=False)
+    obs = cluster.observe(strict=False)
     if plan is not None:
         cluster.install_faults(plan)
     kw = {"lease_us": lease_us} if lease_us is not None else {}

@@ -47,14 +47,14 @@ class TestTournament:
             lock_tournament("srsl", n_clients=4, chaos="flood")
 
     def test_a_judged_finding_fails_the_cell(self, monkeypatch):
-        # the cell is judged by repro.verify.judge: a sanitizer finding
-        # it folds in is a violation, and no stats come back
-        from repro.obs import Observability
+        # the cell is judged by repro.verify.judge: an oracle finding
+        # is a violation, and no stats come back
+        from repro.verify import LockOracle
 
-        monkeypatch.setattr(Observability, "violations", lambda self: [
-            {"sanitizer": "planted", "t": 1.0, "msg": "two holders"}])
+        monkeypatch.setattr(LockOracle, "finish", lambda self: self.flag(
+            None, None, "planted: two holders"))
         with pytest.raises(LockError, match=r"UNSAFE: 1 violation\(s\); "
-                           r"first: \[sanitizer:planted\] two holders"):
+                           r"first: planted: two holders"):
             lock_tournament("srsl", n_clients=4, rounds=1)
 
     def test_no_clients_rejected_and_no_grants_is_vacuous(self):

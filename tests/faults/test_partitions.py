@@ -145,7 +145,7 @@ class TestSymmetricPartition:
 
     def test_partition_window_events_in_trace(self):
         cluster = make_cluster()
-        obs = cluster.observe(sanitize=False)
+        obs = cluster.observe(strict=False)
         cluster.install_faults(
             FaultPlan().partition([[0, 1], [2, 3]], start=100.0,
                                   until=300.0))

@@ -39,7 +39,7 @@ class TestHysteresis:
         # second makes node 1 suspect and the next answer clears it
         cluster, inj, det = build(
             PhiAccrualDetector, plan=self.flap_plan(misses=2))
-        obs = cluster.observe(sanitize=False)
+        obs = cluster.observe(strict=False)
         seen = []
         det.subscribe(lambda nid, tr: seen.append((nid, tr)))
         cluster.run(until=10 * PERIOD_US)
@@ -91,7 +91,7 @@ class TestPhiAccrual:
     def test_suspect_precedes_dead(self):
         cluster, inj, det = build(
             PhiAccrualDetector, plan=FaultPlan().crash(1, at=5_000.0))
-        obs = cluster.observe(sanitize=False)
+        obs = cluster.observe(strict=False)
         cluster.run(until=5_000.0 + det.detect_bound_us() + PERIOD_US)
         kinds = [e.etype for e in obs.trace.select(prefix="detect.")
                  if e.fields.get("watched") == 1]
@@ -134,7 +134,7 @@ class TestPhiAccrual:
         cluster, inj, det = build(
             PhiAccrualDetector,
             plan=FaultPlan().crash(1, at=5_000.0, restart_at=12_000.0))
-        obs = cluster.observe(sanitize=False)
+        obs = cluster.observe(strict=False)
         cluster.run(until=20_000.0)
         assert det.transitions == [(6136.320000000001, 1, "dead"),
                                    (12367.999999999995, 1, "alive")]

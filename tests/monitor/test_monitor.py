@@ -1,5 +1,7 @@
 """Tests for kernel stats, the five monitoring schemes and the LB."""
 
+import re
+
 import pytest
 
 from repro.errors import MonitorError
@@ -226,3 +228,27 @@ class TestExperiments:
         rdma = lb_throughput("rdma-sync", 0.75, n_sessions=12,
                              measure_us=100_000)
         assert rdma > base
+
+    def test_only_the_periodic_schemes_take_a_period(self):
+        assert {name for name, cls in MONITOR_SCHEMES.items()
+                if cls.PERIODIC} == {"socket-async", "rdma-async"}
+
+    @pytest.mark.parametrize("scheme", ["rdma-sync", "rdma-async"])
+    def test_a_constructor_type_error_propagates(self, monkeypatch,
+                                                 scheme):
+        """A TypeError raised inside a scheme's constructor is the
+        scheme's bug: it surfaces, never a silent retry without the
+        period."""
+        from repro.reconfig import burst_recovery_time
+
+        class Broken(MONITOR_SCHEMES[scheme]):
+            def __init__(self, front, stats, **kw):
+                raise TypeError(f"broken {scheme} with {sorted(kw)}")
+
+        monkeypatch.setitem(MONITOR_SCHEMES, scheme, Broken)
+        msg = re.escape(f"broken {scheme} with "
+                        f"{['period_us'] if Broken.PERIODIC else []}")
+        with pytest.raises(TypeError, match=msg):
+            accuracy_trace(scheme, duration_us=1_000, period_us=500.0)
+        with pytest.raises(TypeError, match=msg):
+            burst_recovery_time(scheme)

@@ -1,10 +1,10 @@
-"""Chaos schedules re-run with sanitizers attached (strict mode).
+"""Chaos schedules re-run with every oracle attached live (strict mode).
 
 Mirrors the ``tests/faults`` schedules: crashes, restarts and message
 loss against the fault-tolerant lock manager and the DDSS control
-plane.  The bar: the protocols survive the chaos *and* every online
-invariant holds — a strict sanitizer raises at the first violating
-event, so a pass means zero violations across the whole run.
+plane.  The bar: the protocols survive the chaos *and* every invariant
+holds — a live oracle raises at the first violating event, and the
+replay behind ``obs.clean`` adds the end-of-trace checks.
 """
 
 import pytest
@@ -39,7 +39,7 @@ class TestNcosedChaosSanitized:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_crash_schedule_keeps_invariants(self, seed):
         """Three crashes (a lock home among them) + 1% message drop:
-        every sanitizer stays silent for the entire run."""
+        every oracle stays silent for the entire run."""
         plan = (FaultPlan()
                 .crash(2, at=3_000.0, restart_at=9_000.0)
                 .crash(5, at=5_000.0, restart_at=12_000.0)
@@ -67,7 +67,7 @@ class TestNcosedChaosSanitized:
 
     def test_holder_crash_reclaim_is_clean(self):
         """A crashed exclusive holder's lock is reclaimed; the epoch
-        advance and the forced revocation satisfy the sanitizer."""
+        advance and the forced revocation satisfy the lock oracle."""
         plan = FaultPlan().crash(1, at=2_000.0)
         cluster = Cluster(n_nodes=4, seed=7)
         obs = cluster.observe(strict=True)

@@ -1,7 +1,7 @@
 """Property-based tests (seeded random, stdlib-only) for the N-CoSED
 lock word: encode/decode round-trips, and random CAS/FAA/reclaim
-interleavings that must keep the lock-word sanitizer silent while any
-mutation of a clean word must trip it."""
+interleavings that must keep the lock oracle, attached live, silent
+while any mutation of a clean word must trip it."""
 
 import random
 
@@ -9,7 +9,8 @@ import pytest
 
 from repro.errors import SanitizerError
 from repro.sim import Environment, spawn_child
-from repro.obs import LockWordSanitizer, Tracer
+from repro.obs import Tracer
+from repro.verify import LockOracle
 from repro.dlm.ft import _EP_MASK, _F24, pack, unpack
 
 N_CASES = 300
@@ -91,7 +92,7 @@ class WordMachine:
 
 def run_machine(seed: int, steps: int = 200):
     tr = Tracer(Environment())
-    san = LockWordSanitizer(strict=True).attach(tr)
+    san = LockOracle().attach(tr)
     rng = random.Random(seed)
     m = WordMachine(tr, tokens=[rng.randrange(1, _F24)
                                 for _ in range(6)])
@@ -140,7 +141,7 @@ class TestInterleavings:
         """Delayed responses may carry pre-reclaim epochs — never an
         error, per the emission-order contract."""
         tr = Tracer(Environment())
-        san = LockWordSanitizer(strict=True).attach(tr)
+        san = LockOracle().attach(tr)
         m = WordMachine(tr, tokens=[5])
         stale = m.word            # epoch 0
         m.reclaim()               # home moves to epoch 1
@@ -151,7 +152,7 @@ class TestInterleavings:
 
 class TestEpochFencingLive:
     """Epoch fencing on the real FT manager: chaos-free acquire/release
-    traffic with a forced reclaim keeps the sanitizer silent and the
+    traffic with a forced reclaim keeps every live oracle silent and the
     epoch advances exactly once per reclaim."""
 
     def test_reclaim_under_live_traffic(self):

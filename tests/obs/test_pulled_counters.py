@@ -121,7 +121,7 @@ class TestFabric:
         cluster = Cluster(n_nodes=2, seed=0)
         obs = cluster.observe(ring=128)
         assert cluster.observe() is obs
-        assert cluster.observe(ring=128, sanitize=True) is obs
+        assert cluster.observe(ring=128, strict=True) is obs
         _send(cluster, (0, 1))
         assert _counters(obs)["fabric.transfers"] == 1
 
@@ -135,4 +135,5 @@ class TestFabric:
         with pytest.raises(ConfigError):
             cluster.observe(**kwargs)
         assert cluster.env.obs is obs
-        assert obs.trace.ring.maxlen == 128 and len(obs.sanitizers) == 5
+        assert obs.trace.ring.maxlen == 128
+        assert obs.options == {"ring": 128, "strict": True}

@@ -31,7 +31,7 @@ def _run(kernel, n, observe):
     """``(frames, rows, cross-rack transfers)`` of ``n`` reads."""
     with pin_kernel(kernel):
         cl = TopoCluster(racks=2, hosts_per_rack=2, seed=0)
-    obs = cl.observe(sanitize=False) if observe else None
+    obs = cl.observe(strict=False) if observe else None
     seg = cl.nodes[2].memory.register(64, name="seg")
     nic = cl.nodes[0].nic
 

@@ -55,16 +55,16 @@ ARGVS = list(repro_argvs(CI.read_text(encoding="utf-8")))
 
 
 def exported_traces():
-    """Trace files the workflow's ``obs run --trace`` lines write."""
+    """Trace files the workflow's ``check run --export`` lines write."""
     parser = build_parser()
-    return {parser.parse_args(argv).trace for argv in ARGVS
-            if argv[:2] == ["obs", "run"]} - {None}
+    return {parser.parse_args(argv).export for argv in ARGVS
+            if argv[:2] == ["check", "run"]} - {None}
 
 
 def test_extractor_sees_the_workflow():
     commands = {argv[0] for argv in ARGVS}
     assert len(ARGVS) == 16
-    assert commands == {"obs", "lab", "check", "chaos", "locks"}
+    assert commands == {"lab", "check", "chaos", "locks"}
     assert not any("$" in word for argv in ARGVS for word in argv)
 
 
@@ -127,9 +127,7 @@ def test_shared_flags_keep_per_command_defaults(argv, dest, default):
 def test_ci_command_parses_and_resolves(argv):
     args = build_parser().parse_args(argv)  # SystemExit = CI is broken
     names, table = [], SCENARIOS
-    if args.command == "obs" and args.action == "run":
-        names = [args.scenario]
-    elif args.command == "check" and args.action in ("run", "meta"):
+    if args.command == "check" and args.action in ("run", "meta"):
         names = [n for n in args.names if n != "all"]
     elif args.command == "check" and args.action == "trace":
         # replays only files an earlier line exported

@@ -17,11 +17,11 @@ from repro.errors import ConfigError
 from repro.net import Cluster
 from repro.scenarios import (SCENARIOS, Scenario, judged_run, lab_run,
                              run_suite)
-from repro.verify import metamorphic_sweep
+from repro.verify import ALL_ORACLES, metamorphic_sweep
 
 RECORD_KEYS = {"scenario", "seed", "n_nodes", "kernel", "events",
-               "sim_now_us", "oracles", "sanitizers", "violations",
-               "violation_msgs", "trace_sha", "stats", "verdict"}
+               "sim_now_us", "oracles", "violations", "violation_msgs",
+               "trace_sha", "stats", "verdict"}
 
 
 # -- (a) the table ---------------------------------------------------------
@@ -35,12 +35,17 @@ def test_row_is_clean_non_vacuous_and_deterministic(name, request):
               else lab_run(name))
     assert set(record) == RECORD_KEYS
     assert record["verdict"] == "ok", record["violation_msgs"]
-    assert record["sanitizers"] == [] and record["violations"] == 0
+    assert record["violations"] == 0
     assert record["n_nodes"] == sc.n_nodes
-    if sc.primary is not None:
-        assert record["oracles"][sc.primary]["checked"] > 0
+    assert record["oracles"][sc.primary]["checked"] > 0
     if name != "lab":  # ~3 s of wall: built once
         assert lab_run(name)["trace_sha"] == record["trace_sha"]
+
+
+def test_every_row_can_be_vacuous():
+    """Each row names the oracle whose silence makes it vacuous."""
+    names = {cls.NAME for cls in ALL_ORACLES}
+    assert {sc.primary for sc in SCENARIOS.values()} <= names
 
 
 def test_different_seed_is_a_different_trace():
@@ -73,7 +78,7 @@ def test_unconserved_stats_are_a_violation():
 def _quiet(seed, n_nodes, schedule=(), fence=True, **_kw):
     """A scenario that runs and emits nothing any oracle consumes."""
     cluster = Cluster(n_nodes=n_nodes, seed=seed)
-    obs = cluster.observe(sanitize=True, strict=False)
+    obs = cluster.observe(strict=False)
     cluster.env.run(until=10.0)
     return obs
 
@@ -92,10 +97,12 @@ def quiet(monkeypatch):
     ["check", "meta", "quiet", "--seeds", "0"],
     ["chaos", "replay", "quiet", "--index", "0"],
     ["chaos", "run", "quiet", "--schedules", "1"],
-    ["obs", "run", "quiet"],
+    pytest.param(["check", "run", "quiet", "--export", "{tmp}/quiet.json"],
+                 id="check-run-export"),
 ], ids=lambda argv: "-".join(argv[:2]))
-def test_cli_reports_vacuous_and_exits_nonzero(quiet, capsys, argv):
-    assert main(argv) == 1
+def test_cli_reports_vacuous_and_exits_nonzero(quiet, capsys, tmp_path,
+                                               argv):
+    assert main([a.replace("{tmp}", str(tmp_path)) for a in argv]) == 1
     out = capsys.readouterr().out
     assert "vacuous" in out.lower()
     assert "verdict=ok" not in out
@@ -126,7 +133,7 @@ def test_shrinker_never_counts_a_silenced_workload_as_failing(quiet):
     ["check", "trace", "{tmp}/nope.json"],
     ["check", "meta", "--seeds", "a,b"],
     ["check", "run", "ncosed", "--seed", "-1"],
-    ["obs", "run", "flow", "--json", "{tmp}/no/such/dir/x.json"],
+    ["check", "run", "flow", "--export", "{tmp}/no/such/dir/x.json"],
     ["chaos", "replay", "locks", "--schedule", "{tmp}/corrupt.json"],
     ["chaos", "replay", "locks", "--schedule", "{tmp}/noschedule.json"],
     ["chaos", "shrink", "locks-nofence", "--seed", "7", "--index", "13",

@@ -67,4 +67,4 @@ class TestTopoCLI:
         doc = json.loads(path.read_text())["results"][0]
         assert doc["verdict"] == "ok"
         assert doc["scenario"] == "shard" and doc["n_nodes"] == 8
-        assert doc["sanitizers"] == []
+        assert doc["violations"] == 0

@@ -96,7 +96,7 @@ class TestFlatIdentity:
         from repro.shard import ShardedDDSS, ShardedNCoSEDManager
         from repro.verify import canonical_trace_sha
 
-        obs = cluster.observe(sanitize=True, strict=False)
+        obs = cluster.observe(strict=False)
         env = cluster.env
         nodes = cluster.nodes
         ddss = ShardedDDSS(cluster, segment_bytes=64 * 1024)

@@ -15,7 +15,7 @@ class TestTxnRun:
         doc = json.loads(path.read_text())["results"][0]
         assert doc["scenario"] == "txn-occ"
         assert doc["verdict"] == "ok"
-        assert doc["sanitizers"] == []
+        assert doc["violations"] == 0
         assert doc["oracles"]["txn"]["checked"] > 0
         assert doc["stats"]["conserved"] is True
 

@@ -77,7 +77,7 @@ def test_crossing_withdrawals_are_serializable_and_live(offset_us):
     withdraws from x while node 0's withdraws from y, ``offset_us``
     apart.  Exactly one withdrawal may take effect."""
     cluster = Cluster(n_nodes=2, seed=0)
-    obs = cluster.observe(sanitize=True)
+    obs = cluster.observe()
     ddss = DDSS(cluster, segment_bytes=64 * 1024)
     x, y = _units(cluster, ddss, homes=(0, 1), start=60)
     results = []

@@ -40,7 +40,7 @@ class FailingStore:
 
 def _rig(observe=False):
     cluster = Cluster(n_nodes=3, seed=0)
-    obs = cluster.observe(sanitize=True) if observe else None
+    obs = cluster.observe() if observe else None
     ddss = DDSS(cluster, segment_bytes=256 * 1024)
     keys = []
 

@@ -171,7 +171,7 @@ class TestShrink:
 class TestTraceRoundtrip:
     def test_exported_trace_replays_clean(self, tmp_path, capsys):
         path = tmp_path / "trace.json"
-        assert main(["obs", "run", "ncosed", "--trace", str(path)]) == 0
+        assert main(["check", "run", "ncosed", "--export", str(path)]) == 0
         r = check_trace(str(path))
         assert r["verdict"] == "ok"
         assert r["trace"] == str(path)
@@ -354,7 +354,7 @@ class TestCheckCli:
 
     def test_trace_subcommand(self, tmp_path, capsys):
         path = tmp_path / "trace.json"
-        assert main(["obs", "run", "ncosed", "--trace", str(path)]) == 0
+        assert main(["check", "run", "ncosed", "--export", str(path)]) == 0
         assert main(["check", "trace", str(path)]) == 0
         assert "verdict=ok" in capsys.readouterr().out
 
