@@ -69,6 +69,9 @@ _STRIDE = 24
 _VICTIM = {COHORT_LOCAL: 1, COHORT_REMOTE: 2}
 _FLAG = {COHORT_LOCAL: 1, COHORT_REMOTE: 2}
 _FLAGS = 3  # both flag bits of the state word
+#: first and largest back-off (µs) between Peterson-wait polls
+TOURNEY_POLL_US = 2.0
+TOURNEY_POLL_MAX_US = 32.0
 
 
 def _pack_state(ep: int, victim: int, rflag: int, lflag: int) -> int:
@@ -86,13 +89,10 @@ class ALockManager(EpochFencedManager):
     SCHEME = "alock"
 
     def __init__(self, cluster, n_locks: int = 64, member_nodes=None, *,
-                 cohort_budget: int = 4, tourney_poll_us: float = 2.0,
-                 tourney_poll_max_us: float = 32.0, **ft_kwargs):
+                 cohort_budget: int = 4, **ft_kwargs):
         if cohort_budget < 1:
             raise LockError("cohort_budget must be >= 1")
         self.cohort_budget = cohort_budget
-        self.tourney_poll_us = tourney_poll_us
-        self.tourney_poll_max_us = tourney_poll_max_us
         super().__init__(cluster, n_locks=n_locks,
                          member_nodes=member_nodes, **ft_kwargs)
 
@@ -217,7 +217,7 @@ class ALockClient(EpochFencedClient):
             state = old
         other_flag = _FLAGS ^ my_flag
         # Peterson's wait: only if the other flag was up when we landed
-        poll = mgr.tourney_poll_us
+        poll = TOURNEY_POLL_US
         while state & other_flag:  # fixed by our CAS; exits by break
             raw = yield nic.rdma_read(home, addr, rkey, 8)
             sep, victim, rflag, lflag = _unpack_state(
@@ -228,7 +228,7 @@ class ALockClient(EpochFencedClient):
             if not (flags & other_flag) or victim != my_victim:
                 break  # other cohort left, or it yielded to us
             yield self.env.timeout(poll)
-            poll = min(poll * 2, mgr.tourney_poll_max_us)
+            poll = min(poll * 2, TOURNEY_POLL_MAX_US)
         if mgr.lock_epoch(lock_id) != ep:
             raise _Stale("reclaimed at tournament win instant")
 

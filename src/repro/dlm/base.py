@@ -100,7 +100,7 @@ class LockManagerBase:
         self._obs_ledger("lock.grant", lock_id, token, **extra)
 
     def _ledger_release(self, lock_id: int, token: int) -> LockMode:
-        held = self.holders.setdefault(lock_id, set())
+        held = self.holders.get(lock_id, ())
         for entry in held:
             if entry[0] == token:
                 held.remove(entry)
@@ -111,7 +111,7 @@ class LockManagerBase:
 
     def _ledger_expunge(self, lock_id: int, token: int) -> Optional[LockMode]:
         """Forcibly end a grant (lease revocation); None if not held."""
-        held = self.holders.setdefault(lock_id, set())
+        held = self.holders.get(lock_id, ())
         for entry in held:
             if entry[0] == token:
                 held.remove(entry)

@@ -16,15 +16,17 @@ that its increment landed on (or was wiped with) a stale generation.
 Recovery (active when the manager has a ``lease_us``)
 -----------------------------------------------------
 
-* A manager-wide **reaper** scans the lock table every lease period.
-  When a lock's tail, a granted holder, or a client with an in-flight
-  protocol operation sits on a crashed node, when the tail token belongs
-  to nobody with business on the lock (residue of an aborted attempt),
-  or when a client flagged the lock *suspect*, the words are wiped to
-  ``(epoch+1, 0, 0…)`` at a single instant and all current grants are
-  revoked Chubby-style: the ledger entries end at the reclaim, and a
-  surviving holder discovers the revocation when it releases.  The wipe
-  is home-local, so remote atomics land strictly before or after it.
+* A manager-wide **reaper** sweeps, every lease period, the locks with
+  business: a holder, an attempt, a suspect flag, or words not yet seen
+  empty since the last attempt.  When a lock's tail, a granted holder,
+  or a client with an in-flight protocol operation sits on a crashed
+  node, when the tail token belongs to nobody with business on the lock
+  (residue of an aborted attempt), or when a client flagged the lock
+  *suspect*, the words are wiped to ``(epoch+1, 0, 0…)`` at a single
+  instant and all current grants are revoked Chubby-style: the ledger
+  entries end at the reclaim, and a surviving holder discovers the
+  revocation when it releases.  The wipe is home-local, so remote
+  atomics land strictly before or after it.
 * Waits are bounded by the lease; on expiry the waiter re-reads the
   word and restarts its attempt if the epoch moved.  Protocol messages
   carry the epoch of the tenure they belong to; stale ones are
@@ -118,7 +120,7 @@ class EpochFencedManager(LockManagerBase):
     ----------
     lease_us:
         Wait bound: every blocking protocol wait re-validates the lock
-        word at this period.  The reaper scans every lease, an acquire
+        word at this period.  The reaper sweeps every lease, an acquire
         backs off half a lease per failed attempt (at most eight
         halves) up to :data:`MAX_ATTEMPTS` attempts, and a dropped peer
         message is re-sent every quarter lease up to
@@ -208,18 +210,23 @@ class EpochFencedManager(LockManagerBase):
                 # what keeps a split brain from revoking the majority's
                 # grants
                 continue
-            # Every reclaim condition needs a prior attempt on the lock
-            # (a holder, a suspect flag, a tail token or tournament flag
-            # left in its words), and ``_acquire`` / ``_release`` note
-            # the attempt in ``_active`` — whose keys are never dropped
-            # — before their first verb: a lock outside these three
-            # tables has pristine words and nothing to reclaim.
+            # A reclaim needs a prior attempt on the lock, and
+            # ``_acquire`` / ``_release`` note it in ``_active`` before
+            # their first verb.  A lock seen pristine leaves the tables
+            # until its next attempt: a late verb of an ended attempt
+            # had its completion fenced, which flagged the lock suspect.
             for lock_id in sorted(self._active.keys() | self._suspect.keys()
                                   | self.holders.keys()):
-                if self._should_reclaim(lock_id):
+                verdict = self._should_reclaim(lock_id)
+                if verdict:
                     self._reclaim(lock_id)
+                elif verdict is None:
+                    self._active.pop(lock_id, None)
+                    self.holders.pop(lock_id, None)
 
-    def _should_reclaim(self, lock_id: int) -> bool:
+    def _should_reclaim(self, lock_id: int) -> Optional[bool]:
+        """True: reclaim now.  False: not now.  None: pristine — no
+        holder, no attempt, no residue — so False until the next one."""
         if self._node_dead(self.home_node(lock_id).id):
             return False  # words unreachable; restart first
         if self._suspect.get(lock_id):
@@ -234,7 +241,9 @@ class EpochFencedManager(LockManagerBase):
             if tail and tail not in active and not any(
                     tok == tail for tok, _mode in holders):
                 return True  # orphaned tail: residue of an aborted attempt
-        return self._ft_extra_reclaim(lock_id)
+        # past the tail test, a nonzero tail is a holder's or an attempt's
+        return self._ft_extra_reclaim(lock_id) or (
+            False if holders or active else None)
 
     def _reclaim(self, lock_id: int) -> None:
         """Wipe the lock's words at one instant and revoke every grant.

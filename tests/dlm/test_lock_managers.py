@@ -119,6 +119,22 @@ class TestCommon:
         with pytest.raises(LockError):
             client.acquire(99)
 
+    def test_refused_release_leaves_the_ledger_unchanged(self, scheme_cls):
+        # a ledger entry for a never-held lock would enroll it in every
+        # later lease sweep
+        cluster, manager = build(scheme_cls)
+        client = manager.client(cluster.nodes[1])
+
+        def app(env):
+            try:
+                yield client.release(5)
+            except LockError:
+                return "rejected"
+
+        assert run(cluster, app(cluster.env)) == "rejected"
+        assert manager._ledger_expunge(6, client.token) is None
+        assert manager.holders == {}
+
     def test_reacquire_after_release(self, scheme_cls):
         cluster, manager = build(scheme_cls)
         client = manager.client(cluster.nodes[1])
