@@ -18,7 +18,7 @@ def main():
     )
     for scheme in ("AC", "BCC", "CCWR", "MTACC", "HYBCC"):
         dc = DataCenter(
-            n_proxies=2, n_app=2, scheme=scheme,
+            n_proxies=2, scheme=scheme,
             n_docs=600, doc_bytes=32 * 1024,
             cache_bytes=4 * 1024 * 1024,   # each proxy caches 4 MB
             n_sessions=24, seed=7,

@@ -25,8 +25,7 @@ def flash_crowd_demo():
     monitor = RdmaSyncMonitor(cluster.nodes[0], stats)
     manager = ReconfigManager(cluster.nodes[0],
                               [premium, standard, batch],
-                              monitor=monitor, check_every_us=1_000.0,
-                              sensitivity=2.0, cooldown_us=10_000.0)
+                              monitor=monitor, check_every_us=1_000.0)
     manager.start()
 
     def background(env, svc):

@@ -13,8 +13,7 @@ from repro.apps.storm import StormEngine
 
 def mean_query_time(n_records, use_ddss, n_queries=8):
     cluster = Cluster(n_nodes=5, seed=3)
-    engine = StormEngine(cluster, n_records=n_records,
-                         use_ddss=use_ddss, seed=3)
+    engine = StormEngine(cluster, n_records=n_records, use_ddss=use_ddss)
 
     def workload(env):
         t0 = env.now
@@ -30,7 +29,7 @@ def mean_query_time(n_records, use_ddss, n_queries=8):
 def main():
     # correctness first: both substrates compute identical answers
     cluster = Cluster(n_nodes=5, seed=3)
-    engine = StormEngine(cluster, n_records=20_000, use_ddss=True, seed=3)
+    engine = StormEngine(cluster, n_records=20_000, use_ddss=True)
     ev = engine.run_query(1000, 6000)
     cluster.env.run_until_event(ev)
     count, total = ev.value

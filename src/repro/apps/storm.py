@@ -23,7 +23,7 @@ evaluation.
 from __future__ import annotations
 
 import itertools
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
@@ -44,16 +44,20 @@ SERVICE_MSG_US = 5.0
 CTRL_BYTES = 512
 #: bytes of one partial-result record
 RESULT_BYTES = 64
+#: seed of the record values (every figure and example scans the same
+#: dataset)
+RECORD_SEED = 3
 
 _query_ids = itertools.count(1)
 
 
 class StormEngine:
-    """Coordinator + storage-node partitions over one cluster."""
+    """Coordinator + storage-node partitions over one cluster: node 0
+    coordinates and every other node stores one partition of the
+    records, drawn from :data:`RECORD_SEED`."""
 
     def __init__(self, cluster: Cluster, n_records: int,
-                 n_storage: Optional[int] = None,
-                 use_ddss: bool = False, seed: int = 0):
+                 use_ddss: bool = False):
         if n_records <= 0:
             raise ConfigError("need at least one record")
         self.cluster = cluster
@@ -61,11 +65,10 @@ class StormEngine:
         nodes = cluster.nodes
         if len(nodes) < 2:
             raise ConfigError("need a coordinator and >= 1 storage node")
-        n_storage = n_storage or (len(nodes) - 1)
         self.coordinator = nodes[0]
-        self.storage = nodes[1:1 + n_storage]
+        self.storage = nodes[1:]
         self.use_ddss = use_ddss
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(RECORD_SEED)
         values = rng.integers(0, 10_000, size=n_records)
         self.partitions: Dict[int, np.ndarray] = {
             node.id: part for node, part in

@@ -90,8 +90,7 @@ def check_fig3a(table):
 
 def _query_time(n_records: int, use_ddss: bool, n_queries: int = 8) -> float:
     cluster = Cluster(n_nodes=5, seed=3)
-    engine = StormEngine(cluster, n_records=n_records, use_ddss=use_ddss,
-                         seed=3)
+    engine = StormEngine(cluster, n_records=n_records, use_ddss=use_ddss)
 
     def workload(env):
         t0 = env.now
@@ -175,7 +174,7 @@ def build_fig6():
         for size in (8_192, 16_384, 32_768, 65_536):
             row = [f"{size // 1024}k"]
             for scheme in CACHE_SCHEMES:
-                dc = DataCenter(n_proxies=n_proxies, n_app=2, scheme=scheme,
+                dc = DataCenter(n_proxies=n_proxies, scheme=scheme,
                                 n_docs=1_200, doc_bytes=size,
                                 cache_bytes=8 * 1024 * 1024,
                                 n_sessions=24 * n_proxies, seed=1)
@@ -317,7 +316,7 @@ def check_sdp(table):
 
 def _flow_stream(sender_cls, size: int) -> float:
     cluster = Cluster(n_nodes=2, params=NetworkParams.infiniband(), seed=0)
-    rx = FlowReceiver(cluster.nodes[1], nbufs=8, buf_bytes=8_192)
+    rx = FlowReceiver(cluster.nodes[1])
     sender = sender_cls(cluster.nodes[0], rx)
     p = cluster.env.process(sender.stream(400, size))
     cluster.env.run_until_event(p, limit=1e10)
@@ -388,7 +387,7 @@ def _reallocation(aware: bool, event: bool = True):
     the victim held.  Returns (tps, stale probes, backend misses) over
     the 80 ms right after the event, before the cache self-heals.
     """
-    dc = DataCenter(n_proxies=3, n_app=2, scheme="CCWR", n_docs=300,
+    dc = DataCenter(n_proxies=3, scheme="CCWR", n_docs=300,
                     doc_bytes=16 * 1024, cache_bytes=3 * 1024 * 1024,
                     n_sessions=24, seed=8)
     scheme = dc.scheme
@@ -572,7 +571,7 @@ def _hybcc_tps(threshold: int) -> int:
     original = schemes_mod.SCHEMES["HYBCC"]
     schemes_mod.SCHEMES["HYBCC"] = Tuned
     try:
-        dc = DataCenter(n_proxies=2, n_app=2, scheme="HYBCC",
+        dc = DataCenter(n_proxies=2, scheme="HYBCC",
                         n_docs=1_200, doc_bytes=16_384,
                         cache_bytes=8 * 1024 * 1024, n_sessions=48, seed=1)
         return round(dc.run_tps(warmup_us=80_000, measure_us=120_000))

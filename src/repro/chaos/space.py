@@ -46,17 +46,16 @@ def _r(x: float) -> float:
 class ChaosSpace:
     """Samples random fault schedules for an ``n_nodes`` cluster.
 
-    ``protect`` lists node ids that never crash (e.g. the front-end
-    that hosts the detector and coordinator — chaos against the
-    *watcher* is a different experiment than chaos against the
-    watched).  Partitions may still cut protected nodes off: surviving
-    a partitioned coordinator is exactly what quorum fencing is for.
+    Node 0 never crashes: it is the front-end that hosts the detector
+    and coordinator, and chaos against the *watcher* is a different
+    experiment than chaos against the watched.  Partitions may still
+    cut node 0 off: surviving a partitioned coordinator is exactly what
+    quorum fencing is for.
     """
 
     def __init__(self, n_nodes: int, horizon_us: float, *,
                  max_faults: int = 4,
-                 kinds: Sequence[str] = ALL_KINDS,
-                 protect: Sequence[int] = (0,)):
+                 kinds: Sequence[str] = ALL_KINDS):
         if n_nodes < 3:
             raise ConfigError("chaos needs >= 3 nodes (quorum of 2 is "
                               "every pair; partitions degenerate)")
@@ -72,7 +71,6 @@ class ChaosSpace:
         self.horizon_us = float(horizon_us)
         self.max_faults = max_faults
         self.kinds = tuple(kinds)
-        self.protect = frozenset(protect)
 
     def sample(self, seed: int, index: int) -> List[Dict]:
         """Schedule ``index`` of campaign ``seed`` (pure, replayable)."""
@@ -103,10 +101,7 @@ class ChaosSpace:
                 "oneway": bool(rng.random() < 0.25)}
 
     def _sample_crash(self, rng) -> Dict:
-        victims = sorted(set(range(self.n_nodes)) - self.protect)
-        if not victims:
-            raise ConfigError("every node is protected; cannot crash")
-        node = victims[int(rng.integers(len(victims)))]
+        node = 1 + int(rng.integers(self.n_nodes - 1))
         at = _r(float(rng.uniform(0.1, 0.6)) * self.horizon_us)
         restart_at = None
         if rng.random() < 0.5:

@@ -32,16 +32,12 @@ REQ_BYTES = 256
 class BackendTier:
     """Round-robin pool of app/backend nodes serving origin fetches."""
 
-    def __init__(self, nodes: Sequence[Node], fileset: FileSet,
-                 gen_base_us: float = GEN_BASE_US,
-                 gen_per_byte_us: float = GEN_PER_BYTE_US):
+    def __init__(self, nodes: Sequence[Node], fileset: FileSet):
         if not nodes:
             raise ConfigError("backend tier needs at least one node")
         self.nodes = list(nodes)
         self.fileset = fileset
         self.env = self.nodes[0].env
-        self.gen_base_us = gen_base_us
-        self.gen_per_byte_us = gen_per_byte_us
         self._rr = itertools.count()
         self.requests = 0
 
@@ -58,7 +54,7 @@ class BackendTier:
         # request to the app server
         yield fabric.transfer(proxy.id, app.id, REQ_BYTES)
         # dynamic content generation on the app node's shared CPU
-        yield app.cpu.run(self.gen_base_us + size * self.gen_per_byte_us,
+        yield app.cpu.run(GEN_BASE_US + size * GEN_PER_BYTE_US,
                           name="backend-gen")
         # response back to the proxy
         yield fabric.transfer(app.id, proxy.id, size)

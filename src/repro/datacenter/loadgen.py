@@ -1,16 +1,15 @@
 """Closed-loop client population.
 
 ``n_sessions`` concurrent sessions live on the client node; each one
-repeatedly draws a document from the Zipf stream, dispatches it to a
-proxy (round robin by default, or a pluggable picker for the
-monitoring-driven load balancer), and waits for the full response before
-issuing the next request.
+repeatedly draws a document from the Zipf stream, dispatches it to the
+next proxy in round-robin order, and waits for the full response before
+issuing the next request, with no think time.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Optional, Sequence
+from typing import Sequence
 
 from repro.errors import ConfigError
 from repro.net.node import Node
@@ -28,9 +27,7 @@ class ClosedLoopClients:
     """Session pool driving the proxy tier."""
 
     def __init__(self, client_node: Node, proxies: Sequence[ProxyServer],
-                 zipf: ZipfGenerator, n_sessions: int = 32,
-                 think_us: float = 0.0,
-                 picker: Optional[Callable[[int], int]] = None):
+                 zipf: ZipfGenerator, n_sessions: int = 32):
         if not proxies:
             raise ConfigError("need at least one proxy server")
         if n_sessions <= 0:
@@ -40,10 +37,7 @@ class ClosedLoopClients:
         self.proxies = list(proxies)
         self.zipf = zipf
         self.n_sessions = n_sessions
-        self.think_us = think_us
         self._rr = itertools.count()
-        self._picker = picker or (lambda _doc: next(self._rr)
-                                  % len(self.proxies))
         self.issued = 0
         self._running = False
 
@@ -59,10 +53,8 @@ class ClosedLoopClients:
         yield self.env.timeout(idx * 3.0)
         while True:
             doc = self.zipf.next()
-            proxy = self.proxies[self._picker(doc)]
+            proxy = self.proxies[next(self._rr) % len(self.proxies)]
             self.issued += 1
             yield self.node.fabric.transfer(self.node.id,
                                             proxy.node.id, REQ_BYTES)
             yield proxy.handle(doc, self.node.id)
-            if self.think_us:
-                yield self.env.timeout(self.think_us)

@@ -9,7 +9,7 @@ client over the fabric.
 
 from __future__ import annotations
 
-from repro.errors import CacheError, ConfigError
+from repro.errors import CacheError
 from repro.net.node import Node
 from repro.sim import Event, Resource
 
@@ -23,23 +23,25 @@ __all__ = ["ProxyServer"]
 PARSE_US = 8.0
 #: response assembly CPU per byte (checksums, headers; µs/B)
 SEND_CPU_US_PER_BYTE = 0.0002
+#: worker pool of one proxy (Apache worker model)
+N_WORKERS = 16
 
 
 class ProxyServer:
-    """Worker-pool server bound to one proxy node."""
+    """Worker-pool server bound to one proxy node.
+
+    Every response is checked against the file set before it is sent:
+    a cache that serves the wrong content raises :class:`CacheError`.
+    """
 
     def __init__(self, node: Node, scheme: CoopCacheBase,
-                 backend: BackendTier, metrics: DataCenterMetrics,
-                 n_workers: int = 16, verify_tokens: bool = True):
-        if n_workers <= 0:
-            raise ConfigError("need at least one worker")
+                 backend: BackendTier, metrics: DataCenterMetrics):
         self.node = node
         self.env = node.env
         self.scheme = scheme
         self.backend = backend
         self.metrics = metrics
-        self.workers = Resource(self.env, capacity=n_workers)
-        self.verify_tokens = verify_tokens
+        self.workers = Resource(self.env, capacity=N_WORKERS)
         self.served = 0
         self.queue_peak = 0
 
@@ -61,8 +63,7 @@ class ProxyServer:
                 yield from self.scheme.admit_gen(self.node, doc)
             else:
                 token = result.token
-            if self.verify_tokens and not self.scheme.fileset.verify(
-                    doc, token):
+            if not self.scheme.fileset.verify(doc, token):
                 raise CacheError(
                     f"cache served wrong content for doc {doc}")
             size = self.scheme.fileset.size(doc)

@@ -509,13 +509,9 @@ class DDSSClient:
                 8 + meta.size),
             lambda _i, word, blob: (word, blob[8:]), spin=True)
 
-    def peek_version(self, key: KeyOrMeta) -> Event:
-        """Raw version word (may carry ``INSTALL_BIT``); tombstones are
-        chased to the unit's current home."""
-        return self._proc(self._one(self.peek_version_all((key,))),
-                          "ddss-peek")
-
     def peek_version_all(self, keys):
+        """Raw version words (may carry ``INSTALL_BIT``); tombstones are
+        chased to each unit's current home."""
         nic = self.node.nic
         return self._round(
             keys, lambda meta, _i: nic.rdma_read(
@@ -539,37 +535,26 @@ class DDSSClient:
                 f"{expected}"
                 + (" (install in flight)" if old & INSTALL_BIT else "")))
 
-    def install_abort(self, key: KeyOrMeta, expected: int) -> Event:
-        """Unwind a claimed install: restore ``expected`` into the word."""
-        return self._proc(
-            self._one(self.install_abort_all(((key, expected),))),
-            "ddss-install-abort")
-
     def install_abort_all(self, claims):
+        """Unwind claimed installs: restore each ``expected`` into its
+        word; ``claims`` is ``[(key, expected)]``."""
         return self._cas_all(
             [(key, v | INSTALL_BIT, v) for key, v in claims],
             lambda key, busy, old: CoherenceError(
                 f"unit {key}: install-abort found word {old:#x}, "
                 f"expected busy {busy & ~INSTALL_BIT}"))
 
-    def install_publish(self, key: KeyOrMeta, expected: int,
-                        data: bytes) -> Event:
-        """Publish ``data`` as version ``expected + 1``; event value is
-        the new version.
+    def install_publish_all(self, installs):
+        """Publish each ``data`` as version ``expected + 1``; the value
+        per key is the new version.  ``installs`` is
+        ``[(key, expected, data)]``.
 
-        Requires the install lock taken by :meth:`install_lock` at
+        Requires the install lock taken by :meth:`install_lock_all` at
         ``expected``.  One combined ``(version, data)`` write commits
         the bytes and releases the busy bit atomically; the payload is
         zero-padded to the unit size so a snapshot's fingerprint always
         matches the install's.  The substrate never rebalances a busy
-        unit, so the write cannot race a tombstone.
-        """
-        return self._proc(
-            self._one(self.install_publish_all(((key, expected, data),))),
-            "ddss-install-publish")
-
-    def install_publish_all(self, installs):
-        """``installs`` is ``[(key, expected, data)]``.  An oversize
+        unit, so the write cannot race a tombstone.  An oversize
         payload raises before anything is posted."""
         metas = yield from self._metas([key for key, _v, _d in installs])
         blobs = []

@@ -88,16 +88,14 @@ class DDSS:
 
     def __init__(self, cluster: Cluster,
                  member_nodes: Optional[Sequence[Node]] = None,
-                 segment_bytes: int = 1 << 20,
-                 meta_node: Optional[Node] = None):
+                 segment_bytes: int = 1 << 20):
         self.cluster = cluster
         self.env = cluster.env
         self.members = list(member_nodes or cluster.nodes)
         if not self.members:
             raise DDSSError("DDSS needs at least one member node")
-        self.meta_node = meta_node or self.members[0]
-        if self.meta_node not in self.members:
-            raise DDSSError("metadata node must be a member")
+        #: the first member holds the unit directory
+        self.meta_node = self.members[0]
         self.segment_bytes = segment_bytes
         self._segments: Dict[int, object] = {}
         self._allocators: Dict[int, SegmentAllocator] = {}

@@ -88,13 +88,12 @@ class ALockManager(EpochFencedManager):
 
     SCHEME = "alock"
 
-    def __init__(self, cluster, n_locks: int = 64, member_nodes=None, *,
+    def __init__(self, cluster, n_locks: int = 64, *,
                  cohort_budget: int = 4, **ft_kwargs):
         if cohort_budget < 1:
             raise LockError("cohort_budget must be >= 1")
         self.cohort_budget = cohort_budget
-        super().__init__(cluster, n_locks=n_locks,
-                         member_nodes=member_nodes, **ft_kwargs)
+        super().__init__(cluster, n_locks=n_locks, **ft_kwargs)
 
     def _setup_homes(self) -> None:
         self._words: Dict[int, object] = {}

@@ -55,20 +55,22 @@ def accuracy_trace(scheme: str, duration_us: float = 200_000.0,
                    period_us: float = None) -> AccuracyResult:
     """Fig. 8a: reported-vs-actual thread count on one churning node.
 
-    ``period_us`` overrides the push/poll period of the async schemes
-    (ignored by the sync ones).
+    ``period_us`` overrides the push/poll period of an async scheme; a
+    sync scheme has no period and refuses one.
     """
     if scheme not in MONITOR_SCHEMES:
         raise MonitorError(f"unknown scheme {scheme!r}")
+    cls = MONITOR_SCHEMES[scheme]
+    if period_us is not None and not cls.PERIODIC:
+        raise MonitorError(f"scheme {scheme!r} has no push/poll period; "
+                           f"got period_us={period_us!r}")
     cluster = Cluster(names=["front", "back"],
                       params=NetworkParams.infiniband(), seed=seed)
     front, back = cluster.nodes
     churn = ThreadChurn(back, cluster.rng.get("churn"),
                         base=base_threads, swing=swing)
     stats = KernelStats(back)
-    cls = MONITOR_SCHEMES[scheme]
-    kw = ({"period_us": period_us}
-          if cls.PERIODIC and period_us is not None else {})
+    kw = {} if period_us is None else {"period_us": period_us}
     monitor = cls(front, {back.id: stats}, **kw)
     result = AccuracyResult(scheme=scheme)
 
@@ -105,7 +107,7 @@ def lb_throughput(scheme: str, alpha: float,
         raise MonitorError(f"unknown scheme {scheme!r}")
     names = ["front"] + [f"back{i}" for i in range(n_back)]
     cluster = Cluster(names=names, params=NetworkParams.infiniband(),
-                      seed=seed, cores_per_node=2)
+                      seed=seed)
     env = cluster.env
     front = cluster.nodes[0]
     backs = cluster.nodes[1:]

@@ -31,14 +31,11 @@ KERNEL_REFRESH_US = 50.0
 class KernelStats:
     """Per-node exported kernel counters."""
 
-    def __init__(self, node: Node, refresh_us: float = KERNEL_REFRESH_US):
-        if refresh_us <= 0:
-            raise MonitorError("refresh period must be positive")
+    def __init__(self, node: Node):
         self.node = node
         self.env = node.env
         self.region = node.memory.register(STATS_BYTES,
                                            name=f"kstats@{node.name}")
-        self.refresh_us = refresh_us
         self.updates = 0
         #: extra connection count services can bump (RUBiS sessions etc.)
         self.connections = 0
@@ -64,7 +61,7 @@ class KernelStats:
 
     def _refresher(self):
         while True:
-            yield self.env.timeout(self.refresh_us)
+            yield self.env.timeout(KERNEL_REFRESH_US)
             self._write()
 
     # -- decoding helpers ------------------------------------------------------

@@ -18,30 +18,28 @@ from repro.monitor.schemes import MonitorBase
 
 __all__ = ["MonitoredLoadBalancer"]
 
+#: how much one not-yet-completed dispatch counts against a node.
+#: Request costs are highly divergent (RUBiS), so a connection count is
+#: a weak signal compared to measured load; weight < 1.
+OUTSTANDING_WEIGHT = 0.5
+
 
 class MonitoredLoadBalancer:
     """Pick the back-end with the smallest reported load index."""
 
-    def __init__(self, monitor: MonitorBase, refresh_on_dispatch: bool = None,
-                 outstanding_weight: float = 0.5):
+    def __init__(self, monitor: MonitorBase):
         self.monitor = monitor
         self.env = monitor.env
-        #: how much one not-yet-completed dispatch counts against a node.
-        #: Request costs are highly divergent (RUBiS), so a connection
-        #: count is a weak signal compared to measured load; weight < 1.
-        self.outstanding_weight = outstanding_weight
         # sync schemes refresh on the dispatch path by definition; the
         # fan-out is tuned to the probe cost: RDMA probes are ~10 µs of
         # pure network so all back-ends are refreshed in parallel, while
         # a socket probe steals CPU from the probed node, so only one
         # node per dispatch is refreshed (round robin)
-        if refresh_on_dispatch is None:
-            refresh_on_dispatch = monitor.NAME in ("socket-sync",
-                                                   "rdma-sync",
-                                                   "e-rdma-sync")
+        self.refresh_on_dispatch = monitor.NAME in ("socket-sync",
+                                                    "rdma-sync",
+                                                    "e-rdma-sync")
         self._probe_all = monitor.NAME in ("rdma-sync", "e-rdma-sync")
         self._rr = 0
-        self.refresh_on_dispatch = refresh_on_dispatch
         self.dispatches = 0
         # least-connections bookkeeping the front-end gets for free: it
         # knows what it has dispatched and not yet seen complete.  Every
@@ -58,7 +56,7 @@ class MonitoredLoadBalancer:
 
     def _index(self, bid: int) -> float:
         return (self.monitor.load_index(bid)
-                + self.outstanding_weight * self.outstanding[bid])
+                + OUTSTANDING_WEIGHT * self.outstanding[bid])
 
     def _pick(self):
         monitor = self.monitor
@@ -73,13 +71,6 @@ class MonitoredLoadBalancer:
                 self._rr += 1
                 yield monitor.query(bid)
         best = min(monitor.back_ids, key=self._index)
-        self.outstanding[best] += 1
-        return best
-
-    def pick_now(self) -> int:
-        """Zero-cost pick from current beliefs (async-style fast path)."""
-        self.dispatches += 1
-        best = min(self.monitor.back_ids, key=self._index)
         self.outstanding[best] += 1
         return best
 

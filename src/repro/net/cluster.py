@@ -25,8 +25,6 @@ class Cluster:
         Explicit node names; one node per name.
     params:
         Interconnect model; defaults to :meth:`NetworkParams.infiniband`.
-    cores_per_node:
-        CPU cores of every node.
     seed:
         Root seed for all named RNG streams (:class:`RngStreams`).
     """
@@ -34,7 +32,6 @@ class Cluster:
     def __init__(self, n_nodes: int = 0,
                  names: Optional[Sequence[str]] = None,
                  params: Optional[NetworkParams] = None,
-                 cores_per_node: int = 2,
                  seed: int = 0):
         if names is None:
             if n_nodes <= 0:
@@ -52,7 +49,7 @@ class Cluster:
         self.env.rng = self.rng
         self.fabric = self._make_fabric()
         self.nodes: List[Node] = [
-            Node(self.env, i, self.fabric, name=name, cores=cores_per_node)
+            Node(self.env, i, self.fabric, name=name)
             for i, name in enumerate(names)
         ]
 

@@ -20,13 +20,13 @@ class Node:
     """One machine in the simulated data-center."""
 
     def __init__(self, env: Environment, node_id: int, fabric: "Fabric",
-                 name: str = "", cores: int = 2):
+                 name: str = ""):
         if node_id < 0:
             raise ConfigError("node id must be non-negative")
         self.env = env
         self.id = node_id
         self.name = name or f"node{node_id}"
-        self.cpu = CPU(env, cores=cores, name=f"{self.name}.cpu")
+        self.cpu = CPU(env, name=f"{self.name}.cpu")
         self.memory = MemoryManager(node_id)
         fabric.attach(self)
         self.fabric = fabric

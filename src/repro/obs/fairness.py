@@ -58,8 +58,8 @@ class FairnessTracker:
 
     PREFIX = "lock."
 
-    def __init__(self, metrics=None):
-        self._metrics = metrics
+    def __init__(self):
+        self._metrics = None
         self._mgrs: Dict[str, _MgrStats] = {}
         #: (mgr, lock, token) -> pending request instants (FIFO)
         self._pending: Dict[Tuple[str, int, int], List[float]] = {}

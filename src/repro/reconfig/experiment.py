@@ -48,8 +48,7 @@ def burst_recovery_time(monitor_scheme: str = "rdma-sync",
     kw = {"period_us": check_every_us} if monitor_cls.PERIODIC else {}
     monitor = monitor_cls(front, stats, **kw)
     manager = ReconfigManager(front, [svc_a, svc_b], monitor=monitor,
-                              check_every_us=check_every_us,
-                              sensitivity=2.0, cooldown_us=10_000.0)
+                              check_every_us=check_every_us)
     manager.start()
 
     result: Dict[str, object] = {}

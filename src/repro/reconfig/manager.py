@@ -14,6 +14,13 @@ __all__ = ["Service", "ReconfigManager"]
 
 #: CPU work per request on a serving node (µs) unless the request says
 DEFAULT_REQ_US = 300.0
+#: nodes a service keeps while it donates; backfill refills below it
+MIN_NODES = 1
+#: a service takes a node only when its pressure reaches this multiple
+#: of the donor's
+SENSITIVITY = 2.0
+#: a migrated node stays put at least this long (µs)
+COOLDOWN_US = 10_000.0
 
 
 class Service:
@@ -28,14 +35,11 @@ class Service:
     """
 
     def __init__(self, name: str, nodes: Sequence[Node],
-                 priority: int = 1, min_nodes: int = 1):
+                 priority: int = 1):
         if not nodes:
             raise ConfigError(f"service {name!r} needs at least one node")
-        if min_nodes < 1 or min_nodes > len(nodes):
-            raise ConfigError("bad min_nodes")
         self.name = name
         self.priority = priority
-        self.min_nodes = min_nodes
         self.env = nodes[0].env
         self.nodes: List[Node] = list(nodes)
         self.submitted = 0
@@ -83,8 +87,8 @@ class ReconfigManager:
     With a ``detector`` (:class:`repro.monitor.PhiAccrualDetector`) the
     manager is **failure-aware**: the instant the detector declares a
     node dead it is evicted from every service hosting it (a crashed
-    node serves nothing, so eviction ignores ``min_nodes``), and a
-    service pushed below its ``min_nodes`` is backfilled from the
+    node serves nothing, so eviction ignores :data:`MIN_NODES`), and a
+    service pushed below :data:`MIN_NODES` is backfilled from the
     lowest-priority donor that can spare a live node.  When the node
     comes back the detector reports it alive and the manager restores
     it to the services it was evicted from.
@@ -94,11 +98,7 @@ class ReconfigManager:
                  monitor: Optional[MonitorBase] = None,
                  detector=None,
                  ddss=None,
-                 check_every_us: float = 2_000.0,
-                 sensitivity: float = 2.0,
-                 cooldown_us: float = 20_000.0):
-        if sensitivity <= 1.0:
-            raise ConfigError("sensitivity must exceed 1.0")
+                 check_every_us: float = 2_000.0):
         self.node = coordinator
         self.env = coordinator.env
         self.services = list(services)
@@ -109,8 +109,6 @@ class ReconfigManager:
         #: stale clients re-resolve instead of writing to a dead home)
         self.ddss = ddss
         self.check_every_us = check_every_us
-        self.sensitivity = sensitivity
-        self.cooldown_us = cooldown_us
         #: CAS lock word serializing concurrent reconfiguration managers
         self._lock_region = coordinator.memory.register(8, name="reconf-lock")
         #: node id -> last migration time (history-aware reconfiguration)
@@ -166,10 +164,10 @@ class ReconfigManager:
                 pass  # no live member left; data stays until restore
 
     def _backfill(self, svc: Service) -> None:
-        """Refill a service below min_nodes from the cheapest donor."""
-        while len(svc.nodes) < svc.min_nodes:
+        """Refill a service below MIN_NODES from the cheapest donor."""
+        while len(svc.nodes) < MIN_NODES:
             donors = [s for s in self.services
-                      if s is not svc and len(s.nodes) > s.min_nodes]
+                      if s is not svc and len(s.nodes) > MIN_NODES]
             candidates = [(s, n) for s in donors for n in s.nodes
                           if not self._node_dead(n.id)]
             if not candidates:
@@ -249,18 +247,18 @@ class ReconfigManager:
         hungry = max(self.services, key=self._service_pressure)
         # donors: prefer lowest priority, then lowest pressure (QoS)
         donors = [s for s in self.services
-                  if s is not hungry and len(s.nodes) > s.min_nodes]
+                  if s is not hungry and len(s.nodes) > MIN_NODES]
         if not donors:
             return
         donor = min(donors, key=lambda s: (s.priority,
                                            self._service_pressure(s)))
         if (self._service_pressure(hungry)
-                < self.sensitivity * self._service_pressure(donor)):
+                < SENSITIVITY * self._service_pressure(donor)):
             return
         # pick a donor node outside its cooldown window
         candidates = [n for n in donor.nodes
                       if self.env.now - self._last_moved.get(n.id, -1e18)
-                      >= self.cooldown_us]
+                      >= COOLDOWN_US]
         if not candidates:
             return
         node = candidates[0]

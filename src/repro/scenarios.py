@@ -74,8 +74,7 @@ class Scenario:
             raise ConfigError(f"scenario {self.name!r} takes no fault "
                               f"schedule; try: repro chaos list")
         return ChaosSpace(self.n_nodes, self.horizon_us,
-                          max_faults=self.max_faults, kinds=self.kinds,
-                          protect=(0,))
+                          max_faults=self.max_faults, kinds=self.kinds)
 
 
 # -- builders -------------------------------------------------------------
@@ -214,8 +213,8 @@ def _flow(seed: int, n_nodes: int):
     cluster = Cluster(n_nodes=n_nodes, seed=seed)
     obs = cluster.observe(strict=False)
     env = cluster.env
-    rx_credit = FlowReceiver(cluster.nodes[1], nbufs=8, buf_bytes=8192)
-    rx_packed = FlowReceiver(cluster.nodes[2], nbufs=8, buf_bytes=8192)
+    rx_credit = FlowReceiver(cluster.nodes[1])
+    rx_packed = FlowReceiver(cluster.nodes[2])
     env.process(CreditFlowSender(cluster.nodes[0], rx_credit)
                 .stream(60, 512), name="obs-flow-credit")
     env.process(PacketizedFlowSender(cluster.nodes[0], rx_packed)

@@ -41,15 +41,11 @@ class ShardedDDSS(DDSS):
 
     def __init__(self, cluster: Cluster,
                  member_nodes: Optional[Sequence[Node]] = None,
-                 segment_bytes: int = 1 << 20,
-                 meta_node: Optional[Node] = None, *,
-                 vnodes: int = 16):
+                 segment_bytes: int = 1 << 20):
         super().__init__(cluster, member_nodes=member_nodes,
-                         segment_bytes=segment_bytes,
-                         meta_node=meta_node)
+                         segment_bytes=segment_bytes)
         self.dir_map = ShardMap(ShardRing(
-            [m.id for m in self.members], seed=cluster.rng.seed,
-            vnodes=vnodes))
+            [m.id for m in self.members], seed=cluster.rng.seed))
 
     # -- directory routing ---------------------------------------------
     def dir_node(self, key: int) -> int:

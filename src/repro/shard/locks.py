@@ -14,9 +14,8 @@ The wire protocol is untouched — clients still CAS/FAA the word at
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from typing import Dict
 
-from repro.errors import ConfigError
 from repro.dlm.ncosed import NCoSEDManager
 from repro.net.node import Node
 
@@ -30,15 +29,10 @@ class ShardedNCoSEDManager(NCoSEDManager):
 
     SCHEME = "ncosed-shard"
 
-    def __init__(self, cluster, n_locks: int = 64,
-                 member_nodes: Optional[Sequence[Node]] = None, *,
-                 vnodes: int = 16, **kwargs):
-        members = list(member_nodes or cluster.nodes)
-        if not members:
-            raise ConfigError("sharded lock manager needs member nodes")
+    def __init__(self, cluster, n_locks: int = 64, **kwargs):
+        members = list(cluster.nodes)
         self.shard_map = ShardMap(ShardRing(
-            [n.id for n in members], seed=cluster.rng.seed,
-            vnodes=vnodes))
+            [n.id for n in members], seed=cluster.rng.seed))
         self._member_by_id: Dict[int, Node] = {n.id: n for n in members}
         #: lock -> ring owner id, invalidated wholesale on epoch change
         self._owner_cache: Dict[int, int] = {}

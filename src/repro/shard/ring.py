@@ -2,9 +2,9 @@
 
 Every hash is the pure-integer SplitMix64 derivation already used for
 lab shard seeding (:func:`repro.sim.rng.spawn_child`), so the ring is
-bit-identical across processes and platforms: same ``(seed, members,
-vnodes)`` → same assignment, no Python ``hash()`` randomization, no
-numpy state.  Key points and member points draw from separated domains
+bit-identical across processes and platforms: same ``(seed, members)``
+→ same assignment, no Python ``hash()`` randomization, no numpy
+state.  Key points and member points draw from separated domains
 (a salt on the key side) so a key can never systematically collide with
 a member's base point.
 """
@@ -21,22 +21,20 @@ __all__ = ["ShardRing", "ShardMap"]
 
 #: domain separator between key hashes and member vnode hashes
 _KEY_SALT = 0x6B65795F72696E67  # "key_ring"
+#: virtual points per member
+VNODES = 16
 
 
 class ShardRing:
     """Maps integer keys to member node ids via consistent hashing.
 
-    ``vnodes`` virtual points per member smooth the load split; removing
-    a member moves only the keys it owned (to their ring successors),
-    which is what makes rebalance-on-eviction incremental.
+    :data:`VNODES` virtual points per member smooth the load split;
+    removing a member moves only the keys it owned (to their ring
+    successors), which is what makes rebalance-on-eviction incremental.
     """
 
-    def __init__(self, node_ids: Iterable[int], seed: int = 0,
-                 vnodes: int = 16):
-        if vnodes < 1:
-            raise ConfigError("need at least one virtual node per member")
+    def __init__(self, node_ids: Iterable[int], seed: int = 0):
         self.seed = seed
-        self.vnodes = vnodes
         self._members: set = set()
         #: sorted [(point, node_id)]; duplicates impossible in practice
         #: (64-bit points), ties broken by node id either way
@@ -56,7 +54,7 @@ class ShardRing:
 
     def _points(self, node_id: int) -> List[int]:
         base = spawn_child(self.seed, node_id)
-        return [spawn_child(base, v) for v in range(self.vnodes)]
+        return [spawn_child(base, v) for v in range(VNODES)]
 
     def add(self, node_id: int) -> None:
         if node_id in self._members:
@@ -95,7 +93,7 @@ class ShardRing:
 
     def to_json(self) -> dict:
         """Canonical description, for cross-process determinism checks."""
-        return {"seed": self.seed, "vnodes": self.vnodes,
+        return {"seed": self.seed, "vnodes": VNODES,
                 "members": sorted(self._members),
                 "ring": [[p, n] for p, n in self._ring]}
 

@@ -203,11 +203,15 @@ class Event:
 
 
 class Timeout(Event):
-    """An event that fires ``delay`` microseconds after creation."""
+    """An event that fires ``delay`` microseconds after creation.
+
+    :meth:`Environment.timeout` builds it without this constructor,
+    which stays as the reference form that method flattens.
+    """
 
     __slots__ = ("delay",)
 
-    def __init__(self, env: "Environment", delay: float, value: Any = None):
+    def __init__(self, env: "Environment", delay: float, value: Any):
         if not 0 <= delay < _INF:
             raise _bad_delay(delay)
         super().__init__(env)
@@ -432,10 +436,11 @@ class Environment:
     #: not even building the hook's arguments (fingerprints, key lists).
     obs = None
 
-    def __init__(self, initial_time: float = 0.0):
-        #: current simulation time in microseconds; only the kernel's
-        #: drains write it, everything else reads the plain attribute
-        self.now = float(initial_time)
+    def __init__(self):
+        #: current simulation time in microseconds, from 0; only the
+        #: kernel's drains write it, everything else reads the plain
+        #: attribute
+        self.now = 0.0
         #: the agenda: a binary heap of ``(when, seq, event, value)``.
         self._heap: list = []
         #: FIFO of ``(seq, event, value)`` entries scheduled at the

@@ -24,9 +24,12 @@ from typing import List, Optional
 
 from repro.sim.core import _PENDING, Environment, Event, SimulationError
 
-__all__ = ["CPU", "CPUJob"]
+__all__ = ["CORES", "CPU", "CPUJob"]
 
 _INF = float("inf")
+#: cores of every simulated node's CPU (the paper's testbed hosts are
+#: dual-processor machines)
+CORES = 2
 
 
 class CPUJob(Event):
@@ -55,13 +58,10 @@ class CPUJob(Event):
 
 
 class CPU:
-    """Multi-core egalitarian processor-sharing queue."""
+    """Egalitarian processor-sharing queue over :data:`CORES` cores."""
 
-    def __init__(self, env: Environment, cores: int = 1, name: str = "cpu"):
-        if cores <= 0:
-            raise SimulationError("CPU needs at least one core")
+    def __init__(self, env: Environment, name: str = "cpu"):
         self.env = env
-        self.cores = cores
         self.name = name
         self._jobs: List[CPUJob] = []  # in submission order
         self._background = 0  # permanent compute-bound jobs (never finish)
@@ -78,7 +78,7 @@ class CPU:
     @property
     def load(self) -> float:
         """Run-queue length normalised by core count (like loadavg/cores)."""
-        return self.active_jobs / self.cores
+        return self.active_jobs / CORES
 
     def run(self, work: float, name: str = "job") -> CPUJob:
         """Submit ``work`` microseconds of CPU demand; returns the job,
@@ -114,7 +114,7 @@ class CPU:
         horizon = self.env.now - since
         if horizon <= 0:
             return 0.0
-        return self._busy_integral / (horizon * self.cores)
+        return self._busy_integral / (horizon * CORES)
 
     # -- internals ---------------------------------------------------------
     def _update(self, job: Optional[CPUJob] = None,
@@ -123,7 +123,7 @@ class CPU:
         too), admit ``job``, and with ``rearm`` re-arm the wake-up."""
         now = self.env.now
         jobs = self._jobs
-        cores = self.cores
+        cores = CORES
         dt = now - self._last_update
         self._last_update = now
         served = 0.0

@@ -2,7 +2,7 @@
 
 These are the coordination primitives the higher layers build on:
 
-* :class:`Store` — an unbounded (or bounded) FIFO of items; ``get()``
+* :class:`Store` — an unbounded FIFO of items; ``get()``
   returns an event that fires when an item is available.  Used for NIC
   work queues, server accept queues, message channels.
 * :class:`Resource` — a counting semaphore with FIFO hand-off.  Used for
@@ -13,7 +13,7 @@ These are the coordination primitives the higher layers build on:
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Optional
+from typing import Any, Deque
 
 from repro.sim.core import Environment, Event, SimulationError
 
@@ -21,21 +21,13 @@ __all__ = ["Store", "Resource", "Gate"]
 
 
 class Store:
-    """FIFO of items with event-based ``get``/``put``.
+    """Unbounded FIFO of items with event-based ``get``/``put``: a put
+    never waits."""
 
-    ``capacity`` bounds the number of stored items; ``put`` on a full
-    store returns an event that fires only once space frees up (back-
-    pressure, used by the flow-control models).
-    """
-
-    def __init__(self, env: Environment, capacity: Optional[int] = None):
-        if capacity is not None and capacity <= 0:
-            raise SimulationError("store capacity must be positive")
+    def __init__(self, env: Environment):
         self.env = env
-        self.capacity = capacity
         self._items: Deque[Any] = deque()
         self._getters: Deque[Event] = deque()
-        self._putters: Deque[tuple] = deque()  # (event, item)
 
     def __len__(self) -> int:
         return len(self._items)
@@ -48,31 +40,24 @@ class Store:
         event = Event(self.env)
         if self._getters:
             # Hand straight to the oldest waiting getter.
-            getter = self._getters.popleft()
-            getter.succeed(item)
-            event.succeed()
-        elif self.capacity is None or len(self._items) < self.capacity:
-            self._items.append(item)
-            event.succeed()
+            self._getters.popleft().succeed(item)
         else:
-            self._putters.append((event, item))
+            self._items.append(item)
+        event.succeed()
         return event
 
-    def try_put(self, item: Any) -> bool:
-        """Non-blocking put; False if the store is full."""
+    def try_put(self, item: Any) -> None:
+        """Put without an event: hand ``item`` to the oldest waiting
+        getter, or queue it."""
         if self._getters:
             self._getters.popleft().succeed(item)
-            return True
-        if self.capacity is not None and len(self._items) >= self.capacity:
-            return False
-        self._items.append(item)
-        return True
+        else:
+            self._items.append(item)
 
     def get(self) -> Event:
         event = Event(self.env)
         if self._items:
             event.succeed(self._items.popleft())
-            self._admit_putter()
         else:
             self._getters.append(event)
         return event
@@ -93,16 +78,8 @@ class Store:
     def try_get(self) -> tuple:
         """Non-blocking get; returns ``(ok, item)``."""
         if self._items:
-            item = self._items.popleft()
-            self._admit_putter()
-            return True, item
+            return True, self._items.popleft()
         return False, None
-
-    def _admit_putter(self) -> None:
-        if self._putters:
-            event, item = self._putters.popleft()
-            self._items.append(item)
-            event.succeed()
 
 
 class Resource:
@@ -151,14 +128,15 @@ class Resource:
 class Gate:
     """Level-triggered broadcast condition.
 
-    ``wait()`` returns an already-fired event while the gate is open and a
-    pending event otherwise; ``open()`` releases all current waiters.
+    A gate starts closed.  ``wait()`` returns an already-fired event
+    while the gate is open and a pending event otherwise; ``open()``
+    releases all current waiters.
     Used e.g. to model lock-release broadcast and reconfiguration barriers.
     """
 
-    def __init__(self, env: Environment, is_open: bool = False):
+    def __init__(self, env: Environment):
         self.env = env
-        self._open = is_open
+        self._open = False
         self._waiters: list = []
 
     @property

@@ -2,11 +2,8 @@
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.errors import ConfigError
 from repro.net.cluster import Cluster
-from repro.net.params import NetworkParams
 
 from repro.topo.fabric import TopoFabric
 
@@ -32,31 +29,25 @@ class TopoCluster(Cluster):
     oversub:
         Oversubscription ratio: a rack's aggregate uplink bandwidth is
         ``hosts_per_rack * host_bandwidth / oversub``.
-    spine_latency_us:
-        Extra one-way cross-rack latency; defaults to two more switch
-        hops at the params' wire latency.
+
+    The interconnect is :meth:`NetworkParams.infiniband` and every
+    cross-rack transfer pays two more switch hops at its wire latency.
     """
 
     def __init__(self, racks: int = 1, hosts_per_rack: int = 4, *,
-                 spines: int = 1, oversub: float = 1.0,
-                 spine_latency_us: Optional[float] = None,
-                 params: Optional[NetworkParams] = None,
-                 cores_per_node: int = 2, seed: int = 0):
+                 spines: int = 1, oversub: float = 1.0, seed: int = 0):
         self.racks = racks
         self.hosts_per_rack = hosts_per_rack
         self.spines = spines
         self.oversub = float(oversub)
-        self._spine_latency_us = spine_latency_us
         if racks < 1 or hosts_per_rack < 1:
             raise ConfigError("need at least one rack and one host")
-        super().__init__(n_nodes=racks * hosts_per_rack, params=params,
-                         cores_per_node=cores_per_node, seed=seed)
+        super().__init__(n_nodes=racks * hosts_per_rack, seed=seed)
 
     def _make_fabric(self) -> TopoFabric:
         return TopoFabric(self.env, self.params, racks=self.racks,
                           hosts_per_rack=self.hosts_per_rack,
-                          spines=self.spines, oversub=self.oversub,
-                          spine_latency_us=self._spine_latency_us)
+                          spines=self.spines, oversub=self.oversub)
 
     # -- topology helpers --------------------------------------------------
     @property

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from functools import partial
 from operator import getitem
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 from repro.errors import ConfigError
 from repro.sim import Environment, Resource
@@ -48,8 +48,7 @@ class TopoFabric(Fabric):
 
     def __init__(self, env: Environment, params: NetworkParams, *,
                  racks: int, hosts_per_rack: int, spines: int = 1,
-                 oversub: float = 1.0,
-                 spine_latency_us: Optional[float] = None):
+                 oversub: float = 1.0):
         if racks < 1:
             raise ConfigError("need at least one rack")
         if hosts_per_rack < 1:
@@ -58,18 +57,14 @@ class TopoFabric(Fabric):
             raise ConfigError("need at least one spine link per rack")
         if oversub < 1.0:
             raise ConfigError("oversubscription ratio must be >= 1.0")
-        if spine_latency_us is not None and spine_latency_us < 0.0:
-            raise ConfigError("spine latency must be non-negative")
         super().__init__(env, params)
         self.racks = racks
         self.hosts_per_rack = hosts_per_rack
         self.spines = spines
         self.oversub = float(oversub)
-        #: extra one-way latency of the ToR->spine->ToR detour; defaults
-        #: to two additional switch hops at the base wire latency
-        self.spine_latency_us = (spine_latency_us
-                                 if spine_latency_us is not None
-                                 else 2.0 * params.wire_latency_us)
+        #: extra one-way latency of the ToR->spine->ToR detour: two
+        #: additional switch hops at the base wire latency
+        self.spine_latency_us = 2.0 * params.wire_latency_us
         #: bandwidth of one ToR uplink (bytes/us): a rack's aggregate
         #: host bandwidth divided by the oversubscription ratio, split
         #: over its spine links

@@ -12,7 +12,7 @@ Model knobs:
 
 * ``PROTECT_US`` — mprotect + bookkeeping per send.
 * ``FAULT_US`` — page-fault handling when a buffer is touched early.
-* ``max_inflight`` — window of outstanding protected buffers; ``send``
+* ``MAX_INFLIGHT`` — window of outstanding protected buffers; ``send``
   blocks when the window is full (mirrors the real stack's limit on
   outstanding SrcAvails).
 
@@ -39,16 +39,16 @@ _xfer_ids = itertools.count(1)
 
 PROTECT_US = 1.5
 FAULT_US = 8.0
+MAX_INFLIGHT = 8
 
 
 class AzSdpConnection(Connection):
     """AZ-SDP connection: asynchronous zero-copy sends."""
 
-    def __init__(self, endpoint, peer_node, conn_id, peer_conn_id,
-                 max_inflight: int = 8):
+    def __init__(self, endpoint, peer_node, conn_id, peer_conn_id):
         super().__init__(endpoint, peer_node, conn_id=conn_id)
         self.peer_conn_id = peer_conn_id
-        self._window = Resource(self.env, capacity=max_inflight)
+        self._window = Resource(self.env, capacity=MAX_INFLIGHT)
         self._done_events: Dict[int, Event] = {}
         #: buffer name -> completion event of its in-flight transfer
         self._inflight_bufs: Dict[Any, Event] = {}

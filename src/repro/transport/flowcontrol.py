@@ -10,7 +10,7 @@ rate is bounded by bandwidth and ack frequency instead of message count.
 
 These classes are a focused micro-model used by the E10 bench:
 
-* :class:`FlowReceiver` — owns ``nbufs`` buffers of ``buf_bytes`` each
+* :class:`FlowReceiver` — owns ``NBUFS`` buffers of ``BUF_BYTES`` each
   and drains them at a fixed per-message application cost.
 * :class:`CreditFlowSender.stream` — sends N messages under credits.
 * :class:`PacketizedFlowSender.stream` — sends N messages into the
@@ -28,6 +28,11 @@ __all__ = ["FlowReceiver", "CreditFlowSender", "PacketizedFlowSender"]
 DRAIN_PER_MSG_US = 0.05
 #: receiver posts an ack/credit-return after this many drained messages
 ACK_BATCH = 4
+#: the receiver's preposted pool: NBUFS buffers of BUF_BYTES (the
+#: paper's 8 KB example)
+NBUFS = 8
+BUF_BYTES = 8192
+POOL_BYTES = NBUFS * BUF_BYTES
 
 
 def _stall_release(fabric, node_id: int):
@@ -46,19 +51,11 @@ def _stall_release(fabric, node_id: int):
 class FlowReceiver:
     """Receiving peer with a fixed preposted buffer pool."""
 
-    def __init__(self, node, nbufs: int = 16, buf_bytes: int = 8192):
-        if nbufs <= 0 or buf_bytes <= 0:
-            raise ConfigError("nbufs and buf_bytes must be positive")
+    def __init__(self, node):
         self.node = node
         self.env = node.env
-        self.nbufs = nbufs
-        self.buf_bytes = buf_bytes
         self.delivered = 0
         self.delivered_bytes = 0
-
-    @property
-    def pool_bytes(self) -> int:
-        return self.nbufs * self.buf_bytes
 
 
 class CreditFlowSender:
@@ -68,13 +65,13 @@ class CreditFlowSender:
         self.node = node
         self.env = node.env
         self.receiver = receiver
-        self._credits = Resource(self.env, capacity=receiver.nbufs)
+        self._credits = Resource(self.env, capacity=NBUFS)
         self._ack_due = 0
 
     def stream(self, n_msgs: int, msg_bytes: int):
         """Generator: send ``n_msgs`` of ``msg_bytes`` each; returns the
         achieved bandwidth in bytes/µs."""
-        if msg_bytes > self.receiver.buf_bytes:
+        if msg_bytes > BUF_BYTES:
             raise ConfigError("message larger than a preposted buffer")
         env = self.env
         fabric = self.node.fabric
@@ -89,7 +86,7 @@ class CreditFlowSender:
         drained_all = Event(env)
 
         sender_id = self.node.id
-        capacity = self.receiver.nbufs
+        capacity = NBUFS
 
         def credits_back(n: int) -> None:
             for _ in range(n):
@@ -149,7 +146,7 @@ class PacketizedFlowSender:
         self.env = node.env
         self.receiver = receiver
         # sender-side view of free bytes in the remote ring
-        self._free = receiver.pool_bytes
+        self._free = POOL_BYTES
 
     def stream(self, n_msgs: int, msg_bytes: int):
         """Generator: send ``n_msgs`` packed tightly; returns bytes/µs."""
@@ -165,7 +162,7 @@ class PacketizedFlowSender:
         footprint = msg_bytes + 8
 
         sender_id = self.node.id
-        pool = self.receiver.pool_bytes
+        pool = POOL_BYTES
 
         def space_back(f: int) -> None:
             space_freed.try_put(f)

@@ -39,7 +39,7 @@ _xfer_ids = itertools.count(1)
 BCOPY_PER_MSG_US = 1.0
 BCOPY_PER_BYTE_US = 0.0012
 
-#: credit-based flow control defaults (paper's example: 8 KB buffers)
+#: credit-based flow control (paper's example: 8 KB buffers)
 SDP_BUF_BYTES = 8192
 SDP_CREDITS = 16
 
@@ -124,12 +124,10 @@ class _SdpEndpointBase(Endpoint):
 class BufferedSdpConnection(Connection):
     """BSDP: copy into preposted buffers under credit flow control."""
 
-    def __init__(self, endpoint, peer_node, conn_id, peer_conn_id,
-                 credits: int = SDP_CREDITS, buf_bytes: int = SDP_BUF_BYTES):
+    def __init__(self, endpoint, peer_node, conn_id, peer_conn_id):
         super().__init__(endpoint, peer_node, conn_id=conn_id)
         self.peer_conn_id = peer_conn_id
-        self.buf_bytes = buf_bytes
-        self._credits = Resource(self.env, capacity=credits)
+        self._credits = Resource(self.env, capacity=SDP_CREDITS)
 
     def send(self, payload: Any = None, size: int = 0) -> Event:
         self._check_open()
@@ -139,10 +137,10 @@ class BufferedSdpConnection(Connection):
 
     def _send_proc(self, payload, size):
         datagram = Datagram(payload=payload, size=size, sent_at=self.env.now)
-        nchunks = max(1, math.ceil(size / self.buf_bytes))
+        nchunks = max(1, math.ceil(size / SDP_BUF_BYTES))
         remaining = size
         for i in range(nchunks):
-            chunk = min(self.buf_bytes, remaining) if size else 0
+            chunk = min(SDP_BUF_BYTES, remaining) if size else 0
             remaining -= chunk
             yield self._credits.acquire()
             yield self.node.cpu.run(bcopy_us(chunk), name="bsdp-tx-copy")

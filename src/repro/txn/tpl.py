@@ -20,7 +20,7 @@ takes over.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.dlm.base import LockClient, LockMode
 from repro.errors import FaultError, LockError, RdmaError, TxnError
@@ -39,15 +39,11 @@ class TwoPLTxnClient(TxnClient):
 
     VARIANT = "2pl"
 
-    def __init__(self, store, locks: LockClient,
-                 lock_of: Optional[Dict[int, int]] = None,
+    def __init__(self, store, locks: LockClient, lock_of: Dict[int, int],
                  max_attempts: int = 8):
         super().__init__(store, max_attempts=max_attempts)
         self.locks = locks
-        self.lock_of = dict(lock_of) if lock_of else {}
-
-    def map_lock(self, key: int, lock_id: int) -> None:
-        self.lock_of[key] = lock_id
+        self.lock_of = dict(lock_of)
 
     def _attempt(self, txn: Txn, tid: int, attempt: int, keys):
         try:

@@ -14,8 +14,6 @@ from typing import List
 
 import numpy as np
 
-from repro.errors import ConfigError
-
 __all__ = ["RubisTxn", "RubisMix"]
 
 
@@ -46,14 +44,9 @@ DEFAULT_MIX: List[RubisTxn] = [
 class RubisMix:
     """Seeded sampler over the transaction mix."""
 
-    def __init__(self, rng: np.random.Generator,
-                 mix: List[RubisTxn] = None):
-        self.mix = list(DEFAULT_MIX if mix is None else mix)
-        if not self.mix:
-            raise ConfigError("empty transaction mix")
+    def __init__(self, rng: np.random.Generator):
+        self.mix = DEFAULT_MIX
         weights = np.array([t.weight for t in self.mix], dtype=np.float64)
-        if (weights <= 0).any():
-            raise ConfigError("transaction weights must be positive")
         self._p = weights / weights.sum()
         self._rng = rng
 

@@ -25,6 +25,10 @@ __all__ = ["TpccMix", "balance", "pack_balance",
            "transfer_txn", "new_order_txn"]
 
 _COUNTER_BYTES = 8
+#: a new-order touches 1..MAX_ITEMS stock keys; a transfer moves
+#: 1..MAX_AMOUNT units
+MAX_ITEMS = 3
+MAX_AMOUNT = 20
 
 
 def balance(data: bytes) -> int:
@@ -83,8 +87,7 @@ class TpccMix:
 
     def __init__(self, rng, accounts: Sequence[int],
                  districts: Sequence[int], stock: Sequence[int],
-                 p_transfer: float = 0.5, max_items: int = 3,
-                 max_amount: int = 20):
+                 p_transfer: float = 0.5):
         if len(accounts) < 2:
             raise ValueError("need at least two accounts")
         if not districts or not stock:
@@ -94,14 +97,13 @@ class TpccMix:
         self.districts = list(districts)
         self.stock = list(stock)
         self.p_transfer = p_transfer
-        self.max_items = max(1, min(max_items, len(self.stock)))
-        self.max_amount = max_amount
+        self.max_items = min(MAX_ITEMS, len(self.stock))
 
     def next_txn(self) -> Txn:
         if self.rng.random() < self.p_transfer:
             i, j = self.rng.choice(len(self.accounts), size=2,
                                    replace=False)
-            amount = int(self.rng.integers(1, self.max_amount + 1))
+            amount = int(self.rng.integers(1, MAX_AMOUNT + 1))
             return transfer_txn(self.accounts[int(i)],
                                 self.accounts[int(j)], amount)
         district = self.districts[

@@ -9,8 +9,7 @@ from repro.apps.storm import StormEngine
 
 def build(n_records=2000, use_ddss=False, n_nodes=4, seed=3):
     cluster = Cluster(n_nodes=n_nodes, seed=seed)
-    engine = StormEngine(cluster, n_records=n_records,
-                         use_ddss=use_ddss, seed=seed)
+    engine = StormEngine(cluster, n_records=n_records, use_ddss=use_ddss)
     return cluster, engine
 
 

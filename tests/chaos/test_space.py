@@ -69,8 +69,6 @@ class TestSampling:
             ChaosSpace(N, HORIZON, max_faults=0)
         with pytest.raises(ConfigError):
             ChaosSpace(N, HORIZON, kinds=("partition", "meteor"))
-        with pytest.raises(ConfigError):
-            ChaosSpace(N, HORIZON, protect=range(N)).sample(0, 0)
 
 
 class TestCompilation:

@@ -59,8 +59,9 @@ class TestStaleHomeCas:
             ddss.migrate_unit(key, new_home=1)           # rebalance races us
             yield client.install_lock(key, version)      # must fail-retry
             state["stale_after_lock"] = client.stale_retries
-            yield client.install_publish(
-                key, version, (7).to_bytes(8, "big"))
+            (ok, new), = yield from client.install_publish_all(
+                ((key, version, (7).to_bytes(8, "big")),))
+            assert (ok, new) == (True, version + 1)
             state["old_meta"] = old_meta
 
         cluster.env.run_until_event(
@@ -92,7 +93,8 @@ class TestStaleHomeCas:
             yield client.snapshot(key)                  # warm the cache
             ddss.migrate_unit(key, new_home=2)
             out["snap"] = yield client.snapshot(key)
-            out["peek"] = yield client.peek_version(key)
+            (ok, out["peek"]), = yield from client.peek_version_all((key,))
+            assert ok
 
         cluster.env.run_until_event(
             cluster.env.process(warm_then_read(cluster.env), name="r"),

@@ -241,11 +241,11 @@ class TestSlowNode:
 
 
 class TestCreditStall:
-    def stream_time(self, plan, n_msgs=12):
+    def stream_time(self, plan, n_msgs=20):
         cluster = Cluster(n_nodes=2, seed=0)
         if plan is not None:
             cluster.install_faults(plan)
-        rx = FlowReceiver(cluster.nodes[1], nbufs=4, buf_bytes=4_096)
+        rx = FlowReceiver(cluster.nodes[1])
         sender = CreditFlowSender(cluster.nodes[0], rx)
         p = cluster.env.process(sender.stream(n_msgs, 1_024))
         cluster.env.run_until_event(p, limit=1e9)
@@ -256,7 +256,7 @@ class TestCreditStall:
         stall_until = 5_000.0
         stalled = self.stream_time(
             FaultPlan().stall_credits(1, start=0.0, until=stall_until))
-        # the sender exhausts its 4 credits, then waits for the stalled
+        # the sender exhausts its 8 credits, then waits for the stalled
         # returns: completion lands after the stall window, not before
         assert base < stall_until
         assert stalled > stall_until

@@ -9,6 +9,7 @@ from repro.net import Cluster
 from repro.faults import FaultPlan
 from repro.monitor import PhiAccrualDetector
 from repro.reconfig import ReconfigManager, Service
+from repro.reconfig.manager import MIN_NODES
 
 
 def build(n=6, seed=0, plan=None):
@@ -66,7 +67,7 @@ class TestFailureAwareReconfig:
         crash_at = 5_000.0
         cluster, inj, front, backs, det = build(
             plan=FaultPlan().crash(2, at=crash_at))
-        web = Service("web", backs[:3], priority=2, min_nodes=1)
+        web = Service("web", backs[:3], priority=2)
         mgr = ReconfigManager(front, [web], detector=det)
         cluster.run(until=20_000.0)
         evicts = [e for e in mgr.evictions if e[3] == "evict"]
@@ -75,24 +76,24 @@ class TestFailureAwareReconfig:
         assert all(n.id != 2 for n in web.nodes)
 
     def test_backfill_from_lower_priority_donor(self):
-        """A service dropped below min_nodes steals a live node from the
+        """A service dropped below MIN_NODES steals a live node from the
         lowest-priority donor that can spare one."""
         cluster, inj, front, backs, det = build(
             n=7, plan=FaultPlan().crash(1, at=5_000.0))
-        web = Service("web", backs[:2], priority=5, min_nodes=2)
-        batch = Service("batch", backs[2:], priority=1, min_nodes=1)
+        web = Service("web", backs[:1], priority=5)
+        batch = Service("batch", backs[1:], priority=1)
         mgr = ReconfigManager(front, [web, batch], detector=det)
         cluster.run(until=20_000.0)
         kinds = [e[3] for e in mgr.evictions]
         assert kinds == ["evict", "backfill"]
-        assert len(web.nodes) == web.min_nodes
+        assert len(web.nodes) == MIN_NODES
         assert all(not det.is_dead(n.id) for n in web.nodes)
-        assert len(batch.nodes) >= batch.min_nodes
+        assert len(batch.nodes) >= MIN_NODES
 
     def test_restore_after_restart(self):
         cluster, inj, front, backs, det = build(
             plan=FaultPlan().crash(2, at=5_000.0, restart_at=20_000.0))
-        web = Service("web", backs[:3], priority=2, min_nodes=1)
+        web = Service("web", backs[:3], priority=2)
         mgr = ReconfigManager(front, [web], detector=det)
         cluster.run(until=40_000.0)
         assert [e[3] for e in mgr.evictions] == ["evict", "restore"]
@@ -103,7 +104,7 @@ class TestFailureAwareReconfig:
         and counted instead of raising."""
         cluster, inj, front, backs, det = build(
             plan=FaultPlan().crash(1, at=2_000.0).crash(2, at=2_000.0))
-        web = Service("web", backs[:2], priority=2, min_nodes=1)
+        web = Service("web", backs[:2], priority=2)
         mgr = ReconfigManager(front, [web], detector=det)
 
         def load(env):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.net import Cluster, NetworkParams
+from repro.net import Cluster
 from repro.ddss import DDSS, Coherence
 from repro.dlm import LockMode, NCoSEDManager
 from repro.cache import HybridCache
@@ -102,7 +102,7 @@ class TestCacheInsideDataCenter:
         """End-to-end Fig 6 shape on a small configuration."""
 
         def tps_for(scheme):
-            dc = DataCenter(n_proxies=2, n_app=2, scheme=scheme,
+            dc = DataCenter(n_proxies=2, scheme=scheme,
                             n_docs=300, doc_bytes=32 * 1024,
                             cache_bytes=1024 * 1024, n_sessions=12,
                             seed=9)
@@ -111,9 +111,9 @@ class TestCacheInsideDataCenter:
         assert tps_for("HYBCC") > 1.2 * tps_for("AC")
 
     def test_tokens_verified_through_whole_stack(self):
-        """verify_tokens=True in the proxy asserts every served byte,
-        so a clean run is an end-to-end content-correctness proof."""
-        dc = DataCenter(n_proxies=3, n_app=1, scheme="CCWR",
+        """The proxy checks every served byte against the file set, so
+        a clean run is an end-to-end content-correctness proof."""
+        dc = DataCenter(n_proxies=3, scheme="CCWR",
                         n_docs=100, doc_bytes=4096,
                         cache_bytes=128 * 1024, n_sessions=8, seed=10)
         dc.run_tps(warmup_us=20_000, measure_us=60_000)
@@ -124,7 +124,7 @@ class TestMonitorOverRealServers:
     def test_monitor_sees_datacenter_load(self):
         """An RDMA monitor attached to a data-center's app tier reports
         the load the workload actually creates."""
-        dc = DataCenter(n_proxies=2, n_app=2, scheme="AC",
+        dc = DataCenter(n_proxies=2, scheme="AC",
                         n_docs=500, doc_bytes=16 * 1024,
                         cache_bytes=64 * 1024, n_sessions=16, seed=12)
         stats = {n.id: KernelStats(n) for n in dc.app_nodes}
@@ -142,28 +142,3 @@ class TestMonitorOverRealServers:
         dc.env.run_until_event(p)
         # AC at this working set misses a lot: the app tier must be busy
         assert sum(seen.values()) > 0
-
-
-class TestTransportSubstitution:
-    def test_datacenter_runs_on_10gige(self):
-        """The whole stack also runs over the 10GigE parameter set
-        (the paper's second platform)."""
-        dc = DataCenter(n_proxies=2, n_app=1, scheme="BCC",
-                        n_docs=60, doc_bytes=4096,
-                        cache_bytes=64 * 1024, n_sessions=6,
-                        params=NetworkParams.infiniband().with_(
-                            name="ib-fast", bandwidth_bpus=1800.0),
-                        seed=13)
-        assert dc.run_tps(warmup_us=10_000, measure_us=40_000) > 0
-
-    def test_faster_network_helps_cooperative_caching(self):
-        def tps(bw):
-            dc = DataCenter(n_proxies=2, n_app=1, scheme="CCWR",
-                            n_docs=200, doc_bytes=32 * 1024,
-                            cache_bytes=2 * 1024 * 1024, n_sessions=10,
-                            params=NetworkParams.infiniband().with_(
-                                bandwidth_bpus=bw),
-                            seed=14)
-            return dc.run_tps(warmup_us=20_000, measure_us=80_000)
-
-        assert tps(1800.0) > tps(200.0)

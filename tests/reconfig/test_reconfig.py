@@ -6,6 +6,7 @@ from repro.errors import ConfigError
 from repro.net import Cluster
 from repro.monitor import KernelStats, RdmaSyncMonitor
 from repro.reconfig import ReconfigManager, Service, burst_recovery_time
+from repro.reconfig.manager import COOLDOWN_US, MIN_NODES, SENSITIVITY
 
 
 def build(n_nodes=4, seed=0):
@@ -45,23 +46,17 @@ class TestService:
         with pytest.raises(ConfigError):
             Service("x", [])
 
-    def test_bad_min_nodes(self):
-        cluster, front, pool = build()
-        with pytest.raises(ConfigError):
-            Service("x", pool[:1], min_nodes=5)
 
 
 class TestManager:
-    def build_manager(self, sensitivity=2.0, cooldown_us=5_000.0):
+    def build_manager(self):
         cluster, front, pool = build(n_nodes=4)
         svc_a = Service("A", pool[:2])
         svc_b = Service("B", pool[2:])
         stats = {n.id: KernelStats(n) for n in pool}
         monitor = RdmaSyncMonitor(front, stats)
         manager = ReconfigManager(front, [svc_a, svc_b], monitor=monitor,
-                                  check_every_us=1_000.0,
-                                  sensitivity=sensitivity,
-                                  cooldown_us=cooldown_us)
+                                  check_every_us=1_000.0)
         return cluster, manager, svc_a, svc_b
 
     def test_migrates_toward_loaded_service(self):
@@ -88,33 +83,35 @@ class TestManager:
         for _ in range(500):
             svc_a.submit(5_000.0)
         cluster.env.run(until=300_000)
-        assert len(svc_b.nodes) >= svc_b.min_nodes
+        assert len(svc_b.nodes) >= MIN_NODES
 
     def test_cooldown_limits_thrash(self):
-        cluster, manager, svc_a, svc_b = self.build_manager(
-            cooldown_us=1e9)  # effectively one move per node ever
+        """A node moved less than COOLDOWN_US ago stays put, however
+        hungry the other service is."""
+        cluster, manager, svc_a, svc_b = self.build_manager()
+        for node in svc_b.nodes:   # every donor node just moved
+            manager._last_moved[node.id] = 0.0
         manager.start()
         for _ in range(300):
             svc_a.submit(3_000.0)
-        cluster.env.run(until=200_000)
-        moved = [nid for _t, nid, _f, _to in manager.migrations]
-        assert len(moved) == len(set(moved))  # no node moved twice
+        cluster.env.run(until=COOLDOWN_US - 1.0)
+        assert manager.migrations == []
+        cluster.env.run(until=COOLDOWN_US + 5_000.0)
+        assert manager.migrations
+        assert manager.migrations[0][0] >= COOLDOWN_US
 
     def test_sensitivity_gate(self):
-        """With huge sensitivity nothing ever migrates."""
-        cluster, manager, svc_a, svc_b = self.build_manager(
-            sensitivity=1e6)
+        """A service under less than SENSITIVITY times the donor's
+        pressure takes no node."""
+        cluster, manager, svc_a, svc_b = self.build_manager()
         manager.start()
-        for _ in range(100):
-            svc_a.submit(2_000.0)
+        for _ in range(6):   # 3 long jobs per node of A ...
+            svc_a.submit(200_000.0)
+        for _ in range(4):   # ... 2 per node of B: pressure 3.5 vs 2.5
+            svc_b.submit(200_000.0)
         cluster.env.run(until=100_000)
+        assert 3.5 / 2.5 < SENSITIVITY
         assert manager.migrations == []
-
-    def test_bad_sensitivity_rejected(self):
-        cluster, front, pool = build()
-        svc = Service("A", pool[:1])
-        with pytest.raises(ConfigError):
-            ReconfigManager(front, [svc], sensitivity=0.5)
 
     def test_double_start_rejected(self):
         cluster, manager, *_ = self.build_manager()
@@ -130,8 +127,7 @@ class TestManager:
         stats = {n.id: KernelStats(n) for n in pool}
         monitor = RdmaSyncMonitor(front, stats)
         manager = ReconfigManager(front, [hot, mid, low], monitor=monitor,
-                                  check_every_us=1_000.0,
-                                  sensitivity=2.0, cooldown_us=5_000.0)
+                                  check_every_us=1_000.0)
         manager.start()
         for _ in range(300):
             hot.submit(3_000.0)

@@ -5,8 +5,9 @@ agenda calls: every job-set change runs ``_advance`` then
 ``_reschedule``, and a wake-up is an ``env.timeout`` with a closure
 callback.  The product class must reproduce it float for float and
 agenda slot for agenda slot (``tests/sim/test_cpu_twin.py``).  Only the
-class name and the job handle differ from the original (the job is its
-own completion event, as in the product); do not optimise this file.
+class name, the job handle (the job is its own completion event, as in
+the product) and the default core count (the product's fixed
+``CORES``) differ from the original; do not optimise this file.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import math
 from typing import Dict
 
 from repro.sim.core import Environment, Event, SimulationError
+from repro.sim.cpu import CORES
 
 __all__ = ["ReferenceCPU", "CPUJob"]
 
@@ -48,7 +50,8 @@ class CPUJob(Event):
 class ReferenceCPU:
     """Multi-core egalitarian processor-sharing queue."""
 
-    def __init__(self, env: Environment, cores: int = 1, name: str = "cpu"):
+    def __init__(self, env: Environment, cores: int = CORES,
+                 name: str = "cpu"):
         if cores <= 0:
             raise SimulationError("CPU needs at least one core")
         self.env = env

@@ -1,8 +1,13 @@
-"""Unit tests for the processor-sharing CPU model."""
+"""Unit tests for the processor-sharing CPU model.
+
+Every simulated CPU has :data:`repro.sim.cpu.CORES` (two) cores, so a
+pair of equal jobs runs as one job would on a single core.
+"""
 
 import pytest
 
 from repro.sim import CPU, Environment, SimulationError
+from repro.sim.cpu import CORES
 
 
 def finish_time(env, cpu, work):
@@ -13,25 +18,26 @@ def finish_time(env, cpu, work):
 
 def test_single_job_runs_at_full_speed():
     env = Environment()
-    cpu = CPU(env, cores=1)
+    cpu = CPU(env)
     assert finish_time(env, cpu, 100.0) == pytest.approx(100.0)
 
 
 def test_two_jobs_share_one_core():
     env = Environment()
-    cpu = CPU(env, cores=1)
+    cpu = CPU(env)
+    cpu.set_background(1)  # one core taken: the two jobs share the other
     e1 = cpu.run(100.0)
     e2 = cpu.run(100.0)
-    env.run()
-    # Equal jobs on one core each take 200us under PS.
-    assert env.now == pytest.approx(200.0)
+    env.run_until_event(env.all_of([e1, e2]))
+    # three competitors on two cores: rate 2/3 each
+    assert env.now == pytest.approx(150.0)
     assert e1.triggered and e2.triggered
 
 
 def test_jobs_fit_in_cores_run_unimpeded():
     env = Environment()
-    cpu = CPU(env, cores=4)
-    for _ in range(4):
+    cpu = CPU(env)
+    for _ in range(CORES):
         cpu.run(50.0)
     env.run()
     assert env.now == pytest.approx(50.0)
@@ -39,14 +45,14 @@ def test_jobs_fit_in_cores_run_unimpeded():
 
 def test_short_job_finishes_first_then_long_speeds_up():
     env = Environment()
-    cpu = CPU(env, cores=1)
-    long = cpu.run(100.0)
-    short = cpu.run(10.0)
+    cpu = CPU(env)
+    long = [cpu.run(100.0) for _ in range(2)]
+    short = [cpu.run(10.0) for _ in range(2)]
     times = {}
-    long.add_callback(lambda e: times.setdefault("long", env.now))
-    short.add_callback(lambda e: times.setdefault("short", env.now))
+    long[0].add_callback(lambda e: times.setdefault("long", env.now))
+    short[0].add_callback(lambda e: times.setdefault("short", env.now))
     env.run()
-    # Short: 10us demand at rate 1/2 -> done at t=20.
+    # Short: 10us demand at rate 1/2 (four jobs, two cores) -> t=20.
     # Long: served 10us by t=20, remaining 90 at full rate -> t=110.
     assert times["short"] == pytest.approx(20.0)
     assert times["long"] == pytest.approx(110.0)
@@ -54,35 +60,35 @@ def test_short_job_finishes_first_then_long_speeds_up():
 
 def test_late_arrival_slows_existing_job():
     env = Environment()
-    cpu = CPU(env, cores=1)
+    cpu = CPU(env)
 
     def late(env):
         yield env.timeout(50.0)
-        yield cpu.run(100.0)
+        yield env.all_of([cpu.run(100.0) for _ in range(2)])
         return env.now
 
-    first = cpu.run(100.0)
+    first = [cpu.run(100.0) for _ in range(2)]
     times = {}
-    first.add_callback(lambda e: times.setdefault("first", env.now))
+    first[0].add_callback(lambda e: times.setdefault("first", env.now))
     p = env.process(late(env))
     env.run()
-    # First runs alone 50us (50 remaining), then shares: +100us -> t=150.
+    # First pair runs alone 50us (50 remaining), then shares: +100us.
     assert times["first"] == pytest.approx(150.0)
-    # Latecomer: by t=150 it has received 50us, then runs alone 50 -> t=200.
+    # Latecomers: by t=150 they have received 50us, then alone 50 more.
     assert p.value == pytest.approx(200.0)
 
 
 def test_background_load_slows_jobs():
     env = Environment()
-    cpu = CPU(env, cores=1)
-    cpu.set_background(9)
-    # Job gets 1/10th of the core.
+    cpu = CPU(env)
+    cpu.set_background(19)
+    # 20 competitors on two cores: the job gets 1/10th of a core.
     assert finish_time(env, cpu, 10.0) == pytest.approx(100.0)
 
 
 def test_background_load_on_multicore():
     env = Environment()
-    cpu = CPU(env, cores=2)
+    cpu = CPU(env)
     cpu.set_background(3)
     # 4 competitors on 2 cores -> rate 1/2.
     assert finish_time(env, cpu, 10.0) == pytest.approx(20.0)
@@ -90,7 +96,7 @@ def test_background_load_on_multicore():
 
 def test_zero_work_completes_immediately():
     env = Environment()
-    cpu = CPU(env, cores=1)
+    cpu = CPU(env)
     ev = cpu.run(0.0)
     env.run()
     assert ev.triggered
@@ -99,30 +105,31 @@ def test_zero_work_completes_immediately():
 
 def test_negative_work_rejected():
     env = Environment()
-    cpu = CPU(env, cores=1)
+    cpu = CPU(env)
     with pytest.raises(SimulationError):
         cpu.run(-1.0)
 
 
 @pytest.mark.parametrize("work", [float("nan"), float("inf"), -1.0,
                                   float("-inf")])
-@pytest.mark.parametrize("background", [0, 1], ids=["run", "run-busy"])
+@pytest.mark.parametrize("background", [0, 3], ids=["run", "run-busy"])
 def test_bad_work_refused_before_any_state_change(background, work):
     """A refused job leaves no trace on an idle or a busy CPU: the CPU
     neither keeps it nor raises again for the jobs that follow."""
     env = Environment()
-    cpu = CPU(env, cores=1)
+    cpu = CPU(env)
     cpu.set_background(background)
     with pytest.raises(SimulationError, match="'bad'"):
         cpu.run(work, name="bad")
     assert cpu.active_jobs == background
-    assert finish_time(env, cpu, 5.0) == 5.0 * (1 + background)
+    assert finish_time(env, cpu, 5.0) == 5.0 * max(1, (1 + background)
+                                                   / CORES)
     assert cpu.active_jobs == background
 
 
 def test_active_jobs_and_load():
     env = Environment()
-    cpu = CPU(env, cores=2)
+    cpu = CPU(env)
     assert cpu.active_jobs == 0
     cpu.run(100.0)
     cpu.set_background(3)
@@ -132,25 +139,26 @@ def test_active_jobs_and_load():
 
 def test_cancel_job():
     env = Environment()
-    cpu = CPU(env, cores=1)
+    cpu = CPU(env)
     job = cpu.run(100.0)
-    other = cpu.run(100.0)
+    others = [cpu.run(100.0) for _ in range(2)]
     failures = []
     job.add_callback(lambda e: failures.append(e.ok))
     job.cancel()
     done_at = {}
-    other.add_callback(lambda e: done_at.setdefault("t", env.now))
+    others[0].add_callback(lambda e: done_at.setdefault("t", env.now))
     env.run()
     assert failures == [False]
-    # Other job now runs alone and must finish at t=100 (a stale wake-up
-    # timer may keep the agenda alive past that; only completion matters).
-    assert other.triggered
+    # The other two now run alone, one per core, and must finish at
+    # t=100 (a stale wake-up timer may keep the agenda alive past that;
+    # only completion matters).
+    assert all(o.triggered for o in others)
     assert done_at["t"] == pytest.approx(100.0)
 
 
 def test_utilization_accounting():
     env = Environment()
-    cpu = CPU(env, cores=2)
+    cpu = CPU(env)
     cpu.run(100.0)  # one job on two cores: 50% busy
     env.run()
     assert cpu.utilization() == pytest.approx(0.5)
@@ -158,17 +166,11 @@ def test_utilization_accounting():
 
 def test_work_conservation_many_equal_jobs():
     env = Environment()
-    cpu = CPU(env, cores=1)
-    n = 8
+    cpu = CPU(env)
+    n = 16
     for _ in range(n):
         cpu.run(25.0)
     env.run()
-    # Total demand 200us on one core -> makespan exactly 200us.
+    # Total demand 400us on two cores -> makespan exactly 200us.
     assert env.now == pytest.approx(200.0)
     assert cpu.utilization() == pytest.approx(1.0)
-
-
-def test_bad_core_count():
-    env = Environment()
-    with pytest.raises(SimulationError):
-        CPU(env, cores=0)

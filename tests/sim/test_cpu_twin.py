@@ -36,8 +36,8 @@ def _work(rng):
 
 
 def _schedule(seed, n_ops=300):
-    """``(cores, [(gap_us, op, arg)])``; a zero gap stacks operations at
-    one instant."""
+    """``[(gap_us, op, arg)]``; a zero gap stacks operations at one
+    instant."""
     rng = random.Random(seed)
     ops = []
     for _ in range(n_ops):
@@ -52,13 +52,13 @@ def _schedule(seed, n_ops=300):
             ops.append((gap, "cancel", rng.randrange(1 << 30)))
         else:
             ops.append((gap, "utilization", None))
-    return rng.randint(1, 4), ops
+    return ops
 
 
-def _replay(cls, kernel, cores, ops):
+def _replay(cls, kernel, ops):
     with pin_kernel(kernel):
         env = Environment()
-    cpu = cls(env, cores=cores)
+    cpu = cls(env)
     jobs, done, seq_deltas, utils = [], [], [], []
 
     def play():
@@ -91,9 +91,9 @@ def _replay(cls, kernel, cores, ops):
 @pytest.mark.parametrize("kernel", KERNELS)
 @pytest.mark.parametrize("seed", range(6))
 def test_random_schedules_match_the_reference(seed, kernel):
-    cores, ops = _schedule(seed)
-    ref = _replay(ReferenceCPU, kernel, cores, ops)
-    new = _replay(CPU, kernel, cores, ops)
+    ops = _schedule(seed)
+    ref = _replay(ReferenceCPU, kernel, ops)
+    new = _replay(CPU, kernel, ops)
     assert len(ref["done"]) == ref["jobs"] > 150
     assert new == ref
 
@@ -104,7 +104,7 @@ def test_lone_job_costs_two_agenda_entries(cls, kernel):
     """The wake-up and the completion event, nothing else."""
     with pin_kernel(kernel):
         env = Environment()
-    cpu = cls(env, cores=2)
+    cpu = cls(env)
     before = env._seq
     ev = cpu.run(5.0)
     env.run()

@@ -75,43 +75,23 @@ class TestStore:
         env.run()
         assert arrivals == [(0, "a"), (1, "b"), (2, "c")]
 
-    def test_capacity_backpressure(self):
-        env = Environment()
-        store = Store(env, capacity=1)
-        log = []
-
-        def producer(env):
-            yield store.put("first")
-            log.append(("put-first", env.now))
-            yield store.put("second")  # must wait for consumer
-            log.append(("put-second", env.now))
-
-        def consumer(env):
-            yield env.timeout(5.0)
-            item = yield store.get()
-            log.append(("got", item, env.now))
-
-        env.process(producer(env))
-        env.process(consumer(env))
-        env.run()
-        assert ("put-first", 0.0) in log
-        assert ("got", "first", 5.0) in log
-        assert ("put-second", 5.0) in log
-
     def test_try_put_try_get(self):
         env = Environment()
-        store = Store(env, capacity=1)
-        assert store.try_put("a") is True
-        assert store.try_put("b") is False
-        ok, item = store.try_get()
-        assert (ok, item) == (True, "a")
+        store = Store(env)
+        store.try_put("a")
+        store.try_put("b")
+        assert store.try_get() == (True, "a")
+        assert store.try_get() == (True, "b")
         ok, item = store.try_get()
         assert ok is False
 
-    def test_zero_capacity_rejected(self):
+    def test_try_put_hands_to_waiting_getter(self):
         env = Environment()
-        with pytest.raises(SimulationError):
-            Store(env, capacity=0)
+        store = Store(env)
+        got = store.get()
+        store.try_put("x")
+        assert got.triggered and got.value == "x"
+        assert store.try_get() == (False, None)
 
 
 class TestResource:
@@ -196,7 +176,8 @@ class TestGate:
 
     def test_wait_on_open_gate_is_immediate(self):
         env = Environment()
-        gate = Gate(env, is_open=True)
+        gate = Gate(env)
+        gate.open()
 
         def waiter(env):
             yield gate.wait()
@@ -208,7 +189,8 @@ class TestGate:
 
     def test_close_reblocks(self):
         env = Environment()
-        gate = Gate(env, is_open=True)
+        gate = Gate(env)
+        gate.open()
         gate.close()
         ev = gate.wait()
         assert not ev.triggered

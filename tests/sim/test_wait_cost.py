@@ -37,7 +37,7 @@ def _timeouts(env, n):
 
 def _cpu_jobs(background):
     def make(env, n):
-        cpu = CPU(env, cores=1)
+        cpu = CPU(env)
         cpu.set_background(background)
 
         def body():

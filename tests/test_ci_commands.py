@@ -80,21 +80,26 @@ def test_tier1_step_fails_on_leaked_resources():
 
 def test_perf_job_measures_its_own_baseline():
     """One perf signal: ``run.py`` at a pinned seed on the merge base
-    and on HEAD, ``compare.py`` between the two; nothing reads a
-    committed baseline, and only the HEAD run can fail the job."""
+    and on HEAD, twice, the second pair in the opposite order, and
+    ``compare.py`` within each pair; nothing reads a committed baseline,
+    and only the HEAD runs can fail the job."""
     text = CI.read_text(encoding="utf-8")
     assert "BENCH_" not in text
     blocks = [" ".join(b.replace("\\\n", " ").split())
               for b in run_blocks(text) if "benchmarks/perf/" in b]
     runs = [b for b in blocks if "perf/run.py" in b]
-    assert len(runs) == 2
+    assert len(runs) == 4
     assert all("--seed 7 --seconds 1" in b for b in runs)
-    base, head = sorted(runs, key=lambda b: "perf-base" not in b)
-    assert "../perf-base-src/" in base and "||" in base
-    assert head == ("python3 benchmarks/perf/run.py --seed 7 --seconds 1 "
-                    "--out perf-head")
+    sides = ["base" if "perf-base" in b else "head" for b in runs]
+    assert sides == ["base", "head", "head", "base"]
+    assert all("../perf-base-src/" in b and "||" in b
+               for b, side in zip(runs, sides) if side == "base")
+    assert [b for b, side in zip(runs, sides) if side == "head"] == [
+        f"python3 benchmarks/perf/run.py --seed 7 --seconds 1 --out {out}"
+        for out in ("perf-head", "perf-head-2")]
     (compare,) = [b for b in blocks if "perf/compare.py" in b]
     assert "perf-base/result.json perf-head/result.json" in compare
+    assert "perf-base-2/result.json perf-head-2/result.json" in compare
 
 
 def test_figures_job_gates_the_committed_results():

@@ -15,8 +15,8 @@ from repro.shard import ShardMap, ShardRing, ShardedDDSS, \
 
 class TestShardRing:
     def test_same_seed_same_ring(self):
-        a = ShardRing([1, 2, 3, 4], seed=7, vnodes=8)
-        b = ShardRing([4, 3, 2, 1], seed=7, vnodes=8)
+        a = ShardRing([1, 2, 3, 4], seed=7)
+        b = ShardRing([4, 3, 2, 1], seed=7)
         assert a.to_json() == b.to_json()
         assert all(a.owner(k) == b.owner(k) for k in range(200))
 
@@ -26,11 +26,11 @@ class TestShardRing:
         assert any(a.owner(k) != b.owner(k) for k in range(200))
 
     def test_cross_process_determinism(self):
-        """The ring is a pure function of (members, seed, vnodes) with
-        no dependence on process state like hash randomization."""
+        """The ring is a pure function of (members, seed) with no
+        dependence on process state like hash randomization."""
         prog = ("from repro.shard import ShardRing; import json; "
-                "print(json.dumps(ShardRing([3, 9, 27, 81], seed=42, "
-                "vnodes=16).to_json(), sort_keys=True))")
+                "print(json.dumps(ShardRing([3, 9, 27, 81], seed=42)"
+                ".to_json(), sort_keys=True))")
         env = dict(os.environ)
         docs = set()
         for htseed in ("0", "1", "random"):
@@ -40,13 +40,12 @@ class TestShardRing:
                                  env=env, check=True)
             docs.add(out.stdout.strip())
         assert len(docs) == 1
-        local = json.dumps(ShardRing([3, 9, 27, 81], seed=42,
-                                     vnodes=16).to_json(),
+        local = json.dumps(ShardRing([3, 9, 27, 81], seed=42).to_json(),
                            sort_keys=True)
         assert docs == {local}
 
     def test_remove_moves_only_the_removed_members_keys(self):
-        ring = ShardRing([0, 1, 2, 3, 4], seed=1, vnodes=16)
+        ring = ShardRing([0, 1, 2, 3, 4], seed=1)
         before = {k: ring.owner(k) for k in range(300)}
         ring.remove(2)
         moved = [k for k in range(300) if ring.owner(k) != before[k]]
@@ -56,8 +55,6 @@ class TestShardRing:
     def test_config_errors(self):
         with pytest.raises(ConfigError):
             ShardRing([], seed=0)
-        with pytest.raises(ConfigError):
-            ShardRing([1], seed=0, vnodes=0)
         ring = ShardRing([1, 2], seed=0)
         with pytest.raises(ConfigError):
             ring.add(1)  # duplicate

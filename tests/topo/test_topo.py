@@ -22,9 +22,6 @@ class TestConstruction:
             TopoCluster(racks=2, hosts_per_rack=2, oversub=0.5)
         with pytest.raises(ConfigError):
             TopoCluster(racks=2, hosts_per_rack=2, spines=0)
-        with pytest.raises(ConfigError):
-            TopoCluster(racks=2, hosts_per_rack=2,
-                        spine_latency_us=-1.0)
 
     def test_rack_major_node_layout(self):
         cl = TopoCluster(racks=3, hosts_per_rack=4)

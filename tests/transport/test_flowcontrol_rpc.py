@@ -10,6 +10,7 @@ from repro.transport import (
     PacketizedFlowSender,
     rpc,
 )
+from repro.transport.flowcontrol import BUF_BYTES
 
 
 @pytest.fixture
@@ -18,8 +19,8 @@ def cluster():
 
 
 class TestFlowControl:
-    def run_stream(self, cluster, sender_cls, n, size, nbufs=16):
-        rx = FlowReceiver(cluster.nodes[1], nbufs=nbufs, buf_bytes=8192)
+    def run_stream(self, cluster, sender_cls, n, size):
+        rx = FlowReceiver(cluster.nodes[1])
         tx = sender_cls(cluster.nodes[0], rx)
         p = cluster.env.process(tx.stream(n, size))
         cluster.env.run_until_event(p)
@@ -41,7 +42,7 @@ class TestFlowControl:
         results = {}
         for cls in (CreditFlowSender, PacketizedFlowSender):
             c = Cluster(n_nodes=2, params=NetworkParams.infiniband(), seed=0)
-            rx = FlowReceiver(c.nodes[1], nbufs=8, buf_bytes=8192)
+            rx = FlowReceiver(c.nodes[1])
             tx = cls(c.nodes[0], rx)
             p = c.env.process(tx.stream(400, 64))
             c.env.run_until_event(p)
@@ -55,7 +56,7 @@ class TestFlowControl:
         results = {}
         for cls in (CreditFlowSender, PacketizedFlowSender):
             c = Cluster(n_nodes=2, params=NetworkParams.infiniband(), seed=0)
-            rx = FlowReceiver(c.nodes[1], nbufs=8, buf_bytes=8192)
+            rx = FlowReceiver(c.nodes[1])
             tx = cls(c.nodes[0], rx)
             p = c.env.process(tx.stream(100, 8192))
             c.env.run_until_event(p)
@@ -65,15 +66,11 @@ class TestFlowControl:
         assert 0.5 < ratio < 2.0
 
     def test_message_larger_than_buffer_rejected(self, cluster):
-        rx = FlowReceiver(cluster.nodes[1], nbufs=4, buf_bytes=1024)
+        rx = FlowReceiver(cluster.nodes[1])
         tx = CreditFlowSender(cluster.nodes[0], rx)
-        gen = tx.stream(1, 2048)
+        gen = tx.stream(1, BUF_BYTES + 1)
         with pytest.raises(ConfigError):
             cluster.env.run_until_event(cluster.env.process(gen))
-
-    def test_bad_receiver_config(self, cluster):
-        with pytest.raises(ConfigError):
-            FlowReceiver(cluster.nodes[1], nbufs=0)
 
 
 def _doubler(_node, request):

@@ -34,7 +34,7 @@ def cluster():
 def test_two_streams_one_receiver(cluster, sender_cls):
     """A reused receiver must not satisfy the second stream early."""
     env = cluster.env
-    rx = FlowReceiver(cluster.nodes[1], nbufs=8, buf_bytes=8192)
+    rx = FlowReceiver(cluster.nodes[1])
     tx = sender_cls(cluster.nodes[0], rx)
 
     results = []
@@ -65,7 +65,7 @@ def test_two_streams_one_receiver(cluster, sender_cls):
 def test_elapsed_not_quantized(cluster, sender_cls):
     """Completion lands on the drain instant, not a 10 µs poll tick."""
     env = cluster.env
-    rx = FlowReceiver(cluster.nodes[1], nbufs=8, buf_bytes=8192)
+    rx = FlowReceiver(cluster.nodes[1])
     tx = sender_cls(cluster.nodes[0], rx)
     p = env.process(tx.stream(7, 64))
     env.run_until_event(p)
@@ -80,7 +80,7 @@ def test_elapsed_not_quantized(cluster, sender_cls):
 def test_concurrent_streams_two_senders(cluster, sender_cls):
     """Two senders sharing one receiver each wait for their own drain."""
     env = cluster.env
-    rx = FlowReceiver(cluster.nodes[1], nbufs=8, buf_bytes=8192)
+    rx = FlowReceiver(cluster.nodes[1])
     tx_a = sender_cls(cluster.nodes[0], rx)
     tx_b = sender_cls(cluster.nodes[0], rx)
     pa = env.process(tx_a.stream(30, 128))

@@ -215,7 +215,9 @@ class TestTxnApi:
             yield store.install_lock(keys[0], version)
             held["v"] = version
             yield env.timeout(500.0)  # long enough to defeat attempt 1
-            yield store.install_abort(keys[0], version)
+            (ok, err), = yield from store.install_abort_all(
+                ((keys[0], version),))
+            assert ok, err
 
         cluster.env.process(hold_then_release(cluster.env), name="hold")
         ev = client.run(transfer_txn(keys[0], keys[1], 1))

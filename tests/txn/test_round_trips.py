@@ -34,9 +34,6 @@ def _rig(k, variant="occ", observe=True):
     store = ddss.client(cluster.nodes[0])
     if variant == "2pl":
         locks = NCoSEDManager(cluster, n_locks=k).client(cluster.nodes[0])
-        client = TwoPLTxnClient(store, locks)
-    else:
-        client = OCCTxnClient(store)
     keys = []
 
     def setup(env):
@@ -45,10 +42,13 @@ def _rig(k, variant="occ", observe=True):
                                        placement=i + 1)
             keys.append(key)
             yield OCCTxnClient(store).init(key, bytes(32))
-            if variant == "2pl":
-                client.map_lock(key, i)
 
     cluster.env.run_until_event(cluster.env.process(setup(cluster.env)))
+    if variant == "2pl":
+        client = TwoPLTxnClient(
+            store, locks, lock_of={key: i for i, key in enumerate(keys)})
+    else:
+        client = OCCTxnClient(store)
     return cluster, obs, store, client, keys
 
 

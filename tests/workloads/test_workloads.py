@@ -134,10 +134,6 @@ class TestRubis:
         share = names.count("view-item") / len(names)
         assert share == pytest.approx(0.28, abs=0.03)
 
-    def test_empty_mix_rejected(self):
-        with pytest.raises(ConfigError):
-            RubisMix(np.random.default_rng(0), mix=[])
-
 
 class TestThreadChurn:
     def test_walk_stays_in_bounds(self):
