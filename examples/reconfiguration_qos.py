@@ -65,8 +65,7 @@ def granularity_comparison():
             ("coarse socket, 25ms", "socket-async", 25_000.0),
             ("fine RDMA, 1ms", "rdma-sync", 1_000.0)):
         r = burst_recovery_time(monitor_scheme=scheme,
-                                check_every_us=period,
-                                burst_requests=600, seed=0)
+                                check_every_us=period)
         detect = r["detection_us"]
         table.add(name, "missed" if detect is None else round(detect),
                   round(r["recovery_us"]))

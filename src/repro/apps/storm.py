@@ -22,7 +22,6 @@ evaluation.
 
 from __future__ import annotations
 
-import itertools
 from typing import Dict, Tuple
 
 import numpy as np
@@ -48,7 +47,6 @@ RESULT_BYTES = 64
 #: dataset)
 RECORD_SEED = 3
 
-_query_ids = itertools.count(1)
 
 
 class StormEngine:
@@ -127,7 +125,7 @@ class StormEngine:
                 }, size=RESULT_BYTES, tag=("storm-r", body["q"], node.id))
 
     def _run_traditional(self, lo: int, hi: int):
-        qid = next(_query_ids)
+        qid = self.env.next_id("storm-query")
         coord = self.coordinator
         # phase 1: metadata exchange with every storage node
         for node in self.storage:
@@ -211,7 +209,7 @@ class StormEngine:
     def _run_ddss(self, lo: int, hi: int):
         yield self._setup_done
         cc = self._coord_client
-        qid = next(_query_ids)
+        qid = self.env.next_id("storm-query")
         done_meta = yield cc.lookup(self._state["done"])
         done_region_before = yield cc.get_version(self._state["done"])
         yield cc.put(self._state["query"],

@@ -19,7 +19,7 @@ from repro.ddss import DDSS, Coherence
 from repro.dlm import (DESIGNS, DQNLManager, LockMode, NCoSEDManager,
                        SRSLManager, cascade_latency)
 from repro.dlm.ft import EpochFencedManager
-from repro.dlm.tournament import lock_tournament
+from repro.dlm.tournament import ROUNDS, lock_tournament
 from repro.monitor.experiments import accuracy_trace, lb_throughput
 from repro.net import Cluster, NetworkParams
 from repro.reconfig import burst_recovery_time
@@ -46,9 +46,11 @@ class Figure(NamedTuple):
 
 DDSS_MODELS = [Coherence.NULL, Coherence.READ, Coherence.WRITE,
                Coherence.STRICT, Coherence.VERSION, Coherence.DELTA]
+#: puts per cell; the cell is their mean latency
+PUT_ITERS = 20
 
 
-def _put_latency(model: Coherence, size: int, iters: int = 20) -> float:
+def _put_latency(model: Coherence, size: int) -> float:
     cluster = Cluster(n_nodes=4, seed=1)
     ddss = DDSS(cluster, segment_bytes=256 * 1024)
     client = ddss.client(cluster.nodes[1])
@@ -59,9 +61,9 @@ def _put_latency(model: Coherence, size: int, iters: int = 20) -> float:
         key = yield client.allocate(size + 8, coherence=model,
                                     placement=3)
         t0 = env.now
-        for _ in range(iters):
+        for _ in range(PUT_ITERS):
             yield client.put(key, payload)
-        return (env.now - t0) / iters
+        return (env.now - t0) / PUT_ITERS
 
     p = cluster.env.process(app(cluster.env))
     cluster.env.run_until_event(p)
@@ -88,15 +90,19 @@ def check_fig3a(table):
 
 # -- Fig 3b: STORM query time, traditional vs DDSS-backed
 
-def _query_time(n_records: int, use_ddss: bool, n_queries: int = 8) -> float:
+#: queries per cell; the cell is their mean time
+N_QUERIES = 8
+
+
+def _query_time(n_records: int, use_ddss: bool) -> float:
     cluster = Cluster(n_nodes=5, seed=3)
     engine = StormEngine(cluster, n_records=n_records, use_ddss=use_ddss)
 
     def workload(env):
         t0 = env.now
-        for q in range(n_queries):
+        for q in range(N_QUERIES):
             yield engine.run_query(0, 2_000 + 700 * q)
-        return (env.now - t0) / n_queries
+        return (env.now - t0) / N_QUERIES
 
     p = cluster.env.process(workload(cluster.env))
     cluster.env.run_until_event(p, limit=1e10)
@@ -136,8 +142,8 @@ def build_fig5():
             ["waiters", "SRSL", "DQNL", "N-CoSED"],
             paper_ref=f"{ref}: cascade from one release to last grant")
         for n in (1, 2, 4, 8, 16):
-            table.add(n, *(round(cascade_latency(cls, n, mode,
-                                                 seed=0)["cascade_us"], 1)
+            table.add(n, *(round(cascade_latency(cls, n, mode)
+                                 ["cascade_us"], 1)
                            for cls in (SRSLManager, DQNLManager,
                                        NCoSEDManager)))
         tables.append(table)
@@ -209,8 +215,7 @@ def build_fig8a():
         paper_ref="Fig 8a: RDMA schemes show little or no deviation")
     for scheme in ("socket-async", "socket-sync", "rdma-async",
                    "rdma-sync"):
-        r = accuracy_trace(scheme, duration_us=400_000.0,
-                           sample_every_us=2_000.0, seed=0)
+        r = accuracy_trace(scheme, duration_us=400_000.0, seed=0)
         table.add(scheme, round(r.mean_abs_deviation, 2),
                   r.max_deviation, len(r.samples))
     return [table]
@@ -260,8 +265,13 @@ SDP_ENDPOINTS = [("BSDP", BufferedSdpEndpoint),
                  ("AZ-SDP", AzSdpEndpoint)]
 
 
-def _stream_bandwidth(endpoint_cls, size: int, n_msgs: int = 40) -> float:
-    """Achieved MB/s for ``n_msgs`` back-to-back messages of ``size``."""
+#: back-to-back messages a stream cell sends
+N_MSGS = 40
+
+
+def _stream_bandwidth(endpoint_cls, size: int) -> float:
+    """Achieved MB/s for :data:`N_MSGS` back-to-back messages of
+    ``size``."""
     cluster = Cluster(n_nodes=2, params=NetworkParams.infiniband(), seed=0)
     server = endpoint_cls(cluster.nodes[0])
     client = endpoint_cls(cluster.nodes[1])
@@ -270,14 +280,14 @@ def _stream_bandwidth(endpoint_cls, size: int, n_msgs: int = 40) -> float:
 
     def rx(env):
         conn = yield listener.accept()
-        for _ in range(n_msgs):
+        for _ in range(N_MSGS):
             yield conn.recv()
         done["t_end"] = env.now
 
     def tx(env):
         conn = yield client.connect(0, port=1)
         done["t0"] = env.now
-        for i in range(n_msgs):
+        for i in range(N_MSGS):
             if endpoint_cls is AzSdpEndpoint:
                 yield conn.send(i, size=size, buf=f"b{i % 16}")
             else:
@@ -286,7 +296,7 @@ def _stream_bandwidth(endpoint_cls, size: int, n_msgs: int = 40) -> float:
     cluster.env.process(rx(cluster.env))
     cluster.env.process(tx(cluster.env))
     cluster.env.run()
-    return n_msgs * size / (done["t_end"] - done["t0"])  # B/us == MB/s
+    return N_MSGS * size / (done["t_end"] - done["t0"])  # B/us == MB/s
 
 
 def build_sdp():
@@ -357,8 +367,7 @@ def build_reconfig():
             ("medium (rdma-async, 5ms)", "rdma-async", 5_000.0),
             ("fine (rdma-sync, 1ms)", "rdma-sync", 1_000.0)):
         r = burst_recovery_time(monitor_scheme=scheme,
-                                check_every_us=period,
-                                burst_requests=600, seed=0)
+                                check_every_us=period)
         detect = r["detection_us"]
         table.add(name, "missed" if detect is None else round(detect),
                   round(r["recovery_us"]), len(r["migrations"]))
@@ -440,7 +449,6 @@ def check_integrated(table):
 # -- beyond the paper: lock arena, rack/spine fabric, OCC vs 2PL
 
 CRASH_LEVEL = 256
-ARENA_ROUNDS = 6
 
 
 def _rate(value: float, complete: bool):
@@ -465,12 +473,11 @@ def build_lock_arena():
         paper_ref="beyond Fig. 5: SRSL/DQNL/N-CoSED vs RDMA-MCS and ALock")
     cells = [(n, "none") for n in (64, 256, 1024)] + [(CRASH_LEVEL, "crash")]
     for n_clients, chaos in cells:
-        offered = n_clients * ARENA_ROUNDS
+        offered = n_clients * ROUNDS
         row_stats = []
         for scheme in DESIGNS:
             stats = lock_tournament(scheme, n_clients=n_clients, alpha=1.2,
-                                    chaos=chaos, seed=0,
-                                    rounds=ARENA_ROUNDS)
+                                    chaos=chaos, seed=0)
             complete = stats["grants"] + stats["failures"] == offered
             row_stats.append((scheme, stats, complete))
         finished = [(s, st) for s, st, ok in row_stats if ok]
@@ -508,8 +515,8 @@ def check_lock_arena(table):
 
 
 def build_topology():
-    verbs = measure_verb_latency(seed=0)
-    locks = measure_lock_throughput(seed=0)
+    verbs = measure_verb_latency()
+    locks = measure_lock_throughput()
     table = BenchTable(
         "rack/spine fabric: 2 racks x 4 hosts, 4:1 oversubscribed",
         ["measure", "baseline", "variant", "ratio"],
@@ -538,7 +545,7 @@ def build_txn_contention():
                   "N-CoSED locks as transaction substrates")
     for variant in ("2pl", "occ"):
         for n_keys in (2, 8, 32):
-            stats = txn_bench(variant=variant, n_keys=n_keys, seed=0)
+            stats = txn_bench(variant=variant, n_keys=n_keys)
             table.add(variant, n_keys, 0, stats["commits"],
                       stats["attempt_aborts"],
                       round(stats["abort_rate"], 4),

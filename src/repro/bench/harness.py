@@ -7,8 +7,6 @@ in the figure suite's terminal summary) and saves them as JSON under
 
 from __future__ import annotations
 
-import json
-import os
 from typing import Dict, List, Sequence
 
 __all__ = ["BenchTable", "RENDERED", "improvement_pct"]
@@ -90,8 +88,3 @@ class BenchTable:
         for row in data.get("rows", []):
             table.add(*row)
         return table
-
-    def save_json(self, path: str) -> None:
-        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2)

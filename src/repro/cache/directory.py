@@ -142,10 +142,3 @@ class CacheDirectory:
             yield from self.update(from_node, doc, None, 0)
             return True
         return False
-
-    # -- test helpers --------------------------------------------------------
-    def raw_holder(self, doc: int):
-        """Zero-time direct view (tests only)."""
-        _home, region, off = self._slot(doc)
-        holder = int.from_bytes(region.read(off, 4), "big")
-        return holder - 1 if holder else None

@@ -71,7 +71,3 @@ class LRUStore:
 
     def docs(self):
         return tuple(self._entries)
-
-    def check_invariants(self) -> None:
-        assert self.used == sum(s for s, _ in self._entries.values())
-        assert 0 <= self.used <= self.capacity

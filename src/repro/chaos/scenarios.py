@@ -55,8 +55,7 @@ def _covers_all(groups: Sequence[Sequence[int]], n_nodes: int) -> bool:
 
 
 def ha_expectations(schedule: Sequence[dict], n_nodes: int,
-                    n_locks: int, bound_us: float,
-                    warmup_us: float = WARMUP_US) -> List[dict]:
+                    n_locks: int, bound_us: float) -> List[dict]:
     """Derive conservative ``ha.expect`` declarations from a schedule.
 
     Only *unambiguous* situations produce expectations — a failover
@@ -86,7 +85,7 @@ def ha_expectations(schedule: Sequence[dict], n_nodes: int,
         others = [q for q in parts if q is not p]
         if len(front_side) >= quorum:
             # failover must happen — judged only in a clean neighbourhood
-            if start < warmup_us or until < start + bound_us:
+            if start < WARMUP_US or until < start + bound_us:
                 continue
             if any(float(q["start"]) <= start + bound_us for q in others):
                 continue

@@ -585,7 +585,7 @@ _COMMANDS = {
 }
 
 
-def main(argv=None) -> int:
+def main(argv) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
@@ -595,4 +595,4 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

@@ -40,6 +40,3 @@ class DataCenterMetrics:
         if self.elapsed_us <= 0:
             return 0.0
         return self.completed / (self.elapsed_us / 1e6)
-
-    def mean_latency_us(self) -> float:
-        return self.latency.tally.mean

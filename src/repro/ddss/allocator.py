@@ -39,14 +39,6 @@ class SegmentAllocator:
     def free_bytes(self) -> int:
         return sum(length for _, length in self._free)
 
-    @property
-    def used_bytes(self) -> int:
-        return self.capacity - self.free_bytes
-
-    @property
-    def n_allocations(self) -> int:
-        return len(self._live)
-
     def largest_free_block(self) -> int:
         return max((length for _, length in self._free), default=0)
 
@@ -103,16 +95,3 @@ class SegmentAllocator:
                 self._free[i - 1] = (poff, plen + length)
                 del self._free[i]
 
-    def check_invariants(self) -> None:
-        """Assert structural invariants (used by property tests)."""
-        blocks = sorted(self._free) + sorted(self._live.items())
-        blocks.sort()
-        pos = 0
-        for offset, length in blocks:
-            assert offset >= pos, "overlapping blocks"
-            pos = offset + length
-        assert pos <= self.capacity, "block past segment end"
-        free_sorted = sorted(self._free)
-        assert free_sorted == self._free, "free list not sorted"
-        for (o1, l1), (o2, _l2) in zip(free_sorted, free_sorted[1:]):
-            assert o1 + l1 < o2, "uncoalesced adjacent free blocks"

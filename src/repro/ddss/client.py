@@ -88,6 +88,8 @@ class DDSSClient:
         #: key -> daemon node id that last served a directory op for it
         #: (goes stale on a shard rebalance; healed by bounce replies)
         self._dir_cache: Dict[int, int] = {}
+        #: key -> the last version this client stamped on a READ unit
+        self._local_versions: Dict[int, int] = {}
         #: distinct nonzero token so lock ownership is attributable;
         #: drawn from the environment (not a process global) so the
         #: value — which reaches the trace — is per-run deterministic
@@ -492,16 +494,11 @@ class DDSSClient:
     # caller's process runs with ``yield from``.  It posts one verb per
     # key at one instant, waits one round trip for all of them and
     # returns one ``(ok, value_or_exception)`` per key, so the caller
-    # knows which keys landed.  A single-key method is a batch of one
-    # in a Process of its own.
-
-    def snapshot(self, key: KeyOrMeta) -> Event:
-        """Atomic ``(version, data)`` read; spins past a concurrent
-        install (bounded, then :class:`TxnConflict`)."""
-        return self._proc(self._one(self.snapshot_all((key,))),
-                          "ddss-snapshot")
+    # knows which keys landed.
 
     def snapshot_all(self, keys):
+        """Atomic ``(version, data)`` reads; each spins past a concurrent
+        install (bounded, then :class:`TxnConflict`)."""
         nic = self.node.nic
         return self._round(
             keys, lambda meta, _i: nic.rdma_read(
@@ -518,16 +515,11 @@ class DDSSClient:
                 meta.home, meta.addr + VERSION_OFF, meta.rkey, 8),
             lambda _i, word, _blob: word)
 
-    def install_lock(self, key: KeyOrMeta, expected: int) -> Event:
-        """Claim the key for install at snapshot version ``expected``.
-
-        Raises :class:`TxnConflict` when the version moved (or another
-        install holds the word)."""
-        return self._proc(self._one(self.install_lock_all(((key, expected),))),
-                          "ddss-install-lock")
-
     def install_lock_all(self, claims):
-        """``claims`` is ``[(key, expected)]``."""
+        """Claim each key for install at snapshot version ``expected``;
+        ``claims`` is ``[(key, expected)]``.  A key fails with
+        :class:`TxnConflict` when its version moved (or another install
+        holds the word)."""
         return self._cas_all(
             [(key, v, v | INSTALL_BIT) for key, v in claims],
             lambda key, expected, old: TxnConflict(
@@ -570,14 +562,6 @@ class DDSSClient:
                            blob) for meta, blob in zip(metas, blobs)])
         return [(ok, expected + 1 if ok else exc)
                 for (_k, expected, _d), (ok, exc) in zip(installs, results)]
-
-    @staticmethod
-    def _one(batch):
-        """Run a batch of one; its failure raises, its value returns."""
-        (ok, value), = yield from batch
-        if not ok:
-            raise value
-        return value
 
     def _cas_all(self, swaps, lost):
         """CAS every key's version word together; ``swaps`` is
@@ -783,11 +767,7 @@ class DDSSClient:
             obs.trace.emit(etype, node=self.node.id, home=meta.home,
                            addr=meta.addr + LOCK_OFF, token=self._token)
 
-    _local_version_counters: Dict[int, int]
-
     def _next_local_version(self, key: int) -> int:
-        counters = getattr(self, "_lvc", None)
-        if counters is None:
-            counters = self._lvc = {}
+        counters = self._local_versions
         counters[key] = counters.get(key, 0) + 1
         return counters[key]

@@ -129,12 +129,6 @@ class DDSS:
     def segment(self, node_id: int):
         return self._segments[node_id]
 
-    def allocator(self, node_id: int) -> SegmentAllocator:
-        return self._allocators[node_id]
-
-    def directory_size(self) -> int:
-        return len(self._directory)
-
     def pick_home(self, placement: Optional[int]) -> int:
         """Placement policy: explicit node id, else round robin."""
         if placement is not None:

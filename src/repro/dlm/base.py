@@ -128,9 +128,6 @@ class LockManagerBase:
                            **extra)
             obs.metrics.counter(f"dlm.{etype.split('.')[1]}s").inc()
 
-    def holder_count(self, lock_id: int) -> int:
-        return len(self.holders.get(lock_id, ()))
-
 
 class LockClient:
     """One application's handle; lives on a node, owns a token."""

@@ -18,7 +18,7 @@ names the scheme and the stuck waiters instead of crashing on an empty
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Type
+from typing import Dict, Type
 
 from repro.errors import LockError
 from repro.net.cluster import Cluster
@@ -32,27 +32,26 @@ __all__ = ["cascade_latency"]
 #: settle time (µs) for all waiters to be enqueued before the release
 _SETTLE_US = 5_000.0
 
-#: default bound (µs) on the whole cascade after the holder releases;
+#: bound (µs) on the whole cascade after the holder releases;
 #: generous against the worst legitimate chain, tight against a wedge
 _CASCADE_TIMEOUT_US = 1_000_000.0
 
+#: the cluster's seed
+SEED = 0
+
 
 def cascade_latency(scheme_cls: Type[LockManagerBase], n_waiters: int,
-                    mode: LockMode, seed: int = 0,
-                    params: Optional[NetworkParams] = None,
-                    grant_timeout_us: float = _CASCADE_TIMEOUT_US
-                    ) -> Dict[str, object]:
+                    mode: LockMode) -> Dict[str, object]:
     """Run one cascade experiment; returns timings in µs.
 
     Raises :class:`LockError` naming the scheme and the stuck waiter
-    tokens if any waiter is still ungranted ``grant_timeout_us`` after
-    the holder's release.
+    tokens if any waiter is still ungranted :data:`_CASCADE_TIMEOUT_US`
+    after the holder's release.
     """
     if n_waiters < 1:
         raise ValueError("need at least one waiter")
     cluster = Cluster(n_nodes=n_waiters + 2,
-                      params=params or NetworkParams.infiniband(),
-                      seed=seed)
+                      params=NetworkParams.infiniband(), seed=SEED)
     manager = scheme_cls(cluster, n_locks=4)
     lock_id = 0  # homed on node 0
     holder = manager.client(cluster.nodes[1])
@@ -80,7 +79,7 @@ def cascade_latency(scheme_cls: Type[LockManagerBase], n_waiters: int,
         yield holder.release(lock_id)
         # bounded wait: a wedged scheme must fail, not hang or crash
         yield AnyOf(env, [env.all_of(procs),
-                          env.timeout(grant_timeout_us)])
+                          env.timeout(_CASCADE_TIMEOUT_US)])
         timings["t_release"] = t_release
         timings["n_granted"] = len(grant_times)
         if len(grant_times) < n_waiters:
@@ -88,7 +87,7 @@ def cascade_latency(scheme_cls: Type[LockManagerBase], n_waiters: int,
             raise LockError(
                 f"cascade stalled for scheme {scheme_cls.SCHEME!r}: "
                 f"{len(grant_times)}/{n_waiters} waiters granted "
-                f"{grant_timeout_us:.0f}us after the release; stuck "
+                f"{_CASCADE_TIMEOUT_US:.0f}us after the release; stuck "
                 f"waiters (tokens): "
                 f"{[(i, waiters[i].token) for i in stuck]}")
         last = max(grant_times.values())

@@ -21,7 +21,7 @@ Deterministic: same arguments, same seed => identical stats dict.
 from __future__ import annotations
 
 import math
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 from repro.errors import ConfigError, FaultError, LockError, RdmaError
 from repro.net.cluster import Cluster
@@ -46,14 +46,28 @@ _CRASH_A_US = 3_000.0
 _RESTART_US = 8_000.0
 _CRASH_B_US = 5_000.0
 
+#: the arena: nodes, lock ids, acquire/release rounds per client, and
+#: the run's horizon (µs)
+N_NODES = 8
+N_LOCKS = 16
+ROUNDS = 6
+HORIZON_US = 400_000.0
+#: share of acquires in shared mode
+SHARED_FRAC = 0.2
+#: trace ring, events
+RING = 1 << 21
+#: the fraction of grants :func:`rate_at_quantile` reads the rate at
+GRANT_QUANTILE = 0.95
 
-def rate_at_quantile(grant_times_us: Sequence[float], q: float = 0.95
+
+def rate_at_quantile(grant_times_us: Sequence[float]
                      ) -> Tuple[float, float]:
-    """``(t, grants/s up to t)``, ``t`` being when a fraction ``q`` of
-    the grants had landed: unlike ``grants / last_grant_time``, one
-    grant landing after a recovery instead of never cannot halve it."""
+    """``(t, grants/s up to t)``, ``t`` being when a fraction
+    :data:`GRANT_QUANTILE` of the grants had landed: unlike ``grants /
+    last_grant_time``, one grant landing after a recovery instead of
+    never cannot halve it."""
     times = sorted(grant_times_us)
-    k = math.ceil(q * len(times))
+    k = math.ceil(GRANT_QUANTILE * len(times))
     if k == 0 or times[k - 1] <= 0:
         return 0.0, 0.0
     return times[k - 1], k / (times[k - 1] / 1e6)
@@ -61,11 +75,7 @@ def rate_at_quantile(grant_times_us: Sequence[float], q: float = 0.95
 
 def lock_tournament(scheme: str, n_clients: int = 256,
                     alpha: float = 0.9, chaos: str = "none",
-                    seed: int = 0, n_nodes: int = 8, n_locks: int = 16,
-                    rounds: int = 6, horizon_us: float = 400_000.0,
-                    shared_frac: float = 0.2, ring: int = 1 << 21,
-                    params: Optional[NetworkParams] = None
-                    ) -> Dict[str, object]:
+                    seed: int = 0) -> Dict[str, object]:
     """Run one tournament cell; returns a flat, JSON-able stats dict.
 
     Raises :class:`LockError` if the judged trace has any oracle
@@ -80,32 +90,31 @@ def lock_tournament(scheme: str, n_clients: int = 256,
                         f"available: {', '.join(DESIGNS)}")
     if chaos not in ("none", "crash"):
         raise LockError(f"unknown chaos mode {chaos!r} (none|crash)")
-    cluster = Cluster(n_nodes=n_nodes,
-                      params=params or NetworkParams.infiniband(),
+    cluster = Cluster(n_nodes=N_NODES, params=NetworkParams.infiniband(),
                       seed=seed)
-    obs = cluster.observe(ring=ring, strict=False)
+    obs = cluster.observe(ring=RING, strict=False)
     fairness = FairnessTracker().attach(obs)
     if chaos == "crash":
         from repro.faults import FaultPlan
-        crash_a = 2 % n_nodes or 1
-        crash_b = (n_nodes - 1) or 1
+        crash_a = 2 % N_NODES or 1
+        crash_b = (N_NODES - 1) or 1
         cluster.install_faults(
             FaultPlan()
             .crash(crash_a, at=_CRASH_A_US, restart_at=_RESTART_US)
             .crash(crash_b, at=_CRASH_B_US))
     manager_cls = DESIGNS[scheme].manager
     fenced = chaos != "none" and issubclass(manager_cls, EpochFencedManager)
-    manager = manager_cls(cluster, n_locks=n_locks,
+    manager = manager_cls(cluster, n_locks=N_LOCKS,
                           **({"lease_us": _CHAOS_LEASE_US} if fenced else {}))
     env = cluster.env
-    zipf = ZipfGenerator(n_locks, alpha, cluster.rng.get("locks-arena"))
+    zipf = ZipfGenerator(N_LOCKS, alpha, cluster.rng.get("locks-arena"))
     rng = cluster.rng.get("locks-arena-times")
     grant_times = []
     failures = [0]
 
     def client_proc(env, client, think0, thinks, holds, shareds, locks):
         yield env.timeout(think0)
-        for r in range(rounds):
+        for r in range(ROUNDS):
             mode = (LockMode.SHARED if shareds[r] else LockMode.EXCLUSIVE)
             lock_i = locks[r]
             try:
@@ -124,7 +133,7 @@ def lock_tournament(scheme: str, n_clients: int = 256,
             yield env.timeout(thinks[r])
 
     for i in range(n_clients):
-        client = manager.client(cluster.nodes[i % n_nodes])
+        client = manager.client(cluster.nodes[i % N_NODES])
         # draw every random choice up front so the offered schedule is
         # identical across schemes for a given seed — the measured
         # difference is purely how fast each design drains it; short
@@ -132,13 +141,13 @@ def lock_tournament(scheme: str, n_clients: int = 256,
         env.process(
             client_proc(env, client,
                         rng.uniform(0.0, 2_000.0),
-                        [rng.uniform(20.0, 200.0) for _ in range(rounds)],
-                        [rng.uniform(2.0, 10.0) for _ in range(rounds)],
-                        [bool(rng.random() < shared_frac)
-                         for _ in range(rounds)],
-                        [int(zipf.next()) for _ in range(rounds)]),
+                        [rng.uniform(20.0, 200.0) for _ in range(ROUNDS)],
+                        [rng.uniform(2.0, 10.0) for _ in range(ROUNDS)],
+                        [bool(rng.random() < SHARED_FRAC)
+                         for _ in range(ROUNDS)],
+                        [int(zipf.next()) for _ in range(ROUNDS)]),
             name=f"arena-{i}")
-    env.run(until=horizon_us)
+    env.run(until=HORIZON_US)
 
     fsum = fairness.finish().get(manager.obs_name, {})
     makespan_us = grant_times[-1] if grant_times else env.now
@@ -149,8 +158,8 @@ def lock_tournament(scheme: str, n_clients: int = 256,
         "alpha": alpha,
         "chaos": chaos,
         "seed": seed,
-        "n_nodes": n_nodes,
-        "n_locks": n_locks,
+        "n_nodes": N_NODES,
+        "n_locks": N_LOCKS,
         "grants": len(grant_times),
         "failures": failures[0],
         "ops_per_s": (len(grant_times) / (makespan_us / 1e6)

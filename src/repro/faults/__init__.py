@@ -29,7 +29,7 @@ Quickstart::
     plan = (FaultPlan()
             .crash(node=2, at=10_000.0, restart_at=60_000.0)
             .drop_messages(rate=0.01)
-            .degrade_link(factor=8.0, src=1, start=5_000.0, until=9_000.0))
+            .slow_node(node=1, factor=8.0, start=5_000.0, until=9_000.0))
     injector = cluster.install_faults(plan)
 """
 

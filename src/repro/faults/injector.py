@@ -139,12 +139,6 @@ class FaultInjector:
     # ------------------------------------------------------------------
     # ground truth + control
     # ------------------------------------------------------------------
-    def is_down(self, node_id: int) -> bool:
-        return node_id in self.down
-
-    def incarnation(self, node_id: int) -> int:
-        return self.incarnations.get(node_id, 0)
-
     def subscribe(self, fn: Callable[[int, str], None]) -> None:
         """Register ``fn(node_id, event)`` for "crash"/"restart" events."""
         self._listeners.append(fn)

@@ -187,6 +187,8 @@ class FaultPlan:
     def __init__(self):
         self.crashes: List[Crash] = []
         self.message_faults: List[MessageFault] = []
+        # no builder: no product plan fails verbs or degrades a link,
+        # so a plan's owner appends these rules directly
         self.verb_faults: List[VerbFault] = []
         self.degrades: List[LinkDegrade] = []
         self.partitions: List[Partition] = []
@@ -222,24 +224,6 @@ class FaultPlan:
         self.message_faults.append(MessageFault(
             kind="duplicate", rate=_check_rate(rate, "duplicate_messages"),
             src=src, dst=dst, start=start, until=until))
-        return self
-
-    def fail_verbs(self, rate: float, src: Optional[int] = None,
-                   dst: Optional[int] = None, start: float = 0.0,
-                   until: float = math.inf) -> "FaultPlan":
-        _check_window(start, until, "fail_verbs")
-        self.verb_faults.append(VerbFault(
-            rate=_check_rate(rate, "fail_verbs"), src=src, dst=dst,
-            start=start, until=until))
-        return self
-
-    def degrade_link(self, factor: float, src: Optional[int] = None,
-                     dst: Optional[int] = None, start: float = 0.0,
-                     until: float = math.inf) -> "FaultPlan":
-        _check_window(start, until, "degrade_link")
-        self.degrades.append(LinkDegrade(
-            factor=_check_factor(factor, "degrade_link"), src=src, dst=dst,
-            start=start, until=until))
         return self
 
     def partition(self, groups, start: float = 0.0,
@@ -286,9 +270,3 @@ class FaultPlan:
             node=int(node), start=start, until=until))
         return self
 
-    @property
-    def is_empty(self) -> bool:
-        return not (self.crashes or self.message_faults
-                    or self.verb_faults or self.degrades
-                    or self.partitions or self.slow_nodes
-                    or self.credit_stalls)

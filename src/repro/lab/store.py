@@ -154,10 +154,6 @@ class ResultStore:
     def completed_ids(self) -> Set[str]:
         return {r["run_id"] for r in self.records()}
 
-    def record_lines(self) -> Dict[str, str]:
-        """run_id -> canonical serialized bytes (determinism checks)."""
-        return {r["run_id"]: canonical_json(r) for r in self.records()}
-
 
 def store_for(name: str, root: Optional[str] = None) -> ResultStore:
     """The on-disk store for a sweep name under ``root`` (or the

@@ -48,9 +48,13 @@ class AccuracyResult:
         return max(self.deviations, default=0)
 
 
+#: Fig. 8a: how often the sampler asks, and how far the back-end's
+#: thread count swings around :data:`repro.workloads.threads.BASE`
+SAMPLE_EVERY_US = 2_000.0
+SWING = 10
+
+
 def accuracy_trace(scheme: str, duration_us: float = 200_000.0,
-                   sample_every_us: float = 2_000.0,
-                   base_threads: int = 12, swing: int = 10,
                    seed: int = 0,
                    period_us: float = None) -> AccuracyResult:
     """Fig. 8a: reported-vs-actual thread count on one churning node.
@@ -67,8 +71,7 @@ def accuracy_trace(scheme: str, duration_us: float = 200_000.0,
     cluster = Cluster(names=["front", "back"],
                       params=NetworkParams.infiniband(), seed=seed)
     front, back = cluster.nodes
-    churn = ThreadChurn(back, cluster.rng.get("churn"),
-                        base=base_threads, swing=swing)
+    churn = ThreadChurn(back, cluster.rng.get("churn"), swing=SWING)
     stats = KernelStats(back)
     kw = {} if period_us is None else {"period_us": period_us}
     monitor = cls(front, {back.id: stats}, **kw)
@@ -76,12 +79,12 @@ def accuracy_trace(scheme: str, duration_us: float = 200_000.0,
 
     def sampler(env):
         # let the async schemes prime their caches
-        yield env.timeout(sample_every_us)
+        yield env.timeout(SAMPLE_EVERY_US)
         while env.now < duration_us:
             report = yield monitor.query(back.id)
             result.samples.append(
                 (env.now, report["n_threads"], churn.current))
-            yield env.timeout(sample_every_us)
+            yield env.timeout(SAMPLE_EVERY_US)
 
     cluster.env.process(sampler(cluster.env))
     cluster.env.run(until=duration_us + 1_000.0)
@@ -95,17 +98,20 @@ _STATIC_MISS_US = 420.0
 _RUBIS_SHARE = 0.3
 #: per-back static cache size in documents
 _BACK_CACHE_DOCS = 120
+#: Fig. 8b: back-ends, closed-loop sessions, and the warm-up before the
+#: measured window (µs)
+N_BACK = 4
+N_SESSIONS = 16
+WARMUP_US = 100_000.0
 
 
 def lb_throughput(scheme: str, alpha: float,
-                  n_back: int = 4, n_sessions: int = 16,
-                  warmup_us: float = 100_000.0,
                   measure_us: float = 400_000.0,
                   seed: int = 0) -> float:
     """Fig. 8b: data-center TPS with a monitor-driven load balancer."""
     if scheme not in MONITOR_SCHEMES:
         raise MonitorError(f"unknown scheme {scheme!r}")
-    names = ["front"] + [f"back{i}" for i in range(n_back)]
+    names = ["front"] + [f"back{i}" for i in range(N_BACK)]
     cluster = Cluster(names=names, params=NetworkParams.infiniband(),
                       seed=seed)
     env = cluster.env
@@ -115,8 +121,7 @@ def lb_throughput(scheme: str, alpha: float,
     # external load the front-end cannot see except through monitoring:
     # other tenants / services sharing the back-end nodes
     churns = [ThreadChurn(b, cluster.rng.get(f"churn{b.id}"),
-                          base=12, swing=12, step_every_us=500.0,
-                          max_step=8)
+                          swing=12, step_every_us=500.0, max_step=8)
               for b in backs]
     monitor = MONITOR_SCHEMES[scheme](front, stats)
     balancer = MonitoredLoadBalancer(monitor)
@@ -165,9 +170,9 @@ def lb_throughput(scheme: str, alpha: float,
                 balancer.done(back_id)
             metrics.record(t0)
 
-    for i in range(n_sessions):
+    for i in range(N_SESSIONS):
         env.process(session(env, i), name=f"mon-session-{i}")
-    env.run(until=warmup_us)
+    env.run(until=WARMUP_US)
     metrics.start_window()
-    env.run(until=warmup_us + measure_us)
+    env.run(until=WARMUP_US + measure_us)
     return metrics.tps()

@@ -98,11 +98,6 @@ class PhiAccrualDetector:
         return set(self._dead)
 
     @property
-    def suspect_ids(self) -> Set[int]:
-        """Nodes past :data:`SUSPECT_PHI` but not yet confirmed dead."""
-        return set(self._suspect)
-
-    @property
     def unreachable_ids(self) -> Set[int]:
         """Dead or suspect nodes — unfit as *targets* of a placement
         decision (e.g. a failover rehome) even before confirmation."""

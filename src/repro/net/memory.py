@@ -37,15 +37,6 @@ class RemoteKey:
     rkey: int
     length: int
 
-    def slice(self, offset: int, length: Optional[int] = None) -> "RemoteKey":
-        """A sub-window at ``offset`` (bounds-checked)."""
-        if offset < 0 or offset > self.length:
-            raise BoundsError(f"slice offset {offset} outside window")
-        length = self.length - offset if length is None else length
-        if length < 0 or offset + length > self.length:
-            raise BoundsError("slice extends past window")
-        return RemoteKey(self.node, self.addr + offset, self.rkey, length)
-
 
 class MemoryRegion:
     """A registered, rkey-protected window of node memory."""
@@ -110,8 +101,8 @@ class MemoryManager:
         self._regions: Dict[int, MemoryRegion] = {}  # addr -> region
         #: last region a resolve hit — remote traffic is heavily
         #: region-local (a lock word, a DDSS directory), so this turns
-        #: the linear protection-table walk into one range check.
-        #: Invalidated on deregister.
+        #: the linear protection-table walk into one range check (a
+        #: region is never deregistered, so it never goes stale).
         self._rcache: Optional[MemoryRegion] = None
 
     def register(self, length: int, name: str = "") -> MemoryRegion:
@@ -124,12 +115,6 @@ class MemoryManager:
                               self._next_rkey, name)
         self._regions[addr] = region
         return region
-
-    def deregister(self, region: MemoryRegion) -> None:
-        """Revoke a region; later remote accesses fail with ProtectionError."""
-        self._regions.pop(region.addr, None)
-        if self._rcache is region:
-            self._rcache = None
 
     # -- remote-access path (what the simulated HCA executes) -------------
     def resolve(self, addr: int, rkey: int, length: int):

@@ -229,17 +229,6 @@ class NIC:
         """Wait for the next message with ``tag``; value is a Message."""
         return self._queue(tag).get()
 
-    def try_recv(self, tag: Any = 0):
-        """Non-blocking receive; returns ``(ok, message_or_None)``.
-
-        Probing a tag that never received a message does not create its
-        queue — polling loops over sparse tag spaces stay allocation-free.
-        """
-        q = self._recv_queues.get(tag)
-        if q is None:
-            return False, None
-        return q.try_get()
-
     def pending(self, tag: Any = 0) -> int:
         q = self._recv_queues.get(tag)
         return 0 if q is None else len(q)

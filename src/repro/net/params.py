@@ -1,22 +1,16 @@
 """Network timing parameters, calibrated to 2007-era interconnects.
 
 All latencies are in microseconds; bandwidth is in bytes/µs (numerically
-equal to MB/s).  The presets reflect the platforms in the paper's
-evaluation:
-
-* :meth:`NetworkParams.infiniband` — IBA-style SAN with RDMA and remote
-  atomics, ~900 MB/s.  What its verbs cost is the calibration table of
-  DESIGN.md §6, checked by ``tests/net/test_calibration.py``.
-* :meth:`NetworkParams.tcp_gige` — host-based TCP over gigabit Ethernet:
-  higher wire latency, ~110 MB/s, and significant *CPU* cost per message
-  and per byte on both ends (the paper's core complaint about sockets).
-* :meth:`NetworkParams.tcp_10gige` — 10GigE with host TCP: bandwidth
-  close to IB but the host CPU costs remain.
+equal to MB/s).  The one preset, :meth:`NetworkParams.infiniband`, is the
+paper's IBA-style SAN with RDMA and remote atomics, ~900 MB/s; its
+socket CPU costs price the host-based protocols that run over it.  What
+its verbs cost is the calibration table of DESIGN.md §6, checked by
+``tests/net/test_calibration.py``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.errors import ConfigError
 
@@ -71,10 +65,6 @@ class NetworkParams:
         """Host CPU work for one socket send or receive of ``nbytes``."""
         return self.sock_cpu_per_msg_us + nbytes * self.sock_cpu_per_byte_us
 
-    def with_(self, **overrides) -> "NetworkParams":
-        """A copy with selected fields replaced (for sweeps/ablations)."""
-        return replace(self, **overrides)
-
     # -- presets -----------------------------------------------------------
     @classmethod
     def infiniband(cls) -> "NetworkParams":
@@ -92,40 +82,4 @@ class NetworkParams:
             has_rdma=True,
             sock_cpu_per_msg_us=3.0,
             sock_cpu_per_byte_us=0.002,
-        )
-
-    @classmethod
-    def tcp_gige(cls) -> "NetworkParams":
-        """Host-based TCP over gigabit Ethernet (the sockets baseline)."""
-        return cls(
-            name="tcp-gige",
-            wire_latency_us=22.0,
-            bandwidth_bpus=110.0,
-            nic_tx_us=1.0,
-            nic_rx_us=1.0,
-            post_us=0.5,
-            rdma_turnaround_us=0.0,
-            atomic_exec_us=0.0,
-            local_op_us=1.0,
-            has_rdma=False,
-            sock_cpu_per_msg_us=8.0,
-            sock_cpu_per_byte_us=0.008,
-        )
-
-    @classmethod
-    def tcp_10gige(cls) -> "NetworkParams":
-        """Host TCP over 10GigE: fat pipe, same host-CPU tax."""
-        return cls(
-            name="tcp-10gige",
-            wire_latency_us=10.0,
-            bandwidth_bpus=900.0,
-            nic_tx_us=1.0,
-            nic_rx_us=1.0,
-            post_us=0.5,
-            rdma_turnaround_us=0.0,
-            atomic_exec_us=0.0,
-            local_op_us=1.0,
-            has_rdma=False,
-            sock_cpu_per_msg_us=8.0,
-            sock_cpu_per_byte_us=0.006,
         )

@@ -20,12 +20,11 @@ Typical use::
     obs = cluster.observe()              # tracing + live (strict) oracles
     ... run workload ...
     obs.check()                          # replay: raise on any violation
-    obs.export_json("obs.json")          # deterministic snapshot
+    obs.export_trace_json("obs.json")    # deterministic trace document
 """
 
 from __future__ import annotations
 
-import json
 from functools import partial
 from typing import Dict, List, Optional
 
@@ -102,11 +101,6 @@ class Observability:
         self.env.obs = self
         self.metrics.freeze(False)
         return self
-
-    def uninstall(self) -> None:
-        if self.env.obs is self:
-            self.env.obs = None
-            self.metrics.freeze()
 
     # -- verdicts -------------------------------------------------------
     def violations(self) -> List[dict]:
@@ -206,19 +200,6 @@ class Observability:
         (deterministic, sorted keys)."""
         doc = dict(self.trace_dict(), **extra)
         text = "".join(trace_chunks(doc, doc["events"].json_rows))
-        if path is not None:
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(text + "\n")
-        return text
-
-    def export_json(self, path: Optional[str] = None) -> str:
-        """Serialize :meth:`to_dict`; optionally write it to ``path``.
-
-        Same seed, same workload => byte-identical output (guarded by
-        ``tests/obs/test_determinism.py``): keys are sorted, no wall
-        clock, no object ids.
-        """
-        text = json.dumps(self.to_dict(), sort_keys=True, indent=2)
         if path is not None:
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(text + "\n")

@@ -22,23 +22,27 @@ from repro.reconfig.manager import ReconfigManager, Service
 
 __all__ = ["burst_recovery_time"]
 
+#: the pool the two services share, and the cluster's seed
+N_NODES = 6
+SEED = 0
+#: the burst on service A: requests, and the CPU work of each (µs)
+BURST_REQUESTS = 600
+REQ_US = 400.0
+
 
 def burst_recovery_time(monitor_scheme: str = "rdma-sync",
-                        check_every_us: float = 1_000.0,
-                        n_nodes: int = 6,
-                        burst_requests: int = 400,
-                        req_us: float = 400.0,
-                        seed: int = 0) -> Dict[str, object]:
+                        check_every_us: float = 1_000.0
+                        ) -> Dict[str, object]:
     """Run one burst; returns recovery time and migration trace."""
     if monitor_scheme not in MONITOR_SCHEMES:
         raise ConfigError(f"unknown scheme {monitor_scheme!r}")
-    names = ["front"] + [f"srv{i}" for i in range(n_nodes)]
+    names = ["front"] + [f"srv{i}" for i in range(N_NODES)]
     cluster = Cluster(names=names, params=NetworkParams.infiniband(),
-                      seed=seed)
+                      seed=SEED)
     env = cluster.env
     front = cluster.nodes[0]
     pool = cluster.nodes[1:]
-    half = n_nodes // 2
+    half = N_NODES // 2
     svc_a = Service("A", pool[:half], priority=2)
     svc_b = Service("B", pool[half:], priority=1)
     stats = {n.id: KernelStats(n) for n in pool}
@@ -61,8 +65,8 @@ def burst_recovery_time(monitor_scheme: str = "rdma-sync",
     def burst(env):
         yield env.timeout(50_000.0)
         t_burst = env.now
-        for _ in range(burst_requests):
-            svc_a.submit(req_us)
+        for _ in range(BURST_REQUESTS):
+            svc_a.submit(REQ_US)
         # wait until the backlog drains
         while svc_a.backlog > 5:
             yield env.timeout(200.0)

@@ -45,7 +45,6 @@ class Service:
         self.submitted = 0
         self.completed = 0
         self.dropped = 0  # requests arriving while the service has no node
-        self.latency_sum = 0.0
         self._rr = itertools.count()
 
     def add_node(self, node: Node) -> None:
@@ -67,18 +66,13 @@ class Service:
                          name=f"svc-{self.name}@{node.name}")
 
     def _serve(self, node: Node, work_us: float):
-        arrived_at = self.env.now
         yield node.cpu.run(work_us, name=f"svc-{self.name}")
         self.completed += 1
-        self.latency_sum += self.env.now - arrived_at
 
     @property
     def backlog(self) -> int:
         """Requests in flight (running threads across the service)."""
         return self.submitted - self.completed
-
-    def mean_latency(self) -> float:
-        return self.latency_sum / self.completed if self.completed else 0.0
 
 
 class ReconfigManager:

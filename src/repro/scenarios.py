@@ -223,10 +223,10 @@ def _flow(seed: int, n_nodes: int):
     return obs
 
 
-def _txn(variant: str, seed: int, n_nodes: int, n_keys: int = 4):
+def _txn(variant: str, seed: int, n_nodes: int):
     """Contended multi-key transactions (OCC / 2PL / a mix of both) over
-    the TPC-C-like transfer + new-order workload."""
-    return build_txn_scenario(variant, seed, n_nodes, n_keys=n_keys,
+    the TPC-C-like transfer + new-order workload, on four hot keys."""
+    return build_txn_scenario(variant, seed, n_nodes, n_keys=4,
                               n_workers=6, txns_per_worker=4)
 
 
@@ -332,16 +332,15 @@ def worst(records: Sequence[dict]) -> str:
 # -- the judged run and its callers ---------------------------------------
 
 def judged_run(scenario, seed: int = 0, n_nodes: Optional[int] = None,
-               kernel: str = "fast", schedule: Sequence[dict] = (),
-               fence: Optional[bool] = None) -> Tuple[dict, object]:
+               kernel: str = "fast", schedule: Sequence[dict] = ()
+               ) -> Tuple[dict, object]:
     """Build one scenario (a name or a :class:`Scenario`) under the
     pinned ``kernel`` and judge its trace; returns ``(record, obs)``."""
     sc = scenario if isinstance(scenario, Scenario) else lookup(scenario)
     n = n_nodes or sc.n_nodes
     args = (seed, n)
     if sc.horizon_us is not None:
-        args += ([dict(f) for f in schedule],
-                 sc.fence if fence is None else fence)
+        args += ([dict(f) for f in schedule], sc.fence)
     elif schedule:
         raise ConfigError(f"scenario {sc.name!r} takes no fault schedule")
     with pin_kernel(kernel):
@@ -355,14 +354,13 @@ def judged_run(scenario, seed: int = 0, n_nodes: Optional[int] = None,
     return record, obs
 
 
-def run_check(name: str, seed: int = 0, n_nodes: Optional[int] = None,
-              kernel: str = "fast", shrink: bool = True,
-              export: Optional[str] = None) -> dict:
+def run_check(name: str, seed: int = 0, kernel: str = "fast",
+              shrink: bool = True, export: Optional[str] = None) -> dict:
     """One judged run; on an oracle violation and ``shrink=True`` the
     record carries a ``repro`` entry (the shrunk failing event list).
     ``export`` names a file for one document: the ``repro-trace-v1``
     trace plus the run's ``metrics`` and its ``record``."""
-    record, obs = judged_run(name, seed, n_nodes, kernel)
+    record, obs = judged_run(name, seed, kernel=kernel)
     if shrink:
         add_reproducer(record, obs.trace)
     if export is not None:
@@ -398,15 +396,12 @@ def run_suite(names: Optional[Sequence[str]] = None, seed: int = 0,
 
 
 def run_schedule(scenario: str, schedule: Sequence[dict], seed: int, *,
-                 kernel: str = "fast",
-                 fence: Optional[bool] = None) -> dict:
+                 kernel: str = "fast") -> dict:
     """One judged run under a fault schedule; the record also names the
-    schedule, its fault labels, and the fence setting it ran with."""
+    schedule, its fault labels, and the row's fence setting."""
     sc = lookup(scenario)
-    use_fence = sc.fence if fence is None else fence
-    record, _obs = judged_run(sc, seed, kernel=kernel, schedule=schedule,
-                              fence=use_fence)
-    record.update(fence=bool(use_fence),
+    record, _obs = judged_run(sc, seed, kernel=kernel, schedule=schedule)
+    record.update(fence=bool(sc.fence),
                   schedule=[dict(f) for f in schedule],
                   faults=[schedule_key(f) for f in schedule])
     return record

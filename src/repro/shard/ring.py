@@ -12,7 +12,7 @@ a member's base point.
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from typing import Dict, Iterable, List, Tuple
+from typing import Iterable, List, Tuple
 
 from repro.errors import ConfigError
 from repro.sim.rng import spawn_child
@@ -87,15 +87,6 @@ class ShardRing:
             if nid not in avoid:
                 return nid
         raise ConfigError("every ring member is avoided")
-
-    def assignment(self, keys: Iterable[int]) -> Dict[int, int]:
-        return {k: self.owner(k) for k in keys}
-
-    def to_json(self) -> dict:
-        """Canonical description, for cross-process determinism checks."""
-        return {"seed": self.seed, "vnodes": VNODES,
-                "members": sorted(self._members),
-                "ring": [[p, n] for p, n in self._ring]}
 
 
 class ShardMap:

@@ -30,7 +30,6 @@ from repro.sim.core import (
     Environment,
     KERNELS,
     Event,
-    Interrupt,
     Process,
     SimulationError,
     Timeout,
@@ -39,7 +38,7 @@ from repro.sim.core import (
     slow_kernel_requested,
 )
 from repro.sim.cpu import CPU, CPUJob
-from repro.sim.resources import Gate, Resource, Store
+from repro.sim.resources import Resource, Store
 from repro.sim.rng import RngStreams, spawn_child
 
 __all__ = [
@@ -49,8 +48,6 @@ __all__ = [
     "CPUJob",
     "Environment",
     "Event",
-    "Gate",
-    "Interrupt",
     "KERNELS",
     "Process",
     "Resource",

@@ -46,7 +46,6 @@ from repro.errors import ConfigError
 
 __all__ = [
     "SimulationError",
-    "Interrupt",
     "Event",
     "Timeout",
     "Process",
@@ -62,18 +61,6 @@ __all__ = [
 
 class SimulationError(Exception):
     """Raised for kernel misuse (double trigger, yield of non-event...)."""
-
-
-class Interrupt(Exception):
-    """Thrown into a process by :meth:`Process.interrupt`.
-
-    ``cause`` carries an arbitrary payload describing why the process was
-    interrupted (e.g. a reconfiguration decision preempting a worker).
-    """
-
-    def __init__(self, cause: Any = None):
-        super().__init__(cause)
-        self.cause = cause
 
 
 # Sentinel distinguishing "no value yet" from a legitimate ``None`` value.
@@ -222,7 +209,7 @@ class Timeout(Event):
 class Process(Event):
     """A running generator; also an event that fires when it returns."""
 
-    __slots__ = ("_gen", "_target", "name")
+    __slots__ = ("_gen", "name")
 
     def __init__(self, env: "Environment",
                  gen: Generator[Event, Any, Any],
@@ -235,46 +222,19 @@ class Process(Event):
         self._value: Any = _PENDING
         self._ok = True
         self._gen = gen
-        self._target: Optional[Event] = None
         self.name = name or getattr(gen, "__name__", "process")
         # Kick off at the current time with a bare call to _resume (no
         # event): it takes the queue and the seq a trigger would, so
         # both kernels start the process at the same agenda position.
         env._schedule_call(env.now, self._resume)
 
-    @property
-    def is_alive(self) -> bool:
-        return self._value is _PENDING
-
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at the current time."""
-        if not self.is_alive:
-            raise SimulationError("cannot interrupt a finished process")
-        if self._target is self:
-            raise SimulationError("process cannot interrupt itself")
-        # Detach from whatever it is waiting for; deliver the interrupt.
-        if self._target is not None and self._target.callbacks is not None:
-            try:
-                self._target.callbacks.remove(self._resume)
-            except ValueError:
-                pass
-        self._target = None
-        carrier = Event(self.env)
-        carrier._ok = False
-        carrier._value = Interrupt(cause)
-        carrier.add_callback(self._resume_throw)
-        self.env._queue_event(carrier)
-
     # -- internal ------------------------------------------------------
     def _resume(self, event: Optional[Event] = None) -> None:
-        # Hot path: one resume per yield of every process.  Property
-        # accessors (is_alive / triggered) are inlined to plain slot
-        # reads; the interrupt carrier arrives with ``_ok`` False so a
-        # single branch covers both send and throw.  The start call
-        # passes no event.
+        # Hot path: one resume per yield of every process.  The
+        # ``triggered`` accessor is inlined to a plain slot read.  The
+        # start call passes no event.
         if self._value is not _PENDING:
             return
-        self._target = None
         try:
             if event is None:
                 nxt = self._gen.send(None)
@@ -312,15 +272,12 @@ class Process(Event):
                 f"process {self.name!r} yielded non-event {nxt!r}") from None
         if env is not self.env:
             raise SimulationError("yielded event belongs to another Environment")
-        self._target = nxt
         if cbs is None:
             # Yielded an already-processed event: resume immediately,
             # same as Event.add_callback would.
             self._resume(nxt)
         else:
             cbs.append(self._resume)
-
-    _resume_throw = _resume  # interrupt carriers always have _ok False
 
 
 class _Condition(Event):
@@ -403,9 +360,8 @@ def settle(events: Iterable[Event]):
     child is watched by one join, and the last child to fire resumes
     the waiter from inside its own callback dispatch, with no agenda
     entry of the join's own.  Children already processed cost no wait
-    at all.  An exception thrown into the waiter (an :class:`Interrupt`,
-    a close) propagates; the children stay watched, so their failures
-    are not crashes.
+    at all.  A close of the waiter propagates; the children stay
+    watched, so their failures are not crashes.
     """
     events = list(events)
     pending = 0

@@ -14,7 +14,7 @@ remaining work by the elapsed virtual service, finishes ripe jobs and
 re-arms the wake-up: a bare agenda call tagged with a generation, so a
 superseded wake stays one no-op entry (DESIGN.md §14).  A job is its
 own completion event: :meth:`CPU.run` returns the :class:`CPUJob`,
-which a process yields and which ``cancel()`` withdraws.
+which a process yields.
 """
 
 from __future__ import annotations
@@ -33,13 +33,9 @@ CORES = 2
 
 
 class CPUJob(Event):
-    """A job submitted to a :class:`CPU`, and its own completion event.
+    """A job submitted to a :class:`CPU`, and its own completion event."""
 
-    ``cancel()`` withdraws the job (the event then fails with
-    :class:`SimulationError`).
-    """
-
-    __slots__ = ("name", "remaining", "_cpu")
+    __slots__ = ("name", "remaining")
 
     def __init__(self, cpu: "CPU", work: float, name: str):
         self.env = cpu.env
@@ -48,10 +44,6 @@ class CPUJob(Event):
         self._ok = True
         self.name = name
         self.remaining = float(work)
-        self._cpu = cpu
-
-    def cancel(self) -> None:
-        self._cpu._cancel(self)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<CPUJob {self.name} rem={self.remaining:.2f}us>"
@@ -67,7 +59,6 @@ class CPU:
         self._background = 0  # permanent compute-bound jobs (never finish)
         self._last_update = env.now
         self._generation = 0
-        self._busy_integral = 0.0  # ∫ min(active, cores) dt, for utilization
 
     # -- public API ------------------------------------------------------
     @property
@@ -108,14 +99,6 @@ class CPU:
         self._background = n
         self._update()
 
-    def utilization(self, since: float = 0.0) -> float:
-        """Mean fraction of cores busy over ``[since, now]``."""
-        self._update(rearm=False)
-        horizon = self.env.now - since
-        if horizon <= 0:
-            return 0.0
-        return self._busy_integral / (horizon * CORES)
-
     # -- internals ---------------------------------------------------------
     def _update(self, job: Optional[CPUJob] = None,
                 rearm: bool = True) -> None:
@@ -129,11 +112,9 @@ class CPU:
         served = 0.0
         # Comparisons, not min(): the same floats (min keeps its first
         # argument on a tie, and cores / n >= 1.0 when n <= cores).
-        if dt > 0:
+        if dt > 0 and jobs:
             n = len(jobs) + self._background
-            self._busy_integral += dt * (n if n < cores else cores)
-            if jobs:
-                served = dt if n <= cores else dt * (cores / n)
+            served = dt if n <= cores else dt * (cores / n)
         shortest = _INF
         live = []
         for j in jobs:
@@ -159,11 +140,4 @@ class CPU:
 
     def _on_wake(self, gen: int) -> None:
         if gen == self._generation:  # else superseded by a later change
-            self._update()
-
-    def _cancel(self, job: CPUJob) -> None:
-        self._update(rearm=False)
-        if job in self._jobs:
-            self._jobs.remove(job)
-            job.fail(SimulationError(f"job {job.name} cancelled"))
             self._update()

@@ -1,4 +1,4 @@
-"""Waitable containers: FIFO stores, counting resources, gates.
+"""Waitable containers: FIFO stores and counting resources.
 
 These are the coordination primitives the higher layers build on:
 
@@ -7,7 +7,6 @@ These are the coordination primitives the higher layers build on:
   work queues, server accept queues, message channels.
 * :class:`Resource` — a counting semaphore with FIFO hand-off.  Used for
   bounded thread pools and serialized devices.
-* :class:`Gate` — a level-triggered broadcast condition (open/closed).
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ from typing import Any, Deque
 
 from repro.sim.core import Environment, Event, SimulationError
 
-__all__ = ["Store", "Resource", "Gate"]
+__all__ = ["Store", "Resource"]
 
 
 class Store:
@@ -124,38 +123,3 @@ class Resource:
         else:
             self._in_use -= 1
 
-
-class Gate:
-    """Level-triggered broadcast condition.
-
-    A gate starts closed.  ``wait()`` returns an already-fired event
-    while the gate is open and a pending event otherwise; ``open()``
-    releases all current waiters.
-    Used e.g. to model lock-release broadcast and reconfiguration barriers.
-    """
-
-    def __init__(self, env: Environment):
-        self.env = env
-        self._open = False
-        self._waiters: list = []
-
-    @property
-    def is_open(self) -> bool:
-        return self._open
-
-    def wait(self) -> Event:
-        event = Event(self.env)
-        if self._open:
-            event.succeed()
-        else:
-            self._waiters.append(event)
-        return event
-
-    def open(self) -> None:
-        self._open = True
-        waiters, self._waiters = self._waiters, []
-        for event in waiters:
-            event.succeed()
-
-    def close(self) -> None:
-        self._open = False

@@ -42,13 +42,12 @@ def percentile(values: Sequence[float], q: float) -> float:
 
 
 class Tally:
-    """Streaming count/mean/min/max/variance of scalar observations."""
+    """Streaming count/mean/min/max of scalar observations."""
 
     def __init__(self, name: str = ""):
         self.name = name
         self.count = 0
         self._mean = 0.0
-        self._m2 = 0.0
         self.min = math.inf
         self.max = -math.inf
 
@@ -65,17 +64,15 @@ class Tally:
         """
         if not xs:
             return
-        count, mean, m2 = self.count, self._mean, self._m2
+        count, mean = self.count, self._mean
         for x in xs:
             count += 1
-            delta = x - mean
-            mean += delta / count
-            m2 += delta * (x - mean)
+            mean += (x - mean) / count
         lo, hi = min(xs), max(xs)
         if mean != mean or lo == -math.inf or hi == math.inf:
             raise ValueError(
                 f"non-finite observation in tally {self.name!r}")
-        self.count, self._mean, self._m2 = count, mean, m2
+        self.count, self._mean = count, mean
         if lo < self.min:
             self.min = lo
         if hi > self.max:
@@ -84,10 +81,6 @@ class Tally:
     @property
     def mean(self) -> float:
         return self._mean if self.count else math.nan
-
-    @property
-    def variance(self) -> float:
-        return self._m2 / (self.count - 1) if self.count > 1 else 0.0
 
     def __repr__(self) -> str:  # pragma: no cover
         return (f"<Tally {self.name} n={self.count} mean={self.mean:.3f} "

@@ -25,7 +25,7 @@ exercises bounce + tombstone + rebalance identically on every kernel.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List
 
 from repro.errors import (DDSSError, FaultError, LockError, RdmaError,
                           TimeoutError)
@@ -38,16 +38,25 @@ TOLERATED = (LockError, FaultError, RdmaError, DDSSError, TimeoutError)
 
 UNIT_BYTES = 64
 
+#: the flagship fabric: racks behind 4:1 oversubscribed ToR uplinks
+RACKS = 4
+SPINES = 2
+OVERSUB = 4.0
+#: the session load: RUBiS sessions per node, driven in batches through
+#: each frontend's worker threads
+SESSIONS_PER_NODE = 12_500
+BATCHES = 10
+THREADS = 64
+#: sharded namespaces: lock ids and DDSS units
+N_LOCKS = 256
+N_UNITS = 128
+#: the run, and the member crash and restart inside it (µs)
+HORIZON_US = 50_000.0
+CRASH_AT_US = 12_000.0
+RESTART_AT_US = 30_000.0
 
-def build_topo_scenario(seed: int = 0, racks: int = 4,
-                        hosts_per_rack: int = 26, spines: int = 2,
-                        oversub: float = 4.0,
-                        sessions_per_node: int = 12_500,
-                        batches: int = 10, threads: int = 64,
-                        n_locks: int = 256, n_units: int = 128,
-                        horizon: float = 50_000.0,
-                        crash_at: float = 12_000.0,
-                        restart_at: float = 30_000.0):
+
+def build_topo_scenario(seed: int = 0, hosts_per_rack: int = 26):
     """Run the datacenter scenario; returns ``(obs, stats)``."""
     from repro.ddss import Coherence
     from repro.faults import FaultPlan
@@ -58,22 +67,22 @@ def build_topo_scenario(seed: int = 0, racks: int = 4,
     from repro.topo import TopoCluster
     from repro.workloads.rubis import RubisMix
 
-    cluster = TopoCluster(racks=racks, hosts_per_rack=hosts_per_rack,
-                          spines=spines, oversub=oversub, seed=seed)
+    cluster = TopoCluster(racks=RACKS, hosts_per_rack=hosts_per_rack,
+                          spines=SPINES, oversub=OVERSUB, seed=seed)
     obs = cluster.observe(strict=False, ring=1 << 20)
     env = cluster.env
     n_nodes = len(cluster.nodes)
     # the victim homes ring slices of both namespaces; keep it off the
     # detector front / reconfig coordinator (node 0)
     victim = cluster.nodes[1 + hosts_per_rack]  # first host of rack 1
-    cluster.install_faults(FaultPlan().crash(victim.id, at=crash_at,
-                                             restart_at=restart_at))
+    cluster.install_faults(FaultPlan().crash(victim.id, at=CRASH_AT_US,
+                                             restart_at=RESTART_AT_US))
 
     ddss = ShardedDDSS(cluster, segment_bytes=256 * 1024)
     front, backs = cluster.nodes[0], cluster.nodes[1:]
     phi = PhiAccrualDetector(front, backs)
     detector = QuorumGate(phi)
-    manager = ShardedNCoSEDManager(cluster, n_locks=n_locks,
+    manager = ShardedNCoSEDManager(cluster, n_locks=N_LOCKS,
                                    lease_us=800.0, detector=detector)
     svc = Service("rubis", cluster.nodes)
     reconfig = ReconfigManager(front, [svc], detector=detector,
@@ -81,15 +90,15 @@ def build_topo_scenario(seed: int = 0, racks: int = 4,
     # phi confirmation, the gate's one-period hold, two periods of slack
     bound = phi.detect_bound_us() + PERIOD_US + 2.0 * PERIOD_US
     obs.trace.emit("ha.expect", node=-1, kind="failover",
-                   victims=[victim.id], after=crash_at,
-                   by=crash_at + bound, start=crash_at,
-                   until=restart_at)
+                   victims=[victim.id], after=CRASH_AT_US,
+                   by=CRASH_AT_US + bound, start=CRASH_AT_US,
+                   until=RESTART_AT_US)
 
     keys: List[int] = []
 
     def setup(env):
         client = ddss.client(front)
-        for i in range(n_units):
+        for i in range(N_UNITS):
             key = yield client.allocate(UNIT_BYTES,
                                         coherence=Coherence.WRITE)
             yield client.put(key, i.to_bytes(8, "big"))
@@ -97,19 +106,19 @@ def build_topo_scenario(seed: int = 0, racks: int = 4,
 
     env.run_until_event(env.process(setup(env), name="topo-setup"))
 
-    per_batch = sessions_per_node // batches
+    per_batch = SESSIONS_PER_NODE // BATCHES
     mean_cpu = RubisMix(cluster.rng.get("topo-mix")).mean_cpu_us()
-    batch_us = per_batch * mean_cpu / threads
+    batch_us = per_batch * mean_cpu / THREADS
     served = [0]
 
     def driver(node, idx, rng):
         store = ddss.client(node)
         locks = manager.client(node)
         yield env.timeout(rng.uniform(0.0, 500.0))
-        for b in range(batches):
+        for b in range(BATCHES):
             yield node.cpu.run(batch_us, name="rubis-batch")
             served[0] += per_batch
-            lock_id = int(rng.integers(0, n_locks))
+            lock_id = int(rng.integers(0, N_LOCKS))
             try:
                 yield locks.acquire(lock_id)
                 yield env.timeout(5.0)
@@ -126,16 +135,16 @@ def build_topo_scenario(seed: int = 0, racks: int = 4,
     for idx, node in enumerate(cluster.nodes):
         env.process(driver(node, idx, cluster.rng.get(f"topo-drv-{idx}")),
                     name=f"topo-driver-{idx}")
-    env.run(until=horizon)
+    env.run(until=HORIZON_US)
 
     stats = {
         "seed": seed,
         "nodes": n_nodes,
-        "racks": racks,
-        "spines": spines,
-        "oversub": oversub,
+        "racks": RACKS,
+        "spines": SPINES,
+        "oversub": OVERSUB,
         "sessions": served[0],
-        "sessions_offered": sessions_per_node * n_nodes,
+        "sessions_offered": SESSIONS_PER_NODE * n_nodes,
         "xrack_transfers": cluster.fabric.xrack_transfers,
         "xrack_bytes": cluster.fabric.xrack_bytes,
         "lock_rehomes": len(manager.rehomes),
@@ -226,14 +235,23 @@ def shard_check(seed: int, n_nodes: int):
 # measurements (deterministic sim-time, reused by bench + lab)
 # ----------------------------------------------------------------------
 
-def measure_verb_latency(seed: int = 0, nbytes: int = 256,
-                         reps: int = 32,
-                         oversub: float = 4.0) -> Dict[str, float]:
+#: the measurement rig: seed, ToR oversubscription, and one pinger's
+#: RDMA reads (count and bytes)
+MEASURE_SEED = 0
+MEASURE_OVERSUB = 4.0
+PING_REPS = 32
+PING_BYTES = 256
+#: the lock-throughput workload: lock ids, and rounds per worker
+THROUGHPUT_LOCKS = 64
+THROUGHPUT_ROUNDS = 40
+
+
+def measure_verb_latency() -> Dict[str, float]:
     """Mean RDMA-read RTT intra-rack vs cross-rack (µs)."""
     from repro.topo import TopoCluster
 
     cluster = TopoCluster(racks=2, hosts_per_rack=4, spines=1,
-                          oversub=oversub, seed=seed)
+                          oversub=MEASURE_OVERSUB, seed=MEASURE_SEED)
     env = cluster.env
     src = cluster.nodes[0]
     results: Dict[str, float] = {}
@@ -243,10 +261,10 @@ def measure_verb_latency(seed: int = 0, nbytes: int = 256,
         times: List[float] = []
 
         def pinger(env, dst_id=dst.id, region=region, times=times):
-            for _ in range(reps):
+            for _ in range(PING_REPS):
                 t0 = env.now
                 yield src.nic.rdma_read(dst_id, region.addr,
-                                        region.rkey, nbytes)
+                                        region.rkey, PING_BYTES)
                 times.append(env.now - t0)
 
         env.run_until_event(env.process(pinger(env), name="pinger"))
@@ -254,8 +272,7 @@ def measure_verb_latency(seed: int = 0, nbytes: int = 256,
     return results
 
 
-def measure_lock_throughput(seed: int = 0, n_locks: int = 64,
-                            rounds: int = 40) -> Dict[str, float]:
+def measure_lock_throughput() -> Dict[str, float]:
     """Completed acquire/release pairs per sim-second: every lock homed
     on one node vs spread over the shard ring (same 2-rack cluster,
     same workload).
@@ -271,20 +288,21 @@ def measure_lock_throughput(seed: int = 0, n_locks: int = 64,
     from repro.topo import TopoCluster
 
     def run(sharded: bool) -> float:
-        cluster = TopoCluster(racks=2, hosts_per_rack=4, oversub=4.0,
-                              seed=seed)
+        cluster = TopoCluster(racks=2, hosts_per_rack=4,
+                              oversub=MEASURE_OVERSUB, seed=MEASURE_SEED)
         env = cluster.env
         if sharded:
-            manager = ShardedNCoSEDManager(cluster, n_locks=n_locks)
+            manager = ShardedNCoSEDManager(cluster,
+                                           n_locks=THROUGHPUT_LOCKS)
         else:
-            manager = NCoSEDManager(cluster, n_locks=n_locks,
+            manager = NCoSEDManager(cluster, n_locks=THROUGHPUT_LOCKS,
                                     member_nodes=[cluster.nodes[0]])
         ops = [0]
 
         def worker(env, node, i):
             client = manager.client(node)
-            for r in range(rounds):
-                lock_id = (i * rounds + r) % n_locks
+            for r in range(THROUGHPUT_ROUNDS):
+                lock_id = (i * THROUGHPUT_ROUNDS + r) % THROUGHPUT_LOCKS
                 yield client.acquire(lock_id)
                 yield client.release(lock_id)
                 ops[0] += 1

@@ -17,14 +17,12 @@ Model knobs:
   outstanding SrcAvails).
 
 ``send(payload, size, buf=...)`` identifies the user buffer; re-sending
-from (or explicitly ``touch``-ing) a buffer that is still in flight
-triggers the page-fault path.  Distinct buffers overlap freely — that is
+from a buffer that is still in flight triggers the page-fault path.  Distinct buffers overlap freely — that is
 the whole point.
 """
 
 from __future__ import annotations
 
-import itertools
 from typing import Any, Dict, Optional
 
 from repro.errors import TransportError
@@ -35,7 +33,6 @@ from repro.transport.sdp import _SdpEndpointBase, pin_us
 
 __all__ = ["AzSdpEndpoint", "AzSdpConnection", "PROTECT_US", "FAULT_US"]
 
-_xfer_ids = itertools.count(1)
 
 PROTECT_US = 1.5
 FAULT_US = 8.0
@@ -71,7 +68,7 @@ class AzSdpConnection(Connection):
         yield self._window.acquire()
         yield self.env.timeout(PROTECT_US + pin_us(size))
         datagram = Datagram(payload=payload, size=size, sent_at=self.env.now)
-        xid = next(_xfer_ids)
+        xid = self.env.next_id("azsdp-xfer")
         done = self.env.event()
         self._done_events[xid] = done
         if buf is not None:
@@ -89,18 +86,6 @@ class AzSdpConnection(Connection):
 
         done.add_callback(on_done)
         # Control returns to the app immediately: async under the hood.
-        return None
-
-    def touch(self, buf: Any) -> Event:
-        """Application touches ``buf``; blocks through a fault if in flight."""
-        return self.env.process(self._touch_proc(buf),
-                                name=f"azsdp-touch@{self.node.name}")
-
-    def _touch_proc(self, buf):
-        if buf in self._inflight_bufs:
-            yield from self._fault_wait(buf)
-        else:
-            yield self.env.timeout(0.0)
         return None
 
     def _fault_wait(self, buf):

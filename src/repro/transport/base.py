@@ -24,9 +24,8 @@ application data is available after receive-side costs.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, TYPE_CHECKING
+from dataclasses import dataclass
+from typing import Any, Dict, TYPE_CHECKING
 
 from repro.errors import TransportError
 from repro.sim import Event, Store
@@ -35,9 +34,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.net.node import Node
 
 __all__ = ["Endpoint", "Connection", "Listener", "Datagram"]
-
-_conn_ids = itertools.count(1)
-_msg_seq = itertools.count(1)
 
 
 @dataclass
@@ -48,7 +44,6 @@ class Datagram:
     size: int
     sent_at: float
     delivered_at: float = 0.0
-    seq: int = field(default_factory=lambda: next(_msg_seq))
 
 
 class Listener:
@@ -70,13 +65,12 @@ class Listener:
 class Connection:
     """One side of an established connection."""
 
-    def __init__(self, endpoint: "Endpoint", peer_node: int,
-                 conn_id: Optional[int] = None):
+    def __init__(self, endpoint: "Endpoint", peer_node: int, conn_id: int):
         self.endpoint = endpoint
         self.env = endpoint.node.env
         self.node = endpoint.node
         self.peer_node = peer_node
-        self.conn_id = conn_id if conn_id is not None else next(_conn_ids)
+        self.conn_id = conn_id
         self._inbox: Store = Store(self.env)
         self.closed = False
         self.tx_messages = 0
@@ -98,10 +92,6 @@ class Connection:
     def _check_open(self) -> None:
         if self.closed:
             raise TransportError(f"connection {self.conn_id} is closed")
-
-    def _deliver(self, datagram: Datagram) -> None:
-        datagram.delivered_at = self.env.now
-        self._inbox.try_put(datagram)
 
     def _account_tx(self, size: int) -> None:
         self.tx_messages += 1

@@ -17,7 +17,6 @@ The asynchronous variant AZ-SDP lives in :mod:`repro.transport.azsdp`.
 
 from __future__ import annotations
 
-import itertools
 import math
 from typing import Any, Dict
 
@@ -29,8 +28,6 @@ from repro.transport.base import Connection, Datagram, Endpoint
 __all__ = ["BufferedSdpEndpoint", "ZeroCopySdpEndpoint",
            "BufferedSdpConnection", "ZeroCopySdpConnection"]
 
-_sdp_conn_ids = itertools.count(1)
-_xfer_ids = itertools.count(1)
 
 #: memcpy-style copy costs (protocol offloaded; no kernel TCP stack).
 #: 2007-era sustained copy with cache pollution runs ~800 MB/s — below
@@ -75,7 +72,7 @@ class _SdpEndpointBase(Endpoint):
 
     # -- connection setup ---------------------------------------------
     def connect(self, peer_node: int, port: int) -> Event:
-        my_id = next(_sdp_conn_ids)
+        my_id = self.env.next_id("sdp-conn")
         done = self.env.event()
         self._pending_connects[my_id] = done
         self.node.nic.send(peer_node, payload={
@@ -97,7 +94,7 @@ class _SdpEndpointBase(Endpoint):
             kind = body["kind"]
             if kind == "syn":
                 listener = self._listener(body["port"])
-                my_id = next(_sdp_conn_ids)
+                my_id = self.env.next_id("sdp-conn")
                 conn = self._make_conn(msg.src, my_id, body["conn_id"])
                 listener._offer(conn)
                 self.node.nic.send(msg.src, payload={
@@ -218,7 +215,7 @@ class ZeroCopySdpConnection(Connection):
     def _send_proc(self, payload, size):
         datagram = Datagram(payload=payload, size=size, sent_at=self.env.now)
         yield self.env.timeout(pin_us(size))
-        xid = next(_xfer_ids)
+        xid = self.env.next_id("sdp-xfer")
         done = self.env.event()
         self._done_events[xid] = done
         key = self.endpoint.staging.remote_key()

@@ -45,12 +45,14 @@ def account_sum(ddss, keys) -> int:
     return sum(balance(unit_state(ddss, k)[1]) for k in keys)
 
 
+#: a scenario's run (µs) and each client's attempts per transaction
+HORIZON_US = 300_000.0
+MAX_ATTEMPTS = 8
+
+
 def build_txn_scenario(variant: str, seed: int, n_nodes: int,
                        n_keys: int = 4, n_workers: Optional[int] = None,
-                       txns_per_worker: int = 5,
-                       horizon: float = 300_000.0,
-                       p_transfer: float = 0.5,
-                       max_attempts: int = 8):
+                       txns_per_worker: int = 5):
     """Run one transaction scenario; returns ``(obs, stats)``.
 
     ``variant`` is ``occ``, ``2pl``, or ``mixed`` (workers alternate —
@@ -118,8 +120,8 @@ def build_txn_scenario(variant: str, seed: int, n_nodes: int,
         if use_2pl:
             return TwoPLTxnClient(store, manager.client(node),
                                   lock_of=lock_of,
-                                  max_attempts=max_attempts)
-        return OCCTxnClient(store, max_attempts=max_attempts)
+                                  max_attempts=MAX_ATTEMPTS)
+        return OCCTxnClient(store, max_attempts=MAX_ATTEMPTS)
 
     clients: List[TxnClient] = []
     workers: List[TxnWorker] = []
@@ -127,14 +129,14 @@ def build_txn_scenario(variant: str, seed: int, n_nodes: int,
     for i in range(n_workers):
         client = make_client(i)
         mix = TpccMix(cluster.rng.get(f"txn-mix-{i}"), accounts,
-                      districts, stock, p_transfer=p_transfer)
+                      districts, stock)
         worker = TxnWorker(client, name=f"txn-worker-{i}")
         for txn in mix.batch(txns_per_worker):
             worker.add_txn(txn)
         worker.start()
         clients.append(client)
         workers.append(worker)
-    env.run(until=horizon)
+    env.run(until=HORIZON_US)
 
     attempts = sum(r.attempts for w in workers for r in w.results)
     commits = sum(c.commits for c in clients)
@@ -168,13 +170,18 @@ def build_txn_scenario(variant: str, seed: int, n_nodes: int,
 
 # -- lab entry -----------------------------------------------------------
 
-def txn_bench(variant: str = "occ", n_keys: int = 8, seed: int = 0,
-              n_nodes: int = 4, n_workers: int = 8,
-              txns_per_worker: int = 6) -> Dict[str, object]:
+#: a ``txn-contention`` cell: seed, cluster, workers and their load
+BENCH_SEED = 0
+BENCH_NODES = 4
+BENCH_WORKERS = 8
+BENCH_TXNS_PER_WORKER = 6
+
+
+def txn_bench(variant: str = "occ", n_keys: int = 8) -> Dict[str, object]:
     """One (variant × contention) cell of the ``txn-contention``
     figure."""
-    obs, stats = build_txn_scenario(variant, seed, n_nodes,
-                                    n_keys=n_keys, n_workers=n_workers,
-                                    txns_per_worker=txns_per_worker)
+    obs, stats = build_txn_scenario(variant, BENCH_SEED, BENCH_NODES,
+                                    n_keys=n_keys, n_workers=BENCH_WORKERS,
+                                    txns_per_worker=BENCH_TXNS_PER_WORKER)
     del obs  # the bench keys off aggregate outcomes, not the trace
     return stats

@@ -51,8 +51,7 @@ KNOWN_TIES: Dict[Tuple[str, int, int], str] = {
 def metamorphic_sweep(checks: Optional[Sequence[str]] = None,
                       seeds: Sequence[int] = (0, 1),
                       node_counts: Sequence[int] = (0,),
-                      workers: int = 0,
-                      store_path: Optional[str] = None) -> Dict[str, Any]:
+                      workers: int = 0) -> Dict[str, Any]:
     """Run the metamorphic grid; returns the fold report.
 
     ``node_counts`` may include 0, meaning "each scenario's default".
@@ -70,7 +69,7 @@ def metamorphic_sweep(checks: Optional[Sequence[str]] = None,
         "verify-meta",
         {"scenario": names, "kernel": list(KERNELS),
          "n_nodes": node_counts},
-        seeds, workers, store_path)
+        seeds, workers)
 
     cells: Dict[tuple, Dict[str, dict]] = {}
     for rec in records:

@@ -51,13 +51,3 @@ class FileSet:
 
     def verify(self, doc: int, token: bytes) -> bool:
         return token == self.token(doc)
-
-    @classmethod
-    def mixed(cls, n_docs: int, small: int, large: int,
-              large_fraction: float, seed: int = 0) -> "FileSet":
-        """Two-point size distribution (for HYBCC-style experiments)."""
-        if not 0.0 <= large_fraction <= 1.0:
-            raise ConfigError("large_fraction must be in [0, 1]")
-        rng = np.random.default_rng(seed)
-        sizes = np.where(rng.random(n_docs) < large_fraction, large, small)
-        return cls(n_docs, sizes.tolist(), seed=seed)

@@ -56,8 +56,3 @@ class RubisMix:
 
     def mean_cpu_us(self) -> float:
         return float(sum(t.cpu_us * p for t, p in zip(self.mix, self._p)))
-
-    def cpu_variance(self) -> float:
-        mean = self.mean_cpu_us()
-        return float(sum(p * (t.cpu_us - mean) ** 2
-                         for t, p in zip(self.mix, self._p)))

@@ -18,28 +18,30 @@ from repro.net.node import Node
 
 __all__ = ["ThreadChurn"]
 
+#: the thread count every walk starts from and swings around
+BASE = 12
+
 
 class ThreadChurn:
     """Random-walk thread count applied to a node's CPU as load."""
 
     def __init__(self, node: Node, rng: np.random.Generator,
-                 base: int = 12, swing: int = 10,
-                 step_every_us: float = 2_000.0, max_step: int = 3):
-        if base < 0 or swing < 0 or base - swing < 0:
+                 swing: int = 10, step_every_us: float = 2_000.0,
+                 max_step: int = 3):
+        if swing < 0 or BASE - swing < 0:
             raise ConfigError("thread count walk would go negative")
         if max_step <= 0:
             raise ConfigError("max_step must be positive")
         self.node = node
         self.env = node.env
         self.rng = rng
-        self.base = base
         self.swing = swing
         self.step_every_us = step_every_us
         self.max_step = max_step
-        self.current = base
+        self.current = BASE
         #: ground-truth samples (time, n_threads)
         self.history: List[Tuple[float, int]] = []
-        self._apply(base)
+        self._apply(BASE)
         self.env.process(self._walk(), name=f"churn@{node.name}")
 
     def _apply(self, n: int) -> None:
@@ -50,8 +52,8 @@ class ThreadChurn:
     def _walk(self):
         while True:
             yield self.env.timeout(self.step_every_us)
-            lo = max(0, self.base - self.swing)
-            hi = self.base + self.swing
+            lo = max(0, BASE - self.swing)
+            hi = BASE + self.swing
             step = int(self.rng.integers(-self.max_step, self.max_step + 1))
             self._apply(int(np.clip(self.current + step, lo, hi)))
 

@@ -29,6 +29,8 @@ _COUNTER_BYTES = 8
 #: 1..MAX_AMOUNT units
 MAX_ITEMS = 3
 MAX_AMOUNT = 20
+#: the transfer share of a :class:`TpccMix`; new-orders are the rest
+P_TRANSFER = 0.5
 
 
 def balance(data: bytes) -> int:
@@ -44,8 +46,7 @@ def pack_balance(value: int, data: bytes) -> bytes:
         data[_COUNTER_BYTES:])
 
 
-def transfer_txn(src: int, dst: int, amount: int,
-                 label: str = "transfer") -> Txn:
+def transfer_txn(src: int, dst: int, amount: int) -> Txn:
     """Move ``amount`` (capped at the source balance) from src to dst."""
     if src == dst:
         raise ValueError("transfer needs two distinct accounts")
@@ -57,11 +58,10 @@ def transfer_txn(src: int, dst: int, amount: int,
             dst: pack_balance(balance(vals[dst]) + take, vals[dst]),
         }
 
-    return Txn(reads=(src, dst), compute=compute, label=label)
+    return Txn(reads=(src, dst), compute=compute, label="transfer")
 
 
-def new_order_txn(district: int, items: Sequence[int],
-                  label: str = "new-order") -> Txn:
+def new_order_txn(district: int, items: Sequence[int]) -> Txn:
     """Bump the district's order counter; decrement each item's stock."""
     items = tuple(items)
     if district in items:
@@ -74,20 +74,20 @@ def new_order_txn(district: int, items: Sequence[int],
             writes[it] = pack_balance(balance(vals[it]) - 1, vals[it])
         return writes
 
-    return Txn(reads=(district,) + items, compute=compute, label=label)
+    return Txn(reads=(district,) + items, compute=compute,
+               label="new-order")
 
 
 class TpccMix:
     """Deterministic transaction generator.
 
     ``accounts`` and ``stock`` are unit-key pools; ``districts`` the
-    (small) district pool.  ``p_transfer`` sets the transfer/new-order
-    split.  Smaller pools raise contention.
+    (small) district pool; :data:`P_TRANSFER` sets the
+    transfer/new-order split.  Smaller pools raise contention.
     """
 
     def __init__(self, rng, accounts: Sequence[int],
-                 districts: Sequence[int], stock: Sequence[int],
-                 p_transfer: float = 0.5):
+                 districts: Sequence[int], stock: Sequence[int]):
         if len(accounts) < 2:
             raise ValueError("need at least two accounts")
         if not districts or not stock:
@@ -96,11 +96,10 @@ class TpccMix:
         self.accounts = list(accounts)
         self.districts = list(districts)
         self.stock = list(stock)
-        self.p_transfer = p_transfer
         self.max_items = min(MAX_ITEMS, len(self.stock))
 
     def next_txn(self) -> Txn:
-        if self.rng.random() < self.p_transfer:
+        if self.rng.random() < P_TRANSFER:
             i, j = self.rng.choice(len(self.accounts), size=2,
                                    replace=False)
             amount = int(self.rng.integers(1, MAX_AMOUNT + 1))

@@ -35,8 +35,7 @@ class ZipfGenerator:
         self.n_docs = n_docs
         self.alpha = alpha
         self._rng = rng
-        self._pmf = zipf_pmf(n_docs, alpha)
-        self._cdf = np.cumsum(self._pmf)
+        self._cdf = np.cumsum(zipf_pmf(n_docs, alpha))
         self._cdf[-1] = 1.0  # guard against fp round-off
 
     def next(self) -> int:
@@ -48,9 +47,3 @@ class ZipfGenerator:
         """``n`` document ids at once (vectorized)."""
         return np.searchsorted(self._cdf, self._rng.random(n),
                                side="right").astype(np.int64)
-
-    def hot_set_coverage(self, k: int) -> float:
-        """Fraction of requests hitting the ``k`` hottest documents."""
-        if not 0 <= k <= self.n_docs:
-            raise ConfigError("k out of range")
-        return float(self._pmf[:k].sum())

@@ -87,3 +87,26 @@ class TestPerformanceShape:
         gain_large = (self.mean_query_time(False, 200_000)
                       / self.mean_query_time(True, 200_000))
         assert gain_small > gain_large
+
+
+def test_query_ids_are_per_run():
+    """Query ids come from the run's environment: two traditional
+    queries in a second identical run in the same process carry the
+    same ids."""
+    def qids():
+        cluster, engine = build()
+        seen = []
+        nic = engine.coordinator.nic
+
+        def send(dst, payload=None, real=nic.send, **kw):
+            seen.append(payload["q"])
+            return real(dst, payload=payload, **kw)
+
+        nic.send = send
+        run_query(cluster, engine, 0, 100)
+        run_query(cluster, engine, 100, 200)
+        return seen
+
+    first = qids()
+    assert len(set(first)) == 2
+    assert qids() == first

@@ -8,6 +8,12 @@ from repro.errors import CacheError
 from repro.cache.store import LRUStore
 
 
+def check_invariants(s):
+    """``used`` is the sum of the resident sizes, within capacity."""
+    assert s.used == sum(size for size, _ in s._entries.values())
+    assert 0 <= s.used <= s.capacity
+
+
 class TestBasics:
     def test_insert_get(self):
         s = LRUStore(1000)
@@ -102,7 +108,7 @@ class TestProperties:
                 s.insert(doc, size, b"tok")
             else:
                 s.get(doc)
-            s.check_invariants()
+            check_invariants(s)
 
     @given(st.lists(st.tuples(st.integers(0, 30), st.integers(1, 100)),
                     min_size=1, max_size=60))

@@ -85,7 +85,8 @@ class TestCompilation:
 
     def test_every_kind_compiles_and_installs(self):
         plan = plan_from_schedule(self.ONE_OF_EACH)
-        assert not plan.is_empty
+        assert (plan.crashes and plan.partitions and plan.slow_nodes
+                and plan.credit_stalls)
         assert ({f.kind for f in plan.message_faults}
                 == {"drop", "duplicate"})
         Cluster(n_nodes=N, seed=0).install_faults(plan)  # validates

@@ -3,6 +3,8 @@ slow/drop faults, committed transactions survive failover, in-flight
 transactions abort cleanly (never wedge, never tear), and the combined
 oracle stack (TxnOracle + HAOracle + the rest) stays green."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.scenarios import SCENARIOS, lab_run, run_schedule
@@ -86,11 +88,13 @@ class TestFailoverSemantics:
                 kinds.add(f["kind"])
         assert {"crash", "partition"} <= kinds
 
-    def test_unfenced_run_still_txn_safe(self):
+    def test_unfenced_run_still_txn_safe(self, monkeypatch):
         """Without the quorum fence HA bounds may flex, but transaction
         safety (TxnOracle) must hold regardless."""
         schedule = self._crash_schedule()
-        rec = run_schedule("txn", schedule, seed=7, fence=False)
+        monkeypatch.setitem(SCENARIOS, "txn",
+                            replace(SCENARIOS["txn"], fence=False))
+        rec = run_schedule("txn", schedule, seed=7)
         txn_msgs = [m for m in rec["violation_msgs"]
                     if m.startswith("serializability")
                     or "lost update" in m or "dirty" in m

@@ -52,6 +52,12 @@ class TestBackendTier:
         cluster = Cluster(n_nodes=4, seed=0)
         fs = FileSet(10, 1024, seed=0)
         backend = BackendTier(cluster.nodes[1:], fs)
+        jobs = {n.id: 0 for n in cluster.nodes[1:]}
+        for n in cluster.nodes[1:]:
+            def counted(work, name="job", run=n.cpu.run, node_id=n.id):
+                jobs[node_id] += work > 0
+                return run(work, name)
+            n.cpu.run = counted
 
         def app(env):
             for doc in range(6):
@@ -60,7 +66,7 @@ class TestBackendTier:
         p = cluster.env.process(app(cluster.env))
         cluster.env.run_until_event(p)
         # all three app nodes did some generation work
-        assert all(n.cpu.utilization() > 0 for n in cluster.nodes[1:])
+        assert all(jobs.values())
 
     def test_empty_tier_rejected(self):
         fs = FileSet(1, 10)
@@ -120,7 +126,7 @@ class TestMetrics:
         cluster.env.run_until_event(p)
         # 10 transactions in 10_000us -> 1000 tps
         assert m.tps() == pytest.approx(1000.0, rel=0.01)
-        assert m.mean_latency_us() == pytest.approx(500.0)
+        assert m.latency.tally.mean == pytest.approx(500.0)
 
     def test_window_reset(self):
         cluster = Cluster(n_nodes=1, seed=0)

@@ -8,13 +8,29 @@ from repro.errors import AllocationError
 from repro.ddss.allocator import SegmentAllocator
 
 
+def check_invariants(a):
+    """Structural invariants of ``a``: blocks never overlap or pass the
+    segment end, and the free list is sorted and fully coalesced."""
+    blocks = sorted(a._free) + sorted(a._live.items())
+    blocks.sort()
+    pos = 0
+    for offset, length in blocks:
+        assert offset >= pos, "overlapping blocks"
+        pos = offset + length
+    assert pos <= a.capacity, "block past segment end"
+    free_sorted = sorted(a._free)
+    assert free_sorted == a._free, "free list not sorted"
+    for (o1, l1), (o2, _l2) in zip(free_sorted, free_sorted[1:]):
+        assert o1 + l1 < o2, "uncoalesced adjacent free blocks"
+
+
 class TestBasics:
     def test_alloc_free_roundtrip(self):
         a = SegmentAllocator(1024)
         off = a.alloc(100)
-        assert a.used_bytes == 104  # aligned to 8
+        assert a.capacity - a.free_bytes == 104  # aligned to 8
         a.free(off)
-        assert a.used_bytes == 0
+        assert a.capacity - a.free_bytes == 0
         assert a.free_bytes == 1024
 
     def test_distinct_offsets(self):
@@ -71,7 +87,7 @@ class TestBasics:
         a.free(offs[2])
         a.free(offs[1])
         assert a.largest_free_block() == 312
-        a.check_invariants()
+        check_invariants(a)
 
     def test_reuse_after_free(self):
         a = SegmentAllocator(128)
@@ -111,10 +127,10 @@ class TestProperties:
             elif live:
                 idx = arg % len(live)
                 a.free(live.pop(idx))
-            a.check_invariants()
+            check_invariants(a)
         # books must balance
-        assert a.used_bytes + a.free_bytes == 2048
-        assert a.n_allocations == len(live)
+        assert sum(a._live.values()) + a.free_bytes == 2048
+        assert len(a._live) == len(live)
 
     @given(st.lists(st.integers(1, 100), min_size=1, max_size=20))
     @settings(max_examples=100, deadline=None)
@@ -127,7 +143,7 @@ class TestProperties:
             a.free(off)
         assert a.free_bytes == 4096
         assert a.largest_free_block() == 4096
-        a.check_invariants()
+        check_invariants(a)
 
     @given(st.lists(st.integers(1, 64), min_size=1, max_size=30))
     @settings(max_examples=100, deadline=None)

@@ -11,6 +11,7 @@ import pytest
 from repro.ddss import DDSS, Coherence
 from repro.errors import DDSSError, TimeoutError
 from repro.faults import FaultPlan
+from repro.faults.plan import LinkDegrade
 from repro.net import Cluster
 from repro.sim import KERNELS, pin_kernel
 from repro.transport import rpc
@@ -73,15 +74,15 @@ class TestFaults:
             keys = []
             for _ in range(30):
                 keys.append((yield from allocate(client)))
-            assert ddss.allocator(0).n_allocations == 30
+            assert len(ddss._allocators[0]._live) == 30
             for key in keys:
                 yield client.free(key)
             return keys
 
         keys = run(cluster, app(), limit=1e9)
         assert len(set(keys)) == 30
-        home = ddss.allocator(0)
-        assert (home.used_bytes, home.n_allocations) == (0, 0)
+        home = ddss._allocators[0]
+        assert (home.free_bytes, len(home._live)) == (home.capacity, 0)
         executed = [row.fields["rid"] for row in rows(obs, "rpc.execute")]
         assert len(executed) == len(set(executed))
         assert rows(obs, "rpc.retry")  # the drops actually bit
@@ -105,8 +106,8 @@ class TestFaults:
         cluster, obs, ddss, client = build(
             kernel, FaultPlan().duplicate_messages(1.0))
         run(cluster, allocate(client, free=True))
-        home = ddss.allocator(0)
-        assert (home.used_bytes, home.n_allocations) == (0, 0)
+        home = ddss._allocators[0]
+        assert (home.free_bytes, len(home._live)) == (home.capacity, 0)
         queues = cluster.nodes[1].nic._recv_queues
         assert {tag: len(q) for tag, q in queues.items() if len(q)} == {}
         assert rows(obs, "rpc.dup_request")
@@ -133,12 +134,12 @@ class TestFaults:
         after its deadline, the re-sent request is answered from the
         server's window, the first reply to arrive completes the call
         and the other is discarded."""
-        cluster, obs, ddss, client = build(
-            kernel, FaultPlan().degrade_link(400.0, src=0, dst=1,
-                                             until=2_000.0))
+        plan = FaultPlan()
+        plan.degrades.append(LinkDegrade(400.0, src=0, dst=1, until=2_000.0))
+        cluster, obs, ddss, client = build(kernel, plan)
         assert run(cluster, allocate(client), limit=1e5) == 1
         assert rows(obs, "rpc.retry") and rows(obs, "rpc.dup_request")
-        assert ddss.allocator(0).n_allocations == 1
+        assert len(ddss._allocators[0]._live) == 1
         cluster.env.run()
         box = cluster.nodes[1].nic._recv_queues[rpc.REPLY_TAG]
         assert box.late >= 1 and len(box) == 0

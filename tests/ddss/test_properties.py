@@ -108,7 +108,7 @@ def test_delta_staleness_never_exceeds_bound(delta, extra_puts):
 def test_allocate_free_cycles_leak_nothing(sizes):
     cluster, ddss = fresh(seed=4, n_nodes=2)
     client = ddss.client(cluster.nodes[0])
-    baseline = [ddss.allocator(n.id).used_bytes for n in cluster.nodes]
+    baseline = [ddss._allocators[n.id].free_bytes for n in cluster.nodes]
 
     def app(env):
         keys = []
@@ -118,6 +118,6 @@ def test_allocate_free_cycles_leak_nothing(sizes):
             yield client.free(key)
 
     run(cluster, app(cluster.env))
-    after = [ddss.allocator(n.id).used_bytes for n in cluster.nodes]
+    after = [ddss._allocators[n.id].free_bytes for n in cluster.nodes]
     assert after == baseline
-    assert ddss.directory_size() == 0
+    assert len(ddss._directory) == 0

@@ -14,6 +14,8 @@ from repro.reconfig import ReconfigManager
 from repro.txn import OCCTxnClient
 from repro.workloads.tpcc import transfer_txn
 
+from tests.txn.batch import one
+
 
 def _rig(n_nodes=3, seed=0):
     cluster = Cluster(n_nodes=n_nodes, seed=seed)
@@ -54,10 +56,12 @@ class TestStaleHomeCas:
         state = {}
 
         def txn(env):
-            version, _data = yield client.snapshot(key)  # caches meta
+            # the snapshot caches the meta; a rebalance races us, and the
+            # install lock must fail and retry at the new home
+            version, _data = yield one(env, client.snapshot_all([key]))
             old_meta = ddss._directory[key]
-            ddss.migrate_unit(key, new_home=1)           # rebalance races us
-            yield client.install_lock(key, version)      # must fail-retry
+            ddss.migrate_unit(key, new_home=1)
+            yield one(env, client.install_lock_all([(key, version)]))
             state["stale_after_lock"] = client.stale_retries
             (ok, new), = yield from client.install_publish_all(
                 ((key, version, (7).to_bytes(8, "big")),))
@@ -90,9 +94,9 @@ class TestStaleHomeCas:
         out = {}
 
         def warm_then_read(env):
-            yield client.snapshot(key)                  # warm the cache
+            yield one(env, client.snapshot_all([key]))  # warm the cache
             ddss.migrate_unit(key, new_home=2)
-            out["snap"] = yield client.snapshot(key)
+            out["snap"] = yield one(env, client.snapshot_all([key]))
             (ok, out["peek"]), = yield from client.peek_version_all((key,))
             assert ok
 
@@ -113,8 +117,8 @@ class TestStaleHomeCas:
         client = OCCTxnClient(ddss.client(cluster.nodes[2]))
 
         def warm(env):
-            yield client.store.snapshot(src)
-            yield client.store.snapshot(dst)
+            yield one(env, client.store.snapshot_all([src]))
+            yield one(env, client.store.snapshot_all([dst]))
 
         cluster.env.run_until_event(
             cluster.env.process(warm(cluster.env), name="warm"))
@@ -132,8 +136,8 @@ class TestRebalanceGuards:
         store = ddss.client(cluster.nodes[1])
 
         def claim(env):
-            version, _ = yield store.snapshot(key)
-            yield store.install_lock(key, version)
+            version, _ = yield one(env, store.snapshot_all([key]))
+            yield one(env, store.install_lock_all([(key, version)]))
 
         cluster.env.run_until_event(
             cluster.env.process(claim(cluster.env), name="claim"))
@@ -155,8 +159,8 @@ class TestRebalanceGuards:
         store = ddss.client(cluster.nodes[1])
 
         def claim(env):
-            version, _ = yield store.snapshot(keys[0])
-            yield store.install_lock(keys[0], version)
+            version, _ = yield one(env, store.snapshot_all([keys[0]]))
+            yield one(env, store.install_lock_all([(keys[0], version)]))
 
         cluster.env.run_until_event(
             cluster.env.process(claim(cluster.env), name="claim"))

@@ -104,9 +104,10 @@ class TestControlPlane:
 
         def app(env):
             key = yield client.allocate(1024, placement=3)
-            used_before = ddss.allocator(3).used_bytes
+            seg = ddss._allocators[3]
+            used_before = seg.capacity - seg.free_bytes
             yield client.free(key)
-            return used_before, ddss.allocator(3).used_bytes
+            return used_before, seg.capacity - seg.free_bytes
 
         before, after = run(cluster, app(cluster.env))
         assert before > 0

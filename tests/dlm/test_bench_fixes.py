@@ -11,6 +11,7 @@ import pytest
 
 from repro.dlm import DQNLManager, LockMode, NCoSEDManager, SRSLManager
 from repro.dlm.base import LockClient, LockManagerBase
+from repro.dlm import bench
 from repro.dlm.bench import cascade_latency
 from repro.errors import LockError
 
@@ -47,12 +48,16 @@ class _WedgedManager(LockManagerBase):
 
 
 class TestCascadeWedgeDiagnostics:
+    @pytest.fixture(autouse=True)
+    def short_bound(self, monkeypatch):
+        # a wedge fails 5 ms after the release, not at the 1 s bound
+        monkeypatch.setattr(bench, "_CASCADE_TIMEOUT_US", 5_000.0)
+
     def test_total_wedge_raises_instead_of_empty_max(self):
         # every waiter stuck: the old code crashed on max(()) here
         with pytest.raises(LockError) as exc:
             cascade_latency(_WedgedManager, n_waiters=3,
-                            mode=LockMode.EXCLUSIVE,
-                            grant_timeout_us=5_000.0)
+                            mode=LockMode.EXCLUSIVE)
         msg = str(exc.value)
         assert "wedged" in msg
         assert "0/3 waiters granted" in msg
@@ -69,7 +74,7 @@ class TestCascadeWedgeDiagnostics:
                         yield self.env.timeout(1e9)
                 self.manager.granted_once += 1
                 # wait for the current holder to drain first
-                while self.manager.holder_count(lock_id):
+                while len(self.manager.holders.get(lock_id, ())):
                     yield self.env.timeout(5.0)
                 self._granted(lock_id, mode)
 
@@ -85,8 +90,7 @@ class TestCascadeWedgeDiagnostics:
 
         with pytest.raises(LockError) as exc:
             cascade_latency(_TwoGrants, n_waiters=3,
-                            mode=LockMode.EXCLUSIVE,
-                            grant_timeout_us=5_000.0)
+                            mode=LockMode.EXCLUSIVE)
         msg = str(exc.value)
         assert "1/3 waiters granted" in msg
         # the stuck waiters are named with their tokens

@@ -42,13 +42,13 @@ class TestCommon:
 
         def app(env):
             yield client.acquire(0, LockMode.EXCLUSIVE)
-            held = manager.holder_count(0)
+            held = len(manager.holders.get(0, ()))
             yield client.release(0)
             return held
 
         assert run(cluster, app(cluster.env)) == 1
         cluster.env.run(until=cluster.env.now + 1e5)
-        assert manager.holder_count(0) == 0
+        assert len(manager.holders.get(0, ())) == 0
 
     def test_mutual_exclusion_two_clients(self, scheme_cls):
         cluster, manager = build(scheme_cls)
@@ -157,7 +157,7 @@ class TestSharedSemantics:
 
         def reader(env, client):
             yield client.acquire(0, LockMode.SHARED)
-            peak.append(manager.holder_count(0))
+            peak.append(len(manager.holders.get(0, ())))
             yield env.timeout(500.0)
             yield client.release(0)
 
@@ -268,7 +268,7 @@ class TestDQNLSpecifics:
 
         def reader(env, client):
             yield client.acquire(0, LockMode.SHARED)
-            peak.append(manager.holder_count(0))
+            peak.append(len(manager.holders.get(0, ())))
             yield env.timeout(100.0)
             yield client.release(0)
 

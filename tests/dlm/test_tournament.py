@@ -5,38 +5,50 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.dlm import DESIGNS
+from repro.dlm import DESIGNS, tournament
 from repro.dlm.tournament import lock_tournament, rate_at_quantile
 from repro.errors import ConfigError, LockError
 
 
+@pytest.fixture
+def arena(monkeypatch):
+    """``arena(ROUNDS=3)``: shrink the arena's module constants."""
+    def shrink(**constants):
+        for name, value in constants.items():
+            monkeypatch.setattr(tournament, name, value)
+    return shrink
+
+
 class TestTournament:
     @pytest.mark.parametrize("scheme", DESIGNS)
-    def test_cell_is_oracle_clean(self, scheme):
-        stats = lock_tournament(scheme, n_clients=16, alpha=1.0,
-                                seed=0, rounds=3)
+    def test_cell_is_oracle_clean(self, scheme, arena):
+        arena(ROUNDS=3)
+        stats = lock_tournament(scheme, n_clients=16, alpha=1.0, seed=0)
         assert stats["violations"] == 0
         assert stats["grants"] == 48
         assert stats["failures"] == 0
         assert stats["ops_per_s"] > 0
         assert 0.0 < stats["jain"] <= 1.0
 
-    def test_deterministic(self):
-        a = lock_tournament("mcs", n_clients=16, seed=2, rounds=3)
-        b = lock_tournament("mcs", n_clients=16, seed=2, rounds=3)
+    def test_deterministic(self, arena):
+        arena(ROUNDS=3)
+        a = lock_tournament("mcs", n_clients=16, seed=2)
+        b = lock_tournament("mcs", n_clients=16, seed=2)
         assert a == b
 
-    def test_offered_schedule_is_scheme_independent(self):
+    def test_offered_schedule_is_scheme_independent(self, arena):
         # same seed, different scheme: identical workload => identical
         # grant totals once every client finishes within the horizon
-        a = lock_tournament("srsl", n_clients=16, seed=5, rounds=3)
-        b = lock_tournament("dqnl", n_clients=16, seed=5, rounds=3)
+        arena(ROUNDS=3)
+        a = lock_tournament("srsl", n_clients=16, seed=5)
+        b = lock_tournament("dqnl", n_clients=16, seed=5)
         assert a["grants"] == b["grants"]
 
     @pytest.mark.parametrize("scheme", ["ncosed", "mcs", "alock"])
-    def test_chaos_cell_reclaims_and_stays_clean(self, scheme):
+    def test_chaos_cell_reclaims_and_stays_clean(self, scheme, arena):
+        arena(ROUNDS=4)
         stats = lock_tournament(scheme, n_clients=16, alpha=1.0,
-                                chaos="crash", seed=0, rounds=4)
+                                chaos="crash", seed=0)
         assert stats["violations"] == 0
         assert stats["grants"] > 0
 
@@ -46,7 +58,7 @@ class TestTournament:
         with pytest.raises(LockError):
             lock_tournament("srsl", n_clients=4, chaos="flood")
 
-    def test_a_judged_finding_fails_the_cell(self, monkeypatch):
+    def test_a_judged_finding_fails_the_cell(self, monkeypatch, arena):
         # the cell is judged by repro.verify.judge: an oracle finding
         # is a violation, and no stats come back
         from repro.verify import LockOracle
@@ -55,16 +67,19 @@ class TestTournament:
             None, None, "planted: two holders"))
         with pytest.raises(LockError, match=r"UNSAFE: 1 violation\(s\); "
                            r"first: planted: two holders"):
-            lock_tournament("srsl", n_clients=4, rounds=1)
+            arena(ROUNDS=1)
+            lock_tournament("srsl", n_clients=4)
 
-    def test_no_clients_rejected_and_no_grants_is_vacuous(self):
+    def test_no_clients_rejected_and_no_grants_is_vacuous(self, arena):
         with pytest.raises(ConfigError, match="n_clients"):
             lock_tournament("ncosed", n_clients=0)
         # clients that arrive after the horizon grant nothing
-        stats = lock_tournament("ncosed", n_clients=4, horizon_us=1e-3)
+        horizon_us = tournament.HORIZON_US
+        arena(HORIZON_US=1e-3)
+        stats = lock_tournament("ncosed", n_clients=4)
         assert stats["grants"] == 0 and stats["verdict"] == "vacuous"
-        assert lock_tournament("ncosed", n_clients=4,
-                               rounds=1)["verdict"] == "ok"
+        arena(HORIZON_US=horizon_us, ROUNDS=1)
+        assert lock_tournament("ncosed", n_clients=4)["verdict"] == "ok"
 
 
 class TestStragglerProofRate:
@@ -101,9 +116,10 @@ class TestStragglerProofRate:
         times = [float(t) for t in range(1, 20)] + [1e9]
         assert rate_at_quantile(times) == (19.0, 19 / 19e-6)
 
-    def test_cell_reports_it_beside_the_plain_rate(self):
+    def test_cell_reports_it_beside_the_plain_rate(self, arena):
+        arena(ROUNDS=4)
         stats = lock_tournament("mcs", n_clients=16, alpha=1.0,
-                                chaos="crash", seed=0, rounds=4)
+                                chaos="crash", seed=0)
         assert 0 < stats["t95_grant_us"] <= stats["makespan_us"]
         assert stats["ops_per_s_t95"] >= 0.95 * stats["ops_per_s"]
 

@@ -68,8 +68,8 @@ class TestReplicatedAllocation:
 
         meta = drive(cluster, app(cluster.env))
         for home, _, _ in meta.copies:
-            alloc = ddss.allocator(home)
-            assert alloc.used_bytes == 0
+            alloc = ddss._allocators[home]
+            assert alloc.free_bytes == alloc.capacity
 
 
 class TestFailover:

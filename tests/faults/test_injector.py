@@ -6,10 +6,20 @@ from repro.errors import ConfigError, NodeDownError
 from repro.net import Cluster
 from repro.faults import FaultInjector, FaultPlan
 from repro.faults.injector import DETECT_US
+from repro.faults.plan import LinkDegrade, VerbFault
 
 
 def make_cluster(n=3, seed=0):
     return Cluster(n_nodes=n, seed=seed)
+
+
+def plan_with(plan=None, verb=None, degrade=None):
+    """``plan`` (or an empty one) with a verb-fault and/or link-degrade
+    rule appended: the plan's lists are the only way to schedule them."""
+    plan = FaultPlan() if plan is None else plan
+    plan.verb_faults += [verb] if verb else []
+    plan.degrades += [degrade] if degrade else []
+    return plan
 
 
 #: (fault kind, bad node id, plan) against the 3-node ``make_cluster``
@@ -21,27 +31,27 @@ UNKNOWN_NODE_PLANS = [
     ("slow_node", 5, FaultPlan().slow_node(5, 2.0)),
     ("stall_credits", 5, FaultPlan().stall_credits(5)),
     ("drop_messages", 9, FaultPlan().drop_messages(0.5, src=9)),
-    ("fail_verbs", 9, FaultPlan().fail_verbs(0.5, dst=9)),
-    ("degrade_link", 9, FaultPlan().degrade_link(2.0, src=0, dst=9)),
+    ("fail_verbs", 9, plan_with(verb=VerbFault(0.5, dst=9))),
+    ("degrade_link", 9, plan_with(degrade=LinkDegrade(2.0, src=0, dst=9))),
 ]
 
 
 class TestFaultPlan:
     def test_empty_plan(self):
-        assert FaultPlan().is_empty
-        assert not FaultPlan().crash(1, at=10.0).is_empty
+        assert not any(vars(FaultPlan()).values())
+        assert any(vars(FaultPlan().crash(1, at=10.0)).values())
 
     def test_builders_chain(self):
         plan = (FaultPlan()
                 .crash(0, at=5.0, restart_at=50.0)
                 .drop_messages(0.1, src=1)
                 .duplicate_messages(0.2, dst=2)
-                .fail_verbs(0.3, start=10.0, until=20.0)
-                .degrade_link(4.0))
+                .slow_node(1, 4.0)
+                .stall_credits(2, start=10.0, until=20.0))
         assert len(plan.crashes) == 1
         assert len(plan.message_faults) == 2
-        assert len(plan.verb_faults) == 1
-        assert len(plan.degrades) == 1
+        assert len(plan.slow_nodes) == 1
+        assert len(plan.credit_stalls) == 1
 
     def test_bad_inputs_rejected(self):
         with pytest.raises(ConfigError):
@@ -51,9 +61,9 @@ class TestFaultPlan:
         with pytest.raises(ConfigError):
             FaultPlan().drop_messages(1.5)
         with pytest.raises(ConfigError):
-            FaultPlan().fail_verbs(0.5, start=20.0, until=10.0)
+            FaultPlan().duplicate_messages(0.5, start=20.0, until=10.0)
         with pytest.raises(ConfigError):
-            FaultPlan().degrade_link(0.5)
+            FaultPlan().slow_node(0, 0.5)
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_non_finite_parameters_rejected(self, bad):
@@ -64,14 +74,11 @@ class TestFaultPlan:
         for builder, build in [
             ("crash", lambda: plan.crash(0, at=bad)),
             ("crash", lambda: plan.crash(0, at=1.0, restart_at=bad)),
-            ("degrade_link", lambda: plan.degrade_link(bad)),
             ("slow_node", lambda: plan.slow_node(0, bad)),
-            ("degrade_link", lambda: plan.degrade_link(2.0, start=bad)),
             ("slow_node", lambda: plan.slow_node(0, 2.0, start=bad)),
             ("drop_messages", lambda: plan.drop_messages(0.1, start=bad)),
             ("duplicate_messages",
              lambda: plan.duplicate_messages(0.1, start=bad)),
-            ("fail_verbs", lambda: plan.fail_verbs(0.1, start=bad)),
             ("partition", lambda: plan.partition([[0], [1]], start=bad)),
             ("partition",
              lambda: plan.partition([[0], [1]], start=bad, oneway=True)),
@@ -79,11 +86,11 @@ class TestFaultPlan:
         ]:
             with pytest.raises(ConfigError, match=f"^{builder}:"):
                 build()
-        with pytest.raises(ConfigError, match="^fail_verbs:"):
-            plan.fail_verbs(0.1, until=float("nan"))
-        assert plan.is_empty
+        with pytest.raises(ConfigError, match="^drop_messages:"):
+            plan.drop_messages(0.1, until=float("nan"))
+        assert vars(plan) == vars(FaultPlan())
         # a window that never closes stays legal
-        assert not FaultPlan().slow_node(0, 2.0, until=float("inf")).is_empty
+        assert FaultPlan().slow_node(0, 2.0, until=float("inf")).slow_nodes
 
 
 class TestInjector:
@@ -112,7 +119,7 @@ class TestInjector:
             FaultPlan().crash(1, at=100.0, restart_at=300.0))
         cluster.run(until=500.0)
         assert inj.log == [(100.0, "crash", 1), (300.0, "restart", 1)]
-        assert not inj.is_down(1)
+        assert 1 not in inj.down
 
     def test_transfer_to_down_node_fails(self):
         cluster = make_cluster()
@@ -192,7 +199,7 @@ class TestInjector:
         from repro.errors import RdmaError
         cluster = make_cluster()
         inj = cluster.install_faults(
-            FaultPlan().fail_verbs(1.0, start=0.0, until=100.0))
+            plan_with(verb=VerbFault(1.0, start=0.0, until=100.0)))
         seg = cluster.nodes[1].memory.register(64, name="tgt")
 
         def app(env):
@@ -223,7 +230,7 @@ class TestInjector:
             return p.value
 
         base = timed_read(FaultPlan())
-        slow = timed_read(FaultPlan().degrade_link(8.0))
+        slow = timed_read(plan_with(degrade=LinkDegrade(8.0)))
         assert slow > base * 2
 
 

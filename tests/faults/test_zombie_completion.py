@@ -61,7 +61,7 @@ class TestZombieCompletion:
         assert status == "fail"
         assert "stale completion fenced" in msg
         assert inj.completions_fenced == 1
-        assert inj.incarnation(1) == 1  # bumped once, by the crash
+        assert inj.incarnations[1] == 1  # bumped once, by the crash
 
     def test_initiator_restart_mid_read_fences_completion(self):
         crash_at = mid_flight_crash_time()

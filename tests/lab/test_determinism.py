@@ -8,6 +8,8 @@ detail, never an experimental variable.
 
 from repro.lab import SWEEPS, Runner, ResultStore, merge_tables
 
+from tests.lab.records import record_lines
+
 
 def _run(sweep, tmp_path, workers):
     store = ResultStore(str(tmp_path / f"w{workers}"))
@@ -22,8 +24,8 @@ class TestDeterminism:
         sweep = SWEEPS["smoke8"]
         serial = _run(sweep, tmp_path, 0)
         parallel = _run(sweep, tmp_path, 4)
-        s_lines = serial.record_lines()
-        p_lines = parallel.record_lines()
+        s_lines = record_lines(serial)
+        p_lines = record_lines(parallel)
         assert set(s_lines) == set(p_lines)
         for run_id, line in s_lines.items():
             assert p_lines[run_id] == line
@@ -42,10 +44,10 @@ class TestDeterminism:
         sweep = SWEEPS["smoke8"]
         a = _run(sweep, tmp_path / "a", 0)
         b = _run(sweep, tmp_path / "b", 0)
-        assert a.record_lines() == b.record_lines()
+        assert record_lines(a) == record_lines(b)
 
     def test_records_carry_no_wall_time_or_pid(self, tmp_path):
         store = _run(SWEEPS["smoke8"], tmp_path, 4)
-        for line in store.record_lines().values():
+        for line in record_lines(store).values():
             assert "wall_s" not in line
             assert "pid" not in line

@@ -7,6 +7,8 @@ import pytest
 
 from repro.lab import SWEEPS, ResultStore, Runner, Sweep, merge_tables
 
+from tests.lab.records import record_lines
+
 FLAKY_ERROR = "RuntimeError('first attempt always fails')"
 
 
@@ -45,7 +47,7 @@ class TestResume:
             partial.append(r)
         Runner(sweep, partial, workers=2).run()
 
-        assert partial.record_lines() == full.record_lines()
+        assert record_lines(partial) == record_lines(full)
         a = [t.to_dict() for t in merge_tables(sweep, full)]
         b = [t.to_dict() for t in merge_tables(sweep, partial)]
         assert a == b

@@ -10,6 +10,8 @@ from repro.lab import (ResultStore, RunSpec, Sweep, canonical_json,
                        record_for, resolve_dotted)
 from repro.sim import spawn_child
 
+from tests.lab.records import record_lines
+
 
 class TestRunSpec:
     def test_run_id_is_content_hash(self):
@@ -140,7 +142,7 @@ class TestResultStore:
         store = ResultStore(str(tmp_path / "s"))
         spec = RunSpec("m:f", {"b": 2, "a": 1})
         store.append(record_for(spec, {"v": 1}))
-        line = store.record_lines()[spec.run_id]
+        line = record_lines(store)[spec.run_id]
         assert line == canonical_json(json.loads(line))
 
 

@@ -9,6 +9,7 @@ import pytest
 from repro.errors import ConfigError
 from repro.net import Cluster
 from repro.faults import FaultPlan
+from repro.faults.plan import VerbFault
 from repro.monitor import PhiAccrualDetector, QuorumGate
 from repro.monitor.phi import PERIOD_US, TIMEOUT_US
 
@@ -31,8 +32,10 @@ class TestHysteresis:
         # 1..misses does it deterministically
         start = 0.5 * PERIOD_US
         until = (misses + 0.5) * PERIOD_US
-        return FaultPlan().fail_verbs(1.0, dst=1, start=start,
-                                      until=until)
+        plan = FaultPlan()
+        plan.verb_faults.append(VerbFault(1.0, dst=1, start=start,
+                                          until=until))
+        return plan
 
     def test_flap_absorbed_never_reaches_listeners(self):
         # one lost probe leaves phi under the suspect threshold; the
@@ -62,10 +65,10 @@ class TestHysteresis:
         cluster, inj, det = build(
             PhiAccrualDetector, plan=self.flap_plan(misses=2))
         cluster.run(until=2.4 * PERIOD_US)
-        assert det.suspect_ids == {1}
+        assert det._suspect == {1}
         assert det.unreachable_ids == {1} and det.dead_ids == set()
         cluster.run(until=10 * PERIOD_US)
-        assert det.suspect_ids == set()
+        assert det._suspect == set()
 
     def test_three_lost_probes_are_a_death(self):
         # no counter hysteresis: a third lost probe crosses DEAD_PHI

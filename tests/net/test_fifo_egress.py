@@ -21,6 +21,7 @@ import random
 import pytest
 
 from repro.faults import FaultPlan
+from repro.faults.plan import LinkDegrade, VerbFault
 from repro.net import Cluster
 from repro.sim import KERNELS, Process, pin_kernel
 from repro.topo import TopoCluster
@@ -240,15 +241,14 @@ def _faulted_schedule(seed, far, n_nodes=8, n_bursts=60):
         t1, t2 = sorted(rng.uniform(0.1, 0.9) * span for _ in range(2))
         plan = (FaultPlan()
                 .crash(a, at=t1, restart_at=t1 + rng.uniform(30.0, 300.0))
-                .crash(b, at=t2, restart_at=t2 + rng.uniform(30.0, 300.0))
-                .degrade_link(rng.uniform(1.5, 4.0),
-                              src=rng.randrange(n_nodes),
-                              start=rng.uniform(0.0, span / 2), until=span)
-                .slow_node(rng.randrange(n_nodes), rng.uniform(1.2, 3.0),
-                           start=rng.uniform(0.0, span / 2),
-                           until=0.9 * span)
-                .fail_verbs(0.15).drop_messages(0.1)
-                .duplicate_messages(0.1))
+                .crash(b, at=t2, restart_at=t2 + rng.uniform(30.0, 300.0)))
+        plan.degrades.append(LinkDegrade(
+            rng.uniform(1.5, 4.0), src=rng.randrange(n_nodes),
+            start=rng.uniform(0.0, span / 2), until=span))
+        plan.slow_node(rng.randrange(n_nodes), rng.uniform(1.2, 3.0),
+                       start=rng.uniform(0.0, span / 2), until=0.9 * span)
+        plan.verb_faults.append(VerbFault(0.15))
+        plan.drop_messages(0.1).duplicate_messages(0.1)
         nodes = rng.sample(range(n_nodes), 5)
         cut = rng.uniform(0.0, 0.7 * span)
         plan.partition((nodes[:2], nodes[2:]), start=cut,

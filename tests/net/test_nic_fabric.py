@@ -1,5 +1,7 @@
 """Tests for NIC verbs and fabric timing/contention."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.errors import ConfigError, ProtectionError, RdmaError
@@ -82,10 +84,9 @@ class TestTwoSided:
         now, arrived = p.value
         assert now == pytest.approx(arrived)
 
-    def test_try_recv_and_pending(self, ib):
+    def test_pending_counts_queued_messages(self, ib):
         a, b = ib.nodes[0], ib.nodes[1]
-        ok, _ = b.nic.try_recv()
-        assert not ok
+        assert b.nic.pending() == 0
 
         def sender(env):
             yield a.nic.send(b.id, payload=1)
@@ -93,8 +94,11 @@ class TestTwoSided:
         ib.env.process(sender(ib.env))
         ib.env.run()
         assert b.nic.pending() == 1
-        ok, msg = b.nic.try_recv()
-        assert ok and msg.payload == 1
+        def receiver(env):
+            return (yield b.nic.recv())
+
+        msg = run_proc(ib, receiver(ib.env))
+        assert msg.payload == 1 and b.nic.pending() == 0
 
     def test_fifo_per_tag(self, ib):
         a, b = ib.nodes[0], ib.nodes[1]
@@ -239,7 +243,8 @@ class TestOneSided:
         assert run_proc(ib, proc(ib.env)) == "denied"
 
     def test_rdma_refused_without_hardware_support(self):
-        cluster = Cluster(n_nodes=2, params=NetworkParams.tcp_gige())
+        cluster = Cluster(n_nodes=2, params=replace(
+            NetworkParams.infiniband(), has_rdma=False))
         a, b = cluster.nodes
         with pytest.raises(RdmaError):
             a.nic.rdma_read(b.id, 0, 0, 8)

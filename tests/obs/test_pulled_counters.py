@@ -4,10 +4,8 @@
 tallies the fabric keeps anyway, so :meth:`repro.net.Cluster.observe`
 registers them with :meth:`MetricsRegistry.pull` instead of pushing to
 them per transfer.  Their lifecycle must be the pushed counters': absent
-until they move, counted from install, frozen at uninstall.
+until they move, counted from install.
 """
-
-import json
 
 import pytest
 
@@ -19,7 +17,7 @@ from repro.topo import TopoCluster
 
 
 def _counters(obs):
-    return json.loads(obs.export_json())["metrics"]["counters"]
+    return obs.to_dict()["metrics"]["counters"]
 
 
 def _send(cluster, *pairs, nbytes=100):

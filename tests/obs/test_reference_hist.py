@@ -6,7 +6,6 @@ their samples and folded them on read.  Both must report the same
 floats: the fold runs the same update over the samples in arrival order.
 """
 
-import json
 import random
 
 import pytest
@@ -55,10 +54,9 @@ def test_to_dict_matches_the_per_sample_twin(seed, halves):
 @pytest.mark.parametrize("row", ["ncosed", "ddss"])
 def test_obs_row_exports_match_the_per_sample_twin(row, monkeypatch):
     obs = judged_run(row, seed=3)[1]
-    product = obs.export_json()
+    product = obs.to_dict()
     patch_reference(monkeypatch)
-    reference = judged_run(row, seed=3)[1].export_json()
+    reference = judged_run(row, seed=3)[1].to_dict()
     assert product == reference
-    counts = [h["count"] for h in
-              json.loads(product)["metrics"]["histograms"].values()]
+    counts = [h["count"] for h in product["metrics"]["histograms"].values()]
     assert counts and max(counts) > 0

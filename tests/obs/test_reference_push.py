@@ -8,6 +8,8 @@ the slowest, is left to the topology rig below, which covers its
 ``topo.*`` counters) and on rigs for the counters no row records.
 """
 
+import json
+
 import pytest
 
 from repro.ddss import DDSS
@@ -22,7 +24,7 @@ from tests.obs.reference_push import patch_reference
 
 
 def _exports(obs):
-    return obs.export_json(), obs.export_trace_json()
+    return json.dumps(obs.to_dict(), sort_keys=True), obs.export_trace_json()
 
 
 def _twin(run, monkeypatch):

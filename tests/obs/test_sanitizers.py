@@ -227,14 +227,12 @@ class TestCacheAccountingSanitizer:
 
 
 class TestObservabilityBundle:
-    def test_install_uninstall(self):
+    def test_install_is_exclusive(self):
         env = Environment()
         obs = Observability(env).install()
-        assert env.obs is obs
-        with pytest.raises(Exception):
+        assert env.obs is obs and obs.install() is obs
+        with pytest.raises(ConfigError):
             Observability(env).install()
-        obs.uninstall()
-        assert env.obs is None
 
     def test_violations_sorted_and_check_raises(self):
         env = Environment()

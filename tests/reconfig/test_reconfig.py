@@ -5,7 +5,8 @@ import pytest
 from repro.errors import ConfigError
 from repro.net import Cluster
 from repro.monitor import KernelStats, RdmaSyncMonitor
-from repro.reconfig import ReconfigManager, Service, burst_recovery_time
+from repro.reconfig import (ReconfigManager, Service, burst_recovery_time,
+                            experiment)
 from repro.reconfig.manager import COOLDOWN_US, MIN_NODES, SENSITIVITY
 
 
@@ -24,7 +25,6 @@ class TestService:
         cluster.env.run(until=50_000)
         assert svc.completed == 10
         assert svc.backlog == 0
-        assert svc.mean_latency() > 0
 
     def test_burst_shows_up_as_threads(self):
         cluster, front, pool = build()
@@ -146,18 +146,16 @@ class TestBurstExperiment:
         # coarse-grained monitoring misses it entirely (which is itself
         # the paper's argument, but gives us no ratio to assert on)
         coarse = burst_recovery_time("socket-async",
-                                     check_every_us=25_000.0,
-                                     burst_requests=600)
-        fine = burst_recovery_time("rdma-sync", check_every_us=1_000.0,
-                                   burst_requests=600)
+                                     check_every_us=25_000.0)
+        fine = burst_recovery_time("rdma-sync", check_every_us=1_000.0)
         assert fine["detection_us"] is not None
         assert coarse["detection_us"] is not None
         assert coarse["detection_us"] > 8 * fine["detection_us"]
 
-    def test_coarse_monitoring_can_miss_short_bursts(self):
+    def test_coarse_monitoring_can_miss_short_bursts(self, monkeypatch):
         """A burst shorter than the coarse period goes entirely unseen."""
-        r = burst_recovery_time("socket-async", check_every_us=25_000.0,
-                                burst_requests=120)
+        monkeypatch.setattr(experiment, "BURST_REQUESTS", 120)
+        r = burst_recovery_time("socket-async", check_every_us=25_000.0)
         assert r["detection_us"] is None
 
     def test_unknown_scheme_rejected(self):

@@ -6,8 +6,9 @@ agenda calls: every job-set change runs ``_advance`` then
 callback.  The product class must reproduce it float for float and
 agenda slot for agenda slot (``tests/sim/test_cpu_twin.py``).  Only the
 class name, the job handle (the job is its own completion event, as in
-the product) and the default core count (the product's fixed
-``CORES``) differ from the original; do not optimise this file.
+the product), the default core count (the product's fixed ``CORES``)
+and the job-cancel and utilization calls the product dropped differ
+from the original; do not optimise this file.
 """
 
 from __future__ import annotations
@@ -25,23 +26,15 @@ _job_ids = itertools.count(1)
 
 
 class CPUJob(Event):
-    """A job submitted to a :class:`CPU`, and its own completion event.
+    """A job submitted to a :class:`CPU`, and its own completion event."""
 
-    ``cancel()`` withdraws the job (the event then fails with
-    :class:`SimulationError`).
-    """
-
-    __slots__ = ("jid", "name", "remaining", "_cpu")
+    __slots__ = ("jid", "name", "remaining")
 
     def __init__(self, cpu: "ReferenceCPU", work: float, name: str):
         super().__init__(cpu.env)
         self.jid = next(_job_ids)
         self.name = name
         self.remaining = float(work)
-        self._cpu = cpu
-
-    def cancel(self) -> None:
-        self._cpu._cancel(self)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<CPUJob {self.name}#{self.jid} rem={self.remaining:.2f}us>"
@@ -61,7 +54,6 @@ class ReferenceCPU:
         self._background = 0  # permanent compute-bound jobs (never finish)
         self._last_update = env.now
         self._generation = 0
-        self._busy_integral = 0.0  # ∫ min(active, cores) dt, for utilization
 
     # -- public API ------------------------------------------------------
     @property
@@ -97,14 +89,6 @@ class ReferenceCPU:
         self._background = n
         self._reschedule()
 
-    def utilization(self, since: float = 0.0) -> float:
-        """Mean fraction of cores busy over ``[since, now]``."""
-        self._advance()
-        horizon = self.env.now - since
-        if horizon <= 0:
-            return 0.0
-        return self._busy_integral / (horizon * self.cores)
-
     # -- internals ---------------------------------------------------------
     def _rate(self) -> float:
         """Per-job progress rate under processor sharing."""
@@ -118,8 +102,6 @@ class ReferenceCPU:
         now = self.env.now
         dt = now - self._last_update
         if dt > 0:
-            n = self.active_jobs
-            self._busy_integral += dt * min(n, self.cores)
             rate = self._rate()
             if rate > 0 and self._jobs:
                 served = dt * rate
@@ -153,10 +135,3 @@ class ReferenceCPU:
             return  # superseded by a later job-set change
         self._advance()
         self._reschedule()
-
-    def _cancel(self, job: CPUJob) -> None:
-        self._advance()
-        if job.jid in self._jobs:
-            del self._jobs[job.jid]
-            job.fail(SimulationError(f"job {job.name} cancelled"))
-            self._reschedule()

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import (AnyOf, Environment, Event, Interrupt, KERNELS,
+from repro.sim import (AnyOf, Environment, Event, KERNELS,
                        SimulationError, pin_kernel)
 
 
@@ -258,38 +258,6 @@ def test_run_until_event_returns_value():
     env.process(proc(env, ev))
     assert env.run_until_event(ev) == "done"
     assert env.now == 4.0
-
-
-def test_interrupt_wakes_process_with_cause():
-    env = Environment()
-
-    def victim(env):
-        try:
-            yield env.timeout(100.0)
-            return "finished"
-        except Interrupt as irq:
-            return ("interrupted", env.now, irq.cause)
-
-    def attacker(env, target):
-        yield env.timeout(5.0)
-        target.interrupt(cause="preempt")
-
-    v = env.process(victim(env))
-    env.process(attacker(env, v))
-    env.run()
-    assert v.value == ("interrupted", 5.0, "preempt")
-
-
-def test_interrupt_finished_process_rejected():
-    env = Environment()
-
-    def quick(env):
-        yield env.timeout(1.0)
-
-    p = env.process(quick(env))
-    env.run()
-    with pytest.raises(SimulationError):
-        p.interrupt()
 
 
 def test_callbacks_after_processed_run_immediately():

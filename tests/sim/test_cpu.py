@@ -137,33 +137,6 @@ def test_active_jobs_and_load():
     assert cpu.load == pytest.approx(2.0)
 
 
-def test_cancel_job():
-    env = Environment()
-    cpu = CPU(env)
-    job = cpu.run(100.0)
-    others = [cpu.run(100.0) for _ in range(2)]
-    failures = []
-    job.add_callback(lambda e: failures.append(e.ok))
-    job.cancel()
-    done_at = {}
-    others[0].add_callback(lambda e: done_at.setdefault("t", env.now))
-    env.run()
-    assert failures == [False]
-    # The other two now run alone, one per core, and must finish at
-    # t=100 (a stale wake-up timer may keep the agenda alive past that;
-    # only completion matters).
-    assert all(o.triggered for o in others)
-    assert done_at["t"] == pytest.approx(100.0)
-
-
-def test_utilization_accounting():
-    env = Environment()
-    cpu = CPU(env)
-    cpu.run(100.0)  # one job on two cores: 50% busy
-    env.run()
-    assert cpu.utilization() == pytest.approx(0.5)
-
-
 def test_work_conservation_many_equal_jobs():
     env = Environment()
     cpu = CPU(env)
@@ -173,4 +146,3 @@ def test_work_conservation_many_equal_jobs():
     env.run()
     # Total demand 400us on two cores -> makespan exactly 200us.
     assert env.now == pytest.approx(200.0)
-    assert cpu.utilization() == pytest.approx(1.0)

@@ -405,13 +405,12 @@ def test_unwatched_failing_acquire_and_get_surface_under_obs(kernel):
 # NIC polling stays allocation-free
 # ---------------------------------------------------------------------------
 
-def test_pending_and_try_recv_do_not_create_queues():
+def test_pending_does_not_create_queues():
     from repro.net import Cluster
 
     cluster = Cluster(n_nodes=2, seed=0)
     nic = cluster.nodes[0].nic
     assert nic.pending(tag="never-used") == 0
-    assert nic.try_recv(tag="never-used") == (False, None)
     assert nic._recv_queues == {}
 
 
@@ -424,7 +423,7 @@ def test_pending_and_try_recv_do_not_create_queues():
 def test_scenario_export_identical_fast_vs_slow(name):
     from repro.scenarios import judged_run
 
-    exports = [judged_run(name, kernel=kernel)[1].export_json()
+    exports = [judged_run(name, kernel=kernel)[1].to_dict()
                for kernel in ("fast", "slow")]
     assert exports[0] == exports[1]
 

@@ -1,8 +1,8 @@
-"""Unit tests for Store, Resource and Gate."""
+"""Unit tests for Store and Resource."""
 
 import pytest
 
-from repro.sim import Environment, Gate, Resource, SimulationError, Store
+from repro.sim import Environment, Resource, SimulationError, Store
 
 
 def run(env, gen):
@@ -152,47 +152,3 @@ class TestResource:
         with pytest.raises(SimulationError):
             res.release()
 
-
-class TestGate:
-    def test_open_releases_all_waiters(self):
-        env = Environment()
-        gate = Gate(env)
-        done = []
-
-        def waiter(env, tag):
-            yield gate.wait()
-            done.append((tag, env.now))
-
-        for tag in range(3):
-            env.process(waiter(env, tag))
-
-        def opener(env):
-            yield env.timeout(4.0)
-            gate.open()
-
-        env.process(opener(env))
-        env.run()
-        assert done == [(0, 4.0), (1, 4.0), (2, 4.0)]
-
-    def test_wait_on_open_gate_is_immediate(self):
-        env = Environment()
-        gate = Gate(env)
-        gate.open()
-
-        def waiter(env):
-            yield gate.wait()
-            return env.now
-
-        p = env.process(waiter(env))
-        env.run()
-        assert p.value == 0.0
-
-    def test_close_reblocks(self):
-        env = Environment()
-        gate = Gate(env)
-        gate.open()
-        gate.close()
-        ev = gate.wait()
-        assert not ev.triggered
-        gate.open()
-        assert ev.triggered

@@ -5,7 +5,7 @@ join: the waiter resumes once, inside the last child's dispatch."""
 import pytest
 
 from repro.net import Cluster
-from repro.sim import (KERNELS, Environment, Interrupt, SimulationError,
+from repro.sim import (KERNELS, Environment, SimulationError,
                        pin_kernel, settle)
 
 
@@ -97,29 +97,6 @@ def test_empty_list_returns_at_once():
     assert p.value == (0.0, [])
 
 
-def test_foreign_exception_propagates():
-    """An Interrupt thrown into the waiter is not the awaited child's
-    failure: it must not be filed under that child."""
-    env = Environment()
-    seen = {}
-
-    def waiter(env):
-        try:
-            yield from settle([env.timeout(10.0), env.timeout(20.0)])
-        except Interrupt as exc:
-            seen["cause"] = exc.cause
-            seen["at"] = env.now
-
-    def interrupter(env, victim):
-        yield env.timeout(4.0)
-        victim.interrupt("stop")
-
-    victim = env.process(waiter(env))
-    env.process(interrupter(env, victim))
-    env.run()
-    assert seen == {"cause": "stop", "at": 4.0}
-
-
 @pytest.mark.parametrize("kernel", KERNELS)
 def test_waiter_resumes_inside_the_last_childs_dispatch(kernel):
     """A timeout scheduled after the last child, at the same instant,
@@ -160,36 +137,6 @@ def test_settle_takes_no_sequence_number(kernel):
     p = env.process(waiter(env))
     env.run()
     assert p.value == 0
-
-
-@pytest.mark.parametrize("kernel", KERNELS)
-def test_interrupted_waiter_leaves_children_watched(kernel):
-    """The waiter gives up first; the children fail afterwards.  They
-    are still watched by the join, so neither the failing processes
-    nor the failing verb crash the run."""
-    with pin_kernel(kernel):
-        cluster = Cluster(n_nodes=2, seed=0)
-    env = cluster.env
-    seg = cluster.nodes[1].memory.register(64, name="seg")
-    seen = []
-
-    def waiter(env):
-        try:
-            yield from settle([
-                env.process(_failing(env, 5.0, Boom("a"))),
-                cluster.nodes[0].nic.rdma_read(1, seg.addr, seg.rkey + 1, 8),
-                env.process(_failing(env, 6.0, Boom("b")))])
-        except Interrupt:
-            seen.append(env.now)
-
-    def interrupter(env, victim):
-        yield env.timeout(0.5)
-        victim.interrupt()
-
-    victim = env.process(waiter(env))
-    env.process(interrupter(env, victim))
-    env.run()
-    assert seen == [0.5] and env.now == 6.0
 
 
 @pytest.mark.parametrize("kernel", KERNELS)

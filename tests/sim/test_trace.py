@@ -17,19 +17,8 @@ class TestTally:
         assert t.min == 1.0
         assert t.max == 4.0
 
-    def test_variance_matches_textbook(self):
-        t = Tally()
-        for x in [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0]:
-            t.add(x)
-        assert t.variance == pytest.approx(32.0 / 7.0)
-
     def test_empty_tally_mean_is_nan(self):
         assert math.isnan(Tally().mean)
-
-    def test_single_sample_variance_zero(self):
-        t = Tally()
-        t.add(3.0)
-        assert t.variance == 0.0
 
 
 class TestPercentile:

@@ -24,14 +24,13 @@ class TestBenchTable:
         with pytest.raises(ValueError):
             t.add(1)
 
-    def test_save_json_roundtrip(self, tmp_path):
+    def test_json_roundtrip(self):
         t = BenchTable("x", ["a"], paper_ref="Fig 1")
         t.add(42)
-        path = tmp_path / "out" / "t.json"
-        t.save_json(str(path))
-        data = json.loads(path.read_text())
+        data = json.loads(json.dumps(t.to_dict()))
         assert data == {"title": "x", "paper_ref": "Fig 1",
                         "columns": ["a"], "rows": [[42]]}
+        assert BenchTable.from_dict(data).to_dict() == data
 
     def test_empty_table_renders(self):
         t = BenchTable("empty", ["col"])

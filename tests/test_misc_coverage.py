@@ -1,5 +1,7 @@
 """Cross-cutting tests: params presets, determinism, kernel edge cases."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.errors import ConfigError
@@ -10,19 +12,13 @@ from repro.dlm import LockMode, NCoSEDManager, cascade_latency
 class TestNetworkParams:
     def test_presets_have_sane_relations(self):
         ib = NetworkParams.infiniband()
-        gige = NetworkParams.tcp_gige()
-        tengige = NetworkParams.tcp_10gige()
-        assert ib.has_rdma and not gige.has_rdma and not tengige.has_rdma
-        assert ib.wire_latency_us < tengige.wire_latency_us \
-            < gige.wire_latency_us
-        assert gige.bandwidth_bpus < ib.bandwidth_bpus
-        # socket CPU tax exists on every preset
-        for p in (ib, gige, tengige):
-            assert p.sock_cpu_us(1024) > p.sock_cpu_us(0) > 0
+        assert ib.has_rdma
+        # the socket CPU tax prices host-based protocols over the SAN
+        assert ib.sock_cpu_us(1024) > ib.sock_cpu_us(0) > 0
 
     def test_with_override(self):
         ib = NetworkParams.infiniband()
-        fat = ib.with_(bandwidth_bpus=2000.0, name="ib-qdr")
+        fat = replace(ib, bandwidth_bpus=2000.0, name="ib-qdr")
         assert fat.bandwidth_bpus == 2000.0
         assert fat.name == "ib-qdr"
         assert fat.wire_latency_us == ib.wire_latency_us
@@ -30,9 +26,9 @@ class TestNetworkParams:
 
     def test_validation(self):
         with pytest.raises(ConfigError):
-            NetworkParams.infiniband().with_(bandwidth_bpus=0.0)
+            replace(NetworkParams.infiniband(), bandwidth_bpus=0.0)
         with pytest.raises(ConfigError):
-            NetworkParams.infiniband().with_(wire_latency_us=-1.0)
+            replace(NetworkParams.infiniband(), wire_latency_us=-1.0)
 
     def test_serialization_scales_linearly(self):
         ib = NetworkParams.infiniband()
@@ -45,8 +41,8 @@ class TestDeterminism:
     every calibration claim in EXPERIMENTS.md relies on."""
 
     def test_cascade_experiment_replays_identically(self):
-        a = cascade_latency(NCoSEDManager, 6, LockMode.SHARED, seed=3)
-        b = cascade_latency(NCoSEDManager, 6, LockMode.SHARED, seed=3)
+        a = cascade_latency(NCoSEDManager, 6, LockMode.SHARED)
+        b = cascade_latency(NCoSEDManager, 6, LockMode.SHARED)
         assert a["cascade_us"] == b["cascade_us"]
         assert a["grant_times"] == b["grant_times"]
 

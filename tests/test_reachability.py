@@ -12,6 +12,8 @@ roots.
 """
 
 import ast
+import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -110,15 +112,121 @@ def test_every_module_is_reached(unreached):
         f"perf workload or CLI verb: {', '.join(missing)}")
 
 
+# -- def census (ROADMAP ``measured-or-gone``, def level) --------------------
+#
+# Every class, function, method and property under ``src/repro`` is named
+# by the product code, or it is deleted.  A use is a ``Name`` or
+# ``Attribute`` load of the def's name, a ``"pkg.mod:attr"`` string (the
+# lab sweeps' ``scenario=``), or a ``getattr`` whose name is a literal or
+# starts with one (``"_on_" + kind`` in the oracles, ``f"_sample_{kind}"``
+# in ``ChaosSpace``), which uses every name with that prefix.  Names are
+# matched, not resolved.  The def's own statement, imports, re-exports,
+# ``__all__`` and docstrings are not uses, dunders are exempt, and a use
+# inside a def that is itself unused does not count: the guard names a
+# dead def together with the helpers only it calls.
+
+_DOTTED = re.compile(r"[A-Za-z_][\w.]*:([A-Za-z_][\w.]*)")
+
+
+def _product_files(src, callers):
+    """``(path, relative to, under src)`` for every product source file:
+    ``src`` and each caller root, a caller's ``tests`` excluded."""
+    files = [(p, src, True) for p in sorted(src.rglob("*.py"))]
+    for root in callers:
+        if root != src:
+            files += [(p, root.parent, False)
+                      for p in sorted(root.rglob("*.py"))
+                      if "tests" not in p.relative_to(root).parts]
+    return files
+
+
+def _getattr_name(call):
+    """``(name, is prefix)`` a ``getattr``/``hasattr`` call looks up."""
+    if getattr(call.func, "id", None) not in ("getattr", "hasattr") \
+            or len(call.args) < 2:
+        return None
+    e = call.args[1]
+    if isinstance(e, ast.BinOp) and isinstance(e.op, ast.Add):
+        e, prefix = e.left, True
+    elif isinstance(e, ast.JoinedStr) and e.values:
+        e, prefix = e.values[0], True
+    else:
+        prefix = False
+    if isinstance(e, ast.Constant) and isinstance(e.value, str):
+        return e.value, prefix
+    return None
+
+
+def dead_defs(src, callers):
+    """``["module:Qual.name"]`` for every def under ``src`` the product
+    code under ``src`` and ``callers`` never names."""
+    defs = {}      # key -> name, for defs under src
+    uses = []      # (name, is prefix, keys of the defs around the use)
+
+    def visit(node, mod, qual, around, scoped):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef,
+                             ast.AsyncFunctionDef)):
+            key = f"{mod}:{qual}{node.name}"
+            if scoped and not (node.name.startswith("__")
+                               and node.name.endswith("__")):
+                defs[key] = node.name
+            around, qual = around + (key,), f"{qual}{node.name}."
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            uses.append((node.id, False, around))
+        elif isinstance(node, ast.Attribute) and \
+                isinstance(node.ctx, ast.Load):
+            uses.append((node.attr, False, around))
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            m = _DOTTED.fullmatch(node.value)
+            if m:
+                uses.extend((n, False, around) for n in m.group(1).split("."))
+        elif isinstance(node, ast.Call) and _getattr_name(node):
+            uses.append((*_getattr_name(node), around))
+        for child in ast.iter_child_nodes(node):
+            visit(child, mod, qual, around, scoped)
+
+    for path, rel_to, scoped in _product_files(src, callers):
+        parts = path.relative_to(rel_to).with_suffix("").parts
+        mod = ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+        visit(ast.parse(path.read_text(encoding="utf-8")), mod, "", (),
+              scoped)
+    dead = set()
+    while True:
+        live = [(name, prefix, around) for name, prefix, around in uses
+                if dead.isdisjoint(around)]
+        # a def is used when its name has a live use outside its own
+        # statement, or a live prefix dispatch outside it covers it
+        total = Counter(name for name, prefix, _ in live if not prefix)
+        own = Counter(key for name, prefix, around in live if not prefix
+                      for key in around if defs.get(key) == name)
+        prefixes = [(name, around) for name, prefix, around in live
+                    if prefix]
+        more = {key for key, name in defs.items() if key not in dead
+                and total[name] == own[key]
+                and not any(name.startswith(n) and key not in around
+                            for n, around in prefixes)}
+        if not more:
+            return sorted(dead)
+        dead |= more
+
+
+def test_every_def_is_used():
+    dead = dead_defs(SRC, (SRC, REPO / "examples", REPO / "benchmarks" / "perf"))
+    assert not dead, (
+        f"{len(dead)} def(s) that no product code names; delete each "
+        f"(with what only it calls): {', '.join(dead)}")
+
 
 # -- option census (ROADMAP ``option-census``) -------------------------------
 #
-# A defaulted ``__init__`` parameter of a class under ``src/repro`` is an
-# option.  It stays an option only while the product code (``src/``,
+# A defaulted parameter of a module-level or class-level def under
+# ``src/repro`` is an option (an ``__init__``'s is a constructor option).
+# It stays an option only while the product code (``src/``,
 # ``benchmarks/perf`` but not its tests, and ``examples/``) sets it to
-# at least two values; otherwise it is a module constant.  The census
-# reads the call sites with :mod:`ast` alone and resolves each call to
-# the function it runs:
+# at least two values; otherwise it is a module constant.  Defs nested
+# in a function are out of scope: their defaults capture loop values.
+# The census reads the call sites with :mod:`ast` alone and resolves
+# each call to the function it runs:
 #
 # * a name, an attribute of a module or class, or a local alias of one;
 # * ``super().__init__`` and ``Base.__init__(self, ...)``;
@@ -133,10 +241,17 @@ def test_every_module_is_reached(unreached):
 # * a method that forwards its ``**kwargs`` (``Cluster.observe``), when
 #   no other forwarding method has its name.
 #
+# A def other than an ``__init__`` is counted only while every mention of
+# its name in the product code is a call the census resolves; one that
+# *escapes* (named by a ``"pkg.mod:attr"`` string or a ``getattr``,
+# stored as a value, or called on a receiver the census cannot type:
+# ``nic.rdma_read``) has every parameter ``VARIED``.
+#
 # A value is a literal, a constant expression or a module-level name
 # bound to one; anything else is ``VARIED``.  A parameter passed on by
-# name or by ``**kwargs`` from an ``__init__`` or a forwarding function
-# takes the values its own callers pass.  A ``**`` of a dict literal (or
+# name or by ``**kwargs`` from an ``__init__``, a forwarding function or
+# a counted def takes the values its own callers pass; one passed on
+# from any other caller is ``VARIED``.  A ``**`` of a dict literal (or
 # of a conditional between two) binds its keys; any other ``**`` binds
 # none.  A call or a ``**`` the census cannot read adds no value, so a
 # miss can only flag an option, never hide one.
@@ -174,8 +289,8 @@ class _Scope:
 class _Fn:
     """One function or method: how a call binds to its parameters."""
 
-    def __init__(self, node, scope, method):
-        self.node, self.scope = node, scope
+    def __init__(self, node, scope, method, nested):
+        self.node, self.scope, self.nested = node, scope, nested
         a = node.args
         pos = (*a.posonlyargs, *a.args)
         self.positional = [p.arg for p in pos]
@@ -189,6 +304,7 @@ class _Fn:
                              if d is not None)
         decos = {getattr(d, "id", None) for d in node.decorator_list}
         self.bound = method and "staticmethod" not in decos
+        self.classmethod = "classmethod" in decos
 
 
 class _Site:
@@ -203,15 +319,9 @@ class _Site:
 class _Census:
     def __init__(self, src, callers):
         self.base = src.parent
-        files = [(p, src, True) for p in sorted(src.rglob("*.py"))]
-        for root in callers:
-            if root != src:
-                files += [(p, root.parent, False)
-                          for p in sorted(root.rglob("*.py"))
-                          if "tests" not in p.relative_to(root).parts]
         self.mods, self.scopes, self.scoped = {}, {}, set()
         parsed = []
-        for path, rel_to, scoped in files:
+        for path, rel_to, scoped in _product_files(src, callers):
             parts = path.relative_to(rel_to).with_suffix("").parts
             is_pkg = parts[-1] == "__init__"
             mod = ".".join(parts[:-1] if is_pkg else parts)
@@ -221,6 +331,7 @@ class _Census:
             if scoped:
                 self.scoped.add(mod)
         self.classes, self.fns, self.calls, self.stores = {}, {}, [], []
+        self.mentions, self.named = {}, []  # name loads; getattr/strings
         for mod, tree, path in parsed:
             self.scopes[mod] = _Scope(mod, tree, None)
             self._walk(tree.body, self.scopes[mod], path, "")
@@ -240,7 +351,13 @@ class _Census:
                     len(index[k]) == len(self.index[k]) for k in index):
                 break
             self.index = index
-        self._values = {}
+        self._values, self._escaped = {}, {}
+        # a mention that is a call's function (or a partial's first
+        # argument) is that call's site
+        self.callee = {id(call.args[0] if getattr(
+            call.func, "id", getattr(call.func, "attr", None)) == "partial"
+            and call.args else call.func): (call, scope)
+            for call, scope, _ in self.calls}
 
     # -- the source ---------------------------------------------------------
     @staticmethod
@@ -301,15 +418,30 @@ class _Census:
                 if method:
                     scope.methods[node.name] = key
                 inner = _Scope(scope.mod, node, scope, cls=scope.cls, fn=key)
-                self.fns[key] = _Fn(node, inner, method)
+                s, nested = scope, False
+                while s is not None:
+                    nested, s = nested or s.fn is not None, s.parent
+                self.fns[key] = _Fn(node, inner, method, nested)
                 self._walk(node.body, inner, path, key[1] + ".")
             else:
                 if isinstance(node, ast.Call):
                     self.calls.append((node, scope, path))
+                    if _getattr_name(node):
+                        self.named.append(_getattr_name(node))
                 elif isinstance(node, ast.Assign):  # TABLE[key] = value
                     self.stores += [(t.value, node.value, scope)
                                     for t in node.targets
                                     if isinstance(t, ast.Subscript)]
+                elif isinstance(node, (ast.Name, ast.Attribute)) and \
+                        isinstance(node.ctx, ast.Load):
+                    self.mentions.setdefault(getattr(
+                        node, "id", getattr(node, "attr", None)),
+                        []).append((node, scope))
+                elif isinstance(node, ast.Constant) and \
+                        isinstance(node.value, str) and \
+                        _DOTTED.fullmatch(node.value):
+                    self.named += [(n, False) for n in _DOTTED.fullmatch(
+                        node.value).group(1).split(".")]
                 self._walk(ast.iter_child_nodes(node), scope, path, qual)
 
     # -- what an expression names -------------------------------------------
@@ -469,8 +601,9 @@ class _Census:
                 out += [(init, 1, args) for init in
                         {self._init(k) for k in keys} - {None}]
             elif o[0] == "fn" and o[1] in self.fns:
-                out.append((o[1], int(self.fns[o[1]].bound
-                                      and not unbound), args))
+                fn = self.fns[o[1]]
+                out.append((o[1], int(fn.bound and (
+                    fn.classmethod or not unbound)), args))
         return out
 
     def _sites(self, key):
@@ -556,9 +689,30 @@ class _Census:
         v = self._fold(d, self.fns[key].scope.parent)
         return f"<default {ast.unparse(d)}>" if v is VARIED else v
 
+    def _escapes(self, key):
+        """Whether a mention of ``key``'s name in the product code is
+        anything but a call the census resolves: a def named by a string
+        or a ``getattr``, stored as a value, or called on a receiver the
+        census cannot type."""
+        if key not in self._escaped:
+            name = key[1].split(".")[-1]
+            self._escaped[key] = any(
+                name.startswith(n) if prefix else name == n
+                for n, prefix in self.named) or any(
+                id(node) not in self.callee
+                or not self._targets(*self.callee[id(node)])
+                for node, _ in self.mentions.get(name, ()))
+        return self._escaped[key]
+
     def _tracked(self, key):
-        return key in self.forwarders or (
-            key[0] in self.scoped and key[1].endswith(".__init__"))
+        """Whether every call of ``key`` is in :meth:`_sites`: a
+        forwarder, an ``__init__``, or a module- or class-level def that
+        does not escape."""
+        if key in self.forwarders or key[0] not in self.scoped:
+            return key in self.forwarders
+        if key[1].endswith(".__init__"):
+            return True
+        return not self.fns[key].nested and not self._escapes(key)
 
     def _value(self, expr, scope):
         """``{(value, file that passed it)}`` for one argument."""
@@ -594,28 +748,43 @@ class _Census:
         return out
 
     def options(self):
-        """``{"Class.option": (values in use, files that pass it)}``."""
+        """``{"Class.option" | "module:def.param": (values in use, files
+        that pass it)}`` for every defaulted parameter of a module- or
+        class-level def under ``src``; an escaping def's are ``VARIED``."""
         out = {}
-        for (mod, qual), cls in sorted(self.classes.items()):
-            init = cls.methods.get("__init__")
-            if mod not in self.scoped or init is None:
+        for key, fn in sorted(self.fns.items()):
+            init = key[1].endswith(".__init__")
+            if key[0] not in self.scoped or fn.nested and not init:
                 continue
-            for name in self.fns[init].defaults:
-                got = self._arriving(init, name, self._default(init, name))
-                out[f"{qual}.{name}"] = (frozenset(v for v, _ in got),
-                                         frozenset(f for _, f in got if f))
+            for name in fn.defaults:
+                label = (f"{key[1][:-len('.__init__')]}.{name}" if init
+                         else f"{key[0]}:{key[1]}.{name}")
+                if not self._tracked(key):
+                    out[label] = (frozenset({VARIED}), frozenset())
+                    continue
+                got = self._arriving(key, name, self._default(key, name))
+                out[label] = (frozenset(v for v, _ in got),
+                              frozenset(f for _, f in got if f))
         return out
 
 
 def census(src, callers):
     """Every option under ``src`` with the values product callers give
-    it: ``{"Class.option": (values, files that pass it)}``."""
+    it: ``{"Class.option" | "module:def.param": (values, files that
+    pass it)}``."""
     return _Census(src, callers).options()
 
 
 def unused(values):
     """An option with fewer than two values in use is a constant."""
     return VARIED not in values and len(values) < 2
+
+
+def settable(options):
+    """``(constructor options, other defaulted parameters)`` in a
+    :func:`census`: the settable values a reader must know about."""
+    init = sum(":" not in name for name in options)
+    return init, len(options) - init
 
 
 PERF = "benchmarks/perf/workloads"
@@ -640,8 +809,8 @@ def test_every_option_is_varied(options):
     fixed = {name: values for name, (values, _files) in options.items()
              if unused(values) and name not in FROZEN}
     assert not fixed, (
-        f"{len(fixed)} constructor option(s) that no product caller sets "
-        "to a second value; make each a module constant: "
+        f"{len(fixed)} parameter(s) that no product caller sets to a "
+        "second value; make each a module constant: "
         + "; ".join(f"{name} (in use: "
                     f"{', '.join(map(repr, sorted(values, key=repr))) or 'none'})"
                     for name, values in sorted(fixed.items())))
@@ -697,3 +866,84 @@ def test_census_names_unused_options(tmp_path):
     assert got["Same.y"] == ({2}, {"examples/use.py"})
     assert got["Inner.z"][0] == {3, 5}
     assert got["Inner.w"][0] == got["Outer.w"][0] == {4, 6}
+
+
+def test_census_names_fixed_parameters(tmp_path):
+    """The widened census on a small tree: a function parameter its only
+    caller passes at one value is named; one of a function a dotted
+    string names is not, and neither is one passed through from a
+    caller reached only on an untyped receiver."""
+    src = tmp_path / "src" / "pkg"
+    src.mkdir(parents=True)
+    (src / "__init__.py").write_text("")
+    (src / "mod.py").write_text(
+        "def fixed(n=1):\n"
+        "    return n\n"
+        "\n"
+        "def named(seed=0):\n"
+        "    return seed\n"
+        "\n"
+        "def inner(x=0):\n"
+        "    return x\n"
+        "\n"
+        "def outer(x=0):\n"
+        "    return inner(x=x)\n"
+        "\n"
+        'SWEEP = "pkg.mod:named"\n')
+    (tmp_path / "examples").mkdir()
+    (tmp_path / "examples" / "use.py").write_text(
+        "from pkg.mod import fixed, named\n"
+        "\n"
+        "fixed(n=3)\n"
+        "named(seed=1)\n"
+        "\n"
+        "def drive(obj):\n"
+        "    return obj.outer(x=2)\n")
+    got = census(tmp_path / "src", (tmp_path / "src", tmp_path / "examples"))
+    assert sorted(name for name, (values, _) in got.items()
+                  if unused(values)) == ["pkg.mod:fixed.n"]
+    assert got["pkg.mod:fixed.n"] == ({3}, {"examples/use.py"})
+    assert got["pkg.mod:named.seed"][0] == got["pkg.mod:outer.x"][0] \
+        == got["pkg.mod:inner.x"][0] == {VARIED}
+    assert settable(got) == (0, 4)
+
+
+def test_def_census_names_unused_defs(tmp_path):
+    """The def guard on a small tree: a method only its module's
+    ``__all__`` and a docstring mention is named, with the helper only
+    it calls; a method reached only through ``getattr(self, "_on_" +
+    kind)`` and a function named only by a ``"pkg.mod:fn"`` string are
+    not."""
+    src = tmp_path / "src" / "pkg"
+    src.mkdir(parents=True)
+    (src / "__init__.py").write_text("")
+    (src / "mod.py").write_text(
+        '__all__ = ["Oracle", "stale", "entry"]\n'
+        "\n"
+        "class Oracle:\n"
+        '    """Its ``stale`` has no caller."""\n'
+        "\n"
+        "    def feed(self, kind):\n"
+        '        return getattr(self, "_on_" + kind)()\n'
+        "\n"
+        "    def _on_grant(self):\n"
+        "        return 1\n"
+        "\n"
+        "    def stale(self):\n"
+        "        return self.helper()\n"
+        "\n"
+        "    def helper(self):\n"
+        "        return 2\n"
+        "\n"
+        "def entry(seed):\n"
+        "    return seed\n"
+        "\n"
+        'SWEEP = "pkg.mod:entry"\n')
+    (tmp_path / "examples").mkdir()
+    (tmp_path / "examples" / "use.py").write_text(
+        "from pkg.mod import Oracle\n"
+        "\n"
+        'Oracle().feed("grant")\n')
+    assert dead_defs(tmp_path / "src", (tmp_path / "src",
+                                        tmp_path / "examples")) == [
+        "pkg.mod:Oracle.helper", "pkg.mod:Oracle.stale"]

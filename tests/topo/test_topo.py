@@ -5,6 +5,7 @@ import pytest
 from repro.errors import ConfigError
 from repro.net import Cluster
 from repro.topo import TopoCluster
+from repro.topo import scenarios
 from repro.topo.scenarios import measure_verb_latency, topo_lab
 
 
@@ -42,12 +43,13 @@ class TestConstruction:
 
 class TestLatency:
     def test_cross_rack_slower_than_intra(self):
-        r = measure_verb_latency(seed=0)
+        r = measure_verb_latency()
         assert r["cross_rack_us"] > r["intra_rack_us"]
 
-    def test_spine_latency_raises_cross_rack_only(self):
-        base = measure_verb_latency(seed=0)
-        far = measure_verb_latency(seed=0, oversub=1.0)
+    def test_spine_latency_raises_cross_rack_only(self, monkeypatch):
+        base = measure_verb_latency()
+        monkeypatch.setattr(scenarios, "MEASURE_OVERSUB", 1.0)
+        far = measure_verb_latency()
         assert far["intra_rack_us"] == base["intra_rack_us"]
 
 

@@ -173,7 +173,8 @@ class TestAzSdp:
             conn = yield client.connect(0, port=5000)
             yield conn.send("x", size=4096, buf="B")
             t0 = env.now
-            yield conn.touch("B")  # in flight: must fault + wait
+            # re-sending from B touches it: in flight, must fault + wait
+            yield conn.send("y", size=4096, buf="B")
             times["touch_wait"] = env.now - t0
             times["faults"] = conn.page_faults
 
@@ -192,18 +193,20 @@ class TestAzSdp:
 
         def client_side(env):
             conn = yield client.connect(0, port=5000)
+            t0 = env.now
             yield conn.send("x", size=64, buf="B")
-            # let the transfer finish
+            first = env.now - t0
+            # let the transfer finish, then re-send from (touch) B
             yield env.timeout(10_000.0)
             t0 = env.now
-            yield conn.touch("B")
-            return env.now - t0, conn.page_faults
+            yield conn.send("y", size=64, buf="B")
+            return first, env.now - t0, conn.page_faults
 
         cluster.env.process(server_side(cluster.env))
         p = cluster.env.process(client_side(cluster.env))
         cluster.env.run()
-        wait, faults = p.value
-        assert wait == 0.0
+        first, wait, faults = p.value
+        assert wait == pytest.approx(first)
         assert faults == 0
 
     def test_distinct_buffers_overlap(self):
@@ -237,3 +240,42 @@ class TestAzSdp:
         t_async = run(AzSdpEndpoint, bufs=True)
         t_sync = run(ZeroCopySdpEndpoint, bufs=False)
         assert t_async < t_sync
+
+
+def _wire_ids(endpoint_cls):
+    """Every id on the SDP wire during one connect and three sends."""
+    cluster, server, client, listener = make_pair(endpoint_cls)
+    ids = []
+    for ep in (server, client):
+        def send(dst, payload=None, real=ep.node.nic.send, **kw):
+            ids.append(sorted((k, v) for k, v in payload.items()
+                              if k.endswith("id")))
+            return real(dst, payload=payload, **kw)
+        ep.node.nic.send = send
+
+    def server_side(env):
+        conn = yield listener.accept()
+        for _ in range(3):
+            yield conn.recv()
+
+    def client_side(env):
+        conn = yield client.connect(0, port=5000)
+        for i in range(3):
+            yield conn.send(i, size=4096, **(
+                {"buf": f"b{i}"} if endpoint_cls is AzSdpEndpoint else {}))
+
+    cluster.env.process(server_side(cluster.env))
+    cluster.env.process(client_side(cluster.env))
+    cluster.env.run()
+    return ids
+
+
+@pytest.mark.parametrize("endpoint_cls", [ZeroCopySdpEndpoint,
+                                          AzSdpEndpoint])
+def test_connection_and_transfer_ids_are_per_run(endpoint_cls):
+    """Ids come from the run's environment: a second identical run in
+    the same process puts the same connection and transfer ids on the
+    wire."""
+    first = _wire_ids(endpoint_cls)
+    assert any(k == "xid" for row in first for k, _ in row)
+    assert _wire_ids(endpoint_cls) == first

@@ -11,8 +11,12 @@ from repro.errors import TxnConflict, TxnError
 from repro.net import Cluster
 from repro.txn import (OCCTxnClient, Txn, TwoPLTxnClient, TxnWorker,
                        build_txn_scenario)
+from repro.txn import scenarios as txn_scenarios
 from repro.txn.scenarios import ACCOUNT_START, account_sum, unit_state
 from repro.workloads.tpcc import balance, new_order_txn, transfer_txn
+
+from tests.txn.batch import one
+
 
 N_WORKERS = 6
 TXNS_PER_WORKER = 5
@@ -133,14 +137,16 @@ class TestCommitRate:
     variant read the same offered-load-bound number."""
 
     @staticmethod
-    def stats(variant, n_keys, horizon=300_000.0):
+    def stats(variant, n_keys):
         return build_txn_scenario(variant, seed=0, n_nodes=4,
                                   n_keys=n_keys, n_workers=8,
-                                  txns_per_worker=6, horizon=horizon)[1]
+                                  txns_per_worker=6)[1]
 
-    def test_rate_does_not_depend_on_the_horizon(self):
-        short = self.stats("occ", 8, horizon=300_000.0)
-        long = self.stats("occ", 8, horizon=600_000.0)
+    def test_rate_does_not_depend_on_the_horizon(self, monkeypatch):
+        short = self.stats("occ", 8)
+        assert txn_scenarios.HORIZON_US == 300_000.0
+        monkeypatch.setattr(txn_scenarios, "HORIZON_US", 600_000.0)
+        long = self.stats("occ", 8)
         assert short["done"] == short["txns"]
         assert short["makespan_us"] < 300_000.0
         assert short["commit_per_s"] == long["commit_per_s"]
@@ -211,8 +217,8 @@ class TestTxnApi:
         held = {}
 
         def hold_then_release(env):
-            version, _ = yield store.snapshot(keys[0])
-            yield store.install_lock(keys[0], version)
+            version, _ = yield one(env, store.snapshot_all([keys[0]]))
+            yield one(env, store.install_lock_all([(keys[0], version)]))
             held["v"] = version
             yield env.timeout(500.0)  # long enough to defeat attempt 1
             (ok, err), = yield from store.install_abort_all(
@@ -237,14 +243,14 @@ class TestTxnApi:
         outcome = {}
 
         def wedge(env):
-            version, _ = yield store.snapshot(keys[0])
-            yield store.install_lock(keys[0], version)
+            version, _ = yield one(env, store.snapshot_all([keys[0]]))
+            yield one(env, store.install_lock_all([(keys[0], version)]))
             # never released: simulates an installer that died mid-flight
 
         def snap(env):
             yield env.timeout(50.0)
             try:
-                yield reader.snapshot(keys[0])
+                yield one(env, reader.snapshot_all([keys[0]]))
             except TxnConflict as exc:
                 outcome["exc"] = exc
 

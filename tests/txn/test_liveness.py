@@ -17,6 +17,8 @@ from repro.txn.scenarios import account_sum
 from repro.verify import TraceView, TxnOracle, replay_fresh
 from repro.workloads.tpcc import balance, pack_balance, transfer_txn
 
+from tests.txn.batch import one
+
 
 def _units(cluster, ddss, homes, start):
     """One 32-byte unit per home, holding ``start``."""
@@ -85,7 +87,7 @@ def test_crossing_withdrawals_are_serializable_and_live(offset_us):
     def actor(env, node, txn, start):
         client = OCCTxnClient(ddss.client(cluster.nodes[node]))
         for key in (x, y):  # warm the metadata cache
-            yield client.store.snapshot(key)
+            yield one(env, client.store.snapshot_all([key]))
         yield env.timeout(start - env.now)
         results.append((yield client.run(txn)))
 

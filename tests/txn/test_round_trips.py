@@ -18,6 +18,8 @@ from repro.sim import Process
 from repro.txn import OCCTxnClient, Txn, TwoPLTxnClient, base
 from repro.workloads.tpcc import balance, pack_balance
 
+from tests.txn.batch import one
+
 
 def _bump_all(keys):
     """Read every key, write every key."""
@@ -91,7 +93,7 @@ def _watch(monkeypatch, client, keys):
         real(self, event)
         if self is started[0]:
             log.append((self.env.now,
-                        _state(self) if self.is_alive else None))
+                        _state(self) if not self.triggered else None))
 
     monkeypatch.setattr(Process, "_resume", resume)
     started.append(client.run(_bump_all(keys)))
@@ -100,7 +102,8 @@ def _watch(monkeypatch, client, keys):
 
 def _snapshot_round_trip(cluster, store, key):
     t0 = cluster.env.now
-    cluster.env.run_until_event(store.snapshot(key), limit=1e9)
+    cluster.env.run_until_event(
+        one(cluster.env, store.snapshot_all([key])), limit=1e9)
     return cluster.env.now - t0
 
 
@@ -130,7 +133,7 @@ def test_2pl_acquires_in_turn_then_three_waits_then_releases_together(k):
         [["cas"]] * k                      # lock acquires, one at a time
         + [["read"] * k, ["cas"] * k, ["write"] * k]
         + [["cas"] * k])                   # lock releases, one instant
-    assert not any(client.locks.manager.holder_count(i) for i in range(k))
+    assert not any(len(client.locks.manager.holders.get(i, ())) for i in range(k))
 
 
 @pytest.mark.parametrize("k", [1, 2, 4])
@@ -187,7 +190,7 @@ def test_attempt_cut_off_at_the_horizon_closes_quietly(variant, monkeypatch):
         cluster, _obs, _store, client, keys = _rig(3, variant=variant)
         proc = client.run(_bump_all(keys))
         cluster.env.run(until=cut)
-        assert proc.is_alive
+        assert not proc.triggered
         covered.add(_state(proc))
         rigs.append(cluster)
     assert covered == {state for _t, state, _r in waits}

@@ -9,6 +9,7 @@ transaction has to know which siblings landed.
 from repro.ddss import DDSS, Coherence
 from repro.ddss.substrate import INSTALL_BIT
 from repro.faults import FaultPlan
+from repro.faults.plan import VerbFault
 from repro.net import Cluster
 from repro.txn import OCCTxnClient
 from repro.txn.scenarios import unit_state
@@ -25,8 +26,9 @@ def _run(fault_window=None):
     obs = cluster.observe()
     plan = FaultPlan()
     if fault_window is not None:
-        plan.fail_verbs(1.0, src=0, dst=FAULTY, start=fault_window[0],
-                        until=fault_window[1])
+        plan.verb_faults.append(VerbFault(1.0, src=0, dst=FAULTY,
+                                          start=fault_window[0],
+                                          until=fault_window[1]))
     injector = cluster.install_faults(plan)
     ddss = DDSS(cluster, segment_bytes=64 * 1024)
     store = ddss.client(cluster.nodes[0])

@@ -14,6 +14,8 @@ from repro.txn import OCCTxnClient, TxnWorker
 from repro.verify import TxnOracle, TraceView, replay_fresh
 from repro.workloads.tpcc import transfer_txn
 
+from tests.txn.batch import one
+
 
 class FailingStore:
     """Delegates to a real DDSS client, but in ``install_publish_all``
@@ -121,7 +123,7 @@ class TestWedgeWindow:
 
         def snap(env):
             try:
-                yield reader.snapshot(hi)
+                yield one(env, reader.snapshot_all([hi]))
             except TxnConflict as exc:
                 outcome["exc"] = exc
 

@@ -35,6 +35,7 @@ kind.
 
 import pytest
 
+from repro.dlm import tournament
 from repro.dlm.tournament import lock_tournament
 from repro.net.fabric import Fabric
 from repro.scenarios import judged_run
@@ -202,11 +203,12 @@ def test_lock_bench_chaos_cell_starts_at_a_same_instant_pair(monkeypatch,
                                                              scheme):
     horizon_us, kind = LOCK_BENCH_TIES[scheme]
 
+    monkeypatch.setattr(tournament, "HORIZON_US", horizon_us)
+
     def run(kernel):
         with pin_kernel(kernel):
             return lock_tournament(scheme, n_clients=256, alpha=1.2,
-                                   chaos="crash", seed=0,
-                                   horizon_us=horizon_us)
+                                   chaos="crash", seed=0)
 
     fast, fast_ups, _ = injection_log(monkeypatch, lambda: run("fast"))
     slow, slow_ups, _ = injection_log(monkeypatch, lambda: run("slow"))

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.net import Cluster
+from repro.workloads import tpcc
 from repro.workloads.tpcc import (TpccMix, balance, new_order_txn,
                                   pack_balance, transfer_txn)
 
@@ -67,10 +68,12 @@ class TestMix:
         assert a == b
         assert set(a) == {"transfer", "new-order"}
 
-    def test_p_transfer_extremes(self):
-        only_t = self._mix(p_transfer=1.0).batch(10)
+    def test_p_transfer_extremes(self, monkeypatch):
+        monkeypatch.setattr(tpcc, "P_TRANSFER", 1.0)
+        only_t = self._mix().batch(10)
         assert all(t.label == "transfer" for t in only_t)
-        only_n = self._mix(p_transfer=0.0).batch(10)
+        monkeypatch.setattr(tpcc, "P_TRANSFER", 0.0)
+        only_n = self._mix().batch(10)
         assert all(t.label == "new-order" for t in only_n)
         # every new-order spans the district plus 1..max_items stock keys
         assert all(2 <= len(t.keys()) <= 4 for t in only_n)
