@@ -2,9 +2,10 @@
 
 This package is the substitute for the paper's InfiniBand testbed.  The
 semantics are real — RDMA reads/writes/atomics operate on actual bytes in
-per-node :class:`bytearray` memory with rkey protection — while time is
-provided by the discrete-event kernel in :mod:`repro.sim` using
-calibrated latency/bandwidth parameters (:class:`NetworkParams`).
+per-node memory regions, each a demand-zero private mapping with rkey
+protection — while time is provided by the discrete-event kernel in
+:mod:`repro.sim` using calibrated latency/bandwidth parameters
+(:class:`NetworkParams`).
 
 Typical use::
 

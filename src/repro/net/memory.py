@@ -1,12 +1,16 @@
 """Registered memory regions — the substrate for one-sided operations.
 
 Every node owns a :class:`MemoryManager` holding registered
-:class:`MemoryRegion`\\ s backed by real :class:`bytearray` storage.  An
-RDMA access names ``(addr, rkey)``; the manager validates the key and
-bounds exactly like an HCA's protection-table walk, then performs the
-byte-level operation.  Remote atomics (:meth:`MemoryManager.cas64`,
-:meth:`MemoryManager.faa64`) act on 64-bit big-endian words, matching the
-wire format the lock manager and DDSS metadata use.
+:class:`MemoryRegion`\\ s, each backed by a demand-zero private mapping
+(``mmap(-1, length, MAP_PRIVATE)``): the OS supplies a zero page on first
+touch, so a region costs resident memory only for the pages an access
+has touched, and a forked process (``repro.lab`` workers) writes into a
+copy, never into its parent's simulated memory.  An RDMA access names
+``(addr, rkey)``; the manager validates the key and bounds exactly like
+an HCA's protection-table walk, then performs the byte-level operation.
+Remote atomics (:meth:`MemoryManager.cas64`, :meth:`MemoryManager.faa64`)
+act on 64-bit big-endian words, matching the wire format the lock
+manager and DDSS metadata use.
 
 :class:`RemoteKey` is the serializable handle (node, addr, rkey, length)
 that services exchange so peers can target each other's memory.
@@ -14,6 +18,7 @@ that services exchange so peers can target each other's memory.
 
 from __future__ import annotations
 
+import mmap
 from dataclasses import dataclass
 from typing import Dict, Optional
 
@@ -51,13 +56,13 @@ class MemoryRegion:
         self.addr = addr
         self.length = length
         self.rkey = rkey
-        self.buf = bytearray(length)
+        self.buf = mmap.mmap(-1, length, flags=mmap.MAP_PRIVATE)
         self.name = name
 
     # -- local (lkey-style) access ----------------------------------------
     def read(self, offset: int, length: int) -> bytes:
         self._check(offset, length)
-        return bytes(self.buf[offset:offset + length])
+        return self.buf[offset:offset + length]
 
     def write(self, offset: int, data: bytes) -> None:
         self._check(offset, len(data))
@@ -106,13 +111,19 @@ class MemoryManager:
         self._rcache: Optional[MemoryRegion] = None
 
     def register(self, length: int, name: str = "") -> MemoryRegion:
-        """Register ``length`` bytes; returns the region handle."""
+        """Register ``length`` bytes; returns the region handle.  A
+        length the OS cannot map raises :class:`ConfigError`."""
         addr = self._next_addr
         pad = (-length) % self._ALIGN
         self._next_addr += length + pad + self._ALIGN  # guard gap
         self._next_rkey = (self._next_rkey * 2654435761 + 1) & 0xFFFFFFFF
-        region = MemoryRegion(self.node_id, addr, length,
-                              self._next_rkey, name)
+        try:
+            region = MemoryRegion(self.node_id, addr, length,
+                                  self._next_rkey, name)
+        except (OSError, OverflowError) as exc:
+            raise ConfigError(
+                f"node {self.node_id} cannot map region {name!r} of "
+                f"{length} bytes: {exc}") from exc
         self._regions[addr] = region
         return region
 
@@ -142,10 +153,14 @@ class MemoryManager:
 
     # The verbs below inline the region byte access (``resolve`` already
     # bounds-checked the window, so MemoryRegion._check would be
-    # redundant work on the hottest data path).
+    # redundant work on the hottest data path).  A slice of the mapping
+    # is a fresh ``bytes``, and a slice assignment never resizes it.
     def rdma_read(self, addr: int, rkey: int, length: int) -> bytes:
+        if length < 0:  # an HCA's lengths are unsigned
+            raise BoundsError(f"cannot read {length} bytes on node "
+                              f"{self.node_id} addr {addr:#x}")
         region, offset = self.resolve(addr, rkey, length)
-        return bytes(region.buf[offset:offset + length])
+        return region.buf[offset:offset + length]
 
     def rdma_write(self, addr: int, rkey: int, data: bytes) -> None:
         region, offset = self.resolve(addr, rkey, len(data))

@@ -453,10 +453,12 @@ class NIC:
         """
         if not self.params.has_rdma:
             self._need_rdma()
-        self.rdma_reads += 1
+        if length < 0:
+            raise ConfigError("cannot read negative bytes")
         wire = length if wire_bytes is None else wire_bytes
         if wire < length:
             raise ConfigError("wire_bytes smaller than read length")
+        self.rdma_reads += 1
         ev = self._post_verb(dst_id, _OP_READ, addr, rkey, length, None, wire)
         obs = self.env.obs
         if obs is not None:

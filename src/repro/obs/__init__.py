@@ -99,7 +99,6 @@ class Observability:
         if self.env.obs is not None and self.env.obs is not self:
             raise ConfigError("another Observability is already installed")
         self.env.obs = self
-        self.metrics.freeze(False)
         return self
 
     # -- verdicts -------------------------------------------------------
@@ -109,10 +108,6 @@ class Observability:
         from ..verify import ALL_ORACLES, TraceView, replay_fresh
         view = TraceView.from_obs(self).require_complete()
         return replay_fresh(view, ALL_ORACLES)[1]
-
-    @property
-    def clean(self) -> bool:
-        return not self.violations()
 
     def check(self) -> None:
         """Raise :class:`SanitizerError` if the replay finds a violation."""
@@ -167,25 +162,14 @@ class Observability:
         return pair
 
     # -- export ---------------------------------------------------------
-    def to_dict(self) -> dict:
-        """Deterministic snapshot: JSON types only, stable ordering."""
-        return {
-            "sim_now_us": self.env.now,
-            "events": {
-                "emitted": self.trace.emitted,
-                "buffered": len(self.trace),
-                "by_type": self.trace.counts(),
-            },
-            "metrics": self.metrics.to_dict(),
-        }
-
     def trace_dict(self) -> dict:
         """Full-event trace snapshot for offline replay (``repro.verify``).
 
-        Unlike :meth:`to_dict` (counts only, bounded size) this carries
-        every buffered event verbatim, so it is opt-in.  ``emitted`` >
-        ``len(events)`` means the ring overflowed and the trace is not
-        replayable end to end — the verify layer refuses such traces.
+        Unlike ``metrics.to_dict()`` (counts only, bounded size) this
+        carries every buffered event verbatim, so it is opt-in.
+        ``emitted`` > ``len(events)`` means the ring overflowed and the
+        trace is not replayable end to end — the verify layer refuses
+        such traces.
         """
         return {
             "format": "repro-trace-v1",

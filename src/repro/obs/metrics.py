@@ -208,10 +208,9 @@ class MetricsRegistry:
         self.counters: Dict[str, Counter] = {}
         self.gauges: Dict[str, Gauge] = {}
         self.histograms: Dict[str, LatencyHistogram] = {}
-        #: key -> [count, value, c, v]: (c, v) is (count(), value()) at
-        #: registration while live, the moves since then while frozen
+        #: key -> [count, value, c, v]: (c, v) is (count(), value())
+        #: at registration
         self.pulled: Dict[str, list] = {}
-        self.frozen = False
 
     # -- accessors (create on first use) --------------------------------
     def counter(self, name: str, node: Optional[int] = None) -> Counter:
@@ -249,17 +248,8 @@ class MetricsRegistry:
         value = value or count
         self.pulled[k] = [count, value, count(), value()]
 
-    def freeze(self, frozen: bool = True) -> None:
-        """Stop (``False``: resume) reading the pulled counters' tallies."""
-        if frozen != self.frozen:
-            self.frozen = frozen
-            for p in self.pulled.values():
-                p[2], p[3] = p[0]() - p[2], p[1]() - p[3]
-
     def pulled_values(self) -> Dict[str, int]:
         """The pulled counters whose count has moved, by key."""
-        if self.frozen:
-            return {k: v for k, (_, _, c, v) in self.pulled.items() if c}
         return {k: value() - v for k, (count, value, c, v)
                 in self.pulled.items() if count() != c}
 

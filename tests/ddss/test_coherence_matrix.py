@@ -73,7 +73,7 @@ class TestCoherenceMatrix:
             assert d2 == B
             assert reader.cache_hits == 0
         assert d3 == C
-        assert obs.clean
+        assert not obs.violations()
 
     def test_lock_discipline(self, model):
         """WRITE/STRICT serialize puts through the unit lock; STRICT
@@ -98,7 +98,7 @@ class TestCoherenceMatrix:
         releases = obs.trace.select("ddss.lock.release")
         assert len(acquires) == locked_puts + locked_gets
         assert len(releases) == len(acquires)
-        assert obs.clean
+        assert not obs.violations()
 
     def test_version_word(self, model):
         """Versioned models count puts in the unit's version word."""
@@ -116,7 +116,7 @@ class TestCoherenceMatrix:
 
         version = drive(cluster, script(cluster.env))
         assert version == (3 if model in VERSIONED else 0)
-        assert obs.clean
+        assert not obs.violations()
 
     def test_concurrent_writers_single_owner(self, model):
         """Two writers race puts on one unit.  Locking models serialize
@@ -145,4 +145,4 @@ class TestCoherenceMatrix:
         value = drive(cluster, script(cluster.env))
         assert len(done) == 2
         assert value in (A, B)
-        assert obs.clean  # single-owner held even under contention
+        assert not obs.violations()  # single-owner held even under contention

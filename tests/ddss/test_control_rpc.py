@@ -59,7 +59,7 @@ class TestFaults:
         assert run(cluster, allocate(client)) == 1
         assert rows(obs, "rpc.retry")
         assert cluster.env.now < rpc.DEADLINE_US + 50.0
-        assert obs.clean
+        assert not obs.violations()
 
     def test_all_calls_complete_under_heavy_drop(self, kernel):
         """40% loss each way for 3.5 ms, the span a call's doubling
@@ -86,7 +86,7 @@ class TestFaults:
         executed = [row.fields["rid"] for row in rows(obs, "rpc.execute")]
         assert len(executed) == len(set(executed))
         assert rows(obs, "rpc.retry")  # the drops actually bit
-        assert obs.clean
+        assert not obs.violations()
 
     def test_permanent_drop_raises_the_named_timeout(self, kernel):
         cluster, obs, _ddss, client = build(
@@ -111,7 +111,7 @@ class TestFaults:
         queues = cluster.nodes[1].nic._recv_queues
         assert {tag: len(q) for tag, q in queues.items() if len(q)} == {}
         assert rows(obs, "rpc.dup_request")
-        assert obs.clean
+        assert not obs.violations()
 
     def test_directory_crash_mid_request_fails_the_caller(self, kernel):
         """The directory (node 0) goes down after the register request
@@ -143,7 +143,7 @@ class TestFaults:
         cluster.env.run()
         box = cluster.nodes[1].nic._recv_queues[rpc.REPLY_TAG]
         assert box.late >= 1 and len(box) == 0
-        assert obs.clean
+        assert not obs.violations()
 
 
 def _cost(kernel, n):

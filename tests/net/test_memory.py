@@ -1,5 +1,9 @@
 """Unit + property tests for registered memory and remote atomics."""
 
+import os
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -73,10 +77,65 @@ class TestRemoteAccessPath:
         with pytest.raises(BoundsError):
             mm.rdma_read(r.addr + 12, r.rkey, 8)
 
+    @pytest.mark.parametrize("length", [-1, -8, -2000])
+    def test_negative_length_rejected(self, mm, length):
+        """An HCA's lengths are unsigned: no negative slice of the region."""
+        r = mm.register(4096)
+        with pytest.raises(BoundsError):
+            mm.rdma_read(r.addr + 2048, r.rkey, length)
+
     def test_access_via_interior_address(self, mm):
         r = mm.register(64)
         r.write(32, b"\xab")
         assert mm.rdma_read(r.addr + 32, r.rkey, 1) == b"\xab"
+
+
+def resident_bytes() -> int:
+    pages = int(Path("/proc/self/statm").read_text().split()[1])
+    return pages * os.sysconf("SC_PAGE_SIZE")
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="reads /proc; uses fork")
+class TestBacking:
+    """Each region is a demand-zero private mapping."""
+
+    def test_region_is_resident_only_where_touched(self, mm):
+        before = resident_bytes()
+        r = mm.register(64 << 20, name="big")
+        r.write_u64(0, 1)
+        r.write_u64(r.length - 8, 2)
+        # room for two 2 MiB huge pages where THP is ``always``
+        assert resident_bytes() - before < 16 << 20
+        assert r.read_u64(0) == 1 and r.read_u64(4096) == 0
+
+    def test_forked_child_writes_its_own_copy(self, mm):
+        r = mm.register(4096)
+        pid = os.fork()
+        if pid == 0:  # child: never returns into pytest
+            code = 1
+            try:
+                r.write_u64(0, 0xFEED)
+                code = 0 if r.read_u64(0) == 0xFEED else 1
+            finally:
+                os._exit(code)
+        _, status = os.waitpid(pid, 0)
+        assert os.waitstatus_to_exitcode(status) == 0
+        assert r.read_u64(0) == 0
+
+    def test_unmappable_length_is_a_named_error(self, mm):
+        with pytest.raises(ConfigError, match=(
+                f"node 3 cannot map region 'huge' of {1 << 64} bytes")):
+            mm.register(1 << 64, name="huge")
+
+    @pytest.mark.skipif(
+        Path("/proc/sys/vm/overcommit_memory").exists()
+        and Path("/proc/sys/vm/overcommit_memory").read_text().strip()
+        == "1", reason="the kernel maps any length (overcommit_memory=1)")
+    def test_length_beyond_memory_is_a_named_error(self, mm):
+        with pytest.raises(ConfigError, match=(
+                f"node 3 cannot map region 'petabyte' of {1 << 50} bytes")):
+            mm.register(1 << 50, name="petabyte")
 
 
 class TestAtomics:

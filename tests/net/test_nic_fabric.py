@@ -242,6 +242,21 @@ class TestOneSided:
 
         assert run_proc(ib, proc(ib.env)) == "denied"
 
+    @pytest.mark.parametrize("kernel", KERNELS)
+    @pytest.mark.parametrize("length", [-1, -8, -2000])
+    def test_negative_read_length_fails_at_the_call(self, kernel, length):
+        """Not a negative slice of the region, on either kernel: the
+        call raises at t = 0 and posts and counts nothing."""
+        with pin_kernel(kernel):
+            c = Cluster(n_nodes=2, params=NetworkParams.infiniband(),
+                        seed=1)
+        a, b = c.nodes
+        region = b.memory.register(4096)
+        with pytest.raises(ConfigError, match="negative"):
+            a.nic.rdma_read(b.id, region.addr, region.rkey, length)
+        c.env.run()
+        assert c.env.now == 0 and a.nic.rdma_reads == 0
+
     def test_rdma_refused_without_hardware_support(self):
         cluster = Cluster(n_nodes=2, params=replace(
             NetworkParams.infiniband(), has_rdma=False))

@@ -4,7 +4,7 @@ Mirrors the ``tests/faults`` schedules: crashes, restarts and message
 loss against the fault-tolerant lock manager and the DDSS control
 plane.  The bar: the protocols survive the chaos *and* every invariant
 holds — a live oracle raises at the first violating event, and the
-replay behind ``obs.clean`` adds the end-of-trace checks.
+replay behind ``obs.violations()`` adds the end-of-trace checks.
 """
 
 import pytest
@@ -62,7 +62,7 @@ class TestNcosedChaosSanitized:
                 name=f"chaos-{i}"))
         env.run(until=60_000.0)
         assert all(p.triggered for p in procs), "hung actor"
-        assert obs.clean
+        assert not obs.violations()
         assert obs.trace.emitted > 0
 
     def test_holder_crash_reclaim_is_clean(self):
@@ -90,7 +90,7 @@ class TestNcosedChaosSanitized:
         env.process(hold(env), name="holder")
         p = env.process(wait(env), name="waiter")
         env.run_until_event(p, limit=1e9)
-        assert obs.clean
+        assert not obs.violations()
         assert len(obs.trace.select("lock.reclaim")) >= 1
         assert len(obs.trace.select("lock.revoke")) >= 1
 
@@ -122,7 +122,7 @@ class TestRpcChaosSanitized:
         p = cluster.env.process(app(cluster.env))
         cluster.env.run_until_event(p, limit=1e9)
         assert len(keys) > 20
-        assert obs.clean
+        assert not obs.violations()
         # the chaos actually exercised the retry machinery
         assert len(obs.trace.select("rpc.retry")) > 0
         dups = obs.trace.select("rpc.dup_request")
@@ -138,5 +138,5 @@ class TestScenarioChaos:
         from repro.scenarios import judged_run
 
         obs = judged_run("ncosed-chaos", seed)[1]
-        assert obs.clean
+        assert not obs.violations()
         assert obs.trace.select("fault.crash")

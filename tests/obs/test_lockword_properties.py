@@ -183,7 +183,7 @@ class TestEpochFencingLive:
         env.process(hold_forever(env), name="victim")
         p = env.process(later(env), name="other")
         env.run_until_event(p, limit=1e9)
-        assert obs.clean
+        assert not obs.violations()
         reclaims = obs.trace.select("lock.reclaim")
         assert len(reclaims) >= 1
         eps = [r.fields["new_ep"] for r in reclaims]

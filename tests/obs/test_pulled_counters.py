@@ -17,7 +17,7 @@ from repro.topo import TopoCluster
 
 
 def _counters(obs):
-    return obs.to_dict()["metrics"]["counters"]
+    return obs.metrics.to_dict()["counters"]
 
 
 def _send(cluster, *pairs, nbytes=100):
@@ -42,20 +42,6 @@ class TestRegistry:
         tally["n"] += 1
         tally["bytes"] += 30
         assert reg.pulled_values() == {"x.bytes@n2": 30, "x.n": 2}
-
-    def test_freeze_stops_and_thaw_resumes(self):
-        tally = [0]
-        reg = MetricsRegistry(Environment())
-        reg.pull("x", lambda: tally[0])
-        reg.freeze()
-        tally[0] += 4
-        assert reg.pulled_values() == {}
-        reg.freeze(False)
-        tally[0] += 1
-        reg.freeze()
-        reg.freeze()                          # idempotent
-        tally[0] += 1
-        assert reg.pulled_values() == {"x": 1}
 
     def test_merges_into_sorted_export(self):
         reg = MetricsRegistry(Environment())

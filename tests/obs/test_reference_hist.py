@@ -54,9 +54,9 @@ def test_to_dict_matches_the_per_sample_twin(seed, halves):
 @pytest.mark.parametrize("row", ["ncosed", "ddss"])
 def test_obs_row_exports_match_the_per_sample_twin(row, monkeypatch):
     obs = judged_run(row, seed=3)[1]
-    product = obs.to_dict()
+    product = obs.metrics.to_dict()
     patch_reference(monkeypatch)
-    reference = judged_run(row, seed=3)[1].to_dict()
+    reference = judged_run(row, seed=3)[1].metrics.to_dict()
     assert product == reference
-    counts = [h["count"] for h in product["metrics"]["histograms"].values()]
+    counts = [h["count"] for h in product["histograms"].values()]
     assert counts and max(counts) > 0

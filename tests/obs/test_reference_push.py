@@ -24,7 +24,7 @@ from tests.obs.reference_push import patch_reference
 
 
 def _exports(obs):
-    return json.dumps(obs.to_dict(), sort_keys=True), obs.export_trace_json()
+    return json.dumps(obs.metrics.to_dict(), sort_keys=True), obs.export_trace_json()
 
 
 def _twin(run, monkeypatch):

@@ -127,7 +127,7 @@ class TestFlatIdentity:
         for i in range(6):
             env.process(actor(i), name=f"a{i}")
         env.run()
-        assert obs.clean
+        assert not obs.violations()
         return canonical_trace_sha(obs.trace_dict())
 
     def test_single_rack_matches_flat_cluster(self):
