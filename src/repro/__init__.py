@@ -33,22 +33,29 @@ Quickstart::
     cluster.env.run()
 """
 
-from repro.ddss import DDSS, Coherence
-from repro.dlm import DQNLManager, LockMode, NCoSEDManager, SRSLManager
-from repro.net import Cluster, NetworkParams
-from repro.sim import Environment
+import importlib
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "Cluster",
-    "Coherence",
-    "DDSS",
-    "DQNLManager",
-    "Environment",
-    "LockMode",
-    "NCoSEDManager",
-    "NetworkParams",
-    "SRSLManager",
-    "__version__",
-]
+
+def _lazy(namespace: dict, exports: dict):
+    """A package's PEP 562 ``__getattr__``: each of ``exports`` (public
+    name -> module) is imported on first access and kept in
+    ``namespace``, so importing a package loads none of its siblings."""
+    def __getattr__(name: str):
+        if name not in exports:
+            raise AttributeError(f"module {namespace['__name__']!r} has "
+                                 f"no attribute {name!r}")
+        value = namespace[name] = getattr(
+            importlib.import_module(exports[name]), name)
+        return value
+    return __getattr__
+
+
+_EXPORTS = {"Cluster": "repro.net", "NetworkParams": "repro.net",
+            "Coherence": "repro.ddss", "DDSS": "repro.ddss",
+            "DQNLManager": "repro.dlm", "LockMode": "repro.dlm",
+            "NCoSEDManager": "repro.dlm", "SRSLManager": "repro.dlm",
+            "Environment": "repro.sim"}
+__getattr__ = _lazy(globals(), _EXPORTS)
+__all__ = [*_EXPORTS, "__version__"]

@@ -108,7 +108,7 @@ class StormEngine:
             yield node.cpu.run(SERVICE_MSG_US, name="storm-ctrl")
             if body["op"] == "meta":
                 yield self._sock_cpu(node, CTRL_BYTES)
-                node.nic.send(msg.src, payload={
+                node.nic.post(msg.src, payload={
                     "n": len(self.partitions[node.id]),
                 }, size=CTRL_BYTES, tag=("storm-r", body["q"], node.id))
             elif body["op"] == "query":
@@ -120,7 +120,7 @@ class StormEngine:
                 count = int(mask.sum())
                 total = int(part[mask].sum())
                 yield self._sock_cpu(node, RESULT_BYTES)
-                node.nic.send(msg.src, payload={
+                node.nic.post(msg.src, payload={
                     "count": count, "sum": total,
                 }, size=RESULT_BYTES, tag=("storm-r", body["q"], node.id))
 
@@ -130,7 +130,7 @@ class StormEngine:
         # phase 1: metadata exchange with every storage node
         for node in self.storage:
             yield self._sock_cpu(coord, CTRL_BYTES)
-            coord.nic.send(node.id, payload={"op": "meta", "q": qid},
+            coord.nic.post(node.id, payload={"op": "meta", "q": qid},
                            size=CTRL_BYTES, tag="storm")
         for node in self.storage:
             yield coord.nic.recv(tag=("storm-r", qid, node.id))
@@ -138,7 +138,7 @@ class StormEngine:
         # phase 2: dispatch the query and gather partial results
         for node in self.storage:
             yield self._sock_cpu(coord, CTRL_BYTES)
-            coord.nic.send(node.id, payload={
+            coord.nic.post(node.id, payload={
                 "op": "query", "q": qid, "lo": lo, "hi": hi,
             }, size=CTRL_BYTES, tag="storm")
         count, total = 0, 0
@@ -215,7 +215,7 @@ class StormEngine:
         yield cc.put(self._state["query"],
                      lo.to_bytes(8, "big") + hi.to_bytes(8, "big"))
         for node in self.storage:
-            self.coordinator.nic.send(node.id, payload=qid, size=16,
+            self.coordinator.nic.post(node.id, payload=qid, size=16,
                                       tag="storm-bell")
         # wait for the completion counter (coordinator-local poll)
         target = done_region_before + len(self.storage)

@@ -186,7 +186,7 @@ class LockClient:
         peer = self.manager.clients.get(token)
         if peer is None:
             raise LockError(f"unknown peer token {token}")
-        self.node.nic.send(peer.node.id, payload=body, size=32,
+        self.node.nic.post(peer.node.id, payload=body, size=32,
                            tag=peer._tag)
 
     def _queue(self, lock_id: int, kind: str) -> Store:

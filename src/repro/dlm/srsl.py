@@ -87,7 +87,7 @@ class SRSLManager(LockManagerBase):
             state.holders += 1
             yield node.cpu.run(SERVER_GRANT_US, name="srsl-grant")
             client = self.clients[token]
-            node.nic.send(client.node.id,
+            node.nic.post(client.node.id,
                           payload={"t": "grant", "lock": lock_id,
                                    "mode": mode.value},
                           size=32, tag=client._tag)
@@ -96,7 +96,7 @@ class SRSLManager(LockManagerBase):
 class SRSLClient(LockClient):
     def _acquire(self, lock_id: int, mode: LockMode):
         home = self.manager.home_node(lock_id)
-        self.node.nic.send(home.id, payload={
+        self.node.nic.post(home.id, payload={
             "op": "acquire", "lock": lock_id, "mode": mode.value,
             "token": self.token,
         }, size=32, tag=("srsl-server", home.id))
@@ -107,7 +107,7 @@ class SRSLClient(LockClient):
     def _release(self, lock_id: int):
         self._released(lock_id)
         home = self.manager.home_node(lock_id)
-        self.node.nic.send(home.id, payload={
+        self.node.nic.post(home.id, payload={
             "op": "release", "lock": lock_id, "token": self.token,
         }, size=32, tag=("srsl-server", home.id))
         # fire-and-forget: the server performs the hand-off

@@ -6,10 +6,10 @@ scaling experiment inherits:
 
 * :class:`FaultPlan` — a declarative, seeded schedule of faults: node
   crashes/restarts, message drop/duplication windows, one-sided verb
-  failure windows, link degradation windows.
+  failure windows, partitions, slow nodes and credit stalls.
 * :class:`FaultInjector` — executes a plan against a cluster.  It hooks
   :class:`repro.net.fabric.Fabric` (transfers to/from crashed nodes fail
-  with :class:`repro.errors.NodeDownError`; degraded links stretch
+  with :class:`repro.errors.NodeDownError`; slow nodes stretch
   serialization/latency) and :class:`repro.net.nic.NIC` (two-sided
   messages are dropped or duplicated; one-sided verbs fail with
   :class:`repro.errors.RdmaError`).

@@ -9,8 +9,7 @@ single place the :mod:`repro.net` layer consults:
   retry-exceeded completion), or with :class:`PartitionError` when the
   transfer crosses an active partition cut, else ``None``.
 * :meth:`link_factor` — multiplier applied to serialization and wire
-  latency of matching transfers (congested/flapping link windows and
-  ``slow_node`` gray failures).
+  latency of transfers touching a ``slow_node`` (a gray failure).
 * :meth:`message_fate` — per delivered two-sided message: ``0`` drop,
   ``1`` deliver, ``2`` deliver twice.  Messages crossing a partition at
   delivery time are dropped.
@@ -71,8 +70,6 @@ def _check_nodes(plan: FaultPlan, known: Set[int]) -> None:
     named += [(f"{r.kind}_messages", n) for r in plan.message_faults
               for n in (r.src, r.dst)]
     named += [("fail_verbs", n) for r in plan.verb_faults
-              for n in (r.src, r.dst)]
-    named += [("degrade_link", n) for r in plan.degrades
               for n in (r.src, r.dst)]
     for kind, node in named:
         if node is not None and node not in known:
@@ -230,9 +227,6 @@ class FaultInjector:
     def link_factor(self, src_id: int, dst_id: int) -> float:
         factor = 1.0
         now = self.env.now
-        for rule in self.plan.degrades:
-            if rule.matches(now, src_id, dst_id):
-                factor *= rule.factor
         for rule in self.plan.slow_nodes:
             if rule.matches(now, src_id, dst_id):
                 factor *= rule.factor

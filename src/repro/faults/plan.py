@@ -10,8 +10,8 @@ Fault classes
 -------------
 
 * :class:`Crash` — fail-stop crash (optionally followed by a restart).
-* :class:`MessageFault` / :class:`VerbFault` / :class:`LinkDegrade` —
-  probabilistic drop/duplicate/fail/slow-down windows on the wire.
+* :class:`MessageFault` / :class:`VerbFault` — probabilistic
+  drop/duplicate/fail windows on the wire.
 * :class:`Partition` — a network partition: traffic between nodes in
   *different* groups is cut for the window.  ``oneway=True`` models an
   asymmetric cut (only ``groups[0] -> groups[1]`` traffic fails), the
@@ -31,7 +31,7 @@ from typing import List, Optional, Tuple
 from repro.errors import ConfigError
 
 __all__ = ["FaultPlan", "Crash", "MessageFault", "VerbFault",
-           "LinkDegrade", "Partition", "SlowNode", "CreditStall"]
+           "Partition", "SlowNode", "CreditStall"]
 
 
 @dataclass(frozen=True)
@@ -70,22 +70,6 @@ class VerbFault:
     """Fail one-sided verbs (read/write/CAS/FAA) within a time window."""
 
     rate: float
-    src: Optional[int] = None
-    dst: Optional[int] = None
-    start: float = 0.0
-    until: float = math.inf
-
-    def matches(self, now: float, src: int, dst: int) -> bool:
-        return (self.start <= now < self.until
-                and (self.src is None or self.src == src)
-                and (self.dst is None or self.dst == dst))
-
-
-@dataclass(frozen=True)
-class LinkDegrade:
-    """Multiply serialization + wire latency on matching transfers."""
-
-    factor: float
     src: Optional[int] = None
     dst: Optional[int] = None
     start: float = 0.0
@@ -187,10 +171,9 @@ class FaultPlan:
     def __init__(self):
         self.crashes: List[Crash] = []
         self.message_faults: List[MessageFault] = []
-        # no builder: no product plan fails verbs or degrades a link,
-        # so a plan's owner appends these rules directly
+        # no builder: no product plan fails verbs, so a plan's owner
+        # appends these rules directly
         self.verb_faults: List[VerbFault] = []
-        self.degrades: List[LinkDegrade] = []
         self.partitions: List[Partition] = []
         self.slow_nodes: List[SlowNode] = []
         self.credit_stalls: List[CreditStall] = []

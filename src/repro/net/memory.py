@@ -1,14 +1,17 @@
 """Registered memory regions — the substrate for one-sided operations.
 
 Every node owns a :class:`MemoryManager` holding registered
-:class:`MemoryRegion`\\ s, each backed by a demand-zero private mapping
+:class:`MemoryRegion`\\ s, backed by demand-zero private mappings
 (``mmap(-1, length, MAP_PRIVATE)``): the OS supplies a zero page on first
-touch, so a region costs resident memory only for the pages an access
-has touched, and a forked process (``repro.lab`` workers) writes into a
-copy, never into its parent's simulated memory.  An RDMA access names
-``(addr, rkey)``; the manager validates the key and bounds exactly like
-an HCA's protection-table walk, then performs the byte-level operation.
-Remote atomics (:meth:`MemoryManager.cas64`, :meth:`MemoryManager.faa64`)
+touch, so memory is resident only where an access has touched it, and a
+forked process (``repro.lab`` workers) writes into a copy, never into
+its parent's simulated memory.  A region of a page or more is a mapping
+of its own; smaller ones (lock words, queue nodes, heartbeat words) are
+carved out of one shared mapping per node, so touching one costs a share
+of a page, not a page.  An RDMA access names ``(addr, rkey)``; the
+manager validates the key and bounds exactly like an HCA's
+protection-table walk, then performs the byte-level operation.  Remote
+atomics (:meth:`MemoryManager.cas64`, :meth:`MemoryManager.faa64`)
 act on 64-bit big-endian words, matching the wire format the lock
 manager and DDSS metadata use.
 
@@ -27,6 +30,10 @@ from repro.errors import BoundsError, ConfigError, ProtectionError
 __all__ = ["MemoryRegion", "MemoryManager", "RemoteKey"]
 
 _U64_MASK = (1 << 64) - 1
+#: a region shorter than this is carved out of its node's arena
+_PAGE = mmap.PAGESIZE
+#: bytes of one arena mapping; a node that outgrows it maps another
+_ARENA = 256 * _PAGE
 
 
 @dataclass(frozen=True, slots=True)
@@ -44,29 +51,31 @@ class RemoteKey:
 
 
 class MemoryRegion:
-    """A registered, rkey-protected window of node memory."""
+    """A registered, rkey-protected window of node memory: ``length``
+    bytes of ``buf`` from ``base``."""
 
-    __slots__ = ("node_id", "addr", "length", "rkey", "buf", "name")
+    __slots__ = ("node_id", "addr", "length", "rkey", "name", "buf", "base")
 
     def __init__(self, node_id: int, addr: int, length: int, rkey: int,
-                 name: str = ""):
-        if length <= 0:
-            raise ConfigError("memory region length must be positive")
+                 name: str, buf: mmap.mmap, base: int):
         self.node_id = node_id
         self.addr = addr
         self.length = length
         self.rkey = rkey
-        self.buf = mmap.mmap(-1, length, flags=mmap.MAP_PRIVATE)
         self.name = name
+        self.buf = buf
+        self.base = base
 
     # -- local (lkey-style) access ----------------------------------------
     def read(self, offset: int, length: int) -> bytes:
         self._check(offset, length)
-        return self.buf[offset:offset + length]
+        pos = self.base + offset
+        return self.buf[pos:pos + length]
 
     def write(self, offset: int, data: bytes) -> None:
         self._check(offset, len(data))
-        self.buf[offset:offset + len(data)] = data
+        pos = self.base + offset
+        self.buf[pos:pos + len(data)] = data
 
     def read_u64(self, offset: int) -> int:
         return int.from_bytes(self.read(offset, 8), "big")
@@ -109,21 +118,35 @@ class MemoryManager:
         #: the linear protection-table walk into one range check (a
         #: region is never deregistered, so it never goes stale).
         self._rcache: Optional[MemoryRegion] = None
+        #: the mapping small regions are carved from, and its free byte
+        self._arena: Optional[mmap.mmap] = None
+        self._arena_free = _ARENA
 
     def register(self, length: int, name: str = "") -> MemoryRegion:
         """Register ``length`` bytes; returns the region handle.  A
         length the OS cannot map raises :class:`ConfigError`."""
+        if length <= 0:
+            raise ConfigError("memory region length must be positive")
         addr = self._next_addr
         pad = (-length) % self._ALIGN
         self._next_addr += length + pad + self._ALIGN  # guard gap
         self._next_rkey = (self._next_rkey * 2654435761 + 1) & 0xFFFFFFFF
         try:
-            region = MemoryRegion(self.node_id, addr, length,
-                                  self._next_rkey, name)
+            if length >= _PAGE:
+                buf, base = mmap.mmap(-1, length, flags=mmap.MAP_PRIVATE), 0
+            else:
+                if self._arena_free + length > _ARENA:
+                    self._arena = mmap.mmap(-1, _ARENA,
+                                            flags=mmap.MAP_PRIVATE)
+                    self._arena_free = 0
+                buf, base = self._arena, self._arena_free
+                self._arena_free += -(-length // 8) * 8  # word-aligned
         except (OSError, OverflowError) as exc:
             raise ConfigError(
                 f"node {self.node_id} cannot map region {name!r} of "
                 f"{length} bytes: {exc}") from exc
+        region = MemoryRegion(self.node_id, addr, length, self._next_rkey,
+                              name, buf, base)
         self._regions[addr] = region
         return region
 
@@ -149,36 +172,34 @@ class MemoryManager:
         if offset + length > region.length:
             raise BoundsError(
                 f"remote access [{addr:#x}+{length}] crosses region end")
-        return region, offset
+        return region.buf, region.base + offset
 
     # The verbs below inline the region byte access (``resolve`` already
-    # bounds-checked the window, so MemoryRegion._check would be
-    # redundant work on the hottest data path).  A slice of the mapping
-    # is a fresh ``bytes``, and a slice assignment never resizes it.
+    # bounds-checked the window and returns its mapping and position in
+    # it).  A slice of the mapping is a fresh ``bytes``, and a slice
+    # assignment never resizes it.
     def rdma_read(self, addr: int, rkey: int, length: int) -> bytes:
         if length < 0:  # an HCA's lengths are unsigned
             raise BoundsError(f"cannot read {length} bytes on node "
                               f"{self.node_id} addr {addr:#x}")
-        region, offset = self.resolve(addr, rkey, length)
-        return region.buf[offset:offset + length]
+        buf, pos = self.resolve(addr, rkey, length)
+        return buf[pos:pos + length]
 
     def rdma_write(self, addr: int, rkey: int, data: bytes) -> None:
-        region, offset = self.resolve(addr, rkey, len(data))
-        region.buf[offset:offset + len(data)] = data
+        buf, pos = self.resolve(addr, rkey, len(data))
+        buf[pos:pos + len(data)] = data
 
     def cas64(self, addr: int, rkey: int, compare: int, swap: int) -> int:
         """Atomic compare-and-swap on a 64-bit word; returns the old value."""
-        region, offset = self.resolve(addr, rkey, 8)
-        buf = region.buf
-        old = int.from_bytes(buf[offset:offset + 8], "big")
+        buf, pos = self.resolve(addr, rkey, 8)
+        old = int.from_bytes(buf[pos:pos + 8], "big")
         if old == (compare & _U64_MASK):
-            buf[offset:offset + 8] = (swap & _U64_MASK).to_bytes(8, "big")
+            buf[pos:pos + 8] = (swap & _U64_MASK).to_bytes(8, "big")
         return old
 
     def faa64(self, addr: int, rkey: int, add: int) -> int:
         """Atomic fetch-and-add on a 64-bit word; returns the old value."""
-        region, offset = self.resolve(addr, rkey, 8)
-        buf = region.buf
-        old = int.from_bytes(buf[offset:offset + 8], "big")
-        buf[offset:offset + 8] = ((old + add) & _U64_MASK).to_bytes(8, "big")
+        buf, pos = self.resolve(addr, rkey, 8)
+        old = int.from_bytes(buf[pos:pos + 8], "big")
+        buf[pos:pos + 8] = ((old + add) & _U64_MASK).to_bytes(8, "big")
         return old

@@ -2,13 +2,14 @@
 
 Two families of operations:
 
-* **Two-sided** (`send` / `recv`): channel semantics.  The receiver must
-  ask for the message; the sending event completes at local send
-  completion while delivery lands in the receiver's per-tag queue at
-  arrival time.  Two-sided protocols additionally pay *host CPU* when
-  the upper layer models it (the socket baselines charge
-  ``NetworkParams.sock_cpu_us`` in :mod:`repro.monitor.schemes` and
-  :mod:`repro.apps.storm`).
+* **Two-sided** (`post` / `send` / `recv`): channel semantics.  The
+  receiver must ask for the message; delivery lands in the receiver's
+  per-tag queue at arrival time.  `post` books no local completion (the
+  verbs notion of an unsignaled work request); `send` returns an event
+  that fires at local send completion.  Two-sided protocols
+  additionally pay *host CPU* when the upper layer models it (the
+  socket baselines charge ``NetworkParams.sock_cpu_us`` in
+  :mod:`repro.monitor.schemes` and :mod:`repro.apps.storm`).
 
 * **One-sided** (`rdma_read` / `rdma_write` / `cas` / `faa`): memory
   semantics.  The remote host CPU is never involved — the simulated HCA
@@ -121,85 +122,94 @@ class NIC:
             self._recv_queues[tag] = q
         return q
 
-    def send(self, dst_id: int, payload: Any = None, size: int = 0,
-             tag: Any = 0) -> Event:
-        """Post a send; the returned event fires at *local* completion.
+    def post(self, dst_id: int, payload: Any, size: int, tag: Any,
+             done: Optional[Event] = None) -> None:
+        """Post an *unsignaled* send: no local completion is booked.
 
-        The message is enqueued at the destination when it arrives on the
-        wire (header + ``size`` payload bytes).
+        The message lands in the destination's tag queue on arrival
+        (header + ``size`` bytes on the wire); ``done``, if given, then
+        succeeds with it, or fails if it is lost (:meth:`send_wait`).
+        Fault-free on the fast kernel the arrival is one bare agenda
+        call at the instant :meth:`Fabric._route` returns; otherwise it
+        rides the transfer event, with the fence and ``message_fate``
+        consulted at arrival (DESIGN.md §9).
         """
         if size < 0:
             raise ConfigError("negative message size")
         self.sends += 1
+        env = self.env
         msg = Message(src=self.node.id, dst=dst_id, tag=tag,
-                      payload=payload, size=size, sent_at=self.env.now,
-                      mid=self.env.next_id("msg"))
-        if self.env.obs is not None:
+                      payload=payload, size=size, sent_at=env.now,
+                      mid=env.next_id("msg"))
+        if env.obs is not None:
             self._obs_send(msg)
-        wire = self.fabric.transfer(
-            self.node.id, dst_id, size + self.params.header_bytes)
-        dst_nic = self.fabric.node(dst_id).nic
+        fabric = self.fabric
+        nbytes = size + self.params.header_bytes
+        nodes = fabric._nodes
+        if env.fastpath and fabric.injector is None and dst_id in nodes:
+            land = partial(NIC._land, nodes[dst_id].nic, msg, done)
+            t = fabric._route(self.node.id, dst_id, nbytes, land)
+            if t >= 0.0:
+                env._schedule_call(t, land)
+            return
+        wire = fabric.transfer(self.node.id, dst_id, nbytes)
+        wire.add_callback(partial(NIC._delivered, fabric.node(dst_id).nic,
+                                  msg, done))
 
-        def deliver(_ev):
-            if not _ev._ok:
-                return  # wire failure: message lost
-            copies = 1
-            if self.env.obs is not None or self.fabric.injector is not None:
-                copies = self._delivery_copies(msg)
-                self._obs_delivery(msg, copies)
-            if copies == 0:
-                return
-            msg.arrived_at = self.env.now
-            for _ in range(copies):
-                dst_nic._queue(tag).try_put(msg)
-
-        wire.add_callback(deliver)
-        # Local send completion: posting cost only (fire-and-forget).
+    def send(self, dst_id: int, payload: Any = None, size: int = 0,
+             tag: Any = 0) -> Event:
+        """:meth:`post`, signaled: the returned event fires at *local*
+        completion, the posting cost later."""
+        self.post(dst_id, payload, size, tag)
         return self.env.timeout(self.params.post_us)
 
     def send_wait(self, dst_id: int, payload: Any = None, size: int = 0,
                   tag: Any = 0) -> Event:
         """Like :meth:`send` but the event fires on *arrival* at dst."""
-        if size < 0:
-            raise ConfigError("negative message size")
-        self.sends += 1
-        msg = Message(src=self.node.id, dst=dst_id, tag=tag,
-                      payload=payload, size=size, sent_at=self.env.now,
-                      mid=self.env.next_id("msg"))
-        if self.env.obs is not None:
-            self._obs_send(msg)
         done = self.env.event()
-        wire = self.fabric.transfer(
-            self.node.id, dst_id, size + self.params.header_bytes)
-        dst_nic = self.fabric.node(dst_id).nic
-
-        def deliver(_ev):
-            if not _ev._ok:
-                done.fail(_ev._value)
-                return
-            copies = 1
-            if self.env.obs is not None or self.fabric.injector is not None:
-                copies = self._delivery_copies(msg)
-                self._obs_delivery(msg, copies)
-            if copies == 0:
-                # acked delivery: a dropped message surfaces to the sender
-                done.fail(FaultError(
-                    f"message {msg.mid} to node {dst_id} dropped"))
-                return
-            msg.arrived_at = self.env.now
-            for _ in range(copies):
-                dst_nic._queue(tag).try_put(msg)
-            done.succeed(msg)
-
-        wire.add_callback(deliver)
+        self.post(dst_id, payload, size, tag, done)
         return done
 
-    def _delivery_copies(self, msg: Message) -> int:
-        """Fault hook: how many copies of ``msg`` land at the receiver."""
+    def _land(self, msg: Message, done: Optional[Event], *fence) -> None:
+        """Fault-free arrival of ``msg`` at this, its destination, NIC.
+        A route that calls back at the arrival (a cross-rack leg) passes
+        a fence verdict, always ``None``: the delivery then takes one
+        same-instant hop, the slot the transfer event's ``succeed``
+        took."""
+        env = self.env
+        if fence:
+            env._schedule_call(env.now, partial(NIC._land, self, msg, done))
+            return
+        if env.obs is not None:
+            self._obs_delivery(msg, 1)
+        msg.arrived_at = env.now
+        self._queue(msg.tag).try_put(msg)
+        if done is not None:
+            done.succeed(msg)
+
+    def _delivered(self, msg: Message, done: Optional[Event],
+                   wire: Event) -> None:
+        """Arrival of ``msg`` at this, its destination, NIC on the
+        transfer event ``wire``."""
+        if not wire._ok:  # wire failure: message lost
+            if done is not None:
+                done.fail(wire._value)
+            return
         injector = self.fabric.injector
-        if injector is None:
-            return 1
-        return injector.message_fate(msg.src, msg.dst)
+        copies = 1 if injector is None \
+            else injector.message_fate(msg.src, msg.dst)  # the fault hook
+        if self.env.obs is not None:
+            self._obs_delivery(msg, copies)
+        if copies == 0:
+            if done is not None:  # a dropped message surfaces to the sender
+                done.fail(FaultError(
+                    f"message {msg.mid} to node {msg.dst} dropped"))
+            return
+        msg.arrived_at = self.env.now
+        for _ in range(copies):
+            self._queue(msg.tag).try_put(msg)
+        if done is not None:
+            done.succeed(msg)
 
     def pull_metrics(self, metrics) -> None:
         """Register ``sends`` as the pulled counter ``nic.sends@n<node>``."""
@@ -211,10 +221,9 @@ class NIC:
                                 size=msg.size, mid=msg.mid)
 
     def _obs_delivery(self, msg: Message, copies: int) -> None:
-        """Observability hook: delivery outcome at the receiver."""
+        """Observability hook: delivery outcome at the receiver (``env.obs``
+        is set)."""
         obs = self.env.obs
-        if obs is None:
-            return
         if copies == 0:
             obs.trace.emit("msg.drop", node=msg.dst, src=msg.src,
                            mid=msg.mid)
@@ -275,10 +284,10 @@ class NIC:
 
     def _post_verb(self, dst: int, op: int, addr: int, rkey: int,
                    a, b, wire: int) -> Event:
-        """Post a one-sided verb; the one fast/slow decision of this
-        module.  The slot-pool chain serves the fast kernel; the
-        generator ``_*_proc`` twins are the executable spec and run
-        under ``REPRO_SLOW_KERNEL=1``."""
+        """Post a one-sided verb; the verbs' fast/slow decision.  The
+        slot-pool chain serves the fast kernel; the generator
+        ``_*_proc`` twins are the executable spec and run under
+        ``REPRO_SLOW_KERNEL=1``."""
         env = self.env
         if not env.fastpath:
             name = _OP_NAMES[op]
@@ -451,8 +460,6 @@ class NIC:
         ``wire_bytes`` (>= length) inflates the timed response size for
         padded bulk transfers.
         """
-        if not self.params.has_rdma:
-            self._need_rdma()
         if length < 0:
             raise ConfigError("cannot read negative bytes")
         wire = length if wire_bytes is None else wire_bytes
@@ -481,8 +488,6 @@ class NIC:
     def rdma_write(self, dst_id: int, addr: int, rkey: int, data: bytes,
                    wire_bytes: Optional[int] = None) -> Event:
         """Write ``data`` into remote memory; event fires on remote ack."""
-        if not self.params.has_rdma:
-            self._need_rdma()
         self.rdma_writes += 1
         wire = len(data) if wire_bytes is None else wire_bytes
         if wire < len(data):
@@ -510,8 +515,6 @@ class NIC:
     def cas(self, dst_id: int, addr: int, rkey: int,
             compare: int, swap: int) -> Event:
         """Remote compare-and-swap on a 64-bit word; value = old word."""
-        if not self.params.has_rdma:
-            self._need_rdma()
         self.atomics += 1
         ev = self._post_verb(dst_id, _OP_CAS, addr, rkey, compare, swap, 8)
         obs = self.env.obs
@@ -521,8 +524,6 @@ class NIC:
 
     def faa(self, dst_id: int, addr: int, rkey: int, add: int) -> Event:
         """Remote fetch-and-add on a 64-bit word; value = old word."""
-        if not self.params.has_rdma:
-            self._need_rdma()
         self.atomics += 1
         ev = self._post_verb(dst_id, _OP_FAA, addr, rkey, add, 0, 8)
         obs = self.env.obs
@@ -595,11 +596,6 @@ class NIC:
         if offset + 8 > key.length:
             raise BoundsError("slice extends past window")
         return self.faa(key.node, key.addr + offset, key.rkey, add)
-
-    def _need_rdma(self) -> None:
-        if not self.params.has_rdma:
-            raise RdmaError(
-                f"interconnect {self.params.name!r} has no RDMA support")
 
     def _check_verb_fault(self, dst_id: int) -> None:
         """Fault hook: raises RdmaError inside an injected failure window."""

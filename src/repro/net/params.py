@@ -38,8 +38,6 @@ class NetworkParams:
     atomic_exec_us: float
     #: latency of a loopback (same-node) NIC operation (µs)
     local_op_us: float
-    #: whether the interconnect offers RDMA + remote atomics
-    has_rdma: bool
     #: host CPU cost per message for socket-style protocols (µs, each end)
     sock_cpu_per_msg_us: float
     #: host CPU cost per byte for socket-style copies (µs/byte, each end)
@@ -79,7 +77,6 @@ class NetworkParams:
             rdma_turnaround_us=2.0,
             atomic_exec_us=1.5,
             local_op_us=0.5,
-            has_rdma=True,
             sock_cpu_per_msg_us=3.0,
             sock_cpu_per_byte_us=0.002,
         )

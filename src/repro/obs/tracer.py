@@ -84,13 +84,6 @@ class Tracer:
                 if ev.etype.startswith(prefix)
                 and (node is None or ev.node == node)]
 
-    def counts(self) -> Dict[str, int]:
-        """Buffered event count by type (sorted for stable output)."""
-        out: Dict[str, int] = {}
-        for ev in self.ring:
-            out[ev.etype] = out.get(ev.etype, 0) + 1
-        return dict(sorted(out.items()))
-
     def __len__(self) -> int:
         return len(self.ring)
 

@@ -23,13 +23,14 @@ One agenda, two drains (DESIGN.md §9, §14):
   schedule — heap or deque — consumes one number from the shared
   sequence counter, and the merge pops whichever of (deque head, heap
   head) has the globally smallest ``(when, seq)``, so the total firing
-  order is exactly the heap-only order.  :meth:`Environment.run`
+  order is exactly the heap-only order.  One drain serves
+  :meth:`Environment.run` and :meth:`Environment.run_until_event`: it
   inlines that merge and additionally dispatches consecutive
   same-instant heap entries as one batch: one head inspection plus a
   tight loop instead of a full merge per entry.
 * **slow** (``REPRO_SLOW_KERNEL=1``) — the executable spec: everything
-  takes the heap, :meth:`Environment.run` is a naive
-  :meth:`Environment.step`-per-entry loop, and the net layer skips its
+  takes the heap, both runs are naive
+  :meth:`Environment.step`-per-entry loops, and the net layer skips its
   analytic shortcuts (``Environment.fastpath`` off).  Every cross-kernel
   test diffs *fast* against it.
 """
@@ -187,6 +188,10 @@ class Event:
         state = "processed" if self.processed else (
             "triggered" if self.triggered else "pending")
         return f"<{type(self).__name__} {state} at {id(self):#x}>"
+
+
+#: the target of an unbounded drain: an event no entry can process
+_NEVER = Event(None)
 
 
 class Timeout(Event):
@@ -526,110 +531,115 @@ class Environment:
             return self.now
         return self._heap[0][0] if self._heap else _INF
 
-    def run(self, until: Optional[float] = None,
-            max_events: Optional[int] = None) -> float:
-        """Run until the agenda is empty, ``until`` is reached, or
-        ``max_events`` entries have been processed.  Returns ``now``.
-        Time never moves backwards: a bound before ``now`` (or NaN)
-        raises :class:`SimulationError`."""
-        imm = self._imm
-        heap = self._heap
+    def run(self, until: Optional[float] = None) -> float:
+        """Run until the agenda is empty or ``until`` is reached.
+        Returns ``now``.  Time never moves backwards: a bound before
+        ``now`` (or NaN) raises :class:`SimulationError`."""
         stop = _INF if until is None else until
         if not stop >= self.now:  # also refuses NaN
             raise SimulationError(
                 f"run(until={until}) is not a time at or after now={self.now}")
-        if not self.fastpath or max_events is not None:
-            # The executable spec: one bound check and one step() per
-            # entry.  It is the slow kernel's only drain; the fast
-            # kernel uses it for an entry-count bound (no packaged
-            # scenario passes one, so the hot drain below does not pay
-            # for a per-entry countdown).
-            count = 0
-            while imm or heap:
-                if until is not None and self.peek() > until:
-                    self.now = until
-                    return until
-                if max_events is not None and count >= max_events:
-                    return self.now
-                self.step()
-                count += 1
+        if self.fastpath:
+            self._drain(stop, _NEVER)
         else:
-            # The hot drain: step() inlined, plus *batches* — once the
-            # merge selects a heap entry at instant ``t``, every
-            # consecutive heap entry still at ``t`` fires in a tight
-            # loop with one time write and no merge per entry.  The
-            # deque cannot preempt the batch: immediate entries only
-            # come into existence at the current instant, so anything
-            # enqueued during the batch carries a seq greater than the
-            # batched entries, which were scheduled before time reached
-            # ``t`` (the explicit seq guard keeps the merge contract
-            # literal anyway).
-            imm_pop = imm.popleft
-            while True:
-                if imm:
-                    # Drain immediates up to the heap head's seq (inf
-                    # when the head sits in the future or the heap is
-                    # empty; callbacks only push entries later than now,
-                    # so the guard holds for the whole drain).
-                    if heap and heap[0][0] <= self.now:
-                        guard = heap[0][1]
-                    else:
-                        guard = _INF
-                    while imm and imm[0][0] < guard:
-                        _seq, event, value = imm_pop()
-                        if value is _CALL:
-                            event()
-                            continue
-                        if value is not _ALREADY and event._value is _PENDING:
-                            event._value = value
-                        callbacks, event.callbacks = event.callbacks, None
-                        if callbacks:
-                            for cb in callbacks:
-                                cb(event)
-                if not heap:
+            # The executable spec: a bound check and a step() per entry.
+            while self._imm or self._heap:
+                if until is not None and self.peek() > until:
                     break
-                if heap[0][0] > stop:
-                    self.now = until
-                    return until
-                when, _seq, event, value = heappop(heap)
-                self.now = when
-                while True:
-                    if value is _CALL:
-                        event()
-                    else:
-                        if value is not _ALREADY \
-                                and event._value is _PENDING:
-                            event._value = value
-                        callbacks, event.callbacks = event.callbacks, None
-                        if callbacks:
-                            for cb in callbacks:
-                                cb(event)
-                    if not heap:
-                        break
-                    nxt = heap[0]
-                    if nxt[0] != when or (imm and nxt[1] > imm[0][0]):
-                        break
-                    heappop(heap)
-                    event = nxt[2]
-                    value = nxt[3]
+                self.step()
         if until is not None and until > self.now:
             self.now = until
         return self.now
 
+    def _drain(self, stop: float, target: Event) -> None:
+        """The fast kernel's one drain, behind :meth:`run` and
+        :meth:`run_until_event`: :meth:`step` inlined, plus *batches* —
+        every consecutive heap entry still at the instant the merge
+        selected fires in a tight loop, with one time write and no merge
+        per entry; the deque cannot preempt a batch (DESIGN.md §14).
+        Returns right after the entry that processes ``target`` (in an
+        entry of its own, or inline by a :func:`settle` join inside
+        one), or when the agenda is empty or its next entry lies past
+        ``stop``, leaving ``now`` where it is.
+        """
+        imm = self._imm
+        heap = self._heap
+        imm_pop = imm.popleft
+        while True:
+            if imm:
+                # Drain immediates up to the heap head's seq (inf when
+                # the head sits in the future or the heap is empty;
+                # callbacks only push entries later than now, so the
+                # guard holds for the whole drain).
+                if heap and heap[0][0] <= self.now:
+                    guard = heap[0][1]
+                else:
+                    guard = _INF
+                while imm and imm[0][0] < guard:
+                    _seq, event, value = imm_pop()
+                    if value is _CALL:
+                        event()
+                        continue
+                    if value is not _ALREADY and event._value is _PENDING:
+                        event._value = value
+                    callbacks, event.callbacks = event.callbacks, None
+                    if callbacks:
+                        for cb in callbacks:
+                            cb(event)
+                    if target.callbacks is None:
+                        return
+            if not heap or heap[0][0] > stop:
+                return
+            when, _seq, event, value = heappop(heap)
+            self.now = when
+            while True:
+                if value is _CALL:
+                    event()
+                else:
+                    if value is not _ALREADY and event._value is _PENDING:
+                        event._value = value
+                    callbacks, event.callbacks = event.callbacks, None
+                    if callbacks:
+                        for cb in callbacks:
+                            cb(event)
+                    if target.callbacks is None:
+                        return
+                if not heap:
+                    break
+                nxt = heap[0]
+                if nxt[0] != when or (imm and nxt[1] > imm[0][0]):
+                    break
+                heappop(heap)
+                event = nxt[2]
+                value = nxt[3]
+
     def run_until_event(self, event: Event, limit: float = 1e12) -> Any:
-        """Run until ``event`` has fired.  Raises if the agenda drains or
-        the time ``limit`` passes first (deadlock detector for tests)."""
-        while not event.triggered:
+        """Run until ``event`` has been processed (its callbacks have
+        run), stopping right after the entry that processes it.  Raises
+        if the agenda drains, or its next entry lies past ``limit``,
+        while ``event`` is still untriggered (deadlock detector)."""
+        if not self.fastpath:
+            # The executable spec: two checks and one step() per entry.
+            while not event.triggered:
+                if not (self._imm or self._heap) or self.peek() > limit:
+                    break
+                self.step()
+            else:
+                # Drain zero-delay follow-ups so the callbacks have run.
+                while not event.processed and (self._imm
+                                               or self.peek() <= self.now):
+                    self.step()
+        elif event.callbacks is not None:
+            # untriggered, it must fire by ``limit``; triggered, its
+            # entry already waits at the current instant
+            stop = limit if event._value is _PENDING else _INF
+            if self.peek() <= stop:
+                self._drain(stop, event)
+        if event._value is _PENDING:
             if not self._imm and not self._heap:
                 raise SimulationError(
                     "agenda empty before awaited event fired (deadlock?)")
-            if self.peek() > limit:
-                raise SimulationError(f"event did not fire before t={limit}")
-            self.step()
-        # Drain zero-delay follow-ups so the event's callbacks have run.
-        while not event.processed and (self._imm
-                                       or self.peek() <= self.now):
-            self.step()
+            raise SimulationError(f"event did not fire before t={limit}")
         if not event._ok:
             raise event._value
         return event._value

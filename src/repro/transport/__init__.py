@@ -23,22 +23,15 @@ The SDP endpoints share one interface: ``listen(port)`` /
 size)`` and ``recv()``.
 """
 
-from repro.transport.azsdp import AzSdpEndpoint
-from repro.transport.base import Connection, Endpoint
-from repro.transport.flowcontrol import (
-    CreditFlowSender,
-    PacketizedFlowSender,
-    FlowReceiver,
-)
-from repro.transport.sdp import BufferedSdpEndpoint, ZeroCopySdpEndpoint
+from repro import _lazy
 
-__all__ = [
-    "AzSdpEndpoint",
-    "BufferedSdpEndpoint",
-    "Connection",
-    "CreditFlowSender",
-    "Endpoint",
-    "FlowReceiver",
-    "PacketizedFlowSender",
-    "ZeroCopySdpEndpoint",
-]
+_EXPORTS = {"AzSdpEndpoint": "repro.transport.azsdp",
+            "BufferedSdpEndpoint": "repro.transport.sdp",
+            "ZeroCopySdpEndpoint": "repro.transport.sdp",
+            "Connection": "repro.transport.base",
+            "Endpoint": "repro.transport.base",
+            "CreditFlowSender": "repro.transport.flowcontrol",
+            "FlowReceiver": "repro.transport.flowcontrol",
+            "PacketizedFlowSender": "repro.transport.flowcontrol"}
+__getattr__ = _lazy(globals(), _EXPORTS)
+__all__ = list(_EXPORTS)

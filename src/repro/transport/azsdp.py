@@ -74,7 +74,7 @@ class AzSdpConnection(Connection):
         if buf is not None:
             self._inflight_bufs[buf] = done
         key = self.endpoint.staging.remote_key()
-        self.node.nic.send(self.peer_node, payload={
+        self.node.nic.post(self.peer_node, payload={
             "kind": "srcavail", "conn_id": self.peer_conn_id,
             "xid": xid, "dgram": datagram, "key": key, "buf": buf,
         }, size=0, tag=self.endpoint.WIRE_TAG)
@@ -112,7 +112,7 @@ class AzSdpConnection(Connection):
         wire = max(datagram.size, 8)
         yield self.node.nic.rdma_read(key.node, key.addr, key.rkey, 8,
                                       wire_bytes=wire)
-        self.node.nic.send(self.peer_node, payload={
+        self.node.nic.post(self.peer_node, payload={
             "kind": "rdmadone", "conn_id": self.peer_conn_id, "xid": xid,
         }, size=0, tag=self.endpoint.WIRE_TAG)
         datagram.delivered_at = self.env.now

@@ -115,7 +115,7 @@ def call(nic, dst: int, tag, body: dict) -> Event:
     box = _box(nic)
     reply = box.waiting[rid] = Event(env)
     request = dict(body, req=rid)
-    nic.send(dst, payload=request, size=WIRE_BYTES, tag=tag)
+    nic.post(dst, payload=request, size=WIRE_BYTES, tag=tag)
     if nic.fabric.injector is not None:
         env._schedule_call(env.now + DEADLINE_US, partial(
             _expire, box, dst, tag, request, reply, 0))
@@ -133,7 +133,7 @@ def _expire(box, dst, tag, request, reply, attempt) -> None:
     if attempt < ATTEMPTS:
         _trace(env, "rpc.retry", "rpc.retries", nic.node.id, rid=rid,
                attempt=attempt, dst=dst)
-        nic.send(dst, payload=request, size=WIRE_BYTES, tag=tag)
+        nic.post(dst, payload=request, size=WIRE_BYTES, tag=tag)
         env._schedule_call(env.now + DEADLINE_US * 2 ** attempt, partial(
             _expire, box, dst, tag, request, reply, attempt))
         return
@@ -164,7 +164,7 @@ def serve(node, tag, handlers: dict, work_us: float):
             if reply is not None:
                 _trace(env, "rpc.dup_request", "rpc.dup_requests", node.id,
                        rid=rid, server=node.id)
-                nic.send(msg.src, payload=(rid, reply), size=WIRE_BYTES,
+                nic.post(msg.src, payload=(rid, reply), size=WIRE_BYTES,
                          tag=REPLY_TAG)
                 continue
         yield node.cpu.run(work_us, name=tag)
@@ -176,7 +176,7 @@ def serve(node, tag, handlers: dict, work_us: float):
             if env.obs is not None:
                 env.obs.trace.emit("rpc.execute", node=node.id, rid=rid,
                                    server=node.id)
-        nic.send(msg.src, payload=(rid, reply), size=WIRE_BYTES,
+        nic.post(msg.src, payload=(rid, reply), size=WIRE_BYTES,
                  tag=REPLY_TAG)
 
 

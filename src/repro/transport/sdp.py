@@ -75,7 +75,7 @@ class _SdpEndpointBase(Endpoint):
         my_id = self.env.next_id("sdp-conn")
         done = self.env.event()
         self._pending_connects[my_id] = done
-        self.node.nic.send(peer_node, payload={
+        self.node.nic.post(peer_node, payload={
             "kind": "syn", "port": port, "conn_id": my_id,
         }, size=0, tag=self.WIRE_TAG)
         return done
@@ -97,7 +97,7 @@ class _SdpEndpointBase(Endpoint):
                 my_id = self.env.next_id("sdp-conn")
                 conn = self._make_conn(msg.src, my_id, body["conn_id"])
                 listener._offer(conn)
-                self.node.nic.send(msg.src, payload={
+                self.node.nic.post(msg.src, payload={
                     "kind": "synack", "conn_id": body["conn_id"],
                     "server_conn_id": my_id,
                 }, size=0, tag=self.WIRE_TAG)
@@ -142,7 +142,7 @@ class BufferedSdpConnection(Connection):
             yield self._credits.acquire()
             yield self.node.cpu.run(bcopy_us(chunk), name="bsdp-tx-copy")
             last = i == nchunks - 1
-            self.node.nic.send(self.peer_node, payload={
+            self.node.nic.post(self.peer_node, payload={
                 "kind": "data", "conn_id": self.peer_conn_id,
                 "bytes": chunk,
                 "chunks": nchunks if last else 0,
@@ -166,7 +166,7 @@ class BufferedSdpConnection(Connection):
             # there are credits, so per-datagram returns would deadlock
             yield self.node.cpu.run(bcopy_us(frame["bytes"]),
                                     name="bsdp-rx-copy")
-            self.node.nic.send(self.peer_node, payload={
+            self.node.nic.post(self.peer_node, payload={
                 "kind": "credit", "conn_id": self.peer_conn_id, "n": 1,
             }, size=0, tag=self.endpoint.WIRE_TAG)
             if frame["chunks"]:  # final chunk of a datagram
@@ -219,7 +219,7 @@ class ZeroCopySdpConnection(Connection):
         done = self.env.event()
         self._done_events[xid] = done
         key = self.endpoint.staging.remote_key()
-        self.node.nic.send(self.peer_node, payload={
+        self.node.nic.post(self.peer_node, payload={
             "kind": "srcavail", "conn_id": self.peer_conn_id,
             "xid": xid, "dgram": datagram, "key": key,
         }, size=0, tag=self.endpoint.WIRE_TAG)
@@ -239,7 +239,7 @@ class ZeroCopySdpConnection(Connection):
         wire = max(datagram.size, 8)
         yield self.node.nic.rdma_read(key.node, key.addr, key.rkey, 8,
                                       wire_bytes=wire)
-        self.node.nic.send(self.peer_node, payload={
+        self.node.nic.post(self.peer_node, payload={
             "kind": "rdmadone", "conn_id": self.peer_conn_id, "xid": xid,
         }, size=0, tag=self.endpoint.WIRE_TAG)
         datagram.delivered_at = self.env.now

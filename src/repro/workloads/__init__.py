@@ -2,23 +2,18 @@
 a RUBiS-like auction mix, and thread-churn traces for the monitoring
 experiments)."""
 
-from repro.workloads.filesets import FileSet
-from repro.workloads.rubis import RubisMix, RubisTxn
-from repro.workloads.threads import ThreadChurn
-from repro.workloads.tpcc import (TpccMix, balance, new_order_txn,
-                                  pack_balance, transfer_txn)
-from repro.workloads.zipf import ZipfGenerator, zipf_pmf
+from repro import _lazy
 
-__all__ = [
-    "FileSet",
-    "RubisMix",
-    "RubisTxn",
-    "ThreadChurn",
-    "TpccMix",
-    "ZipfGenerator",
-    "balance",
-    "new_order_txn",
-    "pack_balance",
-    "transfer_txn",
-    "zipf_pmf",
-]
+_EXPORTS = {"FileSet": "repro.workloads.filesets",
+            "RubisMix": "repro.workloads.rubis",
+            "RubisTxn": "repro.workloads.rubis",
+            "ThreadChurn": "repro.workloads.threads",
+            "TpccMix": "repro.workloads.tpcc",
+            "balance": "repro.workloads.tpcc",
+            "new_order_txn": "repro.workloads.tpcc",
+            "pack_balance": "repro.workloads.tpcc",
+            "transfer_txn": "repro.workloads.tpcc",
+            "ZipfGenerator": "repro.workloads.zipf",
+            "zipf_pmf": "repro.workloads.zipf"}
+__getattr__ = _lazy(globals(), _EXPORTS)
+__all__ = list(_EXPORTS)

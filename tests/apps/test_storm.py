@@ -98,11 +98,11 @@ def test_query_ids_are_per_run():
         seen = []
         nic = engine.coordinator.nic
 
-        def send(dst, payload=None, real=nic.send, **kw):
+        def post(dst, payload=None, real=nic.post, **kw):
             seen.append(payload["q"])
-            return real(dst, payload=payload, **kw)
+            real(dst, payload=payload, **kw)
 
-        nic.send = send
+        nic.post = post
         run_query(cluster, engine, 0, 100)
         run_query(cluster, engine, 100, 200)
         return seen

@@ -11,7 +11,6 @@ import pytest
 from repro.ddss import DDSS, Coherence
 from repro.errors import DDSSError, TimeoutError
 from repro.faults import FaultPlan
-from repro.faults.plan import LinkDegrade
 from repro.net import Cluster
 from repro.sim import KERNELS, pin_kernel
 from repro.transport import rpc
@@ -130,12 +129,11 @@ class TestFaults:
         assert rows(obs, "rpc.timeout")
 
     def test_late_reply_completes_the_call_once(self, kernel):
-        """The reply path is 400x slower for 2 ms: the first reply lands
+        """Node 0's links are 400x slower for 2 ms: the first reply lands
         after its deadline, the re-sent request is answered from the
         server's window, the first reply to arrive completes the call
         and the other is discarded."""
-        plan = FaultPlan()
-        plan.degrades.append(LinkDegrade(400.0, src=0, dst=1, until=2_000.0))
+        plan = FaultPlan().slow_node(0, 400.0, until=2_000.0)
         cluster, obs, ddss, client = build(kernel, plan)
         assert run(cluster, allocate(client), limit=1e5) == 1
         assert rows(obs, "rpc.retry") and rows(obs, "rpc.dup_request")
@@ -181,8 +179,10 @@ def _cost(kernel, n):
 #: trips (alloc at node 2, register at node 0) with no injector, so no
 #: deadline timer is armed, no reply window is kept and nothing is
 #: traced.  Each reply is routed by the NIC's own ``try_put`` call, with
-#: no receive queue built, read and dropped per request.
-COST = {"fast": (130, 18), "slow": (244, 38)}
+#: no receive queue built, read and dropped per request.  Every message
+#: is an unsignaled post, so no send completion is booked; on the fast
+#: kernel each is routed like a verb leg, one bare arrival call.
+COST = {"fast": (106, 14), "slow": (236, 34)}
 
 
 @pytest.mark.parametrize("kernel", KERNELS)

@@ -169,14 +169,14 @@ def allocate_many(n):
     ddss = DDSS(cluster, segment_bytes=64 * 1024)
     client = ddss.client(cluster.nodes[1])
     nic = client.node.nic
-    sent, post = [], nic.send
+    sent, post = [], nic.post
 
-    def send(dst, payload=None, size=0, tag=0):
+    def logged_post(dst, payload=None, size=0, tag=0):
         if tag == ddss.WIRE_TAG:
             sent.append(payload["req"])
-        return post(dst, payload=payload, size=size, tag=tag)
+        post(dst, payload=payload, size=size, tag=tag)
 
-    nic.send = send
+    nic.post = logged_post
 
     def app(env):
         for _ in range(n):

@@ -6,19 +6,18 @@ from repro.errors import ConfigError, NodeDownError
 from repro.net import Cluster
 from repro.faults import FaultInjector, FaultPlan
 from repro.faults.injector import DETECT_US
-from repro.faults.plan import LinkDegrade, VerbFault
+from repro.faults.plan import VerbFault
 
 
 def make_cluster(n=3, seed=0):
     return Cluster(n_nodes=n, seed=seed)
 
 
-def plan_with(plan=None, verb=None, degrade=None):
-    """``plan`` (or an empty one) with a verb-fault and/or link-degrade
-    rule appended: the plan's lists are the only way to schedule them."""
-    plan = FaultPlan() if plan is None else plan
-    plan.verb_faults += [verb] if verb else []
-    plan.degrades += [degrade] if degrade else []
+def plan_with(verb):
+    """An empty plan with the verb-fault rule ``verb`` appended: the
+    plan's list is the only way to schedule one."""
+    plan = FaultPlan()
+    plan.verb_faults.append(verb)
     return plan
 
 
@@ -31,8 +30,7 @@ UNKNOWN_NODE_PLANS = [
     ("slow_node", 5, FaultPlan().slow_node(5, 2.0)),
     ("stall_credits", 5, FaultPlan().stall_credits(5)),
     ("drop_messages", 9, FaultPlan().drop_messages(0.5, src=9)),
-    ("fail_verbs", 9, plan_with(verb=VerbFault(0.5, dst=9))),
-    ("degrade_link", 9, plan_with(degrade=LinkDegrade(2.0, src=0, dst=9))),
+    ("fail_verbs", 9, plan_with(VerbFault(0.5, dst=9))),
 ]
 
 
@@ -199,7 +197,7 @@ class TestInjector:
         from repro.errors import RdmaError
         cluster = make_cluster()
         inj = cluster.install_faults(
-            plan_with(verb=VerbFault(1.0, start=0.0, until=100.0)))
+            plan_with(VerbFault(1.0, start=0.0, until=100.0)))
         seg = cluster.nodes[1].memory.register(64, name="tgt")
 
         def app(env):
@@ -212,26 +210,6 @@ class TestInjector:
         p = cluster.env.process(app(cluster.env))
         cluster.env.run_until_event(p, limit=1e6)
         assert inj.verbs_failed == 1
-
-    def test_link_degrade_slows_transfers(self):
-        def timed_read(plan):
-            cluster = make_cluster()
-            cluster.install_faults(plan)
-            seg = cluster.nodes[1].memory.register(1 << 16, name="tgt")
-
-            def app(env):
-                t0 = env.now
-                yield cluster.nodes[0].nic.rdma_read(1, seg.addr,
-                                                     seg.rkey, 1 << 16)
-                return env.now - t0
-
-            p = cluster.env.process(app(cluster.env))
-            cluster.env.run_until_event(p, limit=1e6)
-            return p.value
-
-        base = timed_read(FaultPlan())
-        slow = timed_read(plan_with(degrade=LinkDegrade(8.0)))
-        assert slow > base * 2
 
 
 class TestNoPlanNoChange:

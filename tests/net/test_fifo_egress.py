@@ -12,16 +12,18 @@ is the booking arithmetic or a fault hook consulted at the wrong
 instant, not agenda order.
 
 The faulted schedules add what no packaged scenario reaches: crashes
-landing on payloads in flight, degraded and slowed links, partitions,
-failing verbs and lossy messages, on one rack, two and four.
+landing on payloads in flight, slowed nodes, partitions, failing verbs
+and lossy messages, on one rack, two and four.
 """
 
+import gc
 import random
+import sys
 
 import pytest
 
 from repro.faults import FaultPlan
-from repro.faults.plan import LinkDegrade, VerbFault
+from repro.faults.plan import VerbFault
 from repro.net import Cluster
 from repro.sim import KERNELS, Process, pin_kernel
 from repro.topo import TopoCluster
@@ -242,9 +244,9 @@ def _faulted_schedule(seed, far, n_nodes=8, n_bursts=60):
         plan = (FaultPlan()
                 .crash(a, at=t1, restart_at=t1 + rng.uniform(30.0, 300.0))
                 .crash(b, at=t2, restart_at=t2 + rng.uniform(30.0, 300.0)))
-        plan.degrades.append(LinkDegrade(
-            rng.uniform(1.5, 4.0), src=rng.randrange(n_nodes),
-            start=rng.uniform(0.0, span / 2), until=span))
+        factor = rng.uniform(1.5, 4.0)
+        plan.slow_node(rng.randrange(n_nodes), factor,
+                       start=rng.uniform(0.0, span / 2), until=span)
         plan.slow_node(rng.randrange(n_nodes), rng.uniform(1.2, 3.0),
                        start=rng.uniform(0.0, span / 2), until=0.9 * span)
         plan.verb_faults.append(VerbFault(0.15))
@@ -353,3 +355,63 @@ def test_agenda_entries_per_operation():
     assert _entries(racks, "write", injector=True) <= 6
     assert _entries(flat, "send_wait", injector=True) <= 3
     assert _entries(racks, "send_wait", injector=True) <= 4
+
+
+def _message_cost(make_cluster, op, n):
+    """``(frames, agenda entries)`` of ``n`` fault-free two-sided ``op``s
+    from node 1 to the last node, posted at one instant and delivered."""
+    with pin_kernel("fast"):
+        cluster = make_cluster()
+    env = cluster.env
+    nic, dst = cluster.nodes[1].nic, cluster.nodes[-1].nic
+    calls = 0
+
+    def count(_frame, event, _arg):
+        nonlocal calls
+        if event == "call":
+            calls += 1
+
+    gc.collect()
+    gc.disable()
+    sys.setprofile(count)
+    try:
+        for i in range(n):
+            getattr(nic, op)(dst.node.id, i, 8, "m")
+        env.run()
+    finally:
+        sys.setprofile(None)
+        gc.enable()
+    seq = env._seq
+    assert [msg.payload for msg in dst._recv_queues["m"].items] \
+        == list(range(n))
+    return calls, seq
+
+
+#: (op, topology) -> (frames, agenda entries) of one fault-free message on
+#: the fast kernel.  A post is ``post``, ``Message``, ``next_id``,
+#: ``_route`` and one ``_schedule_call`` at the arrival instant, where
+#: ``_land``, ``_queue`` and ``Store.try_put`` deliver it: one entry.  A
+#: send adds its own frame and the ``timeout`` of the local completion,
+#: one more entry.  Across racks the route counts the leg, books the
+#: egress link and schedules the ToR uplink's booking at the egress
+#: release (``_count_xrack``, ``_book_egress``, ``_reach_uplink``,
+#: ``_up_key`` and two more ``_schedule_call``s) and calls back at the
+#: arrival, where ``_land`` takes one same-instant hop (a third): three
+#: entries.
+MESSAGE_COST = {
+    ("post", "flat"): (8, 1),
+    ("send", "flat"): (10, 2),
+    ("post", "two-rack"): (15, 3),
+    ("send", "two-rack"): (17, 4),
+}
+
+
+@pytest.mark.parametrize("op, topology", sorted(MESSAGE_COST))
+def test_fault_free_message_cost(op, topology):
+    make = {"flat": lambda: Cluster(n_nodes=4, seed=0),
+            "two-rack": lambda: TopoCluster(racks=2, hosts_per_rack=2,
+                                            oversub=2.0, seed=0)}[topology]
+    counts = [_message_cost(make, op, n) for n in (2, 3, 4)]
+    per_op = {(b[0] - a[0], b[1] - a[1])
+              for a, b in zip(counts, counts[1:])}
+    assert per_op == {MESSAGE_COST[op, topology]}

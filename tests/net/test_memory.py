@@ -98,7 +98,7 @@ def resident_bytes() -> int:
 @pytest.mark.skipif(not sys.platform.startswith("linux"),
                     reason="reads /proc; uses fork")
 class TestBacking:
-    """Each region is a demand-zero private mapping."""
+    """Regions are backed by demand-zero private mappings."""
 
     def test_region_is_resident_only_where_touched(self, mm):
         before = resident_bytes()
@@ -122,6 +122,47 @@ class TestBacking:
         _, status = os.waitpid(pid, 0)
         assert os.waitstatus_to_exitcode(status) == 0
         assert r.read_u64(0) == 0
+
+    def test_small_regions_share_one_mapping(self, mm):
+        """Regions under a page are carved from one arena mapping: each
+        stays its own window (bounds, rkey, bytes), and addresses and
+        rkeys come out as they did with a mapping per region."""
+        small = [mm.register(n) for n in (8, 8, 24, 4095, 8)]
+        page = mm.register(4096)
+        assert len({id(r.buf) for r in small}) == 1
+        assert page.buf is not small[0].buf and page.base == 0
+        windows = sorted((r.base, r.base + r.length) for r in small)
+        assert all(a[1] <= b[0] for a, b in zip(windows, windows[1:]))
+        for i, r in enumerate(small):
+            mm.rdma_write(r.addr + r.length - 8, r.rkey, bytes([i + 1]) * 8)
+        for i, r in enumerate(small):
+            assert r.read(r.length - 8, 8) == bytes([i + 1]) * 8
+            assert r.read(0, r.length - 8) == bytes(r.length - 8)
+        with pytest.raises(BoundsError):
+            mm.cas64(small[0].addr + 4, small[0].rkey, 0, 1)
+        fresh = MemoryManager(node_id=3)
+        again = [fresh.register(n) for n in (8, 8, 24, 4095, 8, 4096)]
+        assert [(r.addr, r.rkey) for r in again] \
+            == [(r.addr, r.rkey) for r in small + [page]]
+
+    def test_arena_overflow_opens_another_mapping(self, mm):
+        words = [mm.register(8) for _ in range(256 * 512 + 1)]
+        assert words[-2].buf is words[0].buf
+        assert words[-1].buf is not words[0].buf and words[-1].base == 0
+
+    def test_forked_child_writes_its_own_copy_of_a_word(self, mm):
+        word = mm.register(8)
+        pid = os.fork()
+        if pid == 0:  # child: never returns into pytest
+            code = 1
+            try:
+                mm.faa64(word.addr, word.rkey, 5)
+                code = 0 if word.read_u64(0) == 5 else 1
+            finally:
+                os._exit(code)
+        _, status = os.waitpid(pid, 0)
+        assert os.waitstatus_to_exitcode(status) == 0
+        assert word.read_u64(0) == 0
 
     def test_unmappable_length_is_a_named_error(self, mm):
         with pytest.raises(ConfigError, match=(

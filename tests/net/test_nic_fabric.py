@@ -1,10 +1,8 @@
 """Tests for NIC verbs and fabric timing/contention."""
 
-from dataclasses import replace
-
 import pytest
 
-from repro.errors import ConfigError, ProtectionError, RdmaError
+from repro.errors import ConfigError, ProtectionError
 from repro.net import Cluster, NetworkParams
 from repro.sim import KERNELS, pin_kernel
 
@@ -256,13 +254,6 @@ class TestOneSided:
             a.nic.rdma_read(b.id, region.addr, region.rkey, length)
         c.env.run()
         assert c.env.now == 0 and a.nic.rdma_reads == 0
-
-    def test_rdma_refused_without_hardware_support(self):
-        cluster = Cluster(n_nodes=2, params=replace(
-            NetworkParams.infiniband(), has_rdma=False))
-        a, b = cluster.nodes
-        with pytest.raises(RdmaError):
-            a.nic.rdma_read(b.id, 0, 0, 8)
 
     def test_remote_key_helpers(self, ib):
         a, b = ib.nodes[0], ib.nodes[1]

@@ -88,14 +88,6 @@ class TestTracer:
         assert len(tr.select("cache.", node=1)) == 2
         assert tr.select("cache.miss")[0].fields["doc"] == 8
 
-    def test_counts_sorted_by_type(self):
-        tr = Tracer(Environment())
-        tr.emit("msg.send", node=0)
-        tr.emit("lock.grant", node=0)
-        tr.emit("msg.send", node=0)
-        assert tr.counts() == {"lock.grant": 1, "msg.send": 2}
-        assert list(tr.counts()) == ["lock.grant", "msg.send"]
-
 
 class TestTaxonomy:
     def test_every_type_documents_its_fields(self):

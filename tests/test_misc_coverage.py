@@ -12,7 +12,6 @@ from repro.dlm import LockMode, NCoSEDManager, cascade_latency
 class TestNetworkParams:
     def test_presets_have_sane_relations(self):
         ib = NetworkParams.infiniband()
-        assert ib.has_rdma
         # the socket CPU tax prices host-based protocols over the SAN
         assert ib.sock_cpu_us(1024) > ib.sock_cpu_us(0) > 0
 
@@ -60,20 +59,6 @@ class TestDeterminism:
 
 
 class TestEnvironmentEdges:
-    def test_run_max_events_stops_early(self):
-        from repro.sim import Environment
-        env = Environment()
-        fired = []
-
-        def ticker(env):
-            while True:
-                yield env.timeout(1.0)
-                fired.append(env.now)
-
-        env.process(ticker(env))
-        env.run(max_events=10)
-        assert 0 < len(fired) < 10
-
     def test_any_of_propagates_child_failure(self):
         from repro.sim import AnyOf, Environment
         env = Environment()

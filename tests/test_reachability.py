@@ -39,6 +39,17 @@ def _imports(nodes, name, is_pkg):
             yield from ((mod, a.name) for a in node.names)
 
 
+def _lazy_exports(tree):
+    """A package's lazy re-exports (``_EXPORTS = {name: module}``, served
+    by ``repro._lazy``): ``{name: (module, name)}``."""
+    for stmt in tree.body:
+        if isinstance(stmt, ast.Assign) \
+                and getattr(stmt.targets[0], "id", "") == "_EXPORTS":
+            return {k.value: (v.value, k.value)
+                    for k, v in zip(stmt.value.keys, stmt.value.values)}
+    return {}
+
+
 def _graph():
     """module -> the modules it reaches directly, and the perf roots."""
     trees = {}
@@ -47,12 +58,14 @@ def _graph():
         is_pkg = parts[-1] == "__init__"
         trees[".".join(parts[:-1] if is_pkg else parts)] = (
             ast.parse(path.read_text(encoding="utf-8")), is_pkg)
-    # a package's top-level ``from x import a as b``: b -> (x, a)
-    exports = {name: {a.asname or a.name: imp
-                      for stmt in tree.body
-                      if isinstance(stmt, ast.ImportFrom)
-                      for a, imp in zip(stmt.names,
-                                        _imports([stmt], name, True))}
+    # a package's top-level ``from x import a as b``: b -> (x, a), and
+    # its lazy re-exports
+    exports = {name: {**{a.asname or a.name: imp
+                         for stmt in tree.body
+                         if isinstance(stmt, ast.ImportFrom)
+                         for a, imp in zip(stmt.names,
+                                           _imports([stmt], name, True))},
+                      **_lazy_exports(tree)}
                for name, (tree, is_pkg) in trees.items() if is_pkg}
 
     def resolve(mod, attr):
@@ -378,6 +391,8 @@ class _Census:
                 for a in node.names:
                     syms.setdefault(a.asname or a.name,
                                     ("from", base, a.name))
+        for name, (module, attr) in _lazy_exports(tree).items():
+            syms[name] = ("from", module, attr)
         for stmt in tree.body:
             if isinstance(stmt, ast.ClassDef):
                 syms[stmt.name] = ("class", (mod, stmt.name))

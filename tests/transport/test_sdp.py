@@ -247,11 +247,11 @@ def _wire_ids(endpoint_cls):
     cluster, server, client, listener = make_pair(endpoint_cls)
     ids = []
     for ep in (server, client):
-        def send(dst, payload=None, real=ep.node.nic.send, **kw):
+        def post(dst, payload=None, real=ep.node.nic.post, **kw):
             ids.append(sorted((k, v) for k, v in payload.items()
                               if k.endswith("id")))
-            return real(dst, payload=payload, **kw)
-        ep.node.nic.send = send
+            real(dst, payload=payload, **kw)
+        ep.node.nic.post = post
 
     def server_side(env):
         conn = yield listener.accept()
