@@ -80,11 +80,3 @@ class BenchTable:
     def to_dict(self) -> Dict[str, object]:
         return {"title": self.title, "paper_ref": self.paper_ref,
                 "columns": self.columns, "rows": self.rows}
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "BenchTable":
-        table = cls(data["title"], data["columns"],
-                    paper_ref=data.get("paper_ref", ""))
-        for row in data.get("rows", []):
-            table.add(*row)
-        return table

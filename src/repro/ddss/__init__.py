@@ -5,8 +5,8 @@ allocated in registered memory contributed by cluster nodes and accessed
 with one-sided RDMA ``get``/``put`` under one of six coherence models
 (:class:`Coherence`).  Components map to the paper's Figure 2:
 
-* Memory management — :class:`SegmentAllocator` (first-fit free list
-  with coalescing inside each node's contributed segment).
+* Memory management — :class:`SegmentAllocator` (a bump pointer inside
+  each node's contributed segment: no scenario releases a unit).
 * Data placement — round-robin or explicit home-node hints at
   :meth:`DDSSClient.allocate`.
 * Locking mechanisms — CAS-based unit locks with exponential backoff.

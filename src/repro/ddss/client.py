@@ -165,24 +165,6 @@ class DDSSClient:
                            replicas=len(meta.replicas))
         return meta.key
 
-    def free(self, key: int) -> Event:
-        """Release a unit (directory entry + home segment block)."""
-        return self._proc(self._free(key), "ddss-free")
-
-    def _free(self, key):
-        reply = yield from self._control_dir(
-            key, {"op": "unregister", "key": key})
-        meta: UnitMeta = reply["meta"]
-        yield from self._control(meta.home,
-                                 {"op": "free_unit", "addr": meta.addr})
-        for rep_home, rep_addr, _rkey in meta.replicas:
-            yield from self._control(rep_home,
-                                     {"op": "free_unit", "addr": rep_addr})
-        self._meta_cache.pop(key, None)
-        self._data_cache.pop(key, None)
-        self._dir_cache.pop(key, None)
-        return None
-
     def lookup(self, key: int) -> Event:
         """Resolve a key to its UnitMeta (cached after first use)."""
         return self._proc(self._lookup(key), "ddss-lookup")

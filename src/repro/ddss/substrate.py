@@ -3,7 +3,7 @@
 Topology: every participating node contributes one registered segment and
 runs a lightweight daemon.  One node (by default the first) additionally
 hosts the **metadata directory** mapping unit keys to
-:class:`UnitMeta`.  Control operations (allocate / free / lookup) are
+:class:`UnitMeta`.  Control operations (allocate / lookup) are
 two-sided requests to daemons over :mod:`repro.transport.rpc` — they
 are rare.  The data path (``get`` / ``put`` in
 :class:`repro.ddss.client.DDSSClient`) is pure one-sided RDMA against
@@ -102,16 +102,9 @@ class DDSS:
         self._directory: Dict[int, UnitMeta] = {}
         self._next_key = itertools.count(1)
         self._rr = itertools.count()  # round-robin placement cursor
-        #: (node_id, offset, nbytes) blocks tombstoned by a rebalance;
-        #: quarantined (never reused) so in-flight one-sided ops against
-        #: the stale address can only ever read the tombstone — the
-        #: simulation's stand-in for rkey revocation
-        self._quarantined: list = []
         handlers = {"alloc": self._do_alloc,
-                    "free_unit": self._do_free_unit,
                     "register": self._do_register,
-                    "lookup": self._do_lookup,
-                    "unregister": self._do_unregister}
+                    "lookup": self._do_lookup}
         for node in self.members:
             seg = node.memory.register(segment_bytes,
                                        name=f"ddss-seg@{node.name}")
@@ -182,9 +175,10 @@ class DDSS:
         Control-plane operation run by the directory authority (e.g.
         :class:`repro.reconfig.ReconfigManager` evicting a dead home):
         copy header + data to a fresh block, stamp ``TOMBSTONE`` into
-        the old version word, repoint the directory, and quarantine the
-        old block.  A client that cached the old address sees the
-        tombstone on its next CAS or snapshot and re-resolves
+        the old version word, and repoint the directory.  The old block
+        is never reused (the allocator gives nothing back).  A client
+        that cached the old address sees the tombstone on its next CAS
+        or snapshot and re-resolves
         (:class:`repro.errors.StaleHomeError`) — it can never install
         at the stale home.
 
@@ -218,7 +212,6 @@ class DDSS:
         new_seg = self._segments[new_home]
         new_seg.write(new_off, blob)
         old_seg.write(old_off + VERSION_OFF, TOMBSTONE.to_bytes(8, "big"))
-        self._quarantined.append((meta.home, old_off, nbytes))
         new_meta = replace(meta, home=new_home,
                            addr=new_seg.addr + new_off, rkey=new_seg.rkey)
         self._directory[key] = new_meta
@@ -265,14 +258,6 @@ class DDSS:
         seg.write(offset, b"\x00" * HEADER_BYTES)
         return {"addr": seg.addr + offset, "rkey": seg.rkey}
 
-    def _do_free_unit(self, node: Node, body: dict) -> dict:
-        seg = self._segments[node.id]
-        try:
-            self._allocators[node.id].free(body["addr"] - seg.addr)
-        except DDSSError as exc:
-            return {"error": str(exc)}
-        return {"ok": True}
-
     def _do_register(self, node: Node, body: dict) -> dict:
         key = body.get("key")
         reject = self._dir_reject(node, "register", key)
@@ -290,15 +275,6 @@ class DDSS:
         if reject is not None:
             return reject
         meta = self._directory.get(body["key"])
-        if meta is None:
-            return {"error": f"unknown key {body['key']}"}
-        return {"meta": meta}
-
-    def _do_unregister(self, node: Node, body: dict) -> dict:
-        reject = self._dir_reject(node, "unregister", body["key"])
-        if reject is not None:
-            return reject
-        meta = self._directory.pop(body["key"], None)
         if meta is None:
             return {"error": f"unknown key {body['key']}"}
         return {"meta": meta}

@@ -191,22 +191,22 @@ class FaultPlan:
         self.crashes.append(Crash(node=node, at=at, restart_at=restart_at))
         return self
 
-    def drop_messages(self, rate: float, src: Optional[int] = None,
-                      dst: Optional[int] = None, start: float = 0.0,
+    # no product plan aims a message fault at one link, so the builders
+    # take none: a rule with ``src``/``dst`` is appended directly
+    def drop_messages(self, rate: float, start: float = 0.0,
                       until: float = math.inf) -> "FaultPlan":
         _check_window(start, until, "drop_messages")
         self.message_faults.append(MessageFault(
             kind="drop", rate=_check_rate(rate, "drop_messages"),
-            src=src, dst=dst, start=start, until=until))
+            start=start, until=until))
         return self
 
-    def duplicate_messages(self, rate: float, src: Optional[int] = None,
-                           dst: Optional[int] = None, start: float = 0.0,
+    def duplicate_messages(self, rate: float, start: float = 0.0,
                            until: float = math.inf) -> "FaultPlan":
         _check_window(start, until, "duplicate_messages")
         self.message_faults.append(MessageFault(
             kind="duplicate", rate=_check_rate(rate, "duplicate_messages"),
-            src=src, dst=dst, start=start, until=until))
+            start=start, until=until))
         return self
 
     def partition(self, groups, start: float = 0.0,

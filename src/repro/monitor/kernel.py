@@ -78,5 +78,6 @@ class KernelStats:
         }
 
     def snapshot(self) -> dict:
-        """Zero-time direct view (kernel's own perspective; tests)."""
+        """Zero-time direct view, the kernel's own perspective: what a
+        socket scheme's back-end daemon reads once its CPU work is done."""
         return self.decode(self.region.read(0, STATS_BYTES))

@@ -238,10 +238,6 @@ class NIC:
         """Wait for the next message with ``tag``; value is a Message."""
         return self._queue(tag).get()
 
-    def pending(self, tag: Any = 0) -> int:
-        q = self._recv_queues.get(tag)
-        return 0 if q is None else len(q)
-
     # ------------------------------------------------------------------
     # one-sided memory semantics — fast-path slot-pool driver
     # ------------------------------------------------------------------

@@ -15,11 +15,10 @@ exponent from :func:`math.frexp`), giving quantiles with at-most-2x
 relative error.  It buffers at most :data:`FOLD_AT` raw samples and
 folds them into its tally and buckets on read or at that bound, so its
 memory is bounded by the fold and recording one sample is one append.
-Its ``percentile`` uses the same nearest-rank rule
-(:func:`repro.sim.trace.rank_of`) as the exact
-:func:`repro.sim.trace.percentile`, so benches sorting raw samples and
-obs walking buckets report the *same rank* — they differ only in bucket
-rounding, never in which observation is chosen.
+Its ``percentile`` uses the nearest-rank rule
+(:func:`repro.sim.trace.rank_of`), so it reports the *same rank* as an
+exact percentile over the sorted raw samples — the two differ only in
+bucket rounding, never in which observation is chosen.
 """
 
 from __future__ import annotations
@@ -145,16 +144,6 @@ class LatencyHistogram:
     def tally(self) -> Tally:
         self.fold()
         return self._tally
-
-    @property
-    def buckets(self) -> Dict[int, int]:
-        self.fold()
-        return self._buckets
-
-    @property
-    def zeros(self) -> int:
-        self.fold()
-        return self._zeros
 
     @property
     def count(self) -> int:

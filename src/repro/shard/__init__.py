@@ -13,10 +13,9 @@ the current owner, and the client chases it a bounded number of times.
   from the ring; failover rehomes a dead member's locks to their ring
   successors.
 * :class:`ShardedDDSS` — DDSS whose *directory serving* is sharded:
-  every member daemon answers register/lookup/unregister for its ring
-  slice, and eviction/restore through
-  :class:`repro.reconfig.ReconfigManager` rebalances the ring with the
-  existing ``migrate_unit`` machinery.
+  every member daemon answers register/lookup for its ring slice, and
+  eviction/restore through :class:`repro.reconfig.ReconfigManager`
+  rebalances the ring with the existing ``migrate_unit`` machinery.
 """
 
 from repro.shard.ring import ShardMap, ShardRing

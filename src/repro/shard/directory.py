@@ -1,7 +1,7 @@
 """DDSS with the metadata directory sharded across member daemons.
 
-The flat substrate funnels every register/lookup/unregister through one
-metadata node; here each member's daemon serves the ring slice a
+The flat substrate funnels every register/lookup through one metadata
+node; here each member's daemon serves the ring slice a
 consistent-hash :class:`~repro.shard.ring.ShardMap` assigns it, and a
 daemon contacted with someone else's key replies with a **bounce**
 carrying the current owner and map epoch — the client chases the hint a

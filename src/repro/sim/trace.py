@@ -1,4 +1,4 @@
-"""Lightweight measurement helpers: tallies and percentiles.
+"""Lightweight measurement helpers: tallies and the nearest-rank rule.
 
 Used by benches and services to record latencies without pulling in
 external dependencies.
@@ -7,38 +7,22 @@ external dependencies.
 from __future__ import annotations
 
 import math
-from typing import Sequence
 
-__all__ = ["Tally", "percentile", "rank_of"]
+__all__ = ["Tally", "rank_of"]
 
 
 def rank_of(q: float, n: int) -> int:
     """Nearest-rank index for percentile ``q`` over ``n`` observations.
 
-    The single rank rule shared by :func:`percentile` (exact, sorted
-    samples) and :meth:`repro.obs.metrics.LatencyHistogram.percentile`
-    (log-bucketed counts), so benches and the observability layer report
-    identical quantiles for identical data.
+    The rank rule of :meth:`repro.obs.metrics.LatencyHistogram.percentile`
+    (log-bucketed counts): it picks the observation an exact sorted-sample
+    percentile picks, and differs only by the bucket's rounding.
     """
     if not 0 <= q <= 100:
         raise ValueError(f"percentile out of range: {q}")
     if n <= 0:
         raise ValueError("percentile of empty sequence")
     return max(0, min(n - 1, math.ceil(q / 100 * n) - 1))
-
-
-def percentile(values: Sequence[float], q: float) -> float:
-    """Nearest-rank percentile (q in [0, 100]) of a non-empty sequence.
-
-    NaN inputs are rejected: NaN is unordered, so ``sorted`` would place
-    it arbitrarily and silently corrupt every quantile after it.
-    """
-    if not values:
-        raise ValueError("percentile of empty sequence")
-    if any(math.isnan(v) for v in values):
-        raise ValueError("percentile of sequence containing NaN")
-    ordered = sorted(values)
-    return ordered[rank_of(q, len(ordered))]
 
 
 class Tally:

@@ -48,8 +48,3 @@ class TopoCluster(Cluster):
         return TopoFabric(self.env, self.params, racks=self.racks,
                           hosts_per_rack=self.hosts_per_rack,
                           spines=self.spines, oversub=self.oversub)
-
-    # -- topology helpers --------------------------------------------------
-    @property
-    def spine_latency_us(self) -> float:
-        return self.fabric.spine_latency_us

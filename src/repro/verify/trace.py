@@ -135,10 +135,6 @@ class Oracle:
             "scope": dict(scope),
         })
 
-    @property
-    def clean(self) -> bool:
-        return not self.violations
-
     def attach(self, tracer) -> "Oracle":
         """Check live (strict mode): feed each matching event as it is
         emitted and raise :class:`SanitizerError` from the emitting

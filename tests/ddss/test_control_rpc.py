@@ -1,4 +1,4 @@
-"""The DDSS control plane (``allocate``, ``lookup``, ``free``) over the
+"""The DDSS control plane (``allocate``, ``lookup``) over the
 one request path, :mod:`repro.transport.rpc`: a deadline, bounded retry
 and at-most-once execution under a fault injector, and nothing added
 without one."""
@@ -36,11 +36,19 @@ def run(cluster, gen, limit=1e6):
     return cluster.env.run_until_event(p, limit=limit)
 
 
-def allocate(client, free=False):
+#: the home-segment bytes one ``allocate`` takes: header + 128 B
+BLOCK = 144
+
+
+def allocate(client):
     key = yield client.allocate(128, Coherence.WRITE, placement=0)
-    if free:
-        yield client.free(key)
     return key
+
+
+def used(ddss):
+    """Bytes node 0's segment has handed out."""
+    home = ddss._allocators[0]
+    return home.capacity - home.free_bytes
 
 
 def rows(obs, etype):
@@ -63,8 +71,8 @@ class TestFaults:
     def test_all_calls_complete_under_heavy_drop(self, kernel):
         """40% loss each way for 3.5 ms, the span a call's doubling
         deadlines ride out: every allocate still completes, and despite
-        the re-sends each request runs its handler exactly once, so
-        freeing every key leaves the home empty."""
+        the re-sends each request runs its handler exactly once, so the
+        home hands out exactly one block per key."""
         cluster, obs, ddss, client = build(
             kernel, FaultPlan().drop_messages(0.4, start=50.0,
                                               until=3_500.0))
@@ -73,15 +81,11 @@ class TestFaults:
             keys = []
             for _ in range(30):
                 keys.append((yield from allocate(client)))
-            assert len(ddss._allocators[0]._live) == 30
-            for key in keys:
-                yield client.free(key)
             return keys
 
         keys = run(cluster, app(), limit=1e9)
         assert len(set(keys)) == 30
-        home = ddss._allocators[0]
-        assert (home.free_bytes, len(home._live)) == (home.capacity, 0)
+        assert used(ddss) == 30 * BLOCK
         executed = [row.fields["rid"] for row in rows(obs, "rpc.execute")]
         assert len(executed) == len(set(executed))
         assert rows(obs, "rpc.retry")  # the drops actually bit
@@ -99,14 +103,13 @@ class TestFaults:
 
     def test_duplicates_execute_once_and_leave_nothing(self, kernel):
         """Every message is delivered twice: each request runs its
-        handler once, so allocate + free leaves the home empty (running
-        the duplicate alloc would leak 144 B for good), and the
+        handler once, so one allocate takes one block (running the
+        duplicate alloc would take a second 144 B for good), and the
         duplicate replies leave no queue behind on the caller's NIC."""
         cluster, obs, ddss, client = build(
             kernel, FaultPlan().duplicate_messages(1.0))
-        run(cluster, allocate(client, free=True))
-        home = ddss._allocators[0]
-        assert (home.free_bytes, len(home._live)) == (home.capacity, 0)
+        run(cluster, allocate(client))
+        assert used(ddss) == BLOCK
         queues = cluster.nodes[1].nic._recv_queues
         assert {tag: len(q) for tag, q in queues.items() if len(q)} == {}
         assert rows(obs, "rpc.dup_request")
@@ -137,7 +140,7 @@ class TestFaults:
         cluster, obs, ddss, client = build(kernel, plan)
         assert run(cluster, allocate(client), limit=1e5) == 1
         assert rows(obs, "rpc.retry") and rows(obs, "rpc.dup_request")
-        assert len(ddss._allocators[0]._live) == 1
+        assert used(ddss) == BLOCK
         cluster.env.run()
         box = cluster.nodes[1].nic._recv_queues[rpc.REPLY_TAG]
         assert box.late >= 1 and len(box) == 0

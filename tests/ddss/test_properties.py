@@ -100,24 +100,3 @@ def test_delta_staleness_never_exceeds_bound(delta, extra_puts):
 
     staleness = run(cluster, app(cluster.env))
     assert 0 <= staleness <= delta
-
-
-@given(sizes=st.lists(st.integers(1, 2048), min_size=1, max_size=15))
-@settings(max_examples=30, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow])
-def test_allocate_free_cycles_leak_nothing(sizes):
-    cluster, ddss = fresh(seed=4, n_nodes=2)
-    client = ddss.client(cluster.nodes[0])
-    baseline = [ddss._allocators[n.id].free_bytes for n in cluster.nodes]
-
-    def app(env):
-        keys = []
-        for size in sizes:
-            keys.append((yield client.allocate(size)))
-        for key in keys:
-            yield client.free(key)
-
-    run(cluster, app(cluster.env))
-    after = [ddss._allocators[n.id].free_bytes for n in cluster.nodes]
-    assert after == baseline
-    assert len(ddss._directory) == 0

@@ -98,36 +98,6 @@ class TestControlPlane:
 
         assert "unknown key" in run(cluster, app(cluster.env))
 
-    def test_free_releases_segment_space(self, setup):
-        cluster, ddss = setup
-        client = ddss.client(cluster.nodes[0])
-
-        def app(env):
-            key = yield client.allocate(1024, placement=3)
-            seg = ddss._allocators[3]
-            used_before = seg.capacity - seg.free_bytes
-            yield client.free(key)
-            return used_before, seg.capacity - seg.free_bytes
-
-        before, after = run(cluster, app(cluster.env))
-        assert before > 0
-        assert after == 0
-
-    def test_get_after_free_fails(self, setup):
-        cluster, ddss = setup
-        alice = ddss.client(cluster.nodes[1])
-        bob = ddss.client(cluster.nodes[2])
-
-        def app(env):
-            key = yield alice.allocate(64)
-            yield alice.free(key)
-            try:
-                yield bob.get(key)
-            except DDSSError:
-                return "gone"
-
-        assert run(cluster, app(cluster.env)) == "gone"
-
     def test_allocation_exhaustion_surfaces(self):
         cluster = Cluster(n_nodes=1, seed=0)
         ddss = DDSS(cluster, segment_bytes=256)

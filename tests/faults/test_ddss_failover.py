@@ -56,21 +56,6 @@ class TestReplicatedAllocation:
 
         drive(cluster, app(cluster.env))
 
-    def test_free_releases_replica_blocks(self):
-        cluster, ddss, _ = build()
-        client = ddss.client(cluster.nodes[0])
-
-        def app(env):
-            key = yield client.allocate(64, replicas=2)
-            meta = yield client.lookup(key)
-            yield client.free(key)
-            return meta
-
-        meta = drive(cluster, app(cluster.env))
-        for home, _, _ in meta.copies:
-            alloc = ddss._allocators[home]
-            assert alloc.free_bytes == alloc.capacity
-
 
 class TestFailover:
     PRIMARY = 1  # not the metadata node (0), which must stay reachable

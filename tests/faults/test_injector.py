@@ -6,18 +6,19 @@ from repro.errors import ConfigError, NodeDownError
 from repro.net import Cluster
 from repro.faults import FaultInjector, FaultPlan
 from repro.faults.injector import DETECT_US
-from repro.faults.plan import VerbFault
+from repro.faults.plan import MessageFault, VerbFault
 
 
 def make_cluster(n=3, seed=0):
     return Cluster(n_nodes=n, seed=seed)
 
 
-def plan_with(verb):
-    """An empty plan with the verb-fault rule ``verb`` appended: the
-    plan's list is the only way to schedule one."""
+def plan_with(rule):
+    """An empty plan with ``rule`` appended to its list: the only way to
+    schedule a verb fault, or a message fault aimed at one link."""
     plan = FaultPlan()
-    plan.verb_faults.append(verb)
+    (plan.verb_faults if isinstance(rule, VerbFault)
+     else plan.message_faults).append(rule)
     return plan
 
 
@@ -29,7 +30,7 @@ UNKNOWN_NODE_PLANS = [
     ("partition", 9, FaultPlan().partition([[0], [1, 9]])),
     ("slow_node", 5, FaultPlan().slow_node(5, 2.0)),
     ("stall_credits", 5, FaultPlan().stall_credits(5)),
-    ("drop_messages", 9, FaultPlan().drop_messages(0.5, src=9)),
+    ("drop_messages", 9, plan_with(MessageFault("drop", 0.5, src=9))),
     ("fail_verbs", 9, plan_with(VerbFault(0.5, dst=9))),
 ]
 
@@ -42,8 +43,8 @@ class TestFaultPlan:
     def test_builders_chain(self):
         plan = (FaultPlan()
                 .crash(0, at=5.0, restart_at=50.0)
-                .drop_messages(0.1, src=1)
-                .duplicate_messages(0.2, dst=2)
+                .drop_messages(0.1)
+                .duplicate_messages(0.2, start=5.0)
                 .slow_node(1, 4.0)
                 .stall_credits(2, start=10.0, until=20.0))
         assert len(plan.crashes) == 1

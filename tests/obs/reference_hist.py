@@ -5,7 +5,8 @@ and a ``math.frexp`` bucket count, and the latency probes called
 :meth:`observe` on both histograms of their pair.  :func:`patch_reference`
 puts that histogram and those probes back, so
 ``tests/obs/test_reference_hist.py`` can require the same exports from
-both.
+both.  :func:`percentile` is the exact quantile over sorted samples that
+the histogram's bucketed one must pick the same rank as.
 """
 
 import math
@@ -13,6 +14,20 @@ import math
 import repro.obs.metrics
 from repro.obs import Observability
 from repro.sim.trace import rank_of
+
+
+def percentile(values, q):
+    """Nearest-rank percentile (q in [0, 100]) of a non-empty sequence.
+
+    NaN inputs are rejected: NaN is unordered, so ``sorted`` would place
+    it arbitrarily and silently corrupt every quantile after it.
+    """
+    if not values:
+        raise ValueError("percentile of empty sequence")
+    if any(math.isnan(v) for v in values):
+        raise ValueError("percentile of sequence containing NaN")
+    ordered = sorted(values)
+    return ordered[rank_of(q, len(ordered))]
 
 
 class ReferenceTally:

@@ -43,12 +43,13 @@ def test_to_dict_matches_the_per_sample_twin(seed, halves):
         if reads and i == reads[0]:
             reads.pop(0)
             assert product.to_dict() == twin.to_dict()
-            assert (product.zeros, product.buckets) == (twin.zeros,
-                                                        twin.buckets)
+            product.fold()
+            assert (product._zeros, product._buckets) == (twin.zeros,
+                                                          twin.buckets)
     assert len(product.samples) < FOLD_AT
     assert product.to_dict() == twin.to_dict()
     assert product.samples == []
-    assert (product.zeros, product.buckets) == (twin.zeros, twin.buckets)
+    assert (product._zeros, product._buckets) == (twin.zeros, twin.buckets)
 
 
 @pytest.mark.parametrize("row", ["ncosed", "ddss"])

@@ -41,7 +41,7 @@ class TestFlowControlSanitizer:
         tr.emit("flow.ring.reserve", node=0, sender=0, nbytes=512,
                 pool=1024)
         tr.emit("flow.ring.free", node=0, sender=0, nbytes=512)
-        assert oracle.clean and oracle.checked == 8
+        assert not oracle.violations and oracle.checked == 8
 
     def test_fires_on_credit_overdraft(self):
         tr, _oracle = make(FlowOracle)
@@ -84,7 +84,7 @@ class TestLockWordSanitizer:
         self.emit(tr, "lock.enqueue", token=2, mode="SHARED", prev=1)
         self.emit(tr, "lock.release", token=1)
         self.emit(tr, "lock.grant", token=2, mode="SHARED")
-        assert oracle.clean and oracle.checked == 8
+        assert not oracle.violations and oracle.checked == 8
 
     def test_fires_on_unannounced_tail(self):
         tr, _oracle = make(LockOracle)
@@ -103,7 +103,7 @@ class TestLockWordSanitizer:
         tr, oracle = make(LockOracle)
         self.emit(tr, "lock.reclaim", old_ep=0, new_ep=1)
         self.emit(tr, "lock.reclaim", old_ep=1, new_ep=2)
-        assert oracle.clean
+        assert not oracle.violations
         with pytest.raises(SanitizerError, match="skipped epochs"):
             self.emit(tr, "lock.reclaim", old_ep=2, new_ep=5)
 
@@ -113,7 +113,7 @@ class TestLockWordSanitizer:
         for ep in range(0x10000):
             self.emit(tr, "lock.reclaim", old_ep=ep,
                       new_ep=(ep + 1) & 0xFFFF)
-        assert oracle.clean
+        assert not oracle.violations
         self.emit(tr, "lock.word", word=pack(0, 0, 0))  # now current
         with pytest.raises(SanitizerError, match="future epoch 1 "):
             self.emit(tr, "lock.word", word=pack(1, 0, 0))
@@ -151,13 +151,13 @@ class TestRpcAtMostOnceSanitizer:
         tr.emit("rpc.execute", node=0, rid=2, server="0:9")
         tr.emit("rpc.execute", node=1, rid=1, server="1:9")
         tr.emit("rpc.dup_request", node=0, rid=1, server="0:9")  # replay ok
-        assert oracle.clean and oracle.checked == 3
+        assert not oracle.violations and oracle.checked == 3
 
     def test_plain_calls_exempt(self):
         tr, oracle = make(RpcOracle)
         tr.emit("rpc.execute", node=0, rid=None, server="0:9")
         tr.emit("rpc.execute", node=0, rid=None, server="0:9")
-        assert oracle.clean
+        assert not oracle.violations
 
     def test_fires_on_reexecution(self):
         tr, _oracle = make(RpcOracle)
@@ -174,13 +174,13 @@ class TestSingleOwnerSanitizer:
                     token=token)
             tr.emit("ddss.lock.release", node=1, home=0, addr=64,
                     token=token)
-        assert oracle.clean and oracle.checked == 4
+        assert not oracle.violations and oracle.checked == 4
 
     def test_distinct_units_independent(self):
         tr, oracle = make(SingleOwnerOracle)
         tr.emit("ddss.lock.acquire", node=1, home=0, addr=64, token=1)
         tr.emit("ddss.lock.acquire", node=2, home=0, addr=128, token=2)
-        assert oracle.clean
+        assert not oracle.violations
 
     def test_fires_on_second_owner(self):
         tr, _oracle = make(SingleOwnerOracle)
@@ -205,7 +205,7 @@ class TestCacheAccountingSanitizer:
         tr.emit("cache.evict", node=0, doc=1, size=100)
         tr.emit("cache.admit", node=0, doc=3, size=150, used=250,
                 capacity=256)
-        assert oracle.clean and oracle.checked == 4
+        assert not oracle.violations and oracle.checked == 4
 
     def test_fires_on_phantom_eviction(self):
         tr, _oracle = make(CacheOracle)

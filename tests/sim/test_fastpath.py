@@ -403,19 +403,6 @@ def test_unwatched_failing_acquire_and_get_surface_under_obs(kernel):
 
 
 # ---------------------------------------------------------------------------
-# NIC polling stays allocation-free
-# ---------------------------------------------------------------------------
-
-def test_pending_does_not_create_queues():
-    from repro.net import Cluster
-
-    cluster = Cluster(n_nodes=2, seed=0)
-    nic = cluster.nodes[0].nic
-    assert nic.pending(tag="never-used") == 0
-    assert nic._recv_queues == {}
-
-
-# ---------------------------------------------------------------------------
 # scenario fingerprints: byte-identical exports
 # ---------------------------------------------------------------------------
 

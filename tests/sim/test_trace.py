@@ -4,7 +4,8 @@ import math
 
 import pytest
 
-from repro.sim.trace import Tally, percentile
+from repro.sim.trace import Tally
+from tests.obs.reference_hist import percentile
 
 
 class TestTally:

@@ -30,7 +30,6 @@ class TestBenchTable:
         data = json.loads(json.dumps(t.to_dict()))
         assert data == {"title": "x", "paper_ref": "Fig 1",
                         "columns": ["a"], "rows": [[42]]}
-        assert BenchTable.from_dict(data).to_dict() == data
 
     def test_empty_table_renders(self):
         t = BenchTable("empty", ["col"])
@@ -43,12 +42,6 @@ class TestBenchTable:
         capsys.readouterr()
         assert shown == t.to_dict()
         json.dumps(shown)  # must survive a process boundary
-
-    def test_from_dict_roundtrip(self):
-        t = BenchTable("x", ["a", "b"], paper_ref="Fig 2")
-        t.add(1, 2.5)
-        clone = BenchTable.from_dict(t.to_dict())
-        assert clone.render() == t.render()
 
 
 def test_improvement_pct():

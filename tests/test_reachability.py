@@ -1,144 +1,67 @@
-"""Every ``src/`` module is reached by a figure, a scenario row, a perf
-workload or a CLI verb, or it is deleted (ROADMAP ``measured-or-gone``).
+"""Every ``src/`` module, def, option and tested dataclass field is used
+by the product code (``src/``, ``examples/``, ``benchmarks/perf`` but
+not its tests), or it is deleted (ROADMAP ``measured-or-gone``).
 
-Reachability is read off the source with :mod:`ast` alone, so nothing is
-imported.  ``from pkg import Name`` follows the re-export to the module
-that defines ``Name``: importing a package does not reach every
-submodule.  A package ``__init__`` that defines code (``repro.obs``'s
-``Observability``, ``repro.dlm``'s ``DESIGNS``, ``repro.lab``'s
-``smoke``) follows the imports that code uses, and the parent packages
-of a reached module count as reached.  Examples are documentation, not
-roots.
+The code is read with :mod:`ast` alone, parsed once per session, and one
+resolver (:class:`_Tree`) serves every guard.  It types a local, a
+parameter (what its callers pass), a def, a module-level name or an
+import (through re-exports and ``_EXPORTS``); an attribute of a module
+or a class; ``self``, ``type(self)`` and ``super()`` over the class's
+ancestors and subclasses; a call of a class; an instance attribute read
+off the class's own assignments (``self.x = Cls()``, ``self.x: T``,
+``self.x[k] = Cls()``); and an entry of a module-level table, as every
+class or function the table names.  Anything else, and an attribute
+also set on a receiver other than ``self``, is ``ANY``.
+
+* A **module** is reached by imports from a figure, a scenario row, a
+  perf workload or a CLI verb; a package ``__init__`` reaches what its
+  own code uses, and a module its parent packages.
+* A **def** is used when a resolved load or call reaches it, a
+  ``"pkg.mod:attr"`` string names it, or a ``getattr`` names it or a
+  prefix (``"_on_" + kind``).  An attribute of an ``ANY`` receiver
+  reaches every def of its name, so a miss can only keep a def.  Dunders
+  are exempt; a use inside the def itself or an unused def does not
+  count, so the guard names a dead def with the helpers only it calls.
+* An **option**, a defaulted parameter of a module- or class-level def,
+  needs two values from product callers.  Calls bind through
+  ``partial``, ``**`` of a dict literal and a forwarded ``**kwargs``; a
+  value is a constant expression, else ``VARIED``, and a parameter
+  passed on takes what its callers pass.  A def whose name escapes (a
+  string, a ``getattr``, a stored value, an untyped receiver) has every
+  parameter ``VARIED``; an unread call adds no value, so a miss can only
+  flag an option.
+* A frozen-dataclass **field** that a branch tests on a typed receiver
+  needs two values from product constructions or a
+  ``dataclasses.replace`` (a computed field name varies every field).  A
+  guard that only raises is a check, not a branch.
 """
 
 import ast
 import re
-from collections import Counter
 from pathlib import Path
 
 import pytest
 
 REPO = Path(__file__).resolve().parents[1]
 SRC = REPO / "src"
+CALLERS = (SRC, REPO / "examples", REPO / "benchmarks" / "perf")
 # ``python -m repro`` runs the CLI through ``repro.__main__``
 ROOTS = ("repro.__main__", "repro.cli", "repro.bench.figures",
          "repro.scenarios")
 
-
-def _imports(nodes, name, is_pkg):
-    """``(module, imported name or None)`` for each import under ``nodes``."""
-    for node in (n for top in nodes for n in ast.walk(top)):
-        if isinstance(node, ast.Import):
-            yield from ((a.name, None) for a in node.names)
-        elif isinstance(node, ast.ImportFrom):
-            mod = node.module
-            if node.level:
-                base = name.split(".")[:len(name.split(".")) + is_pkg
-                                      - node.level]
-                mod = ".".join(base + ([mod] if mod else []))
-            yield from ((mod, a.name) for a in node.names)
-
-
-def _lazy_exports(tree):
-    """A package's lazy re-exports (``_EXPORTS = {name: module}``, served
-    by ``repro._lazy``): ``{name: (module, name)}``."""
-    for stmt in tree.body:
-        if isinstance(stmt, ast.Assign) \
-                and getattr(stmt.targets[0], "id", "") == "_EXPORTS":
-            return {k.value: (v.value, k.value)
-                    for k, v in zip(stmt.value.keys, stmt.value.values)}
-    return {}
-
-
-def _graph():
-    """module -> the modules it reaches directly, and the perf roots."""
-    trees = {}
-    for path in sorted((SRC / "repro").rglob("*.py")):
-        parts = path.relative_to(SRC).with_suffix("").parts
-        is_pkg = parts[-1] == "__init__"
-        trees[".".join(parts[:-1] if is_pkg else parts)] = (
-            ast.parse(path.read_text(encoding="utf-8")), is_pkg)
-    # a package's top-level ``from x import a as b``: b -> (x, a), and
-    # its lazy re-exports
-    exports = {name: {**{a.asname or a.name: imp
-                         for stmt in tree.body
-                         if isinstance(stmt, ast.ImportFrom)
-                         for a, imp in zip(stmt.names,
-                                           _imports([stmt], name, True))},
-                      **_lazy_exports(tree)}
-               for name, (tree, is_pkg) in trees.items() if is_pkg}
-
-    def resolve(mod, attr):
-        if attr in exports.get(mod, {}):
-            return resolve(*exports[mod][attr])
-        if f"{mod}.{attr}" in trees:
-            return f"{mod}.{attr}"
-        return mod
-
-    def edges(name, nodes, is_pkg):
-        return {resolve(mod, attr) if attr else mod
-                for mod, attr in _imports(nodes, name, is_pkg)
-                if mod and mod.split(".")[0] == "repro"}
-
-    graph = {}
-    for name, (tree, is_pkg) in trees.items():
-        if not is_pkg:
-            graph[name] = edges(name, [tree], False)
-            continue
-        # an ``__init__`` reaches only what its own code uses
-        code = [s for s in tree.body
-                if not isinstance(s, (ast.Import, ast.ImportFrom, ast.Expr))
-                and not (isinstance(s, ast.Assign)
-                         and getattr(s.targets[0], "id", "") == "__all__")]
-        used = {n.id for s in code for n in ast.walk(s)
-                if isinstance(n, ast.Name)}
-        graph[name] = edges(name, code, True) | {
-            resolve(*exports[name][n]) for n in used & exports[name].keys()}
-    perf = set()
-    for path in (REPO / "benchmarks" / "perf").rglob("*.py"):
-        if "tests" not in path.relative_to(REPO).parts:
-            perf |= edges("benchmarks.perf", [ast.parse(path.read_text(
-                encoding="utf-8"))], True)
-    return graph, perf
-
-
-@pytest.fixture(scope="module")
-def unreached():
-    """The modules no root reaches."""
-    graph, perf = _graph()
-    seen, todo = set(), [*ROOTS, *perf]
-    while todo:
-        mod = todo.pop()
-        parts = mod.split(".")
-        for i in range(1, len(parts) + 1):
-            parent = ".".join(parts[:i])
-            if parent in graph and parent not in seen:
-                seen.add(parent)
-                todo.extend(graph[parent])
-    return graph.keys() - seen
-
-
-def test_every_module_is_reached(unreached):
-    missing = sorted(unreached)
-    assert not missing, (
-        f"{len(missing)} module(s) reached by no figure, scenario row, "
-        f"perf workload or CLI verb: {', '.join(missing)}")
-
-
-# -- def census (ROADMAP ``measured-or-gone``, def level) --------------------
-#
-# Every class, function, method and property under ``src/repro`` is named
-# by the product code, or it is deleted.  A use is a ``Name`` or
-# ``Attribute`` load of the def's name, a ``"pkg.mod:attr"`` string (the
-# lab sweeps' ``scenario=``), or a ``getattr`` whose name is a literal or
-# starts with one (``"_on_" + kind`` in the oracles, ``f"_sample_{kind}"``
-# in ``ChaosSpace``), which uses every name with that prefix.  Names are
-# matched, not resolved.  The def's own statement, imports, re-exports,
-# ``__all__`` and docstrings are not uses, dunders are exempt, and a use
-# inside a def that is itself unused does not count: the guard names a
-# dead def together with the helpers only it calls.
-
+ANY = ("any",)  # what an expression the resolver cannot type may be
+VARIED = "<varied>"
+_REQUIRED = "<required>"
+_FOLDABLE = (ast.Constant, ast.BinOp, ast.UnaryOp, ast.Tuple, ast.Load,
+             ast.operator, ast.unaryop)
 _DOTTED = re.compile(r"[A-Za-z_][\w.]*:([A-Za-z_][\w.]*)")
+_TABLES = (ast.Dict, ast.List, ast.Tuple, ast.Set)
+#: expressions of a builtin type: nothing the product defines is on them
+_BUILTIN = (*_TABLES, ast.Constant, ast.ListComp, ast.SetComp,
+            ast.DictComp, ast.GeneratorExp, ast.JoinedStr, ast.Compare)
+#: methods that fill a table with entries no ``t[k] = v`` shows
+_GROWS = ("append", "extend", "insert", "add", "update", "setdefault",
+          "appendleft")
 
 
 def _product_files(src, callers):
@@ -151,6 +74,23 @@ def _product_files(src, callers):
                       for p in sorted(root.rglob("*.py"))
                       if "tests" not in p.relative_to(root).parts]
     return files
+
+
+def _imports(node, mod, is_pkg):
+    """``(name bound, symbol, (module, name imported or None))`` for
+    each name an import statement in module ``mod`` binds."""
+    if isinstance(node, ast.Import):
+        for a in node.names:
+            name = a.asname or a.name.split(".")[0]
+            yield name, ("mod", a.asname and a.name or name), (a.name, None)
+        return
+    base = node.module or ""
+    if node.level:
+        up = mod.split(".")
+        up = up[:len(up) + is_pkg - node.level]
+        base = ".".join(up + ([base] if base else []))
+    for a in node.names:
+        yield a.asname or a.name, ("from", base, a.name), (base, a.name)
 
 
 def _getattr_name(call):
@@ -170,196 +110,75 @@ def _getattr_name(call):
     return None
 
 
-def dead_defs(src, callers):
-    """``["module:Qual.name"]`` for every def under ``src`` the product
-    code under ``src`` and ``callers`` never names."""
-    defs = {}      # key -> name, for defs under src
-    uses = []      # (name, is prefix, keys of the defs around the use)
-
-    def visit(node, mod, qual, around, scoped):
-        if isinstance(node, (ast.ClassDef, ast.FunctionDef,
-                             ast.AsyncFunctionDef)):
-            key = f"{mod}:{qual}{node.name}"
-            if scoped and not (node.name.startswith("__")
-                               and node.name.endswith("__")):
-                defs[key] = node.name
-            around, qual = around + (key,), f"{qual}{node.name}."
-        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            uses.append((node.id, False, around))
-        elif isinstance(node, ast.Attribute) and \
-                isinstance(node.ctx, ast.Load):
-            uses.append((node.attr, False, around))
-        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            m = _DOTTED.fullmatch(node.value)
-            if m:
-                uses.extend((n, False, around) for n in m.group(1).split("."))
-        elif isinstance(node, ast.Call) and _getattr_name(node):
-            uses.append((*_getattr_name(node), around))
-        for child in ast.iter_child_nodes(node):
-            visit(child, mod, qual, around, scoped)
-
-    for path, rel_to, scoped in _product_files(src, callers):
-        parts = path.relative_to(rel_to).with_suffix("").parts
-        mod = ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
-        visit(ast.parse(path.read_text(encoding="utf-8")), mod, "", (),
-              scoped)
-    dead = set()
-    while True:
-        live = [(name, prefix, around) for name, prefix, around in uses
-                if dead.isdisjoint(around)]
-        # a def is used when its name has a live use outside its own
-        # statement, or a live prefix dispatch outside it covers it
-        total = Counter(name for name, prefix, _ in live if not prefix)
-        own = Counter(key for name, prefix, around in live if not prefix
-                      for key in around if defs.get(key) == name)
-        prefixes = [(name, around) for name, prefix, around in live
-                    if prefix]
-        more = {key for key, name in defs.items() if key not in dead
-                and total[name] == own[key]
-                and not any(name.startswith(n) and key not in around
-                            for n, around in prefixes)}
-        if not more:
-            return sorted(dead)
-        dead |= more
-
-
-def test_every_def_is_used():
-    dead = dead_defs(SRC, (SRC, REPO / "examples", REPO / "benchmarks" / "perf"))
-    assert not dead, (
-        f"{len(dead)} def(s) that no product code names; delete each "
-        f"(with what only it calls): {', '.join(dead)}")
-
-
-# -- option census (ROADMAP ``option-census``) -------------------------------
-#
-# A defaulted parameter of a module-level or class-level def under
-# ``src/repro`` is an option (an ``__init__``'s is a constructor option).
-# It stays an option only while the product code (``src/``,
-# ``benchmarks/perf`` but not its tests, and ``examples/``) sets it to
-# at least two values; otherwise it is a module constant.  Defs nested
-# in a function are out of scope: their defaults capture loop values.
-# The census reads the call sites with :mod:`ast` alone and resolves
-# each call to the function it runs:
-#
-# * a name, an attribute of a module or class, or a local alias of one;
-# * ``super().__init__`` and ``Base.__init__(self, ...)``;
-# * ``self.X`` / ``type(self).X`` class attributes over the class's
-#   ancestors and subclasses (``CONN_CLS``);
-# * a subscript of, or a loop over, a module-level table, which reaches
-#   every class the table names (``DESIGNS[...].manager``,
-#   ``MONITOR_SCHEMES[...]``);
-# * a call through a parameter, which reaches what the callers pass for
-#   it; a ``functools.partial`` binds as a call whose later call adds
-#   no keyword;
-# * a method that forwards its ``**kwargs`` (``Cluster.observe``), when
-#   no other forwarding method has its name.
-#
-# A def other than an ``__init__`` is counted only while every mention of
-# its name in the product code is a call the census resolves; one that
-# *escapes* (named by a ``"pkg.mod:attr"`` string or a ``getattr``,
-# stored as a value, or called on a receiver the census cannot type:
-# ``nic.rdma_read``) has every parameter ``VARIED``.
-#
-# A value is a literal, a constant expression or a module-level name
-# bound to one; anything else is ``VARIED``.  A parameter passed on by
-# name or by ``**kwargs`` from an ``__init__``, a forwarding function or
-# a counted def takes the values its own callers pass; one passed on
-# from any other caller is ``VARIED``.  A ``**`` of a dict literal (or
-# of a conditional between two) binds its keys; any other ``**`` binds
-# none.  A call or a ``**`` the census cannot read adds no value, so a
-# miss can only flag an option, never hide one.
-
-VARIED = "<varied>"
-_REQUIRED = "<required>"
-_FOLDABLE = (ast.Constant, ast.BinOp, ast.UnaryOp, ast.Tuple, ast.Load,
-             ast.operator, ast.unaryop)
-
-
 class _Scope:
-    """A module, class or function body: the names it binds."""
+    """A module, class or function body: the names it binds, a class's
+    members, and how a call binds to a function's parameters."""
 
     def __init__(self, mod, node, parent, cls=None, fn=None):
         self.mod, self.node, self.parent = mod, node, parent
         self.cls, self.fn = cls, fn
+        self.around = parent.around | {fn or cls} if parent else frozenset()
+        self.nested = parent is not None and (parent.fn is not None
+                                              or parent.nested)
         self.binds, self.loops, self.params = {}, {}, set()
         self.defs = {}  # classes and functions defined in a function body
+        self.attrs, self.methods, self.inst = {}, {}, {}  # a class's
         if fn is None:
             return
         a = node.args
-        self.params = {p.arg for p in (*a.posonlyargs, *a.args,
-                                       *a.kwonlyargs)}
-        for stmt in ast.walk(node):
-            if isinstance(stmt, ast.Assign):
-                for t in stmt.targets:
-                    if isinstance(t, ast.Name):
-                        self.binds.setdefault(t.id, []).append(stmt.value)
-            elif isinstance(stmt, (ast.For, ast.comprehension)):
-                for t in ast.walk(stmt.target):
-                    if isinstance(t, ast.Name):
-                        self.loops.setdefault(t.id, []).append(stmt.iter)
-
-
-class _Fn:
-    """One function or method: how a call binds to its parameters."""
-
-    def __init__(self, node, scope, method, nested):
-        self.node, self.scope, self.nested = node, scope, nested
-        a = node.args
-        pos = (*a.posonlyargs, *a.args)
-        self.positional = [p.arg for p in pos]
+        self.positional = [p.arg for p in (*a.posonlyargs, *a.args)]
         self.named = set(self.positional) | {p.arg for p in a.kwonlyargs}
         self.kwarg = a.kwarg.arg if a.kwarg else None
-        self.defaults = dict(zip(self.positional[len(pos)
-                                                 - len(a.defaults):],
-                                 a.defaults))
+        self.params = self.named | {p.arg for p in (a.vararg, a.kwarg) if p}
+        self.defaults = dict(zip(self.positional[::-1], a.defaults[::-1]))
         self.defaults.update((p.arg, d) for p, d in zip(a.kwonlyargs,
-                                                        a.kw_defaults)
-                             if d is not None)
+                                                        a.kw_defaults) if d)
         decos = {getattr(d, "id", None) for d in node.decorator_list}
-        self.bound = method and "staticmethod" not in decos
+        self.bound = parent.fn is None and parent.cls is not None \
+            and "staticmethod" not in decos  # a method
         self.classmethod = "classmethod" in decos
 
 
-class _Site:
-    """One call of a function, bound: explicit ``{param: expr}`` plus
-    the forwarding function whose ``**kwargs`` it passes on, if any."""
+class _Tree:
+    """One parse of the product code, and what its names resolve to."""
 
-    def __init__(self, explicit, splat, scope, path):
-        self.explicit, self.splat = explicit, splat
-        self.scope, self.path = scope, path
-
-
-class _Census:
     def __init__(self, src, callers):
         self.base = src.parent
-        self.mods, self.scopes, self.scoped = {}, {}, set()
-        parsed = []
+        self.mods, self.trees, self.scopes, self.imports = {}, {}, {}, {}
+        self.loads, self.classes, self.fns, self.calls = {}, {}, {}, []
+        self.mentions, self.named = {}, []  # name loads; getattr/strings
+        self.tests, self.stores, self.scoped = [], [], set()
+        self.generated, self._bound = set(), set()
+        self.foreign = set()  # attributes set on a receiver not ``self``
         for path, rel_to, scoped in _product_files(src, callers):
             parts = path.relative_to(rel_to).with_suffix("").parts
             is_pkg = parts[-1] == "__init__"
             mod = ".".join(parts[:-1] if is_pkg else parts)
             tree = ast.parse(path.read_text(encoding="utf-8"))
-            parsed.append((mod, tree, path))
-            self.mods[mod] = self._symbols(tree, mod, is_pkg)
+            self.trees[mod], self.mods[mod] = (tree, is_pkg, path), {}
+            self.imports[mod], self.loads[mod] = [], set()
             if scoped:
                 self.scoped.add(mod)
-        self.classes, self.fns, self.calls, self.stores = {}, {}, [], []
-        self.mentions, self.named = {}, []  # name loads; getattr/strings
-        for mod, tree, path in parsed:
+        for mod, (tree, _, _) in self.trees.items():
             self.scopes[mod] = _Scope(mod, tree, None)
-            self._walk(tree.body, self.scopes[mod], path, "")
+            self._walk(tree.body, self.scopes[mod], "")
+        self._memo, self._mros, self._subs, self.index = {}, {}, {}, {}
+        # instance tables a ``self.x.append(v)`` fills, directly or
+        # through a local bound to ``self.x``: their entries are ``ANY``
+        self.grown = {getattr(v, "attr", None) for m in _GROWS
+                      for n, s, _ in self.mentions.get(m, ())
+                      if isinstance(n, ast.Attribute) for v in s.binds.get(
+                          getattr(n.value, "id", None), [n.value])}
         self.forwarders = {k for k, f in self.fns.items() if f.kwarg and any(
             kw.arg is None and getattr(kw.value, "id", None) == f.kwarg
             for n in ast.walk(f.node) if isinstance(n, ast.Call)
             for kw in n.keywords)}
-        self.index = {}
         while True:  # calls through parameters need the sites found so far
             self._memo, self._busy = {}, set()
             index = {}
-            for call, scope, path in self.calls:
+            for call, scope in self.calls:
                 for key, skip, args in self._targets(call, scope):
-                    index.setdefault(key, []).append(
-                        (call, args, skip, scope, path))
+                    index.setdefault(key, []).append((call, args, skip, scope))
             if index.keys() == self.index.keys() and all(
                     len(index[k]) == len(self.index[k]) for k in index):
                 break
@@ -370,229 +189,300 @@ class _Census:
         self.callee = {id(call.args[0] if getattr(
             call.func, "id", getattr(call.func, "attr", None)) == "partial"
             and call.args else call.func): (call, scope)
-            for call, scope, _ in self.calls}
+            for call, scope in self.calls}
 
     # -- the source ---------------------------------------------------------
-    @staticmethod
-    def _symbols(tree, mod, is_pkg):
-        syms = {}
-        for node in ast.walk(tree):  # function-local imports included
-            if isinstance(node, ast.Import):
-                for a in node.names:
-                    name = a.asname or a.name.split(".")[0]
-                    syms.setdefault(name, ("mod", a.asname and a.name
-                                           or name))
-            elif isinstance(node, ast.ImportFrom):
-                base = node.module or ""
-                if node.level:
-                    up = mod.split(".")
-                    up = up[:len(up) + is_pkg - node.level]
-                    base = ".".join(up + ([base] if base else []))
-                for a in node.names:
-                    syms.setdefault(a.asname or a.name,
-                                    ("from", base, a.name))
-        for name, (module, attr) in _lazy_exports(tree).items():
-            syms[name] = ("from", module, attr)
-        for stmt in tree.body:
-            if isinstance(stmt, ast.ClassDef):
-                syms[stmt.name] = ("class", (mod, stmt.name))
-            elif isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                syms[stmt.name] = ("fn", (mod, stmt.name))
-            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)) \
-                    and stmt.value is not None:
-                for t in (stmt.targets if isinstance(stmt, ast.Assign)
-                          else [stmt.target]):
-                    if isinstance(t, ast.Name):
-                        syms[t.id] = ("val", mod, stmt.value)
-        return syms
+    def _def(self, scope, name, sym):
+        """Bind a def's name in its module, function or class body."""
+        if scope.parent is None:
+            self.mods[scope.mod][name] = sym
+        elif scope.fn is not None:
+            scope.defs[name] = sym
+        elif sym[0] == "fn":
+            scope.methods[name] = sym[1]
 
-    def _walk(self, nodes, scope, path, qual):
+    def _walk(self, nodes, scope, qual, around=None):
+        around = scope.around if around is None else around
         for node in nodes:
             if isinstance(node, ast.ClassDef):
                 key = (scope.mod, qual + node.name)
                 self._walk([*node.bases, *node.keywords,
-                            *node.decorator_list], scope, path, qual)
-                if scope.fn is not None:
-                    scope.defs[node.name] = ("class", key)
-                body = _Scope(scope.mod, node, scope, cls=key)
-                body.attrs, body.methods = {}, {}
-                self.classes[key] = body
-                for stmt in node.body:
-                    if isinstance(stmt, ast.Assign):
-                        for t in stmt.targets:
-                            if isinstance(t, ast.Name):
-                                body.attrs[t.id] = stmt.value
-                self._walk(node.body, body, path, key[1] + ".")
+                            *node.decorator_list], scope, qual, around | {key})
+                self._def(scope, node.name, ("class", key))
+                body = self.classes[key] = _Scope(scope.mod, node, scope, key)
+                deco = " ".join(map(ast.unparse, node.decorator_list))
+                body.frozen = "frozen=True" in deco
+                self._walk(node.body, body, key[1] + ".")
+                if "dataclass" in deco and "__init__" not in body.methods:
+                    self._generate_init(key, body)
             elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 key = (scope.mod, qual + node.name)
-                self._walk([node.args, *node.decorator_list], scope, path,
-                           qual)
-                if scope.fn is not None:
-                    scope.defs[node.name] = ("fn", key)
-                method = scope.fn is None and scope.cls is not None
-                if method:
-                    scope.methods[node.name] = key
-                inner = _Scope(scope.mod, node, scope, cls=scope.cls, fn=key)
-                s, nested = scope, False
-                while s is not None:
-                    nested, s = nested or s.fn is not None, s.parent
-                self.fns[key] = _Fn(node, inner, method, nested)
-                self._walk(node.body, inner, path, key[1] + ".")
+                self._walk([node.args, *node.decorator_list], scope, qual,
+                           around | {key})
+                self._def(scope, node.name, ("fn", key))
+                self.fns[key] = _Scope(scope.mod, node, scope, scope.cls, key)
+                self._walk(node.body, self.fns[key], key[1] + ".")
             else:
-                if isinstance(node, ast.Call):
-                    self.calls.append((node, scope, path))
+                self._bind(node, scope)
+                if isinstance(node, (ast.Import, ast.ImportFrom)):
+                    for name, sym, edge in _imports(
+                            node, scope.mod, self.trees[scope.mod][1]):
+                        self.mods[scope.mod].setdefault(name, sym)
+                        self.imports[scope.mod].append(
+                            (edge, scope.parent is None))
+                elif isinstance(node, ast.Call):
+                    self.calls.append((node, scope))
                     if _getattr_name(node):
-                        self.named.append(_getattr_name(node))
-                elif isinstance(node, ast.Assign):  # TABLE[key] = value
-                    self.stores += [(t.value, node.value, scope)
-                                    for t in node.targets
-                                    if isinstance(t, ast.Subscript)]
+                        self.named.append((*_getattr_name(node), around))
+                elif isinstance(node, (ast.If, ast.While, ast.IfExp)) \
+                        and not (isinstance(node, ast.If) and not node.orelse
+                                 and isinstance(node.body[0], ast.Raise)):
+                    self.tests += [(n, scope) for n in ast.walk(node.test)
+                                   if isinstance(n, ast.Attribute)]
                 elif isinstance(node, (ast.Name, ast.Attribute)) and \
                         isinstance(node.ctx, ast.Load):
-                    self.mentions.setdefault(getattr(
-                        node, "id", getattr(node, "attr", None)),
-                        []).append((node, scope))
-                elif isinstance(node, ast.Constant) and \
-                        isinstance(node.value, str) and \
-                        _DOTTED.fullmatch(node.value):
-                    self.named += [(n, False) for n in _DOTTED.fullmatch(
-                        node.value).group(1).split(".")]
-                self._walk(ast.iter_child_nodes(node), scope, path, qual)
+                    name = getattr(node, "id", None) or node.attr
+                    self.mentions.setdefault(name, []).append(
+                        (node, scope, around))
+                    if isinstance(node, ast.Name):  # what the module uses
+                        self.loads[scope.mod].add(name)
+                elif isinstance(node, ast.Constant) and (
+                        m := _DOTTED.fullmatch(str(node.value))):
+                    self.named += [(n, False, around)
+                                   for n in m.group(1).split(".")]
+                self._walk(ast.iter_child_nodes(node), scope, qual, around)
+
+    def _bind(self, node, scope):
+        """Record what an assignment or a loop binds: a table entry, an
+        instance attribute (``self.x``), a local, a module-level name, or
+        a class attribute or field."""
+        local = scope.fn is not None
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            ann = getattr(node, "annotation", None)
+            targets = getattr(node, "targets", None) or [node.target]
+            for t, v in [(t, node.value) for t in targets if not hasattr(
+                    t, "elts")] + [(e, None) for t in targets  # unpacked
+                                   for e in getattr(t, "elts", ())]:
+                if isinstance(t, ast.Subscript):  # TABLE[k] = v
+                    self.stores.append((t.value, v, scope))
+                elif isinstance(t, ast.Attribute):
+                    s, name = scope, getattr(t.value, "id", None)
+                    while s.fn is not None and name not in s.params:
+                        s = s.parent  # the method whose ``self`` it is
+                    if s.fn and s.bound and s.positional[:1] == [name]:
+                        self.classes[s.cls].inst.setdefault(
+                            t.attr, []).append((ann, v, scope))
+                    else:  # set from outside its class: untyped
+                        self.foreign.add(t.attr)
+                elif not isinstance(t, ast.Name):
+                    continue
+                elif scope.parent is None and v is not None:
+                    self.mods[scope.mod][t.id] = ("val", scope.mod, v)
+                    if t.id == "_EXPORTS":  # lazy re-exports: repro._lazy
+                        self.mods[scope.mod].update(
+                            (k.value, ("from", e.value, k.value))
+                            for k, e in zip(v.keys, v.values))
+                elif local:
+                    scope.binds.setdefault(t.id, []).append(v)
+                    self._bound.add(id(t))
+                elif scope.cls is not None and ann is None:  # not a field
+                    scope.attrs[t.id] = v
+        elif local and isinstance(node, (ast.For, ast.comprehension)):
+            for t in ast.walk(node.target):
+                if isinstance(t, ast.Name):
+                    scope.loops.setdefault(t.id, []).append(node.iter)
+                    self._bound.add(id(t))
+        elif local and isinstance(node, ast.Name) and id(node) not in \
+                self._bound and isinstance(node.ctx, ast.Store):
+            scope.binds.setdefault(node.id, []).append(None)
+        elif local and isinstance(node, ast.Lambda):
+            for a in node.args.args:
+                scope.binds.setdefault(a.arg, []).append(None)
+
+    def _generate_init(self, key, cls):
+        """The ``__init__`` a dataclass generates, over its fields."""
+        cls.fields = {}
+        for s in cls.node.body:
+            if isinstance(s, ast.AnnAssign):
+                d = s.value
+                if isinstance(d, ast.Call) and ast.unparse(d.func) == "field":
+                    d = next((k.value for k in d.keywords
+                              if k.arg == "default"), d)
+                cls.fields[s.target.id] = d
+        node = ast.FunctionDef("__init__", ast.arguments(
+            [], [ast.arg(n) for n in ("self", *cls.fields)], None, [], [],
+            None, [d for d in cls.fields.values() if d]), [], [])
+        init = cls.methods["__init__"] = (key[0], f"{key[1]}.__init__")
+        self.generated.add(init)
+        self.fns[init] = _Scope(key[0], node, cls, key, init)
 
     # -- what an expression names -------------------------------------------
     def _lookup(self, mod, name):
         sym = self.mods.get(mod, {}).get(name)
         if sym is None:
             sub = f"{mod}.{name}"
-            return {("mod", sub)} if sub in self.mods else set()
-        if sym[0] in ("class", "fn"):
-            return {sym}
-        if sym[0] == "mod":
-            return {sym} if sym[1] in self.mods else set()
+            return {("mod", sub)} if sub in self.mods else {ANY}
+        if sym[0] in ("class", "fn", "mod"):
+            return {sym} if sym[0] != "mod" or sym[1] in self.mods else {ANY}
         if sym[0] == "from":
-            if (sym[1], sym[2]) in self._busy:
+            if sym in self._busy:  # an import cycle
                 return set()
-            self._busy.add((sym[1], sym[2]))
-            try:
-                return self._lookup(sym[1], sym[2])
-            finally:
-                self._busy.discard((sym[1], sym[2]))
+            self._busy.add(sym)
+            out = self._lookup(sym[1], sym[2])
+            self._busy.discard(sym)
+            return out
         return {sym} | self._res(sym[2], self.scopes[sym[1]])
 
     def _mro(self, key):
-        order = [key]
-        cls = self.classes[key]
-        for base in cls.node.bases:
-            for o in self._res(base, cls.parent):
-                if o[0] == "class" and o[1] in self.classes:
-                    order += [k for k in self._mro(o[1]) if k not in order]
-        return order
+        if key not in self._mros:
+            self._mros[key] = order = [key]
+            cls = self.classes[key]
+            for base in cls.node.bases:
+                for o in self._res(base, cls.parent):
+                    if o[0] == "class" and o[1] in self.classes:
+                        order += [k for k in self._mro(o[1])
+                                  if k not in order]
+        return self._mros[key]
 
-    def _init(self, key, after=False):
-        mro = self._mro(key)[1 if after else 0:]
-        return next((self.classes[k].methods["__init__"] for k in mro
-                     if "__init__" in self.classes[k].methods), None)
+    def _sub(self, key):
+        """``(key and its subclasses, and their ancestors)``."""
+        if key not in self._subs:
+            subs = [k for k in self.classes if key in self._mro(k)]
+            self._subs[key] = subs, list(dict.fromkeys(
+                b for s in subs for b in self._mro(s)))
+        return self._subs[key]
 
-    def _attr(self, key, name, down):
+    def _attr(self, key, name, down, start=0):
+        """``name`` of class ``key``: the first in its MRO that has it,
+        or (``down``: of a ``self``) every class around ``key``."""
         found = set()
-        mro = self._mro(key)
-        classes = mro + ([k for k in self.classes if key in self._mro(k)]
-                         if down else [])
-        for i, k in enumerate(classes):
+        for k in self._sub(key)[1] if down else self._mro(key)[start:]:
             cls = self.classes[k]
             if name in cls.methods:
                 found.add(("fn", cls.methods[name]))
-            elif name in cls.attrs:
+            if name in cls.attrs:
                 found |= self._res(cls.attrs[name], cls.parent)
-            else:
-                continue
-            if i < len(mro) and not down:
+            if name in cls.inst:
+                found |= self._inst(k, name)
+            if found and not down:
                 break
-        return found
+        # set on a receiver other than ``self``: anything may be there
+        return found if found and name not in self.foreign else found | {ANY}
+
+    def _inst(self, key, name):
+        """An instance attribute: the classes its annotations name, or
+        what its assigned values are, and itself as a table."""
+        out = {("ival", key, name)}
+        for ann, value, scope in self.classes[key].inst[name]:
+            if getattr(getattr(ann, "value", None), "id", "") == "Optional":
+                ann = ann.slice
+            typed = {("self", o[1]) for o in self._res(ann, scope)
+                     if o[0] == "class"} if ann else set()
+            if typed:
+                return typed | {("ival", key, name)}
+            if not isinstance(value, _TABLES):  # tables: see _elems
+                out |= self._res(value, scope)
+        return out
+
+    @staticmethod
+    def _local(name, scope):
+        """The function body that binds ``name``, if one does."""
+        while scope.parent is not None:
+            if name in scope.defs or scope.fn is not None and (
+                    name in scope.binds or name in scope.loops
+                    or name in scope.params):
+                return scope
+            scope = scope.parent
+        return None
 
     def _res(self, e, scope):
+        if e is None:
+            return {ANY}
         memo = (id(e), id(scope))
-        if memo in self._memo:
-            return self._memo[memo]
-        if memo in self._busy:
-            return set()
+        if memo in self._memo or memo in self._busy:  # busy: a cycle
+            return self._memo.get(memo, set())
         self._busy.add(memo)
-        try:
-            out = self._res_uncached(e, scope)
-        finally:
-            self._busy.discard(memo)
-        self._memo[memo] = out
+        out = self._memo[memo] = self._res_uncached(e, scope)
+        self._busy.discard(memo)
         return out
 
     def _res_uncached(self, e, scope):
         if isinstance(e, ast.Name):
-            s = scope
-            while s.parent is not None:
-                if e.id in s.defs:
-                    return {s.defs[e.id]}
-                if s.fn is not None and (e.id in s.binds or e.id in s.loops
-                                         or e.id in s.params):
-                    out = set()
-                    for v in s.binds.get(e.id, ()):
-                        out |= self._res(v, s)
-                    for it in s.loops.get(e.id, ()):
-                        out |= self._elems(it, s)
-                    if e.id in s.params:
-                        fn = self.fns[s.fn]
-                        if fn.bound and fn.positional[:1] == [e.id]:
-                            out.add(("self", s.cls))
-                        else:
-                            out |= self._param_objs(s.fn, e.id)
-                    return out
-                s = s.parent
-            return self._lookup(scope.mod, e.id)
+            if scope.fn is None and scope.cls is not None and (
+                    e.id in scope.methods or e.id in scope.attrs):
+                return self._attr(scope.cls, e.id, False)  # a class body
+            s = self._local(e.id, scope)
+            if s is None:
+                return self._lookup(scope.mod, e.id)
+            if e.id in s.defs:
+                return {s.defs[e.id]}
+            out = set()
+            for v in s.binds.get(e.id, ()):
+                out |= self._res(v, s)
+            for it in s.loops.get(e.id, ()):
+                out |= self._elems(it, s)
+            if e.id in s.params and s.bound and s.positional[:1] == [e.id]:
+                out.add(("sub" if s.classmethod else "self", s.cls))
+            elif e.id in s.params:
+                out |= self._param_objs(s.fn, e.id) | {ANY}
+            return out
         if isinstance(e, ast.Attribute):
-            if isinstance(e.value, ast.Call) and \
-                    getattr(e.value.func, "id", None) == "super":
-                init = scope.cls and self._init(scope.cls, after=True)
-                return {("fn", init)} if init and e.attr == "__init__" \
-                    else set()
+            if getattr(getattr(e.value, "func", None), "id", "") == "super":
+                return self._attr(scope.cls, e.attr, False, 1) \
+                    if scope.cls else {ANY}
             out = set()
             for o in self._res(e.value, scope):
                 if o[0] == "mod":
                     out |= self._lookup(o[1], e.attr)
-                elif o[0] in ("class", "self") and o[1] in self.classes:
-                    out |= self._attr(o[1], e.attr, down=o[0] == "self")
+                elif o[0] in ("class", "self", "sub") and \
+                        o[1] in self.classes:
+                    out |= self._attr(o[1], e.attr, o[0] != "class")
                 elif o[0] == "item":
                     out.add(o)
-            if not out:
-                out = {("fn", k) for k in self.forwarders
+            if not out - {ANY}:
+                fwd = {("fn", k) for k in self.forwarders
                        if k[1].split(".")[-1] == e.attr}
-                out = out if len(out) == 1 else set()
-            return out
+                out |= fwd if len(fwd) == 1 else set()
+            return out or {ANY}
         if isinstance(e, ast.Subscript):
-            return self._elems(e.value, scope)
-        if isinstance(e, ast.Call) and getattr(e.func, "id", None) \
-                == "type" and len(e.args) == 1:
-            return {o for o in self._res(e.args[0], scope)
-                    if o[0] == "self"}
-        return set()
+            return self._elems(e.value, scope, True)
+        if isinstance(e, ast.Call):
+            if getattr(e.func, "id", None) == "type" and len(e.args) == 1:
+                return {("sub", o[1]) for o in self._res(e.args[0], scope)
+                        if o[0] == "self"} or {ANY}
+            return {("self", o[1]) if o[0] in ("class", "sub") and o[1] in
+                    self.classes else ANY
+                    for o in self._res(e.func, scope)} or {ANY}
+        return set() if isinstance(e, _BUILTIN) else {ANY}
 
-    def _elems(self, e, scope):
-        """What iterating or indexing ``e`` yields: the classes and
-        functions a module-level table names."""
+    def _elems(self, e, scope, index=False):
+        """What indexing ``e`` (``index``) or iterating it yields: what a
+        module-level table names, as items, or an instance table holds."""
         if isinstance(e, (ast.Tuple, ast.List, ast.Set)):
             return set().union(*(self._res(x, scope) for x in e.elts))
-        if isinstance(e, ast.Call) and isinstance(e.func, ast.Attribute) \
-                and e.func.attr in ("values", "items"):
-            e = e.func.value
+        if getattr(getattr(e, "func", None), "attr", "") in ("values",
+                                                              "items"):
+            e, index = e.func.value, e.func.attr == "values"
         out = set()
-        for o in self._res(e, scope):
+        for o in self._res(e, scope) or {ANY}:
+            if o[0] not in ("val", "ival") or o[0] == "ival" and (
+                    not index or o[2] in self.grown):
+                out.add(ANY)
+                continue
+            got = [self._res(v, w) for t, v, w in self.stores
+                   if o in self._res(t, w)]
             if o[0] == "val":
-                for table, value, where in self.stores:
-                    if o in self._res(table, where):
-                        out |= {("item", r) for r in self._res(value, where)
+                got += [self._res(n, self.scopes[o[1]]) for n in ast.walk(
+                    o[2]) if isinstance(n, (ast.Name, ast.Attribute))]
+                out |= {ANY} | {("item", r) for r in set().union(*got)
                                 if r[0] in ("class", "fn")}
-                for n in ast.walk(o[2]):
-                    if isinstance(n, (ast.Name, ast.Attribute)):
-                        out |= {("item", r) for r in
-                                self._res(n, self.scopes[o[1]])
-                                if r[0] in ("class", "fn")}
+                continue
+            for _, value, w in self.classes[o[1]].inst[o[2]]:
+                got += [set() if isinstance(value, _TABLES) and None not in
+                        getattr(value, "keys", ()) else {ANY}] + [
+                    self._res(v, w) for v in getattr(
+                        value, "elts", getattr(value, "values", ()))]
+            out = out.union(*got)
         return out
 
     # -- calls --------------------------------------------------------------
@@ -609,12 +499,11 @@ class _Census:
             o[0] == "class" for o in self._res(func.value, scope))
         out = []
         for o in objs:
-            if o[0] in ("class", "self") and o[1] in self.classes:
-                keys = [o[1]] + ([k for k in self.classes
-                                  if o[1] in self._mro(k)[1:]]
-                                 if o[0] == "self" else [])
-                out += [(init, 1, args) for init in
-                        {self._init(k) for k in keys} - {None}]
+            if o[0] in ("class", "sub") and o[1] in self.classes:
+                keys = self._sub(o[1])[0] if o[0] == "sub" else [o[1]]
+                out += [(init[1], 1, args) for init in set().union(*(
+                    self._attr(k, "__init__", False) for k in keys))
+                    if init[0] == "fn"]
             elif o[0] == "fn" and o[1] in self.fns:
                 fn = self.fns[o[1]]
                 out.append((o[1], int(fn.bound and (
@@ -622,8 +511,10 @@ class _Census:
         return out
 
     def _sites(self, key):
+        """Each call of ``key``, bound: ``(explicit {param: expr}, the
+        forwarding function whose **kwargs it passes on, its scope)``."""
         fn = self.fns[key]
-        for call, args, skip, scope, path in self.index.get(key, ()):
+        for call, args, skip, scope in self.index.get(key, ()):
             explicit = {}
             for name, arg in zip(fn.positional[skip:], args):
                 if isinstance(arg, ast.Starred):
@@ -644,7 +535,7 @@ class _Census:
                 if more is not None:
                     alts = [{**a, **m} for a in alts for m in more]
             for alt in alts:
-                yield _Site({**alt, **explicit}, splat, scope, path)
+                yield {**alt, **explicit}, splat, scope
 
     def _dicts(self, e, scope):
         """The ``{key: expr}`` alternatives a ``**e`` may spread."""
@@ -664,27 +555,82 @@ class _Census:
         fn = self.fns[key]
         out = set()
         if name in fn.defaults:
-            out |= self._res(fn.defaults[name], fn.scope.parent)
-        for site in self._sites(key):
-            arg = site.explicit.get(name)
-            if isinstance(arg, ast.AST):
-                out |= self._res(arg, site.scope)
+            out |= self._res(fn.defaults[name], fn.parent)
+        for explicit, _, scope in self._sites(key):
+            if isinstance(explicit.get(name), ast.AST):
+                out |= self._res(explicit[name], scope)
         return out
+
+    # -- the guards ---------------------------------------------------------
+    def unreached(self, roots):
+        """The modules under ``src`` that neither ``roots`` nor a
+        ``benchmarks/perf`` file reaches through imports."""
+        def owner(mod, attr):  # the module that defines mod's ``attr``
+            sym = self.mods.get(mod, {}).get(attr, ("",))
+            if sym[0] == "from" and self.trees[mod][1]:
+                return owner(sym[1], sym[2])
+            return f"{mod}.{attr}" if f"{mod}.{attr}" in self.mods else mod
+
+        graph, todo = {}, list(roots)
+        for mod, (_, is_pkg, path) in self.trees.items():
+            # a package's top-level imports are re-exports: its
+            # ``__init__`` reaches only what its own code uses
+            edges = {owner(m, a) if a else m
+                     for (m, a), top in self.imports[mod]
+                     if m and m.split(".")[0] == "repro"
+                     and not (is_pkg and top)} | {
+                owner(mod, n) for n in self.loads[mod] if is_pkg
+                and self.mods[mod].get(n, ("",))[0] == "from"}
+            if mod in self.scoped:
+                graph[mod] = edges
+            elif path.is_relative_to(REPO / "benchmarks" / "perf"):
+                todo += edges
+        seen = set()
+        while todo:
+            parts = todo.pop().split(".")
+            for i in range(1, len(parts) + 1):
+                parent = ".".join(parts[:i])
+                if parent in graph and parent not in seen:
+                    seen.add(parent)
+                    todo.extend(graph[parent])
+        return graph.keys() - seen
+
+    def dead(self):
+        """``["module:Qual.name"]`` for every def under ``src`` that no
+        resolved load or call in the product code reaches."""
+        named = {}  # name -> the defs of that name
+        for k in {*self.fns, *self.classes} - self.generated:
+            name = k[1].split(".")[-1]
+            if k[0] in self.scoped and not re.fullmatch("__.*__", name):
+                named.setdefault(name, set()).add(k)
+        uses = []  # (def key, keys of the defs around the use)
+        for name, mentions in self.mentions.items():
+            for node, scope, around in mentions:
+                hit = {o[1] for o in self._res(node, scope)
+                       if o[0] in ("fn", "class")}
+                if isinstance(node, ast.Attribute) and \
+                        ANY in self._res(node.value, scope):
+                    hit |= named.get(name, set())
+                uses += [(k, around) for k in hit]
+        uses += [(k, around) for name, prefix, around in self.named
+                 for n, keys in named.items()
+                 if (n.startswith(name) if prefix else n == name)
+                 for k in keys]
+        dead, defs = set(), set().union(*named.values())
+        while True:
+            more = defs - dead - {k for k, around in uses if k not in around
+                                  and dead.isdisjoint(around)}
+            if not more:
+                return sorted(f"{m}:{q}" for m, q in dead)
+            dead |= more
 
     # -- values -------------------------------------------------------------
     def _fold(self, e, scope):
-        if isinstance(e, ast.Name) and scope.fn is None:
-            return next((self._fold(o[2], self.scopes[o[1]])
-                         for o in self._lookup(scope.mod, e.id)
-                         if o[0] == "val"), VARIED)
         if isinstance(e, ast.Name):
-            s = scope
-            while s.parent is not None:
-                if s.fn is not None and (e.id in s.binds or e.id in s.loops
-                                         or e.id in s.params):
-                    return VARIED
-                s = s.parent
-            return self._fold(e, self.scopes[scope.mod])
+            return VARIED if self._local(e.id, scope) else next((
+                self._fold(o[2], self.scopes[o[1]])
+                for o in self._lookup(scope.mod, e.id) if o[0] == "val"),
+                VARIED)
         if isinstance(e, ast.List):
             e = ast.Tuple(elts=e.elts, ctx=ast.Load())
         if all(isinstance(n, _FOLDABLE) for n in ast.walk(e)):
@@ -701,22 +647,20 @@ class _Census:
         d = self.fns[key].defaults.get(name)
         if d is None:
             return _REQUIRED
-        v = self._fold(d, self.fns[key].scope.parent)
+        v = self._fold(d, self.fns[key].parent)
         return f"<default {ast.unparse(d)}>" if v is VARIED else v
 
     def _escapes(self, key):
         """Whether a mention of ``key``'s name in the product code is
-        anything but a call the census resolves: a def named by a string
-        or a ``getattr``, stored as a value, or called on a receiver the
-        census cannot type."""
+        anything but a call the census resolves."""
         if key not in self._escaped:
             name = key[1].split(".")[-1]
             self._escaped[key] = any(
                 name.startswith(n) if prefix else name == n
-                for n, prefix in self.named) or any(
+                for n, prefix, _ in self.named) or any(
                 id(node) not in self.callee
                 or not self._targets(*self.callee[id(node)])
-                for node, _ in self.mentions.get(name, ()))
+                for node, _, _ in self.mentions.get(name, ()))
         return self._escaped[key]
 
     def _tracked(self, key):
@@ -749,13 +693,14 @@ class _Census:
             return self._values[memo]
         self._values[memo] = set()  # a cycle adds nothing
         out = set()
-        for site in self._sites(key):
-            if name in site.explicit:
-                rel = site.path.relative_to(self.base).as_posix()
+        for explicit, splat, scope in self._sites(key):
+            if name in explicit:
+                rel = self.trees[scope.mod][2].relative_to(
+                    self.base).as_posix()
                 out |= {(v, f or rel) for v, f in
-                        self._value(site.explicit[name], site.scope)}
-            elif site.splat and name not in self.fns[site.splat].named:
-                out |= self._arriving(site.splat, name, default)
+                        self._value(explicit[name], scope)}
+            elif splat and name not in self.fns[splat].named:
+                out |= self._arriving(splat, name, default)
             else:  # a partial's later call binds a required parameter
                 out.add((VARIED if default == _REQUIRED else default,
                          None))
@@ -769,7 +714,8 @@ class _Census:
         out = {}
         for key, fn in sorted(self.fns.items()):
             init = key[1].endswith(".__init__")
-            if key[0] not in self.scoped or fn.nested and not init:
+            if key[0] not in self.scoped or key in self.generated \
+                    or fn.nested and not init:
                 continue
             for name in fn.defaults:
                 label = (f"{key[1][:-len('.__init__')]}.{name}" if init
@@ -782,16 +728,44 @@ class _Census:
                               frozenset(f for _, f in got if f))
         return out
 
+    def fields(self):
+        """``{"Class.field": values in use}`` for every field of a frozen
+        dataclass under ``src`` that a branch tests."""
+        replaced = {kw.arg for call, _ in self.calls for kw in
+                    call.keywords if call.args and getattr(call.func, "id",
+                    getattr(call.func, "attr", None)) == "replace"}
+        tested = {}  # field name -> the receivers a branch reads it on
+        for n, scope in self.tests:
+            tested.setdefault(n.attr, set()).update(self._res(n.value, scope))
+        out = {}
+        for key, cls in sorted(self.classes.items()):
+            if key[0] not in self.scoped or not cls.frozen:
+                continue
+            for name in getattr(cls, "fields", ()):  # its generated __init__
+                init = cls.methods["__init__"]
+                if any(o[0] in ("self", "sub", "class") and o[1] in
+                       self.classes and key in self._sub(o[1])[1]
+                       for o in tested.get(name, ())):
+                    out[f"{key[1]}.{name}"] = frozenset(
+                        {VARIED} if {name, None} & replaced else {
+                            v for v, _ in self._arriving(
+                                init, name, self._default(init, name))})
+        return out
+
 
 def census(src, callers):
-    """Every option under ``src`` with the values product callers give
-    it: ``{"Class.option" | "module:def.param": (values, files that
-    pass it)}``."""
-    return _Census(src, callers).options()
+    """Every option under ``src``: ``{"Class.option" | "module:def.param":
+    (values product callers give it, files that pass it)}``."""
+    return _Tree(src, callers).options()
+
+
+def fields(src, callers):
+    """``{"Class.field": values}`` for each tested field: see above."""
+    return _Tree(src, callers).fields()
 
 
 def unused(values):
-    """An option with fewer than two values in use is a constant."""
+    """An option or field with under two values in use is a constant."""
     return VARIED not in values and len(values) < 2
 
 
@@ -815,13 +789,27 @@ FROZEN = {
 }
 
 
-@pytest.fixture(scope="module")
-def options():
-    return census(SRC, (SRC, REPO / "examples", REPO / "benchmarks" / "perf"))
+@pytest.fixture(scope="session")
+def tree():
+    return _Tree(SRC, CALLERS)
 
 
-def test_every_option_is_varied(options):
-    fixed = {name: values for name, (values, _files) in options.items()
+def test_every_module_is_reached(tree):
+    missing = sorted(tree.unreached(ROOTS))
+    assert not missing, (
+        f"{len(missing)} module(s) reached by no figure, scenario row, "
+        f"perf workload or CLI verb: {', '.join(missing)}")
+
+
+def test_every_def_is_used(tree):
+    dead = tree.dead()
+    assert not dead, (
+        f"{len(dead)} def(s) that no product code reaches; delete each "
+        f"(with what only it calls): {', '.join(dead)}")
+
+
+def test_every_option_is_varied(tree):
+    fixed = {name: values for name, (values, _) in tree.options().items()
              if unused(values) and name not in FROZEN}
     assert not fixed, (
         f"{len(fixed)} parameter(s) that no product caller sets to a "
@@ -831,13 +819,23 @@ def test_every_option_is_varied(options):
                     for name, values in sorted(fixed.items())))
 
 
-def test_frozen_entries_are_not_stale(options):
+def test_frozen_entries_are_not_stale(tree):
+    options = tree.options()
     stale = sorted(name for name, path in FROZEN.items()
                    if name not in options or path not in options[name][1]
                    or not unused(options[name][0]))
     assert not stale, (
         "FROZEN entries no longer passed at one value by their "
         f"benchmarks/perf file: {', '.join(stale)}")
+
+
+def test_no_branch_tests_a_constant_field(tree):
+    dead = sorted(name for name, values in tree.fields().items()
+                  if unused(values))
+    assert not dead, (
+        f"{len(dead)} frozen-dataclass field(s) that every product "
+        f"construction sets to one value and a branch tests; make each "
+        f"a constant and delete the dead branch: {', '.join(dead)}")
 
 
 def test_census_names_unused_options(tmp_path):
@@ -959,6 +957,111 @@ def test_def_census_names_unused_defs(tmp_path):
         "from pkg.mod import Oracle\n"
         "\n"
         'Oracle().feed("grant")\n')
-    assert dead_defs(tmp_path / "src", (tmp_path / "src",
-                                        tmp_path / "examples")) == [
+    assert _Tree(tmp_path / "src", (tmp_path / "src",
+                                    tmp_path / "examples")).dead() == [
         "pkg.mod:Oracle.helper", "pkg.mod:Oracle.stale"]
+
+
+def _tmp_tree(tmp_path, mod, use):
+    """A :class:`_Tree` over ``src/pkg/mod.py`` and ``examples/use.py``."""
+    (tmp_path / "src" / "pkg").mkdir(parents=True)
+    (tmp_path / "src" / "pkg" / "__init__.py").write_text("")
+    (tmp_path / "src" / "pkg" / "mod.py").write_text(mod)
+    (tmp_path / "examples").mkdir()
+    (tmp_path / "examples" / "use.py").write_text(use)
+    return _Tree(tmp_path / "src", (tmp_path / "src", tmp_path / "examples"))
+
+
+TWINS = (
+    "class Nic:\n"
+    "    def pending(self):\n"
+    "        return 0\n"
+    "\n"
+    "    def send(self):\n"
+    "        return 1\n"
+    "\n"
+    "class Allocator:\n"
+    "    def free(self, offset):\n"
+    "        return offset\n"
+    "\n"
+    "class Client:\n"
+    "    def free(self, key):\n"
+    "        return key\n"
+    "\n"
+    "class Store:\n"
+    "    def __init__(self):\n"
+    "        self._allocators = {}\n"
+    "        self._allocators[0] = Allocator()\n"
+    "\n"
+    "    def release(self, n):\n"
+    "        return self._allocators[n].free(0)\n"
+    "\n"
+    "def settle(items):\n"
+    "    pending = len(items)\n"
+    "    return pending\n")
+TWINS_USE = (
+    "from pkg.mod import Client, Nic, Store, settle\n"
+    "\n"
+    "Client()\n"
+    "Nic().send()\n"
+    "Store().release(0)\n"
+    "settle([])\n")
+
+
+def test_def_guard_resolves_name_twins(tmp_path):
+    """A method whose only namesake is a local (``Nic.pending`` and
+    ``settle``'s ``pending``) or another class's method reached through
+    an instance table (``Client.free`` and ``self._allocators[n].free``)
+    is dead: a guard matching names would pass both."""
+    assert _tmp_tree(tmp_path, TWINS, TWINS_USE).dead() == [
+        "pkg.mod:Client.free", "pkg.mod:Nic.pending"]
+
+
+def test_def_guard_keeps_twins_on_an_untyped_receiver(tmp_path):
+    """A call on a receiver the resolver cannot type keeps every def of
+    that name alive: a miss can only keep a def."""
+    assert _tmp_tree(tmp_path, TWINS, TWINS_USE + (
+        "\n"
+        "def drive(obj):\n"
+        "    return obj.free(1), obj.pending()\n")).dead() == []
+
+
+FIELDS = (
+    "from dataclasses import dataclass\n"
+    "\n"
+    "@dataclass(frozen=True)\n"
+    "class Params:\n"
+    "    name: str\n"
+    "    fast: bool = True\n"
+    "    scale: float = 1.0\n"
+    "\n"
+    "    def cost(self):\n"
+    "        if self.scale <= 0:\n"
+    "            raise ValueError(self.name)\n"
+    "        if self.fast:\n"
+    "            return self.scale\n"
+    "        return 2 * self.scale\n")
+FIELDS_USE = (
+    "from pkg.mod import Params\n"
+    "\n"
+    'Params("a").cost()\n'
+    'Params("b", scale=2.0).cost()\n')
+
+
+def test_field_census_flags_a_one_value_tested_field(tmp_path):
+    """``fast`` is tested by a branch and always ``True``: a dead branch.
+    ``scale`` varies and is only read arithmetically or by a guard that
+    raises, and ``name`` is never tested: neither is counted."""
+    got = _tmp_tree(tmp_path, FIELDS, FIELDS_USE).fields()
+    assert got == {"Params.fast": {True}} and unused(got["Params.fast"])
+
+
+def test_field_census_spares_a_replaced_field(tmp_path):
+    """A ``dataclasses.replace`` with a computed field name may set any
+    field, so ``fast`` is varied."""
+    got = _tmp_tree(tmp_path, FIELDS, FIELDS_USE + (
+        "from dataclasses import replace\n"
+        "\n"
+        "def tweak(p, knob, value):\n"
+        "    return replace(p, **{knob: value})\n")).fields()
+    assert got == {"Params.fast": {VARIED}} and not unused(got["Params.fast"])

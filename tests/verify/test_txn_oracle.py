@@ -57,7 +57,7 @@ class TestCleanTraces:
                               read_fp=FP_A))
         oracle, msgs = check(events)
         assert msgs == []
-        assert oracle.clean
+        assert not oracle.violations
         assert oracle.checked == len(events)
 
     def test_aborted_attempt_without_install_is_clean(self):
