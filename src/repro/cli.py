@@ -69,8 +69,9 @@ def _print_record(r: dict) -> int:
     tags = "".join(f" {k}={r[k]}" for k in ("seed", "index") if k in r)
     kern = f" [{r['kernel']}]" if "kernel" in r else ""
     sha = f" sha={r['trace_sha']}" if "trace_sha" in r else ""
+    agenda = f" agenda={r['agenda']}" if "agenda" in r else ""
     print(f"[{r.get('scenario', r.get('trace'))}]{kern}{tags} "
-          f"events={r['events']}{sha} verdict={r['verdict']}")
+          f"events={r['events']}{sha}{agenda} verdict={r['verdict']}")
     for label in r.get("faults", ()):
         print(f"  fault: {label}")
     for k in sorted(r["stats"]):

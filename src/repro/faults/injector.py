@@ -22,8 +22,10 @@ single place the :mod:`repro.net` layer consults:
   :attr:`crashes` read when a transfer was injected, the error its
   completion must fail with if either endpoint crashed while it was in
   flight.  This is what keeps a restarted node from consuming a *zombie
-  completion* posted by its previous incarnation.  The analytic
-  transfers of the fast kernel call it at the arrival instant;
+  completion* posted by its previous incarnation.  Crashes come only
+  from the plan, so an analytic transfer of the fast kernel that
+  arrives before :attr:`calm_until` cannot be fenced; only one that a
+  planned crash can reach calls it at the arrival instant.
   :meth:`fence_completion` wraps a generator transfer's completion
   event in the same check.
 
@@ -67,8 +69,6 @@ def _check_nodes(plan: FaultPlan, known: Set[int]) -> None:
               for group in p.groups for n in group]
     named += [("slow_node", r.node) for r in plan.slow_nodes]
     named += [("stall_credits", r.node) for r in plan.credit_stalls]
-    named += [(f"{r.kind}_messages", n) for r in plan.message_faults
-              for n in (r.src, r.dst)]
     named += [("fail_verbs", n) for r in plan.verb_faults
               for n in (r.src, r.dst)]
     for kind, node in named:
@@ -97,6 +97,13 @@ class FaultInjector:
         #: crashed in between (the common case, one compare), anything
         #: else is settled by :meth:`fenced`.
         self.crashes = 0
+        #: when the plan's crash timers fire (as they compute it),
+        #: latest first; :meth:`_crash` pops each, and ``calm_until`` is
+        #: the next one (``inf`` after the last)
+        now = self.env.now
+        self._calm = sorted((now + (c.at - now) if c.at > now else now
+                             for c in self.plan.crashes), reverse=True)
+        self.calm_until = self._calm[-1] if self._calm else math.inf
         #: node id -> value of ``crashes`` just after its latest crash
         self._crash_stamp: Dict[int, int] = {}
         #: (time, "crash"|"restart", node_id) — the injected ground truth
@@ -140,8 +147,11 @@ class FaultInjector:
         """Register ``fn(node_id, event)`` for "crash"/"restart" events."""
         self._listeners.append(fn)
 
-    def crash(self, node_id: int) -> None:
-        """Fail-stop ``node_id`` now (also usable outside a plan)."""
+    def _crash(self, node_id: int) -> None:
+        """Fail-stop ``node_id`` now: a planned crash's timer fired."""
+        calm = self._calm
+        calm.pop()
+        self.calm_until = calm[-1] if calm else math.inf
         if node_id in self.down:
             return
         self.down.add(node_id)
@@ -153,7 +163,7 @@ class FaultInjector:
         for fn in self._listeners:
             fn(node_id, "crash")
 
-    def restart(self, node_id: int) -> None:
+    def _restart(self, node_id: int) -> None:
         """Bring ``node_id`` back (memory intact, see :class:`Crash`)."""
         if node_id not in self.down:
             return
@@ -172,10 +182,10 @@ class FaultInjector:
     def _crash_proc(self, crash):
         if crash.at > self.env.now:
             yield self.env.timeout(crash.at - self.env.now)
-        self.crash(crash.node)
+        self._crash(crash.node)
         if crash.restart_at is not None:
             yield self.env.timeout(crash.restart_at - self.env.now)
-            self.restart(crash.node)
+            self._restart(crash.node)
 
     def _window_proc(self, open_etype: str, close_etype: str, fault,
                      **fields):
@@ -244,7 +254,7 @@ class FaultInjector:
             return 0
         fate = 1
         for rule in self.plan.message_faults:
-            if not rule.matches(now, src_id, dst_id):
+            if not rule.matches(now):
                 continue
             if float(self.rng.random()) < rule.rate:
                 if rule.kind == "drop":

@@ -54,15 +54,11 @@ class MessageFault:
 
     kind: str                 # "drop" | "duplicate"
     rate: float
-    src: Optional[int] = None
-    dst: Optional[int] = None
     start: float = 0.0
     until: float = math.inf
 
-    def matches(self, now: float, src: int, dst: int) -> bool:
-        return (self.start <= now < self.until
-                and (self.src is None or self.src == src)
-                and (self.dst is None or self.dst == dst))
+    def matches(self, now: float) -> bool:
+        return self.start <= now < self.until
 
 
 @dataclass(frozen=True)
@@ -191,8 +187,6 @@ class FaultPlan:
         self.crashes.append(Crash(node=node, at=at, restart_at=restart_at))
         return self
 
-    # no product plan aims a message fault at one link, so the builders
-    # take none: a rule with ``src``/``dst`` is appended directly
     def drop_messages(self, rate: float, start: float = 0.0,
                       until: float = math.inf) -> "FaultPlan":
         _check_window(start, until, "drop_messages")

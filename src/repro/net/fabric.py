@@ -27,9 +27,11 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = ["Fabric"]
 
 
-def _settle(done: Event, exc: Optional[BaseException]) -> None:
-    """``arrive(exc)`` of a transfer that completes an :class:`Event`."""
-    if exc is None:
+def _settle(done: Event, exc: Optional[BaseException], at: float) -> None:
+    """``arrive`` of a transfer that completes an :class:`Event`."""
+    if at >= 0.0:
+        done.env._schedule_at(at, done, value=None)
+    elif exc is None:
         done.succeed()
     else:
         done.fail(exc)
@@ -89,8 +91,11 @@ class Fabric:
                               f"{src_id}->{dst_id}")
         if nbytes < 0:
             raise ConfigError("cannot transfer negative bytes")
-        if self.injector is not None:
-            fail = self.injector.transfer_fault(src_id, dst_id)
+        injector = self.injector
+        if injector is not None and (src_id in injector.down
+                                     or dst_id in injector.down
+                                     or injector.plan.partitions):
+            fail = injector.transfer_fault(src_id, dst_id)
             if fail is not None:
                 return fail  # refused transfers move no bytes
         return self._arrival(src_id, dst_id, nbytes)
@@ -132,25 +137,25 @@ class Fabric:
         then ``+ (wire + nic_rx)`` across separate Timeouts, and float
         addition is not associative.
 
-        Fault-free, nothing can happen to the payload on its way, so the
-        arrival instant is returned and the caller schedules its own
-        continuation there (``arrive`` is unused): one agenda entry,
-        idle link or busy.  With an injector, -1.0 is returned and
-        ``arrive(exc)`` runs at the arrival instant, ``exc`` being the
-        completion fence's verdict: the injector's hooks are consulted
-        at the instants :meth:`_transfer_proc` consults them —
-        ``link_factor`` now (``x * 1.0 == x``, so an idle injector moves
-        no float), the incarnation fence read now and compared on
-        arrival.
+        Unless a planned crash can reach the payload (it arrives at or
+        after the injector's ``calm_until``), the arrival instant is
+        returned and the caller schedules its own continuation there:
+        one agenda entry, idle link or busy.  Otherwise -1.0 is returned
+        and ``arrive(exc, -1.0)`` runs at the arrival instant, ``exc``
+        being the completion fence's verdict; a route whose arrival a
+        later booking fixes calls ``arrive(None, t)`` at that booking
+        instead (:class:`repro.topo.TopoFabric`).  ``link_factor`` is
+        consulted now when the plan slows a node (else the factor is
+        1.0, and ``x * 1.0 == x``), as :meth:`_transfer_proc` does.
         """
         env = self.env
         self.transfers += 1
         self.bytes_moved += nbytes
         p = self.params
         injector = self.injector
-        if injector is None:
-            if src_id == dst_id:
-                return env.now + p.local_op_us
+        if src_id == dst_id:
+            t = env.now + p.local_op_us
+        elif injector is None or not injector.plan.slow_nodes:
             # runs twice per one-sided verb (request + response leg):
             # the booking is unrolled, not a call
             start = env.now + p.nic_tx_us
@@ -158,13 +163,13 @@ class Fabric:
             if ends[src_id] > start:
                 start = ends[src_id]
             ends[src_id] = released_at = start + nbytes / p.bandwidth_bpus
-            return released_at + (p.wire_latency_us + p.nic_rx_us)
-        if src_id == dst_id:
-            t = env.now + p.local_op_us
+            t = released_at + (p.wire_latency_us + p.nic_rx_us)
         else:
             factor = injector.link_factor(src_id, dst_id)
             t = (self._book_egress(src_id, nbytes, factor)
                  + (p.wire_latency_us * factor + p.nic_rx_us))
+        if injector is None or t < injector.calm_until:
+            return t
         env._schedule_call(t, partial(self._land, src_id, dst_id,
                                       injector.crashes, arrive))
         return -1.0
@@ -185,10 +190,10 @@ class Fabric:
               arrive) -> None:
         """Arrival instant of a payload injected under an injector that
         had seen ``since`` crashes: a crash at either end while it was
-        in flight fails the completion (``arrive(exc)``)."""
+        in flight fails the completion (``arrive(exc, -1.0)``)."""
         injector = self.injector
         arrive(None if injector.crashes == since
-               else injector.fenced(since, src_id, dst_id))
+               else injector.fenced(since, src_id, dst_id), -1.0)
 
     def _spawn(self, src_id: int, dst_id: int, nbytes: int) -> Event:
         """The slow kernel's twin of :meth:`_route`: the same payload as

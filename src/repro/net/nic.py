@@ -130,9 +130,9 @@ class NIC:
         (header + ``size`` bytes on the wire); ``done``, if given, then
         succeeds with it, or fails if it is lost (:meth:`send_wait`).
         Fault-free on the fast kernel the arrival is one bare agenda
-        call at the instant :meth:`Fabric._route` returns; otherwise it
-        rides the transfer event, with the fence and ``message_fate``
-        consulted at arrival (DESIGN.md §9).
+        call at the instant :meth:`Fabric._route` returns or hands to
+        :meth:`_land`; otherwise it rides the transfer event, with the
+        fence and ``message_fate`` consulted at arrival (DESIGN.md §9).
         """
         if size < 0:
             raise ConfigError("negative message size")
@@ -170,15 +170,13 @@ class NIC:
         self.post(dst_id, payload, size, tag, done)
         return done
 
-    def _land(self, msg: Message, done: Optional[Event], *fence) -> None:
-        """Fault-free arrival of ``msg`` at this, its destination, NIC.
-        A route that calls back at the arrival (a cross-rack leg) passes
-        a fence verdict, always ``None``: the delivery then takes one
-        same-instant hop, the slot the transfer event's ``succeed``
-        took."""
+    def _land(self, msg: Message, done: Optional[Event], *known) -> None:
+        """Fault-free arrival of ``msg`` at this, its destination, NIC;
+        or, ``known`` being ``(None, at)``, a cross-rack route's uplink
+        booking, which schedules the arrival at ``at``."""
         env = self.env
-        if fence:
-            env._schedule_call(env.now, partial(NIC._land, self, msg, done))
+        if known:
+            env._schedule_call(known[1], partial(NIC._land, self, msg, done))
             return
         if env.obs is not None:
             self._obs_delivery(msg, 1)
@@ -243,22 +241,24 @@ class NIC:
     # ------------------------------------------------------------------
     # Callback-chain twin of ``_read_proc`` / ``_write_proc`` /
     # ``_atomic_proc``: no generator, no Process, no per-stage Event.
-    # Fault-free on one rack a verb costs exactly three agenda entries,
-    # busy NIC or idle — *posted* (book the egress link, schedule the
-    # remote service instant), *serve* (touch remote memory, book the
-    # return link), and the completion event itself, scheduled directly
-    # at the response's arrival instant (``Fabric._route`` returned it).
-    # Each instant is computed with the same float association order the
-    # generator version's chained Timeouts would produce, so fast and
+    # On one rack, unless a planned crash can reach a leg in flight, a
+    # verb costs exactly three agenda entries, busy NIC or idle —
+    # *posted* (book the egress link, schedule the remote service
+    # instant), *serve* (touch remote memory, book the return link), and
+    # the completion event itself, scheduled directly at the response's
+    # arrival instant (``Fabric._route`` returned it).  Each instant is
+    # computed with the same float association order the generator
+    # version's chained Timeouts would produce, so fast and
     # ``REPRO_SLOW_KERNEL=1`` runs stay equivalent.  When a leg's
-    # arrival instant is not known at injection (a ToR uplink on the
-    # way) or the leg can fail on the way (a fault injector), the route
-    # calls back at the arrival instant instead — ``_verb_arrived`` /
-    # ``_verb_complete`` with the completion fence's verdict — and the
-    # chain carries the generator's failure branches: every injector
-    # hook is consulted at the instant the generator consults it
-    # (DESIGN.md §9), and a failure fails the verb at the instant the
-    # generator would raise, with process-crash semantics.
+    # arrival instant is fixed after injection (a ToR uplink on the way)
+    # the route hands it over at that booking — ``_verb_arrived`` /
+    # ``_verb_complete`` with ``at`` — and when a planned crash can
+    # reach the leg it calls them at the arrival instant with the
+    # completion fence's verdict.  The chain carries the generator's
+    # failure branches: every injector hook is consulted at the instant
+    # the generator consults it (DESIGN.md §9), and a failure fails the
+    # verb at the instant the generator would raise, with process-crash
+    # semantics.
 
     def _verb_slot(self) -> int:
         """Grow the pool by one slot (``_post_verb`` reuses a free one
@@ -363,7 +363,9 @@ class NIC:
                 f"{self.node.id}->{dst}"))
             return
         injector = fabric.injector
-        if injector is not None \
+        if injector is not None and (
+                dst in injector.down or self.node.id in injector.down
+                or injector.plan.partitions) \
                 and self._leg_refused(injector, s, self.node.id, dst):
             return
         p = self.params
@@ -374,7 +376,7 @@ class NIC:
             nbytes = p.header_bytes
         t = fabric._route(self.node.id, dst, nbytes, self._varrived[s])
         if t < 0.0:
-            return  # the route calls _verb_arrived at the arrival
+            return  # the route calls _verb_arrived
         # Fold the NIC turnaround / atomic-unit delay into the same
         # entry: the slow path schedules it from the arrival instant, so
         # ``t + delay`` is the identical float.
@@ -384,22 +386,28 @@ class NIC:
             t += p.atomic_exec_us
         self.env._schedule_call(t, self._vserve[s])
 
-    def _verb_arrived(self, s: int, exc: Optional[BaseException]) -> None:
-        # Arrival of a request leg the route called back for.  The
-        # turnaround is its own entry here, applied from the actual
-        # arrival instant exactly like the generator's Timeout: a fenced
-        # leg must fail now, not ``turnaround`` later.
+    def _verb_arrived(self, s: int, exc: Optional[BaseException],
+                      at: float) -> None:
+        # A request leg the route called back for: with its arrival
+        # instant ``at``, or at the arrival (``at`` -1.0) with the
+        # fence's verdict.  There the turnaround is its own entry,
+        # applied from the actual arrival instant exactly like the
+        # generator's Timeout: a fenced leg must fail now, not
+        # ``turnaround`` later.
         if exc is not None:
             self._fail_verb(self._free_verb(s), exc)
             return
         op = self._vop[s]
-        if op == _OP_WRITE:
-            self._verb_serve(s)
-            return
-        env = self.env
-        delay = (self.params.rdma_turnaround_us if op == _OP_READ
-                 else self.params.atomic_exec_us)
-        env._schedule_call(env.now + delay, self._vserve[s])
+        if at < 0.0:
+            if op == _OP_WRITE:
+                self._verb_serve(s)
+                return
+            at = self.env.now
+        if op == _OP_READ:
+            at += self.params.rdma_turnaround_us
+        elif op != _OP_WRITE:  # writes land on arrival; no turnaround
+            at += self.params.atomic_exec_us
+        self.env._schedule_call(at, self._vserve[s])
 
     def _verb_serve(self, s: int) -> None:
         fabric = self.fabric
@@ -424,7 +432,9 @@ class NIC:
         # the memory operation has happened whatever becomes of the
         # response leg, as in the generator
         injector = fabric.injector
-        if injector is not None \
+        if injector is not None and (
+                dst in injector.down or self.node.id in injector.down
+                or injector.plan.partitions) \
                 and self._leg_refused(injector, s, dst, self.node.id):
             return
         p = self.params
@@ -441,11 +451,14 @@ class NIC:
         self._vfree.append(s)
         self.env._schedule_at(t, done, value=value)
 
-    def _verb_complete(self, s: int, exc: Optional[BaseException]) -> None:
+    def _verb_complete(self, s: int, exc: Optional[BaseException],
+                       at: float) -> None:
         value = self._va[s]
         done = self._free_verb(s)
         if exc is not None:
             self._fail_verb(done, exc)
+        elif at >= 0.0:
+            self.env._schedule_at(at, done, value=value)
         else:
             done.succeed(value)
 

@@ -356,11 +356,13 @@ def judged_run(scenario, seed: int = 0, n_nodes: Optional[int] = None,
 
 def run_check(name: str, seed: int = 0, kernel: str = "fast",
               shrink: bool = True, export: Optional[str] = None) -> dict:
-    """One judged run; on an oracle violation and ``shrink=True`` the
-    record carries a ``repro`` entry (the shrunk failing event list).
-    ``export`` names a file for one document: the ``repro-trace-v1``
-    trace plus the run's ``metrics`` and its ``record``."""
+    """One judged run, its record with the run's ``agenda`` entries; on
+    an oracle violation and ``shrink=True`` it carries a ``repro`` entry
+    (the shrunk failing event list).  ``export`` names a file for one
+    document: the ``repro-trace-v1`` trace plus the run's ``metrics``
+    and its ``record``."""
     record, obs = judged_run(name, seed, kernel=kernel)
+    record["agenda"] = obs.env._seq
     if shrink:
         add_reproducer(record, obs.trace)
     if export is not None:

@@ -25,7 +25,8 @@ the generators' ``up.acquire()`` calls run in — and is therefore booked
 by one bare agenda call at the egress release instant, which is the
 instant, and among the transfers of one host the order, of those calls.
 (Two *hosts* of a rack that release at the same float towards one uplink
-are an *uplink tie*: the model does not order them, §9.)
+are an *uplink tie*: the model does not order them, §9.)  That call
+fixes the arrival instant and schedules the leg's continuation there.
 """
 
 from __future__ import annotations
@@ -98,23 +99,24 @@ class TopoFabric(Fabric):
             return super()._route(src_id, dst_id, nbytes, arrive)
         self._count_xrack(src_id, dst_id, nbytes)
         injector = self.injector
-        if injector is None:
-            factor, land = 1.0, partial(arrive, None)
-        else:
-            factor = injector.link_factor(src_id, dst_id)
-            land = partial(self._land, src_id, dst_id, injector.crashes,
-                           arrive)
+        factor = (injector.link_factor(src_id, dst_id)
+                  if injector is not None and injector.plan.slow_nodes
+                  else 1.0)
+        since = -1 if injector is None else injector.crashes
         self.env._schedule_call(
             self._book_egress(src_id, nbytes, factor),
             partial(self._reach_uplink, src_id, dst_id, nbytes, factor,
-                    land))
+                    since, arrive))
         return -1.0
 
     def _reach_uplink(self, src_id: int, dst_id: int, nbytes: int,
-                      factor: float, land) -> None:
+                      factor: float, since: int, arrive) -> None:
         """Egress release instant of a cross-rack payload: book the ToR
         uplink from now or from the end of its chain, whichever is
-        later, and schedule ``land`` at the arrival instant."""
+        later, and hand the arrival instant to ``arrive`` — unless a
+        planned crash can reach the payload (a crash since its
+        injection, or one due by then), which is fenced on arrival.
+        ``since`` is -1 for a payload injected with no injector."""
         env = self.env
         key = self._up_key(src_id, dst_id)
         start = env.now
@@ -123,9 +125,14 @@ class TopoFabric(Fabric):
             start = ends[key]
         ends[key] = released_at = \
             start + (nbytes / self.uplink_bpus) * factor
-        env._schedule_call(
-            released_at + (self._xwire_us * factor + self.params.nic_rx_us),
-            land)
+        t = released_at + (self._xwire_us * factor + self.params.nic_rx_us)
+        injector = self.injector
+        if since < 0 or (injector.crashes == since
+                         and t < injector.calm_until):
+            arrive(None, t)
+        else:
+            env._schedule_call(t, partial(self._land, src_id, dst_id,
+                                          since, arrive))
 
     def _spawn(self, src_id: int, dst_id: int, nbytes: int):
         h = self.hosts_per_rack

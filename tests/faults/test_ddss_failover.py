@@ -60,10 +60,10 @@ class TestReplicatedAllocation:
 class TestFailover:
     PRIMARY = 1  # not the metadata node (0), which must stay reachable
 
-    def crashing_setup(self, coherence, crash_at=5_000.0, restart_at=None,
-                       seed=0):
-        """A unit whose *primary* home crashes at ``crash_at``."""
-        plan = FaultPlan()
+    def crashing_setup(self, coherence, seed=0, plan=None):
+        """A unit whose *primary* home crashes at 5 ms, planned
+        alongside whatever else ``plan`` holds."""
+        plan = (plan or FaultPlan()).crash(self.PRIMARY, at=5_000.0)
         cluster = Cluster(n_nodes=5, seed=seed)
         inj = cluster.install_faults(plan)
         ddss = DDSS(cluster)
@@ -79,16 +79,7 @@ class TestFailover:
 
         key, meta = drive(cluster, setup(cluster.env))
         assert meta.home == self.PRIMARY
-        cluster.env.process(self._crash(cluster.env, inj,
-                                        crash_at, restart_at))
         return cluster, ddss, client, inj, key
-
-    def _crash(self, env, inj, at, restart_at):
-        yield env.timeout(at - env.now)
-        inj.crash(self.PRIMARY)
-        if restart_at is not None:
-            yield env.timeout(restart_at - env.now)
-            inj.restart(self.PRIMARY)
 
     @pytest.mark.parametrize("coherence", [Coherence.NULL, Coherence.DELTA])
     def test_read_fails_over_to_replica(self, coherence):
@@ -123,13 +114,13 @@ class TestFailover:
         assert client.failovers >= 1  # the put skipped the dead primary
 
     def test_no_reachable_copy_raises(self):
+        # all three copies unreachable from 6 ms
         cluster, ddss, client, inj, key = self.crashing_setup(
-            Coherence.NULL)
+            Coherence.NULL,
+            plan=FaultPlan().crash(2, at=6_000.0).crash(3, at=6_000.0))
 
         def app(env):
             yield env.timeout(6_000.0 - env.now)
-            inj.crash(2)
-            inj.crash(3)  # all three copies now unreachable
             with pytest.raises(DDSSError):
                 yield client.get(key, length=4)
 

@@ -6,7 +6,7 @@ from repro.errors import ConfigError, NodeDownError
 from repro.net import Cluster
 from repro.faults import FaultInjector, FaultPlan
 from repro.faults.injector import DETECT_US
-from repro.faults.plan import MessageFault, VerbFault
+from repro.faults.plan import VerbFault
 
 
 def make_cluster(n=3, seed=0):
@@ -14,11 +14,10 @@ def make_cluster(n=3, seed=0):
 
 
 def plan_with(rule):
-    """An empty plan with ``rule`` appended to its list: the only way to
-    schedule a verb fault, or a message fault aimed at one link."""
+    """An empty plan with the verb fault ``rule`` appended to its list:
+    the only way to schedule one."""
     plan = FaultPlan()
-    (plan.verb_faults if isinstance(rule, VerbFault)
-     else plan.message_faults).append(rule)
+    plan.verb_faults.append(rule)
     return plan
 
 
@@ -30,7 +29,6 @@ UNKNOWN_NODE_PLANS = [
     ("partition", 9, FaultPlan().partition([[0], [1, 9]])),
     ("slow_node", 5, FaultPlan().slow_node(5, 2.0)),
     ("stall_credits", 5, FaultPlan().stall_credits(5)),
-    ("drop_messages", 9, plan_with(MessageFault("drop", 0.5, src=9))),
     ("fail_verbs", 9, plan_with(VerbFault(0.5, dst=9))),
 ]
 

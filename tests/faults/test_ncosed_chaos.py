@@ -156,22 +156,19 @@ class TestReclaim:
         reaper must not fabricate a reclaim it cannot persist."""
         cluster, manager = build(seed=2, n_nodes=4, n_locks=1)
         home_id = manager.home_node(0).id
-        inj = cluster.install_faults(
-            FaultPlan().crash(home_id, at=1_000.0, restart_at=6_000.0))
+        holder_node = cluster.nodes[(home_id + 1) % 4]
+        # crash the *holder* too, while the home is down
+        cluster.install_faults(
+            FaultPlan().crash(home_id, at=1_000.0, restart_at=6_000.0)
+            .crash(holder_node.id, at=2_000.0))
         env = cluster.env
-
-        holder = manager.client(cluster.nodes[(home_id + 1) % 4])
+        holder = manager.client(holder_node)
 
         def hold(env):
             yield holder.acquire(0, LockMode.EXCLUSIVE)
             yield env.timeout(1e9)
 
         env.process(hold(env))
-        # crash the *holder* too, while the home is down
-        def late_crash(env):
-            yield env.timeout(2_000.0)
-            inj.crash(holder.node.id)
-        env.process(late_crash(env))
 
         env.run(until=5_000.0)
         assert manager.reclaims == []  # deferred: home unreachable

@@ -22,6 +22,7 @@ import sys
 
 import pytest
 
+from repro.errors import NodeDownError
 from repro.faults import FaultPlan
 from repro.faults.plan import VerbFault
 from repro.net import Cluster
@@ -311,13 +312,23 @@ def test_faulted_two_rack_run_creates_no_transfer_or_verb_process(
         assert bool(spawned) is expected, (kernel, spawned[:5])
 
 
-def _entries(make_cluster, op, injector):
-    """Agenda entries one ``op`` from node 1 to the last node costs."""
+#: fault plans of the entry table: none, one whose only crash never
+#: happens, and one that crashes a bystander (node 0) while the request
+#: leg posted at t=1 is in flight, so that leg alone takes a fence entry
+PLANS = {
+    "fault-free": None,
+    "calm": lambda: FaultPlan().crash(0, at=1e9),
+    "reach": lambda: FaultPlan().crash(0, at=2.0),
+}
+
+
+def _entries(make_cluster, op, plan):
+    """Agenda entries one ``op`` from node 1 to the last node costs,
+    posted at t=1 under the fault plan ``PLANS[plan]``."""
     with pin_kernel("fast"):
         cluster = make_cluster()
-    if injector:
-        # one whose only fault never happens
-        cluster.install_faults(FaultPlan().crash(0, at=1e9))
+    if PLANS[plan] is not None:
+        cluster.install_faults(PLANS[plan]())
     env = cluster.env
     env.run(until=1.0)      # the injector's own processes have started
     key = cluster.nodes[-1].memory.register(64, name="w").remote_key()
@@ -333,29 +344,118 @@ def _entries(make_cluster, op, injector):
         ev = nic.send_wait(key.node, size=8)
     env.run(until=1000.0)
     assert ev.ok
-    return env._seq - seq
+    return env._seq - seq - (plan == "reach")   # not the crash's own exit
+
+
+#: (op, topology) -> agenda entries under the fault-free, calm and reach
+#: plans.  A verb on one rack is posted, served and completed, injector
+#: or not; a ToR uplink adds one booking call a leg, which schedules the
+#: leg's continuation at the arrival it fixes.  Only a leg a planned
+#: crash can reach takes a fence entry at its arrival: there a read's
+#: turnaround or the completion's ``succeed`` is one more entry, a
+#: write is served in the fence entry itself.  A ``send_wait`` without
+#: an injector is a bare delivery call and the event; with one the
+#: message rides the transfer event, whose callback succeeds the event.
+ENTRY_COST = {
+    ("read", "flat"): (3, 3, 4),
+    ("cas", "flat"): (3, 3, 4),
+    ("write", "flat"): (3, 3, 3),
+    ("send_wait", "flat"): (2, 2, 3),
+    ("read", "two-rack"): (5, 5, 6),
+    ("cas", "two-rack"): (5, 5, 6),
+    ("write", "two-rack"): (5, 5, 5),
+    ("send_wait", "two-rack"): (3, 3, 4),
+}
+
+
+TWO_TOPOLOGIES = {
+    "flat": lambda: Cluster(n_nodes=4, seed=0),
+    "two-rack": lambda: TopoCluster(racks=2, hosts_per_rack=2, oversub=2.0,
+                                    seed=0),
+}
 
 
 def test_agenda_entries_per_operation():
-    """The entry table of DESIGN.md §9.  A fault-free verb on one rack
-    is posted, served and completed; an injector adds the two arrival
-    instants (a fenced leg must fail *there*); a ToR uplink adds one
-    booking call a leg.  The generators cost 16 to 22."""
-    def flat():
-        return Cluster(n_nodes=4, seed=0)
+    """The entry table of DESIGN.md §9.  The generators cost 16 to 22."""
+    got = {(op, topology): tuple(_entries(TWO_TOPOLOGIES[topology], op, plan)
+                                 for plan in PLANS)
+           for op, topology in ENTRY_COST}
+    assert got == ENTRY_COST
 
-    def racks():
-        return TopoCluster(racks=2, hosts_per_rack=2, oversub=2.0, seed=0)
 
-    for op in ("read", "cas"):
-        assert _entries(flat, op, injector=False) == 3
-        assert _entries(flat, op, injector=True) <= 5
-        assert _entries(racks, op, injector=False) <= 7
-        assert _entries(racks, op, injector=True) <= 7
-    assert _entries(flat, "write", injector=False) == 3
-    assert _entries(racks, "write", injector=True) <= 6
-    assert _entries(flat, "send_wait", injector=True) <= 3
-    assert _entries(racks, "send_wait", injector=True) <= 4
+def _read(cluster):
+    """Post one read from node 1 to node 3 at t=0 and run; returns the
+    instant it settled and its value or ``NodeDownError``."""
+    key = cluster.nodes[3].memory.register(64, name="w").remote_key()
+    outcome = []
+
+    def reader(env):
+        try:
+            outcome.append((yield cluster.nodes[1].nic.read_key(key, 0, 8)))
+        except NodeDownError as exc:
+            outcome.append(exc)
+        outcome.insert(0, env.now)
+
+    cluster.env.process(reader(cluster.env))
+    cluster.env.run()
+    return outcome
+
+
+def _request_leg(topology):
+    """``(injected, arrives)`` of a fault-free read's request leg, taken
+    from the generator transfer."""
+    with pin_kernel("slow"):
+        cluster = TWO_TOPOLOGIES[topology]()
+    env, spawn = cluster.env, cluster.fabric._spawn
+    legs = []
+
+    def logged_spawn(src, dst, nbytes):
+        t0 = env.now
+        done = spawn(src, dst, nbytes)
+        done.add_callback(lambda _e: legs.append((t0, env.now)))
+        return done
+
+    cluster.fabric._spawn = logged_spawn
+    assert _read(cluster)[1] == bytes(8)
+    return legs[0]
+
+
+def _read_under_crash(topology, kernel, victim, at):
+    """The read under a plan that crashes ``victim`` at ``at``: the
+    instant it failed and the completions fenced."""
+    with pin_kernel(kernel):
+        cluster = TWO_TOPOLOGIES[topology]()
+    injector = cluster.install_faults(FaultPlan().crash(victim, at=at))
+    settled, exc = _read(cluster)
+    assert isinstance(exc, NodeDownError), kernel
+    return settled, injector.completions_fenced
+
+
+@pytest.mark.parametrize("victim", [1, 3], ids=["initiator", "target"])
+@pytest.mark.parametrize("share", [0.05, 0.5])
+@pytest.mark.parametrize("topology", sorted(TWO_TOPOLOGIES))
+def test_planned_crash_fences_a_leg_in_flight(topology, share, victim):
+    """A planned crash of either endpoint while the request leg is in
+    flight — early, before a cross-rack leg reaches its uplink, or
+    halfway, after the booking that fixed its arrival — fails the read
+    with ``NodeDownError`` at that leg's arrival instant, the same float
+    on both kernels."""
+    injected, arrival = _request_leg(topology)
+    at = injected + share * (arrival - injected)
+    for kernel in KERNELS:
+        assert _read_under_crash(topology, kernel, victim, at) \
+            == (arrival, 1), kernel
+
+
+@pytest.mark.parametrize("topology", sorted(TWO_TOPOLOGIES))
+def test_crash_at_the_arrival_instant_fences_the_leg(topology):
+    """A crash timer that fires at the request leg's arrival instant
+    runs first (it was scheduled at install), so the leg is fenced on
+    both kernels: an arrival at ``calm_until`` is not calm."""
+    _injected, arrival = _request_leg(topology)
+    for kernel in KERNELS:
+        assert _read_under_crash(topology, kernel, 3, arrival) \
+            == (arrival, 1), kernel
 
 
 def _message_cost(make_cluster, op, n):
@@ -396,23 +496,21 @@ def _message_cost(make_cluster, op, n):
 #: one more entry.  Across racks the route counts the leg, books the
 #: egress link and schedules the ToR uplink's booking at the egress
 #: release (``_count_xrack``, ``_book_egress``, ``_reach_uplink``,
-#: ``_up_key`` and two more ``_schedule_call``s) and calls back at the
-#: arrival, where ``_land`` takes one same-instant hop (a third): three
-#: entries.
+#: ``_up_key`` and one more ``_schedule_call``).  That booking fixes
+#: the arrival and hands it to ``_land``, which schedules the delivery
+#: there with one more ``_schedule_call``: two entries.
 MESSAGE_COST = {
     ("post", "flat"): (8, 1),
     ("send", "flat"): (10, 2),
-    ("post", "two-rack"): (15, 3),
-    ("send", "two-rack"): (17, 4),
+    ("post", "two-rack"): (14, 2),
+    ("send", "two-rack"): (16, 3),
 }
 
 
 @pytest.mark.parametrize("op, topology", sorted(MESSAGE_COST))
 def test_fault_free_message_cost(op, topology):
-    make = {"flat": lambda: Cluster(n_nodes=4, seed=0),
-            "two-rack": lambda: TopoCluster(racks=2, hosts_per_rack=2,
-                                            oversub=2.0, seed=0)}[topology]
-    counts = [_message_cost(make, op, n) for n in (2, 3, 4)]
+    counts = [_message_cost(TWO_TOPOLOGIES[topology], op, n)
+              for n in (2, 3, 4)]
     per_op = {(b[0] - a[0], b[1] - a[1])
               for a, b in zip(counts, counts[1:])}
     assert per_op == {MESSAGE_COST[op, topology]}

@@ -217,7 +217,7 @@ def test_waiter_behind_three_deep_chain_granted_once_at_its_end(monkeypatch):
     assert fabric._uplink_end[(0, 0)] == released + 450 / fabric.uplink_bpus
     env.run()
     assert done.ok
-    assert env._seq - seq == 6      # + the arrival call and the event
+    assert env._seq - seq == 5      # + the event, booked with the uplink
 
 
 def test_reservation_respects_fifo_queue(monkeypatch):

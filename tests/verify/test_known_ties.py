@@ -68,9 +68,10 @@ def injection_log(monkeypatch, run):
         def logged_route(src, dst, nbytes, arrive):
             t0 = self.env.now
 
-            def arrived(exc):
-                log(t0, src, dst, nbytes, self.env.now)
-                arrive(exc)
+            def arrived(exc, at):
+                # at the arrival, or earlier with its instant ``at``
+                log(t0, src, dst, nbytes, self.env.now if at < 0.0 else at)
+                arrive(exc, at)
 
             at = route(src, dst, nbytes, arrived)
             if at >= 0.0:   # known at injection: arrive() is not called
