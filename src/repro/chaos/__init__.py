@@ -16,7 +16,7 @@ minority view.  Failing schedules shrink to minimal reproducers
 
 Everything is a pure function of ``(seed, index)``: re-running a
 campaign with the same seed reproduces the same schedules, verdicts and
-canonical trace digests on either event kernel.
+canonical trace digests.
 
 CLI: ``repro chaos {list,run,replay,shrink,report}``.
 """

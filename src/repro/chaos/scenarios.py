@@ -143,7 +143,7 @@ def build_locks(seed: int, n_nodes: int, schedule: Sequence[dict],
     from repro.dlm import NCoSEDManager
 
     cluster = Cluster(n_nodes=n_nodes, seed=seed)
-    obs = cluster.observe(strict=False)
+    obs = cluster.observe()
     cluster.install_faults(plan_from_schedule(schedule))
     front, backs = cluster.nodes[0], cluster.nodes[1:]
     phi = PhiAccrualDetector(front, backs)
@@ -178,7 +178,7 @@ def build_ddss(seed: int, n_nodes: int, schedule: Sequence[dict],
     from repro.ddss import DDSS, Coherence
 
     cluster = Cluster(n_nodes=n_nodes, seed=seed)
-    obs = cluster.observe(strict=False)
+    obs = cluster.observe()
     cluster.install_faults(plan_from_schedule(schedule))
     ddss = DDSS(cluster, segment_bytes=256 * 1024)
     env = cluster.env
@@ -245,7 +245,7 @@ def build_txn(seed: int, n_nodes: int, schedule: Sequence[dict],
     from repro.workloads.tpcc import transfer_txn
 
     cluster = Cluster(n_nodes=n_nodes, seed=seed)
-    obs = cluster.observe(strict=False)
+    obs = cluster.observe()
     cluster.install_faults(plan_from_schedule(schedule))
     front, backs = cluster.nodes[0], cluster.nodes[1:]
     phi = PhiAccrualDetector(front, backs)

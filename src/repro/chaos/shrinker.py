@@ -30,8 +30,8 @@ from repro.errors import ConfigError
 __all__ = ["find_failing", "schedule_fails", "shrink_schedule"]
 
 
-def schedule_fails(scenario: str, schedule: Sequence[dict], seed: int,
-                   kernel: str = "fast") -> Tuple[bool, dict]:
+def schedule_fails(scenario: str, schedule: Sequence[dict],
+                   seed: int) -> Tuple[bool, dict]:
     """Run one schedule; True when any oracle flags it.
 
     A ``vacuous`` run is not a failure: a probe must not "succeed" by
@@ -39,7 +39,7 @@ def schedule_fails(scenario: str, schedule: Sequence[dict], seed: int,
     """
     from repro.scenarios import run_schedule
 
-    record = run_schedule(scenario, schedule, seed, kernel=kernel)
+    record = run_schedule(scenario, schedule, seed)
     return record["verdict"] == "violation", record
 
 
@@ -64,7 +64,7 @@ def _halved(fault: Dict) -> Optional[Dict]:
 
 
 def shrink_schedule(scenario: str, schedule: Sequence[dict], seed: int, *,
-                    kernel: str = "fast", max_probes: int = 64) -> dict:
+                    max_probes: int = 64) -> dict:
     """Reduce ``schedule`` to a (locally) minimal failing reproducer."""
     from repro.scenarios import lookup
 
@@ -80,14 +80,14 @@ def shrink_schedule(scenario: str, schedule: Sequence[dict], seed: int, *,
         if probes >= max_probes:
             return False  # budget exhausted: treat as "can't shrink"
         probes += 1
-        bad, _record = schedule_fails(scenario, candidate, seed, kernel)
+        bad, _record = schedule_fails(scenario, candidate, seed)
         return bad
 
     original = [copy.deepcopy(f) for f in schedule]
     if not fails(original):
         return {"failed": False, "probes": probes,
                 "scenario": scenario, "seed": int(seed),
-                "kernel": kernel, "schedule": original,
+                "schedule": original,
                 "labels": [schedule_key(f) for f in original]}
 
     current = [copy.deepcopy(f) for f in original]
@@ -136,7 +136,6 @@ def shrink_schedule(scenario: str, schedule: Sequence[dict], seed: int, *,
         "failed": True,
         "scenario": scenario,
         "seed": int(seed),
-        "kernel": kernel,
         "original_faults": len(original),
         "kept_faults": len(current),
         "probes": probes,
@@ -145,15 +144,15 @@ def shrink_schedule(scenario: str, schedule: Sequence[dict], seed: int, *,
     }
 
 
-def find_failing(scenario: str, seed: int, n_schedules: int = 20,
-                 kernel: str = "fast") -> Optional[dict]:
+def find_failing(scenario: str, seed: int,
+                 n_schedules: int = 20) -> Optional[dict]:
     """Scan sampled schedules; return the first failing one (or None)."""
     from repro.scenarios import lookup
 
     space = lookup(scenario).space()
     for index in range(int(n_schedules)):
         schedule = space.sample(int(seed), index)
-        bad, record = schedule_fails(scenario, schedule, int(seed), kernel)
+        bad, record = schedule_fails(scenario, schedule, int(seed))
         if bad:
             return {"index": index, "schedule": schedule,
                     "record": record}

@@ -22,7 +22,6 @@ import time
 from typing import List
 
 from repro.errors import ConfigError, LockError, ReproError
-from repro.sim import KERNELS
 
 __all__ = ["build_parser", "main"]
 
@@ -67,10 +66,9 @@ def _print_record(r: dict) -> int:
     """Print one judged-run (or ``check trace``) record; returns the
     exit code its verdict maps to."""
     tags = "".join(f" {k}={r[k]}" for k in ("seed", "index") if k in r)
-    kern = f" [{r['kernel']}]" if "kernel" in r else ""
     sha = f" sha={r['trace_sha']}" if "trace_sha" in r else ""
     agenda = f" agenda={r['agenda']}" if "agenda" in r else ""
-    print(f"[{r.get('scenario', r.get('trace'))}]{kern}{tags} "
+    print(f"[{r.get('scenario', r.get('trace'))}]{tags} "
           f"events={r['events']}{sha}{agenda} verdict={r['verdict']}")
     for label in r.get("faults", ()):
         print(f"  fault: {label}")
@@ -143,23 +141,13 @@ def _check_main(args) -> int:
         rep = metamorphic_sweep(checks=args.names or None,
                                 seeds=args.seeds, node_counts=args.nodes,
                                 workers=args.workers)
-        print(f"[meta] runs={rep['runs']} pairs={rep['pairs']} "
-              f"kernel_mismatches={len(rep['kernel_mismatches'])} "
-              f"kernel_ties={len(rep['kernel_ties'])} "
-              f"stale_ties={len(rep['stale_ties'])} "
+        print(f"[meta] runs={rep['runs']} "
+              f"run_failures={rep['run_failures']} "
               f"violations={len(rep['violations'])} "
               f"verdict={rep['verdict']}")
-        for m in rep["kernel_mismatches"][:5]:
-            shas = " ".join(f"{k}={v}" for k, v in sorted(m["shas"].items()))
-            print(f"  MISMATCH {m['scenario']} seed={m['seed']}: {shas}")
-        for m in rep["kernel_ties"]:
-            print(f"  known tie {m['scenario']} seed={m['seed']}")
-        for m in rep["stale_ties"]:
-            print(f"  STALE KNOWN_TIES entry {m['scenario']} "
-                  f"n_nodes={m['n_nodes']} seed={m['seed']}: kernels agree")
         for v in rep["violations"][:5]:
             print(f"  {v['verdict'].upper()} {v['scenario']} "
-                  f"[{v['kernel']}] seed={v['seed']}: "
+                  f"n_nodes={v['n_nodes']} seed={v['seed']}: "
                   f"{v['violations']} finding(s)")
         if args.json:
             _write_json(args.json, rep)
@@ -173,10 +161,8 @@ def _check_main(args) -> int:
         doc = {"results": results, "verdict": worst(results)}
     else:  # run
         names = None if "all" in (args.names or ["all"]) else args.names
-        doc = run_suite(names, seed=args.seed,
-                        kernels=KERNELS if args.both_kernels
-                        else [args.kernel],
-                        shrink=not args.no_shrink, export=args.export)
+        doc = run_suite(names, seed=args.seed, shrink=not args.no_shrink,
+                        export=args.export)
         results = doc["results"]
         if args.export:
             print(f"wrote {args.export}")
@@ -195,22 +181,17 @@ def _check_main(args) -> int:
 def _chaos_print_campaign(v: dict) -> int:
     print(f"[chaos seed={v['seed']}] runs={v['runs']} "
           f"errors={v['run_errors']} "
-          f"mismatches={len(v['kernel_mismatches'])} "
           f"findings={len(v['findings'])} "
           f"violations={len(v['violations'])} verdict={v['verdict']}")
     for e in v["violations"][:10]:
-        print(f"  {e['verdict'].upper()} {e['scenario']}#{e['index']} "
-              f"[{e['kernel']}]:")
+        print(f"  {e['verdict'].upper()} {e['scenario']}#{e['index']}:")
         for msg in e["msgs"][:3]:
             print(f"    {msg}")
         for label in e["faults"]:
             print(f"    fault: {label}")
     for e in v["findings"][:10]:
-        print(f"  finding {e['scenario']}#{e['index']} "
-              f"[{e['kernel']}]: {len(e['msgs'])} msg(s)")
-    for m in v["kernel_mismatches"][:5]:
-        print(f"  KERNEL MISMATCH {m['scenario']}#{m['index']}: "
-              f"{m['shas']}")
+        print(f"  finding {e['scenario']}#{e['index']}: "
+              f"{len(e['msgs'])} msg(s)")
     return 0 if v["verdict"] == "ok" else 1
 
 
@@ -236,12 +217,10 @@ def _chaos_main(args) -> int:
             raise ConfigError("chaos report requires a verdict JSON path")
         return _chaos_print_campaign(_load_json(args.names[0]))
 
-    kernels = KERNELS if args.both_kernels else [args.kernel]
-
     if args.action == "run":
         verdict = run_campaign(
             scenarios=args.names or ["locks", "ddss-repl"],
-            seed=args.seed, n_schedules=args.schedules, kernels=kernels,
+            seed=args.seed, n_schedules=args.schedules,
             workers=args.workers, store_path=args.store)
         rc = _chaos_print_campaign(verdict)
         if args.json:
@@ -260,8 +239,7 @@ def _chaos_main(args) -> int:
         index = None
     elif args.action == "shrink" and args.index is None:
         hit = find_failing(name, seed=args.seed,
-                           n_schedules=args.schedules,
-                           kernel=kernels[0])
+                           n_schedules=args.schedules)
         if hit is None:
             print(f"no failing schedule for {name!r} in the first "
                   f"{args.schedules} samples of seed {args.seed}")
@@ -273,7 +251,7 @@ def _chaos_main(args) -> int:
         schedule = space.sample(args.seed, index)
 
     if args.action == "replay":
-        rec = run_schedule(name, schedule, args.seed, kernel=kernels[0])
+        rec = run_schedule(name, schedule, args.seed)
         if index is not None:
             rec["index"] = index
         rc = _print_record(rec)
@@ -283,7 +261,6 @@ def _chaos_main(args) -> int:
 
     # shrink
     report = shrink_schedule(name, schedule, args.seed,
-                             kernel=kernels[0],
                              max_probes=args.max_probes)
     if not report["failed"]:
         print(f"schedule does not fail {name!r}; nothing to shrink")
@@ -407,20 +384,17 @@ def _locks_main(args) -> int:
         return 0
 
     from repro.dlm.tournament import lock_tournament
-    from repro.sim import pin_kernel
 
     try:
-        with pin_kernel(args.kernel):
-            stats = lock_tournament(args.scheme, n_clients=args.clients,
-                                    alpha=args.alpha, chaos=args.chaos,
-                                    seed=args.seed)
+        stats = lock_tournament(args.scheme, n_clients=args.clients,
+                                alpha=args.alpha, chaos=args.chaos,
+                                seed=args.seed)
     except LockError as exc:
         print(f"[locks {args.scheme}] {exc}", file=sys.stderr)
         print("verdict=violation")
         return 1
     print(f"[locks {args.scheme}] clients={args.clients} "
-          f"alpha={args.alpha} chaos={args.chaos} seed={args.seed} "
-          f"[{args.kernel}]")
+          f"alpha={args.alpha} chaos={args.chaos} seed={args.seed}")
     for k in ("grants", "failures", "ops_per_s", "mean_wait_us",
               "p99_wait_us", "max_wait_us", "jain", "max_chain",
               "events", "sim_now_us"):
@@ -470,11 +444,6 @@ def build_parser() -> argparse.ArgumentParser:
     seed = flag("--seed", type=_nonneg_int, default=0,
                 help="root seed (schedules are a pure function of "
                      "seed+index)")
-    kernel = flag("--kernel", choices=KERNELS, default="fast")
-    both = flag("--both-kernels", action="store_true",
-                help="run under both event kernels (fast / slow), "
-                     "diffing canonical trace digests where the action "
-                     "folds them")
     json_out = flag("--json", metavar="PATH", default=None,
                     help="write the machine-readable record / verdict "
                          "here")
@@ -491,7 +460,7 @@ def build_parser() -> argparse.ArgumentParser:
     runp = sub.add_parser("run", help="build, print and check figures")
     runp.add_argument("ids", nargs="+", help="figure names (or 'all')")
     checkp = sub.add_parser(
-        "check", parents=[seed, kernel, both, json_out, workers],
+        "check", parents=[seed, json_out, workers],
         help="replay scenarios or trace files against the correctness "
              "oracles (locks / DDSS coherence / caching / txn / HA)")
     checkp.add_argument("action",
@@ -511,7 +480,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="meta: comma-separated node counts "
                              "(0 = per-scenario default)")
     chaosp = sub.add_parser(
-        "chaos", parents=[seed, kernel, both, json_out, workers],
+        "chaos", parents=[seed, json_out, workers],
         help="randomized fault-schedule campaigns judged by oracles, "
              "with reproducer shrinking")
     chaosp.add_argument("action",
@@ -522,7 +491,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "(run default: locks ddss-repl); verdict "
                              "JSON path for report")
     chaosp.add_argument("--schedules", type=_pos_int, default=10,
-                        help="schedules per scenario per kernel "
+                        help="schedules per scenario "
                              "(run), or samples scanned for a failure "
                              "(shrink without --index)")
     chaosp.add_argument("--index", type=_nonneg_int, default=None,
@@ -536,7 +505,7 @@ def build_parser() -> argparse.ArgumentParser:
     chaosp.add_argument("--max-probes", type=_pos_int, default=64,
                         help="shrink: probe budget (default 64)")
     locksp = sub.add_parser(
-        "locks", parents=[seed, kernel, json_out],
+        "locks", parents=[seed, json_out],
         help="lock-design arena: run one oracle-checked tournament cell")
     locksp.add_argument("action", choices=["ls", "run"])
     locksp.add_argument("scheme", nargs="?", default="ncosed",

@@ -92,7 +92,7 @@ def lock_tournament(scheme: str, n_clients: int = 256,
         raise LockError(f"unknown chaos mode {chaos!r} (none|crash)")
     cluster = Cluster(n_nodes=N_NODES, params=NetworkParams.infiniband(),
                       seed=seed)
-    obs = cluster.observe(ring=RING, strict=False)
+    obs = cluster.observe(ring=RING)
     fairness = FairnessTracker().attach(obs)
     if chaos == "crash":
         from repro.faults import FaultPlan

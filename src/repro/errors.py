@@ -121,11 +121,7 @@ class ConfigError(ReproError):
 
 
 class SanitizerError(ReproError):
-    """An oracle attached to the live trace observed a violation.
-
-    Raised at the emission instant (``Observability`` strict mode, see
-    :meth:`repro.verify.Oracle.attach`) so the offending event is at the
-    top of the traceback; :meth:`repro.obs.Observability.check` raises
-    it too when a replay of the ring finds a violation.
-    """
+    """An oracle found a violation in a trace:
+    :meth:`repro.obs.Observability.check` raises it when a replay of the
+    ring flags one."""
 

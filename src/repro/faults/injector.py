@@ -23,11 +23,9 @@ single place the :mod:`repro.net` layer consults:
   completion must fail with if either endpoint crashed while it was in
   flight.  This is what keeps a restarted node from consuming a *zombie
   completion* posted by its previous incarnation.  Crashes come only
-  from the plan, so an analytic transfer of the fast kernel that
-  arrives before :attr:`calm_until` cannot be fenced; only one that a
-  planned crash can reach calls it at the arrival instant.
-  :meth:`fence_completion` wraps a generator transfer's completion
-  event in the same check.
+  from the plan, so a transfer that arrives before :attr:`calm_until`
+  cannot be fenced; only one that a planned crash can reach calls it at
+  the arrival instant.
 
 Every hook reads the clock or the ``down`` set at the instant it is
 called, so the net layer consults each one at the instant the generator
@@ -306,19 +304,3 @@ class FaultInjector:
                 f"stale completion fenced: endpoint of "
                 f"{src_id}->{dst_id} crashed mid-transfer")
         return None
-
-    def fence_completion(self, src_id: int, dst_id: int,
-                         inner: Event) -> Event:
-        """Gate a generator transfer's completion on :meth:`fenced`."""
-        since = self.crashes
-        gate = self.env.event()
-
-        def _done(ev):
-            exc = self.fenced(since, src_id, dst_id) if ev.ok else ev._value
-            if exc is None:
-                gate.succeed(ev._value)
-            else:
-                gate.fail(exc)
-
-        inner.add_callback(_done)
-        return gate

@@ -80,7 +80,7 @@ class Cluster:
         counters.
 
         Returns the (installed) observability handle; keyword arguments
-        are forwarded (``ring``, ``strict``).  Install before starting
+        are forwarded (``ring``).  Install before starting
         the workload — the oracles judge the trace from its first
         event.  A repeat call returns the installed handle, or raises
         :class:`ConfigError` if its arguments contradict it.

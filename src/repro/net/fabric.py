@@ -4,10 +4,11 @@ A transfer from node A to node B costs::
 
     nic_tx  +  egress-link hold (serialization)  +  wire latency  +  nic_rx
 
-The per-node egress link is a FIFO resource, so concurrent large
+The per-node egress link is a FIFO server, so concurrent large
 transfers from the same node queue behind each other — this is what makes
 bandwidth a shared, contended quantity (needed for the cooperative-cache
-and flow-control experiments).
+and flow-control experiments).  The link is analytic: each transfer
+books its serialization window when it is injected (DESIGN.md §9).
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from functools import partial
 from typing import Dict, Optional, TYPE_CHECKING
 
 from repro.errors import ConfigError
-from repro.sim import Environment, Event, Resource
+from repro.sim import Environment, Event
 
 from repro.net.params import NetworkParams
 
@@ -44,11 +45,8 @@ class Fabric:
         self.env = env
         self.params = params
         self._nodes: Dict[int, "Node"] = {}
-        #: per-node egress link of the generator transfers (the slow
-        #: kernel's executable spec)
-        self._egress: Dict[int, Resource] = {}
-        #: the same link on the fast kernel: the instant its chain of
-        #: booked serialization windows ends (DESIGN.md §9)
+        #: per-node egress link: the instant its chain of booked
+        #: serialization windows ends (DESIGN.md §9)
         self._egress_end: Dict[int, float] = {}
         self.bytes_moved = 0
         self.transfers = 0
@@ -61,7 +59,6 @@ class Fabric:
         if node.id in self._nodes:
             raise ConfigError(f"node id {node.id} already attached")
         self._nodes[node.id] = node
-        self._egress[node.id] = Resource(self.env, capacity=1)
         self._egress_end[node.id] = self.env.now
 
     def node(self, node_id: int) -> "Node":
@@ -101,28 +98,18 @@ class Fabric:
         return self._arrival(src_id, dst_id, nbytes)
 
     def _arrival(self, src_id: int, dst_id: int, nbytes: int) -> Event:
-        """Completion event of one accepted injection at ``src_id`` —
-        the one fast/slow decision of this module: the fast kernel
-        routes it analytically (:meth:`_route`), the slow kernel runs
-        the generator transfer, which is the executable spec."""
+        """Completion event of one accepted injection at ``src_id``,
+        routed by :meth:`_route`."""
         env = self.env
-        if env.fastpath:
-            done = Event(env)
-            t = self._route(src_id, dst_id, nbytes, partial(_settle, done))
-            if t >= 0.0:
-                env._schedule_at(t, done, value=None)
-            return done
-        done = self._spawn(src_id, dst_id, nbytes)
-        if self.injector is not None:
-            # a crash at either end while the payload is in flight must
-            # fail this completion, not deliver into the new incarnation
-            return self.injector.fence_completion(src_id, dst_id, done)
+        done = Event(env)
+        t = self._route(src_id, dst_id, nbytes, partial(_settle, done))
+        if t >= 0.0:
+            env._schedule_at(t, done, value=None)
         return done
 
     def _route(self, src_id: int, dst_id: int, nbytes: int,
                arrive) -> float:
-        """Inject one accepted payload on the fast kernel: the one
-        routing hook.
+        """Inject one accepted payload: the one routing hook.
 
         A route is a tandem of analytic FIFO servers, each booked when
         the payload reaches it.  The flat fabric has one, the sender's
@@ -135,7 +122,8 @@ class Fabric:
         ``release()`` would run.  The additions keep the generator's
         association order: it computes ``(start + serialization)`` and
         then ``+ (wire + nic_rx)`` across separate Timeouts, and float
-        addition is not associative.
+        addition is not associative.  (The generator transfer is kept
+        in ``tests/sim/reference_kernel.py``.)
 
         Unless a planned crash can reach the payload (it arrives at or
         after the injector's ``calm_until``), the arrival instant is
@@ -146,7 +134,7 @@ class Fabric:
         later booking fixes calls ``arrive(None, t)`` at that booking
         instead (:class:`repro.topo.TopoFabric`).  ``link_factor`` is
         consulted now when the plan slows a node (else the factor is
-        1.0, and ``x * 1.0 == x``), as :meth:`_transfer_proc` does.
+        1.0, and ``x * 1.0 == x``), as the generator does.
         """
         env = self.env
         self.transfers += 1
@@ -194,27 +182,3 @@ class Fabric:
         injector = self.injector
         arrive(None if injector.crashes == since
                else injector.fenced(since, src_id, dst_id), -1.0)
-
-    def _spawn(self, src_id: int, dst_id: int, nbytes: int) -> Event:
-        """The slow kernel's twin of :meth:`_route`: the same payload as
-        a generator that holds the link :class:`Resource`."""
-        self.transfers += 1
-        self.bytes_moved += nbytes
-        if src_id == dst_id:
-            return self.env.timeout(self.params.local_op_us)
-        return self.env.process(
-            self._transfer_proc(src_id, dst_id, nbytes),
-            name=f"xfer-{src_id}->{dst_id}")
-
-    def _transfer_proc(self, src_id: int, dst_id: int, nbytes: int):
-        p = self.params
-        factor = (self.injector.link_factor(src_id, dst_id)
-                  if self.injector is not None else 1.0)
-        yield self.env.timeout(p.nic_tx_us)
-        link = self._egress[src_id]
-        yield link.acquire()
-        try:
-            yield self.env.timeout(p.serialization_us(nbytes) * factor)
-        finally:
-            link.release()
-        yield self.env.timeout(p.wire_latency_us * factor + p.nic_rx_us)

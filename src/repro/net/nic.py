@@ -70,9 +70,6 @@ _OP_READ = 0
 _OP_WRITE = 1
 _OP_CAS = 2
 _OP_FAA = 3
-#: process-name stems of the generator twins, indexed by op code (the
-#: atomic stems double as ``_atomic_proc``'s op argument).
-_OP_NAMES = ("rdma-read", "rdma-write", "cas", "faa")
 
 
 class NIC:
@@ -129,10 +126,10 @@ class NIC:
         The message lands in the destination's tag queue on arrival
         (header + ``size`` bytes on the wire); ``done``, if given, then
         succeeds with it, or fails if it is lost (:meth:`send_wait`).
-        Fault-free on the fast kernel the arrival is one bare agenda
-        call at the instant :meth:`Fabric._route` returns or hands to
-        :meth:`_land`; otherwise it rides the transfer event, with the
-        fence and ``message_fate`` consulted at arrival (DESIGN.md §9).
+        Fault-free the arrival is one bare agenda call at the instant
+        :meth:`Fabric._route` returns or hands to :meth:`_land`;
+        otherwise it rides the transfer event, with the fence and
+        ``message_fate`` consulted at arrival (DESIGN.md §9).
         """
         if size < 0:
             raise ConfigError("negative message size")
@@ -146,7 +143,7 @@ class NIC:
         fabric = self.fabric
         nbytes = size + self.params.header_bytes
         nodes = fabric._nodes
-        if env.fastpath and fabric.injector is None and dst_id in nodes:
+        if fabric.injector is None and dst_id in nodes:
             land = partial(NIC._land, nodes[dst_id].nic, msg, done)
             t = fabric._route(self.node.id, dst_id, nbytes, land)
             if t >= 0.0:
@@ -237,19 +234,18 @@ class NIC:
         return self._queue(tag).get()
 
     # ------------------------------------------------------------------
-    # one-sided memory semantics — fast-path slot-pool driver
+    # one-sided memory semantics — slot-pool driver
     # ------------------------------------------------------------------
-    # Callback-chain twin of ``_read_proc`` / ``_write_proc`` /
-    # ``_atomic_proc``: no generator, no Process, no per-stage Event.
-    # On one rack, unless a planned crash can reach a leg in flight, a
-    # verb costs exactly three agenda entries, busy NIC or idle —
-    # *posted* (book the egress link, schedule the remote service
-    # instant), *serve* (touch remote memory, book the return link), and
-    # the completion event itself, scheduled directly at the response's
-    # arrival instant (``Fabric._route`` returned it).  Each instant is
-    # computed with the same float association order the generator
-    # version's chained Timeouts would produce, so fast and
-    # ``REPRO_SLOW_KERNEL=1`` runs stay equivalent.  When a leg's
+    # The callback chain of a one-sided verb: no generator, no Process,
+    # no per-stage Event.  On one rack, unless a planned crash can reach
+    # a leg in flight, a verb costs exactly three agenda entries, busy
+    # NIC or idle — *posted* (book the egress link, schedule the remote
+    # service instant), *serve* (touch remote memory, book the return
+    # link), and the completion event itself, scheduled directly at the
+    # response's arrival instant (``Fabric._route`` returned it).  Each
+    # instant is computed with the same float association order the
+    # generator version's chained Timeouts would produce (the generators
+    # are kept as ``tests/sim/reference_kernel.py``).  When a leg's
     # arrival instant is fixed after injection (a ToR uplink on the way)
     # the route hands it over at that booking — ``_verb_arrived`` /
     # ``_verb_complete`` with ``at`` — and when a planned crash can
@@ -280,20 +276,8 @@ class NIC:
 
     def _post_verb(self, dst: int, op: int, addr: int, rkey: int,
                    a, b, wire: int) -> Event:
-        """Post a one-sided verb; the verbs' fast/slow decision.  The
-        slot-pool chain serves the fast kernel; the generator
-        ``_*_proc`` twins are the executable spec and run under
-        ``REPRO_SLOW_KERNEL=1``."""
+        """Post a one-sided verb on the slot-pool chain."""
         env = self.env
-        if not env.fastpath:
-            name = _OP_NAMES[op]
-            if op == _OP_READ:
-                gen = self._read_proc(dst, addr, rkey, a, wire)
-            elif op == _OP_WRITE:
-                gen = self._write_proc(dst, addr, rkey, a, wire)
-            else:
-                gen = self._atomic_proc(dst, addr, rkey, name, a, b)
-            return env.process(gen, name=f"{name}@{self.node.id}")
         # Flattened Event construction (the only allocation left on the
         # post path) — semantically ``Event(env)``.
         done = Event.__new__(Event)
@@ -356,7 +340,7 @@ class NIC:
         fabric = self.fabric
         dst = self._vdst[s]
         if dst not in fabric._nodes:
-            # Same failure instant and semantics as the slow path, where
+            # Same failure instant and semantics as the generator, where
             # Fabric.transfer raises inside the verb process.
             self._fail_verb(self._free_verb(s), ConfigError(
                 f"transfer between unknown nodes "
@@ -378,7 +362,7 @@ class NIC:
         if t < 0.0:
             return  # the route calls _verb_arrived
         # Fold the NIC turnaround / atomic-unit delay into the same
-        # entry: the slow path schedules it from the arrival instant, so
+        # entry: the generator schedules it from the arrival instant, so
         # ``t + delay`` is the identical float.
         if op == _OP_READ:
             t += p.rdma_turnaround_us
@@ -481,19 +465,6 @@ class NIC:
             obs.verb(self, "read", dst_id, wire, ev)
         return ev
 
-    def _read_proc(self, dst_id, addr, rkey, length, wire):
-        p = self.params
-        self._check_verb_fault(dst_id)
-        yield self.env.timeout(p.post_us)
-        # request descriptor to target
-        yield self.fabric.transfer(self.node.id, dst_id, p.header_bytes)
-        yield self.env.timeout(p.rdma_turnaround_us)
-        data = self.fabric.node(dst_id).memory.rdma_read(addr, rkey, length)
-        # response carrying the data
-        yield self.fabric.transfer(dst_id, self.node.id,
-                                   wire + p.header_bytes)
-        return data
-
     def rdma_write(self, dst_id: int, addr: int, rkey: int, data: bytes,
                    wire_bytes: Optional[int] = None) -> Event:
         """Write ``data`` into remote memory; event fires on remote ack."""
@@ -509,17 +480,6 @@ class NIC:
         if obs is not None:
             obs.verb(self, "write", dst_id, wire, ev)
         return ev
-
-    def _write_proc(self, dst_id, addr, rkey, data, wire):
-        p = self.params
-        self._check_verb_fault(dst_id)
-        yield self.env.timeout(p.post_us)
-        yield self.fabric.transfer(self.node.id, dst_id,
-                                   wire + p.header_bytes)
-        self.fabric.node(dst_id).memory.rdma_write(addr, rkey, data)
-        # hardware ack back to the initiator
-        yield self.fabric.transfer(dst_id, self.node.id, p.header_bytes)
-        return None
 
     def cas(self, dst_id: int, addr: int, rkey: int,
             compare: int, swap: int) -> Event:
@@ -551,24 +511,6 @@ class NIC:
         if all(getattr(cb, "_obs_passive", False) for cb in done.callbacks):
             raise exc
 
-    def _atomic_proc(self, dst_id, addr, rkey, op, a, b):
-        p = self.params
-        self._check_verb_fault(dst_id)
-        yield self.env.timeout(p.post_us)
-        yield self.fabric.transfer(self.node.id, dst_id, p.header_bytes)
-        yield self.env.timeout(p.atomic_exec_us)
-        mem = self.fabric.node(dst_id).memory
-        if op == "cas":
-            old = mem.cas64(addr, rkey, a, b)
-        else:
-            old = mem.faa64(addr, rkey, a)
-        yield self.fabric.transfer(dst_id, self.node.id, p.header_bytes)
-        return old
-
-    # -- convenience over RemoteKey ----------------------------------------
-    # The bounds checks are ``RemoteKey.slice`` inlined (same error
-    # messages) without minting the intermediate RemoteKey — these
-    # helpers are the hottest call sites in key-addressed workloads.
     def read_key(self, key: RemoteKey, offset: int = 0,
                  length: Optional[int] = None,
                  wire_bytes: Optional[int] = None) -> Event:
@@ -605,9 +547,3 @@ class NIC:
         if offset + 8 > key.length:
             raise BoundsError("slice extends past window")
         return self.faa(key.node, key.addr + offset, key.rkey, add)
-
-    def _check_verb_fault(self, dst_id: int) -> None:
-        """Fault hook: raises RdmaError inside an injected failure window."""
-        injector = self.fabric.injector
-        if injector is not None:
-            injector.verb_fault(self.node.id, dst_id)

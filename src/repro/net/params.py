@@ -55,10 +55,6 @@ class NetworkParams:
                 raise ConfigError(f"{field} must be non-negative")
 
     # -- derived helpers -------------------------------------------------
-    def serialization_us(self, nbytes: int) -> float:
-        """Time to clock ``nbytes`` onto the wire."""
-        return nbytes / self.bandwidth_bpus
-
     def sock_cpu_us(self, nbytes: int) -> float:
         """Host CPU work for one socket send or receive of ``nbytes``."""
         return self.sock_cpu_per_msg_us + nbytes * self.sock_cpu_per_byte_us

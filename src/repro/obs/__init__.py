@@ -4,9 +4,8 @@
 :class:`~repro.obs.tracer.Tracer` and a
 :class:`~repro.obs.metrics.MetricsRegistry` and installs them on an
 :class:`~repro.sim.core.Environment` as ``env.obs``.  The run is judged
-by the :mod:`repro.verify` oracles: replayed over the ring after the
-fact, or, in strict mode, attached live so the first violating emission
-raises.
+by the :mod:`repro.verify` oracles, replayed over the ring after the
+fact.
 
 Zero cost when off: ``Environment.obs`` defaults to ``None`` and every
 emission site in the library guards with ``if env.obs is not None`` (or
@@ -17,7 +16,7 @@ export test in ``tests/obs/test_zero_overhead.py``.
 Typical use::
 
     cluster = Cluster(n_nodes=4, seed=7)
-    obs = cluster.observe()              # tracing + live (strict) oracles
+    obs = cluster.observe()              # tracing + metrics
     ... run workload ...
     obs.check()                          # replay: raise on any violation
     obs.export_trace_json("obs.json")    # deterministic trace document
@@ -65,21 +64,18 @@ class Observability:
     ----------
     ring:
         Trace ring capacity (old events fall off; totals are kept).
-    strict:
-        ``True`` attaches every oracle to the live trace, raising
-        :class:`SanitizerError` at the violating event; ``False``
-        attaches nothing, and :meth:`violations` finds the same
-        violations by replaying the ring.
-    sanitize:
-        Accepted at ``True`` only, for callers that still pass it.
+    strict, sanitize:
+        Accepted at ``False`` and ``True`` only, for callers that still
+        pass them: a run is always judged, by :meth:`violations`
+        replaying the ring, and no oracle is attached to the live trace.
     """
 
-    def __init__(self, env, ring: int = 65536, strict: bool = True,
+    def __init__(self, env, ring: int = 65536, strict: bool = False,
                  sanitize: bool = True):
-        if sanitize is not True:
-            raise ConfigError("sanitize=False is gone: a run is always "
-                              "judged; strict=False attaches no live "
-                              "checks")
+        if sanitize is not True or strict is not False:
+            raise ConfigError("sanitize=False and strict=True are gone: "
+                              "a run is always judged, by replaying its "
+                              "trace")
         self.env = env
         #: what a repeat ``Cluster.observe`` must not contradict
         self.options = dict(ring=ring, strict=strict)
@@ -88,10 +84,6 @@ class Observability:
         #: (verb op or latency name, node) -> (cluster, per-node)
         #: histogram: no registry lookup per completion
         self._hists: Dict[tuple, tuple] = {}
-        if strict:
-            from ..verify import ALL_ORACLES
-            for cls in ALL_ORACLES:
-                cls().attach(self.trace)
 
     # -- lifecycle ------------------------------------------------------
     def install(self) -> "Observability":

@@ -3,11 +3,11 @@
 Everything the harness can run by name — the correctness checks, the
 chaos scenarios, the flow-control demo and the datacenter lab — is one
 row of :data:`SCENARIOS`, and every way of running a row goes through
-:func:`judged_run`: pin the event kernel, build the workload under
-observability, replay the full trace through every oracle
-(:func:`repro.verify.judge`), and return one record::
+:func:`judged_run`: build the workload under observability, replay
+the full trace through every oracle (:func:`repro.verify.judge`), and
+return one record::
 
-    scenario, seed, n_nodes, kernel, trace_sha,
+    scenario, seed, n_nodes, trace_sha,
     events, sim_now_us, oracles{name: {checked, violations}},
     violations, violation_msgs[:4], stats{},
     verdict  (violation > vacuous > ok)
@@ -35,7 +35,6 @@ from repro.chaos.space import ChaosSpace, schedule_key
 from repro.dlm import (ALockManager, DQNLManager, MCSManager,
                        NCoSEDManager, SRSLManager)
 from repro.errors import ConfigError, LockError
-from repro.sim import pin_kernel
 from repro.topo.scenarios import build_topo_scenario, shard_check
 from repro.txn.scenarios import build_txn_scenario
 from repro.verify import (TraceView, add_reproducer, canonical_trace_sha,
@@ -43,7 +42,7 @@ from repro.verify import (TraceView, add_reproducer, canonical_trace_sha,
 
 __all__ = ["SCENARIOS", "Scenario", "VERDICTS", "lookup", "worst",
            "judged_run", "run_check", "run_suite", "run_schedule",
-           "lab_run", "lab_sweep", "fold_kernels"]
+           "lab_run", "lab_sweep"]
 
 #: verdicts, mildest first; an aggregate reports the worst it contains
 VERDICTS = ("ok", "vacuous", "violation")
@@ -84,7 +83,7 @@ def _lock_traffic(manager_cls, seed: int, n_nodes: int, **mgr_kw):
     from repro.net import Cluster
 
     cluster = Cluster(n_nodes=n_nodes, seed=seed)
-    obs = cluster.observe(strict=False)
+    obs = cluster.observe()
     manager = manager_cls(cluster, n_locks=4, **mgr_kw)
     env = cluster.env
     rng = cluster.rng.get("check-locks")
@@ -111,7 +110,7 @@ def _lock_chaos(manager_cls, shared_frac: float, seed: int, n_nodes: int,
             .crash(2 % n_nodes or 1, at=3_000.0, restart_at=9_000.0)
             .crash((n_nodes - 1) or 1, at=5_000.0))
     cluster = Cluster(n_nodes=n_nodes, seed=seed)
-    obs = cluster.observe(strict=False)
+    obs = cluster.observe()
     cluster.install_faults(plan)
     manager = manager_cls(cluster, n_locks=4, lease_us=400.0, **mgr_kw)
     env = cluster.env
@@ -135,7 +134,7 @@ def _ddss(seed: int, n_nodes: int):
     from repro.net import Cluster
 
     cluster = Cluster(n_nodes=n_nodes, seed=seed)
-    obs = cluster.observe(strict=False)
+    obs = cluster.observe()
     ddss = DDSS(cluster, segment_bytes=256 * 1024)
     env = cluster.env
     rng = cluster.rng.get("check-ddss")
@@ -177,7 +176,7 @@ def _cache(scheme_name: str, seed: int, n_nodes: int):
     from repro.workloads import FileSet
 
     cluster = Cluster(n_nodes=n_nodes, seed=seed)
-    obs = cluster.observe(strict=False)
+    obs = cluster.observe()
     n_proxies = max(2, n_nodes - 1)
     proxies = cluster.nodes[:n_proxies]
     extra = cluster.nodes[n_proxies:]
@@ -211,7 +210,7 @@ def _flow(seed: int, n_nodes: int):
                                  PacketizedFlowSender)
 
     cluster = Cluster(n_nodes=n_nodes, seed=seed)
-    obs = cluster.observe(strict=False)
+    obs = cluster.observe()
     env = cluster.env
     rx_credit = FlowReceiver(cluster.nodes[1])
     rx_packed = FlowReceiver(cluster.nodes[2])
@@ -332,10 +331,9 @@ def worst(records: Sequence[dict]) -> str:
 # -- the judged run and its callers ---------------------------------------
 
 def judged_run(scenario, seed: int = 0, n_nodes: Optional[int] = None,
-               kernel: str = "fast", schedule: Sequence[dict] = ()
-               ) -> Tuple[dict, object]:
-    """Build one scenario (a name or a :class:`Scenario`) under the
-    pinned ``kernel`` and judge its trace; returns ``(record, obs)``."""
+               schedule: Sequence[dict] = ()) -> Tuple[dict, object]:
+    """Build one scenario (a name or a :class:`Scenario`) and judge its
+    trace; returns ``(record, obs)``."""
     sc = scenario if isinstance(scenario, Scenario) else lookup(scenario)
     n = n_nodes or sc.n_nodes
     args = (seed, n)
@@ -343,25 +341,23 @@ def judged_run(scenario, seed: int = 0, n_nodes: Optional[int] = None,
         args += ([dict(f) for f in schedule], sc.fence)
     elif schedule:
         raise ConfigError(f"scenario {sc.name!r} takes no fault schedule")
-    with pin_kernel(kernel):
-        built = sc.build(*args)
+    built = sc.build(*args)
     obs, stats = built if isinstance(built, tuple) else (built, {})
     view = TraceView.from_obs(obs).require_complete()
     record = {"scenario": sc.name, "seed": int(seed), "n_nodes": n,
-              "kernel": kernel,
               "trace_sha": canonical_trace_sha(obs.trace_dict())}
     record.update(judge(view, stats, sc.primary))
     return record, obs
 
 
-def run_check(name: str, seed: int = 0, kernel: str = "fast",
-              shrink: bool = True, export: Optional[str] = None) -> dict:
+def run_check(name: str, seed: int = 0, shrink: bool = True,
+              export: Optional[str] = None) -> dict:
     """One judged run, its record with the run's ``agenda`` entries; on
     an oracle violation and ``shrink=True`` it carries a ``repro`` entry
     (the shrunk failing event list).  ``export`` names a file for one
     document: the ``repro-trace-v1`` trace plus the run's ``metrics``
     and its ``record``."""
-    record, obs = judged_run(name, seed, kernel=kernel)
+    record, obs = judged_run(name, seed)
     record["agenda"] = obs.env._seq
     if shrink:
         add_reproducer(record, obs.trace)
@@ -372,37 +368,33 @@ def run_check(name: str, seed: int = 0, kernel: str = "fast",
 
 
 def run_suite(names: Optional[Sequence[str]] = None, seed: int = 0,
-              kernels: Sequence[str] = ("fast",),
               shrink: bool = True, export: Optional[str] = None) -> dict:
-    """:func:`run_check` over names × kernels (default: the whole
-    table); the suite's verdict is the worst of its results.  With
-    ``export``, exactly one row under one kernel."""
+    """:func:`run_check` over names (default: the whole table); the
+    suite's verdict is the worst of its results.  With ``export``,
+    exactly one row."""
     names = list(names) if names else sorted(SCENARIOS)
     for name in names:
         lookup(name)  # fail fast on typos
-    if export is not None and len(names) * len(kernels) != 1:
+    if export is not None and len(names) != 1:
         raise ConfigError(f"--export writes one run's document: name one "
-                          f"scenario under one kernel, not "
-                          f"{len(names)} x {len(kernels)}")
-    results = [run_check(name, seed=seed, kernel=kern, shrink=shrink,
-                         export=export)
-               for name in names for kern in kernels]
+                          f"scenario, not {len(names)}")
+    results = [run_check(name, seed=seed, shrink=shrink, export=export)
+               for name in names]
     return {
         "seed": seed,
-        "kernels": list(kernels),
         "results": results,
-        "failed": [{k: r[k] for k in ("scenario", "kernel", "verdict")}
+        "failed": [{k: r[k] for k in ("scenario", "verdict")}
                    for r in results if r["verdict"] != "ok"],
         "verdict": worst(results),
     }
 
 
-def run_schedule(scenario: str, schedule: Sequence[dict], seed: int, *,
-                 kernel: str = "fast") -> dict:
+def run_schedule(scenario: str, schedule: Sequence[dict],
+                 seed: int) -> dict:
     """One judged run under a fault schedule; the record also names the
     schedule, its fault labels, and the row's fence setting."""
     sc = lookup(scenario)
-    record, _obs = judged_run(sc, seed, kernel=kernel, schedule=schedule)
+    record, _obs = judged_run(sc, seed, schedule=schedule)
     record.update(fence=bool(sc.fence),
                   schedule=[dict(f) for f in schedule],
                   faults=[schedule_key(f) for f in schedule])
@@ -410,7 +402,7 @@ def run_schedule(scenario: str, schedule: Sequence[dict], seed: int, *,
 
 
 def lab_run(scenario: str = "ncosed", seed: int = 0, n_nodes: int = 0,
-            kernel: str = "fast", index: Optional[int] = None) -> dict:
+            index: Optional[int] = None) -> dict:
     """The lab entry point (``repro.scenarios:lab_run``).
 
     Without ``index``: a fault-free judged run (``n_nodes=0`` means the
@@ -419,9 +411,9 @@ def lab_run(scenario: str = "ncosed", seed: int = 0, n_nodes: int = 0,
     the grid is sharded.
     """
     if index is None:
-        return judged_run(scenario, seed, n_nodes or None, kernel)[0]
+        return judged_run(scenario, seed, n_nodes or None)[0]
     schedule = lookup(scenario).space().sample(int(seed), int(index))
-    record = run_schedule(scenario, schedule, int(seed), kernel=kernel)
+    record = run_schedule(scenario, schedule, int(seed))
     record["index"] = int(index)
     return record
 
@@ -438,20 +430,3 @@ def lab_sweep(name: str, grid: Dict[str, list], seeds: Sequence[int],
     store = ResultStore(store_path)
     summary = Runner(sweep, store=store, workers=workers).run()
     return store.records(), summary
-
-
-def fold_kernels(cells: Dict[tuple, Dict[str, dict]],
-                 kernels: Sequence[str]):
-    """Diff canonical digests across kernels.  ``cells`` maps a run key
-    to ``{kernel: record}``; returns ``(pairs, mismatches)``: how many
-    keys ran under every kernel, and ``(key, {kernel: sha})`` for each
-    of those whose digests differ."""
-    pairs, mismatches = 0, []
-    for key, by_kernel in sorted(cells.items()):
-        if any(k not in by_kernel for k in kernels):
-            continue  # a failed run; already in the runner summary
-        pairs += 1
-        shas = {k: by_kernel[k]["trace_sha"] for k in kernels}
-        if len(set(shas.values())) > 1:
-            mismatches.append((key, shas))
-    return pairs, mismatches

@@ -28,14 +28,11 @@ from repro.sim.core import (
     AllOf,
     AnyOf,
     Environment,
-    KERNELS,
     Event,
     Process,
     SimulationError,
     Timeout,
-    pin_kernel,
     settle,
-    slow_kernel_requested,
 )
 from repro.sim.cpu import CPU, CPUJob
 from repro.sim.resources import Resource, Store
@@ -48,15 +45,12 @@ __all__ = [
     "CPUJob",
     "Environment",
     "Event",
-    "KERNELS",
     "Process",
     "Resource",
     "RngStreams",
     "SimulationError",
     "Store",
     "Timeout",
-    "pin_kernel",
     "settle",
-    "slow_kernel_requested",
     "spawn_child",
 ]

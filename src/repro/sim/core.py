@@ -15,35 +15,25 @@ Determinism: events scheduled for the same timestamp fire in scheduling
 order (a monotonically increasing sequence number breaks ties), so a
 seeded simulation always replays identically.
 
-One agenda, two drains (DESIGN.md §9, §14):
-
-* **fast** (default) — a binary heap of ``(when, seq, event, value)``
-  plus a FIFO deque for entries scheduled *at the current time*
-  (triggered events, process start calls, zero-delay timeouts).  Every
-  schedule — heap or deque — consumes one number from the shared
-  sequence counter, and the merge pops whichever of (deque head, heap
-  head) has the globally smallest ``(when, seq)``, so the total firing
-  order is exactly the heap-only order.  One drain serves
-  :meth:`Environment.run` and :meth:`Environment.run_until_event`: it
-  inlines that merge and additionally dispatches consecutive
-  same-instant heap entries as one batch: one head inspection plus a
-  tight loop instead of a full merge per entry.
-* **slow** (``REPRO_SLOW_KERNEL=1``) — the executable spec: everything
-  takes the heap, both runs are naive
-  :meth:`Environment.step`-per-entry loops, and the net layer skips its
-  analytic shortcuts (``Environment.fastpath`` off).  Every cross-kernel
-  test diffs *fast* against it.
+One agenda, one drain (DESIGN.md §9): a binary heap of ``(when, seq,
+event, value)`` plus a FIFO deque for entries scheduled *at the current
+time* (triggered events, process start calls, zero-delay timeouts).
+Every schedule — heap or deque — consumes one number from the shared
+sequence counter, and the drain pops whichever of (deque head, heap
+head) has the globally smallest ``(when, seq)``, so the total firing
+order is exactly the heap-only order.  The drain behind :meth:`run` and
+:meth:`Environment.run_until_event` also dispatches consecutive
+same-instant heap entries as one batch: one head inspection plus a
+tight loop instead of a full merge per entry.  The heap-only kernel it
+reproduces is kept, frozen, as ``tests/sim/reference_kernel.py``.
 """
 
 from __future__ import annotations
 
-import os
 from collections import deque
-from contextlib import contextmanager
 from heapq import heappop, heappush
 from typing import Any, Callable, Generator, Iterable, Optional
 
-from repro.errors import ConfigError
 
 __all__ = [
     "SimulationError",
@@ -54,9 +44,6 @@ __all__ = [
     "AllOf",
     "settle",
     "Environment",
-    "KERNELS",
-    "pin_kernel",
-    "slow_kernel_requested",
 ]
 
 
@@ -79,41 +66,6 @@ _INF = float("inf")
 def _bad_delay(delay: float) -> "SimulationError":
     kind = "negative" if delay < 0 else "non-finite"
     return SimulationError(f"{kind} timeout delay: {delay}")
-
-
-def slow_kernel_requested() -> bool:
-    """True when ``REPRO_SLOW_KERNEL`` asks for the naive heap-only paths.
-
-    Read once per :class:`Environment` at construction so a test can
-    toggle the variable between simulations within one process.
-    """
-    return os.environ.get("REPRO_SLOW_KERNEL", "") not in ("", "0")
-
-
-#: the event kernels every cross-kernel check diffs: the product and
-#: the naive reference (``REPRO_SLOW_KERNEL=1``).
-KERNELS = ("fast", "slow")
-
-
-@contextmanager
-def pin_kernel(mode: str):
-    """Pin the event kernel for Environments built inside the block.
-
-    ``fast`` is the product kernel (heap + same-instant deque, net-layer
-    shortcuts on); ``slow`` is the naive reference.  The previous
-    ``REPRO_SLOW_KERNEL`` setting is restored on exit.
-    """
-    if mode not in KERNELS:
-        raise ConfigError(f"unknown kernel {mode!r} ({'|'.join(KERNELS)})")
-    prev = os.environ.get("REPRO_SLOW_KERNEL")
-    os.environ["REPRO_SLOW_KERNEL"] = "1" if mode == "slow" else "0"
-    try:
-        yield
-    finally:
-        if prev is None:
-            os.environ.pop("REPRO_SLOW_KERNEL", None)
-        else:
-            os.environ["REPRO_SLOW_KERNEL"] = prev
 
 
 class Event:
@@ -144,10 +96,6 @@ class Event:
         return self.callbacks is None
 
     @property
-    def ok(self) -> bool:
-        return self._ok
-
-    @property
     def value(self) -> Any:
         if self._value is _PENDING:
             raise SimulationError("event value not yet available")
@@ -161,10 +109,7 @@ class Event:
         # _queue_event's body, flattened: one frame per trigger
         env = self.env
         seq = env._seq = env._seq + 1
-        if env.fastpath:
-            env._imm.append((seq, self, _ALREADY))
-        else:
-            heappush(env._heap, (env.now, seq, self, _ALREADY))
+        env._imm.append((seq, self, _ALREADY))
         return self
 
     def fail(self, exc: BaseException) -> "Event":
@@ -229,8 +174,7 @@ class Process(Event):
         self._gen = gen
         self.name = name or getattr(gen, "__name__", "process")
         # Kick off at the current time with a bare call to _resume (no
-        # event): it takes the queue and the seq a trigger would, so
-        # both kernels start the process at the same agenda position.
+        # event): it takes the queue and the seq a trigger would.
         env._schedule_call(env.now, self._resume)
 
     # -- internal ------------------------------------------------------
@@ -252,10 +196,7 @@ class Process(Event):
             # the process's own trigger, flattened like succeed()'s push
             env = self.env
             seq = env._seq = env._seq + 1
-            if env.fastpath:
-                env._imm.append((seq, self, _ALREADY))
-            else:
-                heappush(env._heap, (env.now, seq, self, _ALREADY))
+            env._imm.append((seq, self, _ALREADY))
             return
         except BaseException as exc:
             self._ok = False
@@ -399,19 +340,15 @@ class Environment:
 
     def __init__(self):
         #: current simulation time in microseconds, from 0; only the
-        #: kernel's drains write it, everything else reads the plain
-        #: attribute
+        #: drain writes it, everything else reads the plain attribute
         self.now = 0.0
         #: the agenda: a binary heap of ``(when, seq, event, value)``.
         self._heap: list = []
         #: FIFO of ``(seq, event, value)`` entries scheduled at the
-        #: current time; merged with the heap by seq in :meth:`step`.
+        #: current time; merged with the heap by seq in :meth:`_drain`.
         self._imm: deque = deque()
         self._seq = 0
         self._id_streams: dict = {}
-        #: False under ``REPRO_SLOW_KERNEL=1``: immediate entries take
-        #: the heap and the net layer skips its analytic shortcuts.
-        self.fastpath = not slow_kernel_requested()
 
     # -- identifiers ----------------------------------------------------
     def next_id(self, stream: str = "default") -> int:
@@ -446,7 +383,7 @@ class Environment:
         now = self.now
         when = now + delay
         seq = self._seq = self._seq + 1
-        if when == now and self.fastpath:
+        if when == now:
             self._imm.append((seq, ev, value))
         else:
             heappush(self._heap, (when, seq, ev, value))
@@ -467,7 +404,7 @@ class Environment:
     def _schedule_at(self, when: float, event: Event,
                      value: Any = _ALREADY) -> None:
         seq = self._seq = self._seq + 1
-        if when == self.now and self.fastpath:
+        if when == self.now:
             self._imm.append((seq, event, value))
         else:
             heappush(self._heap, (when, seq, event, value))
@@ -475,10 +412,7 @@ class Environment:
     def _queue_event(self, event: Event) -> None:
         """Schedule a triggered event's callbacks at the current time."""
         seq = self._seq = self._seq + 1
-        if self.fastpath:
-            self._imm.append((seq, event, _ALREADY))
-        else:
-            heappush(self._heap, (self.now, seq, event, _ALREADY))
+        self._imm.append((seq, event, _ALREADY))
 
     def _schedule_call(self, when: float, fn: Callable[[], None]) -> None:
         """Schedule a bare callable — the allocation-free agenda entry.
@@ -488,43 +422,12 @@ class Environment:
         paths use this for link release / wire arrival / service stages.
         """
         seq = self._seq = self._seq + 1
-        if when == self.now and self.fastpath:
+        if when == self.now:
             self._imm.append((seq, fn, _CALL))
         else:
             heappush(self._heap, (when, seq, fn, _CALL))
 
     # -- execution ------------------------------------------------------
-    def step(self) -> None:
-        """Process the agenda entry with the smallest ``(when, seq)``.
-
-        Immediate entries all sit at the current time (time cannot
-        advance while the deque is non-empty), so the merge with the
-        heap only ever compares seq numbers at equal timestamps.
-        """
-        imm = self._imm
-        heap = self._heap
-        if imm and (not heap or heap[0][0] > self.now
-                    or heap[0][1] > imm[0][0]):
-            _seq, event, value = imm.popleft()
-        else:
-            try:
-                when, _seq, event, value = heappop(heap)
-            except IndexError:
-                raise SimulationError("step() on an empty agenda") from None
-            if when < self.now:  # pragma: no cover - defensive
-                raise SimulationError("time went backwards")
-            self.now = when
-        if value is _CALL:
-            event()
-            return
-        if value is not _ALREADY and event._value is _PENDING:
-            # Delayed trigger (Timeout): the value rides the agenda entry.
-            event._value = value
-        callbacks, event.callbacks = event.callbacks, None
-        if callbacks:
-            for cb in callbacks:
-                cb(event)
-
     def peek(self) -> float:
         """Time of the next agenda entry, or ``inf`` if empty."""
         if self._imm:
@@ -539,24 +442,17 @@ class Environment:
         if not stop >= self.now:  # also refuses NaN
             raise SimulationError(
                 f"run(until={until}) is not a time at or after now={self.now}")
-        if self.fastpath:
-            self._drain(stop, _NEVER)
-        else:
-            # The executable spec: a bound check and a step() per entry.
-            while self._imm or self._heap:
-                if until is not None and self.peek() > until:
-                    break
-                self.step()
+        self._drain(stop, _NEVER)
         if until is not None and until > self.now:
             self.now = until
         return self.now
 
     def _drain(self, stop: float, target: Event) -> None:
-        """The fast kernel's one drain, behind :meth:`run` and
-        :meth:`run_until_event`: :meth:`step` inlined, plus *batches* —
+        """The kernel's one drain, behind :meth:`run` and
+        :meth:`run_until_event`: the deque/heap merge, plus *batches* —
         every consecutive heap entry still at the instant the merge
         selected fires in a tight loop, with one time write and no merge
-        per entry; the deque cannot preempt a batch (DESIGN.md §14).
+        per entry; the deque cannot preempt a batch (DESIGN.md §9).
         Returns right after the entry that processes ``target`` (in an
         entry of its own, or inline by a :func:`settle` join inside
         one), or when the agenda is empty or its next entry lies past
@@ -618,18 +514,7 @@ class Environment:
         run), stopping right after the entry that processes it.  Raises
         if the agenda drains, or its next entry lies past ``limit``,
         while ``event`` is still untriggered (deadlock detector)."""
-        if not self.fastpath:
-            # The executable spec: two checks and one step() per entry.
-            while not event.triggered:
-                if not (self._imm or self._heap) or self.peek() > limit:
-                    break
-                self.step()
-            else:
-                # Drain zero-delay follow-ups so the callbacks have run.
-                while not event.processed and (self._imm
-                                               or self.peek() <= self.now):
-                    self.step()
-        elif event.callbacks is not None:
+        if event.callbacks is not None:
             # untriggered, it must fire by ``limit``; triggered, its
             # entry already waits at the current instant
             stop = limit if event._value is _PENDING else _INF

@@ -12,7 +12,7 @@ The implementation keeps exact remaining-work accounting: one frame,
 :meth:`CPU._update`, per change of the active-job set decays every
 remaining work by the elapsed virtual service, finishes ripe jobs and
 re-arms the wake-up: a bare agenda call tagged with a generation, so a
-superseded wake stays one no-op entry (DESIGN.md §14).  A job is its
+superseded wake stays one no-op entry (DESIGN.md §9).  A job is its
 own completion event: :meth:`CPU.run` returns the :class:`CPUJob`,
 which a process yields.
 """

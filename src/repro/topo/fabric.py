@@ -1,8 +1,8 @@
 """Two-level rack/spine fabric: host egress links + ToR uplinks.
 
 An intra-rack transfer is exactly a flat-fabric transfer — same code
-path, same float association order, same fast-path eligibility — so a
-single-rack :class:`TopoFabric` is byte-identical to :class:`Fabric`.
+path, same float association order — so a single-rack
+:class:`TopoFabric` is byte-identical to :class:`Fabric`.
 
 A cross-rack transfer crosses two serialization stages::
 
@@ -15,10 +15,10 @@ contention the flat fabric cannot express.  A transfer's uplink is
 picked deterministically by destination rack (``dst_rack % spines``),
 the static ECMP-style spreading real ToRs do per flow.
 
-On the fast kernel both stages are analytic FIFO servers, each booked
-when the payload reaches it (DESIGN.md §9).  The host egress link is
-booked at injection: every transfer reaches it the same constant
-``nic_tx`` later, so injection order is its queue order.  The uplink is
+Both stages are analytic FIFO servers, each booked when the payload
+reaches it (DESIGN.md §9).  The host egress link is booked at
+injection: every transfer reaches it the same constant ``nic_tx``
+later, so injection order is its queue order.  The uplink is
 reached ``nic_tx + wait + serialization(nbytes)`` after injection —
 size-dependent, so booking it at injection could disagree with the order
 the generators' ``up.acquire()`` calls run in — and is therefore booked
@@ -36,7 +36,7 @@ from operator import getitem
 from typing import Dict, Tuple
 
 from repro.errors import ConfigError
-from repro.sim import Environment, Resource
+from repro.sim import Environment
 
 from repro.net.fabric import Fabric
 from repro.net.params import NetworkParams
@@ -72,14 +72,9 @@ class TopoFabric(Fabric):
         self.uplink_bpus = (params.bandwidth_bpus * hosts_per_rack
                             / (self.oversub * spines))
         self._xwire_us = params.wire_latency_us + self.spine_latency_us
-        #: ToR uplinks of the generator transfers (slow kernel) ...
-        self._uplink: Dict[Tuple[int, int], Resource] = {
-            (r, s): Resource(env, capacity=1)
-            for r in range(racks) for s in range(spines)
-        }
-        #: ... and on the fast kernel, where each booked chain ends
-        self._uplink_end: Dict[Tuple[int, int], float] = dict.fromkeys(
-            self._uplink, env.now)
+        #: ToR uplink ``(rack, spine)`` -> where its booked chain ends
+        self._uplink_end: Dict[Tuple[int, int], float] = {
+            (r, s): env.now for r in range(racks) for s in range(spines)}
         self.xrack_transfers = 0
         self.xrack_bytes = 0
         #: the same two tallies by source rack (what its uplinks carried)
@@ -133,33 +128,6 @@ class TopoFabric(Fabric):
         else:
             env._schedule_call(t, partial(self._land, src_id, dst_id,
                                           since, arrive))
-
-    def _spawn(self, src_id: int, dst_id: int, nbytes: int):
-        h = self.hosts_per_rack
-        if src_id // h == dst_id // h:
-            return super()._spawn(src_id, dst_id, nbytes)
-        self._count_xrack(src_id, dst_id, nbytes)
-        return self.env.process(self._xrack_proc(src_id, dst_id, nbytes),
-                                name=f"xfer-{src_id}->{dst_id}")
-
-    def _xrack_proc(self, src_id: int, dst_id: int, nbytes: int):
-        p = self.params
-        factor = (self.injector.link_factor(src_id, dst_id)
-                  if self.injector is not None else 1.0)
-        yield self.env.timeout(p.nic_tx_us)
-        link = self._egress[src_id]
-        yield link.acquire()
-        try:
-            yield self.env.timeout(p.serialization_us(nbytes) * factor)
-        finally:
-            link.release()
-        up = self._uplink[self._up_key(src_id, dst_id)]
-        yield up.acquire()
-        try:
-            yield self.env.timeout((nbytes / self.uplink_bpus) * factor)
-        finally:
-            up.release()
-        yield self.env.timeout(self._xwire_us * factor + p.nic_rx_us)
 
     # -- accounting -------------------------------------------------------
     def pull_metrics(self, metrics) -> None:

@@ -20,7 +20,7 @@ protocol traffic, not just CPU burn.
 
 ``shard_check`` is the deterministic little sibling for the metamorphic
 suite: no faults, but a timed mid-run ``migrate_off``/``ring_restore``
-exercises bounce + tombstone + rebalance identically on every kernel.
+exercises bounce + tombstone + rebalance identically on every run.
 """
 
 from __future__ import annotations
@@ -69,7 +69,7 @@ def build_topo_scenario(seed: int = 0, hosts_per_rack: int = 26):
 
     cluster = TopoCluster(racks=RACKS, hosts_per_rack=hosts_per_rack,
                           spines=SPINES, oversub=OVERSUB, seed=seed)
-    obs = cluster.observe(strict=False, ring=1 << 20)
+    obs = cluster.observe(ring=1 << 20)
     env = cluster.env
     n_nodes = len(cluster.nodes)
     # the victim homes ring slices of both namespaces; keep it off the
@@ -163,8 +163,8 @@ def shard_check(seed: int, n_nodes: int):
     Two racks, both sharded services, and a *timed* mid-run rebalance:
     ``migrate_off`` drops a member from the directory ring under load
     (stale clients bounce, tombstoned units re-resolve), then
-    ``ring_restore`` re-admits it.  No faults are injected, so both
-    kernels must produce byte-identical canonical traces.
+    ``ring_restore`` re-admits it.  No faults are injected, so the
+    reference kernel must produce a byte-identical canonical trace.
     """
     from repro.ddss import Coherence
     from repro.dlm import LockMode
@@ -174,7 +174,7 @@ def shard_check(seed: int, n_nodes: int):
     hosts = max(1, n_nodes // 2)
     cluster = TopoCluster(racks=2, hosts_per_rack=hosts, oversub=2.0,
                           seed=seed)
-    obs = cluster.observe(strict=False)
+    obs = cluster.observe()
     env = cluster.env
     ddss = ShardedDDSS(cluster, segment_bytes=64 * 1024)
     manager = ShardedNCoSEDManager(cluster, n_locks=16)

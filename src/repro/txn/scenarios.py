@@ -78,7 +78,7 @@ def build_txn_scenario(variant: str, seed: int, n_nodes: int,
     n_workers = n_workers or 2 * n_nodes
 
     cluster = Cluster(n_nodes=n_nodes, seed=seed)
-    obs = cluster.observe(strict=False)
+    obs = cluster.observe()
     env = cluster.env
     ddss = DDSS(cluster, segment_bytes=256 * 1024)
 

@@ -3,9 +3,7 @@
 Differential checking for the protocol layers: a run's full event trace
 (``repro-trace-v1``, exported by the obs layer) is replayed against
 sequential reference models — the *oracles* — which flag the first
-divergence from each protocol's contract.  The same oracle can ride the
-live tracer instead (:meth:`Oracle.attach`, ``Observability`` strict
-mode) and raise at the violating emission:
+divergence from each protocol's contract:
 
 * :class:`LockOracle` — mutual exclusion, FIFO/fairness, and epoch
   fencing for the three DLM designs (N-CoSED, DQNL, SRSL);
@@ -28,8 +26,7 @@ On a violation, :func:`shrink` reduces the trace to a small reproducer
 replays one trace through :data:`ALL_ORACLES` and decides its verdict;
 the packaged scenarios and the judged run that feeds it live one layer
 up in :mod:`repro.scenarios`, and :func:`metamorphic_sweep` drives that
-table across kernels, seeds, and node counts through :mod:`repro.lab`,
-diffing the deterministic exports.
+table across seeds and node counts through :mod:`repro.lab`.
 """
 
 from .trace import TRACE_FORMAT, Oracle, TraceView, replay, replay_fresh

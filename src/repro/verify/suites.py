@@ -100,8 +100,9 @@ def canonical_trace_sha(doc: dict) -> str:
     """Digest of a trace quotiented by same-instant order.
 
     The agenda breaks same-time ties by insertion sequence, and the
-    fast event kernel collapses a transfer's multi-event cascade into
-    fewer (earlier-inserted) entries than the naive kernel — so two
+    event kernel collapses a transfer's multi-event cascade into fewer
+    (earlier-inserted) entries than the generator transfer of the
+    reference kernel (``tests/sim/reference_kernel.py``) — so two
     causally *independent* chains landing at one simulated instant may
     pop in either order depending on the kernel.  That holds across
     nodes and equally for two chains co-located on one node (a lock
@@ -112,7 +113,7 @@ def canonical_trace_sha(doc: dict) -> str:
     exactly one thing — the order of events inside one instant at one
     node.  An order flip with consequences moves a later timestamp or
     field and still changes the digest (``KNOWN_TIES`` in
-    :mod:`repro.verify.metamorphic` is the ledger of those).  The hashed
+    ``tests/verify/test_kernel_fold.py`` is the ledger of those).  The hashed
     text is built by :func:`~repro.obs.tracer.trace_chunks`.
     """
     events = doc["events"]

@@ -5,11 +5,10 @@ export produced by :meth:`repro.obs.Observability.trace_dict` — and
 replays them through *oracles*: sequential reference models that flag
 the first divergence from a protocol's contract.
 
-An oracle is fed events in emission order, offline (:func:`replay`) or
-live (:meth:`Oracle.attach`, strict mode).  Checks that need the whole
-trace (e.g. a get justified by a put whose completion event appears
-later because the two overlapped in simulated time) run in
-:meth:`Oracle.finish`, which only a replay calls.
+An oracle is fed events in emission order by :func:`replay`.  Checks
+that need the whole trace (e.g. a get justified by a put whose
+completion event appears later because the two overlapped in simulated
+time) run in :meth:`Oracle.finish`.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ import json
 import math
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
-from ..errors import ConfigError, SanitizerError
+from ..errors import ConfigError
 from ..obs.events import TraceEvent
 from ..obs.tracer import RouteTable
 
@@ -134,21 +133,6 @@ class Oracle:
             "msg": msg,
             "scope": dict(scope),
         })
-
-    def attach(self, tracer) -> "Oracle":
-        """Check live (strict mode): feed each matching event as it is
-        emitted and raise :class:`SanitizerError` from the emitting
-        frame on the first flag.  :meth:`finish` is left to a replay."""
-        def live(ev: TraceEvent) -> None:
-            seen = len(self.violations)
-            self.checked += 1
-            self.feed(tracer.emitted - 1, ev)
-            if len(self.violations) > seen:
-                raise SanitizerError(
-                    f"[{self.NAME}] t={ev.t:.3f} node={ev.node} "
-                    f"{ev.etype}: {self.violations[seen]['msg']}")
-        tracer.subscribe(live, tuple(self.PREFIXES))
-        return self
 
     def to_dict(self) -> Dict[str, Any]:
         return {"checked": self.checked,

@@ -42,7 +42,7 @@ class TestCampaign:
         a = run_campaign(**kw)
         b = run_campaign(**kw)
         assert a["verdict"] == "ok"
-        assert a["violations"] == [] and a["kernel_mismatches"] == []
+        assert a["violations"] == [] and a["findings"] == []
         assert json.dumps(a, sort_keys=True) == json.dumps(b,
                                                            sort_keys=True)
 

@@ -8,8 +8,9 @@ from dataclasses import replace
 import pytest
 
 from repro.scenarios import SCENARIOS, lab_run, run_schedule
-from repro.sim import pin_kernel
 from repro.verify import TxnOracle, TraceView, replay_fresh
+
+from tests.sim import reference_kernel
 
 N_SCHEDULES = 4
 
@@ -29,8 +30,9 @@ class TestTxnChaosRecords:
         assert a == b
 
     def test_slow_kernel_agrees(self):
-        fast = lab_run("txn", seed=7, index=1, kernel="fast")
-        slow = lab_run("txn", seed=7, index=1, kernel="slow")
+        fast = lab_run("txn", seed=7, index=1)
+        slow = reference_kernel.lab_run("txn", seed=7, index=1,
+                                        kernel="slow")
         assert fast["verdict"] == slow["verdict"] == "ok"
         assert fast["trace_sha"] == slow["trace_sha"]
 
@@ -40,8 +42,7 @@ class TestFailoverSemantics:
 
     def _trace(self, schedule, seed=7):
         sc = SCENARIOS["txn"]
-        with pin_kernel("fast"):
-            obs = sc.build(seed, sc.n_nodes, list(schedule), True)
+        obs = sc.build(seed, sc.n_nodes, list(schedule), True)
         return TraceView.from_obs(obs).require_complete()
 
     def _crash_schedule(self):

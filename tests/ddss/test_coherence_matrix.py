@@ -10,6 +10,8 @@ import pytest
 from repro.net import Cluster
 from repro.ddss import DDSS, Coherence
 
+from tests.obs.live import observe_live
+
 A, B, C = (bytes([x]) * 32 for x in (0xAA, 0xBB, 0xCC))
 
 #: models whose second read may legally serve a stale cached copy
@@ -23,7 +25,7 @@ TTL_US = 1_000.0
 
 def build(model, seed=0):
     cluster = Cluster(n_nodes=4, seed=seed)
-    obs = cluster.observe(strict=True)
+    obs = observe_live(cluster)
     ddss = DDSS(cluster, segment_bytes=64 * 1024)
     writer = ddss.client(cluster.nodes[1])
     reader = ddss.client(cluster.nodes[2])

@@ -14,9 +14,10 @@ from repro.dlm.alock import COHORT_LOCAL, COHORT_REMOTE
 from repro.errors import LockError
 from repro.faults import FaultPlan
 from repro.net import Cluster
-from repro.scenarios import lab_run, run_check
 from repro.verify import LockOracle
 from repro.verify.trace import TraceView, replay_fresh
+
+from tests.sim.reference_kernel import lab_run, run_check
 
 
 def _arena(n_clients=12, seed=0, cohort_budget=3, lease_us=None,

@@ -13,9 +13,10 @@ from repro.dlm import LockMode, MCSManager
 from repro.errors import LockError
 from repro.faults import FaultPlan
 from repro.net import Cluster
-from repro.scenarios import lab_run, run_check
 from repro.verify import LockOracle
 from repro.verify.trace import TraceView, replay_fresh
+
+from tests.sim.reference_kernel import lab_run, run_check
 
 
 def _contend(n_clients=10, seed=0, lease_us=None, plan=None,

@@ -43,7 +43,7 @@ def uncontended_round(scheme, mode, ft_kw):
 
     done = cluster.env.process(main(cluster.env))
     cluster.env.run(until=_HORIZON_US)
-    assert done.triggered and done.ok
+    assert done.triggered and done._ok
     assert len(manager.holders.get(0, ())) == 0
     return verb_counts(cluster)
 

@@ -1,6 +1,7 @@
 """DESIGN.md §6 is the one calibration table: each row, measured
-uncontended on two ``infiniband()`` nodes under both kernels, equals the
-table at the precision it is printed to."""
+uncontended on two ``infiniband()`` nodes under both kernels (the
+product and ``tests/sim/reference_kernel.py``), equals the table at the
+precision it is printed to."""
 
 import re
 from pathlib import Path
@@ -8,7 +9,8 @@ from pathlib import Path
 import pytest
 
 from repro.net import Cluster, NetworkParams
-from repro.sim import KERNELS, pin_kernel
+
+from tests.sim.reference_kernel import KERNELS, pin_kernel
 
 DESIGN = Path(__file__).resolve().parents[2] / "DESIGN.md"
 

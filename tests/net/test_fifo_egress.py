@@ -1,15 +1,15 @@
 """The analytic FIFO stages against the generator transfer process.
 
 Open-loop differential tests (DESIGN.md §9): a seeded schedule of
-injections is replayed under the fast kernel, where every transfer books
-its FIFO stages analytically and every one-sided verb is the callback
-chain, and under ``REPRO_SLOW_KERNEL=1``, where every transfer holds the
-links as a generator — and every completion instant must be the same
-float.  The schedules are built so that no same-instant *tie* can
-interfere (each instant belongs to one sending node and one driver,
-which posts in list order under both kernels), so any difference here
-is the booking arithmetic or a fault hook consulted at the wrong
-instant, not agenda order.
+injections is replayed on the product, where every transfer books its
+FIFO stages analytically and every one-sided verb is the callback
+chain, and on the reference kernel (``tests/sim/reference_kernel.py``),
+where every transfer holds the links as a generator — and every
+completion instant must be the same float.  The schedules are built so
+that no same-instant *tie* can interfere (each instant belongs to one
+sending node and one driver, which posts in list order on both
+kernels), so any difference here is the booking arithmetic or a fault
+hook consulted at the wrong instant, not agenda order.
 
 The faulted schedules add what no packaged scenario reaches: crashes
 landing on payloads in flight, slowed nodes, partitions, failing verbs
@@ -26,8 +26,11 @@ from repro.errors import NodeDownError
 from repro.faults import FaultPlan
 from repro.faults.plan import VerbFault
 from repro.net import Cluster
-from repro.sim import KERNELS, Process, pin_kernel
+from repro.sim import Process
 from repro.topo import TopoCluster
+
+from tests.sim import reference_kernel
+from tests.sim.reference_kernel import KERNELS, pin_kernel
 
 SIZES = (0, 8, 64, 4096, 32768, 900_000)
 BURST = 20  # one instant, one node: >= 16 must queue on its link
@@ -87,11 +90,11 @@ def _replay(cluster, bursts, deep, plan=None):
         def completed(ev):
             # (instant, ok, exception type | CAS old word | bytes read)
             value = ev._value
-            if not ev.ok:
+            if not ev._ok:
                 value = type(value).__name__
             elif kind == "send_wait":
                 value = value.mid
-            outcome[i] = (env.now, ev.ok, value)
+            outcome[i] = (env.now, ev._ok, value)
 
         ev.add_callback(completed)
 
@@ -108,12 +111,14 @@ def _replay(cluster, bursts, deep, plan=None):
     def sampler(env):
         # the head of the deep burst holds the egress link for 222 us
         # or more (and a 4:1 uplink for twice that); the rest of the
-        # burst is behind it
-        links = [*fabric._egress.values(),
-                 *getattr(fabric, "_uplink", {}).values()]
+        # burst is behind it.  Only the reference kernel's generators
+        # hold links a queue can be read off.
         for _ in range(30):
             yield env.timeout(10.0)
-            depth[0] = max(depth[0], *(link.queue_len for link in links))
+            links = [*getattr(fabric, "_egress", {}).values(),
+                     *getattr(fabric, "_uplink", {}).values()]
+            depth[0] = max(depth[0], 0,
+                           *(link.queue_len for link in links))
 
     env.process(driver(env))
     env.run()
@@ -289,9 +294,9 @@ def test_faulted_completions_equal_generator(topology, seed):
 
 def test_faulted_two_rack_run_creates_no_transfer_or_verb_process(
         monkeypatch):
-    """``env.fastpath`` is the only fast/slow decision: with an injector
-    attached and two racks, the fast kernel still creates no generator
-    transfer and no generator verb."""
+    """The product creates no generator transfer and no generator
+    verb, with an injector attached and two racks; the reference kernel
+    creates them (so the check sees them)."""
     names = []
     init = Process.__init__
 
@@ -343,7 +348,7 @@ def _entries(make_cluster, op, plan):
     else:
         ev = nic.send_wait(key.node, size=8)
     env.run(until=1000.0)
-    assert ev.ok
+    assert ev._ok
     return env._seq - seq - (plan == "reach")   # not the crash's own exit
 
 
@@ -401,22 +406,23 @@ def _read(cluster):
     return outcome
 
 
-def _request_leg(topology):
+def _request_leg(topology, monkeypatch):
     """``(injected, arrives)`` of a fault-free read's request leg, taken
     from the generator transfer."""
     with pin_kernel("slow"):
         cluster = TWO_TOPOLOGIES[topology]()
-    env, spawn = cluster.env, cluster.fabric._spawn
+    env, spawn = cluster.env, reference_kernel.spawn
     legs = []
 
-    def logged_spawn(src, dst, nbytes):
+    def logged_spawn(fabric, src, dst, nbytes):
         t0 = env.now
-        done = spawn(src, dst, nbytes)
+        done = spawn(fabric, src, dst, nbytes)
         done.add_callback(lambda _e: legs.append((t0, env.now)))
         return done
 
-    cluster.fabric._spawn = logged_spawn
-    assert _read(cluster)[1] == bytes(8)
+    with monkeypatch.context() as m:
+        m.setattr(reference_kernel, "spawn", logged_spawn)
+        assert _read(cluster)[1] == bytes(8)
     return legs[0]
 
 
@@ -434,13 +440,14 @@ def _read_under_crash(topology, kernel, victim, at):
 @pytest.mark.parametrize("victim", [1, 3], ids=["initiator", "target"])
 @pytest.mark.parametrize("share", [0.05, 0.5])
 @pytest.mark.parametrize("topology", sorted(TWO_TOPOLOGIES))
-def test_planned_crash_fences_a_leg_in_flight(topology, share, victim):
+def test_planned_crash_fences_a_leg_in_flight(topology, share, victim,
+                                              monkeypatch):
     """A planned crash of either endpoint while the request leg is in
     flight — early, before a cross-rack leg reaches its uplink, or
     halfway, after the booking that fixed its arrival — fails the read
     with ``NodeDownError`` at that leg's arrival instant, the same float
     on both kernels."""
-    injected, arrival = _request_leg(topology)
+    injected, arrival = _request_leg(topology, monkeypatch)
     at = injected + share * (arrival - injected)
     for kernel in KERNELS:
         assert _read_under_crash(topology, kernel, victim, at) \
@@ -448,11 +455,11 @@ def test_planned_crash_fences_a_leg_in_flight(topology, share, victim):
 
 
 @pytest.mark.parametrize("topology", sorted(TWO_TOPOLOGIES))
-def test_crash_at_the_arrival_instant_fences_the_leg(topology):
+def test_crash_at_the_arrival_instant_fences_the_leg(topology, monkeypatch):
     """A crash timer that fires at the request leg's arrival instant
     runs first (it was scheduled at install), so the leg is fenced on
     both kernels: an arrival at ``calm_until`` is not calm."""
-    _injected, arrival = _request_leg(topology)
+    _injected, arrival = _request_leg(topology, monkeypatch)
     for kernel in KERNELS:
         assert _read_under_crash(topology, kernel, 3, arrival) \
             == (arrival, 1), kernel
@@ -489,7 +496,7 @@ def _message_cost(make_cluster, op, n):
 
 
 #: (op, topology) -> (frames, agenda entries) of one fault-free message on
-#: the fast kernel.  A post is ``post``, ``Message``, ``next_id``,
+#: the product kernel.  A post is ``post``, ``Message``, ``next_id``,
 #: ``_route`` and one ``_schedule_call`` at the arrival instant, where
 #: ``_land``, ``_queue`` and ``Store.try_put`` deliver it: one entry.  A
 #: send adds its own frame and the ``timeout`` of the local completion,

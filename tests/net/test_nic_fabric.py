@@ -4,7 +4,8 @@ import pytest
 
 from repro.errors import ConfigError, ProtectionError
 from repro.net import Cluster, NetworkParams
-from repro.sim import KERNELS, pin_kernel
+
+from tests.sim.reference_kernel import KERNELS, pin_kernel
 
 
 @pytest.fixture
@@ -335,8 +336,8 @@ class TestEgressQueue:
         """Three concurrent sends: one serializing, two queued behind it
         on the sender's egress link, so they land one serialization
         apart — whether the queue is generators waiting on the link
-        (slow kernel) or bookings on it (fast kernel, where no queue
-        length exists to read)."""
+        (reference kernel) or bookings on it (the product, where no
+        queue length exists to read)."""
         nbytes = 900_000  # 1000us serialization each
         for kernel in KERNELS:
             with pin_kernel(kernel):
@@ -363,7 +364,7 @@ class TestEgressQueue:
                 lambda _e: landed.append(ib.env.now))
         ib.env.run()
         p = ib.params
-        alone = (p.nic_tx_us + p.serialization_us(64)) \
+        alone = (p.nic_tx_us + 64 / p.bandwidth_bpus) \
             + (p.wire_latency_us + p.nic_rx_us)
         assert landed == [alone, alone]
 

@@ -15,6 +15,8 @@ from repro.net.nic import NIC
 from repro.obs import Observability, TraceEvent, Tracer
 from repro.topo.fabric import TopoFabric
 
+from tests.sim import reference_kernel
+
 
 def _obs_transfer(fabric, obs, nbytes):
     cache = getattr(fabric, "_ref_cache", None)
@@ -46,6 +48,19 @@ def _pushing(method, xrack=False):
     return pushed
 
 
+def _pushing_spawn(spawn):
+    """The reference kernel's generator transfer, pushing where
+    ``Fabric._spawn`` did: on one rack (across racks ``_count_xrack``
+    pushes)."""
+    def pushed(fabric, src_id, dst_id, nbytes):
+        obs = fabric.env.obs
+        h = getattr(fabric, "hosts_per_rack", None)
+        if obs is not None and (h is None or src_id // h == dst_id // h):
+            _obs_transfer(fabric, obs, nbytes)
+        return spawn(fabric, src_id, dst_id, nbytes)
+    return pushed
+
+
 def _obs_send(self, msg):
     obs = self.env.obs
     if obs is not None:
@@ -64,7 +79,7 @@ def verb(self, nic, op, dst, nbytes, ev):
     self.trace.emit("verb.issue", node=node, op=op, dst=dst, nbytes=nbytes)
 
     def done(e):
-        if e.ok:
+        if e._ok:
             us = self.env.now - t0
             self.trace.emit("verb.complete", node=node,
                             op=op, dst=dst, us=us)
@@ -82,7 +97,7 @@ def latency(self, ev, name, node):
     t0 = self.env.now
 
     def done(e):
-        if e.ok:
+        if e._ok:
             us = self.env.now - t0
             self.metrics.histogram(name).observe(us)
             self.metrics.histogram(name, node=node).observe(us)
@@ -108,7 +123,8 @@ def patch_reference(monkeypatch):
     monkeypatch.setattr(NIC, "pull_metrics", lambda self, metrics: None)
     monkeypatch.setattr(NIC, "_obs_send", _obs_send)
     monkeypatch.setattr(Fabric, "_route", _pushing(Fabric._route))
-    monkeypatch.setattr(Fabric, "_spawn", _pushing(Fabric._spawn))
+    monkeypatch.setattr(reference_kernel, "spawn",
+                        _pushing_spawn(reference_kernel.spawn))
     monkeypatch.setattr(TopoFabric, "_count_xrack",
                         _pushing(TopoFabric._count_xrack, xrack=True))
     monkeypatch.setattr(Observability, "verb", verb)

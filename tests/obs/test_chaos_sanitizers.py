@@ -1,4 +1,4 @@
-"""Chaos schedules re-run with every oracle attached live (strict mode).
+"""Chaos schedules re-run with every oracle attached live (tests/obs/live.py).
 
 Mirrors the ``tests/faults`` schedules: crashes, restarts and message
 loss against the fault-tolerant lock manager and the DDSS control
@@ -13,6 +13,8 @@ from repro.errors import LockError
 from repro.net import Cluster
 from repro.faults import FaultPlan
 from repro.dlm import LockMode, NCoSEDManager
+
+from tests.obs.live import observe_live
 
 LEASE_US = 400.0
 
@@ -46,7 +48,7 @@ class TestNcosedChaosSanitized:
                 .crash(6, at=7_000.0)          # stays down
                 .drop_messages(0.01))
         cluster = Cluster(n_nodes=8, seed=seed)
-        obs = cluster.observe(strict=True)
+        obs = observe_live(cluster)
         cluster.install_faults(plan)
         manager = NCoSEDManager(cluster, n_locks=4, lease_us=LEASE_US)
         env = cluster.env
@@ -70,7 +72,7 @@ class TestNcosedChaosSanitized:
         advance and the forced revocation satisfy the lock oracle."""
         plan = FaultPlan().crash(1, at=2_000.0)
         cluster = Cluster(n_nodes=4, seed=7)
-        obs = cluster.observe(strict=True)
+        obs = observe_live(cluster)
         cluster.install_faults(plan)
         manager = NCoSEDManager(cluster, n_locks=2, lease_us=LEASE_US)
         env = cluster.env
@@ -105,7 +107,7 @@ class TestRpcChaosSanitized:
         from repro.errors import TimeoutError
 
         cluster = Cluster(n_nodes=3, seed=0)
-        obs = cluster.observe(strict=True)
+        obs = observe_live(cluster)
         cluster.install_faults(
             FaultPlan().drop_messages(0.25, start=50.0))
         ddss = DDSS(cluster)

@@ -20,7 +20,7 @@ class TestObsCli:
         path = tmp_path / "ncosed.json"
         assert main(["check", "run", "ncosed", "--export", str(path)]) == 0
         out = capsys.readouterr().out
-        assert "[ncosed] [fast] seed=0 events=" in out
+        assert "[ncosed] seed=0 events=" in out
         assert "verdict=ok" in out
         assert f"wrote {path}" in out
 
@@ -56,8 +56,8 @@ class TestObsCli:
         self.test_export_needs_exactly_one_run(tmp_path, capsys, [])
 
     @pytest.mark.parametrize("names", [["all"], ["ncosed", "flow"],
-                                       ["flow", "--both-kernels"]],
-                             ids=["all", "two", "two-kernels"])
+                                       ["flow", "flow"]],
+                             ids=["all", "two", "twice"])
     def test_export_needs_exactly_one_run(self, tmp_path, capsys, names):
         path = tmp_path / "x.json"
         assert main(["check", "run", *names, "--export", str(path)]) == 2

@@ -13,6 +13,8 @@ from repro.obs import Tracer
 from repro.verify import LockOracle
 from repro.dlm.ft import _EP_MASK, _F24, pack, unpack
 
+from tests.obs.live import attach, observe_live
+
 N_CASES = 300
 
 
@@ -92,7 +94,7 @@ class WordMachine:
 
 def run_machine(seed: int, steps: int = 200):
     tr = Tracer(Environment())
-    san = LockOracle().attach(tr)
+    san = attach(LockOracle(), tr)
     rng = random.Random(seed)
     m = WordMachine(tr, tokens=[rng.randrange(1, _F24)
                                 for _ in range(6)])
@@ -141,7 +143,7 @@ class TestInterleavings:
         """Delayed responses may carry pre-reclaim epochs — never an
         error, per the emission-order contract."""
         tr = Tracer(Environment())
-        san = LockOracle().attach(tr)
+        san = attach(LockOracle(), tr)
         m = WordMachine(tr, tokens=[5])
         stale = m.word            # epoch 0
         m.reclaim()               # home moves to epoch 1
@@ -163,7 +165,7 @@ class TestEpochFencingLive:
         # crash the holder so its lease expires and the reaper reclaims
         plan = FaultPlan().crash(1, at=1_000.0)
         cluster = Cluster(n_nodes=4, seed=3)
-        obs = cluster.observe(strict=True)
+        obs = observe_live(cluster)
         cluster.install_faults(plan)
         manager = NCoSEDManager(cluster, n_locks=1, lease_us=300.0)
         env = cluster.env

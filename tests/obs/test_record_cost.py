@@ -17,8 +17,9 @@ import sys
 
 import pytest
 
-from repro.sim import KERNELS, pin_kernel
 from repro.topo import TopoCluster
+
+from tests.sim.reference_kernel import KERNELS, pin_kernel
 
 #: frames obs adds per recorded verb: ``verb`` and ``emit`` at the post,
 #: ``_verb_done`` and ``emit`` at the completion

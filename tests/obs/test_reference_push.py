@@ -17,10 +17,11 @@ from repro.errors import FaultError, TimeoutError
 from repro.faults import FaultPlan
 from repro.net import Cluster
 from repro.scenarios import SCENARIOS, judged_run
-from repro.sim import KERNELS, pin_kernel
 from repro.topo import TopoCluster
 
+from tests.obs.live import observe_live
 from tests.obs.reference_push import patch_reference
+from tests.sim.reference_kernel import KERNELS, pin_kernel
 
 
 def _exports(obs):
@@ -78,7 +79,7 @@ def _rpc_rig(kernel):
     and timeouts, so both NICs send under faults."""
     with pin_kernel(kernel):
         cluster = Cluster(n_nodes=3, seed=0)
-    obs = cluster.observe()
+    obs = observe_live(cluster)
     cluster.install_faults(FaultPlan().drop_messages(0.3, start=50.0))
     client = DDSS(cluster).client(cluster.nodes[1])
 

@@ -4,9 +4,9 @@ oracle that replaces them.
 
 The unit tests drive one oracle with synthetic event streams through a
 bare :class:`Tracer` (full control over the exact violating event):
-attached live (strict mode) a violation raises :class:`SanitizerError`
-at its emission, and replayed after the fact (collect mode) it is
-listed.  The integration tests at the bottom corrupt real protocol
+attached live (``tests/obs/live.py``) a violation raises
+:class:`SanitizerError` at its emission, and replayed after the fact it
+is listed.  The integration tests at the bottom corrupt real protocol
 state and assert the run's judgement catches it.
 """
 
@@ -19,11 +19,13 @@ from repro.dlm.ft import pack
 from repro.verify import (CacheOracle, FlowOracle, LockOracle, RpcOracle,
                           SingleOwnerOracle, TraceView, replay_fresh)
 
+from tests.obs.live import attach, observe_live
+
 
 def make(oracle_cls):
-    """A bare tracer with one oracle attached live (strict mode)."""
+    """A bare tracer with one oracle attached live."""
     tr = Tracer(Environment())
-    return tr, oracle_cls().attach(tr)
+    return tr, attach(oracle_cls(), tr)
 
 
 def replayed(tr, oracle_cls):
@@ -109,7 +111,7 @@ class TestLockWordSanitizer:
 
     def test_epoch_wraps_mod_2_16(self):
         tr = Tracer(Environment(), capacity=3)
-        oracle = LockOracle().attach(tr)
+        oracle = attach(LockOracle(), tr)
         for ep in range(0x10000):
             self.emit(tr, "lock.reclaim", old_ep=ep,
                       new_ep=(ep + 1) & 0xFFFF)
@@ -275,7 +277,7 @@ def _smash_ddss_unit_lock(strict):
     from repro.ddss.substrate import LOCK_OFF
 
     cluster = Cluster(n_nodes=4, seed=0)
-    obs = cluster.observe(strict=strict)
+    obs = observe_live(cluster) if strict else cluster.observe()
     ddss = DDSS(cluster, segment_bytes=64 * 1024)
     a = ddss.client(cluster.nodes[1])
     b = ddss.client(cluster.nodes[2])
@@ -313,7 +315,7 @@ class TestIntegrationCorruption:
             _smash_ddss_unit_lock(strict=True)
         frames = [(e.path.name, e.name) for e in exc.traceback]
         emit = frames.index(("tracer.py", "emit"))
-        assert frames[emit + 1:] == [("trace.py", "live")]
+        assert frames[emit + 1:] == [("live.py", "live")]
         assert frames[emit - 1] == ("client.py", "_obs_lock")
 
     def test_ncosed_word_corruption_detected(self):

@@ -15,13 +15,15 @@ from repro.net import Cluster
 from repro.faults import FaultPlan
 from repro.obs import Observability
 
+from tests.obs.live import observe_live
+
 
 def lock_workload(observe: bool):
     from repro.dlm import LockMode, NCoSEDManager
 
     cluster = Cluster(n_nodes=6, seed=11)
     if observe:
-        cluster.observe()
+        observe_live(cluster)
     manager = NCoSEDManager(cluster, n_locks=4)
     env = cluster.env
     clients = [manager.client(n) for n in cluster.nodes]
@@ -51,7 +53,7 @@ def ddss_workload(observe: bool):
 
     cluster = Cluster(n_nodes=4, seed=5)
     if observe:
-        cluster.observe()
+        observe_live(cluster)
     ddss = DDSS(cluster, segment_bytes=64 * 1024)
     env = cluster.env
     clients = [ddss.client(n) for n in cluster.nodes[1:]]

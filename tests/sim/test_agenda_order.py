@@ -4,10 +4,10 @@ The contract is a total order on ``(when, seq)``: entries fire in
 nondecreasing ``when``, ties broken by schedule order.  These tests
 drive randomized schedule/pop interleavings through the seam
 (``_schedule_call`` / ``timeout`` in, ``run`` / ``step`` out) under both
-kernels — ``fast`` (heap + same-instant deque, inlined batch drain) and
-``slow`` (the ``step()``-per-entry spec) — and diff the firing order
-against a reference model that simply sorts the scheduled
-``(when, seq)`` pairs.
+kernels — ``fast``, the product (heap + same-instant deque, inlined
+batch drain), and ``slow``, the ``step()``-per-entry reference of
+``tests/sim/reference_kernel.py`` — and diff the firing order against a
+model that simply sorts the scheduled ``(when, seq)`` pairs.
 
 Sizes are parameters: ``small`` keeps tens of entries outstanding,
 ``large`` keeps thousands (well past the 1024 mark at which an earlier
@@ -22,15 +22,16 @@ import pytest
 from repro.sim import Environment
 from repro.sim.core import SimulationError
 
-KERNELS = ["fast", "slow"]
+from tests.sim.reference_kernel import KERNELS, is_reference, pin_kernel, step
+
 #: (outstanding entries at the start, entries fired in total)
 SIZES = {"small": (40, 4_000), "large": (3_000, 12_000)}
 
 
-def _make_env(monkeypatch, kernel: str) -> Environment:
-    monkeypatch.setenv("REPRO_SLOW_KERNEL", "1" if kernel == "slow" else "0")
-    env = Environment()
-    assert env.fastpath is (kernel == "fast")
+def _make_env(kernel: str) -> Environment:
+    with pin_kernel(kernel):
+        env = Environment()
+    assert is_reference(env) is (kernel == "slow")
     return env
 
 
@@ -86,11 +87,11 @@ def _scripted_load(env, seed, n_initial, n_total):
 @pytest.mark.parametrize("size", sorted(SIZES))
 @pytest.mark.parametrize("kernel", KERNELS)
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_pop_order_matches_sorted_reference(monkeypatch, seed, kernel, size):
+def test_pop_order_matches_sorted_reference(seed, kernel, size):
     """Firing order == the schedule log sorted by ``(when, seq)``; the
     delay mix spans ties, bands, bursts and far-future spikes."""
     n_initial, n_total = SIZES[size]
-    env = _make_env(monkeypatch, kernel)
+    env = _make_env(kernel)
     fired, scheduled = _scripted_load(env, seed, n_initial, n_total)
     env.run()
     assert len(fired) >= n_total
@@ -99,10 +100,10 @@ def test_pop_order_matches_sorted_reference(monkeypatch, seed, kernel, size):
 
 @pytest.mark.parametrize("size", sorted(SIZES))
 @pytest.mark.parametrize("seed", [0, 1])
-def test_bounded_slices_fire_like_one_unbounded_run(monkeypatch, seed, size):
+def test_bounded_slices_fire_like_one_unbounded_run(seed, size):
     """``run(until=t)`` in slices == one unbounded ``run()`` == ``slow``.
 
-    The fast kernel serves ``until=`` from the same inlined batch drain
+    The product serves ``until=`` from the same inlined batch drain
     as the unbounded run; slicing must neither skip, reorder nor
     double-fire an entry, every slice must fire only entries at or
     before its bound, and the clock must land on each bound.
@@ -110,13 +111,13 @@ def test_bounded_slices_fire_like_one_unbounded_run(monkeypatch, seed, size):
     n_initial, n_total = SIZES[size]
     logs = {}
     for kernel in KERNELS:
-        env = _make_env(monkeypatch, kernel)
+        env = _make_env(kernel)
         fired, _ = _scripted_load(env, seed, n_initial, n_total)
         env.run()
         logs[kernel] = (list(fired), env.now)
     assert logs["fast"] == logs["slow"]
 
-    env = _make_env(monkeypatch, "fast")
+    env = _make_env("fast")
     fired, scheduled = _scripted_load(env, seed, n_initial, n_total)
     rng = random.Random(seed + 100)
     bound = 0.0
@@ -132,10 +133,10 @@ def test_bounded_slices_fire_like_one_unbounded_run(monkeypatch, seed, size):
 
 
 @pytest.mark.parametrize("kernel", KERNELS)
-def test_interleaved_step_and_schedule(monkeypatch, kernel):
+def test_interleaved_step_and_schedule(kernel):
     """Popping via ``step()`` between schedules preserves the order."""
     rng = random.Random(42)
-    env = _make_env(monkeypatch, kernel)
+    env = _make_env(kernel)
     fired = []
     scheduled = []
     for i in range(4000):
@@ -143,7 +144,7 @@ def test_interleaved_step_and_schedule(monkeypatch, kernel):
         env._schedule_call(when, lambda i=i: fired.append(i))
         scheduled.append((when, env._seq, i))
         if i % 3 == 0:
-            env.step()
+            step(env)
     env.run()
     assert fired == [i for _w, _s, i in sorted(scheduled)]
 
@@ -154,10 +155,10 @@ def test_interleaved_step_and_schedule(monkeypatch, kernel):
 
 @pytest.mark.parametrize("per_instant", [30, 1224])
 @pytest.mark.parametrize("kernel", KERNELS)
-def test_same_instant_ties_fire_fifo(monkeypatch, kernel, per_instant):
+def test_same_instant_ties_fire_fifo(kernel, per_instant):
     """Equal ``when`` (exact float ties) fire in schedule order —
     including bursts wide enough to exercise batch dispatch."""
-    env = _make_env(monkeypatch, kernel)
+    env = _make_env(kernel)
     fired = []
     for i in range(3 * per_instant):   # all at 3 distinct instants
         when = float(1 + i % 3)
@@ -169,8 +170,8 @@ def test_same_instant_ties_fire_fifo(monkeypatch, kernel, per_instant):
 
 
 @pytest.mark.parametrize("kernel", KERNELS)
-def test_negative_delay_rejected(monkeypatch, kernel):
-    env = _make_env(monkeypatch, kernel)
+def test_negative_delay_rejected(kernel):
+    env = _make_env(kernel)
     with pytest.raises(SimulationError, match="negative timeout delay"):
         env.timeout(-1.0)
     with pytest.raises(SimulationError, match="negative timeout delay"):

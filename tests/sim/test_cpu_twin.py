@@ -6,9 +6,11 @@ same floats and take the same agenda slots, so every comparison here is
 ``==``: the order and instants of completions, and how many agenda
 sequence numbers each operation consumed.
 
-Tier-1 replays four scenario rows on the fast kernel with the reference
-patched into :mod:`repro.net.node`; ``REPRO_CPU_TWIN_ALL=1`` widens that
-to every row on both kernels (CI's correctness-oracles job).
+Tier-1 replays four scenario rows on the product kernel with the
+reference patched into :mod:`repro.net.node`; ``REPRO_CPU_TWIN_ALL=1``
+widens that to every row on both kernels, the product's and the
+reference kernel of ``tests/sim/reference_kernel.py`` (CI's
+correctness-oracles job).
 """
 
 import os
@@ -17,10 +19,11 @@ import random
 import pytest
 
 import repro.net.node
-from repro.scenarios import SCENARIOS, judged_run
-from repro.sim import CPU, Environment, KERNELS, pin_kernel
+from repro.scenarios import SCENARIOS
+from repro.sim import CPU, Environment
 
 from tests.sim.reference_cpu import ReferenceCPU
+from tests.sim.reference_kernel import KERNELS, judged_run, pin_kernel
 
 CLASSES = {"product": CPU, "reference": ReferenceCPU}
 
@@ -64,7 +67,7 @@ def _replay(cls, kernel, ops):
             if op == "submit":
                 job = cpu.run(arg, name=f"j{len(jobs)}")
                 job.add_callback(
-                    lambda ev, i=len(jobs): done.append((i, env.now, ev.ok)))
+                    lambda ev, i=len(jobs): done.append((i, env.now, ev._ok)))
                 jobs.append(job)
             else:
                 cpu.set_background(arg)

@@ -1,12 +1,12 @@
-"""Kernel fast paths vs the naive heap-only kernel.
+"""The product kernel's fast paths vs the naive heap-only kernel.
 
-The contract (DESIGN.md §9): with the same seed, a run with the fast
-paths enabled and a run under ``REPRO_SLOW_KERNEL=1`` must fire every
-externally visible event at the same simulated instant and in the same
-relative order — checked here three ways: a property test on raw
-same-timestamp scheduling, timeline equivalence of contended fabric
-transfers, and byte-identical observability exports of the packaged
-scenarios.
+The contract (DESIGN.md §9): with the same seed, a run on the product
+kernel and a run on the reference kernel of
+``tests/sim/reference_kernel.py`` must fire every externally visible
+event at the same simulated instant and in the same relative order —
+checked here three ways: a property test on raw same-timestamp
+scheduling, timeline equivalence of contended fabric transfers, and
+byte-identical observability exports of the packaged scenarios.
 """
 
 import random
@@ -14,14 +14,19 @@ from collections import Counter
 
 import pytest
 
-from repro.sim import Environment, Timeout, slow_kernel_requested
+from repro.errors import ConfigError
+from repro.sim import Environment, Timeout
 from repro.sim.core import SimulationError
 
+from tests.obs.live import observe_live
+from tests.sim.reference_kernel import (is_reference, judged_run,
+                                        pin_kernel)
 
-def _make_env(monkeypatch, slow: bool) -> Environment:
-    monkeypatch.setenv("REPRO_SLOW_KERNEL", "1" if slow else "0")
-    env = Environment()
-    assert env.fastpath is (not slow)
+
+def _make_env(slow: bool) -> Environment:
+    with pin_kernel("slow" if slow else "fast"):
+        env = Environment()
+    assert is_reference(env) is slow
     return env
 
 
@@ -61,10 +66,10 @@ def _random_workload(env, seed, log):
 
 
 @pytest.mark.parametrize("seed", range(12))
-def test_same_timestamp_order_matches_heap_only_kernel(monkeypatch, seed):
+def test_same_timestamp_order_matches_heap_only_kernel(seed):
     logs = []
     for slow in (False, True):
-        env = _make_env(monkeypatch, slow)
+        env = _make_env(slow)
         log = []
         _random_workload(env, seed, log)
         logs.append((log, env.now))
@@ -73,14 +78,19 @@ def test_same_timestamp_order_matches_heap_only_kernel(monkeypatch, seed):
     assert fast_log == slow_log
 
 
-def test_slow_kernel_env_flag(monkeypatch):
-    monkeypatch.delenv("REPRO_SLOW_KERNEL", raising=False)
-    assert not slow_kernel_requested()
-    monkeypatch.setenv("REPRO_SLOW_KERNEL", "0")
-    assert not slow_kernel_requested()
-    monkeypatch.setenv("REPRO_SLOW_KERNEL", "1")
-    assert slow_kernel_requested()
-    assert Environment().fastpath is False
+def test_slow_kernel_env_flag():
+    """The reference is selected per environment, by the block it is
+    built in, and keeps it afterwards; the product knows no kernel
+    switch and builds the same environment whatever is set."""
+    assert not is_reference(Environment())
+    with pin_kernel("fast"):
+        assert not is_reference(Environment())
+    with pin_kernel("slow"):
+        env = Environment()
+    assert is_reference(env) and not is_reference(Environment())
+    assert not hasattr(env, "fastpath")
+    with pytest.raises(ConfigError, match=r"unknown kernel 'heap'"):
+        pin_kernel("heap")
 
 
 # ---------------------------------------------------------------------------
@@ -88,13 +98,13 @@ def test_slow_kernel_env_flag(monkeypatch):
 # ---------------------------------------------------------------------------
 # Each test drives a few transfers by hand, checks every arrival against
 # the float a queue of generator holders would produce, written out, and
-# then against the generators themselves (the slow kernel).
+# then against the generators themselves (the reference kernel).
 
-def _arrivals(monkeypatch, slow, make_cluster, injections):
+def _arrivals(slow, make_cluster, injections):
     """``injections`` = ``[(at, src, dst, nbytes), ...]``; returns the
     arrival instant of each and the agenda entries the run took."""
-    monkeypatch.setenv("REPRO_SLOW_KERNEL", "1" if slow else "0")
-    cluster = make_cluster()
+    with pin_kernel("slow" if slow else "fast"):
+        cluster = make_cluster()
     env, fabric = cluster.env, cluster.fabric
     arrived = {}
 
@@ -120,18 +130,18 @@ def _two_racks():
     return TopoCluster(racks=2, hosts_per_rack=2, oversub=2.0, seed=0)
 
 
-def _both(monkeypatch, make_cluster, injections):
-    fast, entries = _arrivals(monkeypatch, False, make_cluster, injections)
-    slow, _ = _arrivals(monkeypatch, True, make_cluster, injections)
+def _both(make_cluster, injections):
+    fast, entries = _arrivals(False, make_cluster, injections)
+    slow, _ = _arrivals(True, make_cluster, injections)
     assert fast == slow
     return fast, entries
 
 
-def test_reservation_occupies_then_lapses(monkeypatch):
+def test_reservation_occupies_then_lapses():
     p = _flat().params
     tx, tail = p.nic_tx_us, p.wire_latency_us + p.nic_rx_us
     hold = 4500 / p.bandwidth_bpus                  # 5 us
-    got, entries = _both(monkeypatch, _flat, [
+    got, entries = _both(_flat, [
         (0.0, 0, 1, 4500),      # window [tx, tx + hold]
         (2.0, 0, 1, 0),         # ready inside it: starts at its end
         (5.0, 0, 2, 0),         # ready *at* its end: still behind it
@@ -144,13 +154,13 @@ def test_reservation_occupies_then_lapses(monkeypatch):
     assert entries == 4         # the lapse itself took no agenda entry
 
 
-def test_back_to_back_bookings_chain(monkeypatch):
+def test_back_to_back_bookings_chain():
     p = _flat().params
     tx, tail, bw = (p.nic_tx_us, p.wire_latency_us + p.nic_rx_us,
                     p.bandwidth_bpus)
     # each booking starts where the previous one ends, in the float
     # association order a queue of Timeout(hold)s would produce
-    got, entries = _both(monkeypatch, _flat, [
+    got, entries = _both(_flat, [
         (0.1, 0, 1, 700), (0.1, 0, 2, 200), (0.3, 0, 1, 400)])
     first = (0.1 + tx) + 700 / bw
     assert got == [first + tail, (first + 200 / bw) + tail,
@@ -158,11 +168,11 @@ def test_back_to_back_bookings_chain(monkeypatch):
     assert entries == 3         # three bookings, one entry each
 
 
-def test_ready_past_chain_end_starts_at_ready(monkeypatch):
+def test_ready_past_chain_end_starts_at_ready():
     p = _flat().params
     tx, tail, bw = (p.nic_tx_us, p.wire_latency_us + p.nic_rx_us,
                     p.bandwidth_bpus)
-    got, _ = _both(monkeypatch, _flat, [
+    got, _ = _both(_flat, [
         (1.0, 0, 1, 1800),      # [1 + tx, 3 + tx]
         (7.0, 0, 1, 1800),      # idle gap, then [7 + tx, 9 + tx]
         (9.0, 0, 2, 450),       # ready == chain end
@@ -175,7 +185,7 @@ def test_ready_past_chain_end_starts_at_ready(monkeypatch):
                    ((second + 450 / bw) + 0.0) + tail]
 
 
-def test_waiter_behind_reservation_granted_at_deadline(monkeypatch):
+def test_waiter_behind_reservation_granted_at_deadline():
     """A cross-rack payload queued behind an intra-rack booking on its
     host's egress link reaches the ToR uplink when its own window ends,
     and a second one reaches a busy uplink: both FIFO stages chain."""
@@ -183,7 +193,7 @@ def test_waiter_behind_reservation_granted_at_deadline(monkeypatch):
     p = fabric.params
     tx, bw, up = p.nic_tx_us, p.bandwidth_bpus, fabric.uplink_bpus
     xtail = fabric._xwire_us + p.nic_rx_us
-    got, _ = _both(monkeypatch, _two_racks, [
+    got, _ = _both(_two_racks, [
         (0.0, 0, 1, 3600),      # intra-rack: egress [tx, tx + 4]
         (0.0, 0, 2, 1800),      # egress from there for 2, then uplink
         (0.0, 0, 3, 900),       # egress 1 more; the uplink is still busy
@@ -195,10 +205,9 @@ def test_waiter_behind_reservation_granted_at_deadline(monkeypatch):
     assert released + 900 / bw < released + 1800 / up
 
 
-def test_waiter_behind_three_deep_chain_granted_once_at_its_end(monkeypatch):
+def test_waiter_behind_three_deep_chain_granted_once_at_its_end():
     """Three bookings deep, then a cross-rack payload: one bare agenda
     call, at the egress release instant, books its uplink."""
-    monkeypatch.setenv("REPRO_SLOW_KERNEL", "0")
     cluster = _two_racks()
     env, fabric = cluster.env, cluster.fabric
     p = fabric.params
@@ -216,11 +225,11 @@ def test_waiter_behind_three_deep_chain_granted_once_at_its_end(monkeypatch):
     env.run(until=released)
     assert fabric._uplink_end[(0, 0)] == released + 450 / fabric.uplink_bpus
     env.run()
-    assert done.ok
+    assert done._ok
     assert env._seq - seq == 5      # + the event, booked with the uplink
 
 
-def test_reservation_respects_fifo_queue(monkeypatch):
+def test_reservation_respects_fifo_queue():
     """The uplink serves payloads in the order they *reach* it, not the
     order they were injected: host 1 injects later but its small payload
     clears its egress link first — which is why the uplink is booked at
@@ -229,7 +238,7 @@ def test_reservation_respects_fifo_queue(monkeypatch):
     p = fabric.params
     tx, bw, up = p.nic_tx_us, p.bandwidth_bpus, fabric.uplink_bpus
     xtail = fabric._xwire_us + p.nic_rx_us
-    got, _ = _both(monkeypatch, _two_racks, [
+    got, _ = _both(_two_racks, [
         (0.0, 0, 2, 9000),      # reaches the uplink at tx + 10
         (1.0, 1, 3, 7200),      # reaches it at 1 + tx + 8, and holds it 8
     ])
@@ -244,11 +253,11 @@ def test_reservation_respects_fifo_queue(monkeypatch):
 # fabric: contended transfers keep slow-path timing
 # ---------------------------------------------------------------------------
 
-def _burst_timeline(monkeypatch, slow):
+def _burst_timeline(slow):
     from repro.net import Cluster
 
-    monkeypatch.setenv("REPRO_SLOW_KERNEL", "1" if slow else "0")
-    cluster = Cluster(n_nodes=3, seed=0)
+    with pin_kernel("slow" if slow else "fast"):
+        cluster = Cluster(n_nodes=3, seed=0)
     env = cluster.env
     fabric = cluster.fabric
     arrivals = []
@@ -268,21 +277,21 @@ def _burst_timeline(monkeypatch, slow):
     return arrivals, env.now
 
 
-def test_contended_transfer_timeline_matches_slow(monkeypatch):
-    fast, fast_now = _burst_timeline(monkeypatch, slow=False)
-    slow, slow_now = _burst_timeline(monkeypatch, slow=True)
+def test_contended_transfer_timeline_matches_slow():
+    fast, fast_now = _burst_timeline(slow=False)
+    slow, slow_now = _burst_timeline(slow=True)
     assert fast == slow
     assert fast_now == slow_now
 
 
-def test_verb_storm_matches_slow(monkeypatch):
+def test_verb_storm_matches_slow():
     """Many clients hammering one target: mixed contended/uncontended
     verb legs must complete at identical instants in both modes."""
     from repro.net import Cluster
 
     def run(slow):
-        monkeypatch.setenv("REPRO_SLOW_KERNEL", "1" if slow else "0")
-        cluster = Cluster(n_nodes=4, seed=0)
+        with pin_kernel("slow" if slow else "fast"):
+            cluster = Cluster(n_nodes=4, seed=0)
         region = cluster.nodes[0].memory.register(256, name="word")
         key = region.remote_key()
         env = cluster.env
@@ -309,13 +318,13 @@ def test_verb_storm_matches_slow(monkeypatch):
 # verb failure semantics on the fast path
 # ---------------------------------------------------------------------------
 
-def test_fast_verb_protection_error_delivered_to_waiter(monkeypatch):
+def test_fast_verb_protection_error_delivered_to_waiter():
     from repro.errors import ProtectionError
     from repro.net import Cluster
 
     def run(slow):
-        monkeypatch.setenv("REPRO_SLOW_KERNEL", "1" if slow else "0")
-        cluster = Cluster(n_nodes=2, seed=0)
+        with pin_kernel("slow" if slow else "fast"):
+            cluster = Cluster(n_nodes=2, seed=0)
         region = cluster.nodes[1].memory.register(64, name="m")
         key = region.remote_key()
         env = cluster.env
@@ -335,13 +344,13 @@ def test_fast_verb_protection_error_delivered_to_waiter(monkeypatch):
     assert run(False) == run(True) != []
 
 
-def test_fast_verb_unknown_node_fails_like_slow(monkeypatch):
+def test_fast_verb_unknown_node_fails_like_slow():
     from repro.errors import ConfigError
     from repro.net import Cluster
 
     def run(slow):
-        monkeypatch.setenv("REPRO_SLOW_KERNEL", "1" if slow else "0")
-        cluster = Cluster(n_nodes=2, seed=0)
+        with pin_kernel("slow" if slow else "fast"):
+            cluster = Cluster(n_nodes=2, seed=0)
         env = cluster.env
         caught = []
 
@@ -358,16 +367,15 @@ def test_fast_verb_unknown_node_fails_like_slow(monkeypatch):
     assert run(False) == run(True) != []
 
 
-def test_unwatched_fast_verb_crash_surfaces(monkeypatch):
+def test_unwatched_fast_verb_crash_surfaces():
     """An unobserved failing verb must raise, same as a crashed process."""
     from repro.errors import ProtectionError
     from repro.net import Cluster
 
-    monkeypatch.setenv("REPRO_SLOW_KERNEL", "0")
     for observe in (False, True):  # an obs Probe is not a watcher
         cluster = Cluster(n_nodes=2, seed=0)
         if observe:
-            cluster.observe()
+            observe_live(cluster)
         cluster.nodes[0].nic.rdma_write(1, 0xDEAD, 1, b"oops")
         with pytest.raises(ProtectionError):
             cluster.env.run()
@@ -382,21 +390,20 @@ def test_unwatched_failing_acquire_and_get_surface_under_obs(kernel):
     from repro.errors import DDSSError, NodeDownError
     from repro.faults import FaultPlan
     from repro.net import Cluster
-    from repro.sim import pin_kernel
 
     with pin_kernel(kernel):
         cluster = Cluster(n_nodes=3, seed=0)
-    cluster.observe()
+    observe_live(cluster)
     cluster.install_faults(FaultPlan().crash(0, at=0.0))
     lock_home_down = NCoSEDManager(cluster, n_locks=1).client(
         cluster.nodes[1]).acquire(0)
     with pytest.raises(NodeDownError):
         cluster.env.run()
-    assert not lock_home_down.ok
+    assert not lock_home_down._ok
 
     with pin_kernel(kernel):
         cluster = Cluster(n_nodes=3, seed=0)
-    cluster.observe()
+    observe_live(cluster)
     DDSS(cluster, segment_bytes=4096).client(cluster.nodes[1]).get(12345)
     with pytest.raises(DDSSError):
         cluster.env.run()
@@ -409,8 +416,6 @@ def test_unwatched_failing_acquire_and_get_surface_under_obs(kernel):
 @pytest.mark.parametrize("name", ["ncosed", "ddss", "flow",
                                   "ncosed-chaos"])
 def test_scenario_export_identical_fast_vs_slow(name):
-    from repro.scenarios import judged_run
-
     def export(obs):
         return (obs.env.now, obs.trace.emitted, len(obs.trace),
                 Counter(ev.etype for ev in obs.trace),
@@ -429,12 +434,12 @@ def test_negative_timeout_still_rejected():
 
 @pytest.mark.parametrize("slow", [False, True], ids=["fast", "slow"])
 @pytest.mark.parametrize("delay", [float("nan"), float("inf")])
-def test_non_finite_timeout_rejected(monkeypatch, slow, delay):
+def test_non_finite_timeout_rejected(slow, delay):
     """A NaN ``when`` compares false against everything and would
     silently corrupt the heap order; an infinite one would drag the
     clock to ``inf``.  Both are refused at the door, nothing is
     scheduled, and the clock stays put."""
-    env = _make_env(monkeypatch, slow)
+    env = _make_env(slow)
     with pytest.raises(SimulationError, match="non-finite timeout delay"):
         env.timeout(delay)
     with pytest.raises(SimulationError, match="non-finite timeout delay"):

@@ -5,8 +5,9 @@ join: the waiter resumes once, inside the last child's dispatch."""
 import pytest
 
 from repro.net import Cluster
-from repro.sim import (KERNELS, Environment, SimulationError,
-                       pin_kernel, settle)
+from repro.sim import Environment, SimulationError, settle
+
+from tests.sim.reference_kernel import KERNELS, pin_kernel
 
 
 class Boom(Exception):
@@ -46,8 +47,8 @@ def test_mixed_children_all_reported_in_order(kernel):
 @pytest.mark.parametrize("kernel", KERNELS)
 def test_failed_verbs_are_watched(kernel):
     """One-sided verbs with a bad rkey fail with process-crash
-    semantics (a Process on the slow kernel, ``_fail_verb`` on the
-    fast one); settled, every failure is thrown into the waiter."""
+    semantics (a Process on the reference kernel, ``_fail_verb`` on
+    the product); settled, every failure is thrown into the waiter."""
     with pin_kernel(kernel):
         cluster = Cluster(n_nodes=3, seed=0)
     seg = cluster.nodes[1].memory.register(64, name="seg")

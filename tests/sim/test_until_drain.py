@@ -1,7 +1,7 @@
 """``run_until_event`` against its reference twin.
 
-:func:`tests.sim.reference_until.run_until_event` is the step loop the
-method was before the fast kernel's batched drain served it.  Every case
+:func:`tests.sim.reference_kernel.run_until_event` is the step loop the
+method was before the batched drain served it.  Every case
 builds the same seeded load twice, waits on the same event once with
 the product and once with the reference, and compares the stopping
 point exactly: ``now``, ``_seq``, every pending agenda entry, what has
@@ -14,10 +14,11 @@ from functools import partial
 
 import pytest
 
-from repro.sim import KERNELS, Environment, SimulationError, pin_kernel
+from repro.sim import Environment, SimulationError
 from repro.sim.core import _CALL
 
-from tests.sim.reference_until import run_until_event as reference
+from tests.sim.reference_kernel import KERNELS, pin_kernel
+from tests.sim.reference_kernel import run_until_event as reference
 
 
 def _background(env, seed, fired):

@@ -14,7 +14,9 @@ import sys
 
 import pytest
 
-from repro.sim import CPU, Environment, KERNELS, Resource, pin_kernel
+from repro.sim import CPU, Environment, Resource
+
+from tests.sim.reference_kernel import KERNELS, pin_kernel
 
 
 def _spawn_and_join(env, n):
@@ -57,23 +59,23 @@ def _grants(env, n):
     return body()
 
 
-#: wait -> (process body factory, frames per wait on the fast kernel,
-#: agenda entries per wait)
+#: wait -> (process body factory, frames per wait on the product
+#: kernel, agenda entries per wait, of which at the current instant)
 WAITS = {
     # env.process, Process.__init__, _schedule_call, the child's
     # _resume and generator frame; the parent's _resume and generator.
     # Entries: the start call, the child's completion.
-    "process start + join": (_spawn_and_join, 7, 2),
+    "process start + join": (_spawn_and_join, 7, 2, 2),
     # env.timeout, _resume, the generator
-    "timeout": (_timeouts, 3, 1),
+    "timeout": (_timeouts, 3, 1, 0),
     # CPU.run, CPUJob.__init__, _schedule_call; at the wake _on_wake,
     # _update, CPUJob.succeed; _resume, the generator.  Entries: the
     # wake, the completion.
-    "cpu job, idle cpu": (_cpu_jobs(0), 8, 2),
+    "cpu job, idle cpu": (_cpu_jobs(0), 8, 2, 1),
     # as above, but the submit runs _update too
-    "cpu job, busy cpu": (_cpu_jobs(1), 9, 2),
+    "cpu job, busy cpu": (_cpu_jobs(1), 9, 2, 1),
     # acquire, Event.__init__, succeed, _resume, the generator, release
-    "resource grant": (_grants, 6, 1),
+    "resource grant": (_grants, 6, 1, 1),
 }
 
 
@@ -105,11 +107,13 @@ def _frames(kernel, make, n):
 @pytest.mark.parametrize("kernel", KERNELS)
 @pytest.mark.parametrize("wait", sorted(WAITS))
 def test_frames_per_wait(wait, kernel):
-    """The slow kernel's drain adds one ``step()`` frame per entry."""
-    make, frames, entries = WAITS[wait]
+    """The reference kernel's drain adds one ``step()`` frame per entry,
+    and its stand-in deque one ``append`` frame per entry at the current
+    instant."""
+    make, frames, entries, now = WAITS[wait]
     counts = [_frames(kernel, make, n) for n in (2, 3, 4)]
     per_wait = {(b[0] - a[0], b[1] - a[1])
                 for a, b in zip(counts, counts[1:])}
     if kernel == "slow":
-        frames += entries
+        frames += entries + now
     assert per_wait == {(frames, entries)}

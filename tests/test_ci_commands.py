@@ -119,6 +119,35 @@ def test_every_exported_trace_is_replayed():
     assert replayed == exported_traces()
 
 
+#: environment variable -> the job steps that widen a test file to its
+#: full grid with it; every cross-kernel comparison runs through the
+#: test-side reference kernel, since the product takes no kernel choice
+WIDENED = {
+    "REPRO_CPU_TWIN_ALL": ["tests/sim/test_cpu_twin.py"],
+    "REPRO_KERNEL_FOLD_ALL": ["tests/verify/test_kernel_fold.py",
+                              "tests/verify/test_kernel_fold.py"],
+    "REPRO_REFERENCE_FIGURES": ["tests/test_reference_figures.py"],
+}
+
+
+def test_cross_kernel_checks_run_through_the_reference():
+    text = CI.read_text(encoding="utf-8")
+    assert "--both-kernels" not in text and "--kernel" not in text
+    widened = {}
+    for block in run_blocks(text):
+        argv = shlex.split(block)
+        if argv[0].endswith("=1") and "pytest" in argv:
+            files = [w for w in argv if w.startswith("tests/")]
+            assert all((CI.parents[2] / f).is_file() for f in files), files
+            widened.setdefault(argv[0][:-2], []).append(files[0])
+            if "-k" in argv:
+                source = (CI.parents[2] / files[-1]).read_text(
+                    encoding="utf-8")
+                for word in re.findall(r"\w+", argv[argv.index("-k") + 1]):
+                    assert word == "or" or word in source, word
+    assert widened == WIDENED
+
+
 @pytest.mark.parametrize("argv, dest, default", [
     (["check", "meta"], "workers", 0),
     (["lab", "run", "smoke8"], "workers", 0),

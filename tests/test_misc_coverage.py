@@ -5,7 +5,7 @@ from dataclasses import replace
 import pytest
 
 from repro.errors import ConfigError
-from repro.net import NetworkParams
+from repro.net import Cluster, NetworkParams
 from repro.dlm import LockMode, NCoSEDManager, cascade_latency
 
 
@@ -30,9 +30,14 @@ class TestNetworkParams:
             replace(NetworkParams.infiniband(), wire_latency_us=-1.0)
 
     def test_serialization_scales_linearly(self):
-        ib = NetworkParams.infiniband()
-        assert ib.serialization_us(9000) == pytest.approx(
-            10 * ib.serialization_us(900))
+        """A payload holds its sender's egress link ``nbytes`` over the
+        bandwidth: ten times the bytes, ten times the hold."""
+        holds = []
+        for nbytes in (900, 9000):
+            c = Cluster(n_nodes=2, params=NetworkParams.infiniband())
+            c.fabric.transfer(0, 1, nbytes)
+            holds.append(c.fabric._egress_end[0] - c.params.nic_tx_us)
+        assert holds[0] > 0 and holds[1] == pytest.approx(10 * holds[0])
 
 
 class TestDeterminism:

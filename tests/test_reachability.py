@@ -129,6 +129,7 @@ class _Scope:
         self.positional = [p.arg for p in (*a.posonlyargs, *a.args)]
         self.named = set(self.positional) | {p.arg for p in a.kwonlyargs}
         self.kwarg = a.kwarg.arg if a.kwarg else None
+        self.vararg = a.vararg is not None
         self.params = self.named | {p.arg for p in (a.vararg, a.kwarg) if p}
         self.defaults = dict(zip(self.positional[::-1], a.defaults[::-1]))
         self.defaults.update((p.arg, d) for p, d in zip(a.kwonlyargs,
@@ -508,7 +509,15 @@ class _Tree:
                 fn = self.fns[o[1]]
                 out.append((o[1], int(fn.bound and (
                     fn.classmethod or not unbound)), args))
-        return out
+        return [t for t in out if self._takes(*t)]
+
+    def _takes(self, key, skip, args):
+        """Whether ``key`` can take ``args`` positionally: a call with
+        more positional arguments than a def takes — no ``*args`` in the
+        def, no starred argument in the call — is not a call of it."""
+        fn = self.fns[key]
+        return (fn.vararg or len(args) <= len(fn.positional) - skip
+                or any(isinstance(a, ast.Starred) for a in args))
 
     def _sites(self, key):
         """Each call of ``key``, bound: ``(explicit {param: expr}, the
@@ -785,6 +794,7 @@ FROZEN = {
     "PhiAccrualDetector.timeout_us": f"{PERF}/topo_checked.py",
     "QuorumGate.hold_us": f"{PERF}/topo_checked.py",
     "Observability.sanitize": f"{PERF}/topo_checked.py",
+    "Observability.strict": f"{PERF}/topo_checked.py",
     "DataCenter.n_app": f"{PERF}/webcache.py",
 }
 
@@ -970,6 +980,40 @@ def _tmp_tree(tmp_path, mod, use):
     (tmp_path / "examples").mkdir()
     (tmp_path / "examples" / "use.py").write_text(use)
     return _Tree(tmp_path / "src", (tmp_path / "src", tmp_path / "examples"))
+
+
+def test_census_skips_calls_a_def_cannot_take(tmp_path, monkeypatch):
+    """A call on an untyped receiver reaches every def of its name, but
+    not one that cannot take its positional arguments: ``observe(wait)``
+    is not a call of a ``**kwargs`` forwarder, so it passes no value of
+    the option the forwarder feeds.  A starred argument, or ``*args`` in
+    the def, can still bind, so those calls count."""
+    mod = ("class Hist:\n"
+           "    def observe(self, value):\n"
+           "        return value\n"
+           "\n"
+           "class Obs:\n"
+           "    def __init__(self, strict=True):\n"
+           "        self.strict = strict\n"
+           "\n"
+           "class Cluster:\n"
+           "    def observe(self, **kwargs):\n"
+           "        return Obs(**kwargs)\n"
+           "\n"
+           "def track(metrics, wait):\n"
+           "    return metrics.histogram().observe(wait)\n")
+    use = ("from pkg.mod import Cluster\n"
+           "\n"
+           "Cluster().observe(strict=False)\n")
+    got = _tmp_tree(tmp_path / "a", mod, use).options()["Obs.strict"][0]
+    assert got == {False}
+    splat = ("def replay(metrics, waits):\n"
+             "    return metrics.histogram().observe(*waits)\n")
+    got = _tmp_tree(tmp_path / "b", mod + splat, use).options()
+    assert got["Obs.strict"][0] == {False, True}
+    monkeypatch.setattr(_Tree, "_takes", lambda self, *target: True)
+    got = _tmp_tree(tmp_path / "c", mod, use).options()["Obs.strict"][0]
+    assert got == {False, True}   # without the filter: the blind spot
 
 
 TWINS = (

@@ -19,7 +19,7 @@ from repro.scenarios import (SCENARIOS, Scenario, judged_run, lab_run,
                              run_suite)
 from repro.verify import ALL_ORACLES, metamorphic_sweep
 
-RECORD_KEYS = {"scenario", "seed", "n_nodes", "kernel", "events",
+RECORD_KEYS = {"scenario", "seed", "n_nodes", "events",
                "sim_now_us", "oracles", "violations", "violation_msgs",
                "trace_sha", "stats", "verdict"}
 
@@ -30,7 +30,7 @@ RECORD_KEYS = {"scenario", "seed", "n_nodes", "kernel", "events",
 def test_row_is_clean_non_vacuous_and_deterministic(name, request):
     sc = SCENARIOS[name]
     assert sc.name == name
-    # default n_nodes, no faults, fast kernel
+    # default n_nodes, no faults
     record = (request.getfixturevalue("lab_product")[0] if name == "lab"
               else lab_run(name))
     assert set(record) == RECORD_KEYS

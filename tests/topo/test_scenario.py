@@ -5,7 +5,9 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.scenarios import SCENARIOS, lab_run
+from repro.scenarios import SCENARIOS
+
+from tests.sim.reference_kernel import lab_run
 
 
 class TestShardCheck:

@@ -11,6 +11,8 @@ from repro.net import Cluster
 from repro.shard import ShardMap, ShardRing, ShardedDDSS, \
     ShardedNCoSEDManager
 
+from tests.obs.live import observe_live
+
 
 class TestShardRing:
     def test_same_seed_same_ring(self):
@@ -98,7 +100,7 @@ class TestShardedManagers:
     def test_stale_dir_cache_bounces_to_new_owner(self):
         cluster = Cluster(n_nodes=5, seed=0)
         ddss = ShardedDDSS(cluster, segment_bytes=64 * 1024)
-        obs = cluster.observe()
+        obs = observe_live(cluster)
         env = cluster.env
         cli = ddss.client(cluster.nodes[0])
         state = {}
@@ -132,7 +134,7 @@ class TestShardedManagers:
         from repro.monitor import PhiAccrualDetector
 
         cluster = Cluster(n_nodes=5, seed=0)
-        obs = cluster.observe()
+        obs = observe_live(cluster)
         det = PhiAccrualDetector(cluster.nodes[0], cluster.nodes[1:])
         mgr = ShardedNCoSEDManager(cluster, n_locks=32, detector=det)
         env = cluster.env

@@ -8,6 +8,8 @@ from repro.topo import TopoCluster
 from repro.topo import scenarios
 from repro.topo.scenarios import measure_verb_latency, topo_lab
 
+from tests.obs.live import observe_live
+
 
 class TestConstruction:
     def test_empty_names_list_raises(self):
@@ -66,7 +68,7 @@ class TestContention:
         """A cross-rack transfer is counted, not traced: the pulled
         counters carry it and no trace row is written per transfer."""
         cl = TopoCluster(racks=2, hosts_per_rack=2, oversub=2.0)
-        obs = cl.observe()
+        obs = observe_live(cl)
         env = cl.env
 
         def blast():

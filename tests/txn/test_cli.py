@@ -4,6 +4,8 @@ import json
 
 from repro.cli import main
 
+from tests.sim.reference_kernel import pin_kernel
+
 
 class TestTxnRun:
     def test_run_prints_verdict_and_writes_json(self, tmp_path, capsys):
@@ -20,7 +22,9 @@ class TestTxnRun:
         assert doc["stats"]["conserved"] is True
 
     def test_run_slow_kernel_2pl(self, capsys):
-        assert main(["check", "run", "txn-2pl", "--kernel", "slow"]) == 0
+        """The CLI's run on the reference kernel."""
+        with pin_kernel("slow"):
+            assert main(["check", "run", "txn-2pl"]) == 0
         assert "verdict=ok" in capsys.readouterr().out
 
     def test_check_list_includes_txn_scenarios(self, capsys):

@@ -17,6 +17,7 @@ from repro.txn.scenarios import account_sum
 from repro.verify import TraceView, TxnOracle, replay_fresh
 from repro.workloads.tpcc import balance, pack_balance, transfer_txn
 
+from tests.obs.live import observe_live
 from tests.txn.batch import one
 
 
@@ -79,7 +80,7 @@ def test_crossing_withdrawals_are_serializable_and_live(offset_us):
     withdraws from x while node 0's withdraws from y, ``offset_us``
     apart.  Exactly one withdrawal may take effect."""
     cluster = Cluster(n_nodes=2, seed=0)
-    obs = cluster.observe()
+    obs = observe_live(cluster)
     ddss = DDSS(cluster, segment_bytes=64 * 1024)
     x, y = _units(cluster, ddss, homes=(0, 1), start=60)
     results = []

@@ -18,6 +18,7 @@ from repro.sim import Process
 from repro.txn import OCCTxnClient, Txn, TwoPLTxnClient, base
 from repro.workloads.tpcc import balance, pack_balance
 
+from tests.obs.live import observe_live
 from tests.txn.batch import one
 
 
@@ -31,7 +32,7 @@ def _rig(k, variant="occ", observe=True):
     """A client on node 0 over k keys homed on nodes 1..k, metadata
     warmed (the init transactions ran through the same store)."""
     cluster = Cluster(n_nodes=k + 1, seed=0)
-    obs = cluster.observe() if observe else None
+    obs = observe_live(cluster) if observe else None
     ddss = DDSS(cluster, segment_bytes=64 * 1024)
     store = ddss.client(cluster.nodes[0])
     if variant == "2pl":

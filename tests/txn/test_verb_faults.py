@@ -15,6 +15,8 @@ from repro.txn import OCCTxnClient
 from repro.txn.scenarios import unit_state
 from repro.workloads.tpcc import new_order_txn
 
+from tests.obs.live import observe_live
+
 #: the home whose verbs fail; keys live on nodes 1, 2, 3, client on 0
 FAULTY = 2
 
@@ -23,7 +25,7 @@ def _run(fault_window=None):
     """One 3-key transaction (writes all three) under an injector whose
     plan fails every verb 0 -> FAULTY inside ``fault_window``."""
     cluster = Cluster(n_nodes=4, seed=0)
-    obs = cluster.observe()
+    obs = observe_live(cluster)
     plan = FaultPlan()
     if fault_window is not None:
         plan.verb_faults.append(VerbFault(1.0, src=0, dst=FAULTY,

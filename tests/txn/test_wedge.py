@@ -14,6 +14,7 @@ from repro.txn import OCCTxnClient, TxnWorker
 from repro.verify import TxnOracle, TraceView, replay_fresh
 from repro.workloads.tpcc import transfer_txn
 
+from tests.obs.live import observe_live
 from tests.txn.batch import one
 
 
@@ -42,7 +43,7 @@ class FailingStore:
 
 def _rig(observe=False):
     cluster = Cluster(n_nodes=3, seed=0)
-    obs = cluster.observe() if observe else None
+    obs = observe_live(cluster) if observe else None
     ddss = DDSS(cluster, segment_bytes=256 * 1024)
     keys = []
 

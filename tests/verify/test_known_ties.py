@@ -1,14 +1,16 @@
 """Every ``KNOWN_TIES`` cell is proven to be a tie, not a fast-path bug.
 
-The fast and slow kernels may pop two *same-instant* agenda entries in
-different orders (DESIGN.md §9), and a FIFO observes that order: an
+The product kernel and the reference kernel
+(``tests/sim/reference_kernel.py``) may pop two *same-instant* agenda
+entries in different orders (DESIGN.md §9), and a FIFO observes that
+order: an
 egress link serves two same-instant injections from one node in pop
 order, a ToR uplink serves two hosts that release their egress links at
 the same instant in pop order, a receive queue hands two same-instant
 arrivals to its server in pop order, and everything downstream of the
 pair can legitimately move.  A cross-kernel digest mismatch is such a
 tie — and only then may it be listed in
-:data:`repro.verify.metamorphic.KNOWN_TIES` — when the two kernels'
+:data:`tests.verify.test_kernel_fold.KNOWN_TIES` — when the two kernels'
 fabric injection logs ``(injected_at, src, dst, nbytes, arrives_at)``
 are equal row for row up to a first difference that is explained by
 such a pair:
@@ -26,44 +28,55 @@ such a pair:
 A first difference with none of them means an analytic stage computed a
 different instant than the generator: a bug.
 
-Two more tables are proven the same way: ``LOCK_BENCH_TIES``, the
+Three more tables are proven the same way: ``LOCK_BENCH_TIES``, the
 crash-column cells of ``benchmarks/results/beyond_lock_arena.json``
 (the ``lock-arena`` figure; not scenario-table rows, so not in
-``KNOWN_TIES``), and ``UPLINK_TIE``, the worked example of the third
-kind.
+``KNOWN_TIES``), ``FIG6_TIE``, the first Fig 6 cell the kernels part
+on, and ``UPLINK_TIE``, the worked example of the third kind.
 """
+
+import os
 
 import pytest
 
+from repro.datacenter import DataCenter
 from repro.dlm import tournament
 from repro.dlm.tournament import lock_tournament
 from repro.net.fabric import Fabric
-from repro.scenarios import judged_run
-from repro.sim import pin_kernel
-from repro.verify.metamorphic import KNOWN_TIES
 
 from tests.net.test_fifo_egress import (TOPOLOGIES, _faulted_schedule,
                                         _replay)
+from tests.sim import reference_kernel
+from tests.sim.reference_kernel import judged_run, pin_kernel
+from tests.verify.test_kernel_fold import KNOWN_TIES
 
 
 def injection_log(monkeypatch, run):
     """``run()`` with every fabric injection logged at the one routing
-    hook (``_route``; its generator twin ``_spawn`` on the slow kernel)
-    and every cross-rack payload logged again where it reaches its
-    uplink (``_up_key``, which both forms call at the egress release
+    hook (``_route``; its generator twin ``spawn`` on the reference
+    kernel) and every cross-rack payload logged again where it reaches
+    its uplink (``_up_key``, which both forms call at the egress release
     instant).  Returns the two sorted logs and ``run``'s result."""
     rows, ups = [], []
     init = Fabric.__init__
+    spawn = reference_kernel.spawn
+
+    def log(t0, src, dst, nbytes, at):
+        rows.append((t0, src, dst, nbytes, at))
+
+    def logged_spawn(fabric, src, dst, nbytes):
+        t0 = fabric.env.now
+        done = spawn(fabric, src, dst, nbytes)
+        done.add_callback(
+            lambda _e: log(t0, src, dst, nbytes, fabric.env.now))
+        return done
 
     def logged_init(self, *args, **kwargs):
         # wrapped on the instance, so TopoFabric's own hooks are logged
         # once and their super() calls not again
         init(self, *args, **kwargs)
-        route, spawn = self._route, self._spawn
+        route = self._route
         up_key = getattr(self, "_up_key", None)
-
-        def log(t0, src, dst, nbytes, at):
-            rows.append((t0, src, dst, nbytes, at))
 
         def logged_route(src, dst, nbytes, arrive):
             t0 = self.env.now
@@ -78,24 +91,18 @@ def injection_log(monkeypatch, run):
                 log(t0, src, dst, nbytes, at)
             return at
 
-        def logged_spawn(src, dst, nbytes):
-            t0 = self.env.now
-            done = spawn(src, dst, nbytes)
-            done.add_callback(
-                lambda _e: log(t0, src, dst, nbytes, self.env.now))
-            return done
-
         def logged_up_key(src, dst):
             key = up_key(src, dst)
             ups.append((self.env.now, key, src))
             return key
 
-        self._route, self._spawn = logged_route, logged_spawn
+        self._route = logged_route
         if up_key is not None:
             self._up_key = logged_up_key
 
     with monkeypatch.context() as m:
         m.setattr(Fabric, "__init__", logged_init)
+        m.setattr(reference_kernel, "spawn", logged_spawn)
         result = run()
     return sorted(rows), sorted(ups), result
 
@@ -219,6 +226,42 @@ def test_lock_bench_chaos_cell_starts_at_a_same_instant_pair(monkeypatch,
     why = tie_evidence(fast, slow, i, fast_ups, slow_ups)
     assert why is not None, (
         f"{scheme}: first divergence {fast[i]} / {slow[i]} follows no "
+        f"same-instant pair — a fast-path bug, not a tie")
+    assert why.split(":")[0] == kind, why
+
+
+#: Fig 6's first cell (2 proxies, 8 kB documents, MTACC) that differs
+#: between the kernels — 169 773 TPS on the product, 169 760 on the
+#: reference — and the kind of its first divergence.  Six more cells of
+#: the figure differ, by at most 0.08 %.  The two logged runs take
+#: seconds, so this proof runs in CI's ``figures`` job, not tier-1
+#: (``REPRO_REFERENCE_FIGURES=1``, as ``tests/test_reference_figures.py``).
+FIG6_TIE = ({"n_proxies": 2, "scheme": "MTACC", "doc_bytes": 8_192},
+            (169_773, 169_760), "link tie")
+
+
+@pytest.mark.skipif(os.environ.get("REPRO_REFERENCE_FIGURES") != "1",
+                    reason="a figures-job proof (REPRO_REFERENCE_FIGURES=1)")
+def test_fig6_cell_starts_at_a_same_instant_pair(monkeypatch):
+    cell, tps, kind = FIG6_TIE
+
+    def run(kernel):
+        # the cell exactly as ``repro.bench.figures.build_fig6`` builds it
+        with pin_kernel(kernel):
+            dc = DataCenter(n_docs=1_200, cache_bytes=8 * 1024 * 1024,
+                            n_sessions=24 * cell["n_proxies"], seed=1,
+                            **cell)
+            return round(dc.run_tps(warmup_us=100_000.0,
+                                    measure_us=150_000.0))
+
+    fast, fast_ups, fast_tps = injection_log(monkeypatch, lambda: run("fast"))
+    slow, slow_ups, slow_tps = injection_log(monkeypatch, lambda: run("slow"))
+    assert (fast_tps, slow_tps) == tps
+    i = first_difference(fast, slow)
+    assert i is not None and fast[:i] == slow[:i] and i > 1000
+    why = tie_evidence(fast, slow, i, fast_ups, slow_ups)
+    assert why is not None, (
+        f"fig6 {cell}: first divergence {fast[i]} / {slow[i]} follows no "
         f"same-instant pair — a fast-path bug, not a tie")
     assert why.split(":")[0] == kind, why
 

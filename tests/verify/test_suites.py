@@ -1,7 +1,10 @@
 """The check drivers end to end: scenario replays stay clean under
-both kernels, shrinking produces small reproducers, the metamorphic
-sweep agrees across kernels, and the CLI wires it all up.  (Every table
-row's clean/non-vacuous/deterministic contract: tests/test_scenarios.py.)
+both kernels (the product and ``tests/sim/reference_kernel.py``),
+shrinking produces small reproducers, the metamorphic sweep and the
+kernel fold judge their grids, and the CLI wires it all up.  (Every
+table row's clean/non-vacuous/deterministic contract:
+tests/test_scenarios.py; the fold's full grids:
+tests/verify/test_kernel_fold.py.)
 """
 
 import json
@@ -13,13 +16,13 @@ import pytest
 from repro.cli import main
 from repro.errors import ConfigError
 from repro.obs.events import TraceEvent
-from repro.scenarios import (SCENARIOS, judged_run, lab_run, run_check,
-                             run_suite)
-from repro.sim import pin_kernel
+from repro.scenarios import SCENARIOS, judged_run, run_suite
 from repro.txn import build_txn_scenario
 from repro.verify import (LockOracle, TraceView, canonical_trace_sha,
                           check_trace, metamorphic_sweep, shrink)
-from repro.verify.metamorphic import KNOWN_TIES
+
+from tests.sim.reference_kernel import KERNELS, lab_run, pin_kernel, run_check
+from tests.verify.test_kernel_fold import KNOWN_TIES, fold, meta_cells
 
 FAST_CHECKS = ("ncosed", "dqnl", "srsl", "ddss", "cache-bcc",
                "txn-occ", "txn-2pl")
@@ -37,6 +40,7 @@ class TestPackagedChecks:
 
     @pytest.mark.parametrize("kernel", ["warp", "heap"])
     def test_unknown_kernel_rejected(self, kernel):
+        """Of the test-side selector: the product has no kernel knob."""
         with pytest.raises(ConfigError, match=r"unknown kernel.*fast\|slow"):
             run_check("ncosed", kernel=kernel)
 
@@ -123,9 +127,9 @@ class TestTxnMetamorphic:
     def test_metamorphic_sweep_covers_txn_checks(self):
         rep = metamorphic_sweep(checks=["txn-occ", "txn-2pl"],
                                 seeds=(0,), node_counts=(0,), workers=0)
-        assert rep["verdict"] == "ok"
-        assert rep["pairs"] == 2
-        assert rep["kernel_mismatches"] == []
+        assert rep["verdict"] == "ok" and rep["runs"] == 2
+        fold_rep = fold(meta_cells(["txn-occ", "txn-2pl"], [0])[0])
+        assert fold_rep["pairs"] == 2 and fold_rep["mismatches"] == []
 
 
 class TestShrink:
@@ -268,51 +272,35 @@ class TestMalformedTrace:
 
 class TestMetamorphic:
     def test_sweep_smoke(self):
-        rep = metamorphic_sweep(checks=["ncosed"], seeds=(0,),
-                                node_counts=(0,), workers=0)
+        rep = metamorphic_sweep(checks=["ncosed"], seeds=(0, 1),
+                                node_counts=(0, 3), workers=0)
         assert rep["verdict"] == "ok"
-        assert rep["runs"] == 2  # fast + slow
-        assert rep["kernels"] == ["fast", "slow"]
-        assert rep["pairs"] == 1
-        assert rep["kernel_mismatches"] == []
-        assert rep["violations"] == []
+        assert rep["runs"] == 4  # seeds x node counts, one kernel
+        assert rep["violations"] == [] and rep["run_failures"] == 0
 
     def test_unknown_check_rejected(self):
         with pytest.raises(ConfigError, match="unknown scenario"):
             metamorphic_sweep(checks=["nope"], seeds=(0,))
 
     def test_known_tie_is_reported_not_failed(self):
-        (scenario, n_nodes, seed), _why = sorted(KNOWN_TIES.items())[0]
-        rep = metamorphic_sweep(checks=[scenario], seeds=(seed,),
-                                node_counts=(n_nodes,), workers=0)
-        assert rep["verdict"] == "ok"
-        assert rep["kernel_mismatches"] == [] and rep["stale_ties"] == []
-        assert [(t["scenario"], t["n_nodes"], t["seed"])
-                for t in rep["kernel_ties"]] == [(scenario, n_nodes, seed)]
+        cell = sorted(KNOWN_TIES)[0]
+        rep = fold(meta_cells([cell[0]], [cell[2]])[0])
+        assert rep["ties"] == [cell]
+        assert rep["mismatches"] == [] and rep["stale"] == []
 
-    def test_unlisted_tie_fails(self, monkeypatch):
-        (scenario, n_nodes, seed), _why = sorted(KNOWN_TIES.items())[0]
-        monkeypatch.setattr("repro.verify.metamorphic.KNOWN_TIES", {})
-        rep = metamorphic_sweep(checks=[scenario], seeds=(seed,),
-                                node_counts=(n_nodes,), workers=0)
-        assert rep["verdict"] == "violation"
-        assert len(rep["kernel_mismatches"]) == 1
-        assert rep["kernel_ties"] == []
+    def test_unlisted_tie_fails(self):
+        cell = sorted(KNOWN_TIES)[0]
+        rep = fold(meta_cells([cell[0]], [cell[2]])[0], known={})
+        assert rep["mismatches"] == [cell] and rep["ties"] == []
 
-    def test_stale_entry_fails(self, monkeypatch, capsys):
+    def test_stale_entry_fails(self):
         """A listed cell whose kernels agree again must be deleted, not
         left to excuse a future divergence; cells that did not run are
         not judged."""
-        monkeypatch.setattr("repro.verify.metamorphic.KNOWN_TIES",
-                            {("srsl", 0, 0): "link tie: made up",
-                             ("srsl", 0, 99): "link tie: not in this run"})
-        rep = metamorphic_sweep(checks=["srsl"], seeds=(0,),
-                                node_counts=(0,), workers=0)
-        assert rep["verdict"] == "violation"
-        assert rep["stale_ties"] == [{"scenario": "srsl", "n_nodes": 0,
-                                      "seed": 0}]
-        assert main(["check", "meta", "srsl", "--seeds", "0"]) == 1
-        assert "STALE KNOWN_TIES entry srsl" in capsys.readouterr().out
+        rep = fold(meta_cells(["srsl"], [0])[0],
+                   known={("srsl", 0, 0): "link tie: made up",
+                          ("srsl", 0, 99): "link tie: not in this run"})
+        assert rep["stale"] == [("srsl", 0, 0)] and rep["pairs"] == 1
 
 
 class TestCheckCli:
@@ -333,17 +321,24 @@ class TestCheckCli:
         assert "1/1 checks ok" in out
 
     def test_run_both_kernels(self, capsys):
-        assert main(["check", "run", "srsl", "--both-kernels"]) == 0
+        """The CLI's run on the product and on the reference kernel."""
+        for kernel in KERNELS:
+            with pin_kernel(kernel):
+                assert main(["check", "run", "srsl"]) == 0
         out = capsys.readouterr().out
-        assert "[srsl] [fast]" in out
-        assert "[srsl] [slow]" in out
-        assert "2/2 checks ok" in out
+        assert out.count("[srsl] seed=0") == 2
+        assert out.count("1/1 checks ok") == 2
 
-    def test_kernel_choices_are_fast_and_slow(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["check", "run", "srsl", "--kernel", "heap"])
-        assert exc.value.code == 2
-        assert "invalid choice: 'heap'" in capsys.readouterr().err
+    @pytest.mark.parametrize("flag", [["--kernel", "slow"],
+                                      ["--both-kernels"]])
+    def test_kernel_choices_are_fast_and_slow(self, capsys, flag):
+        """The product ships one kernel: no command takes a choice."""
+        for command in (["check", "run", "srsl"], ["chaos", "run"],
+                        ["locks", "run"]):
+            with pytest.raises(SystemExit) as exc:
+                main(command + flag)
+            assert exc.value.code == 2
+            assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_unknown_name_is_usage_error(self, capsys):
         assert main(["check", "run", "nope"]) == 2
@@ -364,5 +359,5 @@ class TestCheckCli:
                      "--json", str(path)]) == 0
         doc = json.loads(path.read_text())
         assert doc["verdict"] == "ok"
-        assert doc["pairs"] == 1
-        assert "kernel_mismatches=0" in capsys.readouterr().out
+        assert doc["runs"] == 1
+        assert "violations=0" in capsys.readouterr().out

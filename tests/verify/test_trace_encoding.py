@@ -80,8 +80,7 @@ def dumps(doc) -> str:
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_scenario_row_matches_references(name, request):
     """Digest, per-oracle counts and findings, and the one violation
-    count of every table row (fast kernel, seed 0) equal the reference
-    forms."""
+    count of every table row (seed 0) equal the reference forms."""
     record, obs = (request.getfixturevalue("lab_product") if name == "lab"
                    else judged_run(name))
     events = obs.trace.snapshot()
