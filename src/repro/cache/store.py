@@ -23,9 +23,6 @@ class LRUStore:
         self.insertions = 0
         self.evictions = 0
 
-    def __len__(self) -> int:
-        return len(self._entries)
-
     def __contains__(self, doc: int) -> bool:
         return doc in self._entries
 

@@ -16,8 +16,6 @@ from typing import Sequence
 
 from repro.errors import ConfigError
 from repro.net.node import Node
-from repro.sim import Event
-
 from repro.workloads.filesets import FileSet
 
 __all__ = ["BackendTier"]
@@ -37,13 +35,8 @@ class BackendTier:
             raise ConfigError("backend tier needs at least one node")
         self.nodes = list(nodes)
         self.fileset = fileset
-        self.env = self.nodes[0].env
         self._rr = itertools.count()
         self.requests = 0
-
-    def fetch(self, proxy: Node, doc: int) -> Event:
-        return self.env.process(self.fetch_gen(proxy, doc),
-                                name=f"backend-fetch@{proxy.name}")
 
     def fetch_gen(self, proxy: Node, doc: int):
         """Generator: full origin fetch; returns the document token."""

@@ -222,30 +222,6 @@ class DDSS:
             obs.metrics.counter("ddss.migrations").inc()
         return new_meta
 
-    def migrate_off(self, node_id: int,
-                    avoid: Sequence[int] = ()) -> int:
-        """Rebalance every unit homed on ``node_id`` to other members.
-
-        New homes are chosen in ring order, skipping ``node_id`` and
-        any node in ``avoid`` (e.g. other dead nodes).  Units with an
-        install in flight are skipped (a later call retries them).
-        Returns the number of units moved.
-        """
-        banned = {node_id, *avoid}
-        targets = [m.id for m in self.members if m.id not in banned]
-        if not targets:
-            raise DDSSError("no live member left to rebalance onto")
-        moved = 0
-        victims = sorted(k for k, m in self._directory.items()
-                         if m.home == node_id and not m.replicas)
-        for i, key in enumerate(victims):
-            try:
-                self.migrate_unit(key, targets[i % len(targets)])
-            except DDSSError:
-                continue  # busy or full target: leave for a retry
-            moved += 1
-        return moved
-
     # -- daemon handlers (served by repro.transport.rpc.serve) -------------
     def _do_alloc(self, node: Node, body: dict) -> dict:
         try:

@@ -24,7 +24,6 @@ __all__ = [
     "CacheError",
     "MonitorError",
     "ConfigError",
-    "SanitizerError",
 ]
 
 
@@ -118,10 +117,4 @@ class MonitorError(ReproError):
 
 class ConfigError(ReproError):
     """Invalid configuration of a simulated component."""
-
-
-class SanitizerError(ReproError):
-    """An oracle found a violation in a trace:
-    :meth:`repro.obs.Observability.check` raises it when a replay of the
-    ring flags one."""
 

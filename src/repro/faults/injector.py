@@ -34,15 +34,15 @@ transfer would (DESIGN.md §7, §9).
 Every node a plan names must exist in the cluster: the injector checks
 the plan against the fabric's node ids before it schedules anything.
 
-Crash/restart listeners let services react to membership ground truth;
-the :class:`repro.monitor.PhiAccrualDetector` instead *discovers*
-failures through probing, like a real deployment would.
+The injector tells no service of a crash: the
+:class:`repro.monitor.PhiAccrualDetector` *discovers* failures through
+probing, like a real deployment would.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, List, Optional, Set, TYPE_CHECKING
+from typing import Dict, List, Optional, Set, TYPE_CHECKING
 
 from repro.errors import (ConfigError, NodeDownError, PartitionError,
                           RdmaError)
@@ -106,7 +106,6 @@ class FaultInjector:
         self._crash_stamp: Dict[int, int] = {}
         #: (time, "crash"|"restart", node_id) — the injected ground truth
         self.log: List[tuple] = []
-        self._listeners: List[Callable[[int, str], None]] = []
         # fault counters, exposed for tests/diagnostics
         self.messages_dropped = 0
         self.messages_duplicated = 0
@@ -141,10 +140,6 @@ class FaultInjector:
     # ------------------------------------------------------------------
     # ground truth + control
     # ------------------------------------------------------------------
-    def subscribe(self, fn: Callable[[int, str], None]) -> None:
-        """Register ``fn(node_id, event)`` for "crash"/"restart" events."""
-        self._listeners.append(fn)
-
     def _crash(self, node_id: int) -> None:
         """Fail-stop ``node_id`` now: a planned crash's timer fired."""
         calm = self._calm
@@ -158,8 +153,6 @@ class FaultInjector:
         self._crash_stamp[node_id] = self.crashes
         self.log.append((self.env.now, "crash", node_id))
         self._obs_fault("fault.crash", node_id)
-        for fn in self._listeners:
-            fn(node_id, "crash")
 
     def _restart(self, node_id: int) -> None:
         """Bring ``node_id`` back (memory intact, see :class:`Crash`)."""
@@ -168,8 +161,6 @@ class FaultInjector:
         self.down.discard(node_id)
         self.log.append((self.env.now, "restart", node_id))
         self._obs_fault("fault.restart", node_id)
-        for fn in self._listeners:
-            fn(node_id, "restart")
 
     def _obs_fault(self, etype: str, node_id: int) -> None:
         obs = self.env.obs

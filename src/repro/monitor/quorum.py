@@ -9,7 +9,7 @@ still talk to a **quorum** (majority) of the membership.
 
 :class:`QuorumGate` wraps a
 :class:`~repro.monitor.phi.PhiAccrualDetector` and re-exports its
-``subscribe``/``is_dead``/``dead_ids`` interface with two changes:
+``subscribe``/``is_dead``/``unreachable_ids`` interface with two changes:
 
 * **Hold window** — an inner "dead" verdict is sat on for one probe
   period (:data:`~repro.monitor.phi.PERIOD_US`) before being
@@ -71,10 +71,6 @@ class QuorumGate:
     # -- detector interface (what consumers see) -----------------------
     def is_dead(self, node_id: int) -> bool:
         return node_id in self._dead
-
-    @property
-    def dead_ids(self) -> Set[int]:
-        return set(self._dead)
 
     @property
     def unreachable_ids(self) -> Set[int]:

@@ -58,15 +58,6 @@ class Cluster:
         overrides this to install a rack/spine fabric instead."""
         return Fabric(self.env, self.params)
 
-    def __len__(self) -> int:
-        return len(self.nodes)
-
-    def node(self, i: int) -> Node:
-        return self.nodes[i]
-
-    def run(self, until: Optional[float] = None) -> float:
-        return self.env.run(until=until)
-
     def install_faults(self, plan=None):
         """Install a :class:`repro.faults.FaultInjector` running ``plan``.
 

@@ -95,10 +95,6 @@ class MemoryRegion:
                 f"access [{offset}, {offset + length}) outside region "
                 f"{self.name!r} of length {self.length}")
 
-    def __repr__(self) -> str:  # pragma: no cover
-        return (f"<MemoryRegion {self.name!r} node={self.node_id} "
-                f"addr={self.addr:#x} len={self.length}>")
-
 
 class MemoryManager:
     """Per-node registry of memory regions + HCA-style access checks."""

@@ -33,6 +33,3 @@ class Node:
         self.nic = NIC(env, self, fabric)
         #: free-form slot for services to hang per-node state on
         self.services: dict = {}
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"<Node {self.name} id={self.id}>"

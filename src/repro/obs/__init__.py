@@ -18,7 +18,7 @@ Typical use::
     cluster = Cluster(n_nodes=4, seed=7)
     obs = cluster.observe()              # tracing + metrics
     ... run workload ...
-    obs.check()                          # replay: raise on any violation
+    assert not obs.violations()          # replay through every oracle
     obs.export_trace_json("obs.json")    # deterministic trace document
 """
 
@@ -27,7 +27,7 @@ from __future__ import annotations
 from functools import partial
 from typing import Dict, List, Optional
 
-from ..errors import ConfigError, SanitizerError
+from ..errors import ConfigError
 from .events import TAXONOMY, TraceEvent
 from .fairness import FairnessTracker, jain_index
 from .metrics import (FOLD_AT, Counter, Gauge, LatencyHistogram,
@@ -101,14 +101,6 @@ class Observability:
         view = TraceView.from_obs(self).require_complete()
         return replay_fresh(view, ALL_ORACLES)[1]
 
-    def check(self) -> None:
-        """Raise :class:`SanitizerError` if the replay finds a violation."""
-        bad = self.violations()
-        if bad:
-            head = bad[0]
-            raise SanitizerError(f"{len(bad)} violation(s); first: "
-                                 f"[{head['oracle']}] {head['msg']}")
-
     # -- latency probes ------------------------------------------------
     def verb(self, nic, op: str, dst: int, nbytes: int, ev) -> None:
         """Trace a one-sided verb and probe its latency (``nic.<op>_us``)."""
@@ -181,6 +173,3 @@ class Observability:
                 fh.write(text + "\n")
         return text
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"<Observability events={self.trace.emitted} "
-                f"{self.options}>")

@@ -77,9 +77,6 @@ class Gauge:
         if v > self.max:
             self.max = v
 
-    def add(self, dv: float) -> None:
-        self.set(self.value + dv)
-
     def to_dict(self) -> Dict[str, float]:
         if self.min is math.inf:  # never set
             return {"value": self.value, "min": None, "max": None}
@@ -166,7 +163,8 @@ class LatencyHistogram:
 
     # -- export ---------------------------------------------------------
     def to_dict(self) -> Dict[str, Optional[float]]:
-        tally = self.tally
+        self.fold()
+        tally = self._tally
         if tally.count == 0:
             return {"count": 0, "mean_us": None, "min_us": None,
                     "max_us": None, "p50_us": None, "p95_us": None,
@@ -180,9 +178,6 @@ class LatencyHistogram:
             "p95_us": self.percentile(95),
             "p99_us": self.percentile(99),
         }
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<LatencyHistogram {self.name} n={self.count}>"
 
 
 def _key(name: str, node: Optional[int]) -> str:

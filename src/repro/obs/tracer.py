@@ -84,16 +84,6 @@ class Tracer:
                 if ev.etype.startswith(prefix)
                 and (node is None or ev.node == node)]
 
-    def __len__(self) -> int:
-        return len(self.ring)
-
-    def __iter__(self):
-        return iter(self.ring)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"<Tracer emitted={self.emitted} "
-                f"buffered={len(self.ring)}/{self.ring.maxlen}>")
-
 
 _ENCODE = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 _ROW = json.encoder.c_make_encoder(  # _ENCODE's C encoder, built once

@@ -7,6 +7,7 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.errors import ConfigError
 from repro.net.node import Node
+from repro.shard.directory import ShardedDDSS
 
 from repro.monitor.schemes import MonitorBase
 
@@ -91,16 +92,20 @@ class ReconfigManager:
     def __init__(self, coordinator: Node, services: Sequence[Service],
                  monitor: Optional[MonitorBase] = None,
                  detector=None,
-                 ddss=None,
+                 ddss: Optional[ShardedDDSS] = None,
                  check_every_us: float = 2_000.0):
         self.node = coordinator
         self.env = coordinator.env
         self.services = list(services)
         self.monitor = monitor
         self.detector = detector
-        #: optional :class:`repro.ddss.DDSS`: evicting a dead node also
-        #: rebalances the units it homes (tombstoning old locations so
-        #: stale clients re-resolve instead of writing to a dead home)
+        if ddss is not None and not isinstance(ddss, ShardedDDSS):
+            raise ConfigError(f"ReconfigManager needs a ShardedDDSS, not a "
+                              f"{type(ddss).__name__}")
+        #: optional :class:`repro.shard.ShardedDDSS`: evicting a dead
+        #: node also rebalances the units it homes (tombstoning old
+        #: locations so stale clients re-resolve instead of writing to a
+        #: dead home), and restoring it re-admits it to the ring
         self.ddss = ddss
         self.check_every_us = check_every_us
         #: CAS lock word serializing concurrent reconfiguration managers
@@ -185,8 +190,7 @@ class ReconfigManager:
             self.evictions.append((self.env.now, node_id, svc.name,
                                    "restore"))
             self._obs_transition("reconfig.restore", node_id, svc.name)
-        if self.ddss is not None and hasattr(self.ddss, "ring_restore"):
-            # sharded directory: re-admit the member to the hash ring
+        if self.ddss is not None:
             self.ddss.ring_restore(node_id)
 
     def _obs_transition(self, etype: str, node_id: int,

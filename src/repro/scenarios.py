@@ -360,7 +360,7 @@ def run_check(name: str, seed: int = 0, shrink: bool = True,
     record, obs = judged_run(name, seed)
     record["agenda"] = obs.env._seq
     if shrink:
-        add_reproducer(record, obs.trace)
+        add_reproducer(record, obs.trace.snapshot())
     if export is not None:
         obs.export_trace_json(export, metrics=obs.metrics.to_dict(),
                               record=record)

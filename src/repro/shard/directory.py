@@ -11,10 +11,9 @@ the caller gives no explicit placement, so directory authority and data
 tend to be co-located.
 
 Eviction through :class:`repro.reconfig.ReconfigManager` drops the
-member from the ring before the existing ``migrate_unit`` machinery
-moves its units — each to its new ring owner, not round-robin — and a
-restore re-adds it, so clients with cached owners exercise the bounce
-path under rebalance.
+member from the ring before the base class's ``migrate_unit`` moves its
+units, each to its new ring owner, and a restore re-adds it, so clients
+with cached owners exercise the bounce path under rebalance.
 
 The backing ``_directory`` dict stays physically shared between
 daemons, as in the base class: what this models is the *serving*
@@ -77,7 +76,9 @@ class ShardedDDSS(DDSS):
     def migrate_off(self, node_id: int,
                     avoid: Sequence[int] = ()) -> int:
         """Drop ``node_id`` from the ring and move its units to their
-        new ring owners.
+        new ring owners, skipping any node in ``avoid`` (e.g. other dead
+        nodes).  Units with an install in flight are left for a later
+        call.  Returns the number of units moved.
 
         The ring removal comes first so ``dir_map.owner`` already
         reflects the post-eviction world when new homes are picked —

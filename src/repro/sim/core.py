@@ -142,18 +142,10 @@ _NEVER = Event(None)
 class Timeout(Event):
     """An event that fires ``delay`` microseconds after creation.
 
-    :meth:`Environment.timeout` builds it without this constructor,
-    which stays as the reference form that method flattens.
+    Only :meth:`Environment.timeout` builds one, field by field.
     """
 
     __slots__ = ("delay",)
-
-    def __init__(self, env: "Environment", delay: float, value: Any):
-        if not 0 <= delay < _INF:
-            raise _bad_delay(delay)
-        super().__init__(env)
-        self.delay = delay
-        env._schedule_at(env.now + delay, self, value=value)
 
 
 class Process(Event):
@@ -369,9 +361,8 @@ class Environment:
     def timeout(self, delay: float, value: Any = None) -> Timeout:
         # Flattened Timeout construction: one call, no __init__ chain —
         # this is the single hottest allocation site in the kernel
-        # benchmarks.  Semantically identical to ``Timeout(self, delay,
-        # value)``.  The chained comparison also rejects NaN, which would
-        # silently corrupt the heap order.
+        # benchmarks.  The chained comparison also rejects NaN, which
+        # would silently corrupt the heap order.
         if not 0 <= delay < _INF:
             raise _bad_delay(delay)
         ev = Timeout.__new__(Timeout)

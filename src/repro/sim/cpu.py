@@ -45,9 +45,6 @@ class CPUJob(Event):
         self.name = name
         self.remaining = float(work)
 
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"<CPUJob {self.name} rem={self.remaining:.2f}us>"
-
 
 class CPU:
     """Egalitarian processor-sharing queue over :data:`CORES` cores."""

@@ -20,30 +20,13 @@ __all__ = ["Store", "Resource"]
 
 
 class Store:
-    """Unbounded FIFO of items with event-based ``get``/``put``: a put
-    never waits."""
+    """Unbounded FIFO of items with an event-based ``get``; a put never
+    waits."""
 
     def __init__(self, env: Environment):
         self.env = env
         self._items: Deque[Any] = deque()
         self._getters: Deque[Event] = deque()
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    @property
-    def items(self) -> tuple:
-        return tuple(self._items)
-
-    def put(self, item: Any) -> Event:
-        event = Event(self.env)
-        if self._getters:
-            # Hand straight to the oldest waiting getter.
-            self._getters.popleft().succeed(item)
-        else:
-            self._items.append(item)
-        event.succeed()
-        return event
 
     def try_put(self, item: Any) -> None:
         """Put without an event: hand ``item`` to the oldest waiting

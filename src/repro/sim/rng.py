@@ -73,12 +73,3 @@ class RngStreams:
             gen = np.random.default_rng(seq)
             self._streams[name] = gen
         return gen
-
-    def exponential(self, name: str, mean: float) -> float:
-        return float(self.get(name).exponential(mean))
-
-    def uniform(self, name: str, low: float, high: float) -> float:
-        return float(self.get(name).uniform(low, high))
-
-    def integers(self, name: str, low: int, high: int) -> int:
-        return int(self.get(name).integers(low, high))

@@ -35,9 +35,6 @@ class Tally:
         self.min = math.inf
         self.max = -math.inf
 
-    def add(self, x: float) -> None:
-        self.extend((x,))
-
     def extend(self, xs: Sequence[float]) -> None:
         """Add each of ``xs`` in order, in one loop.
 
@@ -65,7 +62,3 @@ class Tally:
     @property
     def mean(self) -> float:
         return self._mean if self.count else math.nan
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return (f"<Tally {self.name} n={self.count} mean={self.mean:.3f} "
-                f"min={self.min:.3f} max={self.max:.3f}>")

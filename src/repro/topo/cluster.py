@@ -22,7 +22,7 @@ class TopoCluster(Cluster):
     Parameters
     ----------
     racks / hosts_per_rack:
-        The grid; ``len(cluster) == racks * hosts_per_rack``.
+        The grid; ``len(cluster.nodes) == racks * hosts_per_rack``.
     spines:
         ToR uplinks per rack (cross-rack transfers spread over them by
         destination rack).

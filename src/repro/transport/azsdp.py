@@ -94,12 +94,6 @@ class AzSdpConnection(Connection):
         yield self.env.timeout(FAULT_US)
         yield done
 
-    def drain(self) -> Event:
-        """Event firing once every outstanding transfer has completed."""
-        pending = [ev for ev in self._done_events.values()
-                   if not ev.triggered]
-        return self.env.all_of(pending)
-
     # -- receive path (identical pull to ZSDP) ------------------------------
     def recv(self) -> Event:
         self._check_open()

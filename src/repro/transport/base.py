@@ -97,10 +97,6 @@ class Connection:
         self.tx_messages += 1
         self.tx_bytes += size
 
-    def __repr__(self) -> str:  # pragma: no cover
-        return (f"<{type(self).__name__} #{self.conn_id} "
-                f"{self.node.id}<->{self.peer_node}>")
-
 
 class Endpoint:
     """Transport instance bound to one node."""

@@ -69,7 +69,7 @@ class _Box:
 
     It sits in the NIC's receive-queue table under :data:`REPLY_TAG`, so
     an arriving reply is routed by the same ``try_put`` call that would
-    fill a queue.  ``len()`` counts the calls still waiting.
+    fill a queue.
     """
 
     __slots__ = ("nic", "waiting", "window", "late")
@@ -82,9 +82,6 @@ class _Box:
         self.window = {}
         #: replies that found no waiter
         self.late = 0
-
-    def __len__(self) -> int:
-        return len(self.waiting)
 
     def try_put(self, msg) -> bool:
         rid, reply = msg.payload

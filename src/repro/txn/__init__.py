@@ -35,7 +35,7 @@ Example::
 
     cluster.env.process(app(cluster.env, client.store))
     cluster.env.run()
-    obs.check()  # replay the trace through every oracle
+    assert not obs.violations()  # replay the trace through every oracle
 """
 
 from repro.txn.base import Txn, TxnClient, TxnResult

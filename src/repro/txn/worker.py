@@ -47,13 +47,3 @@ class TxnWorker:
             self.results.append(result)
         self.finished_at = self.client.env.now
         return tuple(self.results)
-
-    # -- outcome tallies ------------------------------------------------
-    @property
-    def commits(self) -> int:
-        return sum(1 for r in self.results if r.committed)
-
-    @property
-    def aborts(self) -> int:
-        return sum(1 for r in self.results
-                   if not r.committed and not r.wedged)

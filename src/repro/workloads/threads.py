@@ -4,12 +4,10 @@ The experiment needs a back-end node whose *actual* number of running
 application threads fluctuates over time; each monitoring scheme then
 reports its view of that number and the figure plots the deviation.
 :class:`ThreadChurn` drives a node's processor-sharing CPU background
-load through a seeded random walk and records the ground truth.
+load through a seeded random walk; ``current`` is the ground truth.
 """
 
 from __future__ import annotations
-
-from typing import List, Tuple
 
 import numpy as np
 
@@ -39,15 +37,12 @@ class ThreadChurn:
         self.step_every_us = step_every_us
         self.max_step = max_step
         self.current = BASE
-        #: ground-truth samples (time, n_threads)
-        self.history: List[Tuple[float, int]] = []
         self._apply(BASE)
         self.env.process(self._walk(), name=f"churn@{node.name}")
 
     def _apply(self, n: int) -> None:
         self.current = n
         self.node.cpu.set_background(n)
-        self.history.append((self.env.now, n))
 
     def _walk(self):
         while True:
@@ -56,12 +51,3 @@ class ThreadChurn:
             hi = BASE + self.swing
             step = int(self.rng.integers(-self.max_step, self.max_step + 1))
             self._apply(int(np.clip(self.current + step, lo, hi)))
-
-    def at(self, t: float) -> int:
-        """Ground-truth thread count at simulation time ``t``."""
-        value = self.history[0][1]
-        for when, n in self.history:
-            if when > t:
-                break
-            value = n
-        return value

@@ -84,7 +84,7 @@ class TestRetireNode:
             yield from scheme.directory.update(proxies[0], doc, None, 0)
             yield scheme.fetch(proxies[1], doc)   # miss
             yield scheme.admit(proxies[1], doc)
-            return (len(scheme.stores[victim.id]),
+            return (len(scheme.stores[victim.id]._entries),
                     doc in scheme.stores[proxies[0].id])
 
         victim_len, on_delegate = run(cluster, app(cluster.env))

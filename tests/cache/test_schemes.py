@@ -253,7 +253,7 @@ class TestMTACC:
             for doc in range(8):
                 yield from fetch_or_admit(scheme, proxies[0], doc)
             extra_ids = {n.id for n in scheme.extra}
-            on_extra = sum(len(scheme.stores[i]) for i in extra_ids)
+            on_extra = sum(len(scheme.stores[i]._entries) for i in extra_ids)
             return on_extra
 
         assert run(cluster, app(cluster.env)) > 0

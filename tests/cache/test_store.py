@@ -20,7 +20,7 @@ class TestBasics:
         s.insert(1, 100, b"tok1")
         assert s.get(1) == (100, b"tok1")
         assert 1 in s
-        assert len(s) == 1
+        assert list(s._entries) == [1]
         assert s.used == 100
 
     def test_get_missing_returns_none(self):

@@ -23,7 +23,7 @@ class TestBackendTier:
         backend = BackendTier(cluster.nodes[1:], fs)
 
         def app(env):
-            token = yield backend.fetch(cluster.nodes[0], 7)
+            token = yield from backend.fetch_gen(cluster.nodes[0], 7)
             return token
 
         p = cluster.env.process(app(cluster.env))
@@ -38,7 +38,7 @@ class TestBackendTier:
 
         def timed(env, doc):
             t0 = env.now
-            yield backend.fetch(cluster.nodes[0], doc)
+            yield from backend.fetch_gen(cluster.nodes[0], doc)
             return env.now - t0
 
         p = cluster.env.process(timed(cluster.env, 0))
@@ -61,7 +61,7 @@ class TestBackendTier:
 
         def app(env):
             for doc in range(6):
-                yield backend.fetch(cluster.nodes[0], doc)
+                yield from backend.fetch_gen(cluster.nodes[0], doc)
 
         p = cluster.env.process(app(cluster.env))
         cluster.env.run_until_event(p)

@@ -8,18 +8,22 @@ import pytest
 from repro.ddss import DDSS, Coherence
 from repro.ddss.substrate import (HEADER_BYTES, INSTALL_BIT, TOMBSTONE,
                                   VERSION_OFF)
-from repro.errors import DDSSError
+from repro.errors import ConfigError, DDSSError
 from repro.net import Cluster
 from repro.reconfig import ReconfigManager
+from repro.shard import ShardedDDSS
 from repro.txn import OCCTxnClient
 from repro.workloads.tpcc import transfer_txn
 
 from tests.txn.batch import one
 
 
-def _rig(n_nodes=3, seed=0):
+def _rig(n_nodes=3, seed=0, sharded=False):
+    """A cluster and its DDSS; ``migrate_off``, the eviction-time
+    rebalance, is the sharded directory's."""
     cluster = Cluster(n_nodes=n_nodes, seed=seed)
-    ddss = DDSS(cluster, segment_bytes=256 * 1024)
+    ddss = (ShardedDDSS if sharded else DDSS)(cluster,
+                                              segment_bytes=256 * 1024)
     return cluster, ddss
 
 
@@ -154,7 +158,7 @@ class TestRebalanceGuards:
             ddss.migrate_unit(key, new_home=42)
 
     def test_migrate_off_skips_busy_and_moves_the_rest(self):
-        cluster, ddss = _rig()
+        cluster, ddss = _rig(sharded=True)
         keys = [_alloc(cluster, ddss, home=0) for _ in range(3)]
         store = ddss.client(cluster.nodes[1])
 
@@ -170,7 +174,7 @@ class TestRebalanceGuards:
         assert all(ddss._directory[k].home == 1 for k in keys[1:])
 
     def test_migrate_off_without_live_targets_fails(self):
-        cluster, ddss = _rig()
+        cluster, ddss = _rig(sharded=True)
         _alloc(cluster, ddss, home=0)
         with pytest.raises(DDSSError, match="no live member"):
             ddss.migrate_off(0, avoid=(1, 2))
@@ -181,12 +185,19 @@ class TestReconfigHook:
         """ReconfigManager wired with ddss=: declaring a node dead
         tombstones every unit it homed and repoints the directory, so
         stale clients fail-retry instead of writing to a dead home."""
-        cluster, ddss = _rig(n_nodes=4)
+        cluster, ddss = _rig(n_nodes=4, sharded=True)
         keys = [_alloc(cluster, ddss, home=1) for _ in range(2)]
         manager = ReconfigManager(cluster.nodes[0], services=[],
                                   ddss=ddss)
         manager._evict(1)
         assert all(ddss._directory[k].home != 1 for k in keys)
+
+    def test_plain_ddss_is_rejected_at_construction(self):
+        """Eviction rebalances through the sharded directory, so a plain
+        DDSS fails when the manager is built, not at the first evict."""
+        cluster, ddss = _rig()
+        with pytest.raises(ConfigError, match="needs a ShardedDDSS"):
+            ReconfigManager(cluster.nodes[0], services=[], ddss=ddss)
 
     def test_evict_without_ddss_is_harmless(self):
         cluster, _ddss = _rig()

@@ -108,13 +108,13 @@ class TestInjector:
             cluster.install_faults(plan)
         # nothing was installed or scheduled
         assert cluster.fabric.injector is None
-        assert cluster.run(until=100.0) == 100.0
+        assert cluster.env.run(until=100.0) == 100.0
 
     def test_crash_schedule_logged(self):
         cluster = make_cluster()
         inj = cluster.install_faults(
             FaultPlan().crash(1, at=100.0, restart_at=300.0))
-        cluster.run(until=500.0)
+        cluster.env.run(until=500.0)
         assert inj.log == [(100.0, "crash", 1), (300.0, "restart", 1)]
         assert 1 not in inj.down
 
@@ -168,7 +168,7 @@ class TestInjector:
 
         cluster.env.process(rx(cluster.env))
         cluster.env.process(tx(cluster.env))
-        cluster.run(until=1_000.0)
+        cluster.env.run(until=1_000.0)
         assert got == []
         assert inj.messages_dropped == 5
 
@@ -188,7 +188,7 @@ class TestInjector:
 
         cluster.env.process(rx(cluster.env))
         cluster.env.process(tx(cluster.env))
-        cluster.run(until=1_000.0)
+        cluster.env.run(until=1_000.0)
         assert len(got) == 2 and got[0] == got[1]
         assert inj.messages_duplicated == 1
 
@@ -260,7 +260,7 @@ class TestDeterminism:
 
         cluster.env.process(rx(cluster.env))
         cluster.env.process(tx(cluster.env))
-        cluster.run(until=10_000.0)
+        cluster.env.run(until=10_000.0)
         return (delivered, inj.log, inj.messages_dropped,
                 inj.messages_duplicated)
 

@@ -264,7 +264,7 @@ class TestConfig:
                 failed.append((env.now, str(exc)))
 
         cluster.env.process(app(cluster.env))
-        cluster.run(until=100_000.0)
+        cluster.env.run(until=100_000.0)
         (t_fail, msg), = failed
         assert f"after {MAX_ATTEMPTS} attempts" in msg
         backoff = sum(LEASE_US / 2 * min(k, 8)

@@ -149,7 +149,7 @@ class TestSymmetricPartition:
         cluster.install_faults(
             FaultPlan().partition([[0, 1], [2, 3]], start=100.0,
                                   until=300.0))
-        cluster.run(until=1_000.0)
+        cluster.env.run(until=1_000.0)
         etypes = [e.etype
                   for e in obs.trace.select(prefix="fault.partition")]
         assert etypes == ["fault.partition", "fault.partition.heal"]
@@ -188,7 +188,7 @@ class TestOneWayPartition:
 
         cluster.env.process(rx(cluster.env))
         cluster.env.process(tx(cluster.env))
-        cluster.run(until=1_000.0)
+        cluster.env.run(until=1_000.0)
         assert got == ["up"]
 
     def test_response_leg_cut_fails_read_from_far_side(self):

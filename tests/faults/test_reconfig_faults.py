@@ -25,7 +25,7 @@ class TestHeartbeat:
 
     def test_all_alive_without_faults(self):
         cluster, inj, front, backs, det = build()
-        cluster.run(until=20_000.0)
+        cluster.env.run(until=20_000.0)
         assert det.transitions == []
         assert det.dead_ids == set()
         assert det.probes > 0
@@ -34,7 +34,7 @@ class TestHeartbeat:
         crash_at = 5_000.0
         cluster, inj, front, backs, det = build(
             plan=FaultPlan().crash(2, at=crash_at))
-        cluster.run(until=20_000.0)
+        cluster.env.run(until=20_000.0)
         assert det.is_dead(2)
         (t, node_id, what), = det.transitions
         assert (node_id, what) == (2, "dead")
@@ -43,7 +43,7 @@ class TestHeartbeat:
     def test_restart_detected_as_alive(self):
         cluster, inj, front, backs, det = build(
             plan=FaultPlan().crash(2, at=5_000.0, restart_at=15_000.0))
-        cluster.run(until=25_000.0)
+        cluster.env.run(until=25_000.0)
         assert [x[1:] for x in det.transitions] == [(2, "dead"),
                                                     (2, "alive")]
         assert not det.is_dead(2)
@@ -69,7 +69,7 @@ class TestFailureAwareReconfig:
             plan=FaultPlan().crash(2, at=crash_at))
         web = Service("web", backs[:3], priority=2)
         mgr = ReconfigManager(front, [web], detector=det)
-        cluster.run(until=20_000.0)
+        cluster.env.run(until=20_000.0)
         evicts = [e for e in mgr.evictions if e[3] == "evict"]
         assert [(e[1], e[2]) for e in evicts] == [(2, "web")]
         assert crash_at <= evicts[0][0] <= crash_at + det.detect_bound_us()
@@ -83,7 +83,7 @@ class TestFailureAwareReconfig:
         web = Service("web", backs[:1], priority=5)
         batch = Service("batch", backs[1:], priority=1)
         mgr = ReconfigManager(front, [web, batch], detector=det)
-        cluster.run(until=20_000.0)
+        cluster.env.run(until=20_000.0)
         kinds = [e[3] for e in mgr.evictions]
         assert kinds == ["evict", "backfill"]
         assert len(web.nodes) == MIN_NODES
@@ -95,7 +95,7 @@ class TestFailureAwareReconfig:
             plan=FaultPlan().crash(2, at=5_000.0, restart_at=20_000.0))
         web = Service("web", backs[:3], priority=2)
         mgr = ReconfigManager(front, [web], detector=det)
-        cluster.run(until=40_000.0)
+        cluster.env.run(until=40_000.0)
         assert [e[3] for e in mgr.evictions] == ["evict", "restore"]
         assert any(n.id == 2 for n in web.nodes)
 
@@ -113,7 +113,7 @@ class TestFailureAwareReconfig:
                 web.submit(50.0)
 
         cluster.env.process(load(cluster.env))
-        cluster.run(until=25_000.0)
+        cluster.env.run(until=25_000.0)
         assert web.nodes == []
         assert web.dropped > 0
         assert web.submitted + web.dropped == 20
@@ -135,7 +135,7 @@ class TestFailureAwareReconfig:
             yield env.timeout(1e9)
 
         cluster.env.process(hold(cluster.env))
-        cluster.run(until=20_000.0)
+        cluster.env.run(until=20_000.0)
         assert manager.reclaims
         t_dead = det.transitions[0][0]
         t_reclaim = manager.reclaims[0][0]

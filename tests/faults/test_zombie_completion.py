@@ -40,7 +40,7 @@ def mid_flight_crash_time(seed=0):
     seg = cluster.nodes[1].memory.register(SIZE, name="tgt")
     results = []
     timed_read(cluster, 0, 1, seg, results)
-    cluster.run(until=1e9)
+    cluster.env.run(until=1e9)
     assert results and results[0][0] == "ok"
     return results[0][1] / 2
 
@@ -54,7 +54,7 @@ class TestZombieCompletion:
         seg = cluster.nodes[1].memory.register(SIZE, name="tgt")
         results = []
         timed_read(cluster, 0, 1, seg, results)
-        cluster.run(until=1e9)
+        cluster.env.run(until=1e9)
         # the node was back up before the transfer would have finished,
         # yet the pre-crash completion must not be resurrected
         status, t, msg = results[0]
@@ -71,7 +71,7 @@ class TestZombieCompletion:
         seg = cluster.nodes[1].memory.register(SIZE, name="tgt")
         results = []
         timed_read(cluster, 0, 1, seg, results)
-        cluster.run(until=1e9)
+        cluster.env.run(until=1e9)
         assert results[0][0] == "fail"
         assert inj.completions_fenced == 1
 
@@ -81,7 +81,7 @@ class TestZombieCompletion:
         seg = cluster.nodes[1].memory.register(SIZE, name="tgt")
         results = []
         timed_read(cluster, 0, 1, seg, results)
-        cluster.run(until=2e6)
+        cluster.env.run(until=2e6)
         assert results[0][0] == "ok"
         assert results[0][2] == SIZE  # payload intact through the fence
         assert inj.completions_fenced == 0
@@ -94,7 +94,7 @@ class TestZombieCompletion:
         seg = cluster.nodes[1].memory.register(SIZE, name="tgt")
         results = []
         timed_read(cluster, 0, 1, seg, results)
-        cluster.run(until=1e9)
+        cluster.env.run(until=1e9)
         assert results[0][0] == "ok"
         assert inj.completions_fenced == 0
 
@@ -103,7 +103,7 @@ class TestZombieCompletion:
         seg = cluster.nodes[1].memory.register(SIZE, name="tgt")
         results = []
         timed_read(cluster, 0, 1, seg, results)
-        cluster.run(until=1e9)
+        cluster.env.run(until=1e9)
         status, _t, msg = results[0]
         assert status == "fail"
         assert "stale completion" not in msg  # plain down, not a zombie

@@ -45,7 +45,7 @@ class TestHysteresis:
         obs = cluster.observe(strict=False)
         seen = []
         det.subscribe(lambda nid, tr: seen.append((nid, tr)))
-        cluster.run(until=10 * PERIOD_US)
+        cluster.env.run(until=10 * PERIOD_US)
         kinds = [e.etype for e in obs.trace.select(prefix="detect.")]
         assert kinds == ["detect.suspect", "detect.clear"]
         assert seen == []
@@ -56,7 +56,7 @@ class TestHysteresis:
     def test_sustained_misses_still_confirm_dead(self):
         cluster, inj, det = build(
             PhiAccrualDetector, plan=self.flap_plan(misses=8))
-        cluster.run(until=6 * PERIOD_US)
+        cluster.env.run(until=6 * PERIOD_US)
         assert det.is_dead(1)
         assert [tr for _t, nid, tr in det.transitions if nid == 1] \
             == ["dead"]
@@ -64,17 +64,17 @@ class TestHysteresis:
     def test_suspects_visible_while_held(self):
         cluster, inj, det = build(
             PhiAccrualDetector, plan=self.flap_plan(misses=2))
-        cluster.run(until=2.4 * PERIOD_US)
+        cluster.env.run(until=2.4 * PERIOD_US)
         assert det._suspect == {1}
         assert det.unreachable_ids == {1} and det.dead_ids == set()
-        cluster.run(until=10 * PERIOD_US)
+        cluster.env.run(until=10 * PERIOD_US)
         assert det._suspect == set()
 
     def test_three_lost_probes_are_a_death(self):
         # no counter hysteresis: a third lost probe crosses DEAD_PHI
         cluster, inj, det = build(
             PhiAccrualDetector, plan=self.flap_plan(misses=3))
-        cluster.run(until=10 * PERIOD_US)
+        cluster.env.run(until=10 * PERIOD_US)
         assert [tr for _t, _n, tr in det.transitions] == ["dead", "alive"]
         assert det.flaps_absorbed == 0
 
@@ -85,7 +85,7 @@ class TestPhiAccrual:
         cluster, inj, det = build(
             PhiAccrualDetector,
             plan=FaultPlan().crash(1, at=crash_at))
-        cluster.run(until=crash_at + det.detect_bound_us() + PERIOD_US)
+        cluster.env.run(until=crash_at + det.detect_bound_us() + PERIOD_US)
         assert det.is_dead(1)
         t_dead = [t for t, nid, tr in det.transitions
                   if nid == 1 and tr == "dead"][0]
@@ -95,7 +95,7 @@ class TestPhiAccrual:
         cluster, inj, det = build(
             PhiAccrualDetector, plan=FaultPlan().crash(1, at=5_000.0))
         obs = cluster.observe(strict=False)
-        cluster.run(until=5_000.0 + det.detect_bound_us() + PERIOD_US)
+        cluster.env.run(until=5_000.0 + det.detect_bound_us() + PERIOD_US)
         kinds = [e.etype for e in obs.trace.select(prefix="detect.")
                  if e.fields.get("watched") == 1]
         assert "detect.suspect" in kinds and "detect.dead" in kinds
@@ -105,7 +105,7 @@ class TestPhiAccrual:
         cluster, inj, det = build(
             PhiAccrualDetector,
             plan=FaultPlan().crash(1, at=5_000.0, restart_at=12_000.0))
-        cluster.run(until=20_000.0)
+        cluster.env.run(until=20_000.0)
         assert not det.is_dead(1)
         assert [tr for _t, nid, tr in det.transitions if nid == 1] \
             == ["dead", "alive"]
@@ -113,9 +113,9 @@ class TestPhiAccrual:
     def test_phi_grows_with_silence(self):
         cluster, inj, det = build(PhiAccrualDetector,
                                   plan=FaultPlan().crash(1, at=4_000.0))
-        cluster.run(until=4_100.0)
+        cluster.env.run(until=4_100.0)
         early = det.phi(1)
-        cluster.run(until=6_500.0)
+        cluster.env.run(until=6_500.0)
         assert det.phi(1) > early
         assert det.phi(2) < 1.0  # healthy node stays unsuspicious
 
@@ -126,7 +126,7 @@ class TestPhiAccrual:
             PhiAccrualDetector,
             plan=FaultPlan().slow_node(1, 6.0, start=4_000.0,
                                        until=20_000.0))
-        cluster.run(until=30_000.0)
+        cluster.env.run(until=30_000.0)
         dead = [nid for _t, nid, tr in det.transitions if tr == "dead"]
         assert dead == []
 
@@ -138,7 +138,7 @@ class TestPhiAccrual:
             PhiAccrualDetector,
             plan=FaultPlan().crash(1, at=5_000.0, restart_at=12_000.0))
         obs = cluster.observe(strict=False)
-        cluster.run(until=20_000.0)
+        cluster.env.run(until=20_000.0)
         assert det.transitions == [(6136.320000000001, 1, "dead"),
                                    (12367.999999999995, 1, "alive")]
         assert [(e.t, e.etype, e.fields.get("watched"))
@@ -178,6 +178,11 @@ def gate_build(n=5, seed=0, plan=None):
     return cluster, inj, det, gate
 
 
+def forwarded(gate, n=5):
+    """The nodes whose death the gate has forwarded."""
+    return {i for i in range(n) if gate.is_dead(i)}
+
+
 class TestQuorumGate:
     def test_majority_side_forwards_dead_within_hold(self):
         # {0,1,2} | {3,4}: front keeps quorum 3/5, far side dies
@@ -187,8 +192,8 @@ class TestQuorumGate:
                                        until=1e9))
         # phi confirmation, the gate's one-period hold, one period slack
         bound = det.detect_bound_us() + PERIOD_US + PERIOD_US
-        cluster.run(until=start + bound)
-        assert gate.dead_ids == {3, 4}
+        cluster.env.run(until=start + bound)
+        assert forwarded(gate) == {3, 4}
         assert gate.has_quorum
         assert gate.fenced == []
         assert gate.config_epoch == 2
@@ -201,10 +206,10 @@ class TestQuorumGate:
         cluster, inj, det, gate = gate_build(
             plan=FaultPlan().partition([[0, 1], [2, 3, 4]], start=start,
                                        until=1e9))
-        cluster.run(until=start + det.detect_bound_us()
+        cluster.env.run(until=start + det.detect_bound_us()
                     + PERIOD_US + 5 * PERIOD_US)
         assert det.dead_ids == {2, 3, 4}   # inner detector fires...
-        assert gate.dead_ids == set()      # ...but nothing is forwarded
+        assert forwarded(gate) == set()      # ...but nothing is forwarded
         assert not gate.has_quorum
         assert {nid for _t, nid in gate.fenced} == {2, 3, 4}
         assert gate.transitions == []
@@ -216,9 +221,9 @@ class TestQuorumGate:
         cluster, inj, det, gate = gate_build(
             plan=FaultPlan().partition([[0, 1], [2, 3, 4]], start=start,
                                        until=until))
-        cluster.run(until=until + 5 * PERIOD_US)
+        cluster.env.run(until=until + 5 * PERIOD_US)
         assert det.dead_ids == set()
-        assert gate.dead_ids == set()
+        assert forwarded(gate) == set()
         assert [tr for _t, _n, tr in gate.transitions] == []
 
     def test_real_deaths_during_quorum_loss_forward_after_recovery(self):
@@ -230,12 +235,12 @@ class TestQuorumGate:
                   .crash(4, at=4_000.0)
                   .partition([[0, 1], [2, 3, 4]], start=4_500.0,
                              until=16_000.0)))
-        cluster.run(until=30_000.0)
-        assert gate.dead_ids == {3, 4}
+        cluster.env.run(until=30_000.0)
+        assert forwarded(gate) == {3, 4}
         assert not det.is_dead(2) and not gate.is_dead(2)
 
     def test_oracle_interface_matches_detector(self):
         cluster, inj, det, gate = gate_build()
         assert gate.is_dead(1) is False
-        assert gate.dead_ids == set()
+        assert forwarded(gate) == set()
         assert gate.n_members == 5 and gate.quorum == 3

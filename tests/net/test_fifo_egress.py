@@ -123,7 +123,7 @@ def _replay(cluster, bursts, deep, plan=None):
     env.process(driver(env))
     env.run()
     result = {"outcome": outcome, "now": env.now,
-              "pending": [len(node.nic._recv_queues.get("m", ()))
+              "pending": [len(node.nic._queue("m")._items)
                           for node in cluster.nodes],
               "moved": (fabric.transfers, fabric.bytes_moved)}
     if injector is not None:
@@ -490,7 +490,7 @@ def _message_cost(make_cluster, op, n):
         sys.setprofile(None)
         gc.enable()
     seq = env._seq
-    assert [msg.payload for msg in dst._recv_queues["m"].items] \
+    assert [msg.payload for msg in dst._recv_queues["m"]._items] \
         == list(range(n))
     return calls, seq
 

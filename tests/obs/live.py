@@ -2,17 +2,20 @@
 
 A run is judged by replaying its trace through every oracle
 (:meth:`repro.obs.Observability.violations`).  A test may ask for more:
-the first violating emission raises :class:`~repro.errors.SanitizerError`
+the first violating emission raises :class:`SanitizerError`
 from the emitting frame, so the offending event tops the traceback.
 :func:`attach` feeds one oracle live, and :func:`observe_live` installs
 observability with every oracle of :data:`repro.verify.ALL_ORACLES`
 attached; an oracle's ``finish`` is left to a replay.
 """
 
-from repro.errors import SanitizerError
 from repro.verify import ALL_ORACLES
 
-__all__ = ["attach", "observe_live"]
+__all__ = ["SanitizerError", "attach", "observe_live"]
+
+
+class SanitizerError(Exception):
+    """A live oracle flagged the event being emitted."""
 
 
 def attach(oracle, tracer):

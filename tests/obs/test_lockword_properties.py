@@ -7,13 +7,12 @@ import random
 
 import pytest
 
-from repro.errors import SanitizerError
 from repro.sim import Environment, spawn_child
 from repro.obs import Tracer
 from repro.verify import LockOracle
 from repro.dlm.ft import _EP_MASK, _F24, pack, unpack
 
-from tests.obs.live import attach, observe_live
+from tests.obs.live import SanitizerError, attach, observe_live
 
 N_CASES = 300
 

@@ -17,7 +17,7 @@ class TestStore:
         store = Store(env)
 
         def proc(env):
-            yield store.put("x")
+            store.try_put("x")
             item = yield store.get()
             return item
 
@@ -33,7 +33,7 @@ class TestStore:
 
         def producer(env):
             yield env.timeout(9.0)
-            yield store.put("late")
+            store.try_put("late")
 
         c = env.process(consumer(env))
         env.process(producer(env))
@@ -46,7 +46,7 @@ class TestStore:
 
         def proc(env):
             for i in range(4):
-                yield store.put(i)
+                store.try_put(i)
             got = []
             for _ in range(4):
                 got.append((yield store.get()))
@@ -69,7 +69,7 @@ class TestStore:
         def producer(env):
             yield env.timeout(1.0)
             for i in "abc":
-                yield store.put(i)
+                store.try_put(i)
 
         env.process(producer(env))
         env.run()

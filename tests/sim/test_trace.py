@@ -11,8 +11,8 @@ from tests.obs.reference_hist import percentile
 class TestTally:
     def test_mean_min_max(self):
         t = Tally()
-        for x in [1.0, 2.0, 3.0, 4.0]:
-            t.add(x)
+        t.extend([1.0, 2.0])
+        t.extend([3.0, 4.0])
         assert t.count == 4
         assert t.mean == pytest.approx(2.5)
         assert t.min == 1.0

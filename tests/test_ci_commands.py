@@ -63,7 +63,7 @@ def exported_traces():
 
 def test_extractor_sees_the_workflow():
     commands = {argv[0] for argv in ARGVS}
-    assert len(ARGVS) == 18
+    assert len(ARGVS) == 19
     assert commands == {"lab", "check", "chaos", "locks"}
     assert not any("$" in word for argv in ARGVS for word in argv)
 

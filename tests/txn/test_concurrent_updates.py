@@ -92,7 +92,7 @@ class TestConservation:
         w.add_txn(transfer_txn(keys[1], keys[2], 5))
         done = w.start()
         cluster.env.run_until_event(done, limit=1e9)
-        assert w.commits == 2
+        assert w.client.commits == 2
         for k in keys:
             word, _data = unit_state(ddss, k)
             assert word < (1 << 63), "busy bit must not survive commit"
@@ -118,7 +118,7 @@ class TestMixedVariants:
             w.start()
             workers.append(w)
         cluster.env.run(until=2_000_000.0)
-        assert sum(w.commits for w in workers) > 0
+        assert sum(w.client.commits for w in workers) > 0
         assert account_sum(ddss, keys) == N_ACCOUNTS * ACCOUNT_START
 
     def test_scenario_harness_conserves_for_all_variants(self):
@@ -170,7 +170,7 @@ class TestNewOrder:
             w.add_txn(new_order_txn(district, items))
         done = w.start()
         cluster.env.run_until_event(done, limit=1e9)
-        assert w.commits == 3
+        assert w.client.commits == 3
         assert balance(unit_state(ddss, district)[1]) == 50 + 3
         for it in items:
             assert balance(unit_state(ddss, it)[1]) == 50 - 3

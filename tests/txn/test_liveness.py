@@ -56,8 +56,8 @@ def test_four_clients_hammering_two_keys_all_make_progress():
         workers.append(w)
     cluster.env.run(until=1_000_000.0)
     assert [len(w.results) for w in workers] == [20] * 4
-    assert all(w.commits >= 18 for w in workers), \
-        [w.commits for w in workers]
+    assert all(w.client.commits >= 18 for w in workers), \
+        [w.client.commits for w in workers]
     assert account_sum(ddss, [a, b]) == 2000
 
 

@@ -114,7 +114,7 @@ class TestWedgeWindow:
         assert result.wedged and not result.committed
         assert client.wedges == 1
         # a wedged txn is neither a commit nor a clean abort
-        assert worker.commits == 0 and worker.aborts == 0
+        assert client.commits == 0 and client.aborts == 0
         # the published half is durable, the unpublished claim stays busy
         assert _word(ddss, lo) == 2
         assert _word(ddss, hi) & INSTALL_BIT

@@ -7,12 +7,14 @@ tests/test_scenarios.py; the fold's full grids:
 tests/verify/test_kernel_fold.py.)
 """
 
+import dataclasses
 import json
 import re
 from collections import Counter
 
 import pytest
 
+from repro import scenarios
 from repro.cli import main
 from repro.errors import ConfigError
 from repro.obs.events import TraceEvent
@@ -43,6 +45,34 @@ class TestPackagedChecks:
         """Of the test-side selector: the product has no kernel knob."""
         with pytest.raises(ConfigError, match=r"unknown kernel.*fast\|slow"):
             run_check("ncosed", kernel=kernel)
+
+    def test_violating_run_carries_a_shrunk_reproducer(self, monkeypatch):
+        """``run_check`` on a run whose trace holds a double grant
+        reports the violation and shrinks the live trace to a
+        reproducer."""
+        sc = SCENARIOS["ncosed"]
+
+        def build(*args):
+            built = sc.build(*args)
+            obs = built[0] if isinstance(built, tuple) else built
+            for what, tok, extra in (("request", 7, {}), ("request", 9, {}),
+                                     ("enqueue", 7, {"prev": 0, "ep": 0}),
+                                     ("enqueue", 9, {"prev": 7, "ep": 0}),
+                                     ("grant", 7, {}), ("grant", 9, {})):
+                obs.trace.emit(f"lock.{what}", 1, mgr="ncosed-0", lock=999,
+                               token=tok, mode="EXCLUSIVE", **extra)
+            return built
+
+        monkeypatch.setitem(SCENARIOS, "ncosed",
+                            dataclasses.replace(sc, build=build))
+        r = scenarios.run_check("ncosed", seed=0)
+        assert r["verdict"] != "ok"
+        repro = r["repro"]
+        assert "exclusive grant" in repro["violation"]["msg"]
+        assert 0 < repro["kept_events"] < repro["original_events"]
+        assert repro["events"][-1][2:] == [
+            "lock.grant", {"mgr": "ncosed-0", "lock": 999, "token": 9,
+                           "mode": "EXCLUSIVE"}]
 
     def test_run_suite_summary(self):
         rep = run_suite(["ncosed", "cache-bcc"], seed=0)

@@ -68,7 +68,7 @@ def as_lists(obs) -> dict:
     return {"format": "repro-trace-v1", "sim_now_us": obs.env.now,
             "emitted": obs.trace.emitted,
             "events": [[ev.t, ev.node, ev.etype, ev.fields]
-                       for ev in obs.trace]}
+                       for ev in obs.trace.ring]}
 
 
 def dumps(doc) -> str:

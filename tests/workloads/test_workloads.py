@@ -133,25 +133,26 @@ class TestThreadChurn:
         cluster = Cluster(n_nodes=1, seed=0)
         churn = ThreadChurn(cluster.nodes[0], cluster.rng.get("c"),
                             swing=5, step_every_us=100.0)
+        values = []
+
+        def sample(env):
+            # halfway between two steps, 500 times
+            yield env.timeout(50.0)
+            while True:
+                values.append(churn.current)
+                yield env.timeout(100.0)
+
+        cluster.env.process(sample(cluster.env))
         cluster.env.run(until=50_000.0)
-        values = [n for _t, n in churn.history]
-        assert min(values) >= BASE - 5
-        assert max(values) <= BASE + 5
-        assert len(values) > 100
+        assert len(values) == 500
+        assert min(values) == BASE - 5
+        assert max(values) == BASE + 5
 
     def test_background_load_applied(self):
         cluster = Cluster(n_nodes=1, seed=0)
         churn = ThreadChurn(cluster.nodes[0], cluster.rng.get("c"),
                             swing=0)
         assert cluster.nodes[0].cpu.active_jobs == BASE == churn.current
-
-    def test_at_returns_ground_truth(self):
-        cluster = Cluster(n_nodes=1, seed=1)
-        churn = ThreadChurn(cluster.nodes[0], cluster.rng.get("c"),
-                            swing=8, step_every_us=1000.0)
-        cluster.env.run(until=20_000.0)
-        t, n = churn.history[5]
-        assert churn.at(t) == n
 
     def test_bad_config(self):
         cluster = Cluster(n_nodes=1, seed=0)
