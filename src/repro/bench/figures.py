@@ -324,11 +324,15 @@ def check_sdp(table):
 
 # -- §6: packetized vs credit-based flow control
 
+#: messages one flow-control cell streams
+FLOW_MSGS = 400
+
+
 def _flow_stream(sender_cls, size: int) -> float:
     cluster = Cluster(n_nodes=2, params=NetworkParams.infiniband(), seed=0)
     rx = FlowReceiver(cluster.nodes[1])
     sender = sender_cls(cluster.nodes[0], rx)
-    p = cluster.env.process(sender.stream(400, size))
+    p = cluster.env.process(sender.stream(FLOW_MSGS, size))
     cluster.env.run_until_event(p, limit=1e10)
     return p.value  # B/us == MB/s
 

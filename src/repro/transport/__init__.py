@@ -3,11 +3,10 @@
 Implements the paper's "advanced communication protocols and subsystems":
 
 * :mod:`repro.transport.sdp` — Sockets Direct Protocol over RDMA:
-  buffered-copy mode (BSDP) with credit-based flow control and zero-copy
-  mode (ZSDP) with a SrcAvail/RDMA-read handshake.
-* :mod:`repro.transport.azsdp` — Asynchronous Zero-copy SDP: the sender
-  memory-protects the user buffer and returns immediately, overlapping
-  transfers while preserving synchronous-socket semantics.
+  buffered-copy mode (BSDP) with credit-based flow control, zero-copy
+  mode (ZSDP) with a SrcAvail/RDMA-read handshake, and asynchronous
+  zero copy (AZ-SDP), which reuses the ZSDP pull behind a
+  memory-protected send that returns at once.
 * :mod:`repro.transport.flowcontrol` — credit-based vs packetized
   (sender-managed RDMA ring) flow control for small messages.
 * :mod:`repro.transport.rpc` — the one request/reply path over raw NIC
@@ -25,11 +24,9 @@ size)`` and ``recv()``.
 
 from repro import _lazy
 
-_EXPORTS = {"AzSdpEndpoint": "repro.transport.azsdp",
+_EXPORTS = {"AzSdpEndpoint": "repro.transport.sdp",
             "BufferedSdpEndpoint": "repro.transport.sdp",
             "ZeroCopySdpEndpoint": "repro.transport.sdp",
-            "Connection": "repro.transport.base",
-            "Endpoint": "repro.transport.base",
             "CreditFlowSender": "repro.transport.flowcontrol",
             "FlowReceiver": "repro.transport.flowcontrol",
             "PacketizedFlowSender": "repro.transport.flowcontrol"}

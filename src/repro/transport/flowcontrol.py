@@ -12,9 +12,13 @@ These classes are a focused micro-model used by the E10 bench:
 
 * :class:`FlowReceiver` — owns ``NBUFS`` buffers of ``BUF_BYTES`` each
   and drains them at a fixed per-message application cost.
-* :class:`CreditFlowSender.stream` — sends N messages under credits.
-* :class:`PacketizedFlowSender.stream` — sends N messages into the
-  remote ring via RDMA write, space-limited rather than credit-limited.
+* :class:`CreditFlowSender` — sends under one credit per message.
+* :class:`PacketizedFlowSender` — sends into the remote ring via RDMA
+  write, space-limited rather than credit-limited.
+
+Both share one ``stream`` loop (:class:`_FlowSender`): send, drain and
+return in batches of ``ACK_BATCH``; the senders differ only in what a
+message takes from the pool and how it comes back.
 """
 
 from __future__ import annotations
@@ -53,29 +57,39 @@ class FlowReceiver:
 
     def __init__(self, node):
         self.node = node
-        self.env = node.env
         self.delivered = 0
         self.delivered_bytes = 0
 
 
-class CreditFlowSender:
-    """Sender limited by one credit per message."""
+class _FlowSender:
+    """One stream loop over the receiver's pool.
+
+    A subclass says what one message takes from the pool
+    (:meth:`_footprint`), how the sender waits for it (:meth:`_admit`)
+    and how the receiver's batched return gives it back
+    (:meth:`_give_back`).
+    """
+
+    #: the receiver reposts a receive WQE for each drained buffer
+    #: (packetized flow control has no per-message repost: the sender
+    #: manages the ring with RDMA writes)
+    REPOST = False
 
     def __init__(self, node, receiver: FlowReceiver):
         self.node = node
         self.env = node.env
         self.receiver = receiver
-        self._credits = Resource(self.env, capacity=NBUFS)
-        self._ack_due = 0
 
     def stream(self, n_msgs: int, msg_bytes: int):
         """Generator: send ``n_msgs`` of ``msg_bytes`` each; returns the
         achieved bandwidth in bytes/µs."""
-        if msg_bytes > BUF_BYTES:
-            raise ConfigError("message larger than a preposted buffer")
+        footprint = self._footprint(msg_bytes)
         env = self.env
         fabric = self.node.fabric
         rnode = self.receiver.node
+        p = fabric.params
+        drain_us = (DRAIN_PER_MSG_US + p.post_us if self.REPOST
+                    else DRAIN_PER_MSG_US)
         t0 = env.now
         inflight = Store(env)
         # Per-stream completion: signalled by rx_side once *this* stream's
@@ -85,128 +99,92 @@ class CreditFlowSender:
         # measured elapsed time to the poll period.
         drained_all = Event(env)
 
-        sender_id = self.node.id
-        capacity = NBUFS
-
-        def credits_back(n: int) -> None:
-            for _ in range(n):
-                self._credits.release()
-            obs = env.obs
-            if obs is not None:
-                obs.trace.emit("flow.credit.return", node=sender_id,
-                               sender=sender_id, n=n)
-
         def rx_side():
-            """Receiver app: drain arrivals, return credits in batches."""
-            acked = 0
-            for i in range(n_msgs):
-                yield inflight.get()
-                # drain + repost a fresh receive WQE for the freed buffer
-                # (packetized flow control has no per-message repost: the
-                # sender manages the ring with RDMA writes)
-                yield env.timeout(DRAIN_PER_MSG_US + fabric.params.post_us)
-                self.receiver.delivered += 1
-                self.receiver.delivered_bytes += msg_bytes
-                acked += 1
-                if acked == ACK_BATCH or i == n_msgs - 1:
-                    release = _stall_release(fabric, rnode.id)
-                    if release is not None:
-                        # gray failure: receiver wedged, credits held
-                        # back until the stall window closes
-                        yield env.timeout(release - env.now)
-                    # credit-return control message flows back
-                    ret = fabric.transfer(rnode.id, self.node.id,
-                                          fabric.params.header_bytes)
-                    n = acked
-                    ret.add_callback(lambda _ev, n=n: credits_back(n))
-                    acked = 0
-            drained_all.succeed()
-
-        env.process(rx_side(), name="credit-rx")
-        for _ in range(n_msgs):
-            yield self._credits.acquire()
-            obs = env.obs
-            if obs is not None:
-                obs.trace.emit("flow.credit.take", node=sender_id,
-                               sender=sender_id, capacity=capacity)
-            # every message occupies one whole preposted buffer slot
-            done = fabric.transfer(self.node.id, rnode.id,
-                                   msg_bytes + fabric.params.header_bytes)
-            done.add_callback(lambda _ev: inflight.try_put(1))
-        yield drained_all
-        elapsed = env.now - t0
-        return (n_msgs * msg_bytes) / elapsed if elapsed > 0 else 0.0
-
-
-class PacketizedFlowSender:
-    """Sender managing the receiver's pool as a byte ring over RDMA."""
-
-    def __init__(self, node, receiver: FlowReceiver):
-        self.node = node
-        self.env = node.env
-        self.receiver = receiver
-        # sender-side view of free bytes in the remote ring
-        self._free = POOL_BYTES
-
-    def stream(self, n_msgs: int, msg_bytes: int):
-        """Generator: send ``n_msgs`` packed tightly; returns bytes/µs."""
-        env = self.env
-        fabric = self.node.fabric
-        rnode = self.receiver.node
-        p = fabric.params
-        t0 = env.now
-        inflight = Store(env)
-        space_freed = Store(env)
-        drained_all = Event(env)  # per-stream; see CreditFlowSender.stream
-        # packed wire footprint: payload + a small per-message header
-        footprint = msg_bytes + 8
-
-        sender_id = self.node.id
-        pool = POOL_BYTES
-
-        def space_back(f: int) -> None:
-            space_freed.try_put(f)
-            obs = env.obs
-            if obs is not None:
-                obs.trace.emit("flow.ring.free", node=sender_id,
-                               sender=sender_id, nbytes=f)
-
-        def rx_side():
+            """Receiver app: drain arrivals, return them in batches."""
             drained = 0
-            freed = 0
             for i in range(n_msgs):
                 yield inflight.get()
-                yield env.timeout(DRAIN_PER_MSG_US)
+                yield env.timeout(drain_us)
                 self.receiver.delivered += 1
                 self.receiver.delivered_bytes += msg_bytes
                 drained += 1
-                freed += footprint
                 if drained == ACK_BATCH or i == n_msgs - 1:
                     release = _stall_release(fabric, rnode.id)
                     if release is not None:
+                        # gray failure: receiver wedged, returns held
+                        # back until the stall window closes
                         yield env.timeout(release - env.now)
+                    # the credit / freed-space message flows back
                     ret = fabric.transfer(rnode.id, self.node.id,
                                           p.header_bytes)
-                    f = freed
-                    ret.add_callback(lambda _ev, f=f: space_back(f))
+                    ret.add_callback(lambda _ev, n=drained:
+                                     self._give_back(n, footprint))
                     drained = 0
-                    freed = 0
             drained_all.succeed()
 
-        env.process(rx_side(), name="packetized-rx")
+        env.process(rx_side(), name="flow-rx")
         for _ in range(n_msgs):
-            while self._free < footprint:
-                self._free += yield space_freed.get()
-            self._free -= footprint
-            obs = env.obs
-            if obs is not None:
-                obs.trace.emit("flow.ring.reserve", node=sender_id,
-                               sender=sender_id, nbytes=footprint,
-                               pool=pool)
-            # sender-managed RDMA write straight into the packed ring
+            yield from self._admit(footprint)
             done = fabric.transfer(self.node.id, rnode.id,
                                    footprint + p.header_bytes)
             done.add_callback(lambda _ev: inflight.try_put(1))
         yield drained_all
         elapsed = env.now - t0
         return (n_msgs * msg_bytes) / elapsed if elapsed > 0 else 0.0
+
+    def _emit(self, kind: str, **fields) -> None:
+        obs = self.env.obs
+        if obs is not None:
+            obs.trace.emit(kind, node=self.node.id, sender=self.node.id,
+                           **fields)
+
+
+class CreditFlowSender(_FlowSender):
+    """Sender limited by one credit per message."""
+
+    REPOST = True
+
+    def __init__(self, node, receiver: FlowReceiver):
+        super().__init__(node, receiver)
+        self._credits = Resource(self.env, capacity=NBUFS)
+
+    def _footprint(self, msg_bytes: int) -> int:
+        # every message occupies one whole preposted buffer slot
+        if msg_bytes > BUF_BYTES:
+            raise ConfigError("message larger than a preposted buffer")
+        return msg_bytes
+
+    def _admit(self, footprint: int):
+        yield self._credits.acquire()
+        self._emit("flow.credit.take", capacity=NBUFS)
+
+    def _give_back(self, n: int, footprint: int) -> None:
+        for _ in range(n):
+            self._credits.release()
+        self._emit("flow.credit.return", n=n)
+
+
+class PacketizedFlowSender(_FlowSender):
+    """Sender managing the receiver's pool as a byte ring over RDMA."""
+
+    def __init__(self, node, receiver: FlowReceiver):
+        super().__init__(node, receiver)
+        # sender-side view of free bytes in the remote ring, and the
+        # space returns not yet added to it (they outlive one stream)
+        self._free = POOL_BYTES
+        self._freed = Store(self.env)
+
+    def _footprint(self, msg_bytes: int) -> int:
+        # packed wire footprint: payload + a small per-message header
+        return msg_bytes + 8
+
+    def _admit(self, footprint: int):
+        while self._free < footprint:
+            self._free += yield self._freed.get()
+        self._free -= footprint
+        self._emit("flow.ring.reserve", nbytes=footprint, pool=POOL_BYTES)
+
+    def _give_back(self, n: int, footprint: int) -> None:
+        nbytes = n * footprint
+        self._freed.try_put(nbytes)
+        self._emit("flow.ring.free", nbytes=nbytes)

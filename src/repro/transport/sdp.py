@@ -1,6 +1,6 @@
 """Sockets Direct Protocol (SDP) over the RDMA fabric.
 
-Two operation modes from the paper's prior work ([5], [3]):
+Three operation modes from the paper's prior work ([5], [3]):
 
 * **BSDP** (:class:`BufferedSdpEndpoint`) — buffered copy mode.  Small
   messages are memcpy'd into preposted 8 KB buffers under credit-based
@@ -11,22 +11,53 @@ Two operation modes from the paper's prior work ([5], [3]):
   RDMA-reads the payload directly and replies RdmaDone.  ``send`` blocks
   until RdmaDone, preserving synchronous socket semantics with no copies
   — a win for large messages, a loss for small ones (handshake cost).
+* **AZ-SDP** (:class:`AzSdpEndpoint`) — asynchronous zero copy (Balaji
+  et al., CAC'06, ref [3]): keep the *synchronous* sockets interface but
+  perform the transfer *asynchronously*.  On ``send`` the user buffer is
+  memory-protected (so the application cannot scribble on in-flight
+  data) and control returns immediately; the receiver pulls the payload
+  with the ZSDP RDMA read.  ``send(payload, size, buf=...)`` names the
+  user buffer: re-sending from a buffer still in flight takes the
+  page-fault path (``FAULT_US``, then block until RdmaDone), while
+  distinct buffers overlap freely — that is the whole point.  At most
+  ``MAX_INFLIGHT`` protected buffers are outstanding (the real stack's
+  limit on outstanding SrcAvails); ``PROTECT_US`` is the mprotect and
+  bookkeeping cost per send.
 
-The asynchronous variant AZ-SDP lives in :mod:`repro.transport.azsdp`.
+Every endpoint binds to one :class:`repro.net.node.Node` and offers
+connections with message boundaries (like how the paper's services
+actually use sockets)::
+
+    server_ep = BufferedSdpEndpoint(server_node)
+    listener = server_ep.listen(port=80)
+
+    # server side
+    conn = yield listener.accept()
+    msg = yield conn.recv()                # a Datagram(payload, size)
+    yield conn.send(reply, size=128)
+
+    # client side
+    conn = yield client_ep.connect(server_node.id, port=80)
+    yield conn.send(request, size=64)
+
+``send`` returns an event that fires when the *application's* send call
+would return (after the copy for BSDP, after remote completion for ZSDP,
+after the protect for AZ-SDP).  ``recv`` fires when application data is
+available after receive-side costs.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Any, Dict
+from dataclasses import dataclass
+from typing import Any, Dict, Optional
 
 from repro.errors import TransportError
-from repro.sim import Event, Resource
+from repro.sim import Event, Resource, Store
 
-from repro.transport.base import Connection, Datagram, Endpoint
-
-__all__ = ["BufferedSdpEndpoint", "ZeroCopySdpEndpoint",
-           "BufferedSdpConnection", "ZeroCopySdpConnection"]
+__all__ = ["BufferedSdpEndpoint", "ZeroCopySdpEndpoint", "AzSdpEndpoint",
+           "BufferedSdpConnection", "ZeroCopySdpConnection",
+           "AzSdpConnection", "Datagram", "Listener"]
 
 
 #: memcpy-style copy costs (protocol offloaded; no kernel TCP stack).
@@ -44,6 +75,11 @@ SDP_CREDITS = 16
 PIN_BASE_US = 5.0          # buffer pinning / SrcAvail preparation
 PIN_PER_KB_US = 0.01       # page-table walk scales mildly with size
 
+#: AZ-SDP costs and window
+PROTECT_US = 1.5
+FAULT_US = 8.0
+MAX_INFLIGHT = 8
+
 
 def bcopy_us(nbytes: int) -> float:
     """CPU cost of one buffered-SDP copy of ``nbytes``."""
@@ -55,15 +91,61 @@ def pin_us(nbytes: int) -> float:
     return PIN_BASE_US + (nbytes / 1024.0) * PIN_PER_KB_US
 
 
-class _SdpEndpointBase(Endpoint):
-    """Shared handshake + dispatch for all SDP variants."""
+@dataclass
+class Datagram:
+    """An application-level message moving through a connection."""
 
+    payload: Any
+    size: int
+
+
+class Listener:
+    """Accept queue for one (node, port)."""
+
+    def __init__(self, env):
+        self._accepts: Store = Store(env)
+
+    def accept(self) -> Event:
+        """Wait for the next inbound connection; value is a connection."""
+        return self._accepts.get()
+
+
+class _SdpConnection:
+    """One side of an established connection."""
+
+    def __init__(self, endpoint: "_SdpEndpoint", peer_node: int,
+                 peer_conn_id: int):
+        self.endpoint = endpoint
+        self.env = endpoint.env
+        self.node = endpoint.node
+        self.peer_node = peer_node
+        self.peer_conn_id = peer_conn_id
+        self._inbox: Store = Store(self.env)
+
+    def _post(self, body: dict, size: int = 0) -> None:
+        """Send one protocol frame to the peer side of this connection."""
+        body["conn_id"] = self.peer_conn_id
+        self.node.nic.post(self.peer_node, payload=body, size=size,
+                           tag=self.endpoint.WIRE_TAG)
+
+
+class _SdpEndpoint:
+    """Shared handshake, dispatch and ``listen`` for all SDP variants."""
+
+    #: tag namespace on the NIC, distinct per variant
     WIRE_TAG = "sdp"
     CONN_CLS: type = None  # set by subclasses
 
     def __init__(self, node):
-        super().__init__(node)
-        self._conns: Dict[int, Connection] = {}
+        self.node = node
+        self.env = node.env
+        registry = node.services.setdefault("endpoints", {})
+        if self.WIRE_TAG in registry:
+            raise TransportError(
+                f"node {node.name} already has a {type(self).__name__}")
+        registry[self.WIRE_TAG] = self
+        self._listeners: Dict[int, Listener] = {}
+        self._conns: Dict[int, _SdpConnection] = {}
         self._pending_connects: Dict[int, Event] = {}
         # Staging region standing in for pinned user buffers: remote
         # zero-copy reads target this window (timed at full payload size).
@@ -71,7 +153,14 @@ class _SdpEndpointBase(Endpoint):
         self.env.process(self._dispatch(), name=f"sdp-dispatch@{node.name}")
 
     # -- connection setup ---------------------------------------------
+    def listen(self, port: int) -> Listener:
+        if port in self._listeners:
+            raise TransportError(f"port {port} already bound")
+        listener = self._listeners[port] = Listener(self.env)
+        return listener
+
     def connect(self, peer_node: int, port: int) -> Event:
+        """Open a connection; the event's value is the connection."""
         my_id = self.env.next_id("sdp-conn")
         done = self.env.event()
         self._pending_connects[my_id] = done
@@ -81,8 +170,8 @@ class _SdpEndpointBase(Endpoint):
         return done
 
     def _make_conn(self, peer_node: int, conn_id: int,
-                   peer_conn_id: int) -> Connection:
-        conn = type(self).CONN_CLS(self, peer_node, conn_id, peer_conn_id)
+                   peer_conn_id: int) -> _SdpConnection:
+        conn = type(self).CONN_CLS(self, peer_node, peer_conn_id)
         self._conns[conn_id] = conn
         return conn
 
@@ -93,47 +182,43 @@ class _SdpEndpointBase(Endpoint):
             body = msg.payload
             kind = body["kind"]
             if kind == "syn":
-                listener = self._listener(body["port"])
+                listener = self._listeners.get(body["port"])
+                if listener is None:
+                    raise TransportError(
+                        f"connection refused: no listener on port "
+                        f"{body['port']} of node {self.node.name}")
                 my_id = self.env.next_id("sdp-conn")
                 conn = self._make_conn(msg.src, my_id, body["conn_id"])
-                listener._offer(conn)
+                listener._accepts.try_put(conn)
                 self.node.nic.post(msg.src, payload={
                     "kind": "synack", "conn_id": body["conn_id"],
                     "server_conn_id": my_id,
                 }, size=0, tag=self.WIRE_TAG)
             elif kind == "synack":
-                done = self._pending_connects.pop(body["conn_id"], None)
-                if done is None:  # pragma: no cover - defensive
-                    raise TransportError("synack for unknown connect")
-                conn = self._make_conn(msg.src, body["conn_id"],
-                                       body["server_conn_id"])
-                done.succeed(conn)
+                done = self._pending_connects.pop(body["conn_id"])
+                done.succeed(self._make_conn(msg.src, body["conn_id"],
+                                             body["server_conn_id"]))
             else:
-                conn = self._conns.get(body["conn_id"])
-                if conn is not None and not conn.closed:
-                    conn._on_frame(kind, body)
+                self._conns[body["conn_id"]]._on_frame(kind, body)
 
 
 # ---------------------------------------------------------------------------
 # Buffered-copy SDP
 # ---------------------------------------------------------------------------
 
-class BufferedSdpConnection(Connection):
+class BufferedSdpConnection(_SdpConnection):
     """BSDP: copy into preposted buffers under credit flow control."""
 
-    def __init__(self, endpoint, peer_node, conn_id, peer_conn_id):
-        super().__init__(endpoint, peer_node, conn_id=conn_id)
-        self.peer_conn_id = peer_conn_id
+    def __init__(self, endpoint, peer_node, peer_conn_id):
+        super().__init__(endpoint, peer_node, peer_conn_id)
         self._credits = Resource(self.env, capacity=SDP_CREDITS)
 
     def send(self, payload: Any = None, size: int = 0) -> Event:
-        self._check_open()
-        self._account_tx(size)
         return self.env.process(self._send_proc(payload, size),
                                 name=f"bsdp-send@{self.node.name}")
 
     def _send_proc(self, payload, size):
-        datagram = Datagram(payload=payload, size=size, sent_at=self.env.now)
+        datagram = Datagram(payload, size)
         nchunks = max(1, math.ceil(size / SDP_BUF_BYTES))
         remaining = size
         for i in range(nchunks):
@@ -142,17 +227,13 @@ class BufferedSdpConnection(Connection):
             yield self._credits.acquire()
             yield self.node.cpu.run(bcopy_us(chunk), name="bsdp-tx-copy")
             last = i == nchunks - 1
-            self.node.nic.post(self.peer_node, payload={
-                "kind": "data", "conn_id": self.peer_conn_id,
-                "bytes": chunk,
-                "chunks": nchunks if last else 0,
-                "dgram": datagram if last else None,
-            }, size=chunk, tag=self.endpoint.WIRE_TAG)
+            self._post({"kind": "data", "bytes": chunk,
+                        "chunks": nchunks if last else 0,
+                        "dgram": datagram if last else None}, size=chunk)
         # Buffered semantics: send returns once the last chunk is posted.
         return None
 
     def recv(self) -> Event:
-        self._check_open()
         return self.env.process(self._recv_proc(),
                                 name=f"bsdp-recv@{self.node.name}")
 
@@ -166,15 +247,12 @@ class BufferedSdpConnection(Connection):
             # there are credits, so per-datagram returns would deadlock
             yield self.node.cpu.run(bcopy_us(frame["bytes"]),
                                     name="bsdp-rx-copy")
-            self.node.nic.post(self.peer_node, payload={
-                "kind": "credit", "conn_id": self.peer_conn_id, "n": 1,
-            }, size=0, tag=self.endpoint.WIRE_TAG)
+            self._post({"kind": "credit", "n": 1})
             if frame["chunks"]:  # final chunk of a datagram
                 nchunks, datagram = frame["chunks"], frame["dgram"]
                 break
         if got != nchunks:  # pragma: no cover - protocol invariant
             raise TransportError("interleaved BSDP chunks on one connection")
-        datagram.delivered_at = self.env.now
         return datagram
 
     def _on_frame(self, kind: str, body: dict) -> None:
@@ -187,7 +265,7 @@ class BufferedSdpConnection(Connection):
             raise TransportError(f"unexpected BSDP frame {kind!r}")
 
 
-class BufferedSdpEndpoint(_SdpEndpointBase):
+class BufferedSdpEndpoint(_SdpEndpoint):
     """SDP endpoint in buffered-copy mode."""
 
     WIRE_TAG = "sdp"
@@ -198,51 +276,46 @@ class BufferedSdpEndpoint(_SdpEndpointBase):
 # Synchronous zero-copy SDP
 # ---------------------------------------------------------------------------
 
-class ZeroCopySdpConnection(Connection):
+class ZeroCopySdpConnection(_SdpConnection):
     """ZSDP: SrcAvail / remote RDMA read / RdmaDone handshake."""
 
-    def __init__(self, endpoint, peer_node, conn_id, peer_conn_id):
-        super().__init__(endpoint, peer_node, conn_id=conn_id)
-        self.peer_conn_id = peer_conn_id
+    def __init__(self, endpoint, peer_node, peer_conn_id):
+        super().__init__(endpoint, peer_node, peer_conn_id)
         self._done_events: Dict[int, Event] = {}
 
     def send(self, payload: Any = None, size: int = 0) -> Event:
-        self._check_open()
-        self._account_tx(size)
         return self.env.process(self._send_proc(payload, size),
                                 name=f"zsdp-send@{self.node.name}")
 
     def _send_proc(self, payload, size):
-        datagram = Datagram(payload=payload, size=size, sent_at=self.env.now)
         yield self.env.timeout(pin_us(size))
+        # Synchronous semantics: block until the receiver pulled the data.
+        yield self._advertise(payload, size)
+        return None
+
+    def _advertise(self, payload, size: int) -> Event:
+        """Post a SrcAvail for the pinned buffer; the returned event
+        fires when the receiver's RdmaDone arrives."""
         xid = self.env.next_id("sdp-xfer")
         done = self.env.event()
         self._done_events[xid] = done
-        key = self.endpoint.staging.remote_key()
-        self.node.nic.post(self.peer_node, payload={
-            "kind": "srcavail", "conn_id": self.peer_conn_id,
-            "xid": xid, "dgram": datagram, "key": key,
-        }, size=0, tag=self.endpoint.WIRE_TAG)
-        # Synchronous semantics: block until the receiver pulled the data.
-        yield done
-        return None
+        self._post({"kind": "srcavail", "xid": xid,
+                    "dgram": Datagram(payload, size),
+                    "key": self.endpoint.staging.remote_key()})
+        return done
 
     def recv(self) -> Event:
-        self._check_open()
         return self.env.process(self._recv_proc(),
                                 name=f"zsdp-recv@{self.node.name}")
 
     def _recv_proc(self):
         frame = yield self._inbox.get()
-        datagram, key, xid = frame["dgram"], frame["key"], frame["xid"]
+        datagram, key = frame["dgram"], frame["key"]
         # Pull the payload straight out of the sender's (pinned) buffer.
         wire = max(datagram.size, 8)
         yield self.node.nic.rdma_read(key.node, key.addr, key.rkey, 8,
                                       wire_bytes=wire)
-        self.node.nic.post(self.peer_node, payload={
-            "kind": "rdmadone", "conn_id": self.peer_conn_id, "xid": xid,
-        }, size=0, tag=self.endpoint.WIRE_TAG)
-        datagram.delivered_at = self.env.now
+        self._post({"kind": "rdmadone", "xid": frame["xid"]})
         return datagram
 
     def _on_frame(self, kind: str, body: dict) -> None:
@@ -256,8 +329,59 @@ class ZeroCopySdpConnection(Connection):
             raise TransportError(f"unexpected ZSDP frame {kind!r}")
 
 
-class ZeroCopySdpEndpoint(_SdpEndpointBase):
+class ZeroCopySdpEndpoint(_SdpEndpoint):
     """SDP endpoint in synchronous zero-copy mode."""
 
     WIRE_TAG = "zsdp"
     CONN_CLS = ZeroCopySdpConnection
+
+
+# ---------------------------------------------------------------------------
+# Asynchronous zero-copy SDP
+# ---------------------------------------------------------------------------
+
+class AzSdpConnection(ZeroCopySdpConnection):
+    """AZ-SDP: the ZSDP pull behind an asynchronous, protected send."""
+
+    def __init__(self, endpoint, peer_node, peer_conn_id):
+        super().__init__(endpoint, peer_node, peer_conn_id)
+        self._window = Resource(self.env, capacity=MAX_INFLIGHT)
+        #: buffer name -> completion event of its in-flight transfer
+        self._inflight_bufs: Dict[Any, Event] = {}
+        self.page_faults = 0
+
+    def send(self, payload: Any = None, size: int = 0,
+             buf: Optional[Any] = None) -> Event:
+        """Asynchronous send; the event fires when send() *returns* to the
+        app (after protect), not when the data has moved."""
+        return self.env.process(self._send_proc(payload, size, buf),
+                                name=f"azsdp-send@{self.node.name}")
+
+    def _send_proc(self, payload, size, buf):
+        # Touching a buffer that is still in flight faults and blocks.
+        if buf is not None and buf in self._inflight_bufs:
+            self.page_faults += 1
+            inflight = self._inflight_bufs[buf]
+            yield self.env.timeout(FAULT_US)
+            yield inflight
+        yield self._window.acquire()
+        yield self.env.timeout(PROTECT_US + pin_us(size))
+        done = self._advertise(payload, size)
+        if buf is not None:
+            self._inflight_bufs[buf] = done
+
+        def on_done(_ev, buf=buf):
+            self._window.release()
+            if buf is not None and self._inflight_bufs.get(buf) is _ev:
+                del self._inflight_bufs[buf]
+
+        done.add_callback(on_done)
+        # Control returns to the app immediately: async under the hood.
+        return None
+
+
+class AzSdpEndpoint(_SdpEndpoint):
+    """SDP endpoint in asynchronous zero-copy mode."""
+
+    WIRE_TAG = "azsdp"
+    CONN_CLS = AzSdpConnection

@@ -42,7 +42,7 @@ def test_importing_the_net_loads_no_protocol():
 def test_rpc_loads_no_sdp():
     loaded = _loaded("from repro.transport import rpc")
     assert "repro.transport.rpc" in loaded
-    assert not loaded & {"repro.transport.sdp", "repro.transport.azsdp",
+    assert not loaded & {"repro.transport.sdp",
                          "repro.transport.flowcontrol"}
 
 

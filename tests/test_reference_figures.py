@@ -11,7 +11,7 @@ stay out: ``lock-arena``, whose crash column is a proven tie
 ``test_fig6_cell_starts_at_a_same_instant_pair`` there) and which takes
 minutes on the reference.
 
-Tier-1 builds two sub-second rows; ``REPRO_REFERENCE_FIGURES=1`` (CI's
+Tier-1 builds three sub-second rows; ``REPRO_REFERENCE_FIGURES=1`` (CI's
 ``figures`` job) builds all fourteen, about 30 s on two cores.
 """
 
@@ -28,7 +28,7 @@ from tests.sim.reference_kernel import pin_kernel
 RESULTS = Path(__file__).resolve().parents[1] / "benchmarks/results"
 ALL = os.environ.get("REPRO_REFERENCE_FIGURES") == "1"
 ROWS = ([name for name in FIGURES if name not in ("lock-arena", "fig6")]
-        if ALL else ["fig3a", "sdp"])
+        if ALL else ["fig3a", "sdp", "flowctl"])
 
 
 @pytest.mark.parametrize("name", ROWS)

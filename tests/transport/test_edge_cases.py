@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from repro.net import Cluster
 from repro.dlm.ft import pack, unpack
-from repro.errors import LockError
+from repro.errors import LockError, TransportError
 from repro.transport import (
     AzSdpEndpoint,
     BufferedSdpEndpoint,
@@ -119,3 +119,37 @@ class TestZeroAndOddSizes:
         cluster.env.process(tx(cluster.env))
         cluster.env.run()
         assert results == {"first": "on-conn-1", "second": "on-conn-2"}
+
+
+@pytest.mark.parametrize("endpoint_cls", ALL_ENDPOINTS)
+class TestTransportErrors:
+    def test_port_bound_twice(self, endpoint_cls):
+        ep = endpoint_cls(Cluster(n_nodes=1, seed=0).nodes[0])
+        ep.listen(1)
+        with pytest.raises(TransportError, match="^port 1 already bound$"):
+            ep.listen(1)
+
+    def test_second_endpoint_of_one_kind_on_a_node(self, endpoint_cls):
+        node = Cluster(n_nodes=1, seed=0).nodes[0]
+        endpoint_cls(node)
+        with pytest.raises(TransportError, match=(
+                f"^node node0 already has a {endpoint_cls.__name__}$")):
+            endpoint_cls(node)
+        # the other variants live beside it: each has its own wire tag
+        for other in ALL_ENDPOINTS:
+            if other is not endpoint_cls:
+                other(node)
+
+    def test_connect_to_a_port_with_no_listener(self, endpoint_cls):
+        cluster = Cluster(n_nodes=2, seed=0)
+        endpoint_cls(cluster.nodes[0])
+        client = endpoint_cls(cluster.nodes[1])
+
+        def tx(env):
+            yield client.connect(0, port=2)
+
+        cluster.env.process(tx(cluster.env))
+        with pytest.raises(TransportError, match=(
+                "^connection refused: no listener on port 2 of node "
+                "node0$")):
+            cluster.env.run()

@@ -1,16 +1,19 @@
 """Regression tests for per-stream flow-control completion.
 
-Two historical bugs in ``CreditFlowSender.stream`` /
-``PacketizedFlowSender.stream``:
+Three historical bugs in the senders' ``stream``:
 
 * completion was detected by polling every 10 µs, quantizing the
   measured elapsed time (and hence bytes/µs) to the poll period;
 * the poll gated on the receiver's *cumulative* ``delivered`` counter,
   so a second ``stream()`` against the same ``FlowReceiver`` returned
-  before its own messages drained.
+  before its own messages drained;
+* the packetized sender kept its freed-space returns in a store of one
+  ``stream()`` call, so space returned after that stream stopped
+  needing it was lost and a later stream on the same sender wedged.
 
-Both are fixed by a per-stream completion event signalled by the
-receiver-side drain loop.
+The first two are fixed by a per-stream completion event signalled by
+the receiver-side drain loop, the third by a space store that belongs
+to the sender.
 """
 
 import pytest
@@ -89,3 +92,23 @@ def test_concurrent_streams_two_senders(cluster, sender_cls):
     env.run_until_event(pb)
     assert rx.delivered == 80
     assert pa.value > 0 and pb.value > 0
+
+
+@pytest.mark.parametrize("sender_cls", SENDERS)
+def test_reused_sender_streams_again(cluster, sender_cls):
+    """A first stream that never waits for space (8 x 8 008 B fit the
+    64 KiB ring) leaves its space returns with the sender: the second
+    stream on that sender must get them back, not wedge."""
+    env = cluster.env
+    rx = FlowReceiver(cluster.nodes[1])
+    tx = sender_cls(cluster.nodes[0], rx)
+
+    def driver(env):
+        bw1 = yield from tx.stream(8, 8000)
+        bw2 = yield from tx.stream(8, 8000)
+        return bw1, bw2
+
+    p = env.process(driver(env))
+    env.run_until_event(p)
+    assert rx.delivered == 16
+    assert min(p.value) > 0
