@@ -4,8 +4,8 @@ Balaji, Panda; IPDPS 2007).
 
 The paper's three-layer framework over a simulated RDMA cluster:
 
-* communication protocols — :mod:`repro.transport` (TCP emulation, SDP,
-  ZSDP, AZ-SDP, flow control) over :mod:`repro.net` (RDMA NIC model);
+* communication protocols — :mod:`repro.transport` (SDP, ZSDP, AZ-SDP,
+  flow control, control RPC) over :mod:`repro.net` (RDMA NIC model);
 * service primitives — :mod:`repro.ddss` (distributed data sharing
   substrate) and :mod:`repro.dlm` (SRSL / DQNL / N-CoSED lock managers);
 * advanced services — :mod:`repro.cache` (cooperative caching),

@@ -18,7 +18,7 @@ The schemes move real 8-byte document tokens over the simulated fabric
 (timed at full document size) so correctness is checkable end to end.
 """
 
-from repro.cache.base import CoopCacheBase, FetchResult
+from repro.cache.base import CoopCacheBase
 from repro.cache.directory import CacheDirectory
 from repro.cache.schemes import (
     ApacheCache,
@@ -36,7 +36,6 @@ __all__ = [
     "CacheDirectory",
     "CacheWithoutRedundancy",
     "CoopCacheBase",
-    "FetchResult",
     "HybridCache",
     "LRUStore",
     "MultiTierAggregateCache",

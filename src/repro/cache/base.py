@@ -6,19 +6,19 @@ document size; the stored payload is the document's 8-byte token).
 
 The web-server handler drives a scheme with two generator calls::
 
-    result = yield from scheme.fetch_gen(proxy, doc)
-    if result.source == "miss":
+    source, token = yield from scheme.fetch_gen(proxy, doc)
+    if source == "miss":
         token = yield from backend...      # origin fetch
         yield from scheme.admit_gen(proxy, doc)
 
-``fetch``/``admit`` also exist as event-returning wrappers for direct
-use from application processes.
+``source`` is ``"local"``, ``"remote"`` or ``"miss"`` (``token`` then
+None); ``fetch``/``admit`` run the two as processes, for direct use
+from application processes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Optional, Sequence
+from typing import Dict, Sequence
 
 from repro.errors import CacheError
 from repro.net.node import Node
@@ -28,17 +28,11 @@ from repro.cache.directory import CacheDirectory, ENTRY_BYTES
 from repro.cache.store import LRUStore
 from repro.workloads.filesets import FileSet
 
-__all__ = ["CoopCacheBase", "FetchResult"]
+__all__ = ["CoopCacheBase"]
 
 #: local memory-copy rate for serving a cached document (µs per byte)
 LOCAL_COPY_US_PER_BYTE = 0.0005
 LOCAL_LOOKUP_US = 0.3
-
-
-@dataclass(frozen=True)
-class FetchResult:
-    source: str            # "local" | "remote" | "miss"
-    token: Optional[bytes]  # document token when source != "miss"
 
 
 class CoopCacheBase:
@@ -86,20 +80,12 @@ class CoopCacheBase:
 
     # -- public API -------------------------------------------------------
     def fetch(self, proxy: Node, doc: int) -> Event:
-        return self.env.process(self._fetch_wrap(proxy, doc),
+        return self.env.process(self.fetch_gen(proxy, doc),
                                 name=f"{self.NAME}-fetch@{proxy.name}")
 
     def admit(self, proxy: Node, doc: int) -> Event:
-        return self.env.process(self._admit_wrap(proxy, doc),
+        return self.env.process(self.admit_gen(proxy, doc),
                                 name=f"{self.NAME}-admit@{proxy.name}")
-
-    def _fetch_wrap(self, proxy, doc):
-        result = yield from self.fetch_gen(proxy, doc)
-        return result
-
-    def _admit_wrap(self, proxy, doc):
-        yield from self.admit_gen(proxy, doc)
-        return None
 
     # -- policy hooks --------------------------------------------------------
     def fetch_gen(self, proxy: Node, doc: int):
@@ -238,14 +224,16 @@ class CoopCacheBase:
     def _note_local_hit(self, proxy: Node, doc: int,
                         token: bytes, t0: float) -> None:
         self.local_hits += 1
-        self._obs_access("cache.hit.local", proxy, doc,
-                         tok=token.hex(), t0=t0)
+        if self.env.obs is not None:
+            self._obs_access("cache.hit.local", proxy, doc,
+                             tok=token.hex(), t0=t0)
 
     def _note_remote_hit(self, proxy: Node, doc: int,
                          token: bytes, t0: float, holder: int) -> None:
         self.remote_hits += 1
-        self._obs_access("cache.hit.remote", proxy, doc,
-                         tok=token.hex(), t0=t0, holder=holder)
+        if self.env.obs is not None:
+            self._obs_access("cache.hit.remote", proxy, doc,
+                             tok=token.hex(), t0=t0, holder=holder)
 
     def _note_miss(self, proxy: Node, doc: int) -> None:
         self.misses += 1

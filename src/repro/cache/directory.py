@@ -18,6 +18,7 @@ schemes do.
 
 from __future__ import annotations
 
+import struct
 from typing import Dict, Optional, Sequence, Tuple
 
 from repro.errors import CacheError
@@ -25,7 +26,9 @@ from repro.net.node import Node
 
 __all__ = ["CacheDirectory"]
 
-ENTRY_BYTES = 16
+#: one entry: holder + 1, size, generation (big-endian)
+_ENTRY = struct.Struct(">IIQ")
+ENTRY_BYTES = _ENTRY.size
 #: cost of a directory access served from local memory (µs)
 LOCAL_ACCESS_US = 0.2
 
@@ -52,14 +55,10 @@ class CacheDirectory:
         self.remote_lookups = 0
 
     # -- placement ----------------------------------------------------------
-    def home_of(self, doc: int) -> Node:
-        """Logical home (fixed hash over the original membership)."""
-        self._check(doc)
-        return self.nodes[doc % len(self.nodes)]
-
     def host_of(self, doc: int) -> Node:
-        """Physical host of the doc's shard (follows retirements)."""
-        return self._hosts[self.home_of(doc).id]
+        """Physical host of the doc's shard: its logical home, a fixed
+        hash over the original membership, until a retirement moves it."""
+        return self._slot(doc)[0]
 
     def retire_shard(self, node_id: int, delegate: Node,
                      preload: Optional[Dict[int, Tuple[int, int]]] = None
@@ -83,10 +82,8 @@ class CacheDirectory:
         if preload:
             for doc, (holder, size) in preload.items():
                 self._check(doc)
-                blob = ((holder + 1).to_bytes(4, "big")
-                        + size.to_bytes(4, "big")
-                        + (1).to_bytes(8, "big"))
-                region.write(ENTRY_BYTES * doc, blob)
+                region.write(ENTRY_BYTES * doc,
+                             _ENTRY.pack(holder + 1, size, 1))
         self._hosts[node_id] = delegate
         self._regions[node_id] = region
 
@@ -95,9 +92,11 @@ class CacheDirectory:
             raise CacheError(f"doc {doc} out of directory range")
 
     def _slot(self, doc: int):
-        home = self.home_of(doc)
-        region = self._regions[home.id]
-        return self._hosts[home.id], region, ENTRY_BYTES * doc
+        if not 0 <= doc < self.n_docs:
+            raise CacheError(f"doc {doc} out of directory range")
+        home_id = self.nodes[doc % len(self.nodes)].id
+        return (self._hosts[home_id], self._regions[home_id],
+                ENTRY_BYTES * doc)
 
     # -- operations (generators; run inside a process) ---------------------
     def lookup(self, from_node: Node, doc: int):
@@ -111,8 +110,7 @@ class CacheDirectory:
             self.remote_lookups += 1
             blob = yield from_node.nic.rdma_read(
                 home.id, region.addr + off, region.rkey, ENTRY_BYTES)
-        holder = int.from_bytes(blob[0:4], "big")
-        size = int.from_bytes(blob[4:8], "big")
+        holder, size, _gen = _ENTRY.unpack(blob)
         return (holder - 1 if holder else None), size
 
     def update(self, from_node: Node, doc: int, holder_id, size: int):
@@ -120,9 +118,8 @@ class CacheDirectory:
         self.updates += 1
         home, region, off = self._slot(doc)
         gen = int.from_bytes(region.read(off + 8, 8), "big") + 1
-        blob = ((0 if holder_id is None else holder_id + 1)
-                .to_bytes(4, "big")
-                + size.to_bytes(4, "big") + gen.to_bytes(8, "big"))
+        blob = _ENTRY.pack(0 if holder_id is None else holder_id + 1,
+                           size, gen)
         if home.id == from_node.id:
             yield self.env.timeout(LOCAL_ACCESS_US)
             region.write(off, blob)

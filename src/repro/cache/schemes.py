@@ -6,7 +6,7 @@ from typing import Sequence
 
 from repro.net.node import Node
 
-from repro.cache.base import CoopCacheBase, FetchResult
+from repro.cache.base import CoopCacheBase
 
 __all__ = [
     "ApacheCache",
@@ -17,7 +17,7 @@ __all__ = [
     "SCHEMES",
 ]
 
-MISS = FetchResult("miss", None)
+MISS = ("miss", None)
 
 
 class ApacheCache(CoopCacheBase):
@@ -32,7 +32,7 @@ class ApacheCache(CoopCacheBase):
         token = yield from self._local_get(proxy, doc)
         if token is not None:
             self._note_local_hit(proxy, doc, token, t0)
-            return FetchResult("local", token)
+            return "local", token
         self._note_miss(proxy, doc)
         return MISS
 
@@ -56,7 +56,7 @@ class BasicCooperativeCache(CoopCacheBase):
         token = yield from self._local_get(proxy, doc)
         if token is not None:
             self._note_local_hit(proxy, doc, token, t0)
-            return FetchResult("local", token)
+            return "local", token
         holder, _size = yield from self.directory.lookup(proxy, doc)
         if holder is not None and holder != proxy.id:
             t0 = self.env.now  # pull interval starts after the lookup
@@ -67,7 +67,7 @@ class BasicCooperativeCache(CoopCacheBase):
                 yield from self._push(proxy, proxy, doc)
                 yield from self.directory.update(proxy, doc, proxy.id,
                                                  self.fileset.size(doc))
-                return FetchResult("remote", token)
+                return "remote", token
         self._note_miss(proxy, doc)
         return MISS
 
@@ -95,7 +95,7 @@ class CacheWithoutRedundancy(CoopCacheBase):
             token = yield from self._local_get(proxy, doc)
             if token is not None:
                 self._note_local_hit(proxy, doc, token, t0)
-                return FetchResult("local", token)
+                return "local", token
             self._note_miss(proxy, doc)
             return MISS
         holder, _size = yield from self.directory.lookup(proxy, doc)
@@ -104,7 +104,7 @@ class CacheWithoutRedundancy(CoopCacheBase):
             token = yield from self._pull(proxy, holder, doc)
             if token is not None:
                 self._note_remote_hit(proxy, doc, token, t0, holder)
-                return FetchResult("remote", token)
+                return "remote", token
         self._note_miss(proxy, doc)
         return MISS
 
@@ -163,7 +163,7 @@ class HybridCache(CoopCacheBase):
             token = yield from self._local_get(proxy, doc)
             if token is not None:
                 self._note_local_hit(proxy, doc, token, t0)
-                return FetchResult("local", token)
+                return "local", token
             holder, _size = yield from self.directory.lookup(proxy, doc)
             if holder is not None and holder != proxy.id:
                 t0 = self.env.now
@@ -173,7 +173,7 @@ class HybridCache(CoopCacheBase):
                     yield from self._push(proxy, proxy, doc)
                     yield from self.directory.update(
                         proxy, doc, proxy.id, self.fileset.size(doc))
-                    return FetchResult("remote", token)
+                    return "remote", token
             self._note_miss(proxy, doc)
             return MISS
         # MTACC-style: single copy at the (extended-set) home
@@ -182,7 +182,7 @@ class HybridCache(CoopCacheBase):
             token = yield from self._local_get(proxy, doc)
             if token is not None:
                 self._note_local_hit(proxy, doc, token, t0)
-                return FetchResult("local", token)
+                return "local", token
         else:
             holder, _size = yield from self.directory.lookup(proxy, doc)
             if holder is not None:
@@ -190,7 +190,7 @@ class HybridCache(CoopCacheBase):
                 token = yield from self._pull(proxy, holder, doc)
                 if token is not None:
                     self._note_remote_hit(proxy, doc, token, t0, holder)
-                    return FetchResult("remote", token)
+                    return "remote", token
         self._note_miss(proxy, doc)
         return MISS
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from repro.errors import CacheError
 from repro.net.node import Node
-from repro.sim import Event, Resource
+from repro.sim import Event, Process, Resource
 
 from repro.cache.base import CoopCacheBase
 from repro.datacenter.backend import BackendTier
@@ -48,21 +48,21 @@ class ProxyServer:
     def handle(self, doc: int, client_node_id: int) -> Event:
         """Serve one request; the event fires when the response has been
         delivered to the client."""
-        return self.env.process(self._handle(doc, client_node_id),
-                                name=f"serve@{self.node.name}")
+        return Process(self.env, self._handle(doc, client_node_id),
+                       name=f"serve@{self.node.name}")
 
     def _handle(self, doc: int, client_node_id: int):
         started = self.env.now
-        self.queue_peak = max(self.queue_peak, self.workers.queue_len)
+        waiting = len(self.workers._waiters)
+        if waiting > self.queue_peak:
+            self.queue_peak = waiting
         yield self.workers.acquire()
         try:
             yield self.node.cpu.run(PARSE_US, name="parse")
-            result = yield from self.scheme.fetch_gen(self.node, doc)
-            if result.source == "miss":
+            source, token = yield from self.scheme.fetch_gen(self.node, doc)
+            if source == "miss":
                 token = yield from self.backend.fetch_gen(self.node, doc)
                 yield from self.scheme.admit_gen(self.node, doc)
-            else:
-                token = result.token
             if not self.scheme.fileset.verify(doc, token):
                 raise CacheError(
                     f"cache served wrong content for doc {doc}")

@@ -14,6 +14,7 @@ books its serialization window when it is injected (DESIGN.md §9).
 from __future__ import annotations
 
 from functools import partial
+from heapq import heappush
 from typing import Dict, Optional, TYPE_CHECKING
 
 from repro.errors import ConfigError
@@ -104,7 +105,11 @@ class Fabric:
         done = Event(env)
         t = self._route(src_id, dst_id, nbytes, partial(_settle, done))
         if t >= 0.0:
-            env._schedule_at(t, done, value=None)
+            seq = env._seq = env._seq + 1
+            if t == env.now:
+                env._imm.append((seq, done, None))
+            else:
+                heappush(env._heap, (t, seq, done, None))
         return done
 
     def _route(self, src_id: int, dst_id: int, nbytes: int,

@@ -25,11 +25,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
+from heapq import heappush
 from typing import Any, Dict, Optional, TYPE_CHECKING
 
 from repro.errors import BoundsError, ConfigError, FaultError, RdmaError
 from repro.sim import Environment, Event, Store
-from repro.sim.core import _PENDING
+from repro.sim.core import _CALL, _PENDING
 
 from repro.net.memory import RemoteKey
 
@@ -302,8 +303,13 @@ class NIC:
             # in an agenda entry of its own at the post instant
             env._schedule_call(env.now, partial(self._verb_check, s))
         else:
-            env._schedule_call(env.now + self.params.post_us,
-                               self._vposted[s])
+            # _schedule_call's push, flattened (here and at each leg)
+            when = env.now + self.params.post_us
+            seq = env._seq = env._seq + 1
+            if when == env.now:
+                env._imm.append((seq, self._vposted[s], _CALL))
+            else:
+                heappush(env._heap, (when, seq, self._vposted[s], _CALL))
         return done
 
     def _free_verb(self, s: int) -> Event:
@@ -368,7 +374,12 @@ class NIC:
             t += p.rdma_turnaround_us
         elif op != _OP_WRITE:  # writes land on arrival; no turnaround
             t += p.atomic_exec_us
-        self.env._schedule_call(t, self._vserve[s])
+        env = self.env
+        seq = env._seq = env._seq + 1
+        if t == env.now:
+            env._imm.append((seq, self._vserve[s], _CALL))
+        else:
+            heappush(env._heap, (t, seq, self._vserve[s], _CALL))
 
     def _verb_arrived(self, s: int, exc: Optional[BaseException],
                       at: float) -> None:
@@ -433,7 +444,12 @@ class NIC:
         done = self._vdone[s]
         self._vdone[s] = self._va[s] = self._vb[s] = None
         self._vfree.append(s)
-        self.env._schedule_at(t, done, value=value)
+        env = self.env
+        seq = env._seq = env._seq + 1
+        if t == env.now:
+            env._imm.append((seq, done, value))
+        else:
+            heappush(env._heap, (t, seq, done, value))
 
     def _verb_complete(self, s: int, exc: Optional[BaseException],
                        at: float) -> None:

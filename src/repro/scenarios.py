@@ -189,8 +189,8 @@ def _cache(scheme_name: str, seed: int, n_nodes: int):
     def client(env, proxy, accesses, delay):
         yield env.timeout(delay)
         for doc in accesses:
-            result = yield scheme.fetch(proxy, doc)
-            if result.source == "miss":
+            source, _token = yield scheme.fetch(proxy, doc)
+            if source == "miss":
                 yield scheme.admit(proxy, doc)
                 yield scheme.fetch(proxy, doc)
 

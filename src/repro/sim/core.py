@@ -166,8 +166,9 @@ class Process(Event):
         self._gen = gen
         self.name = name or getattr(gen, "__name__", "process")
         # Kick off at the current time with a bare call to _resume (no
-        # event): it takes the queue and the seq a trigger would.
-        env._schedule_call(env.now, self._resume)
+        # event), pushed inline on the queue and seq a trigger would take.
+        seq = env._seq = env._seq + 1
+        env._imm.append((seq, self._resume, _CALL))
 
     # -- internal ------------------------------------------------------
     def _resume(self, event: Optional[Event] = None) -> None:
@@ -389,9 +390,12 @@ class Environment:
 
     # -- scheduling -----------------------------------------------------
     # These three are the whole seam between the rest of the package and
-    # the agenda: everything that ever fires was pushed by one of them
-    # (or by the flattened copies in :meth:`timeout`,
-    # :meth:`Event.succeed` and a returning :meth:`Process._resume`).
+    # the agenda: everything that ever fires was pushed by one of them or
+    # by a flattened copy of their push — :meth:`timeout`,
+    # :meth:`Event.succeed`, a starting or returning :class:`Process`,
+    # ``Resource.acquire``'s grant, ``CPU.run`` and ``CPU._update``,
+    # ``Fabric._arrival`` and the NIC's three verb legs.  A copy reads
+    # ``env._imm`` at every push: the reference kernel replaces it.
     def _schedule_at(self, when: float, event: Event,
                      value: Any = _ALREADY) -> None:
         seq = self._seq = self._seq + 1

@@ -11,18 +11,20 @@ core, while an RDMA read bypasses the CPU entirely.
 The implementation keeps exact remaining-work accounting: one frame,
 :meth:`CPU._update`, per change of the active-job set decays every
 remaining work by the elapsed virtual service, finishes ripe jobs and
-re-arms the wake-up: a bare agenda call tagged with a generation, so a
-superseded wake stays one no-op entry (DESIGN.md §9).  A job is its
-own completion event: :meth:`CPU.run` returns the :class:`CPUJob`,
-which a process yields.
+re-arms the wake-up: a bare agenda call of ``_update`` itself, tagged
+with a generation, so a superseded wake stays one no-op entry (DESIGN.md
+§9).  A job is its own completion event: :meth:`CPU.run` returns the
+:class:`CPUJob`, which a process yields.
 """
 
 from __future__ import annotations
 
 from functools import partial
+from heapq import heappush
 from typing import List, Optional
 
-from repro.sim.core import _PENDING, Environment, Event, SimulationError
+from repro.sim.core import (_ALREADY, _CALL, _PENDING, Environment, Event,
+                            SimulationError)
 
 __all__ = ["CORES", "CPU", "CPUJob"]
 
@@ -78,30 +80,40 @@ class CPU:
                 f"CPU job {name!r}: work must be finite and >= 0, got {work}")
         job = CPUJob(self, work, name)
         if self._jobs or self._background:
-            self._update(job)
+            self._update(self._generation, job)
         else:
-            # Idle: the frame reduces to no decay, rate 1.0, delay = work.
-            now = self._last_update = self.env.now
+            # Idle: no decay, rate 1.0, delay = work; the wake's push inline
+            env = self.env
+            now = self._last_update = env.now
             self._jobs.append(job)
             self._generation = gen = self._generation + 1
-            self.env._schedule_call(now + job.remaining,
-                                    partial(self._on_wake, gen))
+            when = now + job.remaining
+            wake = partial(self._update, gen)
+            seq = env._seq = env._seq + 1
+            if when == now:
+                env._imm.append((seq, wake, _CALL))
+            else:
+                heappush(env._heap, (when, seq, wake, _CALL))
         return job
 
     def set_background(self, n: int) -> None:
         """Pin ``n`` permanent compute-bound jobs (synthetic load)."""
         if n < 0:
             raise SimulationError("background job count must be >= 0")
-        self._update(rearm=False)
+        self._update(self._generation, rearm=False)
         self._background = n
-        self._update()
+        self._update(self._generation)
 
     # -- internals ---------------------------------------------------------
-    def _update(self, job: Optional[CPUJob] = None,
+    def _update(self, gen: int, job: Optional[CPUJob] = None,
                 rearm: bool = True) -> None:
         """Decay, finish ripe jobs in submission order (zero-work ones
-        too), admit ``job``, and with ``rearm`` re-arm the wake-up."""
-        now = self.env.now
+        too), admit ``job``, and with ``rearm`` re-arm the wake-up, which
+        calls this frame with its ``gen``: a superseded one does nothing."""
+        if gen != self._generation:
+            return
+        env = self.env
+        now = env.now
         jobs = self._jobs
         cores = CORES
         dt = now - self._last_update
@@ -117,7 +129,10 @@ class CPU:
         for j in jobs:
             rem = j.remaining = j.remaining - served
             if rem <= 1e-9:
-                j.succeed()
+                # only this CPU triggers its jobs: succeed(), inlined
+                j._value = None
+                seq = env._seq = env._seq + 1
+                env._imm.append((seq, j, _ALREADY))
             else:
                 live.append(j)
                 if rem < shortest:
@@ -128,13 +143,14 @@ class CPU:
             if job.remaining < shortest:
                 shortest = job.remaining
         if rearm:
-            self._generation = gen = self._generation + 1
+            self._generation = gen = gen + 1
             if jobs:
                 n = len(jobs) + self._background
                 rate = 1.0 if n <= cores else cores / n
-                self.env._schedule_call(now + shortest / rate,
-                                        partial(self._on_wake, gen))
-
-    def _on_wake(self, gen: int) -> None:
-        if gen == self._generation:  # else superseded by a later change
-            self._update()
+                when = now + shortest / rate
+                wake = partial(self._update, gen)
+                seq = env._seq = env._seq + 1
+                if when == now:
+                    env._imm.append((seq, wake, _CALL))
+                else:
+                    heappush(env._heap, (when, seq, wake, _CALL))

@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Deque
 
-from repro.sim.core import Environment, Event, SimulationError
+from repro.sim.core import _ALREADY, Environment, Event, SimulationError
 
 __all__ = ["Store", "Resource"]
 
@@ -84,15 +84,15 @@ class Resource:
         self._in_use = 0
         self._waiters: Deque[Event] = deque()
 
-    @property
-    def queue_len(self) -> int:
-        return len(self._waiters)
-
     def acquire(self) -> Event:
-        event = Event(self.env)
+        env = self.env
+        event = Event(env)
         if self._in_use < self.capacity:
             self._in_use += 1
-            event.succeed()
+            # only the resource triggers a grant: succeed(), inlined
+            event._value = None
+            seq = env._seq = env._seq + 1
+            env._imm.append((seq, event, _ALREADY))
         else:
             self._waiters.append(event)
         return event

@@ -175,8 +175,13 @@ class PacketizedFlowSender(_FlowSender):
         self._freed = Store(self.env)
 
     def _footprint(self, msg_bytes: int) -> int:
-        # packed wire footprint: payload + a small per-message header
-        return msg_bytes + 8
+        # packed wire footprint: payload + a small per-message header;
+        # space comes back a batch at a time, so the ring holds a batch
+        footprint = msg_bytes + 8
+        if footprint * ACK_BATCH > POOL_BYTES:
+            raise ConfigError(f"{footprint} B footprint: the ring must "
+                              f"hold an ack batch of {ACK_BATCH}")
+        return footprint
 
     def _admit(self, footprint: int):
         while self._free < footprint:

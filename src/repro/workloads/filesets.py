@@ -31,23 +31,29 @@ class FileSet:
         if isinstance(sizes, int):
             if sizes <= 0:
                 raise ConfigError("document size must be positive")
-            self._sizes = np.full(n_docs, sizes, dtype=np.int64)
+            arr = np.full(n_docs, sizes, dtype=np.int64)
         else:
-            self._sizes = np.asarray(sizes, dtype=np.int64)
-            if len(self._sizes) != n_docs:
+            arr = np.asarray(sizes, dtype=np.int64)
+            if len(arr) != n_docs:
                 raise ConfigError("sizes length != n_docs")
-            if (self._sizes <= 0).any():
+            if (arr <= 0).any():
                 raise ConfigError("document sizes must be positive")
+        self._sizes = arr.tolist()
+        self._tokens = [
+            hashlib.blake2b(f"{seed}:{doc}".encode(), digest_size=8).digest()
+            for doc in range(n_docs)]
 
     def size(self, doc: int) -> int:
-        return int(self._sizes[doc])
+        return self._sizes[doc]
 
     def token(self, doc: int) -> bytes:
-        """Deterministic 8-byte content fingerprint of the document."""
+        """Deterministic 8-byte content fingerprint of the document:
+        blake2b of ``f"{seed}:{doc}"``."""
         if not 0 <= doc < self.n_docs:
             raise ConfigError(f"doc {doc} out of range")
-        h = hashlib.blake2b(f"{self.seed}:{doc}".encode(), digest_size=8)
-        return h.digest()
+        return self._tokens[doc]
 
     def verify(self, doc: int, token: bytes) -> bool:
-        return token == self.token(doc)
+        if not 0 <= doc < self.n_docs:
+            raise ConfigError(f"doc {doc} out of range")
+        return token == self._tokens[doc]

@@ -24,8 +24,8 @@ def run(cluster, gen):
 
 def warm(scheme, proxy, docs):
     for doc in docs:
-        result = yield scheme.fetch(proxy, doc)
-        if result.source == "miss":
+        source, _token = yield scheme.fetch(proxy, doc)
+        if source == "miss":
             yield scheme.admit(proxy, doc)
 
 
@@ -33,7 +33,7 @@ class TestRetireNode:
     def victim_docs(self, scheme, proxies):
         victim = proxies[-1]
         return victim, [d for d in range(scheme.fileset.n_docs)
-                        if scheme.directory.home_of(d).id == victim.id]
+                        if scheme.directory.host_of(d).id == victim.id]
 
     def test_migrated_docs_survive(self):
         cluster, proxies, scheme, fileset = build()
@@ -46,8 +46,8 @@ class TestRetireNode:
             # every victim-homed doc is still served without a miss
             sources = []
             for doc in vdocs:
-                result = yield scheme.fetch(proxies[1], doc)
-                sources.append(result.source)
+                source, _token = yield scheme.fetch(proxies[1], doc)
+                sources.append(source)
             return sources
 
         sources = run(cluster, app(cluster.env))
@@ -63,8 +63,8 @@ class TestRetireNode:
                                           migrate=False)
             sources = []
             for doc in vdocs:
-                result = yield scheme.fetch(proxies[1], doc)
-                sources.append(result.source)
+                source, _token = yield scheme.fetch(proxies[1], doc)
+                sources.append(source)
             return sources
 
         sources = run(cluster, app(cluster.env))
@@ -101,7 +101,6 @@ class TestRetireNode:
 
         run(cluster, app(cluster.env))
         for doc in vdocs:
-            assert scheme.directory.home_of(doc) is victim
             assert scheme.directory.host_of(doc) is proxies[1]
 
     def test_self_delegation_rejected(self):

@@ -34,11 +34,11 @@ def run(cluster, gen):
 
 def fetch_or_admit(scheme, proxy, doc):
     """The standard server-side driving pattern."""
-    result = yield scheme.fetch(proxy, doc)
-    if result.source == "miss":
+    source, token = yield scheme.fetch(proxy, doc)
+    if source == "miss":
         yield scheme.admit(proxy, doc)
-        result = yield scheme.fetch(proxy, doc)
-    return result
+        source, token = yield scheme.fetch(proxy, doc)
+    return source, token
 
 
 class TestDirectory:
@@ -83,7 +83,7 @@ class TestDirectory:
         cluster, proxies, scheme, _ = build(BasicCooperativeCache)
         d = scheme.directory
         doc = next(i for i in range(40)
-                   if d.home_of(i).id != proxies[0].id)
+                   if d.host_of(i).id != proxies[0].id)
 
         def app(env):
             yield from d.lookup(proxies[0], doc)
@@ -94,7 +94,7 @@ class TestDirectory:
     def test_out_of_range_doc(self):
         cluster, proxies, scheme, _ = build(BasicCooperativeCache)
         with pytest.raises(CacheError):
-            scheme.directory.home_of(999)
+            scheme.directory.host_of(999)
 
 
 @pytest.mark.parametrize("scheme_cls", list(SCHEMES.values()))
@@ -105,8 +105,9 @@ class TestAllSchemes:
         def app(env):
             tokens = []
             for doc in (0, 1, 2, 0, 1):
-                result = yield from fetch_or_admit(scheme, proxies[0], doc)
-                tokens.append((doc, result.token))
+                _source, token = yield from fetch_or_admit(
+                    scheme, proxies[0], doc)
+                tokens.append((doc, token))
             return tokens
 
         for doc, token in run(cluster, app(cluster.env)):
@@ -117,8 +118,8 @@ class TestAllSchemes:
 
         def app(env):
             yield from fetch_or_admit(scheme, proxies[0], 5)
-            result = yield scheme.fetch(proxies[0], 5)
-            return result.source
+            source, _token = yield scheme.fetch(proxies[0], 5)
+            return source
 
         assert run(cluster, app(cluster.env)) in ("local", "remote")
 
@@ -126,8 +127,8 @@ class TestAllSchemes:
         cluster, proxies, scheme, _ = build(scheme_cls)
 
         def app(env):
-            result = yield scheme.fetch(proxies[0], 9)
-            return result.source
+            source, _token = yield scheme.fetch(proxies[0], 9)
+            return source
 
         assert run(cluster, app(cluster.env)) == "miss"
 
@@ -150,8 +151,8 @@ class TestApacheCache:
 
         def app(env):
             yield from fetch_or_admit(scheme, proxies[0], 3)
-            result = yield scheme.fetch(proxies[1], 3)
-            return result.source
+            source, _token = yield scheme.fetch(proxies[1], 3)
+            return source
 
         assert run(cluster, app(cluster.env)) == "miss"
 
@@ -162,10 +163,10 @@ class TestBCC:
 
         def app(env):
             yield from fetch_or_admit(scheme, proxies[0], 3)
-            result = yield scheme.fetch(proxies[1], 3)
+            source, _token = yield scheme.fetch(proxies[1], 3)
             # after the remote hit, proxy 1 holds its own copy
             local_after = 3 in scheme.stores[proxies[1].id]
-            return result.source, local_after
+            return source, local_after
 
         source, local_after = run(cluster, app(cluster.env))
         assert source == "remote"
@@ -179,8 +180,8 @@ class TestBCC:
             yield from fetch_or_admit(scheme, proxies[0], 3)
             # evict behind the directory's back
             scheme.stores[proxies[0].id].remove(3)
-            result = yield scheme.fetch(proxies[1], 3)
-            return result.source
+            source, _token = yield scheme.fetch(proxies[1], 3)
+            return source
 
         assert run(cluster, app(cluster.env)) == "miss"
         assert scheme.stale_probes == 1
@@ -217,7 +218,7 @@ class TestCCWR:
 
         def app(env):
             yield from fetch_or_admit(scheme, proxies[0], 4)
-            home = scheme.directory.home_of(4)
+            home = scheme.directory.host_of(4)
             return 4 in scheme.stores[home.id]
 
         assert run(cluster, app(cluster.env)) is True

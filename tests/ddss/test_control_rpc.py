@@ -190,7 +190,7 @@ def _cost(kernel, n):
 #: kernel each is routed like a verb leg, one bare arrival call.  (The
 #: reference kernel's frames include one ``append`` of its stand-in
 #: deque per entry at the current instant, 20 of its 34.)
-COST = {"fast": (106, 14), "slow": (252, 34)}
+COST = {"fast": (99, 14), "slow": (237, 34)}
 
 
 @pytest.mark.parametrize("kernel", KERNELS)

@@ -118,7 +118,7 @@ def _replay(cluster, bursts, deep, plan=None):
             links = [*getattr(fabric, "_egress", {}).values(),
                      *getattr(fabric, "_uplink", {}).values()]
             depth[0] = max(depth[0], 0,
-                           *(link.queue_len for link in links))
+                           *(len(link._waiters) for link in links))
 
     env.process(driver(env))
     env.run()

@@ -107,8 +107,11 @@ def test_figures_job_gates_the_committed_results():
     equal the committed ones."""
     blocks = list(run_blocks(CI.read_text(encoding="utf-8")))
     suite = blocks.index(
-        "PYTHONPATH=src python -m pytest benchmarks/ --benchmark-only -q")
+        "PYTHONPATH=src python -m pytest benchmarks/ --benchmark-only -q"
+        " --benchmark-json=figures-bench.json")
     assert blocks[suite + 1] == "git diff --exit-code benchmarks/results/"
+    # and the step summary reads the seconds per row the suite wrote
+    assert 'open("figures-bench.json")' in blocks[suite + 2]
 
 
 def test_every_exported_trace_is_replayed():

@@ -18,6 +18,7 @@ to the sender.
 
 import pytest
 
+from repro.errors import ConfigError
 from repro.net import Cluster, NetworkParams
 from repro.transport import (
     CreditFlowSender,
@@ -112,3 +113,29 @@ def test_reused_sender_streams_again(cluster, sender_cls):
     env.run_until_event(p)
     assert rx.delivered == 16
     assert min(p.value) > 0
+
+
+@pytest.mark.parametrize("n_msgs, msg_bytes", [(2, 70_000), (8, 16_377)],
+                         ids=["larger-than-ring", "ring-short-of-a-batch"])
+def test_packetized_refuses_a_message_the_ring_cannot_batch(
+        cluster, n_msgs, msg_bytes):
+    """Space comes back one ack batch (4 messages) at a time, so a
+    message whose footprint (payload + 8 B) times the batch exceeds the
+    64 KiB ring is refused with ``ConfigError``, as the credit sender
+    refuses one larger than a buffer; accepted, it waited forever."""
+    rx = FlowReceiver(cluster.nodes[1])
+    tx = PacketizedFlowSender(cluster.nodes[0], rx)
+    p = cluster.env.process(tx.stream(n_msgs, msg_bytes))
+    with pytest.raises(ConfigError, match="ack batch"):
+        cluster.env.run_until_event(p)
+    assert rx.delivered == 0
+
+
+def test_packetized_largest_batchable_message_streams(cluster):
+    """The largest message whose batch fits the ring (4 x 16 384 B)
+    streams past the ring's capacity."""
+    rx = FlowReceiver(cluster.nodes[1])
+    tx = PacketizedFlowSender(cluster.nodes[0], rx)
+    p = cluster.env.process(tx.stream(8, 16_376))
+    cluster.env.run_until_event(p)
+    assert rx.delivered == 8

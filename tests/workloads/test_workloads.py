@@ -90,10 +90,28 @@ class TestFileSet:
         assert (FileSet(10, 10, seed=1).token(0)
                 != FileSet(10, 10, seed=2).token(0))
 
+    @pytest.mark.parametrize("seed, doc, token", [
+        (0, 0, "d56c9c7e6769d062"),
+        (5, 42, "55a6c402792caae9"),
+    ])
+    def test_token_is_blake2b_of_seed_and_doc(self, seed, doc, token):
+        """The fingerprint the proxies' content check and the cache
+        oracle compare: 8 B of blake2b over ``f"{seed}:{doc}"``, pinned
+        as literals so a precomputed table cannot drift from it."""
+        fs = FileSet(100, 1024, seed=seed)
+        assert fs.token(doc) == bytes.fromhex(token)
+        assert fs.verify(doc, bytes.fromhex(token))
+
     def test_verify(self):
         fs = FileSet(10, 10)
         assert fs.verify(1, fs.token(1))
         assert not fs.verify(1, fs.token(2))
+
+    @pytest.mark.parametrize("doc", [-1, 10])
+    def test_verify_out_of_range_raises(self, doc):
+        fs = FileSet(10, 10)
+        with pytest.raises(ConfigError):
+            fs.verify(doc, b"\0" * 8)
 
     def test_bad_config(self):
         with pytest.raises(ConfigError):
