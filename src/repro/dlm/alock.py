@@ -46,14 +46,14 @@ SHARED mode is serialized through the cohort queues like DQNL's.
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Tuple
 
 from repro.errors import LockError
 from repro.net.node import Node
 
 from repro.dlm.base import LockMode
 from repro.dlm.ft import (_EP_MASK, EpochFencedClient, EpochFencedManager,
-                          _Stale, pack, unpack)
+                          _Stale, unpack)
 
 __all__ = ["ALockManager", "ALockClient", "COHORT_LOCAL", "COHORT_REMOTE"]
 
@@ -64,7 +64,6 @@ COHORT_REMOTE = "R"
 _OFF_LTAIL = 0
 _OFF_RTAIL = 8
 _OFF_STATE = 16
-_STRIDE = 24
 
 _VICTIM = {COHORT_LOCAL: 1, COHORT_REMOTE: 2}
 _FLAG = {COHORT_LOCAL: 1, COHORT_REMOTE: 2}
@@ -74,11 +73,8 @@ TOURNEY_POLL_US = 2.0
 TOURNEY_POLL_MAX_US = 32.0
 
 
-def _pack_state(ep: int, victim: int, rflag: int, lflag: int) -> int:
-    return ((ep & _EP_MASK) << 48) | (victim << 2) | (rflag << 1) | lflag
-
-
 def _unpack_state(word: int) -> Tuple[int, int, int, int]:
+    """``(epoch, victim, remote flag, local flag)`` of a state word."""
     return (word >> 48) & _EP_MASK, (word >> 2) & 0x3, \
         (word >> 1) & 1, word & 1
 
@@ -87,6 +83,8 @@ class ALockManager(EpochFencedManager):
     """Home state: two cohort tails + a tournament word per lock."""
 
     SCHEME = "alock"
+    WORDS = "alock-words"
+    WORD_STRIDE = 24
 
     def __init__(self, cluster, n_locks: int = 64, *,
                  cohort_budget: int = 4, **ft_kwargs):
@@ -95,44 +93,17 @@ class ALockManager(EpochFencedManager):
         self.cohort_budget = cohort_budget
         super().__init__(cluster, n_locks=n_locks, **ft_kwargs)
 
-    def _setup_homes(self) -> None:
-        self._words: Dict[int, object] = {}
-        for node in self.members:
-            self._words[node.id] = node.memory.register(
-                _STRIDE * self.n_locks, name=f"alock-words@{node.name}")
-
-    def _word_at(self, lock_id: int, off: int):
-        home = self.home_node(lock_id)
-        region = self._words[home.id]
-        return home.id, region.addr + _STRIDE * lock_id + off, region.rkey
-
-    def word(self, lock_id: int):
-        """Epoch-bearing word for lease re-reads: the local tail."""
-        return self._word_at(lock_id, _OFF_LTAIL)
-
-    def tail_word(self, lock_id: int, cohort: str):
-        return self._word_at(lock_id, _OFF_LTAIL if cohort == COHORT_LOCAL
-                             else _OFF_RTAIL)
-
-    def state_word(self, lock_id: int):
-        return self._word_at(lock_id, _OFF_STATE)
-
     def raw_words(self, lock_id: int) -> Tuple[int, int, int]:
         """Direct (zero-time) view (ltail, rtail, state), for tests."""
-        home = self.home_node(lock_id)
-        region = self._words[home.id]
-        base = _STRIDE * lock_id
+        home, addr, _rkey = self._word_at[lock_id]
+        region = self._words[home]
+        base = addr - region.addr
         return (region.read_u64(base + _OFF_LTAIL),
                 region.read_u64(base + _OFF_RTAIL),
                 region.read_u64(base + _OFF_STATE))
 
     def client(self, node: Node) -> "ALockClient":
         return ALockClient(self, node)
-
-    def cohort_of(self, client: "ALockClient", lock_id: int) -> str:
-        return (COHORT_LOCAL
-                if client.node.id == self.home_node(lock_id).id
-                else COHORT_REMOTE)
 
     # -- epoch-fencing hooks ----------------------------------------------
     def _ft_tails(self, lock_id: int):
@@ -143,42 +114,39 @@ class ALockManager(EpochFencedManager):
         # a raised tournament flag with no holder and no live attempt is
         # residue of a crash between flag-set and grant/clear
         _lt, _rt, state = self.raw_words(lock_id)
-        _ep, _victim, rflag, lflag = _unpack_state(state)
-        return bool((rflag or lflag)
+        return bool(state & _FLAGS
                     and not self.holders.get(lock_id)
                     and not self._active.get(lock_id))
 
-    def _ft_wipe(self, lock_id: int, new_ep: int) -> None:
-        home = self.home_node(lock_id)
-        region = self._words[home.id]
-        base = _STRIDE * lock_id
-        region.write_u64(base + _OFF_LTAIL, pack(new_ep, 0, 0))
-        region.write_u64(base + _OFF_RTAIL, pack(new_ep, 0, 0))
-        region.write_u64(base + _OFF_STATE, _pack_state(new_ep, 0, 0, 0))
-
 
 class ALockClient(EpochFencedClient):
-    """Client; its cohort per lock is fixed by node placement."""
+    """Client; its cohort per lock is fixed by node placement: local
+    on the lock's home node, remote elsewhere."""
 
     # -- acquire ----------------------------------------------------------
     def _attempt_acquire(self, lock_id: int, mode: LockMode):
         mgr = self.manager
-        cohort = mgr.cohort_of(self, lock_id)
-        home, addr, rkey = mgr.tail_word(lock_id, cohort)
+        home, addr, rkey = mgr._word_at[lock_id]
+        if home == self.node.id:
+            cohort = COHORT_LOCAL
+        else:
+            cohort, addr = COHORT_REMOTE, addr + _OFF_RTAIL
         nic = self.node.nic
         # guess a free cohort tail; a lost CAS returns the next guess
-        ep, tail = mgr.lock_epoch(lock_id), 0
-        word = pack(ep, 0, 0)
+        ep, tail = mgr._epochs.get(lock_id, 0), 0
+        word = ep << 48
         while True:
             old = yield nic.cas(home, addr, rkey, word,
-                                pack(ep, self.token, 0))
+                                (ep << 48) | (self.token << 24))
             if old == word:
                 break
             word = old
             ep, tail, _ = unpack(old)
             if tail == self.token:
                 raise _Stale(f"own stale tail on lock {lock_id}")
-        self._obs_enqueue(lock_id, mode, prev=tail, ep=ep, cohort=cohort)
+        if self.env.obs is not None:
+            self._obs_enqueue(lock_id, mode, prev=tail, ep=ep,
+                              cohort=cohort)
         extra = {"cohort": cohort, "budget": mgr.cohort_budget}
         if tail != 0:
             # queued behind a cohort predecessor: announce ourselves,
@@ -188,7 +156,7 @@ class ALockClient(EpochFencedClient):
                                    "frm": self.token, "ep": ep})
             body = yield from self._wait_msg(lock_id, "apass", ep)
             if body["kind"] == "pass":
-                if mgr.lock_epoch(lock_id) != ep:
+                if mgr._epochs.get(lock_id, 0) != ep:
                     raise _Stale("reclaimed at cohort pass-off instant")
                 return ep, dict(extra, chain=body["chain"])
             if body["kind"] != "restart":  # pragma: no cover - defensive
@@ -199,19 +167,20 @@ class ALockClient(EpochFencedClient):
     def _tournament(self, lock_id: int, ep: int, cohort: str):
         """Peterson round between the two cohort leaders."""
         mgr = self.manager
-        home, addr, rkey = mgr.state_word(lock_id)
+        home, addr, rkey = mgr._word_at[lock_id]
+        addr += _OFF_STATE
         nic = self.node.nic
         my_flag = _FLAG[cohort]
         my_victim = _VICTIM[cohort]
         # guess the idle word (both flags down, victim cleared)
-        state = _pack_state(ep, 0, 0, 0)
+        state = ep << 48
         while True:
-            new = _pack_state(ep, my_victim,
-                              *divmod((state & _FLAGS) | my_flag, 2))
+            # our flag up and the victim us, the other flag as found
+            new = (ep << 48) | (my_victim << 2) | (state & _FLAGS) | my_flag
             old = yield nic.cas(home, addr, rkey, state, new)
             if old == state:
                 break  # flag up, victim points at us
-            if _unpack_state(old)[0] != ep:
+            if old >> 48 != ep:
                 raise _Stale(f"lock {lock_id} reclaimed at tournament")
             state = old
         other_flag = _FLAGS ^ my_flag
@@ -228,15 +197,15 @@ class ALockClient(EpochFencedClient):
                 break  # other cohort left, or it yielded to us
             yield self.env.timeout(poll)
             poll = min(poll * 2, TOURNEY_POLL_MAX_US)
-        if mgr.lock_epoch(lock_id) != ep:
+        if mgr._epochs.get(lock_id, 0) != ep:
             raise _Stale("reclaimed at tournament win instant")
 
     # -- release ----------------------------------------------------------
     def _attempt_release(self, lock_id: int, ep: int):
         mgr = self.manager
-        extra = self._grant_extra.pop(lock_id, {})
-        chain = extra.get("chain", 0)
-        cohort = extra.get("cohort") or mgr.cohort_of(self, lock_id)
+        chain = self._grant_extra.pop(lock_id, {}).get("chain", 0)
+        home, addr, rkey = mgr._word_at[lock_id]
+        cohort = COHORT_LOCAL if home == self.node.id else COHORT_REMOTE
         nic = self.node.nic
         succs = self._drain_msgs(lock_id, "asucc", ep)
         succ = succs[0]["frm"] if succs else None
@@ -250,29 +219,28 @@ class ALockClient(EpochFencedClient):
         # tail or restarting the successor, so nobody else's flag-raise
         # can race ours (fresh leaders need tail == 0, impossible while
         # our queue entry lives; a restarted successor raises it itself)
-        shome, saddr, srkey = mgr.state_word(lock_id)
         my_flag = _FLAG[cohort]
         # guess the state this tenure raised: our flag alone, victim us
-        state = _pack_state(ep, _VICTIM[cohort], *divmod(my_flag, 2))
+        state = (ep << 48) | (_VICTIM[cohort] << 2) | my_flag
         while True:
             # the last flag down clears the victim: idle is (ep, 0, 0, 0)
             new = (state & ~my_flag if state & _FLAGS & ~my_flag
-                   else _pack_state(ep, 0, 0, 0))
-            old = yield nic.cas(shome, saddr, srkey, state, new)
+                   else ep << 48)
+            old = yield nic.cas(home, addr + _OFF_STATE, rkey, state, new)
             if old == state:
                 break
-            if _unpack_state(old)[0] != ep:
+            if old >> 48 != ep:
                 return  # reclaimed: words already wiped
             state = old
         if succ is None:
             # no known successor: try to close our cohort's queue
-            thome, taddr, trkey = mgr.tail_word(lock_id, cohort)
-            word = pack(ep, self.token, 0)
-            old = yield nic.cas(thome, taddr, trkey, word,
-                                pack(ep, 0, 0))
+            if cohort == COHORT_REMOTE:
+                addr += _OFF_RTAIL
+            word = (ep << 48) | (self.token << 24)
+            old = yield nic.cas(home, addr, rkey, word, ep << 48)
             if old == word:
                 return  # queue closed
-            if unpack(old)[0] != ep:
+            if old >> 48 != ep:
                 return  # reclaimed under us
             # a successor swapped the tail; its announce is in flight
             body = yield from self._wait_msg(lock_id, "asucc", ep)

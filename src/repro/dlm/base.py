@@ -6,20 +6,28 @@ nonzero token; peer-to-peer protocol messages are routed to the token's
 owner through a per-manager NIC tag.
 
 ``acquire``/``release`` return simulation events.  Safety bookkeeping
-(`holders`) is maintained *outside* the protocol paths so tests can
-assert mutual exclusion without trusting the implementation under test.
+is maintained *outside* the protocol paths so tests can assert mutual
+exclusion without trusting the implementation under test:
+``holders[lock]`` is a ``{token: mode}`` dict of the grants currently
+held, in grant order (keyed by the int token, so a grant or release
+hashes no :class:`LockMode`).
+
+A design with home-resident words sets ``WORDS`` (the name stem of the
+region each member registers) and ``WORD_STRIDE`` (bytes per lock);
+``_word_at[lock]`` is then the ``(home node id, address, rkey)`` of the
+lock's first word, made at first use and dropped when the lock moves.
 """
 
 from __future__ import annotations
 
 import itertools
 from enum import Enum
-from typing import Dict, Optional, Sequence, Set, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from repro.errors import LockError
 from repro.net.cluster import Cluster
 from repro.net.node import Node
-from repro.sim import Event, Store
+from repro.sim import Event, Process, Store
 
 __all__ = ["LockMode", "LockManagerBase", "LockClient"]
 
@@ -27,16 +35,42 @@ __all__ = ["LockMode", "LockManagerBase", "LockClient"]
 #: polling the completion queue and running a tiny handler.
 CLIENT_POLL_US = 0.5
 
+#: a 24-bit lock-word field (tail token, count); tokens are capped to it
+_F24 = 0xFFFFFF
+
 
 class LockMode(Enum):
     SHARED = "shared"
     EXCLUSIVE = "exclusive"
 
 
+class _WordTable(dict):
+    """lock -> ``(home node id, address, rkey)`` of its first word; an
+    entry is made at its first lookup, so a hit is a plain subscript."""
+
+    __slots__ = ("manager",)
+
+    def __init__(self, manager: "LockManagerBase"):
+        super().__init__()
+        self.manager = manager
+
+    def __missing__(self, lock_id: int) -> Tuple[int, int, int]:
+        mgr = self.manager
+        home = mgr.home_node(lock_id).id
+        region = mgr._words[home]
+        entry = self[lock_id] = (
+            home, region.addr + mgr.WORD_STRIDE * lock_id, region.rkey)
+        return entry
+
+
 class LockManagerBase:
     """Common state: membership, homes, token registry, safety ledger."""
 
     SCHEME = "base"
+    #: name stem of each member's region of lock words (None: no words)
+    WORDS: Optional[str] = None
+    #: bytes of home-resident words per lock
+    WORD_STRIDE = 8
 
     def __init__(self, cluster: Cluster, n_locks: int = 64,
                  member_nodes: Optional[Sequence[Node]] = None):
@@ -51,25 +85,43 @@ class LockManagerBase:
         self._tokens = itertools.count(1)
         #: token -> client
         self.clients: Dict[int, "LockClient"] = {}
-        #: safety ledger: lock -> set of (token, mode) currently granted
-        self.holders: Dict[int, Set[Tuple[int, LockMode]]] = {}
+        #: safety ledger: lock -> {token: mode} currently granted
+        self.holders: Dict[int, Dict[int, LockMode]] = {}
         #: stable name for trace events; drawn from a dedicated id stream
         #: unconditionally so runs with and without obs stay identical
         self.obs_name = f"{self.SCHEME}-{self.env.next_id('obs-dlm')}"
+        self._word_at = _WordTable(self)
         self._setup_homes()
 
     def _setup_homes(self) -> None:
-        """Scheme-specific per-home state (lock tables / memory words)."""
+        """Scheme-specific per-home state.  With ``WORDS`` set, every
+        member registers the words of every lock, so a failover rehome
+        needs no new allocation."""
+        if self.WORDS is not None:
+            #: member node id -> its region of lock words
+            self._words = {node.id: node.memory.register(
+                self.WORD_STRIDE * self.n_locks,
+                name=f"{self.WORDS}@{node.name}") for node in self.members}
 
     def home_node(self, lock_id: int) -> Node:
         self._check_lock(lock_id)
         return self.members[lock_id % len(self.members)]
+
+    def raw_word(self, lock_id: int) -> int:
+        """Direct (zero-time) view of the lock's first word (the
+        reaper's and the tests')."""
+        home, addr, _rkey = self._word_at[lock_id]
+        region = self._words[home]
+        return region.read_u64(addr - region.addr)
 
     def client(self, node: Node) -> "LockClient":
         raise NotImplementedError
 
     def _register(self, client: "LockClient") -> int:
         token = next(self._tokens)
+        if token > _F24:
+            # the lock words name a client in 24 bits
+            raise LockError(f"token {token} exceeds the 24-bit word field")
         self.clients[token] = client
         return token
 
@@ -79,54 +131,43 @@ class LockManagerBase:
 
     # -- safety ledger ----------------------------------------------------
     def _ledger_grant(self, lock_id: int, token: int, mode: LockMode,
-                      ep: Optional[int] = None, **extra_fields) -> None:
-        """Record a grant; ``extra_fields`` (e.g. the ALock cohort and
-        hand-off chain position) ride along on the ``lock.grant`` event."""
-        held = self.holders.setdefault(lock_id, set())
-        if mode is LockMode.EXCLUSIVE and held:
-            raise LockError(
-                f"SAFETY: exclusive grant of lock {lock_id} to {token} "
-                f"while held by {held}")
-        if mode is LockMode.SHARED and any(
-                m is LockMode.EXCLUSIVE for _, m in held):
-            raise LockError(
-                f"SAFETY: shared grant of lock {lock_id} to {token} "
-                f"while exclusively held")
-        held.add((token, mode))
-        extra = {"mode": mode.name}
-        if ep is not None:
-            extra["ep"] = ep
-        extra.update(extra_fields)
-        self._obs_ledger("lock.grant", lock_id, token, **extra)
+                      ep: Optional[int], extra: Optional[dict]) -> None:
+        """Record a grant; ``extra`` (e.g. the ALock cohort and hand-off
+        chain position) rides along on the ``lock.grant`` event."""
+        held = self.holders.setdefault(lock_id, {})
+        if held:
+            if mode is LockMode.EXCLUSIVE:
+                raise LockError(
+                    f"SAFETY: exclusive grant of lock {lock_id} to {token} "
+                    f"while held by {held}")
+            if LockMode.EXCLUSIVE in held.values():
+                raise LockError(
+                    f"SAFETY: shared grant of lock {lock_id} to {token} "
+                    f"while exclusively held")
+        held[token] = mode
+        if self.env.obs is not None:
+            fields = {"mode": mode.name}
+            if ep is not None:
+                fields["ep"] = ep
+            if extra:
+                fields.update(extra)
+            self._obs_ledger("lock.grant", lock_id, token, fields)
 
-    def _ledger_release(self, lock_id: int, token: int) -> LockMode:
-        held = self.holders.get(lock_id, ())
-        for entry in held:
-            if entry[0] == token:
-                held.remove(entry)
-                self._obs_ledger("lock.release", lock_id, token)
-                return entry[1]
-        raise LockError(
-            f"release of lock {lock_id} by non-holder {token}")
-
-    def _ledger_expunge(self, lock_id: int, token: int) -> Optional[LockMode]:
-        """Forcibly end a grant (lease revocation); None if not held."""
-        held = self.holders.get(lock_id, ())
-        for entry in held:
-            if entry[0] == token:
-                held.remove(entry)
-                self._obs_ledger("lock.revoke", lock_id, token)
-                return entry[1]
-        return None
+    def _ledger_release(self, lock_id: int, token: int) -> None:
+        held = self.holders.get(lock_id)
+        if held is None or held.pop(token, None) is None:
+            raise LockError(
+                f"release of lock {lock_id} by non-holder {token}")
+        if self.env.obs is not None:
+            self._obs_ledger("lock.release", lock_id, token, {})
 
     def _obs_ledger(self, etype: str, lock_id: int, token: int,
-                    **extra) -> None:
+                    fields: dict) -> None:
         obs = self.env.obs
-        if obs is not None:
-            obs.trace.emit(etype, node=self.home_node(lock_id).id,
-                           mgr=self.obs_name, lock=lock_id, token=token,
-                           **extra)
-            obs.metrics.counter(f"dlm.{etype.split('.')[1]}s").inc()
+        obs.trace.emit(etype, node=self.home_node(lock_id).id,
+                       mgr=self.obs_name, lock=lock_id, token=token,
+                       **fields)
+        obs.metrics.counter(f"dlm.{etype.split('.')[1]}s").inc()
 
 
 class LockClient:
@@ -142,6 +183,8 @@ class LockClient:
         self._queues: Dict[Tuple[int, str], Store] = {}
         self.acquires = 0
         self.releases = 0
+        self._acq_name = f"{manager.SCHEME}-acq@{node.name}"
+        self._rel_name = f"{manager.SCHEME}-rel@{node.name}"
         self.env.process(self._dispatch(), name=f"{manager.SCHEME}-"
                          f"dispatch@{node.name}.{self.token}")
 
@@ -149,11 +192,10 @@ class LockClient:
     def acquire(self, lock_id: int, mode: LockMode = LockMode.EXCLUSIVE
                 ) -> Event:
         """Acquire; the event fires when the lock is granted."""
-        self.manager._check_lock(lock_id)
+        if not 0 <= lock_id < self.manager.n_locks:
+            raise LockError(f"lock id {lock_id} out of range")
         self.acquires += 1
-        ev = self.env.process(
-            self._acquire(lock_id, mode),
-            name=f"{self.manager.SCHEME}-acq@{self.node.name}")
+        ev = Process(self.env, self._acquire(lock_id, mode), self._acq_name)
         obs = self.env.obs
         if obs is not None:
             obs.trace.emit("lock.request", node=self.node.id,
@@ -165,11 +207,10 @@ class LockClient:
 
     def release(self, lock_id: int) -> Event:
         """Release; the event fires when the hand-off has been initiated."""
-        self.manager._check_lock(lock_id)
+        if not 0 <= lock_id < self.manager.n_locks:
+            raise LockError(f"lock id {lock_id} out of range")
         self.releases += 1
-        return self.env.process(
-            self._release(lock_id),
-            name=f"{self.manager.SCHEME}-rel@{self.node.name}")
+        return Process(self.env, self._release(lock_id), self._rel_name)
 
     # -- scheme hooks ------------------------------------------------------
     def _acquire(self, lock_id: int, mode: LockMode):
@@ -217,7 +258,8 @@ class LockClient:
 
     def _obs_enqueue(self, lock_id: int, mode: LockMode,
                      prev: int = 0, ep: int = 0, **extra) -> None:
-        """Trace the instant this requester landed in the wait queue.
+        """Trace the instant this requester landed in the wait queue
+        (callers test ``env.obs`` first).
 
         ``prev`` is the predecessor read atomically out of the lock
         word (the old tail), so the emitted chain reflects the true
@@ -225,18 +267,7 @@ class LockClient:
         requesters out of order.  ``extra`` fields (e.g. the ALock
         cohort) ride along on the event.
         """
-        obs = self.env.obs
-        if obs is not None:
-            obs.trace.emit("lock.enqueue", node=self.node.id,
-                           mgr=self.manager.obs_name, lock=lock_id,
-                           token=self.token, mode=mode.name,
-                           prev=prev, ep=ep, **extra)
-
-    # -- ledger shims ----------------------------------------------------
-    def _granted(self, lock_id: int, mode: LockMode,
-                 ep: Optional[int] = None, **extra) -> None:
-        self.manager._ledger_grant(lock_id, self.token, mode, ep=ep,
-                                   **extra)
-
-    def _released(self, lock_id: int) -> LockMode:
-        return self.manager._ledger_release(lock_id, self.token)
+        self.env.obs.trace.emit("lock.enqueue", node=self.node.id,
+                                mgr=self.manager.obs_name, lock=lock_id,
+                                token=self.token, mode=mode.name,
+                                prev=prev, ep=ep, **extra)

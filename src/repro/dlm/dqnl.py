@@ -22,7 +22,6 @@ from __future__ import annotations
 from typing import Dict, Optional
 
 from repro.errors import LockError
-from repro.net.memory import MemoryRegion
 from repro.net.node import Node
 
 from repro.dlm.base import LockClient, LockManagerBase, LockMode
@@ -32,22 +31,7 @@ __all__ = ["DQNLManager", "DQNLClient"]
 
 class DQNLManager(LockManagerBase):
     SCHEME = "dqnl"
-
-    def _setup_homes(self) -> None:
-        self._words: Dict[int, MemoryRegion] = {}
-        per_home: Dict[int, int] = {}
-        for lock_id in range(self.n_locks):
-            per_home[self.home_node(lock_id).id] = 0
-        for node in self.members:
-            region = node.memory.register(8 * self.n_locks,
-                                          name=f"dqnl-words@{node.name}")
-            self._words[node.id] = region
-
-    def word(self, lock_id: int):
-        """(node_id, addr, rkey) of the lock's tail word."""
-        home = self.home_node(lock_id)
-        region = self._words[home.id]
-        return home.id, region.addr + 8 * lock_id, region.rkey
+    WORDS = "dqnl-words"
 
     def client(self, node: Node) -> "DQNLClient":
         return DQNLClient(self, node)
@@ -56,15 +40,13 @@ class DQNLManager(LockManagerBase):
 class DQNLClient(LockClient):
     def __init__(self, manager: DQNLManager, node: Node):
         super().__init__(manager, node)
-        #: lock -> successor token that announced itself
-        self._successors: Dict[int, Optional[int]] = {}
         #: locks we currently hold
         self._held: Dict[int, LockMode] = {}
 
     def _acquire(self, lock_id: int, mode: LockMode):
         if lock_id in self._held:
             raise LockError(f"client {self.token} already holds {lock_id}")
-        home, addr, rkey = self.manager.word(lock_id)
+        home, addr, rkey = self.manager._word_at[lock_id]
         nic = self.node.nic
         expected = 0
         while True:
@@ -74,27 +56,28 @@ class DQNLClient(LockClient):
             # CAS failed: retry against the value we just observed (this
             # also covers the word having gone back to 0 underneath us)
             expected = old
-        self._obs_enqueue(lock_id, mode, prev=expected)
+        if self.env.obs is not None:
+            self._obs_enqueue(lock_id, mode, prev=expected)
         if expected != 0:
             # enqueued behind the previous tail: announce, await hand-off
             self._peer_send(expected, {"t": "succ", "lock": lock_id,
                                        "frm": self.token})
             yield from self._wait(lock_id, "grant")
         self._held[lock_id] = mode
-        self._granted(lock_id, mode)
+        self.manager._ledger_grant(lock_id, self.token, mode, None, None)
         return None
 
     def _release(self, lock_id: int):
         if lock_id not in self._held:
             raise LockError(f"client {self.token} does not hold {lock_id}")
         del self._held[lock_id]
-        self._released(lock_id)
+        self.manager._ledger_release(lock_id, self.token)
         succ = self._take_successor(lock_id)
         if succ is not None:
             self._peer_send(succ, {"t": "grant", "lock": lock_id})
             return
             yield  # pragma: no cover
-        home, addr, rkey = self.manager.word(lock_id)
+        home, addr, rkey = self.manager._word_at[lock_id]
         old = yield self.node.nic.cas(home, addr, rkey, self.token, 0)
         if old != self.token:
             # a successor swapped itself in concurrently; its announcement
@@ -105,5 +88,7 @@ class DQNLClient(LockClient):
 
     def _take_successor(self, lock_id: int) -> Optional[int]:
         """Non-blocking check whether a successor already announced."""
-        ok, body = self._queue(lock_id, "succ").try_get()
-        return body["frm"] if ok else None
+        q = self._queues.get((lock_id, "succ"))
+        if q is None or not q._items:
+            return None
+        return q.try_get()[1]["frm"]

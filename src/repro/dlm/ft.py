@@ -7,7 +7,9 @@ Word layout
 -----------
 
 Every home-resident word is ``epoch:16 | tail:24 | count:24``
-(:func:`pack` / :func:`unpack`).  Every CAS embeds an epoch (guessed
+(:func:`pack` / :func:`unpack`; a hot path shifts the fields in place,
+which needs no range check because ``_register`` caps tokens at 24
+bits).  Every CAS embeds an epoch (guessed
 or returned by a lost CAS; no scheme reads a word it is about to CAS),
 so an attempt racing a reclaim simply loses the CAS; every FAA
 *returns* the epoch at its execution instant, so a requester detects
@@ -53,14 +55,17 @@ acquire/release wrappers).
 Scheme hooks
 ------------
 
-Managers implement ``_setup_homes``, ``word(lock_id)`` plus:
+Managers name their words (``WORDS``, ``WORD_STRIDE``: the base's
+word table) and may override:
 
 * ``_ft_tails(lock_id)``   — tail tokens currently named by the lock's
   word(s); an orphaned tail (no holder, no active attempt) is residue.
-* ``_ft_wipe(lock_id, new_ep)`` — rewrite every word of the lock to its
-  empty state under ``new_ep`` (home-local, zero simulated time).
-* ``_ft_extra_reclaim(lock_id)`` — optional extra residue predicate
-  (e.g. ALock's orphaned tournament flags).
+  Default: the first word's tail.
+* ``_ft_extra_reclaim(lock_id)`` — an extra residue predicate (e.g.
+  ALock's orphaned tournament flags).
+
+A reclaim wipes every word of the lock to ``pack(new_ep, 0, 0)``
+(home-local, zero simulated time), which is every design's empty word.
 
 Clients implement ``_attempt_acquire(lock_id, mode)`` (a generator
 returning ``(ep, extra)`` where ``extra`` rides on the grant event) and
@@ -79,12 +84,11 @@ from repro.errors import FaultError, LockError, RdmaError
 from repro.net.node import Node
 from repro.sim import AnyOf
 
-from repro.dlm.base import LockClient, LockManagerBase, LockMode
+from repro.dlm.base import _F24, LockClient, LockManagerBase, LockMode
 
 __all__ = ["EpochFencedManager", "EpochFencedClient", "pack", "unpack"]
 
 _EP_MASK = 0xFFFF
-_F24 = 0xFFFFFF
 
 #: receiver-side dedup window for reliably re-sent protocol messages
 _UID_WINDOW = 512
@@ -163,10 +167,7 @@ class EpochFencedManager(LockManagerBase):
 
     # -- scheme hooks ----------------------------------------------------
     def _ft_tails(self, lock_id: int):
-        raise NotImplementedError
-
-    def _ft_wipe(self, lock_id: int, new_ep: int) -> None:
-        raise NotImplementedError
+        return ((self.raw_word(lock_id) >> 24) & _F24,)
 
     def _ft_extra_reclaim(self, lock_id: int) -> bool:
         return False
@@ -227,19 +228,18 @@ class EpochFencedManager(LockManagerBase):
     def _should_reclaim(self, lock_id: int) -> Optional[bool]:
         """True: reclaim now.  False: not now.  None: pristine — no
         holder, no attempt, no residue — so False until the next one."""
-        if self._node_dead(self.home_node(lock_id).id):
+        if self._node_dead(self._word_at[lock_id][0]):
             return False  # words unreachable; restart first
         if self._suspect.get(lock_id):
             return True  # a release/hand-off failed: chain state suspect
         holders = self.holders.get(lock_id, ())
         active = self._active.get(lock_id, ())
-        if any(self._token_dead(tok) for tok, _mode in holders):
+        if any(self._token_dead(tok) for tok in holders):
             return True
         if any(self._token_dead(tok) for tok in active):
             return True
         for tail in self._ft_tails(lock_id):
-            if tail and tail not in active and not any(
-                    tok == tail for tok, _mode in holders):
+            if tail and tail not in active and tail not in holders:
                 return True  # orphaned tail: residue of an aborted attempt
         # past the tail test, a nonzero tail is a holder's or an attempt's
         return self._ft_extra_reclaim(lock_id) or (
@@ -255,17 +255,25 @@ class EpochFencedManager(LockManagerBase):
         old_ep = self._epochs.get(lock_id, 0)
         new_ep = (old_ep + 1) & _EP_MASK
         self._epochs[lock_id] = new_ep
-        self._ft_wipe(lock_id, new_ep)
+        home, addr, _rkey = self._word_at[lock_id]
+        region = self._words[home]
+        first = addr - region.addr
+        empty = pack(new_ep, 0, 0)
+        for off in range(first, first + self.WORD_STRIDE, 8):
+            region.write_u64(off, empty)
         obs = self.env.obs
         if obs is not None:
             # emitted before the revokes so the lock oracle advances its
             # authoritative epoch first, then validates each revocation
-            obs.trace.emit("lock.reclaim", node=self.home_node(lock_id).id,
+            obs.trace.emit("lock.reclaim", node=home,
                            mgr=self.obs_name, lock=lock_id,
                            old_ep=old_ep, new_ep=new_ep)
             obs.metrics.counter("dlm.reclaims").inc()
-        for token, _mode in list(self.holders.get(lock_id, ())):
-            self._ledger_expunge(lock_id, token)
+        held = self.holders.get(lock_id)
+        for token in list(held or ()):  # grant order
+            del held[token]
+            if obs is not None:
+                self._obs_ledger("lock.revoke", lock_id, token, {})
             self._revoked[(lock_id, token)] = old_ep
         self._suspect.pop(lock_id, None)
         self.reclaims.append((self.env.now, lock_id, new_ep))
@@ -296,7 +304,8 @@ class EpochFencedClient(LockClient):
         revoked grant."""
 
     def _obs_word(self, lock_id: int, word: int) -> None:
-        """Trace hook for a scheme whose word the lock oracle decodes."""
+        """Trace hook for a scheme whose word the lock oracle decodes
+        (callers test ``env.obs`` first)."""
 
     # -- acquire/release wrappers ----------------------------------------
     def _acquire(self, lock_id: int, mode: LockMode):
@@ -340,7 +349,7 @@ class EpochFencedClient(LockClient):
         self._held_modes[lock_id] = mode
         self._grant_ep[lock_id] = ep
         self._grant_extra[lock_id] = extra
-        self._granted(lock_id, mode, ep=ep, **extra)
+        mgr._ledger_grant(lock_id, self.token, mode, ep, extra)
         return None
 
     def _release(self, lock_id: int):
@@ -355,7 +364,7 @@ class EpochFencedClient(LockClient):
             self._grant_extra.pop(lock_id, None)
             self._abort_attempt(lock_id)
             return None
-        self._released(lock_id)
+        mgr._ledger_release(lock_id, self.token)
         if not mgr.ft:
             yield from self._attempt_release(lock_id, ep)
             return None
@@ -402,16 +411,19 @@ class EpochFencedClient(LockClient):
 
     def _check_epoch(self, lock_id: int, ep: int):
         """Lease expired while waiting: re-read the word, bail if moved."""
-        home, addr, rkey = self.manager.word(lock_id)
+        home, addr, rkey = self.manager._word_at[lock_id]
         raw = yield self.node.nic.rdma_read(home, addr, rkey, 8)
         word = int.from_bytes(raw, "big")
-        self._obs_word(lock_id, word)
+        if self.env.obs is not None:
+            self._obs_word(lock_id, word)
         if unpack(word)[0] != ep:
             raise _Stale(f"lock {lock_id} reclaimed while waiting")
 
     def _drain_msgs(self, lock_id: int, kind: str, ep: int):
         """Non-blocking: pop queued same-epoch messages of ``kind``."""
-        q = self._queue(lock_id, kind)
+        q = self._queues.get((lock_id, kind))
+        if q is None or not q._items:
+            return ()
         out = []
         while True:
             ok, body = q.try_get()

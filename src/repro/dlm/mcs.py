@@ -33,83 +33,51 @@ shared-cascade throughput matters.
 
 from __future__ import annotations
 
-from typing import Dict
-
 from repro.net.node import Node
 
 from repro.dlm.base import CLIENT_POLL_US, LockMode
-from repro.dlm.ft import (EpochFencedClient, EpochFencedManager, _Stale,
-                          pack, unpack)
+from repro.dlm.ft import EpochFencedClient, EpochFencedManager, _Stale, unpack
 
 __all__ = ["MCSManager", "MCSClient"]
+
+#: queue-node layout: 16 bytes per lock — next slot, grant slot
+_QN_STRIDE = 16
+_QN_EMPTY = bytes(_QN_STRIDE)
 
 
 class MCSManager(EpochFencedManager):
     """Home state: one tail word per lock, sharded over the members."""
 
     SCHEME = "mcs"
-
-    def _setup_homes(self) -> None:
-        self._words: Dict[int, object] = {}
-        for node in self.members:
-            self._words[node.id] = node.memory.register(
-                8 * self.n_locks, name=f"mcs-tails@{node.name}")
-
-    def word(self, lock_id: int):
-        home = self.home_node(lock_id)
-        region = self._words[home.id]
-        return home.id, region.addr + 8 * lock_id, region.rkey
-
-    def raw_word(self, lock_id: int) -> int:
-        """Direct (zero-time) view of the tail word, for tests."""
-        home = self.home_node(lock_id)
-        return self._words[home.id].read_u64(8 * lock_id)
+    WORDS = "mcs-tails"
 
     def client(self, node: Node) -> "MCSClient":
         return MCSClient(self, node)
-
-    # -- epoch-fencing hooks ----------------------------------------------
-    def _ft_tails(self, lock_id: int):
-        return (unpack(self.raw_word(lock_id))[1],)
-
-    def _ft_wipe(self, lock_id: int, new_ep: int) -> None:
-        home = self.home_node(lock_id)
-        self._words[home.id].write_u64(8 * lock_id,
-                                       pack(new_ep, 0, 0))
 
 
 class MCSClient(EpochFencedClient):
     """Client with a per-lock queue node in registered memory."""
 
-    #: queue-node layout: 16 bytes per lock — next slot, grant slot
-    _QN_STRIDE = 16
-
     def __init__(self, manager: MCSManager, node: Node):
         super().__init__(manager, node)
         self._qnode = node.memory.register(
-            self._QN_STRIDE * manager.n_locks,
+            _QN_STRIDE * manager.n_locks,
             name=f"mcs-qnode@{node.name}.{self.token}")
-
-    def _qn_next(self, lock_id: int) -> int:
-        return self._QN_STRIDE * lock_id
-
-    def _qn_grant(self, lock_id: int) -> int:
-        return self._QN_STRIDE * lock_id + 8
 
     # -- acquire ----------------------------------------------------------
     def _attempt_acquire(self, lock_id: int, mode: LockMode):
         mgr = self.manager
-        home, addr, rkey = mgr.word(lock_id)
+        home, addr, rkey = mgr._word_at[lock_id]
         nic = self.node.nic
+        qn = _QN_STRIDE * lock_id  # our next slot; the grant slot follows
         # fresh attempt: scrub the queue node (local, zero time)
-        self._qnode.write_u64(self._qn_next(lock_id), 0)
-        self._qnode.write_u64(self._qn_grant(lock_id), 0)
+        self._qnode.write(qn, _QN_EMPTY)
         # guess a free tail; a lost CAS returns the next guess
-        ep, tail = mgr.lock_epoch(lock_id), 0
-        word = pack(ep, 0, 0)
+        ep, tail = mgr._epochs.get(lock_id, 0), 0
+        word = ep << 48
         while True:
             old = yield nic.cas(home, addr, rkey, word,
-                                pack(ep, self.token, 0))
+                                (ep << 48) | (self.token << 24))
             if old == word:
                 break
             word = old
@@ -117,9 +85,10 @@ class MCSClient(EpochFencedClient):
             if tail == self.token:
                 # residue of an aborted attempt; the reaper clears it
                 raise _Stale(f"own stale tail on lock {lock_id}")
-        self._obs_enqueue(lock_id, mode, prev=tail, ep=ep)
+        if self.env.obs is not None:
+            self._obs_enqueue(lock_id, mode, prev=tail, ep=ep)
         if tail == 0:
-            if mgr.lock_epoch(lock_id) != ep:
+            if mgr._epochs.get(lock_id, 0) != ep:
                 raise _Stale("reclaimed at MCS grant instant")
             return ep, {}
         # link behind the predecessor: write our token into its next
@@ -127,8 +96,7 @@ class MCSClient(EpochFencedClient):
         pred = mgr.clients.get(tail)
         if pred is None:
             raise _Stale(f"predecessor token {tail} unknown")
-        yield nic.rdma_write(pred.node.id,
-                             pred._qnode.addr + pred._qn_next(lock_id),
+        yield nic.rdma_write(pred.node.id, pred._qnode.addr + qn,
                              pred._qnode.rkey,
                              self.token.to_bytes(8, "big"))
         self._signal(pred, lock_id, "mnext",
@@ -136,25 +104,24 @@ class MCSClient(EpochFencedClient):
         yield from self._wait_msg(lock_id, "mgrant", ep)
         # spin-exit: notice the grant word in our own cache line
         yield self.node.cpu.run(CLIENT_POLL_US, name="mcs-spin")
-        if mgr.lock_epoch(lock_id) != ep:
+        if mgr._epochs.get(lock_id, 0) != ep:
             raise _Stale("reclaimed at MCS hand-off instant")
         return ep, {}
 
     # -- release ----------------------------------------------------------
     def _attempt_release(self, lock_id: int, ep: int):
         mgr = self.manager
-        home, addr, rkey = mgr.word(lock_id)
+        home, addr, rkey = mgr._word_at[lock_id]
         nic = self.node.nic
         succs = self._drain_msgs(lock_id, "mnext", ep)
         succ = succs[0]["frm"] if succs else None
         if succ is None:
             # no known successor: try to close the queue
-            word = pack(ep, self.token, 0)
-            old = yield nic.cas(home, addr, rkey, word,
-                                pack(ep, 0, 0))
+            word = (ep << 48) | (self.token << 24)
+            old = yield nic.cas(home, addr, rkey, word, ep << 48)
             if old == word:
                 return  # queue closed
-            if unpack(old)[0] != ep:
+            if old >> 48 != ep:
                 return  # reclaimed under us: nothing to hand off
             # a successor swapped the tail; its next-write is in flight
             # (a reclaim while waiting raises _Stale: successors restart)
@@ -164,9 +131,9 @@ class MCSClient(EpochFencedClient):
         if peer is None:
             raise _Stale(f"successor token {succ} unknown")
         # hand off: grant word into the successor's queue node
+        grant = (ep << 48) | (self.token << 24) | 1
         yield nic.rdma_write(peer.node.id,
-                             peer._qnode.addr + peer._qn_grant(lock_id),
-                             peer._qnode.rkey,
-                             pack(ep, self.token, 1).to_bytes(8, "big"))
+                             peer._qnode.addr + _QN_STRIDE * lock_id + 8,
+                             peer._qnode.rkey, grant.to_bytes(8, "big"))
         self._signal(peer, lock_id, "mgrant",
                      {"frm": self.token, "ep": ep})

@@ -60,12 +60,10 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import LockError
-from repro.net.memory import MemoryRegion
 from repro.net.node import Node
 
-from repro.dlm.base import LockMode
-from repro.dlm.ft import (EpochFencedClient, EpochFencedManager, _Stale,
-                          pack, unpack)
+from repro.dlm.base import _F24, LockMode
+from repro.dlm.ft import EpochFencedClient, EpochFencedManager, _Stale, unpack
 
 __all__ = ["NCoSEDManager", "NCoSEDClient"]
 
@@ -75,6 +73,7 @@ class NCoSEDManager(EpochFencedManager):
     (parameters: :class:`~repro.dlm.ft.EpochFencedManager`)."""
 
     SCHEME = "ncosed"
+    WORDS = "ncosed-words"
 
     def __init__(self, cluster, n_locks: int = 64, member_nodes=None,
                  **ft_kwargs):
@@ -89,12 +88,6 @@ class NCoSEDManager(EpochFencedManager):
             # detector the injector's ground truth only gates the reaper
             self.detector.subscribe(self._on_detector)
 
-    def _setup_homes(self) -> None:
-        self._words: Dict[int, MemoryRegion] = {}
-        for node in self.members:
-            self._words[node.id] = node.memory.register(
-                8 * self.n_locks, name=f"ncosed-words@{node.name}")
-
     def home_node(self, lock_id: int) -> Node:
         override = self._home_override.get(lock_id)
         if override is not None:
@@ -102,38 +95,20 @@ class NCoSEDManager(EpochFencedManager):
             return next(n for n in self.members if n.id == override)
         return super().home_node(lock_id)
 
-    def word(self, lock_id: int):
-        home = self.home_node(lock_id)
-        region = self._words[home.id]
-        return home.id, region.addr + 8 * lock_id, region.rkey
-
-    def raw_word(self, lock_id: int) -> int:
-        """Direct (zero-time) view of the lock word, for tests."""
-        home = self.home_node(lock_id)
-        return self._words[home.id].read_u64(8 * lock_id)
-
     def client(self, node: Node) -> "NCoSEDClient":
         return NCoSEDClient(self, node)
-
-    # -- epoch-fencing hooks ----------------------------------------------
-    def _ft_tails(self, lock_id: int):
-        return (unpack(self.raw_word(lock_id))[1],)
-
-    def _ft_wipe(self, lock_id: int, new_ep: int) -> None:
-        home = self.home_node(lock_id)
-        self._words[home.id].write_u64(8 * lock_id, pack(new_ep, 0, 0))
 
     # -- failover: rehome the words of a dead member ----------------------
     def _on_detector(self, node_id: int, transition: str) -> None:
         """Detector transition: move every lock homed on a dead member
         to the next live member in ring order.
 
-        Every member already hosts a full words region (``_setup_homes``
-        registers one per node precisely so failover needs no new
-        allocation), so rehoming is an epoch bump plus a fresh word at
-        the new home.  Restores are deliberately ignored: a lock stays
-        at its failover home until the next failure (moving it back
-        would revoke live grants for no safety gain).
+        Every member already hosts a full words region (the base's
+        ``_setup_homes`` registers one per node precisely so failover
+        needs no new allocation), so rehoming is an epoch bump plus a
+        fresh word at the new home.  Restores are deliberately ignored:
+        a lock stays at its failover home until the next failure
+        (moving it back would revoke live grants for no safety gain).
         """
         if transition != "dead":
             return
@@ -160,6 +135,7 @@ class NCoSEDManager(EpochFencedManager):
                 new_home: Node) -> None:
         """Reclaim ``lock_id`` onto ``new_home`` (epoch-fenced move)."""
         self._home_override[lock_id] = new_home.id
+        self._word_at.pop(lock_id, None)
         self._reclaim(lock_id)  # wipes and reports at the new home
         obs = self.env.obs
         if obs is not None:
@@ -190,11 +166,9 @@ class NCoSEDClient(EpochFencedClient):
 
     def _obs_word(self, lock_id: int, word: int) -> None:
         """Trace a protocol step's view of the raw 64-bit lock word."""
-        obs = self.env.obs
-        if obs is not None:
-            obs.trace.emit("lock.word", node=self.node.id,
-                           mgr=self.manager.obs_name, lock=lock_id,
-                           word=word)
+        self.env.obs.trace.emit("lock.word", node=self.node.id,
+                                mgr=self.manager.obs_name, lock=lock_id,
+                                word=word)
 
     def _send(self, token: int, kind: str, lock_id: int, ep: int,
               **fields) -> None:
@@ -216,15 +190,18 @@ class NCoSEDClient(EpochFencedClient):
 
     def _acquire_shared(self, lock_id: int):
         mgr = self.manager
-        home, addr, rkey = mgr.word(lock_id)
+        home, addr, rkey = mgr._word_at[lock_id]
         old = yield self.node.nic.faa(home, addr, rkey, 1)
-        self._obs_word(lock_id, old)
-        ep, tail, _count = unpack(old)
-        if mgr.lock_epoch(lock_id) != ep:
+        ep, tail = old >> 48, (old >> 24) & _F24
+        obs = self.env.obs
+        if obs is not None:
+            self._obs_word(lock_id, old)
+        if mgr._epochs.get(lock_id, 0) != ep:
             # the word was reclaimed around our increment: the +1 was
             # (or will be) wiped with the old generation
             raise _Stale(f"lock {lock_id} reclaimed around shared FAA")
-        self._obs_enqueue(lock_id, LockMode.SHARED, prev=tail, ep=ep)
+        if obs is not None:
+            self._obs_enqueue(lock_id, LockMode.SHARED, prev=tail, ep=ep)
         if tail == 0:
             return ep, {}  # granted at once, alongside other shareds
         # an exclusive is pending/holding: register with the tail and wait
@@ -232,22 +209,23 @@ class NCoSEDClient(EpochFencedClient):
         body = yield from self._wait_msg(lock_id, "nc", ep)
         if body["kind"] != "sgrant":
             raise LockError(f"shared waiter got {body['kind']}")
-        if mgr.lock_epoch(lock_id) != ep:
+        if mgr._epochs.get(lock_id, 0) != ep:
             raise _Stale("reclaimed at shared grant instant")
         return ep, {}
 
     def _acquire_exclusive(self, lock_id: int):
         mgr = self.manager
-        home, addr, rkey = mgr.word(lock_id)
+        home, addr, rkey = mgr._word_at[lock_id]
         nic = self.node.nic
+        mine = self.token << 24
         tenure = _Tenure()
         # guess a free word; a lost CAS returns the next guess
-        ep, tail, count = mgr.lock_epoch(lock_id), 0, 0
-        word = pack(ep, 0, 0)
+        ep, tail, count = mgr._epochs.get(lock_id, 0), 0, 0
+        word = ep << 48
         while True:
-            old = yield nic.cas(home, addr, rkey, word,
-                                pack(ep, self.token, 0))
-            self._obs_word(lock_id, old)
+            old = yield nic.cas(home, addr, rkey, word, (ep << 48) | mine)
+            if self.env.obs is not None:
+                self._obs_word(lock_id, old)
             if old == word:
                 break
             word = old
@@ -258,13 +236,14 @@ class NCoSEDClient(EpochFencedClient):
         # enqueued: we are the new tail; shared requests from now on
         # register with us, so open the tenure before waiting
         self._tenures[lock_id] = tenure
-        self._obs_enqueue(lock_id, LockMode.EXCLUSIVE, prev=tail, ep=ep)
+        if self.env.obs is not None:
+            self._obs_enqueue(lock_id, LockMode.EXCLUSIVE, prev=tail, ep=ep)
         if tail:
             self._send(tail, "xenq", lock_id, ep, frm=self.token,
                        scount=count)
         if tail or count:
             yield from self._await_grant(lock_id, tenure, tail, count, ep)
-        if mgr.lock_epoch(lock_id) != ep:
+        if mgr._epochs.get(lock_id, 0) != ep:
             raise _Stale("reclaimed at exclusive grant instant")
         return ep, {}
 
@@ -297,14 +276,16 @@ class NCoSEDClient(EpochFencedClient):
         return self._release_exclusive(lock_id, ep, tenure)
 
     def _release_shared(self, lock_id: int, ep: int):
-        home, addr, rkey = self.manager.word(lock_id)
+        home, addr, rkey = self.manager._word_at[lock_id]
         nic = self.node.nic
         # guess we are the sole reader; a miss returns the word
-        word, count = pack(ep, 0, 1), 1
+        count = 1
+        word = (ep << 48) | count
         while True:
             old = yield nic.cas(home, addr, rkey, word,
-                                pack(ep, 0, count - 1))
-            self._obs_word(lock_id, old)
+                                (ep << 48) | (count - 1))
+            if self.env.obs is not None:
+                self._obs_word(lock_id, old)
             if old == word:
                 return
             word = old
@@ -320,7 +301,7 @@ class NCoSEDClient(EpochFencedClient):
                 raise LockError("shared release with zero count")
 
     def _release_exclusive(self, lock_id: int, ep: int, tenure: _Tenure):
-        home, addr, rkey = self.manager.word(lock_id)
+        home, addr, rkey = self.manager._word_at[lock_id]
         nic = self.node.nic
         for body in self._drain_msgs(lock_id, "nc", ep):
             self._classify(tenure, body)
@@ -329,11 +310,12 @@ class NCoSEDClient(EpochFencedClient):
             # bookkeeping — exact unless a shared FAA or exclusive CAS is
             # in flight, and then the failed CAS returns the word
             count = len(tenure.registered)
-            word = pack(ep, self.token, count)
+            word = (ep << 48) | (self.token << 24) | count
             while True:
                 old = yield nic.cas(home, addr, rkey, word,
-                                    pack(ep, 0, count))
-                self._obs_word(lock_id, old)
+                                    (ep << 48) | count)
+                if self.env.obs is not None:
+                    self._obs_word(lock_id, old)
                 if old == word:
                     # lock is no longer exclusively owned: grant every
                     # shared waiter registered during our tenure at once

@@ -53,9 +53,11 @@ class SRSLManager(LockManagerBase):
             msg = yield node.nic.recv(tag=("srsl-server", node.id))
             yield node.cpu.run(SERVER_REQ_US, name="srsl-server")
             body = msg.payload
-            state = table.setdefault(body["lock"], _LockState())
+            state = table.get(body["lock"])
+            if state is None:
+                state = table[body["lock"]] = _LockState()
             if body["op"] == "acquire":
-                req = (body["token"], LockMode(body["mode"]))
+                req = (body["token"], body["mode"])
                 state.queue.append(req)
                 obs = self.env.obs
                 if obs is not None:
@@ -89,7 +91,7 @@ class SRSLManager(LockManagerBase):
             client = self.clients[token]
             node.nic.post(client.node.id,
                           payload={"t": "grant", "lock": lock_id,
-                                   "mode": mode.value},
+                                   "mode": mode},
                           size=32, tag=client._tag)
 
 
@@ -97,15 +99,15 @@ class SRSLClient(LockClient):
     def _acquire(self, lock_id: int, mode: LockMode):
         home = self.manager.home_node(lock_id)
         self.node.nic.post(home.id, payload={
-            "op": "acquire", "lock": lock_id, "mode": mode.value,
+            "op": "acquire", "lock": lock_id, "mode": mode,
             "token": self.token,
         }, size=32, tag=("srsl-server", home.id))
         yield from self._wait(lock_id, "grant")
-        self._granted(lock_id, mode)
+        self.manager._ledger_grant(lock_id, self.token, mode, None, None)
         return None
 
     def _release(self, lock_id: int):
-        self._released(lock_id)
+        self.manager._ledger_release(lock_id, self.token)
         home = self.manager.home_node(lock_id)
         self.node.nic.post(home.id, payload={
             "op": "release", "lock": lock_id, "token": self.token,

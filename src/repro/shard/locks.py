@@ -9,7 +9,10 @@ death moves only the locks it homed (to their ring successors), each
 via the existing epoch-fenced ``_rehome`` machinery.
 
 The wire protocol is untouched — clients still CAS/FAA the word at
-``home_node(lock_id)``; only the placement function changed.
+``home_node(lock_id)``; only the placement function changed.  A
+shard-map epoch change drops the cached placements: the owner cache
+and the base's word table, which the clients' hot paths read without
+asking ``home_node``.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from __future__ import annotations
 from typing import Dict
 
 from repro.dlm.ncosed import NCoSEDManager
+from repro.errors import ConfigError
 from repro.net.node import Node
 
 from repro.shard.ring import ShardMap, ShardRing
@@ -48,6 +52,7 @@ class ShardedNCoSEDManager(NCoSEDManager):
             return self._member_by_id[override]
         if self.shard_map.epoch != self._cache_ep:
             self._owner_cache.clear()
+            self._word_at.clear()
             self._cache_ep = self.shard_map.epoch
         nid = self._owner_cache.get(lock_id)
         if nid is None:
@@ -76,6 +81,7 @@ class ShardedNCoSEDManager(NCoSEDManager):
         if (node_id in self.shard_map.members
                 and len(self.shard_map.members) > 1):
             self.shard_map.remove(node_id)
+            self._word_at.clear()
             self._obs_rebalance("evict", node_id)
         avoid = self.detector.unreachable_ids
         avoid.add(node_id)

@@ -61,8 +61,16 @@ class TestCohorts:
         manager = ALockManager(cluster, n_locks=2)
         local = manager.client(cluster.nodes[0])
         remote = manager.client(cluster.nodes[1])
-        assert manager.cohort_of(local, 0) == COHORT_LOCAL
-        assert manager.cohort_of(remote, 0) == COHORT_REMOTE
+        cohorts = []
+
+        def app(env):
+            for client in (local, remote):
+                yield client.acquire(0)
+                cohorts.append(client._grant_extra[0]["cohort"])
+                yield client.release(0)
+
+        cluster.env.run_until_event(cluster.env.process(app(cluster.env)))
+        assert cohorts == [COHORT_LOCAL, COHORT_REMOTE]
 
     def test_budget_must_be_positive(self):
         cluster = Cluster(n_nodes=2, seed=0)

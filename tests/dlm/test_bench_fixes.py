@@ -27,11 +27,11 @@ class _WedgedClient(LockClient):
                 yield self.env.timeout(1e9)
         self.manager.granted_once = True
         yield self.env.timeout(1.0)
-        self._granted(lock_id, mode)
+        self.manager._ledger_grant(lock_id, self.token, mode, None, None)
 
     def _release(self, lock_id):
         yield self.env.timeout(1.0)
-        self._released(lock_id)
+        self.manager._ledger_release(lock_id, self.token)
 
 
 class _WedgedManager(LockManagerBase):
@@ -76,7 +76,8 @@ class TestCascadeWedgeDiagnostics:
                 # wait for the current holder to drain first
                 while len(self.manager.holders.get(lock_id, ())):
                     yield self.env.timeout(5.0)
-                self._granted(lock_id, mode)
+                self.manager._ledger_grant(lock_id, self.token, mode,
+                                           None, None)
 
         class _TwoGrants(LockManagerBase):
             SCHEME = "twogrants"

@@ -5,6 +5,8 @@ grant violating mutual exclusion, so simply *running* these scenarios is
 itself an invariant check.
 """
 
+import itertools
+
 import pytest
 
 from repro.errors import LockError
@@ -32,6 +34,17 @@ def run(cluster, gen, limit=1e9):
     p = cluster.env.process(gen)
     cluster.env.run_until_event(p, limit=limit)
     return p.value
+
+
+@pytest.mark.parametrize("scheme_cls", ALL)
+def test_register_caps_tokens_at_the_word_field(scheme_cls):
+    """A lock word names a client in 24 bits, so the token registry
+    stops there and no CAS guess needs a range check."""
+    cluster, manager = build(scheme_cls)
+    manager._tokens = itertools.count(0xFFFFFF)
+    assert manager.client(cluster.nodes[1]).token == 0xFFFFFF
+    with pytest.raises(LockError, match="24-bit"):
+        manager.client(cluster.nodes[2])
 
 
 @pytest.mark.parametrize("scheme_cls", ALL)
@@ -132,7 +145,6 @@ class TestCommon:
                 return "rejected"
 
         assert run(cluster, app(cluster.env)) == "rejected"
-        assert manager._ledger_expunge(6, client.token) is None
         assert manager.holders == {}
 
     def test_reacquire_after_release(self, scheme_cls):

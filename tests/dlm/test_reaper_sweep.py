@@ -12,6 +12,11 @@ the sweep reclaims exactly what a scan of the whole table did.  The full
 scan stays here as the reference.
 """
 
+import ast
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.dlm import LockMode, NCoSEDManager
@@ -126,3 +131,42 @@ def test_a_pristine_lock_leaves_the_sweep_until_its_next_attempt(
     assert calls == [511, 511, 511]
     assert manager._active == {} and manager.holders == {}
     assert manager.reclaims == []
+
+
+#: five shared holders of lock 0 on four nodes, granted in an order
+#: unlike their tokens; then one reclaim: prints (grant order, revoke
+#: order) as token lists
+_RECLAIM_RIG = """
+from repro.dlm import LockMode, NCoSEDManager
+from repro.net import Cluster
+cluster = Cluster(n_nodes=4, seed=0)
+env = cluster.env
+manager = NCoSEDManager(cluster, n_locks=1, lease_us=600.0)
+granted = []
+def holder(client, delay):
+    yield env.timeout(delay)
+    yield client.acquire(0, LockMode.SHARED)
+    granted.append(client.token)
+for i in range(5):
+    env.process(holder(manager.client(cluster.nodes[i % 4]), 3.0 * (4 - i)))
+env.run(until=100.0)
+manager._reclaim(0)
+print((granted, [token for _lock, token in manager._revoked]))
+"""
+
+
+def test_a_reclaim_revokes_in_grant_order_under_any_hash_seed():
+    """The revocations (``lock.revoke`` events, ``_revoked``) follow the
+    ledger's grant order, not the order of a set hashed per process."""
+    env = dict(os.environ)
+    docs = set()
+    for hash_seed in ("0", "1"):
+        env["PYTHONHASHSEED"] = hash_seed
+        out = subprocess.run([sys.executable, "-c", _RECLAIM_RIG],
+                             capture_output=True, text=True, env=env,
+                             check=True)
+        docs.add(out.stdout.strip())
+    (doc,) = docs
+    granted, revoked = ast.literal_eval(doc)
+    assert revoked == granted
+    assert granted != sorted(granted)  # grant order is not token order

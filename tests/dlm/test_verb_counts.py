@@ -6,8 +6,13 @@ one rule: never read a word you are about to CAS — CAS a guess, and let
 a failed CAS's return value be the read.  These tables are that rule as
 numbers, summed over every NIC in the cluster, so a read that creeps
 back onto a lock path fails here by name rather than as a percent on a
-benchmark.
+benchmark.  The host cost of the same round is pinned beside them: the
+Python frames it enters and the agenda entries it schedules, counted
+as ``tests/sim/test_wait_cost.py`` counts a wait.
 """
+
+import gc
+import sys
 
 import pytest
 
@@ -116,3 +121,77 @@ class TestLostTailRace:
             scheme, 3, ft_kw)
         assert reads == 0
         assert atomics == _ALONE[scheme] + 2 + 3
+
+
+def round_cost(scheme, mode, ft_kw, n):
+    """``(frames, agenda entries)`` of a run of ``n`` uncontended rounds
+    by one client: ``call`` profile events with the cyclic collector
+    off (builtins are not counted), and ``env._seq``."""
+    cluster = Cluster(n_nodes=2, seed=0)
+    manager = MANAGERS[scheme](cluster, n_locks=1, **ft_kw)
+    client = manager.client(cluster.nodes[1])
+
+    def main():
+        for _ in range(n):
+            yield client.acquire(0, mode)
+            yield client.release(0)
+
+    cluster.env.process(main())
+    calls = 0
+
+    def count(_frame, event, _arg):
+        nonlocal calls
+        if event == "call":
+            calls += 1
+
+    gc.collect()
+    gc.disable()
+    sys.setprofile(count)
+    try:
+        cluster.env.run(until=_HORIZON_US)
+    finally:
+        sys.setprofile(None)
+        gc.enable()
+    assert len(manager.holders.get(0, ())) == 0
+    return calls, cluster.env._seq
+
+
+#: (scheme, mode, lease) -> (frames, agenda entries) of one round, the
+#: first excluded (it makes the message queues and the word table's
+#: entry).  A non-fenced design takes no lease.
+ROUND_COST = {
+    # the exclusive round opens and closes a tenure, the shared one not
+    ("ncosed", LockMode.EXCLUSIVE, "off"): (43, 10),
+    ("ncosed", LockMode.SHARED, "off"): (40, 10),
+    # a lease adds the two lease-record notes, their two removals and
+    # the revocation check at release: five frames, no agenda entry
+    ("ncosed", LockMode.EXCLUSIVE, "lease600"): (48, 10),
+    ("ncosed", LockMode.SHARED, "lease600"): (45, 10),
+    ("mcs", LockMode.EXCLUSIVE, "off"): (41, 10),
+    ("mcs", LockMode.SHARED, "off"): (41, 10),
+    ("mcs", LockMode.EXCLUSIVE, "lease600"): (46, 10),
+    ("mcs", LockMode.SHARED, "lease600"): (46, 10),
+    # four atomics where the others take two
+    ("alock", LockMode.EXCLUSIVE, "off"): (63, 16),
+    ("alock", LockMode.SHARED, "off"): (63, 16),
+    ("alock", LockMode.EXCLUSIVE, "lease600"): (68, 16),
+    ("alock", LockMode.SHARED, "lease600"): (68, 16),
+    # three messages, each polled by a process, and the server's CPU
+    ("srsl", LockMode.EXCLUSIVE, "off"): (103, 20),
+    ("srsl", LockMode.SHARED, "off"): (103, 20),
+    ("dqnl", LockMode.EXCLUSIVE, "off"): (35, 10),
+    ("dqnl", LockMode.SHARED, "off"): (35, 10),
+}
+
+
+class TestRoundCost:
+    @pytest.mark.parametrize("scheme,mode,lease", sorted(
+        ROUND_COST, key=lambda k: (k[0], k[1].value, k[2])))
+    def test_frames_and_agenda_entries_per_round(self, scheme, mode, lease):
+        """The cost of one round is the difference between ``n + 1``
+        and ``n`` rounds, the same for every ``n`` measured."""
+        counts = [round_cost(scheme, mode, LEASES[lease], n)
+                  for n in (2, 3, 4)]
+        per_round = {(b[0] - a[0], b[1] - a[1])
+                     for a, b in zip(counts, counts[1:])}
+        assert per_round == {ROUND_COST[scheme, mode, lease]}

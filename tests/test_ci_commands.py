@@ -102,6 +102,17 @@ def test_perf_job_measures_its_own_baseline():
     assert "perf-base-2/result.json perf-head-2/result.json" in compare
 
 
+def test_perf_job_runs_the_benchmarks_own_tests():
+    """``benchmarks/perf/tests`` is outside tier-1's ``testpaths``; the
+    perf job runs it, before either ledger."""
+    text = CI.read_text(encoding="utf-8")
+    perf = text[text.index("\n  perf:"):]
+    blocks = [" ".join(b.split()) for b in run_blocks(perf)]
+    own = blocks.index("PYTHONPATH=src:benchmarks python -m pytest "
+                       "benchmarks/perf/tests -q")
+    assert own < min(i for i, b in enumerate(blocks) if "perf/run.py" in b)
+
+
 def test_figures_job_gates_the_committed_results():
     """The whole figure suite runs, then the results it rewrote must
     equal the committed ones."""
