@@ -30,15 +30,14 @@ class MonitoredLoadBalancer:
     def __init__(self, monitor: MonitorBase):
         self.monitor = monitor
         self.env = monitor.env
-        # sync schemes refresh on the dispatch path by definition; the
-        # fan-out is tuned to the probe cost: RDMA probes are ~10 µs of
-        # pure network so all back-ends are refreshed in parallel, while
-        # a socket probe steals CPU from the probed node, so only one
-        # node per dispatch is refreshed (round robin)
-        self.refresh_on_dispatch = monitor.NAME in ("socket-sync",
-                                                    "rdma-sync",
-                                                    "e-rdma-sync")
-        self._probe_all = monitor.NAME in ("rdma-sync", "e-rdma-sync")
+        # sync (not periodic) schemes refresh on the dispatch path by
+        # definition; the fan-out is tuned to the probe cost: a daemonless
+        # RDMA probe is ~10 µs of pure network so all back-ends are
+        # refreshed in parallel, while a daemon's socket probe steals CPU
+        # from the probed node, so only one node per dispatch is
+        # refreshed (round robin)
+        self.refresh_on_dispatch = not monitor.PERIODIC
+        self._probe_all = not monitor.NEEDS_DAEMON
         self._rr = 0
         self.dispatches = 0
         # least-connections bookkeeping the front-end gets for free: it
