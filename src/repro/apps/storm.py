@@ -30,6 +30,7 @@ from repro.errors import ConfigError
 from repro.net.cluster import Cluster
 from repro.net.node import Node
 from repro.sim import Event
+from repro.transport import rpc
 
 from repro.ddss import DDSS, Coherence
 
@@ -84,70 +85,52 @@ class StormEngine:
     # traditional messaging substrate
     # ------------------------------------------------------------------
     def _start_services(self) -> None:
+        handlers = {"meta": self._meta, "query": self._scan}
         for node in self.storage:
-            self.env.process(self._service(node),
+            self.env.process(rpc.serve(node, "storm", handlers),
                              name=f"storm-svc@{node.name}")
 
-    def _sock_cpu(self, node: Node, nbytes: int):
-        """Host socket-stack CPU for one send or receive on ``node``.
+    def _receive(self, node: Node):
+        """A storage node's socket receive and service handling."""
+        yield rpc.sock(node, CTRL_BYTES)
+        yield node.cpu.run(SERVICE_MSG_US, name="storm-ctrl")
 
-        The traditional STORM implementation speaks sockets; every
-        control exchange pays protocol-stack CPU on both ends (the
-        paper's baseline), while the DDSS path is one-sided RDMA.
-        """
-        params = node.nic.params
-        return node.cpu.run(params.sock_cpu_us(nbytes), name="storm-sock")
+    def _meta(self, node: Node, _request: dict):
+        yield from self._receive(node)
+        yield rpc.sock(node, CTRL_BYTES)
+        return {"n": len(self.partitions[node.id])}, CTRL_BYTES
 
-    def _service(self, node: Node):
-        """Storage-node service loop: metadata, scan, result delivery."""
-        while True:
-            msg = yield node.nic.recv(tag="storm")
-            body = msg.payload
-            # socket receive + service handling cost on the storage node
-            yield self._sock_cpu(node, CTRL_BYTES)
-            yield node.cpu.run(SERVICE_MSG_US, name="storm-ctrl")
-            if body["op"] == "meta":
-                yield self._sock_cpu(node, CTRL_BYTES)
-                node.nic.post(msg.src, payload={
-                    "n": len(self.partitions[node.id]),
-                }, size=CTRL_BYTES, tag=("storm-r", body["q"], node.id))
-            elif body["op"] == "query":
-                part = self.partitions[node.id]
-                yield node.cpu.run(len(part) * SCAN_US_PER_RECORD,
-                                   name="storm-scan")
-                lo, hi = body["lo"], body["hi"]
-                mask = (part >= lo) & (part < hi)
-                count = int(mask.sum())
-                total = int(part[mask].sum())
-                yield self._sock_cpu(node, RESULT_BYTES)
-                node.nic.post(msg.src, payload={
-                    "count": count, "sum": total,
-                }, size=RESULT_BYTES, tag=("storm-r", body["q"], node.id))
+    def _scan(self, node: Node, request: dict):
+        yield from self._receive(node)
+        part = self.partitions[node.id]
+        yield node.cpu.run(len(part) * SCAN_US_PER_RECORD, name="storm-scan")
+        mask = (part >= request["lo"]) & (part < request["hi"])
+        reply = {"count": int(mask.sum()), "sum": int(part[mask].sum())}
+        yield rpc.sock(node, RESULT_BYTES)
+        return reply, RESULT_BYTES
+
+    def _exchange(self, body: dict, reply_bytes: int):
+        """One call per storage node, then every reply in node order; the
+        coordinator pays its socket stack for each send and each reply."""
+        coord = self.coordinator
+        calls = []
+        for node in self.storage:
+            yield rpc.sock(coord, CTRL_BYTES)
+            calls.append(rpc.call(coord.nic, node.id, "storm", body,
+                                  CTRL_BYTES))
+        replies = []
+        for call in calls:
+            replies.append((yield call))
+            yield rpc.sock(coord, reply_bytes)
+        return replies
 
     def _run_traditional(self, lo: int, hi: int):
-        qid = self.env.next_id("storm-query")
-        coord = self.coordinator
-        # phase 1: metadata exchange with every storage node
-        for node in self.storage:
-            yield self._sock_cpu(coord, CTRL_BYTES)
-            coord.nic.post(node.id, payload={"op": "meta", "q": qid},
-                           size=CTRL_BYTES, tag="storm")
-        for node in self.storage:
-            yield coord.nic.recv(tag=("storm-r", qid, node.id))
-            yield self._sock_cpu(coord, CTRL_BYTES)
-        # phase 2: dispatch the query and gather partial results
-        for node in self.storage:
-            yield self._sock_cpu(coord, CTRL_BYTES)
-            coord.nic.post(node.id, payload={
-                "op": "query", "q": qid, "lo": lo, "hi": hi,
-            }, size=CTRL_BYTES, tag="storm")
-        count, total = 0, 0
-        for node in self.storage:
-            msg = yield coord.nic.recv(tag=("storm-r", qid, node.id))
-            yield self._sock_cpu(coord, RESULT_BYTES)
-            count += msg.payload["count"]
-            total += msg.payload["sum"]
-        return count, total
+        # phase 1: metadata exchange; phase 2: the query and its partials
+        yield from self._exchange({"op": "meta"}, CTRL_BYTES)
+        parts = yield from self._exchange(
+            {"op": "query", "lo": lo, "hi": hi}, RESULT_BYTES)
+        return (sum(r["count"] for r in parts),
+                sum(r["sum"] for r in parts))
 
     # ------------------------------------------------------------------
     # DDSS-backed substrate
@@ -210,7 +193,6 @@ class StormEngine:
         yield self._setup_done
         cc = self._coord_client
         qid = self.env.next_id("storm-query")
-        done_meta = yield cc.lookup(self._state["done"])
         done_region_before = yield cc.get_version(self._state["done"])
         yield cc.put(self._state["query"],
                      lo.to_bytes(8, "big") + hi.to_bytes(8, "big"))

@@ -110,8 +110,7 @@ class DDSS:
                                        name=f"ddss-seg@{node.name}")
             self._segments[node.id] = seg
             self._allocators[node.id] = SegmentAllocator(segment_bytes)
-            self.env.process(rpc.serve(node, self.WIRE_TAG, handlers,
-                                       DAEMON_WORK_US),
+            self.env.process(rpc.serve(node, self.WIRE_TAG, handlers),
                              name=f"ddss-daemon@{node.name}")
 
     # -- public --------------------------------------------------------
@@ -223,34 +222,36 @@ class DDSS:
         return new_meta
 
     # -- daemon handlers (served by repro.transport.rpc.serve) -------------
-    def _do_alloc(self, node: Node, body: dict) -> dict:
+    def _do_alloc(self, node: Node, body: dict):
+        yield node.cpu.run(DAEMON_WORK_US, name=self.WIRE_TAG)
         try:
             offset = self._allocators[node.id].alloc(
                 HEADER_BYTES + body["size"])
         except DDSSError as exc:
-            return {"error": str(exc)}
+            return {"error": str(exc)}, rpc.WIRE_BYTES
         seg = self._segments[node.id]
         # zero the header so locks start free and version at 0
         seg.write(offset, b"\x00" * HEADER_BYTES)
-        return {"addr": seg.addr + offset, "rkey": seg.rkey}
+        return {"addr": seg.addr + offset, "rkey": seg.rkey}, rpc.WIRE_BYTES
 
-    def _do_register(self, node: Node, body: dict) -> dict:
+    def _do_register(self, node: Node, body: dict):
+        yield node.cpu.run(DAEMON_WORK_US, name=self.WIRE_TAG)
         key = body.get("key")
         reject = self._dir_reject(node, "register", key)
         if reject is not None:
-            return reject
+            return reject, rpc.WIRE_BYTES
         meta: UnitMeta = body["meta"]
         meta = replace(meta,
                        key=key if key is not None
                        else next(self._next_key))
         self._directory[meta.key] = meta
-        return {"meta": meta}
+        return {"meta": meta}, rpc.WIRE_BYTES
 
-    def _do_lookup(self, node: Node, body: dict) -> dict:
-        reject = self._dir_reject(node, "lookup", body["key"])
-        if reject is not None:
-            return reject
-        meta = self._directory.get(body["key"])
-        if meta is None:
-            return {"error": f"unknown key {body['key']}"}
-        return {"meta": meta}
+    def _do_lookup(self, node: Node, body: dict):
+        yield node.cpu.run(DAEMON_WORK_US, name=self.WIRE_TAG)
+        reply = self._dir_reject(node, "lookup", body["key"])
+        if reply is None:
+            meta = self._directory.get(body["key"])
+            reply = ({"meta": meta} if meta is not None
+                     else {"error": f"unknown key {body['key']}"})
+        return reply, rpc.WIRE_BYTES

@@ -17,6 +17,7 @@ from typing import Dict, Sequence
 from repro.errors import MonitorError
 from repro.net.node import Node
 from repro.sim import Event
+from repro.transport import rpc
 
 from repro.monitor.kernel import KernelStats, STATS_BYTES
 
@@ -101,20 +102,28 @@ class _SocketSchemeBase(MonitorBase):
 
 
 class SocketSyncMonitor(_SocketSchemeBase):
-    """Request/response to the back-end daemon per query."""
+    """Request/response per query to the back-end's daemon, which serves
+    this monitor's tag one request at a time."""
 
     NAME = "socket-sync"
 
+    def __init__(self, front: Node, stats: Dict[int, KernelStats]):
+        super().__init__(front, stats)
+        self._tag = ("mon", self.env.next_id("monitor"))
+        for bid, ks in self.stats.items():
+            self.env.process(rpc.serve(ks.node, self._tag, {
+                "stats": self._report}), name=f"mon-daemon@{bid}")
+
+    def _report(self, node: Node, _request: dict):
+        # daemon wake-up/recv, collection and send, on the loaded CPU
+        yield rpc.sock(node, rpc.WIRE_BYTES)
+        report = yield from self._daemon_collect(node.id)
+        yield rpc.sock(node, STATS_BYTES)
+        return report, STATS_BYTES
+
     def _query(self, back_id: int):
-        ks = self.stats[back_id]
-        fabric = self.front.fabric
-        p = fabric.params
-        # request message + daemon wake-up/recv costs on the loaded CPU
-        yield fabric.transfer(self.front.id, back_id, 64)
-        yield ks.node.cpu.run(p.sock_cpu_us(64), name="mon-rx")
-        report = yield from self._daemon_collect(back_id)
-        yield ks.node.cpu.run(p.sock_cpu_us(STATS_BYTES), name="mon-tx")
-        yield fabric.transfer(back_id, self.front.id, STATS_BYTES)
+        report = yield rpc.call(self.front.nic, back_id, self._tag,
+                                {"op": "stats"})
         self.beliefs[back_id] = report
         return report
 
@@ -137,12 +146,10 @@ class SocketAsyncMonitor(_SocketSchemeBase):
     def _pusher(self, back_id: int):
         ks = self.stats[back_id]
         fabric = self.front.fabric
-        p = fabric.params
         while True:
             yield self.env.timeout(self.period_us)
             report = yield from self._daemon_collect(back_id)
-            yield ks.node.cpu.run(p.sock_cpu_us(STATS_BYTES),
-                                  name="mon-tx")
+            yield rpc.sock(ks.node, STATS_BYTES)
             yield fabric.transfer(back_id, self.front.id, STATS_BYTES)
             self.beliefs[back_id] = report
             self.pushes += 1

@@ -8,8 +8,8 @@ Two families of operations:
   verbs notion of an unsignaled work request); `send` returns an event
   that fires at local send completion.  Two-sided protocols
   additionally pay *host CPU* when the upper layer models it (the
-  socket baselines charge ``NetworkParams.sock_cpu_us`` in
-  :mod:`repro.monitor.schemes` and :mod:`repro.apps.storm`).
+  socket baselines charge ``NetworkParams.sock_cpu_us`` through
+  :func:`repro.transport.rpc.sock`).
 
 * **One-sided** (`rdma_read` / `rdma_write` / `cas` / `faa`): memory
   semantics.  The remote host CPU is never involved — the simulated HCA

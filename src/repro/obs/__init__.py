@@ -30,8 +30,7 @@ from typing import Dict, List, Optional
 from ..errors import ConfigError
 from .events import TAXONOMY, TraceEvent
 from .fairness import FairnessTracker, jain_index
-from .metrics import (FOLD_AT, Counter, Gauge, LatencyHistogram,
-                      MetricsRegistry)
+from .metrics import FOLD_AT, Counter, LatencyHistogram, MetricsRegistry
 from .tracer import Tracer, trace_chunks
 
 __all__ = [
@@ -42,7 +41,6 @@ __all__ = [
     "Tracer",
     "Counter",
     "FairnessTracker",
-    "Gauge",
     "jain_index",
     "LatencyHistogram",
     "MetricsRegistry",

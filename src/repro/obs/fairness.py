@@ -16,10 +16,7 @@ and derives, per manager:
 The tracker is scheme-agnostic: it needs only the ledger events every
 manager already emits (``lock.request`` / ``lock.grant`` /
 ``lock.release`` / ``lock.revoke``), so SRSL and the one-sided designs
-are measured identically.  When attached to a live observability stack
-it also mirrors the signals into metrics (``dlm.wait_us`` histogram,
-``dlm.max_wait_us`` / ``dlm.jain_fairness`` gauges,
-``dlm.handoff_chain_len`` histogram) so they land in metric exports.
+are measured identically.
 """
 
 from __future__ import annotations
@@ -59,7 +56,6 @@ class FairnessTracker:
     PREFIX = "lock."
 
     def __init__(self):
-        self._metrics = None
         self._mgrs: Dict[str, _MgrStats] = {}
         #: (mgr, lock, token) -> pending request instants (FIFO)
         self._pending: Dict[Tuple[str, int, int], List[float]] = {}
@@ -71,10 +67,8 @@ class FairnessTracker:
 
     # -- wiring ---------------------------------------------------------
     def attach(self, obs) -> "FairnessTracker":
-        """Subscribe to a live observability stack's tracer + metrics."""
+        """Subscribe to a live observability stack's tracer."""
         obs.trace.subscribe(self._on_event, self.PREFIX)
-        if self._metrics is None:
-            self._metrics = obs.metrics
         return self
 
     def _mgr(self, name: str) -> _MgrStats:
@@ -112,10 +106,6 @@ class FairnessTracker:
             st.waits.append(wait)
             if wait > st.max_wait:
                 st.max_wait = wait
-            if self._metrics is not None:
-                self._metrics.histogram("dlm.wait_us").observe(wait)
-                self._metrics.gauge("dlm.max_wait_us").set(
-                    max(m.max_wait for m in self._mgrs.values()))
         # hand-off chain: the grantee was already queued when the
         # previous holder let go — the lock never went idle
         last_rel = self._last_release.get((mgr, lock))
@@ -125,9 +115,6 @@ class FairnessTracker:
         else:
             self._close_chain(mgr, lock)
             self._chain[(mgr, lock)] = 1
-        if self._metrics is not None:
-            self._metrics.gauge("dlm.jain_fairness").set(
-                jain_index(st.grants.values()))
 
     def _close_chain(self, mgr: str, lock: int) -> None:
         length = self._chain.pop((mgr, lock), 0)
@@ -136,9 +123,6 @@ class FairnessTracker:
             st.chains.append(length)
             if length > st.max_chain:
                 st.max_chain = length
-            if self._metrics is not None:
-                self._metrics.histogram(
-                    "dlm.handoff_chain_len").observe(float(length))
 
     # -- results ----------------------------------------------------------
     def finish(self) -> Dict[str, dict]:

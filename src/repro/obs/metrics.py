@@ -1,4 +1,4 @@
-"""Counters, gauges and log-bucketed latency histograms.
+"""Counters and log-bucketed latency histograms.
 
 One :class:`MetricsRegistry` lives per :class:`~repro.sim.core.Environment`
 (installed as part of ``env.obs``).  Metrics are named with dotted paths
@@ -30,7 +30,7 @@ from typing import Callable, Dict, List, Optional
 from ..errors import ConfigError
 from ..sim.trace import Tally, rank_of
 
-__all__ = ["Counter", "Gauge", "LatencyHistogram", "MetricsRegistry"]
+__all__ = ["Counter", "LatencyHistogram", "MetricsRegistry"]
 
 #: samples a :class:`LatencyHistogram` buffers before folding them in
 FOLD_AT = 1024
@@ -54,33 +54,6 @@ class Counter:
 
     def to_dict(self) -> int:
         return self.value
-
-
-class Gauge:
-    """Last-set value plus the extremes it visited."""
-
-    __slots__ = ("name", "value", "min", "max")
-
-    def __init__(self, name: str):
-        self.name = name
-        self.value = 0.0
-        self.min = math.inf
-        self.max = -math.inf
-
-    def set(self, v: float) -> None:
-        if not -math.inf < v < math.inf:  # NaN or infinite
-            raise ValueError(
-                f"non-finite gauge value for {self.name!r}: {v}")
-        self.value = v
-        if v < self.min:
-            self.min = v
-        if v > self.max:
-            self.max = v
-
-    def to_dict(self) -> Dict[str, float]:
-        if self.min is math.inf:  # never set
-            return {"value": self.value, "min": None, "max": None}
-        return {"value": self.value, "min": self.min, "max": self.max}
 
 
 class LatencyHistogram:
@@ -190,7 +163,6 @@ class MetricsRegistry:
     def __init__(self, env):
         self.env = env
         self.counters: Dict[str, Counter] = {}
-        self.gauges: Dict[str, Gauge] = {}
         self.histograms: Dict[str, LatencyHistogram] = {}
         #: key -> [count, value, c, v]: (c, v) is (count(), value())
         #: at registration
@@ -203,13 +175,6 @@ class MetricsRegistry:
         if c is None:
             c = self.counters[k] = Counter(k)
         return c
-
-    def gauge(self, name: str, node: Optional[int] = None) -> Gauge:
-        k = _key(name, node)
-        g = self.gauges.get(k)
-        if g is None:
-            g = self.gauges[k] = Gauge(k)
-        return g
 
     def histogram(self, name: str,
                   node: Optional[int] = None) -> LatencyHistogram:
@@ -244,8 +209,6 @@ class MetricsRegistry:
         counters.update(self.pulled_values())
         return {
             "counters": dict(sorted(counters.items())),
-            "gauges": {k: g.to_dict()
-                       for k, g in sorted(self.gauges.items())},
             "histograms": {k: h.to_dict()
                            for k, h in sorted(self.histograms.items())},
         }

@@ -10,12 +10,12 @@ Implements the paper's "advanced communication protocols and subsystems":
 * :mod:`repro.transport.flowcontrol` — credit-based vs packetized
   (sender-managed RDMA ring) flow control for small messages.
 * :mod:`repro.transport.rpc` — the one request/reply path over raw NIC
-  messages (the DDSS control plane): a deadline, bounded retry and
-  at-most-once execution, armed only under a fault injector.
+  messages (the DDSS control plane, STORM's traditional coordinator and
+  the socket-sync monitor): a deadline, bounded retry and at-most-once
+  execution, armed only under a fault injector.
 
 The host TCP/IP socket baseline is a cost, not an endpoint:
-``NetworkParams.sock_cpu_us`` charged in :mod:`repro.monitor.schemes`
-and :mod:`repro.apps.storm`.
+``NetworkParams.sock_cpu_us``, charged by :func:`repro.transport.rpc.sock`.
 
 The SDP endpoints share one interface: ``listen(port)`` /
 ``connect(node, port)`` yielding a connection with ``send(payload,

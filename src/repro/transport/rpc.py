@@ -2,11 +2,13 @@
 
 A request is a dict that names its handler under ``"op"``.
 :func:`call` adds ``"req"``, a request id from ``env.next_id``, sends it
-to the server's tag and returns the reply event.  :func:`serve` is the
-server loop: it charges the node's CPU, runs ``handlers[op]`` and sends
-``(req, reply)`` back on :data:`REPLY_TAG`.  Every message is
-:data:`WIRE_BYTES` on the wire.  The DDSS control plane (``allocate``,
-``lookup``, ``free``) is the user::
+(:data:`WIRE_BYTES` unless the caller names its size) to the server's
+tag and returns the reply event.  :func:`serve` is the server loop: the
+generator ``handlers[op]`` charges the node's CPU and returns ``(reply,
+reply_bytes)``, and the loop sends ``(req, reply)`` back on
+:data:`REPLY_TAG`.  The users are the DDSS control plane, STORM's
+traditional coordinator and the socket-sync monitor; the two socket
+baselines charge their host stack's CPU with :func:`sock`::
 
     reply = yield rpc.call(nic, dst, "ddss", {"op": "lookup", "key": 7})
 
@@ -21,9 +23,9 @@ and one reply, and nothing else:
   the attempt count.  The deadline is a bare timer callback, and the
   caller waits on the reply event itself, so a reply in time resumes the
   caller exactly where it would without the timer.
-* **At-most-once.**  The server keeps its last :data:`WINDOW` replies by
-  request id.  A re-sent or duplicated request gets the cached reply and
-  the handler does not run again.
+* **At-most-once.**  The server keeps its last :data:`WINDOW` replies,
+  each with its size, by request id.  A re-sent or duplicated request
+  gets the cached reply and the handler does not run again.
 * **No residue.**  A late or duplicate reply finds no waiter: it is
   counted and discarded, and it leaves no receive queue behind.
 
@@ -39,14 +41,14 @@ from functools import partial
 from repro.errors import TimeoutError
 from repro.sim import Event
 
-__all__ = ["call", "serve", "REPLY_TAG", "WIRE_BYTES", "DEADLINE_US",
-           "ATTEMPTS", "WINDOW"]
+__all__ = ["call", "serve", "sock", "REPLY_TAG", "WIRE_BYTES",
+           "DEADLINE_US", "ATTEMPTS", "WINDOW"]
 
 #: the tag every reply travels on; the caller's NIC routes it by id
 REPLY_TAG = "rpc-reply"
 
-#: bytes of every request and reply: a control message fits in one
-#: 64-byte inline send
+#: bytes of a request unless its caller says otherwise: a control
+#: message fits in one 64-byte inline send
 WIRE_BYTES = 64
 
 #: first attempt's deadline (µs).  About 30x the slowest fault-free
@@ -104,22 +106,23 @@ def _box(nic) -> _Box:
     return box
 
 
-def call(nic, dst: int, tag, body: dict) -> Event:
-    """Send ``body`` to ``dst``'s server on ``tag``; the event's value is
-    the handler's reply (see the module docstring for failures)."""
+def call(nic, dst: int, tag, body: dict, nbytes: int = WIRE_BYTES) -> Event:
+    """Send ``body`` (``nbytes`` on the wire) to ``dst``'s server on
+    ``tag``; the event's value is the handler's reply (see the module
+    docstring for failures)."""
     env = nic.env
     rid = env.next_id("rpc")
     box = _box(nic)
     reply = box.waiting[rid] = Event(env)
     request = dict(body, req=rid)
-    nic.post(dst, payload=request, size=WIRE_BYTES, tag=tag)
+    nic.post(dst, payload=request, size=nbytes, tag=tag)
     if nic.fabric.injector is not None:
         env._schedule_call(env.now + DEADLINE_US, partial(
-            _expire, box, dst, tag, request, reply, 0))
+            _expire, box, dst, tag, request, nbytes, reply, 0))
     return reply
 
 
-def _expire(box, dst, tag, request, reply, attempt) -> None:
+def _expire(box, dst, tag, request, nbytes, reply, attempt) -> None:
     """Attempt ``attempt``'s deadline: re-send, or fail the call."""
     if reply.triggered:
         return
@@ -130,9 +133,9 @@ def _expire(box, dst, tag, request, reply, attempt) -> None:
     if attempt < ATTEMPTS:
         _trace(env, "rpc.retry", "rpc.retries", nic.node.id, rid=rid,
                attempt=attempt, dst=dst)
-        nic.post(dst, payload=request, size=WIRE_BYTES, tag=tag)
+        nic.post(dst, payload=request, size=nbytes, tag=tag)
         env._schedule_call(env.now + DEADLINE_US * 2 ** attempt, partial(
-            _expire, box, dst, tag, request, reply, attempt))
+            _expire, box, dst, tag, request, nbytes, reply, attempt))
         return
     del box.waiting[rid]
     _trace(env, "rpc.timeout", "rpc.timeouts", nic.node.id, rid=rid,
@@ -142,11 +145,11 @@ def _expire(box, dst, tag, request, reply, attempt) -> None:
         f"attempts"))
 
 
-def serve(node, tag, handlers: dict, work_us: float):
+def serve(node, tag, handlers: dict):
     """Server loop (a process body) for the requests on ``tag``.
 
-    Each request costs ``work_us`` of the node's CPU, then
-    ``handlers[op](node, request)`` returns the reply.
+    ``handlers[op](node, request)`` is a generator: it charges the
+    node's CPU for the request and returns ``(reply, reply_bytes)``.
     """
     nic = node.nic
     env = node.env
@@ -157,24 +160,28 @@ def serve(node, tag, handlers: dict, work_us: float):
         armed = nic.fabric.injector is not None
         if armed:
             window = _box(nic).window
-            reply = window.get(rid)
-            if reply is not None:
+            sent = window.get(rid)
+            if sent is not None:
                 _trace(env, "rpc.dup_request", "rpc.dup_requests", node.id,
                        rid=rid, server=node.id)
-                nic.post(msg.src, payload=(rid, reply), size=WIRE_BYTES,
+                nic.post(msg.src, payload=(rid, sent[0]), size=sent[1],
                          tag=REPLY_TAG)
                 continue
-        yield node.cpu.run(work_us, name=tag)
-        reply = handlers[request["op"]](node, request)
+        reply, nbytes = yield from handlers[request["op"]](node, request)
         if armed:
-            window[rid] = reply
+            window[rid] = reply, nbytes
             if len(window) > WINDOW:
                 del window[next(iter(window))]
             if env.obs is not None:
                 env.obs.trace.emit("rpc.execute", node=node.id, rid=rid,
                                    server=node.id)
-        nic.post(msg.src, payload=(rid, reply), size=WIRE_BYTES,
-                 tag=REPLY_TAG)
+        nic.post(msg.src, payload=(rid, reply), size=nbytes, tag=REPLY_TAG)
+
+
+def sock(node, nbytes: int):
+    """Host socket-stack CPU for one send or receive of ``nbytes`` on
+    ``node``: the event of that CPU job."""
+    return node.cpu.run(node.nic.params.sock_cpu_us(nbytes), name="sock")
 
 
 def _trace(env, etype: str, counter: str, node: int, **fields) -> None:

@@ -25,19 +25,18 @@ class RubisTxn:
     weight: float      # share of the mix
     cpu_us: float      # server CPU demand
     resp_bytes: int    # response size
-    db_round_trips: int  # backend interactions
 
 
 #: the default transaction mix (browsing-heavy, like RUBiS' default)
 DEFAULT_MIX: List[RubisTxn] = [
-    RubisTxn("home", 0.16, 30.0, 4_096, 0),
-    RubisTxn("browse-categories", 0.22, 60.0, 12_288, 1),
-    RubisTxn("view-item", 0.28, 90.0, 8_192, 1),
-    RubisTxn("search-items", 0.12, 700.0, 16_384, 2),
-    RubisTxn("put-bid", 0.10, 260.0, 2_048, 2),
-    RubisTxn("buy-now", 0.05, 220.0, 2_048, 2),
-    RubisTxn("sell-item", 0.04, 450.0, 4_096, 3),
-    RubisTxn("about-me", 0.03, 350.0, 10_240, 2),
+    RubisTxn("home", 0.16, 30.0, 4_096),
+    RubisTxn("browse-categories", 0.22, 60.0, 12_288),
+    RubisTxn("view-item", 0.28, 90.0, 8_192),
+    RubisTxn("search-items", 0.12, 700.0, 16_384),
+    RubisTxn("put-bid", 0.10, 260.0, 2_048),
+    RubisTxn("buy-now", 0.05, 220.0, 2_048),
+    RubisTxn("sell-item", 0.04, 450.0, 4_096),
+    RubisTxn("about-me", 0.03, 350.0, 10_240),
 ]
 
 

@@ -90,16 +90,16 @@ class TestPerformanceShape:
 
 
 def test_query_ids_are_per_run():
-    """Query ids come from the run's environment: two traditional
-    queries in a second identical run in the same process carry the
-    same ids."""
-    def qids():
+    """Request ids come from the run's environment: the traditional
+    queries of a second identical run in the same process send the same
+    ids, one per exchange with each storage node."""
+    def rids():
         cluster, engine = build()
         seen = []
         nic = engine.coordinator.nic
 
         def post(dst, payload=None, real=nic.post, **kw):
-            seen.append(payload["q"])
+            seen.append(payload["req"])
             real(dst, payload=payload, **kw)
 
         nic.post = post
@@ -107,6 +107,20 @@ def test_query_ids_are_per_run():
         run_query(cluster, engine, 100, 200)
         return seen
 
-    first = qids()
-    assert len(set(first)) == 2
-    assert qids() == first
+    first = rids()
+    # 2 queries x 2 exchanges (meta, query) x 3 storage nodes
+    assert len(set(first)) == len(first) == 12
+    assert rids() == first
+
+
+def test_queries_leave_no_receive_queues():
+    """Replies are routed by request id, not a tag per query: the
+    coordinator's receive-queue table is the same size after 2
+    traditional queries as after 16."""
+    cluster, engine = build()
+    queues = engine.coordinator.nic._recv_queues
+    sizes = {}
+    for q in range(16):
+        run_query(cluster, engine, 0, 100 * (q + 1))
+        sizes[q + 1] = len(queues)
+    assert sizes[2] == sizes[16]

@@ -16,6 +16,7 @@ from repro.monitor import (
     SocketSyncMonitor,
 )
 from repro.monitor.experiments import accuracy_trace, lb_throughput
+from repro.monitor.schemes import DAEMON_COLLECT_US
 
 
 def build(scheme_cls, n_back=2, seed=0, **kw):
@@ -120,6 +121,24 @@ class TestSchemes:
         p = cluster.env.process(app(cluster.env))
         cluster.env.run_until_event(p)
         assert sum(works) > 0.0
+
+    def test_socket_sync_daemon_serves_one_query_at_a_time(self):
+        """A back-end runs one daemon per monitor: two queries sent at
+        once are served in turn, so the second waits out the first's
+        collection; the socket stack is charged on the back-end only."""
+        cluster, front, backs, stats, monitor = build(SocketSyncMonitor)
+        front_works = cpu_work(front)
+        done = []
+
+        def app(env):
+            yield monitor.query(backs[0].id)
+            done.append(env.now)
+
+        env = cluster.env
+        env.run_until_event(env.all_of([env.process(app(env))
+                                        for _ in range(2)]))
+        assert done[1] - done[0] >= DAEMON_COLLECT_US
+        assert front_works == []
 
     def test_socket_sync_latency_inflates_under_load(self):
         def measure(load):

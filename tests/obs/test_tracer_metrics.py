@@ -10,7 +10,7 @@ from repro.sim.trace import Tally, rank_of
 from tests.obs.reference_hist import percentile
 from repro.obs import LatencyHistogram, MetricsRegistry, Tracer
 from repro.obs.events import TAXONOMY
-from repro.obs.metrics import Counter, Gauge
+from repro.obs.metrics import Counter
 
 
 class TestTracer:
@@ -112,32 +112,6 @@ class TestCounterGauge:
         assert c.value == 5
         with pytest.raises(ValueError):
             c.inc(-1)
-
-    def test_gauge_tracks_extremes(self):
-        g = Gauge("queue")
-        g.set(3.0)
-        g.set(-2.0)
-        g.set(10.0)
-        assert g.value == 10.0
-        assert g.min == -2.0 and g.max == 10.0
-
-    def test_gauge_rejects_nan(self):
-        with pytest.raises(ValueError):
-            Gauge("g").set(float("nan"))
-
-    @pytest.mark.parametrize("v", [math.inf, -math.inf])
-    def test_gauge_rejects_infinity(self, v):
-        """``inf`` is the never-set sentinel of ``min``: a set infinity
-        exported as ``None`` extremes, and as ``Infinity``, not JSON."""
-        g = Gauge("queue")
-        g.set(2.0)
-        with pytest.raises(ValueError, match="'queue'"):
-            g.set(v)
-        assert g.to_dict() == {"value": 2.0, "min": 2.0, "max": 2.0}
-
-    def test_unset_gauge_exports_none_extremes(self):
-        assert Gauge("g").to_dict() == {"value": 0.0, "min": None,
-                                        "max": None}
 
 
 class TestLatencyHistogram:
@@ -247,8 +221,8 @@ class TestMetricsRegistry:
     def test_create_on_first_use_returns_same_object(self):
         reg = MetricsRegistry(Environment())
         assert reg.histogram("x") is reg.histogram("x")
-        assert reg.gauge("g", node=1) is reg.gauge("g", node=1)
-        assert reg.gauge("g") is not reg.gauge("g", node=1)
+        assert reg.counter("c", node=1) is reg.counter("c", node=1)
+        assert reg.counter("c") is not reg.counter("c", node=1)
 
     def test_export_is_sorted_and_json_plain(self):
         reg = MetricsRegistry(Environment())

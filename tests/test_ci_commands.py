@@ -8,6 +8,7 @@ continuations joined.  CI keeps its commands loop-free for this reason.
 """
 
 import re
+import runpy
 import shlex
 from pathlib import Path
 
@@ -123,6 +124,42 @@ def test_figures_job_gates_the_committed_results():
     assert blocks[suite + 1] == "git diff --exit-code benchmarks/results/"
     # and the step summary reads the seconds per row the suite wrote
     assert 'open("figures-bench.json")' in blocks[suite + 2]
+
+
+def test_figures_job_lists_the_cells_moved_since_the_merge_base():
+    """On a pull request the figures job's summary names every committed
+    results cell that differs from the merge base's, so a PR's moved
+    cells are reviewable without re-running; the job fetches the
+    history that holds the merge base."""
+    text = CI.read_text(encoding="utf-8")
+    figures = text[text.index("\n  figures:"):text.index("\n  perf:")]
+    assert "fetch-depth: 0" in figures
+    (step,) = [b for b in run_blocks(figures) if "results-diff.py" in b]
+    assert step == ('python3 .github/results-diff.py '
+                    '"$(git merge-base "origin/$BASE_REF" HEAD)" HEAD '
+                    '>> "$GITHUB_STEP_SUMMARY"')
+    assert figures.index("results-diff.py") > figures.index(
+        "git diff --exit-code benchmarks/results/")
+
+
+def test_results_diff_names_each_moved_cell():
+    """``.github/results-diff.py`` on two small result sets: a moved
+    cell is one line, and so is each cell of a row or a file on one
+    side only; an unchanged file gives none."""
+    diff = runpy.run_path(str(CI.parents[1] / "results-diff.py"))["moved"]
+    doc = {"columns": ["alpha", "tps", "gain"],
+           "rows": [[0.9, 100, 1.5], [0.5, 90, 2.0]]}
+    grown = {"columns": ["alpha", "tps", "gain"],
+             "rows": [[0.9, 100, 1.6], [0.5, 90, 2.0], [0.25, 80, 2.5]]}
+    assert diff({"a.json": doc, "same.json": doc},
+                {"a.json": grown, "same.json": doc}) == [
+        ("a.json", 0.9, "gain", 1.5, 1.6),
+        ("a.json", 0.25, "tps", "-", 80),
+        ("a.json", 0.25, "gain", "-", 2.5)]
+    assert diff({"a.json": doc}, {}) == [
+        ("a.json", 0.9, "tps", 100, "-"), ("a.json", 0.9, "gain", 1.5, "-"),
+        ("a.json", 0.5, "tps", 90, "-"), ("a.json", 0.5, "gain", 2.0, "-")]
+    assert diff({"a.json": doc}, {"a.json": doc}) == []
 
 
 def test_every_exported_trace_is_replayed():

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import ConfigError
+from repro.faults import FaultPlan
 from repro.net import Cluster, NetworkParams
 from repro.transport import (
     CreditFlowSender,
@@ -73,17 +74,22 @@ class TestFlowControl:
             cluster.env.run_until_event(cluster.env.process(gen))
 
 
-def _doubler(_node, request):
-    return {"echo": request["x"] * 2}
+def doubler(work_us, reply_bytes=rpc.WIRE_BYTES):
+    """A toy handler: ``work_us`` of the server's CPU, then the doubled
+    argument as a ``reply_bytes`` reply."""
+    def double(node, request):
+        yield node.cpu.run(work_us, name="toy")
+        return {"echo": request["x"] * 2}, reply_bytes
+    return double
 
 
 class TestRpc:
     """The request/reply helper on its own, with a toy handler table."""
 
-    def serve(self, cluster, node_id=0, work_us=1.0):
+    def serve(self, cluster, node_id=0, work_us=1.0, **kw):
         node = cluster.nodes[node_id]
-        cluster.env.process(rpc.serve(node, "toy", {"double": _doubler},
-                                      work_us))
+        cluster.env.process(rpc.serve(
+            node, "toy", {"double": doubler(work_us, **kw)}))
 
     def test_call_roundtrip(self, cluster):
         self.serve(cluster)
@@ -132,3 +138,45 @@ class TestRpc:
             return c.env.run_until_event(p)
 
         assert measure(30) > 3 * measure(0)
+
+    def test_resend_keeps_the_requests_size(self, cluster):
+        """The first request is lost: the re-send after the deadline
+        carries the size its caller named."""
+        obs = cluster.observe(strict=False)
+        cluster.install_faults(FaultPlan().drop_messages(1.0, until=10.0))
+        self.serve(cluster)
+
+        def app(env):
+            reply = yield rpc.call(cluster.nodes[1].nic, 0, "toy",
+                                   {"op": "double", "x": 1}, nbytes=512)
+            return reply
+
+        p = cluster.env.process(app(cluster.env))
+        assert cluster.env.run_until_event(p) == {"echo": 2}
+        assert len(obs.trace.select("rpc.retry")) == 1
+        assert [row.fields["size"] for row in obs.trace.select("msg.send")
+                if row.node == 1] == [512, 512]
+
+    def test_duplicate_is_answered_at_the_replys_size(self, cluster):
+        """Every message is delivered twice: the duplicated request is
+        answered from the server's window at the size the handler gave
+        its reply, not at :data:`rpc.WIRE_BYTES`, and the request keeps
+        the size its caller named."""
+        obs = cluster.observe(strict=False)
+        cluster.install_faults(FaultPlan().duplicate_messages(1.0))
+        self.serve(cluster, reply_bytes=4 * rpc.WIRE_BYTES)
+
+        def app(env):
+            reply = yield rpc.call(cluster.nodes[1].nic, 0, "toy",
+                                   {"op": "double", "x": 4}, nbytes=512)
+            return reply
+
+        p = cluster.env.process(app(cluster.env))
+        assert cluster.env.run_until_event(p) == {"echo": 8}
+        cluster.env.run()
+        sizes = {}
+        for row in obs.trace.select("msg.send"):
+            sizes.setdefault(row.node, []).append(row.fields["size"])
+        assert len(obs.trace.select("rpc.execute")) == 1
+        assert obs.trace.select("rpc.dup_request")
+        assert sizes == {0: [4 * rpc.WIRE_BYTES] * 2, 1: [512]}
